@@ -96,37 +96,8 @@ pub fn runtime_with_net(
     cfg: Config,
     model: ssim::NetModel,
 ) -> Runtime<CbtProgram> {
-    let seed = cfg.seed;
-    let delta = model.delivery_bound();
-    // A lossy channel can swallow the first post-commit beacon of an edge,
-    // keeping the detector's cover fault alive for a further `Δ` rounds
-    // per loss — so the detector waits out two consecutive losses before
-    // treating the fault as real (see `CbtCore::fault_patience`). Jitter
-    // needs the same slack without any loss at all: consecutive beacons
-    // legitimately arrive up to `1 + jitter` rounds apart, and a detector
-    // holding hosts to the tight `Δ` budget mistakes reordering for
-    // silence.
-    let patience = if model.loss > 0.0 || model.jitter > 0 {
-        3 * delta
-    } else {
-        delta
-    };
-    // Merge-critical messages are retransmitted on lossy channels: the
-    // zipper commit is local per host, so one lost zip message produces a
-    // one-sided commit and a guaranteed reset (see
-    // `CbtCore::zip_redundancy`). Two copies drop the effective loss to
-    // `p²` — at the wan preset's 2% that is 4·10⁻⁴ per message.
-    let redundancy = if model.loss > 0.0 { 2 } else { 1 };
-    let mk = move |v: NodeId| {
-        CbtProgram::new(v, n, join_nonce(seed, v))
-            .with_delta(delta)
-            .with_fault_patience(patience)
-            .with_zip_redundancy(redundancy)
-    };
+    let mk = spawner(n, cfg.seed, model);
     let nodes = ids.iter().map(|&v| (v, mk(v)));
-    // Hosts joining mid-run (scenario churn) boot exactly like constructed
-    // hosts: fresh singleton clusters with the seed-derived nonce (and the
-    // same delivery-bound budget).
     let mut rt = Runtime::new(cfg, nodes, edges)
         .with_spawner(mk)
         .with_net_model(model);
@@ -139,15 +110,25 @@ pub fn runtime_with_net(
     rt
 }
 
-fn join_nonce(seed: u64, v: NodeId) -> u64 {
+/// How a host boots — at construction, and when it joins mid-run or after
+/// a restore: a fresh singleton cluster with the seed-derived nonce,
+/// budgeted for `model` ([`crate::CbtCore::with_net`]).
+fn spawner(n: u32, seed: u64, model: ssim::NetModel) -> impl Fn(NodeId) -> CbtProgram + Copy {
+    move |v| CbtProgram::new(v, n, join_nonce(seed, v)).with_net(model)
+}
+
+/// The nonce a host `v` boots with in a run seeded `seed` (shared with
+/// `chord_scaffold`, whose hosts embed this protocol).
+pub fn join_nonce(seed: u64, v: NodeId) -> u64 {
     seed ^ (v as u64 + 7).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
 /// Restore a CBT runtime from snapshot bytes produced by
 /// [`ssim::Runtime::save_snapshot`], re-registering the non-serializable
 /// hooks a [`runtime`]-built instance carries: the join spawner (nonces
-/// derived from the snapshot's seed, so mid-run joins behave exactly as in
-/// the original run) and, in debug builds, the shadow quiescence check.
+/// derived from the snapshot's seed and budgets from its network model, so
+/// mid-run joins behave exactly as in the original run) and, in debug
+/// builds, the shadow quiescence check.
 pub fn restore_runtime(
     bytes: &[u8],
     cfg: Config,
@@ -159,8 +140,7 @@ pub fn restore_runtime(
         ));
     };
     let n = rt.program(first).core.n;
-    let seed = rt.config().seed;
-    rt.set_spawner(move |v| CbtProgram::new(v, n, join_nonce(seed, v)));
+    rt.set_spawner(spawner(n, rt.config().seed, rt.net_model()));
     if cfg!(debug_assertions) {
         rt.enable_shadow_check();
     }

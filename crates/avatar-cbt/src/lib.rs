@@ -22,7 +22,7 @@
 //!    creating exactly the host edges the merged embedding requires, then
 //!    commit and prune.
 //!
-//! ## Faithfulness notes (see DESIGN.md)
+//! ## Faithfulness notes
 //!
 //! The original Avatar paper gives the algorithm as prose + proofs; this
 //! implementation makes three documented engineering choices: globally

@@ -32,27 +32,11 @@ impl CbtProgram {
         }
     }
 
-    /// Re-budget the host for a per-hop delivery bound of `delta` rounds
-    /// (see [`CbtCore::with_delta`]). `with_delta(1)` is the identity.
+    /// Re-budget the host for a network-conditions model
+    /// (see [`CbtCore::with_net`]); the identity on the ideal network.
     #[must_use]
-    pub fn with_delta(mut self, delta: u64) -> Self {
-        self.core = self.core.with_delta(delta);
-        self
-    }
-
-    /// Override the detector's fault patience
-    /// (see [`CbtCore::with_fault_patience`]).
-    #[must_use]
-    pub fn with_fault_patience(mut self, rounds: u64) -> Self {
-        self.core = self.core.with_fault_patience(rounds);
-        self
-    }
-
-    /// Retransmit merge-critical messages
-    /// (see [`CbtCore::with_zip_redundancy`]).
-    #[must_use]
-    pub fn with_zip_redundancy(mut self, copies: u8) -> Self {
-        self.core = self.core.with_zip_redundancy(copies);
+    pub fn with_net(mut self, model: ssim::NetModel) -> Self {
+        self.core = self.core.with_net(model);
         self
     }
 }

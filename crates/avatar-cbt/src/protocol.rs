@@ -84,13 +84,13 @@ pub struct CbtCore {
     /// *transiently* fails.
     pub fault_streak: u8,
     /// Rounds a detector fault must persist before the reset fires.
-    /// `Δ` under a pure-latency channel ([`CbtCore::with_delta`] sets
+    /// `Δ` under a pure-latency channel ([`CbtCore::with_net`] sets
     /// this; `Δ = 1` resets on the first faulty round — bit-for-bit the
     /// classic detector). A *lossy* channel needs more: after a commit
     /// only a new-cid beacon can re-cover a crossing edge, so losing the
     /// first post-commit beacon keeps the fault alive for a further `Δ`
-    /// rounds per loss. [`crate::legal::runtime_with_net`] uses `3Δ`
-    /// when `loss > 0` (two consecutive critical losses tolerated).
+    /// rounds per loss. [`CbtCore::with_net`] uses `3Δ` when `loss > 0`
+    /// (two consecutive critical losses tolerated).
     pub fault_patience: u8,
     /// Copies sent of each merge-critical message (`MergeHello` and the
     /// three zip kinds). The zipper's commit is evaluated *locally* per
@@ -132,35 +132,42 @@ impl CbtCore {
         }
     }
 
-    /// Re-budget this host for a per-hop delivery bound of `delta` rounds
-    /// (see [`Schedule::with_delta`]): the epoch schedule stretches
-    /// uniformly, the beacon staleness horizon scales, and every grace
-    /// window is re-derived. `with_delta(1)` is the identity. Call before
-    /// the first step — the schedule realigns epoch arithmetic.
+    /// Re-budget this host for a network-conditions model — the one place
+    /// the `(Δ, fault_patience, zip_redundancy)` rule lives; runtime
+    /// builders, restores and join spawners of both protocol crates all
+    /// come through here. For the model's per-hop delivery bound `Δ`
+    /// ([`ssim::NetModel::delivery_bound`]) the epoch schedule stretches
+    /// uniformly (see [`Schedule::with_delta`]), the beacon staleness
+    /// horizon scales, and every grace window is re-derived; loss and
+    /// jitter add detector patience and retransmission, below. With
+    /// [`ssim::NetModel::ideal`] (`Δ = 1`) this is the identity. Call
+    /// before the first step — the schedule realigns epoch arithmetic.
     #[must_use]
-    pub fn with_delta(mut self, delta: u64) -> Self {
-        let delta = delta.max(1);
+    pub fn with_net(mut self, model: ssim::NetModel) -> Self {
+        let delta = model.delivery_bound();
         self.sched = self.sched.with_delta(delta);
         self.view.set_delta(delta);
         self.grace = Self::hops(delta, 2);
         self.fault_patience = Self::hops(delta, 1);
-        self
-    }
-
-    /// Override the detector's fault patience (clamped to ≥ 1 round); see
-    /// [`CbtCore::fault_patience`]. Call after [`CbtCore::with_delta`],
-    /// which re-derives the pure-latency default.
-    #[must_use]
-    pub fn with_fault_patience(mut self, rounds: u64) -> Self {
-        self.fault_patience = rounds.clamp(1, u8::MAX as u64) as u8;
-        self
-    }
-
-    /// Send `copies` of each merge-critical message
-    /// (see [`CbtCore::zip_redundancy`]); clamped to ≥ 1.
-    #[must_use]
-    pub fn with_zip_redundancy(mut self, copies: u8) -> Self {
-        self.zip_redundancy = copies.max(1);
+        // A lossy channel can swallow the first post-commit beacon of an
+        // edge, keeping the detector's cover fault alive for a further `Δ`
+        // rounds per loss — so the detector waits out two consecutive
+        // losses before treating the fault as real (see
+        // `CbtCore::fault_patience`). Jitter needs the same slack without
+        // any loss at all: consecutive beacons legitimately arrive up to
+        // `1 + jitter` rounds apart, and a detector holding hosts to the
+        // tight `Δ` budget mistakes reordering for silence.
+        if model.loss > 0.0 || model.jitter > 0 {
+            self.fault_patience = Self::hops(delta, 3);
+        }
+        // Merge-critical messages are retransmitted on lossy channels: the
+        // zipper commit is local per host, so one lost zip message produces
+        // a one-sided commit and a guaranteed reset (see
+        // `CbtCore::zip_redundancy`). Two copies drop the effective loss to
+        // `p²` — at the wan preset's 2% that is 4·10⁻⁴ per message.
+        if model.loss > 0.0 {
+            self.zip_redundancy = 2;
+        }
         self
     }
 

@@ -48,7 +48,7 @@ fn run_linear(hosts: usize, seed: u64) -> (Option<u64>, usize, u64) {
 }
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let mut t = Table::new(&["n", "algo", "rounds", "peak_deg", "messages"]);
     for hosts in [16usize, 32, 64, 128, 256] {
         let n_guests = (hosts as u32 * 8).next_power_of_two();

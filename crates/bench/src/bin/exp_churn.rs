@@ -14,10 +14,10 @@
 //! under weaker daemons is exactly the scenario diversity the scheduler
 //! subsystem opens.
 
-use scaffold_bench::{measure_churn_args, Table};
+use scaffold_bench::{measure_churn, Table};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let episodes = args.count.unwrap_or(6) as usize;
     let mut t = Table::new(&[
         "N",
@@ -35,7 +35,7 @@ fn main() {
     let mut reports = Vec::new();
     for n in [64u32, 128, 256, 512] {
         let hosts = (n / 8) as usize;
-        let report = measure_churn_args(n, hosts, episodes, 12_000 + n as u64, &args);
+        let report = measure_churn(n, hosts, episodes, 12_000 + n as u64, &args);
         t.row(vec![
             n.to_string(),
             hosts.to_string(),

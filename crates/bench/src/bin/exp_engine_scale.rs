@@ -3,9 +3,8 @@
 //! is the committed perf baseline (`BENCH_engine.json`); future engine PRs
 //! are judged against it.
 //!
-//! Four measurements, the first three over the shared
-//! [`scaffold_bench::Pulse`] workload (the same one `benches/engine.rs`
-//! quick-checks), per network size:
+//! Four measurements, the first three over the
+//! [`scaffold_bench::Pulse`] workload, per network size:
 //!
 //! * **steady-state rounds** — ns/round and ns/message with every node
 //!   gossiping to all neighbors (zero-allocation round path);
@@ -68,8 +67,8 @@
 //! to a file / read it back instead of building (see
 //! [`scaffold_bench::ExpArgs::fixture_snapshot`]).
 
-use scaffold_bench::{budget, crunch_ring, f2, pulse_churn_event, pulse_ring_threads, Table};
-use ssim::{init::Shape, Config, Program, Runtime};
+use scaffold_bench::{budget, crunch_ring, f2, pulse_churn_event, pulse_ring, seeded, Table};
+use ssim::{init::Shape, NetModel, Program, Runtime};
 use std::time::Instant;
 
 struct Row {
@@ -93,7 +92,7 @@ fn ns_per_round<P: Program>(rt: &mut Runtime<P>, rounds: u64) -> f64 {
 
 /// One sweep point: steady rounds, pure events, and churn-heavy rounds.
 fn measure(n: u32, rounds: u64, events: u64, churn_rate: u64, seed: u64) -> Row {
-    let mut rt = pulse_ring_threads(n, seed, 1);
+    let mut rt = pulse_ring(n, seeded(seed));
     rt.run(3); // warm the recycled buffers to their steady-state capacity
 
     let msgs_before = rt.metrics().total_messages;
@@ -137,7 +136,7 @@ fn measure(n: u32, rounds: u64, events: u64, churn_rate: u64, seed: u64) -> Row 
 }
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seed = args.count.unwrap_or(42);
     let smoke = args.flag("smoke");
     let (sizes, rounds, events): (&[u32], u64, u64) = if smoke {
@@ -191,9 +190,10 @@ fn main() {
         for workload in ["pulse", "crunch"] {
             let mut base = f64::NAN;
             for &threads in &thread_counts {
+                let cfg = seeded(seed).threads(threads);
                 let ns = match workload {
-                    "pulse" => ns_per_round(&mut pulse_ring_threads(n, seed, threads), rounds),
-                    _ => ns_per_round(&mut crunch_ring(n, seed, SPINS, threads), rounds),
+                    "pulse" => ns_per_round(&mut pulse_ring(n, cfg), rounds),
+                    _ => ns_per_round(&mut crunch_ring(n, SPINS, cfg), rounds),
                 };
                 if threads == 1 {
                     base = ns;
@@ -241,20 +241,19 @@ fn main() {
         for spec in ["sync", "activity"] {
             for threads in [2usize, 4] {
                 for batch in [1u32, 16] {
-                    let mut cfg = Config::seeded(seed)
+                    let cfg = seeded(seed)
                         .threads(threads)
                         .always_parallel()
                         .batch_rounds(batch);
-                    cfg.record_rounds = false;
                     let pc = match workload {
                         "pulse" => {
-                            let mut rt = scaffold_bench::pulse_ring_cfg(e12e_n, cfg);
+                            let mut rt = pulse_ring(e12e_n, cfg);
                             rt.set_scheduler(ssim::sched::from_spec(spec, seed).expect("known"));
                             rt.run(e12e_rounds);
                             rt.perf_counters()
                         }
                         _ => {
-                            let mut rt = scaffold_bench::crunch_ring_cfg(e12e_n, SPINS, cfg);
+                            let mut rt = crunch_ring(e12e_n, SPINS, cfg);
                             rt.set_scheduler(ssim::sched::from_spec(spec, seed).expect("known"));
                             rt.run(e12e_rounds);
                             rt.perf_counters()
@@ -293,9 +292,7 @@ fn main() {
     ]);
     let (cbt_hosts, cbt_n): (usize, u32) = if smoke { (48, 256) } else { (512, 2048) };
     for spec in ["sync", "activity", "random:0.5", "rr:4"] {
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
-        let mut rt = avatar_cbt::runtime_from_shape(cbt_n, cbt_hosts, Shape::Random, cfg);
+        let mut rt = avatar_cbt::runtime_from_shape(cbt_n, cbt_hosts, Shape::Random, seeded(seed));
         rt.set_scheduler(ssim::sched::from_spec(spec, seed).expect("known spec"));
         let t0 = Instant::now();
         let out = rt.run_monitored(&mut avatar_cbt::legality(), budget(cbt_n, cbt_hosts));
@@ -394,10 +391,9 @@ fn main() {
         "rounds/s",
     ]);
     for &(hosts, n) in e14_sizes {
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
+        let cfg = seeded(seed);
         let bytes = args.fixture_snapshot(|| {
-            scaffold_bench::legal_chord_runtime_cfg(n, hosts, cfg).save_snapshot()
+            scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal()).save_snapshot()
         });
         let t0 = Instant::now();
         let mut rt = chord_scaffold::restore_runtime(&bytes, cfg).expect("E14 snapshot restores");
@@ -464,12 +460,12 @@ fn main() {
             "rounds/s",
         ]);
         for &(hosts, n) in sizes {
-            let mut cfg = Config::seeded(seed);
-            cfg.record_rounds = false;
+            let cfg = seeded(seed);
             // Same fixture key as E14 at the shared size: the checkpoint
             // cache pays the install once for both sweeps.
             let bytes = args.fixture_snapshot(|| {
-                scaffold_bench::legal_chord_runtime_cfg(n, hosts, cfg).save_snapshot()
+                scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal())
+                    .save_snapshot()
             });
             let t0 = Instant::now();
             let mut rt =

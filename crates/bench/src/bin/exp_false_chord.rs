@@ -12,7 +12,7 @@ use scaffold_bench::{f2, legal_cbt_runtime, mean_std, Table};
 use std::collections::HashMap;
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seeds: u64 = args.count.unwrap_or(10);
     let mut t = Table::new(&[
         "N",

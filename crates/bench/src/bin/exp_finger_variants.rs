@@ -43,7 +43,7 @@ fn build_rounds(n: u32, hosts: usize, paper_variant: bool, seeds: u64) -> (f64, 
 }
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seeds: u64 = args.count.unwrap_or(3);
     let mut t = Table::new(&[
         "N",

@@ -35,11 +35,11 @@
 //! fresh smoke run lacks them).
 
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
-use scaffold_bench::{budget, f2, legal_chord_runtime_cfg, Table};
+use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, Table};
 use ssim::monitor::{BeaconStaleness, DegreeAnomaly, SilenceAnomaly, ViewDivergence};
 use ssim::{
-    Adversary, Checkpoint, Config, DetectorSuite, GauntletOutcome, NodeId, OpenLoop, Recovery,
-    RequestStats, RunVerdict, WorkloadConfig,
+    Adversary, Checkpoint, DetectorSuite, GauntletOutcome, NetModel, NodeId, OpenLoop, Recovery,
+    RequestStats, RunVerdict, Scenario, WorkloadConfig,
 };
 
 /// Rounds the fixture is run forward before the attack so beacon receipt
@@ -122,9 +122,8 @@ fn run_cell(
     arm: Arm,
     threads: usize,
 ) -> Cell {
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    let mut rt = legal_chord_runtime_cfg(n, hosts, cfg);
+    let cfg = seeded(seed).threads(threads);
+    let mut rt = legal_chord_runtime(n, hosts, cfg, NetModel::ideal());
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     rt.run(WARM);
     let now = rt.round();
@@ -137,7 +136,8 @@ fn run_cell(
     let ck = Checkpoint::capture(&rt);
     rt.attach_workload(OpenLoop::new(4.0, n), WorkloadConfig::default());
 
-    let scenario = adv.compile(&ids, INJECT, seed);
+    let scenario = Scenario::new(format!("gauntlet-{}", adv.name())).seeded(seed);
+    let scenario = adv.schedule(scenario, &ids, INJECT, seed);
     let mut suite = DetectorSuite::new()
         .with(BeaconStaleness::new())
         .with(ViewDivergence::new())
@@ -231,11 +231,9 @@ fn gauntlet_table(args: &scaffold_bench::ExpArgs, title: &str, n: u32, hosts: us
     let mut t = Table::new(HEADERS);
     // Member list is a fixture property, identical across cells: derive it
     // once so the roster (joiner ids) is stable.
-    let members: Vec<NodeId> = {
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
-        legal_chord_runtime_cfg(n, hosts, cfg).ids().to_vec()
-    };
+    let members: Vec<NodeId> = legal_chord_runtime(n, hosts, seeded(seed), NetModel::ideal())
+        .ids()
+        .to_vec();
     let threads = args.threads.unwrap_or(1).max(1);
     for adv in &roster(hosts, n, &members) {
         for sched in ["sync", "activity"] {
@@ -274,7 +272,7 @@ fn gauntlet_table(args: &scaffold_bench::ExpArgs, title: &str, n: u32, hosts: us
 }
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seed = args.count.unwrap_or(15);
     let smoke = args.flag("smoke");
 

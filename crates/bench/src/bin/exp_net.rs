@@ -33,7 +33,7 @@ use scaffold_bench::{budget, f2, Table};
 use ssim::{Config, NetModel, OpenLoop, WorkloadConfig};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seed = args.count.unwrap_or(16);
     let smoke = args.flag("smoke");
 

@@ -11,7 +11,7 @@ use chord_scaffold::Phase;
 use scaffold_bench::{f2, legal_cbt_runtime, mean_std, Table};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seeds: u64 = args.count.unwrap_or(10);
     let mut t = Table::new(&[
         "N",

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use scaffold_bench::{f2, Table};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let trials = args.count.unwrap_or(200) as usize;
     let mut rng = SmallRng::seed_from_u64(8);
     let mut t = Table::new(&["N", "failures", "P(survive) CBT", "P(survive) Chord"]);

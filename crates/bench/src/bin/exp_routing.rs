@@ -15,11 +15,11 @@ use overlay::routing::hop_statistics;
 use overlay::Chord;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scaffold_bench::{f2, legal_chord_runtime, measure_chord, Table};
+use scaffold_bench::{f2, legal_chord_runtime, measure_chord, seeded, Table};
 use ssim::{init::Shape, OpenLoop, WorkloadConfig};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
 
     // E9a: live routed lookups vs the ideal finger-table oracle.
     let mut t = Table::new(&[
@@ -38,7 +38,7 @@ fn main() {
         let hosts = (n / 8) as usize;
         // Live: a converged Avatar(Chord) serving real routed requests.
         const RATE: f64 = 16.0;
-        let mut rt = legal_chord_runtime(n, hosts, 9);
+        let mut rt = legal_chord_runtime(n, hosts, seeded(9), ssim::NetModel::ideal());
         let lookups = 2000u64;
         rt.attach_workload(
             OpenLoop::new(RATE, n).limited(lookups),
@@ -84,9 +84,7 @@ fn main() {
         let o = measure_chord(n, hosts, Shape::Random, 9000);
         // Re-run to capture the silent tail.
         let target = chord_scaffold::ChordTarget::classic(n);
-        let mut cfg = ssim::Config::seeded(9000);
-        cfg.record_rounds = false;
-        let mut rt = chord_scaffold::runtime_from_shape(target, hosts, Shape::Random, cfg);
+        let mut rt = chord_scaffold::runtime_from_shape(target, hosts, Shape::Random, seeded(9000));
         rt.run_monitored(
             &mut chord_scaffold::legality(),
             scaffold_bench::budget(n, hosts),

@@ -5,7 +5,7 @@
 use scaffold_bench::{f2, legal_cbt_runtime, log2_sq, mean_std, Table};
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seeds: u64 = args.count.unwrap_or(5);
     let mut t = Table::new(&[
         "N",

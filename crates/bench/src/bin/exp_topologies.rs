@@ -6,7 +6,7 @@ use scaffold_bench::{f2, measure_chord, Table};
 use ssim::init::Shape;
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let n = 256u32;
     let hosts = 32usize;
     let seeds = args.count.unwrap_or(3);

@@ -38,8 +38,8 @@
 //! fixture to a file / read it back instead of building (see
 //! [`scaffold_bench::ExpArgs::fixture_snapshot`]).
 
-use scaffold_bench::{budget, f2, legal_chord_runtime_net, Table};
-use ssim::{fault::Fault, Config, NetModel, OpenLoop, RequestStats, WorkloadConfig};
+use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, Table};
+use ssim::{fault::Fault, NetModel, OpenLoop, RequestStats, WorkloadConfig};
 use std::time::Instant;
 
 /// Strip the scheduler-dependent activity columns from a metrics JSON
@@ -78,9 +78,7 @@ fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> ServiceRun {
         rounds,
         model,
     } = spec;
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    let mut rt = legal_chord_runtime_net(n, hosts, cfg, model);
+    let mut rt = legal_chord_runtime(n, hosts, seeded(seed).threads(threads), model);
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let total = (rate * rounds as f64) as u64;
     let wl = WorkloadConfig {
@@ -128,7 +126,7 @@ fn log2_ceil(n: u32) -> u32 {
 }
 
 fn main() {
-    let args = scaffold_bench::exp_args();
+    let args = scaffold_bench::ExpArgs::from_env();
     let seed = args.count.unwrap_or(13);
     let smoke = args.flag("smoke");
     let model = args.net_model().unwrap_or_default();
@@ -237,9 +235,7 @@ fn main() {
     ]);
     for sched in ["sync", "activity"] {
         use rand::SeedableRng;
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
-        let mut rt = legal_chord_runtime_net(churn_n, churn_hosts, cfg, model);
+        let mut rt = legal_chord_runtime(churn_n, churn_hosts, seeded(seed), model);
         rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
         let wl = WorkloadConfig {
             ttl: WorkloadConfig::default().ttl * model.delivery_bound(),
@@ -300,13 +296,9 @@ fn main() {
     // content hash rather than by rebuild determinism.
     let (lc_hosts, lc_n): (usize, u32) = if smoke { (256, 512) } else { (1024, 2048) };
     let lc_rounds: u64 = if smoke { 128 } else { 256 };
-    let lc_cfg = {
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
-        cfg
-    };
+    let lc_cfg = seeded(seed);
     let lc_bytes = args.fixture_snapshot(|| {
-        legal_chord_runtime_net(lc_n, lc_hosts, lc_cfg, NetModel::ideal()).save_snapshot()
+        legal_chord_runtime(lc_n, lc_hosts, lc_cfg, NetModel::ideal()).save_snapshot()
     });
     let mut t = Table::new(&["hosts", "N", "rate", "rounds", "completed", "ns/round"]);
     for rate in [1.0f64, 8.0, 64.0] {

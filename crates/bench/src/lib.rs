@@ -1,21 +1,22 @@
 //! # scaffold-bench — the experiment harness
 //!
-//! Regenerates every table/figure-equivalent of the paper (see DESIGN.md §4
-//! and EXPERIMENTS.md). The paper is a theory paper — its "results" are
-//! theorems with asymptotic bounds — so each experiment measures the bound's
-//! empirical shape: convergence rounds and degree expansion against
-//! `log² N`, the phase-reset and false-Chord lemmas, and the related-work
-//! comparisons against TCF and the linear scaffold.
+//! Regenerates every table/figure-equivalent of the paper (the experiment
+//! list is in this crate's README). The paper is a theory paper — its
+//! "results" are theorems with asymptotic bounds — so each experiment
+//! measures the bound's empirical shape: convergence rounds and degree
+//! expansion against `log² N`, the phase-reset and false-Chord lemmas, and
+//! the related-work comparisons against TCF and the linear scaffold.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
 
+use avatar_cbt::CbtCore;
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
 use serde::Serialize;
 use ssim::scenario::{Scenario, ScenarioReport};
-use ssim::{fault::Fault, init::Shape, Config, Ctx, NodeId, Program, Runtime};
+use ssim::{fault::Fault, init::Shape, Config, Ctx, NetModel, NodeId, Program, Runtime};
 
 /// Outcome of one stabilization run.
 #[derive(Debug, Clone, Serialize)]
@@ -49,12 +50,18 @@ pub fn log2_sq(n: u32) -> f64 {
     l * l
 }
 
+/// `Config::seeded(seed)` without per-round metric rows — what every
+/// harness fixture runs under unless a sweep tunes the config itself.
+pub fn seeded(seed: u64) -> Config {
+    let mut cfg = Config::seeded(seed);
+    cfg.record_rounds = false;
+    cfg
+}
+
 /// Run the full Avatar(Chord) stabilization from a shaped initial topology.
 pub fn measure_chord(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Outcome {
     let target = ChordTarget::classic(n_guests);
-    let mut cfg = Config::seeded(seed);
-    cfg.record_rounds = false;
-    let mut rt = chord_scaffold::runtime_from_shape(target, hosts, shape, cfg);
+    let mut rt = chord_scaffold::runtime_from_shape(target, hosts, shape, seeded(seed));
     let rounds = rt
         .run_monitored(&mut chord_scaffold::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
@@ -63,58 +70,22 @@ pub fn measure_chord(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Ou
 
 /// Run only the Avatar(CBT) scaffold stabilization.
 pub fn measure_cbt(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Outcome {
-    let mut cfg = Config::seeded(seed);
-    cfg.record_rounds = false;
-    let mut rt = avatar_cbt::runtime_from_shape(n_guests, hosts, shape, cfg);
+    let mut rt = avatar_cbt::runtime_from_shape(n_guests, hosts, shape, seeded(seed));
     let rounds = rt
         .run_monitored(&mut avatar_cbt::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
-    let final_degree = rt.topology().max_degree();
-    Outcome {
-        n_guests,
-        hosts,
-        rounds,
-        peak_degree: rt.metrics().peak_degree,
-        final_degree,
-        expansion: rt.metrics().degree_expansion(final_degree),
-        messages: rt.metrics().total_messages,
-    }
+    outcome_of(n_guests, hosts, rounds, &rt)
 }
 
 /// Stabilize an Avatar(Chord) overlay, then subject it to `episodes` rounds
 /// of true membership churn — alternating joins of fresh hosts, graceful
 /// leaves, and crashes, one event per scaffold epoch — and measure the
-/// re-convergence through the scenario driver.
-pub fn measure_churn(n_guests: u32, hosts: usize, episodes: usize, seed: u64) -> ScenarioReport {
-    measure_churn_threads(n_guests, hosts, episodes, seed, 1)
-}
-
-/// [`measure_churn`] on `threads` round-execution threads (the `--threads`
-/// path of `exp_churn`). The report is identical at any thread count — the
-/// engine's determinism guarantee — so this only changes wall-clock time.
-pub fn measure_churn_threads(
-    n_guests: u32,
-    hosts: usize,
-    episodes: usize,
-    seed: u64,
-    threads: usize,
-) -> ScenarioReport {
-    measure_churn_args(
-        n_guests,
-        hosts,
-        episodes,
-        seed,
-        &ExpArgs {
-            threads: Some(threads),
-            ..ExpArgs::default()
-        },
-    )
-}
-
-/// [`measure_churn`] honoring the shared experiment options: `--threads`
-/// (wall-clock only) and `--sched` (the daemon — which, unlike threads,
-/// may legitimately change the report: that is the point of sweeping it).
-pub fn measure_churn_args(
+/// re-convergence through the scenario driver. Honors the shared experiment
+/// options: `--threads` (wall-clock only — the report is identical at any
+/// thread count), `--sched` (the daemon — which, unlike threads, may
+/// legitimately change the report: that is the point of sweeping it) and
+/// `--net`.
+pub fn measure_churn(
     n_guests: u32,
     hosts: usize,
     episodes: usize,
@@ -123,8 +94,7 @@ pub fn measure_churn_args(
 ) -> ScenarioReport {
     use rand::SeedableRng;
     let target = ChordTarget::classic(n_guests);
-    let mut cfg = args.config(Config::seeded(seed));
-    cfg.record_rounds = false;
+    let cfg = args.config(seeded(seed));
     // `--net` runs the whole measurement under WAN conditions; every
     // stage window below is re-budgeted for the model's delivery bound
     // (with the default ideal network this is exactly the classic run).
@@ -185,11 +155,11 @@ pub fn measure_churn_args(
     scenario.run(&mut rt, &mut chord_scaffold::legality(), max_rounds)
 }
 
-fn outcome_of(
+fn outcome_of<P: Program>(
     n_guests: u32,
     hosts: usize,
     rounds: Option<u64>,
-    rt: &Runtime<ScaffoldProgram<ChordTarget>>,
+    rt: &Runtime<P>,
 ) -> Outcome {
     let final_degree = rt.topology().max_degree();
     Outcome {
@@ -203,23 +173,78 @@ fn outcome_of(
     }
 }
 
+/// `hosts` random host identifiers in `[0, n_guests)`, placed by `seed` —
+/// the placement every installed-legal fixture below shares.
+fn host_ids(n_guests: u32, hosts: usize, seed: u64) -> Vec<NodeId> {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
+    ssim::init::random_ids(hosts, n_guests, &mut rng)
+}
+
+/// Overwrite every host's cluster state with the legal single-cluster
+/// Avatar(CBT) state — one cluster id, the correct responsible range, the
+/// cluster minimum — and, when `warm_views`, record for each neighbor the
+/// beacon a real round 0 would carry. `cbt_of(program, neighbors)` reaches
+/// the CBT core inside a host program (and may install whatever else the
+/// fixture wants settled on the way).
+///
+/// Why warm the views: the detector demands *fresh* same-cluster beacons
+/// covering every crossing edge, and at round 0 no beacon has flowed yet —
+/// without them every standalone host fires MissingCover and the "legal"
+/// network resets itself to singletons on the spot; request routing and the
+/// DONE-phase stale-tolerant lookups read them too. The installed beacons
+/// describe exactly the state real round-0 beacons will carry, so the
+/// warm-up is indistinguishable from having run one round earlier.
+fn install_legal_cbt_state<P: Program>(
+    rt: &mut Runtime<P>,
+    n_guests: u32,
+    warm_views: bool,
+    mut cbt_of: impl for<'a> FnMut(&'a mut P, &[NodeId]) -> &'a mut CbtCore,
+) {
+    const CID: u64 = 0xFEED_F00D;
+    let ids = rt.ids().to_vec();
+    let av = overlay::Avatar::new(n_guests, ids.iter().copied());
+    let min = *ids.iter().min().expect("at least one host");
+    for &v in &ids {
+        let r = av.range_of(v);
+        let neighbors: Vec<NodeId> = rt.topology().neighbors(v).to_vec();
+        rt.corrupt_node(v, |p| {
+            let cbt = cbt_of(p, &neighbors);
+            cbt.core.cid = CID;
+            cbt.core.range = (r.lo, r.hi);
+            cbt.core.cluster_min = min;
+            if !warm_views {
+                return;
+            }
+            for &u in &neighbors {
+                let ru = av.range_of(u);
+                let beacon = avatar_cbt::Beacon {
+                    cid: CID,
+                    range: (ru.lo, ru.hi),
+                    cluster_min: min,
+                    role: None,
+                    epoch: 0,
+                };
+                cbt.view.record(u, 0, beacon);
+            }
+        });
+    }
+}
+
 /// Build a runtime already in the legal Avatar(CBT) configuration with every
 /// host's cluster state installed (the starting point of Lemma 3 /
-/// experiment E5).
+/// experiment E5). Beacon views stay cold: the E5–E7 tables are measured
+/// from exactly this state and move if round-0 views are pre-warmed.
 pub fn legal_cbt_runtime(
     n_guests: u32,
     hosts: usize,
     seed: u64,
 ) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    use rand::SeedableRng;
     let target = ChordTarget::classic(n_guests);
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(hosts, n_guests, &mut rng);
+    let ids = host_ids(n_guests, hosts, seed);
     let edges = avatar_cbt::legal::expected_edges(n_guests, &ids);
-    let mut cfg = Config::seeded(seed);
-    cfg.record_rounds = false;
-    let mut rt = chord_scaffold::runtime(target, &ids, edges, cfg);
-    install_legal_cbt_state(&mut rt, n_guests, &ids);
+    let mut rt = chord_scaffold::runtime(target, &ids, edges, seeded(seed));
+    install_legal_cbt_state(&mut rt, n_guests, false, |p, _| &mut p.core.cbt);
     rt
 }
 
@@ -237,49 +262,10 @@ pub fn legal_cbt_standalone(
     hosts: usize,
     seed: u64,
 ) -> Runtime<avatar_cbt::CbtProgram> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(hosts, n_guests, &mut rng);
+    let ids = host_ids(n_guests, hosts, seed);
     let edges = avatar_cbt::legal::expected_edges(n_guests, &ids);
-    let mut cfg = Config::seeded(seed);
-    cfg.record_rounds = false;
-    let mut rt = avatar_cbt::legal::runtime(n_guests, &ids, edges, cfg);
-    let av = overlay::Avatar::new(n_guests, ids.iter().copied());
-    let min = *ids.iter().min().unwrap();
-    for &v in &ids {
-        let r = av.range_of(v);
-        rt.corrupt_node(v, |p| {
-            p.core.core.cid = 0xFEED_F00D;
-            p.core.core.range = (r.lo, r.hi);
-            p.core.core.cluster_min = min;
-        });
-    }
-    // Warm the beacon views: the detector demands *fresh* same-cluster
-    // beacons covering every crossing edge, and at round 0 no beacon has
-    // flowed yet — without this, every host fires MissingCover and the
-    // "legal" network resets itself to singletons on the spot. The
-    // installed beacons describe exactly the state real round-0 beacons
-    // will carry, so the warm-up is indistinguishable from having run one
-    // round earlier.
-    for &v in &ids {
-        let neighbors: Vec<ssim::NodeId> = rt.topology().neighbors(v).to_vec();
-        for u in neighbors {
-            let ru = av.range_of(u);
-            rt.corrupt_node(v, |p| {
-                p.core.view.record(
-                    u,
-                    0,
-                    avatar_cbt::Beacon {
-                        cid: 0xFEED_F00D,
-                        range: (ru.lo, ru.hi),
-                        cluster_min: min,
-                        role: None,
-                        epoch: 0,
-                    },
-                );
-            });
-        }
-    }
+    let mut rt = avatar_cbt::legal::runtime(n_guests, &ids, edges, seeded(seed));
+    install_legal_cbt_state(&mut rt, n_guests, true, |p, _| &mut p.core);
     debug_assert!(avatar_cbt::runtime_is_legal(&rt));
     rt
 }
@@ -287,56 +273,45 @@ pub fn legal_cbt_standalone(
 /// Build a runtime already in the **legal, silent Avatar(Chord)**
 /// configuration: the exact expected edge set (scaffold + projected
 /// fingers), every host settled in the DONE phase with the final wave
-/// completed, correct responsible ranges, and warmed beacon views (the
-/// stale-tolerant lookups that drive request routing read them).
+/// completed, correct responsible ranges, and warmed beacon views. Hosts
+/// (and any mid-run joiners) carry window budgets matched to `model`'s
+/// delivery bound, exactly as [`chord_scaffold::runtime_with_net`] hosts do.
+/// The install uses `cfg.seed` for host placement, so identical arguments
+/// give identical fixtures.
 ///
 /// The live-traffic fixture: from-scratch Avatar(Chord) stabilization at
 /// 512+ hosts takes minutes-to-hours, but serving-quality experiments
 /// (`exp_workload`) only need *a* converged network, however obtained —
 /// the installed state is indistinguishable from a naturally converged one
 /// (the shadow check audits that every host's step really is a no-op).
+///
+/// A thin wrapper over "build once, checkpoint, restore at any N": the
+/// installed fixture is built at most once per `(N, hosts, seed, flags,
+/// model)` and cached as a hash-verified snapshot (see
+/// [`checkpoint_cache`]); later calls — within and across experiment
+/// binaries — restore it, which at the 64k+ host sizes of the scale sweep is
+/// orders of magnitude cheaper than re-deriving ranges, edges, and warmed
+/// views from scratch. Restoring honors the caller's thread count
+/// (snapshots restore at any parallelism), and a corrupt or stale cache
+/// silently falls back to a fresh build.
 pub fn legal_chord_runtime(
     n_guests: u32,
     hosts: usize,
-    seed: u64,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    let mut cfg = Config::seeded(seed);
-    cfg.record_rounds = false;
-    legal_chord_runtime_cfg(n_guests, hosts, cfg)
-}
-
-/// [`legal_chord_runtime`] with an explicit [`Config`] (thread counts,
-/// per-round metric rows, …). The install uses `cfg.seed` for host
-/// placement, so identical configs give identical fixtures.
-///
-/// A thin wrapper over "build once, checkpoint, restore at any N": the
-/// installed fixture is built at most once per `(N, hosts, seed, flags)`
-/// and cached as a hash-verified snapshot (see [`checkpoint_cache`]);
-/// later calls — within and across experiment binaries — restore it, which
-/// at the 64k+ host sizes of the scale sweep is orders of magnitude
-/// cheaper than re-deriving ranges, edges, and warmed views from scratch.
-/// Restoring honors the caller's thread count (snapshots restore at any
-/// parallelism), and a corrupt or stale cache silently falls back to a
-/// fresh build.
-pub fn legal_chord_runtime_cfg(
-    n_guests: u32,
-    hosts: usize,
     cfg: Config,
+    model: NetModel,
 ) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    legal_chord_runtime_net(n_guests, hosts, cfg, ssim::NetModel::ideal())
-}
-
-/// [`legal_chord_runtime_cfg`] under a network-conditions model: the
-/// installed hosts (and any mid-run joiners) carry window budgets matched
-/// to the model's delivery bound, exactly as
-/// [`chord_scaffold::runtime_with_net`] hosts do. The model is part of the
-/// checkpoint-cache key, so WAN fixtures never collide with ideal ones.
-pub fn legal_chord_runtime_net(
-    n_guests: u32,
-    hosts: usize,
-    cfg: Config,
-    model: ssim::NetModel,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
+    let build = || {
+        let target = ChordTarget::classic(n_guests);
+        let ids = host_ids(n_guests, hosts, cfg.seed);
+        let edges = chord_scaffold::expected_edges(&target, &ids);
+        let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
+        install_legal_cbt_state(&mut rt, n_guests, true, |p, neighbors| {
+            p.core.install_done(neighbors);
+            &mut p.core.cbt
+        });
+        debug_assert!(chord_scaffold::runtime_is_legal(&rt));
+        rt
+    };
     let net_key: String = ssim::net::to_spec(&model)
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
@@ -345,119 +320,10 @@ pub fn legal_chord_runtime_net(
         "legal_chord_v2_n{n_guests}_h{hosts}_s{}_rr{}_st{}_net{net_key}",
         cfg.seed, cfg.record_rounds as u8, cfg.strict as u8
     );
-    let bytes = checkpoint_cache(&key, || {
-        build_legal_chord_runtime(n_guests, hosts, cfg, model).save_snapshot()
-    });
-    match chord_scaffold::restore_runtime(&bytes, cfg) {
-        Ok(mut rt) => {
-            debug_assert!(chord_scaffold::runtime_is_legal(&rt));
-            rearm_net_spawner(&mut rt, n_guests, cfg.seed, model);
-            rt
-        }
-        // Unreachable for bytes the cache just validated, but a corrupt
-        // payload must degrade to a rebuild, never to a panic.
-        Err(_) => build_legal_chord_runtime(n_guests, hosts, cfg, model),
-    }
-}
-
-/// Re-register a model-aware join spawner after a snapshot restore:
-/// [`chord_scaffold::restore_runtime`] cannot know the run's network
-/// model, so its spawner hands out ideal-network (`Δ = 1`) window budgets.
-/// Joiners under a WAN model need the same stretched windows the restored
-/// hosts carry, or their detectors livelock on latency-induced staleness.
-fn rearm_net_spawner(
-    rt: &mut Runtime<ScaffoldProgram<ChordTarget>>,
-    n_guests: u32,
-    seed: u64,
-    model: ssim::NetModel,
-) {
-    if model.is_ideal() {
-        return;
-    }
-    let target = ChordTarget::classic(n_guests);
-    let delta = model.delivery_bound();
-    let patience = if model.loss > 0.0 || model.jitter > 0 {
-        3 * delta
-    } else {
-        delta
-    };
-    let redundancy = if model.loss > 0.0 { 2 } else { 1 };
-    rt.set_spawner(move |v| {
-        let nonce = seed ^ (v as u64 + 7).wrapping_mul(0x9E3779B97F4A7C15);
-        ScaffoldProgram::new(v, target, nonce)
-            .with_delta(delta)
-            .with_fault_patience(patience)
-            .with_zip_redundancy(redundancy)
-    });
-}
-
-fn build_legal_chord_runtime(
-    n_guests: u32,
-    hosts: usize,
-    cfg: Config,
-    model: ssim::NetModel,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    use rand::SeedableRng;
-    let target = ChordTarget::classic(n_guests);
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(hosts, n_guests, &mut rng);
-    let edges = chord_scaffold::expected_edges(&target, &ids);
-    let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
-    let av = overlay::Avatar::new(n_guests, ids.iter().copied());
-    let min = *ids.iter().min().unwrap();
-    // Legal cluster state + settled DONE phase on every host.
-    for &v in &ids {
-        let r = av.range_of(v);
-        let neighbors: Vec<NodeId> = rt.topology().neighbors(v).to_vec();
-        rt.corrupt_node(v, |p| {
-            p.core.cbt.core.cid = 0xFEED_F00D;
-            p.core.cbt.core.range = (r.lo, r.hi);
-            p.core.cbt.core.cluster_min = min;
-            p.core.install_done(&neighbors);
-        });
-    }
-    // Warm the beacon views: routing and the DONE-phase stale-tolerant
-    // lookups read the last-known beacon of each neighbor, which in a
-    // naturally converged run was recorded during the final waves.
-    for &v in &ids {
-        let neighbors: Vec<NodeId> = rt.topology().neighbors(v).to_vec();
-        for u in neighbors {
-            let ru = av.range_of(u);
-            rt.corrupt_node(v, |p| {
-                p.core.cbt.view.record(
-                    u,
-                    0,
-                    avatar_cbt::Beacon {
-                        cid: 0xFEED_F00D,
-                        range: (ru.lo, ru.hi),
-                        cluster_min: min,
-                        role: None,
-                        epoch: 0,
-                    },
-                );
-            });
-        }
-    }
-    debug_assert!(chord_scaffold::runtime_is_legal(&rt));
-    rt
-}
-
-/// Overwrite host states with the legal single-cluster Avatar(CBT) state.
-pub fn install_legal_cbt_state(
-    rt: &mut Runtime<ScaffoldProgram<ChordTarget>>,
-    n_guests: u32,
-    ids: &[NodeId],
-) {
-    let av = overlay::Avatar::new(n_guests, ids.iter().copied());
-    let min = *ids.iter().min().unwrap();
-    for &v in ids {
-        let r = av.range_of(v);
-        rt.corrupt_node(v, |p| {
-            p.core.cbt.core.cid = 0xFEED_F00D;
-            p.core.cbt.core.range = (r.lo, r.hi);
-            p.core.cbt.core.cluster_min = min;
-        });
-    }
+    let bytes = checkpoint_cache(&key, || build().save_snapshot());
+    // Unreachable `Err` for bytes the cache just validated, but a corrupt
+    // payload must degrade to a rebuild, never to a panic.
+    chord_scaffold::restore_runtime(&bytes, cfg).unwrap_or_else(|_| build())
 }
 
 /// Directory for cached experiment checkpoints: `$SCAFFOLD_CKPT_DIR` when
@@ -505,9 +371,8 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Minimal all-neighbor gossip: pure engine load (sends, inbox traffic,
 /// snapshot reads) with no protocol logic and no program-side allocation.
-/// The one engine-benchmark workload, shared by `benches/engine.rs` and the
-/// `exp_engine_scale` sweep so the criterion quick-check and the committed
-/// `BENCH_engine.json` baseline measure the identical thing.
+/// The engine-benchmark workload of the `exp_engine_scale` sweep and its
+/// committed `BENCH_engine.json` baseline.
 pub struct Pulse;
 
 impl Program for Pulse {
@@ -521,25 +386,12 @@ impl Program for Pulse {
     }
 }
 
-/// A ring of `n` [`Pulse`] nodes with a spawner registered and per-round
-/// metric rows disabled — the engine benches' standard fixture.
-pub fn pulse_ring(n: u32, seed: u64) -> Runtime<Pulse> {
-    pulse_ring_threads(n, seed, 1)
-}
-
-/// [`pulse_ring`] on `threads` round-execution threads (1 = sequential) —
-/// the thread-sweep fixture. Results are bit-identical across thread counts
-/// by the engine's determinism guarantee; only wall-clock time may differ.
-pub fn pulse_ring_threads(n: u32, seed: u64, threads: usize) -> Runtime<Pulse> {
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    pulse_ring_cfg(n, cfg)
-}
-
-/// [`pulse_ring`] under an arbitrary [`Config`] — for sweeps that tune the
-/// execution-policy knobs (`force_parallel`, `batch_rounds`) directly,
-/// like E12e's pool-synchronization sweep.
-pub fn pulse_ring_cfg(n: u32, cfg: Config) -> Runtime<Pulse> {
+/// A ring of `n` [`Pulse`] nodes with a spawner registered — the engine
+/// experiments' standard fixture. Results are bit-identical across
+/// `cfg.threads` and the execution-policy knobs (`force_parallel`,
+/// `batch_rounds`) by the engine's determinism guarantee; only wall-clock
+/// time may differ.
+pub fn pulse_ring(n: u32, cfg: Config) -> Runtime<Pulse> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Runtime::new(cfg, (0..n).map(|i| (i, Pulse)), edges).with_spawner(|_| Pulse)
 }
@@ -584,15 +436,8 @@ impl Program for Crunch {
     }
 }
 
-/// A ring of `n` [`Crunch`] nodes on `threads` round-execution threads.
-pub fn crunch_ring(n: u32, seed: u64, spins: u32, threads: usize) -> Runtime<Crunch> {
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    crunch_ring_cfg(n, spins, cfg)
-}
-
-/// [`crunch_ring`] under an arbitrary [`Config`] (see [`pulse_ring_cfg`]).
-pub fn crunch_ring_cfg(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
+/// A ring of `n` [`Crunch`] nodes (see [`pulse_ring`]).
+pub fn crunch_ring(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Runtime::new(cfg, (0..n).map(|i| (i, Crunch::new(spins))), edges)
         .with_spawner(move |_| Crunch::new(spins))
@@ -649,6 +494,11 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
+    /// Parse the options from `std::env::args`.
+    pub fn from_env() -> Self {
+        parse_exp_args(std::env::args().skip(1))
+    }
+
     /// True iff `--<name>` was passed.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -664,8 +514,8 @@ impl ExpArgs {
 
     /// Build the `--sched` scheduler, seeding randomized daemons with
     /// `seed`. `None` when the flag is absent (keep the runtime's default)
-    /// or unparseable (reported to stderr by [`exp_args`] parsing rules:
-    /// an invalid spec is kept verbatim and rejected here).
+    /// or unparseable (reported to stderr: [`ExpArgs::from_env`] keeps an
+    /// invalid spec verbatim and it is rejected here).
     pub fn scheduler(&self, seed: u64) -> Option<Box<dyn ssim::sched::Scheduler>> {
         let spec = self.sched.as_deref()?;
         let s = ssim::sched::from_spec(spec, seed);
@@ -726,11 +576,6 @@ impl ExpArgs {
         }
         bytes
     }
-}
-
-/// Parse [`ExpArgs`] from `std::env::args`.
-pub fn exp_args() -> ExpArgs {
-    parse_exp_args(std::env::args().skip(1))
 }
 
 fn parse_exp_args(args: impl IntoIterator<Item = String>) -> ExpArgs {
@@ -973,7 +818,7 @@ mod tests {
         // snapshot cache and must serve traffic byte-identically to the
         // first (which built and checkpointed the fixture).
         let run = || {
-            let mut rt = legal_chord_runtime(256, 32, 11);
+            let mut rt = legal_chord_runtime(256, 32, seeded(11), NetModel::ideal());
             rt.attach_workload(
                 ssim::OpenLoop::new(4.0, 256).limited(100),
                 ssim::WorkloadConfig::default(),
@@ -987,7 +832,7 @@ mod tests {
     #[test]
     fn crunch_ring_is_thread_count_invariant() {
         let fingerprint = |threads: usize| {
-            let mut rt = crunch_ring(64, 9, 32, threads);
+            let mut rt = crunch_ring(64, 32, seeded(9).threads(threads));
             rt.run(12);
             serde_json::to_string(rt.metrics()).expect("metrics serialize")
         };
@@ -1041,7 +886,7 @@ mod tests {
 
     #[test]
     fn legal_chord_runtime_serves_live_lookups() {
-        let mut rt = legal_chord_runtime(256, 32, 3);
+        let mut rt = legal_chord_runtime(256, 32, seeded(3), NetModel::ideal());
         assert!(chord_scaffold::runtime_is_legal(&rt));
         rt.attach_workload(
             ssim::OpenLoop::new(4.0, 256).limited(200),

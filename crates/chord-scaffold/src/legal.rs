@@ -101,8 +101,8 @@ pub fn runtime(
 /// per-hop delivery bound `Δ = 1 + delay + jitter`
 /// ([`ssim::NetModel::delivery_bound`]), lossy channels additionally get
 /// detector patience and merge-message retransmission (see
-/// `avatar_cbt::CbtCore::{fault_patience, zip_redundancy}`), and mid-run
-/// joiners inherit the same budget from the spawner. With
+/// [`avatar_cbt::CbtCore::with_net`]), and mid-run joiners inherit the same
+/// budget from the spawner. With
 /// [`ssim::NetModel::ideal`] this is exactly [`runtime`] (`Δ = 1` is the
 /// identity).
 pub fn runtime_with_net(
@@ -112,24 +112,8 @@ pub fn runtime_with_net(
     cfg: Config,
     model: ssim::NetModel,
 ) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    let seed = cfg.seed;
-    let delta = model.delivery_bound();
-    let patience = if model.loss > 0.0 || model.jitter > 0 {
-        3 * delta
-    } else {
-        delta
-    };
-    let redundancy = if model.loss > 0.0 { 2 } else { 1 };
-    let mk = move |v: NodeId| {
-        ScaffoldProgram::new(v, target, join_nonce(seed, v))
-            .with_delta(delta)
-            .with_fault_patience(patience)
-            .with_zip_redundancy(redundancy)
-    };
+    let mk = spawner(target, cfg.seed, model);
     let nodes = ids.iter().map(|&v| (v, mk(v)));
-    // Hosts joining mid-run boot exactly like constructed hosts: CBT phase,
-    // singleton cluster, seed-derived nonce (and the same delivery-bound
-    // budget).
     let mut rt = Runtime::new(cfg, nodes, edges)
         .with_spawner(mk)
         .with_net_model(model);
@@ -142,15 +126,23 @@ pub fn runtime_with_net(
     rt
 }
 
-fn join_nonce(seed: u64, v: NodeId) -> u64 {
-    seed ^ (v as u64 + 7).wrapping_mul(0x9E3779B97F4A7C15)
+/// How a host boots — at construction, and when it joins mid-run or after
+/// a restore: CBT phase, singleton cluster, seed-derived nonce, budgeted
+/// for `model` ([`avatar_cbt::CbtCore::with_net`]).
+fn spawner(
+    target: ChordTarget,
+    seed: u64,
+    model: ssim::NetModel,
+) -> impl Fn(NodeId) -> ScaffoldProgram<ChordTarget> + Copy {
+    move |v| ScaffoldProgram::new(v, target, avatar_cbt::legal::join_nonce(seed, v)).with_net(model)
 }
 
 /// Restore a scaffolding runtime from snapshot bytes produced by
 /// [`ssim::Runtime::save_snapshot`], re-registering the non-serializable
 /// hooks a [`runtime`]-built instance carries: the join spawner (nonces
-/// derived from the snapshot's seed, so mid-run joins behave exactly as in
-/// the original run) and, in debug builds, the shadow quiescence check.
+/// derived from the snapshot's seed and budgets from its network model, so
+/// mid-run joins behave exactly as in the original run) and, in debug
+/// builds, the shadow quiescence check.
 pub fn restore_runtime(
     bytes: &[u8],
     cfg: Config,
@@ -162,8 +154,7 @@ pub fn restore_runtime(
         ));
     };
     let target = rt.program(first).core.target;
-    let seed = rt.config().seed;
-    rt.set_spawner(move |v| ScaffoldProgram::new(v, target, join_nonce(seed, v)));
+    rt.set_spawner(spawner(target, rt.config().seed, rt.net_model()));
     if cfg!(debug_assertions) {
         rt.enable_shadow_check();
     }

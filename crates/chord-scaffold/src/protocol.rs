@@ -155,30 +155,15 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         }
     }
 
-    /// Re-budget this host for a per-hop delivery bound of `delta` rounds:
-    /// the embedded CBT core re-derives its schedule and grace windows
-    /// ([`CbtCore::with_delta`]), and the CHORD-phase windows
-    /// (`switch_window`, `wave_timeout`, beacon-age tolerance, DONE grace)
-    /// scale with it too. `with_delta(1)` is the identity.
+    /// Re-budget this host for a network-conditions model: the embedded
+    /// CBT core re-derives its schedule, grace windows, detector patience
+    /// and merge-message redundancy ([`CbtCore::with_net`]), and the
+    /// CHORD-phase windows (`switch_window`, `wave_timeout`, beacon-age
+    /// tolerance, DONE grace) scale with its delivery bound `Δ` too. The
+    /// identity on the ideal network.
     #[must_use]
-    pub fn with_delta(mut self, delta: u64) -> Self {
-        self.cbt = self.cbt.with_delta(delta);
-        self
-    }
-
-    /// Override the CBT detector's fault patience
-    /// ([`CbtCore::with_fault_patience`]).
-    #[must_use]
-    pub fn with_fault_patience(mut self, rounds: u64) -> Self {
-        self.cbt = self.cbt.with_fault_patience(rounds);
-        self
-    }
-
-    /// Retransmit merge-critical CBT messages
-    /// ([`CbtCore::with_zip_redundancy`]).
-    #[must_use]
-    pub fn with_zip_redundancy(mut self, copies: u8) -> Self {
-        self.cbt = self.cbt.with_zip_redundancy(copies);
+    pub fn with_net(mut self, model: ssim::NetModel) -> Self {
+        self.cbt = self.cbt.with_net(model);
         self
     }
 

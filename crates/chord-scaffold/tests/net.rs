@@ -68,3 +68,24 @@ fn partition_with_churn_heals_back_to_legal() {
         "the cut must have dropped traffic"
     );
 }
+
+/// Regression: a restored WAN runtime spawns joiners with the restored
+/// model's budgets, like the constructed hosts — not ideal-network ones
+/// (which livelock their detectors on latency-induced staleness).
+#[test]
+fn restored_wan_runtime_spawns_joiners_with_wan_budgets() {
+    let t = ChordTarget::classic(64);
+    let ids = ring_ids();
+    let edges = ssim::init::ring(&ids);
+    let mut rt = runtime_with_net(t, &ids, edges, Config::seeded(33), NetModel::wan());
+    rt.run(5);
+    let mut back = chord_scaffold::restore_runtime(&rt.save_snapshot(), Config::seeded(33))
+        .expect("own snapshot restores");
+    back.join_spawned(5, &[1]);
+    let (host, joiner) = (&back.program(1).core.cbt, &back.program(5).core.cbt);
+    assert_eq!(joiner.sched.delta(), NetModel::wan().delivery_bound());
+    assert_eq!(joiner.sched.delta(), host.sched.delta());
+    assert_eq!(joiner.fault_patience, host.fault_patience);
+    assert_eq!(joiner.zip_redundancy, host.zip_redundancy);
+    assert_eq!(joiner.zip_redundancy, 2, "the wan preset is lossy");
+}

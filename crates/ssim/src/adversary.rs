@@ -1,13 +1,12 @@
 //! Structured, seeded adversaries and checkpoint-rollback recovery.
 //!
-//! Corruption in the early experiments was random state scrambling; this
-//! module replaces it with a **fault taxonomy** worthy of the paper's
-//! self-stabilization claim. An [`Adversary`] is a named, parameterized
-//! attack — stale or lying beacons, equivocation, region-correlated crash
-//! waves, flash-crowd joins, repeated partition+heal cycles — that compiles
-//! into an ordinary [`Scenario`] schedule, so every attack is deterministic
-//! under every daemon, thread count and batch window, and reports the ids it
-//! touched through the existing [`EventRecord`] path.
+//! An [`Adversary`] is a named, seeded generator of [`Event`]s: a
+//! parameterized attack — stale or lying beacons, equivocation,
+//! region-correlated crash waves, flash-crowd joins, repeated
+//! partition+heal cycles — that [`Adversary::schedule`] appends to an
+//! ordinary [`Scenario`], so every attack is deterministic under every
+//! daemon, thread count and batch window, and reports the ids it touched
+//! through the [`EventRecord`] path.
 //!
 //! Protocols opt into *targeted* state corruption by implementing
 //! [`Sabotage`] (the attack surface: age recorded observations, skew the
@@ -15,20 +14,20 @@
 //! [`Introspect`] (the inspection surface the rule-based detectors in
 //! [`crate::monitor`] read: observation ages and identity digests).
 //!
-//! The defensive half is [`run_gauntlet`]: a scenario driver that scans a
-//! [`DetectorSuite`] every round and, under [`Recovery::Rollback`], rolls
-//! every implicated node back to the last verified [`Checkpoint`] the moment
-//! a critical detection fires — so checkpoint-rollback recovery can be
-//! measured head-to-head against plain re-stabilization
-//! ([`Recovery::Restabilize`]) on time-to-relegal and request SLOs.
-//! [`quarantine`] / [`release`] expose the per-region isolation hooks
-//! (message-level cuts via [`Runtime::partition`]).
+//! The defensive half is [`run_gauntlet`]: the scenario driver loop with a
+//! per-round hook that scans a [`DetectorSuite`] and, under
+//! [`Recovery::Rollback`], rolls every implicated node back to the last
+//! verified [`Checkpoint`] the moment a critical detection fires — so
+//! checkpoint-rollback recovery can be measured head-to-head against plain
+//! re-stabilization ([`Recovery::Restabilize`]) on time-to-relegal and
+//! request SLOs. Per-region isolation of a suspect zone is
+//! [`Runtime::partition`] / [`Runtime::heal`].
 
-use crate::monitor::{DetectorSuite, Monitor, RunVerdict, Severity, Verdict};
+use crate::monitor::{DetectorSuite, Monitor, RunVerdict, Severity};
 use crate::program::Program;
 use crate::runtime::{Config, Runtime};
-use crate::scenario::{apply, Event, EventRecord, Scenario};
-use crate::snapshot::Persist;
+use crate::scenario::{Event, EventRecord, Scenario};
+use crate::snapshot::{Persist, SnapshotError};
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -73,9 +72,10 @@ pub trait Introspect: Program {
     fn recorded_digest(&self, about: NodeId) -> Option<u64>;
 }
 
-/// A named, parameterized, seeded attack. [`Adversary::schedule`] compiles
-/// it into plain [`Scenario`] events, so attacks replay identically at any
-/// thread count and compose with joins, daemon swaps and WAN models.
+/// A named, parameterized, seeded generator of [`Event`]s.
+/// [`Adversary::schedule`] appends them to a [`Scenario`], so attacks replay
+/// identically at any thread count and compose with joins, daemon swaps and
+/// WAN models.
 #[derive(Debug, Clone)]
 pub enum Adversary {
     /// Age the beacon views of `victims` random nodes by `age` rounds:
@@ -147,13 +147,6 @@ impl Adversary {
             Adversary::FlashCrowd { .. } => "flash-crowd",
             Adversary::PartitionCycle { .. } => "partition-cycle",
         }
-    }
-
-    /// Compile this adversary into a fresh scenario named after it. See
-    /// [`Adversary::schedule`].
-    pub fn compile<P: Sabotage>(&self, members: &[NodeId], start: u64, seed: u64) -> Scenario<P> {
-        let sc = Scenario::new(format!("gauntlet-{}", self.name())).seeded(seed);
-        self.schedule(sc, members, start, seed)
     }
 
     /// Append this adversary's events to `sc`, starting at relative round
@@ -325,9 +318,13 @@ impl Checkpoint {
     }
 
     /// Adopt previously saved snapshot bytes (e.g. from
-    /// [`crate::snapshot::read_file`]).
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Self { bytes }
+    /// [`crate::snapshot::read_file`]). The seal — magic, version, length,
+    /// content hash — is verified here, where outside bytes enter, so a
+    /// tampered or truncated image is an `Err` and never reaches
+    /// [`Checkpoint::rollback`].
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        crate::snapshot::unseal(&bytes)?;
+        Ok(Self { bytes })
     }
 
     /// The sealed snapshot image.
@@ -336,17 +333,18 @@ impl Checkpoint {
     }
 
     /// Roll the program state of every node in `nodes` back to this
-    /// checkpoint. The image is re-verified and materialized in a
-    /// single-threaded shadow runtime; each implicated node that exists in
-    /// both the checkpoint and the live runtime has its program replaced
-    /// wholesale (through [`Runtime::corrupt_node`], so the victim is marked
-    /// dirty and re-evaluated for quiescence). Nodes that crashed since the
+    /// checkpoint. The image is materialized in a single-threaded shadow
+    /// runtime; each implicated node that exists in both the checkpoint and
+    /// the live runtime has its program replaced wholesale (through
+    /// [`Runtime::corrupt_node`], so the victim is marked dirty and
+    /// re-evaluated for quiescence). Nodes that crashed since the
     /// checkpoint, or joined after it, are skipped — rollback cannot
     /// resurrect the dead. Returns how many nodes were rolled back.
     ///
     /// # Panics
-    /// Panics if the checkpoint bytes fail hash verification or decode —
-    /// a corrupt recovery image is not a condition to limp past.
+    /// Panics if the verified image does not decode as a `Runtime<P>` — the
+    /// checkpoint was captured from a runtime of a different program type,
+    /// which is a caller bug, not a property of the bytes.
     pub fn rollback<P>(&self, rt: &mut Runtime<P>, nodes: &[NodeId]) -> usize
     where
         P: Program + Persist + Clone,
@@ -358,8 +356,8 @@ impl Checkpoint {
             force_parallel: false,
             ..rt.config()
         };
-        let shadow: Runtime<P> =
-            Runtime::restore_snapshot(&self.bytes, cfg).expect("checkpoint image verifies");
+        let shadow: Runtime<P> = Runtime::restore_snapshot(&self.bytes, cfg)
+            .expect("checkpoint holds a runtime of this program type");
         let mut done = BTreeSet::new();
         let mut count = 0usize;
         for &v in nodes {
@@ -427,11 +425,12 @@ pub struct GauntletOutcome {
     pub events: Vec<EventRecord>,
 }
 
-/// Drive `scenario` against `rt` like [`Scenario::run`], additionally
-/// scanning `suite` every round (after due events apply, before the monitor
-/// observes) and applying `recovery` on the first critical detection: under
-/// [`Recovery::Rollback`] the union of every event-touched id and every
-/// detector-implicated id is rolled back to the checkpoint, once per run.
+/// Drive `scenario` against `rt` through the scenario driver loop
+/// ([`Scenario::run`]'s), with a per-round hook that scans `suite` (after
+/// due events apply, before the monitor observes) and applies `recovery` on
+/// the first critical detection: under [`Recovery::Rollback`] the union of
+/// every event-touched id and every detector-implicated id is rolled back
+/// to the checkpoint, once per run.
 ///
 /// The run ends `Satisfied` at the first round where `monitor` is satisfied
 /// and no events remain — for a legality monitor that is exactly
@@ -449,61 +448,28 @@ where
     P: Program + Persist + Clone,
     P::Msg: Persist,
 {
-    let mut rng = SmallRng::seed_from_u64(scenario.seed());
-    let mut pending: Vec<(u64, &Event<P>)> =
-        scenario.events().iter().map(|(r, e)| (*r, e)).collect();
-    pending.sort_by_key(|&(r, _)| r); // stable: same-round order preserved
-    let mut pending = pending.into_iter().peekable();
-
     let start = rt.round();
-    let mut records = Vec::new();
-    let mut touched_all: BTreeSet<NodeId> = BTreeSet::new();
     let mut rolled_back = 0usize;
     let mut recovered_at: Option<u64> = None;
-
-    let (rounds, verdict, reason) = loop {
-        let now = rt.round() - start;
-        while pending.peek().is_some_and(|&(r, _)| r <= now) {
-            let (r, event) = pending.next().unwrap();
-            let mut touched = Vec::new();
-            let changes = apply(rt, event, &mut rng, &mut touched);
-            touched_all.extend(touched.iter().copied());
-            records.push(EventRecord {
-                round: r,
-                event: format!("{event:?}"),
-                changes,
-                touched,
-            });
-        }
+    let report = scenario.run_hooked(rt, monitor, max_rounds, |rt, now, records| {
         suite.scan(rt);
         if recovered_at.is_none() && suite.criticals() > 0 {
             if let Recovery::Rollback(ck) = recovery {
-                let mut targets: Vec<NodeId> = touched_all.iter().copied().collect();
+                let touched: BTreeSet<NodeId> =
+                    records.iter().flat_map(|r| &r.touched).copied().collect();
+                let mut targets: Vec<NodeId> = touched.into_iter().collect();
                 targets.extend(suite.implicated());
                 rolled_back = ck.rollback(rt, &targets);
                 recovered_at = Some(now);
             }
         }
-        match monitor.observe(rt) {
-            Verdict::Satisfied => {
-                if pending.peek().is_none() {
-                    break (now, RunVerdict::Satisfied, None);
-                }
-            }
-            Verdict::Pending => {}
-            Verdict::Violated(why) => break (now, RunVerdict::Violated, Some(why)),
-        }
-        if now == max_rounds {
-            break (now, RunVerdict::Timeout, None);
-        }
-        rt.step();
-    };
+    });
 
     GauntletOutcome {
-        scenario: scenario.name().to_string(),
-        verdict,
-        reason,
-        rounds,
+        scenario: report.scenario,
+        verdict: report.verdict,
+        reason: report.reason,
+        rounds: report.rounds,
         detect_round: suite.first_round().map(|r| r.saturating_sub(start)),
         first_critical: suite
             .first_critical_round()
@@ -513,37 +479,7 @@ where
         worst: suite.worst(),
         rolled_back,
         recovered_at,
-        events: records,
-    }
-}
-
-/// Per-region isolation: cut `region` off the network at the message level
-/// (edges and membership untouched) so a suspected-faulty zone cannot
-/// propagate bad state while it is being repaired. Returns how many live
-/// members the quarantine covers; a quarantine replaces any active
-/// partition.
-pub fn quarantine<P: Program>(rt: &mut Runtime<P>, region: &[NodeId]) -> usize {
-    let live: Vec<NodeId> = region
-        .iter()
-        .copied()
-        .filter(|&v| rt.topology().contains(v))
-        .collect();
-    if live.is_empty() {
-        return 0;
-    }
-    let n = live.len();
-    rt.partition(live);
-    n
-}
-
-/// Lift an active quarantine (or any partition). Returns whether one was
-/// active.
-pub fn release<P: Program>(rt: &mut Runtime<P>) -> bool {
-    if rt.partitioned() {
-        rt.heal();
-        true
-    } else {
-        false
+        events: report.events,
     }
 }
 
@@ -681,6 +617,11 @@ mod tests {
         monitor::goal("ran", move |rt: &Runtime<Tagger>| rt.round() >= until)
     }
 
+    /// `adv` alone, in a fresh scenario seeded like the adversary.
+    fn compile(adv: &Adversary, members: &[NodeId], start: u64, seed: u64) -> Scenario<Tagger> {
+        adv.schedule(Scenario::new(adv.name()).seeded(seed), members, start, seed)
+    }
+
     fn suite() -> DetectorSuite<Tagger> {
         DetectorSuite::new()
             .with(BeaconStaleness::new())
@@ -714,14 +655,12 @@ mod tests {
                 gap: 5,
             },
         ] {
-            let a: Vec<String> = adv
-                .compile::<Tagger>(&members, 2, 77)
+            let a: Vec<String> = compile(&adv, &members, 2, 77)
                 .events()
                 .iter()
                 .map(|(r, e)| format!("{r}:{e:?}"))
                 .collect();
-            let b: Vec<String> = adv
-                .compile::<Tagger>(&members, 2, 77)
+            let b: Vec<String> = compile(&adv, &members, 2, 77)
                 .events()
                 .iter()
                 .map(|(r, e)| format!("{r}:{e:?}"))
@@ -732,8 +671,7 @@ mod tests {
             // small seed range (region starts have only `members` choices,
             // so a single pair of seeds may legitimately collide).
             let differs = (78..90).any(|seed| {
-                let c: Vec<String> = adv
-                    .compile::<Tagger>(&members, 2, seed)
+                let c: Vec<String> = compile(&adv, &members, 2, seed)
                     .events()
                     .iter()
                     .map(|(r, e)| format!("{r}:{e:?}"))
@@ -752,7 +690,7 @@ mod tests {
             waves: 4,
             spacing: 3,
         };
-        let sc = adv.compile::<Tagger>(&members, 5, 9);
+        let sc = compile(&adv, &members, 5, 9);
         let rounds: BTreeSet<u64> = sc.events().iter().map(|&(r, _)| r).collect();
         assert_eq!(
             rounds.into_iter().collect::<Vec<_>>(),
@@ -766,11 +704,11 @@ mod tests {
     fn stale_beacons_trip_staleness_warnings_only() {
         let mut rt = warmed_ring(8, Config::seeded(1));
         let members: Vec<NodeId> = rt.ids().to_vec();
-        let sc = Adversary::StaleBeacons {
+        let adv = Adversary::StaleBeacons {
             victims: 2,
             age: 100,
-        }
-        .compile(&members, 1, 42);
+        };
+        let sc = compile(&adv, &members, 1, 42);
         let mut suite = suite();
         let ck = Checkpoint::capture(&rt);
         let mut goal = ran(&rt, 6);
@@ -795,7 +733,7 @@ mod tests {
         let mut rt = warmed_ring(8, Config::seeded(2));
         let members: Vec<NodeId> = rt.ids().to_vec();
         let ck = Checkpoint::capture(&rt);
-        let sc = Adversary::LyingBeacons { victims: 2 }.compile(&members, 2, 7);
+        let sc = compile(&Adversary::LyingBeacons { victims: 2 }, &members, 2, 7);
         let mut suite = suite();
         let mut goal = ran(&rt, 8);
         let out = run_gauntlet(
@@ -824,7 +762,7 @@ mod tests {
     fn restabilize_arm_records_but_does_not_roll_back() {
         let mut rt = warmed_ring(8, Config::seeded(2));
         let members: Vec<NodeId> = rt.ids().to_vec();
-        let sc = Adversary::LyingBeacons { victims: 2 }.compile(&members, 2, 7);
+        let sc = compile(&Adversary::LyingBeacons { victims: 2 }, &members, 2, 7);
         let mut suite = suite();
         let mut goal = ran(&rt, 8);
         let out = run_gauntlet(
@@ -846,11 +784,11 @@ mod tests {
         let mut rt = warmed_ring(8, Config::seeded(3));
         let members: Vec<NodeId> = rt.ids().to_vec();
         let ck = Checkpoint::capture(&rt);
-        let sc = Adversary::Equivocation {
+        let adv = Adversary::Equivocation {
             victims: 1,
             audiences: 3,
-        }
-        .compile(&members, 1, 11);
+        };
+        let sc = compile(&adv, &members, 1, 11);
         let mut suite = suite();
         let mut goal = ran(&rt, 5);
         let out = run_gauntlet(
@@ -883,10 +821,9 @@ mod tests {
 
     #[test]
     fn gauntlet_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut rt = warmed_ring(16, Config::seeded(5).threads(threads));
+        let fixture = |threads: usize| {
+            let rt = warmed_ring(16, Config::seeded(5).threads(threads));
             let members: Vec<NodeId> = rt.ids().to_vec();
-            let ck = Checkpoint::capture(&rt);
             let sc = Scenario::new("mixed").seeded(99);
             let sc = Adversary::LyingBeacons { victims: 2 }.schedule(sc, &members, 1, 99);
             let sc = Adversary::CrashWave {
@@ -895,6 +832,11 @@ mod tests {
                 spacing: 1,
             }
             .schedule(sc, &members, 4, 99);
+            (rt, sc)
+        };
+        let run = |threads: usize| {
+            let (mut rt, sc) = fixture(threads);
+            let ck = Checkpoint::capture(&rt);
             let mut suite = suite();
             let mut goal = ran(&rt, 10);
             let out = run_gauntlet(
@@ -911,32 +853,63 @@ mod tests {
         for t in [2, 4, 8] {
             assert_eq!(run(t), base, "threads={t}");
         }
+
+        // One driver: with nothing to detect and nothing to recover, the
+        // gauntlet IS `Scenario::run` — same rounds, verdict and event
+        // records, same runtime bytes afterwards.
+        for t in [1, 4] {
+            let (mut plain_rt, sc) = fixture(t);
+            let mut goal = ran(&plain_rt, 10);
+            let report = sc.run(&mut plain_rt, &mut goal, 50);
+            let (mut rt, sc) = fixture(t);
+            let mut goal = ran(&rt, 10);
+            let out = run_gauntlet(
+                &mut rt,
+                &sc,
+                &mut DetectorSuite::new(),
+                Recovery::Restabilize,
+                &mut goal,
+                50,
+            );
+            assert_eq!((out.rounds, out.verdict), (report.rounds, report.verdict));
+            assert_eq!(
+                serde_json::to_string(&out.events).unwrap(),
+                serde_json::to_string(&report.events).unwrap()
+            );
+            assert_eq!(rt.save_snapshot(), plain_rt.save_snapshot(), "threads={t}");
+        }
     }
 
     #[test]
-    fn quarantine_and_release_cut_and_restore_messages() {
+    fn partition_and_heal_cut_and_restore_messages() {
         let mut rt = warmed_ring(8, Config::seeded(6));
-        assert_eq!(quarantine(&mut rt, &[0, 1, 2, 99]), 3, "dead ids skipped");
+        assert_eq!(rt.partition([0, 1, 2, 99]), 3, "dead ids not counted");
         assert!(rt.partitioned());
         for _ in 0..3 {
             rt.step();
         }
-        assert!(release(&mut rt));
+        assert!(rt.heal());
         assert!(!rt.partitioned());
-        assert!(!release(&mut rt), "no active quarantine");
-        assert_eq!(quarantine(&mut rt, &[77]), 0, "empty live set is a no-op");
+        assert!(!rt.heal(), "no active cut");
+        assert_eq!(rt.partition([77]), 0, "empty live set is a no-op");
+        assert!(!rt.partitioned());
     }
 
     #[test]
     fn checkpoint_rejects_corrupt_images() {
         let rt = warmed_ring(4, Config::seeded(7));
-        let mut bytes = rt.save_snapshot();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        let ck = Checkpoint::from_bytes(bytes);
-        let mut rt2 = warmed_ring(4, Config::seeded(7));
-        let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ck.rollback(&mut rt2, &[1])));
-        assert!(r.is_err(), "tampered checkpoint must not restore");
+        let bytes = rt.save_snapshot();
+        assert!(Checkpoint::from_bytes(bytes.clone()).is_ok());
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0xFF;
+        assert!(matches!(
+            Checkpoint::from_bytes(flipped),
+            Err(SnapshotError::HashMismatch { .. })
+        ));
+        let truncated = bytes[..bytes.len() - 5].to_vec();
+        assert!(matches!(
+            Checkpoint::from_bytes(truncated),
+            Err(SnapshotError::Truncated)
+        ));
     }
 }

@@ -3,10 +3,12 @@
 //! that leaves the network weakly connected; these helpers produce such
 //! faults reproducibly for the experiments and the failure-injection tests.
 //!
-//! Since the dynamic-membership redesign, churn is a fault like any other:
-//! [`Fault::Join`], [`Fault::Leave`] and [`Fault::Crash`] grow and shrink
-//! the node set mid-run (joins require a spawner, see
-//! [`Runtime::set_spawner`]).
+//! [`Fault`] is the one perturbation vocabulary for topology and
+//! membership: edge churn, and joins / leaves / crashes of random or named
+//! hosts (joins require a spawner, see [`Runtime::set_spawner`]). A
+//! [`crate::Scenario`] schedules faults as [`crate::Event::Fault`] and adds
+//! only what is not a change to the node or edge set (state corruption,
+//! daemon and network swaps, partitions).
 
 use crate::program::Program;
 use crate::runtime::Runtime;
@@ -48,6 +50,16 @@ pub enum Fault {
         /// network is non-empty).
         attach: usize,
     },
+    /// A new host with identifier `id` joins, attached to exactly the hosts
+    /// in `contacts` (unknown ones are skipped) — the deterministic form of
+    /// [`Fault::Join`]; draws nothing from the RNG. Requires a registered
+    /// spawner. Skipped (0 changes) if `id` is already a member.
+    JoinAt {
+        /// Identifier of the joining host.
+        id: NodeId,
+        /// Bootstrap contacts.
+        contacts: Vec<NodeId>,
+    },
     /// A uniformly random host (or `id`, when given) leaves gracefully.
     /// When `keep_connected`, victims whose departure would disconnect the
     /// survivors are skipped (another victim is tried).
@@ -73,12 +85,11 @@ pub fn inject<P: Program>(rt: &mut Runtime<P>, fault: &Fault, rng: &mut impl Rng
 }
 
 /// [`inject`], additionally appending the identifiers of every node the
-/// fault touched (edge endpoints, the joiner, the departed host) to
-/// `touched` — the per-node record scenario reports surface, and the basis
-/// on which an observer can reason about which nodes the runtime woke
-/// (every touched node is marked dirty by the runtime operation itself).
+/// fault touched (edge endpoints, the joiner and its contacts, the departed
+/// host) to `touched` — the per-node record scenario reports surface (every
+/// touched node is marked dirty by the runtime operation itself).
 /// Identifiers may repeat when several changes hit the same node.
-pub fn inject_traced<P: Program>(
+pub(crate) fn inject_traced<P: Program>(
     rt: &mut Runtime<P>,
     fault: &Fault,
     rng: &mut impl Rng,
@@ -125,6 +136,15 @@ pub fn inject_traced<P: Program>(
             rt.join_spawned(id, &picks);
             touched.push(id);
             touched.extend_from_slice(&picks);
+            1
+        }
+        Fault::JoinAt { id, ref contacts } => {
+            if rt.topology().contains(id) {
+                return 0;
+            }
+            rt.join_spawned(id, contacts);
+            touched.push(id);
+            touched.extend(contacts.iter().filter(|v| rt.topology().contains(**v)));
             1
         }
         Fault::Leave { id, keep_connected } => depart(rt, id, keep_connected, rng, false, touched),
@@ -422,5 +442,61 @@ mod tests {
         assert_eq!(changed, 1);
         assert!(!rt.topology().contains(3));
         assert_eq!(rt.metrics().crashes, 1);
+    }
+    /// Golden pin of the RNG draw sequence of the membership faults (the
+    /// benchmark and every committed churn table replay it): fixed seed →
+    /// fixed joiner contacts and victims, over sparse and dense contact
+    /// sampling and guarded and unguarded departures. Values captured at the
+    /// commit before `Fault` became the only perturbation vocabulary.
+    #[test]
+    fn membership_fault_draws_are_pinned() {
+        let mut rt = ring_runtime(32);
+        let mut rng = SmallRng::seed_from_u64(0xD1CE);
+        let departs = |crash: bool, keep_connected: bool| {
+            let id = None;
+            if crash {
+                Fault::Crash { id, keep_connected }
+            } else {
+                Fault::Leave { id, keep_connected }
+            }
+        };
+        let schedule: [(Fault, &[NodeId]); 7] = [
+            (Fault::Join { id: 100, attach: 2 }, &[100, 8, 22]),
+            (
+                Fault::Join {
+                    id: 101,
+                    attach: 12,
+                },
+                &[101, 11, 25, 30, 8, 22, 9, 16, 0, 24, 14, 1, 31],
+            ),
+            (departs(false, false), &[10]),
+            (departs(false, true), &[25]),
+            (departs(true, false), &[7]),
+            (departs(true, true), &[20]),
+            (departs(false, true), &[19]),
+        ];
+        for (fault, expect) in &schedule {
+            let mut touched = Vec::new();
+            assert_eq!(inject_traced(&mut rt, fault, &mut rng, &mut touched), 1);
+            assert_eq!(&touched, expect, "{fault:?}");
+        }
+        assert_eq!(rng.gen::<u64>(), 12053436523329737144, "stream position");
+    }
+
+    #[test]
+    fn join_at_attaches_to_the_named_live_contacts_without_drawing() {
+        let mut rt = ring_runtime(8);
+        let mut rng = SmallRng::seed_from_u64(6);
+        let before = rng.clone().gen::<u64>();
+        let fault = Fault::JoinAt {
+            id: 100,
+            contacts: vec![0, 3, 99],
+        };
+        let mut touched = Vec::new();
+        assert_eq!(inject_traced(&mut rt, &fault, &mut rng, &mut touched), 1);
+        assert_eq!(touched, [100, 0, 3], "joiner, then its live contacts");
+        assert_eq!(rt.topology().neighbors(100), [0, 3]);
+        assert_eq!(inject(&mut rt, &fault, &mut rng), 0, "already a member");
+        assert_eq!(rng.gen::<u64>(), before, "no draw");
     }
 }

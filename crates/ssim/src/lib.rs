@@ -22,9 +22,11 @@
 //!   schedulable perturbation.
 //! * **Drivers**: runs are steered by [`monitor`] observers (legality,
 //!   quiescence, degree/message/activation budgets, composable with
-//!   [`monitor::all_of`]) via [`Runtime::run_monitored`], and perturbation
-//!   schedules are declared as [`scenario`]s producing JSON-serializable
-//!   reports.
+//!   [`monitor::all_of`]) via [`Runtime::run_monitored`]. Perturbations
+//!   have one vocabulary — [`Fault`] for the node and edge set, the other
+//!   [`Event`]s for state, daemon and network — and one loop that applies
+//!   them, [`Scenario::run`], producing JSON-serializable reports; an
+//!   [`Adversary`] is a seeded generator of events for it.
 //! * **Daemons**: which nodes step each round is a pluggable [`sched`]
 //!   scheduler — the paper's synchronous daemon by default, plus
 //!   randomized and adversarial activation for weaker-daemon stress, and
@@ -64,8 +66,9 @@
 //! are recycled through a free list, and the id → slot map is consulted
 //! only at the membership boundary. Membership events are therefore O(deg)
 //! — no renumbering, no index rebuilds — and steady-state rounds allocate
-//! nothing: inboxes are double-buffered, emit sinks are recycled, and
-//! edge/degree aggregates are tracked incrementally.
+//! nothing: inboxes are pages of a shared [`arena`] recycled at
+//! consumption, emit sinks are recycled, and edge/degree aggregates are
+//! tracked incrementally.
 
 // `deny` rather than `forbid`: the sanctioned exceptions are the small,
 // heavily documented chunk-splitting core of `par` and the page-cursor
@@ -93,8 +96,7 @@ pub mod topology;
 pub mod workload;
 
 pub use adversary::{
-    quarantine, release, run_gauntlet, Adversary, Checkpoint, GauntletOutcome, Introspect,
-    Recovery, Sabotage,
+    run_gauntlet, Adversary, Checkpoint, GauntletOutcome, Introspect, Recovery, Sabotage,
 };
 pub use compact::{CompactMap, CompactSet};
 pub use fault::Fault;
@@ -104,7 +106,7 @@ pub use monitor::{
     RunVerdict, Severity, Verdict,
 };
 pub use net::{NetModel, NetStats};
-pub use program::{Actions, Ctx, Program};
+pub use program::{Ctx, Program};
 pub use runtime::{Config, MemFootprint, Runtime};
 pub use scenario::{Event, Scenario, ScenarioReport};
 pub use sched::{ActivityDriven, Adversarial, RandomSubset, SchedView, Scheduler, Synchronous};

@@ -40,38 +40,35 @@ pub trait Program: Send {
     }
 }
 
-/// Actions a node emits during a round; applied by the runtime after all
-/// nodes have stepped (synchronous semantics).
-///
-/// The runtime keeps one `Actions` buffer per slot and **recycles** it
-/// round after round (cleared, never reallocated), so steady-state rounds
-/// perform no per-node heap allocation. Model-rule validation happens at
-/// emit time in [`Ctx`] against the round-start neighbor snapshot — illegal
-/// actions are never enqueued; in lenient mode they are counted in
-/// [`Actions::violations`].
+/// Staging buffer behind [`Ctx`]: what one activation emitted. The runtime
+/// keeps one per emit chunk, clears it before every `step` (capacity kept,
+/// so steady-state rounds do not allocate) and flattens it into the chunk's
+/// sink right after. Model-rule validation happens at emit time in [`Ctx`]
+/// against the round-start neighbor snapshot — illegal actions are never
+/// enqueued; in lenient mode they are counted in `violations`.
 #[derive(Debug)]
-pub struct Actions<M> {
+pub(crate) struct Actions<M> {
     /// Messages to send: `(recipient, payload)`. Recipients are validated
     /// round-start neighbors.
-    pub sends: Vec<(NodeId, M)>,
+    pub(crate) sends: Vec<(NodeId, M)>,
     /// Introductions: create edge `(a, b)` where both `a` and `b` are in the
     /// acting node's closed neighborhood (the overlay-model edge creation
     /// rule, validated at emit time).
-    pub links: Vec<(NodeId, NodeId)>,
+    pub(crate) links: Vec<(NodeId, NodeId)>,
     /// Deletions of incident edges: remove edge `(self, v)`.
-    pub unlinks: Vec<NodeId>,
+    pub(crate) unlinks: Vec<NodeId>,
     /// Model violations the node attempted this round (lenient mode only;
     /// strict mode panics at the attempt).
-    pub violations: u64,
+    pub(crate) violations: u64,
     /// Smallest wake-up delay requested via [`Ctx::wake_me_in`] this round,
     /// if any. Consumed by the runtime's timer wheel: the node is
     /// re-activated (under any scheduler that honors the dirty set) after
     /// that many rounds even if nothing else touches it.
-    pub wake_in: Option<u64>,
+    pub(crate) wake_in: Option<u64>,
     /// Whether the program reported itself quiescent immediately after this
     /// step (recorded by the runtime for the dirty set and the per-round
     /// quiescent count; not program-writable).
-    pub quiescent: bool,
+    pub(crate) quiescent: bool,
 }
 
 impl<M> Default for Actions<M> {
@@ -89,7 +86,7 @@ impl<M> Default for Actions<M> {
 
 impl<M> Actions<M> {
     /// Empty the buffers for reuse, keeping their capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.sends.clear();
         self.links.clear();
         self.unlinks.clear();

@@ -74,8 +74,7 @@ pub struct Config {
     /// that *measure* the parallel path set it.
     pub force_parallel: bool,
     /// Rounds per pool **hot window** in the batched run drivers
-    /// ([`Runtime::run`], [`Runtime::run_until`],
-    /// [`Runtime::run_monitored`]): the pool spins instead of parking
+    /// ([`Runtime::run`], [`Runtime::run_monitored`]): the pool spins instead of parking
     /// between the rounds of a window, amortizing the condvar wake/barrier
     /// cost across the window (see [`crate::par`]). Monitors and legality
     /// checks still run on the driving thread at every round boundary.
@@ -455,9 +454,9 @@ pub struct Runtime<P: Program> {
     rngs: Vec<SmallRng>,
     /// Per-slot pending messages: delivered sends accumulate here and are
     /// consumed (cleared) when the slot is activated. Under the synchronous
-    /// daemon every inbox is consumed every round, which reproduces the old
-    /// double-buffer semantics exactly; under partial daemons messages wait
-    /// for their recipient's next activation. Storage is a paged slab
+    /// daemon every inbox is consumed every round, so a message sent in
+    /// round `i` is read in round `i + 1` and never later; under partial
+    /// daemons messages wait for their recipient's next activation. Storage is a paged slab
     /// shared by every slot (see [`crate::arena`]) — each page carries the
     /// sender-*slot* mirror alongside the messages, so consumption
     /// releases `sent_to` entries without id → slot hashing and idle slots
@@ -795,21 +794,29 @@ impl<P: Program> Runtime<P> {
     }
 
     /// Cut the network along a node bisection: `side` (deduplicated,
-    /// membership not required) versus everyone else. From now until
-    /// [`Runtime::heal`], every message whose channel crosses the cut is
-    /// dropped at the send decision, and messages already in transit
+    /// membership not required) versus everyone else, and return how many
+    /// *live* members the cut covers. A side with no live member cuts
+    /// nothing and is a no-op (returns 0, any active cut stays). From now
+    /// until [`Runtime::heal`], every message whose channel crosses the cut
+    /// is dropped at the send decision, and messages already in transit
     /// across the cut are purged immediately — both counted in
     /// [`crate::net::NetStats::dropped_partition`]. Edges and membership
     /// are untouched (contrast [`crate::fault::Fault::Crash`]: a partition
     /// is a *communication* failure, not a topology change), so a legal
     /// overlay stays legal; what a partition breaks is progress that needs
-    /// cross-cut messages. Hosts with a cross-cut edge are marked dirty
-    /// (their environment changed — a wake-up condition, like a
-    /// neighborhood change). Calling again replaces the active cut.
-    pub fn partition(&mut self, side: impl IntoIterator<Item = NodeId>) {
+    /// cross-cut messages — which also makes it the per-region isolation
+    /// hook: quarantine a suspect zone, repair it, heal. Hosts with a
+    /// cross-cut edge are marked dirty (their environment changed — a
+    /// wake-up condition, like a neighborhood change). Calling again
+    /// replaces the active cut.
+    pub fn partition(&mut self, side: impl IntoIterator<Item = NodeId>) -> usize {
         let mut side: Vec<NodeId> = side.into_iter().collect();
         side.sort_unstable();
         side.dedup();
+        let live = side.iter().filter(|&&v| self.topo.contains(v)).count();
+        if live == 0 {
+            return 0;
+        }
         let mut purged = 0u64;
         let pool = &mut self.transit_pool;
         self.transit.retain(|_, bucket| {
@@ -831,15 +838,18 @@ impl<P: Program> Runtime<P> {
         self.metrics.net.in_transit = self.transit_count;
         self.mark_cut_endpoints(&side);
         self.partition = Some(side);
+        live
     }
 
-    /// Remove the active partition (no-op without one). Hosts with a
-    /// formerly-cross-cut edge are marked dirty so stabilization traffic
-    /// resumes promptly under activity-driven daemons.
-    pub fn heal(&mut self) {
-        if let Some(side) = self.partition.take() {
-            self.mark_cut_endpoints(&side);
-        }
+    /// Remove the active partition and return whether there was one. Hosts
+    /// with a formerly-cross-cut edge are marked dirty so stabilization
+    /// traffic resumes promptly under activity-driven daemons.
+    pub fn heal(&mut self) -> bool {
+        let Some(side) = self.partition.take() else {
+            return false;
+        };
+        self.mark_cut_endpoints(&side);
+        true
     }
 
     /// True iff a partition cut is active.
@@ -2078,35 +2088,6 @@ impl<P: Program> Runtime<P> {
         }
     }
 
-    /// Run until `legal(self)` holds (checked *before* each round, so a
-    /// runtime already in a legal state returns 0) or `max_rounds` rounds
-    /// elapse. Returns the number of rounds executed on success, `None` on
-    /// timeout (after executing exactly `max_rounds` rounds).
-    ///
-    /// Rounds execute in pool hot windows of [`Config::batch_rounds`];
-    /// `legal` is still consulted on this thread before every single round.
-    pub fn run_until(
-        &mut self,
-        mut legal: impl FnMut(&Self) -> bool,
-        max_rounds: u64,
-    ) -> Option<u64> {
-        let start = self.round;
-        let k = u64::from(self.cfg.batch_rounds.max(1));
-        loop {
-            let _hot = self.hot_guard();
-            for _ in 0..k {
-                let executed = self.round - start;
-                if legal(self) {
-                    return Some(executed);
-                }
-                if executed == max_rounds {
-                    return None;
-                }
-                self.step();
-            }
-        }
-    }
-
     /// Run a fixed number of rounds, in pool hot windows of
     /// [`Config::batch_rounds`] rounds.
     pub fn run(&mut self, rounds: u64) {
@@ -2130,8 +2111,11 @@ impl<P: Program> Runtime<P> {
     /// monitor still observes on this thread at every round boundary,
     /// exactly as in the unbatched driver.
     ///
-    /// This is the one generic run-to-convergence driver, shared by every
-    /// protocol crate; see [`crate::monitor`] for composition.
+    /// This is the one run-to-verdict driver, shared by every protocol
+    /// crate; a plain predicate drives it as [`crate::monitor::goal`], and
+    /// [`MonitorOutcome::rounds_if_satisfied`] gives the `Option<u64>`
+    /// shape. See [`crate::monitor`] for composition. (Runs that also apply
+    /// scheduled events go through [`crate::Scenario::run`].)
     pub fn run_monitored(
         &mut self,
         monitor: &mut (impl Monitor<P> + ?Sized),
@@ -3001,36 +2985,42 @@ mod tests {
         ));
     }
 
+    /// `run_monitored` on a plain predicate, in the `Option<u64>` shape.
+    fn run_to(
+        rt: &mut Runtime<Flood>,
+        pred: impl FnMut(&Runtime<Flood>) -> bool,
+        max_rounds: u64,
+    ) -> Option<u64> {
+        rt.run_monitored(&mut crate::monitor::goal("until", pred), max_rounds)
+            .rounds_if_satisfied()
+    }
+
     #[test]
     fn flood_takes_diameter_rounds() {
         let mut rt = line_runtime(10);
-        let done = rt.run_until(|r| r.programs().all(|(_, p)| p.is_quiescent()), 100);
+        let done = run_to(
+            &mut rt,
+            |r| r.programs().all(|(_, p)| p.is_quiescent()),
+            100,
+        );
         // Token starts at node 0 and is sent in round 0; 9 message hops mean
         // node 9 receives during round 9, i.e. after the 10th step.
         assert_eq!(done, Some(10));
     }
 
+    /// Regression pin for the `run_monitored` contract: the monitor observes
+    /// *before* the first round (a satisfied start executes 0 rounds) and
+    /// after every round (`max_rounds + 1` observations on timeout), and a
+    /// timeout executes exactly `max_rounds` steps.
     #[test]
-    fn run_until_on_legal_start_is_zero() {
+    fn run_monitored_observes_before_each_round_and_steps_exactly_max() {
         let mut rt = line_runtime(4);
-        assert_eq!(rt.run_until(|_| true, 10), Some(0));
-    }
+        assert_eq!(run_to(&mut rt, |_| true, 10), Some(0));
+        assert_eq!(rt.round(), 0);
 
-    #[test]
-    fn run_until_times_out() {
-        let mut rt = line_runtime(4);
-        assert_eq!(rt.run_until(|_| false, 5), None);
-        assert_eq!(rt.round(), 5);
-    }
-
-    /// Regression pin for the `run_until` contract: the predicate is checked
-    /// *before* the first round and after every round (`max_rounds + 1`
-    /// checks on timeout), and a timeout executes exactly `max_rounds` steps.
-    #[test]
-    fn run_until_checks_before_each_round_and_steps_exactly_max() {
-        let mut rt = line_runtime(4);
         let mut checks = 0u64;
-        let out = rt.run_until(
+        let out = run_to(
+            &mut rt,
             |_| {
                 checks += 1;
                 false
@@ -3039,11 +3029,11 @@ mod tests {
         );
         assert_eq!(out, None);
         assert_eq!(rt.round(), 3, "timeout executes exactly max_rounds steps");
-        assert_eq!(checks, 4, "checked before round 0 and after each round");
+        assert_eq!(checks, 4, "observed before round 0 and after each round");
 
         // Satisfaction at the deadline still counts (no off-by-one).
         let mut rt = line_runtime(4);
-        assert_eq!(rt.run_until(|r| r.round() >= 2, 2), Some(2));
+        assert_eq!(run_to(&mut rt, |r| r.round() >= 2, 2), Some(2));
     }
 
     /// Program that introduces its two smallest neighbors each round.

@@ -1,8 +1,9 @@
 //! Declarative perturbation schedules: a [`Scenario`] is a list of
-//! `(round, Event)` entries — faults, joins, leaves, crashes, state
-//! corruption — executed by one driver loop against any [`Runtime`], with a
-//! [`Monitor`] deciding when the system has (re-)converged and a
-//! JSON-serializable [`ScenarioReport`] capturing what happened.
+//! `(round, Event)` entries — [`Fault`]s (edge and membership churn), state
+//! corruption, daemon / network swaps, partitions — executed by the one
+//! event-applying driver loop against any [`Runtime`], with a [`Monitor`]
+//! deciding when the system has (re-)converged and a JSON-serializable
+//! [`ScenarioReport`] capturing what happened.
 //!
 //! This is the workload layer the paper motivates ("overlay networks operate
 //! in fragile environments where faults that perturb the logical network
@@ -25,21 +26,9 @@ use std::sync::Arc;
 /// One scheduled perturbation.
 #[derive(Clone)]
 pub enum Event<P: Program> {
-    /// Inject a randomized fault (edge churn or random membership churn),
-    /// drawn from the scenario's seeded RNG.
+    /// Inject a fault — edge churn, or a join / leave / crash of a random
+    /// or named host; random choices draw from the scenario's seeded RNG.
     Fault(Fault),
-    /// A specific host joins, attached to the given bootstrap contacts
-    /// (requires a spawner on the runtime).
-    Join {
-        /// Identifier of the joining host.
-        id: NodeId,
-        /// Bootstrap contacts (unknown ones are skipped).
-        attach: Vec<NodeId>,
-    },
-    /// A specific host leaves gracefully.
-    Leave(NodeId),
-    /// A specific host crashes.
-    Crash(NodeId),
     /// Adversarially corrupt one host's program state.
     Corrupt {
         /// The victim.
@@ -77,9 +66,6 @@ impl<P: Program> std::fmt::Debug for Event<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Event::Fault(fault) => write!(f, "Fault({fault:?})"),
-            Event::Join { id, attach } => write!(f, "Join({id} -> {attach:?})"),
-            Event::Leave(id) => write!(f, "Leave({id})"),
-            Event::Crash(id) => write!(f, "Crash({id})"),
             Event::Corrupt { id, label, .. } => write!(f, "Corrupt({id}: {label})"),
             Event::SetScheduler { label, .. } => write!(f, "SetScheduler({label})"),
             Event::Partition(side) => write!(f, "Partition({side:?})"),
@@ -126,63 +112,46 @@ impl<P: Program> Scenario<P> {
         self
     }
 
-    /// Schedule a randomized fault.
+    /// Schedule a fault.
     #[must_use]
     pub fn fault(self, round: u64, fault: Fault) -> Self {
         self.at(round, Event::Fault(fault))
     }
 
-    /// Schedule a deterministic join.
+    /// Schedule the join of host `id` on the named contacts
+    /// ([`Fault::JoinAt`]).
     #[must_use]
     pub fn join(self, round: u64, id: NodeId, attach: &[NodeId]) -> Self {
-        self.at(
+        self.fault(
             round,
-            Event::Join {
+            Fault::JoinAt {
                 id,
-                attach: attach.to_vec(),
+                contacts: attach.to_vec(),
             },
         )
     }
 
-    /// Schedule a deterministic graceful leave.
+    /// Schedule the graceful leave of host `id` ([`Fault::Leave`],
+    /// unguarded).
     #[must_use]
     pub fn leave(self, round: u64, id: NodeId) -> Self {
-        self.at(round, Event::Leave(id))
+        self.fault(
+            round,
+            Fault::Leave {
+                id: Some(id),
+                keep_connected: false,
+            },
+        )
     }
 
-    /// Schedule a deterministic crash.
+    /// Schedule the crash of host `id` ([`Fault::Crash`], unguarded).
     #[must_use]
     pub fn crash(self, round: u64, id: NodeId) -> Self {
-        self.at(round, Event::Crash(id))
-    }
-
-    /// Schedule a state corruption of host `id`.
-    ///
-    /// Deprecated: ad-hoc closure corruption predates the structured fault
-    /// taxonomy. Use a [`crate::adversary::Adversary`] (which compiles to
-    /// the same [`Event::Corrupt`] machinery, but names what it breaks and
-    /// is detectable/classifiable by the [`crate::monitor`] detectors), or
-    /// schedule an explicit [`Event::Corrupt`] via [`Scenario::at`] when a
-    /// bespoke mutation is genuinely needed.
-    #[must_use]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ssim::adversary::Adversary::schedule` (structured, detectable corruption) \
-                or `Scenario::at` with an explicit `Event::Corrupt`"
-    )]
-    pub fn corrupt(
-        self,
-        round: u64,
-        id: NodeId,
-        label: impl Into<String>,
-        mutate: impl Fn(&mut P) + Send + Sync + 'static,
-    ) -> Self {
-        self.at(
+        self.fault(
             round,
-            Event::Corrupt {
-                id,
-                label: label.into(),
-                mutate: Arc::new(mutate),
+            Fault::Crash {
+                id: Some(id),
+                keep_connected: false,
             },
         )
     }
@@ -254,6 +223,22 @@ impl<P: Program> Scenario<P> {
         monitor: &mut (impl Monitor<P> + ?Sized),
         max_rounds: u64,
     ) -> ScenarioReport {
+        self.run_hooked(rt, monitor, max_rounds, |_, _, _| {})
+    }
+
+    /// [`Scenario::run`] with a per-round hook: `each_round(rt, now,
+    /// records)` runs every round after the due events applied and before
+    /// the monitor observes, seeing every event record so far. This is the
+    /// only loop in the crate that applies events; the gauntlet
+    /// ([`crate::adversary::run_gauntlet`]) is this loop with a
+    /// detect-and-recover hook.
+    pub(crate) fn run_hooked(
+        &self,
+        rt: &mut Runtime<P>,
+        monitor: &mut (impl Monitor<P> + ?Sized),
+        max_rounds: u64,
+        mut each_round: impl FnMut(&mut Runtime<P>, u64, &[EventRecord]),
+    ) -> ScenarioReport {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut pending: Vec<(u64, &Event<P>)> = self.events.iter().map(|(r, e)| (*r, e)).collect();
         pending.sort_by_key(|&(r, _)| r); // stable: same-round order preserved
@@ -277,6 +262,7 @@ impl<P: Program> Scenario<P> {
                     touched,
                 });
             }
+            each_round(rt, now, &records);
             match monitor.observe(rt) {
                 Verdict::Satisfied => {
                     satisfied_at.get_or_insert(now);
@@ -319,10 +305,8 @@ impl<P: Program> Scenario<P> {
     }
 }
 
-/// Apply one event to `rt` (shared with the gauntlet driver in
-/// [`crate::adversary::run_gauntlet`], which replays scenarios with a
-/// detection/recovery loop wrapped around the same event semantics).
-pub(crate) fn apply<P: Program>(
+/// Apply one event to `rt`, appending the ids it touched to `touched`.
+fn apply<P: Program>(
     rt: &mut Runtime<P>,
     event: &Event<P>,
     rng: &mut SmallRng,
@@ -330,24 +314,6 @@ pub(crate) fn apply<P: Program>(
 ) -> usize {
     match event {
         Event::Fault(fault) => inject_traced(rt, fault, rng, touched),
-        Event::Join { id, attach } => {
-            if rt.topology().contains(*id) {
-                0
-            } else {
-                rt.join_spawned(*id, attach);
-                touched.push(*id);
-                touched.extend(attach.iter().filter(|v| rt.topology().contains(**v)));
-                1
-            }
-        }
-        Event::Leave(id) => rt.leave(*id).map_or(0, |_| {
-            touched.push(*id);
-            1
-        }),
-        Event::Crash(id) => rt.crash(*id).map_or(0, |_| {
-            touched.push(*id);
-            1
-        }),
         Event::Corrupt { id, mutate, .. } => {
             if rt.topology().contains(*id) {
                 rt.corrupt_node(*id, |p| mutate(p));
@@ -363,17 +329,9 @@ pub(crate) fn apply<P: Program>(
         }
         Event::Partition(side) => {
             touched.extend(side.iter().filter(|v| rt.topology().contains(**v)));
-            rt.partition(side.iter().copied());
-            1
+            usize::from(rt.partition(side.iter().copied()) > 0)
         }
-        Event::Heal => {
-            if rt.partitioned() {
-                rt.heal();
-                1
-            } else {
-                0
-            }
-        }
+        Event::Heal => usize::from(rt.heal()),
         Event::SetNetModel(model) => {
             rt.set_net_model(*model);
             1
@@ -465,6 +423,16 @@ mod tests {
         heard: std::collections::BTreeSet<NodeId>,
     }
 
+    impl crate::Persist for Gossip {
+        fn save(&self, w: &mut crate::snapshot::Writer) {
+            self.heard.iter().copied().collect::<Vec<NodeId>>().save(w);
+        }
+        fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::SnapshotError> {
+            let heard = Vec::<NodeId>::load(r)?.into_iter().collect();
+            Ok(Self { heard })
+        }
+    }
+
     impl Program for Gossip {
         type Msg = ();
 
@@ -545,6 +513,60 @@ mod tests {
             (report.to_json(), rt.topology().edges())
         };
         assert_eq!(run(), run());
+
+        // One vocabulary: the join/leave/crash sugar IS the explicit fault —
+        // same report, same runtime bytes, under either daemon and any
+        // thread count.
+        let sugar = || {
+            build()
+                .join(2, 100, &[0, 3])
+                .leave(4, 1)
+                .crash(6, 5)
+                .leave(7, 99)
+        };
+        let explicit = || {
+            let leave = |v| Fault::Leave {
+                id: Some(v),
+                keep_connected: false,
+            };
+            let crash = |v| Fault::Crash {
+                id: Some(v),
+                keep_connected: false,
+            };
+            let join = Fault::JoinAt {
+                id: 100,
+                contacts: vec![0, 3],
+            };
+            build()
+                .fault(2, join)
+                .fault(4, leave(1))
+                .fault(6, crash(5))
+                .fault(7, leave(99))
+        };
+        for activity in [false, true] {
+            for threads in [1usize, 4] {
+                let run = |sc: Scenario<Gossip>| {
+                    let edges: Vec<_> = (0..10u32).map(|i| (i, (i + 1) % 10)).collect();
+                    let mut rt = Runtime::new(
+                        Config::seeded(3).threads(threads),
+                        (0..10).map(|i| (i, Gossip::default())),
+                        edges,
+                    )
+                    .with_spawner(|_| Gossip::default());
+                    if activity {
+                        rt.set_scheduler(Box::new(crate::ActivityDriven));
+                    }
+                    let mut m = monitor::goal("r20", |rt: &Runtime<Gossip>| rt.round() >= 20);
+                    let report = sc.run(&mut rt, &mut m, 50);
+                    (report.to_json(), rt.save_snapshot())
+                };
+                assert_eq!(
+                    run(sugar()),
+                    run(explicit()),
+                    "activity={activity} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn different_seeds_differ() {
 
 #[test]
 fn paper_finger_variant_also_stabilizes() {
-    use chord_scaffolding::chord::{is_legal, ScaffoldProgram};
+    use chord_scaffolding::chord::{legality_for, ScaffoldProgram};
     use chord_scaffolding::sim::{init, Runtime};
     use rand::SeedableRng;
     let n = 64u32;
@@ -118,16 +118,16 @@ fn paper_finger_variant_also_stabilizes() {
         (v, ScaffoldProgram::new(v, target, nonce))
     });
     let mut rt = Runtime::new(Config::seeded(99), nodes, edges);
-    let rounds = rt.run_until(
-        |r| is_legal(&target, r.topology(), r.programs().map(|(_, p)| p)),
-        100_000,
+    let out = rt.run_monitored(&mut legality_for(target), 100_000);
+    assert!(
+        out.rounds_if_satisfied().is_some(),
+        "Definition 1 variant failed to stabilize"
     );
-    assert!(rounds.is_some(), "Definition 1 variant failed to stabilize");
 }
 
 #[test]
 fn truncated_target_stabilizes() {
-    use chord_scaffolding::chord::{is_legal, ScaffoldProgram, TruncatedChordTarget};
+    use chord_scaffolding::chord::{legality_for, ScaffoldProgram, TruncatedChordTarget};
     use chord_scaffolding::sim::{init, Runtime};
     use rand::SeedableRng;
     let n = 64u32;
@@ -140,9 +140,9 @@ fn truncated_target_stabilizes() {
         (v, ScaffoldProgram::new(v, target, nonce))
     });
     let mut rt = Runtime::new(Config::seeded(98), nodes, edges);
-    let rounds = rt.run_until(
-        |r| is_legal(&target, r.topology(), r.programs().map(|(_, p)| p)),
-        100_000,
+    let out = rt.run_monitored(&mut legality_for(target), 100_000);
+    assert!(
+        out.rounds_if_satisfied().is_some(),
+        "truncated target failed to stabilize"
     );
-    assert!(rounds.is_some(), "truncated target failed to stabilize");
 }

@@ -10,11 +10,11 @@
 
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
 use proptest::prelude::*;
-use scaffold_bench::{budget, legal_chord_runtime_cfg};
+use scaffold_bench::{budget, legal_chord_runtime};
 use ssim::monitor::{BeaconStaleness, DegreeAnomaly, SilenceAnomaly, ViewDivergence};
 use ssim::{
-    quarantine, release, run_gauntlet, Adversary, Checkpoint, Config, DetectorSuite,
-    GauntletOutcome, NodeId, OpenLoop, Recovery, RunVerdict, Runtime, WorkloadConfig,
+    run_gauntlet, Adversary, Checkpoint, Config, DetectorSuite, GauntletOutcome, NetModel, NodeId,
+    OpenLoop, Recovery, RunVerdict, Runtime, Scenario, WorkloadConfig,
 };
 
 const N: u32 = 64;
@@ -26,7 +26,7 @@ const INJECT: u64 = 2;
 /// at the warmed round (receipt rounds are unsigned; views installed at
 /// round 0 leave aging attacks nowhere to go).
 fn warmed_fixture(seed: u64, cfg: Config) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    let mut rt = legal_chord_runtime_cfg(N, HOSTS, cfg);
+    let mut rt = legal_chord_runtime(N, HOSTS, cfg, NetModel::ideal());
     rt.run(WARM);
     let now = rt.round();
     let ids: Vec<NodeId> = rt.ids().to_vec();
@@ -61,7 +61,8 @@ fn drive(
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let ck = Checkpoint::capture(&rt);
     rt.attach_workload(OpenLoop::new(2.0, N), WorkloadConfig::default());
-    let scenario = adv.compile(rt.ids(), INJECT, seed);
+    let scenario = Scenario::new(format!("gauntlet-{}", adv.name())).seeded(seed);
+    let scenario = adv.schedule(scenario, rt.ids(), INJECT, seed);
     let mut suite = suite();
     let recovery = if rollback {
         Recovery::Rollback(&ck)
@@ -140,16 +141,17 @@ fn rollback_beats_restabilization_on_lying_beacons() {
     assert!(rollback.first_critical.unwrap() <= INJECT + avatar_cbt::state::BEACON_TTL);
 }
 
-/// Per-region isolation hooks on the real protocol: a quarantined region
-/// stops serving cross-cut lookups, release restores full service, and the
-/// legality predicate (which ignores the message layer) holds throughout.
+/// Per-region isolation on the real protocol (`Runtime::partition` /
+/// `Runtime::heal`): a quarantined region stops serving cross-cut lookups,
+/// release restores full service, and the legality predicate (which ignores
+/// the message layer) holds throughout.
 #[test]
 fn quarantine_isolates_and_release_restores_service() {
     let mut cfg = Config::seeded(21);
     cfg.record_rounds = false;
     let mut rt = warmed_fixture(21, cfg);
     let region: Vec<NodeId> = rt.ids().iter().copied().take(HOSTS / 2).collect();
-    assert_eq!(quarantine(&mut rt, &region), region.len());
+    assert_eq!(rt.partition(region.iter().copied()), region.len());
     assert!(rt.partitioned());
     assert!(
         chord_scaffold::runtime_is_legal(&rt),
@@ -162,7 +164,7 @@ fn quarantine_isolates_and_release_restores_service() {
         held.completed < held.issued && held.in_flight > 0,
         "cut-crossing lookups must stall behind the quarantine: {held:?}"
     );
-    assert!(release(&mut rt));
+    assert!(rt.heal());
     assert!(!rt.partitioned());
     let mut waited = 0;
     while rt.request_stats().in_flight > 0 && waited < 256 {
@@ -179,15 +181,16 @@ fn quarantine_isolates_and_release_restores_service() {
     assert!(chord_scaffold::runtime_is_legal(&rt));
 }
 
-/// A double release is a no-op, and quarantining an empty region covers
-/// nothing but still replaces any active partition.
+/// Releasing with no quarantine active is a no-op, and quarantining an
+/// empty region covers nothing and cuts nothing.
 #[test]
 fn quarantine_edge_cases() {
     let mut cfg = Config::seeded(5);
     cfg.record_rounds = false;
     let mut rt = warmed_fixture(5, cfg);
-    assert!(!release(&mut rt), "nothing to release");
-    assert_eq!(quarantine(&mut rt, &[]), 0);
+    assert!(!rt.heal(), "nothing to release");
+    assert_eq!(rt.partition([]), 0);
+    assert!(!rt.partitioned());
 }
 
 proptest! {

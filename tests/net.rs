@@ -168,8 +168,12 @@ proptest! {
                 40 => {
                     rt.leave(17);
                 }
-                80 => rt.partition([1u32, 9, 25]),
-                120 => rt.heal(),
+                80 => {
+                    rt.partition([1u32, 9, 25]);
+                }
+                120 => {
+                    rt.heal();
+                }
                 _ => {}
             }
             rt.step();
