@@ -25,7 +25,7 @@
 
 use crate::monitor::{DetectorSuite, Monitor, RunVerdict, Severity};
 use crate::program::Program;
-use crate::runtime::{Config, Runtime};
+use crate::runtime::Runtime;
 use crate::scenario::{Event, EventRecord, Scenario};
 use crate::snapshot::{Persist, SnapshotError};
 use crate::NodeId;
@@ -158,21 +158,17 @@ impl Adversary {
     #[must_use]
     pub fn schedule<P: Sabotage>(
         &self,
-        sc: Scenario<P>,
+        mut sc: Scenario<P>,
         members: &[NodeId],
         start: u64,
         seed: u64,
     ) -> Scenario<P> {
-        let name = self.name();
-        let mix = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        });
+        let mix = crate::snapshot::content_hash(self.name().as_bytes());
         let mut rng = SmallRng::seed_from_u64(seed ^ mix);
         let mut pool: Vec<NodeId> = members.to_vec();
         pool.sort_unstable();
         match *self {
             Adversary::StaleBeacons { victims, age } => {
-                let mut sc = sc;
                 for v in pick(&mut pool, victims, &mut rng) {
                     sc = sc.at(
                         start,
@@ -183,10 +179,8 @@ impl Adversary {
                         },
                     );
                 }
-                sc
             }
             Adversary::LyingBeacons { victims } => {
-                let mut sc = sc;
                 for v in pick(&mut pool, victims, &mut rng) {
                     let salt: u64 = rng.gen();
                     sc = sc.at(
@@ -198,10 +192,8 @@ impl Adversary {
                         },
                     );
                 }
-                sc
             }
             Adversary::Equivocation { victims, audiences } => {
-                let mut sc = sc;
                 for v in pick(&mut pool, victims, &mut rng) {
                     let mut others: Vec<NodeId> =
                         pool.iter().copied().filter(|&u| u != v).collect();
@@ -222,14 +214,12 @@ impl Adversary {
                         );
                     }
                 }
-                sc
             }
             Adversary::CrashWave {
                 region,
                 waves,
                 spacing,
             } => {
-                let mut sc = sc;
                 let doomed = contiguous(&pool, region, &mut rng);
                 let waves = waves.max(1);
                 let per_wave = doomed.len().div_ceil(waves);
@@ -245,17 +235,14 @@ impl Adversary {
                         );
                     }
                 }
-                sc
             }
             Adversary::FlashCrowd {
                 ref joiners,
                 attach,
             } => {
-                let mut sc = sc;
                 for &id in joiners {
                     sc = sc.fault(start, crate::fault::Fault::Join { id, attach });
                 }
-                sc
             }
             Adversary::PartitionCycle {
                 side,
@@ -263,15 +250,14 @@ impl Adversary {
                 hold,
                 gap,
             } => {
-                let mut sc = sc;
                 let cut = contiguous(&pool, side, &mut rng);
                 for c in 0..cycles as u64 {
                     let at = start + c * (hold + gap);
                     sc = sc.partition(at, &cut).heal(at + hold);
                 }
-                sc
             }
         }
+        sc
     }
 }
 
@@ -350,13 +336,7 @@ impl Checkpoint {
         P: Program + Persist + Clone,
         P::Msg: Persist,
     {
-        let cfg = Config {
-            parallel: false,
-            threads: 0,
-            force_parallel: false,
-            ..rt.config()
-        };
-        let shadow: Runtime<P> = Runtime::restore_snapshot(&self.bytes, cfg)
+        let shadow: Runtime<P> = Runtime::restore_snapshot(&self.bytes, rt.config().threads(1))
             .expect("checkpoint holds a runtime of this program type");
         let mut done = BTreeSet::new();
         let mut count = 0usize;
@@ -381,16 +361,6 @@ pub enum Recovery<'a> {
     /// Roll every implicated node back to the checkpoint the first time the
     /// detector suite reports a critical fault.
     Rollback(&'a Checkpoint),
-}
-
-impl Recovery<'_> {
-    /// Stable name for tables and labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Recovery::Restabilize => "restab",
-            Recovery::Rollback(_) => "rollback",
-        }
-    }
 }
 
 /// Outcome of one [`run_gauntlet`] drive.

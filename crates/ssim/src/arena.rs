@@ -2,7 +2,7 @@
 //!
 //! The engine's original inbox layout was two position-aligned
 //! `Vec<Vec<…>>`s — one `(sender id, message)` list plus one sender-*slot*
-//! mirror per [`NodeSlot`](crate::topology::NodeSlot). That shape has two
+//! mirror per [`NodeSlot`]. That shape has two
 //! memory pathologies at scale:
 //!
 //! * **Per-slot headers**: a million slots cost two `Vec` headers each
@@ -38,6 +38,10 @@
 // module is safe Rust.
 
 use crate::par::{self, SendPtr, ThreadPool};
+use crate::program::{ChunkSink, Outgoing};
+use crate::sched::Agenda;
+use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
+use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 
 /// Messages per page. Sized so one page covers the overwhelming majority
@@ -108,14 +112,6 @@ pub struct InboxArena<M> {
     touched: Vec<u32>,
     /// Scatter scratch: per-slot current write page.
     cursors: Vec<u32>,
-    /// Reusable rebuild buffer for [`Self::purge_sender`].
-    purge_buf: Vec<(NodeId, u32, M)>,
-}
-
-impl<M> Default for InboxArena<M> {
-    fn default() -> Self {
-        Self::new(0)
-    }
 }
 
 impl<M> InboxArena<M> {
@@ -130,7 +126,6 @@ impl<M> InboxArena<M> {
             counts: vec![0; slots],
             touched: Vec::new(),
             cursors: vec![0; slots],
-            purge_buf: Vec::new(),
         }
     }
 
@@ -186,19 +181,25 @@ impl<M> InboxArena<M> {
         pi
     }
 
+    /// Link a free page at `chain`'s tail and return its index.
+    fn grow(&mut self, chain: &mut Chain) -> u32 {
+        let pi = self.alloc_page();
+        if chain.tail == NONE {
+            chain.head = pi;
+        } else {
+            self.pages[chain.tail as usize].next = pi;
+        }
+        chain.tail = pi;
+        pi
+    }
+
     /// Append one message to `slot`'s inbox (sequential delivery path).
     pub fn push(&mut self, slot: usize, from: NodeId, from_slot: u32, msg: M) {
         let mut chain = self.chains[slot];
         let tail_full =
             chain.tail == NONE || self.pages[chain.tail as usize].msgs.len() == PAGE_CAP;
         if tail_full {
-            let pi = self.alloc_page();
-            if chain.tail == NONE {
-                chain.head = pi;
-            } else {
-                self.pages[chain.tail as usize].next = pi;
-            }
-            chain.tail = pi;
+            self.grow(&mut chain);
         }
         let pg = &mut self.pages[chain.tail as usize];
         pg.msgs.push((from, msg));
@@ -277,65 +278,26 @@ impl<M> InboxArena<M> {
     /// Remove every message in `slot`'s inbox whose sender slot is
     /// `sender` (channel-died purge on membership departure), preserving
     /// the relative order of survivors. Returns the number removed.
+    ///
+    /// The chain is drained into a rebuild buffer, keeping survivors in
+    /// order, and re-appended: O(inbox len) — the bound of a flat
+    /// compaction — and membership events are rare relative to rounds.
     pub fn purge_sender(&mut self, slot: usize, sender: u32) -> usize {
-        let chain = self.chains[slot];
-        if chain.head == NONE {
-            return 0;
-        }
-        // Single-page fast path: compact the parallel arrays in place.
-        if chain.tail == chain.head {
-            let head = chain.head;
-            let pg = &mut self.pages[head as usize];
-            let before = pg.msgs.len();
-            let mut w = 0usize;
-            for r in 0..before {
-                if pg.senders[r] != sender {
-                    if w != r {
-                        pg.msgs.swap(w, r);
-                        pg.senders.swap(w, r);
-                    }
-                    w += 1;
-                }
-            }
-            pg.msgs.truncate(w);
-            pg.senders.truncate(w);
-            let removed = before - w;
-            if w == 0 {
-                pg.next = NONE;
-                self.warm.push(head);
-                self.chains[slot] = EMPTY_CHAIN;
-            } else {
-                self.chains[slot].len = w as u32;
-            }
-            self.total -= removed;
-            return removed;
-        }
-        // Multi-page: drain the chain into the reusable rebuild buffer,
-        // keeping survivors in order, then re-append them. O(inbox len) —
-        // the same bound as the old flat compaction — and membership
-        // events are rare relative to rounds.
-        let mut buf = std::mem::take(&mut self.purge_buf);
-        buf.clear();
-        let mut pi = chain.head;
+        let mut kept = Vec::with_capacity(self.len(slot));
+        let mut pi = self.chains[slot].head;
         while pi != NONE {
             let pg = &mut self.pages[pi as usize];
             for ((from, msg), fs) in pg.msgs.drain(..).zip(pg.senders.drain(..)) {
                 if fs != sender {
-                    buf.push((from, fs, msg));
+                    kept.push((from, fs, msg));
                 }
             }
-            let next = pg.next;
-            pg.next = NONE;
-            self.warm.push(pi);
-            pi = next;
+            pi = pg.next;
         }
-        self.chains[slot] = EMPTY_CHAIN;
-        self.total -= chain.len as usize;
-        let removed = chain.len as usize - buf.len();
-        for (from, fs, msg) in buf.drain(..) {
+        let removed = self.clear_slot(slot) - kept.len();
+        for (from, fs, msg) in kept {
             self.push(slot, from, fs, msg);
         }
-        self.purge_buf = buf;
         removed
     }
 
@@ -386,7 +348,6 @@ impl<M> InboxArena<M> {
             + (self.warm.capacity() + self.cold.capacity() + self.touched.capacity())
                 * std::mem::size_of::<u32>()
             + (self.counts.capacity() + self.cursors.capacity()) * std::mem::size_of::<u32>()
-            + self.purge_buf.capacity() * std::mem::size_of::<(NodeId, u32, M)>()
     }
 
     /// Reserve page capacity for every noted slot and return the total
@@ -410,13 +371,7 @@ impl<M> InboxArena<M> {
             // room, else the first page linked below.
             self.cursors[slot] = if space > 0 { chain.tail } else { NONE };
             while space < need {
-                let pi = self.alloc_page();
-                if chain.tail == NONE {
-                    chain.head = pi;
-                } else {
-                    self.pages[chain.tail as usize].next = pi;
-                }
-                chain.tail = pi;
+                let pi = self.grow(&mut chain);
                 if self.cursors[slot] == NONE {
                     self.cursors[slot] = pi;
                 }
@@ -526,6 +481,175 @@ impl<M> Iterator for PageIndices<'_, M> {
         let pi = self.cur;
         self.cur = self.pages[pi as usize].next;
         Some(pi)
+    }
+}
+
+/// The mailboxes: every slot's pending messages plus the ledger of who
+/// still has messages pending where.
+///
+/// Delivered sends accumulate in the arena and are consumed (cleared) when
+/// the slot is activated. Under the synchronous daemon every inbox is
+/// consumed every round, so a message sent in round `i` is read in round
+/// `i + 1` and never later; under partial daemons messages wait for their
+/// recipient's next activation.
+pub(crate) struct Mailboxes<M> {
+    inboxes: InboxArena<M>,
+    /// Per-slot target slots holding *unconsumed* messages from this slot
+    /// (one entry per pending message) — lets a departure purge its
+    /// in-flight messages in O(pending) instead of scanning every inbox.
+    /// Entries are added at delivery and removed when the recipient
+    /// consumes.
+    sent_to: Vec<Vec<u32>>,
+}
+
+impl<M> Mailboxes<M> {
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            inboxes: InboxArena::new(slots),
+            sent_to: std::iter::repeat_with(Vec::new).take(slots).collect(),
+        }
+    }
+
+    pub(crate) fn inboxes(&self) -> &InboxArena<M> {
+        &self.inboxes
+    }
+
+    pub(crate) fn push_slot(&mut self) {
+        self.inboxes.ensure_slots(self.sent_to.len() + 1);
+        self.sent_to.push(Vec::new());
+    }
+
+    /// Deliver one message: it becomes readable at the recipient's *next*
+    /// activation, and — a pending message being a wake-up condition — the
+    /// recipient is marked dirty.
+    pub(crate) fn push(&mut self, agenda: &mut Agenda, o: Outgoing<M>) {
+        self.inboxes
+            .push(o.to_slot as usize, o.from, o.from_slot, o.msg);
+        self.sent_to[o.from_slot as usize].push(o.to_slot);
+        agenda.mark(o.to_slot as usize);
+    }
+
+    /// The driver-side half of a sharded delivery: everything about `o`
+    /// whose *order* is observable (ledger entry, dirty mark) happens here,
+    /// in canonical order; the message itself moves in [`Self::scatter`].
+    pub(crate) fn announce(&mut self, agenda: &mut Agenda, o: &Outgoing<M>) {
+        self.sent_to[o.from_slot as usize].push(o.to_slot);
+        self.inboxes.note_incoming(o.to_slot as usize);
+        agenda.mark(o.to_slot as usize);
+    }
+
+    /// Move every [`Self::announce`]d send out of `sinks` into its
+    /// recipient's inbox on `pool` (see [`InboxArena::scatter`]).
+    pub(crate) fn scatter(&mut self, pool: &ThreadPool, sinks: &mut [ChunkSink<M>], cuts: &[usize])
+    where
+        M: Send + Sync,
+    {
+        self.inboxes.scatter(
+            pool,
+            sinks,
+            |s| &mut s.sends,
+            cuts,
+            |o| o.to_slot as usize,
+            |o| (o.from, o.from_slot, o.msg),
+        );
+    }
+
+    /// Consume `slot`'s mailbox: each message releases its ledger entry —
+    /// by recorded sender *slot*, no id → slot hashing here. The release is
+    /// a linear scan of the sender's pending list, O(pending of that
+    /// sender) per message: quadratic in degree for a hub broadcasting to d
+    /// neighbors every round. Overlay protocols keep degrees at O(log² n)
+    /// by design (degree expansion is the paper's other cost metric), so
+    /// the scan beats the alternatives measured here — hashing per message,
+    /// or giving up an exact ledger and purging departures via a scan of
+    /// all pending inboxes (which would make the benchmarked burst-churn
+    /// path O(total pending) per leave instead of O(pending of the leaver)).
+    pub(crate) fn consume(&mut self, slot: usize) {
+        if self.inboxes.is_empty(slot) {
+            return;
+        }
+        for fs in self.inboxes.senders(slot) {
+            let sent = &mut self.sent_to[fs as usize];
+            if let Some(p) = sent.iter().position(|&t| t as usize == slot) {
+                sent.swap_remove(p);
+            }
+        }
+        self.inboxes.clear_slot(slot);
+    }
+
+    /// A departure: `slot`'s own mailbox is consumed, and every message it
+    /// sent that is still pending dies in its target's mailbox. The ledger
+    /// names exactly the slots holding such messages, so the purge is
+    /// O(pending traffic of the host), not a scan of every inbox (the arena
+    /// purge preserves message order).
+    pub(crate) fn retire(&mut self, slot: usize) {
+        self.consume(slot);
+        for k in 0..self.sent_to[slot].len() {
+            let t = self.sent_to[slot][k] as usize;
+            self.inboxes.purge_sender(t, slot as u32);
+        }
+        self.sent_to[slot].clear();
+    }
+
+    /// Bounded capacity release after a burst (see
+    /// [`InboxArena::maybe_shrink`]).
+    pub(crate) fn maybe_shrink(&mut self) {
+        self.inboxes.maybe_shrink();
+    }
+
+    /// Capacity-based heap bytes of the pending-sends ledger.
+    pub(crate) fn ledger_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sent_to
+            .iter()
+            .map(|l| size_of::<Vec<u32>>() + l.capacity() * size_of::<u32>())
+            .sum()
+    }
+}
+
+impl<M: Persist> Mailboxes<M> {
+    /// Serialize `slot`'s pending messages. The entries alone suffice: the
+    /// sender-slot mirror and the ledger are exactly derivable from them (a
+    /// departed sender's pending messages are always purged, so every
+    /// pending sender is a live member) and are rebuilt on restore. Chain
+    /// iteration is delivery order.
+    pub(crate) fn save_slot(&self, slot: usize, w: &mut Writer) {
+        w.seq(self.inboxes.len(slot));
+        for e in self.inboxes.entries(slot) {
+            e.save(w);
+        }
+    }
+
+    /// Restore what [`Self::save_slot`] wrote, re-deriving the sender-slot
+    /// mirror and the ledger from the sender ids against the restored
+    /// membership.
+    pub(crate) fn load_slot(
+        &mut self,
+        slot: usize,
+        r: &mut Reader<'_>,
+        topo: &Topology,
+    ) -> Result<(), SnapshotError> {
+        for _ in 0..r.seq()? {
+            let (from, msg) = <(NodeId, M)>::load(r)?;
+            let fs = topo.slot_of(from).ok_or_else(|| {
+                SnapshotError::Corrupt(format!("pending message from non-member {from}"))
+            })?;
+            self.inboxes.push(slot, from, fs.index() as u32, msg);
+            self.sent_to[fs.index()].push(slot as u32);
+        }
+        Ok(())
+    }
+
+    /// Cross-check restored mailboxes against the restored membership.
+    pub(crate) fn validate(&self, topo: &Topology) -> Result<(), SnapshotError> {
+        match (0..self.sent_to.len())
+            .find(|&i| !topo.is_live(NodeSlot::new(i)) && !self.inboxes.is_empty(i))
+        {
+            Some(i) => Err(SnapshotError::Corrupt(format!(
+                "slot {i}: free slot holds pending messages"
+            ))),
+            None => Ok(()),
+        }
     }
 }
 

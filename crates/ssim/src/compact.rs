@@ -55,9 +55,14 @@ impl<K: Ord, V> CompactMap<K, V> {
         self.entries.is_empty()
     }
 
+    /// Position of `k`'s entry, or where it would be inserted.
+    fn find(&self, k: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(e, _)| e.cmp(k))
+    }
+
     /// Insert `k → v`, returning the previous value of `k` if any.
     pub fn insert(&mut self, k: K, v: V) -> Option<V> {
-        match self.entries.binary_search_by(|(e, _)| e.cmp(&k)) {
+        match self.find(&k) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, v)),
             Err(i) => {
                 self.entries.insert(i, (k, v));
@@ -68,31 +73,22 @@ impl<K: Ord, V> CompactMap<K, V> {
 
     /// Remove `k`, returning its value if it was present.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        match self.entries.binary_search_by(|(e, _)| e.cmp(k)) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
+        self.find(k).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// The value of `k`, if present.
     pub fn get(&self, k: &K) -> Option<&V> {
-        match self.entries.binary_search_by(|(e, _)| e.cmp(k)) {
-            Ok(i) => Some(&self.entries[i].1),
-            Err(_) => None,
-        }
+        self.find(k).ok().map(|i| &self.entries[i].1)
     }
 
     /// Mutable access to the value of `k`, if present.
     pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        match self.entries.binary_search_by(|(e, _)| e.cmp(k)) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
+        self.find(k).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// True iff `k` has an entry.
     pub fn contains_key(&self, k: &K) -> bool {
-        self.entries.binary_search_by(|(e, _)| e.cmp(k)).is_ok()
+        self.find(k).is_ok()
     }
 
     /// Iterate `(key, value)` pairs in ascending key order.
@@ -152,26 +148,14 @@ impl<K: Ord + Persist, V: Persist> Persist for CompactMap<K, V> {
     fn save(&self, w: &mut Writer) {
         // Already in ascending key order: the canonical snapshot encoding
         // with no collect-and-sort step.
-        w.seq(self.entries.len());
-        for (k, v) in &self.entries {
-            k.save(w);
-            v.save(w);
-        }
+        self.entries.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.seq()?;
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            if let Some((last, _)) = entries.last() {
-                if *last >= k {
-                    return Err(SnapshotError::Corrupt(
-                        "compact map keys not strictly ascending".into(),
-                    ));
-                }
-            }
-            entries.push((k, v));
+        let entries = Vec::<(K, V)>::load(r)?;
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(SnapshotError::Corrupt(
+                "compact map keys not strictly ascending".into(),
+            ));
         }
         Ok(Self { entries })
     }
@@ -267,24 +251,14 @@ impl<T: Ord> FromIterator<T> for CompactSet<T> {
 
 impl<T: Ord + Persist> Persist for CompactSet<T> {
     fn save(&self, w: &mut Writer) {
-        w.seq(self.items.len());
-        for v in &self.items {
-            v.save(w);
-        }
+        self.items.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.seq()?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = T::load(r)?;
-            if let Some(last) = items.last() {
-                if *last >= v {
-                    return Err(SnapshotError::Corrupt(
-                        "compact set items not strictly ascending".into(),
-                    ));
-                }
-            }
-            items.push(v);
+        let items = Vec::<T>::load(r)?;
+        if !items.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapshotError::Corrupt(
+                "compact set items not strictly ascending".into(),
+            ));
         }
         Ok(Self { items })
     }

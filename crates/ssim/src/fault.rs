@@ -160,35 +160,12 @@ fn depart<P: Program>(
     crash: bool,
     touched: &mut Vec<NodeId>,
 ) -> usize {
-    fn depart_one<P: Program>(
-        rt: &mut Runtime<P>,
-        v: NodeId,
-        crash: bool,
-        touched: &mut Vec<NodeId>,
-    ) -> usize {
-        let removed = if crash { rt.crash(v) } else { rt.leave(v) };
-        if removed.is_some() {
-            touched.push(v);
-            1
-        } else {
-            0
-        }
-    }
-    match id {
-        Some(v) => {
-            if keep_connected && !survivors_connected(rt, v) {
-                return 0;
-            }
-            depart_one(rt, v, crash, touched)
-        }
+    let victim = match id {
+        Some(v) => Some(v).filter(|&v| !keep_connected || survivors_connected(rt, v)),
         // Unguarded random victim: one O(1) draw, no id-list copy/shuffle.
         None if !keep_connected => {
             let ids = rt.ids();
-            if ids.is_empty() {
-                return 0;
-            }
-            let v = ids[rng.gen_range(0..ids.len())];
-            depart_one(rt, v, crash, touched)
+            (!ids.is_empty()).then(|| ids[rng.gen_range(0..ids.len())])
         }
         // Connectivity-guarded random victim: candidates are tried in a
         // random order until one's departure keeps the survivors connected
@@ -196,17 +173,18 @@ fn depart<P: Program>(
         None => {
             let mut candidates = rt.ids().to_vec();
             candidates.shuffle(rng);
-            for v in candidates {
-                if !survivors_connected(rt, v) {
-                    continue;
-                }
-                if depart_one(rt, v, crash, touched) == 1 {
-                    return 1;
-                }
-            }
-            0
+            candidates.into_iter().find(|&v| survivors_connected(rt, v))
         }
+    };
+    let Some(v) = victim else {
+        return 0;
+    };
+    let removed = if crash { rt.crash(v) } else { rt.leave(v) };
+    if removed.is_none() {
+        return 0;
     }
+    touched.push(v);
+    1
 }
 
 /// Would the network remain connected if `v` departed?

@@ -4,7 +4,7 @@
 //! configurations' degrees).
 
 use crate::net::NetStats;
-use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
+use crate::snapshot::persist_struct;
 use crate::workload::RequestStats;
 use serde::Serialize;
 
@@ -146,77 +146,38 @@ pub struct PerfCounters {
     pub seq_rounds: u64,
 }
 
-impl Persist for RoundMetrics {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.round);
-        w.u64(self.messages);
-        w.u64(self.links_added);
-        w.u64(self.links_removed);
-        w.u64(self.violations);
-        w.usize(self.max_degree);
-        w.usize(self.total_edges);
-        w.u64(self.active_nodes);
-        w.u64(self.quiescent_nodes);
-        w.u64(self.requests_issued);
-        w.u64(self.requests_completed);
-        w.u64(self.requests_failed);
-        w.u64(self.requests_in_flight);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            round: r.u64()?,
-            messages: r.u64()?,
-            links_added: r.u64()?,
-            links_removed: r.u64()?,
-            violations: r.u64()?,
-            max_degree: r.usize()?,
-            total_edges: r.usize()?,
-            active_nodes: r.u64()?,
-            quiescent_nodes: r.u64()?,
-            requests_issued: r.u64()?,
-            requests_completed: r.u64()?,
-            requests_failed: r.u64()?,
-            requests_in_flight: r.u64()?,
-        })
-    }
-}
+persist_struct!(RoundMetrics {
+    round,
+    messages,
+    links_added,
+    links_removed,
+    violations,
+    max_degree,
+    total_edges,
+    active_nodes,
+    quiescent_nodes,
+    requests_issued,
+    requests_completed,
+    requests_failed,
+    requests_in_flight,
+});
 
-impl Persist for RunMetrics {
-    fn save(&self, w: &mut Writer) {
-        w.usize(self.initial_max_degree);
-        w.usize(self.peak_degree);
-        w.u64(self.total_messages);
-        w.u64(self.total_links_added);
-        w.u64(self.total_links_removed);
-        w.u64(self.total_violations);
-        w.u64(self.rounds_executed);
-        w.u64(self.total_activations);
-        w.u64(self.joins);
-        w.u64(self.leaves);
-        w.u64(self.crashes);
-        self.requests.save(w);
-        self.net.save(w);
-        self.per_round.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            initial_max_degree: r.usize()?,
-            peak_degree: r.usize()?,
-            total_messages: r.u64()?,
-            total_links_added: r.u64()?,
-            total_links_removed: r.u64()?,
-            total_violations: r.u64()?,
-            rounds_executed: r.u64()?,
-            total_activations: r.u64()?,
-            joins: r.u64()?,
-            leaves: r.u64()?,
-            crashes: r.u64()?,
-            requests: RequestStats::load(r)?,
-            net: NetStats::load(r)?,
-            per_round: Vec::load(r)?,
-        })
-    }
-}
+persist_struct!(RunMetrics {
+    initial_max_degree,
+    peak_degree,
+    total_messages,
+    total_links_added,
+    total_links_removed,
+    total_violations,
+    rounds_executed,
+    total_activations,
+    joins,
+    leaves,
+    crashes,
+    requests,
+    net,
+    per_round,
+});
 
 /// Blank the numeric values of the given `"key":` fields in a serialized
 /// metrics JSON string (each digit run after a listed key becomes `_`).

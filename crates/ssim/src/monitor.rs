@@ -197,38 +197,6 @@ impl<P: Program> Monitor<P> for PeakDegree {
     }
 }
 
-/// Invariant: total `step()` activations stay within `max` — the
-/// scheduler-subsystem budget guardrail. Under the synchronous daemon this
-/// is `Σ live(round)` and mostly bounds run length; under
-/// [`crate::sched::ActivityDriven`] it bounds actual *work*, so an
-/// experiment can assert a converged network stays cheap (e.g. "re-absorb
-/// this churn within 50k activations").
-pub struct ActivationBudget {
-    max: u64,
-}
-
-impl ActivationBudget {
-    /// Allow at most `max` total activations.
-    pub fn at_most(max: u64) -> Self {
-        Self { max }
-    }
-}
-
-impl<P: Program> Monitor<P> for ActivationBudget {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let spent = rt.metrics().total_activations;
-        if spent <= self.max {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!("activations {spent} exceed budget {}", self.max))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "activation-budget"
-    }
-}
-
 /// Invariant: total messages sent stay within `max`.
 pub struct MessageBudget {
     max: u64,
@@ -289,17 +257,9 @@ impl<P: Program> Monitor<P> for AllOf<P> {
     }
 }
 
-/// Budget combinator: like the inner monitor, but `Violated` once more than
-/// `max_rounds` observations elapse without satisfaction.
-pub fn within_budget<P: Program, M: Monitor<P>>(inner: M, max_rounds: u64) -> WithinBudget<M> {
-    WithinBudget {
-        inner,
-        max_rounds,
-        seen: 0,
-    }
-}
-
-/// See [`within_budget`].
+/// Budget combinator ([`MonitorExt::within_budget`]): like the inner monitor,
+/// but `Violated` once more than `max_rounds` observations elapse without
+/// satisfaction.
 pub struct WithinBudget<M> {
     inner: M,
     max_rounds: u64,
@@ -345,7 +305,11 @@ pub trait MonitorExt<P: Program>: Monitor<P> + Sized {
 
     /// Fail the run if satisfaction takes more than `max_rounds` rounds.
     fn within_budget(self, max_rounds: u64) -> WithinBudget<Self> {
-        within_budget(self, max_rounds)
+        WithinBudget {
+            inner: self,
+            max_rounds,
+            seen: 0,
+        }
     }
 }
 
@@ -405,12 +369,7 @@ impl FaultClass {
 
     /// Position in [`FaultClass::ALL`] (for per-class counters).
     pub fn index(self) -> usize {
-        match self {
-            FaultClass::BeaconStaleness => 0,
-            FaultClass::ViewDivergence => 1,
-            FaultClass::DegreeAnomaly => 2,
-            FaultClass::SilenceAnomaly => 3,
-        }
+        self as usize
     }
 
     /// Short label for tables.
@@ -536,20 +495,23 @@ impl<P: crate::adversary::Introspect> Detector<P> for ViewDivergence {
                     continue;
                 };
                 if recorded != rt.program(about).identity_digest() {
-                    out.push(Detection {
+                    let ends = [
+                        (
+                            about,
+                            format!("{holder}'s record of {about} diverges from its state"),
+                        ),
+                        (
+                            holder,
+                            format!("{holder} holds a divergent view of {about}"),
+                        ),
+                    ];
+                    out.extend(ends.map(|(node, detail)| Detection {
                         class: FaultClass::ViewDivergence,
                         severity: Severity::Critical,
-                        node: about,
+                        node,
                         round: now,
-                        detail: format!("{holder}'s record of {about} diverges from its state"),
-                    });
-                    out.push(Detection {
-                        class: FaultClass::ViewDivergence,
-                        severity: Severity::Critical,
-                        node: holder,
-                        round: now,
-                        detail: format!("{holder} holds a divergent view of {about}"),
-                    });
+                        detail,
+                    }));
                 }
             }
         }
@@ -580,7 +542,6 @@ impl DegreeAnomaly {
 
 impl<P: Program> Detector<P> for DegreeAnomaly {
     fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>) {
-        let now = rt.round();
         if !self.armed {
             self.armed = true;
             for &v in rt.ids() {
@@ -588,46 +549,38 @@ impl<P: Program> Detector<P> for DegreeAnomaly {
             }
             return;
         }
+        let mut raise = |severity, node, detail| {
+            out.push(Detection {
+                class: FaultClass::DegreeAnomaly,
+                severity,
+                node,
+                round: rt.round(),
+                detail,
+            });
+        };
         self.baseline.retain(|&v, &mut d0| {
             if !rt.topology().contains(v) {
-                out.push(Detection {
-                    class: FaultClass::DegreeAnomaly,
-                    severity: Severity::Critical,
-                    node: v,
-                    round: now,
-                    detail: format!("member {v} vanished (baseline degree {d0})"),
-                });
+                let detail = format!("member {v} vanished (baseline degree {d0})");
+                raise(Severity::Critical, v, detail);
                 return false; // report the departure once
             }
             let d = rt.topology().degree(v);
             if d == 0 {
-                out.push(Detection {
-                    class: FaultClass::DegreeAnomaly,
-                    severity: Severity::Critical,
-                    node: v,
-                    round: now,
-                    detail: format!("member {v} is isolated (baseline degree {d0})"),
-                });
+                let detail = format!("member {v} is isolated (baseline degree {d0})");
+                raise(Severity::Critical, v, detail);
             } else if d0 > 0 && (d * 2 <= d0 || d >= d0 * 2) {
-                out.push(Detection {
-                    class: FaultClass::DegreeAnomaly,
-                    severity: Severity::Warning,
-                    node: v,
-                    round: now,
-                    detail: format!("degree {d} drifted from baseline {d0}"),
-                });
+                let detail = format!("degree {d} drifted from baseline {d0}");
+                raise(Severity::Warning, v, detail);
             }
             true
         });
         for &v in rt.ids() {
             self.baseline.entry(v).or_insert_with(|| {
-                out.push(Detection {
-                    class: FaultClass::DegreeAnomaly,
-                    severity: Severity::Info,
-                    node: v,
-                    round: now,
-                    detail: format!("unbaselined member {v} appeared"),
-                });
+                raise(
+                    Severity::Info,
+                    v,
+                    format!("unbaselined member {v} appeared"),
+                );
                 rt.topology().degree(v)
             });
         }
@@ -696,8 +649,8 @@ impl<P: Program> Detector<P> for SilenceAnomaly {
 
 /// A bank of detectors scanned together, aggregating classified counters
 /// the gauntlet reports: totals, per-class counts, worst severity, first
-/// detection / first critical rounds, the set of implicated nodes (what
-/// rollback repairs), and a bounded sample of detection records.
+/// detection / first critical rounds, and the set of implicated nodes (what
+/// rollback repairs).
 pub struct DetectorSuite<P: Program> {
     detectors: Vec<Box<dyn Detector<P> + Send>>,
     scratch: Vec<Detection>,
@@ -708,12 +661,7 @@ pub struct DetectorSuite<P: Program> {
     first: Option<u64>,
     first_critical: Option<u64>,
     implicated: std::collections::BTreeSet<crate::NodeId>,
-    samples: Vec<Detection>,
 }
-
-/// How many detection records a suite retains verbatim (counters keep
-/// counting past this).
-const SUITE_SAMPLE_CAP: usize = 32;
 
 impl<P: Program> Default for DetectorSuite<P> {
     fn default() -> Self {
@@ -734,7 +682,6 @@ impl<P: Program> DetectorSuite<P> {
             first: None,
             first_critical: None,
             implicated: std::collections::BTreeSet::new(),
-            samples: Vec::new(),
         }
     }
 
@@ -763,9 +710,6 @@ impl<P: Program> DetectorSuite<P> {
                 self.first_critical.get_or_insert(det.round);
             }
             self.implicated.insert(det.node);
-            if self.samples.len() < SUITE_SAMPLE_CAP {
-                self.samples.push(det);
-            }
         }
         found
     }
@@ -803,12 +747,6 @@ impl<P: Program> DetectorSuite<P> {
     /// Every node any detection has implicated, ascending.
     pub fn implicated(&self) -> impl Iterator<Item = crate::NodeId> + '_ {
         self.implicated.iter().copied()
-    }
-
-    /// The first few (currently 32) detection records, capped so a noisy
-    /// detector cannot grow the suite without bound.
-    pub fn samples(&self) -> &[Detection] {
-        &self.samples
     }
 }
 

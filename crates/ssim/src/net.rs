@@ -28,11 +28,15 @@
 //! [`Runtime::partition`]: crate::Runtime::partition
 //! [`Runtime::save_snapshot`]: crate::Runtime::save_snapshot
 
-use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
+use crate::program::Outgoing;
+use crate::runtime::splitmix64;
+use crate::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
+use crate::topology::Topology;
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Seeded, deterministic WAN conditions applied to every message between
 /// emission and delivery. Plain data (`Copy`): scenarios swap models
@@ -42,7 +46,7 @@ use serde::Serialize;
 /// [`NetModel::ideal`] (the default) is the paper's reliable synchronous
 /// channel and takes a zero-overhead fast path: no RNG draws, no transit
 /// buffer traffic — the engine is bit-for-bit the classic one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct NetModel {
     /// Extra delivery delay in rounds added to every message (on top of
     /// the model's one synchronous hop). `0` = next-round delivery.
@@ -74,25 +78,12 @@ pub struct NetModel {
     pub bandwidth: u32,
 }
 
-impl Default for NetModel {
-    fn default() -> Self {
-        Self::ideal()
-    }
-}
-
 impl NetModel {
     /// The reliable synchronous channel of the paper's model: zero extra
     /// latency, no loss, no duplication, unlimited bandwidth. Reproduces
     /// the classic engine bit-for-bit (no net RNG draws at all).
     pub fn ideal() -> Self {
-        Self {
-            delay: 0,
-            jitter: 0,
-            loss: 0.0,
-            per_link: false,
-            dup: 0.0,
-            bandwidth: 0,
-        }
+        Self::default()
     }
 
     /// The default WAN preset (`--net wan`): one round of base latency,
@@ -104,9 +95,8 @@ impl NetModel {
             delay: 1,
             jitter: 2,
             loss: 0.02,
-            per_link: false,
             dup: 0.005,
-            bandwidth: 0,
+            ..Self::ideal()
         }
     }
 
@@ -164,13 +154,6 @@ impl NetModel {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// Parse a CLI network spec into a [`NetModel`] — the `--net` counterpart
 /// of [`crate::sched::from_spec`].
 ///
@@ -196,25 +179,18 @@ pub fn from_spec(spec: &str) -> Result<NetModel, String> {
             ))
         }
     };
+    fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("bad {key} `{v}`"))
+    }
     let mut m = NetModel::wan();
     for part in rest.split(',').filter(|p| !p.is_empty()) {
         match part.split_once('=') {
             None if part == "linkloss" => m.per_link = true,
-            Some(("loss", v)) => {
-                m.loss = v.parse().map_err(|_| format!("bad loss `{v}`"))?;
-            }
-            Some(("dup", v)) => {
-                m.dup = v.parse().map_err(|_| format!("bad dup `{v}`"))?;
-            }
-            Some(("delay", v)) => {
-                m.delay = v.parse().map_err(|_| format!("bad delay `{v}`"))?;
-            }
-            Some(("jitter", v)) => {
-                m.jitter = v.parse().map_err(|_| format!("bad jitter `{v}`"))?;
-            }
-            Some(("bw", v)) => {
-                m.bandwidth = v.parse().map_err(|_| format!("bad bw `{v}`"))?;
-            }
+            Some((k @ "loss", v)) => m.loss = num(k, v)?,
+            Some((k @ "dup", v)) => m.dup = num(k, v)?,
+            Some((k @ "delay", v)) => m.delay = num(k, v)?,
+            Some((k @ "jitter", v)) => m.jitter = num(k, v)?,
+            Some((k @ "bw", v)) => m.bandwidth = num(k, v)?,
             _ => return Err(format!("unknown net option `{part}`")),
         }
     }
@@ -241,26 +217,14 @@ pub fn to_spec(m: &NetModel) -> String {
     s
 }
 
-impl Persist for NetModel {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.delay);
-        w.u64(self.jitter);
-        w.f64(self.loss);
-        w.bool(self.per_link);
-        w.f64(self.dup);
-        w.u32(self.bandwidth);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            delay: r.u64()?,
-            jitter: r.u64()?,
-            loss: r.f64()?,
-            per_link: r.bool()?,
-            dup: r.f64()?,
-            bandwidth: r.u32()?,
-        })
-    }
-}
+persist_struct!(NetModel {
+    delay,
+    jitter,
+    loss,
+    per_link,
+    dup,
+    bandwidth,
+});
 
 /// Cumulative message accounting of the network layer, pinned by the
 /// **message conservation law**
@@ -309,26 +273,436 @@ impl NetStats {
     }
 }
 
-impl Persist for NetStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.sent);
-        w.u64(self.duplicated);
-        w.u64(self.delivered);
-        w.u64(self.dropped_loss);
-        w.u64(self.dropped_partition);
-        w.u64(self.dropped_departed);
-        w.u64(self.in_transit);
+persist_struct!(NetStats {
+    sent,
+    duplicated,
+    delivered,
+    dropped_loss,
+    dropped_partition,
+    dropped_departed,
+    in_transit,
+});
+
+/// One delayed message parked in the [`Wire`]'s in-transit buffer,
+/// scheduled for a future round's delivery. Both endpoint *ids* ride along
+/// with the slots: departures purge the buffer eagerly, and delivery
+/// re-checks id-at-slot anyway (the same guard the timer heap uses), so a
+/// recycled slot can never receive a ghost message.
+pub(crate) struct Transit<M> {
+    pub(crate) to_slot: u32,
+    pub(crate) from_slot: u32,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    msg: M,
+}
+
+impl<M> Transit<M> {
+    /// The message, ready for its recipient's mailbox.
+    pub(crate) fn land(self) -> Outgoing<M> {
+        Outgoing {
+            to_slot: self.to_slot,
+            from_slot: self.from_slot,
+            from: self.from,
+            msg: self.msg,
+        }
     }
+}
+
+/// The wire: everything between a send leaving the emit stage and a message
+/// landing in a mailbox — the installed [`NetModel`], its RNG, the active
+/// partition, the in-transit buffer and the bandwidth pacing state.
+pub(crate) struct Wire<M> {
+    /// [`NetModel::ideal`] — the paper's reliable synchronous channel —
+    /// unless [`crate::Runtime::set_net_model`] says otherwise.
+    model: NetModel,
+    /// The network layer's dedicated RNG (see the module docs for where it
+    /// may be drawn from).
+    rng: SmallRng,
+    /// In-transit buffer: delivery round → parked messages, appended in
+    /// decision order. A `BTreeMap` so iteration (and thus drain and
+    /// snapshot order) is canonical.
+    transit: BTreeMap<u64, Vec<Transit<M>>>,
+    /// Messages currently parked in `transit` — O(1) silence checks.
+    transit_count: u64,
+    /// Recycled transit buckets. Under a latency/jitter model every round
+    /// drains one or more wheel buckets and opens new ones; without a pool
+    /// that is one heap allocation per bucket per round, forever. Drained
+    /// (and purge-emptied) buckets park here, capacity intact.
+    transit_pool: Vec<Vec<Transit<M>>>,
+    /// Active partition: the sorted ids of one side of the cut. Channels
+    /// crossing the cut drop their messages; edges and membership are
+    /// untouched (contrast [`crate::fault::Fault::Crash`]).
+    partition: Option<Vec<NodeId>>,
+    /// Per-directed-channel bandwidth pacing state:
+    /// `(from, to) → (next delivery round, deliveries scheduled in it)`.
+    /// Only consulted when the model caps bandwidth; purged on departure.
+    bw_state: BTreeMap<(NodeId, NodeId), (u64, u32)>,
+}
+
+/// True iff the channel `a ↔ b` crosses the cut around the sorted `side`.
+pub(crate) fn crosses(side: &[NodeId], a: NodeId, b: NodeId) -> bool {
+    side.binary_search(&a).is_ok() != side.binary_search(&b).is_ok()
+}
+
+impl<M> Wire<M> {
+    pub(crate) fn new(rng: SmallRng) -> Self {
+        Self {
+            model: NetModel::ideal(),
+            rng,
+            transit: BTreeMap::new(),
+            transit_count: 0,
+            transit_pool: Vec::new(),
+            partition: None,
+            bw_state: BTreeMap::new(),
+        }
+    }
+
+    pub(crate) fn model(&self) -> NetModel {
+        self.model
+    }
+
+    /// Install a (validated) model. Messages already in transit keep the
+    /// delivery rounds they were scheduled with.
+    pub(crate) fn set_model(&mut self, m: NetModel) {
+        self.model = m;
+    }
+
+    /// Whether every send needs a driver-side decision (a non-ideal model
+    /// or an active cut): loss/delay/duplication draws must happen in
+    /// canonical sink-merge order — the determinism argument — so delivery
+    /// cannot be sharded. An inactive wire is bypassed entirely, which
+    /// keeps the ideal network on the classic engine's path bit-for-bit.
+    pub(crate) fn is_active(&self) -> bool {
+        !self.model.is_ideal() || self.partition.is_some()
+    }
+
+    pub(crate) fn in_transit(&self) -> u64 {
+        self.transit_count
+    }
+
+    pub(crate) fn partitioned(&self) -> bool {
+        self.partition.is_some()
+    }
+
+    /// True iff the channel `a ↔ b` crosses the active partition cut.
+    pub(crate) fn crosses_cut(&self, a: NodeId, b: NodeId) -> bool {
+        self.partition.as_ref().is_some_and(|s| crosses(s, a, b))
+    }
+
+    /// Install the cut around the sorted, deduplicated `side` (replacing
+    /// any active one) and purge the messages in transit across it; returns
+    /// how many.
+    pub(crate) fn cut(&mut self, side: Vec<NodeId>) -> u64 {
+        let purged = self.purge(|t| crosses(&side, t.from, t.to));
+        self.partition = Some(side);
+        purged
+    }
+
+    pub(crate) fn heal(&mut self) -> Option<Vec<NodeId>> {
+        self.partition.take()
+    }
+
+    /// Drop every in-transit message matching `dead` and report how many;
+    /// emptied buckets are recycled.
+    pub(crate) fn purge(&mut self, mut dead: impl FnMut(&Transit<M>) -> bool) -> u64 {
+        if self.transit_count == 0 {
+            return 0;
+        }
+        let mut purged = 0u64;
+        let pool = &mut self.transit_pool;
+        self.transit.retain(|_, bucket| {
+            let before = bucket.len();
+            bucket.retain(|t| !dead(t));
+            purged += (before - bucket.len()) as u64;
+            if bucket.is_empty() {
+                Self::recycle_bucket(pool, std::mem::take(bucket));
+                return false;
+            }
+            true
+        });
+        self.transit_count -= purged;
+        purged
+    }
+
+    /// A departure: every in-transit message with `id` as an endpoint is
+    /// purged (returns how many) — which is what keeps every parked
+    /// endpoint live, so a delayed message can never be delivered to the
+    /// departed host's recycled slot — and the bandwidth pacing state of
+    /// its channels goes with it.
+    pub(crate) fn forget(&mut self, id: NodeId) -> u64 {
+        if !self.bw_state.is_empty() {
+            self.bw_state.retain(|&(a, b), _| a != id && b != id);
+        }
+        self.purge(|t| t.from == id || t.to == id)
+    }
+
+    /// Park an emptied transit bucket for reuse, bounding both the pool
+    /// depth and the capacity any parked bucket may pin (a burst bucket is
+    /// dropped rather than kept hot — the capacity-retention policy the
+    /// inbox arena applies to its cold pages).
+    fn recycle_bucket(pool: &mut Vec<Vec<Transit<M>>>, mut bucket: Vec<Transit<M>>) {
+        const POOL_DEPTH: usize = 32;
+        const MAX_KEPT_CAP: usize = 4096;
+        if pool.len() < POOL_DEPTH && bucket.capacity() <= MAX_KEPT_CAP {
+            bucket.clear();
+            pool.push(bucket);
+        }
+    }
+
+    /// Bandwidth pacing: final delivery delay for a message on channel
+    /// `from → to` that wants to arrive `delay` rounds out. With a cap of
+    /// `c` messages/round/channel, excess deliveries slide to the
+    /// channel's next free round — paced FIFO, never dropped (a capped
+    /// channel therefore never reorders, whatever the jitter draws).
+    fn pace(&mut self, from: NodeId, to: NodeId, round: u64, delay: u64) -> u64 {
+        let cap = self.model.bandwidth;
+        if cap == 0 {
+            return delay;
+        }
+        let e = self.bw_state.entry((from, to)).or_insert((0, 0));
+        let t = (round + delay).max(e.0);
+        if t > e.0 {
+            *e = (t, 0);
+        }
+        e.1 += 1;
+        if e.1 >= cap {
+            *e = (t + 1, 0);
+        }
+        t - round
+    }
+
+    /// Decide the fate of one send to `to` in `round`. Decision order per
+    /// message — partition (no draw), loss, delay, duplication, bandwidth
+    /// pacing — so the RNG stream is a pure function of the send stream and
+    /// the model, never of the thread count or batch window. Copies due
+    /// with no extra delay go to `land` (the classic next-round inbox
+    /// path); the rest are parked for a later round's [`Wire::arrivals`].
+    pub(crate) fn send(
+        &mut self,
+        stats: &mut NetStats,
+        round: u64,
+        to: NodeId,
+        o: Outgoing<M>,
+        mut land: impl FnMut(Outgoing<M>),
+    ) where
+        M: Clone,
+    {
+        let model = self.model;
+        if self.crosses_cut(o.from, to) {
+            stats.dropped_partition += 1;
+            return;
+        }
+        if model.loss > 0.0 && self.rng.gen_bool(model.loss_rate(o.from, to)) {
+            stats.dropped_loss += 1;
+            return;
+        }
+        let delay = model.draw_delay(&mut self.rng);
+        let dup = model.dup > 0.0 && self.rng.gen_bool(model.dup);
+        // The duplicate draws its own delay *before* either copy is paced,
+        // so the RNG stream never depends on pacing state.
+        let dup_delay = dup.then(|| model.draw_delay(&mut self.rng));
+        let delay = self.pace(o.from, to, round, delay);
+        if let Some(dd) = dup_delay {
+            stats.duplicated += 1;
+            let dd = self.pace(o.from, to, round, dd);
+            let copy = Outgoing {
+                msg: o.msg.clone(),
+                ..o
+            };
+            self.forward(copy, to, round, delay.min(dd), &mut land);
+            self.forward(o, to, round, delay.max(dd), &mut land);
+        } else {
+            self.forward(o, to, round, delay, &mut land);
+        }
+    }
+
+    /// Hand `o` to `land` now (extra delay 0) or park it for
+    /// `round + delay`.
+    fn forward(
+        &mut self,
+        o: Outgoing<M>,
+        to: NodeId,
+        round: u64,
+        delay: u64,
+        land: &mut impl FnMut(Outgoing<M>),
+    ) {
+        if delay == 0 {
+            return land(o);
+        }
+        let pool = &mut self.transit_pool;
+        self.transit
+            .entry(round + delay)
+            .or_insert_with(|| pool.pop().unwrap_or_default())
+            .push(Transit {
+                to_slot: o.to_slot,
+                from_slot: o.from_slot,
+                from: o.from,
+                to,
+                msg: o.msg,
+            });
+        self.transit_count += 1;
+    }
+
+    /// Transit arrivals: hand every message whose delivery round has come
+    /// to `land`, in decision order. The round calls this after the
+    /// activated inboxes were consumed (an arrival becomes readable at the
+    /// *next* activation, exactly like a fresh send) and before the round's
+    /// new sends are delivered (an older message never queues behind a
+    /// younger one in a shared inbox). Arrival — not the send — is where
+    /// the recipient is marked dirty (dirty-set soundness: a delayed
+    /// message is a wake-up condition on its **delivery** round) and where
+    /// the mailbox ledger entry starts.
+    pub(crate) fn arrivals(&mut self, round: u64, mut land: impl FnMut(Transit<M>)) {
+        while let Some(entry) = self.transit.first_entry() {
+            if *entry.key() > round {
+                break;
+            }
+            let mut bucket = entry.remove();
+            self.transit_count -= bucket.len() as u64;
+            bucket.drain(..).for_each(&mut land);
+            Self::recycle_bucket(&mut self.transit_pool, bucket);
+        }
+    }
+
+    /// Whether the O(1) in-transit count agrees with the buffer (a
+    /// round-boundary invariant).
+    pub(crate) fn count_is_exact(&self) -> bool {
+        self.transit_count as usize == self.transit.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Heap bytes of the in-transit wheel: parked messages, bucket slack,
+    /// and the recycled-bucket pool.
+    pub(crate) fn transit_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let entry_overhead = size_of::<u64>() + size_of::<Vec<Transit<M>>>();
+        let parked: usize = self
+            .transit
+            .values()
+            .map(|b| entry_overhead + b.capacity() * size_of::<Transit<M>>())
+            .sum();
+        let pooled: usize = self
+            .transit_pool
+            .iter()
+            .map(|b| b.capacity() * size_of::<Transit<M>>())
+            .sum();
+        parked + pooled
+    }
+
+    /// Heap bytes of the bandwidth pacing table.
+    pub(crate) fn pacing_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.bw_state.len() * (size_of::<(NodeId, NodeId)>() + size_of::<(u64, u32)>())
+    }
+
+    /// Cross-check a restored wire against the restored membership, round
+    /// and metrics — including what `step` would otherwise trip over later:
+    /// a probability `gen_bool` panics on, a cut side `binary_search`
+    /// silently misreads.
+    pub(crate) fn validate(
+        &self,
+        topo: &Topology,
+        round: u64,
+        stats: &NetStats,
+    ) -> Result<(), SnapshotError> {
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        if let Err(e) = self.model.validate() {
+            return corrupt(e);
+        }
+        if let Some(side) = &self.partition {
+            if !side.windows(2).all(|w| w[0] < w[1]) {
+                return corrupt("partition side is not strictly ascending".into());
+            }
+        }
+        for (&due, bucket) in &self.transit {
+            if due < round {
+                return corrupt(format!(
+                    "in-transit bucket due round {due} is before current round {round}"
+                ));
+            }
+            for t in bucket {
+                let fs = topo.slot_of(t.from).map(|s| s.index() as u32);
+                let ts = topo.slot_of(t.to).map(|s| s.index() as u32);
+                if fs != Some(t.from_slot) || ts != Some(t.to_slot) {
+                    return corrupt(format!(
+                        "in-transit message {} -> {} disagrees with membership",
+                        t.from, t.to
+                    ));
+                }
+            }
+        }
+        if stats.in_transit != self.transit_count {
+            return corrupt(format!(
+                "metrics claim {} in-transit messages but the delay queue holds {}",
+                stats.in_transit, self.transit_count
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The model, the net RNG position, the active partition, the in-transit
+/// buffer, and the bandwidth pacing state. `BTreeMap` iteration is already
+/// canonical, and bucket entries are kept in decision order, so identical
+/// states serialize identically.
+impl<M: Persist> Persist for Wire<M> {
+    fn save(&self, w: &mut Writer) {
+        self.model.save(w);
+        self.rng.save(w);
+        self.partition.save(w);
+        w.seq(self.transit.len());
+        for (&due, bucket) in &self.transit {
+            w.u64(due);
+            w.seq(bucket.len());
+            for t in bucket {
+                w.u32(t.to_slot);
+                w.u32(t.from_slot);
+                w.u32(t.from);
+                w.u32(t.to);
+                t.msg.save(w);
+            }
+        }
+        w.seq(self.bw_state.len());
+        for (&(a, b), &(next, used)) in &self.bw_state {
+            w.u32(a);
+            w.u32(b);
+            w.u64(next);
+            w.u32(used);
+        }
+    }
+
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            sent: r.u64()?,
-            duplicated: r.u64()?,
-            delivered: r.u64()?,
-            dropped_loss: r.u64()?,
-            dropped_partition: r.u64()?,
-            dropped_departed: r.u64()?,
-            in_transit: r.u64()?,
-        })
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let model = NetModel::load(r)?;
+        let mut wire = Self::new(SmallRng::load(r)?);
+        wire.model = model;
+        wire.partition = Option::load(r)?;
+        for _ in 0..r.seq()? {
+            let due = r.u64()?;
+            let len = r.seq()?;
+            let mut bucket = Vec::with_capacity(len.min(1024));
+            for _ in 0..len {
+                bucket.push(Transit {
+                    to_slot: r.u32()?,
+                    from_slot: r.u32()?,
+                    from: r.u32()?,
+                    to: r.u32()?,
+                    msg: M::load(r)?,
+                });
+            }
+            wire.transit_count += len as u64;
+            if wire.transit.insert(due, bucket).is_some() {
+                return corrupt(format!("duplicate in-transit bucket for round {due}"));
+            }
+        }
+        for _ in 0..r.seq()? {
+            let channel = (r.u32()?, r.u32()?);
+            let state = (r.u64()?, r.u32()?);
+            if wire.bw_state.insert(channel, state).is_some() {
+                let (a, b) = channel;
+                return corrupt(format!("duplicate bandwidth state for channel {a} -> {b}"));
+            }
+        }
+        Ok(wire)
     }
 }
 

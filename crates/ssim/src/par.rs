@@ -27,10 +27,8 @@
 //!
 //! # Executors
 //!
-//! [`for_each_mut3`] splits three equal-length slot-parallel slices into one
-//! contiguous chunk per thread. [`for_each_selected_mut3`] does the same
-//! over a *selection* of slots. [`for_each_selected_chunks_mut2`] is the
-//! density-aware work-stealing variant: the caller supplies chunk bounds
+//! [`for_each_selected_chunks_mut2`] runs a *selection* of slots in
+//! density-aware, work-stealing chunks: the caller supplies chunk bounds
 //! over the selection (sized by activation count, see
 //! [`crate::sched::ChunkPlan`]) and one mutable *sink* per chunk; idle
 //! threads steal whole chunks via an atomic claim counter. Because every
@@ -57,16 +55,6 @@
 //! executor surfaces the panic of the **lowest** panicking chunk — the same
 //! panic a sequential walk of the selection raises — regardless of which
 //! thread ran it.
-//!
-//! # Interaction with network conditions
-//!
-//! When a non-ideal [`crate::NetModel`] or a partition is active, the
-//! runtime bypasses [`scatter_sharded`] and applies the send stream
-//! sequentially on the driving thread: every loss/delay/duplication
-//! decision consumes draws from the net RNG, and those draws must happen
-//! in the canonical sink-merge order (chunk-major, then in-chunk) to keep
-//! metrics byte-identical across thread counts. The emit phase — the
-//! expensive part — still runs on the pool; only delivery serializes.
 #![allow(unsafe_code)] // confined to this module; see SAFETY comments
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -141,8 +129,8 @@ struct Shared {
 
 /// Persistent worker pool; see the module docs for the execution model.
 ///
-/// Created once per [`crate::Runtime`] (when [`crate::Config::parallel`] is
-/// set and the effective thread count is ≥ 2) and reused for every round.
+/// Created once per [`crate::Runtime`] (when
+/// [`crate::Config::effective_threads`] is ≥ 2) and reused for every round.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -260,8 +248,8 @@ impl ThreadPool {
     /// calling thread executes the last index itself. If any calls panic,
     /// the payload of the **lowest-indexed** panicking thread is re-raised
     /// here after every thread is done — a deterministic choice that, for
-    /// ascending-chunk workloads like [`for_each_mut3`], surfaces the same
-    /// panic a sequential run of `f(0); f(1); …` would.
+    /// workloads where thread `t` owns the `t`-th ascending range, surfaces
+    /// the same panic a sequential run of `f(0); f(1); …` would.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
         self.shared.generations.fetch_add(1, Ordering::Relaxed);
         let workers = self.threads - 1;
@@ -446,100 +434,6 @@ impl<T> SendPtr<T> {
         // SAFETY: forwarded to the caller's contract.
         unsafe { self.0.add(i) }
     }
-}
-
-/// Run `f(i, &mut a[i], &mut b[i], &mut c[i])` for every index of three
-/// equal-length slices, splitting the index range into one contiguous chunk
-/// per pool thread. The chunk boundaries depend only on the slice length and
-/// the thread count — never on scheduling — and `f` is given disjoint
-/// elements, so results are deterministic for any interleaving.
-///
-/// # Panics
-/// Panics if the slices differ in length, and re-raises the first panic from
-/// `f` (after all threads finish).
-pub fn for_each_mut3<A, B, C, F>(pool: &ThreadPool, a: &mut [A], b: &mut [B], c: &mut [C], f: F)
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    F: Fn(usize, &mut A, &mut B, &mut C) + Sync,
-{
-    let len = a.len();
-    assert_eq!(len, b.len(), "for_each_mut3: slice lengths differ");
-    assert_eq!(len, c.len(), "for_each_mut3: slice lengths differ");
-    let threads = pool.threads();
-    let chunk = len.div_ceil(threads).max(1);
-    let (pa, pb, pc) = (
-        SendPtr(a.as_mut_ptr()),
-        SendPtr(b.as_mut_ptr()),
-        SendPtr(c.as_mut_ptr()),
-    );
-    pool.broadcast(&move |t| {
-        let lo = (t * chunk).min(len);
-        let hi = ((t + 1) * chunk).min(len);
-        for i in lo..hi {
-            // SAFETY: thread `t` owns exactly the index range
-            // `[t·chunk, (t+1)·chunk) ∩ [0, len)`; ranges for distinct `t`
-            // are disjoint and in bounds, so each `&mut` is unique, and
-            // `broadcast` guarantees the slices outlive every access.
-            unsafe { f(i, &mut *pa.at(i), &mut *pb.at(i), &mut *pc.at(i)) }
-        }
-    });
-}
-
-/// Run `f(sel[k].index(), &mut a[i], &mut b[i], &mut c[i])` for every slot
-/// in `sel`, splitting the *selection* (not the storage) into one
-/// contiguous chunk per pool thread — the scheduler-aware sibling of
-/// [`for_each_mut3`]: only selected slots pay, however sparse the
-/// selection. Chunk boundaries depend only on `sel.len()` and the thread
-/// count, and threads gather disjoint elements, so results are
-/// deterministic for any interleaving; the surfaced panic (if any) is the
-/// one sequential execution of the selection in order would raise, by the
-/// same lowest-thread argument as [`for_each_mut3`].
-///
-/// # Panics
-/// Panics if the slices differ in length, and re-raises the first panic
-/// from `f` (after all threads finish).
-///
-/// The caller must guarantee `sel` contains **distinct** indices, each
-/// below the slice length — the runtime's selection sanitizer establishes
-/// this; it is re-checked with a debug assertion here.
-pub fn for_each_selected_mut3<A, B, C, F>(
-    pool: &ThreadPool,
-    sel: &[crate::topology::NodeSlot],
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    f: F,
-) where
-    A: Send,
-    B: Send,
-    C: Send,
-    F: Fn(usize, &mut A, &mut B, &mut C) + Sync,
-{
-    let len = a.len();
-    assert_eq!(len, b.len(), "for_each_selected_mut3: slice lengths differ");
-    assert_eq!(len, c.len(), "for_each_selected_mut3: slice lengths differ");
-    debug_assert_selection(sel, len);
-    let threads = pool.threads();
-    let chunk = sel.len().div_ceil(threads).max(1);
-    let (pa, pb, pc) = (
-        SendPtr(a.as_mut_ptr()),
-        SendPtr(b.as_mut_ptr()),
-        SendPtr(c.as_mut_ptr()),
-    );
-    pool.broadcast(&move |t| {
-        let lo = (t * chunk).min(sel.len());
-        let hi = ((t + 1) * chunk).min(sel.len());
-        for s in &sel[lo..hi] {
-            let i = s.index();
-            // SAFETY: `sel` holds distinct in-bounds indices (caller
-            // contract, debug-asserted above) and threads own disjoint
-            // selection ranges, so each `&mut` is unique; `broadcast`
-            // guarantees the slices outlive every access.
-            unsafe { f(i, &mut *pa.at(i), &mut *pb.at(i), &mut *pc.at(i)) }
-        }
-    });
 }
 
 fn debug_assert_selection(sel: &[crate::topology::NodeSlot], len: usize) {
@@ -796,25 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut3_covers_all_elements_for_any_thread_count() {
-        for threads in 1..=6 {
-            let pool = ThreadPool::new(threads);
-            for len in [0usize, 1, 2, 5, 16, 33] {
-                let mut a = vec![0u32; len];
-                let mut b = vec![0u64; len];
-                let mut c = vec![0u8; len];
-                for_each_mut3(&pool, &mut a, &mut b, &mut c, |i, x, y, z| {
-                    *x += i as u32 + 1;
-                    *y += 2;
-                    *z += 3;
-                });
-                assert_eq!(a, (0..len).map(|i| i as u32 + 1).collect::<Vec<_>>());
-                assert!(b.iter().all(|&y| y == 2) && c.iter().all(|&z| z == 3));
-            }
-        }
-    }
-
-    #[test]
     fn pool_survives_and_panic_payload_is_preserved() {
         let pool = ThreadPool::new(3);
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -835,34 +710,6 @@ mod tests {
         let ok = Mutex::new(0u32);
         pool.broadcast(&|_| *ok.lock().unwrap() += 1);
         assert_eq!(*ok.lock().unwrap(), 3);
-    }
-
-    #[test]
-    fn for_each_selected_mut3_touches_exactly_the_selection() {
-        for threads in 1..=5 {
-            let pool = ThreadPool::new(threads);
-            let mut a = vec![0u32; 16];
-            let mut b = vec![0u64; 16];
-            let mut c = vec![0u8; 16];
-            let sel: Vec<NodeSlot> = [3usize, 7, 1, 12]
-                .iter()
-                .map(|&i| NodeSlot::new(i))
-                .collect();
-            for_each_selected_mut3(&pool, &sel, &mut a, &mut b, &mut c, |i, x, y, z| {
-                *x = i as u32 + 1;
-                *y += 2;
-                *z += 3;
-            });
-            for i in 0..16 {
-                let selected = [3, 7, 1, 12].contains(&i);
-                assert_eq!(a[i] != 0, selected, "threads {threads}, slot {i}");
-                assert_eq!(b[i], if selected { 2 } else { 0 });
-            }
-            // Empty selection is a no-op (and must not panic on chunk math).
-            for_each_selected_mut3(&pool, &[], &mut a, &mut b, &mut c, |_, _, _, _| {
-                unreachable!("empty selection must not run the body")
-            });
-        }
     }
 
     /// When several threads panic in one broadcast, the surfaced payload is

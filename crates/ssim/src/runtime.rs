@@ -4,46 +4,29 @@
 //! [`crate::fault`] and [`crate::scenario`]) instead of something examples
 //! fake with edge rewires.
 //!
-//! Storage is slot-based (see [`crate::topology::NodeSlot`]): every host
-//! occupies a stable slot in the per-node arrays (program, RNG, inboxes)
-//! for its whole lifetime, and departures free the slot for reuse.
-//! Membership events therefore cost O(deg) — no id shifting, no index
-//! rebuild — and steady-state rounds are allocation-free: inboxes are
-//! recycled (cleared at consumption, never dropped), emit output lands in
-//! recycled per-chunk sinks (reset each round, capacity kept), and
-//! model-rule validation is fused into action emission against the
-//! round-start snapshot.
-//!
-//! Which nodes actually step each round is decided by a pluggable
-//! [`Scheduler`] (see [`crate::sched`]): the default [`sched::Synchronous`]
-//! daemon reproduces the paper's model exactly, while
-//! [`sched::ActivityDriven`] steps only the runtime's *dirty set* — nodes
-//! with pending messages, changed neighborhoods, armed timers, or
-//! self-reported pending work — making post-convergence rounds O(activity)
-//! instead of O(n). Messages to nodes a daemon skips stay queued in their
-//! inboxes until the node is next activated; delivery is delayed, never
-//! dropped.
+//! [`Runtime::step`] is orchestration: each stage of the round is owned by
+//! the type that holds its state — `sched::Agenda` (dirty set, timers,
+//! selection), `program::Emitter` (sinks, pool), `arena::Mailboxes`
+//! (inboxes and their ledger), `net::Wire` (network conditions, in-transit
+//! buffer), `workload::Traffic` — and the runtime sequences them (see
+//! ARCHITECTURE.md, "Execution model", for the stage table). The crate
+//! docs describe the slot-based storage and the pluggable daemons.
 
-use crate::arena::InboxArena;
+use crate::arena::Mailboxes;
 use crate::metrics::{PerfCounters, RoundMetrics, RunMetrics};
 use crate::monitor::{Monitor, MonitorOutcome, RunVerdict, Verdict};
-use crate::net::NetModel;
-use crate::par::{self, ThreadPool};
-use crate::program::{Actions, Ctx, Program};
-use crate::sched::{self, SchedView, Scheduler};
+use crate::net::{self, NetModel, Wire};
+use crate::program::{ChunkSink, Emitter, Program, RoundStart, SlotRec};
+use crate::sched::{self, Agenda, Scheduler};
 use crate::snapshot::{self, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
-use crate::workload::{
-    Key, Request, RequestOutcome, RouteStep, Router, Workload, WorkloadConfig, WorkloadView,
-};
+use crate::workload::{Key, Router, Traffic, TrafficSlot, TrafficState, Workload, WorkloadConfig};
 use crate::NodeId;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use rand::SeedableRng;
 
 /// Runtime configuration: model strictness, determinism seed, metrics
-/// granularity, and the parallel execution switch.
+/// granularity, and the execution policy (threads, batching).
 ///
 /// A `Config` is plain data (`Copy`); build one with [`Config::default`] or
 /// [`Config::seeded`] and refine it with the builder methods. The doctest on
@@ -53,25 +36,24 @@ pub struct Config {
     /// Panic on model violations (illegal links, sends to non-neighbors).
     /// When false, violations are dropped and counted in the metrics.
     pub strict: bool,
-    /// Execute the emit phase of each round on a [`crate::par::ThreadPool`]
-    /// owned by the runtime. Results are **bit-identical** to sequential
-    /// execution at any thread count: programs read only the round-start
-    /// snapshot and write only their own slot's scratch, and actions are
-    /// applied in slot order on the driving thread either way.
-    pub parallel: bool,
-    /// Worker threads for parallel execution; `0` means "use
-    /// [`std::thread::available_parallelism`]". Ignored unless
-    /// [`Config::parallel`] is set. See [`Config::effective_threads`].
+    /// Threads executing each round: `1` (the default) is plain sequential
+    /// execution, `0` means "use [`std::thread::available_parallelism`]",
+    /// and any other count makes the runtime own a
+    /// [`crate::par::ThreadPool`] of that size for the emit stage (and, on
+    /// send-heavy rounds, the delivery scatter). Results are
+    /// **bit-identical** at any thread count: programs read only the
+    /// round-start snapshot and write only their own state and the sink of
+    /// the chunk they run in, and everything order-observable is applied in
+    /// selection order on the driving thread either way. See
+    /// [`Config::effective_threads`].
     pub threads: usize,
     /// Skip the auto-sequential heuristic: when a pool exists, every
-    /// non-empty round's emit phase runs on it, however cheap the round.
-    /// By default the runtime estimates the per-activation cost (an EWMA
-    /// of measured emit time) and keeps rounds below a parallelism
-    /// break-even threshold on the driving thread — tiny networks are
-    /// faster sequentially than a pool wakeup. Either choice produces
-    /// bit-identical results; this flag (like `threads`) only moves
-    /// wall-clock time, which is why snapshots don't save it. Benchmarks
-    /// that *measure* the parallel path set it.
+    /// non-empty round's emit phase runs on it, however cheap the round
+    /// (by default rounds estimated cheaper than a pool wakeup stay on the
+    /// driving thread). Either choice produces bit-identical results; this
+    /// flag (like `threads`) only moves wall-clock time, which is why
+    /// snapshots don't save it. Benchmarks that *measure* the parallel
+    /// path set it.
     pub force_parallel: bool,
     /// Rounds per pool **hot window** in the batched run drivers
     /// ([`Runtime::run`], [`Runtime::run_monitored`]): the pool spins instead of parking
@@ -90,8 +72,7 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             strict: true,
-            parallel: false,
-            threads: 0,
+            threads: 1,
             force_parallel: false,
             batch_rounds: 16,
             seed: 0xC0FFEE,
@@ -109,19 +90,11 @@ impl Config {
         }
     }
 
-    /// Enable parallel round execution with the default thread count
-    /// (available parallelism). Worth it from roughly 1k nodes; tiny
-    /// networks are faster sequentially because a round is cheaper than a
-    /// pool wakeup.
-    pub fn parallel(mut self) -> Self {
-        self.parallel = true;
-        self
-    }
-
-    /// Set the thread count for parallel execution, enabling it when
-    /// `n != 1` (`n == 0` means "available parallelism", `n == 1` is plain
-    /// sequential execution). The choice never changes results — only
-    /// wall-clock time — so experiments may sweep it freely.
+    /// Set the thread count (`n == 0` means "available parallelism",
+    /// `n == 1` is plain sequential execution). The choice never changes
+    /// results — only wall-clock time — so experiments may sweep it freely.
+    /// Worth it from roughly 1k nodes; tiny networks are faster
+    /// sequentially because a round is cheaper than a pool wakeup.
     ///
     /// ```
     /// use ssim::{Config, Ctx, Program, Runtime};
@@ -154,7 +127,6 @@ impl Config {
     /// ```
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self.parallel = n != 1;
         self
     }
 
@@ -174,13 +146,10 @@ impl Config {
     }
 
     /// The thread count a runtime built from this config will actually use:
-    /// `1` when parallel execution is off, the detected available
-    /// parallelism when [`Config::threads`] is `0`, the configured count
-    /// otherwise.
+    /// the detected available parallelism when [`Config::threads`] is `0`,
+    /// the configured count otherwise.
     pub fn effective_threads(&self) -> usize {
-        if !self.parallel {
-            1
-        } else if self.threads == 0 {
+        if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
@@ -188,70 +157,31 @@ impl Config {
             self.threads
         }
     }
+
+    /// The run's private RNG stream number `tag`: every stream is derived
+    /// from the one seed, so a run is a pure function of it. Node `v` draws
+    /// from stream `v + 1` (at construction and at every join, so a
+    /// re-joining host replays its stream); the wire and the workload have
+    /// fixed tags of their own.
+    pub(crate) fn stream(&self, tag: u64) -> SmallRng {
+        SmallRng::seed_from_u64(self.seed ^ splitmix64(tag))
+    }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
     x ^ (x >> 31)
 }
 
-/// Audits one skipped node: returns `Some(reason)` if its `step` would
-/// *not* have been a no-op. Built by [`Runtime::enable_shadow_check`] (the
-/// closure captures the `P: Clone` capability so `step` itself needs no
-/// extra bounds).
+/// Audits one skipped node (by slot): returns `Some(reason)` if its `step`
+/// would *not* have been a no-op. Built by [`Runtime::enable_shadow_check`]
+/// (the closure captures the `P: Clone` capability so `step` itself needs
+/// no extra bounds).
 type ShadowFn<P> = Box<
-    dyn Fn(
-            &P,
-            NodeId,
-            u64,
-            &[NodeId],
-            &[(NodeId, <P as Program>::Msg)],
-            &SmallRng,
-        ) -> Option<String>
-        + Send,
+    dyn Fn(&RoundStart<'_, <P as Program>::Msg>, usize, &P, &SmallRng) -> Option<String> + Send,
 >;
-
-/// Mark slot `i` dirty: flag it and enqueue it exactly once.
-#[inline]
-fn mark(dirty: &mut [bool], list: &mut Vec<u32>, i: usize) {
-    if !dirty[i] {
-        dirty[i] = true;
-        list.push(i as u32);
-    }
-}
-
-/// The erased routing capability of the attached workload: captures the
-/// `P: Router` bound at [`Runtime::attach_workload`] time so `step` itself
-/// needs no extra bounds (same trick as [`ShadowFn`]).
-type RouteFn<P> = Box<dyn Fn(&P, Key, &[NodeId]) -> RouteStep + Send>;
-
-/// Parallelism break-even: rounds whose estimated emit cost
-/// (`selection × EWMA ns/activation`) falls below this run on the driving
-/// thread. A pool generation costs single-digit microseconds even hot and
-/// low-tens cold, and splitting work that barely covers the wake cost
-/// gains nothing even on real cores — so the threshold sits well above
-/// break-even: small-network rounds (e.g. 256-node gossip, ~25 µs) stay
-/// sequential, protocol-weight rounds (hundreds of ns per activation)
-/// parallelize.
-const PAR_THRESHOLD_NS: f64 = 50_000.0;
-
-/// Minimum sends in a round before inbox delivery is worth a second pool
-/// generation (the sharded scatter pass); below it the driver delivers
-/// inline during the bookkeeping walk.
-const PAR_DELIVERY_MIN: usize = 256;
-
-/// One message leaving the emit phase, with everything the apply phase
-/// needs precomputed on the worker: recipient and sender *slots* (the
-/// id → slot hash lookups happen in parallel, not on the driver) and the
-/// sender id the recipient's inbox records.
-struct Outgoing<M> {
-    to_slot: u32,
-    from_slot: u32,
-    from: NodeId,
-    msg: M,
-}
 
 /// Per-subsystem heap bytes reported by [`Runtime::mem_footprint`].
 ///
@@ -285,165 +215,21 @@ impl MemFootprint {
     }
 }
 
-/// One delayed message parked in the runtime's in-transit buffer (see
-/// [`crate::net`]), scheduled for a future round's delivery. Both endpoint
-/// *ids* ride along with the slots: departures purge the buffer eagerly,
-/// and delivery re-checks id-at-slot anyway (the same guard the timer heap
-/// uses), so a recycled slot can never receive a ghost message.
-struct Transit<M> {
-    to_slot: u32,
-    from_slot: u32,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-/// Per-activation record in a [`ChunkSink`]: which slot ran, and how far
-/// its outputs extend into the sink's flat `sends`/`unlinks` arrays
-/// (cumulative end offsets — activation `k`'s sends are
-/// `sends[slots[k-1].sends_end..slots[k].sends_end]`). Links carry both
-/// endpoints explicitly, so the flat `links` array needs no per-slot
-/// attribution.
-#[derive(Clone, Copy)]
-struct SlotRec {
-    slot: u32,
-    id: NodeId,
-    sends_end: u32,
-    unlinks_end: u32,
-    violations: u64,
-    wake_in: Option<u64>,
-    quiescent: bool,
-}
-
-/// Where one chunk of the selection writes its emit-phase output. The
-/// executing worker owns the sink exclusively for the chunk's duration
-/// (see [`par::for_each_selected_chunks_mut2`]); the driver then walks
-/// sinks in chunk order, which — chunks being ascending selection ranges —
-/// reproduces the exact selection-order apply a sequential run performs.
-/// All buffers are recycled across rounds.
-struct ChunkSink<M> {
-    /// Per-activation [`Actions`] staging for [`Ctx`] (cleared per slot,
-    /// capacity kept); its contents are flattened into the arrays below
-    /// right after each `step` returns.
-    scratch: Actions<M>,
-    slots: Vec<SlotRec>,
-    sends: Vec<Outgoing<M>>,
-    links: Vec<(NodeId, NodeId)>,
-    unlinks: Vec<NodeId>,
-    /// Gather scratch for multi-page inboxes (see [`InboxArena::view`]);
-    /// the single-page common case borrows the page directly and never
-    /// touches this.
-    inbox_buf: Vec<(NodeId, M)>,
-}
-
-impl<M> Default for ChunkSink<M> {
-    fn default() -> Self {
-        Self {
-            scratch: Actions::default(),
-            slots: Vec::new(),
-            sends: Vec::new(),
-            links: Vec::new(),
-            unlinks: Vec::new(),
-            inbox_buf: Vec::new(),
-        }
-    }
-}
-
-impl<M> ChunkSink<M> {
-    /// Empty the sink for the next round, keeping every allocation.
-    fn reset(&mut self) {
-        self.scratch.clear();
-        self.slots.clear();
-        self.sends.clear();
-        self.links.clear();
-        self.unlinks.clear();
-    }
-}
-
-/// Runtime-side state of an attached [`Workload`] (see [`crate::workload`]):
-/// the generator, the erased router, and the per-slot request queues —
-/// slot-parallel with the runtime's other per-node arrays.
-struct Traffic<P: Program> {
-    gen: Box<dyn Workload>,
-    cfg: WorkloadConfig,
-    route: RouteFn<P>,
-    /// The workload's private deterministic RNG (seeded from the run seed).
-    rng: SmallRng,
-    /// Per-slot requests currently held at that host.
-    queues: Vec<Vec<Request>>,
-    next_id: u64,
-    /// Recycled injection buffer.
-    inject_buf: Vec<(NodeId, Key)>,
-    /// Per-slot "this queue is non-empty" flag, kept exactly in sync with
-    /// `queues` at every round boundary; `has_req[i]` ⟺ `i ∈ holders`.
-    has_req: Vec<bool>,
-    /// Unordered index of slots with non-empty queues — request
-    /// advancement iterates this instead of re-scanning every selected
-    /// slot's queue, so serving cost scales with the in-flight count, not
-    /// the host count.
-    holders: Vec<u32>,
-    /// Recycled per-round "holders to serve" buffer.
-    holder_scratch: Vec<u32>,
-}
-
-impl<P: Program> Traffic<P> {
-    /// Rebuild the holder index from the queues (used when attaching over
-    /// restored queues, which may arrive non-empty).
-    fn rebuild_holders(&mut self) {
-        self.has_req.clear();
-        self.has_req.resize(self.queues.len(), false);
-        self.holders.clear();
-        for (i, q) in self.queues.iter().enumerate() {
-            if !q.is_empty() {
-                self.has_req[i] = true;
-                self.holders.push(i as u32);
-            }
-        }
-    }
-}
-
-/// Traffic state restored from a snapshot, parked until the caller
-/// re-attaches a workload: the generator and router are closures/trait
-/// objects and cannot be serialized, so [`Runtime::restore_snapshot`]
-/// stashes the serializable part here and the next
-/// [`Runtime::attach_workload`] call marries it to a freshly constructed
-/// generator of the same type.
-struct PendingTraffic {
-    wcfg: WorkloadConfig,
-    rng: SmallRng,
-    next_id: u64,
-    queues: Vec<Vec<Request>>,
-    /// `Workload::name()` of the generator that was attached at save time —
-    /// re-attachment with a different generator type is a loud panic, not a
-    /// silent divergence.
-    gen_name: String,
-    /// Opaque [`Workload::save_state`] bytes for [`Workload::load_state`].
-    gen_bytes: Vec<u8>,
-}
-
 /// The simulator: a set of node programs, the overlay topology, and mailboxes.
 ///
 /// All per-node state lives in slot-parallel arrays addressed by the
 /// topology's [`NodeSlot`] assignment; the id → slot map is consulted only
 /// at the membership boundary (join/leave/crash, id-keyed accessors) and at
-/// message delivery.
+/// message emission.
 ///
 /// Each round, the installed [`Scheduler`] (default:
 /// [`sched::Synchronous`]; see [`Runtime::set_scheduler`]) selects the
 /// nodes to activate; only those run the emit phase and have their actions
 /// applied. The runtime maintains the dirty set the
 /// [`sched::ActivityDriven`] daemon feeds on under *every* scheduler, so
-/// schedulers can be swapped mid-run (e.g. by a scenario event).
-///
-/// With [`Config::parallel`], the runtime owns a persistent
-/// [`crate::par::ThreadPool`] (created once, reused every round) that
-/// executes the emit phase of each [`Runtime::step`] over work-stealing
-/// chunks of the selection, each chunk writing into its own sink, and —
-/// on send-heavy rounds — shards inbox delivery over the same pool by
-/// recipient range. Everything whose *order* is observable (edge
-/// mutation, dirty marking, timers, metrics) runs on the driving thread
-/// by walking the sinks in canonical selection order, so results are
-/// bit-identical to sequential execution at any thread count.
+/// schedulers can be swapped mid-run (e.g. by a scenario event). How a
+/// round executes on more than one thread, and why the results do not
+/// depend on it, is on [`Config::threads`].
 pub struct Runtime<P: Program> {
     cfg: Config,
     topo: Topology,
@@ -452,121 +238,53 @@ pub struct Runtime<P: Program> {
     /// Per-slot PRNG (stale for free slots; reseeded from `(seed, id)` at
     /// join, so a re-joining host replays its private stream).
     rngs: Vec<SmallRng>,
-    /// Per-slot pending messages: delivered sends accumulate here and are
-    /// consumed (cleared) when the slot is activated. Under the synchronous
-    /// daemon every inbox is consumed every round, so a message sent in
-    /// round `i` is read in round `i + 1` and never later; under partial
-    /// daemons messages wait for their recipient's next activation. Storage is a paged slab
-    /// shared by every slot (see [`crate::arena`]) — each page carries the
-    /// sender-*slot* mirror alongside the messages, so consumption
-    /// releases `sent_to` entries without id → slot hashing and idle slots
-    /// hold no buffers at all.
-    inboxes: InboxArena<P::Msg>,
-    /// Per-chunk recycled emit sinks (reset each round, capacity kept);
-    /// only the first [`sched::ChunkPlan::chunks`] entries are active in a
-    /// given round. See [`ChunkSink`].
-    sinks: Vec<ChunkSink<P::Msg>>,
-    /// The selection→chunk plan of the current round (recycled).
-    plan: sched::ChunkPlan,
-    /// EWMA of measured emit cost per activation, feeding the
-    /// auto-sequential heuristic (`0.0` until the first non-empty round).
-    /// Never observable in results — it only picks *where* the emit phase
-    /// runs, and both paths are bit-identical.
-    est_ns_per_act: f64,
-    /// Rounds whose emit phase ran on the pool / stayed sequential (see
-    /// [`Runtime::perf_counters`]).
-    par_rounds: u64,
-    seq_rounds: u64,
-    /// Recycled recipient-range bounds for the sharded delivery pass.
-    delivery_cuts: Vec<usize>,
-    /// Per-slot target slots holding *unconsumed* messages from this slot
-    /// (one entry per pending message) — lets a departure purge its
-    /// in-flight messages in O(pending) instead of scanning every inbox.
-    /// Entries are added at send and removed when the recipient consumes.
-    sent_to: Vec<Vec<u32>>,
-    /// Messages currently pending (sitting in `inboxes`).
-    inflight: u64,
+    /// Who must run, who is at rest, who runs this round.
+    agenda: Agenda,
+    /// The emit stage: sinks, chunk plan, pool.
+    emit: Emitter<P::Msg>,
+    /// Per-slot pending messages.
+    mail: Mailboxes<P::Msg>,
+    /// Network conditions between emit and delivery (see [`crate::net`]).
+    wire: Wire<P::Msg>,
+    /// The request workload, if any (see [`Runtime::attach_workload`]).
+    traffic: TrafficSlot<P>,
+    /// Request counters as of the last recorded round row (see
+    /// [`crate::workload::RequestStats::report`]).
+    req_reported: (u64, u64, u64),
     round: u64,
     metrics: RunMetrics,
+    /// The installed daemon (see [`crate::sched`]).
+    sched: Box<dyn Scheduler>,
     /// Builds programs for hosts that join mid-run (registered by protocol
     /// runtime builders; required for spawning joins from faults/scenarios).
     spawner: Option<Box<dyn FnMut(NodeId) -> P + Send>>,
-    /// The persistent worker pool for parallel rounds; `None` runs
-    /// sequentially. Created once at construction (per [`Config`]) and
-    /// reused by every `step`, so parallel rounds spawn no threads.
-    pool: Option<ThreadPool>,
-    /// The installed daemon (see [`crate::sched`]).
-    sched: Box<dyn Scheduler>,
-    /// Per-slot dirty flag; `dirty[i]` ⟺ slot `i` appears in `dirty_list`
-    /// exactly once. Flags are cleared only when the slot is activated (or
-    /// found dead during the per-round purge), so wake-ups survive daemons
-    /// that skip dirty nodes.
-    dirty: Vec<bool>,
-    /// Queue of dirty slots (unordered; sorted into `dirty_sorted` each
-    /// round for the scheduler view).
-    dirty_list: Vec<u32>,
-    /// Recycled sorted snapshot handed to [`Scheduler::select`].
-    dirty_sorted: Vec<NodeSlot>,
-    /// Recycled selection buffer.
-    selection: Vec<NodeSlot>,
-    /// Per-slot "selected this round" scratch (doubles as the dedup filter
-    /// for sloppy schedulers and the skip detector for the shadow check).
-    selected: Vec<bool>,
-    /// Per-slot quiescence flag (mirrors `Program::is_quiescent`, updated
-    /// when the node steps, joins, or is corrupted).
-    quiescent: Vec<bool>,
-    /// Live nodes currently flagged quiescent — O(1) quiescence reads.
-    quiescent_count: usize,
-    /// Armed [`Ctx::wake_me_in`] timers: `(due_round, slot, id)` min-heap.
-    /// The id guards against slot recycling (a timer of a departed host
-    /// must not wake the slot's next occupant).
-    timers: BinaryHeap<Reverse<(u64, u32, NodeId)>>,
-    /// The installed network-conditions model (see [`crate::net`]);
-    /// [`NetModel::ideal`] — the paper's reliable synchronous channel, and
-    /// a zero-overhead fast path — unless [`Runtime::set_net_model`] says
-    /// otherwise.
-    net: NetModel,
-    /// The network layer's dedicated RNG. Drawn from **only on the driving
-    /// thread, in canonical sink-merge order**, so loss/delay/duplication
-    /// schedules are byte-identical at any thread count; its position is
-    /// snapshot-covered.
-    net_rng: SmallRng,
-    /// In-transit buffer: delivery round → parked messages, appended in
-    /// decision order. A `BTreeMap` so iteration (and thus drain and
-    /// snapshot order) is canonical.
-    transit: BTreeMap<u64, Vec<Transit<P::Msg>>>,
-    /// Messages currently parked in `transit` — O(1) [`Runtime::is_silent`].
-    transit_count: u64,
-    /// Recycled transit buckets. Under a latency/jitter model every round
-    /// drains one or more wheel buckets and opens new ones; without a pool
-    /// that is one heap allocation per bucket per round, forever. Drained
-    /// (and purge-emptied) buckets park here, capacity intact, and the next
-    /// `net_deliver` reuses them.
-    transit_pool: Vec<Vec<Transit<P::Msg>>>,
-    /// Active partition: the sorted ids of one side of the cut. Channels
-    /// crossing the cut drop their messages; edges and membership are
-    /// untouched (contrast [`crate::fault::Fault::Crash`]).
-    partition: Option<Vec<NodeId>>,
-    /// Per-directed-channel bandwidth pacing state:
-    /// `(from, to) → (next delivery round, deliveries scheduled in it)`.
-    /// Only consulted when the model caps bandwidth; purged on departure.
-    bw_state: BTreeMap<(NodeId, NodeId), (u64, u32)>,
     /// Debug-mode shadow-step auditor (see [`Runtime::enable_shadow_check`]).
     shadow: Option<ShadowFn<P>>,
-    /// The attached request workload, if any (see
-    /// [`Runtime::attach_workload`] and [`crate::workload`]).
-    traffic: Option<Traffic<P>>,
-    /// Request counters `(issued, completed, failed)` as of the last
-    /// recorded round row — rows report deltas against this, so requests
-    /// finished *between* rounds (a departure purge, a manual injection)
-    /// are attributed to the next executed round and the per-row
-    /// conservation law stays exact.
-    req_reported: (u64, u64, u64),
-    /// Traffic state restored from a snapshot, awaiting re-attachment (see
-    /// [`Runtime::restore_snapshot`]). [`Runtime::step`] refuses to run
-    /// while this is pending — continuing without the workload would
-    /// silently diverge from the saved run.
-    pending_traffic: Option<PendingTraffic>,
+}
+
+/// The one canonical walk over a round's emit output: every activation, in
+/// selection order (`chunks` in chunk order, records in emission order),
+/// first settles its own bookkeeping — wake-up request, quiescence report —
+/// and then hands each of its sends, in emission order, to `send`. The
+/// walk always runs on the driving thread, because the order of the marks
+/// it makes is observable; what `send` does with a message is the only
+/// thing the delivery paths differ in.
+fn walk_emitted<'a, T>(
+    agenda: &mut Agenda,
+    round: u64,
+    chunks: impl Iterator<Item = (&'a [SlotRec], impl Iterator<Item = T>)>,
+    mut send: impl FnMut(&mut Agenda, T),
+) {
+    for (slots, mut sends) in chunks {
+        let mut cur = 0;
+        for rec in slots {
+            agenda.settle(round, rec.slot, rec.id, rec.wake_in, rec.quiescent);
+            while cur < rec.sends_end {
+                cur += 1;
+                send(agenda, sends.next().expect("send cursor within chunk"));
+            }
+        }
+    }
 }
 
 impl<P: Program> Runtime<P> {
@@ -581,64 +299,29 @@ impl<P: Program> Runtime<P> {
     ) -> Self {
         let (ids, programs): (Vec<NodeId>, Vec<P>) = nodes.into_iter().unzip();
         let topo = Topology::new(ids.iter().copied(), edges);
-        let rngs = ids
-            .iter()
-            .map(|&v| SmallRng::seed_from_u64(cfg.seed ^ splitmix64(v as u64 + 1)))
-            .collect();
-        let n = ids.len();
-        let metrics = RunMetrics::new(topo.max_degree());
-        let threads = cfg.effective_threads();
-        let pool = (threads > 1).then(|| ThreadPool::new(threads));
-        // Every node starts dirty ("just spawned"): self-stabilization makes
-        // no assumption about the initial state, so every program must run
-        // at least once under any equivalence-claiming daemon.
-        let quiescent: Vec<bool> = programs.iter().map(Program::is_quiescent).collect();
-        let quiescent_count = quiescent.iter().filter(|&&q| q).count();
         Self {
             cfg,
-            topo,
-            programs: programs.into_iter().map(Some).collect(),
-            rngs,
-            inboxes: InboxArena::new(n),
-            sinks: Vec::new(),
-            plan: sched::ChunkPlan::default(),
-            est_ns_per_act: 0.0,
-            par_rounds: 0,
-            seq_rounds: 0,
-            delivery_cuts: Vec::new(),
-            sent_to: std::iter::repeat_with(Vec::new).take(n).collect(),
-            inflight: 0,
-            round: 0,
-            metrics,
-            spawner: None,
-            pool,
-            sched: Box::new(sched::Synchronous),
-            dirty: vec![true; n],
-            dirty_list: (0..n as u32).collect(),
-            dirty_sorted: Vec::with_capacity(n),
-            selection: Vec::with_capacity(n),
-            selected: vec![false; n],
-            quiescent,
-            quiescent_count,
-            timers: BinaryHeap::new(),
-            net: NetModel::ideal(),
-            net_rng: SmallRng::seed_from_u64(cfg.seed ^ splitmix64(0x6E45_07ED)),
-            transit: BTreeMap::new(),
-            transit_count: 0,
-            transit_pool: Vec::new(),
-            partition: None,
-            bw_state: BTreeMap::new(),
-            shadow: None,
-            traffic: None,
+            rngs: ids.iter().map(|&v| cfg.stream(v as u64 + 1)).collect(),
+            agenda: Agenda::new(programs.iter().map(Program::is_quiescent).collect()),
+            emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
+            mail: Mailboxes::new(ids.len()),
+            wire: Wire::new(cfg.stream(0x6E45_07ED)),
+            traffic: TrafficSlot::Detached,
             req_reported: (0, 0, 0),
-            pending_traffic: None,
+            round: 0,
+            metrics: RunMetrics::new(topo.max_degree()),
+            sched: Box::new(sched::Synchronous),
+            spawner: None,
+            shadow: None,
+            programs: programs.into_iter().map(Some).collect(),
+            topo,
         }
     }
 
     /// Number of threads executing each round's emit phase (`1` when
     /// sequential).
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, ThreadPool::threads)
+        self.emit.threads()
     }
 
     /// Install a daemon (see [`crate::sched`]); the default is
@@ -647,13 +330,6 @@ impl<P: Program> Runtime<P> {
     /// (and every pending message or armed timer) survives the swap.
     pub fn set_scheduler(&mut self, s: Box<dyn Scheduler>) {
         self.sched = s;
-    }
-
-    /// Builder-style [`Runtime::set_scheduler`].
-    #[must_use]
-    pub fn with_scheduler(mut self, s: Box<dyn Scheduler>) -> Self {
-        self.set_scheduler(s);
-        self
     }
 
     /// Name of the installed scheduler (for reports).
@@ -665,20 +341,20 @@ impl<P: Program> Runtime<P> {
     /// tracked incrementally (updated when a node steps, joins, departs, or
     /// is corrupted).
     pub fn quiescent_nodes(&self) -> usize {
-        self.quiescent_count
+        self.agenda.quiescent_count()
     }
 
     /// True iff every live node is quiescent — O(1). Combined with
     /// [`Runtime::is_silent`] this is the paper's silent-network condition;
     /// see [`crate::monitor::quiescence`].
     pub fn all_quiescent(&self) -> bool {
-        self.quiescent_count == self.topo.node_count()
+        self.agenda.quiescent_count() == self.topo.node_count()
     }
 
     /// Slots currently queued for activation (dirty set plus armed timers)
     /// — the work the [`sched::ActivityDriven`] daemon would perform.
     pub fn pending_activations(&self) -> usize {
-        self.dirty_list.len() + self.timers.len()
+        self.agenda.pending()
     }
 
     // ---- network conditions ------------------------------------------------
@@ -696,7 +372,7 @@ impl<P: Program> Runtime<P> {
         if let Err(e) = m.validate() {
             panic!("set_net_model: {e}");
         }
-        self.net = m;
+        self.wire.set_model(m);
     }
 
     /// Builder-style [`Runtime::set_net_model`].
@@ -708,7 +384,7 @@ impl<P: Program> Runtime<P> {
 
     /// The installed network-conditions model.
     pub fn net_model(&self) -> NetModel {
-        self.net
+        self.wire.model()
     }
 
     /// The network layer's message accounting — shorthand for
@@ -722,11 +398,12 @@ impl<P: Program> Runtime<P> {
     /// Messages currently parked in the in-transit buffer (sent, not yet
     /// delivered to an inbox). O(1).
     pub fn in_transit(&self) -> u64 {
-        self.transit_count
+        self.wire.in_transit()
     }
 
     /// Per-subsystem heap accounting of the engine's resident state — the
     /// observable the memory-layout work optimizes (bytes/host at scale).
+    /// Each stage's owner reports its own buffers.
     ///
     /// Numbers are capacity-based (allocated, not merely occupied) so
     /// retention pathologies show up, and inline-state approximations
@@ -735,61 +412,17 @@ impl<P: Program> Runtime<P> {
     /// with no per-node virtual calls.
     pub fn mem_footprint(&self) -> MemFootprint {
         use std::mem::size_of;
-        let vec_bytes = |cap: usize, item: usize| cap * item;
-        let transit_entry_overhead = size_of::<u64>() + size_of::<Vec<Transit<P::Msg>>>();
-        let transit = self
-            .transit
-            .values()
-            .map(|b| transit_entry_overhead + b.capacity() * size_of::<Transit<P::Msg>>())
-            .sum::<usize>()
-            + self
-                .transit_pool
-                .iter()
-                .map(|b| b.capacity() * size_of::<Transit<P::Msg>>())
-                .sum::<usize>();
-        let workload = self.traffic.as_ref().map_or(0, |t| {
-            t.queues
-                .iter()
-                .map(|q| size_of::<Vec<Request>>() + q.capacity() * size_of::<Request>())
-                .sum::<usize>()
-                + vec_bytes(t.has_req.capacity(), size_of::<bool>())
-                + vec_bytes(t.holders.capacity(), size_of::<u32>())
-                + vec_bytes(t.holder_scratch.capacity(), size_of::<u32>())
-                + vec_bytes(t.inject_buf.capacity(), size_of::<(NodeId, Key)>())
-        });
-        let sinks = self
-            .sinks
-            .iter()
-            .map(|s| {
-                vec_bytes(s.slots.capacity(), size_of::<SlotRec>())
-                    + vec_bytes(s.sends.capacity(), size_of::<Outgoing<P::Msg>>())
-                    + vec_bytes(s.links.capacity(), size_of::<(NodeId, NodeId)>())
-                    + vec_bytes(s.unlinks.capacity(), size_of::<NodeId>())
-                    + vec_bytes(s.inbox_buf.capacity(), size_of::<(NodeId, P::Msg)>())
-            })
-            .sum::<usize>();
-        let engine = vec_bytes(self.rngs.capacity(), size_of::<SmallRng>())
-            + self
-                .sent_to
-                .iter()
-                .map(|l| size_of::<Vec<u32>>() + l.capacity() * size_of::<u32>())
-                .sum::<usize>()
-            + vec_bytes(self.dirty.capacity(), size_of::<bool>())
-            + vec_bytes(self.dirty_list.capacity(), size_of::<u32>())
-            + vec_bytes(self.dirty_sorted.capacity(), size_of::<u32>())
-            + vec_bytes(self.selection.capacity(), size_of::<NodeSlot>())
-            + vec_bytes(self.selected.capacity(), size_of::<bool>())
-            + vec_bytes(self.quiescent.capacity(), size_of::<bool>())
-            + self.timers.len() * size_of::<Reverse<(u64, u32, NodeId)>>()
-            + self.bw_state.len() * (size_of::<(NodeId, NodeId)>() + size_of::<(u64, u32)>())
-            + sinks;
         MemFootprint {
             topology: self.topo.heap_bytes(),
             programs: self.programs.capacity() * size_of::<Option<P>>(),
-            inboxes: self.inboxes.heap_bytes(),
-            transit,
-            workload,
-            engine,
+            inboxes: self.mail.inboxes().heap_bytes(),
+            transit: self.wire.transit_bytes(),
+            workload: self.traffic.live().map_or(0, Traffic::heap_bytes),
+            engine: self.rngs.capacity() * size_of::<SmallRng>()
+                + self.mail.ledger_bytes()
+                + self.agenda.heap_bytes()
+                + self.wire.pacing_bytes()
+                + self.emit.heap_bytes(),
         }
     }
 
@@ -817,27 +450,9 @@ impl<P: Program> Runtime<P> {
         if live == 0 {
             return 0;
         }
-        let mut purged = 0u64;
-        let pool = &mut self.transit_pool;
-        self.transit.retain(|_, bucket| {
-            bucket.retain(|t| {
-                let cut = side.binary_search(&t.from).is_ok() != side.binary_search(&t.to).is_ok();
-                if cut {
-                    purged += 1;
-                }
-                !cut
-            });
-            if bucket.is_empty() {
-                Self::recycle_bucket(pool, std::mem::take(bucket));
-                return false;
-            }
-            true
-        });
-        self.transit_count -= purged;
-        self.metrics.net.dropped_partition += purged;
-        self.metrics.net.in_transit = self.transit_count;
         self.mark_cut_endpoints(&side);
-        self.partition = Some(side);
+        self.metrics.net.dropped_partition += self.wire.cut(side);
+        self.metrics.net.in_transit = self.wire.in_transit();
         live
     }
 
@@ -845,7 +460,7 @@ impl<P: Program> Runtime<P> {
     /// with a formerly-cross-cut edge are marked dirty so stabilization
     /// traffic resumes promptly under activity-driven daemons.
     pub fn heal(&mut self) -> bool {
-        let Some(side) = self.partition.take() else {
+        let Some(side) = self.wire.heal() else {
             return false;
         };
         self.mark_cut_endpoints(&side);
@@ -854,85 +469,17 @@ impl<P: Program> Runtime<P> {
 
     /// True iff a partition cut is active.
     pub fn partitioned(&self) -> bool {
-        self.partition.is_some()
-    }
-
-    /// True iff the channel `a ↔ b` crosses the active partition cut.
-    fn crosses_cut(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            None => false,
-            Some(side) => side.binary_search(&a).is_ok() != side.binary_search(&b).is_ok(),
-        }
+        self.wire.partitioned()
     }
 
     /// Mark every live host with an edge crossing `side`'s cut dirty.
     fn mark_cut_endpoints(&mut self, side: &[NodeId]) {
         for k in 0..self.topo.node_count() {
             let (id, slot) = self.topo.live_entry(k);
-            let on_side = side.binary_search(&id).is_ok();
-            if self
-                .topo
-                .neighbors_at(slot)
-                .iter()
-                .any(|&v| side.binary_search(&v).is_ok() != on_side)
-            {
-                mark(&mut self.dirty, &mut self.dirty_list, slot.index());
+            let nbrs = self.topo.neighbors_at(slot);
+            if nbrs.iter().any(|&v| net::crosses(side, id, v)) {
+                self.agenda.mark(slot.index());
             }
-        }
-    }
-
-    /// Bandwidth pacing: final delivery delay for a message on channel
-    /// `from → to` that wants to arrive `delay` rounds out. With a cap of
-    /// `c` messages/round/channel, excess deliveries slide to the
-    /// channel's next free round — paced FIFO, never dropped (a capped
-    /// channel therefore never reorders, whatever the jitter draws).
-    fn pace(&mut self, from: NodeId, to: NodeId, round: u64, delay: u64) -> u64 {
-        let cap = self.net.bandwidth;
-        if cap == 0 {
-            return delay;
-        }
-        let e = self.bw_state.entry((from, to)).or_insert((0, 0));
-        let t = (round + delay).max(e.0);
-        if t > e.0 {
-            *e = (t, 0);
-        }
-        e.1 += 1;
-        if e.1 >= cap {
-            *e = (t + 1, 0);
-        }
-        t - round
-    }
-
-    /// Deliver a message now (extra delay 0: the classic next-round inbox
-    /// path) or park it in the in-transit buffer for `round + delay`.
-    fn net_deliver(&mut self, t: Transit<P::Msg>, delay: u64, round: u64, row: &mut RoundMetrics) {
-        if delay == 0 {
-            let ts = t.to_slot as usize;
-            self.inboxes.push(ts, t.from, t.from_slot, t.msg);
-            self.sent_to[t.from_slot as usize].push(t.to_slot);
-            mark(&mut self.dirty, &mut self.dirty_list, ts);
-            row.messages += 1;
-            self.metrics.net.delivered += 1;
-        } else {
-            let pool = &mut self.transit_pool;
-            self.transit
-                .entry(round + delay)
-                .or_insert_with(|| pool.pop().unwrap_or_default())
-                .push(t);
-            self.transit_count += 1;
-        }
-    }
-
-    /// Park an emptied transit bucket for reuse, bounding both the pool
-    /// depth and the capacity any parked bucket may pin (a burst bucket is
-    /// dropped rather than kept hot — the capacity-retention policy the
-    /// inbox arena applies to its cold pages).
-    fn recycle_bucket(pool: &mut Vec<Vec<Transit<P::Msg>>>, mut bucket: Vec<Transit<P::Msg>>) {
-        const POOL_DEPTH: usize = 32;
-        const MAX_KEPT_CAP: usize = 4096;
-        if pool.len() < POOL_DEPTH && bucket.capacity() <= MAX_KEPT_CAP {
-            bucket.clear();
-            pool.push(bucket);
         }
     }
 
@@ -940,47 +487,76 @@ impl<P: Program> Runtime<P> {
     /// scheduler claims equivalence with the synchronous daemon (see
     /// [`Scheduler::claims_equivalence`]), every live node it *skips* is
     /// audited by running `step()` on a throwaway clone with its actual
-    /// inbox and neighbor snapshot. The step must emit nothing (no sends,
-    /// links, unlinks, violations, or wake-up requests), draw nothing from
-    /// the PRNG, and leave the program quiescent; otherwise the round
-    /// panics, naming the offending node — the program broke the
-    /// [`Program::is_quiescent`] contract. Compiled out of release builds
-    /// (`debug_assertions` only); protocol runtime builders arm it
-    /// automatically in debug builds so the equivalence claim is
-    /// continuously tested.
+    /// inbox and neighbor snapshot, into a throwaway sink. The step must
+    /// emit nothing (no sends, links, unlinks, violations, or wake-up
+    /// requests), draw nothing from the PRNG, and leave the program
+    /// quiescent; otherwise the round panics, naming the offending node —
+    /// the program broke the [`Program::is_quiescent`] contract. Compiled
+    /// out of release builds (`debug_assertions` only); protocol runtime
+    /// builders arm it automatically in debug builds so the equivalence
+    /// claim is continuously tested.
     pub fn enable_shadow_check(&mut self)
     where
         P: Clone,
     {
-        self.shadow = Some(Box::new(|prog, id, round, neighbors, inbox, rng| {
-            let mut clone = prog.clone();
-            let mut rng2 = rng.clone();
-            let mut acts = Actions::default();
-            let mut ctx = Ctx::new(id, round, false, neighbors, inbox, &mut rng2, &mut acts);
-            clone.step(&mut ctx);
-            if !acts.sends.is_empty()
-                || !acts.links.is_empty()
-                || !acts.unlinks.is_empty()
-                || acts.violations != 0
-                || acts.wake_in.is_some()
-            {
+        self.shadow = Some(Box::new(|at, i, prog, rng| {
+            let (mut clone, mut rng2) = (prog.clone(), rng.clone());
+            let mut sink = ChunkSink::default();
+            let lenient = RoundStart {
+                strict: false,
+                ..*at
+            };
+            sink.activate(&lenient, i, &mut clone, &mut rng2);
+            let SlotRec {
+                violations,
+                wake_in,
+                quiescent,
+                ..
+            } = sink.slots[0];
+            let (sends, links, unlinks) = (sink.sends.len(), sink.links.len(), sink.unlinks.len());
+            if sends + links + unlinks != 0 || violations != 0 || wake_in.is_some() {
                 return Some(format!(
-                    "emitted {} send(s), {} link(s), {} unlink(s), {} violation(s), wake={:?}",
-                    acts.sends.len(),
-                    acts.links.len(),
-                    acts.unlinks.len(),
-                    acts.violations,
-                    acts.wake_in
+                    "emitted {sends} send(s), {links} link(s), {unlinks} unlink(s), \
+                     {violations} violation(s), wake={wake_in:?}"
                 ));
             }
             if rng2 != *rng {
                 return Some("consumed PRNG draws".into());
             }
-            if !clone.is_quiescent() {
+            if !quiescent {
                 return Some("became non-quiescent".into());
             }
             None
         }));
+    }
+
+    /// The shadow-step check: audit every live node the scheduler skipped.
+    #[cfg(debug_assertions)]
+    fn audit_skipped(&self, at: &RoundStart<'_, P::Msg>) {
+        let Some(shadow) = self
+            .shadow
+            .as_ref()
+            .filter(|_| self.sched.claims_equivalence())
+        else {
+            return;
+        };
+        for k in 0..self.topo.node_count() {
+            let (id, slot) = self.topo.live_entry(k);
+            let i = slot.index();
+            if self.agenda.is_selected(i) {
+                continue;
+            }
+            let prog = self.programs[i].as_ref().expect("live slot");
+            if let Some(why) = shadow(at, i, prog, &self.rngs[i]) {
+                panic!(
+                    "round {}: scheduler `{}` skipped node {id} whose step \
+                     is not a no-op ({why}) — the program violates the \
+                     Program::is_quiescent contract",
+                    at.round,
+                    self.sched.name()
+                );
+            }
+        }
     }
 
     /// Attach a request [`Workload`] (see [`crate::workload`]): from the
@@ -1012,66 +588,23 @@ impl<P: Program> Runtime<P> {
         P: Router,
     {
         let mut gen: Box<dyn Workload> = Box::new(gen);
-        let (wcfg, rng, queues, next_id) = match self.pending_traffic.take() {
-            Some(p) => {
-                assert_eq!(
-                    gen.name(),
-                    p.gen_name,
-                    "attach_workload: the snapshot was saved with workload `{}`; \
-                     resuming with `{}` would diverge",
-                    p.gen_name,
-                    gen.name()
-                );
-                let mut r = Reader::new(&p.gen_bytes);
-                gen.load_state(&mut r)
-                    .and_then(|()| r.finish())
-                    .expect("attach_workload: restored workload state does not fit the generator");
-                (p.wcfg, p.rng, p.queues, p.next_id)
-            }
-            None => {
+        let state = match std::mem::replace(&mut self.traffic, TrafficSlot::Detached) {
+            TrafficSlot::Parked(parked) => parked.resume(gen.as_mut()),
+            _ => {
                 assert_eq!(
                     self.metrics.requests.in_flight, 0,
                     "attach_workload: requests from a previous workload are still in flight"
                 );
-                (
-                    wcfg,
-                    SmallRng::seed_from_u64(self.cfg.seed ^ splitmix64(0x770A_D10A)),
-                    std::iter::repeat_with(Vec::new)
-                        .take(self.programs.len())
-                        .collect(),
-                    // Continue the id sequence across re-attached workloads
-                    // so request ids stay monotone per run (every issued
-                    // request, under any workload, bumped the counter).
-                    self.metrics.requests.issued,
-                )
+                // Continue the id sequence across re-attached workloads so
+                // request ids stay monotone per run (every issued request,
+                // under any workload, bumped the counter).
+                let next_id = self.metrics.requests.issued;
+                let rng = self.cfg.stream(0x770A_D10A);
+                TrafficState::fresh(wcfg, rng, self.programs.len(), next_id)
             }
         };
-        let mut tr = Traffic {
-            gen,
-            cfg: wcfg,
-            route: Box::new(|p: &P, key, neighbors| p.route(key, neighbors)),
-            rng,
-            queues,
-            next_id,
-            inject_buf: Vec::new(),
-            has_req: Vec::new(),
-            holders: Vec::new(),
-            holder_scratch: Vec::new(),
-        };
-        // Restored queues may arrive non-empty; freshly attached ones are
-        // all empty and the rebuild is a cheap scan either way.
-        tr.rebuild_holders();
-        self.traffic = Some(tr);
-    }
-
-    /// True iff a workload is attached.
-    pub fn has_workload(&self) -> bool {
-        self.traffic.is_some()
-    }
-
-    /// Name of the attached workload generator (for reports).
-    pub fn workload_name(&self) -> Option<&str> {
-        self.traffic.as_ref().map(|t| t.gen.name())
+        let route = Box::new(|p: &P, key, neighbors: &[NodeId]| p.route(key, neighbors));
+        self.traffic = TrafficSlot::Live(Traffic::attach(gen, route, state));
     }
 
     /// Request accounting so far — shorthand for
@@ -1092,230 +625,14 @@ impl<P: Program> Runtime<P> {
             self.topo.contains(origin),
             "inject_request: origin {origin} is not a member"
         );
-        let mut tr = self
+        let tr = self
             .traffic
-            .take()
+            .live_mut()
             .expect("inject_request: no workload attached (Runtime::attach_workload)");
         // The request becomes ready at the next executed round (injection
         // happens between rounds here, at round start for generators).
-        let id = self.push_request(&mut tr, origin, key, self.round, self.round);
-        self.traffic = Some(tr);
-        id
-    }
-
-    /// Enqueue a request at `origin`'s slot, account it, and wake the host.
-    fn push_request(
-        &mut self,
-        tr: &mut Traffic<P>,
-        origin: NodeId,
-        key: Key,
-        issued_round: u64,
-        ready_round: u64,
-    ) -> u64 {
-        let slot = self
-            .topo
-            .slot_of(origin)
-            .expect("push_request: origin is a member")
-            .index();
-        let id = tr.next_id;
-        tr.next_id += 1;
-        tr.queues[slot].push(Request {
-            id,
-            key,
-            origin,
-            issued_round,
-            hops: 0,
-            retries: 0,
-            ready_round,
-        });
-        if !tr.has_req[slot] {
-            tr.has_req[slot] = true;
-            tr.holders.push(slot as u32);
-        }
-        self.metrics.requests.issued += 1;
-        self.metrics.requests.in_flight += 1;
-        // A held request is pending work: the holder must be activated
-        // under every equivalence-claiming daemon.
-        mark(&mut self.dirty, &mut self.dirty_list, slot);
-        id
-    }
-
-    /// Round-start injection: ask the generator for this round's requests.
-    fn inject_workload(&mut self, round: u64) {
-        if self.traffic.is_none() {
-            return;
-        }
-        let mut tr = self.traffic.take().expect("checked above");
-        let mut buf = std::mem::take(&mut tr.inject_buf);
-        buf.clear();
-        tr.gen.inject(
-            &WorkloadView {
-                round,
-                ids: self.topo.ids(),
-                stats: &self.metrics.requests,
-            },
-            &mut tr.rng,
-            &mut buf,
-        );
-        for &(origin, key) in &buf {
-            debug_assert!(
-                self.topo.contains(origin),
-                "workload injected at non-member {origin}"
-            );
-            if self.topo.contains(origin) {
-                self.push_request(&mut tr, origin, key, round, round);
-            }
-        }
-        tr.inject_buf = buf;
-        self.traffic = Some(tr);
-    }
-
-    /// Advance every request held by an activated host one hop, against the
-    /// **post-apply** topology (the current host links) and the holder's
-    /// current program state. Runs on the driving thread in selection
-    /// order, so traffic is deterministic at any thread count and
-    /// activity-driven execution (which always selects request holders —
-    /// they are dirty) reproduces the synchronous execution exactly.
-    ///
-    /// Cost scales with the **in-flight count**, not the host count: the
-    /// slots to serve come from the maintained holder index
-    /// (`Traffic::holders`) whenever the scheduler activates in canonical
-    /// member order ([`Scheduler::selects_in_member_order`]) — sorting the
-    /// selected holders by member rank then reproduces the selection-scan
-    /// order exactly. Only order-bending schedulers (scripts) fall back to
-    /// scanning the selection. Equivalence with the selection scan: a
-    /// selected slot with an empty round-start queue is visited by the
-    /// scan only if an earlier-served holder forwarded to it this round,
-    /// and such a visit is a no-op — the forwarded requests carry
-    /// `ready_round = round + 1` (kept untouched) and the slot was already
-    /// marked dirty at forward time.
-    fn advance_requests(&mut self, tr: &mut Traffic<P>, selection: &[NodeSlot], round: u64) {
-        let record = tr.cfg.record_requests;
-        let mut hs = std::mem::take(&mut tr.holder_scratch);
-        hs.clear();
-        if self.sched.selects_in_member_order() {
-            for &i in &tr.holders {
-                if self.selected[i as usize] && !tr.queues[i as usize].is_empty() {
-                    hs.push(i);
-                }
-            }
-            let topo = &self.topo;
-            hs.sort_unstable_by_key(|&i| {
-                topo.member_rank(NodeSlot::new(i as usize))
-                    .expect("request holder is live")
-            });
-        } else {
-            hs.extend(
-                selection
-                    .iter()
-                    .map(|s| s.index() as u32)
-                    .filter(|&i| !tr.queues[i as usize].is_empty()),
-            );
-        }
-        for &hi in &hs {
-            let i = hi as usize;
-            let slot = NodeSlot::new(i);
-            if tr.queues[i].is_empty() {
-                continue;
-            }
-            let me = self.topo.id_at(slot).expect("selected slot is live");
-            let mut q = std::mem::take(&mut tr.queues[i]);
-            let mut keep = 0;
-            for k in 0..q.len() {
-                let mut req = q[k];
-                // Requests forwarded here this round by an earlier-selected
-                // host wait for the next round (one hop per round).
-                if req.ready_round > round {
-                    q[keep] = req;
-                    keep += 1;
-                    continue;
-                }
-                if round - req.issued_round >= tr.cfg.ttl {
-                    self.metrics
-                        .requests
-                        .fail(&req, RequestOutcome::Expired, round, record);
-                    continue;
-                }
-                let neighbors = self.topo.neighbors_at(slot);
-                let decision = (tr.route)(
-                    self.programs[i].as_ref().expect("selected slot is live"),
-                    req.key,
-                    neighbors,
-                );
-                match decision {
-                    RouteStep::Deliver => {
-                        self.metrics.requests.complete(&req, me, round, record);
-                    }
-                    // A hop crossing an active partition cut behaves like a
-                    // vanished neighbor (the channel is dead): retry in
-                    // place below, bounded by the TTL. Requests are
-                    // app-level traffic with retransmission — they pay the
-                    // network's deterministic base latency per hop, but are
-                    // never randomly lost or duplicated.
-                    RouteStep::Forward(v)
-                        if v != me
-                            && neighbors.binary_search(&v).is_ok()
-                            && !self.crosses_cut(me, v) =>
-                    {
-                        if req.hops + 1 > tr.cfg.max_hops {
-                            self.metrics.requests.fail(
-                                &req,
-                                RequestOutcome::HopBudget,
-                                round,
-                                record,
-                            );
-                            continue;
-                        }
-                        req.hops += 1;
-                        req.ready_round = round + 1 + self.net.delay;
-                        self.metrics.requests.forwards += 1;
-                        let ts = self
-                            .topo
-                            .slot_of(v)
-                            .expect("current neighbor is a member")
-                            .index();
-                        tr.queues[ts].push(req);
-                        if !tr.has_req[ts] {
-                            tr.has_req[ts] = true;
-                            tr.holders.push(ts as u32);
-                        }
-                        mark(&mut self.dirty, &mut self.dirty_list, ts);
-                    }
-                    // The chosen next hop is gone (stabilization rewired
-                    // the overlay, the neighbor departed) or the router has
-                    // no useful hop right now: retry in place, bounded by
-                    // the TTL. Never teleported.
-                    RouteStep::Forward(_) | RouteStep::Unroutable => {
-                        req.retries += 1;
-                        req.ready_round = round + 1;
-                        self.metrics.requests.retries += 1;
-                        q[keep] = req;
-                        keep += 1;
-                    }
-                }
-            }
-            q.truncate(keep);
-            if !q.is_empty() {
-                // Still holding work (retries or same-round arrivals):
-                // stay scheduled.
-                mark(&mut self.dirty, &mut self.dirty_list, i);
-            }
-            tr.queues[i] = q;
-        }
-        // Drop drained slots from the holder index (serving is the only
-        // way a queue shrinks, so this sweep restores `has_req[i]` ⟺
-        // "queue i non-empty" exactly). O(holders), order irrelevant —
-        // service order is re-derived per round above.
-        let queues = &tr.queues;
-        let has_req = &mut tr.has_req;
-        tr.holders.retain(|&i| {
-            let keep = !queues[i as usize].is_empty();
-            if !keep {
-                has_req[i as usize] = false;
-            }
-            keep
-        });
-        tr.holder_scratch = hs;
+        let (stats, agenda) = (&mut self.metrics.requests, &mut self.agenda);
+        tr.issue(&self.topo, origin, key, self.round, stats, agenda)
     }
 
     /// Register the factory that builds programs for hosts joining mid-run
@@ -1352,7 +669,7 @@ impl<P: Program> Runtime<P> {
     /// workload attached and the workload has not been re-attached yet
     /// ([`Runtime::step`] refuses to run until it is).
     pub fn pending_workload(&self) -> bool {
-        self.pending_traffic.is_some()
+        matches!(self.traffic, TrafficSlot::Parked(_))
     }
 
     /// The current topology.
@@ -1377,11 +694,15 @@ impl<P: Program> Runtime<P> {
     /// # Panics
     /// `v` must be a node.
     pub fn program(&self, v: NodeId) -> &P {
-        let slot = self
-            .topo
-            .slot_of(v)
-            .unwrap_or_else(|| panic!("node {v} is not a member"));
-        self.programs[slot.index()].as_ref().expect("live slot")
+        self.programs[self.member_slot(v)]
+            .as_ref()
+            .expect("live slot")
+    }
+
+    fn member_slot(&self, v: NodeId) -> usize {
+        let slot = self.topo.slot_of(v);
+        slot.unwrap_or_else(|| panic!("node {v} is not a member"))
+            .index()
     }
 
     /// Iterate `(id, program)` pairs in slot order.
@@ -1396,39 +717,11 @@ impl<P: Program> Runtime<P> {
     /// is marked dirty (corruption is a wake-up condition) and its
     /// quiescence flag is re-evaluated.
     pub fn corrupt_node(&mut self, v: NodeId, f: impl FnOnce(&mut P)) {
-        let slot = self
-            .topo
-            .slot_of(v)
-            .unwrap_or_else(|| panic!("node {v} is not a member"));
-        let i = slot.index();
+        let i = self.member_slot(v);
         let prog = self.programs[i].as_mut().expect("live slot");
         f(prog);
-        let q = prog.is_quiescent();
-        self.set_quiescent(i, q);
-        mark(&mut self.dirty, &mut self.dirty_list, i);
-    }
-
-    /// Update the per-slot quiescence flag and its counter.
-    #[inline]
-    fn set_quiescent(&mut self, i: usize, q: bool) {
-        if self.quiescent[i] != q {
-            self.quiescent[i] = q;
-            if q {
-                self.quiescent_count += 1;
-            } else {
-                self.quiescent_count -= 1;
-            }
-        }
-    }
-
-    /// Mark both endpoints of a (changed) edge dirty: their neighborhoods
-    /// changed, which is a wake-up condition.
-    fn mark_edge(&mut self, a: NodeId, b: NodeId) {
-        for v in [a, b] {
-            if let Some(s) = self.topo.slot_of(v) {
-                mark(&mut self.dirty, &mut self.dirty_list, s.index());
-            }
-        }
+        self.agenda.set_quiescent(i, prog.is_quiescent());
+        self.agenda.mark(i);
     }
 
     /// Adversarially insert an edge, bypassing the introduction rule
@@ -1437,7 +730,7 @@ impl<P: Program> Runtime<P> {
     pub fn adversarial_add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         let changed = self.topo.add_edge(a, b);
         if changed {
-            self.mark_edge(a, b);
+            self.agenda.mark_edge(&self.topo, a, b);
         }
         changed
     }
@@ -1447,608 +740,120 @@ impl<P: Program> Runtime<P> {
     pub fn adversarial_remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         let changed = self.topo.remove_edge(a, b);
         if changed {
-            self.mark_edge(a, b);
+            self.agenda.mark_edge(&self.topo, a, b);
         }
         changed
     }
 
-    /// Execute one round: the scheduler selects the activation set, the
-    /// selected programs run the emit phase against the round-start
-    /// snapshot, and their actions are applied in selection order.
+    /// Execute one round: *inject → wake timers → select → emit → apply
+    /// edges → consume → arrivals → deliver → traffic → metrics*. Each
+    /// stage is a call on the type that owns its state; the order below is
+    /// the model.
     ///
-    /// Steady-state rounds perform no heap allocation: the per-chunk emit
-    /// sinks, inbox buffers, and the selection/dirty buffers are all
-    /// recycled, and validation happens at emit time against the
-    /// round-start snapshot (no intermediate validity tables). In parallel
-    /// mode the emit phase runs work-stealing-chunked over the selection on
-    /// the runtime's persistent pool (still allocation- and spawn-free —
-    /// workers are woken, not created), and heavy rounds shard inbox
-    /// delivery over the same pool by recipient range; all ordering-
-    /// observable bookkeeping stays on this thread in canonical selection
-    /// order, which is why results never depend on the thread count.
+    /// Steady-state rounds perform no heap allocation — every stage
+    /// recycles its buffers — and all ordering-observable bookkeeping
+    /// stays on this thread in canonical selection order, which is why
+    /// results never depend on the thread count.
     pub fn step(&mut self) {
         assert!(
-            self.pending_traffic.is_none(),
+            !self.pending_workload(),
             "step: this runtime was restored from a snapshot with in-flight traffic; \
              attach the saved workload first (Runtime::attach_workload)"
         );
         let round = self.round;
-        let strict = self.cfg.strict;
 
-        // ---- Workload: inject this round's application requests before
-        // selection, so origins are dirty in time to be activated this very
-        // round under every equivalence-claiming daemon.
-        self.inject_workload(round);
-
-        // ---- Timers: move due wake-ups into the dirty set. The id guard
-        // discards timers of departed hosts (their slot may have been
-        // recycled by an unrelated joiner).
-        while let Some(&Reverse((due, slot, id))) = self.timers.peek() {
-            if due > round {
-                break;
-            }
-            self.timers.pop();
-            if self.topo.id_at(NodeSlot::new(slot as usize)) == Some(id) {
-                mark(&mut self.dirty, &mut self.dirty_list, slot as usize);
-            }
-        }
-
-        // ---- Selection: hand the scheduler a sorted snapshot of the dirty
-        // set and let it pick. Selection happens on the driving thread, so
-        // scheduler randomness is thread-count invariant by construction.
-        // The view is sorted by **canonical member order** — the order the
-        // synchronous daemon activates in — not by slot: apply order
-        // decides the relative order of same-round messages in a shared
-        // recipient's inbox, so an equivalence-claiming daemon activating
-        // a subset in any other order would produce different inbox
-        // contents than the synchronous execution (member order diverges
-        // from slot order after the first departure). The sorted view is
-        // built only for schedulers that read it — full-activation daemons
-        // skip the O(dirty log dirty) sort.
-        let mut dirty_sorted = std::mem::take(&mut self.dirty_sorted);
-        dirty_sorted.clear();
-        if self.sched.uses_dirty_set() {
-            dirty_sorted.extend(
-                self.dirty_list
-                    .iter()
-                    .filter(|&&i| self.topo.is_live(NodeSlot::new(i as usize)))
-                    .map(|&i| NodeSlot::new(i as usize)),
-            );
-            let topo = &self.topo;
-            dirty_sorted
-                .sort_unstable_by_key(|&s| topo.member_rank(s).expect("filtered to live slots"));
-        }
-        let mut selection = std::mem::take(&mut self.selection);
-        selection.clear();
-        self.sched.select(
-            &SchedView {
+        // Inject this round's application requests before selection, so
+        // origins are dirty in time to be activated this very round.
+        if let Some(tr) = self.traffic.live_mut() {
+            tr.inject(
                 round,
-                topo: &self.topo,
-                dirty: &dirty_sorted,
-            },
-            &mut selection,
-        );
-        self.dirty_sorted = dirty_sorted;
+                &self.topo,
+                &mut self.metrics.requests,
+                &mut self.agenda,
+            );
+        }
+        self.agenda.wake_due(round, &self.topo);
+        self.agenda.select(self.sched.as_mut(), round, &self.topo);
 
-        // Sanitize: drop duplicates and non-live slots so a sloppy
-        // scheduler cannot alias `&mut` chunks in the parallel emit. The
-        // `selected` scratch doubles as the shadow check's skip detector.
-        // Activated slots consume their dirtiness in the same pass;
-        // unselected dirty slots stay queued (wake-ups are never lost
-        // under partial daemons).
-        selection.retain(|&s| {
-            let i = s.index();
-            let ok = !self.selected[i] && self.topo.is_live(s);
-            if ok {
-                self.selected[i] = true;
-                self.dirty[i] = false;
-            }
-            ok
-        });
-
-        // Flags of dead slots are purged here, so a recycled slot starts
-        // clean.
-        let topo = &self.topo;
-        self.dirty_list.retain(|&i| {
-            let s = NodeSlot::new(i as usize);
-            self.dirty[i as usize] && {
-                let live = topo.is_live(s);
-                if !live {
-                    self.dirty[i as usize] = false;
-                }
-                live
-            }
-        });
-
-        // ---- Shadow-step check (debug builds, equivalence-claiming
-        // schedulers only): audit every skipped live node.
+        // Emit: the selected programs run against the round-start
+        // snapshot. Illegal sends/links are rejected at emission (see
+        // `Ctx`), so everything the sinks hold below is valid.
+        let at = RoundStart {
+            round,
+            strict: self.cfg.strict,
+            topo: &self.topo,
+            mail: &self.mail,
+        };
         #[cfg(debug_assertions)]
-        if self.sched.claims_equivalence() {
-            if let Some(shadow) = &self.shadow {
-                let mut shadow_buf = Vec::new();
-                for k in 0..self.topo.node_count() {
-                    let (id, slot) = self.topo.live_entry(k);
-                    let i = slot.index();
-                    if self.selected[i] {
-                        continue;
-                    }
-                    let prog = self.programs[i].as_ref().expect("live slot");
-                    if let Some(why) = shadow(
-                        prog,
-                        id,
-                        round,
-                        self.topo.neighbors_at(slot),
-                        self.inboxes.view(i, &mut shadow_buf),
-                        &self.rngs[i],
-                    ) {
-                        panic!(
-                            "round {round}: scheduler `{}` skipped node {id} whose step \
-                             is not a no-op ({why}) — the program violates the \
-                             Program::is_quiescent contract",
-                            self.sched.name()
-                        );
-                    }
-                }
-            }
-        }
-
-        // ---- Phase 1 (emit): run the selected programs against the
-        // round-start topology snapshot. Illegal sends/links are rejected
-        // at emission (see `Ctx`), so everything enqueued below is valid.
-        //
-        // The selection is cut into contiguous chunks (see
-        // [`sched::ChunkPlan`] — sized by activation count, so sparse
-        // post-convergence rounds build few chunks) and each chunk's output
-        // lands in its own [`ChunkSink`], indexed by **chunk**, not thread:
-        // the sink contents are therefore independent of which worker ran
-        // the chunk, or whether a pool ran at all. The emit cost per
-        // activation is measured (EWMA) to drive the auto-sequential
-        // heuristic — rounds cheaper than a pool generation stay on this
-        // thread; either path produces bit-identical sinks.
-        let threads = self.threads();
-        self.plan.rebuild(selection.len(), threads);
-        let nchunks = self.plan.chunks();
-        if self.sinks.len() < nchunks {
-            self.sinks.resize_with(nchunks, ChunkSink::default);
-        }
-        for sink in &mut self.sinks[..nchunks] {
-            sink.reset();
-        }
-        let use_pool = self.pool.is_some()
-            && !selection.is_empty()
-            && (self.cfg.force_parallel
-                || selection.len() as f64 * self.est_ns_per_act > PAR_THRESHOLD_NS);
-        let emit_start = std::time::Instant::now();
-        {
-            let topo = &self.topo;
-            let inboxes = &self.inboxes;
-            let emit_one = |i: usize,
-                            prog: &mut Option<P>,
-                            rng: &mut SmallRng,
-                            sink: &mut ChunkSink<P::Msg>| {
-                let prog = prog.as_mut().expect("selected slot is live");
-                let slot = NodeSlot::new(i);
-                let id = topo.id_at(slot).expect("selected slot is live");
-                let ChunkSink {
-                    scratch,
-                    slots,
-                    sends,
-                    links,
-                    unlinks,
-                    inbox_buf,
-                } = sink;
-                scratch.clear();
-                {
-                    let mut ctx = Ctx::new(
-                        id,
-                        round,
-                        strict,
-                        topo.neighbors_at(slot),
-                        inboxes.view(i, inbox_buf),
-                        rng,
-                        scratch,
-                    );
-                    prog.step(&mut ctx);
-                }
-                // Flatten the staged actions into the sink's chunk-flat
-                // arrays. The id → slot lookups for sends happen here, on
-                // the emitting worker, against the round-start member map
-                // (membership never changes mid-step), not on the driver.
-                for (to, msg) in scratch.sends.drain(..) {
-                    let ts = topo
-                        .slot_of(to)
-                        .expect("round-start neighbor is a member")
-                        .index() as u32;
-                    sends.push(Outgoing {
-                        to_slot: ts,
-                        from_slot: i as u32,
-                        from: id,
-                        msg,
-                    });
-                }
-                links.append(&mut scratch.links);
-                unlinks.append(&mut scratch.unlinks);
-                slots.push(SlotRec {
-                    slot: i as u32,
-                    id,
-                    sends_end: sends.len() as u32,
-                    unlinks_end: unlinks.len() as u32,
-                    violations: scratch.violations,
-                    wake_in: scratch.wake_in,
-                    quiescent: prog.is_quiescent(),
-                });
-            };
-
-            if use_pool {
-                // Chunks are claimed atomically (work stealing, for
-                // selections with skewed per-slot costs); reads go only to
-                // the shared round-start snapshot (`topo`, `inboxes`),
-                // writes go only to the claimed chunk's slots and sink
-                // (slots distinct by the sanitization above, sinks
-                // distinct by chunk index), so every thread schedule
-                // produces the same sink contents.
-                let pool = self.pool.as_ref().expect("use_pool implies a pool");
-                par::for_each_selected_chunks_mut2(
-                    pool,
-                    &selection,
-                    self.plan.bounds(),
-                    &mut self.sinks[..nchunks],
-                    &mut self.programs,
-                    &mut self.rngs,
-                    emit_one,
-                );
-            } else {
-                for c in 0..nchunks {
-                    let sink = &mut self.sinks[c];
-                    for &s in &selection[self.plan.range(c)] {
-                        let i = s.index();
-                        emit_one(i, &mut self.programs[i], &mut self.rngs[i], sink);
-                    }
-                }
-            }
-        }
-        if !selection.is_empty() {
-            let obs = emit_start.elapsed().as_nanos() as f64 / selection.len() as f64;
-            self.est_ns_per_act = if self.est_ns_per_act == 0.0 {
-                obs
-            } else {
-                0.75 * self.est_ns_per_act + 0.25 * obs
-            };
-            if use_pool {
-                self.par_rounds += 1;
-            } else {
-                self.seq_rounds += 1;
-            }
-        }
-
-        // ---- Phase 2 (apply): walk the sinks in chunk order — chunks are
-        // ascending contiguous selection ranges, so chunk-order
-        // concatenation IS selection order, whatever the chunk count —
-        // applying with round-start snapshot semantics. Unlinks first,
-        // then links (an edge both removed and introduced in the same
-        // round ends up present), then inbox consumption, then sends
-        // (already validated against round-START adjacency at emission).
-        // Every pass walks the selection's output only, so a quiet network
-        // does not pay for its size. Edge changes and deliveries mark the
-        // affected slots dirty for the next round; all marking happens on
-        // this thread in canonical order, so the raw-serialized dirty list
-        // stays thread-count invariant.
+        self.audit_skipped(&at);
+        let selection = self.agenda.selection();
+        self.emit
+            .run(&at, selection, &mut self.programs, &mut self.rngs);
         let mut row = RoundMetrics {
             round,
             active_nodes: selection.len() as u64,
             ..RoundMetrics::default()
         };
-        let mut sinks = std::mem::take(&mut self.sinks);
-        for sink in &sinks[..nchunks] {
-            let mut ucur = 0usize;
-            for rec in &sink.slots {
-                row.violations += rec.violations;
-                let me = rec.id;
-                while ucur < rec.unlinks_end as usize {
-                    let v = sink.unlinks[ucur];
-                    ucur += 1;
-                    if self.topo.remove_edge(me, v) {
-                        row.links_removed += 1;
-                        self.mark_edge(me, v);
-                    }
-                }
-            }
+
+        // Apply, with round-start snapshot semantics, walking only the
+        // selection's output (a quiet network does not pay for its size):
+        // edges first; then the activated inboxes are consumed (their
+        // contents were read by this round's emit) before anything new
+        // lands in them — due transit arrivals, then this round's sends.
+        self.apply_edges(&mut row);
+        for &slot in self.agenda.selection() {
+            self.mail.consume(slot.index());
         }
-        for sink in &sinks[..nchunks] {
-            // No per-slot state needed: the flat chunk array already holds
-            // the links in selection-then-emission order.
-            for &(x, y) in &sink.links {
-                if self.topo.add_edge(x, y) {
-                    row.links_added += 1;
-                    self.mark_edge(x, y);
-                }
-            }
-        }
-        // Consume the activated inboxes (their contents were read by this
-        // round's emit) before enqueueing this round's sends. Each consumed
-        // message releases its `sent_to` bookkeeping entry — by recorded
-        // sender *slot* (`inbox_senders`), no id → slot hashing here. The
-        // release is a linear scan of the sender's pending list, O(pending
-        // of that sender) per message: quadratic in degree for a hub
-        // broadcasting to d neighbors every round. Overlay protocols keep
-        // degrees at O(log² n) by design (degree expansion is the paper's
-        // other cost metric), so the scan beats the alternatives measured
-        // here — hashing per message, or giving up exact `sent_to` and
-        // purging departures via a scan of all pending inboxes (which
-        // would make the benchmarked burst-churn path O(total pending)
-        // per leave instead of O(pending of the leaver)).
-        for &slot in &selection {
-            let i = slot.index();
-            if self.inboxes.is_empty(i) {
-                continue;
-            }
-            for fs in self.inboxes.senders(i) {
-                let fs = fs as usize;
-                if let Some(p) = self.sent_to[fs].iter().position(|&t| t as usize == i) {
-                    self.sent_to[fs].swap_remove(p);
-                }
-            }
-            self.inflight -= self.inboxes.clear_slot(i) as u64;
-        }
-        // ---- Transit arrivals: messages whose delivery round has come
-        // move from the in-transit buffer into their recipients' inboxes —
-        // after consumption (they become readable at the *next*
-        // activation, exactly like fresh sends) and before this round's
-        // new sends (an older message never queues behind a younger one in
-        // a shared inbox). Arrival is where the recipient is marked dirty
-        // (dirty-set soundness: a delayed message is a wake-up condition
-        // on its **delivery** round) and where `sent_to` bookkeeping
-        // starts. Departures purge the buffer eagerly, so the endpoints
-        // are live; the id-at-slot guard below (the timer heap's guard) is
-        // defense in depth — a recycled slot must never receive a ghost
-        // message, even if the purge ever regressed.
-        while let Some((&due, _)) = self.transit.first_key_value() {
-            if due > round {
-                break;
-            }
-            let mut bucket = self.transit.pop_first().expect("peeked above").1;
-            for t in bucket.drain(..) {
-                self.transit_count -= 1;
-                if self.topo.id_at(NodeSlot::new(t.to_slot as usize)) != Some(t.to)
-                    || self.topo.id_at(NodeSlot::new(t.from_slot as usize)) != Some(t.from)
-                {
-                    self.metrics.net.dropped_departed += 1;
-                    continue;
-                }
-                let ts = t.to_slot as usize;
-                self.inboxes.push(ts, t.from, t.from_slot, t.msg);
-                self.sent_to[t.from_slot as usize].push(t.to_slot);
-                mark(&mut self.dirty, &mut self.dirty_list, ts);
-                row.messages += 1;
-                self.metrics.net.delivered += 1;
-            }
-            Self::recycle_bucket(&mut self.transit_pool, bucket);
-        }
-        // Wake-up requests, quiescence bookkeeping, `sent_to`/dirty
-        // maintenance, and message delivery. A node that stepped and is
-        // still non-quiescent re-marks itself (it has work of its own),
-        // which is what keeps the dirty set a superset of the
-        // non-quiescent live nodes under every scheduler. The bookkeeping
-        // always runs here in canonical order (the mark order is
-        // observable: snapshots serialize the dirty list raw); the inbox
-        // appends themselves are sharded across the pool by
-        // recipient-slot range when the round's send volume pays for a
-        // second pool generation — each shard owns a disjoint recipient
-        // range and scans the sinks in chunk order, so every inbox
-        // receives exactly the sequential append order.
-        let total_sends: usize = sinks[..nchunks].iter().map(|s| s.sends.len()).sum();
-        // With WAN conditions or an active partition, every send needs a
-        // driver-side decision (loss/delay/duplication draws happen in
-        // canonical sink-merge order — the determinism argument), so the
-        // sharded scatter is off: delivery runs sequentially below. The
-        // ideal network keeps today's two-path engine bit-for-bit.
-        let net_active = !self.net.is_ideal() || self.partition.is_some();
-        let par_delivery = use_pool && !net_active && total_sends >= PAR_DELIVERY_MIN;
-        if par_delivery {
-            // D1: driver-side bookkeeping, canonical order.
-            for sink in &sinks[..nchunks] {
-                let mut scur = 0usize;
-                for rec in &sink.slots {
-                    let i = rec.slot as usize;
-                    if let Some(d) = rec.wake_in {
-                        if d <= 1 {
-                            mark(&mut self.dirty, &mut self.dirty_list, i);
-                        } else {
-                            self.timers.push(Reverse((round + d, rec.slot, rec.id)));
-                        }
-                    }
-                    let q = rec.quiescent;
-                    self.set_quiescent(i, q);
-                    if !q {
-                        mark(&mut self.dirty, &mut self.dirty_list, i);
-                    }
-                    while scur < rec.sends_end as usize {
-                        let ts = sink.sends[scur].to_slot as usize;
-                        scur += 1;
-                        self.sent_to[i].push(ts as u32);
-                        self.inboxes.note_incoming(ts);
-                        mark(&mut self.dirty, &mut self.dirty_list, ts);
-                        row.messages += 1;
-                    }
-                }
-            }
-            // D2: sharded delivery — shard t owns recipient slots
-            // [cuts[t], cuts[t+1]). The D1 walk above announced every
-            // send to the arena (`note_incoming`), so page chains are
-            // pre-reserved on this thread and the workers only write.
-            let n = self.inboxes.slot_count();
-            let mut cuts = std::mem::take(&mut self.delivery_cuts);
-            cuts.clear();
-            cuts.extend((0..=threads).map(|t| t * n / threads));
-            let pool = self.pool.as_ref().expect("par_delivery implies a pool");
-            self.inboxes.scatter(
-                pool,
-                &mut sinks[..nchunks],
-                |s| &mut s.sends,
-                &cuts,
-                |o| o.to_slot as usize,
-                |o| (o.from, o.from_slot, o.msg),
+        let carried = self.mail.inboxes().total_len();
+        self.land_arrivals(round);
+        self.deliver(round);
+        row.messages = (self.mail.inboxes().total_len() - carried) as u64;
+        self.metrics.net.delivered += row.messages;
+        self.metrics.net.in_transit = self.wire.in_transit();
+
+        // Traffic: advance held requests one hop over the post-apply
+        // topology, in selection order on this thread. The agenda's
+        // "selected" scratch is reset only afterwards — the line-up's
+        // holder fast path reads it.
+        if let Some(tr) = self.traffic.live_mut() {
+            tr.line_up(
+                self.sched.selects_in_member_order(),
+                &self.topo,
+                &self.agenda,
             );
-            self.delivery_cuts = cuts;
-            self.metrics.net.sent += total_sends as u64;
-            self.metrics.net.delivered += total_sends as u64;
-        } else if !net_active {
-            for sink in &mut sinks[..nchunks] {
-                let ChunkSink { slots, sends, .. } = sink;
-                let mut drain = sends.drain(..);
-                let mut scur = 0usize;
-                for rec in slots.iter() {
-                    let i = rec.slot as usize;
-                    if let Some(d) = rec.wake_in {
-                        if d <= 1 {
-                            mark(&mut self.dirty, &mut self.dirty_list, i);
-                        } else {
-                            self.timers.push(Reverse((round + d, rec.slot, rec.id)));
-                        }
-                    }
-                    let q = rec.quiescent;
-                    self.set_quiescent(i, q);
-                    if !q {
-                        mark(&mut self.dirty, &mut self.dirty_list, i);
-                    }
-                    while scur < rec.sends_end as usize {
-                        let o = drain.next().expect("send cursor within chunk");
-                        scur += 1;
-                        let ts = o.to_slot as usize;
-                        self.inboxes.push(ts, o.from, o.from_slot, o.msg);
-                        self.sent_to[i].push(o.to_slot);
-                        mark(&mut self.dirty, &mut self.dirty_list, ts);
-                        row.messages += 1;
-                    }
-                }
-            }
-            self.metrics.net.sent += total_sends as u64;
-            self.metrics.net.delivered += total_sends as u64;
-        } else {
-            // ---- Net-active delivery: same canonical walk, but every
-            // send passes through the network layer on this thread.
-            // Decision order per message — partition (no draw), loss,
-            // delay, duplication, bandwidth pacing — so the RNG stream is
-            // a pure function of the send stream and the model, never of
-            // the thread count or batch window.
-            let model = self.net;
-            for sink in &mut sinks[..nchunks] {
-                let ChunkSink { slots, sends, .. } = sink;
-                let mut drain = sends.drain(..);
-                let mut scur = 0usize;
-                for rec in slots.iter() {
-                    let i = rec.slot as usize;
-                    if let Some(d) = rec.wake_in {
-                        if d <= 1 {
-                            mark(&mut self.dirty, &mut self.dirty_list, i);
-                        } else {
-                            self.timers.push(Reverse((round + d, rec.slot, rec.id)));
-                        }
-                    }
-                    let q = rec.quiescent;
-                    self.set_quiescent(i, q);
-                    if !q {
-                        mark(&mut self.dirty, &mut self.dirty_list, i);
-                    }
-                    while scur < rec.sends_end as usize {
-                        let o = drain.next().expect("send cursor within chunk");
-                        scur += 1;
-                        self.metrics.net.sent += 1;
-                        let to = self
-                            .topo
-                            .id_at(NodeSlot::new(o.to_slot as usize))
-                            .expect("round-start recipient is a member");
-                        if self.crosses_cut(o.from, to) {
-                            self.metrics.net.dropped_partition += 1;
-                            continue;
-                        }
-                        if model.loss > 0.0 && self.net_rng.gen_bool(model.loss_rate(o.from, to)) {
-                            self.metrics.net.dropped_loss += 1;
-                            continue;
-                        }
-                        let delay = model.draw_delay(&mut self.net_rng);
-                        let dup = model.dup > 0.0 && self.net_rng.gen_bool(model.dup);
-                        // The duplicate draws its own delay *before* either
-                        // copy is paced, so the RNG stream never depends on
-                        // pacing state.
-                        let dup_delay = dup.then(|| model.draw_delay(&mut self.net_rng));
-                        let delay = self.pace(o.from, to, round, delay);
-                        let t = Transit {
-                            to_slot: o.to_slot,
-                            from_slot: o.from_slot,
-                            from: o.from,
-                            to,
-                            msg: o.msg,
-                        };
-                        if let Some(dd) = dup_delay {
-                            self.metrics.net.duplicated += 1;
-                            let dd = self.pace(o.from, to, round, dd);
-                            let copy = Transit {
-                                msg: t.msg.clone(),
-                                ..t
-                            };
-                            self.net_deliver(copy, delay.min(dd), round, &mut row);
-                            self.net_deliver(t, delay.max(dd), round, &mut row);
-                        } else {
-                            self.net_deliver(t, delay, round, &mut row);
-                        }
-                    }
-                }
-            }
+            let (agenda, stats) = (&mut self.agenda, &mut self.metrics.requests);
+            tr.serve(round, &self.topo, &self.programs, &self.wire, agenda, stats);
         }
-        self.inflight += row.messages;
-        self.sinks = sinks;
+        self.agenda.end_round();
 
-        // ---- Phase 3 (traffic): advance held requests one hop over the
-        // post-apply topology, in selection order on this thread.
-        if self.traffic.is_some() {
-            let mut tr = self.traffic.take().expect("checked above");
-            self.advance_requests(&mut tr, &selection, round);
-            self.traffic = Some(tr);
-        }
-        // Reset the per-slot "selected" scratch for the next round — after
-        // Phase 3, because the workload's holder fast path reads it.
-        for &slot in &selection {
-            self.selected[slot.index()] = false;
-        }
-        let r = &self.metrics.requests;
-        row.requests_issued = r.issued - self.req_reported.0;
-        row.requests_completed = r.completed - self.req_reported.1;
-        row.requests_failed = r.failed - self.req_reported.2;
-        row.requests_in_flight = r.in_flight;
-        self.req_reported = (r.issued, r.completed, r.failed);
-
-        self.round += 1;
+        // Metrics.
+        self.metrics
+            .requests
+            .report(&mut self.req_reported, &mut row);
         row.max_degree = self.topo.max_degree();
         row.total_edges = self.topo.edge_count();
-        row.quiescent_nodes = self.quiescent_count as u64;
-        self.metrics.net.in_transit = self.transit_count;
+        row.quiescent_nodes = self.agenda.quiescent_count() as u64;
         self.metrics.absorb(row, self.cfg.record_rounds);
-        self.selection = selection;
+        self.round += 1;
         // Bounded capacity release: after a burst subsides, surplus free
         // inbox pages drop their buffers so the arena footprint tracks the
         // *current* load, not the historical peak. O(1) when nothing is
         // over the watermark.
-        self.inboxes.maybe_shrink();
+        self.mail.maybe_shrink();
+
         debug_assert!(self.topo.check_invariants());
-        debug_assert_eq!(self.inflight as usize, self.inboxes.total_len());
         // The message conservation law, at every round boundary (see
         // [`crate::net::NetStats`]).
-        debug_assert_eq!(
-            self.transit_count as usize,
-            self.transit.values().map(Vec::len).sum::<usize>()
-        );
+        debug_assert!(self.wire.count_is_exact());
         debug_assert!(
             self.metrics.net.conserved(),
             "message conservation law violated: {:?}",
             self.metrics.net
         );
         // The request conservation law, at every round boundary.
-        #[cfg(debug_assertions)]
-        if let Some(tr) = &self.traffic {
-            let queued: u64 = tr.queues.iter().map(|q| q.len() as u64).sum();
+        if let Some(tr) = self.traffic.live() {
             let r = &self.metrics.requests;
-            debug_assert_eq!(r.in_flight, queued, "in-flight counter vs queues");
+            debug_assert_eq!(r.in_flight, tr.queued(), "in-flight counter vs queues");
             debug_assert_eq!(
                 r.issued,
                 r.completed + r.failed + r.in_flight,
@@ -2057,19 +862,77 @@ impl<P: Program> Runtime<P> {
         }
     }
 
-    /// A pool **hot window** guard for the batched run drivers: when the
-    /// coming rounds are expected to use the pool, keep the workers
-    /// spinning between rounds instead of parking them (see
-    /// [`crate::par::ThreadPool::hot_window`]) — this is what amortizes the
-    /// condvar wake cost across a [`Config::batch_rounds`] window. The
-    /// expectation mirrors the auto-sequential heuristic on the *last*
-    /// round's selection size; a wrong guess costs only wall-clock time
-    /// (spinning workers, or one cold wake), never correctness.
-    fn hot_guard(&self) -> Option<par::HotWindow> {
-        let pool = self.pool.as_ref()?;
-        let expect_par = self.cfg.force_parallel
-            || self.selection.len() as f64 * self.est_ns_per_act > PAR_THRESHOLD_NS;
-        expect_par.then(|| pool.hot_window())
+    /// Apply the emitted edge actions: all unlinks, then all links (an edge
+    /// both removed and introduced in the same round ends up present).
+    /// Every change marks both endpoints dirty for the next round.
+    fn apply_edges(&mut self, row: &mut RoundMetrics) {
+        for sink in self.emit.sinks() {
+            let mut cur = 0;
+            for rec in &sink.slots {
+                row.violations += rec.violations;
+                let end = rec.unlinks_end as usize;
+                for &v in &sink.unlinks[cur..end] {
+                    if self.topo.remove_edge(rec.id, v) {
+                        row.links_removed += 1;
+                        self.agenda.mark_edge(&self.topo, rec.id, v);
+                    }
+                }
+                cur = end;
+            }
+        }
+        for sink in self.emit.sinks() {
+            // No per-slot state needed: the flat chunk array already holds
+            // the links in selection-then-emission order.
+            for &(x, y) in &sink.links {
+                if self.topo.add_edge(x, y) {
+                    row.links_added += 1;
+                    self.agenda.mark_edge(&self.topo, x, y);
+                }
+            }
+        }
+    }
+
+    /// Move the wire's due messages into their recipients' mailboxes (see
+    /// [`Wire::arrivals`] for why here and not later). Departures purge
+    /// the wire eagerly, so the endpoints are live; the id-at-slot guard
+    /// (the timer heap's guard) is defense in depth — a recycled slot must
+    /// never receive a ghost message, even if the purge ever regressed.
+    fn land_arrivals(&mut self, round: u64) {
+        self.wire.arrivals(round, |t| {
+            let at = |slot: u32| self.topo.id_at(NodeSlot::new(slot as usize));
+            if at(t.to_slot) == Some(t.to) && at(t.from_slot) == Some(t.from) {
+                self.mail.push(&mut self.agenda, t.land());
+            } else {
+                self.metrics.net.dropped_departed += 1;
+            }
+        });
+    }
+
+    /// Deliver this round's sends: one [`walk_emitted`], three per-send
+    /// steps. Through an active wire every send needs a decision on this
+    /// thread; otherwise each message is pushed inline, unless the round
+    /// is heavy enough to announce the sends here and scatter the
+    /// messages themselves across the pool.
+    fn deliver(&mut self, round: u64) {
+        let (agenda, stats) = (&mut self.agenda, &mut self.metrics.net);
+        stats.sent += self.emit.total_sends() as u64;
+        if self.wire.is_active() {
+            walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
+                let to = self.topo.id_at(NodeSlot::new(o.to_slot as usize));
+                let to = to.expect("round-start recipient is a member");
+                let land = |o| self.mail.push(agenda, o);
+                self.wire.send(stats, round, to, o, land);
+            });
+        } else if self.emit.shards_delivery() {
+            walk_emitted(agenda, round, self.emit.chunks(), |agenda, o| {
+                self.mail.announce(agenda, o);
+            });
+            self.emit.scatter(&mut self.mail);
+        } else {
+            walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
+                self.mail.push(agenda, o);
+            });
+        }
     }
 
     /// Execution-machinery counters: pool synchronization, work-stealing,
@@ -2077,15 +940,7 @@ impl<P: Program> Runtime<P> {
     /// when sequential). Deliberately not part of [`Runtime::metrics`] —
     /// see [`PerfCounters`] for the boundary argument.
     pub fn perf_counters(&self) -> PerfCounters {
-        let (syncs, generations, steals) =
-            self.pool.as_ref().map_or((0, 0, 0), ThreadPool::counters);
-        PerfCounters {
-            syncs,
-            generations,
-            steals,
-            par_rounds: self.par_rounds,
-            seq_rounds: self.seq_rounds,
-        }
+        self.emit.perf_counters()
     }
 
     /// Run a fixed number of rounds, in pool hot windows of
@@ -2095,7 +950,7 @@ impl<P: Program> Runtime<P> {
         let mut left = rounds;
         while left > 0 {
             let window = left.min(k);
-            let _hot = self.hot_guard();
+            let _hot = self.emit.hot_guard(self.agenda.selection().len());
             for _ in 0..window {
                 self.step();
             }
@@ -2124,34 +979,23 @@ impl<P: Program> Runtime<P> {
         let start = self.round;
         let k = u64::from(self.cfg.batch_rounds.max(1));
         loop {
-            let _hot = self.hot_guard();
+            let _hot = self.emit.hot_guard(self.agenda.selection().len());
             for _ in 0..k {
-                let executed = self.round - start;
-                match monitor.observe(self) {
-                    Verdict::Satisfied => {
-                        return MonitorOutcome {
-                            rounds: executed,
-                            verdict: RunVerdict::Satisfied,
-                            reason: None,
-                        }
+                let rounds = self.round - start;
+                let (verdict, reason) = match monitor.observe(self) {
+                    Verdict::Satisfied => (RunVerdict::Satisfied, None),
+                    Verdict::Violated(why) => (RunVerdict::Violated, Some(why)),
+                    Verdict::Pending if rounds == max_rounds => (RunVerdict::Timeout, None),
+                    Verdict::Pending => {
+                        self.step();
+                        continue;
                     }
-                    Verdict::Violated(why) => {
-                        return MonitorOutcome {
-                            rounds: executed,
-                            verdict: RunVerdict::Violated,
-                            reason: Some(why),
-                        }
-                    }
-                    Verdict::Pending => {}
-                }
-                if executed == max_rounds {
-                    return MonitorOutcome {
-                        rounds: executed,
-                        verdict: RunVerdict::Timeout,
-                        reason: None,
-                    };
-                }
-                self.step();
+                };
+                return MonitorOutcome {
+                    rounds,
+                    verdict,
+                    reason,
+                };
             }
         }
     }
@@ -2180,43 +1024,33 @@ impl<P: Program> Runtime<P> {
         );
         self.topo.add_node(id);
         let slot = self.topo.slot_of(id).expect("just added").index();
-        let rng = SmallRng::seed_from_u64(self.cfg.seed ^ splitmix64(id as u64 + 1));
+        let rng = self.cfg.stream(id as u64 + 1);
         let q = program.is_quiescent();
         if slot == self.programs.len() {
             // Fresh slot: grow the slot-parallel arrays in lockstep.
             self.programs.push(Some(program));
             self.rngs.push(rng);
-            self.inboxes.ensure_slots(slot + 1);
-            self.sent_to.push(Vec::new());
-            self.dirty.push(false);
-            self.selected.push(false);
-            self.quiescent.push(false);
-            if let Some(tr) = &mut self.traffic {
-                tr.queues.push(Vec::new());
-                tr.has_req.push(false);
+            self.mail.push_slot();
+            self.agenda.push_slot();
+            if let Some(tr) = self.traffic.live_mut() {
+                tr.push_slot();
             }
         } else {
             // Recycled slot: the departure left the buffers empty.
             debug_assert!(self.programs[slot].is_none());
-            debug_assert!(self.inboxes.is_empty(slot));
-            debug_assert!(!self.quiescent[slot]);
-            debug_assert!(self
-                .traffic
-                .as_ref()
-                .is_none_or(|t| t.queues[slot].is_empty()));
+            debug_assert!(self.mail.inboxes().is_empty(slot));
+            debug_assert!(!self.agenda.is_quiescent(slot));
+            debug_assert!(self.traffic.live().is_none_or(|t| t.is_idle(slot)));
             self.programs[slot] = Some(program);
             self.rngs[slot] = rng;
         }
-        if q {
-            self.quiescent[slot] = true;
-            self.quiescent_count += 1;
-        }
+        self.agenda.set_quiescent(slot, q);
         // A joiner is "just spawned" — a wake-up condition in itself — and
         // its attachments change the contacts' neighborhoods.
-        mark(&mut self.dirty, &mut self.dirty_list, slot);
+        self.agenda.mark(slot);
         for &v in attach_to {
             if v != id && self.topo.contains(v) && self.topo.add_edge(id, v) {
-                self.mark_edge(id, v);
+                self.agenda.mark_edge(&self.topo, id, v);
             }
         }
         self.metrics.joins += 1;
@@ -2231,12 +1065,11 @@ impl<P: Program> Runtime<P> {
     /// Panics if no spawner is registered (see [`Runtime::set_spawner`]) or
     /// `id` is already a member.
     pub fn join_spawned(&mut self, id: NodeId, attach_to: &[NodeId]) {
-        let mut spawner = self
+        let spawner = self
             .spawner
-            .take()
+            .as_mut()
             .expect("join_spawned: no spawner registered (Runtime::set_spawner)");
         let program = spawner(id);
-        self.spawner = Some(spawner);
         self.join(id, program, attach_to);
     }
 
@@ -2269,87 +1102,28 @@ impl<P: Program> Runtime<P> {
         Some(p)
     }
 
+    /// The departure shared by leave and crash: each owner drops what the
+    /// host had with it — its requests, its mailbox and the messages it
+    /// sent (same channel-died semantics in the mailboxes and on the
+    /// wire), its quiescence flag.
     fn remove_member(&mut self, id: NodeId) -> Option<P> {
         let slot_t = self.topo.slot_of(id)?;
         let slot = slot_t.index();
         // The survivors' neighborhoods are about to change: wake them.
-        for k in 0..self.topo.neighbors_at(slot_t).len() {
-            let v = self.topo.neighbors_at(slot_t)[k];
-            let vs = self.topo.slot_of(v).expect("neighbor is a member").index();
-            mark(&mut self.dirty, &mut self.dirty_list, vs);
+        for &v in self.topo.neighbors_at(slot_t) {
+            let vs = self.topo.slot_of(v).expect("neighbor is a member");
+            self.agenda.mark(vs.index());
         }
         self.topo.remove_node(id);
         let program = self.programs[slot].take().expect("live slot");
-        // Requests resident on the departed host die with it — never
-        // teleported to a survivor.
-        if self.traffic.is_some() {
-            let mut tr = self.traffic.take().expect("checked above");
-            let record = tr.cfg.record_requests;
-            for req in std::mem::take(&mut tr.queues[slot]) {
-                self.metrics
-                    .requests
-                    .fail(&req, RequestOutcome::HostDeparted, self.round, record);
-            }
-            if tr.has_req[slot] {
-                tr.has_req[slot] = false;
-                tr.holders.retain(|&i| i as usize != slot);
-            }
-            self.traffic = Some(tr);
+        if let Some(tr) = self.traffic.live_mut() {
+            tr.drop_host(slot, self.round, &mut self.metrics.requests);
         }
-        // The departed host's own messages: consume the mailbox (releasing
-        // the senders' `sent_to` entries by recorded sender slot) …
-        for fs in self.inboxes.senders(slot) {
-            let fs = fs as usize;
-            if let Some(p) = self.sent_to[fs].iter().position(|&t| t as usize == slot) {
-                self.sent_to[fs].swap_remove(p);
-            }
-        }
-        self.inflight -= self.inboxes.clear_slot(slot) as u64;
-        // …and every message it sent that is still pending dies in its
-        // target's mailbox. `sent_to` names exactly the slots holding such
-        // messages, so the purge is O(pending traffic of the host), not a
-        // scan of every inbox (the arena purge preserves message order).
-        for k in 0..self.sent_to[slot].len() {
-            let t = self.sent_to[slot][k] as usize;
-            self.inflight -= self.inboxes.purge_sender(t, slot as u32) as u64;
-        }
-        self.sent_to[slot].clear();
-        // …and so do its messages still in the network: in-transit entries
-        // with a departed endpoint are purged eagerly (same channel-died
-        // semantics as the inbox purge above), which is what keeps every
-        // parked endpoint live — a delayed message can never be delivered
-        // to the departed host's recycled slot. Bandwidth pacing state of
-        // its channels goes with it.
-        if self.transit_count > 0 {
-            let mut purged = 0u64;
-            let pool = &mut self.transit_pool;
-            self.transit.retain(|_, bucket| {
-                bucket.retain(|t| {
-                    let dead = t.from == id || t.to == id;
-                    if dead {
-                        purged += 1;
-                    }
-                    !dead
-                });
-                if bucket.is_empty() {
-                    Self::recycle_bucket(pool, std::mem::take(bucket));
-                    return false;
-                }
-                true
-            });
-            self.transit_count -= purged;
-            self.metrics.net.dropped_departed += purged;
-            self.metrics.net.in_transit = self.transit_count;
-        }
-        if !self.bw_state.is_empty() {
-            self.bw_state.retain(|&(a, b), _| a != id && b != id);
-        }
-        if self.quiescent[slot] {
-            self.quiescent[slot] = false;
-            self.quiescent_count -= 1;
-        }
+        self.mail.retire(slot);
+        self.metrics.net.dropped_departed += self.wire.forget(id);
+        self.metrics.net.in_transit = self.wire.in_transit();
+        self.agenda.set_quiescent(slot, false);
         debug_assert!(self.topo.check_invariants());
-        debug_assert_eq!(self.inflight as usize, self.inboxes.total_len());
         Some(program)
     }
 
@@ -2364,7 +1138,7 @@ impl<P: Program> Runtime<P> {
     /// converged while deliveries are still due (see
     /// [`crate::monitor::silence`]).
     pub fn is_silent(&self) -> bool {
-        self.inflight == 0 && self.transit_count == 0
+        self.mail.inboxes().total_len() == 0 && self.wire.in_transit() == 0
     }
 }
 
@@ -2379,14 +1153,10 @@ where
     /// content-hashed).
     ///
     /// The payload captures everything a future [`Runtime::step`] can
-    /// observe: the determinism-relevant config (seed, strictness, metrics
-    /// granularity), the topology with its exact free-list and member
-    /// order, every slot's RNG position and program state, the pending
-    /// inboxes, the round counter, the accumulated metrics, the dirty set,
-    /// armed timers, and — when a workload is attached — the traffic
-    /// subsystem's queues, RNG, and generator state. Not captured (because
-    /// they are closures or caller policy): the spawner, the shadow check,
-    /// the scheduler, the thread pool, and the workload's generator/router
+    /// observe (see [`crate::snapshot`] for the inventory); each owner
+    /// writes its own section, in a fixed order. Not captured (because they
+    /// are closures or caller policy): the spawner, the shadow check, the
+    /// scheduler, the thread pool, and the workload's generator/router
     /// *code* — [`Runtime::restore_snapshot`] documents how each is
     /// re-attached.
     ///
@@ -2395,8 +1165,8 @@ where
     /// metric (the E14 experiment records bytes/host from it).
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        // Determinism-relevant config. `parallel`/`threads` are deliberately
-        // NOT saved: thread count never changes results, so it stays a
+        // Determinism-relevant config. `threads` is deliberately NOT
+        // saved: thread count never changes results, so it stays a
         // restore-time choice.
         w.u64(self.cfg.seed);
         w.bool(self.cfg.strict);
@@ -2405,95 +1175,16 @@ where
         let n = self.topo.slot_count();
         w.seq(n);
         for i in 0..n {
-            for s in self.rngs[i].state() {
-                w.raw64(s);
-            }
+            self.rngs[i].save(&mut w);
             self.programs[i].save(&mut w);
-            // The inbox entries alone suffice: the sender-slot mirror and
-            // `sent_to` are exactly derivable from them (a departed
-            // sender's pending messages are always purged, so every
-            // pending sender is a live member) and are rebuilt on restore.
-            // Chain iteration is delivery order, so the bytes match what
-            // the old flat `Vec` layout produced.
-            w.seq(self.inboxes.len(i));
-            for e in self.inboxes.entries(i) {
-                e.save(&mut w);
-            }
+            self.mail.save_slot(i, &mut w);
         }
         w.u64(self.round);
         self.metrics.save(&mut w);
-        self.dirty_list.save(&mut w);
-        // The timer heap's internal order is unspecified; serialize sorted
-        // so identical states produce identical bytes.
-        let mut timers: Vec<(u64, u32, NodeId)> = self.timers.iter().map(|&Reverse(t)| t).collect();
-        timers.sort_unstable();
-        timers.save(&mut w);
-        w.u64(self.req_reported.0);
-        w.u64(self.req_reported.1);
-        w.u64(self.req_reported.2);
-        // Traffic: from the live subsystem, or — on a restored-but-not-yet-
-        // re-attached runtime — passed through verbatim from the stash, so
-        // save∘restore is the identity even mid-handoff.
-        match (&self.traffic, &self.pending_traffic) {
-            (Some(tr), _) => {
-                w.bool(true);
-                w.u64(tr.cfg.ttl);
-                w.u32(tr.cfg.max_hops);
-                w.bool(tr.cfg.record_requests);
-                for s in tr.rng.state() {
-                    w.raw64(s);
-                }
-                w.u64(tr.next_id);
-                tr.queues.save(&mut w);
-                w.str(tr.gen.name());
-                let mut gw = Writer::new();
-                tr.gen.save_state(&mut gw);
-                w.bytes(&gw.into_bytes());
-            }
-            (None, Some(p)) => {
-                w.bool(true);
-                w.u64(p.wcfg.ttl);
-                w.u32(p.wcfg.max_hops);
-                w.bool(p.wcfg.record_requests);
-                for s in p.rng.state() {
-                    w.raw64(s);
-                }
-                w.u64(p.next_id);
-                p.queues.save(&mut w);
-                w.str(&p.gen_name);
-                w.bytes(&p.gen_bytes);
-            }
-            (None, None) => w.bool(false),
-        }
-        // Network conditions (see `crate::net`): the model, the net RNG
-        // position, the active partition, the in-transit buffer, and the
-        // bandwidth pacing state. `BTreeMap` iteration is already
-        // canonical, and bucket entries are kept in decision order, so
-        // identical states serialize identically.
-        self.net.save(&mut w);
-        for s in self.net_rng.state() {
-            w.raw64(s);
-        }
-        self.partition.save(&mut w);
-        w.seq(self.transit.len());
-        for (&due, bucket) in &self.transit {
-            w.u64(due);
-            w.seq(bucket.len());
-            for t in bucket {
-                w.u32(t.to_slot);
-                w.u32(t.from_slot);
-                w.u32(t.from);
-                w.u32(t.to);
-                t.msg.save(&mut w);
-            }
-        }
-        w.seq(self.bw_state.len());
-        for (&(a, b), &(next, used)) in &self.bw_state {
-            w.u32(a);
-            w.u32(b);
-            w.u64(next);
-            w.u32(used);
-        }
+        self.agenda.save(&mut w);
+        self.req_reported.save(&mut w);
+        self.traffic.save(&mut w);
+        self.wire.save(&mut w);
         snapshot::seal(w.into_bytes())
     }
 
@@ -2506,16 +1197,19 @@ where
 
     /// Restore a runtime from [`Runtime::save_snapshot`] bytes. The
     /// container is verified (magic, version, length, content hash) before
-    /// any payload byte is interpreted; decoded state is cross-checked
-    /// (topology invariants, slot-array alignment, inbox senders must be
-    /// live members) so a corrupt-but-well-framed payload fails loudly
-    /// instead of building an inconsistent runtime.
+    /// any payload byte is interpreted; decoded state is cross-checked by
+    /// each owner's `validate` (topology invariants, slot-array alignment,
+    /// live message endpoints, probabilities in range, counters that agree
+    /// with each other) so a corrupt-but-well-framed payload — the content
+    /// hash is not a MAC — fails loudly instead of building a runtime that
+    /// a later `step` panics on or silently misreads.
     ///
-    /// `cfg` supplies only the execution policy: `parallel` and `threads`
-    /// are honored (restore at any thread count — results are identical by
-    /// the engine's determinism argument), while `seed`, `strict`, and
-    /// `record_rounds` are pinned from the snapshot (changing them would
-    /// diverge from the uninterrupted run).
+    /// `cfg` supplies only the execution policy: `threads`,
+    /// `force_parallel` and `batch_rounds` are honored (restore at any
+    /// thread count — results are identical by the engine's determinism
+    /// argument), while `seed`, `strict`, and `record_rounds` are pinned
+    /// from the snapshot (changing them would diverge from the
+    /// uninterrupted run).
     ///
     /// What the caller re-attaches, because it is code, not data:
     ///
@@ -2532,8 +1226,8 @@ where
     ///   and generator state resume exactly (see
     ///   [`Runtime::pending_workload`]).
     pub fn restore_snapshot(bytes: &[u8], cfg: Config) -> Result<Self, SnapshotError> {
-        let payload = snapshot::unseal(bytes)?;
-        let mut r = Reader::new(payload);
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let mut r = Reader::new(snapshot::unseal(bytes)?);
         let cfg = Config {
             seed: r.u64()?,
             strict: r.bool()?,
@@ -2543,246 +1237,61 @@ where
         let topo = Topology::restore_state(&mut r)?;
         let n = r.seq()?;
         if n != topo.slot_count() {
-            return Err(SnapshotError::Corrupt(format!(
+            return corrupt(format!(
                 "slot arrays ({n}) misaligned with topology ({})",
                 topo.slot_count()
-            )));
+            ));
         }
         let mut rngs = Vec::with_capacity(n);
         let mut programs: Vec<Option<P>> = Vec::with_capacity(n);
-        let mut inboxes: InboxArena<P::Msg> = InboxArena::new(n);
-        let mut sent_to: Vec<Vec<u32>> = std::iter::repeat_with(Vec::new).take(n).collect();
+        let mut mail = Mailboxes::new(n);
         for i in 0..n {
-            let mut st = [0u64; 4];
-            for s in &mut st {
-                *s = r.raw64()?;
-            }
-            rngs.push(SmallRng::from_state(st));
+            rngs.push(SmallRng::load(&mut r)?);
             programs.push(Option::load(&mut r)?);
-            // Pending messages land straight in the arena; the sender-slot
-            // mirror and `sent_to` are re-derived from the sender ids
-            // against the restored membership as we go.
-            let pending = r.seq()?;
-            for _ in 0..pending {
-                let (from, msg) = <(NodeId, P::Msg)>::load(&mut r)?;
-                let fs = topo.slot_of(from).ok_or_else(|| {
-                    SnapshotError::Corrupt(format!("pending message from non-member {from}"))
-                })?;
-                inboxes.push(i, from, fs.index() as u32, msg);
-                sent_to[fs.index()].push(i as u32);
-            }
+            mail.load_slot(i, &mut r, &topo)?;
         }
         let round = r.u64()?;
         let metrics = RunMetrics::load(&mut r)?;
-        let dirty_list = Vec::<u32>::load(&mut r)?;
-        let timer_list = Vec::<(u64, u32, NodeId)>::load(&mut r)?;
-        let req_reported = (r.u64()?, r.u64()?, r.u64()?);
-        let pending_traffic = if r.bool()? {
-            let wcfg = WorkloadConfig {
-                ttl: r.u64()?,
-                max_hops: r.u32()?,
-                record_requests: r.bool()?,
-            };
-            let mut st = [0u64; 4];
-            for s in &mut st {
-                *s = r.raw64()?;
-            }
-            let next_id = r.u64()?;
-            let queues = Vec::<Vec<Request>>::load(&mut r)?;
-            if queues.len() != n {
-                return Err(SnapshotError::Corrupt(format!(
-                    "traffic queues ({}) misaligned with slots ({n})",
-                    queues.len()
-                )));
-            }
-            Some(PendingTraffic {
-                wcfg,
-                rng: SmallRng::from_state(st),
-                next_id,
-                queues,
-                gen_name: r.str()?,
-                gen_bytes: r.bytes()?.to_vec(),
-            })
-        } else {
-            None
-        };
-        let net = NetModel::load(&mut r)?;
-        let mut nst = [0u64; 4];
-        for s in &mut nst {
-            *s = r.raw64()?;
-        }
-        let net_rng = SmallRng::from_state(nst);
-        let partition = Option::<Vec<NodeId>>::load(&mut r)?;
-        let nbuckets = r.seq()?;
-        let mut transit: BTreeMap<u64, Vec<Transit<P::Msg>>> = BTreeMap::new();
-        let mut transit_count = 0u64;
-        for _ in 0..nbuckets {
-            let due = r.u64()?;
-            let len = r.seq()?;
-            let mut bucket = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                bucket.push(Transit {
-                    to_slot: r.u32()?,
-                    from_slot: r.u32()?,
-                    from: r.u32()?,
-                    to: r.u32()?,
-                    msg: <P::Msg as Persist>::load(&mut r)?,
-                });
-            }
-            transit_count += bucket.len() as u64;
-            if transit.insert(due, bucket).is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate in-transit bucket for round {due}"
-                )));
-            }
-        }
-        let nbw = r.seq()?;
-        let mut bw_state: BTreeMap<(NodeId, NodeId), (u64, u32)> = BTreeMap::new();
-        for _ in 0..nbw {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let state = (r.u64()?, r.u32()?);
-            if bw_state.insert((a, b), state).is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate bandwidth state for channel {a} -> {b}"
-                )));
-            }
-        }
+        let at_rest = |p: &Option<P>| p.as_ref().is_some_and(Program::is_quiescent);
+        let agenda = Agenda::load(&mut r, programs.iter().map(at_rest).collect())?;
+        let req_reported = Persist::load(&mut r)?;
+        let traffic = TrafficSlot::load(&mut r, n)?;
+        let wire = Wire::load(&mut r)?;
         r.finish()?;
 
-        // ---- Cross-checks and derived state.
-        for (i, program) in programs.iter().enumerate() {
-            let live = topo.is_live(NodeSlot::new(i));
-            if live != program.is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "slot {i}: program presence disagrees with topology liveness"
-                )));
-            }
-            if !live && !inboxes.is_empty(i) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "slot {i}: free slot holds pending messages"
-                )));
-            }
+        if let Some(i) = (0..n).find(|&i| topo.is_live(NodeSlot::new(i)) != programs[i].is_some()) {
+            return corrupt(format!(
+                "slot {i}: program presence disagrees with topology liveness"
+            ));
         }
-        let inflight = inboxes.total_len() as u64;
-        let mut dirty = vec![false; n];
-        for &i in &dirty_list {
-            let i = i as usize;
-            if i >= n {
-                return Err(SnapshotError::Corrupt(format!(
-                    "dirty slot {i} out of range"
-                )));
-            }
-            if std::mem::replace(&mut dirty[i], true) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "dirty slot {i} listed twice"
-                )));
-            }
-        }
-        let mut timers = BinaryHeap::with_capacity(timer_list.len());
-        for (due, slot, id) in timer_list {
-            if slot as usize >= n {
-                return Err(SnapshotError::Corrupt(format!(
-                    "timer slot {slot} out of range"
-                )));
-            }
-            timers.push(Reverse((due, slot, id)));
-        }
-        if let Some(p) = &pending_traffic {
-            for (i, q) in p.queues.iter().enumerate() {
-                if !q.is_empty() && !topo.is_live(NodeSlot::new(i)) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "slot {i}: free slot holds in-flight requests"
-                    )));
-                }
-            }
-        }
-        for (&due, bucket) in &transit {
-            if due < round {
-                return Err(SnapshotError::Corrupt(format!(
-                    "in-transit bucket due round {due} is before current round {round}"
-                )));
-            }
-            for t in bucket {
-                let fs = topo.slot_of(t.from).map(|s| s.index() as u32);
-                let ts = topo.slot_of(t.to).map(|s| s.index() as u32);
-                if fs != Some(t.from_slot) || ts != Some(t.to_slot) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "in-transit message {} -> {} disagrees with membership",
-                        t.from, t.to
-                    )));
-                }
-            }
-        }
-        if metrics.net.in_transit != transit_count {
-            return Err(SnapshotError::Corrupt(format!(
-                "metrics claim {} in-transit messages but the delay queue holds {}",
-                metrics.net.in_transit, transit_count
-            )));
-        }
-        // Quiescence flags are a pure function of the program states (the
-        // runtime syncs them at every step/join/corruption), so recompute
-        // rather than trust the payload.
-        let quiescent: Vec<bool> = programs
-            .iter()
-            .map(|p| p.as_ref().is_some_and(Program::is_quiescent))
-            .collect();
-        let quiescent_count = quiescent.iter().filter(|&&q| q).count();
-
-        let threads = cfg.effective_threads();
+        mail.validate(&topo)?;
+        metrics.requests.validate_reported(req_reported)?;
+        traffic.validate(&topo)?;
+        wire.validate(&topo, round, &metrics.net)?;
         Ok(Self {
             cfg,
             topo,
             programs,
             rngs,
-            inboxes,
-            sinks: Vec::new(),
-            plan: sched::ChunkPlan::default(),
-            est_ns_per_act: 0.0,
-            par_rounds: 0,
-            seq_rounds: 0,
-            delivery_cuts: Vec::new(),
-            sent_to,
-            inflight,
+            agenda,
+            emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
+            mail,
+            wire,
+            traffic,
+            req_reported,
             round,
             metrics,
-            spawner: None,
-            pool: (threads > 1).then(|| ThreadPool::new(threads)),
             sched: Box::new(sched::Synchronous),
-            dirty,
-            dirty_list,
-            dirty_sorted: Vec::with_capacity(n),
-            selection: Vec::with_capacity(n),
-            selected: vec![false; n],
-            quiescent,
-            quiescent_count,
-            timers,
+            spawner: None,
             shadow: None,
-            traffic: None,
-            req_reported,
-            pending_traffic,
-            net,
-            net_rng,
-            transit,
-            transit_count,
-            transit_pool: Vec::new(),
-            partition,
-            bw_state,
         })
-    }
-
-    /// [`Runtime::restore_snapshot`] from a file.
-    pub fn restore_snapshot_from(
-        path: impl AsRef<std::path::Path>,
-        cfg: Config,
-    ) -> Result<Self, SnapshotError> {
-        Self::restore_snapshot(&snapshot::read_file(path.as_ref())?, cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctx, RouteStep};
 
     /// Flooding program: forward a token to all neighbors once.
     #[derive(Default, Clone)]
@@ -2861,6 +1370,106 @@ mod tests {
         fn is_quiescent(&self) -> bool {
             self.fired
         }
+    }
+
+    /// Ring relay: folds its inbox into an accumulator, gossips it every
+    /// third round off a `wake_me_in` timer, and routes requests clockwise —
+    /// one small program that exercises timers, traffic and the wire.
+    #[derive(Clone)]
+    struct Relay {
+        id: NodeId,
+        acc: u32,
+    }
+
+    impl Program for Relay {
+        type Msg = u32;
+
+        fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for &(from, m) in ctx.inbox() {
+                self.acc = self.acc.wrapping_mul(31).wrapping_add(m ^ from);
+            }
+            if ctx.round.is_multiple_of(3) {
+                for k in 0..ctx.neighbors().len() {
+                    let v = ctx.neighbors()[k];
+                    ctx.send(v, self.acc.wrapping_add(v));
+                }
+            }
+            ctx.wake_me_in(3 - ctx.round % 3);
+        }
+
+        fn is_quiescent(&self) -> bool {
+            true // all periodic work rides the armed timer
+        }
+    }
+
+    impl Router for Relay {
+        fn route(&self, key: Key, neighbors: &[NodeId]) -> RouteStep {
+            if key == self.id {
+                return RouteStep::Deliver;
+            }
+            let next = neighbors.iter().find(|&&v| v > self.id);
+            next.or(neighbors.first())
+                .map_or(RouteStep::Unroutable, |&v| RouteStep::Forward(v))
+        }
+    }
+
+    impl Persist for Relay {
+        fn save(&self, w: &mut Writer) {
+            w.u32(self.id);
+            w.u32(self.acc);
+        }
+        fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+            Ok(Self {
+                id: r.u32()?,
+                acc: r.u32()?,
+            })
+        }
+    }
+
+    /// The side of the cut [`busy_runtime`] installs (members and
+    /// non-members; distinctive so a test can find it in the payload).
+    const BUSY_CUT: [NodeId; 5] = [2, 3, 101, 105, 109];
+    const BUSY_LOSS: f64 = 0.0625;
+    /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured at the
+    /// commit before the round was split into owned stages.
+    const GOLDEN_HASH: u64 = 13_209_832_570_715_043_159;
+    const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
+        ttl: 99,
+        max_hops: 77,
+        record_requests: true,
+    };
+
+    /// A 16-host relay ring mid-everything: a WAN model with delay, jitter,
+    /// duplication and a bandwidth cap, an active partition, armed timers,
+    /// an open-loop workload with requests in flight, one leave and one
+    /// re-join — every snapshot section is populated.
+    fn busy_runtime() -> Runtime<Relay> {
+        let relay = |id| Relay { id, acc: 0 };
+        let mut rt = Runtime::new(
+            Config::seeded(11),
+            (0..16u32).map(|i| (i, relay(i))),
+            (0..16u32).map(|i| (i, (i + 1) % 16)),
+        );
+        rt.set_scheduler(Box::new(crate::sched::ActivityDriven));
+        rt.set_net_model(NetModel {
+            delay: 1,
+            jitter: 2,
+            loss: BUSY_LOSS,
+            per_link: false,
+            dup: 0.25,
+            bandwidth: 1,
+        });
+        rt.attach_workload(crate::workload::OpenLoop::new(1.5, 32), BUSY_WCFG);
+        rt.run(4);
+        rt.leave(5);
+        rt.run(2);
+        rt.join(5, relay(5), &[4, 6]);
+        assert_eq!(rt.partition(BUSY_CUT), 2);
+        rt.run(3);
+        assert!(rt.in_transit() > 0 && !rt.is_silent() && rt.partitioned());
+        assert!(rt.request_stats().in_flight > 0 && rt.pending_activations() > 0);
+        assert!(rt.net_stats().duplicated > 0 && rt.net_stats().dropped_partition > 0);
+        rt
     }
 
     #[test]
@@ -2963,6 +1572,83 @@ mod tests {
             serde_json::to_string(b.metrics()).unwrap()
         );
         assert_eq!(a.ids(), b.ids());
+
+        // The format itself is pinned: a run that populates every section
+        // (wire, partition, timers, traffic, churned slots) seals to the
+        // bytes the engine has always written, and restore → save is the
+        // identity on them.
+        let snap = busy_runtime().save_snapshot();
+        assert_eq!(
+            snapshot::content_hash(&snap),
+            GOLDEN_HASH,
+            "the sealed snapshot bytes changed"
+        );
+        let back = Runtime::<Relay>::restore_snapshot(&snap, Config::default()).unwrap();
+        assert!(back.pending_workload());
+        assert_eq!(back.save_snapshot(), snap);
+    }
+
+    /// A well-framed, re-sealed payload is outside input (the content hash
+    /// is not a MAC): values `step` would later panic on, or silently
+    /// misread, must fail the restore instead.
+    #[test]
+    fn restore_rejects_resealed_payloads_step_would_choke_on() {
+        let rt = busy_runtime();
+        let snap = rt.save_snapshot();
+        let enc = |f: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        let r = rt.request_stats();
+        let (issued, completed, failed) = (r.issued, r.completed, r.failed);
+        // The reported-requests triple sits right before the traffic
+        // section, which opens with the workload config.
+        let reported = |issued: u64| {
+            enc(&|w| {
+                for v in [issued, completed, failed] {
+                    w.u64(v);
+                }
+                w.bool(true);
+                w.u64(BUSY_WCFG.ttl);
+                w.u32(BUSY_WCFG.max_hops);
+            })
+        };
+        let mut unsorted = BUSY_CUT;
+        unsorted.swap(0, 2);
+        let cases = [
+            (
+                "loss probability outside [0, 1]",
+                enc(&|w| w.f64(BUSY_LOSS)),
+                enc(&|w| w.f64(1.5)),
+            ),
+            (
+                "unsorted partition side",
+                enc(&|w| Some(BUSY_CUT.to_vec()).save(w)),
+                enc(&|w| Some(unsorted.to_vec()).save(w)),
+            ),
+            (
+                "more requests reported than issued",
+                reported(issued),
+                reported(issued + 1),
+            ),
+        ];
+        for (what, find, put) in cases {
+            assert_eq!(find.len(), put.len(), "{what}: patch keeps the framing");
+            let mut payload = snapshot::unseal(&snap).unwrap().to_vec();
+            let hits: Vec<usize> = (0..=payload.len() - find.len())
+                .filter(|&i| payload[i..i + find.len()] == find[..])
+                .collect();
+            assert_eq!(hits.len(), 1, "{what}: pattern must be unique");
+            payload[hits[0]..hits[0] + put.len()].copy_from_slice(&put);
+            let out =
+                Runtime::<Relay>::restore_snapshot(&snapshot::seal(payload), Config::default());
+            assert!(
+                matches!(out, Err(SnapshotError::Corrupt(_))),
+                "{what}: restore must fail, got {:?}",
+                out.as_ref().map(|_| "Ok").map_err(ToString::to_string)
+            );
+        }
     }
 
     #[test]
@@ -3114,6 +1800,36 @@ mod tests {
         };
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(4));
+
+        // The three per-send steps agree: 512 relays send 1024 messages
+        // every third round, delivered inline, sharded over the pool, and
+        // through the wire step — forced by a cut nothing crosses, so the
+        // model stays ideal and the net RNG is never drawn from.
+        let relays = |cfg: Config, cut: bool| {
+            let n = 512u32;
+            let mut rt = Runtime::new(
+                cfg,
+                (0..n).map(|id| (id, Relay { id, acc: 0 })),
+                (0..n).map(|i| (i, (i + 1) % n)),
+            );
+            if cut {
+                assert_eq!(rt.partition(0..n), n as usize);
+            }
+            rt.run(9);
+            let json = serde_json::to_string(rt.metrics()).unwrap();
+            assert_eq!(rt.heal(), cut);
+            (json, rt.save_snapshot(), rt.perf_counters().par_rounds)
+        };
+        let inline = relays(Config::seeded(5), false);
+        let sharded = relays(Config::seeded(5).threads(4).always_parallel(), false);
+        let wired = relays(Config::seeded(5), true);
+        assert_eq!((inline.2, sharded.2, wired.2), (0, 9, 0));
+        assert_eq!(inline.0, sharded.0);
+        assert_eq!(inline.0, wired.0);
+        assert!(
+            inline.1 == sharded.1 && inline.1 == wired.1,
+            "snapshot bytes"
+        );
     }
 
     /// A strict-mode violation on a pool worker must surface on the driving

@@ -11,7 +11,7 @@
 //! inject-then-drive loop, a scenario states the perturbation schedule once
 //! and any protocol/monitor pair can replay it deterministically — including
 //! across thread counts, since parallel round execution is bit-identical to
-//! sequential (see [`crate::Config::parallel`]).
+//! sequential (see [`crate::Config::threads`]).
 
 use crate::fault::{inject_traced, Fault};
 use crate::monitor::{Monitor, RunVerdict, Verdict};
@@ -88,9 +88,7 @@ impl<P: Program> Scenario<P> {
     /// derived from the name; see [`Scenario::seeded`].
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
-        let seed = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        });
+        let seed = crate::snapshot::content_hash(name.as_bytes());
         Self {
             name,
             seed,
@@ -197,11 +195,6 @@ impl<P: Program> Scenario<P> {
     /// The scenario's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The seed of the scenario's private fault RNG.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The scheduled events, in schedule order.

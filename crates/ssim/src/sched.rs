@@ -79,10 +79,13 @@
 //! cursor) are *not* captured; re-installing one after a restore restarts
 //! its private sequence, exactly like installing it mid-run.
 
+use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The per-round view a [`Scheduler`] selects from: the current round
 /// number, the live topology, and the runtime's dirty set.
@@ -229,19 +232,14 @@ impl Scheduler for RandomSubset {
 /// How an [`Adversarial`] daemon picks its subsets.
 #[derive(Debug, Clone)]
 enum Plan {
-    /// Partition the live members into `groups` classes by member order and
-    /// activate class `round % groups` — a maximally unfair-but-starvation-
-    /// free daemon (for static membership, every node steps once per
-    /// `groups` rounds).
-    RoundRobin {
-        /// Number of classes.
-        groups: u64,
-    },
-    /// Explicit per-round activation scripts (by node id), cycled.
-    Script {
-        /// One entry per round; entry `round % len` is used.
-        rounds: Vec<Vec<NodeId>>,
-    },
+    /// Partition the live members into this many classes by member order
+    /// and activate class `round % groups` — a maximally
+    /// unfair-but-starvation-free daemon (for static membership, every node
+    /// steps once per `groups` rounds).
+    RoundRobin(u64),
+    /// Explicit per-round activation scripts (by node id), cycled: entry
+    /// `round % len` is used.
+    Script(Vec<Vec<NodeId>>),
 }
 
 /// Scripted / round-robin adversarial daemon. Node ids in scripts that are
@@ -258,9 +256,7 @@ impl Adversarial {
     /// (`groups == 0` is treated as 1, i.e. synchronous).
     pub fn round_robin(groups: u64) -> Self {
         Self {
-            plan: Plan::RoundRobin {
-                groups: groups.max(1),
-            },
+            plan: Plan::RoundRobin(groups.max(1)),
         }
     }
 
@@ -268,7 +264,7 @@ impl Adversarial {
     /// An empty script activates nobody, ever.
     pub fn script(rounds: Vec<Vec<NodeId>>) -> Self {
         Self {
-            plan: Plan::Script { rounds },
+            plan: Plan::Script(rounds),
         }
     }
 }
@@ -276,7 +272,7 @@ impl Adversarial {
 impl Scheduler for Adversarial {
     fn select(&mut self, view: &SchedView<'_>, out: &mut Vec<NodeSlot>) {
         match &self.plan {
-            Plan::RoundRobin { groups } => {
+            Plan::RoundRobin(groups) => {
                 let class = view.round % groups;
                 for (k, (slot, _)) in view.topo.live_slots().enumerate() {
                     if k as u64 % groups == class {
@@ -284,7 +280,7 @@ impl Scheduler for Adversarial {
                     }
                 }
             }
-            Plan::Script { rounds } => {
+            Plan::Script(rounds) => {
                 if rounds.is_empty() {
                     return;
                 }
@@ -296,8 +292,8 @@ impl Scheduler for Adversarial {
 
     fn name(&self) -> &str {
         match self.plan {
-            Plan::RoundRobin { .. } => "adversarial-rr",
-            Plan::Script { .. } => "adversarial-script",
+            Plan::RoundRobin(_) => "adversarial-rr",
+            Plan::Script(_) => "adversarial-script",
         }
     }
 
@@ -308,7 +304,7 @@ impl Scheduler for Adversarial {
     fn selects_in_member_order(&self) -> bool {
         // Round-robin filters the member-order walk; scripts pick their
         // own order (controlling apply order is the adversary's power).
-        matches!(self.plan, Plan::RoundRobin { .. })
+        matches!(self.plan, Plan::RoundRobin(_))
     }
 }
 
@@ -401,25 +397,285 @@ impl ChunkPlan {
     }
 }
 
+/// The runtime's activation agenda: the dirty set (see the module docs)
+/// and armed timers, the quiescence flags, and the selection the installed
+/// daemon drew from them this round. All marking happens on the driving
+/// thread in canonical order — the order is observable, because snapshots
+/// serialize the dirty list raw.
+pub(crate) struct Agenda {
+    /// Per-slot dirty flag; `dirty[i]` ⟺ slot `i` appears in `dirty_list`
+    /// exactly once. Flags are cleared only when the slot is activated (or
+    /// found dead during the per-round purge), so wake-ups survive daemons
+    /// that skip dirty nodes.
+    dirty: Vec<bool>,
+    /// Queue of dirty slots (unordered; sorted into `dirty_sorted` each
+    /// round for the scheduler view).
+    dirty_list: Vec<u32>,
+    /// Recycled sorted snapshot handed to [`Scheduler::select`].
+    dirty_sorted: Vec<NodeSlot>,
+    /// This round's sanitized selection (recycled).
+    selection: Vec<NodeSlot>,
+    /// Per-slot "selected this round" scratch (doubles as the dedup filter
+    /// for sloppy schedulers and the skip detector for the shadow check).
+    selected: Vec<bool>,
+    /// Per-slot quiescence flag (mirrors `Program::is_quiescent`, updated
+    /// when the node steps, joins, or is corrupted).
+    quiescent: Vec<bool>,
+    /// Live nodes currently flagged quiescent — O(1) quiescence reads.
+    quiescent_count: usize,
+    /// Armed [`crate::Ctx::wake_me_in`] timers: `(due_round, slot, id)`
+    /// min-heap. The id guards against slot recycling (a timer of a
+    /// departed host must not wake the slot's next occupant).
+    timers: BinaryHeap<Reverse<(u64, u32, NodeId)>>,
+}
+
+impl Agenda {
+    /// An agenda over slots with the given quiescence flags. Every slot
+    /// starts dirty ("just spawned"): self-stabilization makes no
+    /// assumption about the initial state, so every program must run at
+    /// least once under any equivalence-claiming daemon.
+    pub(crate) fn new(quiescent: Vec<bool>) -> Self {
+        let n = quiescent.len();
+        Self {
+            dirty: vec![true; n],
+            dirty_list: (0..n as u32).collect(),
+            dirty_sorted: Vec::with_capacity(n),
+            selection: Vec::with_capacity(n),
+            selected: vec![false; n],
+            quiescent_count: quiescent.iter().filter(|&&q| q).count(),
+            quiescent,
+            timers: BinaryHeap::new(),
+        }
+    }
+
+    pub(crate) fn push_slot(&mut self) {
+        self.dirty.push(false);
+        self.selected.push(false);
+        self.quiescent.push(false);
+    }
+
+    /// Mark slot `i` dirty: flag it and enqueue it exactly once.
+    #[inline]
+    pub(crate) fn mark(&mut self, i: usize) {
+        if !self.dirty[i] {
+            self.dirty[i] = true;
+            self.dirty_list.push(i as u32);
+        }
+    }
+
+    /// Mark both endpoints of a (changed) edge dirty: their neighborhoods
+    /// changed, which is a wake-up condition.
+    pub(crate) fn mark_edge(&mut self, topo: &Topology, a: NodeId, b: NodeId) {
+        for v in [a, b] {
+            if let Some(s) = topo.slot_of(v) {
+                self.mark(s.index());
+            }
+        }
+    }
+
+    /// Update slot `i`'s quiescence flag and the live count.
+    #[inline]
+    pub(crate) fn set_quiescent(&mut self, i: usize, q: bool) {
+        if self.quiescent[i] != q {
+            self.quiescent[i] = q;
+            if q {
+                self.quiescent_count += 1;
+            } else {
+                self.quiescent_count -= 1;
+            }
+        }
+    }
+
+    pub(crate) fn is_quiescent(&self, i: usize) -> bool {
+        self.quiescent[i]
+    }
+
+    pub(crate) fn quiescent_count(&self) -> usize {
+        self.quiescent_count
+    }
+
+    /// Slots queued for activation: the dirty set plus armed timers.
+    pub(crate) fn pending(&self) -> usize {
+        self.dirty_list.len() + self.timers.len()
+    }
+
+    /// Move due wake-ups into the dirty set. The id guard discards timers
+    /// of departed hosts (their slot may have been recycled by an unrelated
+    /// joiner).
+    pub(crate) fn wake_due(&mut self, round: u64, topo: &Topology) {
+        while let Some(&Reverse((due, slot, id))) = self.timers.peek() {
+            if due > round {
+                break;
+            }
+            self.timers.pop();
+            if topo.id_at(NodeSlot::new(slot as usize)) == Some(id) {
+                self.mark(slot as usize);
+            }
+        }
+    }
+
+    /// Let `sched` pick this round's activation set. Selection happens on
+    /// the driving thread, so scheduler randomness is thread-count
+    /// invariant by construction.
+    ///
+    /// The dirty view is sorted by **canonical member order** — the order
+    /// the synchronous daemon activates in — not by slot: apply order
+    /// decides the relative order of same-round messages in a shared
+    /// recipient's inbox, so an equivalence-claiming daemon activating a
+    /// subset in any other order would produce different inbox contents
+    /// than the synchronous execution (member order diverges from slot
+    /// order after the first departure). The sorted view is built only for
+    /// schedulers that read it — full-activation daemons skip the
+    /// O(dirty log dirty) sort.
+    pub(crate) fn select(&mut self, sched: &mut dyn Scheduler, round: u64, topo: &Topology) {
+        self.dirty_sorted.clear();
+        if sched.uses_dirty_set() {
+            self.dirty_sorted.extend(
+                self.dirty_list
+                    .iter()
+                    .map(|&i| NodeSlot::new(i as usize))
+                    .filter(|&s| topo.is_live(s)),
+            );
+            self.dirty_sorted
+                .sort_unstable_by_key(|&s| topo.member_rank(s).expect("filtered to live slots"));
+        }
+        self.selection.clear();
+        let view = SchedView {
+            round,
+            topo,
+            dirty: &self.dirty_sorted,
+        };
+        sched.select(&view, &mut self.selection);
+
+        // Sanitize: drop duplicates and non-live slots so a sloppy
+        // scheduler cannot alias `&mut` chunks in the parallel emit.
+        // Activated slots consume their dirtiness in the same pass;
+        // unselected dirty slots stay queued (wake-ups are never lost
+        // under partial daemons).
+        let (selected, dirty) = (&mut self.selected, &mut self.dirty);
+        self.selection.retain(|&s| {
+            let i = s.index();
+            let ok = !selected[i] && topo.is_live(s);
+            if ok {
+                selected[i] = true;
+                dirty[i] = false;
+            }
+            ok
+        });
+        // Flags of dead slots are purged here, so a recycled slot starts
+        // clean.
+        self.dirty_list.retain(|&i| {
+            let i = i as usize;
+            dirty[i] && {
+                dirty[i] = topo.is_live(NodeSlot::new(i));
+                dirty[i]
+            }
+        });
+    }
+
+    /// Distinct live slots, in apply order.
+    pub(crate) fn selection(&self) -> &[NodeSlot] {
+        &self.selection
+    }
+
+    pub(crate) fn is_selected(&self, i: usize) -> bool {
+        self.selected[i]
+    }
+
+    /// Bookkeeping for one activation that just stepped: its wake-up
+    /// request and its quiescence report. A node that stepped and is still
+    /// non-quiescent re-marks itself (it has work of its own), which is
+    /// what keeps the dirty set a superset of the non-quiescent live nodes
+    /// under every scheduler.
+    pub(crate) fn settle(
+        &mut self,
+        round: u64,
+        slot: u32,
+        id: NodeId,
+        wake_in: Option<u64>,
+        quiescent: bool,
+    ) {
+        let i = slot as usize;
+        match wake_in {
+            Some(d) if d <= 1 => self.mark(i),
+            Some(d) => self.timers.push(Reverse((round + d, slot, id))),
+            None => {}
+        }
+        self.set_quiescent(i, quiescent);
+        if !quiescent {
+            self.mark(i);
+        }
+    }
+
+    /// Reset the per-slot "selected" scratch for the next round.
+    pub(crate) fn end_round(&mut self) {
+        for s in &self.selection {
+            self.selected[s.index()] = false;
+        }
+    }
+
+    /// Capacity-based heap bytes (the timer heap by occupancy).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.dirty.capacity() + self.selected.capacity() + self.quiescent.capacity())
+            * size_of::<bool>()
+            + (self.dirty_list.capacity() + self.dirty_sorted.capacity()) * size_of::<u32>()
+            + self.selection.capacity() * size_of::<NodeSlot>()
+            + self.timers.len() * size_of::<Reverse<(u64, u32, NodeId)>>()
+    }
+
+    /// Serialize the dirty list (raw order) and the armed timers. The
+    /// timer heap's internal order is unspecified; it is written sorted so
+    /// identical states produce identical bytes.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        self.dirty_list.save(w);
+        let mut timers: Vec<(u64, u32, NodeId)> = self.timers.iter().map(|&Reverse(t)| t).collect();
+        timers.sort_unstable();
+        timers.save(w);
+    }
+
+    /// Restore what [`Agenda::save`] wrote, over slots with the given
+    /// quiescence flags — those are a pure function of the program states
+    /// (the runtime syncs them at every step/join/corruption), so the
+    /// caller recomputes them rather than trusting a payload.
+    pub(crate) fn load(r: &mut Reader<'_>, quiescent: Vec<bool>) -> Result<Self, SnapshotError> {
+        let n = quiescent.len();
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let mut agenda = Self::new(quiescent);
+        agenda.dirty_list = Vec::load(r)?;
+        agenda.dirty.fill(false);
+        for &i in &agenda.dirty_list {
+            let i = i as usize;
+            if i >= n {
+                return corrupt(format!("dirty slot {i} out of range"));
+            }
+            if std::mem::replace(&mut agenda.dirty[i], true) {
+                return corrupt(format!("dirty slot {i} listed twice"));
+            }
+        }
+        for (due, slot, id) in Vec::<(u64, u32, NodeId)>::load(r)? {
+            if slot as usize >= n {
+                return corrupt(format!("timer slot {slot} out of range"));
+            }
+            agenda.timers.push(Reverse((due, slot, id)));
+        }
+        Ok(agenda)
+    }
+}
+
 /// Parse a scheduler from a CLI-style spec: `sync`, `activity`,
 /// `random:<p>` (seeded with `seed`), or `rr:<k>`. Returns `None` for an
 /// unrecognized spec — callers should report the valid forms.
 pub fn from_spec(spec: &str, seed: u64) -> Option<Box<dyn Scheduler>> {
-    match spec {
-        "sync" | "synchronous" => Some(Box::new(Synchronous)),
-        "activity" | "activity-driven" => Some(Box::new(ActivityDriven)),
-        _ => {
-            if let Some(p) = spec.strip_prefix("random:") {
-                let p: f64 = p.parse().ok()?;
-                Some(Box::new(RandomSubset::new(p, seed)))
-            } else if let Some(k) = spec.strip_prefix("rr:") {
-                let k: u64 = k.parse().ok()?;
-                Some(Box::new(Adversarial::round_robin(k)))
-            } else {
-                None
-            }
-        }
-    }
+    Some(match spec {
+        "sync" | "synchronous" => Box::new(Synchronous),
+        "activity" | "activity-driven" => Box::new(ActivityDriven),
+        _ => match spec.split_once(':')? {
+            ("random", p) => Box::new(RandomSubset::new(p.parse().ok()?, seed)),
+            ("rr", k) => Box::new(Adversarial::round_robin(k.parse().ok()?)),
+            _ => return None,
+        },
+    })
 }
 
 #[cfg(test)]

@@ -369,68 +369,20 @@ pub trait Persist: Sized {
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
 }
 
-impl Persist for u8 {
-    fn save(&self, w: &mut Writer) {
-        w.u8(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.u8()
-    }
+/// A primitive persists through the `Writer`/`Reader` method of its name.
+macro_rules! persist_primitive {
+    ($($ty:ident),+) => {$(
+        impl Persist for $ty {
+            fn save(&self, w: &mut Writer) {
+                w.$ty(*self);
+            }
+            fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+                r.$ty()
+            }
+        }
+    )+};
 }
-
-impl Persist for u32 {
-    fn save(&self, w: &mut Writer) {
-        w.u32(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.u32()
-    }
-}
-
-impl Persist for u64 {
-    fn save(&self, w: &mut Writer) {
-        w.u64(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.u64()
-    }
-}
-
-impl Persist for i64 {
-    fn save(&self, w: &mut Writer) {
-        w.i64(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.i64()
-    }
-}
-
-impl Persist for f64 {
-    fn save(&self, w: &mut Writer) {
-        w.f64(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.f64()
-    }
-}
-
-impl Persist for bool {
-    fn save(&self, w: &mut Writer) {
-        w.bool(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.bool()
-    }
-}
-
-impl Persist for usize {
-    fn save(&self, w: &mut Writer) {
-        w.usize(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        r.usize()
-    }
-}
+persist_primitive!(u8, u32, u64, i64, f64, bool, usize);
 
 impl Persist for String {
     fn save(&self, w: &mut Writer) {
@@ -438,6 +390,44 @@ impl Persist for String {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         r.str()
+    }
+}
+
+/// Implements [`Persist`] for a struct as its listed fields, in order: the
+/// layout is written once, so `save` and `load` cannot drift apart.
+macro_rules! persist_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::snapshot::Persist for $ty {
+            fn save(&self, w: &mut $crate::snapshot::Writer) {
+                $(self.$field.save(w);)+
+            }
+            fn load(
+                r: &mut $crate::snapshot::Reader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(Self {
+                    $($field: $crate::snapshot::Persist::load(r)?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use persist_struct;
+
+/// An RNG persists as its raw xoshiro state: the restored generator
+/// continues the same stream from the same position.
+impl Persist for rand::rngs::SmallRng {
+    fn save(&self, w: &mut Writer) {
+        for s in self.state() {
+            w.raw64(s);
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self::from_state([
+            r.raw64()?,
+            r.raw64()?,
+            r.raw64()?,
+            r.raw64()?,
+        ]))
     }
 }
 

@@ -48,12 +48,6 @@ impl NodeSlot {
     }
 }
 
-impl std::fmt::Display for NodeSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "s{}", self.0)
-    }
-}
-
 /// Per-slot adjacency storage on a single size-class segment arena.
 ///
 /// A `Vec<Vec<NodeId>>` costs every node a 24-byte header plus its own
@@ -498,16 +492,10 @@ impl Topology {
     /// Panics on self-loops or unknown endpoints.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         assert!(a != b, "self-loop at {a}");
-        let sa = self
-            .index
-            .get(&a)
-            .unwrap_or_else(|| panic!("unknown node {a}"))
-            .index();
-        let sb = self
-            .index
-            .get(&b)
-            .unwrap_or_else(|| panic!("unknown node {b}"))
-            .index();
+        let [sa, sb] = [a, b].map(|v| {
+            let slot = self.index.get(&v);
+            slot.unwrap_or_else(|| panic!("unknown node {v}")).index()
+        });
         match self.adj.list(sa).binary_search(&b) {
             Ok(_) => false,
             Err(pa) => {

@@ -54,10 +54,14 @@
 //! [`crate::Runtime::partition`] cut is retried in place, exactly like a
 //! vanished edge, until the TTL expires or the partition heals.
 
+use crate::metrics::RoundMetrics;
 use crate::monitor::{Monitor, Verdict};
+use crate::net::Wire;
 use crate::program::Program;
 use crate::runtime::Runtime;
-use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
+use crate::sched::Agenda;
+use crate::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
+use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -241,24 +245,43 @@ impl RequestStats {
 
     /// Mean hop count over completed requests.
     pub fn mean_hops(&self) -> f64 {
-        let total: u64 = self
-            .hop_histogram
-            .iter()
-            .enumerate()
-            .map(|(h, &c)| h as u64 * c)
-            .sum();
-        total as f64 / self.completed.max(1) as f64
+        self.mean_bucket(&self.hop_histogram)
     }
 
     /// Mean round latency over completed requests.
     pub fn mean_latency(&self) -> f64 {
-        let total: u64 = self
-            .latency_histogram
-            .iter()
-            .enumerate()
-            .map(|(l, &c)| l as u64 * c)
-            .sum();
+        self.mean_bucket(&self.latency_histogram)
+    }
+
+    /// Mean bucket index of a per-completed-request histogram.
+    fn mean_bucket(&self, hist: &[u64]) -> f64 {
+        let total: u64 = hist.iter().enumerate().map(|(b, &c)| b as u64 * c).sum();
         total as f64 / self.completed.max(1) as f64
+    }
+
+    /// Fill `row`'s request columns with the deltas against `reported` —
+    /// the counters `(issued, completed, failed)` as of the last recorded
+    /// row — and advance it. Requests finished *between* rounds (a
+    /// departure purge, a manual injection) are thereby attributed to the
+    /// next executed round and the per-row conservation law stays exact.
+    pub(crate) fn report(&self, reported: &mut (u64, u64, u64), row: &mut RoundMetrics) {
+        row.requests_issued = self.issued - reported.0;
+        row.requests_completed = self.completed - reported.1;
+        row.requests_failed = self.failed - reported.2;
+        row.requests_in_flight = self.in_flight;
+        *reported = (self.issued, self.completed, self.failed);
+    }
+
+    /// Check a restored `reported` triple (see [`RequestStats::report`])
+    /// against the restored counters it must trail.
+    pub(crate) fn validate_reported(&self, reported: (u64, u64, u64)) -> Result<(), SnapshotError> {
+        let now = (self.issued, self.completed, self.failed);
+        if reported.0 > now.0 || reported.1 > now.1 || reported.2 > now.2 {
+            return Err(SnapshotError::Corrupt(format!(
+                "reported request counters {reported:?} are ahead of the metrics {now:?}"
+            )));
+        }
+        Ok(())
     }
 
     pub(crate) fn complete(&mut self, req: &Request, dest: NodeId, round: u64, record: bool) {
@@ -270,17 +293,8 @@ impl RequestStats {
             (round - req.issued_round) as usize,
         );
         if record {
-            self.records.push(RequestRecord {
-                id: req.id,
-                key: req.key,
-                origin: req.origin,
-                dest: Some(dest),
-                issued_round: req.issued_round,
-                done_round: round,
-                hops: req.hops,
-                retries: req.retries,
-                outcome: RequestOutcome::Completed,
-            });
+            let done = req.done(Some(dest), round, RequestOutcome::Completed);
+            self.records.push(done);
         }
     }
 
@@ -300,43 +314,37 @@ impl RequestStats {
             RequestOutcome::Completed => unreachable!("fail() with Completed outcome"),
         }
         if record {
-            self.records.push(RequestRecord {
-                id: req.id,
-                key: req.key,
-                origin: req.origin,
-                dest: None,
-                issued_round: req.issued_round,
-                done_round: round,
-                hops: req.hops,
-                retries: req.retries,
-                outcome,
-            });
+            self.records.push(req.done(None, round, outcome));
         }
     }
 }
 
-impl Persist for Request {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        w.u32(self.key);
-        w.u32(self.origin);
-        w.u64(self.issued_round);
-        w.u32(self.hops);
-        w.u32(self.retries);
-        w.u64(self.ready_round);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.u64()?,
-            key: r.u32()?,
-            origin: r.u32()?,
-            issued_round: r.u64()?,
-            hops: r.u32()?,
-            retries: r.u32()?,
-            ready_round: r.u64()?,
-        })
+impl Request {
+    /// The log entry of this request finishing in `round`.
+    fn done(&self, dest: Option<NodeId>, round: u64, outcome: RequestOutcome) -> RequestRecord {
+        RequestRecord {
+            id: self.id,
+            key: self.key,
+            origin: self.origin,
+            dest,
+            issued_round: self.issued_round,
+            done_round: round,
+            hops: self.hops,
+            retries: self.retries,
+            outcome,
+        }
     }
 }
+
+persist_struct!(Request {
+    id,
+    key,
+    origin,
+    issued_round,
+    hops,
+    retries,
+    ready_round,
+});
 
 impl Persist for RequestOutcome {
     fn save(&self, w: &mut Writer) {
@@ -358,65 +366,32 @@ impl Persist for RequestOutcome {
     }
 }
 
-impl Persist for RequestRecord {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        w.u32(self.key);
-        w.u32(self.origin);
-        self.dest.save(w);
-        w.u64(self.issued_round);
-        w.u64(self.done_round);
-        w.u32(self.hops);
-        w.u32(self.retries);
-        self.outcome.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            id: r.u64()?,
-            key: r.u32()?,
-            origin: r.u32()?,
-            dest: Option::load(r)?,
-            issued_round: r.u64()?,
-            done_round: r.u64()?,
-            hops: r.u32()?,
-            retries: r.u32()?,
-            outcome: RequestOutcome::load(r)?,
-        })
-    }
-}
+persist_struct!(RequestRecord {
+    id,
+    key,
+    origin,
+    dest,
+    issued_round,
+    done_round,
+    hops,
+    retries,
+    outcome,
+});
 
-impl Persist for RequestStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.issued);
-        w.u64(self.completed);
-        w.u64(self.failed);
-        w.u64(self.failed_expired);
-        w.u64(self.failed_hops);
-        w.u64(self.failed_departed);
-        w.u64(self.retries);
-        w.u64(self.forwards);
-        w.u64(self.in_flight);
-        self.hop_histogram.save(w);
-        self.latency_histogram.save(w);
-        self.records.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            issued: r.u64()?,
-            completed: r.u64()?,
-            failed: r.u64()?,
-            failed_expired: r.u64()?,
-            failed_hops: r.u64()?,
-            failed_departed: r.u64()?,
-            retries: r.u64()?,
-            forwards: r.u64()?,
-            in_flight: r.u64()?,
-            hop_histogram: Vec::load(r)?,
-            latency_histogram: Vec::load(r)?,
-            records: Vec::load(r)?,
-        })
-    }
-}
+persist_struct!(RequestStats {
+    issued,
+    completed,
+    failed,
+    failed_expired,
+    failed_hops,
+    failed_departed,
+    retries,
+    forwards,
+    in_flight,
+    hop_histogram,
+    latency_histogram,
+    records,
+});
 
 /// The per-round view a [`Workload`] injects against.
 pub struct WorkloadView<'a> {
@@ -586,6 +561,456 @@ impl Workload for Silent {
     }
 
     fn inject(&mut self, _: &WorkloadView<'_>, _: &mut SmallRng, _: &mut Vec<(NodeId, Key)>) {}
+}
+
+/// The erased routing capability of the attached workload: captures the
+/// `P: Router` bound at [`Runtime::attach_workload`] time so the round
+/// itself needs no extra bounds.
+pub(crate) type RouteFn<P> = Box<dyn Fn(&P, Key, &[NodeId]) -> RouteStep + Send>;
+
+/// The serializable part of the traffic subsystem — shared by the live
+/// state and the state parked by a restore, so the layout is written once.
+pub(crate) struct TrafficState {
+    cfg: WorkloadConfig,
+    /// The workload's private deterministic RNG (seeded from the run seed).
+    rng: SmallRng,
+    next_id: u64,
+    /// Per-slot requests currently held at that host — slot-parallel with
+    /// the runtime's other per-node arrays.
+    queues: Vec<Vec<Request>>,
+}
+
+persist_struct!(WorkloadConfig {
+    ttl,
+    max_hops,
+    record_requests,
+});
+persist_struct!(TrafficState {
+    cfg,
+    rng,
+    next_id,
+    queues,
+});
+
+impl TrafficState {
+    pub(crate) fn fresh(cfg: WorkloadConfig, rng: SmallRng, slots: usize, next_id: u64) -> Self {
+        Self {
+            cfg,
+            rng,
+            next_id,
+            queues: std::iter::repeat_with(Vec::new).take(slots).collect(),
+        }
+    }
+}
+
+/// Runtime-side state of an attached [`Workload`]: the generator, the
+/// erased router, the request queues and the index of who holds any.
+pub(crate) struct Traffic<P: Program> {
+    state: TrafficState,
+    gen: Box<dyn Workload>,
+    route: RouteFn<P>,
+    /// Recycled injection buffer.
+    inject_buf: Vec<(NodeId, Key)>,
+    /// Per-slot "this queue is non-empty" flag, kept exactly in sync with
+    /// the queues at every round boundary; `has_req[i]` ⟺ `i ∈ holders`.
+    has_req: Vec<bool>,
+    /// Unordered index of slots with non-empty queues — request
+    /// advancement iterates this instead of re-scanning every selected
+    /// slot's queue, so serving cost scales with the in-flight count, not
+    /// the host count.
+    holders: Vec<u32>,
+    /// This round's holders to serve, in service order (recycled).
+    lineup: Vec<u32>,
+}
+
+/// Traffic state restored from a snapshot, parked until the caller
+/// re-attaches a workload: the generator and router are closures/trait
+/// objects and cannot be serialized, so a restore stashes the serializable
+/// part here and the next [`Runtime::attach_workload`] call marries it to a
+/// freshly constructed generator of the same type.
+pub(crate) struct ParkedTraffic {
+    state: TrafficState,
+    /// `Workload::name()` of the generator that was attached at save time —
+    /// re-attachment with a different generator type is a loud panic, not a
+    /// silent divergence.
+    gen_name: String,
+    /// Opaque [`Workload::save_state`] bytes for [`Workload::load_state`].
+    gen_bytes: Vec<u8>,
+}
+
+impl ParkedTraffic {
+    /// Resume under `gen`, which must be of the saved type: its mutable
+    /// state is replayed into it and the saved traffic state handed back.
+    pub(crate) fn resume(self, gen: &mut dyn Workload) -> TrafficState {
+        assert_eq!(
+            gen.name(),
+            self.gen_name,
+            "attach_workload: the snapshot was saved with workload `{}`; \
+             resuming with `{}` would diverge",
+            self.gen_name,
+            gen.name()
+        );
+        let mut r = Reader::new(&self.gen_bytes);
+        gen.load_state(&mut r)
+            .and_then(|()| r.finish())
+            .expect("attach_workload: restored workload state does not fit the generator");
+        self.state
+    }
+}
+
+/// What a runtime has in its workload slot.
+pub(crate) enum TrafficSlot<P: Program> {
+    /// No workload attached.
+    Detached,
+    /// An attached workload, serving.
+    Live(Traffic<P>),
+    /// Restored traffic awaiting re-attachment; the round refuses to run
+    /// while it is pending — continuing without the workload would
+    /// silently diverge from the saved run.
+    Parked(ParkedTraffic),
+}
+
+impl<P: Program> TrafficSlot<P> {
+    pub(crate) fn live(&self) -> Option<&Traffic<P>> {
+        match self {
+            Self::Live(tr) => Some(tr),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn live_mut(&mut self) -> Option<&mut Traffic<P>> {
+        match self {
+            Self::Live(tr) => Some(tr),
+            _ => None,
+        }
+    }
+
+    /// Serialize the slot: from the live subsystem, or — on a
+    /// restored-but-not-yet-re-attached runtime — passed through verbatim
+    /// from the parked state, so save∘restore is the identity even
+    /// mid-handoff.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        let (state, name, bytes) = match self {
+            Self::Detached => return w.bool(false),
+            Self::Live(tr) => {
+                let mut gw = Writer::new();
+                tr.gen.save_state(&mut gw);
+                (&tr.state, tr.gen.name(), gw.into_bytes())
+            }
+            Self::Parked(p) => (&p.state, p.gen_name.as_str(), p.gen_bytes.clone()),
+        };
+        w.bool(true);
+        state.save(w);
+        w.str(name);
+        w.bytes(&bytes);
+    }
+
+    /// Restore what [`TrafficSlot::save`] wrote, for `slots` slots: saved
+    /// traffic comes back [`TrafficSlot::Parked`].
+    pub(crate) fn load(r: &mut Reader<'_>, slots: usize) -> Result<Self, SnapshotError> {
+        if !r.bool()? {
+            return Ok(Self::Detached);
+        }
+        let state = TrafficState::load(r)?;
+        if state.queues.len() != slots {
+            return Err(SnapshotError::Corrupt(format!(
+                "traffic queues ({}) misaligned with slots ({slots})",
+                state.queues.len()
+            )));
+        }
+        Ok(Self::Parked(ParkedTraffic {
+            state,
+            gen_name: r.str()?,
+            gen_bytes: r.bytes()?.to_vec(),
+        }))
+    }
+
+    /// Cross-check restored traffic against the restored membership.
+    pub(crate) fn validate(&self, topo: &Topology) -> Result<(), SnapshotError> {
+        let Self::Parked(p) = self else {
+            return Ok(());
+        };
+        match (0..p.state.queues.len())
+            .find(|&i| !p.state.queues[i].is_empty() && !topo.is_live(NodeSlot::new(i)))
+        {
+            Some(i) => Err(SnapshotError::Corrupt(format!(
+                "slot {i}: free slot holds in-flight requests"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<P: Program> Traffic<P> {
+    /// Marry a generator and a router to their (fresh or resumed) state.
+    pub(crate) fn attach(gen: Box<dyn Workload>, route: RouteFn<P>, state: TrafficState) -> Self {
+        // Resumed queues may arrive non-empty; fresh ones are all empty
+        // and the index build is a cheap scan either way.
+        let has_req: Vec<bool> = state.queues.iter().map(|q| !q.is_empty()).collect();
+        let holders = (0..has_req.len() as u32)
+            .filter(|&i| has_req[i as usize])
+            .collect();
+        Self {
+            state,
+            gen,
+            route,
+            inject_buf: Vec::new(),
+            has_req,
+            holders,
+            lineup: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push_slot(&mut self) {
+        self.state.queues.push(Vec::new());
+        self.has_req.push(false);
+    }
+
+    pub(crate) fn is_idle(&self, slot: usize) -> bool {
+        self.state.queues[slot].is_empty()
+    }
+
+    /// Requests queued across all hosts (the conservation law's ground
+    /// truth; O(slots)).
+    pub(crate) fn queued(&self) -> u64 {
+        self.state.queues.iter().map(|q| q.len() as u64).sum()
+    }
+
+    /// Record that `slot` holds a request, and wake it: a held request is
+    /// pending work, so the holder must be activated under every
+    /// equivalence-claiming daemon.
+    fn hold(&mut self, slot: usize, agenda: &mut Agenda) {
+        if !self.has_req[slot] {
+            self.has_req[slot] = true;
+            self.holders.push(slot as u32);
+        }
+        agenda.mark(slot);
+    }
+
+    /// Enqueue a request issued in `round` at member `origin` (ready
+    /// immediately) and account it. Returns the request id.
+    pub(crate) fn issue(
+        &mut self,
+        topo: &Topology,
+        origin: NodeId,
+        key: Key,
+        round: u64,
+        stats: &mut RequestStats,
+        agenda: &mut Agenda,
+    ) -> u64 {
+        let slot = topo
+            .slot_of(origin)
+            .expect("issue: origin is a member")
+            .index();
+        let id = self.state.next_id;
+        self.state.next_id += 1;
+        self.state.queues[slot].push(Request {
+            id,
+            key,
+            origin,
+            issued_round: round,
+            hops: 0,
+            retries: 0,
+            ready_round: round,
+        });
+        stats.issued += 1;
+        stats.in_flight += 1;
+        self.hold(slot, agenda);
+        id
+    }
+
+    /// Round-start injection: ask the generator for this round's requests.
+    /// Runs before selection, so origins are dirty in time to be activated
+    /// this very round under every equivalence-claiming daemon.
+    pub(crate) fn inject(
+        &mut self,
+        round: u64,
+        topo: &Topology,
+        stats: &mut RequestStats,
+        agenda: &mut Agenda,
+    ) {
+        let mut buf = std::mem::take(&mut self.inject_buf);
+        buf.clear();
+        let view = WorkloadView {
+            round,
+            ids: topo.ids(),
+            stats,
+        };
+        self.gen.inject(&view, &mut self.state.rng, &mut buf);
+        for &(origin, key) in &buf {
+            debug_assert!(
+                topo.contains(origin),
+                "workload injected at non-member {origin}"
+            );
+            if topo.contains(origin) {
+                self.issue(topo, origin, key, round, stats, agenda);
+            }
+        }
+        self.inject_buf = buf;
+    }
+
+    /// Requests resident on a departed host die with it — never teleported
+    /// to a survivor.
+    pub(crate) fn drop_host(&mut self, slot: usize, round: u64, stats: &mut RequestStats) {
+        let record = self.state.cfg.record_requests;
+        for req in std::mem::take(&mut self.state.queues[slot]) {
+            stats.fail(&req, RequestOutcome::HostDeparted, round, record);
+        }
+        if self.has_req[slot] {
+            self.has_req[slot] = false;
+            self.holders.retain(|&i| i as usize != slot);
+        }
+    }
+
+    /// Decide which holders this round serves, and in what order.
+    ///
+    /// Cost scales with the **in-flight count**, not the host count: the
+    /// slots to serve come from the maintained holder index whenever the
+    /// scheduler activates in canonical member order
+    /// ([`crate::Scheduler::selects_in_member_order`]) — sorting the
+    /// selected holders by member rank then reproduces the selection-scan
+    /// order exactly. Only order-bending schedulers (scripts) fall back to
+    /// scanning the selection. Equivalence with the selection scan: a
+    /// selected slot with an empty round-start queue is visited by the
+    /// scan only if an earlier-served holder forwarded to it this round,
+    /// and such a visit is a no-op — the forwarded requests carry
+    /// `ready_round = round + 1` (kept untouched) and the slot was already
+    /// marked dirty at forward time.
+    pub(crate) fn line_up(&mut self, member_order: bool, topo: &Topology, agenda: &Agenda) {
+        let queues = &self.state.queues;
+        self.lineup.clear();
+        if member_order {
+            self.lineup.extend(
+                self.holders
+                    .iter()
+                    .filter(|&&i| agenda.is_selected(i as usize) && !queues[i as usize].is_empty()),
+            );
+            self.lineup.sort_unstable_by_key(|&i| {
+                topo.member_rank(NodeSlot::new(i as usize))
+                    .expect("request holder is live")
+            });
+        } else {
+            self.lineup.extend(
+                agenda
+                    .selection()
+                    .iter()
+                    .map(|s| s.index() as u32)
+                    .filter(|&i| !queues[i as usize].is_empty()),
+            );
+        }
+    }
+
+    /// Advance every request held by a [lined-up](Traffic::line_up) host
+    /// one hop, against the **post-apply** topology (the current host
+    /// links) and the holder's current program state. Runs on the driving
+    /// thread in selection order, so traffic is deterministic at any
+    /// thread count and activity-driven execution (which always selects
+    /// request holders — they are dirty) reproduces the synchronous
+    /// execution exactly.
+    pub(crate) fn serve(
+        &mut self,
+        round: u64,
+        topo: &Topology,
+        programs: &[Option<P>],
+        wire: &Wire<P::Msg>,
+        agenda: &mut Agenda,
+        stats: &mut RequestStats,
+    ) {
+        let cfg = self.state.cfg;
+        let record = cfg.record_requests;
+        for h in 0..self.lineup.len() {
+            let i = self.lineup[h] as usize;
+            let slot = NodeSlot::new(i);
+            let me = topo.id_at(slot).expect("selected slot is live");
+            let neighbors = topo.neighbors_at(slot);
+            let prog = programs[i].as_ref().expect("selected slot is live");
+            let mut q = std::mem::take(&mut self.state.queues[i]);
+            let mut keep = 0;
+            for k in 0..q.len() {
+                let mut req = q[k];
+                // Requests forwarded here this round by an earlier-selected
+                // host wait for the next round (one hop per round).
+                if req.ready_round > round {
+                    q[keep] = req;
+                    keep += 1;
+                    continue;
+                }
+                if round - req.issued_round >= cfg.ttl {
+                    stats.fail(&req, RequestOutcome::Expired, round, record);
+                    continue;
+                }
+                match (self.route)(prog, req.key, neighbors) {
+                    RouteStep::Deliver => stats.complete(&req, me, round, record),
+                    // A hop crossing an active partition cut behaves like a
+                    // vanished neighbor (the channel is dead): retry in
+                    // place below, bounded by the TTL. Requests are
+                    // app-level traffic with retransmission — they pay the
+                    // network's deterministic base latency per hop, but are
+                    // never randomly lost or duplicated.
+                    RouteStep::Forward(v)
+                        if v != me
+                            && neighbors.binary_search(&v).is_ok()
+                            && !wire.crosses_cut(me, v) =>
+                    {
+                        if req.hops + 1 > cfg.max_hops {
+                            stats.fail(&req, RequestOutcome::HopBudget, round, record);
+                            continue;
+                        }
+                        req.hops += 1;
+                        req.ready_round = round + 1 + wire.model().delay;
+                        stats.forwards += 1;
+                        let ts = topo
+                            .slot_of(v)
+                            .expect("current neighbor is a member")
+                            .index();
+                        self.state.queues[ts].push(req);
+                        self.hold(ts, agenda);
+                    }
+                    // The chosen next hop is gone (stabilization rewired
+                    // the overlay, the neighbor departed) or the router has
+                    // no useful hop right now: retry in place, bounded by
+                    // the TTL. Never teleported.
+                    RouteStep::Forward(_) | RouteStep::Unroutable => {
+                        req.retries += 1;
+                        req.ready_round = round + 1;
+                        stats.retries += 1;
+                        q[keep] = req;
+                        keep += 1;
+                    }
+                }
+            }
+            q.truncate(keep);
+            if !q.is_empty() {
+                // Still holding work (retries or same-round arrivals):
+                // stay scheduled.
+                agenda.mark(i);
+            }
+            self.state.queues[i] = q;
+        }
+        // Drop drained slots from the holder index (serving is the only
+        // way a queue shrinks, so this sweep restores `has_req[i]` ⟺
+        // "queue i non-empty" exactly). O(holders), order irrelevant —
+        // service order is re-derived per round.
+        let (queues, has_req) = (&self.state.queues, &mut self.has_req);
+        self.holders.retain(|&i| {
+            has_req[i as usize] = !queues[i as usize].is_empty();
+            has_req[i as usize]
+        });
+    }
+
+    /// Capacity-based heap bytes of the queues, the holder index and the
+    /// recycled buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.state
+            .queues
+            .iter()
+            .map(|q| size_of::<Vec<Request>>() + q.capacity() * size_of::<Request>())
+            .sum::<usize>()
+            + self.has_req.capacity() * size_of::<bool>()
+            + (self.holders.capacity() + self.lineup.capacity()) * size_of::<u32>()
+            + self.inject_buf.capacity() * size_of::<(NodeId, Key)>()
+    }
 }
 
 /// SLO invariant: the request success rate stays at or above a threshold.

@@ -129,8 +129,7 @@ fn node_rngs_are_independent_of_execution_order() {
         }
     }
     let run = |parallel: bool| {
-        let mut cfg = Config::seeded(6);
-        cfg.parallel = parallel;
+        let cfg = Config::seeded(6).threads(if parallel { 0 } else { 1 });
         let mut rt = Runtime::new(cfg, (0..8u32).map(|i| (i, Roller { value: 0 })), [(0, 1)]);
         rt.step();
         rt.programs().map(|(_, p)| p.value).collect::<Vec<_>>()
