@@ -8,92 +8,71 @@
 //! edge walks run on this host tree; everything below is computed from the
 //! host's own range and its neighbors' beacons — no global state.
 
-use crate::state::{ClusterCore, NeighborView};
+use crate::protocol::CbtCore;
 use overlay::cbt::Cbt;
 use ssim::NodeId;
 
-/// True iff this host is its cluster's root host (covers the guest root).
-pub fn is_root(cbt: &Cbt, core: &ClusterCore) -> bool {
-    core.covers(cbt.root())
-}
-
-/// The guest whose parent lies outside this host's range (the range root),
-/// or `None` when the host covers the guest root.
-pub fn up_guest(cbt: &Cbt, core: &ClusterCore) -> Option<u32> {
-    if is_root(cbt, core) {
-        return None;
+impl CbtCore {
+    /// True iff this host is its cluster's root host (covers the guest root).
+    pub fn is_root(&self) -> bool {
+        self.core.covers(self.cbt.root())
     }
-    let rr = cbt.range_root(core.range.0, core.range.1);
-    Some(rr)
-}
 
-/// The host-tree parent: the same-cluster neighbor whose range covers the
-/// parent of this host's range root. `None` for the cluster root host or
-/// when the view lacks a covering neighbor (inconsistent state).
-pub fn parent(
-    cbt: &Cbt,
-    core: &ClusterCore,
-    view: &NeighborView,
-    now: u64,
-    neighbors: &[NodeId],
-) -> Option<NodeId> {
-    let rr = up_guest(cbt, core)?;
-    let pg = cbt.parent(rr)?;
-    covering_neighbor(core, view, now, neighbors, pg)
-}
-
-/// The same-cluster neighbor whose (beaconed) range covers guest `g`.
-pub fn covering_neighbor(
-    core: &ClusterCore,
-    view: &NeighborView,
-    now: u64,
-    neighbors: &[NodeId],
-    g: u32,
-) -> Option<NodeId> {
-    view.fresh(now, neighbors)
-        .find(|(_, b)| b.cid == core.cid && b.range.0 <= g && g < b.range.1)
-        .map(|(v, _)| v)
-}
-
-/// The host responsible for guest `g` as seen from this host: itself when
-/// `g` is in range, otherwise the covering same-cluster neighbor from the
-/// beacon view.
-pub fn host_for(
-    me: NodeId,
-    core: &ClusterCore,
-    view: &NeighborView,
-    now: u64,
-    neighbors: &[NodeId],
-    g: u32,
-) -> Option<NodeId> {
-    if core.covers(g) {
-        Some(me)
-    } else {
-        covering_neighbor(core, view, now, neighbors, g)
+    /// The guest whose parent lies outside this host's range (the range
+    /// root). `None` when the host covers the guest root — and when its own
+    /// range is malformed: arbitrary state is the model, the detector's
+    /// `BadRange` reset may still be a patience window away, and every
+    /// caller already reads `None` as "no way up from here".
+    pub fn up_guest(&self) -> Option<u32> {
+        let (lo, hi) = self.core.range;
+        (!self.is_root() && lo < hi && hi <= self.n).then(|| self.cbt.range_root(lo, hi))
     }
-}
 
-/// The host-tree children: same-cluster neighbors whose range root's parent
-/// falls in this host's range.
-pub fn children(
-    cbt: &Cbt,
-    core: &ClusterCore,
-    view: &NeighborView,
-    now: u64,
-    neighbors: &[NodeId],
-) -> Vec<NodeId> {
-    view.fresh(now, neighbors)
-        .filter(|(_, b)| {
-            b.cid == core.cid && b.range.0 < b.range.1 && {
-                let rr = cbt.range_root(b.range.0, b.range.1);
-                match cbt.parent(rr) {
-                    Some(pg) => core.covers(pg) && !(b.range.0 <= pg && pg < b.range.1),
-                    None => false,
+    /// The host-tree parent: the same-cluster neighbor whose range covers
+    /// the parent of this host's range root. `None` for the cluster root
+    /// host or when the view lacks a covering neighbor (inconsistent state).
+    pub fn parent(&self, now: u64, neighbors: &[NodeId]) -> Option<NodeId> {
+        let pg = self.cbt.parent(self.up_guest()?)?;
+        self.covering_neighbor(now, neighbors, pg)
+    }
+
+    /// The same-cluster neighbor whose (freshly beaconed) range covers
+    /// guest `g`.
+    fn covering_neighbor(&self, now: u64, neighbors: &[NodeId], g: u32) -> Option<NodeId> {
+        self.view
+            .fresh(now, neighbors)
+            .find(|(_, b)| b.cid == self.core.cid && b.range.0 <= g && g < b.range.1)
+            .map(|(v, _)| v)
+    }
+
+    /// The host responsible for guest `g` as seen from this host: itself
+    /// when `g` is in range, otherwise the covering same-cluster neighbor
+    /// from the beacon view.
+    pub fn host_for(&self, now: u64, neighbors: &[NodeId], g: u32) -> Option<NodeId> {
+        if self.core.covers(g) {
+            Some(self.id)
+        } else {
+            self.covering_neighbor(now, neighbors, g)
+        }
+    }
+
+    /// The host-tree children: same-cluster neighbors whose range root's
+    /// parent falls in this host's range.
+    pub fn children(&self, now: u64, neighbors: &[NodeId]) -> Vec<NodeId> {
+        self.view
+            .fresh(now, neighbors)
+            .filter(|(_, b)| {
+                b.cid == self.core.cid && b.range.0 < b.range.1 && {
+                    let rr = self.cbt.range_root(b.range.0, b.range.1);
+                    match self.cbt.parent(rr) {
+                        Some(pg) => self.core.covers(pg) && !(b.range.0 <= pg && pg < b.range.1),
+                        None => false,
+                    }
                 }
-            }
-        })
-        .map(|(v, _)| v)
-        .collect()
+            })
+            .map(|(v, _)| v)
+            .collect()
+    }
 }
 
 /// True iff two responsible ranges are joined by at least one guest tree
@@ -131,52 +110,49 @@ pub fn required_edge(cbt: &Cbt, a: (u32, u32), b: (u32, u32)) -> bool {
 mod tests {
     use super::*;
     use crate::msg::Beacon;
+    use crate::state::ClusterCore;
     use overlay::Avatar;
 
-    /// Build cores + a fully-informed view for a legal embedding.
-    fn legal_cluster(n: u32, hosts: &[NodeId]) -> (Cbt, Vec<(NodeId, ClusterCore)>, NeighborView) {
+    /// One core per host of a legal embedding, each with a fully-informed
+    /// view (every host's beacon, its own included, recorded at round 10).
+    fn legal_cluster(n: u32, hosts: &[NodeId]) -> Vec<CbtCore> {
         let av = Avatar::new(n, hosts.iter().copied());
-        let cbt = Cbt::new(n);
         let min = *hosts.iter().min().unwrap();
-        let cores: Vec<(NodeId, ClusterCore)> = hosts
+        let range = |u| {
+            let r = av.range_of(u);
+            (r.lo, r.hi)
+        };
+        hosts
             .iter()
             .map(|&u| {
-                let r = av.range_of(u);
-                (
-                    u,
-                    ClusterCore {
-                        cid: 7,
-                        range: (r.lo, r.hi),
-                        cluster_min: min,
-                    },
-                )
+                let mut c = CbtCore::new(u, n, 7);
+                c.core = ClusterCore {
+                    cid: 7,
+                    range: range(u),
+                    cluster_min: min,
+                };
+                for &v in hosts {
+                    c.view.record(
+                        v,
+                        10,
+                        Beacon {
+                            cid: 7,
+                            range: range(v),
+                            cluster_min: min,
+                            role: None,
+                            epoch: 0,
+                        },
+                    );
+                }
+                c
             })
-            .collect();
-        let mut view = NeighborView::default();
-        for &(u, c) in &cores {
-            view.record(
-                u,
-                10,
-                Beacon {
-                    cid: c.cid,
-                    range: c.range,
-                    cluster_min: c.cluster_min,
-                    role: None,
-                    epoch: 0,
-                },
-            );
-        }
-        (cbt, cores, view)
+            .collect()
     }
 
     #[test]
     fn exactly_one_root_host() {
-        let (cbt, cores, _) = legal_cluster(64, &[3, 17, 30, 41, 55]);
-        let roots: Vec<NodeId> = cores
-            .iter()
-            .filter(|(_, c)| is_root(&cbt, c))
-            .map(|&(u, _)| u)
-            .collect();
+        let cores = legal_cluster(64, &[3, 17, 30, 41, 55]);
+        let roots: Vec<NodeId> = cores.iter().filter(|c| c.is_root()).map(|c| c.id).collect();
         assert_eq!(roots.len(), 1);
         // Guest root of Cbt(64) is 32 -> host 30 covers [30, 41).
         assert_eq!(roots[0], 30);
@@ -185,18 +161,17 @@ mod tests {
     #[test]
     fn parent_relation_forms_a_tree() {
         let hosts = [3u32, 17, 30, 41, 55];
-        let (cbt, cores, view) = legal_cluster(64, &hosts);
-        let all: Vec<NodeId> = hosts.to_vec();
+        let cores = legal_cluster(64, &hosts);
         let mut parent_of = std::collections::HashMap::new();
-        for (u, c) in &cores {
+        for c in &cores {
             // Every host may consult every other host's beacon here (the
             // legal embedding's required edges make them neighbors).
-            let p = parent(&cbt, c, &view, 10, &all);
-            if is_root(&cbt, c) {
+            let p = c.parent(10, &hosts);
+            if c.is_root() {
                 assert_eq!(p, None);
             } else {
                 let p = p.expect("non-root host must find a parent");
-                parent_of.insert(*u, p);
+                parent_of.insert(c.id, p);
             }
         }
         // Walk each host to the root; depth bounded by H + 1.
@@ -206,7 +181,10 @@ mod tests {
             while let Some(&p) = parent_of.get(&cur) {
                 cur = p;
                 steps += 1;
-                assert!(steps <= cbt.height() + 1, "cycle or too deep from {u}");
+                assert!(
+                    steps <= cores[0].cbt.height() + 1,
+                    "cycle or too deep from {u}"
+                );
             }
             assert_eq!(cur, 30, "all paths lead to the root host");
         }
@@ -215,22 +193,20 @@ mod tests {
     #[test]
     fn children_inverts_parent() {
         let hosts = [3u32, 17, 30, 41, 55];
-        let (cbt, cores, view) = legal_cluster(64, &hosts);
-        let all: Vec<NodeId> = hosts.to_vec();
-        for (u, c) in &cores {
-            for child in children(&cbt, c, &view, 10, &all) {
-                let cc = cores.iter().find(|(v, _)| *v == child).unwrap().1;
-                assert_eq!(parent(&cbt, &cc, &view, 10, &all), Some(*u));
+        let cores = legal_cluster(64, &hosts);
+        for c in &cores {
+            for child in c.children(10, &hosts) {
+                let cc = cores.iter().find(|x| x.id == child).unwrap();
+                assert_eq!(cc.parent(10, &hosts), Some(c.id));
             }
         }
     }
 
     #[test]
     fn singleton_is_its_own_root() {
-        let cbt = Cbt::new(32);
-        let core = ClusterCore::singleton(9, 32, 1);
-        assert!(is_root(&cbt, &core));
-        assert_eq!(up_guest(&cbt, &core), None);
+        let core = CbtCore::new(9, 32, 1);
+        assert!(core.is_root());
+        assert_eq!(core.up_guest(), None);
     }
 
     #[test]

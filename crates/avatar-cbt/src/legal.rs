@@ -10,7 +10,9 @@ use crate::program::CbtProgram;
 use crate::protocol::CbtCore;
 use overlay::{Avatar, Cbt};
 use ssim::monitor::{self, Goal};
-use ssim::{init::Shape, Config, NodeId, Runtime, Topology};
+use ssim::{
+    init::Shape, Config, NetModel, NodeId, Persist, Program, Runtime, SnapshotError, Topology,
+};
 
 /// The exact edge set of a legal `Avatar(Cbt(N))` over the given host set:
 /// the dilation-1 projection of the guest tree plus the host successor line
@@ -80,40 +82,83 @@ pub fn runtime(
     edges: Vec<(NodeId, NodeId)>,
     cfg: Config,
 ) -> Runtime<CbtProgram> {
-    runtime_with_net(n, ids, edges, cfg, ssim::NetModel::ideal())
+    runtime_with_net(n, ids, edges, cfg, NetModel::ideal())
 }
 
-/// [`runtime`] under a network-conditions model: every host's epoch
-/// schedule, beacon staleness horizon, and grace windows are re-budgeted
-/// for the model's per-hop delivery bound `Δ = 1 + delay + jitter`
-/// ([`ssim::NetModel::delivery_bound`]), and mid-run joiners inherit the
-/// same budget from the spawner. With [`ssim::NetModel::ideal`] this is
-/// exactly [`runtime`] (`Δ = 1` is the identity).
+/// [`runtime`] under a network-conditions model, through [`boot`]. With
+/// [`NetModel::ideal`] this is exactly [`runtime`] (`Δ = 1` is the
+/// identity).
 pub fn runtime_with_net(
     n: u32,
     ids: &[NodeId],
     edges: Vec<(NodeId, NodeId)>,
     cfg: Config,
-    model: ssim::NetModel,
+    model: NetModel,
 ) -> Runtime<CbtProgram> {
-    let mk = spawner(n, cfg.seed, model);
-    let nodes = ids.iter().map(|&v| (v, mk(v)));
-    let mut rt = Runtime::new(cfg, nodes, edges)
+    boot(ids, edges, cfg, model, spawner(n, cfg.seed, model))
+}
+
+/// The one construction recipe of both protocol crates: every host boots
+/// from `mk`, which also becomes the join spawner — so mid-run joiners
+/// inherit the founders' budgets — over `model`, whose per-hop delivery
+/// bound `Δ = 1 + delay + jitter` ([`NetModel::delivery_bound`]) `mk` must
+/// have budgeted the hosts for ([`crate::CbtCore::with_net`] re-derives the
+/// epoch schedule, beacon staleness horizon, grace windows, detector
+/// patience and merge-message redundancy from it).
+///
+/// Debug builds continuously audit the quiescence contract: if an
+/// equivalence-claiming scheduler ever skips a host whose step is not a
+/// no-op, the run panics (see [`Runtime::enable_shadow_check`]).
+pub fn boot<P: Program + Clone>(
+    ids: &[NodeId],
+    edges: Vec<(NodeId, NodeId)>,
+    cfg: Config,
+    model: NetModel,
+    mk: impl Fn(NodeId) -> P + Send + 'static,
+) -> Runtime<P> {
+    let mut rt = Runtime::new(cfg, ids.iter().map(|&v| (v, mk(v))), edges)
         .with_spawner(mk)
         .with_net_model(model);
-    // Debug builds continuously audit the quiescence contract: if an
-    // equivalence-claiming scheduler ever skips a host whose step is not a
-    // no-op, the run panics (see `Runtime::enable_shadow_check`).
     if cfg!(debug_assertions) {
         rt.enable_shadow_check();
     }
     rt
 }
 
+/// The one restore recipe, from snapshot bytes produced by
+/// [`Runtime::save_snapshot`]: re-registers the non-serializable hooks a
+/// [`boot`]-built instance carries. `respawn` rebuilds the join spawner from
+/// a restored host (which knows the protocol's parameters), the snapshot's
+/// seed and its network model — so mid-run joins behave exactly as in the
+/// original run — and debug builds re-arm the shadow quiescence check.
+pub fn reboot<P, F>(
+    bytes: &[u8],
+    cfg: Config,
+    respawn: impl FnOnce(&P, u64, NetModel) -> F,
+) -> Result<Runtime<P>, SnapshotError>
+where
+    P: Program + Persist + Clone,
+    P::Msg: Persist,
+    F: Fn(NodeId) -> P + Send + 'static,
+{
+    let mut rt = Runtime::<P>::restore_snapshot(bytes, cfg)?;
+    let Some(&first) = rt.ids().first() else {
+        return Err(SnapshotError::Corrupt(
+            "restore: no live hosts, cannot infer the protocol parameters".into(),
+        ));
+    };
+    let mk = respawn(rt.program(first), rt.config().seed, rt.net_model());
+    rt.set_spawner(mk);
+    if cfg!(debug_assertions) {
+        rt.enable_shadow_check();
+    }
+    Ok(rt)
+}
+
 /// How a host boots — at construction, and when it joins mid-run or after
 /// a restore: a fresh singleton cluster with the seed-derived nonce,
 /// budgeted for `model` ([`crate::CbtCore::with_net`]).
-fn spawner(n: u32, seed: u64, model: ssim::NetModel) -> impl Fn(NodeId) -> CbtProgram + Copy {
+fn spawner(n: u32, seed: u64, model: NetModel) -> impl Fn(NodeId) -> CbtProgram {
     move |v| CbtProgram::new(v, n, join_nonce(seed, v)).with_net(model)
 }
 
@@ -123,28 +168,11 @@ pub fn join_nonce(seed: u64, v: NodeId) -> u64 {
     seed ^ (v as u64 + 7).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
-/// Restore a CBT runtime from snapshot bytes produced by
-/// [`ssim::Runtime::save_snapshot`], re-registering the non-serializable
-/// hooks a [`runtime`]-built instance carries: the join spawner (nonces
-/// derived from the snapshot's seed and budgets from its network model, so
-/// mid-run joins behave exactly as in the original run) and, in debug
-/// builds, the shadow quiescence check.
-pub fn restore_runtime(
-    bytes: &[u8],
-    cfg: Config,
-) -> Result<Runtime<CbtProgram>, ssim::SnapshotError> {
-    let mut rt = Runtime::<CbtProgram>::restore_snapshot(bytes, cfg)?;
-    let Some(&first) = rt.ids().first() else {
-        return Err(ssim::SnapshotError::Corrupt(
-            "avatar-cbt restore: no live hosts, cannot infer guest-space size N".into(),
-        ));
-    };
-    let n = rt.program(first).core.n;
-    rt.set_spawner(spawner(n, rt.config().seed, rt.net_model()));
-    if cfg!(debug_assertions) {
-        rt.enable_shadow_check();
-    }
-    Ok(rt)
+/// Restore a CBT runtime through [`reboot`].
+pub fn restore_runtime(bytes: &[u8], cfg: Config) -> Result<Runtime<CbtProgram>, SnapshotError> {
+    reboot(bytes, cfg, |p: &CbtProgram, seed, model| {
+        spawner(p.core.n, seed, model)
+    })
 }
 
 /// Build a CBT runtime from a named initial shape with `count` random hosts.

@@ -34,10 +34,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No handler a reviewer cannot hold in their head: the `lint` CI job turns
+// this into an error past the threshold in the workspace's `clippy.toml`.
+#![warn(clippy::too_many_lines)]
 
 pub mod detector;
 pub mod hosttree;
-pub mod io;
 pub mod legal;
 pub mod merge;
 pub mod msg;
@@ -47,12 +49,11 @@ pub mod schedule;
 pub mod scratch;
 pub mod state;
 
-pub use io::{CtxIo, NetIo};
 pub use legal::{
     is_legal_cbt, legality, restore_runtime, runtime, runtime_from_shape, runtime_is_legal,
     runtime_with_net,
 };
-pub use msg::{Beacon, CbtMsg, ZipChildInfo, ZipExpect, ZipMeet};
+pub use msg::{Beacon, Carrier, CbtMsg, ZipChildInfo, ZipExpect, ZipMeet};
 pub use program::CbtProgram;
 pub use protocol::{CbtCore, StepEvents};
 pub use schedule::Schedule;

@@ -20,13 +20,12 @@
 //! the pair formed by the two cluster minima, where `min(a, b)` is the
 //! union's minimum.
 
-use crate::hosttree::{self, required_edge};
-use crate::io::NetIo;
-use crate::msg::{CbtMsg, ZipChildInfo, ZipExpect, ZipMeet};
+use crate::hosttree::required_edge;
+use crate::msg::{Carrier, CbtMsg, ZipChildInfo, ZipExpect, ZipMeet};
 use crate::protocol::CbtCore;
 use crate::scratch::Merge;
 use crate::state::ClusterCore;
-use ssim::NodeId;
+use ssim::{Ctx, NodeId};
 
 /// Sub-intervals of `inter` won by host `a` against counterpart `b` under
 /// the merged-cluster ownership rule.
@@ -58,191 +57,157 @@ fn intersect(a: (u32, u32), b: (u32, u32)) -> (u32, u32) {
 }
 
 impl CbtCore {
-    /// Handle the three zipper message kinds.
-    pub(crate) fn handle_zip(
+    /// Join the merge a zipper message of this epoch belongs to, priming
+    /// the scratch from the message when the host has no merge in flight
+    /// (root partners prime via the Hello and late joiners via `ZipExpect`,
+    /// but a bare meet can still prime us — robustness). `None` when the
+    /// message belongs to a different merge than the one in flight.
+    fn join_merge(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
-        epoch: u64,
+        partner_cid: u64,
+        new_cid: u64,
+        new_min: NodeId,
+    ) -> Option<&mut Merge> {
+        let merge = self.scratch.merge.get_or_insert_with(|| Merge {
+            partner_cid,
+            new_cid,
+            new_min,
+            ..Merge::default()
+        });
+        (merge.partner_cid == partner_cid).then_some(merge)
+    }
+
+    /// A counterpart met us at `z.level`: decide ownership of the range
+    /// intersection and introduce the hosts of the children guests.
+    pub(crate) fn on_zip_meet(
+        &mut self,
+        io: &mut Ctx<'_, impl Carrier>,
         from: NodeId,
-        m: &CbtMsg,
+        z: &ZipMeet,
     ) {
-        let round = io.round();
-        match m {
-            CbtMsg::ZipMeet(z) => {
-                let ZipMeet {
-                    epoch: e,
-                    level,
-                    range,
-                    cid,
-                    cluster_min: _,
-                    new_cid,
-                    new_min,
-                } = &**z;
-                if *e != epoch {
-                    return;
-                }
-                if self.scratch.merge.is_none() {
-                    // Root partners prime via the Hello; late joiners via
-                    // ZipExpect. A bare meet can still prime us (robustness).
-                    self.scratch.merge = Some(Merge {
-                        partner_cid: *cid,
-                        new_cid: *new_cid,
-                        new_min: *new_min,
-                        ..Merge::default()
-                    });
-                }
-                let me = self.id;
-                let my_range = self.core.range;
-                let my_cid = self.core.cid;
-                let Some(merge) = self.scratch.merge.as_mut() else {
-                    return;
-                };
-                if merge.partner_cid != *cid || my_cid == *cid {
-                    return; // stale or self-talk
-                }
-                merge.awaiting.retain(|&(l, c)| !(l == *level && c == from));
+        let (me, my_range, my_cid) = (self.id, self.core.range, self.core.cid);
+        let Some(merge) = self.join_merge(z.cid, z.new_cid, z.new_min) else {
+            return; // stale
+        };
+        if my_cid == z.cid {
+            return; // self-talk
+        }
+        merge
+            .awaiting
+            .retain(|&(l, c)| !(l == z.level && c == from));
 
-                // Decide ownership of the whole intersection on first meet.
-                let inter = intersect(my_range, *range);
-                if !merge.decided.contains(&from) && inter.0 < inter.1 {
-                    merge.won.extend(won_by(me, from, inter));
-                    merge.decided.insert(from);
-                }
+        // Decide ownership of the whole intersection on first meet.
+        let inter = intersect(my_range, z.range);
+        if inter.0 >= inter.1 {
+            return;
+        }
+        if !merge.decided.contains(&from) {
+            merge.won.extend(won_by(me, from, inter));
+            merge.decided.insert(from);
+        }
+        let (new_cid, new_min) = (merge.new_cid, merge.new_min);
 
-                // Child introductions for the next level.
-                if inter.0 < inter.1 {
-                    let guests = self.cbt.level_nodes_in(*level, inter.0, inter.1);
-                    let mut entries: Vec<(u32, NodeId)> = Vec::new();
-                    for g in guests {
-                        let (l, r) = self.cbt.children(g);
-                        for c in [l, r].into_iter().flatten() {
-                            match hosttree::host_for(
-                                me, &self.core, &self.view, round, neighbors, c,
-                            ) {
-                                Some(h) => {
-                                    if h != me && io.is_neighbor(from) && io.is_neighbor(h) {
-                                        io.link(h, from);
-                                    }
-                                    entries.push((c, h));
-                                }
-                                None => {
-                                    // View inconsistency: the merge cannot
-                                    // complete coherently on this host.
-                                    if let Some(mm) = self.scratch.merge.as_mut() {
-                                        mm.failed = true;
-                                    }
-                                }
-                            }
+        // Child introductions for the next level.
+        let mut entries: Vec<(u32, NodeId)> = Vec::new();
+        for g in self.cbt.level_nodes_in(z.level, inter.0, inter.1) {
+            let (l, r) = self.cbt.children(g);
+            for c in [l, r].into_iter().flatten() {
+                match self.host_for(io.round, io.neighbors(), c) {
+                    Some(h) => {
+                        if h != me && io.is_neighbor(from) && io.is_neighbor(h) {
+                            io.link(h, from);
                         }
+                        entries.push((c, h));
                     }
-                    let (ncid, nmin) = {
-                        let mm = self.scratch.merge.as_ref().unwrap();
-                        (mm.new_cid, mm.new_min)
-                    };
-                    if !entries.is_empty() {
-                        self.send_critical(
-                            io,
-                            from,
-                            CbtMsg::ZipChildInfo(Box::new(ZipChildInfo {
-                                epoch,
-                                level: level + 1,
-                                entries,
-                                new_cid: ncid,
-                                new_min: nmin,
-                                cid: my_cid,
-                            })),
-                        );
-                    }
+                    // View inconsistency: the merge cannot complete
+                    // coherently on this host.
+                    None => self.fail_merge(),
                 }
             }
-            CbtMsg::ZipChildInfo(z) => {
-                let ZipChildInfo {
-                    epoch: e,
-                    level,
+        }
+        if !entries.is_empty() {
+            self.send_critical(
+                io,
+                from,
+                CbtMsg::ZipChildInfo(Box::new(ZipChildInfo {
+                    epoch: z.epoch,
+                    level: z.level + 1,
                     entries,
                     new_cid,
                     new_min,
-                    cid,
-                } = &**z;
-                if *e != epoch {
-                    return;
-                }
-                let me = self.id;
-                let Some(merge) = self.scratch.merge.as_ref() else {
-                    return;
-                };
-                if merge.partner_cid != *cid {
-                    return;
-                }
-                let partner_cid = merge.partner_cid;
-                for &(c, their_host) in entries {
-                    let mine = hosttree::host_for(me, &self.core, &self.view, round, neighbors, c);
-                    let Some(mine) = mine else { continue };
-                    if mine == me {
-                        let merge = self.scratch.merge.as_mut().unwrap();
-                        if !merge.pending.contains(&(*level, their_host)) {
-                            merge.pending.push((*level, their_host));
-                        }
-                    } else {
-                        if !(io.is_neighbor(their_host) && io.is_neighbor(mine)) {
-                            // The partner's promised introduction never
-                            // materialized (adversarial state): abort.
-                            if let Some(mm) = self.scratch.merge.as_mut() {
-                                mm.failed = true;
-                            }
-                            continue;
-                        }
-                        io.link(mine, their_host);
-                        self.send_critical(
-                            io,
-                            mine,
-                            CbtMsg::ZipExpect(Box::new(ZipExpect {
-                                epoch,
-                                level: *level,
-                                counterpart: their_host,
-                                partner_cid,
-                                new_cid: *new_cid,
-                                new_min: *new_min,
-                            })),
-                        );
-                    }
-                }
+                    cid: my_cid,
+                })),
+            );
+        }
+    }
+
+    /// The counterpart named its hosts for the children guests: meet them
+    /// ourselves, or hand each to the member of ours covering that guest.
+    pub(crate) fn on_zip_child_info(&mut self, io: &mut Ctx<'_, impl Carrier>, z: &ZipChildInfo) {
+        let me = self.id;
+        let Some(partner_cid) = self.scratch.merge.as_ref().map(|m| m.partner_cid) else {
+            return;
+        };
+        if partner_cid != z.cid {
+            return;
+        }
+        for &(c, their_host) in &z.entries {
+            let Some(mine) = self.host_for(io.round, io.neighbors(), c) else {
+                continue;
+            };
+            if mine == me {
+                self.expect_meet(z.level, their_host);
+            } else if !(io.is_neighbor(their_host) && io.is_neighbor(mine)) {
+                // The partner's promised introduction never materialized
+                // (adversarial state): abort.
+                self.fail_merge();
+            } else {
+                io.link(mine, their_host);
+                self.send_critical(
+                    io,
+                    mine,
+                    CbtMsg::ZipExpect(Box::new(ZipExpect {
+                        epoch: z.epoch,
+                        level: z.level,
+                        counterpart: their_host,
+                        partner_cid,
+                        new_cid: z.new_cid,
+                        new_min: z.new_min,
+                    })),
+                );
             }
-            CbtMsg::ZipExpect(z) => {
-                let ZipExpect {
-                    epoch: e,
-                    level,
-                    counterpart,
-                    partner_cid,
-                    new_cid,
-                    new_min,
-                } = &**z;
-                if *e != epoch || *counterpart == self.id {
-                    return;
-                }
-                if self.scratch.merge.is_none() {
-                    self.scratch.merge = Some(Merge {
-                        partner_cid: *partner_cid,
-                        new_cid: *new_cid,
-                        new_min: *new_min,
-                        ..Merge::default()
-                    });
-                }
-                let merge = self.scratch.merge.as_mut().unwrap();
-                if merge.partner_cid != *partner_cid {
-                    return;
-                }
-                if !merge.pending.contains(&(*level, *counterpart)) {
-                    merge.pending.push((*level, *counterpart));
-                }
+        }
+    }
+
+    /// A same-cluster parent told us to expect a meet with `z.counterpart`.
+    pub(crate) fn on_zip_expect(&mut self, z: &ZipExpect) {
+        if z.counterpart != self.id
+            && self
+                .join_merge(z.partner_cid, z.new_cid, z.new_min)
+                .is_some()
+        {
+            self.expect_meet(z.level, z.counterpart);
+        }
+    }
+
+    /// Queue the meet with `counterpart` at `level` (idempotent; a merge is
+    /// in flight at every call site).
+    fn expect_meet(&mut self, level: u32, counterpart: NodeId) {
+        if let Some(merge) = self.scratch.merge.as_mut() {
+            if !merge.pending.contains(&(level, counterpart)) {
+                merge.pending.push((level, counterpart));
             }
-            _ => unreachable!("handle_zip called with a non-zip message"),
+        }
+    }
+
+    fn fail_merge(&mut self) {
+        if let Some(merge) = self.scratch.merge.as_mut() {
+            merge.failed = true;
         }
     }
 
     /// Clock-driven merge actions: send the scheduled meets, commit, prune.
-    pub(crate) fn merge_tick(&mut self, io: &mut impl NetIo, neighbors: &[NodeId], offset: u64) {
+    pub(crate) fn merge_tick(&mut self, io: &mut Ctx<'_, impl Carrier>, offset: u64) {
         let epoch = self.scratch.epoch;
         // Scheduled level meets.
         if let Some(level) = self.sched.zip_level_at(offset) {
@@ -290,7 +255,7 @@ impl CbtCore {
             self.commit_merge();
         }
         if offset == self.sched.t_prune() {
-            self.prune(io, neighbors);
+            self.prune(io);
         }
     }
 
@@ -340,19 +305,14 @@ impl CbtCore {
     }
 
     /// Drop intra-cluster edges the merged embedding does not require.
-    fn prune(&mut self, io: &mut impl NetIo, neighbors: &[NodeId]) {
+    fn prune(&mut self, io: &mut Ctx<'_, impl Carrier>) {
         if !self.scratch.committed {
             return;
         }
-        let round = io.round();
-        let mut to_drop = Vec::new();
-        for (v, b) in self.view.fresh(round, neighbors) {
+        for (v, b) in self.view.fresh(io.round, io.neighbors()) {
             if b.cid == self.core.cid && !required_edge(&self.cbt, self.core.range, b.range) {
-                to_drop.push(v);
+                io.unlink(v);
             }
-        }
-        for v in to_drop {
-            io.unlink(v);
         }
     }
 }

@@ -145,6 +145,28 @@ pub enum CbtMsg {
     ZipExpect(Box<ZipExpect>),
 }
 
+/// A wire message type that can carry Avatar(CBT) traffic: [`CbtMsg`]
+/// itself in standalone runs, or the message type of a protocol that embeds
+/// [`crate::CbtCore`] beside traffic of its own. This is the whole seam
+/// between the scaffold and what is built on it — the core runs on the
+/// embedding protocol's [`ssim::Ctx`], wrapping what it sends and peeling
+/// what it receives by reference.
+pub trait Carrier: Sized {
+    /// Embed a CBT message for sending.
+    fn wrap(msg: CbtMsg) -> Self;
+    /// The CBT message inside, if this is one.
+    fn peel(&self) -> Option<&CbtMsg>;
+}
+
+impl Carrier for CbtMsg {
+    fn wrap(msg: CbtMsg) -> Self {
+        msg
+    }
+    fn peel(&self) -> Option<&CbtMsg> {
+        Some(self)
+    }
+}
+
 /// Payload of [`CbtMsg::ZipMeet`].
 ///
 /// The three zipper payloads are the widest messages of the protocol but

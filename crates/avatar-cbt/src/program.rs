@@ -1,8 +1,6 @@
 //! [`ssim::Program`] wrapper around the protocol core, for running the
-//! Avatar(CBT) algorithm standalone (the scaffolding layer embeds
-//! [`CbtCore`] directly instead).
+//! Avatar(CBT) algorithm standalone.
 
-use crate::io::CtxIo;
 use crate::msg::CbtMsg;
 use crate::protocol::{CbtCore, StepEvents};
 use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
@@ -45,9 +43,7 @@ impl Program for CbtProgram {
     type Msg = CbtMsg;
 
     fn step(&mut self, ctx: &mut Ctx<'_, CbtMsg>) {
-        let inbox: Vec<(NodeId, CbtMsg)> = ctx.inbox().to_vec();
-        let mut io = CtxIo::new(ctx);
-        self.last_events = self.core.step(&mut io, &inbox);
+        self.last_events = self.core.step(ctx);
     }
 
     /// The engine's quiescence contract: only a *dormant* host (asleep via
@@ -84,33 +80,17 @@ impl ssim::Sabotage for CbtProgram {
         self.core.view.age(rounds);
     }
 
-    /// Skews the cluster identity ([`crate::state::ClusterCore::skew`]) and
-    /// wakes the host, so the lie is actively beaconed to the neighbors
-    /// rather than sitting inert in a dormant node.
     fn skew_identity(&mut self, salt: u64) {
-        self.core.core.skew(salt);
-        self.core.asleep = false;
-        self.core.beacons_enabled = true;
-        self.core.sleep_neighbors = None;
+        self.core.skew_identity(salt);
     }
 
-    fn plant_observation(&mut self, about: ssim::NodeId, salt: u64) -> bool {
-        self.core.view.tamper(about, |b| {
-            let mut fake = crate::state::ClusterCore {
-                cid: b.cid,
-                range: b.range,
-                cluster_min: b.cluster_min,
-            };
-            fake.skew(salt);
-            b.cid = fake.cid;
-            b.range = fake.range;
-            b.cluster_min = fake.cluster_min;
-        })
+    fn plant_observation(&mut self, about: NodeId, salt: u64) -> bool {
+        self.core.plant_observation(about, salt)
     }
 }
 
 impl ssim::Introspect for CbtProgram {
-    fn observation_ages(&self, now: u64) -> Vec<(ssim::NodeId, u64)> {
+    fn observation_ages(&self, now: u64) -> Vec<(NodeId, u64)> {
         self.core.view.ages(now)
     }
 
@@ -118,7 +98,7 @@ impl ssim::Introspect for CbtProgram {
         self.core.core.digest()
     }
 
-    fn recorded_digest(&self, about: ssim::NodeId) -> Option<u64> {
+    fn recorded_digest(&self, about: NodeId) -> Option<u64> {
         self.core.view.latest(about).map(|b| b.digest())
     }
 }

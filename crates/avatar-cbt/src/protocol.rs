@@ -2,17 +2,14 @@
 //! epoch-aligned matching, and the handoff into the zipper merge
 //! (see [`crate::merge`] for the zipper itself).
 
-use crate::detector;
-use crate::hosttree;
-use crate::io::NetIo;
-use crate::msg::{Beacon, CbtMsg, WalkKind};
+use crate::msg::{Beacon, Carrier, CbtMsg, WalkKind};
 use crate::schedule::Schedule;
 use crate::scratch::{Contact, Merge, Scratch, MAX_CONTACTS};
 use crate::state::{ClusterCore, NeighborView, Role};
 use overlay::cbt::Cbt;
 use rand::Rng;
 use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
-use ssim::NodeId;
+use ssim::{Ctx, NodeId};
 
 /// Events surfaced by one protocol step (consumed by the scaffolding layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,11 +169,11 @@ impl CbtCore {
     }
 
     /// Send a merge-critical message [`CbtCore::zip_redundancy`] times.
-    pub(crate) fn send_critical(&self, io: &mut impl NetIo, to: NodeId, msg: CbtMsg) {
+    pub(crate) fn send_critical(&self, io: &mut Ctx<'_, impl Carrier>, to: NodeId, msg: CbtMsg) {
         for _ in 1..self.zip_redundancy {
-            io.send(to, msg.clone());
+            send(io, to, msg.clone());
         }
-        io.send(to, msg);
+        send(io, to, msg);
     }
 
     /// A grace window of `hops` message hops expressed in rounds under
@@ -201,13 +198,8 @@ impl CbtCore {
         }
     }
 
-    /// True iff this host is its cluster's root host.
-    pub fn is_root(&self) -> bool {
-        hosttree::is_root(&self.cbt, &self.core)
-    }
-
     /// Reset to a singleton cluster with a fresh random nonce.
-    pub fn reset(&mut self, io: &mut impl NetIo) {
+    pub fn reset(&mut self, io: &mut Ctx<'_, impl Carrier>) {
         let nonce = io.rng().gen::<u64>();
         self.core = ClusterCore::singleton(self.id, self.n, nonce);
         self.scratch = Scratch::new(self.scratch.epoch);
@@ -226,6 +218,34 @@ impl CbtCore {
     /// no-op absent external input (the engine's quiescence contract).
     pub fn is_dormant(&self) -> bool {
         self.asleep && self.sleep_grace == 0 && self.sleep_neighbors.is_some()
+    }
+
+    /// [`ssim::Sabotage::skew_identity`], written once for the standalone
+    /// program and for every protocol embedding this core: skews the
+    /// cluster identity ([`ClusterCore::skew`]) and wakes the host, so the
+    /// lie is actively beaconed to the neighbors rather than sitting inert
+    /// in a dormant node.
+    pub fn skew_identity(&mut self, salt: u64) {
+        self.core.skew(salt);
+        self.asleep = false;
+        self.beacons_enabled = true;
+        self.sleep_neighbors = None;
+    }
+
+    /// [`ssim::Sabotage::plant_observation`]: the recorded beacon of
+    /// `about` is re-forged with the same skew an identity lie uses.
+    pub fn plant_observation(&mut self, about: NodeId, salt: u64) -> bool {
+        self.view.tamper(about, |b| {
+            let mut fake = ClusterCore {
+                cid: b.cid,
+                range: b.range,
+                cluster_min: b.cluster_min,
+            };
+            fake.skew(salt);
+            b.cid = fake.cid;
+            b.range = fake.range;
+            b.cluster_min = fake.cluster_min;
+        })
     }
 
     /// Tree routing of an application request (the
@@ -285,14 +305,14 @@ impl CbtCore {
             // Covers nothing on the path: route up the host tree — the
             // parent of the range root lies in an ancestor host's range
             // (strictly lower range-root level each hop), and the host
-            // covering the guest root is on every path.
-            None => {
-                let rr = self.cbt.range_root(self.core.range.0, self.core.range.1);
-                match self.cbt.parent(rr) {
-                    Some(p) => p,
-                    None => return RouteStep::Unroutable,
-                }
-            }
+            // covering the guest root is on every path. A corrupted own
+            // range has no range root: unroutable until the detector resets
+            // it (routing runs in the traffic stage, whatever the detector
+            // has or has not done yet).
+            None => match self.up_guest().and_then(|rr| self.cbt.parent(rr)) {
+                Some(p) => p,
+                None => return RouteStep::Unroutable,
+            },
         };
         debug_assert!(!self.core.covers(cur));
         for &v in neighbors {
@@ -314,9 +334,9 @@ impl CbtCore {
     /// (the successor line, range-crossing edges) would reset and wake the
     /// whole network again. Flooding keeps the gap at one round, strictly
     /// inside the TTL.
-    fn begin_sleep(&mut self, io: &mut impl NetIo, neighbors: &[NodeId]) {
-        for &v in neighbors {
-            io.send(v, CbtMsg::Sleep);
+    fn begin_sleep(&mut self, io: &mut Ctx<'_, impl Carrier>) {
+        for &v in io.neighbors() {
+            send(io, v, CbtMsg::Sleep);
         }
         self.asleep = true;
         self.beacons_enabled = false;
@@ -342,10 +362,16 @@ impl CbtCore {
         self.grace = self.grace.max(self.grace_hops(2));
     }
 
-    /// Execute one synchronous round.
-    pub fn step(&mut self, io: &mut impl NetIo, inbox: &[(NodeId, CbtMsg)]) -> StepEvents {
+    /// Execute one synchronous round against the host's context. Only the
+    /// CBT traffic in the inbox is this protocol's; an embedding protocol's
+    /// own messages are skipped.
+    pub fn step(&mut self, io: &mut Ctx<'_, impl Carrier>) -> StepEvents {
         let mut ev = StepEvents::default();
-        let round = io.round();
+        let (round, neighbors) = (io.round, io.neighbors());
+        let inbox = io
+            .inbox()
+            .iter()
+            .filter_map(|(from, m)| Some((*from, m.peel()?)));
 
         // ---- Dormant fast path (standalone runs after the quiesce wave):
         // wake on any neighborhood change or, once the fall-asleep grace
@@ -353,11 +379,10 @@ impl CbtCore {
         // no-op — no scratch wipes, no beacons, no PRNG draws — so a
         // dormant network costs nothing under activity-driven scheduling.
         if self.asleep {
-            let neighbors = io.neighbors();
             match &self.sleep_neighbors {
                 None => self.sleep_neighbors = Some(neighbors.to_vec()),
                 Some(cache) => {
-                    if cache.as_slice() != neighbors {
+                    if cache != neighbors {
                         self.wake();
                         return ev; // resume the full protocol next round
                     }
@@ -367,7 +392,7 @@ impl CbtCore {
                 self.sleep_grace -= 1;
                 return ev; // residual traffic of the descending wave
             }
-            if !inbox.is_empty() {
+            if inbox.clone().next().is_some() {
                 self.wake();
             }
             return ev;
@@ -385,41 +410,18 @@ impl CbtCore {
         }
 
         // ---- Ingest beacons first so every other handler sees fresh state.
-        for (from, m) in inbox {
+        for (from, m) in inbox.clone() {
             if let CbtMsg::Beacon(b) = m {
-                self.view.record(*from, round, *b);
+                self.view.record(from, round, *b);
             }
         }
-        let neighbors: Vec<NodeId> = io.neighbors().to_vec();
-        self.view.retain_neighbors(&neighbors);
+        self.view.retain_neighbors(neighbors);
 
         // ---- Local fault detection (every round, grace-gated extras rule).
         // Shortly after a wake-up the freshness rule is relaxed: still-
         // sleeping neighbors' last beacons describe frozen state and remain
         // trustworthy until the wake ripple restores live beaconing.
-        let fault = if self.stale_grace > 0 {
-            detector::check_stale_tolerant(
-                self.id,
-                self.n,
-                &self.cbt,
-                &self.core,
-                &self.view,
-                round,
-                &neighbors,
-                self.grace > 0,
-            )
-        } else {
-            detector::check(
-                self.id,
-                self.n,
-                &self.cbt,
-                &self.core,
-                &self.view,
-                round,
-                &neighbors,
-                self.grace > 0,
-            )
-        };
+        let fault = self.fault(round, neighbors, self.grace > 0, self.stale_grace > 0);
         self.grace = self.grace.saturating_sub(1);
         // Debounce: reset only when the fault has persisted (see
         // [`CbtCore::fault_patience`]). Patience 1 resets on the first one.
@@ -431,43 +433,33 @@ impl CbtCore {
         if self.fault_streak >= self.fault_patience {
             self.reset(io);
             ev.reset = true;
-            self.emit_beacon(io, &neighbors);
+            self.emit_beacon(io);
             return ev; // start over next round from the singleton state
         }
 
         // ---- Handle protocol messages.
         for (from, m) in inbox {
-            self.handle(io, &neighbors, epoch, offset, *from, m, &mut ev);
+            self.handle(io, epoch, offset, from, m);
         }
 
         // ---- Scheduled actions for this offset.
-        self.scheduled(io, &neighbors, epoch, offset, &mut ev);
+        self.scheduled(io, epoch, offset, &mut ev);
 
         // ---- Zipper merge rounds (see merge.rs).
-        self.merge_tick(io, &neighbors, offset);
+        self.merge_tick(io, offset);
 
-        self.emit_beacon(io, &neighbors);
+        self.emit_beacon(io);
         ev
     }
 
-    fn emit_beacon(&self, io: &mut impl NetIo, neighbors: &[NodeId]) {
+    fn emit_beacon(&self, io: &mut Ctx<'_, impl Carrier>) {
         if !self.beacons_enabled {
             return;
         }
         let b = self.beacon();
-        for &v in neighbors {
-            io.send(v, CbtMsg::Beacon(b));
+        for &v in io.neighbors() {
+            send(io, v, CbtMsg::Beacon(b));
         }
-    }
-
-    /// My host-tree parent, if consistent.
-    fn parent(&self, round: u64, neighbors: &[NodeId]) -> Option<NodeId> {
-        hosttree::parent(&self.cbt, &self.core, &self.view, round, neighbors)
-    }
-
-    /// My host-tree children.
-    fn children(&self, round: u64, neighbors: &[NodeId]) -> Vec<NodeId> {
-        hosttree::children(&self.cbt, &self.core, &self.view, round, neighbors)
     }
 
     /// External neighbors whose cluster advertises `Leader` for this epoch.
@@ -491,18 +483,15 @@ impl CbtCore {
             })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         offset: u64,
         from: NodeId,
         m: &CbtMsg,
-        _ev: &mut StepEvents,
     ) {
-        let round = io.round();
+        let (round, neighbors) = (io.round, io.neighbors());
         match m {
             CbtMsg::Beacon(_) => {} // ingested earlier
             CbtMsg::Sleep => {
@@ -511,14 +500,14 @@ impl CbtCore {
                 // a clean cluster has none, so a Sleep that arrives mid-
                 // merge is stale and dropped.
                 if self.sleep_on_clean && !self.asleep && self.scratch.merge.is_none() {
-                    self.begin_sleep(io, neighbors);
+                    self.begin_sleep(io);
                 }
             }
             CbtMsg::Poll { epoch: e, role } => {
                 if *e == epoch && self.scratch.role.is_none() {
                     self.scratch.role = Some(*role);
                     for c in self.children(round, neighbors) {
-                        io.send(c, CbtMsg::Poll { epoch, role: *role });
+                        send(io, c, CbtMsg::Poll { epoch, role: *role });
                     }
                 }
             }
@@ -533,7 +522,7 @@ impl CbtCore {
             }
             CbtMsg::Nominate { epoch: e } => {
                 if *e == epoch {
-                    self.forward_nomination(io, neighbors, epoch, offset);
+                    self.forward_nomination(io, epoch, offset);
                 }
             }
             CbtMsg::MergeReq {
@@ -545,7 +534,7 @@ impl CbtCore {
                     && self.scratch.role == Some(Role::Leader)
                     && offset < self.sched.t_match_deadline()
                 {
-                    self.start_contact_pull(io, neighbors, epoch, from, *fcid, *fmin);
+                    self.start_contact_pull(io, epoch, from, *fcid, *fmin);
                 }
             }
             CbtMsg::WalkUp {
@@ -556,37 +545,27 @@ impl CbtCore {
                 remote_min,
             } => {
                 if *e == epoch {
-                    self.continue_walk(
-                        io,
-                        neighbors,
-                        epoch,
-                        *kind,
-                        *endpoint,
-                        *remote_cid,
-                        *remote_min,
-                    );
+                    self.continue_walk(io, epoch, *kind, *endpoint, *remote_cid, *remote_min);
                 }
             }
             CbtMsg::MatchMade {
                 epoch: e,
                 partner,
                 partner_cid,
-                walk_first,
-                self_match,
+                ..
             } => {
                 if *e == epoch && self.scratch.nominated {
                     // Begin the follower-side walk carrying the partner
                     // endpoint toward my cluster root. For a self-match the
                     // partner endpoint is the leader root itself.
-                    let _ = (walk_first, self_match);
-                    self.start_match_walk(io, neighbors, epoch, *partner, *partner_cid);
+                    self.start_match_walk(io, epoch, *partner, *partner_cid);
                 }
             }
             CbtMsg::AnchorDone { epoch: e } => {
                 if *e == epoch {
                     // I am the second contact: the first follower's root
                     // (`from`) now holds the match edge. Carry it up my tree.
-                    self.start_anchor_walk(io, neighbors, epoch, from);
+                    self.start_anchor_walk(io, epoch, from);
                 }
             }
             CbtMsg::MergeHello {
@@ -598,21 +577,21 @@ impl CbtCore {
                     self.on_merge_hello(io, epoch, from, *cid, *cluster_min);
                 }
             }
-            CbtMsg::ZipMeet(..) | CbtMsg::ZipChildInfo(..) | CbtMsg::ZipExpect(..) => {
-                self.handle_zip(io, neighbors, epoch, from, m);
-            }
+            CbtMsg::ZipMeet(z) if z.epoch == epoch => self.on_zip_meet(io, from, z),
+            CbtMsg::ZipChildInfo(z) if z.epoch == epoch => self.on_zip_child_info(io, z),
+            CbtMsg::ZipExpect(z) if z.epoch == epoch => self.on_zip_expect(z),
+            CbtMsg::ZipMeet(_) | CbtMsg::ZipChildInfo(_) | CbtMsg::ZipExpect(_) => {} // stale
         }
     }
 
     fn scheduled(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         offset: u64,
         ev: &mut StepEvents,
     ) {
-        let round = io.round();
+        let (round, neighbors) = (io.round, io.neighbors());
 
         // Epoch start: the root flips this epoch's role and starts the poll.
         if offset == self.sched.t_poll() && self.is_root() {
@@ -623,7 +602,7 @@ impl CbtCore {
             };
             self.scratch.role = Some(role);
             for c in self.children(round, neighbors) {
-                io.send(c, CbtMsg::Poll { epoch, role });
+                send(io, c, CbtMsg::Poll { epoch, role });
             }
         }
 
@@ -655,7 +634,8 @@ impl CbtCore {
                         children.iter().find(|c| self.scratch.reports[c].0).copied()
                     };
                     if let Some(p) = self.parent(round, neighbors) {
-                        io.send(
+                        send(
+                            io,
                             p,
                             CbtMsg::Report {
                                 epoch,
@@ -685,7 +665,7 @@ impl CbtCore {
                 // legal — quiesce it. (The scaffolding layer reacts to
                 // `cluster_clean` with its own CBT→CHORD switch instead.)
                 if self.sleep_on_clean && !self.asleep {
-                    self.begin_sleep(io, neighbors);
+                    self.begin_sleep(io);
                 }
             }
             if self.scratch.role == Some(Role::Follower) {
@@ -698,7 +678,7 @@ impl CbtCore {
                         .copied()
                 };
                 if self.scratch.self_candidate || self.scratch.cand_child.is_some() {
-                    self.forward_nomination(io, neighbors, epoch, offset);
+                    self.forward_nomination(io, epoch, offset);
                 }
             }
         }
@@ -713,39 +693,35 @@ impl CbtCore {
         }
 
         // Commit and prune are driven from merge.rs via merge_tick.
-        let _ = offset;
     }
 
     /// Route the nomination token: either I am the contact, or pass it to
     /// the child whose subtree reported the candidate.
-    fn forward_nomination(
-        &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
-        epoch: u64,
-        offset: u64,
-    ) {
+    fn forward_nomination(&mut self, io: &mut Ctx<'_, impl Carrier>, epoch: u64, offset: u64) {
         if self.scratch.nominated || offset >= self.sched.t_match_deadline() {
             return;
         }
         if self.scratch.self_candidate {
             self.scratch.nominated = true;
-            self.send_merge_req(io, neighbors, epoch);
+            self.send_merge_req(io, epoch);
         } else if let Some(c) = self.scratch.cand_child {
             if io.is_neighbor(c) {
-                io.send(c, CbtMsg::Nominate { epoch });
+                send(io, c, CbtMsg::Nominate { epoch });
             }
         }
     }
 
     /// The nominated contact asks its smallest external leader neighbor.
-    fn send_merge_req(&mut self, io: &mut impl NetIo, neighbors: &[NodeId], epoch: u64) {
+    fn send_merge_req(&mut self, io: &mut Ctx<'_, impl Carrier>, epoch: u64) {
         if self.scratch.merge_req_sent {
             return;
         }
-        let round = io.round();
-        if let Some(&l) = self.leader_neighbors(round, epoch, neighbors).first() {
-            io.send(
+        if let Some(&l) = self
+            .leader_neighbors(io.round, epoch, io.neighbors())
+            .first()
+        {
+            send(
+                io,
                 l,
                 CbtMsg::MergeReq {
                     epoch,
@@ -761,21 +737,20 @@ impl CbtCore {
     /// contact edge up to the leader root.
     fn start_contact_pull(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         follower: NodeId,
         fcid: u64,
         fmin: NodeId,
     ) {
-        let round = io.round();
         if self.is_root() {
             self.accept_contact(follower, fcid, fmin);
             return;
         }
-        if let Some(p) = self.parent(round, neighbors) {
+        if let Some(p) = self.parent(io.round, io.neighbors()) {
             io.link(follower, p);
-            io.send(
+            send(
+                io,
                 p,
                 CbtMsg::WalkUp {
                     epoch,
@@ -791,18 +766,15 @@ impl CbtCore {
 
     /// A walk step arrived: I now hold an edge to `endpoint`. Either absorb
     /// it (walk complete at a root) or hand it to my parent and drop my copy.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's predicate arity
     fn continue_walk(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         kind: WalkKind,
         endpoint: NodeId,
         remote_cid: u64,
         remote_min: NodeId,
     ) {
-        let round = io.round();
         if !io.is_neighbor(endpoint) {
             return; // edge never materialized (peer reset); drop the walk
         }
@@ -816,7 +788,7 @@ impl CbtCore {
                 WalkKind::MatchW1 => {
                     // The match edge is anchored at my root; tell the far
                     // endpoint (second contact) to carry me up its tree.
-                    io.send(endpoint, CbtMsg::AnchorDone { epoch });
+                    send(io, endpoint, CbtMsg::AnchorDone { epoch });
                 }
                 WalkKind::MatchW2 => {
                     // endpoint is the partner cluster's root: handshake.
@@ -834,9 +806,10 @@ impl CbtCore {
             }
             return;
         }
-        if let Some(p) = self.parent(round, neighbors) {
+        if let Some(p) = self.parent(io.round, io.neighbors()) {
             io.link(endpoint, p);
-            io.send(
+            send(
+                io,
                 p,
                 CbtMsg::WalkUp {
                     epoch,
@@ -864,7 +837,7 @@ impl CbtCore {
     }
 
     /// Leader root at match time: pair contacts; odd leftover merges with us.
-    fn dispatch_matches(&mut self, io: &mut impl NetIo, epoch: u64) {
+    fn dispatch_matches(&mut self, io: &mut Ctx<'_, impl Carrier>, epoch: u64) {
         self.scratch.matched = true;
         let mut contacts = std::mem::take(&mut self.scratch.contacts);
         contacts.sort_by_key(|c| c.fcid);
@@ -873,7 +846,8 @@ impl CbtCore {
         for pair in iter.by_ref() {
             let (a, b) = (pair[0], pair[1]);
             io.link(a.endpoint, b.endpoint);
-            io.send(
+            send(
+                io,
                 a.endpoint,
                 CbtMsg::MatchMade {
                     epoch,
@@ -883,7 +857,8 @@ impl CbtCore {
                     self_match: false,
                 },
             );
-            io.send(
+            send(
+                io,
                 b.endpoint,
                 CbtMsg::MatchMade {
                     epoch,
@@ -897,7 +872,8 @@ impl CbtCore {
         if let [last] = iter.remainder() {
             // Odd contact: the leader cluster itself merges with it. The
             // contact walks the (leader-root, contact) edge up its own tree.
-            io.send(
+            send(
+                io,
                 last.endpoint,
                 CbtMsg::MatchMade {
                     epoch,
@@ -915,24 +891,23 @@ impl CbtCore {
     /// edge up to my cluster root, carrying the partner endpoint.
     fn start_match_walk(
         &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         partner: NodeId,
         partner_cid: u64,
     ) {
-        let round = io.round();
         if !io.is_neighbor(partner) {
             return;
         }
         if self.is_root() {
             // Degenerate: the contact *is* the root (e.g. singleton cluster).
-            io.send(partner, CbtMsg::AnchorDone { epoch });
+            send(io, partner, CbtMsg::AnchorDone { epoch });
             return;
         }
-        if let Some(p) = self.parent(round, neighbors) {
+        if let Some(p) = self.parent(io.round, io.neighbors()) {
             io.link(partner, p);
-            io.send(
+            send(
+                io,
                 p,
                 CbtMsg::WalkUp {
                     epoch,
@@ -947,14 +922,7 @@ impl CbtCore {
 
     /// Second contact after `AnchorDone`: carry the anchored root (`anchor`)
     /// up my own tree to my root.
-    fn start_anchor_walk(
-        &mut self,
-        io: &mut impl NetIo,
-        neighbors: &[NodeId],
-        epoch: u64,
-        anchor: NodeId,
-    ) {
-        let round = io.round();
+    fn start_anchor_walk(&mut self, io: &mut Ctx<'_, impl Carrier>, epoch: u64, anchor: NodeId) {
         if !io.is_neighbor(anchor) {
             return;
         }
@@ -971,9 +939,10 @@ impl CbtCore {
             );
             return;
         }
-        if let Some(p) = self.parent(round, neighbors) {
+        if let Some(p) = self.parent(io.round, io.neighbors()) {
             io.link(anchor, p);
-            io.send(
+            send(
+                io,
                 p,
                 CbtMsg::WalkUp {
                     epoch,
@@ -989,7 +958,7 @@ impl CbtCore {
     /// Root-to-root handshake: prime the merge and answer the Hello once.
     fn on_merge_hello(
         &mut self,
-        io: &mut impl NetIo,
+        io: &mut Ctx<'_, impl Carrier>,
         epoch: u64,
         from: NodeId,
         cid: u64,
@@ -1110,14 +1079,14 @@ impl Persist for CbtCore {
     }
 }
 
+/// Send a CBT message over whatever wire type the host's context carries.
+pub(crate) fn send<M: Carrier>(io: &mut Ctx<'_, M>, to: NodeId, msg: CbtMsg) {
+    io.send(to, M::wrap(msg));
+}
+
 /// Symmetric combination of two cluster ids into the merged cluster's id.
 pub fn mix_cids(a: u64, b: u64) -> u64 {
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E3779B97F4A7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-        x ^ (x >> 31)
-    }
+    use ssim::runtime::splitmix64;
     splitmix64(a) ^ splitmix64(b)
 }
 
@@ -1190,6 +1159,22 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Corruption can leave the own responsible range empty or reaching
+    /// past the guest space; routing must degrade to Unroutable (retry/TTL),
+    /// never trip `Cbt::range_root`'s interval assertion mid-round.
+    #[test]
+    fn routing_with_corrupted_own_range_is_safe() {
+        let mut c = CbtCore::new(5, 64, 9);
+        for range in [(7, 7), (60, 90), (3, 0)] {
+            c.core.range = range;
+            assert_eq!(
+                c.route_request(3, &[]),
+                ssim::workload::RouteStep::Unroutable,
+                "own range {range:?}"
+            );
         }
     }
 

@@ -88,8 +88,8 @@ impl Program for LinearProgram {
             return;
         }
         let me = ctx.id;
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        let (pred, succ) = Self::pred_succ(me, &neighbors);
+        let neighbors = ctx.neighbors();
+        let (pred, succ) = Self::pred_succ(me, neighbors);
 
         // ---- Linearization (Onus–Richa–Scheideler): while not yet in
         // sorted-list position, delegate far same-side neighbors toward
@@ -115,8 +115,7 @@ impl Program for LinearProgram {
 
         // ---- Walk extension service: a Walk message means its origin was
         // introduced to me last round; extend the walk through my successor.
-        let inbox: Vec<(NodeId, LinMsg)> = ctx.inbox().to_vec();
-        for (_, m) in &inbox {
+        for (_, m) in ctx.inbox() {
             if let LinMsg::Walk {
                 origin,
                 dist,

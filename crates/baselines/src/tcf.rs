@@ -56,7 +56,7 @@ impl Program for TcfProgram {
         if self.done {
             return;
         }
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
+        let neighbors = ctx.neighbors();
         if neighbors.len() == self.prev_degree {
             self.stable_rounds += 1;
         } else {
@@ -67,11 +67,11 @@ impl Program for TcfProgram {
         if self.stable_rounds >= STABLE_THRESHOLD {
             // Clique assumed complete: the closed neighborhood is the whole
             // node set. Compute the target and prune.
-            let mut all: Vec<NodeId> = neighbors.clone();
+            let mut all: Vec<NodeId> = neighbors.to_vec();
             all.push(ctx.id);
             all.sort_unstable();
             let keep = (self.target)(&all, ctx.id);
-            for &v in &neighbors {
+            for &v in neighbors {
                 if !keep.contains(&v) {
                     ctx.unlink(v);
                 }

@@ -396,7 +396,8 @@ fn main() {
             scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal()).save_snapshot()
         });
         let t0 = Instant::now();
-        let mut rt = chord_scaffold::restore_runtime(&bytes, cfg).expect("E14 snapshot restores");
+        let mut rt = chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&bytes, cfg)
+            .expect("E14 snapshot restores");
         let restore_ns = t0.elapsed().as_nanos() as f64;
         assert_eq!(rt.ids().len(), hosts, "E14: restored host count");
         let t0 = Instant::now();
@@ -469,7 +470,8 @@ fn main() {
             });
             let t0 = Instant::now();
             let mut rt =
-                chord_scaffold::restore_runtime(&bytes, cfg).expect("E14b snapshot restores");
+                chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&bytes, cfg)
+                    .expect("E14b snapshot restores");
             let restore_ns = t0.elapsed().as_nanos() as f64;
             assert_eq!(rt.ids().len(), hosts, "E14b: restored host count");
             let t0 = Instant::now();

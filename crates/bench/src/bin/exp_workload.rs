@@ -303,7 +303,8 @@ fn main() {
     let mut t = Table::new(&["hosts", "N", "rate", "rounds", "completed", "ns/round"]);
     for rate in [1.0f64, 8.0, 64.0] {
         let mut rt =
-            chord_scaffold::restore_runtime(&lc_bytes, lc_cfg).expect("E13c fixture restores");
+            chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&lc_bytes, lc_cfg)
+                .expect("E13c fixture restores");
         rt.set_scheduler(Box::new(ssim::ActivityDriven));
         rt.attach_workload(OpenLoop::new(rate, lc_n), WorkloadConfig::default());
         rt.run(8); // warm buffers and the first lookups

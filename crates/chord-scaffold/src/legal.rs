@@ -4,9 +4,10 @@
 use crate::msg::Phase;
 use crate::program::ScaffoldProgram;
 use crate::target::{ChordTarget, InductiveTarget};
+use avatar_cbt::legal::{boot, join_nonce, reboot};
 use overlay::Avatar;
 use ssim::monitor::{self, Goal};
-use ssim::{init::Shape, Config, NodeId, Runtime, Topology};
+use ssim::{init::Shape, Config, NetModel, NodeId, Persist, Runtime, SnapshotError, Topology};
 
 /// The exact host edge set of the legal `Avatar(target)`: the scaffold edges
 /// (tree projection + successor line — "we maintain the scaffold edges after
@@ -50,19 +51,14 @@ pub fn is_legal<'a, T: InductiveTarget>(
     topo.edges() == expected_edges(target, &ids)
 }
 
-/// Runtime-level legality for the default Chord target.
-pub fn runtime_is_legal(rt: &Runtime<ScaffoldProgram<ChordTarget>>) -> bool {
+/// Runtime-level legality, judged against the target the hosts themselves
+/// store.
+pub fn runtime_is_legal<T: InductiveTarget>(rt: &Runtime<ScaffoldProgram<T>>) -> bool {
     let Some(&first) = rt.ids().first() else {
         return false; // all hosts departed: nothing legal to speak of
     };
-    let target = *rt.program(first).core.target.chord();
-    let t = ChordTarget::classic(target.n());
-    let t = if target.finger_count() == t.chord().finger_count() {
-        t
-    } else {
-        ChordTarget::paper(target.n())
-    };
-    is_legal(&t, rt.topology(), rt.programs().map(|(_, p)| p))
+    let target = &rt.program(first).core.target;
+    is_legal(target, rt.topology(), rt.programs().map(|(_, p)| p))
 }
 
 /// The Avatar(Chord) legality goal as a composable [`ssim::Monitor`] — the
@@ -85,90 +81,63 @@ pub fn legality_for<T: InductiveTarget + Clone + Send + 'static>(
     )
 }
 
-/// Build a scaffolding runtime over the given hosts and initial edges.
-pub fn runtime(
-    target: ChordTarget,
+/// Build a scaffolding runtime for any [`InductiveTarget`] over the given
+/// hosts and initial edges.
+pub fn runtime<T: InductiveTarget>(
+    target: T,
     ids: &[NodeId],
     edges: Vec<(NodeId, NodeId)>,
     cfg: Config,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    runtime_with_net(target, ids, edges, cfg, ssim::NetModel::ideal())
+) -> Runtime<ScaffoldProgram<T>> {
+    runtime_with_net(target, ids, edges, cfg, NetModel::ideal())
 }
 
-/// [`runtime`] under a network-conditions model: every host's windows —
-/// the CBT epoch schedule, beacon staleness horizon, grace windows, and the
-/// CHORD-phase switch/wave timeouts — are re-budgeted for the model's
-/// per-hop delivery bound `Δ = 1 + delay + jitter`
-/// ([`ssim::NetModel::delivery_bound`]), lossy channels additionally get
-/// detector patience and merge-message retransmission (see
-/// [`avatar_cbt::CbtCore::with_net`]), and mid-run joiners inherit the same
-/// budget from the spawner. With
-/// [`ssim::NetModel::ideal`] this is exactly [`runtime`] (`Δ = 1` is the
-/// identity).
-pub fn runtime_with_net(
-    target: ChordTarget,
+/// [`runtime`] under a network-conditions model, through the one
+/// construction recipe of both protocol crates ([`avatar_cbt::legal::boot`]):
+/// besides the embedded CBT core's windows, the CHORD-phase switch/wave
+/// timeouts scale with the model's delivery bound too. With
+/// [`NetModel::ideal`] this is exactly [`runtime`].
+pub fn runtime_with_net<T: InductiveTarget>(
+    target: T,
     ids: &[NodeId],
     edges: Vec<(NodeId, NodeId)>,
     cfg: Config,
-    model: ssim::NetModel,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    let mk = spawner(target, cfg.seed, model);
-    let nodes = ids.iter().map(|&v| (v, mk(v)));
-    let mut rt = Runtime::new(cfg, nodes, edges)
-        .with_spawner(mk)
-        .with_net_model(model);
-    // Debug builds continuously audit the quiescence contract (a settled
-    // DONE host's step must be a strict no-op) whenever an equivalence-
-    // claiming scheduler skips anyone.
-    if cfg!(debug_assertions) {
-        rt.enable_shadow_check();
-    }
-    rt
+    model: NetModel,
+) -> Runtime<ScaffoldProgram<T>> {
+    boot(ids, edges, cfg, model, spawner(target, cfg.seed, model))
 }
 
 /// How a host boots — at construction, and when it joins mid-run or after
 /// a restore: CBT phase, singleton cluster, seed-derived nonce, budgeted
 /// for `model` ([`avatar_cbt::CbtCore::with_net`]).
-fn spawner(
-    target: ChordTarget,
+fn spawner<T: InductiveTarget>(
+    target: T,
     seed: u64,
-    model: ssim::NetModel,
-) -> impl Fn(NodeId) -> ScaffoldProgram<ChordTarget> + Copy {
-    move |v| ScaffoldProgram::new(v, target, avatar_cbt::legal::join_nonce(seed, v)).with_net(model)
+    model: NetModel,
+) -> impl Fn(NodeId) -> ScaffoldProgram<T> {
+    move |v| ScaffoldProgram::new(v, target.clone(), join_nonce(seed, v)).with_net(model)
 }
 
-/// Restore a scaffolding runtime from snapshot bytes produced by
-/// [`ssim::Runtime::save_snapshot`], re-registering the non-serializable
-/// hooks a [`runtime`]-built instance carries: the join spawner (nonces
-/// derived from the snapshot's seed and budgets from its network model, so
-/// mid-run joins behave exactly as in the original run) and, in debug
-/// builds, the shadow quiescence check.
-pub fn restore_runtime(
+/// Restore a scaffolding runtime through the one restore recipe
+/// ([`avatar_cbt::legal::reboot`]); joiners boot for the restored hosts'
+/// target.
+pub fn restore_runtime<T: InductiveTarget + Persist>(
     bytes: &[u8],
     cfg: Config,
-) -> Result<Runtime<ScaffoldProgram<ChordTarget>>, ssim::SnapshotError> {
-    let mut rt = Runtime::<ScaffoldProgram<ChordTarget>>::restore_snapshot(bytes, cfg)?;
-    let Some(&first) = rt.ids().first() else {
-        return Err(ssim::SnapshotError::Corrupt(
-            "chord-scaffold restore: no live hosts, cannot infer the target".into(),
-        ));
-    };
-    let target = rt.program(first).core.target;
-    rt.set_spawner(spawner(target, rt.config().seed, rt.net_model()));
-    if cfg!(debug_assertions) {
-        rt.enable_shadow_check();
-    }
-    Ok(rt)
+) -> Result<Runtime<ScaffoldProgram<T>>, SnapshotError> {
+    reboot(bytes, cfg, |p: &ScaffoldProgram<T>, seed, model| {
+        spawner(p.core.target.clone(), seed, model)
+    })
 }
 
 /// Build a scaffolding runtime from a named initial shape with `count`
 /// random hosts.
-pub fn runtime_from_shape(
-    target: ChordTarget,
+pub fn runtime_from_shape<T: InductiveTarget>(
+    target: T,
     count: usize,
     shape: Shape,
     cfg: Config,
-) -> Runtime<ScaffoldProgram<ChordTarget>> {
+) -> Runtime<ScaffoldProgram<T>> {
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
     let ids = ssim::init::random_ids(count, target.n(), &mut rng);

@@ -28,6 +28,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No handler a reviewer cannot hold in their head: the `lint` CI job turns
+// this into an error past the threshold in the workspace's `clippy.toml`.
+#![warn(clippy::too_many_lines)]
 
 pub mod legal;
 pub mod msg;
@@ -41,5 +44,5 @@ pub use legal::{
 };
 pub use msg::{Phase, PhaseInfo, ScafMsg};
 pub use program::ScaffoldProgram;
-pub use protocol::{ScafIo, ScaffoldCore};
+pub use protocol::ScaffoldCore;
 pub use target::{ChordTarget, InductiveTarget, TruncatedChordTarget};

@@ -59,6 +59,18 @@ pub enum ScafMsg {
     FbDone,
 }
 
+impl avatar_cbt::Carrier for ScafMsg {
+    fn wrap(msg: CbtMsg) -> Self {
+        ScafMsg::Cbt(msg)
+    }
+    fn peel(&self) -> Option<&CbtMsg> {
+        match self {
+            ScafMsg::Cbt(m) => Some(m),
+            _ => None,
+        }
+    }
+}
+
 impl Persist for Phase {
     fn save(&self, w: &mut Writer) {
         w.u8(match self {

@@ -1,9 +1,8 @@
 //! [`ssim::Program`] wrapper for the combined scaffolding protocol.
 
 use crate::msg::ScafMsg;
-use crate::protocol::{ScafIo, ScaffoldCore};
+use crate::protocol::ScaffoldCore;
 use crate::target::{ChordTarget, InductiveTarget};
-use rand::rngs::SmallRng;
 use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
 use ssim::workload::{RouteStep, Router};
 use ssim::{Ctx, NodeId, Program};
@@ -33,41 +32,11 @@ impl<T: InductiveTarget> ScaffoldProgram<T> {
     }
 }
 
-struct CtxIo<'a, 'b> {
-    ctx: &'a mut Ctx<'b, ScafMsg>,
-}
-
-impl ScafIo for CtxIo<'_, '_> {
-    fn id(&self) -> NodeId {
-        self.ctx.id
-    }
-    fn round(&self) -> u64 {
-        self.ctx.round
-    }
-    fn neighbors(&self) -> &[NodeId] {
-        self.ctx.neighbors()
-    }
-    fn rng(&mut self) -> &mut SmallRng {
-        self.ctx.rng()
-    }
-    fn send(&mut self, to: NodeId, msg: ScafMsg) {
-        self.ctx.send(to, msg);
-    }
-    fn link(&mut self, a: NodeId, b: NodeId) {
-        self.ctx.link(a, b);
-    }
-    fn unlink(&mut self, v: NodeId) {
-        self.ctx.unlink(v);
-    }
-}
-
 impl<T: InductiveTarget> Program for ScaffoldProgram<T> {
     type Msg = ScafMsg;
 
     fn step(&mut self, ctx: &mut Ctx<'_, ScafMsg>) {
-        let inbox: Vec<(NodeId, ScafMsg)> = ctx.inbox().to_vec();
-        let mut io = CtxIo { ctx };
-        self.core.step(&mut io, &inbox);
+        self.core.step(ctx);
     }
 
     /// The engine's quiescence contract: only a *settled* DONE host (grace
@@ -102,30 +71,16 @@ impl<T: InductiveTarget> ssim::Sabotage for ScaffoldProgram<T> {
         self.core.cbt.view.age(rounds);
     }
 
-    /// Skews the embedded cluster identity
-    /// ([`avatar_cbt::state::ClusterCore::skew`]) and forces the host out of
-    /// its settled phase ([`ScaffoldCore::force_revert`]) so the lie is
+    /// Skews the embedded cluster identity and forces the host out of its
+    /// settled phase ([`ScaffoldCore::force_revert`]) so the lie is
     /// actively beaconed instead of sitting inert in a silent DONE host.
     fn skew_identity(&mut self, salt: u64) {
-        self.core.cbt.core.skew(salt);
-        self.core.cbt.asleep = false;
-        self.core.cbt.beacons_enabled = true;
-        self.core.cbt.sleep_neighbors = None;
+        self.core.cbt.skew_identity(salt);
         self.core.force_revert();
     }
 
     fn plant_observation(&mut self, about: NodeId, salt: u64) -> bool {
-        self.core.cbt.view.tamper(about, |b| {
-            let mut fake = avatar_cbt::state::ClusterCore {
-                cid: b.cid,
-                range: b.range,
-                cluster_min: b.cluster_min,
-            };
-            fake.skew(salt);
-            b.cid = fake.cid;
-            b.range = fake.range;
-            b.cluster_min = fake.cluster_min;
-        })
+        self.core.cbt.plant_observation(about, salt)
     }
 }
 

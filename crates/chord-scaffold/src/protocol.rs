@@ -14,62 +14,10 @@
 
 use crate::msg::{Phase, PhaseInfo, ScafMsg};
 use crate::target::InductiveTarget;
-use avatar_cbt::hosttree::{self, required_edge};
-use avatar_cbt::{CbtCore, CbtMsg, NetIo};
-use rand::rngs::SmallRng;
+use avatar_cbt::hosttree::required_edge;
+use avatar_cbt::{CbtCore, CbtMsg};
 use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
-use ssim::NodeId;
-use ssim::{CompactMap, CompactSet};
-
-/// I/O surface for the scaffolding protocol (mirrors [`avatar_cbt::NetIo`]
-/// at the wrapped message type).
-pub trait ScafIo {
-    /// This node's identifier.
-    fn id(&self) -> NodeId;
-    /// Current round.
-    fn round(&self) -> u64;
-    /// Sorted round-start neighbors.
-    fn neighbors(&self) -> &[NodeId];
-    /// True iff `v` is a round-start neighbor.
-    fn is_neighbor(&self, v: NodeId) -> bool {
-        self.neighbors().binary_search(&v).is_ok()
-    }
-    /// The node's deterministic PRNG.
-    fn rng(&mut self) -> &mut SmallRng;
-    /// Send a protocol message.
-    fn send(&mut self, to: NodeId, msg: ScafMsg);
-    /// Introduce `a` and `b`.
-    fn link(&mut self, a: NodeId, b: NodeId);
-    /// Delete the incident edge to `v`.
-    fn unlink(&mut self, v: NodeId);
-}
-
-/// Adapter presenting a [`ScafIo`] as the CBT protocol's [`NetIo`].
-struct CbtAdapter<'a, IO: ScafIo>(&'a mut IO);
-
-impl<IO: ScafIo> NetIo for CbtAdapter<'_, IO> {
-    fn id(&self) -> NodeId {
-        self.0.id()
-    }
-    fn round(&self) -> u64 {
-        self.0.round()
-    }
-    fn neighbors(&self) -> &[NodeId] {
-        self.0.neighbors()
-    }
-    fn rng(&mut self) -> &mut SmallRng {
-        self.0.rng()
-    }
-    fn send(&mut self, to: NodeId, msg: CbtMsg) {
-        self.0.send(to, ScafMsg::Cbt(msg));
-    }
-    fn link(&mut self, a: NodeId, b: NodeId) {
-        self.0.link(a, b);
-    }
-    fn unlink(&mut self, v: NodeId) {
-        self.0.unlink(v);
-    }
-}
+use ssim::{CompactMap, CompactSet, Ctx, NodeId};
 
 /// An in-flight PIF wave on this host.
 #[derive(Debug, Clone)]
@@ -172,7 +120,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// one lost message stalls the wave until the timeout reverts the
     /// whole phase. The handlers are duplicate-tolerant. One copy (the
     /// default, and the ideal-channel setting) is the classic protocol.
-    fn send_critical(&self, io: &mut impl ScafIo, to: NodeId, msg: ScafMsg) {
+    fn send_critical(&self, io: &mut Ctx<'_, ScafMsg>, to: NodeId, msg: ScafMsg) {
         for _ in 1..self.cbt.zip_redundancy {
             io.send(to, msg.clone());
         }
@@ -271,11 +219,11 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     }
 
     /// Execute one synchronous round.
-    pub fn step(&mut self, io: &mut impl ScafIo, inbox: &[(NodeId, ScafMsg)]) {
-        let round = io.round();
+    pub fn step(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let round = io.round;
         // Phase info and CBT beacons are ingested in every phase so views
         // stay fresh regardless of which algorithm is executing.
-        for (from, m) in inbox {
+        for (from, m) in io.inbox() {
             match m {
                 ScafMsg::Phase(pi) => {
                     self.pview.insert(*from, (round, *pi));
@@ -288,9 +236,9 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         }
 
         match self.phase {
-            Phase::Cbt => self.step_cbt(io, inbox),
-            Phase::Chord => self.step_chord(io, inbox),
-            Phase::Done => self.step_done(io, inbox),
+            Phase::Cbt => self.step_cbt(io),
+            Phase::Chord => self.step_chord(io),
+            Phase::Done => self.step_done(io),
         }
     }
 
@@ -298,34 +246,27 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     // CBT phase
     // ------------------------------------------------------------------
 
-    fn step_cbt(&mut self, io: &mut impl ScafIo, inbox: &[(NodeId, ScafMsg)]) {
-        let round = io.round();
-        let cbt_inbox: Vec<(NodeId, CbtMsg)> = inbox
-            .iter()
-            .filter_map(|(v, m)| match m {
-                ScafMsg::Cbt(c) => Some((*v, c.clone())),
-                _ => None,
-            })
-            .collect();
-        let events = {
-            let mut adapter = CbtAdapter(io);
-            self.cbt.step(&mut adapter, &cbt_inbox)
-        };
+    fn step_cbt(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let events = self.cbt.step(io);
 
         // A switch wave reaching us from our (already switched) parent.
-        let start = inbox.iter().any(|(_, m)| matches!(m, ScafMsg::StartChord));
+        let start = io
+            .inbox()
+            .iter()
+            .any(|(_, m)| matches!(m, ScafMsg::StartChord));
         if start && !events.reset {
-            self.enter_chord(io, round, false);
+            self.enter_chord(io, false);
             return;
         }
 
         // The root saw a fully clean feedback wave: the scaffold is built.
         if events.cluster_clean && self.cbt.is_root() {
-            self.enter_chord(io, round, true);
+            self.enter_chord(io, true);
         }
     }
 
-    fn enter_chord(&mut self, io: &mut impl ScafIo, round: u64, as_root: bool) {
+    fn enter_chord(&mut self, io: &mut Ctx<'_, ScafMsg>, as_root: bool) {
+        let round = io.round;
         self.phase = Phase::Chord;
         self.last_wave = -1;
         self.active = None;
@@ -336,50 +277,17 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         self.done_neighbors = None;
         let h = self.cbt.sched.height();
         self.wave0_at = as_root.then_some(round + switch_window(h, self.cbt.sched.delta()));
-        let neighbors: Vec<NodeId> = io.neighbors().to_vec();
-        for c in self.children(round, &neighbors) {
+        for c in self.cbt.children(round, io.neighbors()) {
             self.send_critical(io, c, ScafMsg::StartChord);
         }
-        self.emit_chord_beacons(io, &neighbors);
-    }
-
-    fn children(&self, round: u64, neighbors: &[NodeId]) -> Vec<NodeId> {
-        hosttree::children(
-            &self.cbt.cbt,
-            &self.cbt.core,
-            &self.cbt.view,
-            round,
-            neighbors,
-        )
-    }
-
-    fn parent(&self, round: u64, neighbors: &[NodeId]) -> Option<NodeId> {
-        hosttree::parent(
-            &self.cbt.cbt,
-            &self.cbt.core,
-            &self.cbt.view,
-            round,
-            neighbors,
-        )
-    }
-
-    /// The host covering guest `g`, from own range or the fresh view.
-    fn host_of(&self, round: u64, neighbors: &[NodeId], g: u32) -> Option<NodeId> {
-        hosttree::host_for(
-            self.id(),
-            &self.cbt.core,
-            &self.cbt.view,
-            round,
-            neighbors,
-            g,
-        )
+        self.emit_chord_beacons(io);
     }
 
     // ------------------------------------------------------------------
     // CHORD phase (Algorithm 1)
     // ------------------------------------------------------------------
 
-    fn emit_chord_beacons(&self, io: &mut impl ScafIo, neighbors: &[NodeId]) {
+    fn emit_chord_beacons(&self, io: &mut Ctx<'_, ScafMsg>) {
         if self.armed {
             return; // quiescing before DONE
         }
@@ -388,7 +296,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             phase: self.phase,
             last_wave: self.last_wave,
         };
-        for &v in neighbors {
+        for &v in io.neighbors() {
             io.send(v, ScafMsg::Cbt(CbtMsg::Beacon(b)));
             io.send(v, ScafMsg::Phase(pi));
         }
@@ -418,17 +326,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         let h = self.cbt.sched.height();
         // Condition 1: scaffold structure (ranges, covers, successor line)
         // intact. Finger edges are the tolerated extras.
-        let fault = avatar_cbt::detector::check_stale_tolerant(
-            self.id(),
-            self.target.n(),
-            &self.cbt.cbt,
-            &self.cbt.core,
-            &self.cbt.view,
-            round,
-            neighbors,
-            true,
-        );
-        if fault.is_some() {
+        if self.cbt.fault(round, neighbors, true, true).is_some() {
             return false;
         }
         // Conditions 2–4: neighbors' waves within one step of ours, and
@@ -470,21 +368,20 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         true
     }
 
-    fn step_chord(&mut self, io: &mut impl ScafIo, inbox: &[(NodeId, ScafMsg)]) {
-        let round = io.round();
-        let neighbors: Vec<NodeId> = io.neighbors().to_vec();
+    fn step_chord(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let (round, neighbors) = (io.round, io.neighbors());
         let h = self.cbt.sched.height();
 
         // Track adjacency age for the phase-info expectations.
         self.seen_since
             .retain(|v, _| neighbors.binary_search(v).is_ok());
-        for &v in &neighbors {
+        for &v in neighbors {
             if !self.seen_since.contains_key(&v) {
                 self.seen_since.insert(v, round);
             }
         }
 
-        if !self.armed && !self.scaffolded_ok(round, &neighbors) {
+        if !self.armed && !self.scaffolded_ok(round, neighbors) {
             self.revert_to_cbt();
             return;
         }
@@ -493,14 +390,12 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             return;
         }
 
-        for (from, m) in inbox {
+        for (from, m) in io.inbox() {
             match m {
-                ScafMsg::Prop { k } => self.on_prop(io, &neighbors, *k),
-                ScafMsg::Fb { k, ring0, ring_n } => {
-                    self.on_fb(io, &neighbors, *from, *k, *ring0, *ring_n)
-                }
-                ScafMsg::StartDone => self.on_start_done(io, &neighbors),
-                ScafMsg::FbDone => self.on_fb_done(io, &neighbors, *from),
+                ScafMsg::Prop { k } => self.on_prop(io, *k),
+                ScafMsg::Fb { k, ring0, ring_n } => self.on_fb(io, *from, *k, *ring0, *ring_n),
+                ScafMsg::StartDone => self.on_start_done(io),
+                ScafMsg::FbDone => self.on_fb_done(io, *from),
                 _ => {}
             }
             if self.phase != Phase::Chord {
@@ -513,7 +408,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         if let Some(w) = self.active.as_ref() {
             if w.pending.is_empty() {
                 let k = w.k;
-                self.try_complete_wave(io, &neighbors, k);
+                self.try_complete_wave(io, k);
                 if self.phase != Phase::Chord {
                     return;
                 }
@@ -524,16 +419,16 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         if let Some(at) = self.wave0_at {
             if round >= at && self.cbt.is_root() && self.last_wave == -1 && self.active.is_none() {
                 self.wave0_at = None;
-                self.start_wave(io, &neighbors, 0);
+                self.start_wave(io, 0);
             }
         }
 
-        self.emit_chord_beacons(io, &neighbors);
+        self.emit_chord_beacons(io);
     }
 
-    fn start_wave(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId], k: u32) {
-        let round = io.round();
-        let children = self.children(round, neighbors);
+    fn start_wave(&mut self, io: &mut Ctx<'_, ScafMsg>, k: u32) {
+        let round = io.round;
+        let children = self.cbt.children(round, io.neighbors());
         for &c in &children {
             self.send_critical(io, c, ScafMsg::Prop { k });
         }
@@ -545,11 +440,11 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         });
         self.last_progress = round;
         if self.active.as_ref().is_some_and(|w| w.pending.is_empty()) {
-            self.try_complete_wave(io, neighbors, k);
+            self.try_complete_wave(io, k);
         }
     }
 
-    fn on_prop(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId], k: u32) {
+    fn on_prop(&mut self, io: &mut Ctx<'_, ScafMsg>, k: u32) {
         if self.active.as_ref().is_some_and(|w| w.k == k) {
             return; // duplicate
         }
@@ -565,13 +460,12 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             self.revert_to_cbt();
             return;
         }
-        self.start_wave(io, neighbors, k);
+        self.start_wave(io, k);
     }
 
     fn on_fb(
         &mut self,
-        io: &mut impl ScafIo,
-        neighbors: &[NodeId],
+        io: &mut Ctx<'_, ScafMsg>,
         from: NodeId,
         k: u32,
         ring0: Option<NodeId>,
@@ -591,7 +485,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             w.ring_n = ring_n;
         }
         if w.pending.is_empty() {
-            self.try_complete_wave(io, neighbors, k);
+            self.try_complete_wave(io, k);
         }
     }
 
@@ -600,8 +494,8 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// false (and changes nothing) when a just-created neighbor's beacon has
     /// not arrived yet — the completion is retried next round, bounded by
     /// the wave timeout.
-    fn try_complete_wave(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId], k: u32) -> bool {
-        let round = io.round();
+    fn try_complete_wave(&mut self, io: &mut Ctx<'_, ScafMsg>, k: u32) -> bool {
+        let (round, neighbors) = (io.round, io.neighbors());
         let me = self.id();
         let (lo, hi) = self.cbt.core.range;
 
@@ -614,8 +508,8 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
                 continue;
             };
             let (Some(hx), Some(hy)) = (
-                self.host_of(round, neighbors, x),
-                self.host_of(round, neighbors, y),
+                self.cbt.host_for(round, neighbors, x),
+                self.cbt.host_for(round, neighbors, y),
             ) else {
                 return false; // view not caught up: retry next round
             };
@@ -674,13 +568,13 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
                 }
             }
             if k + 1 < self.target.waves() {
-                self.start_wave(io, neighbors, k + 1);
+                self.start_wave(io, k + 1);
             } else {
                 // All fingers built: run the DONE handshake.
-                self.begin_done_wave(io, neighbors);
+                self.begin_done_wave(io);
             }
         } else {
-            let Some(p) = self.parent(round, neighbors) else {
+            let Some(p) = self.cbt.parent(round, neighbors) else {
                 self.revert_to_cbt();
                 return true;
             };
@@ -703,18 +597,18 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     // DONE handshake: StartDone↓ (arm + prune), FbDone↑, then silence.
     // ------------------------------------------------------------------
 
-    fn begin_done_wave(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId]) {
-        let round = io.round();
+    fn begin_done_wave(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let (round, neighbors) = (io.round, io.neighbors());
         // Final transmission before quiescing: let neighbors see the
         // completed last wave so their `scaffolded` checks tolerate our
         // silence while the DONE wave descends.
-        self.emit_chord_beacons(io, neighbors);
+        self.emit_chord_beacons(io);
         self.armed = true;
         self.last_progress = round;
         // Snapshot the tree relations while beacons are still fresh.
-        self.done_parent = self.parent(round, neighbors);
-        let children = self.children(round, neighbors);
-        self.prune_for_target(io, neighbors);
+        self.done_parent = self.cbt.parent(round, neighbors);
+        let children = self.cbt.children(round, neighbors);
+        self.prune_for_target(io);
         for &c in &children {
             self.send_critical(io, c, ScafMsg::StartDone);
         }
@@ -731,7 +625,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         }
     }
 
-    fn on_start_done(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId]) {
+    fn on_start_done(&mut self, io: &mut Ctx<'_, ScafMsg>) {
         if self.armed {
             return; // duplicate: the DONE descent is already running here
         }
@@ -739,17 +633,16 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             self.revert_to_cbt();
             return;
         }
-        self.begin_done_wave(io, neighbors);
+        self.begin_done_wave(io);
     }
 
-    fn on_fb_done(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId], from: NodeId) {
+    fn on_fb_done(&mut self, io: &mut Ctx<'_, ScafMsg>, from: NodeId) {
         let Some(pending) = self.done_pending.as_mut() else {
             return;
         };
         pending.retain(|&c| c != from);
         if pending.is_empty() {
             self.done_pending = None;
-            let _ = neighbors;
             if self.cbt.is_root() {
                 self.enter_done();
             } else if let Some(p) = self.done_parent {
@@ -778,8 +671,8 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// realizing a target guest edge. Uses stale-tolerant beacon lookups:
     /// neighbors that armed before us stopped beaconing, but their cluster
     /// state is frozen for the whole CHORD phase.
-    fn prune_for_target(&mut self, io: &mut impl ScafIo, neighbors: &[NodeId]) {
-        let me = self.id();
+    fn prune_for_target(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let (me, neighbors) = (self.id(), io.neighbors());
         let (lo, hi) = self.cbt.core.range;
         let covering = |g: u32| -> Option<NodeId> {
             if self.cbt.core.covers(g) {
@@ -832,17 +725,17 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     // DONE phase: silence.
     // ------------------------------------------------------------------
 
-    fn step_done(&mut self, io: &mut impl ScafIo, inbox: &[(NodeId, ScafMsg)]) {
-        let neighbors: Vec<NodeId> = io.neighbors().to_vec();
+    fn step_done(&mut self, io: &mut Ctx<'_, ScafMsg>) {
+        let neighbors = io.neighbors();
         match &self.done_neighbors {
             None => {
                 // The topology incident to this host is final at Done entry
                 // (it pruned its own non-required edges at arming), so the
                 // baseline is cached immediately.
-                self.done_neighbors = Some(neighbors.clone());
+                self.done_neighbors = Some(neighbors.to_vec());
             }
             Some(cache) => {
-                if *cache != neighbors {
+                if cache != neighbors {
                     // Topology perturbed: wake up and rebuild.
                     self.revert_to_cbt();
                     return;
@@ -855,7 +748,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             self.done_grace -= 1;
             return;
         }
-        if !inbox.is_empty() {
+        if !io.inbox().is_empty() {
             // Someone is talking: a neighbor detected a fault. Join in.
             self.revert_to_cbt();
         }

@@ -79,8 +79,9 @@ fn restored_wan_runtime_spawns_joiners_with_wan_budgets() {
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime_with_net(t, &ids, edges, Config::seeded(33), NetModel::wan());
     rt.run(5);
-    let mut back = chord_scaffold::restore_runtime(&rt.save_snapshot(), Config::seeded(33))
-        .expect("own snapshot restores");
+    let mut back =
+        chord_scaffold::restore_runtime::<ChordTarget>(&rt.save_snapshot(), Config::seeded(33))
+            .expect("own snapshot restores");
     back.join_spawned(5, &[1]);
     let (host, joiner) = (&back.program(1).core.cbt, &back.program(5).core.cbt);
     assert_eq!(joiner.sched.delta(), NetModel::wan().delivery_bound());

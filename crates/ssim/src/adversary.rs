@@ -476,7 +476,7 @@ mod tests {
     impl Program for Tagger {
         type Msg = (NodeId, u64);
         fn step(&mut self, ctx: &mut Ctx<'_, (NodeId, u64)>) {
-            for &(_, (who, tag)) in &ctx.inbox().to_vec() {
+            for &(_, (who, tag)) in ctx.inbox() {
                 self.view.insert(who, (self.clock, tag));
             }
             self.clock += 1;

@@ -880,7 +880,7 @@ mod tests {
         fn step(&mut self, ctx: &mut Ctx<'_, ()>) {
             if !self.sent {
                 self.sent = true;
-                for &v in &ctx.neighbors().to_vec() {
+                for &v in ctx.neighbors() {
                     ctx.send(v, ());
                 }
             }

@@ -409,7 +409,11 @@ impl<M: Clone + Send + Sync> Emitter<M> {
 }
 
 /// Per-round execution context handed to [`Program::step`]. Emitted actions
-/// land directly in the executing chunk's sink; nothing is staged.
+/// land directly in the executing chunk's sink; nothing is staged. The
+/// [`Ctx::inbox`] and [`Ctx::neighbors`] slices borrow the round-start
+/// snapshot for `'a`, not the context, so a program holds them across its
+/// own sends and links without copying: nothing an activation emits can
+/// move them, because emission only appends to the chunk sink.
 pub struct Ctx<'a, M> {
     /// This node's identifier.
     pub id: NodeId,
@@ -428,9 +432,9 @@ pub struct Ctx<'a, M> {
     wake_in: Option<u64>,
 }
 
-impl<M> Ctx<'_, M> {
+impl<'a, M> Ctx<'a, M> {
     /// Sorted neighbor identifiers at the start of this round.
-    pub fn neighbors(&self) -> &[NodeId] {
+    pub fn neighbors(&self) -> &'a [NodeId] {
         self.neighbors
     }
 
@@ -441,7 +445,7 @@ impl<M> Ctx<'_, M> {
 
     /// Messages received this round (sent by neighbors in the previous round),
     /// as `(sender, payload)` pairs in a deterministic sender order.
-    pub fn inbox(&self) -> &[(NodeId, M)] {
+    pub fn inbox(&self) -> &'a [(NodeId, M)] {
         self.inbox
     }
 

@@ -168,7 +168,8 @@ impl Config {
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: the one 64-bit mixer of the workspace.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);

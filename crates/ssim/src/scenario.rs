@@ -430,10 +430,10 @@ mod tests {
         type Msg = ();
 
         fn step(&mut self, ctx: &mut Ctx<'_, ()>) {
-            for &(from, _) in &ctx.inbox().to_vec() {
+            for &(from, _) in ctx.inbox() {
                 self.heard.insert(from);
             }
-            for &v in &ctx.neighbors().to_vec() {
+            for &v in ctx.neighbors() {
                 ctx.send(v, ());
             }
         }

@@ -29,7 +29,7 @@ impl Program for Mixer {
             self.sum = self.sum.wrapping_add(v);
         }
         let draw: u64 = ctx.rng().gen();
-        let nb: Vec<NodeId> = ctx.neighbors().to_vec();
+        let nb = ctx.neighbors();
         if !nb.is_empty() {
             let pick = nb[(draw % nb.len() as u64) as usize];
             ctx.send(pick, draw);

@@ -13,15 +13,14 @@ impl Program for Echo {
     type Msg = u32;
 
     fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
-        let inbox: Vec<(NodeId, u32)> = ctx.inbox().to_vec();
-        for (from, v) in inbox {
+        for &(from, v) in ctx.inbox() {
             self.received += 1;
             if v > 0 {
                 ctx.send(from, v - 1);
             }
         }
         if ctx.round == 0 {
-            for &v in &ctx.neighbors().to_vec() {
+            for &v in ctx.neighbors() {
                 ctx.send(v, 4);
             }
         }

@@ -103,7 +103,8 @@ fn main() {
         path.display()
     );
 
-    let mut rt2 = chord::restore_runtime(&bytes, Config::seeded(77)).expect("snapshot restores");
+    let mut rt2 = chord::restore_runtime::<ChordTarget>(&bytes, Config::seeded(77))
+        .expect("snapshot restores");
     std::fs::remove_file(&path).ok();
     assert!(
         chord::runtime_is_legal(&rt2),

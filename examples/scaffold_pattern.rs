@@ -7,10 +7,8 @@
 //! cargo run --release --example scaffold_pattern
 //! ```
 
-use chord_scaffolding::chord::{
-    legality_for, InductiveTarget, ScaffoldProgram, TruncatedChordTarget,
-};
-use chord_scaffolding::sim::{init, Config, Runtime};
+use chord_scaffolding::chord::{self, legality_for, InductiveTarget, TruncatedChordTarget};
+use chord_scaffolding::sim::{init, Config};
 use rand::SeedableRng;
 
 fn main() {
@@ -26,12 +24,7 @@ fn main() {
 
     let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
     let ids = init::random_ids(hosts, n_guests, &mut rng);
-    let edges = init::line(&ids);
-    let nodes = ids.iter().map(|&v| {
-        let nonce = (v as u64 + 11).wrapping_mul(0x9E3779B97F4A7C15);
-        (v, ScaffoldProgram::new(v, target, nonce))
-    });
-    let mut rt = Runtime::new(Config::seeded(31), nodes, edges);
+    let mut rt = chord::runtime(target, &ids, init::line(&ids), Config::seeded(31));
 
     let rounds = rt
         .run_monitored(&mut legality_for(target), 200_000)

@@ -124,7 +124,7 @@ fn leave_of_cut_vertex_keeps_runtime_well_formed() {
     impl Program for Chatter {
         type Msg = u8;
         fn step(&mut self, ctx: &mut Ctx<'_, u8>) {
-            for &v in &ctx.neighbors().to_vec() {
+            for &v in ctx.neighbors() {
                 ctx.send(v, 1);
             }
         }

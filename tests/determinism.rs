@@ -105,44 +105,72 @@ fn different_seeds_differ() {
 
 #[test]
 fn paper_finger_variant_also_stabilizes() {
-    use chord_scaffolding::chord::{legality_for, ScaffoldProgram};
-    use chord_scaffolding::sim::{init, Runtime};
+    use chord_scaffolding::sim::init;
     use rand::SeedableRng;
     let n = 64u32;
     let target = ChordTarget::paper(n);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     let ids = init::random_ids(8, n, &mut rng);
-    let edges = init::ring(&ids);
-    let nodes = ids.iter().map(|&v| {
-        let nonce = (v as u64 + 3).wrapping_mul(0x9E3779B97F4A7C15);
-        (v, ScaffoldProgram::new(v, target, nonce))
-    });
-    let mut rt = Runtime::new(Config::seeded(99), nodes, edges);
-    let out = rt.run_monitored(&mut legality_for(target), 100_000);
+    let mut rt = chord::runtime(target, &ids, init::ring(&ids), Config::seeded(99));
+    let out = rt.run_monitored(&mut chord::legality(), 100_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "Definition 1 variant failed to stabilize"
     );
 }
 
+/// A non-Chord instance of the Section-6 pattern goes through the same one
+/// recipe as Chord: built, snapshotted mid-run, restored, continued
+/// byte-identically, and joined after the restore by a host budgeted for
+/// the restored network model.
 #[test]
 fn truncated_target_stabilizes() {
-    use chord_scaffolding::chord::{legality_for, ScaffoldProgram, TruncatedChordTarget};
-    use chord_scaffolding::sim::{init, Runtime};
+    use chord_scaffolding::chord::{legality_for, TruncatedChordTarget};
+    use chord_scaffolding::sim::{fault, init, Fault, NetModel};
     use rand::SeedableRng;
     let n = 64u32;
     let target = TruncatedChordTarget::new(n, 2);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(78);
     let ids = init::random_ids(6, n, &mut rng);
-    let edges = init::line(&ids);
-    let nodes = ids.iter().map(|&v| {
-        let nonce = (v as u64 + 5).wrapping_mul(0x9E3779B97F4A7C15);
-        (v, ScaffoldProgram::new(v, target, nonce))
-    });
-    let mut rt = Runtime::new(Config::seeded(98), nodes, edges);
+    let mut rt = chord::runtime(target, &ids, init::line(&ids), Config::seeded(98));
     let out = rt.run_monitored(&mut legality_for(target), 100_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "truncated target failed to stabilize"
     );
+
+    let slow = NetModel {
+        delay: 2,
+        ..NetModel::ideal()
+    };
+    let fresh = (0..n).find(|v| !ids.contains(v)).expect("a free id");
+    let join = Fault::JoinAt {
+        id: fresh,
+        contacts: vec![ids[0]],
+    };
+    let build =
+        || chord::runtime_with_net(target, &ids, init::line(&ids), Config::seeded(98), slow);
+    let metrics = |rt: &chord_scaffolding::sim::Runtime<_>| {
+        serde_json::to_string(rt.metrics()).expect("metrics serialize")
+    };
+
+    let mut full = build();
+    full.run(150);
+    let mut head = build();
+    head.run(150);
+    // The restore pins seed and network model from the payload.
+    let mut tail = chord::restore_runtime::<TruncatedChordTarget>(
+        &head.save_snapshot(),
+        Config::seeded(0).threads(2).always_parallel(),
+    )
+    .expect("own snapshot restores");
+    for rt in [&mut full, &mut tail] {
+        assert_eq!(fault::inject(rt, &join, &mut rng), 1, "the join applies");
+        let (host, joiner) = (&rt.program(ids[0]).core.cbt, &rt.program(fresh).core.cbt);
+        assert_eq!(joiner.sched.delta(), slow.delivery_bound());
+        assert_eq!(joiner.sched.delta(), host.sched.delta());
+        rt.run(150);
+    }
+    assert_eq!(metrics(&full), metrics(&tail));
+    assert_eq!(full.save_snapshot(), tail.save_snapshot());
 }

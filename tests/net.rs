@@ -288,7 +288,7 @@ fn snapshot_roundtrip_with_messages_in_transit() {
     );
 
     let bytes = rt.save_snapshot();
-    let mut restored = chord::restore_runtime(&bytes, cfg).expect("restore");
+    let mut restored = chord::restore_runtime::<ChordTarget>(&bytes, cfg).expect("restore");
     assert_eq!(restored.in_transit(), rt.in_transit(), "transit survives");
     assert_eq!(
         restored.net_stats(),
@@ -326,7 +326,7 @@ fn delayed_message_across_leave_rejoin_is_purged() {
         type Msg = u8;
         fn step(&mut self, ctx: &mut Ctx<'_, u8>) {
             self.got += ctx.inbox().len() as u64;
-            for &v in &ctx.neighbors().to_vec() {
+            for &v in ctx.neighbors() {
                 ctx.send(v, 1);
             }
         }

@@ -147,7 +147,7 @@ proptest! {
         impl Program for Chatter {
             type Msg = u8;
             fn step(&mut self, ctx: &mut Ctx<'_, u8>) {
-                let nb: Vec<u32> = ctx.neighbors().to_vec();
+                let nb = ctx.neighbors();
                 for &v in nb.iter().take(2) {
                     ctx.send(v, 1);
                 }

@@ -8,7 +8,7 @@
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::scaffold;
 use chord_scaffolding::sim::{
-    init::Shape, sched, Config, OpenLoop, Program, SnapshotError, WorkloadConfig,
+    init::Shape, sched, Config, OpenLoop, Persist, Program, SnapshotError, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -101,7 +101,7 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
     for rounds in [13u64, 27, 50] {
         rt.run(rounds);
         let bytes = rt.save_snapshot();
-        let back = chord::restore_runtime(&bytes, cfg).expect("snapshot restores");
+        let back = chord::restore_runtime::<ChordTarget>(&bytes, cfg).expect("snapshot restores");
         assert_eq!(
             back.save_snapshot(),
             bytes,
@@ -109,6 +109,49 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
             rt.round()
         );
     }
+
+    // The bytes themselves, not just their round trip: sealed-snapshot hash
+    // and metrics JSON hash after a fixed number of mid-stabilization rounds,
+    // captured at the commit before the protocol cores moved onto `Ctx` —
+    // message contents, send order and RNG draw order all feed these.
+    fn golden<P>(mut rt: chord_scaffolding::sim::Runtime<P>, rounds: u64) -> (u64, u64)
+    where
+        P: Program + Persist,
+        P::Msg: Persist,
+    {
+        use chord_scaffolding::sim::snapshot::content_hash;
+        rt.run(rounds);
+        (
+            content_hash(&rt.save_snapshot()),
+            content_hash(metrics_json(&rt).as_bytes()),
+        )
+    }
+    let (ids, edges) = {
+        let probe = chord::runtime_from_shape(target, 12, Shape::Random, cfg);
+        (probe.ids().to_vec(), probe.topology().edges())
+    };
+    let wan = chord_scaffolding::sim::NetModel::wan();
+    assert_eq!(
+        golden(
+            scaffold::runtime_from_shape(64, 12, Shape::Random, cfg),
+            700
+        ),
+        (3344020841443380519, 12836523662176495526),
+        "standalone Avatar(CBT), 34 merges in"
+    );
+    assert_eq!(
+        golden(
+            chord::runtime_from_shape(target, 12, Shape::Random, cfg),
+            800
+        ),
+        (11669943735842969417, 9059824783328707857),
+        "Avatar(Chord) on the ideal network, finger waves 3-4 in flight"
+    );
+    assert_eq!(
+        golden(chord::runtime_with_net(target, &ids, edges, cfg, wan), 1100),
+        (10794115007586105789, 10757396847489437221),
+        "Avatar(Chord) under the wan preset, 21 merges in"
+    );
 }
 
 /// Every way a snapshot can be damaged maps to a distinct loud error;
@@ -121,9 +164,9 @@ fn corrupted_snapshots_are_rejected() {
     let mut rt = chord::runtime_from_shape(target, 6, Shape::Random, cfg);
     rt.run(40);
     let good = rt.save_snapshot();
-    assert!(chord::restore_runtime(&good, cfg).is_ok());
+    assert!(chord::restore_runtime::<ChordTarget>(&good, cfg).is_ok());
 
-    let restore_err = |bytes: &[u8]| match chord::restore_runtime(bytes, cfg) {
+    let restore_err = |bytes: &[u8]| match chord::restore_runtime::<ChordTarget>(bytes, cfg) {
         Err(e) => e,
         Ok(_) => panic!("a damaged snapshot must never restore"),
     };
@@ -185,8 +228,11 @@ fn converged_legal_snapshot_restores_legal_and_identical() {
 
     for threads in [1usize, 2, 4, 8] {
         for spec in ["sync", "activity"] {
-            let mut r2 = chord::restore_runtime(&bytes, cfg.threads(threads).always_parallel())
-                .expect("converged snapshot restores");
+            let mut r2 = chord::restore_runtime::<ChordTarget>(
+                &bytes,
+                cfg.threads(threads).always_parallel(),
+            )
+            .expect("converged snapshot restores");
             assert!(
                 chord::runtime_is_legal(&r2),
                 "restored state is still legal ({spec}, {threads} threads)"
@@ -295,7 +341,8 @@ fn midtraffic_snapshot_resumes_after_reattach() {
     let bytes = head.save_snapshot();
 
     let cfg = Config::seeded(0x7AFF1C);
-    let mut tail = chord::restore_runtime(&bytes, cfg).expect("mid-traffic snapshot restores");
+    let mut tail =
+        chord::restore_runtime::<ChordTarget>(&bytes, cfg).expect("mid-traffic snapshot restores");
     assert!(
         tail.pending_workload(),
         "restored runtime stashes the saved traffic until re-attach"
