@@ -7,12 +7,96 @@
 //! covering the guest root. All cluster waves (poll, report, nominate) and
 //! edge walks run on this host tree; everything below is computed from the
 //! host's own range and its neighbors' beacons — no global state.
+//!
+//! The guest-tree edges crossing a range are a pure function of `(N, range)`
+//! and a range changes a handful of times per stabilization, while the
+//! detector asks about them every round, so each host memoizes them (see
+//! [`CbtCore::requires_edge_to`]).
 
 use crate::protocol::CbtCore;
 use overlay::cbt::Cbt;
 use ssim::NodeId;
+use std::cell::Cell;
+
+/// What a host knows about the shape of its own responsible range, derived
+/// once per `(N, range)`, plus the detector's reusable neighbor buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Geometry {
+    /// The `(N, range)` the crossing edges were derived for; `N = 0` (no
+    /// such tree) marks a memo that was never built.
+    key: (u32, (u32, u32)),
+    /// Outside endpoints of the guest-tree edges crossing the range, in
+    /// [`Cbt::crossing_edges`] order — the order in which the detector
+    /// reports the first uncovered one. Empty for a malformed range.
+    pub(crate) outs: Vec<u32>,
+    /// The fresh same-cluster beacons of the detector's current call (kept
+    /// here so a round allocates nothing): `(neighbor, range, cluster_min)`.
+    pub(crate) peers: Vec<(NodeId, (u32, u32), NodeId)>,
+}
+
+impl Geometry {
+    /// [`CbtCore::requires_edge_to`] for the memoized range. Only ever
+    /// *compares* against `b`, so a lying beacon's range is harmless.
+    pub(crate) fn requires(&self, b: (u32, u32)) -> bool {
+        ranges_consecutive(self.key.1, b) || self.outs.iter().any(|&g| b.0 <= g && g < b.1)
+    }
+}
+
+/// Outside endpoints of the guest-tree edges crossing `[lo, hi)`; none for
+/// a malformed range (arbitrary state is the model).
+fn crossing_outs(cbt: &Cbt, (lo, hi): (u32, u32)) -> Vec<u32> {
+    if lo >= hi || hi > cbt.n() {
+        return Vec::new();
+    }
+    let edges = cbt.crossing_edges(lo, hi);
+    edges.into_iter().map(|(_, out)| out).collect()
+}
+
+/// The per-host slot of the [`Geometry`] memo: private to the crate, not
+/// persisted (a restored or cloned core starts without one), and validated
+/// against `(N, core.range)` on every use, so no write to the `pub` state —
+/// a reset, a merge commit, a test fixture, sabotage — can leave a stale
+/// entry readable. One pointer wide.
+#[derive(Default)]
+pub(crate) struct GeometryMemo(Cell<Option<Box<Geometry>>>);
+
+impl Clone for GeometryMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for GeometryMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("GeometryMemo")
+    }
+}
 
 impl CbtCore {
+    /// Run `f` over the geometry of this host's current range, rebuilding
+    /// the memo first when `(N, range)` moved since it was derived.
+    pub(crate) fn with_geometry<R>(&self, f: impl FnOnce(&mut Geometry) -> R) -> R {
+        let key = (self.cbt.n(), self.core.range);
+        let mut geom = self.geometry.0.take().unwrap_or_default();
+        if geom.key != key {
+            geom.key = key;
+            geom.outs = crossing_outs(&self.cbt, self.core.range);
+        }
+        debug_assert_eq!(geom.outs, crossing_outs(&self.cbt, self.core.range));
+        let out = f(&mut geom);
+        self.geometry.0.set(Some(geom));
+        out
+    }
+
+    /// True iff legal `Avatar(Cbt)` *requires* the host edge from this host
+    /// to a same-cluster host responsible for `b`: the successor line, or a
+    /// guest-tree edge crossing out of this host's range into `b`. Agrees
+    /// with [`required_edge`] on every `b` disjoint from the own range (the
+    /// detector's overlap rule owns the rest). `O(log N)`, no allocation.
+    pub fn requires_edge_to(&self, b: (u32, u32)) -> bool {
+        self.with_geometry(|geom| geom.requires(b))
+    }
+
     /// True iff this host is its cluster's root host (covers the guest root).
     pub fn is_root(&self) -> bool {
         self.core.covers(self.cbt.root())
@@ -57,21 +141,26 @@ impl CbtCore {
     }
 
     /// The host-tree children: same-cluster neighbors whose range root's
-    /// parent falls in this host's range.
-    pub fn children(&self, now: u64, neighbors: &[NodeId]) -> Vec<NodeId> {
+    /// parent falls in this host's range. A beacon whose range is malformed
+    /// (empty, or reaching past `N`) names no child.
+    pub fn children<'a>(
+        &'a self,
+        now: u64,
+        neighbors: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
         self.view
             .fresh(now, neighbors)
             .filter(|(_, b)| {
-                b.cid == self.core.cid && b.range.0 < b.range.1 && {
-                    let rr = self.cbt.range_root(b.range.0, b.range.1);
+                let (lo, hi) = b.range;
+                b.cid == self.core.cid && lo < hi && hi <= self.n && {
+                    let rr = self.cbt.range_root(lo, hi);
                     match self.cbt.parent(rr) {
-                        Some(pg) => self.core.covers(pg) && !(b.range.0 <= pg && pg < b.range.1),
+                        Some(pg) => self.core.covers(pg) && !(lo <= pg && pg < hi),
                         None => false,
                     }
                 }
             })
             .map(|(v, _)| v)
-            .collect()
     }
 }
 
@@ -102,6 +191,8 @@ pub fn ranges_consecutive(a: (u32, u32), b: (u32, u32)) -> bool {
 
 /// True iff the host edge between two responsible ranges is *required* by
 /// legal `Avatar(Cbt)`: a guest-tree crossing edge or the successor line.
+/// The two-sided definition, for judging a topology from outside; a host
+/// asks [`CbtCore::requires_edge_to`] about its own range instead.
 pub fn required_edge(cbt: &Cbt, a: (u32, u32), b: (u32, u32)) -> bool {
     ranges_consecutive(a, b) || ranges_adjacent(cbt, a, b)
 }

@@ -20,7 +20,6 @@
 //! the pair formed by the two cluster minima, where `min(a, b)` is the
 //! union's minimum.
 
-use crate::hosttree::required_edge;
 use crate::msg::{Carrier, CbtMsg, ZipChildInfo, ZipExpect, ZipMeet};
 use crate::protocol::CbtCore;
 use crate::scratch::Merge;
@@ -310,7 +309,7 @@ impl CbtCore {
             return;
         }
         for (v, b) in self.view.fresh(io.round, io.neighbors()) {
-            if b.cid == self.core.cid && !required_edge(&self.cbt, self.core.range, b.range) {
+            if b.cid == self.core.cid && !self.requires_edge_to(b.range) {
                 io.unlink(v);
             }
         }

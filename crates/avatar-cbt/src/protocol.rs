@@ -2,6 +2,7 @@
 //! epoch-aligned matching, and the handoff into the zipper merge
 //! (see [`crate::merge`] for the zipper itself).
 
+use crate::hosttree::GeometryMemo;
 use crate::msg::{Beacon, Carrier, CbtMsg, WalkKind};
 use crate::schedule::Schedule;
 use crate::scratch::{Contact, Merge, Scratch, MAX_CONTACTS};
@@ -100,6 +101,9 @@ pub struct CbtCore {
     /// messages must never be duplicated — each receipt forwards, so
     /// copies would multiply hop over hop.
     pub zip_redundancy: u8,
+    /// Memo of the own range's crossing edges (see
+    /// [`CbtCore::with_geometry`]); derived state, never persisted.
+    pub(crate) geometry: GeometryMemo,
 }
 
 impl CbtCore {
@@ -126,6 +130,7 @@ impl CbtCore {
             fault_streak: 0,
             fault_patience: 1,
             zip_redundancy: 1,
+            geometry: GeometryMemo::default(),
         }
     }
 
@@ -608,7 +613,7 @@ impl CbtCore {
 
         // Report window: snapshot children once, send upward when complete.
         if offset == self.sched.t_report_start() {
-            self.scratch.report_children = Some(self.children(round, neighbors));
+            self.scratch.report_children = Some(self.children(round, neighbors).collect());
             self.scratch.self_candidate =
                 !self.leader_neighbors(round, epoch, neighbors).is_empty()
                     && self.scratch.role == Some(Role::Follower);
@@ -1045,8 +1050,8 @@ impl Persist for CbtCore {
             return Err(SnapshotError::Corrupt("CbtCore with n = 0".into()));
         }
         let delta = r.u64()?;
-        if delta == 0 {
-            return Err(SnapshotError::Corrupt("CbtCore with Δ = 0".into()));
+        if delta == 0 || delta > u32::MAX as u64 {
+            return Err(SnapshotError::Corrupt(format!("CbtCore with Δ = {delta}")));
         }
         Ok(Self {
             id,
@@ -1075,6 +1080,7 @@ impl Persist for CbtCore {
                 0 => return Err(SnapshotError::Corrupt("zero zip redundancy".into())),
                 k => k,
             },
+            geometry: GeometryMemo::default(),
         })
     }
 }

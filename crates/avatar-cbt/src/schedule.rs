@@ -27,34 +27,37 @@
 /// `H = height(Cbt(N))` and `Δ` is the per-hop delivery bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
-    h: u64,
-    delta: u64,
+    // Narrow on purpose: `H ≤ 31` and `Δ` is a handful of rounds, and every
+    // host carries one (see `node_state_layout_stays_compact`).
+    h: u32,
+    delta: u32,
 }
 
 impl Schedule {
     /// Schedule for a guest capacity `n ≥ 1` on the classic synchronous
     /// channel (delivery bound 1).
     pub fn new(n: u32) -> Self {
-        let h = (31 - n.max(1).leading_zeros()) as u64;
+        let h = 31 - n.max(1).leading_zeros();
         Self { h, delta: 1 }
     }
 
     /// The same schedule re-budgeted for a per-hop delivery bound of
-    /// `delta` rounds (clamped to ≥ 1). `with_delta(1)` is the identity.
+    /// `delta` rounds (clamped to `1..=u32::MAX`). `with_delta(1)` is the
+    /// identity.
     #[must_use]
     pub fn with_delta(mut self, delta: u64) -> Self {
-        self.delta = delta.max(1);
+        self.delta = delta.clamp(1, u32::MAX as u64) as u32;
         self
     }
 
     /// Tree height `H` the schedule was built for.
     pub fn height(&self) -> u64 {
-        self.h
+        self.h as u64
     }
 
     /// Per-hop delivery bound `Δ` the windows are budgeted for.
     pub fn delta(&self) -> u64 {
-        self.delta
+        self.delta as u64
     }
 
     /// Epoch start: scratch reset; roots flip roles and send the poll.
@@ -65,60 +68,60 @@ impl Schedule {
     /// Deadline by which the poll has reached every member and beacons carry
     /// roles (poll descent `H + 1` plus beacon refresh).
     pub fn t_roles_known(&self) -> u64 {
-        self.delta * (self.h + 4)
+        self.delta() * (self.height() + 4)
     }
 
     /// Feedback reports may start flowing upward.
     pub fn t_report_start(&self) -> u64 {
-        self.delta * (self.h + 5)
+        self.delta() * (self.height() + 5)
     }
 
     /// Deadline for reports to reach the root.
     pub fn t_report_deadline(&self) -> u64 {
-        self.delta * (2 * self.h + 8)
+        self.delta() * (2 * self.height() + 8)
     }
 
     /// Root dispatches the nomination token (follower clusters).
     pub fn t_nominate(&self) -> u64 {
-        self.delta * (2 * self.h + 9)
+        self.delta() * (2 * self.height() + 9)
     }
 
     /// Deadline for contact pulls to deliver contacts to leader roots.
     pub fn t_match_deadline(&self) -> u64 {
-        self.delta * (4 * self.h + 15)
+        self.delta() * (4 * self.height() + 15)
     }
 
     /// Leader roots pair their contacts and send `MatchMade`.
     pub fn t_match(&self) -> u64 {
-        self.delta * (4 * self.h + 16)
+        self.delta() * (4 * self.height() + 16)
     }
 
     /// First round of the zipper merge: root-level `ZipMeet` exchange.
     pub fn t_zip(&self) -> u64 {
-        self.delta * (6 * self.h + 26)
+        self.delta() * (6 * self.height() + 26)
     }
 
     /// The meet round for tree level `level` (3 hops per level: meet,
     /// child-info, expect — `3Δ` rounds each).
     pub fn t_zip_level(&self, level: u32) -> u64 {
-        self.t_zip() + 3 * self.delta * level as u64
+        self.t_zip() + 3 * self.delta() * level as u64
     }
 
     /// Commit round: merge participants atomically adopt their new ranges
     /// and cluster id.
     pub fn t_commit(&self) -> u64 {
-        self.t_zip_level(self.h as u32) + 4 * self.delta
+        self.t_zip_level(self.h) + 4 * self.delta()
     }
 
     /// Prune round: post-commit removal of intra-cluster edges not required
     /// by the embedding.
     pub fn t_prune(&self) -> u64 {
-        self.t_commit() + 3 * self.delta
+        self.t_commit() + 3 * self.delta()
     }
 
     /// Epoch length `E`.
     pub fn epoch_len(&self) -> u64 {
-        self.t_prune() + 3 * self.delta
+        self.t_prune() + 3 * self.delta()
     }
 
     /// `(epoch, offset)` of an absolute round.
@@ -133,8 +136,8 @@ impl Schedule {
             return None;
         }
         let d = offset - self.t_zip();
-        let step = 3 * self.delta;
-        if d.is_multiple_of(step) && d / step <= self.h {
+        let step = 3 * self.delta();
+        if d.is_multiple_of(step) && d / step <= self.height() {
             Some((d / step) as u32)
         } else {
             None

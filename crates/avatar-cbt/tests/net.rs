@@ -109,3 +109,33 @@ fn restored_wan_runtime_spawns_joiners_with_wan_budgets() {
     assert_eq!(joiner.zip_redundancy, host.zip_redundancy);
     assert_eq!(joiner.zip_redundancy, 2, "the wan preset is lossy");
 }
+
+/// Arbitrary state is the model: a host whose own range is corrupted to
+/// reach past `N` beacons that range for up to `Δ` rounds (the detector's
+/// WAN patience) before its `BadRange` reset. Its neighbors must judge the
+/// lie — never decompose it — and the overlay must re-legalize. Host 45
+/// (`[45, 49)`) is the liar's host-tree parent without being its
+/// predecessor, which is where the two-sided adjacency test used to
+/// decompose the neighbor's range.
+#[test]
+fn beaconed_range_past_n_is_survived_under_latency() {
+    let model = NetModel {
+        delay: 2,
+        ..NetModel::ideal()
+    };
+    let delta = model.delivery_bound();
+    let ids = vec![1, 20, 41, 45, 49, 50];
+    let edges = ssim::init::ring(&ids);
+    let mut rt = runtime_with_net(64, &ids, edges, Config::seeded(35), model);
+    for &v in &ids {
+        // Keep the legal network awake: a dormant host inspects nothing.
+        rt.corrupt_node(v, |p| p.core.sleep_on_clean = false);
+    }
+    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 6, delta));
+    assert_eq!(out.verdict, RunVerdict::Satisfied);
+    rt.run(Schedule::new(64).with_delta(delta).epoch_len());
+    rt.corrupt_node(50, |p| p.core.core.range.1 = 70);
+    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 6, delta));
+    assert_eq!(out.verdict, RunVerdict::Satisfied);
+    assert!(rt.program(50).core.resets > 0, "the liar reset itself");
+}

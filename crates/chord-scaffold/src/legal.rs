@@ -30,19 +30,21 @@ pub fn is_legal<'a, T: InductiveTarget>(
     topo: &Topology,
     hosts: impl Iterator<Item = &'a ScaffoldProgram<T>>,
 ) -> bool {
-    let hosts: Vec<&ScaffoldProgram<T>> = hosts.collect();
-    if hosts.is_empty() {
+    // A run-to-legal asks every round and almost every answer is "some host
+    // is not DONE yet": settle that before anything is sorted or allocated.
+    let mut settled = Vec::new();
+    for p in hosts {
+        if p.core.phase != Phase::Done || p.core.last_wave + 1 != target.waves() as i64 {
+            return false;
+        }
+        settled.push(p);
+    }
+    if settled.is_empty() {
         return false;
     }
-    let ids: Vec<NodeId> = hosts.iter().map(|p| p.core.id()).collect();
+    let ids: Vec<NodeId> = settled.iter().map(|p| p.core.id()).collect();
     let av = Avatar::new(target.n(), ids.iter().copied());
-    for p in &hosts {
-        if p.core.phase != Phase::Done {
-            return false;
-        }
-        if p.core.last_wave + 1 != target.waves() as i64 {
-            return false;
-        }
+    for p in &settled {
         let r = av.range_of(p.core.id());
         if p.core.cbt.core.range != (r.lo, r.hi) {
             return false;

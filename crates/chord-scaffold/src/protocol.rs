@@ -14,7 +14,6 @@
 
 use crate::msg::{Phase, PhaseInfo, ScafMsg};
 use crate::target::InductiveTarget;
-use avatar_cbt::hosttree::required_edge;
 use avatar_cbt::{CbtCore, CbtMsg};
 use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
 use ssim::{CompactMap, CompactSet, Ctx, NodeId};
@@ -428,7 +427,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
 
     fn start_wave(&mut self, io: &mut Ctx<'_, ScafMsg>, k: u32) {
         let round = io.round;
-        let children = self.cbt.children(round, io.neighbors());
+        let children: Vec<NodeId> = self.cbt.children(round, io.neighbors()).collect();
         for &c in &children {
             self.send_critical(io, c, ScafMsg::Prop { k });
         }
@@ -607,7 +606,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         self.last_progress = round;
         // Snapshot the tree relations while beacons are still fresh.
         self.done_parent = self.cbt.parent(round, neighbors);
-        let children = self.cbt.children(round, neighbors);
+        let children: Vec<NodeId> = self.cbt.children(round, neighbors).collect();
         self.prune_for_target(io);
         for &c in &children {
             self.send_critical(io, c, ScafMsg::StartDone);
@@ -692,9 +691,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         for &v in neighbors {
             match self.cbt.view.latest(v) {
                 Some(b) => {
-                    if b.cid == self.cbt.core.cid
-                        && required_edge(&self.cbt.cbt, self.cbt.core.range, b.range)
-                    {
+                    if b.cid == self.cbt.core.cid && self.cbt.requires_edge_to(b.range) {
                         keep.insert(v);
                     }
                 }
