@@ -1,65 +1,40 @@
-//! The CI perf-regression gate (see [`scaffold_bench::check`]): diff a
-//! fresh `--json --smoke` experiment run against the committed
-//! `BENCH_engine.json` baseline and exit non-zero on regression.
+//! The CI contract gate (see [`scaffold_bench::check`]): diff a fresh
+//! `--json --smoke` experiment run against the committed
+//! `BENCH_engine.json` baseline and exit non-zero on any drift.
 //!
 //! ```text
-//! exp_engine_scale --json --smoke  > fresh.json
-//! exp_workload     --json --smoke >> fresh.json
-//! bench_check BENCH_engine.json fresh.json [--slack F]
+//! exp engine_scale workload net gauntlet --json --smoke > fresh.json
+//! bench_check BENCH_engine.json fresh.json
 //! ```
 //!
-//! Deterministic metrics (counts, rounds, activations, request accounting)
-//! must match the baseline exactly; timing metrics (`ns/*` columns) may
-//! drift up to ×1.75 (scaled by `--slack`); environment columns (`cores`,
-//! `speedup`) are ignored. See `crates/bench/README.md`.
+//! Every cell must match the baseline exactly; a `[full]` document the
+//! fresh run lacks is skipped. See `crates/bench/README.md`.
 
-use scaffold_bench::check::{check_regression, TIMING_TOLERANCE};
+use scaffold_bench::check::check_regression;
 
 fn main() {
-    let mut paths: Vec<String> = Vec::new();
-    let mut slack = 1.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--slack" {
-            slack = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("--slack needs a numeric factor (e.g. --slack 1.5)");
-                std::process::exit(2);
-            });
-        } else if let Some(v) = a.strip_prefix("--slack=") {
-            slack = v.parse().unwrap_or_else(|_| {
-                eprintln!("--slack needs a numeric factor (got {v:?})");
-                std::process::exit(2);
-            });
-        } else {
-            paths.push(a);
-        }
-    }
-    if paths.len() != 2 {
-        eprintln!("usage: bench_check <baseline.json> <fresh.json> [--slack F]");
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline, fresh] = paths.as_slice() else {
+        eprintln!("usage: bench_check <baseline.json> <fresh.json>");
         std::process::exit(2);
-    }
+    };
     let read = |p: &str| {
         std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("bench_check: cannot read {p}: {e}");
             std::process::exit(2);
         })
     };
-    let baseline = read(&paths[0]);
-    let fresh = read(&paths[1]);
-    let report = check_regression(&baseline, &fresh, slack);
+    let report = check_regression(&read(baseline), &read(fresh));
     println!(
-        "bench_check: {} cells compared, {} skipped, timing tolerance ×{:.2}",
-        report.compared,
-        report.skipped,
-        TIMING_TOLERANCE * slack
+        "bench_check: {} cells compared exactly, {} in absent [full] documents skipped",
+        report.compared, report.skipped
     );
     if report.ok() {
-        println!("bench_check: OK — no regression against {}", paths[0]);
+        println!("bench_check: OK — no drift against {baseline}");
     } else {
         eprintln!(
-            "bench_check: {} failure(s) against {}:",
-            report.failures.len(),
-            paths[0]
+            "bench_check: {} failure(s) against {baseline}:",
+            report.failures.len()
         );
         for f in &report.failures {
             eprintln!("  - {f}");

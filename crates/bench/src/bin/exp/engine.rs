@@ -1,0 +1,320 @@
+//! The engine rows. `engine_scale` emits the exact engine documents of
+//! `BENCH_engine.json` — pool counters (E12e), the daemon sweep (E12c),
+//! post-convergence activations (E12d) and memory at scale (E14b);
+//! `threads` is the print-only thread sweep (E12b), the one instrument
+//! here that reads the clock.
+
+use crate::note;
+use scaffold_bench::{
+    budget, crunch_ring, f2, legal_cbt_standalone, pulse_ring, seeded, ExpArgs, Table,
+};
+use ssim::{init::Shape, NetModel, PerfCounters, Program, Runtime};
+use std::time::Instant;
+
+/// Mixer iterations per node-round of the compute-weighted workload.
+const SPINS: u32 = 256;
+
+/// `rounds` rounds of the `workload` ring (`pulse` or `crunch`) under
+/// `cfg`, after `warm` untimed rounds; the timed rounds' ns/round and the
+/// pool counters of the whole run.
+fn ring_run(
+    workload: &str,
+    n: u32,
+    cfg: ssim::Config,
+    sched: &str,
+    warm: u64,
+    rounds: u64,
+) -> (f64, PerfCounters) {
+    fn go<P: Program>(
+        mut rt: Runtime<P>,
+        sched: &str,
+        seed: u64,
+        warm: u64,
+        rounds: u64,
+    ) -> (f64, PerfCounters) {
+        rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
+        rt.run(warm);
+        let t0 = Instant::now();
+        rt.run(rounds);
+        let ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
+        (ns, rt.perf_counters())
+    }
+    let seed = cfg.seed;
+    match workload {
+        "pulse" => go(pulse_ring(n, cfg), sched, seed, warm, rounds),
+        _ => go(crunch_ring(n, SPINS, cfg), sched, seed, warm, rounds),
+    }
+}
+
+/// The exact engine documents of `BENCH_engine.json` (seed = `N`, default
+/// 42; `--smoke` for the committed sizes, `--full` adds the 256k/1M-host
+/// E14b rows; `--save-snapshot`/`--load-snapshot` apply to E14b's fixture).
+pub fn engine_scale(args: &ExpArgs) {
+    let seed = args.count.unwrap_or(42);
+    let smoke = args.smoke;
+
+    // E12e: pool synchronization — how the batched run drivers spend the
+    // pool's wake budget, per workload × daemon × thread count × hot
+    // window. `force_parallel` pins every round to the pool (the
+    // auto-sequential heuristic would keep these small rings sequential and
+    // the counters empty), so `generations` and `syncs/round` are exact
+    // functions of (workload, daemon, rounds, batch), whatever the cores.
+    let mut e12e = Table::new(&[
+        "workload",
+        "sched",
+        "n",
+        "threads",
+        "batch",
+        "rounds",
+        "generations",
+        "syncs/round",
+    ]);
+    let (e12e_n, e12e_rounds): (u32, u64) = (256, 32);
+    for workload in ["pulse", "crunch"] {
+        for spec in ["sync", "activity"] {
+            for threads in [2usize, 4] {
+                for batch in [1u32, 16] {
+                    let cfg = seeded(seed)
+                        .threads(threads)
+                        .always_parallel()
+                        .batch_rounds(batch);
+                    let (_, pc) = ring_run(workload, e12e_n, cfg, spec, 0, e12e_rounds);
+                    e12e.row(vec![
+                        workload.to_string(),
+                        spec.to_string(),
+                        e12e_n.to_string(),
+                        threads.to_string(),
+                        batch.to_string(),
+                        e12e_rounds.to_string(),
+                        pc.generations.to_string(),
+                        f2(pc.syncs as f64 / e12e_rounds as f64),
+                    ]);
+                }
+            }
+        }
+    }
+    e12e.emit(
+        args,
+        "E12e: pool synchronization (hot-window batching, K rounds per wake)",
+    );
+
+    // E12c: daemon sweep — Avatar(CBT) stabilization under each scheduler.
+    let mut daemons = Table::new(&[
+        "sched",
+        "hosts",
+        "N",
+        "legal@",
+        "rounds",
+        "activations",
+        "avg_active",
+    ]);
+    let (cbt_hosts, cbt_n): (usize, u32) = if smoke { (48, 256) } else { (512, 2048) };
+    for spec in ["sync", "activity", "random:0.5", "rr:4"] {
+        let mut rt = avatar_cbt::runtime_from_shape(cbt_n, cbt_hosts, Shape::Random, seeded(seed));
+        rt.set_scheduler(ssim::sched::from_spec(spec, seed).expect("known spec"));
+        let out = rt.run_monitored(&mut avatar_cbt::legality(), budget(cbt_n, cbt_hosts));
+        let rounds = rt.metrics().rounds_executed.max(1);
+        let acts = rt.metrics().total_activations;
+        daemons.row(vec![
+            spec.to_string(),
+            cbt_hosts.to_string(),
+            cbt_n.to_string(),
+            out.rounds_if_satisfied()
+                .map_or("-".into(), |r| r.to_string()),
+            rounds.to_string(),
+            acts.to_string(),
+            f2(acts as f64 / rounds as f64),
+        ]);
+    }
+    daemons.emit(
+        args,
+        "E12c: daemon sweep (Avatar(CBT) stabilization per scheduler)",
+    );
+
+    // E12d: post-convergence activations. The fixture starts in the
+    // installed legal configuration (from-scratch stabilization at 10k
+    // hosts takes hours; E12c measures time-to-legality at feasible
+    // sizes), so legality holds from round 0 and the measured window — one
+    // stabilization budget, the engine's canonical convergence-scale
+    // duration — is pure post-convergence behavior: the root observes the
+    // clean feedback wave within the first epoch, the quiesce wave drains,
+    // and the dormant network makes the activity-driven window (nearly)
+    // free while the synchronous daemon keeps paying `hosts` per round.
+    let (big_hosts, big_n): (usize, u32) = if smoke { (256, 1024) } else { (10_000, 16_384) };
+    let win = budget(big_n, big_hosts);
+    let window = |activity: bool| -> u64 {
+        let mut rt = legal_cbt_standalone(big_n, big_hosts, seed);
+        assert!(
+            avatar_cbt::runtime_is_legal(&rt),
+            "E12d fixture must start legal"
+        );
+        if activity {
+            rt.set_scheduler(Box::new(ssim::sched::ActivityDriven));
+        }
+        rt.run(win);
+        assert!(
+            avatar_cbt::runtime_is_legal(&rt),
+            "E12d fixture must stay legal through the window"
+        );
+        rt.metrics().total_activations
+    };
+    let sync_acts = window(false);
+    let act_acts = window(true);
+    let mut post = Table::new(&[
+        "hosts",
+        "N",
+        "window",
+        "sync_activations",
+        "activity_activations",
+        "ratio",
+    ]);
+    post.row(vec![
+        big_hosts.to_string(),
+        big_n.to_string(),
+        win.to_string(),
+        sync_acts.to_string(),
+        act_acts.to_string(),
+        f2(sync_acts as f64 / act_acts.max(1) as f64),
+    ]);
+    post.emit(
+        args,
+        "E12d: post-convergence activations, sync vs activity-driven \
+         (installed-legal start, window = one stabilization budget)",
+    );
+
+    // E14b: memory at scale over installed-legal Avatar(Chord) fixtures
+    // restored from the checkpoint cache — snapshot `bytes/host` (varint
+    // encoding, interned neighbor state, boxed zip payloads) and resident
+    // `mem bytes/host` from `Runtime::mem_footprint` (paged inboxes,
+    // adjacency arena, transit pool, engine scratch). The 256k- and
+    // 1M-host rows form a separate `[full]` document.
+    let e14b_groups: &[(&str, &[(usize, u32)])] = {
+        const SMOKE_DOC: &str =
+            "E14b: engine memory at scale (snapshot + resident bytes/host, compaction gate)";
+        const FULL_DOC: &str =
+            "E14b [full]: engine memory at 256k-1M hosts (snapshot + resident bytes/host)";
+        const SMOKE_SIZES: &[(usize, u32)] = &[(65_536, 131_072)];
+        const FULL_SIZES: &[(usize, u32)] = &[(262_144, 524_288), (1_048_576, 2_097_152)];
+        if smoke && !args.full {
+            &[(SMOKE_DOC, SMOKE_SIZES)]
+        } else {
+            &[(SMOKE_DOC, SMOKE_SIZES), (FULL_DOC, FULL_SIZES)]
+        }
+    };
+    let e14b_rounds: u64 = 64;
+    for &(doc, sizes) in e14b_groups {
+        let mut e14b = Table::new(&["hosts", "N", "rounds", "bytes/host", "mem bytes/host"]);
+        for &(hosts, n) in sizes {
+            let cfg = seeded(seed);
+            let bytes = args.fixture_snapshot(|| {
+                scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal())
+                    .save_snapshot()
+            });
+            let mut rt =
+                chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&bytes, cfg)
+                    .expect("E14b snapshot restores");
+            assert_eq!(rt.ids().len(), hosts, "E14b: restored host count");
+            rt.run(e14b_rounds);
+            assert_eq!(
+                rt.metrics().total_violations,
+                0,
+                "E14b: the restored legal overlay must stay silent"
+            );
+            // Steady-state footprint: measured after the rounds so inbox
+            // pages, emit sinks and transit buckets sit at their recycled
+            // capacities, not the restore minimum.
+            let mem = rt.mem_footprint().total();
+            e14b.row(vec![
+                hosts.to_string(),
+                n.to_string(),
+                e14b_rounds.to_string(),
+                (bytes.len() / hosts).to_string(),
+                (mem / hosts).to_string(),
+            ]);
+        }
+        e14b.emit(args, doc);
+    }
+
+    note(
+        args,
+        &[
+            "Expected shape: E12e syncs/round = 1/batch with hot windows (the batched",
+            "drivers wake the pool once per window); generations count pool broadcasts",
+            "(emit, plus sharded delivery on send-heavy rounds).",
+            "Daemon sweep: `activity` matches `sync` on legal@ exactly (execution",
+            "equivalence) at the same activations until legal; `random`/`rr` may time",
+            "out — the protocol's beacon freshness assumes the synchronous daemon, which",
+            "is precisely what those stress daemons probe. Post-convergence: the dormant",
+            "network makes the activity window ~free (ratio >> 5).",
+            "E14b: both bytes/host columns roughly flat in hosts; the snapshot column is",
+            "the compaction headline, the resident column the live heap.",
+        ],
+    );
+}
+
+/// E12b — the thread sweep: steady-state ns/round of the send-bound
+/// `pulse` and the compute-weighted `crunch` rings across thread counts
+/// ({1, 2, 4}, or {1, T} under `--threads T`), with speedup over the same
+/// run's single-thread row and the machine's `cores`. Results are
+/// bit-identical across thread counts; only wall-clock changes, and only
+/// when there are cores to use. Print-only: nothing here is committed, and
+/// parallel speedup has not been measured on more than one core.
+pub fn threads(args: &ExpArgs) {
+    let seed = args.count.unwrap_or(42);
+    let (sizes, rounds): (&[u32], u64) = if args.smoke {
+        (&[256, 1024], 5)
+    } else {
+        (&[1_000, 10_000, 100_000], 20)
+    };
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let thread_counts: Vec<usize> = match args.threads {
+        Some(t) if t > 1 => vec![1, t],
+        Some(0) => vec![1, cores], // `0` = available parallelism, like Config
+        Some(_) => vec![1],
+        None => vec![1, 2, 4],
+    };
+    let mut sweep = Table::new(&[
+        "workload", "n", "threads", "cores", "rounds", "ns/round", "speedup",
+    ]);
+    for &n in sizes {
+        for workload in ["pulse", "crunch"] {
+            let mut base = f64::NAN;
+            for &threads in &thread_counts {
+                // Three warm rounds reach steady-state buffer capacity.
+                let (ns, _) = ring_run(
+                    workload,
+                    n,
+                    seeded(seed).threads(threads),
+                    "sync",
+                    3,
+                    rounds,
+                );
+                if threads == 1 {
+                    base = ns;
+                }
+                sweep.row(vec![
+                    workload.to_string(),
+                    n.to_string(),
+                    threads.to_string(),
+                    cores.to_string(),
+                    rounds.to_string(),
+                    f2(ns),
+                    f2(base / ns),
+                ]);
+            }
+        }
+    }
+    sweep.emit(
+        args,
+        "E12b: thread sweep (deterministic parallel rounds, ssim::par pool)",
+    );
+    note(
+        args,
+        &[
+            "Expected shape: speedup grows with threads up to the `cores` column once",
+            "rounds are big enough to amortize the pool wakeup — crunch scales closer",
+            "to linearly than pulse, whose ordering-observable apply bookkeeping stays",
+            "on the driving thread. With cores = 1 every speedup reads ≈ 1.",
+        ],
+    );
+}

@@ -1,41 +1,24 @@
 //! E16 — stabilization and serving quality under WAN network conditions
-//! (`ssim::net`): a loss% × latency sweep over from-scratch Avatar(Chord)
+//! (`ssim::net`): a loss × latency sweep over from-scratch Avatar(Chord)
 //! stabilization with live lookup traffic racing it.
-//!
-//! Each cell runs the full protocol stack under one [`ssim::NetModel`]:
-//! hosts start as singleton clusters on a random-id ring, an open-loop
-//! lookup workload flows from round 0 (requests ride a reliable control
-//! channel that shares the model's latency — see `ssim::workload`), and
-//! the run is driven until the overlay reaches the legal, silent
-//! configuration. Reported per cell:
-//!
-//! * **rounds** — stabilization rounds under the model (the paper's
-//!   headline metric, now as a function of channel quality). Latency
-//!   stretches every stage window by the delivery bound `Δ = 1 + delay +
-//!   jitter`; loss adds detector patience and retransmission of the
-//!   merge/wave-critical messages, and costs extra resets when both
-//!   copies of a critical message die.
-//! * **lookup SLOs** — success%, mean and max round-trip latency of the
-//!   lookups issued *during* stabilization (the user-visible cost of a
-//!   degraded network while the overlay is still healing).
-//! * **channel accounting** — sent / lost / duplicated message counts
-//!   from [`ssim::NetStats`]; the binary asserts the conservation law
-//!   `sent + duplicated == delivered + dropped + in_transit` on every
-//!   cell before emitting.
-//!
-//! Every column is simulation-deterministic (no wall-clock cells), so the
-//! committed `BENCH_engine.json` rows gate exact — any drift in protocol
-//! behavior under WAN conditions fails CI by name.
-//!
-//! Usage: `exp_net [seed] [--json] [--smoke]`.
 
-use scaffold_bench::{budget, f2, Table};
-use ssim::{Config, NetModel, OpenLoop, WorkloadConfig};
+use crate::note;
+use scaffold_bench::{budget, f2, seeded, ExpArgs, Table};
+use ssim::{NetModel, OpenLoop, WorkloadConfig};
 
-fn main() {
-    let args = scaffold_bench::ExpArgs::from_env();
+/// E16 (seed = `N`, default 16; `--smoke` for the committed sizes). Each
+/// cell runs the full protocol stack under one [`ssim::NetModel`]: hosts
+/// start as singleton clusters on a ring, open-loop lookups flow from
+/// round 0, and the run is driven to the legal, silent configuration.
+/// Reported per cell: stabilization rounds (latency stretches every stage
+/// window by the delivery bound `Δ = 1 + delay + jitter`; loss adds
+/// detector patience, retransmission of merge/wave-critical messages, and
+/// extra resets when both copies die), the lookup SLOs of the requests
+/// issued while the overlay heals, and the channel accounting of
+/// [`ssim::NetStats`], whose conservation law is asserted on every cell.
+pub fn net(args: &ExpArgs) {
     let seed = args.count.unwrap_or(16);
-    let smoke = args.flag("smoke");
+    let smoke = args.smoke;
 
     let (hosts, n): (usize, u32) = if smoke { (8, 64) } else { (16, 128) };
     // latency × loss grid: (delay, jitter) sweeps the delivery bound,
@@ -75,8 +58,6 @@ fn main() {
             };
             let delta = model.delivery_bound();
             let target = chord_scaffold::ChordTarget::classic(n);
-            let mut cfg = Config::seeded(seed);
-            cfg.record_rounds = false;
             // Evenly spaced host placement: the sweep isolates *channel*
             // effects, so every cell shares one balanced embedding.
             // (Random placement adds its own variance axis: uneven
@@ -87,7 +68,7 @@ fn main() {
                 .map(|i| i * (n / hosts as u32) + 1)
                 .collect();
             let edges = ssim::init::ring(&ids);
-            let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
+            let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, seeded(seed), model);
             let wl = WorkloadConfig {
                 ttl: WorkloadConfig::default().ttl * delta,
                 ..WorkloadConfig::default()
@@ -124,14 +105,17 @@ fn main() {
         }
     }
     t.emit(
-        &args,
+        args,
         "E16: stabilization rounds and lookup SLOs under WAN conditions (loss x latency)",
     );
-    if !args.json {
-        println!("\nExpected shape: rounds grow with the delivery bound (every stage window");
-        println!("stretches by delta) and degrade gracefully with loss — retransmission of");
-        println!("merge/wave-critical messages keeps the reset rate near the ideal-channel");
-        println!("one at 2% loss. Lookup latency scales with delta while success stays high;");
-        println!("the conservation law is asserted on every cell.");
-    }
+    note(
+        args,
+        &[
+            "Expected shape: rounds grow with the delivery bound (every stage window",
+            "stretches by delta) and degrade gracefully with loss — retransmission of",
+            "merge/wave-critical messages keeps the reset rate near the ideal-channel",
+            "one at 2% loss. Lookup latency scales with delta while success stays high;",
+            "the conservation law is asserted on every cell.",
+        ],
+    );
 }

@@ -1,62 +1,14 @@
 //! E13 — live traffic over the evolving overlay: routed request workloads
-//! racing stabilization and churn (the application-level payoff the
-//! overlays exist for), plus the serving-quality numbers the CI perf gate
-//! pins.
-//!
-//! Three measurements, all on **live host links** — every lookup travels
-//! hop-by-hop over the edges the engine actually maintains, forwarded by
-//! the protocol's own [`ssim::workload::Router`] (greedy guest-space
-//! routing); nothing consults an ideal finger table:
-//!
-//! * **E13a — converged service quality**: an open-loop lookup workload on
-//!   a legal, silent Avatar(Chord), per scheduler (`sync`, `activity`) and
-//!   thread count {1, 2, 4}. The binary *asserts* the acceptance
-//!   invariants: every thread count produces byte-identical metrics, the
-//!   activity-driven daemon serves exactly like the synchronous one
-//!   (request-carrying hosts are dirty, so it activates them), lookup
-//!   success exceeds 99%, and hop counts stay within the `O(log N)`
-//!   bound. A smoke failure here is a correctness regression, not noise.
-//! * **E13b — traffic under churn storms**: the same workload while hosts
-//!   leave and join every scaffold epoch. Requests in flight when their
-//!   next hop vanishes retry against the healing overlay or fail at their
-//!   TTL — success rate, failure breakdown, and latency tails quantify
-//!   what users experience *during* stabilization and churn.
-//! * **E13c — load sweep**: ns/round across request rates on the converged
-//!   overlay under the activity daemon (the serving-cost baseline: with no
-//!   protocol work left, round cost is pure traffic).
-//!
-//! Usage: `exp_workload [seed] [--json] [--smoke] [--threads T]
-//! [--net SPEC] [--save-snapshot PATH] [--load-snapshot PATH]`.
-//! `--net wan` (or `wan:key=value,...`) runs E13a/E13b under WAN network
-//! conditions (`ssim::net`): the converged fixture and every joiner carry
-//! delivery-bound-matched window budgets, and request TTLs stretch with
-//! the per-hop bound so SLOs degrade for protocol reasons, not because
-//! the clock was left at ideal-network settings.
-//! `--json` emits the JSON-Lines documents captured in `BENCH_engine.json`
-//! (the committed baseline the `bench_check` CI gate diffs); `--smoke` is
-//! the seconds-long CI variant; the snapshot options write E13c's converged
-//! fixture to a file / read it back instead of building (see
-//! [`scaffold_bench::ExpArgs::fixture_snapshot`]).
+//! racing stabilization and churn. Every lookup travels hop by hop over
+//! the host links the engine maintains, forwarded by the protocol's own
+//! [`ssim::workload::Router`]; nothing consults an ideal finger table.
 
-use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, Table};
+use crate::note;
+use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, ExpArgs, Table};
 use ssim::{fault::Fault, NetModel, OpenLoop, RequestStats, WorkloadConfig};
-use std::time::Instant;
-
-/// Strip the scheduler-dependent activity columns from a metrics JSON
-/// fingerprint (activations legitimately differ between daemons;
-/// everything else — including every request metric — must not).
-fn activity_blind(metrics_json: &str) -> String {
-    ssim::metrics::blank_json_fields(metrics_json, &["total_activations", "active_nodes"])
-}
-
-struct ServiceRun {
-    ns_per_round: f64,
-    metrics_json: String,
-    stats: RequestStats,
-}
 
 /// The size/seed/load/channel shape of a service run (everything except
-/// the daemon and thread count, which the sweeps vary per row).
+/// the daemon and thread count, which the sweep varies per row).
 #[derive(Clone, Copy)]
 struct ServiceSpec {
     n: u32,
@@ -68,8 +20,9 @@ struct ServiceSpec {
 }
 
 /// One converged-overlay traffic run: `rate` lookups/round for `rounds`
-/// rounds, then drain the in-flight tail.
-fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> ServiceRun {
+/// rounds, then drain the in-flight tail. Returns the metrics JSON (the
+/// byte-identity fingerprint) and the request accounting.
+fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, RequestStats) {
     let ServiceSpec {
         n,
         hosts,
@@ -81,29 +34,37 @@ fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> ServiceRun {
     let mut rt = legal_chord_runtime(n, hosts, seeded(seed).threads(threads), model);
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let total = (rate * rounds as f64) as u64;
-    let wl = WorkloadConfig {
-        ttl: WorkloadConfig::default().ttl * model.delivery_bound(),
-        ..WorkloadConfig::default()
-    };
+    let wl = ttl_scaled(model);
     rt.attach_workload(OpenLoop::new(rate, n).limited(total), wl);
-    let t0 = Instant::now();
     rt.run(rounds);
-    let elapsed = t0.elapsed();
     // Drain the in-flight tail (the generator has hit its issue limit).
     let mut waited = 0;
     while rt.request_stats().in_flight > 0 && waited < wl.ttl + 16 {
         rt.step();
         waited += 1;
     }
-    ServiceRun {
-        ns_per_round: elapsed.as_nanos() as f64 / rounds as f64,
-        metrics_json: serde_json::to_string(rt.metrics()).expect("metrics serialize"),
-        stats: rt.metrics().requests.clone(),
+    (
+        serde_json::to_string(rt.metrics()).expect("metrics serialize"),
+        rt.metrics().requests.clone(),
+    )
+}
+
+/// Request TTLs stretched by the model's per-hop bound, so SLOs degrade
+/// for protocol reasons, not because the clock kept ideal-network settings.
+fn ttl_scaled(model: NetModel) -> WorkloadConfig {
+    WorkloadConfig {
+        ttl: WorkloadConfig::default().ttl * model.delivery_bound(),
+        ..WorkloadConfig::default()
     }
 }
 
-fn service_cells(sched: &str, threads: usize, hosts: usize, n: u32, r: &ServiceRun) -> Vec<String> {
-    let s = &r.stats;
+fn service_cells(
+    sched: &str,
+    threads: usize,
+    hosts: usize,
+    n: u32,
+    s: &RequestStats,
+) -> Vec<String> {
     vec![
         sched.to_string(),
         threads.to_string(),
@@ -117,7 +78,6 @@ fn service_cells(sched: &str, threads: usize, hosts: usize, n: u32, r: &ServiceR
         s.max_hops_seen().to_string(),
         f2(s.mean_latency()),
         s.max_latency_seen().to_string(),
-        f2(r.ns_per_round),
     ]
 }
 
@@ -125,11 +85,16 @@ fn log2_ceil(n: u32) -> u32 {
     32 - n.saturating_sub(1).leading_zeros()
 }
 
-fn main() {
-    let args = scaffold_bench::ExpArgs::from_env();
+/// E13a–c (seed = `N`, default 13; `--smoke` for the committed sizes;
+/// `--net` runs E13a/E13b under that model; the snapshot options apply to
+/// E13c's fixture). The row *asserts* E13a's acceptance invariants before
+/// emitting: byte-identical metrics across thread counts, the activity
+/// daemon serving exactly like the synchronous one, > 99 % lookup success
+/// and the `2·log₂N + 2` hop bound.
+pub fn workload(args: &ExpArgs) {
     let seed = args.count.unwrap_or(13);
-    let smoke = args.flag("smoke");
-    let model = args.net_model().unwrap_or_default();
+    let smoke = args.smoke;
+    let model = args.net;
 
     // ---- E13a: converged service quality --------------------------------
     let sizes: &[(usize, u32)] = if smoke {
@@ -157,7 +122,6 @@ fn main() {
         "max_hops",
         "mean_lat",
         "max_lat",
-        "ns/round",
     ]);
     for &(hosts, n) in sizes {
         let hop_bound = (2 * log2_ceil(n) + 2) as usize;
@@ -171,18 +135,23 @@ fn main() {
                 rounds,
                 model,
             };
-            let base = service_run(spec, sched, 1);
+            let (base_json, s) = service_run(spec, sched, 1);
             // Acceptance: byte-identical metrics across thread counts.
             for &threads in thread_counts.iter().filter(|&&t| t != 1) {
-                let run = service_run(spec, sched, threads);
+                let (json, stats) = service_run(spec, sched, threads);
                 assert_eq!(
-                    base.metrics_json, run.metrics_json,
+                    base_json, json,
                     "E13a: {sched} diverged between 1 and {threads} threads"
                 );
-                t.row(service_cells(sched, threads, hosts, n, &run));
+                t.row(service_cells(sched, threads, hosts, n, &stats));
             }
-            // Acceptance: the activity daemon serves exactly like sync.
-            let blind = activity_blind(&base.metrics_json);
+            // Acceptance: the activity daemon serves exactly like sync —
+            // everything but the activity columns, which legitimately
+            // differ between daemons.
+            let blind = ssim::metrics::blank_json_fields(
+                &base_json,
+                &["total_activations", "active_nodes"],
+            );
             match &sync_blind {
                 None => sync_blind = Some(blind),
                 Some(sb) => assert_eq!(
@@ -191,7 +160,6 @@ fn main() {
                 ),
             }
             // Acceptance: service quality on the converged overlay.
-            let s = &base.stats;
             assert!(
                 s.issued > 0 && s.success_rate() > 0.99,
                 "E13a: success rate {:.4} ≤ 0.99 on a converged overlay",
@@ -207,15 +175,17 @@ fn main() {
                 s.completed + s.failed + s.in_flight,
                 "E13a: conservation law"
             );
-            t.row(service_cells(sched, 1, hosts, n, &base));
+            t.row(service_cells(sched, 1, hosts, n, &s));
         }
     }
     t.emit(
-        &args,
+        args,
         "E13a: live routed lookups on converged Avatar(Chord) (per daemon x threads)",
     );
 
     // ---- E13b: traffic under churn storms -------------------------------
+    // Requests in flight when their next hop vanishes retry against the
+    // healing overlay or fail at their TTL.
     let (churn_hosts, churn_n, episodes): (usize, u32, usize) =
         if smoke { (48, 256, 6) } else { (128, 512, 12) };
     let mut t = Table::new(&[
@@ -237,11 +207,7 @@ fn main() {
         use rand::SeedableRng;
         let mut rt = legal_chord_runtime(churn_n, churn_hosts, seeded(seed), model);
         rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
-        let wl = WorkloadConfig {
-            ttl: WorkloadConfig::default().ttl * model.delivery_bound(),
-            ..WorkloadConfig::default()
-        };
-        rt.attach_workload(OpenLoop::new(4.0, churn_n), wl);
+        rt.attach_workload(OpenLoop::new(4.0, churn_n), ttl_scaled(model));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x57_0B_13);
         let gap = avatar_cbt::Schedule::new(churn_n)
             .with_delta(model.delivery_bound())
@@ -285,11 +251,11 @@ fn main() {
         ]);
     }
     t.emit(
-        &args,
+        args,
         "E13b: routed lookups during churn storms (leave/join per epoch, healing overlay)",
     );
 
-    // ---- E13c: load sweep (serving cost on the converged overlay) -------
+    // ---- E13c: completed lookups vs request rate on the converged overlay
     // The three rate points share one fixture: snapshot it once (or honor
     // --load-snapshot / --save-snapshot for cross-run reuse) and restore
     // per point — identical state every time, guaranteed by the format's
@@ -300,38 +266,37 @@ fn main() {
     let lc_bytes = args.fixture_snapshot(|| {
         legal_chord_runtime(lc_n, lc_hosts, lc_cfg, NetModel::ideal()).save_snapshot()
     });
-    let mut t = Table::new(&["hosts", "N", "rate", "rounds", "completed", "ns/round"]);
+    let mut t = Table::new(&["hosts", "N", "rate", "rounds", "completed"]);
     for rate in [1.0f64, 8.0, 64.0] {
         let mut rt =
             chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&lc_bytes, lc_cfg)
                 .expect("E13c fixture restores");
         rt.set_scheduler(Box::new(ssim::ActivityDriven));
         rt.attach_workload(OpenLoop::new(rate, lc_n), WorkloadConfig::default());
-        rt.run(8); // warm buffers and the first lookups
-        let t0 = Instant::now();
-        rt.run(lc_rounds);
-        let elapsed = t0.elapsed();
+        rt.run(8 + lc_rounds);
         t.row(vec![
             lc_hosts.to_string(),
             lc_n.to_string(),
             f2(rate),
             lc_rounds.to_string(),
             rt.request_stats().completed.to_string(),
-            f2(elapsed.as_nanos() as f64 / lc_rounds as f64),
         ]);
     }
     t.emit(
-        &args,
+        args,
         "E13c: serving cost vs request rate (activity daemon, converged overlay)",
     );
 
-    if !args.json {
-        println!("\nExpected shape: E13a success 100% with max_hops ≤ 2·log2(N)+2 — greedy");
-        println!("finger routing over live host links matches the ideal-table bound; all");
-        println!("rows byte-identical across threads and (modulo activation counts) across");
-        println!("the sync/activity daemons. E13b: success dips below 100% exactly by the");
-        println!("requests caught on departing hosts or expiring mid-heal — the honest");
-        println!("user-visible cost of churn. E13c: activity-daemon round cost scales with");
-        println!("traffic, not network size (the dormant overlay is free).");
-    }
+    note(
+        args,
+        &[
+            "Expected shape: E13a success 100% with max_hops ≤ 2·log2(N)+2 — greedy",
+            "finger routing over live host links matches the ideal-table bound; all",
+            "rows byte-identical across threads and (modulo activation counts) across",
+            "the sync/activity daemons. E13b: success dips below 100% exactly by the",
+            "requests caught on departing hosts or expiring mid-heal — the honest",
+            "user-visible cost of churn. E13c: completed lookups track the offered",
+            "rate on the dormant overlay.",
+        ],
+    );
 }

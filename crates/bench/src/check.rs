@@ -1,44 +1,23 @@
-//! The CI perf-regression gate: diff a fresh `exp_* --json` run against the
-//! committed `BENCH_engine.json` baseline with per-metric tolerances.
+//! The CI contract gate: diff a fresh `exp … --json` run against the
+//! committed `BENCH_engine.json` baseline.
 //!
 //! The baseline is JSON-Lines — one table document per line, as emitted by
 //! [`crate::Table::emit`] under `--json`:
 //!
 //! ```json
-//! {"experiment":"…","headers":["n","ns/round",…],"rows":[["256","66.2",…],…]}
+//! {"experiment":"…","headers":["sched","legal@",…],"rows":[["sync","1402",…],…]}
 //! ```
 //!
 //! Documents are matched by experiment title, rows by position (generation
-//! order is deterministic), and cells by column class:
+//! order is deterministic), and every cell is compared for exact equality:
+//! the committed file holds only numbers that are a function of (code,
+//! seed), so any drift is a behavior change, never noise. Host time is
+//! measured by the repo benchmark (`BENCHMARK.json`), not here.
 //!
-//! * **timing columns** (header contains `ns/`) — wall-clock measurements,
-//!   the only machine-dependent numbers in the table. The gate fails when
-//!   `fresh > baseline × tolerance` (default ×1.75, scalable with a slack
-//!   factor for noisy runners); *improvements always pass* — re-baseline
-//!   when they stick.
-//! * **throughput columns** (header ends in `/s`, e.g. `rounds/s`) — the
-//!   same machine-dependent wall-clock, inverted: higher is better, so the
-//!   gate fails when `fresh < baseline ÷ tolerance` and improvements pass.
-//! * **environment columns** (`cores`), **derived-from-timing columns**
-//!   (`speedup`), and **scheduling-race columns** (`steals`) — skipped:
-//!   they legitimately differ between the committing machine and the CI
-//!   runner (or between two runs on the same machine, for `steals`).
-//! * **pool-synchronization columns** (`syncs/round`, E12e) — lower is
-//!   better; gated with the timing tolerance so a batching regression
-//!   (more pool wakeups per round) fails while improvements pass.
-//! * **memory columns** (header contains `bytes/` or ends in `bytes`,
-//!   e.g. E14/E14b `bytes/host`) — lower is better, gated with the tight
-//!   [`BYTES_TOLERANCE`] (×1.10, *not* scaled by `slack`): snapshot sizes
-//!   are near-deterministic, so growth beyond container-doubling play is
-//!   a real memory regression; shrinkage always passes.
-//! * **everything else** — counters, round numbers, activations, request
-//!   accounting, success rates: fully deterministic per seed, compared for
-//!   exact equality. Any drift is a real behavior change, not noise.
-//!
-//! Baseline documents whose title contains `[full]` are committed from
-//! full-size (non-`--smoke`) runs; when a fresh smoke run lacks them they
-//! are skipped rather than failed, and they gate normally whenever a full
-//! fresh run is supplied.
+//! The one other rule: a baseline document whose title contains `[full]`
+//! is committed from a full-size run; when a fresh smoke run lacks it, it
+//! is skipped rather than failed, and it gates whenever a full fresh run
+//! supplies it.
 //!
 //! The vendored `serde_json` stub is serialize-only, so parsing is done by
 //! the minimal JSON reader below (strings, arrays, objects — exactly the
@@ -60,9 +39,9 @@ pub struct Doc {
 pub struct CheckReport {
     /// Human-readable failure descriptions (empty = gate passes).
     pub failures: Vec<String>,
-    /// Cells compared (exact + tolerated).
+    /// Cells compared.
     pub compared: usize,
-    /// Cells skipped as environment-dependent.
+    /// Cells of `[full]` documents the fresh run did not supply.
     pub skipped: usize,
 }
 
@@ -165,22 +144,9 @@ impl<'a> Reader<'a> {
                     }
                 }
             }
-            // Bare atoms (numbers, booleans) are not produced by the table
-            // printer but tolerate them as raw strings for forward
-            // compatibility.
-            Some(_) => {
-                self.skip_ws();
-                let start = self.i;
-                while self.i < self.s.len()
-                    && !matches!(self.s[self.i], b',' | b']' | b'}')
-                    && !self.s[self.i].is_ascii_whitespace()
-                {
-                    self.i += 1;
-                }
-                Ok(Json::Str(
-                    String::from_utf8_lossy(&self.s[start..self.i]).into_owned(),
-                ))
-            }
+            // The table printer stringifies every cell: a bare number or
+            // boolean is not a table document.
+            Some(b) => Err(format!("unexpected {:?} at byte {}", b as char, self.i)),
             None => Err("unexpected end of JSON document".into()),
         }
     }
@@ -297,74 +263,13 @@ pub fn parse_docs(input: &str) -> Result<Vec<Doc>, String> {
 // The gate.
 // ---------------------------------------------------------------------------
 
-/// Column classes for comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    /// Wall-clock measurement: ratio tolerance, regressions only.
-    Timing,
-    /// Wall-clock throughput (higher is better): ratio tolerance on drops.
-    Throughput,
-    /// Memory footprint (lower is better): tight ratio tolerance on growth.
-    Bytes,
-    /// Environment- or timing-derived: skipped.
-    Skip,
-    /// Deterministic per seed: exact equality.
-    Exact,
-}
-
-/// Default ratio tolerance for timing columns. Chosen below 2.0 so that a
-/// genuine 2× slowdown always trips the gate (pinned by a unit test), with
-/// headroom for ordinary runner noise; scale with `slack` for unusually
-/// noisy environments.
-pub const TIMING_TOLERANCE: f64 = 1.75;
-
-/// Ratio tolerance for memory columns (`bytes/…`). Snapshot sizes and
-/// capacity-derived footprints are *almost* deterministic — only allocator
-/// growth policies and container doubling thresholds introduce play — so
-/// the band is much tighter than timing and is **not** scaled by `slack`
-/// (runner noise does not change how many bytes a snapshot encodes to).
-/// Lower is better: shrinkage always passes, growth beyond ×1.10 fails.
-pub const BYTES_TOLERANCE: f64 = 1.10;
-
-fn classify(header: &str) -> Class {
-    if header == "syncs/round" {
-        // Pool wake accounting (E12e): lower is better, gated like a
-        // timing cell — batching regressions (more wakeups per round) trip
-        // the gate, improvements pass. Not Exact, because the committed
-        // value depends on the exact window alignment of the run drivers,
-        // which is allowed to improve without a baseline dance. Must be
-        // classified before the generic tests below.
-        Class::Timing
-    } else if header == "steals" {
-        // Work-stealing counts are timing-dependent (which thread grabs a
-        // chunk first) — never comparable.
-        Class::Skip
-    } else if header.contains("bytes/") || header.ends_with("bytes") {
-        // Memory footprints (E14/E14b `bytes/host`, future `heap bytes`):
-        // lower is better, gated with the tight bytes tolerance. Checked
-        // before the generic fallback so the column never lands in Exact —
-        // container-doubling play would make exact equality flaky.
-        Class::Bytes
-    } else if header.contains("ns/") {
-        Class::Timing
-    } else if header.ends_with("/s") {
-        Class::Throughput
-    } else if header == "cores" || header == "speedup" {
-        Class::Skip
-    } else {
-        Class::Exact
-    }
-}
-
-/// Diff `fresh` against `baseline` (both JSON-Lines table streams).
-/// `slack` scales the timing tolerance (`1.0` = the default
-/// [`TIMING_TOLERANCE`]). Every baseline document must appear in the fresh
-/// run with identical headers, row counts, and deterministic cells; timing
-/// cells may drift up to the tolerance. Documents only present in the
-/// fresh run are ignored (new experiments do not need an old baseline).
-pub fn check_regression(baseline: &str, fresh: &str, slack: f64) -> CheckReport {
+/// Diff `fresh` against `baseline` (both JSON-Lines table streams). Every
+/// baseline document must appear in the fresh run with identical headers,
+/// row count and cells (absent `[full]` documents excepted). Documents
+/// only present in the fresh run are ignored (new experiments do not need
+/// an old baseline).
+pub fn check_regression(baseline: &str, fresh: &str) -> CheckReport {
     let mut report = CheckReport::default();
-    let tol = TIMING_TOLERANCE * slack.max(0.01);
     let (base_docs, fresh_docs) = match (parse_docs(baseline), parse_docs(fresh)) {
         (Ok(b), Ok(f)) => (b, f),
         (Err(e), _) => {
@@ -380,7 +285,7 @@ pub fn check_regression(baseline: &str, fresh: &str, slack: f64) -> CheckReport 
         let title = &base.experiment;
         let Some(fresh) = fresh_docs.iter().find(|d| &d.experiment == title) else {
             // `[full]`-tagged documents are committed from full-size runs
-            // (e.g. the E14b 1M-host sweep) that CI's `--smoke` pass never
+            // (e.g. the E14b 1M-host rows) that CI's `--smoke` pass never
             // reproduces; their absence from a fresh run is expected, not
             // a truncation. They still gate when a full fresh run is fed.
             if title.contains("[full]") {
@@ -426,51 +331,12 @@ pub fn check_regression(baseline: &str, fresh: &str, slack: f64) -> CheckReport 
             continue;
         }
         for (rix, (brow, frow)) in base.rows.iter().zip(&fresh.rows).enumerate() {
-            for (cix, header) in base.headers.iter().enumerate() {
-                let (b, f) = (&brow[cix], &frow[cix]);
-                match classify(header) {
-                    Class::Skip => report.skipped += 1,
-                    Class::Exact => {
-                        report.compared += 1;
-                        if b != f {
-                            report.failures.push(format!(
-                                "{title:?} row {rix} `{header}`: {b:?} -> {f:?} \
-                                 (deterministic metric drifted)"
-                            ));
-                        }
-                    }
-                    Class::Timing | Class::Throughput | Class::Bytes => {
-                        report.compared += 1;
-                        match (b.parse::<f64>(), f.parse::<f64>()) {
-                            (Ok(bv), Ok(fv)) if bv > 0.0 => {
-                                // Timing and bytes regress upward,
-                                // throughput downward; express all as a
-                                // regression ratio > 1 against the class
-                                // tolerance. Bytes is deliberately immune
-                                // to `slack`: memory is not runner noise.
-                                let (ratio, cell_tol) = match classify(header) {
-                                    Class::Timing => (fv / bv, tol),
-                                    Class::Bytes => (fv / bv, BYTES_TOLERANCE),
-                                    _ => (bv / fv.max(f64::MIN_POSITIVE), tol),
-                                };
-                                if ratio > cell_tol {
-                                    report.failures.push(format!(
-                                        "{title:?} row {rix} `{header}`: {fv:.2} breaches \
-                                         baseline {bv:.2} × {cell_tol:.2} tolerance \
-                                         ({ratio:.2}× regression)"
-                                    ));
-                                }
-                            }
-                            _ => {
-                                if b != f {
-                                    report.failures.push(format!(
-                                        "{title:?} row {rix} `{header}`: non-numeric timing \
-                                         cell changed {b:?} -> {f:?}"
-                                    ));
-                                }
-                            }
-                        }
-                    }
+            for ((header, b), f) in base.headers.iter().zip(brow).zip(frow) {
+                report.compared += 1;
+                if b != f {
+                    report.failures.push(format!(
+                        "{title:?} row {rix} `{header}`: {b:?} -> {f:?} (metric drifted)"
+                    ));
                 }
             }
         }
@@ -482,20 +348,20 @@ pub fn check_regression(baseline: &str, fresh: &str, slack: f64) -> CheckReport 
 mod tests {
     use super::*;
 
-    fn doc(ns: &str, rounds: &str) -> String {
+    fn doc(bytes: &str, rounds: &str) -> String {
         format!(
-            "{{\"experiment\":\"E12: engine\",\"headers\":[\"n\",\"rounds\",\"ns/round\",\"cores\"],\
-             \"rows\":[[\"256\",\"{rounds}\",\"{ns}\",\"1\"]]}}\n"
+            "{{\"experiment\":\"E14b: memory\",\"headers\":[\"hosts\",\"rounds\",\"bytes/host\"],\
+             \"rows\":[[\"65536\",\"{rounds}\",\"{bytes}\"]]}}\n"
         )
     }
 
     #[test]
     fn parses_table_documents() {
-        let docs = parse_docs(&doc("66620.75", "20")).expect("parses");
+        let docs = parse_docs(&doc("1157", "64")).expect("parses");
         assert_eq!(docs.len(), 1);
-        assert_eq!(docs[0].experiment, "E12: engine");
-        assert_eq!(docs[0].headers[2], "ns/round");
-        assert_eq!(docs[0].rows[0][2], "66620.75");
+        assert_eq!(docs[0].experiment, "E14b: memory");
+        assert_eq!(docs[0].headers[2], "bytes/host");
+        assert_eq!(docs[0].rows[0][2], "1157");
     }
 
     #[test]
@@ -509,157 +375,78 @@ mod tests {
 
     #[test]
     fn identical_runs_pass() {
-        let r = check_regression(&doc("100.0", "20"), &doc("100.0", "20"), 1.0);
+        let r = check_regression(&doc("1157", "64"), &doc("1157", "64"));
         assert!(r.ok(), "{:?}", r.failures);
-        assert!(r.compared >= 3);
-        assert_eq!(r.skipped, 1, "cores column skipped");
-    }
-
-    /// The satellite's acceptance requirement: an injected 2× timing
-    /// regression must fail the gate at the default tolerance.
-    #[test]
-    fn injected_2x_timing_regression_fails() {
-        let r = check_regression(&doc("100.0", "20"), &doc("200.0", "20"), 1.0);
-        assert!(!r.ok());
-        assert!(
-            r.failures[0].contains("2.00× regression"),
-            "{:?}",
-            r.failures
-        );
+        assert_eq!((r.compared, r.skipped), (3, 0));
     }
 
     #[test]
-    fn throughput_drops_fail_and_gains_pass() {
-        let doc_tp = |v: &str| {
-            format!(
-                "{{\"experiment\":\"E14: restore\",\"headers\":[\"hosts\",\"rounds/s\"],\
-                 \"rows\":[[\"65536\",\"{v}\"]]}}\n"
-            )
-        };
-        // 2× throughput drop trips the gate at the default tolerance…
-        let r = check_regression(&doc_tp("100.0"), &doc_tp("50.0"), 1.0);
-        assert!(!r.ok());
-        assert!(
-            r.failures[0].contains("2.00× regression"),
-            "{:?}",
-            r.failures
-        );
-        // …while gains and ordinary noise pass.
-        assert!(check_regression(&doc_tp("100.0"), &doc_tp("200.0"), 1.0).ok());
-        assert!(check_regression(&doc_tp("100.0"), &doc_tp("70.0"), 1.0).ok());
-    }
-
-    #[test]
-    fn timing_improvements_and_small_noise_pass() {
-        assert!(check_regression(&doc("100.0", "20"), &doc("50.0", "20"), 1.0).ok());
-        assert!(check_regression(&doc("100.0", "20"), &doc("160.0", "20"), 1.0).ok());
-    }
-
-    #[test]
-    fn deterministic_counter_drift_fails_exactly() {
-        let r = check_regression(&doc("100.0", "20"), &doc("100.0", "21"), 1.0);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("deterministic metric drifted"));
-    }
-
-    #[test]
-    fn environment_columns_are_ignored() {
-        let base = doc("100.0", "20");
-        let fresh = base.replace("\"1\"]", "\"8\"]"); // cores: 1 -> 8
-        assert!(check_regression(&base, &fresh, 1.0).ok());
+    fn any_drift_fails_exactly() {
+        // A counter, and a bytes/host cell 5 % off: no cell has a tolerance.
+        for (base, fresh) in [
+            (doc("1157", "64"), doc("1157", "65")),
+            (doc("1000", "64"), doc("1050", "64")),
+        ] {
+            let r = check_regression(&base, &fresh);
+            assert!(!r.ok());
+            assert!(r.failures[0].contains("metric drifted"), "{:?}", r.failures);
+        }
     }
 
     #[test]
     fn missing_experiment_and_shape_changes_fail() {
-        let r = check_regression(&doc("1", "2"), "", 1.0);
+        let r = check_regression(&doc("1", "2"), "");
         assert!(!r.ok(), "missing doc must fail");
-        let two_rows =
-            doc("1", "2").replace("\"rows\":[[", "\"rows\":[[\"256\",\"2\",\"1\",\"1\"],[");
-        let r = check_regression(&two_rows, &doc("1", "2"), 1.0);
+        let two_rows = doc("1", "2").replace("\"rows\":[[", "\"rows\":[[\"256\",\"2\",\"1\"],[");
+        let r = check_regression(&two_rows, &doc("1", "2"));
         assert!(!r.ok(), "row-count change must fail");
     }
 
     #[test]
-    fn slack_scales_the_tolerance() {
-        // 2× regression passes at slack 1.5 (tolerance 2.625)…
-        assert!(check_regression(&doc("100.0", "20"), &doc("200.0", "20"), 1.5).ok());
-        // …and tiny slack turns noise into failures.
-        assert!(!check_regression(&doc("100.0", "20"), &doc("120.0", "20"), 0.1).ok());
-    }
-
-    #[test]
-    fn syncs_per_round_is_lower_better_and_steals_skipped() {
-        let doc_e12e = |syncs: &str, steals: &str| {
-            format!(
-                "{{\"experiment\":\"E12e: sync\",\"headers\":[\"n\",\"syncs/round\",\"steals\"],\
-                 \"rows\":[[\"256\",\"{syncs}\",\"{steals}\"]]}}\n"
-            )
-        };
-        // An 8× wakeup regression (batching broke) trips the gate…
-        let r = check_regression(&doc_e12e("0.125", "7"), &doc_e12e("1.0", "7"), 1.0);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("syncs/round"), "{:?}", r.failures);
-        // …improvements pass, and `steals` drift is never compared.
-        assert!(check_regression(&doc_e12e("1.0", "7"), &doc_e12e("0.125", "999"), 1.0).ok());
-        let r = check_regression(&doc_e12e("1.0", "7"), &doc_e12e("1.0", "0"), 1.0);
-        assert!(r.ok(), "{:?}", r.failures);
-        assert_eq!(r.skipped, 1, "steals column skipped");
-    }
-
-    #[test]
-    fn bytes_growth_fails_and_shrinkage_passes() {
-        let doc_mem = |v: &str| {
-            format!(
-                "{{\"experiment\":\"E14b: memory\",\"headers\":[\"hosts\",\"bytes/host\"],\
-                 \"rows\":[[\"1048576\",\"{v}\"]]}}\n"
-            )
-        };
-        // 15% growth breaches the ×1.10 band…
-        let r = check_regression(&doc_mem("1700.0"), &doc_mem("1955.0"), 1.0);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("bytes/host"), "{:?}", r.failures);
-        assert!(r.failures[0].contains("1.10"), "{:?}", r.failures);
-        // …allocator-level play inside the band passes…
-        assert!(check_regression(&doc_mem("1700.0"), &doc_mem("1750.0"), 1.0).ok());
-        // …shrinkage always passes (lower is better)…
-        assert!(check_regression(&doc_mem("1700.0"), &doc_mem("900.0"), 1.0).ok());
-        // …and slack does NOT widen the band: memory is not runner noise.
-        assert!(!check_regression(&doc_mem("1700.0"), &doc_mem("1955.0"), 10.0).ok());
-    }
-
-    #[test]
     fn full_tagged_documents_are_skipped_when_absent_and_gated_when_present() {
-        let full = |v: &str| {
-            format!(
-                "{{\"experiment\":\"E14b [full]: 1M hosts\",\"headers\":[\"hosts\",\"bytes/host\"],\
-                 \"rows\":[[\"1048576\",\"{v}\"]]}}\n"
-            )
-        };
+        let full = doc("1295", "64").replace("E14b:", "E14b [full]:");
         // Absent from a fresh smoke run: skipped, not failed.
-        let r = check_regression(&full("1700.0"), "", 1.0);
+        let r = check_regression(&full, "");
         assert!(r.ok(), "{:?}", r.failures);
-        assert_eq!(r.skipped, 2, "the whole document counts as skipped");
-        // Present in a full fresh run: gated normally.
-        assert!(!check_regression(&full("1700.0"), &full("2500.0"), 1.0).ok());
-        assert!(check_regression(&full("1700.0"), &full("1600.0"), 1.0).ok());
+        assert_eq!(r.skipped, 3, "the whole document counts as skipped");
+        // Present in a full fresh run: gated exactly.
+        assert!(check_regression(&full, &full).ok());
+        assert!(!check_regression(&full, &full.replace("1295", "1294")).ok());
         // Untagged documents still fail loudly when missing.
-        let plain = full("1.0").replace(" [full]", "");
-        assert!(!check_regression(&plain, "", 1.0).ok());
+        assert!(!check_regression(&doc("1295", "64"), "").ok());
     }
 
     #[test]
     fn real_baseline_roundtrip_passes_against_itself() {
-        let committed = include_str!("../../../BENCH_engine.json");
-        let r = check_regression(committed, committed, 1.0);
+        let r = check_regression(COMMITTED, COMMITTED);
         assert!(r.ok(), "{:?}", r.failures);
         assert!(r.compared > 0, "baseline must contain comparable cells");
     }
 
+    /// Host time is gated by the repo benchmark alone: a wall-clock cell in
+    /// the exact contract would fail every fresh run.
+    #[test]
+    fn committed_baseline_has_no_wall_clock_columns() {
+        for d in parse_docs(COMMITTED).expect("baseline parses") {
+            for h in &d.headers {
+                assert!(
+                    !(h.contains("ns/")
+                        || h.ends_with("/s")
+                        || ["speedup", "cores", "steals"].contains(&h.as_str())),
+                    "{:?}: wall-clock column `{h}`",
+                    d.experiment
+                );
+            }
+        }
+    }
+
+    const COMMITTED: &str = include_str!("../../../BENCH_engine.json");
+
     #[test]
     fn short_row_fails_with_diagnostic_not_panic() {
-        let bad = "{\"experiment\":\"E12: engine\",\"headers\":[\"n\",\"rounds\",\"ns/round\",\
-                   \"cores\"],\"rows\":[[\"256\",\"5\"]]}\n";
-        let r = check_regression(bad, &doc("1", "2"), 1.0);
+        let bad = "{\"experiment\":\"E14b: memory\",\"headers\":[\"hosts\",\"rounds\",\
+                   \"bytes/host\"],\"rows\":[[\"256\",\"5\"]]}\n";
+        let r = check_regression(bad, &doc("1", "2"));
         assert!(!r.ok());
         assert!(
             r.failures[0].contains("malformed document"),
@@ -667,14 +454,19 @@ mod tests {
             r.failures
         );
         // Also when the fresh side is the malformed one.
-        let r = check_regression(&doc("1", "2"), bad, 1.0);
+        let r = check_regression(&doc("1", "2"), bad);
         assert!(!r.ok());
     }
 
     #[test]
     fn truncated_baseline_fails_loudly() {
-        let r = check_regression("{\"experiment\":\"x\",\"headers\":[", &doc("1", "2"), 1.0);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("baseline unreadable"));
+        for bad in [
+            "{\"experiment\":\"x\",\"headers\":[",
+            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[7]]}",
+        ] {
+            let r = check_regression(bad, &doc("1", "2"));
+            assert!(!r.ok());
+            assert!(r.failures[0].contains("baseline unreadable"), "{bad}");
+        }
     }
 }

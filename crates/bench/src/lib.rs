@@ -19,12 +19,8 @@ use ssim::scenario::{Scenario, ScenarioReport};
 use ssim::{fault::Fault, init::Shape, Config, Ctx, NetModel, NodeId, Program, Runtime};
 
 /// Outcome of one stabilization run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Guest capacity `N`.
-    pub n_guests: u32,
-    /// Number of hosts `n`.
-    pub hosts: usize,
     /// Rounds to the legal configuration (None = budget exhausted).
     pub rounds: Option<u64>,
     /// Maximum degree observed during convergence.
@@ -65,7 +61,7 @@ pub fn measure_chord(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Ou
     let rounds = rt
         .run_monitored(&mut chord_scaffold::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
-    outcome_of(n_guests, hosts, rounds, &rt)
+    outcome_of(rounds, &rt)
 }
 
 /// Run only the Avatar(CBT) scaffold stabilization.
@@ -74,7 +70,7 @@ pub fn measure_cbt(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Outc
     let rounds = rt
         .run_monitored(&mut avatar_cbt::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
-    outcome_of(n_guests, hosts, rounds, &rt)
+    outcome_of(rounds, &rt)
 }
 
 /// Stabilize an Avatar(Chord) overlay, then subject it to `episodes` rounds
@@ -98,7 +94,7 @@ pub fn measure_churn(
     // `--net` runs the whole measurement under WAN conditions; every
     // stage window below is re-budgeted for the model's delivery bound
     // (with the default ideal network this is exactly the classic run).
-    let model = args.net_model().unwrap_or_default();
+    let model = args.net;
     let delta = model.delivery_bound();
     let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
     let ids = ssim::init::random_ids(hosts, n_guests, &mut rng);
@@ -107,12 +103,12 @@ pub fn measure_churn(
     args.apply_sched(&mut rt, seed);
     // Linear `Δ` scaling is not enough headroom off the ideal channel:
     // loss resets and jitter-stretched stages compound, so non-ideal
-    // models get the same 8x slack the E16 sweep budgets (identity on
-    // the default ideal model, so committed baselines are untouched).
-    let net_slack = if model.is_ideal() { 1 } else { 8 };
+    // models get the same 8x budget the E16 sweep grants (identity on
+    // the default ideal model).
+    let headroom = if model.is_ideal() { 1 } else { 8 };
     let baseline = rt.run_monitored(
         &mut chord_scaffold::legality(),
-        net_slack * delta * budget(n_guests, hosts),
+        headroom * delta * budget(n_guests, hosts),
     );
     assert!(
         baseline.rounds_if_satisfied().is_some(),
@@ -155,16 +151,9 @@ pub fn measure_churn(
     scenario.run(&mut rt, &mut chord_scaffold::legality(), max_rounds)
 }
 
-fn outcome_of<P: Program>(
-    n_guests: u32,
-    hosts: usize,
-    rounds: Option<u64>,
-    rt: &Runtime<P>,
-) -> Outcome {
+fn outcome_of<P: Program>(rounds: Option<u64>, rt: &Runtime<P>) -> Outcome {
     let final_degree = rt.topology().max_degree();
     Outcome {
-        n_guests,
-        hosts,
         rounds,
         peak_degree: rt.metrics().peak_degree,
         final_degree,
@@ -281,7 +270,7 @@ pub fn legal_cbt_standalone(
 ///
 /// The live-traffic fixture: from-scratch Avatar(Chord) stabilization at
 /// 512+ hosts takes minutes-to-hours, but serving-quality experiments
-/// (`exp_workload`) only need *a* converged network, however obtained —
+/// (`exp workload`) only need *a* converged network, however obtained —
 /// the installed state is indistinguishable from a naturally converged one
 /// (the shadow check audits that every host's step really is a no-op).
 ///
@@ -289,7 +278,7 @@ pub fn legal_cbt_standalone(
 /// installed fixture is built at most once per `(N, hosts, seed, flags,
 /// model)` and cached as a hash-verified snapshot (see
 /// [`checkpoint_cache`]); later calls — within and across experiment
-/// binaries — restore it, which at the 64k+ host sizes of the scale sweep is
+/// runs — restore it, which at the 64k+ host sizes of the scale sweep is
 /// orders of magnitude cheaper than re-deriving ranges, edges, and warmed
 /// views from scratch. Restoring honors the caller's thread count
 /// (snapshots restore at any parallelism), and a corrupt or stale cache
@@ -371,8 +360,8 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Minimal all-neighbor gossip: pure engine load (sends, inbox traffic,
 /// snapshot reads) with no protocol logic and no program-side allocation.
-/// The engine-benchmark workload of the `exp_engine_scale` sweep and its
-/// committed `BENCH_engine.json` baseline.
+/// The send-bound workload of the E12b thread sweep and the E12e pool
+/// counters (`exp threads`, `exp engine_scale`).
 pub struct Pulse;
 
 impl Program for Pulse {
@@ -443,65 +432,59 @@ pub fn crunch_ring(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
         .with_spawner(move |_| Crunch::new(spins))
 }
 
-/// One engine membership event pair: retire a pseudo-randomly chosen member
-/// (stride-indexed by event number `e`, O(1), no RNG in the timed loop) and
-/// join the fresh host id `fresh` on two contacts, keeping the network size
-/// invariant. Exercises the O(deg) leave and join paths exactly once each.
-pub fn pulse_churn_event(rt: &mut Runtime<Pulse>, e: usize, stride: usize, fresh: u32) {
-    let victim = rt.ids()[(e * stride) % rt.ids().len()];
-    let contacts = [rt.ids()[0], rt.ids()[rt.ids().len() / 2]];
-    rt.leave(victim).expect("victim is a member");
-    rt.join(fresh, Pulse, &contacts);
-}
-
-/// CLI options shared by every experiment binary.
+/// The command line of the `exp` binary, checked where it enters: every
+/// value is validated by [`ExpArgs::from_env`], so an experiment never
+/// runs on a misspelled or half-parsed option.
 ///
+/// * positional names — the experiment rows to run, in order;
+/// * first numeric positional — override the seed/trial count where the
+///   row takes one;
 /// * `--json` — emit machine-readable JSON (one document per table) instead
-///   of fixed-width tables, for the benchmark-trajectory tooling;
+///   of fixed-width tables;
+/// * `--smoke` — the seconds-long variant of the rows that have one;
+/// * `--full` — also emit the row's `[full]`-tagged document;
 /// * `--threads N` (or `--threads=N`) — round-execution thread count for
-///   experiments that build runtimes; `0` means available parallelism, `1`
+///   rows that build runtimes; `0` means available parallelism, `1`
 ///   sequential. Thread count never changes results, only wall-clock time;
 /// * `--sched SPEC` (or `--sched=SPEC`) — the daemon driving the rounds:
 ///   `sync` (default), `activity`, `random:<p>`, or `rr:<k>` (see
 ///   [`ssim::sched::from_spec`]). Unlike threads, the daemon may change
 ///   results — that is the point of sweeping it;
+/// * `--net SPEC` (or `--net=SPEC`) — network conditions
+///   ([`ssim::net::from_spec`]: `ideal` | `wan` | `wan:key=value,...`);
 /// * `--save-snapshot PATH` / `--load-snapshot PATH` (or `=PATH`) — where
-///   an experiment that builds a reusable fixture should write its sealed
+///   a row that builds a reusable fixture should write its sealed
 ///   snapshot, or read one instead of building (see
-///   [`ExpArgs::fixture_snapshot`]);
-/// * other `--flags` — kept verbatim; experiments query them with
-///   [`ExpArgs::flag`] (e.g. `exp_engine_scale --smoke`);
-/// * first numeric positional argument — override the seed/trial count
-///   where the experiment takes one.
+///   [`ExpArgs::fixture_snapshot`]).
 #[derive(Debug, Clone, Default)]
 pub struct ExpArgs {
+    /// Row names (the non-numeric positionals), in command-line order.
+    pub rows: Vec<String>,
     /// Emit JSON instead of human tables.
     pub json: bool,
+    /// `--smoke`: small sizes, few rounds.
+    pub smoke: bool,
+    /// `--full`: also emit the `[full]`-tagged documents.
+    pub full: bool,
     /// Optional numeric positional (seeds / trials), experiment-specific.
     pub count: Option<u64>,
     /// `--threads N`: round-execution thread count (see [`ExpArgs::config`]).
     pub threads: Option<usize>,
-    /// `--sched SPEC`: scheduler spec (see [`ExpArgs::scheduler`]).
+    /// `--sched SPEC`: a recognized scheduler spec (see [`ExpArgs::scheduler`]).
     pub sched: Option<String>,
-    /// `--net SPEC`: network-conditions spec (see [`ExpArgs::net_model`]).
-    pub net: Option<String>,
+    /// `--net SPEC`: the network model (ideal when absent).
+    pub net: NetModel,
     /// `--save-snapshot PATH`: write the experiment's fixture snapshot here.
     pub save_snapshot: Option<String>,
     /// `--load-snapshot PATH`: restore the fixture from here, skip building.
     pub load_snapshot: Option<String>,
-    /// Remaining `--flag` arguments, for experiment-specific switches.
-    pub flags: Vec<String>,
 }
 
 impl ExpArgs {
-    /// Parse the options from `std::env::args`.
-    pub fn from_env() -> Self {
+    /// Parse the options from `std::env::args`; `Err` names the first
+    /// argument that is not a count, a row name or a well-formed option.
+    pub fn from_env() -> Result<Self, String> {
         parse_exp_args(std::env::args().skip(1))
-    }
-
-    /// True iff `--<name>` was passed.
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
     }
 
     /// Apply the `--threads` option (when given) to a runtime config.
@@ -513,38 +496,12 @@ impl ExpArgs {
     }
 
     /// Build the `--sched` scheduler, seeding randomized daemons with
-    /// `seed`. `None` when the flag is absent (keep the runtime's default)
-    /// or unparseable (reported to stderr: [`ExpArgs::from_env`] keeps an
-    /// invalid spec verbatim and it is rejected here).
+    /// `seed`; `None` when the flag is absent (keep the runtime's default).
     pub fn scheduler(&self, seed: u64) -> Option<Box<dyn ssim::sched::Scheduler>> {
-        let spec = self.sched.as_deref()?;
-        let s = ssim::sched::from_spec(spec, seed);
-        if s.is_none() {
-            eprintln!(
-                "--sched {spec:?} not recognized (want sync | activity | random:<p> | rr:<k>); \
-                 keeping the default scheduler"
-            );
-        }
-        s
+        ssim::sched::from_spec(self.sched.as_deref()?, seed)
     }
 
-    /// Parse the `--net` network-conditions spec
-    /// ([`ssim::net::from_spec`]: `ideal` | `wan` | `wan:key=value,...`).
-    /// `None` when the flag is absent — experiments then keep the ideal
-    /// network, i.e. exactly the pre-`ssim::net` behavior. An unparseable
-    /// spec is reported to stderr and treated as absent.
-    pub fn net_model(&self) -> Option<ssim::NetModel> {
-        let spec = self.net.as_deref()?;
-        match ssim::net::from_spec(spec) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                eprintln!("--net {spec:?}: {e}; keeping the ideal network");
-                None
-            }
-        }
-    }
-
-    /// Install the `--sched` scheduler (when given and valid) on a runtime.
+    /// Install the `--sched` scheduler (when given) on a runtime.
     pub fn apply_sched<P: ssim::Program>(&self, rt: &mut ssim::Runtime<P>, seed: u64) {
         if let Some(s) = self.scheduler(seed) {
             rt.set_scheduler(s);
@@ -578,78 +535,66 @@ impl ExpArgs {
     }
 }
 
-fn parse_exp_args(args: impl IntoIterator<Item = String>) -> ExpArgs {
+fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, String> {
     let mut out = ExpArgs::default();
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--json" {
-            out.json = true;
-        } else if a == "--threads" {
-            // Consume the next argument only if it is a valid count, so
-            // `--threads --json` fails loudly instead of eating `--json`.
-            match args.peek().map(|v| v.parse::<usize>()) {
-                Some(Ok(t)) => {
-                    out.threads = Some(t);
-                    args.next();
+        let Some(opt) = a.strip_prefix("--") else {
+            match a.parse() {
+                Ok(_) if out.count.is_some() => return Err(format!("a second count {a:?}")),
+                Ok(n) => out.count = Some(n),
+                Err(_) => out.rows.push(a),
+            }
+            continue;
+        };
+        let (name, inline) = match opt.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_string())),
+            None => (opt, None),
+        };
+        let flag = match name {
+            "json" => &mut out.json,
+            "smoke" => &mut out.smoke,
+            "full" => &mut out.full,
+            "threads" | "sched" | "net" | "save-snapshot" | "load-snapshot" => {
+                // A missing value must not swallow the next option.
+                let v = inline
+                    .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                    .ok_or(format!("--{name} needs a value"))?;
+                match name {
+                    "threads" => {
+                        let t = v.parse();
+                        out.threads = Some(t.map_err(|_| format!("--threads {v:?}: not a count"))?);
+                    }
+                    "sched" if ssim::sched::from_spec(&v, 0).is_none() => {
+                        return Err(format!(
+                            "--sched {v:?}: want sync | activity | random:<p> | rr:<k>"
+                        ))
+                    }
+                    "sched" => out.sched = Some(v),
+                    "net" => {
+                        out.net =
+                            ssim::net::from_spec(&v).map_err(|e| format!("--net {v:?}: {e}"))?
+                    }
+                    "save-snapshot" => out.save_snapshot = Some(v),
+                    _ => out.load_snapshot = Some(v),
                 }
-                _ => {
-                    eprintln!("--threads needs a numeric value (e.g. --threads 4); ignoring");
-                }
+                continue;
             }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            match v.parse() {
-                Ok(t) => out.threads = Some(t),
-                Err(_) => eprintln!("--threads needs a numeric value (got {v:?}); ignoring"),
+            _ => {
+                return Err(format!(
+                    "unknown option {a:?} (flags: --json --smoke --full)"
+                ))
             }
-        } else if a == "--sched" {
-            match args.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.sched = Some(v.clone());
-                    args.next();
-                }
-                _ => eprintln!("--sched needs a value (e.g. --sched activity); ignoring"),
-            }
-        } else if let Some(v) = a.strip_prefix("--sched=") {
-            out.sched = Some(v.to_string());
-        } else if a == "--net" {
-            match args.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.net = Some(v.clone());
-                    args.next();
-                }
-                _ => eprintln!("--net needs a value (e.g. --net wan:loss=0.05); ignoring"),
-            }
-        } else if let Some(v) = a.strip_prefix("--net=") {
-            out.net = Some(v.to_string());
-        } else if a == "--save-snapshot" || a == "--load-snapshot" {
-            let slot = if a == "--save-snapshot" {
-                &mut out.save_snapshot
-            } else {
-                &mut out.load_snapshot
-            };
-            match args.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    *slot = Some(v.clone());
-                    args.next();
-                }
-                _ => eprintln!("{a} needs a path (e.g. {a} fixture.snap); ignoring"),
-            }
-        } else if let Some(v) = a.strip_prefix("--save-snapshot=") {
-            out.save_snapshot = Some(v.to_string());
-        } else if let Some(v) = a.strip_prefix("--load-snapshot=") {
-            out.load_snapshot = Some(v.to_string());
-        } else if let Some(flag) = a.strip_prefix("--") {
-            out.flags.push(flag.to_string());
-        } else if out.count.is_none() {
-            if let Ok(v) = a.parse() {
-                out.count = Some(v);
-            }
+        };
+        if inline.is_some() {
+            return Err(format!("--{name} takes no value"));
         }
+        *flag = true;
     }
-    out
+    Ok(out)
 }
 
-/// Fixed-width table printer for experiment binaries, JSON-emitting under
+/// Fixed-width table printer for experiment rows, JSON-emitting under
 /// `--json`.
 pub struct Table {
     headers: Vec<String>,
@@ -688,13 +633,8 @@ impl Table {
                 rows: &self.rows,
             };
             println!("{}", serde_json::to_string(&doc).expect("table JSON"));
-        } else {
-            self.print(title);
+            return;
         }
-    }
-
-    /// Render to stdout.
-    pub fn print(&self, title: &str) {
         println!("\n== {title} ==");
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -734,54 +674,79 @@ pub fn f2(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Result<ExpArgs, String> {
+        parse_exp_args(v.iter().map(|s| s.to_string()))
+    }
+
+    /// Every listed command line is answered with an error naming the bad
+    /// argument, never with a run on a default.
+    fn assert_rejected(bad: &[&[&str]]) {
+        for v in bad {
+            let e = args(v).expect_err(&format!("{v:?} must be rejected"));
+            assert!(!e.is_empty());
+        }
+    }
+
     #[test]
     fn exp_args_parse_threads_and_flags() {
-        let args = |v: &[&str]| parse_exp_args(v.iter().map(|s| s.to_string()));
-        let a = args(&["--json", "--threads", "4", "--smoke", "7"]);
-        assert!(a.json && a.flag("smoke"));
+        let a = args(&[
+            "net",
+            "--json",
+            "--threads",
+            "4",
+            "--smoke",
+            "7",
+            "gauntlet",
+        ])
+        .unwrap();
+        assert!(a.json && a.smoke && !a.full);
+        assert_eq!(a.rows, ["net", "gauntlet"]);
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.count, Some(7));
-        assert_eq!(args(&["--threads=2"]).threads, Some(2));
-        assert_eq!(args(&[]).threads, None);
+        assert_eq!(args(&["--threads=2"]).unwrap().threads, Some(2));
+        assert_eq!(args(&[]).unwrap().threads, None);
         assert_eq!(a.config(Config::seeded(1)).effective_threads(), 4);
-        // A missing/invalid value must not eat the following argument.
-        let bad = args(&["--threads", "--json"]);
-        assert!(bad.json && bad.threads.is_none());
-        assert_eq!(args(&["--threads=x", "--json"]).threads, None);
+        assert_rejected(&[
+            &["--threads", "--json"],
+            &["--threads"],
+            &["--threads=x", "--json"],
+            &["--threads", "x"],
+            &["--smok"],
+            &["--e14b-full"],
+            &["--json=1"],
+            &["1", "2"],
+        ]);
     }
 
     #[test]
     fn exp_args_parse_scheduler_spec() {
-        let args = |v: &[&str]| parse_exp_args(v.iter().map(|s| s.to_string()));
-        let a = args(&["--sched", "activity", "--json"]);
+        let a = args(&["--sched", "activity", "--json"]).unwrap();
         assert_eq!(a.sched.as_deref(), Some("activity"));
         assert_eq!(a.scheduler(1).unwrap().name(), "activity-driven");
-        assert_eq!(
-            args(&["--sched=random:0.25"]).scheduler(7).unwrap().name(),
-            "random-subset"
-        );
+        let r = args(&["--sched=random:0.25"]).unwrap();
+        assert_eq!(r.scheduler(7).unwrap().name(), "random-subset");
         assert!(
-            args(&[]).scheduler(1).is_none(),
+            args(&[]).unwrap().scheduler(1).is_none(),
             "absent flag: keep default"
         );
-        assert!(
-            args(&["--sched", "bogus"]).scheduler(1).is_none(),
-            "unknown spec rejected"
-        );
-        // A missing value must not eat the following flag.
-        let bad = args(&["--sched", "--json"]);
-        assert!(bad.json && bad.sched.is_none());
+        assert_eq!(args(&["--net", "wan"]).unwrap().net, NetModel::wan());
+        assert!(args(&[]).unwrap().net.is_ideal());
+        assert_rejected(&[
+            &["--sched", "bogus"],
+            &["--sched", "--json"],
+            &["--sched"],
+            &["--net", "bogus"],
+            &["--net=wan:loss=x"],
+            &["--net", "--json"],
+        ]);
     }
 
     #[test]
     fn exp_args_parse_snapshot_paths() {
-        let args = |v: &[&str]| parse_exp_args(v.iter().map(|s| s.to_string()));
-        let a = args(&["--save-snapshot", "out.snap", "--load-snapshot=in.snap"]);
+        let a = args(&["--save-snapshot", "out.snap", "--load-snapshot=in.snap"]).unwrap();
         assert_eq!(a.save_snapshot.as_deref(), Some("out.snap"));
         assert_eq!(a.load_snapshot.as_deref(), Some("in.snap"));
-        // A missing value must not eat the following flag.
-        let bad = args(&["--load-snapshot", "--json"]);
-        assert!(bad.json && bad.load_snapshot.is_none());
+        assert_rejected(&[&["--load-snapshot", "--json"], &["--save-snapshot"]]);
     }
 
     #[test]
