@@ -157,39 +157,25 @@ fn rounds_if_satisfied_gives_the_classic_option_shape() {
     assert!(rounds.is_some());
 }
 
-/// CBT stabilization through the monitored batched driver is byte-identical
-/// at every thread count: `runtime` arms the debug shadow-step check, so
-/// the chunked parallel apply and hot-window batching also run under the
-/// quiescence auditor the whole way.
+/// CBT stabilization through the monitored driver is byte-identical at
+/// every thread count: `runtime` arms the debug shadow-step check, so the
+/// pooled emit also runs under the quiescence auditor the whole way.
 #[test]
-fn stabilization_is_thread_and_batch_invariant() {
+fn stabilization_is_thread_invariant() {
     let n = 64u32;
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
-    let run = |threads: usize, batch: u32| {
-        let cfg = Config::seeded(21)
-            .threads(threads)
-            .always_parallel()
-            .batch_rounds(batch);
+    let run = |threads: usize| {
+        let cfg = Config::seeded(21).threads(threads).always_parallel();
         let mut rt = runtime(n, &ids, ssim::init::ring(&ids), cfg);
         let out = rt.run_monitored(&mut legality(), budget(n, ids.len()));
-        assert_eq!(
-            out.verdict,
-            RunVerdict::Satisfied,
-            "{threads} threads, batch {batch}"
-        );
+        assert_eq!(out.verdict, RunVerdict::Satisfied, "{threads} threads");
         (
             out.rounds,
             serde_json::to_string(rt.metrics()).expect("metrics serialize"),
         )
     };
-    let sequential = run(1, 1);
+    let sequential = run(1);
     for threads in [2usize, 4, 8] {
-        for batch in [1u32, 16] {
-            assert_eq!(
-                sequential,
-                run(threads, batch),
-                "{threads} threads, batch {batch} diverged"
-            );
-        }
+        assert_eq!(sequential, run(threads), "{threads} threads diverged");
     }
 }

@@ -1,48 +1,32 @@
 //! The engine rows. `engine_scale` emits the exact engine documents of
-//! `BENCH_engine.json` — pool counters (E12e), the daemon sweep (E12c),
-//! post-convergence activations (E12d) and memory at scale (E14b);
-//! `threads` is the print-only thread sweep (E12b), the one instrument
-//! here that reads the clock.
+//! `BENCH_engine.json` — the daemon sweep (E12c), post-convergence
+//! activations (E12d) and memory at scale (E14b); `threads` is the
+//! print-only thread sweep (E12b), the one instrument here that reads the
+//! clock.
 
 use crate::note;
 use scaffold_bench::{
     budget, crunch_ring, f2, legal_cbt_standalone, pulse_ring, seeded, ExpArgs, Table,
 };
-use ssim::{init::Shape, NetModel, PerfCounters, Program, Runtime};
+use ssim::{init::Shape, NetModel, Program, Runtime};
 use std::time::Instant;
 
 /// Mixer iterations per node-round of the compute-weighted workload.
 const SPINS: u32 = 256;
 
-/// `rounds` rounds of the `workload` ring (`pulse` or `crunch`) under
-/// `cfg`, after `warm` untimed rounds; the timed rounds' ns/round and the
-/// pool counters of the whole run.
-fn ring_run(
-    workload: &str,
-    n: u32,
-    cfg: ssim::Config,
-    sched: &str,
-    warm: u64,
-    rounds: u64,
-) -> (f64, PerfCounters) {
-    fn go<P: Program>(
-        mut rt: Runtime<P>,
-        sched: &str,
-        seed: u64,
-        warm: u64,
-        rounds: u64,
-    ) -> (f64, PerfCounters) {
-        rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
+/// `rounds` synchronous rounds of the `workload` ring (`pulse` or
+/// `crunch`) under `cfg`, after `warm` untimed rounds; the timed rounds'
+/// ns/round.
+fn ring_ns_per_round(workload: &str, n: u32, cfg: ssim::Config, warm: u64, rounds: u64) -> f64 {
+    fn go<P: Program>(mut rt: Runtime<P>, warm: u64, rounds: u64) -> f64 {
         rt.run(warm);
         let t0 = Instant::now();
         rt.run(rounds);
-        let ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
-        (ns, rt.perf_counters())
+        t0.elapsed().as_nanos() as f64 / rounds as f64
     }
-    let seed = cfg.seed;
     match workload {
-        "pulse" => go(pulse_ring(n, cfg), sched, seed, warm, rounds),
-        _ => go(crunch_ring(n, SPINS, cfg), sched, seed, warm, rounds),
+        "pulse" => go(pulse_ring(n, cfg), warm, rounds),
+        _ => go(crunch_ring(n, SPINS, cfg), warm, rounds),
     }
 }
 
@@ -52,51 +36,6 @@ fn ring_run(
 pub fn engine_scale(args: &ExpArgs) {
     let seed = args.count.unwrap_or(42);
     let smoke = args.smoke;
-
-    // E12e: pool synchronization — how the batched run drivers spend the
-    // pool's wake budget, per workload × daemon × thread count × hot
-    // window. `force_parallel` pins every round to the pool (the
-    // auto-sequential heuristic would keep these small rings sequential and
-    // the counters empty), so `generations` and `syncs/round` are exact
-    // functions of (workload, daemon, rounds, batch), whatever the cores.
-    let mut e12e = Table::new(&[
-        "workload",
-        "sched",
-        "n",
-        "threads",
-        "batch",
-        "rounds",
-        "generations",
-        "syncs/round",
-    ]);
-    let (e12e_n, e12e_rounds): (u32, u64) = (256, 32);
-    for workload in ["pulse", "crunch"] {
-        for spec in ["sync", "activity"] {
-            for threads in [2usize, 4] {
-                for batch in [1u32, 16] {
-                    let cfg = seeded(seed)
-                        .threads(threads)
-                        .always_parallel()
-                        .batch_rounds(batch);
-                    let (_, pc) = ring_run(workload, e12e_n, cfg, spec, 0, e12e_rounds);
-                    e12e.row(vec![
-                        workload.to_string(),
-                        spec.to_string(),
-                        e12e_n.to_string(),
-                        threads.to_string(),
-                        batch.to_string(),
-                        e12e_rounds.to_string(),
-                        pc.generations.to_string(),
-                        f2(pc.syncs as f64 / e12e_rounds as f64),
-                    ]);
-                }
-            }
-        }
-    }
-    e12e.emit(
-        args,
-        "E12e: pool synchronization (hot-window batching, K rounds per wake)",
-    );
 
     // E12c: daemon sweep — Avatar(CBT) stabilization under each scheduler.
     let mut daemons = Table::new(&[
@@ -238,14 +177,12 @@ pub fn engine_scale(args: &ExpArgs) {
     note(
         args,
         &[
-            "Expected shape: E12e syncs/round = 1/batch with hot windows (the batched",
-            "drivers wake the pool once per window); generations count pool broadcasts",
-            "(emit, plus sharded delivery on send-heavy rounds).",
-            "Daemon sweep: `activity` matches `sync` on legal@ exactly (execution",
-            "equivalence) at the same activations until legal; `random`/`rr` may time",
-            "out — the protocol's beacon freshness assumes the synchronous daemon, which",
-            "is precisely what those stress daemons probe. Post-convergence: the dormant",
-            "network makes the activity window ~free (ratio >> 5).",
+            "Expected shape: in the daemon sweep `activity` matches `sync` on legal@",
+            "exactly (execution equivalence) at the same activations until legal;",
+            "`random`/`rr` may time out — the protocol's beacon freshness assumes the",
+            "synchronous daemon, which is precisely what those stress daemons probe.",
+            "Post-convergence: the dormant network makes the activity window ~free",
+            "(ratio >> 5).",
             "E14b: both bytes/host columns roughly flat in hosts; the snapshot column is",
             "the compaction headline, the resident column the live heap.",
         ],
@@ -257,8 +194,8 @@ pub fn engine_scale(args: &ExpArgs) {
 /// ({1, 2, 4}, or {1, T} under `--threads T`), with speedup over the same
 /// run's single-thread row and the machine's `cores`. Results are
 /// bit-identical across thread counts; only wall-clock changes, and only
-/// when there are cores to use. Print-only: nothing here is committed, and
-/// parallel speedup has not been measured on more than one core.
+/// when there are cores to use. Print-only: nothing here is committed;
+/// the bench README records the two-core reading.
 pub fn threads(args: &ExpArgs) {
     let seed = args.count.unwrap_or(42);
     let (sizes, rounds): (&[u32], u64) = if args.smoke {
@@ -281,14 +218,7 @@ pub fn threads(args: &ExpArgs) {
             let mut base = f64::NAN;
             for &threads in &thread_counts {
                 // Three warm rounds reach steady-state buffer capacity.
-                let (ns, _) = ring_run(
-                    workload,
-                    n,
-                    seeded(seed).threads(threads),
-                    "sync",
-                    3,
-                    rounds,
-                );
+                let ns = ring_ns_per_round(workload, n, seeded(seed).threads(threads), 3, rounds);
                 if threads == 1 {
                     base = ns;
                 }

@@ -360,8 +360,7 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Minimal all-neighbor gossip: pure engine load (sends, inbox traffic,
 /// snapshot reads) with no protocol logic and no program-side allocation.
-/// The send-bound workload of the E12b thread sweep and the E12e pool
-/// counters (`exp threads`, `exp engine_scale`).
+/// The send-bound workload of the E12b thread sweep (`exp threads`).
 pub struct Pulse;
 
 impl Program for Pulse {
@@ -377,9 +376,8 @@ impl Program for Pulse {
 
 /// A ring of `n` [`Pulse`] nodes with a spawner registered — the engine
 /// experiments' standard fixture. Results are bit-identical across
-/// `cfg.threads` and the execution-policy knobs (`force_parallel`,
-/// `batch_rounds`) by the engine's determinism guarantee; only wall-clock
-/// time may differ.
+/// `cfg.threads` and `cfg.force_parallel` by the engine's determinism
+/// guarantee; only wall-clock time may differ.
 pub fn pulse_ring(n: u32, cfg: Config) -> Runtime<Pulse> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Runtime::new(cfg, (0..n).map(|i| (i, Pulse)), edges).with_spawner(|_| Pulse)
@@ -733,10 +731,14 @@ mod tests {
         assert!(args(&[]).unwrap().net.is_ideal());
         assert_rejected(&[
             &["--sched", "bogus"],
+            &["--sched", "random:nan"],
+            &["--sched=random:1.5"],
+            &["--sched", "rr:0"],
             &["--sched", "--json"],
             &["--sched"],
             &["--net", "bogus"],
             &["--net=wan:loss=x"],
+            &["--net", "wan:delay=18446744073709551615"],
             &["--net", "--json"],
         ]);
     }

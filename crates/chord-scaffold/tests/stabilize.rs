@@ -111,40 +111,27 @@ fn rounds_if_satisfied_gives_the_classic_option_shape() {
     assert!(rounds.is_some());
 }
 
-/// The full CBT → Chord build through the monitored batched driver is
+/// The full CBT → Chord build through the monitored driver is
 /// byte-identical at every thread count: `runtime` arms the debug
-/// shadow-step check, so the chunked parallel apply and hot-window batching
-/// run under the quiescence auditor for the whole stabilization.
+/// shadow-step check, so the pooled emit runs under the quiescence auditor
+/// for the whole stabilization.
 #[test]
-fn stabilization_is_thread_and_batch_invariant() {
+fn stabilization_is_thread_invariant() {
     let t = ChordTarget::classic(64);
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
-    let run = |threads: usize, batch: u32| {
-        let cfg = Config::seeded(22)
-            .threads(threads)
-            .always_parallel()
-            .batch_rounds(batch);
+    let run = |threads: usize| {
+        let cfg = Config::seeded(22).threads(threads).always_parallel();
         let mut rt = runtime(t, &ids, ssim::init::ring(&ids), cfg);
         let out = rt.run_monitored(&mut legality(), budget(64, ids.len()));
-        assert_eq!(
-            out.verdict,
-            RunVerdict::Satisfied,
-            "{threads} threads, batch {batch}"
-        );
+        assert_eq!(out.verdict, RunVerdict::Satisfied, "{threads} threads");
         assert!(runtime_is_legal(&rt));
         (
             out.rounds,
             serde_json::to_string(rt.metrics()).expect("metrics serialize"),
         )
     };
-    let sequential = run(1, 1);
+    let sequential = run(1);
     for threads in [2usize, 4, 8] {
-        for batch in [1u32, 16] {
-            assert_eq!(
-                sequential,
-                run(threads, batch),
-                "{threads} threads, batch {batch} diverged"
-            );
-        }
+        assert_eq!(sequential, run(threads), "{threads} threads diverged");
     }
 }

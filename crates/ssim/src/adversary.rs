@@ -5,7 +5,7 @@
 //! region-correlated crash waves, flash-crowd joins, repeated
 //! partition+heal cycles — that [`Adversary::schedule`] appends to an
 //! ordinary [`Scenario`], so every attack is deterministic under every
-//! daemon, thread count and batch window, and reports the ids it touched
+//! daemon and thread count, and reports the ids it touched
 //! through the [`EventRecord`] path.
 //!
 //! Protocols opt into *targeted* state corruption by implementing

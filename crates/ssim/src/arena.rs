@@ -27,18 +27,12 @@
 //! into a caller-provided scratch buffer.
 //!
 //! **Determinism**: the arena changes where bytes live, never what order
-//! they are observed in. Every append — sequential or via the sharded
-//! [`InboxArena::scatter`] — lands in the exact order the serial delivery
-//! walk produces, and iteration walks chains front to back, so snapshots
-//! and program-visible inbox slices are byte-identical to the flat layout
-//! at any thread count.
+//! they are observed in. Every append happens on the driving thread, in
+//! the order of the delivery walk, and iteration walks chains front to
+//! back, so snapshots and program-visible inbox slices are byte-identical
+//! to the flat layout at any thread count.
 
-// The scatter core writes pages owned by disjoint recipient ranges from
-// different threads; see the SAFETY comments there. Everything else in the
-// module is safe Rust.
-
-use crate::par::{self, SendPtr, ThreadPool};
-use crate::program::{ChunkSink, Outgoing};
+use crate::program::Outgoing;
 use crate::sched::Agenda;
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
@@ -104,14 +98,6 @@ pub struct InboxArena<M> {
     chains: Vec<Chain>,
     /// Total messages across all chains (the runtime's `inflight` mirror).
     total: usize,
-    /// Scatter scratch: per-slot expected incoming count, maintained by
-    /// [`Self::note_incoming`], consumed (and re-zeroed) by
-    /// [`Self::scatter`].
-    counts: Vec<u32>,
-    /// Slots with a nonzero `counts` entry, in note order.
-    touched: Vec<u32>,
-    /// Scatter scratch: per-slot current write page.
-    cursors: Vec<u32>,
 }
 
 impl<M> InboxArena<M> {
@@ -123,9 +109,6 @@ impl<M> InboxArena<M> {
             cold: Vec::new(),
             chains: vec![EMPTY_CHAIN; slots],
             total: 0,
-            counts: vec![0; slots],
-            touched: Vec::new(),
-            cursors: vec![0; slots],
         }
     }
 
@@ -139,8 +122,6 @@ impl<M> InboxArena<M> {
     pub fn ensure_slots(&mut self, slots: usize) {
         if slots > self.chains.len() {
             self.chains.resize(slots, EMPTY_CHAIN);
-            self.counts.resize(slots, 0);
-            self.cursors.resize(slots, 0);
         }
     }
 
@@ -301,16 +282,6 @@ impl<M> InboxArena<M> {
         removed
     }
 
-    /// Record one expected incoming message for `slot` ahead of a
-    /// [`Self::scatter`] call (driver-side bookkeeping walk).
-    pub fn note_incoming(&mut self, slot: usize) {
-        let c = &mut self.counts[slot];
-        if *c == 0 {
-            self.touched.push(slot as u32);
-        }
-        *c += 1;
-    }
-
     /// Bounded capacity release: keep at most `max(64, pages in use)`
     /// warm free pages and strip the buffers of the rest (they rejoin the
     /// cold list and re-reserve on demand). Cheap enough to call every
@@ -330,7 +301,7 @@ impl<M> InboxArena<M> {
     }
 
     /// Bytes of heap owned by the arena's own structures: the page slab,
-    /// page buffers, chain table, and scatter scratch. Heap owned by the
+    /// page buffers, chain table and free lists. Heap owned by the
     /// messages themselves (e.g. boxed payload variants) is invisible to
     /// the arena and not counted.
     pub fn heap_bytes(&self) -> usize {
@@ -345,124 +316,7 @@ impl<M> InboxArena<M> {
         self.pages.capacity() * std::mem::size_of::<Page<M>>()
             + page_bufs
             + self.chains.capacity() * std::mem::size_of::<Chain>()
-            + (self.warm.capacity() + self.cold.capacity() + self.touched.capacity())
-                * std::mem::size_of::<u32>()
-            + (self.counts.capacity() + self.cursors.capacity()) * std::mem::size_of::<u32>()
-    }
-
-    /// Reserve page capacity for every noted slot and return the total
-    /// expected message count. Chains grow by whole pages; `cursors[slot]`
-    /// is pointed at the first page with free space so workers never
-    /// allocate.
-    fn reserve_noted(&mut self) -> usize {
-        let mut expected = 0usize;
-        let touched = std::mem::take(&mut self.touched);
-        for &s in &touched {
-            let slot = s as usize;
-            let need = self.counts[slot] as usize;
-            expected += need;
-            let mut chain = self.chains[slot];
-            let mut space = if chain.tail == NONE {
-                0
-            } else {
-                PAGE_CAP - self.pages[chain.tail as usize].msgs.len()
-            };
-            // Cursor: first page the workers write — the tail if it has
-            // room, else the first page linked below.
-            self.cursors[slot] = if space > 0 { chain.tail } else { NONE };
-            while space < need {
-                let pi = self.grow(&mut chain);
-                if self.cursors[slot] == NONE {
-                    self.cursors[slot] = pi;
-                }
-                space += PAGE_CAP;
-            }
-            chain.len += need as u32;
-            self.chains[slot] = chain;
-        }
-        self.touched = touched;
-        expected
-    }
-
-    /// Deterministic parallel delivery into the arena: move every item out
-    /// of `lists` (via `get`) into the chain of the recipient slot
-    /// `key(&item)`, in list-major order — byte-identical to a sequential
-    /// drain. The slot space `0..slot_count()` is partitioned by `cuts`
-    /// exactly as in [`par::scatter_sharded`] (which this wraps): each
-    /// worker owns a disjoint recipient range, so each chain is written by
-    /// one thread.
-    ///
-    /// Every incoming message must have been announced via
-    /// [`Self::note_incoming`] (the counts size the page reservation);
-    /// counts are consumed back to zero by the call.
-    ///
-    /// # Panics
-    /// Panics on malformed `cuts` (see [`par::scatter_sharded`]) and, in
-    /// debug builds, when an item arrives for a slot with no remaining
-    /// announced capacity.
-    #[allow(unsafe_code)] // page-cursor writes; see SAFETY comments
-    pub fn scatter<L, I, G, K, X>(
-        &mut self,
-        pool: &ThreadPool,
-        lists: &mut [L],
-        get: G,
-        cuts: &[usize],
-        key: K,
-        extract: X,
-    ) where
-        L: Send,
-        I: Send + Sync,
-        M: Send,
-        G: FnMut(&mut L) -> &mut Vec<I>,
-        K: Fn(&I) -> usize + Sync,
-        X: Fn(I) -> (NodeId, u32, M) + Sync,
-    {
-        let expected = self.reserve_noted();
-        self.total += expected;
-        // No list may be touched through safe code while the broadcast
-        // runs; `pages` is only reached through the raw base pointer below
-        // and never reallocates (reservation happened above).
-        let pages_ptr = SendPtr(self.pages.as_mut_ptr());
-        par::scatter_sharded(
-            pool,
-            lists,
-            get,
-            cuts,
-            &mut self.cursors,
-            &mut self.counts,
-            key,
-            |item, cursor, count| {
-                let (from, from_slot, msg) = extract(item);
-                debug_assert!(*count > 0, "scatter item exceeds announced count");
-                *count -= 1;
-                let mut pi = *cursor;
-                // SAFETY: `scatter_sharded` hands this closure the cursor
-                // of recipient slot `k` only on the worker owning `k`'s cut
-                // range, every page reachable from the cursor belongs to
-                // `k`'s chain alone (chains never share pages), and the
-                // slab does not reallocate during the broadcast — so the
-                // `&mut Page` formed here is unique.
-                let pg = loop {
-                    let pg = unsafe { &mut *pages_ptr.at(pi as usize) };
-                    if pg.msgs.len() < PAGE_CAP {
-                        break pg;
-                    }
-                    pi = pg.next;
-                    debug_assert!(pi != NONE, "reserved chain too short");
-                    *cursor = pi;
-                };
-                pg.msgs.push((from, msg));
-                pg.senders.push(from_slot);
-            },
-        );
-        #[cfg(debug_assertions)]
-        for &s in &self.touched {
-            debug_assert_eq!(
-                self.counts[s as usize], 0,
-                "announced messages never arrived for slot {s}"
-            );
-        }
-        self.touched.clear();
+            + (self.warm.capacity() + self.cold.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -527,31 +381,6 @@ impl<M> Mailboxes<M> {
             .push(o.to_slot as usize, o.from, o.from_slot, o.msg);
         self.sent_to[o.from_slot as usize].push(o.to_slot);
         agenda.mark(o.to_slot as usize);
-    }
-
-    /// The driver-side half of a sharded delivery: everything about `o`
-    /// whose *order* is observable (ledger entry, dirty mark) happens here,
-    /// in canonical order; the message itself moves in [`Self::scatter`].
-    pub(crate) fn announce(&mut self, agenda: &mut Agenda, o: &Outgoing<M>) {
-        self.sent_to[o.from_slot as usize].push(o.to_slot);
-        self.inboxes.note_incoming(o.to_slot as usize);
-        agenda.mark(o.to_slot as usize);
-    }
-
-    /// Move every [`Self::announce`]d send out of `sinks` into its
-    /// recipient's inbox on `pool` (see [`InboxArena::scatter`]).
-    pub(crate) fn scatter(&mut self, pool: &ThreadPool, sinks: &mut [ChunkSink<M>], cuts: &[usize])
-    where
-        M: Send + Sync,
-    {
-        self.inboxes.scatter(
-            pool,
-            sinks,
-            |s| &mut s.sends,
-            cuts,
-            |o| o.to_slot as usize,
-            |o| (o.from, o.from_slot, o.msg),
-        );
     }
 
     /// Consume `slot`'s mailbox: each message releases its ledger entry —
@@ -774,71 +603,6 @@ mod tests {
         // Cold pages re-reserve transparently on demand.
         a.push(3, 1, 2, 42);
         assert_eq!(drain_view(&a, 3), vec![(1, 42)]);
-    }
-
-    #[test]
-    fn scatter_matches_sequential_drain_for_any_thread_count() {
-        // Item stream: list-major, mixed recipients, enough volume to
-        // cross page boundaries on hot slots.
-        let slots = 37usize;
-        let make_lists = || -> Vec<Vec<(u32, u64)>> {
-            (0..5)
-                .map(|l| {
-                    (0..200)
-                        .map(|k| {
-                            let to = ((l * 131 + k * 17) % slots) as u32;
-                            (to, (l * 1000 + k) as u64)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-
-        // Reference: sequential drain into a fresh arena.
-        let mut seq = InboxArena::<u64>::new(slots);
-        for list in make_lists() {
-            for (to, payload) in list {
-                seq.push(to as usize, payload as NodeId, to, payload);
-            }
-        }
-
-        for threads in [1usize, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let mut par_arena = InboxArena::<u64>::new(slots);
-            // Pre-existing tail content must stay in front.
-            par_arena.push(5, 77, 1, 777);
-            let mut lists = make_lists();
-            for list in &lists {
-                for &(to, _) in list {
-                    par_arena.note_incoming(to as usize);
-                }
-            }
-            let cuts: Vec<usize> = (0..=threads).map(|t| t * slots / threads).collect();
-            par_arena.scatter(
-                &pool,
-                &mut lists,
-                |l| l,
-                &cuts,
-                |&(to, _)| to as usize,
-                |(to, payload)| (payload as NodeId, to, payload),
-            );
-            assert!(lists.iter().all(|l| l.is_empty()));
-            for slot in 0..slots {
-                let mut want = if slot == 5 {
-                    vec![(77 as NodeId, 777u64)]
-                } else {
-                    Vec::new()
-                };
-                let mut b = Vec::new();
-                want.extend(seq.view(slot, &mut b).iter().cloned());
-                assert_eq!(
-                    drain_view(&par_arena, slot),
-                    want,
-                    "slot {slot} at {threads} threads"
-                );
-            }
-            assert_eq!(par_arena.total_len(), seq.total_len() + 1);
-        }
     }
 
     #[test]

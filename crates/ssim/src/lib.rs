@@ -62,11 +62,10 @@
 //! consumption, emit sinks are recycled, and edge/degree aggregates are
 //! tracked incrementally.
 
-// `deny` rather than `forbid`: the sanctioned exceptions are the small,
-// heavily documented chunk-splitting core of `par` and the page-cursor
-// scatter of `arena` (which reuses `par`'s disjointness discipline at page
-// granularity); both opt back in with a local `allow`. Everything else in
-// the crate stays safe Rust.
+// `deny` rather than `forbid`: the one sanctioned exception is `par` — the
+// pool's borrowed-job hand-off and the chunked emit executor's disjoint
+// `&mut` split — which opts back in with a module-level `allow`.
+// Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The round is only readable while every stage fits in a reviewer's head:

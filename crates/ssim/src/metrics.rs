@@ -120,25 +120,19 @@ impl RunMetrics {
 }
 
 /// Execution-machinery counters from [`crate::Runtime::perf_counters`]:
-/// how the parallel round engine spent its synchronization budget.
+/// where the round engine ran each round's emit phase.
 ///
 /// Deliberately **not** part of [`RoundMetrics`]/[`RunMetrics`] and never
-/// serialized (no `Persist`, no serde): `steals` is timing-dependent, and
-/// all of them vary with the thread count and the auto-sequential
-/// heuristic's timing estimates — folding them into the metrics stream
-/// would break the byte-identity story those types pin. `syncs` alone is
-/// deterministic for a fixed `(threads, batch_rounds, workload)` triple
-/// (see `ssim::par`), which is what lets E12e commit `syncs/round` cells.
+/// serialized (no `Persist`, no serde): they vary with the thread count
+/// and with the auto-sequential heuristic's timing estimates — folding them
+/// into the metrics stream would break the byte-identity story those types
+/// pin. Under [`crate::Config::force_parallel`] all three are exact
+/// functions of the run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PerfCounters {
-    /// Pool generations that (logically) woke parked workers: cold
-    /// broadcasts plus the first broadcast of each hot window.
+    /// Pool wake-ups: one per round whose emit phase ran on a pool with
+    /// worker threads (see [`crate::par::ThreadPool::syncs`]).
     pub syncs: u64,
-    /// Total pool broadcasts.
-    pub generations: u64,
-    /// Chunks executed by a non-home thread in the work-stealing emit
-    /// executor (timing-dependent; never pin it).
-    pub steals: u64,
     /// Rounds whose emit phase ran on the pool.
     pub par_rounds: u64,
     /// Rounds the auto-sequential heuristic kept on the driving thread

@@ -14,10 +14,10 @@
 //! delay, duplication, pacing) are drawn from one dedicated RNG **on the
 //! driving thread, in canonical sink-merge order** — the same selection
 //! order the sequential engine applies sends in — so the schedule is
-//! byte-identical at any thread count, batch window, or
-//! equivalence-claiming daemon. The in-transit buffer and the net RNG
-//! position are covered by [`Runtime::save_snapshot`], so a run can be
-//! split mid-delay and the restored half continues byte-identically.
+//! byte-identical at any thread count or under any equivalence-claiming
+//! daemon. The in-transit buffer and the net RNG position are covered by
+//! [`Runtime::save_snapshot`], so a run can be split mid-delay and the
+//! restored half continues byte-identically.
 //!
 //! Accounting follows the engine's conservation-law idiom (see
 //! [`crate::workload::RequestStats`]): every send is classified exactly
@@ -101,7 +101,8 @@ impl NetModel {
     }
 
     /// Worst-case rounds one delivered message can spend per hop:
-    /// `1 + delay + jitter`. Protocols whose stage windows are budgeted in
+    /// `1 + delay + jitter` (fits `u32` for every model that passes
+    /// [`NetModel::validate`]). Protocols whose stage windows are budgeted in
     /// message hops (e.g. `avatar_cbt::Schedule`) stretch each hop budget
     /// to this bound so that a *deterministic* latency cannot make them
     /// miss every window forever.
@@ -143,12 +144,26 @@ impl NetModel {
         }
     }
 
-    /// Validate the model's parameters (probabilities in `[0, 1]`).
+    /// Validate the model's parameters: probabilities in `[0, 1]`, and a
+    /// per-hop [`NetModel::delivery_bound`] that neither overflows nor
+    /// leaves `u32` (the protocols' type for the bound Δ).
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [("loss", self.loss), ("dup", self.dup)] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("net model: {name} = {p} outside [0, 1]"));
             }
+        }
+        let bound = self
+            .delay
+            .checked_add(self.jitter)
+            .and_then(|d| d.checked_add(1));
+        if bound.is_none_or(|b| b > u64::from(u32::MAX)) {
+            return Err(format!(
+                "net model: 1 + delay {} + jitter {} exceeds {}",
+                self.delay,
+                self.jitter,
+                u32::MAX
+            ));
         }
         Ok(())
     }
@@ -368,10 +383,10 @@ impl<M> Wire<M> {
     }
 
     /// Whether every send needs a driver-side decision (a non-ideal model
-    /// or an active cut): loss/delay/duplication draws must happen in
-    /// canonical sink-merge order — the determinism argument — so delivery
-    /// cannot be sharded. An inactive wire is bypassed entirely, which
-    /// keeps the ideal network on the classic engine's path bit-for-bit.
+    /// or an active cut): loss/delay/duplication draws happen in canonical
+    /// sink-merge order on the driving thread — the determinism argument.
+    /// An inactive wire is bypassed entirely, which keeps the ideal
+    /// network on the classic engine's path bit-for-bit.
     pub(crate) fn is_active(&self) -> bool {
         !self.model.is_ideal() || self.partition.is_some()
     }
@@ -474,9 +489,9 @@ impl<M> Wire<M> {
     /// Decide the fate of one send to `to` in `round`. Decision order per
     /// message — partition (no draw), loss, delay, duplication, bandwidth
     /// pacing — so the RNG stream is a pure function of the send stream and
-    /// the model, never of the thread count or batch window. Copies due
-    /// with no extra delay go to `land` (the classic next-round inbox
-    /// path); the rest are parked for a later round's [`Wire::arrivals`].
+    /// the model, never of the thread count. Copies due with no extra delay
+    /// go to `land` (the classic next-round inbox path); the rest are
+    /// parked for a later round's [`Wire::arrivals`].
     pub(crate) fn send(
         &mut self,
         stats: &mut NetStats,
@@ -856,6 +871,39 @@ mod tests {
             ..NetModel::ideal()
         };
         assert_eq!(m.delivery_bound(), 6);
+    }
+
+    /// The per-hop bound must fit `u32`, whether the model arrives as a
+    /// `--net` spec or inside a (re-sealed) snapshot's wire section.
+    #[test]
+    fn delivery_bound_out_of_range_is_rejected_on_parse_and_restore() {
+        let max = u64::from(u32::MAX);
+        for (delay, jitter, ok) in [
+            (0, 0, true),
+            (max - 1, 0, true),
+            (1, max - 2, true),
+            (max, 0, false),
+            (0, max, false),
+            (u64::MAX, 0, false),
+            (0, u64::MAX, false),
+            (u64::MAX / 2 + 1, u64::MAX / 2, false),
+        ] {
+            let spec = format!("wan:delay={delay},jitter={jitter}");
+            assert_eq!(from_spec(&spec).is_ok(), ok, "parse {spec}");
+            let mut wire = Wire::<()>::new(SmallRng::seed_from_u64(1));
+            wire.set_model(NetModel {
+                delay,
+                jitter,
+                ..NetModel::wan()
+            });
+            let mut w = Writer::new();
+            wire.save(&mut w);
+            let bytes = w.into_bytes();
+            let back = Wire::<()>::load(&mut Reader::new(&bytes)).expect("well-framed");
+            let topo = Topology::new(std::iter::empty(), std::iter::empty());
+            let checked = back.validate(&topo, 0, &NetStats::default());
+            assert_eq!(checked.is_ok(), ok, "restore {spec}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A minimal deterministic thread pool for round execution.
+//! A minimal deterministic thread pool for the emit stage of a round.
 //!
 //! [`ThreadPool`] is a *persistent broadcast pool*: `threads - 1` worker
 //! threads are spawned once (the calling thread acts as the last worker) and
@@ -8,24 +8,10 @@
 //! closure's borrows provably outlive every use, and a steady-state round
 //! performs **zero heap allocation and zero thread spawns** (the job is
 //! passed as a two-word raw pointer through pre-existing shared state, not a
-//! boxed task queue).
+//! boxed task queue). Every broadcast on a pool with workers is one condvar
+//! wake-up and one completion wait; [`ThreadPool::syncs`] counts them.
 //!
-//! # Hot windows (batched generations)
-//!
-//! The condvar park/notify handshake costs microseconds — more than an
-//! entire cheap round. A [`HotWindow`] (from [`ThreadPool::hot_window`])
-//! switches the pool into *spin mode* for its lifetime: workers that finish
-//! a generation spin-then-yield on an atomic generation counter instead of
-//! parking, and the driver does the same while waiting for completion, so a
-//! burst of K broadcasts pays the condvar synchronization once instead of K
-//! times. Dropping the guard returns every thread to the condvar. The
-//! [`ThreadPool::counters`] accounting is deterministic by construction:
-//! `syncs` counts cold broadcasts plus the first broadcast of each hot
-//! window (the generations that logically require a wakeup), not actual
-//! condvar traffic, so committed `syncs/round` benchmark cells reproduce
-//! exactly on any machine.
-//!
-//! # Executors
+//! # The executor
 //!
 //! [`for_each_selected_chunks_mut2`] runs a *selection* of slots in
 //! density-aware, work-stealing chunks: the caller supplies chunk bounds
@@ -35,18 +21,15 @@
 //! output lands in the sink of the chunk that produced it — not the sink of
 //! the thread that happened to run it — results are independent of the
 //! steal schedule, and the caller recovers canonical order by draining
-//! sinks in chunk order. [`scatter_sharded`] is the deterministic *apply*
-//! side: it moves items out of per-chunk lists into per-destination lists,
-//! each destination owned by exactly one thread, preserving for every
-//! destination the canonical (chunk-major, then in-chunk) order a
-//! sequential drain would produce.
+//! sinks in chunk order. That drain (delivery, edge application, the
+//! dirty-set marks) stays on the driving thread: it is where order is
+//! observable.
 //!
-//! Chunks and shards are disjoint by construction, which is the whole
-//! safety argument for the small amount of `unsafe` below — see the
-//! `SAFETY` comments. Determinism is by design: threads only ever write to
-//! chunks/shards they exclusively claimed, so the round's outcome is
-//! independent of scheduling; ordering decisions all happen in the caller's
-//! canonical-ordered merge.
+//! Chunks are disjoint by construction, which is the whole safety argument
+//! for the small amount of `unsafe` below — see the `SAFETY` comments.
+//! Determinism is by design: threads only ever write to slots and sinks of
+//! chunks they exclusively claimed, so the round's outcome is independent
+//! of scheduling.
 //!
 //! Panics raised inside a broadcast (e.g. a strict-mode model violation on a
 //! worker's chunk) are caught, carried back, and re-raised on the calling
@@ -58,12 +41,13 @@
 #![allow(unsafe_code)] // confined to this module; see SAFETY comments
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Type-erased pointer to the borrowed broadcast job. Stored in the shared
 /// state only for the duration of one `broadcast` call.
+#[derive(Clone, Copy)]
 struct Job(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (so `&`-calls from any thread are fine) and
@@ -71,12 +55,15 @@ struct Job(*const (dyn Fn(usize) + Sync));
 // so the pointer never outlives the borrow it was created from.
 unsafe impl Send for Job {}
 
-/// Shared pool state, updated under one mutex.
+/// Shared pool state, all of it under one mutex.
 struct State {
-    /// Monotonic broadcast counter; a bump is the "new job" signal.
+    /// Monotonic broadcast counter; a bump is the "new job" signal, and
+    /// its value is the pool's [`ThreadPool::syncs`].
     generation: u64,
     /// The current job (only `Some` while a broadcast is in flight).
     job: Option<Job>,
+    /// Workers still running the current generation.
+    active: usize,
     /// Lowest-indexed worker panic of the current generation, carried to
     /// the caller. Keeping the *lowest thread index* (not the first in
     /// wall-clock) makes the surfaced panic deterministic: chunks are
@@ -86,45 +73,14 @@ struct State {
     panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
     /// Tells workers to exit (set on drop).
     shutdown: bool,
-    /// Workers currently blocked on `work_cv`. `broadcast` only pays the
-    /// `notify_all` syscall when this is non-zero (spinning workers in a
-    /// hot window pick the generation bump up from `agen` instead).
-    parked: usize,
-    /// Whether the broadcasting thread is blocked on `done_cv`; the last
-    /// finishing worker only notifies when it is.
-    driver_parked: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Workers wait here for a generation bump (cold mode only).
+    /// Workers wait here for a generation bump.
     work_cv: Condvar,
     /// The broadcasting thread waits here for `active` to reach zero.
     done_cv: Condvar,
-    /// Hot-window flag: while set, finished workers spin on [`Self::agen`]
-    /// instead of parking, and the driver spins on [`Self::active`].
-    hot: AtomicBool,
-    /// Set by [`ThreadPool::hot_window`], cleared by the first broadcast of
-    /// the window — that broadcast still counts as a `sync` (workers were
-    /// parked when the window opened).
-    hot_fresh: AtomicBool,
-    /// Mirror of `State::generation` for lock-free hot-mode polling.
-    agen: AtomicU64,
-    /// Workers still running the current generation.
-    active: AtomicUsize,
-    /// Mirror of `State::shutdown` so hot spinners can exit without the
-    /// lock.
-    shutdown: AtomicBool,
-    /// Deterministic count of broadcasts that (logically) had to wake
-    /// parked workers: every cold broadcast plus the first of each hot
-    /// window. See the module docs.
-    syncs: AtomicU64,
-    /// Total broadcasts issued.
-    generations: AtomicU64,
-    /// Chunks executed by a thread other than their home thread in
-    /// [`for_each_selected_chunks_mut2`] (timing-dependent; benchmark
-    /// documents must treat it as unpinned).
-    steals: AtomicU64,
 }
 
 /// Persistent worker pool; see the module docs for the execution model.
@@ -145,31 +101,6 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// RAII guard that keeps a [`ThreadPool`] in spin ("hot") mode; see the
-/// module docs. Obtained from [`ThreadPool::hot_window`]; dropping it
-/// returns the pool to condvar parking. Holds the pool's shared state by
-/// `Arc`, so the guard does not borrow the pool — the runtime can hold one
-/// across `&mut self` round steps. Windows do not nest: the first guard
-/// dropped ends spin mode for all.
-#[must_use = "a hot window only batches wakeups while the guard is alive"]
-pub struct HotWindow {
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for HotWindow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HotWindow").finish_non_exhaustive()
-    }
-}
-
-impl Drop for HotWindow {
-    fn drop(&mut self) {
-        // Spinning workers observe the cleared flag and park themselves;
-        // nothing to notify.
-        self.shared.hot.store(false, Ordering::Release);
-    }
-}
-
 impl ThreadPool {
     /// Build a pool that runs broadcasts on `threads` threads total: the
     /// broadcasting thread itself plus `threads - 1` spawned workers.
@@ -182,21 +113,12 @@ impl ThreadPool {
             state: Mutex::new(State {
                 generation: 0,
                 job: None,
+                active: 0,
                 panic: None,
                 shutdown: false,
-                parked: 0,
-                driver_parked: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            hot: AtomicBool::new(false),
-            hot_fresh: AtomicBool::new(false),
-            agen: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            syncs: AtomicU64::new(0),
-            generations: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         });
         let handles = (0..threads - 1)
             .map(|index| {
@@ -220,27 +142,11 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Enter spin mode for the lifetime of the returned guard, so a burst
-    /// of broadcasts pays the condvar wakeup once instead of per call. The
-    /// driver should hold a window across a batch of rounds and drop it
-    /// before going idle (spinning workers burn a core each).
-    pub fn hot_window(&self) -> HotWindow {
-        self.shared.hot_fresh.store(true, Ordering::Relaxed);
-        self.shared.hot.store(true, Ordering::Release);
-        HotWindow {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Lifetime counters `(syncs, generations, steals)`: condvar wakeup
-    /// generations (deterministic; see module docs), total broadcasts, and
-    /// stolen chunks (timing-dependent).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.shared.syncs.load(Ordering::Relaxed),
-            self.shared.generations.load(Ordering::Relaxed),
-            self.shared.steals.load(Ordering::Relaxed),
-        )
+    /// Broadcasts that woke the workers since construction — every
+    /// broadcast, unless the pool has none (a one-thread pool runs inline).
+    /// Deterministic: a function of the call sequence, not of timing.
+    pub fn syncs(&self) -> u64 {
+        self.shared.state.lock().expect("pool lock").generation
     }
 
     /// Run `f(thread_index)` once for every index in `0..self.threads()`,
@@ -251,17 +157,8 @@ impl ThreadPool {
     /// workloads where thread `t` owns the `t`-th ascending range, surfaces
     /// the same panic a sequential run of `f(0); f(1); …` would.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        self.shared.generations.fetch_add(1, Ordering::Relaxed);
         let workers = self.threads - 1;
-        let hot = workers > 0 && self.shared.hot.load(Ordering::Relaxed);
         if workers > 0 {
-            // Deterministic syncs accounting: cold broadcasts, plus the
-            // first broadcast of each hot window, logically require waking
-            // parked workers. (Whether a worker had *actually* parked is
-            // timing-dependent; this count is not.)
-            if !hot || self.shared.hot_fresh.swap(false, Ordering::Relaxed) {
-                self.shared.syncs.fetch_add(1, Ordering::Relaxed);
-            }
             // SAFETY: pure lifetime erasure of a fat reference so it can sit
             // in the shared state. `broadcast` blocks below until every
             // worker has finished its call, so no use outlives the borrow.
@@ -269,17 +166,9 @@ impl ThreadPool {
             let mut st = self.shared.state.lock().expect("pool lock");
             st.job = Some(Job(erased as *const _));
             st.generation += 1;
-            self.shared.active.store(workers, Ordering::Release);
-            self.shared.agen.store(st.generation, Ordering::Release);
-            // `parked` is updated under this same mutex, so a worker is
-            // either already counted here (gets the notify) or has not yet
-            // re-checked `generation` under the lock (sees the bump there,
-            // or the `agen` store while spinning). No lost wakeups.
-            let need_notify = st.parked > 0;
+            st.active = workers;
             drop(st);
-            if need_notify {
-                self.shared.work_cv.notify_all();
-            }
+            self.shared.work_cv.notify_all();
         }
 
         // The caller is worker `threads - 1`; catch its panic so we still
@@ -287,26 +176,12 @@ impl ThreadPool {
         let mine = catch_unwind(AssertUnwindSafe(|| f(self.threads - 1)));
 
         let worker_panic = if workers > 0 {
-            if hot {
-                let mut spins = 0u32;
-                while self.shared.active.load(Ordering::Acquire) > 0 {
-                    spins += 1;
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            let mut st = self.shared.state.lock().expect("pool lock");
-            // Re-check under the lock: the last worker reads
-            // `driver_parked` under this mutex, so it either sees us parked
-            // (and notifies) or we see `active == 0` here first.
-            while self.shared.active.load(Ordering::Acquire) > 0 {
-                st.driver_parked = true;
-                st = self.shared.done_cv.wait(st).expect("pool lock");
-            }
-            st.driver_parked = false;
+            let st = self.shared.state.lock().expect("pool lock");
+            let mut st = self
+                .shared
+                .done_cv
+                .wait_while(st, |st| st.active > 0)
+                .expect("pool lock");
             st.job = None;
             st.panic.take()
         } else {
@@ -325,11 +200,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.shutdown = true;
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.state.lock().expect("pool lock").shutdown = true;
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -340,72 +211,37 @@ impl Drop for ThreadPool {
 fn worker_loop(shared: &Shared, index: usize) {
     let mut seen = 0u64;
     loop {
-        // Wait for the next generation: spin while the pool is hot, park on
-        // the condvar otherwise.
-        let job = 'wait: loop {
-            let mut spins = 0u32;
-            while shared.hot.load(Ordering::Acquire) {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if shared.agen.load(Ordering::Acquire) != seen {
-                    break;
-                }
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            let mut st = shared.state.lock().expect("pool lock");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    let Job(ptr) = *st.job.as_ref().expect("job set with generation");
-                    break 'wait Job(ptr);
-                }
-                if shared.hot.load(Ordering::Acquire) {
-                    // The window (re)opened while we held the lock; go back
-                    // to spinning instead of parking.
-                    break;
-                }
-                st.parked += 1;
-                st = shared.work_cv.wait(st).expect("pool lock");
-                st.parked -= 1;
-            }
-        };
+        let st = shared.state.lock().expect("pool lock");
+        let st = shared
+            .work_cv
+            .wait_while(st, |st| !st.shutdown && st.generation == seen)
+            .expect("pool lock");
+        if st.shutdown {
+            return;
+        }
+        seen = st.generation;
+        let job = st.job.expect("job set with generation");
+        drop(st);
         // SAFETY: `broadcast` keeps the closure borrowed (blocked on
-        // `done_cv` / the `active` spin) until this worker decrements
-        // `active` below, which happens strictly after the call returns.
+        // `done_cv`) until this worker decrements `active` below, which
+        // happens strictly after the call returns.
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(index) }));
+        let mut st = shared.state.lock().expect("pool lock");
         if let Err(payload) = result {
-            let mut st = shared.state.lock().expect("pool lock");
             if st.panic.as_ref().is_none_or(|&(i, _)| index < i) {
                 st.panic = Some((index, payload));
             }
         }
-        if shared.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last one out: wake the driver, but only if it actually
-            // parked (it spins in hot mode). `driver_parked` is read under
-            // the same mutex `broadcast` sets it under, so this either
-            // observes the park or happens before it (and the driver then
-            // sees `active == 0` before waiting).
-            let driver_parked = shared.state.lock().expect("pool lock").driver_parked;
-            if driver_parked {
-                shared.done_cv.notify_one();
-            }
+        st.active -= 1;
+        if st.active == 0 {
+            shared.done_cv.notify_one();
         }
     }
 }
 
-/// Raw-pointer wrapper that lets disjoint chunks of a slice be written from
-/// different threads. Crate-visible so [`crate::arena`]'s sharded scatter
-/// (same disjointness discipline, page-granular) can reuse it.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+/// Raw-pointer wrapper that lets disjoint elements of a slice be written
+/// from different threads.
+struct SendPtr<T>(*mut T);
 
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
@@ -414,25 +250,19 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
-// SAFETY: `SendPtr` is only used by the executors below, where every thread
-// derives element pointers for index sets disjoint from every other
-// thread's (or, in `scatter_sharded`, performs only shared reads of
-// elements it does not own), and `T: Send` bounds the element transfer.
+// SAFETY: every thread derives element pointers for index sets disjoint
+// from every other thread's (see `for_each_selected_chunks_mut2`), and
+// `T: Send` bounds the element transfer.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// The `i`-th element pointer. Going through a method (rather than the
     /// `.0` field) makes closures capture the whole `Send + Sync` wrapper,
-    /// not the bare raw pointer.
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the allocation, and the caller must hold
-    /// exclusive access to that element (shared-read access suffices for
-    /// `&*` uses).
-    pub(crate) unsafe fn at(self, i: usize) -> *mut T {
-        // SAFETY: forwarded to the caller's contract.
-        unsafe { self.0.add(i) }
+    /// not the bare raw pointer. Computing it is safe; dereferencing it
+    /// needs `i` in bounds and exclusive access to the element.
+    fn at(self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
     }
 }
 
@@ -457,9 +287,7 @@ fn debug_assert_selection(sel: &[crate::topology::NodeSlot], len: usize) {
 /// monotone values ending at `sel.len()`); the caller sizes chunks by
 /// activation count, decoupled from the thread count (see
 /// [`crate::sched::ChunkPlan`]). Threads claim chunks from an atomic
-/// counter — natural work stealing for skewed per-slot costs — and a chunk
-/// claimed by a non-home thread (`home = chunk % threads`) bumps the pool's
-/// `steals` counter.
+/// counter — natural work stealing for skewed per-slot costs.
 ///
 /// Every output lands in the **chunk's** sink, so results are independent
 /// of which thread ran which chunk; draining `sinks` in order recovers the
@@ -509,7 +337,6 @@ pub fn for_each_selected_chunks_mut2<A, B, S, F>(
     debug_assert_selection(sel, len);
 
     let nchunks = sinks.len();
-    let threads = pool.threads();
     let next = AtomicUsize::new(0);
     // Lowest-chunk panic of this call (chunk index, payload); mirrors the
     // pool's lowest-thread rule but keyed by chunk, since chunk→thread
@@ -520,21 +347,17 @@ pub fn for_each_selected_chunks_mut2<A, B, S, F>(
         SendPtr(b.as_mut_ptr()),
         SendPtr(sinks.as_mut_ptr()),
     );
-    let steals = &pool.shared.steals;
-    pool.broadcast(&|t| loop {
+    pool.broadcast(&|_| loop {
         let ci = next.fetch_add(1, Ordering::Relaxed);
         if ci >= nchunks {
             break;
         }
-        if ci % threads != t {
-            steals.fetch_add(1, Ordering::Relaxed);
-        }
         let lo = bounds[ci] as usize;
         let hi = bounds[ci + 1] as usize;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `ci` came from a unique `fetch_add` claim, so this
-            // thread holds the only `&mut` to `sinks[ci]`; `broadcast`
-            // guarantees the slice outlives the access.
+            // SAFETY: `ci < nchunks` came from a unique `fetch_add` claim,
+            // so this thread holds the only `&mut` to `sinks[ci]`;
+            // `broadcast` guarantees the slice outlives the access.
             let sink = unsafe { &mut *ps.at(ci) };
             for s in &sel[lo..hi] {
                 let i = s.index();
@@ -552,110 +375,6 @@ pub fn for_each_selected_chunks_mut2<A, B, S, F>(
             break;
         }
     });
-    if let Some((_, payload)) = panic_cell.into_inner().expect("panic cell") {
-        resume_unwind(payload);
-    }
-}
-
-/// Deterministic parallel scatter: move every item out of `lists` (via
-/// `get`, e.g. a field projection) to a per-destination pair
-/// `f(item, &mut a[k], &mut b[k])` where `k = key(&item)`. The destination
-/// index space `0..a.len()` is partitioned by `cuts` (`threads + 1`
-/// monotone bounds, `cuts[0] == 0`, `cuts[threads] == a.len()`): thread `t`
-/// owns destinations `[cuts[t], cuts[t+1])`, scans **all** lists in order,
-/// and consumes exactly the items whose key falls in its range. Every
-/// destination is written by one thread, in list-major order — the same
-/// order a sequential drain of the lists produces — so the result is
-/// byte-identical to the serial path for any thread interleaving.
-///
-/// `key` must be a pure function of the item (it is evaluated by every
-/// thread) yielding `k < a.len()`. After the call all lists are empty.
-///
-/// # Panics
-/// Panics on malformed `cuts` or mismatched `a`/`b` lengths, and re-raises
-/// the panic of the lowest panicking shard after all threads finish. If
-/// `f` panics, items not yet consumed are **leaked** (never dropped twice).
-#[allow(clippy::too_many_arguments)] // source lists + cut plan + split destinations
-pub fn scatter_sharded<L, I, A, B, G, K, F>(
-    pool: &ThreadPool,
-    lists: &mut [L],
-    mut get: G,
-    cuts: &[usize],
-    a: &mut [A],
-    b: &mut [B],
-    key: K,
-    f: F,
-) where
-    L: Send,
-    I: Send + Sync,
-    A: Send,
-    B: Send,
-    G: FnMut(&mut L) -> &mut Vec<I>,
-    K: Fn(&I) -> usize + Sync,
-    F: Fn(I, &mut A, &mut B) + Sync,
-{
-    let n = a.len();
-    assert_eq!(n, b.len(), "scatter_sharded: slice lengths differ");
-    let threads = pool.threads();
-    assert_eq!(
-        cuts.len(),
-        threads + 1,
-        "scatter_sharded: need one cut per thread edge"
-    );
-    assert!(
-        cuts[0] == 0 && cuts[threads] == n && cuts.windows(2).all(|w| w[0] <= w[1]),
-        "scatter_sharded: cuts must partition the destination space"
-    );
-    // Capture each list's buffer while we hold `&mut` to all of them; the
-    // pointers stay valid for the whole broadcast (no list is touched
-    // through safe code until after it).
-    let metas: Vec<(SendPtr<I>, usize)> = lists
-        .iter_mut()
-        .map(|l| {
-            let v = get(l);
-            (SendPtr(v.as_mut_ptr()), v.len())
-        })
-        .collect();
-    let panic_cell: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let (pa, pb) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
-    pool.broadcast(&|t| {
-        let (lo, hi) = (cuts[t], cuts[t + 1]);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            for &(ptr, m) in &metas {
-                for idx in 0..m {
-                    // SAFETY: shared read — `key` takes `&I`, no thread
-                    // writes list elements during the broadcast, and
-                    // `ptr::read` below is also only a read of the bytes.
-                    let k = key(unsafe { &*ptr.at(idx) });
-                    debug_assert!(k < n, "scatter_sharded: key out of range");
-                    if k >= lo && k < hi {
-                        // SAFETY: `cuts` ranges are disjoint, so exactly
-                        // one thread consumes this element; the lists are
-                        // truncated with `set_len(0)` after the broadcast,
-                        // so the value is never dropped in place.
-                        let item = unsafe { std::ptr::read(ptr.at(idx)) };
-                        // SAFETY: destination `k` lies in this thread's
-                        // exclusive cut range, so the `&mut`s are unique.
-                        unsafe { f(item, &mut *pa.at(k), &mut *pb.at(k)) }
-                    }
-                }
-            }
-        }));
-        if let Err(payload) = result {
-            let mut cell = panic_cell.lock().expect("panic cell");
-            if cell.as_ref().is_none_or(|&(s, _)| t < s) {
-                *cell = Some((t, payload));
-            }
-        }
-    });
-    for l in lists.iter_mut() {
-        let v = get(l);
-        // SAFETY: every element was either moved out by `ptr::read` above
-        // or (on a panicking shard) must not be dropped here because we
-        // cannot tell which were consumed; truncating the length forgets
-        // them without touching the buffer. Capacity is retained.
-        unsafe { v.set_len(0) };
-    }
     if let Some((_, payload)) = panic_cell.into_inner().expect("panic cell") {
         resume_unwind(payload);
     }
@@ -731,51 +450,21 @@ mod tests {
         }
     }
 
-    /// The syncs counter is deterministic: one per cold broadcast, one per
-    /// hot window (its first broadcast), regardless of machine timing.
+    /// `syncs` is deterministic: one per broadcast on a pool with workers,
+    /// panicking broadcasts included, none on a one-thread pool.
     #[test]
-    fn hot_window_batches_sync_wakeups() {
-        let pool = ThreadPool::new(2);
+    fn syncs_count_every_broadcast_that_wakes_workers() {
         let work = Mutex::new(0u32);
-        for _ in 0..2 {
-            let window = pool.hot_window();
-            for _ in 0..8 {
-                pool.broadcast(&|_| *work.lock().unwrap() += 1);
-            }
-            drop(window);
+        let pool = ThreadPool::new(2);
+        for _ in 0..16 {
+            pool.broadcast(&|_| *work.lock().unwrap() += 1);
         }
-        let (syncs, generations, _) = pool.counters();
-        assert_eq!((syncs, generations), (2, 16));
-        pool.broadcast(&|_| *work.lock().unwrap() += 1);
-        let (syncs, generations, _) = pool.counters();
-        assert_eq!((syncs, generations), (3, 17));
-        assert_eq!(*work.lock().unwrap(), 17 * 2);
-    }
-
-    /// A panic raised mid-window propagates with its payload, and the pool
-    /// (still hot) keeps serving broadcasts afterwards.
-    #[test]
-    fn panic_propagates_across_hot_window() {
-        let pool = ThreadPool::new(3);
-        let window = pool.hot_window();
-        let ok = Mutex::new(0u32);
-        pool.broadcast(&|_| *ok.lock().unwrap() += 1);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(&|t| {
-                if t == 1 {
-                    panic!("mid-window violation");
-                }
-            });
-        }));
-        let payload = caught.expect_err("must propagate");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied().unwrap_or(""),
-            "mid-window violation"
-        );
-        pool.broadcast(&|_| *ok.lock().unwrap() += 1);
-        drop(window);
-        pool.broadcast(&|_| *ok.lock().unwrap() += 1);
-        assert_eq!(*ok.lock().unwrap(), 9);
+        let _ = catch_unwind(AssertUnwindSafe(|| pool.broadcast(&|_| panic!("boom"))));
+        assert_eq!(pool.syncs(), 17);
+        assert_eq!(*work.lock().unwrap(), 16 * 2);
+        let inline = ThreadPool::new(1);
+        inline.broadcast(&|_| *work.lock().unwrap() += 1);
+        assert_eq!(inline.syncs(), 0);
     }
 
     /// The chunked executor writes each slot's output into its chunk's
@@ -852,47 +541,6 @@ mod tests {
             // Slot 5 lives in chunk 2 (slots 4–5), the lowest panicking
             // chunk; its first panicking slot is 5.
             assert_eq!(msg, "slot 5 violated");
-        }
-    }
-
-    /// `scatter_sharded` moves every element to its keyed destination in
-    /// list-major order and leaves the source lists empty, for any thread
-    /// count.
-    #[test]
-    fn scatter_sharded_moves_every_item_in_order() {
-        for threads in 1..=4 {
-            let pool = ThreadPool::new(threads);
-            let n = 7usize;
-            // Three lists; items are (dest, tag), tags unique and ascending
-            // in list-major order per destination.
-            let mut lists: Vec<Vec<(usize, u32)>> = vec![
-                vec![(0, 1), (3, 2), (0, 3), (6, 4)],
-                vec![(3, 5), (1, 6)],
-                vec![(6, 7), (0, 8), (5, 9)],
-            ];
-            let cuts: Vec<usize> = (0..=threads).map(|t| t * n / threads).collect();
-            let mut a: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut b = vec![0u32; n];
-            scatter_sharded(
-                &pool,
-                &mut lists,
-                |l| l,
-                &cuts,
-                &mut a,
-                &mut b,
-                |item| item.0,
-                |item, dest, count| {
-                    dest.push(item.1);
-                    *count += 1;
-                },
-            );
-            assert!(lists.iter().all(Vec::is_empty), "threads {threads}");
-            assert_eq!(a[0], vec![1, 3, 8], "threads {threads}");
-            assert_eq!(a[1], vec![6]);
-            assert_eq!(a[3], vec![2, 5]);
-            assert_eq!(a[5], vec![9]);
-            assert_eq!(a[6], vec![4, 7]);
-            assert_eq!(b, vec![3, 1, 0, 2, 0, 1, 2]);
         }
     }
 }

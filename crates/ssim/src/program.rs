@@ -3,7 +3,7 @@
 
 use crate::arena::Mailboxes;
 use crate::metrics::PerfCounters;
-use crate::par::{self, HotWindow, ThreadPool};
+use crate::par::{self, ThreadPool};
 use crate::sched::ChunkPlan;
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
@@ -183,18 +183,12 @@ impl<M: Clone> ChunkSink<M> {
 
 /// Parallelism break-even: rounds whose estimated emit cost
 /// (`selection × EWMA ns/activation`) falls below this run on the driving
-/// thread. A pool generation costs single-digit microseconds even hot and
-/// low-tens cold, and splitting work that barely covers the wake cost
-/// gains nothing even on real cores — so the threshold sits well above
-/// break-even: small-network rounds (e.g. 256-node gossip, ~25 µs) stay
-/// sequential, protocol-weight rounds (hundreds of ns per activation)
-/// parallelize.
+/// thread. A pool wake-up costs low-tens of microseconds, and splitting
+/// work that barely covers the wake cost gains nothing even on real
+/// cores — so the threshold sits well above break-even: small-network
+/// rounds (e.g. 256-node gossip, ~25 µs) stay sequential, protocol-weight
+/// rounds (hundreds of ns per activation) parallelize.
 const PAR_THRESHOLD_NS: f64 = 50_000.0;
-
-/// Minimum sends in a round before inbox delivery is worth a second pool
-/// generation (the sharded scatter pass); below it the driver delivers
-/// inline during the bookkeeping walk.
-const PAR_DELIVERY_MIN: usize = 256;
 
 /// The emit stage: runs the selected programs against the round-start
 /// snapshot, each chunk of the selection writing its own [`ChunkSink`],
@@ -218,10 +212,6 @@ pub(crate) struct Emitter<M> {
     /// Rounds whose emit ran on the pool / stayed on the driving thread.
     par_rounds: u64,
     seq_rounds: u64,
-    /// Whether the current round's emit ran on the pool.
-    used_pool: bool,
-    /// Recycled recipient-range bounds for the sharded delivery pass.
-    delivery_cuts: Vec<usize>,
 }
 
 impl<M: Clone + Send + Sync> Emitter<M> {
@@ -235,8 +225,6 @@ impl<M: Clone + Send + Sync> Emitter<M> {
             est_ns_per_act: 0.0,
             par_rounds: 0,
             seq_rounds: 0,
-            used_pool: false,
-            delivery_cuts: Vec::new(),
         }
     }
 
@@ -249,19 +237,6 @@ impl<M: Clone + Send + Sync> Emitter<M> {
     fn worth_pool(&self, activations: usize) -> bool {
         self.pool.is_some()
             && (self.force_parallel || activations as f64 * self.est_ns_per_act > PAR_THRESHOLD_NS)
-    }
-
-    /// A pool **hot window** guard for the batched run drivers: when the
-    /// coming rounds are expected to use the pool, keep the workers
-    /// spinning between rounds instead of parking them (see
-    /// [`ThreadPool::hot_window`]) — this is what amortizes the condvar
-    /// wake cost across a [`crate::Config::batch_rounds`] window. The
-    /// expectation mirrors the heuristic on the *last* round's selection
-    /// size; a wrong guess costs only wall-clock time (spinning workers, or
-    /// one cold wake), never correctness.
-    pub(crate) fn hot_guard(&self, last_activations: usize) -> Option<HotWindow> {
-        let pool = self.pool.as_ref()?;
-        self.worth_pool(last_activations).then(|| pool.hot_window())
     }
 
     /// Run the selected programs. The selection is cut into contiguous
@@ -291,7 +266,7 @@ impl<M: Clone + Send + Sync> Emitter<M> {
         for sink in &mut self.sinks[..nchunks] {
             sink.reset();
         }
-        self.used_pool = !selection.is_empty() && self.worth_pool(selection.len());
+        let used_pool = !selection.is_empty() && self.worth_pool(selection.len());
         let start = std::time::Instant::now();
         let emit_one =
             |i: usize, prog: &mut Option<P>, rng: &mut SmallRng, sink: &mut ChunkSink<M>| {
@@ -304,7 +279,7 @@ impl<M: Clone + Send + Sync> Emitter<M> {
             // slots and sink (slots distinct by the sanitizer, sinks
             // distinct by chunk index), so every thread schedule produces
             // the same sink contents.
-            Some(pool) if self.used_pool => par::for_each_selected_chunks_mut2(
+            Some(pool) if used_pool => par::for_each_selected_chunks_mut2(
                 pool,
                 selection,
                 self.plan.bounds(),
@@ -329,7 +304,7 @@ impl<M: Clone + Send + Sync> Emitter<M> {
             } else {
                 0.75 * self.est_ns_per_act + 0.25 * obs
             };
-            if self.used_pool {
+            if used_pool {
                 self.par_rounds += 1;
             } else {
                 self.seq_rounds += 1;
@@ -348,21 +323,8 @@ impl<M: Clone + Send + Sync> Emitter<M> {
         self.sinks().iter().map(|s| s.sends.len()).sum()
     }
 
-    /// Whether this round's send volume pays for a second pool generation:
-    /// delivery then [`Emitter::scatter`]s instead of pushing inline.
-    pub(crate) fn shards_delivery(&self) -> bool {
-        self.used_pool && self.total_sends() >= PAR_DELIVERY_MIN
-    }
-
-    /// Each chunk's activation records beside its sends, by reference (the
-    /// sends stay in the sinks for [`Emitter::scatter`]).
-    pub(crate) fn chunks(
-        &self,
-    ) -> impl Iterator<Item = (&[SlotRec], std::slice::Iter<'_, Outgoing<M>>)> {
-        self.sinks().iter().map(|s| (&s.slots[..], s.sends.iter()))
-    }
-
-    /// Like [`Emitter::chunks`], moving the sends out.
+    /// Each chunk's activation records beside its sends, moving the sends
+    /// out.
     pub(crate) fn drain_chunks(
         &mut self,
     ) -> impl Iterator<Item = (&[SlotRec], std::vec::Drain<'_, Outgoing<M>>)> {
@@ -373,31 +335,11 @@ impl<M: Clone + Send + Sync> Emitter<M> {
         })
     }
 
-    /// Sharded delivery: shard `t` owns recipient slots
-    /// `[cuts[t], cuts[t+1])` and scans the sinks in chunk order, so every
-    /// inbox receives exactly the sequential append order. Every send must
-    /// have been announced to `mail` first ([`Mailboxes::announce`]), so
-    /// page chains are pre-reserved on this thread and the workers only
-    /// write.
-    pub(crate) fn scatter(&mut self, mail: &mut Mailboxes<M>) {
-        let (threads, n) = (self.threads(), mail.inboxes().slot_count());
-        self.delivery_cuts.clear();
-        self.delivery_cuts
-            .extend((0..=threads).map(|t| t * n / threads));
-        let nchunks = self.plan.chunks();
-        let pool = self.pool.as_ref().expect("sharded delivery implies a pool");
-        mail.scatter(pool, &mut self.sinks[..nchunks], &self.delivery_cuts);
-    }
-
-    /// Pool synchronization, work-stealing and par/seq round totals since
-    /// construction (pool counters are zero when sequential).
+    /// Pool wake-ups and par/seq round totals since construction (`syncs`
+    /// is zero when sequential).
     pub(crate) fn perf_counters(&self) -> PerfCounters {
-        let (syncs, generations, steals) =
-            self.pool.as_ref().map_or((0, 0, 0), ThreadPool::counters);
         PerfCounters {
-            syncs,
-            generations,
-            steals,
+            syncs: self.pool.as_ref().map_or(0, ThreadPool::syncs),
             par_rounds: self.par_rounds,
             seq_rounds: self.seq_rounds,
         }

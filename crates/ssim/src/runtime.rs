@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Runtime configuration: model strictness, determinism seed, metrics
-/// granularity, and the execution policy (threads, batching).
+/// granularity, and the execution policy (threads).
 ///
 /// A `Config` is plain data (`Copy`); build one with [`Config::default`] or
 /// [`Config::seeded`] and refine it with the builder methods. The doctest on
@@ -39,13 +39,12 @@ pub struct Config {
     /// Threads executing each round: `1` (the default) is plain sequential
     /// execution, `0` means "use [`std::thread::available_parallelism`]",
     /// and any other count makes the runtime own a
-    /// [`crate::par::ThreadPool`] of that size for the emit stage (and, on
-    /// send-heavy rounds, the delivery scatter). Results are
-    /// **bit-identical** at any thread count: programs read only the
+    /// [`crate::par::ThreadPool`] of that size for the emit stage. Results
+    /// are **bit-identical** at any thread count: programs read only the
     /// round-start snapshot and write only their own state and the sink of
-    /// the chunk they run in, and everything order-observable is applied in
-    /// selection order on the driving thread either way. See
-    /// [`Config::effective_threads`].
+    /// the chunk they run in, and everything order-observable — delivery,
+    /// edge changes, the dirty set — is applied in selection order on the
+    /// driving thread either way. See [`Config::effective_threads`].
     pub threads: usize,
     /// Skip the auto-sequential heuristic: when a pool exists, every
     /// non-empty round's emit phase runs on it, however cheap the round
@@ -55,13 +54,6 @@ pub struct Config {
     /// snapshots don't save it. Benchmarks that *measure* the parallel
     /// path set it.
     pub force_parallel: bool,
-    /// Rounds per pool **hot window** in the batched run drivers
-    /// ([`Runtime::run`], [`Runtime::run_monitored`]): the pool spins instead of parking
-    /// between the rounds of a window, amortizing the condvar wake/barrier
-    /// cost across the window (see [`crate::par`]). Monitors and legality
-    /// checks still run on the driving thread at every round boundary.
-    /// Single [`Runtime::step`] calls are unaffected. `0` behaves as `1`.
-    pub batch_rounds: u32,
     /// Seed for all node PRNGs (node `v` gets `seed ⊕ splitmix(v)`).
     pub seed: u64,
     /// Record per-round metric rows (otherwise only aggregates are kept).
@@ -74,7 +66,6 @@ impl Default for Config {
             strict: true,
             threads: 1,
             force_parallel: false,
-            batch_rounds: 16,
             seed: 0xC0FFEE,
             record_rounds: true,
         }
@@ -138,13 +129,6 @@ impl Config {
         self
     }
 
-    /// Builder-style [`Config::batch_rounds`]: rounds per pool hot window
-    /// in the batched run drivers (`0` behaves as `1`).
-    pub fn batch_rounds(mut self, k: u32) -> Self {
-        self.batch_rounds = k;
-        self
-    }
-
     /// The thread count a runtime built from this config will actually use:
     /// the detected available parallelism when [`Config::threads`] is `0`,
     /// the configured count otherwise.
@@ -197,7 +181,7 @@ pub struct MemFootprint {
     /// The slot-parallel program array (inline `size_of`-based; heap owned
     /// by protocol state is not visible to the engine).
     pub programs: usize,
-    /// The paged inbox arena: pages, chains, cursors and free lists.
+    /// The paged inbox arena: pages, chains and free lists.
     pub inboxes: usize,
     /// The in-transit wheel: parked messages, bucket slack, and the
     /// recycled-bucket pool.
@@ -368,7 +352,8 @@ impl<P: Program> Runtime<P> {
     /// byte-identical at any thread count.
     ///
     /// # Panics
-    /// Panics if the model's probabilities are outside `[0, 1]`.
+    /// Panics if the model fails [`NetModel::validate`] (a probability
+    /// outside `[0, 1]`, or a delivery bound that does not fit `u32`).
     pub fn set_net_model(&mut self, m: NetModel) {
         if let Err(e) = m.validate() {
             panic!("set_net_model: {e}");
@@ -909,11 +894,9 @@ impl<P: Program> Runtime<P> {
         });
     }
 
-    /// Deliver this round's sends: one [`walk_emitted`], three per-send
+    /// Deliver this round's sends: one [`walk_emitted`], two per-send
     /// steps. Through an active wire every send needs a decision on this
-    /// thread; otherwise each message is pushed inline, unless the round
-    /// is heavy enough to announce the sends here and scatter the
-    /// messages themselves across the pool.
+    /// thread; otherwise each message is pushed inline.
     fn deliver(&mut self, round: u64) {
         let (agenda, stats) = (&mut self.agenda, &mut self.metrics.net);
         stats.sent += self.emit.total_sends() as u64;
@@ -924,11 +907,6 @@ impl<P: Program> Runtime<P> {
                 let land = |o| self.mail.push(agenda, o);
                 self.wire.send(stats, round, to, o, land);
             });
-        } else if self.emit.shards_delivery() {
-            walk_emitted(agenda, round, self.emit.chunks(), |agenda, o| {
-                self.mail.announce(agenda, o);
-            });
-            self.emit.scatter(&mut self.mail);
         } else {
             walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
                 self.mail.push(agenda, o);
@@ -936,36 +914,24 @@ impl<P: Program> Runtime<P> {
         }
     }
 
-    /// Execution-machinery counters: pool synchronization, work-stealing,
-    /// and par/seq round totals since construction (pool counters are zero
-    /// when sequential). Deliberately not part of [`Runtime::metrics`] —
-    /// see [`PerfCounters`] for the boundary argument.
+    /// Execution-machinery counters: pool wake-ups and par/seq round totals
+    /// since construction (`syncs` is zero when sequential). Deliberately
+    /// not part of [`Runtime::metrics`] — see [`PerfCounters`] for the
+    /// boundary argument.
     pub fn perf_counters(&self) -> PerfCounters {
         self.emit.perf_counters()
     }
 
-    /// Run a fixed number of rounds, in pool hot windows of
-    /// [`Config::batch_rounds`] rounds.
+    /// Run a fixed number of rounds.
     pub fn run(&mut self, rounds: u64) {
-        let k = u64::from(self.cfg.batch_rounds.max(1));
-        let mut left = rounds;
-        while left > 0 {
-            let window = left.min(k);
-            let _hot = self.emit.hot_guard(self.agenda.selection().len());
-            for _ in 0..window {
-                self.step();
-            }
-            left -= window;
+        for _ in 0..rounds {
+            self.step();
         }
     }
 
     /// Run until `monitor` is satisfied or violated, or `max_rounds` elapse.
     /// The monitor observes the runtime *before* the first round (a runtime
     /// that already satisfies it executes 0 rounds) and after every round.
-    ///
-    /// Rounds execute in pool hot windows of [`Config::batch_rounds`]; the
-    /// monitor still observes on this thread at every round boundary,
-    /// exactly as in the unbatched driver.
     ///
     /// This is the one run-to-verdict driver, shared by every protocol
     /// crate; a plain predicate drives it as [`crate::monitor::goal`], and
@@ -978,26 +944,22 @@ impl<P: Program> Runtime<P> {
         max_rounds: u64,
     ) -> MonitorOutcome {
         let start = self.round;
-        let k = u64::from(self.cfg.batch_rounds.max(1));
         loop {
-            let _hot = self.emit.hot_guard(self.agenda.selection().len());
-            for _ in 0..k {
-                let rounds = self.round - start;
-                let (verdict, reason) = match monitor.observe(self) {
-                    Verdict::Satisfied => (RunVerdict::Satisfied, None),
-                    Verdict::Violated(why) => (RunVerdict::Violated, Some(why)),
-                    Verdict::Pending if rounds == max_rounds => (RunVerdict::Timeout, None),
-                    Verdict::Pending => {
-                        self.step();
-                        continue;
-                    }
-                };
-                return MonitorOutcome {
-                    rounds,
-                    verdict,
-                    reason,
-                };
-            }
+            let rounds = self.round - start;
+            let (verdict, reason) = match monitor.observe(self) {
+                Verdict::Satisfied => (RunVerdict::Satisfied, None),
+                Verdict::Violated(why) => (RunVerdict::Violated, Some(why)),
+                Verdict::Pending if rounds == max_rounds => (RunVerdict::Timeout, None),
+                Verdict::Pending => {
+                    self.step();
+                    continue;
+                }
+            };
+            return MonitorOutcome {
+                rounds,
+                verdict,
+                reason,
+            };
         }
     }
 
@@ -1163,7 +1125,7 @@ where
     ///
     /// The bytes are deterministic: two identical runtimes serialize
     /// identically, so snapshot size is a meaningful, exactly reproducible
-    /// metric (the E14 experiment records bytes/host from it).
+    /// metric (the E14b experiment records bytes/host from it).
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
         // Determinism-relevant config. `threads` is deliberately NOT
@@ -1205,9 +1167,8 @@ where
     /// hash is not a MAC — fails loudly instead of building a runtime that
     /// a later `step` panics on or silently misreads.
     ///
-    /// `cfg` supplies only the execution policy: `threads`,
-    /// `force_parallel` and `batch_rounds` are honored (restore at any
-    /// thread count — results are identical by the engine's determinism
+    /// `cfg` supplies only the execution policy: `threads` and
+    /// `force_parallel` are honored (restore at any thread count — results are identical by the engine's determinism
     /// argument), while `seed`, `strict`, and `record_rounds` are pinned
     /// from the snapshot (changing them would diverge from the
     /// uninterrupted run).
@@ -1802,10 +1763,11 @@ mod tests {
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(4));
 
-        // The three per-send steps agree: 512 relays send 1024 messages
-        // every third round, delivered inline, sharded over the pool, and
-        // through the wire step — forced by a cut nothing crosses, so the
-        // model stays ideal and the net RNG is never drawn from.
+        // Emit on or off the pool, and both per-send steps, agree: 512
+        // relays send 1024 messages every third round, emitted on the
+        // driving thread or on a pinned 4-thread pool and pushed inline,
+        // or sent through the wire step — forced by a cut nothing crosses,
+        // so the model stays ideal and the net RNG is never drawn from.
         let relays = |cfg: Config, cut: bool| {
             let n = 512u32;
             let mut rt = Runtime::new(
@@ -1822,13 +1784,13 @@ mod tests {
             (json, rt.save_snapshot(), rt.perf_counters().par_rounds)
         };
         let inline = relays(Config::seeded(5), false);
-        let sharded = relays(Config::seeded(5).threads(4).always_parallel(), false);
+        let pooled = relays(Config::seeded(5).threads(4).always_parallel(), false);
         let wired = relays(Config::seeded(5), true);
-        assert_eq!((inline.2, sharded.2, wired.2), (0, 9, 0));
-        assert_eq!(inline.0, sharded.0);
+        assert_eq!((inline.2, pooled.2, wired.2), (0, 9, 0));
+        assert_eq!(inline.0, pooled.0);
         assert_eq!(inline.0, wired.0);
         assert!(
-            inline.1 == sharded.1 && inline.1 == wired.1,
+            inline.1 == pooled.1 && inline.1 == wired.1,
             "snapshot bytes"
         );
     }

@@ -664,15 +664,19 @@ impl Agenda {
 }
 
 /// Parse a scheduler from a CLI-style spec: `sync`, `activity`,
-/// `random:<p>` (seeded with `seed`), or `rr:<k>`. Returns `None` for an
-/// unrecognized spec — callers should report the valid forms.
+/// `random:<p>` with `p` in `[0, 1]` (seeded with `seed`), or `rr:<k>` with
+/// `k ≥ 1`. Returns `None` for an unrecognized or out-of-range spec (a NaN
+/// `p` included) — callers should report the valid forms.
 pub fn from_spec(spec: &str, seed: u64) -> Option<Box<dyn Scheduler>> {
     Some(match spec {
         "sync" | "synchronous" => Box::new(Synchronous),
         "activity" | "activity-driven" => Box::new(ActivityDriven),
         _ => match spec.split_once(':')? {
-            ("random", p) => Box::new(RandomSubset::new(p.parse().ok()?, seed)),
-            ("rr", k) => Box::new(Adversarial::round_robin(k.parse().ok()?)),
+            ("random", p) => {
+                let p: f64 = p.parse().ok().filter(|p| (0.0..=1.0).contains(p))?;
+                Box::new(RandomSubset::new(p, seed))
+            }
+            ("rr", k) => Box::new(Adversarial::round_robin(k.parse().ok().filter(|&k| k > 0)?)),
             _ => return None,
         },
     })
@@ -755,8 +759,22 @@ mod tests {
         assert_eq!(from_spec("activity", 0).unwrap().name(), "activity-driven");
         assert_eq!(from_spec("random:0.25", 7).unwrap().name(), "random-subset");
         assert_eq!(from_spec("rr:4", 0).unwrap().name(), "adversarial-rr");
-        assert!(from_spec("bogus", 0).is_none());
-        assert!(from_spec("random:x", 0).is_none());
+        assert_eq!(from_spec("random:0", 7).unwrap().name(), "random-subset");
+        assert_eq!(from_spec("random:1", 7).unwrap().name(), "random-subset");
+        for bad in [
+            "bogus",
+            "random:x",
+            "random:nan",
+            "random:NaN",
+            "random:1.5",
+            "random:-1",
+            "random:inf",
+            "rr:0",
+            "rr:-1",
+            "rr:x",
+        ] {
+            assert!(from_spec(bad, 0).is_none(), "{bad} must be rejected");
+        }
     }
 
     #[test]

@@ -172,14 +172,10 @@ fn closed_loop_keeps_concurrency_and_open_loop_paces() {
 /// (request holders are dirty, so the activity daemon keeps serving).
 #[test]
 fn traffic_is_thread_count_invariant_and_scheduler_equivalent() {
-    // Pool path pinned (`always_parallel`) and the driver batched (K = 8),
-    // so the run also covers hot-window generations with the debug
-    // shadow-step check armed on every round.
+    // Pool path pinned (`always_parallel`), so the pooled emit runs with the
+    // debug shadow-step check armed on every round.
     let run = |threads: usize, activity: bool| {
-        let cfg = Config::seeded(9)
-            .threads(threads)
-            .always_parallel()
-            .batch_rounds(8);
+        let cfg = Config::seeded(9).threads(threads).always_parallel();
         let mut rt = line(16, cfg);
         if activity {
             rt.set_scheduler(Box::new(ActivityDriven));

@@ -22,29 +22,18 @@ fn parallel_execution_matches_sequential() {
     let hosts = 12usize;
     // `always_parallel` pins the pool path: without it the auto-sequential
     // heuristic would keep a 12-host fixture off the pool entirely and the
-    // test would only re-check the sequential path against itself. Batched
-    // windows (K = 16) route `run` through the hot-window driver, so the
-    // spin-wait generations are under test too.
-    let run = |threads: usize, batch: u32| {
+    // test would only re-check the sequential path against itself.
+    let run = |threads: usize| {
         let target = ChordTarget::classic(n);
-        let mut cfg = Config::seeded(0xD00D)
-            .threads(threads)
-            .always_parallel()
-            .batch_rounds(batch);
+        let mut cfg = Config::seeded(0xD00D).threads(threads).always_parallel();
         cfg.record_rounds = false;
         let mut rt = chord::runtime_from_shape(target, hosts, Shape::Random, cfg);
         rt.run(1500);
         fingerprint(&rt)
     };
-    let sequential = run(1, 1);
+    let sequential = run(1);
     for threads in [2usize, 4, 8] {
-        for batch in [1u32, 16] {
-            assert_eq!(
-                sequential,
-                run(threads, batch),
-                "{threads} threads, batch {batch}"
-            );
-        }
+        assert_eq!(sequential, run(threads), "{threads} threads");
     }
 }
 

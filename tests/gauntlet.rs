@@ -2,8 +2,8 @@
 //! structured attacks against a converged Avatar(Chord) overlay, the
 //! rule-based detector suite, and checkpoint-rollback recovery.
 //!
-//! The engine promises byte-identical execution at any thread count and
-//! batch window; these tests extend that promise over the whole
+//! The engine promises byte-identical execution at any thread count;
+//! these tests extend that promise over the whole
 //! detect/classify/rollback path (which runs on the driving thread between
 //! rounds, so it inherits determinism — but only if nothing in it secretly
 //! iterates a hash map or reads a clock).
@@ -89,16 +89,15 @@ fn fingerprint(out: &GauntletOutcome, metrics: &str) -> String {
 }
 
 /// Tentpole determinism: the full attack/detect/rollback/re-legalize cycle
-/// is byte-identical across thread counts and batch windows, per daemon.
+/// is byte-identical across thread counts, per daemon.
 #[test]
-fn gauntlet_runs_identically_across_threads_and_batch_windows() {
+fn gauntlet_runs_identically_across_threads() {
     let adv = Adversary::LyingBeacons { victims: 2 };
     let max = 2 * budget(N, HOSTS) + 64;
     for sched in ["sync", "activity"] {
         let mut reference: Option<String> = None;
-        for (threads, batch) in [(1usize, 16u32), (2, 1), (4, 16), (8, 4)] {
+        for threads in [1usize, 2, 4, 8] {
             let mut cfg = Config::seeded(33).threads(threads);
-            cfg.batch_rounds = batch;
             cfg.record_rounds = false;
             let (out, metrics) = drive(33, cfg, sched, &adv, true, max);
             assert_eq!(out.verdict, RunVerdict::Satisfied);
@@ -107,7 +106,7 @@ fn gauntlet_runs_identically_across_threads_and_batch_windows() {
                 None => reference = Some(fp),
                 Some(r) => assert_eq!(
                     r, &fp,
-                    "gauntlet diverged at threads={threads} batch={batch} sched={sched}"
+                    "gauntlet diverged at threads={threads} sched={sched}"
                 ),
             }
         }

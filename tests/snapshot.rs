@@ -205,7 +205,7 @@ fn corrupted_snapshots_are_rejected() {
 
 /// A converged, legal Avatar(Chord) checkpoint restores legal, stays
 /// silent, and continues identically at every thread count and under both
-/// daemons — the property the E14 scale sweep and the bench fixture cache
+/// daemons — the property the E14b memory sweep and the bench fixture cache
 /// stand on.
 #[test]
 fn converged_legal_snapshot_restores_legal_and_identical() {
