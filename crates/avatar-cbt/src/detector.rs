@@ -70,18 +70,15 @@ impl CbtCore {
         }
 
         self.with_geometry(|geom| {
-            // One pass over the neighbor list: every rule below reads the
-            // fresh same-cluster beacons only (an edge to another cluster is
-            // always tolerated), in neighbor order.
+            // One merge-join over the neighbor list and the view: every
+            // rule below reads the fresh same-cluster beacons only (an edge
+            // to another cluster is always tolerated), in neighbor order.
             geom.peers.clear();
-            geom.peers.extend(neighbors.iter().filter_map(|&v| {
-                let b = if stale_ok {
-                    view.latest(v)
-                } else {
-                    view.get(now, v)
-                }?;
-                (b.cid == core.cid).then_some((v, b.range, b.cluster_min))
-            }));
+            geom.peers.extend(
+                view.along(now, neighbors, stale_ok)
+                    .filter(|(_, b)| b.cid == core.cid)
+                    .map(|(v, b)| (v, b.range, b.cluster_min)),
+            );
             let peers = &geom.peers[..];
 
             // 2. Every guest-tree edge crossing out of my range must be

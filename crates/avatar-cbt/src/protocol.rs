@@ -255,18 +255,19 @@ impl CbtCore {
 
     /// Tree routing of an application request (the
     /// [`ssim::workload::Router`] decision): deliver when this host's
-    /// responsible range covers the key; otherwise walk the guest CBT from
-    /// this host's range root toward the key guest and forward to the
-    /// same-cluster neighbor covering the first guest on that path outside
-    /// this host's range. On a legal `Avatar(Cbt)` this is exactly the
-    /// dilation-1 host-tree route — `O(log N)` hops.
+    /// responsible range covers the key; otherwise walk the fixed guest-CBT
+    /// path from the guest root to the key, and forward to the same-cluster
+    /// neighbor covering the path guest after the deepest one this host
+    /// covers (up the host tree when it covers none). On a legal
+    /// `Avatar(Cbt)` this is exactly the dilation-1 host-tree route —
+    /// `O(log N)` hops.
     ///
-    /// Neighbor ranges come from stale-tolerant beacon lookups (dormant
-    /// hosts' cluster states are frozen, so their last beacons stay
-    /// accurate — and routing must keep working while the legal network
-    /// sleeps). Mid-merge or mid-reset views can fail to resolve; the
-    /// request then retries against the healing overlay, bounded by its
-    /// TTL.
+    /// Neighbor ranges come from one stale-tolerant pass over the beacon
+    /// view ([`NeighborView::latest_along`]; dormant hosts' cluster states
+    /// are frozen, so their last beacons stay accurate — and routing must
+    /// keep working while the legal network sleeps). Mid-merge or mid-reset
+    /// views can fail to resolve; the request then retries against the
+    /// healing overlay, bounded by its TTL.
     pub fn route_request(&self, key: u32, neighbors: &[NodeId]) -> ssim::workload::RouteStep {
         use ssim::workload::RouteStep;
         let key = key % self.n;
@@ -320,14 +321,10 @@ impl CbtCore {
             },
         };
         debug_assert!(!self.core.covers(cur));
-        for &v in neighbors {
-            if let Some(b) = self.view.latest(v) {
-                if b.cid == self.core.cid && b.range.0 <= cur && cur < b.range.1 {
-                    return RouteStep::Forward(v);
-                }
-            }
-        }
-        RouteStep::Unroutable
+        self.view
+            .latest_along(neighbors)
+            .find(|(_, b)| b.cid == self.core.cid && b.range.0 <= cur && cur < b.range.1)
+            .map_or(RouteStep::Unroutable, |(v, _)| RouteStep::Forward(v))
     }
 
     /// Enter the dormant state and propagate the Sleep wave.
@@ -478,14 +475,16 @@ impl CbtCore {
             .collect()
     }
 
-    /// Member-level cleanliness: no external edges, no pending machinery.
+    /// Member-level cleanliness: no external edges, no pending machinery —
+    /// every neighbor has a fresh same-cluster beacon.
     fn locally_clean(&self, round: u64, neighbors: &[NodeId]) -> bool {
         self.scratch.merge.is_none()
-            && neighbors.iter().all(|&v| {
-                self.view
-                    .get(round, v)
-                    .is_some_and(|b| b.cid == self.core.cid)
-            })
+            && self
+                .view
+                .fresh(round, neighbors)
+                .filter(|(_, b)| b.cid == self.core.cid)
+                .count()
+                == neighbors.len()
     }
 
     fn handle(
@@ -1099,6 +1098,7 @@ pub fn mix_cids(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssim::workload::RouteStep;
 
     /// Tree routing on a legal cluster: following `route_request` hop by
     /// hop from any host reaches the host covering the key within the
@@ -1181,6 +1181,137 @@ mod tests {
                 ssim::workload::RouteStep::Unroutable,
                 "own range {range:?}"
             );
+        }
+    }
+
+    /// `route_request` as first written — a beacon lookup per neighbor —
+    /// kept as the oracle the single-pass router is property-tested
+    /// against.
+    impl CbtCore {
+        fn route_request_reference(&self, key: u32, neighbors: &[NodeId]) -> RouteStep {
+            let key = key % self.n;
+            if self.core.covers(key) {
+                return RouteStep::Deliver;
+            }
+            let mut g = self.cbt.root();
+            let mut next_after_covered: Option<u32> = None;
+            let cur = loop {
+                let next = if g == key {
+                    None
+                } else {
+                    let (left, right) = self.cbt.children(g);
+                    if key < g {
+                        left
+                    } else {
+                        right
+                    }
+                };
+                if self.core.covers(g) {
+                    next_after_covered = next;
+                }
+                match next {
+                    Some(nx) => g = nx,
+                    None => break next_after_covered,
+                }
+            };
+            let cur = match cur {
+                Some(nx) => nx,
+                None => match self.up_guest().and_then(|rr| self.cbt.parent(rr)) {
+                    Some(p) => p,
+                    None => return RouteStep::Unroutable,
+                },
+            };
+            for &v in neighbors {
+                if let Some(b) = self.view.latest(v) {
+                    if b.cid == self.core.cid && b.range.0 <= cur && cur < b.range.1 {
+                        return RouteStep::Forward(v);
+                    }
+                }
+            }
+            RouteStep::Unroutable
+        }
+    }
+
+    /// One random routing input: a host of `Cbt(n)` with its view and
+    /// sorted neighbor list. Half the inputs start from a legal embedding
+    /// (so most keys forward); the rest is noise — a wild own range,
+    /// foreign cluster ids, empty, inverted and past-`N` beacon ranges,
+    /// beacons of non-neighbors, neighbors without a beacon, no neighbors.
+    fn random_router(rng: &mut rand::rngs::SmallRng) -> (CbtCore, Vec<NodeId>) {
+        let n = rng.gen_range(1..=512u32);
+        let cid = rng.gen_range(1..=3u64);
+        let mut ids: Vec<NodeId> = (0..rng.gen_range(1..=16))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let av = overlay::Avatar::new(n, ids.iter().copied());
+        let me = ids[rng.gen_range(0..ids.len())];
+        let noise = if rng.gen_bool(0.5) { 0.0 } else { 0.5 };
+        let wild =
+            |rng: &mut rand::rngs::SmallRng| (rng.gen_range(0..=n + 4), rng.gen_range(0..=n + 4));
+        let mut c = CbtCore::new(me, n, cid);
+        let r = av.range_of(me);
+        c.core.range = if rng.gen_bool(noise) {
+            wild(rng)
+        } else {
+            (r.lo, r.hi)
+        };
+        let (p_neighbor, p_beacon) = (
+            rng.gen_range(0..=8u32) as f64 / 8.0,
+            rng.gen_range(0..=8u32) as f64 / 8.0,
+        );
+        let mut neighbors = Vec::new();
+        for v in (0..n + 8).filter(|&v| v != me) {
+            let host = ids.binary_search(&v).is_ok();
+            if !host && !rng.gen_bool(0.02) {
+                continue;
+            }
+            if rng.gen_bool(p_neighbor) {
+                neighbors.push(v);
+            }
+            if rng.gen_bool(p_beacon) {
+                let range = if host && !rng.gen_bool(noise) {
+                    let rv = av.range_of(v);
+                    (rv.lo, rv.hi)
+                } else {
+                    wild(rng)
+                };
+                let b = Beacon {
+                    cid: if rng.gen_bool(noise) {
+                        rng.gen_range(1..=3)
+                    } else {
+                        cid
+                    },
+                    range,
+                    cluster_min: ids[0],
+                    role: None,
+                    epoch: 0,
+                };
+                c.view.record(v, rng.gen_range(0..=10), b);
+            }
+        }
+        (c, neighbors)
+    }
+
+    proptest::proptest! {
+        /// The single-pass router takes the oracle's decision — deliver,
+        /// the same next hop, or unroutable — on every random input.
+        #[test]
+        fn route_request_matches_reference(seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let (c, neighbors) = random_router(&mut rng);
+                for _ in 0..8 {
+                    let key = rng.gen_range(0..2 * c.n);
+                    proptest::prop_assert_eq!(
+                        c.route_request(key, &neighbors),
+                        c.route_request_reference(key, &neighbors),
+                        "key {} core {:?} view {:?} neighbors {:?}", key, c.core, c.view, neighbors
+                    );
+                }
+            }
         }
     }
 

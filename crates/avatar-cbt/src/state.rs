@@ -95,9 +95,12 @@ pub fn identity_digest(cid: u64, range: (u32, u32), cluster_min: NodeId) -> u64 
 /// The most recent beacon received from each neighbor, with receipt round.
 ///
 /// Stored as a sorted inline [`CompactMap`]: a node tracks O(log² n)
-/// neighbors, where binary-searched inline entries beat hashing on both
-/// footprint (one allocation, no per-entry overhead) and snapshot encoding
-/// (iteration order is already canonical).
+/// neighbors, where sorted inline entries beat hashing on footprint (one
+/// allocation, no per-entry overhead), on snapshot encoding (iteration order
+/// is already canonical) and on reads — every per-neighbor pass
+/// ([`NeighborView::fresh`], [`NeighborView::latest_along`],
+/// [`NeighborView::retain_neighbors`]) is one merge-join against the sorted
+/// neighbor list.
 #[derive(Debug, Clone)]
 pub struct NeighborView {
     beacons: CompactMap<NodeId, (u64, Beacon)>,
@@ -120,6 +123,19 @@ impl Default for NeighborView {
 /// Beacons older than this many rounds are considered stale (per delivery
 /// bound unit; a view under delivery bound `Δ` uses `Δ × BEACON_TTL`).
 pub const BEACON_TTL: u64 = 3;
+
+/// The merge-join step: advance the sorted cursor `rest` past every element
+/// whose id is below `v`, and return its head if that is `v`. The head is
+/// kept on a match, so a repeated `v` matches again.
+fn seek<'a, T>(rest: &mut &'a [T], id: impl Fn(&T) -> NodeId, v: NodeId) -> Option<&'a T> {
+    while let [head, tail @ ..] = *rest {
+        if id(head) >= v {
+            return (id(head) == v).then_some(head);
+        }
+        *rest = tail;
+    }
+    None
+}
 
 impl NeighborView {
     /// Record a beacon received from `from` at `round`.
@@ -153,22 +169,50 @@ impl NeighborView {
         self.beacons.get(&v).map(|(_, b)| b)
     }
 
+    /// The one read path over the view: `(neighbor, beacon)` along the
+    /// sorted `neighbors`, in their order — the fresh beacons only, or, with
+    /// `stale_ok`, every recorded one (see [`NeighborView::latest`] for when
+    /// that is sound). Both sides are sorted by id, so this is a single
+    /// merge-join: one forward pass over each, no per-neighbor search.
+    pub(crate) fn along<'a>(
+        &'a self,
+        now: u64,
+        neighbors: &'a [NodeId],
+        stale_ok: bool,
+    ) -> impl Iterator<Item = (NodeId, &'a Beacon)> + 'a {
+        let mut rest = self.beacons.as_slice();
+        neighbors.iter().filter_map(move |&v| {
+            let (_, (r, b)) = seek(&mut rest, |e| e.0, v)?;
+            (stale_ok || now.saturating_sub(*r) < self.ttl).then_some((v, b))
+        })
+    }
+
     /// Iterate fresh `(neighbor, beacon)` pairs restricted to the current
-    /// neighbor set.
+    /// (sorted) neighbor set, in neighbor order.
     pub fn fresh<'a>(
         &'a self,
         now: u64,
         neighbors: &'a [NodeId],
     ) -> impl Iterator<Item = (NodeId, &'a Beacon)> + 'a {
-        neighbors
-            .iter()
-            .filter_map(move |&v| self.get(now, v).map(|b| (v, b)))
+        self.along(now, neighbors, false)
     }
 
-    /// Drop beacons of nodes no longer adjacent (housekeeping).
+    /// Iterate the most recent `(neighbor, beacon)` pairs regardless of age
+    /// ([`NeighborView::latest`] for every neighbor that has one), in
+    /// (sorted) neighbor order.
+    pub fn latest_along<'a>(
+        &'a self,
+        neighbors: &'a [NodeId],
+    ) -> impl Iterator<Item = (NodeId, &'a Beacon)> + 'a {
+        self.along(0, neighbors, true)
+    }
+
+    /// Drop beacons of nodes no longer adjacent (housekeeping): the same
+    /// merge-join, walked from the view's side.
     pub fn retain_neighbors(&mut self, neighbors: &[NodeId]) {
+        let mut rest = neighbors;
         self.beacons
-            .retain(|v, _| neighbors.binary_search(v).is_ok());
+            .retain(|&v, _| seek(&mut rest, |&u| u, v).is_some());
     }
 
     /// `(neighbor, age)` for every recorded beacon, ascending by neighbor
@@ -300,5 +344,78 @@ mod tests {
         v.retain_neighbors(&[5]);
         assert!(v.get(10, 3).is_none());
         assert!(v.get(10, 5).is_some());
+    }
+
+    /// The view as first read — one binary search per neighbor — kept as
+    /// the oracle the merge-join is property-tested against.
+    impl NeighborView {
+        fn fresh_reference(&self, now: u64, neighbors: &[NodeId]) -> Vec<(NodeId, Beacon)> {
+            neighbors
+                .iter()
+                .filter_map(|&v| self.get(now, v).map(|b| (v, *b)))
+                .collect()
+        }
+
+        fn latest_reference(&self, neighbors: &[NodeId]) -> Vec<(NodeId, Beacon)> {
+            neighbors
+                .iter()
+                .filter_map(|&v| self.latest(v).map(|b| (v, *b)))
+                .collect()
+        }
+
+        fn retain_reference(&mut self, neighbors: &[NodeId]) {
+            self.beacons
+                .retain(|v, _| neighbors.binary_search(v).is_ok());
+        }
+    }
+
+    /// A random view and sorted neighbor list over ids `0..u`: beacons of
+    /// non-neighbors, neighbors without a beacon, empty sides, stale
+    /// entries (and a Δ-scaled horizon), malformed and past-`N` ranges.
+    fn random_view(rng: &mut rand::rngs::SmallRng) -> (NeighborView, Vec<NodeId>, u64) {
+        use rand::Rng;
+        let u = rng.gen_range(1..=48u32);
+        let now = rng.gen_range(0..12u64);
+        let mut view = NeighborView::default();
+        view.set_delta(rng.gen_range(1..=2));
+        let p_beacon = rng.gen_range(0..=8u32) as f64 / 8.0;
+        for v in 0..u {
+            if rng.gen_bool(p_beacon) {
+                let lo = rng.gen_range(0..=u + 4);
+                let b = Beacon {
+                    cid: rng.gen_range(1..=3),
+                    range: (lo, rng.gen_range(0..=u + 8)),
+                    cluster_min: rng.gen_range(0..u),
+                    role: None,
+                    epoch: 0,
+                };
+                view.record(v, rng.gen_range(0..=now), b);
+            }
+        }
+        let p_neighbor = rng.gen_range(0..=8u32) as f64 / 8.0;
+        let neighbors = (0..u).filter(|_| rng.gen_bool(p_neighbor)).collect();
+        (view, neighbors, now)
+    }
+
+    proptest::proptest! {
+        /// `fresh`, `latest_along` and `retain_neighbors` — one merge-join —
+        /// agree with the per-neighbor lookups on every random view: same
+        /// pairs, same (neighbor) order, same surviving entries.
+        #[test]
+        fn merge_join_matches_per_neighbor_lookups(seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let (view, neighbors, now) = random_view(&mut rng);
+                let fresh: Vec<_> = view.fresh(now, &neighbors).map(|(v, b)| (v, *b)).collect();
+                proptest::prop_assert_eq!(fresh, view.fresh_reference(now, &neighbors));
+                let latest: Vec<_> = view.latest_along(&neighbors).map(|(v, b)| (v, *b)).collect();
+                proptest::prop_assert_eq!(latest, view.latest_reference(&neighbors));
+                let (mut got, mut want) = (view.clone(), view);
+                got.retain_neighbors(&neighbors);
+                want.retain_reference(&neighbors);
+                proptest::prop_assert_eq!(got.beacons, want.beacons);
+            }
+        }
     }
 }

@@ -167,9 +167,9 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// ring distance to the key — the classic Chord lookup rule, evaluated
     /// against live host state instead of an ideal finger table.
     ///
-    /// Neighbor positions come from stale-tolerant beacon lookups
-    /// (`NeighborView::latest` — cluster state is frozen through the
-    /// CHORD and DONE phases; during CBT stabilization the views may be
+    /// Neighbor positions come from one stale-tolerant pass over the beacon
+    /// view (`NeighborView::latest_along` — cluster state is frozen through
+    /// the CHORD and DONE phases; during CBT stabilization the views may be
     /// wrong, in which case the request bounces and retries — that race is
     /// exactly what the live-traffic experiments measure). Strict
     /// improvement is required, so a request never overshoots; with the
@@ -197,10 +197,9 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         let own = self.cbt.core.range;
         let mine = if own.0 < own.1 { dist(own) } else { u32::MAX };
         let mut best: Option<(u32, NodeId)> = None;
-        for &v in neighbors {
-            let Some(b) = self.cbt.view.latest(v) else {
-                continue; // no beacon ever heard: position unknown
-            };
+        // Neighbors with no beacon ever heard (position unknown) are not
+        // visited at all.
+        for (v, b) in self.cbt.view.latest_along(neighbors) {
             if b.range.0 >= b.range.1 {
                 continue; // malformed/empty range
             }
@@ -677,27 +676,18 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             if self.cbt.core.covers(g) {
                 return Some(me);
             }
-            neighbors
-                .iter()
-                .find(|&&v| {
-                    self.cbt.view.latest(v).is_some_and(|b| {
-                        b.cid == self.cbt.core.cid && b.range.0 <= g && g < b.range.1
-                    })
-                })
-                .copied()
+            self.cbt
+                .view
+                .latest_along(neighbors)
+                .find(|(_, b)| b.cid == self.cbt.core.cid && b.range.0 <= g && g < b.range.1)
+                .map(|(v, _)| v)
         };
-        let mut keep: CompactSet<NodeId> = CompactSet::new();
-        // Scaffold-required neighbors.
-        for &v in neighbors {
-            match self.cbt.view.latest(v) {
-                Some(b) => {
-                    if b.cid == self.cbt.core.cid && self.cbt.requires_edge_to(b.range) {
-                        keep.insert(v);
-                    }
-                }
-                None => {
-                    keep.insert(v); // truly unknown: keep conservatively
-                }
+        // Scaffold-required neighbors, plus those never heard from (truly
+        // unknown: kept conservatively).
+        let mut keep: CompactSet<NodeId> = neighbors.iter().copied().collect();
+        for (v, b) in self.cbt.view.latest_along(neighbors) {
+            if b.cid != self.cbt.core.cid || !self.cbt.requires_edge_to(b.range) {
+                keep.remove(&v);
             }
         }
         // Target-required neighbors: hosts of the target neighborhoods of my
@@ -826,6 +816,7 @@ impl<T: InductiveTarget + Persist> Persist for ScaffoldCore<T> {
 mod tests {
     use super::*;
     use crate::target::ChordTarget;
+    use ssim::workload::RouteStep;
 
     /// Corruption can leave the own responsible range empty; routing must
     /// degrade to Unroutable (retry/TTL), never underflow or panic.
@@ -842,6 +833,111 @@ mod tests {
             c.route_request(9, &[]),
             ssim::workload::RouteStep::Unroutable
         );
+    }
+
+    /// `route_request` as first written — a beacon lookup per neighbor —
+    /// kept as the oracle the single-pass router is tested against.
+    impl<T: InductiveTarget> ScaffoldCore<T> {
+        fn route_request_reference(&self, key: u32, neighbors: &[NodeId]) -> RouteStep {
+            let n = self.target.n();
+            let key = key % n;
+            if self.cbt.core.covers(key) {
+                return RouteStep::Deliver;
+            }
+            let dist = |range: (u32, u32)| -> u32 {
+                if range.0 <= key && key < range.1 {
+                    0
+                } else {
+                    (key + n - ((range.1 - 1) % n)) % n
+                }
+            };
+            let own = self.cbt.core.range;
+            let mine = if own.0 < own.1 { dist(own) } else { u32::MAX };
+            let mut best: Option<(u32, NodeId)> = None;
+            for &v in neighbors {
+                let Some(b) = self.cbt.view.latest(v) else {
+                    continue;
+                };
+                if b.range.0 >= b.range.1 {
+                    continue;
+                }
+                let d = dist(b.range);
+                if d < mine && best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, v));
+                }
+            }
+            match best {
+                Some((_, v)) => RouteStep::Forward(v),
+                None => RouteStep::Unroutable,
+            }
+        }
+    }
+
+    /// The single-pass router takes the oracle's decision — including the
+    /// tie-break between equally close neighbors — on random hosts of
+    /// `Chord(N)`: legal ranges and noise (wild, empty, inverted and
+    /// past-`N` ranges, own range included), beacons of non-neighbors,
+    /// neighbors without a beacon, no neighbors at all. Seeded, so a
+    /// failure replays.
+    #[test]
+    fn route_request_matches_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5CAF);
+        for case in 0..4096 {
+            let n = 1u32 << rng.gen_range(2..=9);
+            let mut ids: Vec<NodeId> = (0..rng.gen_range(1..=16))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let av = overlay::Avatar::new(n, ids.iter().copied());
+            let me = ids[rng.gen_range(0..ids.len())];
+            let noise = if rng.gen_bool(0.5) { 0.0 } else { 0.5 };
+            let wild = |rng: &mut SmallRng| (rng.gen_range(0..=n + 4), rng.gen_range(0..=n + 4));
+            let mut c = ScaffoldCore::new(me, ChordTarget::classic(n), 1);
+            let r = av.range_of(me);
+            c.cbt.core.range = if rng.gen_bool(noise) {
+                wild(&mut rng)
+            } else {
+                (r.lo, r.hi)
+            };
+            let (p_neighbor, p_beacon) = (
+                rng.gen_range(0..=8u32) as f64 / 8.0,
+                rng.gen_range(0..=8u32) as f64 / 8.0,
+            );
+            let mut neighbors = Vec::new();
+            for v in (0..n + 8).filter(|&v| v != me) {
+                let host = ids.binary_search(&v).is_ok();
+                if !host && !rng.gen_bool(0.02) {
+                    continue;
+                }
+                if rng.gen_bool(p_neighbor) {
+                    neighbors.push(v);
+                }
+                if rng.gen_bool(p_beacon) {
+                    let range = if host && !rng.gen_bool(noise) {
+                        let rv = av.range_of(v);
+                        (rv.lo, rv.hi)
+                    } else {
+                        wild(&mut rng)
+                    };
+                    let mut b = c.cbt.beacon();
+                    b.range = range;
+                    c.cbt.view.record(v, rng.gen_range(0..=10), b);
+                }
+            }
+            for _ in 0..8 {
+                let key = rng.gen_range(0..2 * n);
+                assert_eq!(
+                    c.route_request(key, &neighbors),
+                    c.route_request_reference(key, &neighbors),
+                    "case {case} key {key} range {:?} view {:?} neighbors {neighbors:?}",
+                    c.cbt.core.range,
+                    c.cbt.view
+                );
+            }
+        }
     }
 
     #[test]

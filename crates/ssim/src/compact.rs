@@ -96,6 +96,13 @@ impl<K: Ord, V> CompactMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
+    /// The entries as one slice, in ascending key order — for callers that
+    /// merge-join the map against another sorted sequence instead of
+    /// binary-searching it key by key.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
     /// Iterate values mutably, in ascending key order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)

@@ -186,7 +186,7 @@ pub struct MemFootprint {
     /// The in-transit wheel: parked messages, bucket slack, and the
     /// recycled-bucket pool.
     pub transit: usize,
-    /// Attached workload state: per-slot request queues and holder index.
+    /// Attached workload state: per-slot request queues and holder flags.
     pub workload: usize,
     /// Engine bookkeeping: RNGs, dirty set, selection scratch, timers,
     /// per-chunk sinks, bandwidth pacing.
@@ -798,15 +798,9 @@ impl<P: Program> Runtime<P> {
         self.metrics.net.in_transit = self.wire.in_transit();
 
         // Traffic: advance held requests one hop over the post-apply
-        // topology, in selection order on this thread. The agenda's
-        // "selected" scratch is reset only afterwards — the line-up's
-        // holder fast path reads it.
+        // topology, in selection order on this thread.
         if let Some(tr) = self.traffic.live_mut() {
-            tr.line_up(
-                self.sched.selects_in_member_order(),
-                &self.topo,
-                &self.agenda,
-            );
+            tr.line_up(&self.agenda);
             let (agenda, stats) = (&mut self.agenda, &mut self.metrics.requests);
             tr.serve(round, &self.topo, &self.programs, &self.wire, agenda, stats);
         }
@@ -840,6 +834,7 @@ impl<P: Program> Runtime<P> {
         if let Some(tr) = self.traffic.live() {
             let r = &self.metrics.requests;
             debug_assert_eq!(r.in_flight, tr.queued(), "in-flight counter vs queues");
+            debug_assert!(tr.has_req_matches_queues(), "holder flags vs queues");
             debug_assert_eq!(
                 r.issued,
                 r.completed + r.failed + r.in_flight,

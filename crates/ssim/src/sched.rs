@@ -141,19 +141,6 @@ pub trait Scheduler: Send {
     fn uses_dirty_set(&self) -> bool {
         true
     }
-
-    /// True iff every selection this scheduler emits is ordered by
-    /// **canonical member rank** ([`Topology::member_rank`]). The runtime
-    /// uses this to take order-preserving fast paths that reconstruct the
-    /// selection-order walk from an unordered index (e.g. the workload's
-    /// pending-request index): when this holds, "filter by the selected
-    /// flag, then sort by member rank" is exactly the selection-scan
-    /// order. Schedulers that can emit arbitrary orders (scripted
-    /// adversaries) must return `false`. Defaults to `false` — the slow
-    /// path is always correct.
-    fn selects_in_member_order(&self) -> bool {
-        false
-    }
 }
 
 /// The paper's fully synchronous daemon (the default): every live node
@@ -177,10 +164,6 @@ impl Scheduler for Synchronous {
 
     fn uses_dirty_set(&self) -> bool {
         false
-    }
-
-    fn selects_in_member_order(&self) -> bool {
-        true // live_slots() iterates in member order
     }
 }
 
@@ -222,10 +205,6 @@ impl Scheduler for RandomSubset {
 
     fn uses_dirty_set(&self) -> bool {
         false
-    }
-
-    fn selects_in_member_order(&self) -> bool {
-        true // one in-order draw per live node
     }
 }
 
@@ -300,12 +279,6 @@ impl Scheduler for Adversarial {
     fn uses_dirty_set(&self) -> bool {
         false
     }
-
-    fn selects_in_member_order(&self) -> bool {
-        // Round-robin filters the member-order walk; scripts pick their
-        // own order (controlling apply order is the adversary's power).
-        matches!(self.plan, Plan::RoundRobin(_))
-    }
 }
 
 /// The activity-driven daemon: activates exactly the runtime's dirty set
@@ -331,10 +304,6 @@ impl Scheduler for ActivityDriven {
 
     fn claims_equivalence(&self) -> bool {
         true
-    }
-
-    fn selects_in_member_order(&self) -> bool {
-        true // the dirty set arrives pre-sorted by member rank
     }
 }
 
@@ -578,6 +547,9 @@ impl Agenda {
         &self.selection
     }
 
+    /// True iff slot `i` is in this round's selection (the shadow-step
+    /// check's skip detector).
+    #[cfg(debug_assertions)]
     pub(crate) fn is_selected(&self, i: usize) -> bool {
         self.selected[i]
     }
@@ -783,15 +755,6 @@ mod tests {
         assert!(ActivityDriven.claims_equivalence());
         assert!(!RandomSubset::new(0.5, 1).claims_equivalence());
         assert!(!Adversarial::round_robin(2).claims_equivalence());
-    }
-
-    #[test]
-    fn member_order_claims() {
-        assert!(Synchronous.selects_in_member_order());
-        assert!(ActivityDriven.selects_in_member_order());
-        assert!(RandomSubset::new(0.5, 1).selects_in_member_order());
-        assert!(Adversarial::round_robin(2).selects_in_member_order());
-        assert!(!Adversarial::script(vec![vec![5, 0]]).selects_in_member_order());
     }
 
     #[test]

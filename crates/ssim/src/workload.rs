@@ -604,21 +604,18 @@ impl TrafficState {
 }
 
 /// Runtime-side state of an attached [`Workload`]: the generator, the
-/// erased router, the request queues and the index of who holds any.
+/// erased router, the request queues and who holds any.
 pub(crate) struct Traffic<P: Program> {
     state: TrafficState,
     gen: Box<dyn Workload>,
     route: RouteFn<P>,
     /// Recycled injection buffer.
     inject_buf: Vec<(NodeId, Key)>,
-    /// Per-slot "this queue is non-empty" flag, kept exactly in sync with
-    /// the queues at every round boundary; `has_req[i]` ⟺ `i ∈ holders`.
+    /// Per-slot "this queue is non-empty" flag, exactly in sync with the
+    /// queues at every round boundary (debug-checked by
+    /// [`Traffic::has_req_matches_queues`]): one byte per host, so the
+    /// line-up filters the selection without touching a queue.
     has_req: Vec<bool>,
-    /// Unordered index of slots with non-empty queues — request
-    /// advancement iterates this instead of re-scanning every selected
-    /// slot's queue, so serving cost scales with the in-flight count, not
-    /// the host count.
-    holders: Vec<u32>,
     /// This round's holders to serve, in service order (recycled).
     lineup: Vec<u32>,
 }
@@ -744,19 +741,14 @@ impl<P: Program> TrafficSlot<P> {
 impl<P: Program> Traffic<P> {
     /// Marry a generator and a router to their (fresh or resumed) state.
     pub(crate) fn attach(gen: Box<dyn Workload>, route: RouteFn<P>, state: TrafficState) -> Self {
-        // Resumed queues may arrive non-empty; fresh ones are all empty
-        // and the index build is a cheap scan either way.
-        let has_req: Vec<bool> = state.queues.iter().map(|q| !q.is_empty()).collect();
-        let holders = (0..has_req.len() as u32)
-            .filter(|&i| has_req[i as usize])
-            .collect();
+        // Resumed queues may arrive non-empty; fresh ones are all empty.
+        let has_req = state.queues.iter().map(|q| !q.is_empty()).collect();
         Self {
             state,
             gen,
             route,
             inject_buf: Vec::new(),
             has_req,
-            holders,
             lineup: Vec::new(),
         }
     }
@@ -776,14 +768,22 @@ impl<P: Program> Traffic<P> {
         self.state.queues.iter().map(|q| q.len() as u64).sum()
     }
 
+    /// True iff `has_req[i]` ⟺ "queue `i` is non-empty" for every slot —
+    /// the invariant the line-up relies on (O(slots)).
+    pub(crate) fn has_req_matches_queues(&self) -> bool {
+        let queues = &self.state.queues;
+        queues.len() == self.has_req.len()
+            && queues
+                .iter()
+                .zip(&self.has_req)
+                .all(|(q, &h)| h != q.is_empty())
+    }
+
     /// Record that `slot` holds a request, and wake it: a held request is
     /// pending work, so the holder must be activated under every
     /// equivalence-claiming daemon.
     fn hold(&mut self, slot: usize, agenda: &mut Agenda) {
-        if !self.has_req[slot] {
-            self.has_req[slot] = true;
-            self.holders.push(slot as u32);
-        }
+        self.has_req[slot] = true;
         agenda.mark(slot);
     }
 
@@ -856,48 +856,26 @@ impl<P: Program> Traffic<P> {
         for req in std::mem::take(&mut self.state.queues[slot]) {
             stats.fail(&req, RequestOutcome::HostDeparted, round, record);
         }
-        if self.has_req[slot] {
-            self.has_req[slot] = false;
-            self.holders.retain(|&i| i as usize != slot);
-        }
+        self.has_req[slot] = false;
     }
 
-    /// Decide which holders this round serves, and in what order.
-    ///
-    /// Cost scales with the **in-flight count**, not the host count: the
-    /// slots to serve come from the maintained holder index whenever the
-    /// scheduler activates in canonical member order
-    /// ([`crate::Scheduler::selects_in_member_order`]) — sorting the
-    /// selected holders by member rank then reproduces the selection-scan
-    /// order exactly. Only order-bending schedulers (scripts) fall back to
-    /// scanning the selection. Equivalence with the selection scan: a
-    /// selected slot with an empty round-start queue is visited by the
-    /// scan only if an earlier-served holder forwarded to it this round,
-    /// and such a visit is a no-op — the forwarded requests carry
-    /// `ready_round = round + 1` (kept untouched) and the slot was already
-    /// marked dirty at forward time.
-    pub(crate) fn line_up(&mut self, member_order: bool, topo: &Topology, agenda: &Agenda) {
-        let queues = &self.state.queues;
+    /// Decide which holders this round serves, and in what order: the
+    /// selection, in selection order, filtered by the holder flags — whatever
+    /// order the daemon chose (a script may bend member order) is the
+    /// service order. Only holders at line-up time are served: a selected
+    /// slot that an earlier-served holder forwards to this round would have
+    /// nothing to do anyway, since forwarded requests carry `ready_round >
+    /// round` and the slot was marked dirty at forward time.
+    pub(crate) fn line_up(&mut self, agenda: &Agenda) {
+        let has_req = &self.has_req;
         self.lineup.clear();
-        if member_order {
-            self.lineup.extend(
-                self.holders
-                    .iter()
-                    .filter(|&&i| agenda.is_selected(i as usize) && !queues[i as usize].is_empty()),
-            );
-            self.lineup.sort_unstable_by_key(|&i| {
-                topo.member_rank(NodeSlot::new(i as usize))
-                    .expect("request holder is live")
-            });
-        } else {
-            self.lineup.extend(
-                agenda
-                    .selection()
-                    .iter()
-                    .map(|s| s.index() as u32)
-                    .filter(|&i| !queues[i as usize].is_empty()),
-            );
-        }
+        self.lineup.extend(
+            agenda
+                .selection()
+                .iter()
+                .map(|s| s.index() as u32)
+                .filter(|&i| has_req[i as usize]),
+        );
     }
 
     /// Advance every request held by a [lined-up](Traffic::line_up) host
@@ -980,25 +958,21 @@ impl<P: Program> Traffic<P> {
                 }
             }
             q.truncate(keep);
-            if !q.is_empty() {
+            if q.is_empty() {
+                // Drained. No request can arrive here later this round
+                // while the queue is away (a host never forwards to itself),
+                // and one arriving after it is back sets the flag again.
+                self.has_req[i] = false;
+            } else {
                 // Still holding work (retries or same-round arrivals):
                 // stay scheduled.
                 agenda.mark(i);
             }
             self.state.queues[i] = q;
         }
-        // Drop drained slots from the holder index (serving is the only
-        // way a queue shrinks, so this sweep restores `has_req[i]` ⟺
-        // "queue i non-empty" exactly). O(holders), order irrelevant —
-        // service order is re-derived per round.
-        let (queues, has_req) = (&self.state.queues, &mut self.has_req);
-        self.holders.retain(|&i| {
-            has_req[i as usize] = !queues[i as usize].is_empty();
-            has_req[i as usize]
-        });
     }
 
-    /// Capacity-based heap bytes of the queues, the holder index and the
+    /// Capacity-based heap bytes of the queues, the holder flags and the
     /// recycled buffers.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -1008,7 +982,7 @@ impl<P: Program> Traffic<P> {
             .map(|q| size_of::<Vec<Request>>() + q.capacity() * size_of::<Request>())
             .sum::<usize>()
             + self.has_req.capacity() * size_of::<bool>()
-            + (self.holders.capacity() + self.lineup.capacity()) * size_of::<u32>()
+            + self.lineup.capacity() * size_of::<u32>()
             + self.inject_buf.capacity() * size_of::<(NodeId, Key)>()
     }
 }

@@ -267,6 +267,80 @@ fn requests_wait_for_skipped_holders_under_partial_daemons() {
     );
 }
 
+/// The traffic line-up is the selection, in selection order. A scripted
+/// daemon is the one daemon that bends member order: reversing it reverses
+/// the order in which a round's holders are served — visible in the request
+/// log, since completions are recorded as they are served — and a holder
+/// the script leaves out keeps its request for a later round.
+#[test]
+fn scripted_daemon_order_is_the_serve_order() {
+    let wcfg = WorkloadConfig {
+        record_requests: true,
+        ..WorkloadConfig::default()
+    };
+    let reversed: Vec<NodeId> = (0..6).rev().collect();
+    // One round of six requests, each completing where it is issued.
+    let one_round = |script: Vec<NodeId>| {
+        let mut rt = line(6, Config::default());
+        rt.set_scheduler(Box::new(ssim::Adversarial::script(vec![script])));
+        rt.attach_workload(Silent, wcfg);
+        for v in 0..6 {
+            rt.inject_request(v, v);
+        }
+        rt.run(1);
+        let s = rt.request_stats();
+        let dests: Vec<NodeId> = s.records.iter().map(|r| r.dest.unwrap()).collect();
+        (dests, s.in_flight)
+    };
+    assert_eq!(one_round(reversed.clone()), (reversed.clone(), 0));
+    assert_eq!(
+        one_round(vec![4, 1, 3]),
+        (vec![4, 1, 3], 3),
+        "the others wait"
+    );
+
+    // With live traffic and forwarding: under the reversed script every
+    // round's completions come in descending host order (a holder's whole
+    // queue is served before the next holder's), under the synchronous
+    // daemon in ascending order — and both deliver the same requests.
+    let traffic = |script: Option<Vec<NodeId>>| {
+        let mut rt = line(6, Config::seeded(4));
+        if let Some(script) = script {
+            rt.set_scheduler(Box::new(ssim::Adversarial::script(vec![script])));
+        }
+        rt.attach_workload(OpenLoop::new(2.0, 6), wcfg);
+        rt.run(40);
+        let s = rt.request_stats();
+        assert_eq!(s.issued, s.completed + s.failed + s.in_flight);
+        assert_eq!(s.failed, 0);
+        let mut by_round = std::collections::BTreeMap::<u64, Vec<NodeId>>::new();
+        for r in &s.records {
+            by_round
+                .entry(r.done_round)
+                .or_default()
+                .push(r.dest.unwrap());
+        }
+        let mut ids: Vec<u64> = s.records.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        (by_round, ids)
+    };
+    let (rev_rounds, rev_ids) = traffic(Some(reversed));
+    let (sync_rounds, sync_ids) = traffic(None);
+    assert!(rev_rounds
+        .values()
+        .all(|d| d.windows(2).all(|w| w[0] >= w[1])));
+    assert!(sync_rounds
+        .values()
+        .all(|d| d.windows(2).all(|w| w[0] <= w[1])));
+    assert!(
+        rev_rounds
+            .values()
+            .any(|d| d.windows(2).any(|w| w[0] > w[1])),
+        "some round serves several holders"
+    );
+    assert_eq!(rev_ids, sync_ids, "the same requests complete");
+}
+
 #[test]
 fn rejoined_slot_starts_with_a_clean_queue() {
     let mut rt = line(6, Config::default());
