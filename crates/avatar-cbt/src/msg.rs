@@ -1,7 +1,7 @@
 //! Protocol messages of the self-stabilizing Avatar(CBT) algorithm.
 
 use crate::state::Role;
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_enum, persist_struct};
 use ssim::NodeId;
 
 /// The per-round state beacon every host shares with its neighbors while the
@@ -226,235 +226,58 @@ pub struct ZipExpect {
     pub new_min: NodeId,
 }
 
-impl Persist for Role {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Self::Leader => 0,
-            Self::Follower => 1,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Self::Leader,
-            1 => Self::Follower,
-            t => return Err(SnapshotError::Corrupt(format!("Role tag {t}"))),
-        })
-    }
-}
-
-impl Persist for Beacon {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.cid);
-        w.u32(self.range.0);
-        w.u32(self.range.1);
-        w.u32(self.cluster_min);
-        self.role.save(w);
-        w.u64(self.epoch);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            cid: r.u64()?,
-            range: (r.u32()?, r.u32()?),
-            cluster_min: r.u32()?,
-            role: Option::load(r)?,
-            epoch: r.u64()?,
-        })
-    }
-}
-
-impl Persist for WalkKind {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Self::ContactPull => 0,
-            Self::MatchW1 => 1,
-            Self::MatchW2 => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Self::ContactPull,
-            1 => Self::MatchW1,
-            2 => Self::MatchW2,
-            t => return Err(SnapshotError::Corrupt(format!("WalkKind tag {t}"))),
-        })
-    }
-}
-
-impl Persist for CbtMsg {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Self::Beacon(b) => {
-                w.u8(0);
-                b.save(w);
-            }
-            Self::Sleep => w.u8(1),
-            Self::Poll { epoch, role } => {
-                w.u8(2);
-                w.u64(*epoch);
-                role.save(w);
-            }
-            Self::Report {
-                epoch,
-                candidate,
-                clean,
-            } => {
-                w.u8(3);
-                w.u64(*epoch);
-                w.bool(*candidate);
-                w.bool(*clean);
-            }
-            Self::Nominate { epoch } => {
-                w.u8(4);
-                w.u64(*epoch);
-            }
-            Self::MergeReq { epoch, fcid, fmin } => {
-                w.u8(5);
-                w.u64(*epoch);
-                w.u64(*fcid);
-                w.u32(*fmin);
-            }
-            Self::WalkUp {
-                epoch,
-                kind,
-                endpoint,
-                remote_cid,
-                remote_min,
-            } => {
-                w.u8(6);
-                w.u64(*epoch);
-                kind.save(w);
-                w.u32(*endpoint);
-                w.u64(*remote_cid);
-                w.u32(*remote_min);
-            }
-            Self::MatchMade {
-                epoch,
-                partner,
-                partner_cid,
-                walk_first,
-                self_match,
-            } => {
-                w.u8(7);
-                w.u64(*epoch);
-                w.u32(*partner);
-                w.u64(*partner_cid);
-                w.bool(*walk_first);
-                w.bool(*self_match);
-            }
-            Self::AnchorDone { epoch } => {
-                w.u8(8);
-                w.u64(*epoch);
-            }
-            Self::MergeHello {
-                epoch,
-                cid,
-                cluster_min,
-            } => {
-                w.u8(9);
-                w.u64(*epoch);
-                w.u64(*cid);
-                w.u32(*cluster_min);
-            }
-            Self::ZipMeet(z) => {
-                w.u8(10);
-                w.u64(z.epoch);
-                w.u32(z.level);
-                w.u32(z.range.0);
-                w.u32(z.range.1);
-                w.u64(z.cid);
-                w.u32(z.cluster_min);
-                w.u64(z.new_cid);
-                w.u32(z.new_min);
-            }
-            Self::ZipChildInfo(z) => {
-                w.u8(11);
-                w.u64(z.epoch);
-                w.u32(z.level);
-                z.entries.save(w);
-                w.u64(z.new_cid);
-                w.u32(z.new_min);
-                w.u64(z.cid);
-            }
-            Self::ZipExpect(z) => {
-                w.u8(12);
-                w.u64(z.epoch);
-                w.u32(z.level);
-                w.u32(z.counterpart);
-                w.u64(z.partner_cid);
-                w.u64(z.new_cid);
-                w.u32(z.new_min);
-            }
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Self::Beacon(Beacon::load(r)?),
-            1 => Self::Sleep,
-            2 => Self::Poll {
-                epoch: r.u64()?,
-                role: Role::load(r)?,
-            },
-            3 => Self::Report {
-                epoch: r.u64()?,
-                candidate: r.bool()?,
-                clean: r.bool()?,
-            },
-            4 => Self::Nominate { epoch: r.u64()? },
-            5 => Self::MergeReq {
-                epoch: r.u64()?,
-                fcid: r.u64()?,
-                fmin: r.u32()?,
-            },
-            6 => Self::WalkUp {
-                epoch: r.u64()?,
-                kind: WalkKind::load(r)?,
-                endpoint: r.u32()?,
-                remote_cid: r.u64()?,
-                remote_min: r.u32()?,
-            },
-            7 => Self::MatchMade {
-                epoch: r.u64()?,
-                partner: r.u32()?,
-                partner_cid: r.u64()?,
-                walk_first: r.bool()?,
-                self_match: r.bool()?,
-            },
-            8 => Self::AnchorDone { epoch: r.u64()? },
-            9 => Self::MergeHello {
-                epoch: r.u64()?,
-                cid: r.u64()?,
-                cluster_min: r.u32()?,
-            },
-            10 => Self::ZipMeet(Box::new(ZipMeet {
-                epoch: r.u64()?,
-                level: r.u32()?,
-                range: (r.u32()?, r.u32()?),
-                cid: r.u64()?,
-                cluster_min: r.u32()?,
-                new_cid: r.u64()?,
-                new_min: r.u32()?,
-            })),
-            11 => Self::ZipChildInfo(Box::new(ZipChildInfo {
-                epoch: r.u64()?,
-                level: r.u32()?,
-                entries: Vec::load(r)?,
-                new_cid: r.u64()?,
-                new_min: r.u32()?,
-                cid: r.u64()?,
-            })),
-            12 => Self::ZipExpect(Box::new(ZipExpect {
-                epoch: r.u64()?,
-                level: r.u32()?,
-                counterpart: r.u32()?,
-                partner_cid: r.u64()?,
-                new_cid: r.u64()?,
-                new_min: r.u32()?,
-            })),
-            t => return Err(SnapshotError::Corrupt(format!("CbtMsg tag {t}"))),
-        })
-    }
-}
+persist_struct!(Beacon {
+    cid,
+    range,
+    cluster_min,
+    role,
+    epoch,
+});
+persist_enum!(WalkKind {
+    0 => ContactPull,
+    1 => MatchW1,
+    2 => MatchW2,
+});
+persist_struct!(ZipMeet {
+    epoch,
+    level,
+    range,
+    cid,
+    cluster_min,
+    new_cid,
+    new_min,
+});
+persist_struct!(ZipChildInfo {
+    epoch,
+    level,
+    entries,
+    new_cid,
+    new_min,
+    cid,
+});
+persist_struct!(ZipExpect {
+    epoch,
+    level,
+    counterpart,
+    partner_cid,
+    new_cid,
+    new_min,
+});
+persist_enum!(CbtMsg {
+    0 => Beacon(b),
+    1 => Sleep,
+    2 => Poll { epoch, role },
+    3 => Report { epoch, candidate, clean },
+    4 => Nominate { epoch },
+    5 => MergeReq { epoch, fcid, fmin },
+    6 => WalkUp { epoch, kind, endpoint, remote_cid, remote_min },
+    7 => MatchMade { epoch, partner, partner_cid, walk_first, self_match },
+    8 => AnchorDone { epoch },
+    9 => MergeHello { epoch, cid, cluster_min },
+    10 => ZipMeet(z),
+    11 => ZipChildInfo(z),
+    12 => ZipExpect(z),
+});
 
 #[cfg(test)]
 mod tests {
@@ -491,49 +314,5 @@ mod tests {
             "CbtCore grew past its pinned bound: {}",
             size_of::<crate::protocol::CbtCore>()
         );
-    }
-
-    /// Boxing changed the in-memory representation only: the wire encoding
-    /// of every zipper message must round-trip unchanged.
-    #[test]
-    fn zip_messages_roundtrip() {
-        use ssim::snapshot::{Persist, Reader, Writer};
-        let msgs = vec![
-            CbtMsg::ZipMeet(Box::new(ZipMeet {
-                epoch: 7,
-                level: 2,
-                range: (3, 9),
-                cid: 0xdead,
-                cluster_min: 1,
-                new_cid: 0xbeef,
-                new_min: 4,
-            })),
-            CbtMsg::ZipChildInfo(Box::new(ZipChildInfo {
-                epoch: 7,
-                level: 3,
-                entries: vec![(5, 2), (6, 8)],
-                new_cid: 0xbeef,
-                new_min: 4,
-                cid: 0xdead,
-            })),
-            CbtMsg::ZipExpect(Box::new(ZipExpect {
-                epoch: 7,
-                level: 3,
-                counterpart: 9,
-                partner_cid: 0xdead,
-                new_cid: 0xbeef,
-                new_min: 4,
-            })),
-        ];
-        for m in msgs {
-            let mut w = Writer::new();
-            m.save(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let back = CbtMsg::load(&mut r).unwrap();
-            let mut w2 = Writer::new();
-            back.save(&mut w2);
-            assert_eq!(bytes, w2.into_bytes());
-        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::msg::CbtMsg;
 use crate::protocol::{CbtCore, StepEvents};
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::persist_struct;
 use ssim::workload::{RouteStep, Router};
 use ssim::{Ctx, NodeId, Program};
 
@@ -55,18 +55,7 @@ impl Program for CbtProgram {
     }
 }
 
-impl Persist for CbtProgram {
-    fn save(&self, w: &mut Writer) {
-        self.core.save(w);
-        self.last_events.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            core: CbtCore::load(r)?,
-            last_events: StepEvents::load(r)?,
-        })
-    }
-}
+persist_struct!(CbtProgram { core, last_events });
 
 impl Router for CbtProgram {
     /// Host-tree routing over live links — see [`CbtCore::route_request`].

@@ -9,7 +9,7 @@ use crate::scratch::{Contact, Merge, Scratch, MAX_CONTACTS};
 use crate::state::{ClusterCore, NeighborView, Role};
 use overlay::cbt::Cbt;
 use rand::Rng;
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
 use ssim::{Ctx, NodeId};
 
 /// Events surfaced by one protocol step (consumed by the scaffolding layer).
@@ -1004,18 +1004,10 @@ impl CbtCore {
     }
 }
 
-impl Persist for StepEvents {
-    fn save(&self, w: &mut Writer) {
-        w.bool(self.reset);
-        w.bool(self.cluster_clean);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            reset: r.bool()?,
-            cluster_clean: r.bool()?,
-        })
-    }
-}
+persist_struct!(StepEvents {
+    reset,
+    cluster_clean,
+});
 
 impl Persist for CbtCore {
     fn save(&self, w: &mut Writer) {

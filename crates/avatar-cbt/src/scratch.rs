@@ -1,7 +1,7 @@
 //! Per-epoch scratch state: everything that is wiped at each epoch boundary.
 
 use crate::state::Role;
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::persist_struct;
 use ssim::{CompactMap, CompactSet, NodeId};
 
 /// A follower contact collected by a leader root.
@@ -88,84 +88,39 @@ impl Scratch {
 /// expansion analysis).
 pub const MAX_CONTACTS: usize = 8;
 
-impl Persist for Contact {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.endpoint);
-        w.u64(self.fcid);
-        w.u32(self.fmin);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            endpoint: r.u32()?,
-            fcid: r.u64()?,
-            fmin: r.u32()?,
-        })
-    }
-}
-
-impl Persist for Merge {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.partner_cid);
-        w.u64(self.new_cid);
-        w.u32(self.new_min);
-        self.pending.save(w);
-        self.awaiting.save(w);
-        // The compact set already iterates sorted — the same bytes the old
-        // collect-and-sort encoding produced.
-        self.decided.save(w);
-        self.won.save(w);
-        w.bool(self.failed);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            partner_cid: r.u64()?,
-            new_cid: r.u64()?,
-            new_min: r.u32()?,
-            pending: Vec::load(r)?,
-            awaiting: Vec::load(r)?,
-            decided: CompactSet::load(r)?,
-            won: Vec::load(r)?,
-            failed: r.bool()?,
-        })
-    }
-}
-
-impl Persist for Scratch {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.epoch);
-        self.role.save(w);
-        self.report_children.save(w);
-        self.reports.save(w);
-        w.bool(self.report_sent);
-        w.bool(self.self_candidate);
-        self.cand_child.save(w);
-        w.bool(self.nominated);
-        w.bool(self.merge_req_sent);
-        self.contacts.save(w);
-        w.bool(self.matched);
-        self.merge.save(w);
-        w.bool(self.committed);
-        w.bool(self.observed_clean);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            epoch: r.u64()?,
-            role: Option::load(r)?,
-            report_children: Option::load(r)?,
-            reports: CompactMap::load(r)?,
-            report_sent: r.bool()?,
-            self_candidate: r.bool()?,
-            cand_child: Option::load(r)?,
-            nominated: r.bool()?,
-            merge_req_sent: r.bool()?,
-            contacts: Vec::load(r)?,
-            matched: r.bool()?,
-            merge: Option::load(r)?,
-            committed: r.bool()?,
-            observed_clean: r.bool()?,
-        })
-    }
-}
+persist_struct!(Contact {
+    endpoint,
+    fcid,
+    fmin,
+});
+// The compact set and map iterate sorted, so equal states encode to equal
+// bytes.
+persist_struct!(Merge {
+    partner_cid,
+    new_cid,
+    new_min,
+    pending,
+    awaiting,
+    decided,
+    won,
+    failed,
+});
+persist_struct!(Scratch {
+    epoch,
+    role,
+    report_children,
+    reports,
+    report_sent,
+    self_candidate,
+    cand_child,
+    nominated,
+    merge_req_sent,
+    contacts,
+    matched,
+    merge,
+    committed,
+    observed_clean,
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Host-local cluster state.
 
 use crate::msg::Beacon;
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_enum, persist_struct, Persist, Reader, SnapshotError, Writer};
 use ssim::{CompactMap, NodeId};
 
 /// The per-epoch cluster role of the matching phase (Section 3.2): leaders
@@ -259,21 +259,15 @@ impl NeighborView {
     }
 }
 
-impl Persist for ClusterCore {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.cid);
-        w.u32(self.range.0);
-        w.u32(self.range.1);
-        w.u32(self.cluster_min);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            cid: r.u64()?,
-            range: (r.u32()?, r.u32()?),
-            cluster_min: r.u32()?,
-        })
-    }
-}
+persist_enum!(Role {
+    0 => Leader,
+    1 => Follower,
+});
+persist_struct!(ClusterCore {
+    cid,
+    range,
+    cluster_min,
+});
 
 impl Persist for NeighborView {
     fn save(&self, w: &mut Writer) {

@@ -34,7 +34,7 @@ pub fn is_legal<'a, T: InductiveTarget>(
     // is not DONE yet": settle that before anything is sorted or allocated.
     let mut settled = Vec::new();
     for p in hosts {
-        if p.core.phase != Phase::Done || p.core.last_wave + 1 != target.waves() as i64 {
+        if p.core.phase != Phase::Done || p.core.last_wave != target.waves() as i64 - 1 {
             return false;
         }
         settled.push(p);
@@ -168,5 +168,17 @@ mod tests {
         let t = ChordTarget::classic(16);
         let rt = runtime(t, &[3, 9], vec![(3, 9)], Config::seeded(5));
         assert!(!runtime_is_legal(&rt));
+    }
+
+    /// A DONE host whose `last_wave` was corrupted to the extreme is simply
+    /// not legal — the final-wave check must not overflow.
+    #[test]
+    fn done_host_with_extreme_wave_is_not_legal() {
+        let t = ChordTarget::classic(16);
+        let rt = runtime(t, &[3, 9], vec![(3, 9)], Config::seeded(5));
+        let mut p = rt.program(3).clone();
+        p.core.install_done(&[9]);
+        p.core.last_wave = i64::MAX;
+        assert!(!is_legal(&t, rt.topology(), std::iter::once(&p)));
     }
 }

@@ -2,7 +2,7 @@
 //! traffic plus the phase machinery and the PIF finger waves of Algorithm 1.
 
 use avatar_cbt::CbtMsg;
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_enum, persist_struct};
 use ssim::NodeId;
 
 /// The phase of Section 4.4: which algorithm a host is executing.
@@ -71,80 +71,21 @@ impl avatar_cbt::Carrier for ScafMsg {
     }
 }
 
-impl Persist for Phase {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Phase::Cbt => 0,
-            Phase::Chord => 1,
-            Phase::Done => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(Phase::Cbt),
-            1 => Ok(Phase::Chord),
-            2 => Ok(Phase::Done),
-            t => Err(SnapshotError::Corrupt(format!("Phase tag {t}"))),
-        }
-    }
-}
-
-impl Persist for PhaseInfo {
-    fn save(&self, w: &mut Writer) {
-        self.phase.save(w);
-        w.i64(self.last_wave);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            phase: Phase::load(r)?,
-            last_wave: r.i64()?,
-        })
-    }
-}
-
-impl Persist for ScafMsg {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            ScafMsg::Cbt(m) => {
-                w.u8(0);
-                m.save(w);
-            }
-            ScafMsg::Phase(pi) => {
-                w.u8(1);
-                pi.save(w);
-            }
-            ScafMsg::StartChord => w.u8(2),
-            ScafMsg::Prop { k } => {
-                w.u8(3);
-                w.u32(*k);
-            }
-            ScafMsg::Fb { k, ring0, ring_n } => {
-                w.u8(4);
-                w.u32(*k);
-                ring0.save(w);
-                ring_n.save(w);
-            }
-            ScafMsg::StartDone => w.u8(5),
-            ScafMsg::FbDone => w.u8(6),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(ScafMsg::Cbt(CbtMsg::load(r)?)),
-            1 => Ok(ScafMsg::Phase(PhaseInfo::load(r)?)),
-            2 => Ok(ScafMsg::StartChord),
-            3 => Ok(ScafMsg::Prop { k: r.u32()? }),
-            4 => Ok(ScafMsg::Fb {
-                k: r.u32()?,
-                ring0: Option::load(r)?,
-                ring_n: Option::load(r)?,
-            }),
-            5 => Ok(ScafMsg::StartDone),
-            6 => Ok(ScafMsg::FbDone),
-            t => Err(SnapshotError::Corrupt(format!("ScafMsg tag {t}"))),
-        }
-    }
-}
+persist_enum!(Phase {
+    0 => Cbt,
+    1 => Chord,
+    2 => Done,
+});
+persist_struct!(PhaseInfo { phase, last_wave });
+persist_enum!(ScafMsg {
+    0 => Cbt(m),
+    1 => Phase(pi),
+    2 => StartChord,
+    3 => Prop { k },
+    4 => Fb { k, ring0, ring_n },
+    5 => StartDone,
+    6 => FbDone,
+});
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 use crate::msg::ScafMsg;
 use crate::protocol::ScaffoldCore;
 use crate::target::{ChordTarget, InductiveTarget};
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_struct, Persist};
 use ssim::workload::{RouteStep, Router};
 use ssim::{Ctx, NodeId, Program};
 
@@ -47,16 +47,7 @@ impl<T: InductiveTarget> Program for ScaffoldProgram<T> {
     }
 }
 
-impl<T: InductiveTarget + Persist> Persist for ScaffoldProgram<T> {
-    fn save(&self, w: &mut Writer) {
-        self.core.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            core: ScaffoldCore::load(r)?,
-        })
-    }
-}
+persist_struct!(ScaffoldProgram<T: InductiveTarget + Persist> { core });
 
 impl<T: InductiveTarget> Router for ScaffoldProgram<T> {
     /// Greedy guest-space Chord lookup over live host links — see

@@ -15,7 +15,7 @@
 use crate::msg::{Phase, PhaseInfo, ScafMsg};
 use crate::target::InductiveTarget;
 use avatar_cbt::{CbtCore, CbtMsg};
-use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
+use ssim::snapshot::{persist_struct, Persist};
 use ssim::{CompactMap, CompactSet, Ctx, NodeId};
 
 /// An in-flight PIF wave on this host.
@@ -339,7 +339,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
                 // only `3Δ` rounds of silence make an entry stale (with
                 // `Δ = 1` this is the classic 3-round window).
                 Some((r, pi)) if round.saturating_sub(*r) < 3 * delta => {
-                    if pi.phase == Phase::Chord && (pi.last_wave - self.last_wave).abs() > 1 {
+                    if pi.phase == Phase::Chord && pi.last_wave.abs_diff(self.last_wave) > 1 {
                         return false;
                     }
                 }
@@ -347,7 +347,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
                     // A neighbor whose last word was "final wave complete"
                     // has legitimately armed for DONE and gone quiet.
                     if self.pview.get(&v).is_some_and(|(_, pi)| {
-                        pi.phase == Phase::Chord && pi.last_wave + 1 == self.target.waves() as i64
+                        pi.phase == Phase::Chord && pi.last_wave == self.target.waves() as i64 - 1
                     }) {
                         continue;
                     }
@@ -453,7 +453,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             // an inconsistency.
             return;
         }
-        if k as i64 != self.last_wave + 1 || self.active.is_some() {
+        if self.last_wave != k as i64 - 1 || self.active.is_some() {
             // Algorithm 1 line 7 / 14: inconsistent wave ⇒ phase := CBT.
             self.revert_to_cbt();
             return;
@@ -627,7 +627,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         if self.armed {
             return; // duplicate: the DONE descent is already running here
         }
-        if self.last_wave + 1 != self.target.waves() as i64 || self.active.is_some() {
+        if self.last_wave != self.target.waves() as i64 - 1 || self.active.is_some() {
             self.revert_to_cbt();
             return;
         }
@@ -742,80 +742,39 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     }
 }
 
-impl Persist for ActiveWave {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.k);
-        self.pending.save(w);
-        self.ring0.save(w);
-        self.ring_n.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            k: r.u32()?,
-            pending: Vec::load(r)?,
-            ring0: Option::load(r)?,
-            ring_n: Option::load(r)?,
-        })
-    }
-}
-
-impl<T: InductiveTarget + Persist> Persist for ScaffoldCore<T> {
-    fn save(&self, w: &mut Writer) {
-        self.target.save(w);
-        self.cbt.save(w);
-        self.phase.save(w);
-        w.i64(self.last_wave);
-        self.active.save(w);
-        // The compact maps iterate sorted by neighbor id — the canonical
-        // bytes the old collect-and-sort encodings produced.
-        self.pview.save(w);
-        self.seen_since.save(w);
-        w.u64(self.switch_round);
-        self.wave0_at.save(w);
-        w.u64(self.last_progress);
-        self.done_pending.save(w);
-        self.done_parent.save(w);
-        w.bool(self.armed);
-        self.done_neighbors.save(w);
-        w.u8(self.done_grace);
-        w.u64(self.reverts);
-        w.u64(self.completions);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let target = T::load(r)?;
-        let cbt = CbtCore::load(r)?;
-        let phase = Phase::load(r)?;
-        let last_wave = r.i64()?;
-        let active = Option::load(r)?;
-        // The map loads reject out-of-order or duplicate neighbor ids.
-        let pview = CompactMap::load(r)?;
-        let seen_since = CompactMap::load(r)?;
-        Ok(Self {
-            target,
-            cbt,
-            phase,
-            last_wave,
-            active,
-            pview,
-            seen_since,
-            switch_round: r.u64()?,
-            wave0_at: Option::load(r)?,
-            last_progress: r.u64()?,
-            done_pending: Option::load(r)?,
-            done_parent: Option::load(r)?,
-            armed: r.bool()?,
-            done_neighbors: Option::load(r)?,
-            done_grace: r.u8()?,
-            reverts: r.u64()?,
-            completions: r.u64()?,
-        })
-    }
-}
+persist_struct!(ActiveWave {
+    k,
+    pending,
+    ring0,
+    ring_n,
+});
+// The compact maps iterate sorted by neighbor id, so equal states encode to
+// equal bytes; their loads reject out-of-order or duplicate ids.
+persist_struct!(ScaffoldCore<T: InductiveTarget + Persist> {
+    target,
+    cbt,
+    phase,
+    last_wave,
+    active,
+    pview,
+    seen_since,
+    switch_round,
+    wave0_at,
+    last_progress,
+    done_pending,
+    done_parent,
+    armed,
+    done_neighbors,
+    done_grace,
+    reverts,
+    completions,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::target::ChordTarget;
+    use ssim::snapshot::{Reader, SnapshotError, Writer};
     use ssim::workload::RouteStep;
 
     /// Corruption can leave the own responsible range empty; routing must
@@ -936,6 +895,334 @@ mod tests {
                     c.cbt.core.range,
                     c.cbt.view
                 );
+            }
+        }
+    }
+
+    /// Pins one value's encoding: the bytes themselves (as hex), `save ∘
+    /// load ∘ save` identity, and `Err` — never a panic — for every
+    /// truncated prefix.
+    fn pin<T: Persist>(label: &str, value: &T, golden: &str) {
+        let encode = |v: &T| {
+            let mut w = Writer::new();
+            v.save(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encode(value);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "{label}: encoding drifted");
+        let mut r = Reader::new(&bytes);
+        let back = T::load(&mut r).unwrap_or_else(|e| panic!("{label}: {e}"));
+        r.finish().unwrap();
+        assert_eq!(encode(&back), bytes, "{label}: save ∘ load ∘ save");
+        for cut in 0..bytes.len() {
+            assert!(
+                T::load(&mut Reader::new(&bytes[..cut])).is_err(),
+                "{label}: a {cut}-byte prefix loaded"
+            );
+        }
+    }
+
+    /// Pins every variant of an enum whose tags run `0..len`, in tag order,
+    /// and checks that the first unused tag is `Corrupt("<Type> tag t")`.
+    fn pin_enum<T: Persist>(ty: &str, variants: &[(T, &str)]) {
+        for (tag, (v, golden)) in variants.iter().enumerate() {
+            pin(&format!("{ty} tag {tag}"), v, golden);
+        }
+        let tag = variants.len() as u8;
+        match T::load(&mut Reader::new(&[tag])).err() {
+            Some(SnapshotError::Corrupt(why)) => assert_eq!(why, format!("{ty} tag {tag}")),
+            other => panic!("{ty} tag {tag}: {other:?}"),
+        }
+    }
+
+    fn sample_beacon() -> avatar_cbt::Beacon {
+        avatar_cbt::Beacon {
+            cid: 0xC1D,
+            range: (8, 16),
+            cluster_min: 3,
+            role: Some(avatar_cbt::Role::Follower),
+            epoch: 300,
+        }
+    }
+
+    /// One value of each `CbtMsg` variant, in tag order.
+    fn sample_cbt_msgs() -> Vec<CbtMsg> {
+        use avatar_cbt::msg::{WalkKind, ZipChildInfo, ZipExpect, ZipMeet};
+        use avatar_cbt::Role;
+        vec![
+            CbtMsg::Beacon(sample_beacon()),
+            CbtMsg::Sleep,
+            CbtMsg::Poll {
+                epoch: 5,
+                role: Role::Leader,
+            },
+            CbtMsg::Report {
+                epoch: 6,
+                candidate: true,
+                clean: false,
+            },
+            CbtMsg::Nominate { epoch: 7 },
+            CbtMsg::MergeReq {
+                epoch: 8,
+                fcid: u64::MAX,
+                fmin: 9,
+            },
+            CbtMsg::WalkUp {
+                epoch: 9,
+                kind: WalkKind::MatchW2,
+                endpoint: 200,
+                remote_cid: 0xABCDEF,
+                remote_min: 1,
+            },
+            CbtMsg::MatchMade {
+                epoch: 10,
+                partner: 4,
+                partner_cid: 77,
+                walk_first: true,
+                self_match: false,
+            },
+            CbtMsg::AnchorDone { epoch: 11 },
+            CbtMsg::MergeHello {
+                epoch: 12,
+                cid: 1 << 40,
+                cluster_min: 2,
+            },
+            CbtMsg::ZipMeet(Box::new(ZipMeet {
+                epoch: 7,
+                level: 2,
+                range: (3, 9),
+                cid: 0xdead,
+                cluster_min: 1,
+                new_cid: 0xbeef,
+                new_min: 4,
+            })),
+            CbtMsg::ZipChildInfo(Box::new(ZipChildInfo {
+                epoch: 7,
+                level: 3,
+                entries: vec![(5, 2), (6, 8)],
+                new_cid: 0xbeef,
+                new_min: 4,
+                cid: 0xdead,
+            })),
+            CbtMsg::ZipExpect(Box::new(ZipExpect {
+                epoch: 7,
+                level: 3,
+                counterpart: 9,
+                partner_cid: 0xdead,
+                new_cid: 0xbeef,
+                new_min: 4,
+            })),
+        ]
+    }
+
+    /// One value of each `ScafMsg` variant, in tag order.
+    fn sample_scaf_msgs() -> Vec<ScafMsg> {
+        vec![
+            ScafMsg::Cbt(CbtMsg::Nominate { epoch: 3 }),
+            ScafMsg::Phase(PhaseInfo {
+                phase: Phase::Chord,
+                last_wave: -1,
+            }),
+            ScafMsg::StartChord,
+            ScafMsg::Prop { k: 3 },
+            ScafMsg::Fb {
+                k: 0,
+                ring0: Some(5),
+                ring_n: None,
+            },
+            ScafMsg::StartDone,
+            ScafMsg::FbDone,
+        ]
+    }
+
+    fn sample_merge() -> avatar_cbt::scratch::Merge {
+        avatar_cbt::scratch::Merge {
+            partner_cid: 0xFEED,
+            new_cid: 1 << 50,
+            new_min: 2,
+            pending: vec![(1, 17), (2, 40)],
+            awaiting: vec![(0, 30)],
+            decided: [30u32, 5].into_iter().collect(),
+            won: vec![(16, 24)],
+            failed: true,
+        }
+    }
+
+    fn sample_scratch() -> avatar_cbt::scratch::Scratch {
+        avatar_cbt::scratch::Scratch {
+            epoch: 41,
+            role: Some(avatar_cbt::Role::Leader),
+            report_children: Some(vec![17, 30]),
+            reports: [(30u32, (true, false)), (17, (false, true))]
+                .into_iter()
+                .collect(),
+            report_sent: true,
+            self_candidate: false,
+            cand_child: Some(30),
+            nominated: true,
+            merge_req_sent: false,
+            contacts: vec![avatar_cbt::scratch::Contact {
+                endpoint: 55,
+                fcid: 0xF0,
+                fmin: 50,
+            }],
+            matched: true,
+            merge: Some(sample_merge()),
+            committed: false,
+            observed_clean: true,
+        }
+    }
+
+    /// A CHORD-phase host mid-wave with every optional field set.
+    fn sample_core() -> ScaffoldCore<ChordTarget> {
+        let mut core = ScaffoldCore::new(17, ChordTarget::classic(64), 0xBEEF);
+        core.cbt.view.record(3, 40, sample_beacon());
+        core.cbt.scratch = sample_scratch();
+        core.cbt.resets = 2;
+        core.phase = Phase::Chord;
+        core.last_wave = 2;
+        core.active = Some(ActiveWave {
+            k: 3,
+            pending: vec![30, 41],
+            ring0: Some(3),
+            ring_n: None,
+        });
+        let pi = PhaseInfo {
+            phase: Phase::Chord,
+            last_wave: 2,
+        };
+        core.pview.insert(3, (40, pi));
+        core.seen_since.insert(3, 12);
+        core.seen_since.insert(30, 38);
+        core.switch_round = 12;
+        core.wave0_at = Some(30);
+        core.last_progress = 39;
+        core.done_pending = Some(vec![30]);
+        core.done_parent = Some(3);
+        core.armed = true;
+        core.done_neighbors = Some(vec![3, 30, 41]);
+        core.done_grace = 9;
+        core.reverts = 1;
+        core.completions = 4;
+        core
+    }
+
+    /// Every snapshot layout of the protocol stack, pinned byte for byte:
+    /// one value of each `CbtMsg` and `ScafMsg` variant, every variant of
+    /// the tag-only enums, and a populated `Merge`, `Scratch` and
+    /// `ScaffoldCore`. The hex strings were captured from the hand-written
+    /// `save`/`load` pairs the declarations replaced; a drift here is a
+    /// snapshot format change.
+    #[test]
+    fn snapshot_encodings_are_pinned() {
+        use avatar_cbt::msg::WalkKind;
+        use avatar_cbt::Role;
+        use ssim::RequestOutcome;
+
+        let cbt_hex = [
+            "009d180810030101ac02",
+            "01",
+            "020500",
+            "03060100",
+            "0407",
+            "0508ffffffffffffffffff0109",
+            "060902c801ef9baf0501",
+            "070a044d0100",
+            "080b",
+            "090c80808080802002",
+            "0a07020309adbd0301effd0204",
+            "0b07030205020608effd0204adbd03",
+            "0c070309adbd03effd0204",
+        ];
+        let cbt: Vec<_> = sample_cbt_msgs().into_iter().zip(cbt_hex).collect();
+        pin_enum("CbtMsg", &cbt);
+        let scaf_hex = ["000403", "010101", "02", "0303", "0400010500", "05", "06"];
+        let scaf: Vec<_> = sample_scaf_msgs().into_iter().zip(scaf_hex).collect();
+        pin_enum("ScafMsg", &scaf);
+
+        pin_enum("Role", &[(Role::Leader, "00"), (Role::Follower, "01")]);
+        pin_enum(
+            "WalkKind",
+            &[
+                (WalkKind::ContactPull, "00"),
+                (WalkKind::MatchW1, "01"),
+                (WalkKind::MatchW2, "02"),
+            ],
+        );
+        pin_enum(
+            "Phase",
+            &[
+                (Phase::Cbt, "00"),
+                (Phase::Chord, "01"),
+                (Phase::Done, "02"),
+            ],
+        );
+        pin_enum(
+            "RequestOutcome",
+            &[
+                (RequestOutcome::Completed, "00"),
+                (RequestOutcome::Expired, "01"),
+                (RequestOutcome::HopBudget, "02"),
+                (RequestOutcome::HostDeparted, "03"),
+            ],
+        );
+
+        pin(
+            "Merge",
+            &sample_merge(),
+            "edfd03808080808080800202020111022801001e02051e01101801",
+        );
+        pin(
+            "Scratch",
+            &sample_scratch(),
+            concat!(
+                "2901000102111e021100011e01000100011e01000137f001320101",
+                "edfd03808080808080800202020111022801001e02051e011018010001",
+            ),
+        );
+        pin(
+            "ScaffoldCore",
+            &sample_core(),
+            concat!(
+                "4006114001effd020040110103289d180810030101ac0203",
+                "2901000102111e021100011e01000100011e01000137f001320101",
+                "edfd03808080808080800202020111022801001e02051e0110180100",
+                "010202000100000000000000010101040103021e2901030001032801",
+                "0402030c1e260c011e2701011e0103010103031e29090104",
+            ),
+        );
+    }
+
+    /// A neighbor's `PhaseInfo`, `Runtime::corrupt_node` or a re-sealed
+    /// snapshot can carry any `last_wave`: Definition 3's wave check must
+    /// answer "not scaffolded" for the extremes — fresh or stale, whatever
+    /// our own wave — and never overflow.
+    #[test]
+    fn extreme_neighbor_waves_are_unscaffolded_not_overflows() {
+        // A singleton host (no detector fault) with one long-adjacent
+        // neighbor, heard from this round or long ago.
+        let host = |own: i64, wave: i64, heard: u64| {
+            let mut c = ScaffoldCore::new(5, ChordTarget::classic(64), 9);
+            c.phase = Phase::Chord;
+            c.last_wave = own;
+            let pi = PhaseInfo {
+                phase: Phase::Chord,
+                last_wave: wave,
+            };
+            c.pview.insert(7, (heard, pi));
+            c.seen_since.insert(7, 0);
+            c
+        };
+        for own in [-1i64, 0] {
+            assert!(host(own, own, 100).scaffolded_ok(100, &[7]), "control");
+            for wave in [i64::MIN, i64::MAX] {
+                for heard in [100u64, 0] {
+                    assert!(
+                        !host(own, wave, heard).scaffolded_ok(100, &[7]),
+                        "own {own}, neighbor {wave} heard at {heard}"
+                    );
+                }
             }
         }
     }

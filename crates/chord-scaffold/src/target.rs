@@ -168,46 +168,36 @@ impl InductiveTarget for TruncatedChordTarget {
     }
 }
 
-/// `(n, fingers)` read back with the validation `Chord::with_fingers`
-/// asserts, turned into [`SnapshotError::Corrupt`] instead of a panic.
-fn load_chord(r: &mut Reader<'_>) -> Result<Chord, SnapshotError> {
-    let n = r.u32()?;
-    let fingers = r.u32()?;
-    if n < 4 || !n.is_power_of_two() {
-        return Err(SnapshotError::Corrupt(format!("Chord n = {n}")));
-    }
-    let m = n.trailing_zeros();
-    if !(1..=m).contains(&fingers) {
-        return Err(SnapshotError::Corrupt(format!(
-            "Chord finger count {fingers} out of range 1..={m}"
-        )));
-    }
-    Ok(Chord::with_fingers(n, fingers))
+/// Both chord targets persist as `(n, fingers)`, read back with the
+/// validation `Chord::with_fingers` asserts turned into
+/// [`SnapshotError::Corrupt`] instead of a panic.
+macro_rules! persist_chord_target {
+    ($($ty:ident),+) => {$(
+        impl Persist for $ty {
+            fn save(&self, w: &mut Writer) {
+                w.u32(self.chord.n());
+                w.u32(self.chord.finger_count());
+            }
+            fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+                let n = r.u32()?;
+                let fingers = r.u32()?;
+                if n < 4 || !n.is_power_of_two() {
+                    return Err(SnapshotError::Corrupt(format!("Chord n = {n}")));
+                }
+                let m = n.trailing_zeros();
+                if !(1..=m).contains(&fingers) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "Chord finger count {fingers} out of range 1..={m}"
+                    )));
+                }
+                Ok(Self {
+                    chord: Chord::with_fingers(n, fingers),
+                })
+            }
+        }
+    )+};
 }
-
-impl Persist for ChordTarget {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.chord.n());
-        w.u32(self.chord.finger_count());
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            chord: load_chord(r)?,
-        })
-    }
-}
-
-impl Persist for TruncatedChordTarget {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.chord.n());
-        w.u32(self.chord.finger_count());
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            chord: load_chord(r)?,
-        })
-    }
-}
+persist_chord_target!(ChordTarget, TruncatedChordTarget);
 
 #[cfg(test)]
 mod tests {

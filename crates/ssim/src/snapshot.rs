@@ -51,6 +51,16 @@
 //! runtime itself captures each node's RNG position, so programs never
 //! serialize randomness.
 //!
+//! A layout that is "these fields, in this order" is *declared*, not
+//! written twice: [`persist_struct!`] lists a struct's fields (one generic
+//! parameter with bounds may be declared), [`persist_enum!`] gives each
+//! variant an explicit `u8` tag and lists its payload, and both generate
+//! `save` and `load` from that one list, so the halves cannot drift. Write
+//! `Persist` by hand only when `load` must do more than decode: rebuild
+//! derived state (the protocol core's tree, schedule and detector memo) or
+//! reject a well-formed but impossible value (a zero TTL, a Chord size
+//! that is not a power of two, unsorted [`crate::CompactMap`] keys).
+//!
 //! [`Runtime`]: crate::Runtime
 //! [`Runtime::save_snapshot`]: crate::Runtime::save_snapshot
 //! [`Runtime::restore_snapshot`]: crate::Runtime::restore_snapshot
@@ -393,13 +403,21 @@ impl Persist for String {
     }
 }
 
-/// Implements [`Persist`] for a struct as its listed fields, in order: the
-/// layout is written once, so `save` and `load` cannot drift apart.
+/// Implements [`Persist`] for a struct as its listed fields, in the listed
+/// order: the layout is written once, so `save` and `load` cannot drift
+/// apart. One generic parameter may be declared with its bounds.
+///
+/// ```
+/// use ssim::snapshot::{persist_struct, Persist};
+/// struct Pair<T> { left: T, right: u32 }
+/// persist_struct!(Pair<T: Persist> { left, right });
+/// ```
+#[macro_export]
 macro_rules! persist_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::snapshot::Persist for $ty {
+    ($name:ident $(<$g:ident: $b0:ident $(+ $bs:ident)*>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$g: $b0 $(+ $bs)*>)? $crate::snapshot::Persist for $name$(<$g>)? {
             fn save(&self, w: &mut $crate::snapshot::Writer) {
-                $(self.$field.save(w);)+
+                $($crate::snapshot::Persist::save(&self.$field, w);)+
             }
             fn load(
                 r: &mut $crate::snapshot::Reader<'_>,
@@ -411,7 +429,56 @@ macro_rules! persist_struct {
         }
     };
 }
-pub(crate) use persist_struct;
+
+/// Implements [`Persist`] for an enum as a `u8` tag, then the variant's
+/// payload: a unit variant has none, a one-field tuple variant (its field
+/// named only for the declaration) has its field, a struct variant has its
+/// listed fields in the listed order. An unknown tag loads as
+/// [`SnapshotError::Corrupt`]`("<Type> tag t")`.
+///
+/// ```
+/// use ssim::snapshot::persist_enum;
+/// enum Shape { Dot, Circle(u32), Rect { w: u32, h: u32 } }
+/// persist_enum!(Shape { 0 => Dot, 1 => Circle(r), 2 => Rect { w, h } });
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    (@load $r:ident $one:ident) => {
+        $crate::snapshot::Persist::load($r)?
+    };
+    ($name:ident {
+        $($tag:literal => $variant:ident $(($one:ident))? $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::snapshot::Persist for $name {
+            fn save(&self, w: &mut $crate::snapshot::Writer) {
+                match self {
+                    $(Self::$variant $(($one))? $({ $($field),+ })? => {
+                        w.u8($tag);
+                        $($crate::snapshot::Persist::save($one, w);)?
+                        $($($crate::snapshot::Persist::save($field, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::snapshot::Reader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$variant
+                        $(($crate::persist_enum!(@load r $one)))?
+                        $({ $($field: $crate::snapshot::Persist::load(r)?),+ })?,)+
+                    t => {
+                        return Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                            concat!(stringify!($name), " tag {}"),
+                            t
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+pub use crate::{persist_enum, persist_struct};
 
 /// An RNG persists as its raw xoshiro state: the restored generator
 /// continues the same stream from the same position.
@@ -450,6 +517,15 @@ impl<T: Persist> Persist for Option<T> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(if r.bool()? { Some(T::load(r)?) } else { None })
+    }
+}
+
+impl<T: Persist> Persist for Box<T> {
+    fn save(&self, w: &mut Writer) {
+        (**self).save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        T::load(r).map(Box::new)
     }
 }
 

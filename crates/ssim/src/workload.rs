@@ -60,7 +60,7 @@ use crate::net::Wire;
 use crate::program::Program;
 use crate::runtime::Runtime;
 use crate::sched::Agenda;
-use crate::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
+use crate::snapshot::{persist_enum, persist_struct, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 use rand::rngs::SmallRng;
@@ -346,25 +346,12 @@ persist_struct!(Request {
     ready_round,
 });
 
-impl Persist for RequestOutcome {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Self::Completed => 0,
-            Self::Expired => 1,
-            Self::HopBudget => 2,
-            Self::HostDeparted => 3,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Self::Completed,
-            1 => Self::Expired,
-            2 => Self::HopBudget,
-            3 => Self::HostDeparted,
-            t => return Err(SnapshotError::Corrupt(format!("RequestOutcome tag {t}"))),
-        })
-    }
-}
+persist_enum!(RequestOutcome {
+    0 => Completed,
+    1 => Expired,
+    2 => HopBudget,
+    3 => HostDeparted,
+});
 
 persist_struct!(RequestRecord {
     id,
@@ -501,8 +488,16 @@ impl Workload for OpenLoop {
         self.remaining.save(w);
     }
 
+    /// Rejects an accumulator `inject` can never leave behind (outside
+    /// `[0, 1)`, NaN included): an unlimited generator would spin on it.
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         self.acc = r.f64()?;
+        if !(0.0..1.0).contains(&self.acc) {
+            return Err(SnapshotError::Corrupt(format!(
+                "open-loop accumulator {} outside [0, 1)",
+                self.acc
+            )));
+        }
         self.remaining = Option::load(r)?;
         Ok(())
     }
@@ -1090,6 +1085,32 @@ mod tests {
             total += out.len();
         }
         assert_eq!(total, 5, "rate 0.5 over 10 rounds issues exactly 5");
+    }
+
+    /// Every `inject` leaves the accumulator in `[0, 1)`; a restored one
+    /// outside it (or NaN) is corrupt — an unlimited generator would
+    /// otherwise spin on `acc >= 1` and queue requests until memory runs out.
+    #[test]
+    fn open_loop_rejects_accumulators_inject_never_leaves() {
+        for (acc, ok) in [
+            (f64::INFINITY, false),
+            (f64::NAN, false),
+            (1e300, false),
+            (-0.5, false),
+            (1.0, false),
+            (0.25, true),
+        ] {
+            let mut w = Writer::new();
+            w.f64(acc);
+            Option::<u64>::None.save(&mut w);
+            let bytes = w.into_bytes();
+            let got = OpenLoop::new(1.0, 16).load_state(&mut Reader::new(&bytes));
+            match got {
+                Ok(()) => assert!(ok, "acc {acc} restored"),
+                Err(SnapshotError::Corrupt(_)) => assert!(!ok, "acc {acc} rejected"),
+                Err(e) => panic!("acc {acc}: {e}"),
+            }
+        }
     }
 
     #[test]
