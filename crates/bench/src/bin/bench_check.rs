@@ -7,8 +7,8 @@
 //! bench_check BENCH_engine.json fresh.json
 //! ```
 //!
-//! Every cell must match the baseline exactly; a `[full]` document the
-//! fresh run lacks is skipped. See `crates/bench/README.md`.
+//! Every baseline document must reappear as the identical line; a `[full]`
+//! document the fresh run lacks is skipped. See `crates/bench/README.md`.
 
 use scaffold_bench::check::check_regression;
 
@@ -26,7 +26,7 @@ fn main() {
     };
     let report = check_regression(&read(baseline), &read(fresh));
     println!(
-        "bench_check: {} cells compared exactly, {} in absent [full] documents skipped",
+        "bench_check: {} documents compared exactly, {} absent [full] documents skipped",
         report.compared, report.skipped
     );
     if report.ok() {

@@ -1,47 +1,34 @@
 //! The CI contract gate: diff a fresh `exp … --json` run against the
 //! committed `BENCH_engine.json` baseline.
 //!
-//! The baseline is JSON-Lines — one table document per line, as emitted by
+//! Both sides are JSON-Lines — one table document per line, as emitted by
 //! [`crate::Table::emit`] under `--json`:
 //!
 //! ```json
 //! {"experiment":"…","headers":["sched","legal@",…],"rows":[["sync","1402",…],…]}
 //! ```
 //!
-//! Documents are matched by experiment title, rows by position (generation
-//! order is deterministic), and every cell is compared for exact equality:
-//! the committed file holds only numbers that are a function of (code,
-//! seed), so any drift is a behavior change, never noise. Host time is
-//! measured by the repo benchmark (`BENCHMARK.json`), not here.
+//! The committed file holds only numbers that are a function of (code,
+//! seed), and the printer writes a document the same way every time, so
+//! the gate is a line comparison: every baseline line must reappear in the
+//! fresh run byte for byte, matched by its leading `"experiment"` title.
+//! Any drift is a behavior change, never noise. Host time is measured by
+//! the repo benchmark (`BENCHMARK.json`), not here.
 //!
 //! The one other rule: a baseline document whose title contains `[full]`
 //! is committed from a full-size run; when a fresh smoke run lacks it, it
 //! is skipped rather than failed, and it gates whenever a full fresh run
-//! supplies it.
-//!
-//! The vendored `serde_json` stub is serialize-only, so parsing is done by
-//! the minimal JSON reader below (strings, arrays, objects — exactly the
-//! shapes `Table::emit` produces).
-
-/// One parsed table document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Doc {
-    /// Experiment title (the match key).
-    pub experiment: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Row cells (all stringified by the table printer).
-    pub rows: Vec<Vec<String>>,
-}
+//! supplies it. Documents only present in the fresh run are ignored (new
+//! experiments do not need an old baseline).
 
 /// Outcome of a baseline diff.
 #[derive(Debug, Default)]
 pub struct CheckReport {
     /// Human-readable failure descriptions (empty = gate passes).
     pub failures: Vec<String>,
-    /// Cells compared.
+    /// Baseline documents compared.
     pub compared: usize,
-    /// Cells of `[full]` documents the fresh run did not supply.
+    /// Baseline `[full]` documents the fresh run did not supply.
     pub skipped: usize,
 }
 
@@ -52,225 +39,86 @@ impl CheckReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (strings / arrays / objects of such).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// The `(title, line)` documents of a JSON-Lines stream. Blank lines are
+/// skipped; a line that is not a whole table document is an error (a
+/// truncated baseline must fail the gate loudly, not vacuously pass).
+fn documents(input: &str) -> Result<Vec<(&str, &str)>, String> {
+    let lines = input.lines().map(str::trim).enumerate();
+    lines
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(k, line)| match title(line) {
+            Some(t) => Ok((t, line)),
+            None => Err(format!("line {}: not a whole table document", k + 1)),
+        })
+        .collect()
 }
 
-struct Reader<'a> {
-    s: &'a [u8],
-    i: usize,
+/// The (still escaped) title of a whole table document line.
+fn title(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("{\"experiment\":\"")?;
+    if !(line.ends_with("]}") && line.contains("],\"rows\":[")) {
+        return None;
+    }
+    // The closing quote is the first one not escaped.
+    let mut escaped = false;
+    let (end, _) = rest.char_indices().find(|&(_, c)| {
+        let close = c == '"' && !escaped;
+        escaped = c == '\\' && !escaped;
+        close
+    })?;
+    Some(&rest[..end])
 }
 
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.s.len() && self.s[self.i] == b {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} of JSON document",
-                b as char, self.i
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
+/// A document line's headers and row cells. The printer stringifies every
+/// cell and no title, header or cell carries a quote, so after
+/// `split('"')` the odd pieces are the strings and the even ones the
+/// punctuation between them: a string followed by `:` is a key, and one
+/// preceded by an opening `[` starts a row.
+fn cells(line: &str) -> (Vec<&str>, Vec<Vec<&str>>) {
+    let parts: Vec<&str> = line.split('"').collect();
+    let (mut headers, mut rows, mut key) = (Vec::new(), Vec::<Vec<&str>>::new(), "");
+    for k in (1..parts.len()).step_by(2) {
+        match parts[k] {
+            s if parts.get(k + 1).is_some_and(|p| p.starts_with(':')) => key = s,
+            s if key == "headers" => headers.push(s),
+            s if key == "rows" && parts[k - 1].ends_with('[') => rows.push(vec![s]),
+            s if key == "rows" => {
+                if let Some(row) = rows.last_mut() {
+                    row.push(s);
                 }
             }
-            Some(b'{') => {
-                self.expect(b'{')?;
-                let mut entries = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(entries));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    entries.push((key, val));
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(entries));
-                        }
-                        other => return Err(format!("bad object separator {other:?}")),
-                    }
-                }
-            }
-            // The table printer stringifies every cell: a bare number or
-            // boolean is not a table document.
-            Some(b) => Err(format!("unexpected {:?} at byte {}", b as char, self.i)),
-            None => Err("unexpected end of JSON document".into()),
+            _ => {}
         }
     }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        // Accumulate bytes and decode once at the end: pushing raw bytes
-        // as chars would mangle multi-byte UTF-8 (the experiment titles
-        // use "×", "≤", "₂", …).
-        let mut out = Vec::new();
-        while self.i < self.s.len() {
-            match self.s[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return String::from_utf8(out).map_err(|e| e.to_string());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = *self.s.get(self.i).ok_or("truncated escape")?;
-                    let decoded: char = match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'u' => {
-                            // \uXXXX — the table printer never emits these,
-                            // but decode rather than corrupt.
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.i += 4;
-                            char::from_u32(code).ok_or("bad \\u escape")?
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    };
-                    let mut buf = [0u8; 4];
-                    out.extend_from_slice(decoded.encode_utf8(&mut buf).as_bytes());
-                    self.i += 1;
-                }
-                b => {
-                    // Multi-byte UTF-8 sequences pass through bytewise and
-                    // are validated by the final `from_utf8`.
-                    out.push(b);
-                    self.i += 1;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
+    (headers, rows)
 }
 
-/// Parse one JSON-Lines stream of table documents. Blank lines are
-/// skipped; any malformed line is an error (a truncated baseline must fail
-/// the gate loudly, not vacuously pass).
-pub fn parse_docs(input: &str) -> Result<Vec<Doc>, String> {
-    let mut docs = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut r = Reader::new(line);
-        let v = r.value().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let Json::Obj(entries) = v else {
-            return Err(format!("line {}: not a JSON object", lineno + 1));
-        };
-        let field = |name: &str| -> Option<&Json> {
-            entries.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-        };
-        let strs = |v: &Json| -> Result<Vec<String>, String> {
-            match v {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|it| match it {
-                        Json::Str(s) => Ok(s.clone()),
-                        _ => Err("non-string cell".to_string()),
-                    })
-                    .collect(),
-                _ => Err("expected an array".into()),
-            }
-        };
-        let experiment = match field("experiment") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err(format!("line {}: missing experiment title", lineno + 1)),
-        };
-        let headers = strs(field("headers").ok_or(format!("line {}: no headers", lineno + 1))?)
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let rows = match field("rows") {
-            Some(Json::Arr(rows)) => rows
-                .iter()
-                .map(strs)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            _ => return Err(format!("line {}: no rows", lineno + 1)),
-        };
-        docs.push(Doc {
-            experiment,
-            headers,
-            rows,
-        });
+/// Name the first difference between two lines of one document: the shape
+/// change, or the first cell that drifted, with its row and column.
+fn first_difference(base: &str, fresh: &str) -> String {
+    let ((bh, brows), (fh, frows)) = (cells(base), cells(fresh));
+    if bh != fh {
+        return format!("headers changed ({bh:?} -> {fh:?}) — regenerate the baseline");
     }
-    Ok(docs)
+    if brows.len() != frows.len() {
+        return format!("row count changed ({} -> {})", brows.len(), frows.len());
+    }
+    for (r, (brow, frow)) in brows.iter().zip(&frows).enumerate() {
+        for ((header, b), f) in bh.iter().zip(brow).zip(frow) {
+            if b != f {
+                return format!("row {r} `{header}`: {b:?} -> {f:?} (metric drifted)");
+            }
+        }
+    }
+    "document changed (malformed row?)".into()
 }
 
-// ---------------------------------------------------------------------------
-// The gate.
-// ---------------------------------------------------------------------------
-
-/// Diff `fresh` against `baseline` (both JSON-Lines table streams). Every
-/// baseline document must appear in the fresh run with identical headers,
-/// row count and cells (absent `[full]` documents excepted). Documents
-/// only present in the fresh run are ignored (new experiments do not need
-/// an old baseline).
+/// Diff `fresh` against `baseline` (both JSON-Lines table streams): every
+/// baseline document must reappear in the fresh run as the identical line
+/// (absent `[full]` documents excepted).
 pub fn check_regression(baseline: &str, fresh: &str) -> CheckReport {
     let mut report = CheckReport::default();
-    let (base_docs, fresh_docs) = match (parse_docs(baseline), parse_docs(fresh)) {
+    let (base_docs, fresh_docs) = match (documents(baseline), documents(fresh)) {
         (Ok(b), Ok(f)) => (b, f),
         (Err(e), _) => {
             report.failures.push(format!("baseline unreadable: {e}"));
@@ -281,64 +129,23 @@ pub fn check_regression(baseline: &str, fresh: &str) -> CheckReport {
             return report;
         }
     };
-    for base in &base_docs {
-        let title = &base.experiment;
-        let Some(fresh) = fresh_docs.iter().find(|d| &d.experiment == title) else {
+    for (title, base) in base_docs {
+        match fresh_docs.iter().find(|&&(t, _)| t == title) {
+            Some(&(_, fresh)) => {
+                report.compared += 1;
+                if base != fresh {
+                    let diff = first_difference(base, fresh);
+                    report.failures.push(format!("{title:?}: {diff}"));
+                }
+            }
             // `[full]`-tagged documents are committed from full-size runs
             // (e.g. the E14b 1M-host rows) that CI's `--smoke` pass never
             // reproduces; their absence from a fresh run is expected, not
             // a truncation. They still gate when a full fresh run is fed.
-            if title.contains("[full]") {
-                report.skipped += base.rows.len() * base.headers.len();
-                continue;
-            }
-            report
+            None if title.contains("[full]") => report.skipped += 1,
+            None => report
                 .failures
-                .push(format!("experiment missing from fresh run: {title:?}"));
-            continue;
-        };
-        if base.headers != fresh.headers {
-            report.failures.push(format!(
-                "{title:?}: headers changed ({:?} -> {:?}) — regenerate the baseline",
-                base.headers, fresh.headers
-            ));
-            continue;
-        }
-        if base.rows.len() != fresh.rows.len() {
-            report.failures.push(format!(
-                "{title:?}: row count changed ({} -> {})",
-                base.rows.len(),
-                fresh.rows.len()
-            ));
-            continue;
-        }
-        // Reject malformed rows up front: the per-cell loop indexes by
-        // header position, and "a truncated baseline must fail the gate
-        // loudly" means with a diagnostic, not an index panic.
-        if let Some((rix, row)) = base
-            .rows
-            .iter()
-            .chain(&fresh.rows)
-            .enumerate()
-            .find(|(_, row)| row.len() != base.headers.len())
-        {
-            report.failures.push(format!(
-                "{title:?}: row {} has {} cells for {} headers (malformed document)",
-                rix % base.rows.len().max(1),
-                row.len(),
-                base.headers.len()
-            ));
-            continue;
-        }
-        for (rix, (brow, frow)) in base.rows.iter().zip(&fresh.rows).enumerate() {
-            for ((header, b), f) in base.headers.iter().zip(brow).zip(frow) {
-                report.compared += 1;
-                if b != f {
-                    report.failures.push(format!(
-                        "{title:?} row {rix} `{header}`: {b:?} -> {f:?} (metric drifted)"
-                    ));
-                }
-            }
+                .push(format!("experiment missing from fresh run: {title:?}")),
         }
     }
     report
@@ -356,40 +163,39 @@ mod tests {
     }
 
     #[test]
-    fn parses_table_documents() {
-        let docs = parse_docs(&doc("1157", "64")).expect("parses");
-        assert_eq!(docs.len(), 1);
-        assert_eq!(docs[0].experiment, "E14b: memory");
-        assert_eq!(docs[0].headers[2], "bytes/host");
-        assert_eq!(docs[0].rows[0][2], "1157");
-    }
-
-    #[test]
-    fn parser_preserves_multibyte_utf8_and_escapes() {
-        let line = "{\"experiment\":\"E13a: hops ≤ 2·log₂N\",\"headers\":[\"a\\u0041×\"],\
+    fn documents_are_keyed_by_their_title() {
+        let line = "{\"experiment\":\"E13a: hops ≤ 2·log₂N \\\"q\\\"\",\"headers\":[\"a×\"],\
                     \"rows\":[[\"1\"]]}\n";
-        let docs = parse_docs(line).expect("parses");
-        assert_eq!(docs[0].experiment, "E13a: hops ≤ 2·log₂N");
-        assert_eq!(docs[0].headers[0], "aA×");
+        let docs = documents(line).expect("parses");
+        assert_eq!(docs, [("E13a: hops ≤ 2·log₂N \\\"q\\\"", line.trim())]);
+        let line = doc("1157", "64");
+        let (headers, rows) = cells(&line);
+        assert_eq!(headers, ["hosts", "rounds", "bytes/host"]);
+        assert_eq!(rows, [["65536", "64", "1157"]]);
     }
 
     #[test]
     fn identical_runs_pass() {
         let r = check_regression(&doc("1157", "64"), &doc("1157", "64"));
         assert!(r.ok(), "{:?}", r.failures);
-        assert_eq!((r.compared, r.skipped), (3, 0));
+        assert_eq!((r.compared, r.skipped), (1, 0));
     }
 
     #[test]
     fn any_drift_fails_exactly() {
         // A counter, and a bytes/host cell 5 % off: no cell has a tolerance.
-        for (base, fresh) in [
-            (doc("1157", "64"), doc("1157", "65")),
-            (doc("1000", "64"), doc("1050", "64")),
+        for (base, fresh, cell) in [
+            (
+                doc("1157", "64"),
+                doc("1157", "65"),
+                "row 0 `rounds`: \"64\" -> \"65\"",
+            ),
+            (doc("1000", "64"), doc("1050", "64"), "row 0 `bytes/host`"),
         ] {
             let r = check_regression(&base, &fresh);
             assert!(!r.ok());
             assert!(r.failures[0].contains("metric drifted"), "{:?}", r.failures);
+            assert!(r.failures[0].contains(cell), "{:?}", r.failures);
         }
     }
 
@@ -399,7 +205,18 @@ mod tests {
         assert!(!r.ok(), "missing doc must fail");
         let two_rows = doc("1", "2").replace("\"rows\":[[", "\"rows\":[[\"256\",\"2\",\"1\"],[");
         let r = check_regression(&two_rows, &doc("1", "2"));
-        assert!(!r.ok(), "row-count change must fail");
+        assert!(
+            r.failures[0].contains("row count changed (2 -> 1)"),
+            "{:?}",
+            r.failures
+        );
+        let renamed = doc("1", "2").replace("\"rounds\"", "\"epochs\"");
+        let r = check_regression(&doc("1", "2"), &renamed);
+        assert!(
+            r.failures[0].contains("headers changed"),
+            "{:?}",
+            r.failures
+        );
     }
 
     #[test]
@@ -408,7 +225,7 @@ mod tests {
         // Absent from a fresh smoke run: skipped, not failed.
         let r = check_regression(&full, "");
         assert!(r.ok(), "{:?}", r.failures);
-        assert_eq!(r.skipped, 3, "the whole document counts as skipped");
+        assert_eq!(r.skipped, 1, "the whole document counts as skipped");
         // Present in a full fresh run: gated exactly.
         assert!(check_regression(&full, &full).ok());
         assert!(!check_regression(&full, &full.replace("1295", "1294")).ok());
@@ -420,21 +237,22 @@ mod tests {
     fn real_baseline_roundtrip_passes_against_itself() {
         let r = check_regression(COMMITTED, COMMITTED);
         assert!(r.ok(), "{:?}", r.failures);
-        assert!(r.compared > 0, "baseline must contain comparable cells");
+        assert!(r.compared > 0, "baseline must contain comparable documents");
     }
 
     /// Host time is gated by the repo benchmark alone: a wall-clock cell in
     /// the exact contract would fail every fresh run.
     #[test]
     fn committed_baseline_has_no_wall_clock_columns() {
-        for d in parse_docs(COMMITTED).expect("baseline parses") {
-            for h in &d.headers {
+        for (title, line) in documents(COMMITTED).expect("baseline parses") {
+            let (headers, rows) = cells(line);
+            assert!(rows.iter().all(|r| r.len() == headers.len()), "{title:?}");
+            for h in headers {
                 assert!(
                     !(h.contains("ns/")
                         || h.ends_with("/s")
-                        || ["speedup", "cores", "steals"].contains(&h.as_str())),
-                    "{:?}: wall-clock column `{h}`",
-                    d.experiment
+                        || ["speedup", "cores", "steals"].contains(&h)),
+                    "{title:?}: wall-clock column `{h}`"
                 );
             }
         }
@@ -445,24 +263,20 @@ mod tests {
     #[test]
     fn short_row_fails_with_diagnostic_not_panic() {
         let bad = "{\"experiment\":\"E14b: memory\",\"headers\":[\"hosts\",\"rounds\",\
-                   \"bytes/host\"],\"rows\":[[\"256\",\"5\"]]}\n";
-        let r = check_regression(bad, &doc("1", "2"));
-        assert!(!r.ok());
-        assert!(
-            r.failures[0].contains("malformed document"),
-            "{:?}",
-            r.failures
-        );
-        // Also when the fresh side is the malformed one.
-        let r = check_regression(&doc("1", "2"), bad);
-        assert!(!r.ok());
+                   \"bytes/host\"],\"rows\":[[\"65536\",\"2\"]]}\n";
+        for (base, fresh) in [(bad, doc("1", "2")), (&doc("1", "2"), bad.to_string())] {
+            let r = check_regression(base, &fresh);
+            assert!(!r.ok());
+            assert!(r.failures[0].contains("malformed row"), "{:?}", r.failures);
+        }
     }
 
     #[test]
     fn truncated_baseline_fails_loudly() {
         for bad in [
             "{\"experiment\":\"x\",\"headers\":[",
-            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[7]]}",
+            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[\"7\"]",
+            "{\"headers\":[\"n\"],\"rows\":[[\"7\"]]}",
         ] {
             let r = check_regression(bad, &doc("1", "2"));
             assert!(!r.ok());

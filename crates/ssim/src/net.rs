@@ -312,7 +312,7 @@ pub(crate) struct Transit<M> {
 }
 
 impl<M> Transit<M> {
-    /// The message, ready for its recipient's mailbox.
+    /// The message, ready for its recipient's inbox.
     pub(crate) fn land(self) -> Outgoing<M> {
         Outgoing {
             to_slot: self.to_slot,
@@ -324,7 +324,7 @@ impl<M> Transit<M> {
 }
 
 /// The wire: everything between a send leaving the emit stage and a message
-/// landing in a mailbox — the installed [`NetModel`], its RNG, the active
+/// landing in an inbox — the installed [`NetModel`], its RNG, the active
 /// partition, the in-transit buffer and the bandwidth pacing state.
 pub(crate) struct Wire<M> {
     /// [`NetModel::ideal`] — the paper's reliable synchronous channel —
@@ -565,8 +565,7 @@ impl<M> Wire<M> {
     /// new sends are delivered (an older message never queues behind a
     /// younger one in a shared inbox). Arrival — not the send — is where
     /// the recipient is marked dirty (dirty-set soundness: a delayed
-    /// message is a wake-up condition on its **delivery** round) and where
-    /// the mailbox ledger entry starts.
+    /// message is a wake-up condition on its **delivery** round).
     pub(crate) fn arrivals(&mut self, round: u64, mut land: impl FnMut(Transit<M>)) {
         while let Some(entry) = self.transit.first_entry() {
             if *entry.key() > round {

@@ -1,7 +1,7 @@
 //! Node programs, the per-round execution context, and the emit stage that
 //! runs one against the other.
 
-use crate::arena::Mailboxes;
+use crate::arena::InboxArena;
 use crate::metrics::PerfCounters;
 use crate::par::{self, ThreadPool};
 use crate::sched::ChunkPlan;
@@ -47,12 +47,14 @@ pub trait Program: Send {
 }
 
 /// One message leaving the emit phase, with everything the later stages
-/// need precomputed on the emitting worker: recipient and sender *slots*
-/// (the id → slot hash lookup happens in [`Ctx::send`], in parallel, against
-/// the round-start member map — membership never changes mid-step) and the
+/// need precomputed on the emitting worker: the recipient *slot* (the
+/// id → slot hash lookup happens in [`Ctx::send`], in parallel, against the
+/// round-start member map — membership never changes mid-step) and the
 /// sender id the recipient's inbox records.
 pub(crate) struct Outgoing<M> {
     pub(crate) to_slot: u32,
+    /// The sender's slot: read only by the transit wheel, whose snapshot
+    /// layout and id-at-slot arrival guard record both endpoints' slots.
     pub(crate) from_slot: u32,
     pub(crate) from: NodeId,
     pub(crate) msg: M,
@@ -120,7 +122,7 @@ pub(crate) struct RoundStart<'a, M> {
     pub(crate) round: u64,
     pub(crate) strict: bool,
     pub(crate) topo: &'a Topology,
-    pub(crate) mail: &'a Mailboxes<M>,
+    pub(crate) inboxes: &'a InboxArena<M>,
 }
 
 impl<M: Clone> ChunkSink<M> {
@@ -150,7 +152,7 @@ impl<M: Clone> ChunkSink<M> {
             slot: i as u32,
             topo: at.topo,
             neighbors: at.topo.neighbors_at(slot),
-            inbox: at.mail.inboxes().view(i, &mut self.inbox_buf),
+            inbox: at.inboxes.view(i, &mut self.inbox_buf),
             rng,
             sends: &mut self.sends,
             links: &mut self.links,

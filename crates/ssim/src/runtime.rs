@@ -6,13 +6,13 @@
 //!
 //! [`Runtime::step`] is orchestration: each stage of the round is owned by
 //! the type that holds its state — `sched::Agenda` (dirty set, timers,
-//! selection), `program::Emitter` (sinks, pool), `arena::Mailboxes`
-//! (inboxes and their ledger), `net::Wire` (network conditions, in-transit
+//! selection), `program::Emitter` (sinks, pool), `arena::InboxArena`
+//! (pending messages), `net::Wire` (network conditions, in-transit
 //! buffer), `workload::Traffic` — and the runtime sequences them (see
 //! ARCHITECTURE.md, "Execution model", for the stage table). The crate
 //! docs describe the slot-based storage and the pluggable daemons.
 
-use crate::arena::Mailboxes;
+use crate::arena::InboxArena;
 use crate::metrics::{PerfCounters, RoundMetrics, RunMetrics};
 use crate::monitor::{Monitor, MonitorOutcome, RunVerdict, Verdict};
 use crate::net::{self, NetModel, Wire};
@@ -200,7 +200,7 @@ impl MemFootprint {
     }
 }
 
-/// The simulator: a set of node programs, the overlay topology, and mailboxes.
+/// The simulator: a set of node programs, the overlay topology, and inboxes.
 ///
 /// All per-node state lives in slot-parallel arrays addressed by the
 /// topology's [`NodeSlot`] assignment; the id → slot map is consulted only
@@ -228,7 +228,7 @@ pub struct Runtime<P: Program> {
     /// The emit stage: sinks, chunk plan, pool.
     emit: Emitter<P::Msg>,
     /// Per-slot pending messages.
-    mail: Mailboxes<P::Msg>,
+    inboxes: InboxArena<P::Msg>,
     /// Network conditions between emit and delivery (see [`crate::net`]).
     wire: Wire<P::Msg>,
     /// The request workload, if any (see [`Runtime::attach_workload`]).
@@ -289,7 +289,7 @@ impl<P: Program> Runtime<P> {
             rngs: ids.iter().map(|&v| cfg.stream(v as u64 + 1)).collect(),
             agenda: Agenda::new(programs.iter().map(Program::is_quiescent).collect()),
             emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
-            mail: Mailboxes::new(ids.len()),
+            inboxes: InboxArena::new(ids.len()),
             wire: Wire::new(cfg.stream(0x6E45_07ED)),
             traffic: TrafficSlot::Detached,
             req_reported: (0, 0, 0),
@@ -401,11 +401,10 @@ impl<P: Program> Runtime<P> {
         MemFootprint {
             topology: self.topo.heap_bytes(),
             programs: self.programs.capacity() * size_of::<Option<P>>(),
-            inboxes: self.mail.inboxes().heap_bytes(),
+            inboxes: self.inboxes.heap_bytes(),
             transit: self.wire.transit_bytes(),
             workload: self.traffic.live().map_or(0, Traffic::heap_bytes),
             engine: self.rngs.capacity() * size_of::<SmallRng>()
-                + self.mail.ledger_bytes()
                 + self.agenda.heap_bytes()
                 + self.wire.pacing_bytes()
                 + self.emit.heap_bytes(),
@@ -768,7 +767,7 @@ impl<P: Program> Runtime<P> {
             round,
             strict: self.cfg.strict,
             topo: &self.topo,
-            mail: &self.mail,
+            inboxes: &self.inboxes,
         };
         #[cfg(debug_assertions)]
         self.audit_skipped(&at);
@@ -788,12 +787,12 @@ impl<P: Program> Runtime<P> {
         // lands in them — due transit arrivals, then this round's sends.
         self.apply_edges(&mut row);
         for &slot in self.agenda.selection() {
-            self.mail.consume(slot.index());
+            self.inboxes.consume(slot.index());
         }
-        let carried = self.mail.inboxes().total_len();
+        let carried = self.inboxes.total_len();
         self.land_arrivals(round);
         self.deliver(round);
-        row.messages = (self.mail.inboxes().total_len() - carried) as u64;
+        row.messages = (self.inboxes.total_len() - carried) as u64;
         self.metrics.net.delivered += row.messages;
         self.metrics.net.in_transit = self.wire.in_transit();
 
@@ -819,9 +818,15 @@ impl<P: Program> Runtime<P> {
         // inbox pages drop their buffers so the arena footprint tracks the
         // *current* load, not the historical peak. O(1) when nothing is
         // over the watermark.
-        self.mail.maybe_shrink();
+        self.inboxes.maybe_shrink();
 
         debug_assert!(self.topo.check_invariants());
+        // Every pending message sits in a dirty slot: what departures purge
+        // through.
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.inboxes.validate(&self.topo, &self.agenda) {
+            panic!("{e}");
+        }
         // The message conservation law, at every round boundary (see
         // [`crate::net::NetStats`]).
         debug_assert!(self.wire.count_is_exact());
@@ -873,7 +878,7 @@ impl<P: Program> Runtime<P> {
         }
     }
 
-    /// Move the wire's due messages into their recipients' mailboxes (see
+    /// Move the wire's due messages into their recipients' inboxes (see
     /// [`Wire::arrivals`] for why here and not later). Departures purge
     /// the wire eagerly, so the endpoints are live; the id-at-slot guard
     /// (the timer heap's guard) is defense in depth — a recycled slot must
@@ -882,7 +887,7 @@ impl<P: Program> Runtime<P> {
         self.wire.arrivals(round, |t| {
             let at = |slot: u32| self.topo.id_at(NodeSlot::new(slot as usize));
             if at(t.to_slot) == Some(t.to) && at(t.from_slot) == Some(t.from) {
-                self.mail.push(&mut self.agenda, t.land());
+                self.inboxes.deliver(&mut self.agenda, t.land());
             } else {
                 self.metrics.net.dropped_departed += 1;
             }
@@ -899,12 +904,12 @@ impl<P: Program> Runtime<P> {
             walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
                 let to = self.topo.id_at(NodeSlot::new(o.to_slot as usize));
                 let to = to.expect("round-start recipient is a member");
-                let land = |o| self.mail.push(agenda, o);
+                let land = |o| self.inboxes.deliver(agenda, o);
                 self.wire.send(stats, round, to, o, land);
             });
         } else {
             walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
-                self.mail.push(agenda, o);
+                self.inboxes.deliver(agenda, o);
             });
         }
     }
@@ -988,7 +993,7 @@ impl<P: Program> Runtime<P> {
             // Fresh slot: grow the slot-parallel arrays in lockstep.
             self.programs.push(Some(program));
             self.rngs.push(rng);
-            self.mail.push_slot();
+            self.inboxes.ensure_slots(slot + 1);
             self.agenda.push_slot();
             if let Some(tr) = self.traffic.live_mut() {
                 tr.push_slot();
@@ -996,7 +1001,7 @@ impl<P: Program> Runtime<P> {
         } else {
             // Recycled slot: the departure left the buffers empty.
             debug_assert!(self.programs[slot].is_none());
-            debug_assert!(self.mail.inboxes().is_empty(slot));
+            debug_assert!(self.inboxes.is_empty(slot));
             debug_assert!(!self.agenda.is_quiescent(slot));
             debug_assert!(self.traffic.live().is_none_or(|t| t.is_idle(slot)));
             self.programs[slot] = Some(program);
@@ -1037,8 +1042,10 @@ impl<P: Program> Runtime<P> {
     /// edge — still exists, and the channels died with the host). The final
     /// program state is returned to the caller ("retired").
     ///
-    /// O(deg + in-flight traffic of the host): the slot is pushed on the
-    /// free list, nothing shifts, no index is rebuilt.
+    /// O(deg) membership work — the slot is pushed on the free list,
+    /// nothing shifts, no index is rebuilt — plus the message purge: a scan
+    /// of the dirty slots' inboxes (the only ones that can hold mail) and of
+    /// the in-transit wheel.
     ///
     /// Returns `None` if `id` is not a member.
     pub fn leave(&mut self, id: NodeId) -> Option<P> {
@@ -1061,9 +1068,9 @@ impl<P: Program> Runtime<P> {
     }
 
     /// The departure shared by leave and crash: each owner drops what the
-    /// host had with it — its requests, its mailbox and the messages it
-    /// sent (same channel-died semantics in the mailboxes and on the
-    /// wire), its quiescence flag.
+    /// host had with it — its requests, its inbox and the messages it sent
+    /// (same channel-died semantics in the inboxes, found through the dirty
+    /// list, and on the wire), its quiescence flag.
     fn remove_member(&mut self, id: NodeId) -> Option<P> {
         let slot_t = self.topo.slot_of(id)?;
         let slot = slot_t.index();
@@ -1077,7 +1084,7 @@ impl<P: Program> Runtime<P> {
         if let Some(tr) = self.traffic.live_mut() {
             tr.drop_host(slot, self.round, &mut self.metrics.requests);
         }
-        self.mail.retire(slot);
+        self.inboxes.retire(slot, id, self.agenda.dirty_list());
         self.metrics.net.dropped_departed += self.wire.forget(id);
         self.metrics.net.in_transit = self.wire.in_transit();
         self.agenda.set_quiescent(slot, false);
@@ -1085,7 +1092,7 @@ impl<P: Program> Runtime<P> {
         Some(program)
     }
 
-    /// True iff no messages are pending in any mailbox **or in transit**
+    /// True iff no messages are pending in any inbox **or in transit**
     /// (no present or future round would deliver anything). O(1): both
     /// counts are tracked incrementally. Under the synchronous daemon on
     /// the ideal network every message is consumed the round after it is
@@ -1096,7 +1103,7 @@ impl<P: Program> Runtime<P> {
     /// converged while deliveries are still due (see
     /// [`crate::monitor::silence`]).
     pub fn is_silent(&self) -> bool {
-        self.mail.inboxes().total_len() == 0 && self.wire.in_transit() == 0
+        self.inboxes.total_len() == 0 && self.wire.in_transit() == 0
     }
 }
 
@@ -1135,7 +1142,7 @@ where
         for i in 0..n {
             self.rngs[i].save(&mut w);
             self.programs[i].save(&mut w);
-            self.mail.save_slot(i, &mut w);
+            self.inboxes.save_slot(i, &mut w);
         }
         w.u64(self.round);
         self.metrics.save(&mut w);
@@ -1157,10 +1164,11 @@ where
     /// container is verified (magic, version, length, content hash) before
     /// any payload byte is interpreted; decoded state is cross-checked by
     /// each owner's `validate` (topology invariants, slot-array alignment,
-    /// live message endpoints, probabilities in range, counters that agree
-    /// with each other) so a corrupt-but-well-framed payload — the content
-    /// hash is not a MAC — fails loudly instead of building a runtime that
-    /// a later `step` panics on or silently misreads.
+    /// live message endpoints, pending mail only in dirty slots,
+    /// probabilities in range, counters that agree with each other) so a
+    /// corrupt-but-well-framed payload — the content hash is not a MAC —
+    /// fails loudly instead of building a runtime that a later `step`
+    /// panics on or silently misreads.
     ///
     /// `cfg` supplies only the execution policy: `threads` and
     /// `force_parallel` are honored (restore at any thread count — results are identical by the engine's determinism
@@ -1201,11 +1209,11 @@ where
         }
         let mut rngs = Vec::with_capacity(n);
         let mut programs: Vec<Option<P>> = Vec::with_capacity(n);
-        let mut mail = Mailboxes::new(n);
+        let mut inboxes = InboxArena::new(n);
         for i in 0..n {
             rngs.push(SmallRng::load(&mut r)?);
             programs.push(Option::load(&mut r)?);
-            mail.load_slot(i, &mut r, &topo)?;
+            inboxes.load_slot(i, &mut r, &topo)?;
         }
         let round = r.u64()?;
         let metrics = RunMetrics::load(&mut r)?;
@@ -1221,7 +1229,7 @@ where
                 "slot {i}: program presence disagrees with topology liveness"
             ));
         }
-        mail.validate(&topo)?;
+        inboxes.validate(&topo, &agenda)?;
         metrics.requests.validate_reported(req_reported)?;
         traffic.validate(&topo)?;
         wire.validate(&topo, round, &metrics.net)?;
@@ -1232,7 +1240,7 @@ where
             rngs,
             agenda,
             emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
-            mail,
+            inboxes,
             wire,
             traffic,
             req_reported,
@@ -1888,7 +1896,84 @@ mod tests {
         rt.step(); // (0 -> 1) in flight
         assert!(!rt.is_silent());
         rt.leave(1).expect("receiver leaves");
-        assert!(rt.is_silent(), "messages to the leaver die in its mailbox");
+        assert!(rt.is_silent(), "messages to the leaver die in its inbox");
+    }
+
+    /// A departure purges messages to *former* neighbors too: the sender
+    /// unlinked its recipient in the round it sent, and the recipient sat
+    /// unactivated for rounds before the sender left.
+    #[test]
+    fn departure_purges_mail_left_with_a_former_neighbor() {
+        /// Records every sender it hears from; when armed, sends to its
+        /// target and unlinks it in the same round.
+        #[derive(Default)]
+        struct Pinger {
+            target: Option<NodeId>,
+            heard: Vec<NodeId>,
+        }
+        impl Program for Pinger {
+            type Msg = ();
+            fn step(&mut self, ctx: &mut Ctx<'_, ()>) {
+                self.heard
+                    .extend(ctx.inbox().iter().map(|&(from, ())| from));
+                if let Some(v) = self.target.take() {
+                    ctx.send(v, ());
+                    ctx.unlink(v);
+                }
+            }
+        }
+        let script = |s: Vec<Vec<NodeId>>| Box::new(crate::sched::Adversarial::script(s));
+        let (a, b, c) = (0, 1, 2);
+        let mut rt = Runtime::new(
+            Config::default(),
+            (0..3u32).map(|i| (i, Pinger::default())),
+            [(a, b), (b, c), (a, c)],
+        );
+        rt.corrupt_node(a, |p| p.target = Some(b));
+        // A sends and unlinks in round 0; B is skipped for three rounds.
+        rt.set_scheduler(script(vec![vec![a], vec![c], vec![c], vec![c]]));
+        rt.run(4);
+        assert!(
+            !rt.topology().has_edge(a, b),
+            "A and B are no longer neighbors"
+        );
+        assert!(!rt.is_silent(), "A's message still waits for B");
+        rt.leave(a);
+        assert!(rt.is_silent(), "the departure purged A's pending message");
+        rt.set_scheduler(script(vec![vec![b]]));
+        rt.step();
+        assert!(
+            rt.program(b).heard.is_empty(),
+            "B heard from a departed host"
+        );
+        rt.join(a, Pinger::default(), &[b, c]);
+        assert!(rt.is_silent(), "a rejoin brings nothing back");
+        rt.set_scheduler(Box::new(crate::sched::Synchronous));
+        rt.step();
+        assert!(rt.program(b).heard.is_empty());
+    }
+
+    /// Departures find pending mail through the dirty set, so restore holds
+    /// a snapshot to it: a slot with pending mail that is not dirty is
+    /// corrupt.
+    #[test]
+    fn restore_rejects_pending_mail_outside_the_dirty_set() {
+        let mut rt = line_runtime(4);
+        rt.step(); // node 0 announces: (0 -> 1) pending, node 1 dirty
+        assert!(!rt.is_silent());
+        let ok = Runtime::<Flood>::restore_snapshot(&rt.save_snapshot(), Config::default());
+        assert!(ok.is_ok());
+        // Selecting node 1 through the private agenda clears its mark, and
+        // nothing consumes its inbox.
+        let mut only_1 = crate::sched::Adversarial::script(vec![vec![1]]);
+        rt.agenda.select(&mut only_1, rt.round, &rt.topo);
+        rt.agenda.end_round();
+        let out = Runtime::<Flood>::restore_snapshot(&rt.save_snapshot(), Config::default());
+        assert!(
+            matches!(out, Err(SnapshotError::Corrupt(_))),
+            "restore must fail, got {:?}",
+            out.as_ref().map(|_| "Ok").map_err(ToString::to_string)
+        );
     }
 
     #[test]

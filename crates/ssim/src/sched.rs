@@ -432,6 +432,16 @@ impl Agenda {
         }
     }
 
+    pub(crate) fn is_dirty(&self, i: usize) -> bool {
+        self.dirty[i]
+    }
+
+    /// The dirty slots, unordered — at a round boundary a superset of the
+    /// slots holding pending messages (see [`crate::arena`]).
+    pub(crate) fn dirty_list(&self) -> &[u32] {
+        &self.dirty_list
+    }
+
     /// Mark both endpoints of a (changed) edge dirty: their neighborhoods
     /// changed, which is a wake-up condition.
     pub(crate) fn mark_edge(&mut self, topo: &Topology, a: NodeId, b: NodeId) {

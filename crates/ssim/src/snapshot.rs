@@ -8,10 +8,10 @@
 //! stabilization: a 10k-host Avatar(Chord) takes hours to converge, so
 //! storm, serving, and daemon studies never saw 100k+ hosts. A snapshot
 //! serializes a *full* runtime — topology (slots, free list, edges),
-//! membership, per-node program state, RNG streams, dirty set, in-flight
-//! inboxes with their `sent_to` mirrors, timers, metrics, and attached
-//! traffic — so a converged state is built once and restored everywhere,
-//! and the restored runtime continues **byte-identically** (same metrics
+//! membership, per-node program state, RNG streams, dirty set, pending
+//! inbox messages, timers, metrics, and attached traffic — so a converged
+//! state is built once and restored everywhere, and the restored runtime
+//! continues **byte-identically** (same metrics
 //! JSON as the uninterrupted run, at any thread count, under any
 //! equivalence-claiming scheduler).
 //!

@@ -175,8 +175,8 @@ fn storm_metrics_are_bit_identical_across_thread_counts() {
 /// runs must produce byte-identical metrics JSON across thread counts
 /// {1, 2, 4, 8}. RandomSubset and the round-robin adversary leave messages
 /// queued across joins/leaves/crashes, so this also pins the engine's
-/// pending-inbox accounting (consumption-time `sent_to` release, departure
-/// purges of multi-round-old messages) under churn.
+/// pending-inbox handling under churn: departure purges, through the dirty
+/// set, of messages that have waited several rounds for their recipient.
 #[test]
 fn storms_under_every_scheduler_are_thread_count_invariant() {
     type Make = fn(u64) -> Box<dyn Scheduler>;
