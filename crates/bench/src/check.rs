@@ -39,22 +39,34 @@ impl CheckReport {
     }
 }
 
-/// The `(title, line)` documents of a JSON-Lines stream. Blank lines are
+/// The `(title, body)` documents of a JSON-Lines stream. Blank lines are
 /// skipped; a line that is not a whole table document is an error (a
-/// truncated baseline must fail the gate loudly, not vacuously pass).
+/// truncated or malformed baseline must fail the gate loudly, not count a
+/// `[full]` document it cannot read as skipped).
 fn documents(input: &str) -> Result<Vec<(&str, &str)>, String> {
     let lines = input.lines().map(str::trim).enumerate();
     lines
         .filter(|(_, line)| !line.is_empty())
-        .map(|(k, line)| match title(line) {
-            Some(t) => Ok((t, line)),
-            None => Err(format!("line {}: not a whole table document", k + 1)),
-        })
+        .map(|(k, line)| document(line).map_err(|e| format!("line {}: {e}", k + 1)))
         .collect()
 }
 
-/// The (still escaped) title of a whole table document line.
-fn title(line: &str) -> Option<&str> {
+/// A whole table document line's (still escaped) title and body, or why
+/// the line is not one.
+fn document(line: &str) -> Result<(&str, &str), &'static str> {
+    let (title, body) = split_title(line).ok_or("not a whole table document")?;
+    let (headers, rows) = cells(body);
+    if rows.is_empty() || rows.iter().any(|row| row.len() != headers.len()) {
+        return Err("malformed row (no rows, or not one cell per header)");
+    }
+    Ok((title, body))
+}
+
+/// A table document line split into its (still escaped) title and the
+/// rest. Outside its strings the rest is JSON punctuation only, every
+/// quote closed: a bare number or a cut-off string is not a cell the
+/// printer wrote.
+fn split_title(line: &str) -> Option<(&str, &str)> {
     let rest = line.strip_prefix("{\"experiment\":\"")?;
     if !(line.ends_with("]}") && line.contains("],\"rows\":[")) {
         return None;
@@ -66,16 +78,19 @@ fn title(line: &str) -> Option<&str> {
         escaped = c == '\\' && !escaped;
         close
     })?;
-    Some(&rest[..end])
+    let body = &rest[end + 1..];
+    let punctuation = |p: &str| p.chars().all(|c| "{}[],:".contains(c));
+    let closed = body.split('"').count() % 2 == 1;
+    (closed && body.split('"').step_by(2).all(punctuation)).then_some((&rest[..end], body))
 }
 
-/// A document line's headers and row cells. The printer stringifies every
-/// cell and no title, header or cell carries a quote, so after
-/// `split('"')` the odd pieces are the strings and the even ones the
-/// punctuation between them: a string followed by `:` is a key, and one
-/// preceded by an opening `[` starts a row.
-fn cells(line: &str) -> (Vec<&str>, Vec<Vec<&str>>) {
-    let parts: Vec<&str> = line.split('"').collect();
+/// The headers and row cells of a document's body (the line after its
+/// title). The printer stringifies every cell and no header or cell
+/// carries a quote, so after `split('"')` the odd pieces are the strings
+/// and the even ones the punctuation between them: a string followed by
+/// `:` is a key, and one preceded by an opening `[` starts a row.
+fn cells(body: &str) -> (Vec<&str>, Vec<Vec<&str>>) {
+    let parts: Vec<&str> = body.split('"').collect();
     let (mut headers, mut rows, mut key) = (Vec::new(), Vec::<Vec<&str>>::new(), "");
     for k in (1..parts.len()).step_by(2) {
         match parts[k] {
@@ -93,8 +108,8 @@ fn cells(line: &str) -> (Vec<&str>, Vec<Vec<&str>>) {
     (headers, rows)
 }
 
-/// Name the first difference between two lines of one document: the shape
-/// change, or the first cell that drifted, with its row and column.
+/// Name the first difference between two bodies of one document: the
+/// shape change, or the first cell that drifted, with its row and column.
 fn first_difference(base: &str, fresh: &str) -> String {
     let ((bh, brows), (fh, frows)) = (cells(base), cells(fresh));
     if bh != fh {
@@ -110,12 +125,13 @@ fn first_difference(base: &str, fresh: &str) -> String {
             }
         }
     }
-    "document changed (malformed row?)".into()
+    "document changed outside its headers and cells".into()
 }
 
 /// Diff `fresh` against `baseline` (both JSON-Lines table streams): every
 /// baseline document must reappear in the fresh run as the identical line
-/// (absent `[full]` documents excepted).
+/// (absent `[full]` documents excepted). Titles match, so comparing the
+/// bodies compares the lines.
 pub fn check_regression(baseline: &str, fresh: &str) -> CheckReport {
     let mut report = CheckReport::default();
     let (base_docs, fresh_docs) = match (documents(baseline), documents(fresh)) {
@@ -167,9 +183,11 @@ mod tests {
         let line = "{\"experiment\":\"E13a: hops ≤ 2·log₂N \\\"q\\\"\",\"headers\":[\"a×\"],\
                     \"rows\":[[\"1\"]]}\n";
         let docs = documents(line).expect("parses");
-        assert_eq!(docs, [("E13a: hops ≤ 2·log₂N \\\"q\\\"", line.trim())]);
+        let body = ",\"headers\":[\"a×\"],\"rows\":[[\"1\"]]}";
+        assert_eq!(docs, [("E13a: hops ≤ 2·log₂N \\\"q\\\"", body)]);
         let line = doc("1157", "64");
-        let (headers, rows) = cells(&line);
+        let (_, body) = documents(&line).expect("parses")[0];
+        let (headers, rows) = cells(body);
         assert_eq!(headers, ["hosts", "rounds", "bytes/host"]);
         assert_eq!(rows, [["65536", "64", "1157"]]);
     }
@@ -244,10 +262,9 @@ mod tests {
     /// the exact contract would fail every fresh run.
     #[test]
     fn committed_baseline_has_no_wall_clock_columns() {
-        for (title, line) in documents(COMMITTED).expect("baseline parses") {
-            let (headers, rows) = cells(line);
-            assert!(rows.iter().all(|r| r.len() == headers.len()), "{title:?}");
-            for h in headers {
+        // `documents` also holds every row to one cell per header.
+        for (title, body) in documents(COMMITTED).expect("baseline parses") {
+            for h in cells(body).0 {
                 assert!(
                     !(h.contains("ns/")
                         || h.ends_with("/s")
@@ -275,12 +292,19 @@ mod tests {
     fn truncated_baseline_fails_loudly() {
         for bad in [
             "{\"experiment\":\"x\",\"headers\":[",
+            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[7]]}",
             "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[\"7\"]",
+            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[[\"7]]}",
+            "{\"experiment\":\"x\",\"headers\":[\"n\"],\"rows\":[]}",
             "{\"headers\":[\"n\"],\"rows\":[[\"7\"]]}",
         ] {
             let r = check_regression(bad, &doc("1", "2"));
             assert!(!r.ok());
             assert!(r.failures[0].contains("baseline unreadable"), "{bad}");
         }
+        // A malformed `[full]` line is not a document a smoke run skips.
+        let full = "{\"experiment\":\"E14b [full]: x\",\"headers\":[\"n\"],\"rows\":[[7]]}";
+        let r = check_regression(full, "");
+        assert!(r.failures[0].contains("baseline unreadable"), "{r:?}");
     }
 }

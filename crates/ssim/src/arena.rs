@@ -33,12 +33,14 @@
 //! sent in round `i` is read in round `i + 1` and never later; under
 //! partial daemons messages wait for their recipient's next activation. A
 //! departure drops every pending message its host sent (the channels died
-//! with it). The arena keeps no record of who sent where: delivery marks
+//! with it). Delivery keeps no record of who sent where: it marks
 //! the recipient dirty, and only the activation that consumes the inbox
 //! clears the mark, so at every round boundary **every non-empty inbox
 //! belongs to a dirty slot**. `InboxArena::retire` therefore purges
 //! through the agenda's dirty list, and `InboxArena::validate` holds
-//! restored snapshots to the same invariant.
+//! restored snapshots to the same invariant. A burst of departures between
+//! two deliveries shares one scan: the second departure indexes the
+//! pending messages by sender, and the next append drops the index.
 //!
 //! **Determinism**: the arena changes where bytes live, never what order
 //! they are observed in. Every append happens on the driving thread, in
@@ -98,6 +100,11 @@ pub struct InboxArena<M> {
     chains: Vec<Chain>,
     /// Total messages across all chains (the runtime's `inflight` mirror).
     total: usize,
+    /// Departure batching (see [`Self::retire`]): `None` until a departure
+    /// follows the last append; then empty, until a second departure fills
+    /// it with the sorted `(sender id, recipient slot)` pairs of every
+    /// pending message. Any append drops it.
+    departures: Option<Vec<(NodeId, u32)>>,
 }
 
 impl<M> InboxArena<M> {
@@ -109,6 +116,7 @@ impl<M> InboxArena<M> {
             cold: Vec::new(),
             chains: vec![EMPTY_CHAIN; slots],
             total: 0,
+            departures: None,
         }
     }
 
@@ -188,6 +196,7 @@ impl<M> InboxArena<M> {
         chain.len += 1;
         self.chains[slot] = chain;
         self.total += 1;
+        self.departures = None;
     }
 
     /// Deliver one message: it becomes readable at the recipient's *next*
@@ -236,10 +245,10 @@ impl<M> InboxArena<M> {
     /// Consume `slot`'s inbox: drop every message, return its pages to the
     /// free list, and report how many messages were consumed. O(pages of
     /// the chain), with no per-message bookkeeping: nothing outside the
-    /// chain records where a message waits. A departure pays instead, once,
-    /// by scanning the inboxes of the dirty slots (`retire`):
-    /// O(dirty slots + messages pending in them), which on a quiet network
-    /// is far below the slot count.
+    /// chain records where a message waits. Departures pay instead
+    /// (`retire`): one scan of the dirty slots' inboxes, O(dirty slots +
+    /// messages pending in them), shared by every departure until the next
+    /// delivery.
     pub fn consume(&mut self, slot: usize) -> usize {
         let chain = self.chains[slot];
         let mut pi = chain.head;
@@ -286,13 +295,41 @@ impl<M> InboxArena<M> {
     /// every message it sent that is still pending dies in its recipient's
     /// inbox. Only a dirty slot can hold mail (see the module docs), so
     /// `dirty` — the agenda's dirty list — names every inbox the purge must
-    /// visit; an inbox holding nothing from `id` costs a scan and no
-    /// allocation.
+    /// visit.
+    ///
+    /// The first departure since the last append scans those inboxes and
+    /// allocates only for one holding a message from `id`. Departures come
+    /// in bursts (a crash wave, a churn epoch), so the second one indexes
+    /// every pending message by sender in the same scan, and it and the
+    /// rest of the burst purge just their recipients: k departures cost
+    /// O(pending · log pending + their own messages), not O(k · pending).
+    /// Between appends the index can only over-approximate (purges and
+    /// consumption remove messages, joins add none), and `purge_sender`
+    /// checks each inbox it is pointed at.
     pub(crate) fn retire(&mut self, slot: usize, id: NodeId, dirty: &[u32]) {
         self.consume(slot);
-        for &t in dirty {
+        if self.total == 0 {
+            return;
+        }
+        let Some(mut index) = self.departures.take() else {
+            for &t in dirty {
+                self.purge_sender(t as usize, id);
+            }
+            self.departures = Some(Vec::new());
+            return;
+        };
+        if index.is_empty() {
+            for &t in dirty {
+                index.extend(self.entries(t as usize).map(|&(from, _)| (from, t)));
+            }
+            index.sort_unstable();
+            index.dedup();
+        }
+        let first = index.partition_point(|&(from, _)| from < id);
+        for &(_, t) in index[first..].iter().take_while(|&&(from, _)| from == id) {
             self.purge_sender(t as usize, id);
         }
+        self.departures = Some(index);
     }
 
     /// Bounded capacity release: keep at most `max(64, pages in use)`
@@ -322,23 +359,27 @@ impl<M> InboxArena<M> {
             .iter()
             .map(|p| p.msgs.capacity() * size_of::<(NodeId, M)>())
             .sum();
+        let index = self.departures.as_ref().map_or(0, Vec::capacity);
         self.pages.capacity() * size_of::<Page<M>>()
             + page_bufs
             + self.chains.capacity() * size_of::<Chain>()
             + (self.warm.capacity() + self.cold.capacity()) * size_of::<u32>()
+            + index * size_of::<(NodeId, u32)>()
     }
 
     /// Cross-check the inboxes against the membership and the dirty set: a
-    /// free slot holds no mail, and a slot with mail is dirty — the
-    /// invariant [`Self::retire`] relies on, so a snapshot that breaks it
-    /// must not restore into a runtime whose departures would leave ghost
-    /// messages behind.
+    /// free slot holds no mail, a slot with mail is dirty — the invariant
+    /// [`Self::retire`] relies on, so a snapshot that breaks it must not
+    /// restore into a runtime whose departures would leave ghost messages
+    /// behind — and every sender is a member (a departure purged the rest).
     pub(crate) fn validate(&self, topo: &Topology, agenda: &Agenda) -> Result<(), SnapshotError> {
         for i in (0..self.chains.len()).filter(|&i| !self.is_empty(i)) {
             let why = if !topo.is_live(NodeSlot::new(i)) {
                 "free slot holds pending messages"
             } else if !agenda.is_dirty(i) {
                 "pending messages but the slot is not dirty"
+            } else if self.entries(i).any(|&(from, _)| !topo.contains(from)) {
+                "pending message from a non-member"
             } else {
                 continue;
             };
@@ -358,22 +399,15 @@ impl<M: Persist> InboxArena<M> {
         }
     }
 
-    /// Restore what [`Self::save_slot`] wrote. A departure purges every
-    /// message its host sent, so a pending message from a non-member is
-    /// corrupt.
+    /// Restore what [`Self::save_slot`] wrote ([`Self::validate`] checks
+    /// it against the membership once every section is read).
     pub(crate) fn load_slot(
         &mut self,
         slot: usize,
         r: &mut Reader<'_>,
-        topo: &Topology,
     ) -> Result<(), SnapshotError> {
         for _ in 0..r.seq()? {
             let (from, msg) = <(NodeId, M)>::load(r)?;
-            if !topo.contains(from) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "pending message from non-member {from}"
-                )));
-            }
             self.push(slot, from, msg);
         }
         Ok(())
@@ -489,6 +523,31 @@ mod tests {
         assert_eq!(drain_view(&a, 1), vec![(5, 50)]);
         assert_eq!(drain_view(&a, 2), vec![(5, 50), (3, 31)], "not listed");
         assert_eq!(a.total_len(), 4);
+    }
+
+    /// A burst of departures shares one sender index, and an append drops
+    /// it: a message appended after the index was built is still purged.
+    #[test]
+    fn departure_bursts_share_one_index_that_an_append_drops() {
+        let mut a = InboxArena::<u64>::new(5);
+        let dirty = [0, 1, 2, 3];
+        for slot in 0..3 {
+            for from in [10, 11, 12] {
+                a.push(slot, from, u64::from(from));
+            }
+        }
+        a.retire(4, 10, &dirty); // the first of the burst: a plain scan
+        assert_eq!(a.departures.as_deref(), Some(&[][..]));
+        a.retire(4, 11, &dirty); // the second indexes what is pending
+        assert_eq!(a.departures.as_ref().map(Vec::len), Some(6));
+        for slot in 0..3 {
+            assert_eq!(drain_view(&a, slot), vec![(12, 12)]);
+        }
+        a.push(3, 13, 13);
+        assert!(a.departures.is_none(), "an append drops the index");
+        a.retire(4, 12, &dirty);
+        a.retire(4, 13, &dirty);
+        assert_eq!(a.total_len(), 0);
     }
 
     #[test]

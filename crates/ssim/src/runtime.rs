@@ -821,8 +821,8 @@ impl<P: Program> Runtime<P> {
         self.inboxes.maybe_shrink();
 
         debug_assert!(self.topo.check_invariants());
-        // Every pending message sits in a dirty slot: what departures purge
-        // through.
+        // Every pending message sits in a dirty slot (what departures purge
+        // through) and has a member for its sender (they purged the rest).
         #[cfg(debug_assertions)]
         if let Err(e) = self.inboxes.validate(&self.topo, &self.agenda) {
             panic!("{e}");
@@ -1044,8 +1044,9 @@ impl<P: Program> Runtime<P> {
     ///
     /// O(deg) membership work — the slot is pushed on the free list,
     /// nothing shifts, no index is rebuilt — plus the message purge: a scan
-    /// of the dirty slots' inboxes (the only ones that can hold mail) and of
-    /// the in-transit wheel.
+    /// of the dirty slots' inboxes (the only ones that can hold mail), which
+    /// a burst of departures between two rounds shares (see
+    /// [`crate::arena`]), and of the in-transit wheel.
     ///
     /// Returns `None` if `id` is not a member.
     pub fn leave(&mut self, id: NodeId) -> Option<P> {
@@ -1213,7 +1214,7 @@ where
         for i in 0..n {
             rngs.push(SmallRng::load(&mut r)?);
             programs.push(Option::load(&mut r)?);
-            inboxes.load_slot(i, &mut r, &topo)?;
+            inboxes.load_slot(i, &mut r)?;
         }
         let round = r.u64()?;
         let metrics = RunMetrics::load(&mut r)?;
