@@ -52,9 +52,7 @@ pub fn net(args: &ExpArgs) {
                 delay,
                 jitter,
                 loss,
-                per_link: false,
                 dup: if loss > 0.0 { 0.005 } else { 0.0 },
-                bandwidth: 0,
             };
             let delta = model.delivery_bound();
             let target = chord_scaffold::ChordTarget::classic(n);

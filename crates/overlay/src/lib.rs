@@ -11,8 +11,6 @@
 //! * [`avatar`] — the Avatar framework: dilation-1 embedding of an `N`-node
 //!   guest network onto `n ≤ N` host nodes via *responsible ranges*, plus the
 //!   local-checkability predicates the paper's phase selection relies on.
-//! * [`linear`] — the sorted-list topology used by the Re-Chord-style
-//!   linear-scaffold baseline.
 //! * [`graphx`] — graph analytics shared by the experiment harness: degrees,
 //!   BFS diameter, connectivity, and failure-robustness sampling.
 //! * [`routing`] — greedy finger routing on `Chord(N)` (used by experiment E9
@@ -28,7 +26,6 @@ pub mod avatar;
 pub mod cbt;
 pub mod chord;
 pub mod graphx;
-pub mod linear;
 pub mod routing;
 
 pub use avatar::{Avatar, ResponsibleRange};

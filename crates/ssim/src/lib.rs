@@ -41,9 +41,9 @@
 //!   protocol's [`workload::Router`], racing stabilization and churn
 //!   honestly, with per-request accounting and SLO monitors.
 //! * **Network conditions**: a seeded [`net::NetModel`] relaxes the
-//!   reliable synchronous channel (latency, jitter, loss, duplication,
-//!   bandwidth pacing), and [`Runtime::partition`] / [`Runtime::heal`]
-//!   cut and splice the network without touching edges; see [`net`].
+//!   reliable synchronous channel (latency, jitter, loss, duplication),
+//!   and [`Runtime::partition`] / [`Runtime::heal`] cut and splice the
+//!   network without touching edges; see [`net`].
 //!
 //! Node programs implement [`Program`]; per-round execution of independent
 //! node programs is data-parallel on an `std::thread` worker pool (see
@@ -108,8 +108,8 @@ pub use sched::{ActivityDriven, Adversarial, RandomSubset, SchedView, Scheduler,
 pub use snapshot::{Persist, SnapshotError};
 pub use topology::{NodeSlot, Topology};
 pub use workload::{
-    ClosedLoop, Key, LatencyBudget, OpenLoop, RequestOutcome, RequestRecord, RequestStats,
-    RouteStep, Router, Silent, SuccessRate, Workload, WorkloadConfig, WorkloadView,
+    ClosedLoop, Key, OpenLoop, RequestOutcome, RequestRecord, RequestStats, RouteStep, Router,
+    Silent, SuccessRate, Workload, WorkloadConfig, WorkloadView,
 };
 
 /// Identifier of a (host) node. Drawn from `[0, N)` for guest capacity `N`.

@@ -189,7 +189,7 @@ pub struct MemFootprint {
     /// Attached workload state: per-slot request queues and holder flags.
     pub workload: usize,
     /// Engine bookkeeping: RNGs, dirty set, selection scratch, timers,
-    /// per-chunk sinks, bandwidth pacing.
+    /// per-chunk sinks.
     pub engine: usize,
 }
 
@@ -384,7 +384,7 @@ impl<P: Program> Runtime<P> {
     /// Messages currently parked in the in-transit buffer (sent, not yet
     /// delivered to an inbox). O(1).
     pub fn in_transit(&self) -> u64 {
-        self.wire.in_transit()
+        self.metrics.net.in_transit
     }
 
     /// Per-subsystem heap accounting of the engine's resident state — the
@@ -406,7 +406,6 @@ impl<P: Program> Runtime<P> {
             workload: self.traffic.live().map_or(0, Traffic::heap_bytes),
             engine: self.rngs.capacity() * size_of::<SmallRng>()
                 + self.agenda.heap_bytes()
-                + self.wire.pacing_bytes()
                 + self.emit.heap_bytes(),
         }
     }
@@ -436,8 +435,7 @@ impl<P: Program> Runtime<P> {
             return 0;
         }
         self.mark_cut_endpoints(&side);
-        self.metrics.net.dropped_partition += self.wire.cut(side);
-        self.metrics.net.in_transit = self.wire.in_transit();
+        self.wire.cut(&mut self.metrics.net, side);
         live
     }
 
@@ -794,7 +792,6 @@ impl<P: Program> Runtime<P> {
         self.deliver(round);
         row.messages = (self.inboxes.total_len() - carried) as u64;
         self.metrics.net.delivered += row.messages;
-        self.metrics.net.in_transit = self.wire.in_transit();
 
         // Traffic: advance held requests one hop over the post-apply
         // topology, in selection order on this thread.
@@ -829,7 +826,7 @@ impl<P: Program> Runtime<P> {
         }
         // The message conservation law, at every round boundary (see
         // [`crate::net::NetStats`]).
-        debug_assert!(self.wire.count_is_exact());
+        debug_assert!(self.wire.count_is_exact(&self.metrics.net));
         debug_assert!(
             self.metrics.net.conserved(),
             "message conservation law violated: {:?}",
@@ -879,19 +876,11 @@ impl<P: Program> Runtime<P> {
     }
 
     /// Move the wire's due messages into their recipients' inboxes (see
-    /// [`Wire::arrivals`] for why here and not later). Departures purge
-    /// the wire eagerly, so the endpoints are live; the id-at-slot guard
-    /// (the timer heap's guard) is defense in depth — a recycled slot must
-    /// never receive a ghost message, even if the purge ever regressed.
+    /// [`Wire::arrivals`] for why here and not later).
     fn land_arrivals(&mut self, round: u64) {
-        self.wire.arrivals(round, |t| {
-            let at = |slot: u32| self.topo.id_at(NodeSlot::new(slot as usize));
-            if at(t.to_slot) == Some(t.to) && at(t.from_slot) == Some(t.from) {
-                self.inboxes.deliver(&mut self.agenda, t.land());
-            } else {
-                self.metrics.net.dropped_departed += 1;
-            }
-        });
+        let land = |o| self.inboxes.deliver(&mut self.agenda, o);
+        self.wire
+            .arrivals(&mut self.metrics.net, round, &self.topo, land);
     }
 
     /// Deliver this round's sends: one [`walk_emitted`], two per-send
@@ -1086,8 +1075,7 @@ impl<P: Program> Runtime<P> {
             tr.drop_host(slot, self.round, &mut self.metrics.requests);
         }
         self.inboxes.retire(slot, id, self.agenda.dirty_list());
-        self.metrics.net.dropped_departed += self.wire.forget(id);
-        self.metrics.net.in_transit = self.wire.in_transit();
+        self.wire.forget(&mut self.metrics.net, id);
         self.agenda.set_quiescent(slot, false);
         debug_assert!(self.topo.check_invariants());
         Some(program)
@@ -1104,7 +1092,7 @@ impl<P: Program> Runtime<P> {
     /// converged while deliveries are still due (see
     /// [`crate::monitor::silence`]).
     pub fn is_silent(&self) -> bool {
-        self.inboxes.total_len() == 0 && self.wire.in_transit() == 0
+        self.inboxes.total_len() == 0 && self.metrics.net.in_transit == 0
     }
 }
 
@@ -1232,7 +1220,7 @@ where
         }
         inboxes.validate(&topo, &agenda)?;
         metrics.requests.validate_reported(req_reported)?;
-        traffic.validate(&topo)?;
+        traffic.validate(&topo, round)?;
         wire.validate(&topo, round, &metrics.net)?;
         Ok(Self {
             cfg,
@@ -1257,6 +1245,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::NetStats;
+    use crate::workload::Request;
     use crate::{Ctx, RouteStep};
 
     /// Flooding program: forward a token to all neighbors once.
@@ -1396,9 +1386,9 @@ mod tests {
     /// non-members; distinctive so a test can find it in the payload).
     const BUSY_CUT: [NodeId; 5] = [2, 3, 101, 105, 109];
     const BUSY_LOSS: f64 = 0.0625;
-    /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured at the
-    /// commit before the round was split into owned stages.
-    const GOLDEN_HASH: u64 = 13_209_832_570_715_043_159;
+    /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured when
+    /// format version 4 dropped two network-model fields.
+    const GOLDEN_HASH: u64 = 16_443_388_224_579_064_000;
     const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
         ttl: 99,
         max_hops: 77,
@@ -1406,7 +1396,7 @@ mod tests {
     };
 
     /// A 16-host relay ring mid-everything: a WAN model with delay, jitter,
-    /// duplication and a bandwidth cap, an active partition, armed timers,
+    /// loss and duplication, an active partition, armed timers,
     /// an open-loop workload with requests in flight, one leave and one
     /// re-join — every snapshot section is populated.
     fn busy_runtime() -> Runtime<Relay> {
@@ -1421,9 +1411,7 @@ mod tests {
             delay: 1,
             jitter: 2,
             loss: BUSY_LOSS,
-            per_link: false,
             dup: 0.25,
-            bandwidth: 1,
         });
         rt.attach_workload(crate::workload::OpenLoop::new(1.5, 32), BUSY_WCFG);
         rt.run(4);
@@ -1582,6 +1570,22 @@ mod tests {
         };
         let mut unsorted = BUSY_CUT;
         unsorted.swap(0, 2);
+        // A queued request issued after the saved round would underflow
+        // `serve`'s age computation.
+        let req = *rt.traffic.live().unwrap().held().next().unwrap();
+        let request = |issued_round| {
+            enc(&|w| {
+                Request {
+                    issued_round,
+                    ..req
+                }
+                .save(w)
+            })
+        };
+        // The in-transit count lives in the metrics alone; the wire's
+        // buffer must hold exactly that many messages.
+        let net = rt.net_stats();
+        let net_stats = |in_transit| enc(&|w| NetStats { in_transit, ..net }.save(w));
         let cases = [
             (
                 "loss probability outside [0, 1]",
@@ -1597,6 +1601,16 @@ mod tests {
                 "more requests reported than issued",
                 reported(issued),
                 reported(issued + 1),
+            ),
+            (
+                "request issued after the saved round",
+                request(req.issued_round),
+                request(rt.round() + 5),
+            ),
+            (
+                "in-transit count above the wire's",
+                net_stats(net.in_transit),
+                net_stats(net.in_transit + 1),
             ),
         ];
         for (what, find, put) in cases {

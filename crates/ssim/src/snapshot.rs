@@ -74,9 +74,11 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// Current container/payload format version. Bumped on any layout change;
 /// older versions are rejected (no migration machinery — snapshots are
 /// caches, not archives). Version 3 switched payload integers to LEB128
-/// varints (the state-compaction pass); version-2 snapshots are rejected
-/// and rebuilt by their callers (e.g. the bench checkpoint cache).
-pub const FORMAT_VERSION: u32 = 3;
+/// varints (the state-compaction pass); version 4 dropped two network-model
+/// fields and the wire's pacing section.
+/// Older snapshots are rejected and rebuilt by their callers (e.g. the
+/// bench checkpoint cache).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
 /// variant is loud and specific: a snapshot either restores exactly or
@@ -770,13 +772,15 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(matches!(unseal(&bad), Err(SnapshotError::BadMagic)));
 
-        // Version mismatch.
-        let mut bad = sealed.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            unseal(&bad),
-            Err(SnapshotError::Version { found: 99, .. })
-        ));
+        // Version mismatch: a future version, and the previous one.
+        for found in [99, FORMAT_VERSION - 1] {
+            let mut bad = sealed.clone();
+            bad[8..12].copy_from_slice(&found.to_le_bytes());
+            assert!(matches!(
+                unseal(&bad),
+                Err(SnapshotError::Version { found: f, .. }) if f == found
+            ));
+        }
 
         // Truncation.
         assert!(matches!(

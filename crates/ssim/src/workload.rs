@@ -717,19 +717,28 @@ impl<P: Program> TrafficSlot<P> {
         }))
     }
 
-    /// Cross-check restored traffic against the restored membership.
-    pub(crate) fn validate(&self, topo: &Topology) -> Result<(), SnapshotError> {
+    /// Cross-check restored traffic against the restored membership and
+    /// round: only live slots hold requests, and every request was issued
+    /// at or before `round` (`serve` measures its age as `round -
+    /// issued_round`).
+    pub(crate) fn validate(&self, topo: &Topology, round: u64) -> Result<(), SnapshotError> {
         let Self::Parked(p) = self else {
             return Ok(());
         };
-        match (0..p.state.queues.len())
-            .find(|&i| !p.state.queues[i].is_empty() && !topo.is_live(NodeSlot::new(i)))
-        {
-            Some(i) => Err(SnapshotError::Corrupt(format!(
-                "slot {i}: free slot holds in-flight requests"
-            ))),
-            None => Ok(()),
+        for (i, q) in p.state.queues.iter().enumerate() {
+            if !q.is_empty() && !topo.is_live(NodeSlot::new(i)) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "slot {i}: free slot holds in-flight requests"
+                )));
+            }
+            if let Some(req) = q.iter().find(|req| req.issued_round > round) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "slot {i}: request {} issued in round {} after the saved round {round}",
+                    req.id, req.issued_round
+                )));
+            }
         }
+        Ok(())
     }
 }
 
@@ -1029,40 +1038,17 @@ impl<P: Program> Monitor<P> for SuccessRate {
     }
 }
 
-/// SLO invariant: no completed request may exceed a round-latency budget.
-pub struct LatencyBudget {
-    max: u64,
-}
-
-impl LatencyBudget {
-    /// Allow at most `max` rounds from issue to completion.
-    pub fn at_most(max: u64) -> Self {
-        Self { max }
-    }
-}
-
-impl<P: Program> Monitor<P> for LatencyBudget {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let worst = rt.metrics().requests.max_latency_seen();
-        if worst <= self.max {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!(
-                "request latency {worst} rounds exceeds budget {}",
-                self.max
-            ))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "latency-budget"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl<P: Program> Traffic<P> {
+        /// Every queued request, slot by slot.
+        pub(crate) fn held(&self) -> impl Iterator<Item = &Request> {
+            self.state.queues.iter().flatten()
+        }
+    }
 
     fn view<'a>(ids: &'a [NodeId], stats: &'a RequestStats) -> WorkloadView<'a> {
         WorkloadView {

@@ -113,9 +113,9 @@ fn wan_activity_daemon_matches_synchronous() {
 }
 
 proptest! {
-    /// Any sampled net model (latency × jitter × loss × duplication ×
-    /// per-link skew), with or without churn, yields byte-identical
-    /// metrics across thread counts.
+    /// Any sampled net model (latency × jitter × loss × duplication), with
+    /// or without churn, yields byte-identical metrics across thread
+    /// counts.
     #[test]
     fn net_model_runs_are_thread_deterministic(
         seed in 0u64..1_000,
@@ -123,16 +123,13 @@ proptest! {
         jitter in 0u64..3,
         loss_i in 0usize..3,
         dup_i in 0usize..2,
-        per_link_i in 0usize..2,
         storm in 0usize..2,
     ) {
         let model = NetModel {
             delay,
             jitter,
             loss: [0.0, 0.02, 0.1][loss_i],
-            per_link: per_link_i == 1,
             dup: [0.0, 0.01][dup_i],
-            bandwidth: 0,
         };
         let one = cbt_short_run(seed, model, storm, 1);
         let four = cbt_short_run(seed, model, storm, 4);
@@ -155,9 +152,7 @@ proptest! {
             delay,
             jitter,
             loss: [0.0, 0.05, 0.15][loss_i],
-            per_link: false,
             dup: [0.005, 0.05][dup_i],
-            bandwidth: 0,
         };
         let ids = ring_ids();
         let mut cfg = Config::seeded(seed);
