@@ -704,10 +704,8 @@ mod tests {
             "probability out of range"
         );
         // The two retired options (a per-edge cap and hashed per-link
-        // loss) are rejected by name, not ignored. The second is spelled
-        // in halves so a source grep for the retired knob stays empty.
-        let retired = concat!("link", "loss");
-        for option in ["bw=64", retired] {
+        // loss) are rejected by name, not ignored.
+        for option in ["bw=64", "linkloss"] {
             let err = from_spec(&format!("wan:{option}")).unwrap_err();
             assert!(err.contains(option), "{option}: {err}");
         }
@@ -798,6 +796,61 @@ mod tests {
             let checked = back.validate(&topo, 0, &NetStats::default());
             assert_eq!(checked.is_ok(), ok, "restore {spec}");
         }
+    }
+
+    /// The wire keeps `NetStats` itself: every park, land and purge moves
+    /// `in_transit` and the drop class it causes, so the conservation law
+    /// and the buffer count hold after each call.
+    #[test]
+    fn wire_books_follow_send_cut_forget_and_arrivals() {
+        let mut topo = Topology::new(0..4u32, []);
+        let mut wire = Wire::<u8>::new(SmallRng::seed_from_u64(3));
+        wire.set_model(NetModel {
+            delay: 2,
+            ..NetModel::ideal()
+        });
+        let mut s = NetStats::default();
+        let mut landed = Vec::new();
+        let slot = |t: &Topology, v: NodeId| t.slot_of(v).unwrap().index() as u32;
+        let send = |wire: &mut Wire<u8>, s: &mut NetStats, topo: &Topology, from, to| {
+            s.sent += 1;
+            let o = Outgoing {
+                to_slot: slot(topo, to),
+                from_slot: slot(topo, from),
+                from,
+                msg: 0,
+            };
+            wire.send(s, 0, to, o, |_| panic!("delay 2 parks every send"));
+        };
+        let check = |wire: &Wire<u8>, s: &NetStats, transit, partition, departed| {
+            assert_eq!(
+                (s.in_transit, s.dropped_partition, s.dropped_departed),
+                (transit, partition, departed)
+            );
+            assert!(wire.count_is_exact(s) && s.conserved(), "{s:?}");
+        };
+        for (from, to) in [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)] {
+            send(&mut wire, &mut s, &topo, from, to);
+        }
+        check(&wire, &s, 5, 0, 0);
+        // 1 -> 2 and 3 -> 0 cross the cut around {0, 1}; 1 -> 3 does too.
+        wire.cut(&mut s, vec![0, 1]);
+        check(&wire, &s, 2, 3, 0);
+        wire.heal();
+        send(&mut wire, &mut s, &topo, 1, 3);
+        check(&wire, &s, 3, 3, 0);
+        wire.forget(&mut s, 2);
+        check(&wire, &s, 2, 3, 1);
+        // Nothing is due before round 2.
+        wire.arrivals(&mut s, 1, &topo, |o| landed.push(o.from));
+        check(&wire, &s, 2, 3, 1);
+        // Host 3 leaves without a purge: the arrival guard stops its
+        // message and books it as a departure drop.
+        topo.remove_node(3);
+        wire.arrivals(&mut s, 2, &topo, |o| landed.push(o.from));
+        assert_eq!(landed, [0]);
+        s.delivered += landed.len() as u64;
+        check(&wire, &s, 0, 3, 2);
     }
 
     #[test]
