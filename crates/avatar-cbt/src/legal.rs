@@ -175,11 +175,10 @@ pub fn restore_runtime(bytes: &[u8], cfg: Config) -> Result<Runtime<CbtProgram>,
     })
 }
 
-/// Build a CBT runtime from a named initial shape with `count` random hosts.
+/// Build a CBT runtime from a named initial shape with `count` hosts placed
+/// by [`ssim::init::place_hosts`].
 pub fn runtime_from_shape(n: u32, count: usize, shape: Shape, cfg: Config) -> Runtime<CbtProgram> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(count, n, &mut rng);
+    let (ids, mut rng) = ssim::init::place_hosts(count, n, cfg.seed);
     let edges = shape.edges(&ids, &mut rng);
     runtime(n, &ids, edges, cfg)
 }

@@ -32,7 +32,7 @@ fn ring_ns_per_round(workload: &str, n: u32, cfg: ssim::Config, warm: u64, round
 
 /// The exact engine documents of `BENCH_engine.json` (seed = `N`, default
 /// 42; `--smoke` for the committed sizes, `--full` adds the 256k/1M-host
-/// E14b rows; `--save-snapshot`/`--load-snapshot` apply to E14b's fixture).
+/// E14b rows).
 pub fn engine_scale(args: &ExpArgs) {
     let seed = args.count.unwrap_or(42);
     let smoke = args.smoke;
@@ -121,12 +121,12 @@ pub fn engine_scale(args: &ExpArgs) {
          (installed-legal start, window = one stabilization budget)",
     );
 
-    // E14b: memory at scale over installed-legal Avatar(Chord) fixtures
-    // restored from the checkpoint cache — snapshot `bytes/host` (varint
-    // encoding, interned neighbor state, boxed zip payloads) and resident
-    // `mem bytes/host` from `Runtime::mem_footprint` (paged inboxes,
-    // adjacency arena, transit pool, engine scratch). The 256k- and
-    // 1M-host rows form a separate `[full]` document.
+    // E14b: memory at scale over installed-legal Avatar(Chord) fixtures,
+    // each built, snapshotted and restored from those bytes — snapshot
+    // `bytes/host` (varint encoding, interned neighbor state, boxed zip
+    // payloads) and resident `mem bytes/host` from `Runtime::mem_footprint`
+    // (paged inboxes, adjacency arena, transit pool, engine scratch). The
+    // 256k- and 1M-host rows form a separate `[full]` document.
     let e14b_groups: &[(&str, &[(usize, u32)])] = {
         const SMOKE_DOC: &str =
             "E14b: engine memory at scale (snapshot + resident bytes/host, compaction gate)";
@@ -145,10 +145,8 @@ pub fn engine_scale(args: &ExpArgs) {
         let mut e14b = Table::new(&["hosts", "N", "rounds", "bytes/host", "mem bytes/host"]);
         for &(hosts, n) in sizes {
             let cfg = seeded(seed);
-            let bytes = args.fixture_snapshot(|| {
-                scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal())
-                    .save_snapshot()
-            });
+            let bytes = scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal())
+                .save_snapshot();
             let mut rt =
                 chord_scaffold::restore_runtime::<chord_scaffold::ChordTarget>(&bytes, cfg)
                     .expect("E14b snapshot restores");

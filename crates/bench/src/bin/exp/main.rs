@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! exp <row>... [N] [--json] [--smoke] [--full] [--threads T] [--sched S]
-//!     [--net M] [--save-snapshot P] [--load-snapshot P]
+//!     [--net M]
 //! ```
 //!
 //! Rows run in the order given and share one parsed command line

@@ -256,16 +256,13 @@ pub fn workload(args: &ExpArgs) {
     );
 
     // ---- E13c: completed lookups vs request rate on the converged overlay
-    // The three rate points share one fixture: snapshot it once (or honor
-    // --load-snapshot / --save-snapshot for cross-run reuse) and restore
-    // per point — identical state every time, guaranteed by the format's
-    // content hash rather than by rebuild determinism.
+    // The three rate points share one fixture: snapshot it once in memory
+    // and restore per point — identical state every time, guaranteed by
+    // the format's content hash rather than by rebuild determinism.
     let (lc_hosts, lc_n): (usize, u32) = if smoke { (256, 512) } else { (1024, 2048) };
     let lc_rounds: u64 = if smoke { 128 } else { 256 };
     let lc_cfg = seeded(seed);
-    let lc_bytes = args.fixture_snapshot(|| {
-        legal_chord_runtime(lc_n, lc_hosts, lc_cfg, NetModel::ideal()).save_snapshot()
-    });
+    let lc_bytes = legal_chord_runtime(lc_n, lc_hosts, lc_cfg, NetModel::ideal()).save_snapshot();
     let mut t = Table::new(&["hosts", "N", "rate", "rounds", "completed"]);
     for rate in [1.0f64, 8.0, 64.0] {
         let mut rt =

@@ -88,7 +88,6 @@ pub fn measure_churn(
     seed: u64,
     args: &ExpArgs,
 ) -> ScenarioReport {
-    use rand::SeedableRng;
     let target = ChordTarget::classic(n_guests);
     let cfg = args.config(seeded(seed));
     // `--net` runs the whole measurement under WAN conditions; every
@@ -96,8 +95,7 @@ pub fn measure_churn(
     // (with the default ideal network this is exactly the classic run).
     let model = args.net;
     let delta = model.delivery_bound();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(hosts, n_guests, &mut rng);
+    let (ids, mut rng) = ssim::init::place_hosts(hosts, n_guests, cfg.seed);
     let edges = Shape::Random.edges(&ids, &mut rng);
     let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
     args.apply_sched(&mut rt, seed);
@@ -162,14 +160,6 @@ fn outcome_of<P: Program>(rounds: Option<u64>, rt: &Runtime<P>) -> Outcome {
     }
 }
 
-/// `hosts` random host identifiers in `[0, n_guests)`, placed by `seed` —
-/// the placement every installed-legal fixture below shares.
-fn host_ids(n_guests: u32, hosts: usize, seed: u64) -> Vec<NodeId> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-    ssim::init::random_ids(hosts, n_guests, &mut rng)
-}
-
 /// Overwrite every host's cluster state with the legal single-cluster
 /// Avatar(CBT) state — one cluster id, the correct responsible range, the
 /// cluster minimum — and, when `warm_views`, record for each neighbor the
@@ -230,7 +220,7 @@ pub fn legal_cbt_runtime(
     seed: u64,
 ) -> Runtime<ScaffoldProgram<ChordTarget>> {
     let target = ChordTarget::classic(n_guests);
-    let ids = host_ids(n_guests, hosts, seed);
+    let (ids, _) = ssim::init::place_hosts(hosts, n_guests, seed);
     let edges = avatar_cbt::legal::expected_edges(n_guests, &ids);
     let mut rt = chord_scaffold::runtime(target, &ids, edges, seeded(seed));
     install_legal_cbt_state(&mut rt, n_guests, false, |p, _| &mut p.core.cbt);
@@ -251,7 +241,7 @@ pub fn legal_cbt_standalone(
     hosts: usize,
     seed: u64,
 ) -> Runtime<avatar_cbt::CbtProgram> {
-    let ids = host_ids(n_guests, hosts, seed);
+    let (ids, _) = ssim::init::place_hosts(hosts, n_guests, seed);
     let edges = avatar_cbt::legal::expected_edges(n_guests, &ids);
     let mut rt = avatar_cbt::legal::runtime(n_guests, &ids, edges, seeded(seed));
     install_legal_cbt_state(&mut rt, n_guests, true, |p, _| &mut p.core);
@@ -273,77 +263,25 @@ pub fn legal_cbt_standalone(
 /// (`exp workload`) only need *a* converged network, however obtained —
 /// the installed state is indistinguishable from a naturally converged one
 /// (the shadow check audits that every host's step really is a no-op).
-///
-/// A thin wrapper over "build once, checkpoint, restore at any N": the
-/// installed fixture is built at most once per `(N, hosts, seed, flags,
-/// model)` and cached as a hash-verified snapshot (see
-/// [`checkpoint_cache`]); later calls — within and across experiment
-/// runs — restore it, which at the 64k+ host sizes of the scale sweep is
-/// orders of magnitude cheaper than re-deriving ranges, edges, and warmed
-/// views from scratch. Restoring honors the caller's thread count
-/// (snapshots restore at any parallelism), and a corrupt or stale cache
-/// silently falls back to a fresh build.
+/// The install is linear in the hosts: 0.73 s at 65,536 hosts and 3.9 s
+/// at 262,144 (2-vCPU x86-64 Linux, release build) — a restore of the
+/// same state takes two thirds of that, too little to be worth a cache.
 pub fn legal_chord_runtime(
     n_guests: u32,
     hosts: usize,
     cfg: Config,
     model: NetModel,
 ) -> Runtime<ScaffoldProgram<ChordTarget>> {
-    let build = || {
-        let target = ChordTarget::classic(n_guests);
-        let ids = host_ids(n_guests, hosts, cfg.seed);
-        let edges = chord_scaffold::expected_edges(&target, &ids);
-        let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
-        install_legal_cbt_state(&mut rt, n_guests, true, |p, neighbors| {
-            p.core.install_done(neighbors);
-            &mut p.core.cbt
-        });
-        debug_assert!(chord_scaffold::runtime_is_legal(&rt));
-        rt
-    };
-    let net_key: String = ssim::net::to_spec(&model)
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    let key = format!(
-        "legal_chord_v2_n{n_guests}_h{hosts}_s{}_rr{}_st{}_net{net_key}",
-        cfg.seed, cfg.record_rounds as u8, cfg.strict as u8
-    );
-    let bytes = checkpoint_cache(&key, || build().save_snapshot());
-    // Unreachable `Err` for bytes the cache just validated, but a corrupt
-    // payload must degrade to a rebuild, never to a panic.
-    chord_scaffold::restore_runtime(&bytes, cfg).unwrap_or_else(|_| build())
-}
-
-/// Directory for cached experiment checkpoints: `$SCAFFOLD_CKPT_DIR` when
-/// set, otherwise `scaffold-ckpt/` under the system temp directory.
-pub fn checkpoint_dir() -> std::path::PathBuf {
-    match std::env::var_os("SCAFFOLD_CKPT_DIR") {
-        Some(d) if !d.is_empty() => std::path::PathBuf::from(d),
-        _ => std::env::temp_dir().join("scaffold-ckpt"),
-    }
-}
-
-/// Fetch the snapshot cached under `key`, building (and caching) it when
-/// absent. The cached file is a sealed [`ssim::snapshot`] container, so a
-/// truncated or bit-flipped cache is detected by its content hash and
-/// silently rebuilt — a poisoned cache can cost time, never correctness.
-/// Writes are atomic (temp file + rename), so concurrent experiment
-/// processes sharing the cache directory race benignly. A failed write is
-/// reported to stderr and otherwise ignored: the cache is an accelerator,
-/// not a dependency.
-pub fn checkpoint_cache(key: &str, build: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
-    let path = checkpoint_dir().join(format!("{key}.snap"));
-    if let Ok(bytes) = ssim::snapshot::read_file(&path) {
-        if ssim::snapshot::unseal(&bytes).is_ok() {
-            return bytes;
-        }
-    }
-    let bytes = build();
-    if let Err(e) = ssim::snapshot::write_file(&path, &bytes) {
-        eprintln!("checkpoint_cache: could not cache {}: {e}", path.display());
-    }
-    bytes
+    let target = ChordTarget::classic(n_guests);
+    let (ids, _) = ssim::init::place_hosts(hosts, n_guests, cfg.seed);
+    let edges = chord_scaffold::expected_edges(&target, &ids);
+    let mut rt = chord_scaffold::runtime_with_net(target, &ids, edges, cfg, model);
+    install_legal_cbt_state(&mut rt, n_guests, true, |p, neighbors| {
+        p.core.install_done(neighbors);
+        &mut p.core.cbt
+    });
+    debug_assert!(chord_scaffold::runtime_is_legal(&rt));
+    rt
 }
 
 /// Mean and sample standard deviation.
@@ -449,11 +387,7 @@ pub fn crunch_ring(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
 ///   [`ssim::sched::from_spec`]). Unlike threads, the daemon may change
 ///   results — that is the point of sweeping it;
 /// * `--net SPEC` (or `--net=SPEC`) — network conditions
-///   ([`ssim::net::from_spec`]: `ideal` | `wan` | `wan:key=value,...`);
-/// * `--save-snapshot PATH` / `--load-snapshot PATH` (or `=PATH`) — where
-///   a row that builds a reusable fixture should write its sealed
-///   snapshot, or read one instead of building (see
-///   [`ExpArgs::fixture_snapshot`]).
+///   ([`ssim::net::from_spec`]: `ideal` | `wan` | `wan:key=value,...`).
 #[derive(Debug, Clone, Default)]
 pub struct ExpArgs {
     /// Row names (the non-numeric positionals), in command-line order.
@@ -472,10 +406,6 @@ pub struct ExpArgs {
     pub sched: Option<String>,
     /// `--net SPEC`: the network model (ideal when absent).
     pub net: NetModel,
-    /// `--save-snapshot PATH`: write the experiment's fixture snapshot here.
-    pub save_snapshot: Option<String>,
-    /// `--load-snapshot PATH`: restore the fixture from here, skip building.
-    pub load_snapshot: Option<String>,
 }
 
 impl ExpArgs {
@@ -505,32 +435,6 @@ impl ExpArgs {
             rt.set_scheduler(s);
         }
     }
-
-    /// Resolve an experiment's fixture snapshot honoring the snapshot
-    /// options: read the sealed bytes from the `--load-snapshot` path when
-    /// given (fatal when unreadable or failing its content hash — an
-    /// explicitly named snapshot must never be silently substituted),
-    /// otherwise call `build`; then mirror the bytes to the
-    /// `--save-snapshot` path when that is given.
-    pub fn fixture_snapshot(&self, build: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
-        let bytes = match &self.load_snapshot {
-            Some(p) => {
-                let bytes = ssim::snapshot::read_file(std::path::Path::new(p))
-                    .unwrap_or_else(|e| panic!("--load-snapshot {p}: {e}"));
-                if let Err(e) = ssim::snapshot::unseal(&bytes) {
-                    panic!("--load-snapshot {p}: {e}");
-                }
-                bytes
-            }
-            None => build(),
-        };
-        if let Some(p) = &self.save_snapshot {
-            if let Err(e) = ssim::snapshot::write_file(std::path::Path::new(p), &bytes) {
-                panic!("--save-snapshot {p}: {e}");
-            }
-        }
-        bytes
-    }
 }
 
 fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, String> {
@@ -553,7 +457,7 @@ fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, Str
             "json" => &mut out.json,
             "smoke" => &mut out.smoke,
             "full" => &mut out.full,
-            "threads" | "sched" | "net" | "save-snapshot" | "load-snapshot" => {
+            "threads" | "sched" | "net" => {
                 // A missing value must not swallow the next option.
                 let v = inline
                     .or_else(|| args.next().filter(|v| !v.starts_with("--")))
@@ -569,12 +473,10 @@ fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, Str
                         ))
                     }
                     "sched" => out.sched = Some(v),
-                    "net" => {
+                    _ => {
                         out.net =
                             ssim::net::from_spec(&v).map_err(|e| format!("--net {v:?}: {e}"))?
                     }
-                    "save-snapshot" => out.save_snapshot = Some(v),
-                    _ => out.load_snapshot = Some(v),
                 }
                 continue;
             }
@@ -743,47 +645,19 @@ mod tests {
         ]);
     }
 
+    /// Fixtures are built, never read from or written to a file: the
+    /// removed `--{load,save}-snapshot` path options are unknown.
     #[test]
-    fn exp_args_parse_snapshot_paths() {
-        let a = args(&["--save-snapshot", "out.snap", "--load-snapshot=in.snap"]).unwrap();
-        assert_eq!(a.save_snapshot.as_deref(), Some("out.snap"));
-        assert_eq!(a.load_snapshot.as_deref(), Some("in.snap"));
-        assert_rejected(&[&["--load-snapshot", "--json"], &["--save-snapshot"]]);
+    fn exp_args_reject_snapshot_paths() {
+        for verb in ["load", "save"] {
+            let flag = format!("--{verb}-snapshot");
+            assert_rejected(&[&["workload", &flag, "x"], &[&format!("{flag}=x")]]);
+        }
     }
 
     #[test]
-    fn checkpoint_cache_builds_once_and_survives_corruption() {
-        let dir = std::env::temp_dir().join(format!("scaffold-ckpt-test-{}", std::process::id()));
-        let key = "cache_roundtrip";
-        let path = dir.join(format!("{key}.snap"));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("SCAFFOLD_CKPT_DIR", &dir);
-        let builds = std::cell::Cell::new(0u32);
-        let build = || {
-            builds.set(builds.get() + 1);
-            ssim::snapshot::seal(vec![1, 2, 3])
-        };
-        let first = checkpoint_cache(key, build);
-        let second = checkpoint_cache(key, build);
-        assert_eq!(first, second);
-        assert_eq!(builds.get(), 1, "second call must hit the cache");
-        // A corrupted cache file is rebuilt, not trusted.
-        let mut bytes = std::fs::read(&path).expect("cache file exists");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("rewrite cache");
-        let third = checkpoint_cache(key, build);
-        assert_eq!(first, third);
-        assert_eq!(builds.get(), 2, "corrupt cache must trigger a rebuild");
-        std::env::remove_var("SCAFFOLD_CKPT_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legal_chord_runtime_restores_from_checkpoint_identically() {
-        // Two calls with the same parameters: the second restores from the
-        // snapshot cache and must serve traffic byte-identically to the
-        // first (which built and checkpointed the fixture).
+    fn legal_chord_runtime_is_deterministic() {
+        // Two calls with the same parameters serve traffic byte-identically.
         let run = || {
             let mut rt = legal_chord_runtime(256, 32, seeded(11), NetModel::ideal());
             rt.attach_workload(

@@ -133,16 +133,14 @@ pub fn restore_runtime<T: InductiveTarget + Persist>(
 }
 
 /// Build a scaffolding runtime from a named initial shape with `count`
-/// random hosts.
+/// hosts placed by [`ssim::init::place_hosts`].
 pub fn runtime_from_shape<T: InductiveTarget>(
     target: T,
     count: usize,
     shape: Shape,
     cfg: Config,
 ) -> Runtime<ScaffoldProgram<T>> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A);
-    let ids = ssim::init::random_ids(count, target.n(), &mut rng);
+    let (ids, mut rng) = ssim::init::place_hosts(count, target.n(), cfg.seed);
     let edges = shape.edges(&ids, &mut rng);
     runtime(target, &ids, edges, cfg)
 }
@@ -161,6 +159,34 @@ mod tests {
             assert!(full.contains(e), "missing scaffold edge {e:?}");
         }
         assert!(full.len() > scaffold.len(), "fingers add edges");
+    }
+
+    /// Both protocol crates place hosts and draw the initial shape the way
+    /// they always have (pinned from the per-crate placement code that
+    /// `ssim::init::place_hosts` replaced).
+    #[test]
+    fn runtime_from_shape_placement_is_pinned() {
+        let cfg = Config::seeded(5);
+        let ids = [1, 6, 16, 32, 39, 41, 58, 60];
+        let edges = [
+            (1, 6),
+            (1, 16),
+            (1, 32),
+            (1, 39),
+            (1, 58),
+            (6, 58),
+            (32, 41),
+            (32, 60),
+            (39, 60),
+            (41, 60),
+            (58, 60),
+        ];
+        let cbt = avatar_cbt::runtime_from_shape(64, 8, Shape::Random, cfg);
+        let chord = runtime_from_shape(ChordTarget::classic(64), 8, Shape::Random, cfg);
+        for topo in [cbt.topology(), chord.topology()] {
+            assert_eq!(topo.ids(), ids);
+            assert_eq!(topo.edges(), edges);
+        }
     }
 
     #[test]

@@ -303,8 +303,8 @@ impl Checkpoint {
         }
     }
 
-    /// Adopt previously saved snapshot bytes (e.g. from
-    /// [`crate::snapshot::read_file`]). The seal — magic, version, length,
+    /// Adopt previously saved snapshot bytes (e.g. read back from a file
+    /// [`Runtime::save_snapshot_to`] wrote). The seal — magic, version, length,
     /// content hash — is verified here, where outside bytes enter, so a
     /// tampered or truncated image is an `Err` and never reaches
     /// [`Checkpoint::rollback`].

@@ -4,8 +4,9 @@
 //! experiments sweep a family of adversarial shapes).
 
 use crate::NodeId;
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// A named family of initial topologies, used by experiment E10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
@@ -68,6 +69,17 @@ impl Shape {
             Shape::TwoCliques => two_cliques(ids),
         }
     }
+}
+
+/// The seeded host placement every harness fixture shares: `count`
+/// distinct ids in `[0, n_cap)` drawn by [`random_ids`] from an RNG seeded
+/// with `seed` xor a fixed salt. The RNG comes back so [`Shape::edges`]
+/// continues the same stream, which is how a seed fixes both the ids and
+/// the initial edges of a run.
+pub fn place_hosts(count: usize, n_cap: u32, seed: u64) -> (Vec<NodeId>, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
+    let ids = random_ids(count, n_cap, &mut rng);
+    (ids, rng)
 }
 
 /// Sample `n` distinct node identifiers from `[0, n_cap)`.
@@ -143,7 +155,8 @@ pub fn binary_tree(ids: &[NodeId]) -> Vec<(NodeId, NodeId)> {
 }
 
 /// Uniform random spanning tree (random attachment order) plus `extra`
-/// uniformly random non-tree edges.
+/// uniformly random non-tree edges, in the order they were accepted — a
+/// function of the RNG stream alone, so equal seeds give equal `Vec`s.
 pub fn random_connected(ids: &[NodeId], extra: usize, rng: &mut impl Rng) -> Vec<(NodeId, NodeId)> {
     let mut order = ids.to_vec();
     order.shuffle(rng);
@@ -153,17 +166,18 @@ pub fn random_connected(ids: &[NodeId], extra: usize, rng: &mut impl Rng) -> Vec
         let (a, b) = (order[i].min(order[j]), order[i].max(order[j]));
         es.push((a, b));
     }
+    let want = es.len() + extra;
     let mut set: std::collections::HashSet<(NodeId, NodeId)> = es.iter().copied().collect();
     let mut attempts = 0;
-    while set.len() < es.len() + extra && attempts < 20 * extra + 100 {
+    while es.len() < want && attempts < 20 * extra + 100 {
         attempts += 1;
         let a = *order.choose(rng).unwrap();
         let b = *order.choose(rng).unwrap();
         if a != b && set.insert((a.min(b), a.max(b))) {
-            // new edge recorded in `set`; rebuilt below
+            es.push((a.min(b), a.max(b)));
         }
     }
-    set.into_iter().collect()
+    es
 }
 
 /// Clique on the first half of the sorted ids, a path on the rest, bridged.
@@ -253,6 +267,15 @@ mod tests {
         assert!(es.len() >= 49, "spanning tree at minimum");
         assert!(es.len() <= 74);
         check_connected(&ids, es);
+    }
+
+    /// The edge list is a function of the seed, order included: the
+    /// topology's block layout — and so its byte count — follows it.
+    #[test]
+    fn random_connected_is_a_function_of_the_seed() {
+        let ids: Vec<NodeId> = (0..64).collect();
+        let draw = || random_connected(&ids, 32, &mut SmallRng::seed_from_u64(3));
+        assert_eq!(draw(), draw());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! [`crate::workload::RequestStats`]): every send is classified exactly
 //! once, and [`NetStats`] pins
 //! `sent + duplicated == delivered + dropped + in_transit`
-//! at every round boundary (debug-asserted by the runtime). The [`Wire`]
+//! at every round boundary (debug-asserted by the runtime). The `Wire`
 //! keeps those books itself: each of its methods that parks, lands or
 //! purges a message updates the `NetStats` it is handed, so the
 //! in-transit count lives there and nowhere else.

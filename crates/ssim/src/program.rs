@@ -387,8 +387,12 @@ impl<'a, M> Ctx<'a, M> {
         self.neighbors.binary_search(&v).is_ok()
     }
 
-    /// Messages received this round (sent by neighbors in the previous round),
-    /// as `(sender, payload)` pairs in a deterministic sender order.
+    /// Every message delivered to this node since its last activation, as
+    /// `(sender, payload)` pairs in delivery order. Under the synchronous
+    /// daemon on the ideal network that is exactly what the neighbors sent
+    /// last round; a partial daemon or a delaying [`crate::NetModel`] may
+    /// have queued several rounds' worth, some from senders that are no
+    /// longer neighbors (messages from departed hosts are purged).
     pub fn inbox(&self) -> &'a [(NodeId, M)] {
         self.inbox
     }
@@ -398,7 +402,10 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// Send `msg` to neighbor `to` (delivered next round). Sending to a
+    /// Send `msg` to neighbor `to`. It lands in `to`'s inbox at the end of
+    /// this round on the ideal network, or after the [`crate::NetModel`]'s
+    /// delay (or never, when lost); `to` reads it at its next activation
+    /// after that. Sending to a
     /// non-neighbor is a protocol bug: it panics in strict mode and is
     /// dropped (and counted) in lenient mode. Validation is against the
     /// round-start snapshot, so it fuses into emission — the runtime applies

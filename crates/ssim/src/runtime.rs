@@ -688,7 +688,8 @@ impl<P: Program> Runtime<P> {
             .index()
     }
 
-    /// Iterate `(id, program)` pairs in slot order.
+    /// Iterate `(id, program)` pairs in member order, the order of
+    /// [`Runtime::ids`].
     pub fn programs(&self) -> impl Iterator<Item = (NodeId, &P)> + '_ {
         self.topo
             .live_slots()

@@ -76,8 +76,6 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// caches, not archives). Version 3 switched payload integers to LEB128
 /// varints (the state-compaction pass); version 4 dropped two network-model
 /// fields and the wire's pacing section.
-/// Older snapshots are rejected and rebuilt by their callers (e.g. the
-/// bench checkpoint cache).
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
@@ -634,12 +632,6 @@ pub fn write_file(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     std::fs::rename(&tmp, path).map_err(io)
 }
 
-/// Read a snapshot file (the raw sealed container; pair with
-/// [`crate::Runtime::restore_snapshot`] or [`unseal`]).
-pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
-    std::fs::read(path).map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,7 +808,7 @@ mod tests {
         let path = dir.join("t.snap");
         let sealed = seal(vec![1, 2, 3]);
         write_file(&path, &sealed).unwrap();
-        assert_eq!(read_file(&path).unwrap(), sealed);
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,7 +17,15 @@
 
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::NodeId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// The id → slot index. Its hasher has fixed keys: a per-process random
+/// one would make the table's capacity after removals — and with it
+/// [`Topology::heap_bytes`] — depend on the hash keys, not the seed. (The
+/// keys are the simulation's own ids, so collision flooding is moot.)
+type SlotIndex = HashMap<NodeId, NodeSlot, BuildHasherDefault<DefaultHasher>>;
 
 /// A stable storage slot for one node. Assigned at insertion, fixed for the
 /// node's lifetime, recycled (most-recently-freed first) after removal.
@@ -249,7 +257,7 @@ pub struct Topology {
     /// on a segment arena.
     adj: AdjStore,
     /// id → slot; the membership boundary only.
-    index: HashMap<NodeId, NodeSlot>,
+    index: SlotIndex,
     /// Freed slots awaiting reuse, most recently freed last (LIFO).
     free: Vec<NodeSlot>,
     /// Dense mirror of the live ids, in unspecified (but deterministic)
@@ -701,7 +709,7 @@ impl Topology {
         // Derive the id → slot map and dense back-pointers (one linear pass
         // over the slot array, then one over the dense order — O(n), which
         // matters at the 64k–1M host scales snapshots exist to unlock).
-        let mut index = HashMap::with_capacity(dense.len());
+        let mut index = SlotIndex::with_capacity_and_hasher(dense.len(), Default::default());
         for (slot, occupant) in slots.iter().enumerate() {
             if let Some(v) = *occupant {
                 if index.insert(v, NodeSlot::new(slot)).is_some() {
@@ -973,6 +981,30 @@ mod tests {
             }
         }
         assert!(t.check_invariants());
+    }
+
+    /// The footprint is a function of the operations alone: the same churn
+    /// applied to fresh topologies must report one byte count (the id
+    /// index's capacity after removals must not depend on hash keys).
+    #[test]
+    fn heap_bytes_is_a_function_of_the_churn() {
+        let churned = || {
+            let mut t = Topology::new(0..64u32, (0..64u32).map(|i| (i, (i + 1) % 64)));
+            for k in 0..400u32 {
+                let v = 64 + k;
+                t.remove_node((k * 37) % v);
+                t.add_node(v);
+                let u = t.ids()[(k as usize * 7) % t.node_count()];
+                if u != v {
+                    t.add_edge(u, v);
+                }
+            }
+            t.heap_bytes()
+        };
+        let first = churned();
+        for _ in 0..16 {
+            assert_eq!(churned(), first);
+        }
     }
 
     #[test]

@@ -39,9 +39,7 @@ fn main() {
         rt.step();
     }
     let all_done = rt.programs().all(|(_, p)| p.core.phase == Phase::Done);
-    println!(
-        "  silent:           {} (0 messages over 50 extra rounds: {})",
-        all_done,
-        rt.metrics().total_messages == before
-    );
+    let quiet = rt.metrics().total_messages == before;
+    println!("  silent:           {all_done} (0 messages over 50 extra rounds: {quiet})");
+    assert!(all_done && quiet, "the legal network must be silent");
 }
