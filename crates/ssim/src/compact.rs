@@ -152,11 +152,13 @@ impl<K: Ord, V> FromIterator<(K, V)> for CompactMap<K, V> {
 }
 
 impl<K: Ord + Persist, V: Persist> Persist for CompactMap<K, V> {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         // Already in ascending key order: the canonical snapshot encoding
         // with no collect-and-sort step.
         self.entries.save(w);
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let entries = Vec::<(K, V)>::load(r)?;
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
@@ -257,9 +259,11 @@ impl<T: Ord> FromIterator<T> for CompactSet<T> {
 }
 
 impl<T: Ord + Persist> Persist for CompactSet<T> {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         self.items.save(w);
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let items = Vec::<T>::load(r)?;
         if !items.windows(2).all(|w| w[0] < w[1]) {

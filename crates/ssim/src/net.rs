@@ -242,9 +242,18 @@ impl NetStats {
         self.dropped_loss + self.dropped_partition + self.dropped_departed
     }
 
-    /// The conservation law, as a checkable predicate.
+    /// The conservation law, as a checkable predicate. Summed in `u128`,
+    /// so counters decoded from outside input cannot overflow it.
     pub fn conserved(&self) -> bool {
-        self.sent + self.duplicated == self.delivered + self.dropped() + self.in_transit
+        let sum = |xs: &[u64]| xs.iter().map(|&x| x as u128).sum::<u128>();
+        sum(&[self.sent, self.duplicated])
+            == sum(&[
+                self.delivered,
+                self.dropped_loss,
+                self.dropped_partition,
+                self.dropped_departed,
+                self.in_transit,
+            ])
     }
 }
 
@@ -544,7 +553,8 @@ impl<M> Wire<M> {
     /// Cross-check a restored wire against the restored membership, round
     /// and metrics — including what `step` would otherwise trip over later:
     /// a probability `gen_bool` panics on, a cut side `binary_search`
-    /// silently misreads, an in-transit count the buffer does not hold.
+    /// silently misreads, an in-transit count the buffer does not hold,
+    /// counters that break the conservation law `step` asserts.
     pub(crate) fn validate(
         &self,
         topo: &Topology,
@@ -582,6 +592,11 @@ impl<M> Wire<M> {
                 "metrics claim {} in-transit messages but the delay queue holds {}",
                 stats.in_transit,
                 self.parked()
+            ));
+        }
+        if !stats.conserved() {
+            return corrupt(format!(
+                "net counters break the conservation law: {stats:?}"
             ));
         }
         Ok(())

@@ -1140,7 +1140,7 @@ where
         self.req_reported.save(&mut w);
         self.traffic.save(&mut w);
         self.wire.save(&mut w);
-        snapshot::seal(w.into_bytes())
+        w.seal()
     }
 
     /// [`Runtime::save_snapshot`] straight to a file (written atomically:
@@ -1584,9 +1584,10 @@ mod tests {
             })
         };
         // The in-transit count lives in the metrics alone; the wire's
-        // buffer must hold exactly that many messages.
+        // buffer must hold exactly that many messages, and the counters
+        // must balance.
         let net = rt.net_stats();
-        let net_stats = |in_transit| enc(&|w| NetStats { in_transit, ..net }.save(w));
+        let net_stats = |s: NetStats| enc(&|w| s.save(w));
         let cases = [
             (
                 "loss probability outside [0, 1]",
@@ -1610,8 +1611,19 @@ mod tests {
             ),
             (
                 "in-transit count above the wire's",
-                net_stats(net.in_transit),
-                net_stats(net.in_transit + 1),
+                net_stats(net),
+                net_stats(NetStats {
+                    in_transit: net.in_transit + 1,
+                    ..net
+                }),
+            ),
+            (
+                "sent count that breaks the conservation law",
+                net_stats(net),
+                net_stats(NetStats {
+                    sent: net.sent + 1,
+                    ..net
+                }),
             ),
         ];
         for (what, find, put) in cases {

@@ -40,6 +40,24 @@
 //! interpreted: a truncated file, a flipped byte, or a version mismatch is
 //! a loud [`SnapshotError`], never silently-loaded garbage.
 //!
+//! The container layout is written in one place: a [`Writer`] reserves the
+//! header before its first payload byte, and [`Writer::seal`] fills in the
+//! length, hashes the payload where it lies and appends the hash, so a
+//! runtime's payload is never copied into a second buffer. [`seal`] frames
+//! a finished payload through the same writer.
+//!
+//! # Cost
+//!
+//! Saving is one encode pass and one hash pass; restoring is one hash pass
+//! and one decode pass, each owner validating what it decoded. The
+//! primitives are `#[inline]`, so a protocol crate's `Persist` impls
+//! compile to straight-line code without link-time optimization: a varint
+//! below 128 is one byte written or read, and a longer one is built, or
+//! (up to eight bytes) decoded from one little-endian word, without a
+//! branch on its length. The FNV-1a passes are the floor: each byte's step
+//! waits on the previous one's multiply, and a different hash would change
+//! the sealed bytes.
+//!
 //! # The `Persist` contract
 //!
 //! [`Persist::save`] must capture *everything the program's `step` can
@@ -147,13 +165,37 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Bytes of the container before the payload: magic, version, length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
+/// The longest LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
+const MAX_VARINT: usize = 10;
+
 /// Append-only byte sink the [`Persist`] implementations write into.
 /// Unsigned integers are LEB128 varints (signed ones zigzag-folded first);
 /// sequences are length-prefixed; full-entropy 64-bit words (`f64` bit
 /// patterns, RNG state) use the fixed 8-byte [`Writer::raw64`].
-#[derive(Debug, Default)]
+///
+/// A writer frames its payload from the first byte: the container header
+/// is reserved up front, so [`Writer::seal`] fills in the length, hashes
+/// the payload where it lies and appends the hash — the payload is never
+/// copied into a second buffer. [`Writer::into_bytes`] hands back the bare
+/// payload instead.
+#[derive(Debug)]
 pub struct Writer {
+    /// The container header (filled in by [`Writer::seal`]), then the
+    /// payload.
     buf: Vec<u8>,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&[0; 8]);
+        Self { buf }
+    }
 }
 
 impl Writer {
@@ -162,32 +204,47 @@ impl Writer {
         Self::default()
     }
 
-    /// Bytes written so far.
+    /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
-    /// True iff nothing has been written.
+    /// True iff no payload byte has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consume the writer, yielding the raw payload bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..HEADER_LEN);
+        self.buf
+    }
+
+    /// Consume the writer, yielding the sealed container (see the module
+    /// docs for the layout): the payload length goes into the reserved
+    /// header and the FNV-1a hash of the payload after it.
+    pub fn seal(mut self) -> Vec<u8> {
+        let len = self.len() as u64;
+        self.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let hash = content_hash(&self.buf[HEADER_LEN..]);
+        self.buf.extend_from_slice(&hash.to_le_bytes());
         self.buf
     }
 
     /// Write one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Write a `bool` as one byte (`0`/`1`).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Write a `u32` as a LEB128 varint (1 byte for values < 128).
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.u64(v as u64);
     }
@@ -195,16 +252,39 @@ impl Writer {
     /// Write a `u64` as a LEB128 varint: 7 value bits per byte, low bits
     /// first, high bit of each byte marking continuation. Small values —
     /// the overwhelming majority of snapshot integers — cost one byte.
-    pub fn u64(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push((v as u8 & 0x7F) | 0x80);
-            v >>= 7;
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+        } else {
+            self.u64_multi(v);
         }
-        self.buf.push(v as u8);
+    }
+
+    /// A varint of `n ≥ 2` bytes, without a branch on its length: the
+    /// 7-bit groups of the low 56 bits are spread one per byte in three
+    /// pairwise steps (the inverse of [`Reader::u64`]'s packing), every
+    /// byte but the last gets its continuation bit, and all ten candidate
+    /// bytes are appended at once before the ones past `n` are cut off.
+    #[inline]
+    fn u64_multi(&mut self, v: u64) {
+        let n = (70 - v.leading_zeros() as usize) / 7;
+        let x = v & 0x00FF_FFFF_FFFF_FFFF;
+        let x = (x & 0x0FFF_FFFF) | ((x & 0x00FF_FFFF_F000_0000) << 4);
+        let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x0FFF_C000_0FFF_C000) << 2);
+        let x = (x & 0x007F_007F_007F_007F) | ((x & 0x3F80_3F80_3F80_3F80) << 1);
+        let more = 0x8080_8080_8080_8080 & (u64::MAX >> (64 - 8 * (n - 1).min(8)));
+        let mut out = [0u8; MAX_VARINT];
+        out[..8].copy_from_slice(&(x | more).to_le_bytes());
+        out[8] = ((v >> 56) as u8 & 0x7F) | (((n > 9) as u8) << 7);
+        out[9] = (v >> 63) as u8;
+        self.buf.extend_from_slice(&out);
+        self.buf.truncate(self.buf.len() - (MAX_VARINT - n));
     }
 
     /// Write an `i64`, zigzag-folded (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`)
     /// so small-magnitude values of either sign stay short varints.
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.u64(((v << 1) ^ (v >> 63)) as u64);
     }
@@ -212,22 +292,26 @@ impl Writer {
     /// Write a full-entropy 64-bit word fixed-width little-endian. Varints
     /// cost 10 bytes on uniformly random values; RNG state and hash words
     /// go through here instead.
+    #[inline]
     pub fn raw64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write an `f64` as its IEEE-754 bit pattern (exact round-trip; fixed
     /// 8 bytes — float bit patterns are not varint-friendly).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.raw64(v.to_bits());
     }
 
     /// Write a `usize` as a `u64` varint.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Write a sequence length prefix (a `u64` varint).
+    #[inline]
     pub fn seq(&mut self, len: usize) {
         self.u64(len as u64);
     }
@@ -259,6 +343,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -272,6 +357,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated);
@@ -282,11 +368,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(SnapshotError::Truncated),
+        }
     }
 
     /// Read a `bool`; any byte other than `0`/`1` is corruption.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
             0 => Ok(false),
@@ -296,6 +390,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u32` varint; values past `u32::MAX` are corruption.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         let v = self.u64()?;
         u32::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("u32 overflow: {v}")))
@@ -303,7 +398,47 @@ impl<'a> Reader<'a> {
 
     /// Read a LEB128 `u64` varint. An unterminated varint is truncation; a
     /// varint overflowing 64 bits is corruption.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(b as u64)
+            }
+            _ => self.u64_multi(),
+        }
+    }
+
+    /// A varint of more than one byte. With eight bytes left, a varint
+    /// that ends within them is decoded from one little-endian word, the
+    /// bytes checked against the buffer's end once and no branch taken on
+    /// the varint's length: the first byte with a clear high bit ends it,
+    /// the bytes past it are masked off, and the 7-bit groups are packed
+    /// together pairwise in three steps. Longer varints, and varints in the
+    /// last eight bytes, go through [`Self::u64_bytewise`].
+    #[inline]
+    fn u64_multi(&mut self) -> Result<u64, SnapshotError> {
+        let Some(word) = self.buf.get(self.pos..self.pos + 8) else {
+            return self.u64_bytewise();
+        };
+        let word = u64::from_le_bytes(word.try_into().expect("8"));
+        // The high bit of every byte that could end the varint; the lowest
+        // one is its last byte.
+        let ends = !word & 0x8080_8080_8080_8080;
+        if ends == 0 {
+            return self.u64_bytewise();
+        }
+        let x = word & (ends ^ (ends - 1)) & 0x7F7F_7F7F_7F7F_7F7F;
+        let x = (x & 0x007F_007F_007F_007F) | ((x >> 1) & 0x3F80_3F80_3F80_3F80);
+        let x = (x & 0x0000_3FFF_0000_3FFF) | ((x >> 2) & 0x0FFF_C000_0FFF_C000);
+        self.pos += (ends.trailing_zeros() as usize + 1) / 8;
+        Ok((x & 0x0FFF_FFFF) | ((x >> 4) & 0x00FF_FFFF_F000_0000))
+    }
+
+    /// The byte-at-a-time varint reader: the definition
+    /// [`Self::u64_multi`] must agree with, and its path for long varints
+    /// and near the end of the buffer.
+    fn u64_bytewise(&mut self) -> Result<u64, SnapshotError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
@@ -320,23 +455,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a zigzag-folded `i64` varint.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
         let v = self.u64()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
     /// Read a fixed-width little-endian 64-bit word ([`Writer::raw64`]).
+    #[inline]
     pub fn raw64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
     /// Read an `f64` from its fixed-width bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.raw64()?))
     }
 
     /// Read a `usize` (stored as `u64`); rejects values that cannot index
     /// this platform's memory.
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("usize overflow: {v}")))
@@ -345,6 +484,7 @@ impl<'a> Reader<'a> {
     /// Read a sequence length prefix, sanity-bounded against the remaining
     /// bytes (each element needs ≥ 1 byte) so a corrupted length cannot
     /// trigger an enormous allocation.
+    #[inline]
     pub fn seq(&mut self) -> Result<usize, SnapshotError> {
         let n = self.usize()?;
         if n > self.remaining() {
@@ -383,9 +523,11 @@ pub trait Persist: Sized {
 macro_rules! persist_primitive {
     ($($ty:ident),+) => {$(
         impl Persist for $ty {
+            #[inline]
             fn save(&self, w: &mut Writer) {
                 w.$ty(*self);
             }
+            #[inline]
             fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
                 r.$ty()
             }
@@ -416,9 +558,11 @@ impl Persist for String {
 macro_rules! persist_struct {
     ($name:ident $(<$g:ident: $b0:ident $(+ $bs:ident)*>)? { $($field:ident),+ $(,)? }) => {
         impl$(<$g: $b0 $(+ $bs)*>)? $crate::snapshot::Persist for $name$(<$g>)? {
+            #[inline]
             fn save(&self, w: &mut $crate::snapshot::Writer) {
                 $($crate::snapshot::Persist::save(&self.$field, w);)+
             }
+            #[inline]
             fn load(
                 r: &mut $crate::snapshot::Reader<'_>,
             ) -> Result<Self, $crate::snapshot::SnapshotError> {
@@ -483,11 +627,13 @@ pub use crate::{persist_enum, persist_struct};
 /// An RNG persists as its raw xoshiro state: the restored generator
 /// continues the same stream from the same position.
 impl Persist for rand::rngs::SmallRng {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         for s in self.state() {
             w.raw64(s);
         }
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(Self::from_state([
             r.raw64()?,
@@ -506,6 +652,7 @@ impl Persist for () {
 }
 
 impl<T: Persist> Persist for Option<T> {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         match self {
             None => w.bool(false),
@@ -515,27 +662,32 @@ impl<T: Persist> Persist for Option<T> {
             }
         }
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(if r.bool()? { Some(T::load(r)?) } else { None })
     }
 }
 
 impl<T: Persist> Persist for Box<T> {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         (**self).save(w);
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         T::load(r).map(Box::new)
     }
 }
 
 impl<T: Persist> Persist for Vec<T> {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         w.seq(self.len());
         for v in self {
             v.save(w);
         }
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n);
@@ -547,37 +699,38 @@ impl<T: Persist> Persist for Vec<T> {
 }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         self.0.save(w);
         self.1.save(w);
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok((A::load(r)?, B::load(r)?))
     }
 }
 
 impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
+    #[inline]
     fn save(&self, w: &mut Writer) {
         self.0.save(w);
         self.1.save(w);
         self.2.save(w);
     }
+    #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok((A::load(r)?, B::load(r)?, C::load(r)?))
     }
 }
 
 /// Frame a payload into the versioned, hash-verified container (see the
-/// module docs for the layout).
+/// module docs for the layout): the same framing [`Writer::seal`] does in
+/// place, applied to a payload already written elsewhere.
 pub fn seal(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 28);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let hash = content_hash(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    let mut w = Writer::new();
+    w.buf.reserve_exact(payload.len() + 8);
+    w.buf.extend_from_slice(&payload);
+    w.seal()
 }
 
 /// Verify a container (magic, version, length, content hash) and return
@@ -587,24 +740,25 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let rest = &bytes[MAGIC.len()..];
-    if rest.len() < 12 {
+    if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::Truncated);
     }
-    let version = u32::from_le_bytes(rest[..4].try_into().expect("4"));
+    let (version, len) = bytes[MAGIC.len()..HEADER_LEN].split_at(4);
+    let version = u32::from_le_bytes(version.try_into().expect("4"));
     if version != FORMAT_VERSION {
         return Err(SnapshotError::Version {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let len = u64::from_le_bytes(rest[4..12].try_into().expect("8"));
+    let len = u64::from_le_bytes(len.try_into().expect("8"));
     let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
-    let body = &rest[12..];
-    if body.len() < len + 8 {
+    let body = &bytes[HEADER_LEN..];
+    let framed = len.checked_add(8).ok_or(SnapshotError::Truncated)?;
+    if body.len() < framed {
         return Err(SnapshotError::Truncated);
     }
-    if body.len() > len + 8 {
+    if body.len() > framed {
         return Err(SnapshotError::TrailingBytes);
     }
     let payload = &body[..len];
@@ -752,6 +906,114 @@ mod tests {
             Reader::new(&bytes).u32(),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// The byte-at-a-time encoder the branch-free [`Writer::u64`]
+    /// replaced: the reference it must match byte for byte.
+    fn varint_reference(mut v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        while v >= 0x80 {
+            out.push((v as u8 & 0x7F) | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        out
+    }
+
+    #[test]
+    fn fast_codec_matches_the_bytewise_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(24);
+        for len in 1..=MAX_VARINT {
+            let lo = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let hi = 1u64.checked_shl(7 * len as u32).map_or(u64::MAX, |b| b - 1);
+            let mut values = vec![lo, hi, lo + (hi - lo) / 3];
+            values.extend((0..64).map(|_| rng.gen_range(lo..=hi)));
+            for v in values {
+                let bytes = varint_reference(v);
+                assert_eq!(bytes.len(), len, "{v:#x}");
+                let mut w = Writer::new();
+                w.u64(v);
+                assert_eq!(w.into_bytes(), bytes, "{v:#x} encodes as the reference");
+                // With room behind it a varint of up to eight bytes takes
+                // the word path; at the very end of the buffer, and past
+                // eight bytes, the bytewise one.
+                for pad in [MAX_VARINT, 0] {
+                    let mut buf = bytes.clone();
+                    buf.resize(len + pad, 0);
+                    let mut r = Reader::new(&buf);
+                    assert_eq!(r.u64().unwrap(), v, "{v:#x} behind {pad} bytes");
+                    assert_eq!(r.pos, len);
+                }
+            }
+        }
+        // Arbitrary bytes, long and short, mostly continuation bytes: the
+        // fast reader and the bytewise one agree on the value and the
+        // position after it, or on the error (after which a reader is
+        // abandoned), wherever the varint ends relative to the buffer's end.
+        for _ in 0..20_000 {
+            let n = rng.gen_range(0..=2 * MAX_VARINT);
+            let bytes: Vec<u8> = (0..n)
+                .map(|_| rng.gen::<u32>() as u8 | if rng.gen_bool(0.8) { 0x80 } else { 0 })
+                .collect();
+            let (mut fast, mut slow) = (Reader::new(&bytes), Reader::new(&bytes));
+            let (a, b) = (fast.u64(), slow.u64_bytewise());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{bytes:02x?}");
+            if a.is_ok() {
+                assert_eq!(fast.pos, slow.pos, "{bytes:02x?}");
+            }
+        }
+        // The malformed cases, on both paths: an unterminated varint at the
+        // end is truncation; ten bytes overflowing 64 bits, and a u32 read
+        // past u32::MAX, are corruption.
+        let overflow = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        let big = varint_reference(u32::MAX as u64 + 1);
+        for pad in [0, MAX_VARINT] {
+            let padded = |b: &[u8]| [b, &vec![0; pad][..]].concat();
+            let unterminated = [vec![7; pad], vec![0x80, 0x80]].concat();
+            let mut r = Reader::new(&unterminated);
+            r.pos = pad;
+            assert!(matches!(r.u64(), Err(SnapshotError::Truncated)));
+            let too_long = padded(&[0x80; MAX_VARINT]);
+            assert!(matches!(
+                Reader::new(&too_long).u64(),
+                Err(SnapshotError::Corrupt(_))
+            ));
+            let bytes = padded(&overflow);
+            assert!(matches!(
+                Reader::new(&bytes).u64(),
+                Err(SnapshotError::Corrupt(_))
+            ));
+            let bytes = padded(&big);
+            assert!(matches!(
+                Reader::new(&bytes).u32(),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
+    }
+
+    /// Sealing frames in place; sealing a finished payload shares the one
+    /// container layout, byte for byte.
+    #[test]
+    fn seal_equals_in_place_framing() {
+        let mut w = Writer::new();
+        for v in [0u64, 1 << 20, u64::MAX] {
+            w.u64(v);
+        }
+        w.str("payload");
+        let payload = {
+            let mut w2 = Writer::new();
+            for v in [0u64, 1 << 20, u64::MAX] {
+                w2.u64(v);
+            }
+            w2.str("payload");
+            w2.into_bytes()
+        };
+        assert_eq!(w.len(), payload.len());
+        let sealed = w.seal();
+        assert_eq!(sealed, seal(payload.clone()));
+        assert_eq!(unseal(&sealed).unwrap(), &payload[..]);
+        assert_eq!(Writer::new().seal(), seal(Vec::new()));
     }
 
     #[test]

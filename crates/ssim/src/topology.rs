@@ -15,17 +15,49 @@
 //! adjacency scan ([`Topology::check_invariants`] re-verifies the counters
 //! against a ground-truth scan).
 
+use crate::runtime::splitmix64;
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::NodeId;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The id → slot index. Its hasher has fixed keys: a per-process random
 /// one would make the table's capacity after removals — and with it
 /// [`Topology::heap_bytes`] — depend on the hash keys, not the seed. (The
 /// keys are the simulation's own ids, so collision flooding is moot.)
-type SlotIndex = HashMap<NodeId, NodeSlot, BuildHasherDefault<DefaultHasher>>;
+type SlotIndex = HashMap<NodeId, NodeSlot, BuildHasherDefault<IdHasher>>;
+
+/// The slot index's hasher: the id, folded in by a multiply with a fixed
+/// odd key, then the full 64-bit SplitMix64 finalizer. The table takes its
+/// bucket from the low bits and its tag from the high ones; the finalizer
+/// spreads every id bit into both, so ids that share low bits (hosts on a
+/// stride of the id space) do not cluster. The index is never iterated, so
+/// the hash never reaches an order the simulation observes.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
 
 /// A stable storage slot for one node. Assigned at insertion, fixed for the
 /// node's lifetime, recycled (most-recently-freed first) after removal.
@@ -218,20 +250,25 @@ impl AdjStore {
         out
     }
 
-    /// Append a whole list for the next slot (snapshot restore).
-    fn push_list(&mut self, items: &[NodeId]) {
-        if items.is_empty() {
+    /// Decode the next slot's list (a length, then the items) straight
+    /// into a block of its own (snapshot restore).
+    fn load_list(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        let len = r.seq()?;
+        if len == 0 {
             self.spans.push(Span::EMPTY);
-            return;
+            return Ok(());
         }
-        let class = (items.len().next_power_of_two().trailing_zeros() as u8).max(MIN_CLASS);
+        let class = (len.next_power_of_two().trailing_zeros() as u8).max(MIN_CLASS);
         let off = self.alloc_block(class);
-        self.data[off as usize..off as usize + items.len()].copy_from_slice(items);
+        for v in &mut self.data[off as usize..off as usize + len] {
+            *v = r.u32()?;
+        }
         self.spans.push(Span {
             off,
-            len: items.len() as u32,
+            len: len as u32,
             class,
         });
+        Ok(())
     }
 
     /// Bytes on the heap: backing storage, spans, and free lists.
@@ -577,68 +614,111 @@ impl Topology {
     }
 
     /// Verify the internal invariants — adjacency symmetry and sortedness,
-    /// slot/index/dense-mirror consistency, and the incremental edge/degree
-    /// counters against a ground-truth scan. Exposed for property tests.
+    /// slot/index/dense-mirror consistency, a free list that holds exactly
+    /// the free slots, and the incremental edge/degree counters against a
+    /// ground-truth scan. Exposed for property tests.
     pub fn check_invariants(&self) -> bool {
-        let mut edges = 0usize;
-        let mut hist = vec![0usize; self.degree_hist.len().max(1)];
-        let mut live = 0usize;
+        // Histograms are equal up to trailing zero entries.
+        let used = |h: &[usize]| h.iter().rposition(|&k| k > 0).map_or(0, |d| d + 1);
+        self.scan().is_ok_and(|c| {
+            c.edge_count == self.edge_count
+                && c.max_degree == self.max_degree
+                && c.degree_hist[..used(&c.degree_hist)]
+                    == self.degree_hist[..used(&self.degree_hist)]
+        })
+    }
+
+    /// The one validation pass behind [`Topology::check_invariants`] and
+    /// snapshot restore: checks every structural invariant and returns the
+    /// counters a ground-truth scan derives, or what is wrong.
+    ///
+    /// Symmetry takes one look per edge, not a lookup and a binary search
+    /// per edge end: walking the live nodes in ascending id order, each
+    /// node `a` matches every neighbor `b > a` against the next unmatched
+    /// entry of `b`'s sorted list, which must be `a`; by the time `b`
+    /// itself is walked, its entries below `b` must all have been matched.
+    /// An entry without a back-edge stalls its owner's cursor and fails
+    /// one of the two checks.
+    fn scan(&self) -> Result<Counters, String> {
+        let n = self.slots.len();
+        let mut free = vec![false; n];
+        for s in &self.free {
+            let i = s.index();
+            if self.slots.get(i).is_none_or(Option::is_some) {
+                return Err(format!("free list names slot {i}, which is not free"));
+            }
+            if std::mem::replace(&mut free[i], true) {
+                return Err(format!("free list names slot {i} twice"));
+            }
+        }
+        let mut c = Counters {
+            edge_count: 0,
+            degree_hist: vec![0; 1],
+            max_degree: 0,
+        };
+        let mut live = Vec::with_capacity(self.dense.len());
         for (i, occupant) in self.slots.iter().enumerate() {
             let l = self.adj.list(i);
             let Some(a) = *occupant else {
-                // Free slots carry no adjacency and sit on the free list.
-                if !l.is_empty() || !self.free.contains(&NodeSlot::new(i)) {
-                    return false;
+                if !l.is_empty() || !free[i] {
+                    return Err(format!("free slot {i} has edges or is off the free list"));
                 }
                 continue;
             };
-            live += 1;
             // id → slot → id round-trip and dense-mirror consistency.
-            if self.index.get(&a) != Some(&NodeSlot::new(i)) {
-                return false;
-            }
             let pos = self.dense_pos[i] as usize;
-            if self.dense.get(pos) != Some(&a) || self.dense_slot.get(pos) != Some(&(i as u32)) {
-                return false;
+            if self.index.get(&a) != Some(&NodeSlot::new(i))
+                || self.dense.get(pos) != Some(&a)
+                || self.dense_slot.get(pos) != Some(&(i as u32))
+            {
+                return Err(format!(
+                    "slot {i} (id {a}) disagrees with the index or dense order"
+                ));
             }
-            // Sortedness, no self-loops, symmetry.
             if l.windows(2).any(|w| w[0] >= w[1]) {
-                return false;
+                return Err(format!("adjacency of {a} is not strictly ascending"));
             }
-            edges += l.len();
-            if l.len() >= hist.len() {
-                hist.resize(l.len() + 1, 0);
+            c.edge_count += l.len();
+            if l.len() >= c.degree_hist.len() {
+                c.degree_hist.resize(l.len() + 1, 0);
             }
-            hist[l.len()] += 1;
-            for &b in l {
-                if b == a {
-                    return false;
-                }
-                let Some(&sb) = self.index.get(&b) else {
-                    return false;
-                };
-                if self.adj.list(sb.index()).binary_search(&a).is_err() {
-                    return false;
-                }
-            }
+            c.degree_hist[l.len()] += 1;
+            live.push((a, i as u32));
         }
-        // Incremental counters match the ground truth.
-        let scanned_max = hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-        if self.edge_count != edges / 2
-            || self.max_degree != scanned_max
-            || live != self.dense.len()
+        if live.len() != self.dense.len()
             || self.dense_slot.len() != self.dense.len()
-            || self.index.len() != live
+            || self.index.len() != live.len()
         {
-            return false;
+            return Err("membership counts disagree".into());
         }
-        for d in 0..hist.len().max(self.degree_hist.len()) {
-            let counted = self.degree_hist.get(d).copied().unwrap_or(0);
-            if hist.get(d).copied().unwrap_or(0) != counted {
-                return false;
+        if !c.edge_count.is_multiple_of(2) {
+            return Err("odd adjacency end count".into());
+        }
+        c.edge_count /= 2;
+        c.max_degree = c.degree_hist.iter().rposition(|&k| k > 0).unwrap_or(0);
+        live.sort_unstable();
+        let mut matched = vec![0u32; n];
+        for &(a, sa) in &live {
+            let l = self.adj.list(sa as usize);
+            let below = l.partition_point(|&b| b < a);
+            if matched[sa as usize] as usize != below {
+                return Err(format!("an edge below {a} has no back-edge"));
+            }
+            if l.get(below) == Some(&a) {
+                return Err(format!("self-loop at {a}"));
+            }
+            for &b in &l[below..] {
+                let Some(sb) = self.index.get(&b).map(|s| s.index()) else {
+                    return Err(format!("{a} lists unknown neighbor {b}"));
+                };
+                let k = &mut matched[sb];
+                if self.adj.list(sb).get(*k as usize) != Some(&a) {
+                    return Err(format!("edge {a} -> {b} has no back-edge"));
+                }
+                *k += 1;
             }
         }
-        true
+        Ok(c)
     }
 
     /// Approximate heap footprint of the topology in bytes: the adjacency
@@ -682,25 +762,25 @@ impl Topology {
     }
 
     /// Rebuild a topology from [`Topology::save_state`] bytes, re-deriving
-    /// every index and counter and verifying the result with
-    /// [`Topology::check_invariants`] — corrupt-but-well-framed payloads
-    /// fail loudly instead of producing an inconsistent graph.
+    /// every index and counter; the counters come from the scan behind
+    /// [`Topology::check_invariants`], which verifies the result in the
+    /// same pass — corrupt-but-well-framed payloads fail loudly instead of
+    /// producing an inconsistent graph.
     pub(crate) fn restore_state(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
         let n_slots = r.seq()?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut adj = AdjStore::default();
         for _ in 0..n_slots {
             slots.push(Option::<NodeId>::load(r)?);
-            adj.push_list(&Vec::<NodeId>::load(r)?);
+            adj.load_list(r)?;
         }
         let n_free = r.seq()?;
         let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
             let i = r.u32()? as usize;
             if i >= n_slots {
-                return Err(SnapshotError::Corrupt(format!(
-                    "free slot {i} out of range"
-                )));
+                return corrupt(format!("free slot {i} out of range"));
             }
             free.push(NodeSlot::new(i));
         }
@@ -713,7 +793,7 @@ impl Topology {
         for (slot, occupant) in slots.iter().enumerate() {
             if let Some(v) = *occupant {
                 if index.insert(v, NodeSlot::new(slot)).is_some() {
-                    return Err(SnapshotError::Corrupt(format!("id {v} occupies two slots")));
+                    return corrupt(format!("id {v} occupies two slots"));
                 }
             }
         }
@@ -721,35 +801,16 @@ impl Topology {
         let mut dense_slot = Vec::with_capacity(dense.len());
         let mut seen = vec![false; n_slots];
         for (pos, &v) in dense.iter().enumerate() {
-            let slot = index
-                .get(&v)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("dense id {v} has no slot")))?
-                .index();
+            let Some(slot) = index.get(&v).map(|s| s.index()) else {
+                return corrupt(format!("dense id {v} has no slot"));
+            };
             if std::mem::replace(&mut seen[slot], true) {
-                return Err(SnapshotError::Corrupt(format!("duplicate dense id {v}")));
+                return corrupt(format!("duplicate dense id {v}"));
             }
             dense_pos[slot] = pos as u32;
             dense_slot.push(slot as u32);
         }
-        // Derive the incremental counters from a ground-truth scan.
-        let mut degree_hist = vec![0usize; 1];
-        let mut edge_ends = 0usize;
-        for (slot, occupant) in slots.iter().enumerate() {
-            if occupant.is_none() {
-                continue;
-            }
-            let d = adj.len(slot);
-            if d >= degree_hist.len() {
-                degree_hist.resize(d + 1, 0);
-            }
-            degree_hist[d] += 1;
-            edge_ends += d;
-        }
-        let max_degree = degree_hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-        if !edge_ends.is_multiple_of(2) {
-            return Err(SnapshotError::Corrupt("odd adjacency end count".into()));
-        }
-        let t = Self {
+        let mut t = Self {
             slots,
             adj,
             index,
@@ -757,17 +818,24 @@ impl Topology {
             dense,
             dense_slot,
             dense_pos,
-            edge_count: edge_ends / 2,
-            degree_hist,
-            max_degree,
+            ..Self::default()
         };
-        if !t.check_invariants() {
-            return Err(SnapshotError::Corrupt(
-                "topology invariants violated".into(),
-            ));
-        }
+        // The counters are derived by the same scan that validates.
+        let c = t.scan().map_err(|why| {
+            SnapshotError::Corrupt(format!("topology invariants violated: {why}"))
+        })?;
+        t.edge_count = c.edge_count;
+        t.degree_hist = c.degree_hist;
+        t.max_degree = c.max_degree;
         Ok(t)
     }
+}
+
+/// The edge and degree counters a [`Topology::scan`] derives.
+struct Counters {
+    edge_count: usize,
+    degree_hist: Vec<usize>,
+    max_degree: usize,
 }
 
 #[cfg(test)]
@@ -926,6 +994,52 @@ mod tests {
         let bytes = w.into_bytes();
         let err = Topology::restore_state(&mut Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        // Adjacency the scan must reject, each with an even end count so
+        // the parity check alone cannot: a ring of up-edges whose targets
+        // do not list back, two down-edges nobody lists from the other
+        // side, self-loops, neighbors that are not members, and a list out
+        // of order. Entries are `(slot, position, neighbor)`.
+        for (what, entries) in [
+            (
+                "one-way up-edges",
+                [(0, 0, 2), (2, 0, 1), (1, 0, 3), (3, 0, 0)].as_slice(),
+            ),
+            ("one-way down-edges", [(2, 0, 0), (3, 0, 1)].as_slice()),
+            ("self-loops", [(0, 0, 0), (1, 0, 1)].as_slice()),
+            ("unknown neighbors", [(0, 0, 8), (1, 0, 9)].as_slice()),
+            (
+                "unsorted list",
+                [(0, 0, 2), (0, 1, 1), (1, 0, 0), (2, 0, 0)].as_slice(),
+            ),
+        ] {
+            let mut broken = Topology::new(0..4u32, []);
+            for &(slot, pos, v) in entries {
+                broken.adj.insert_at(slot, pos, v);
+            }
+            assert!(broken.scan().is_err(), "{what}");
+            let mut w = Writer::new();
+            broken.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let err = Topology::restore_state(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err}");
+        }
+        // A free list must be exactly the free slots: `add_node` pops it
+        // and would overwrite a live occupant (or hand one slot out twice).
+        let mut churned = Topology::new(0..4u32, [(0, 1), (1, 2)]);
+        churned.remove_node(3);
+        for (what, free) in [
+            ("repeated free slot", vec![3, 3]),
+            ("live slot on the free list", vec![3, 1]),
+        ] {
+            let mut broken = churned.clone();
+            broken.free = free.into_iter().map(NodeSlot::new).collect();
+            assert!(!broken.check_invariants(), "{what}");
+            let mut w = Writer::new();
+            broken.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let err = Topology::restore_state(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -981,6 +1095,23 @@ mod tests {
             }
         }
         assert!(t.check_invariants());
+    }
+
+    /// Ids on a power-of-two stride share all their low bits; the index's
+    /// hasher must still spread them over the table's buckets (low bits)
+    /// and tags (top seven bits) about as a random function would.
+    #[test]
+    fn id_hasher_spreads_strided_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u32 << 10, 1 << 16] {
+            let hashes: Vec<u64> = (0..1024u32).map(|k| build.hash_one(k * stride)).collect();
+            let buckets: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+            let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            // A random function fills ~647 of 1,024 buckets and all 128 tags.
+            assert!(buckets.len() > 550, "stride {stride}: {} buckets", buckets.len());
+            assert!(tags.len() > 120, "stride {stride}: {} tags", tags.len());
+        }
     }
 
     /// The footprint is a function of the operations alone: the same churn

@@ -206,6 +206,63 @@ fn corrupted_snapshots_are_rejected() {
     );
 }
 
+/// Single-byte mutations of a re-sealed payload (the content hash is not a
+/// MAC, so a re-sealed payload is outside input): every payload byte of a
+/// mid-stabilization runtime XORed with `0x01`, `0x80` and `0x7f`. Each
+/// case either fails to restore, or restores to a runtime whose topology
+/// passes its invariant check and that runs 30 rounds without panicking —
+/// in a debug build, with the engine's and the protocol's debug
+/// assertions armed.
+#[test]
+fn resealed_single_byte_mutations_restore_or_fail_cleanly() {
+    use chord_scaffolding::sim::snapshot::{seal, unseal};
+    let target = ChordTarget::classic(64);
+    let mut cfg = Config::seeded(7);
+    cfg.record_rounds = false;
+    let mut rt = chord::runtime_from_shape(target, 6, Shape::Random, cfg);
+    rt.run(40);
+    let payload = unseal(&rt.save_snapshot())
+        .expect("a fresh snapshot unseals")
+        .to_vec();
+    let mut failures = Vec::new();
+    for i in 0..payload.len() {
+        for mask in [0x01u8, 0x80, 0x7f] {
+            let mut bytes = payload.clone();
+            bytes[i] ^= mask;
+            let sealed = seal(bytes);
+            let outcome = std::panic::catch_unwind(|| {
+                match chord::restore_runtime::<ChordTarget>(&sealed, cfg) {
+                    Err(_) => true,
+                    Ok(mut back) => {
+                        let sound = back.topology().check_invariants();
+                        back.run(30);
+                        sound
+                    }
+                }
+            });
+            match outcome {
+                Ok(true) => {}
+                Ok(false) => failures.push(format!("byte {i} ^ {mask:#04x}: broken topology")),
+                Err(e) => {
+                    let why = e
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    failures.push(format!("byte {i} ^ {mask:#04x}: panicked: {why}"));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} mutations misbehaved:\n{}",
+        failures.len(),
+        3 * payload.len(),
+        failures.join("\n")
+    );
+}
+
 /// A converged, legal Avatar(Chord) checkpoint restores legal, stays
 /// silent, and continues identically at every thread count and under both
 /// daemons — the property the E14b memory sweep and the bench fixture cache
