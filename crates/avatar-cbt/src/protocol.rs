@@ -10,7 +10,7 @@ use crate::state::{ClusterCore, NeighborView, Role};
 use overlay::cbt::Cbt;
 use rand::Rng;
 use ssim::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
-use ssim::{Ctx, NodeId};
+use ssim::{Ctx, NeighborBaseline, NodeId};
 
 /// Events surfaced by one protocol step (consumed by the scaffolding layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub struct CbtCore {
     /// (the Sleep wave needs a tree descent before the last beacons drain).
     pub sleep_grace: u8,
     /// Neighbor list cached at sleep time; any deviation is a wake-up.
-    pub sleep_neighbors: Option<Vec<NodeId>>,
+    pub sleep_neighbors: NeighborBaseline,
     /// Rounds after a wake-up during which beacon lookups are
     /// stale-tolerant: sleeping neighbors' states are frozen, so their last
     /// beacons are still accurate while everyone re-awakens and resumes
@@ -124,7 +124,7 @@ impl CbtCore {
             sleep_on_clean: false,
             asleep: false,
             sleep_grace: 0,
-            sleep_neighbors: None,
+            sleep_neighbors: NeighborBaseline::default(),
             stale_grace: 0,
             sleeps: 0,
             fault_streak: 0,
@@ -213,7 +213,7 @@ impl CbtCore {
         self.resets += 1;
         // A reset host is wide awake and beaconing.
         self.asleep = false;
-        self.sleep_neighbors = None;
+        self.sleep_neighbors.clear();
         self.beacons_enabled = true;
         self.stale_grace = 0;
     }
@@ -222,7 +222,7 @@ impl CbtCore {
     /// neighbor baseline cached — i.e. its next `step` is a guaranteed
     /// no-op absent external input (the engine's quiescence contract).
     pub fn is_dormant(&self) -> bool {
-        self.asleep && self.sleep_grace == 0 && self.sleep_neighbors.is_some()
+        self.asleep && self.sleep_grace == 0 && self.sleep_neighbors.is_set()
     }
 
     /// [`ssim::Sabotage::skew_identity`], written once for the standalone
@@ -234,7 +234,7 @@ impl CbtCore {
         self.core.skew(salt);
         self.asleep = false;
         self.beacons_enabled = true;
-        self.sleep_neighbors = None;
+        self.sleep_neighbors.clear();
     }
 
     /// [`ssim::Sabotage::plant_observation`]: the recorded beacon of
@@ -345,7 +345,7 @@ impl CbtCore {
         // Neighbor baseline is cached on the next step. Residual traffic
         // keeps arriving until the wave has flooded the whole network and
         // the last beacons have drained — tolerate it for a grace window.
-        self.sleep_neighbors = None;
+        self.sleep_neighbors.clear();
         self.sleep_grace =
             ((2 * (self.sched.height() + 1) + 8) * self.sched.delta()).min(u8::MAX as u64) as u8;
         self.sleeps += 1;
@@ -358,7 +358,7 @@ impl CbtCore {
     fn wake(&mut self) {
         self.asleep = false;
         self.beacons_enabled = true;
-        self.sleep_neighbors = None;
+        self.sleep_neighbors.clear();
         self.sleep_grace = 0;
         self.stale_grace = self.grace_hops(6);
         self.grace = self.grace.max(self.grace_hops(2));
@@ -381,14 +381,9 @@ impl CbtCore {
         // no-op — no scratch wipes, no beacons, no PRNG draws — so a
         // dormant network costs nothing under activity-driven scheduling.
         if self.asleep {
-            match &self.sleep_neighbors {
-                None => self.sleep_neighbors = Some(neighbors.to_vec()),
-                Some(cache) => {
-                    if cache != neighbors {
-                        self.wake();
-                        return ev; // resume the full protocol next round
-                    }
-                }
+            if !self.sleep_neighbors.watch(io) {
+                self.wake();
+                return ev; // resume the full protocol next round
             }
             if self.sleep_grace > 0 {
                 self.sleep_grace -= 1;
@@ -1059,7 +1054,7 @@ impl Persist for CbtCore {
             sleep_on_clean: r.bool()?,
             asleep: r.bool()?,
             sleep_grace: r.u8()?,
-            sleep_neighbors: Option::load(r)?,
+            sleep_neighbors: NeighborBaseline::load(r)?,
             stale_grace: r.u8()?,
             sleeps: r.u64()?,
             fault_streak: r.u8()?,

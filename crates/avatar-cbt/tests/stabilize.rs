@@ -179,3 +179,76 @@ fn stabilization_is_thread_invariant() {
         assert_eq!(sequential, run(threads), "{threads} threads diverged");
     }
 }
+
+/// A stabilized standalone network, run on until the quiesce wave has put
+/// every host to sleep.
+fn dormant_network(seed: u64) -> ssim::Runtime<avatar_cbt::CbtProgram> {
+    use avatar_cbt::legal::runtime_from_shape;
+    let n = 64u32;
+    let mut rt = runtime_from_shape(n, 8, ssim::init::Shape::Random, Config::seeded(seed));
+    let out = rt.run_monitored(&mut legality(), budget(n, 8));
+    assert_eq!(out.verdict, RunVerdict::Satisfied);
+    let epoch = avatar_cbt::Schedule::new(n).epoch_len();
+    for _ in 0..64 {
+        if rt.programs().all(|(_, p)| p.core.is_dormant()) {
+            return rt;
+        }
+        rt.run(epoch);
+    }
+    panic!("network failed to go dormant");
+}
+
+/// Every host still dormant after `rounds` more rounds, and not a message
+/// sent meanwhile.
+fn stays_dormant(rt: &mut ssim::Runtime<avatar_cbt::CbtProgram>, rounds: u64, what: &str) {
+    let sent = rt.metrics().total_messages;
+    rt.run(rounds);
+    assert!(rt.programs().all(|(_, p)| p.core.is_dormant()), "{what}");
+    assert_eq!(rt.metrics().total_messages, sent, "{what}: traffic");
+}
+
+/// The dormant watch under both daemons the shadow check audits: an edge
+/// flap that restores every list keeps the network asleep, as do a rollback
+/// and a restore (whose hosts compare their lists afresh); a real edge
+/// change wakes its two ends, and so does a program carried to a host with
+/// another neighborhood. Debug builds also check every verdict the
+/// adjacency stamp gives against the list itself.
+#[test]
+fn dormant_hosts_watch_their_neighbors_under_both_daemons() {
+    use avatar_cbt::legal::restore_runtime;
+    use ssim::{sched, Checkpoint};
+    for (k, spec) in ["sync", "activity"].into_iter().enumerate() {
+        let seed = 0x5EE9 + k as u64;
+        let daemon = || sched::from_spec(spec, seed).expect("known spec");
+        let mut rt = dormant_network(seed);
+        rt.set_scheduler(daemon());
+        let ck = Checkpoint::capture(&rt);
+        let (a, b) = rt.topology().edges()[0];
+        assert!(rt.adversarial_remove_edge(a, b));
+        assert!(rt.adversarial_add_edge(a, b));
+        stays_dormant(&mut rt, 8, &format!("{spec}: edge flap"));
+        let ids = rt.ids().to_vec();
+        assert_eq!(ck.rollback(&mut rt, &ids), ids.len());
+        stays_dormant(&mut rt, 8, &format!("{spec}: rollback"));
+
+        let mut back = restore_runtime(&rt.save_snapshot(), Config::seeded(seed)).unwrap();
+        back.set_scheduler(daemon());
+        stays_dormant(&mut back, 8, &format!("{spec}: restore"));
+        // Host `a`'s program carried to a host whose list differs.
+        let c = *ids
+            .iter()
+            .find(|&&v| rt.topology().neighbors(v) != rt.topology().neighbors(a))
+            .expect("two neighborhoods differ");
+        let p = back.program(a).clone();
+        back.corrupt_node(c, move |q| *q = p);
+        back.step();
+        assert!(!back.program(c).core.asleep, "{spec}: carried program woke");
+
+        assert!(rt.adversarial_remove_edge(a, b));
+        rt.step();
+        for v in ids {
+            let touched = v == a || v == b;
+            assert_eq!(!rt.program(v).core.asleep, touched, "{spec}: node {v}");
+        }
+    }
+}

@@ -16,7 +16,7 @@ use crate::msg::{Phase, PhaseInfo, ScafMsg};
 use crate::target::InductiveTarget;
 use avatar_cbt::{CbtCore, CbtMsg};
 use ssim::snapshot::{persist_struct, Persist};
-use ssim::{CompactMap, CompactSet, Ctx, NodeId};
+use ssim::{CompactMap, CompactSet, Ctx, NeighborBaseline, NodeId};
 
 /// An in-flight PIF wave on this host.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub struct ScaffoldCore<T: InductiveTarget> {
     done_parent: Option<NodeId>,
     armed: bool,
     /// Neighbor list cached on entering DONE.
-    done_neighbors: Option<Vec<NodeId>>,
+    done_neighbors: NeighborBaseline,
     done_grace: u8,
     /// Statistics: CHORD→CBT reversions and DONE completions.
     pub reverts: u64,
@@ -95,7 +95,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             done_pending: None,
             done_parent: None,
             armed: false,
-            done_neighbors: None,
+            done_neighbors: NeighborBaseline::default(),
             done_grace: 0,
             reverts: 0,
             completions: 0,
@@ -138,7 +138,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// ([`ssim::Program::is_quiescent`]): a freshly-DONE host still counts
     /// down its grace window and must keep being scheduled.
     pub fn is_settled(&self) -> bool {
-        self.phase == Phase::Done && self.done_grace == 0 && self.done_neighbors.is_some()
+        self.phase == Phase::Done && self.done_grace == 0 && self.done_neighbors.is_set()
     }
 
     /// Install the **settled DONE** state directly: phase DONE with the
@@ -157,7 +157,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         self.done_parent = None;
         self.wave0_at = None;
         self.done_grace = 0;
-        self.done_neighbors = Some(neighbors.to_vec());
+        self.done_neighbors.set(neighbors);
     }
 
     /// Greedy guest-space routing of an application request (the
@@ -272,7 +272,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         self.last_progress = round;
         self.done_pending = None;
         self.armed = false;
-        self.done_neighbors = None;
+        self.done_neighbors.clear();
         let h = self.cbt.sched.height();
         self.wave0_at = as_root.then_some(round + switch_window(h, self.cbt.sched.delta()));
         for c in self.cbt.children(round, io.neighbors()) {
@@ -660,7 +660,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         // the host tree before treating messages as a wake-up signal.
         self.done_grace = ((2 * (self.cbt.sched.height() + 1) + 8) * self.cbt.sched.delta())
             .min(u8::MAX as u64) as u8;
-        self.done_neighbors = None;
+        self.done_neighbors.clear();
         self.completions += 1;
     }
 
@@ -713,21 +713,13 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     // ------------------------------------------------------------------
 
     fn step_done(&mut self, io: &mut Ctx<'_, ScafMsg>) {
-        let neighbors = io.neighbors();
-        match &self.done_neighbors {
-            None => {
-                // The topology incident to this host is final at Done entry
-                // (it pruned its own non-required edges at arming), so the
-                // baseline is cached immediately.
-                self.done_neighbors = Some(neighbors.to_vec());
-            }
-            Some(cache) => {
-                if cache != neighbors {
-                    // Topology perturbed: wake up and rebuild.
-                    self.revert_to_cbt();
-                    return;
-                }
-            }
+        // The topology incident to this host is final at Done entry (it
+        // pruned its own non-required edges at arming), so the baseline is
+        // cached on the first DONE step.
+        if !self.done_neighbors.watch(io) {
+            // Topology perturbed: wake up and rebuild.
+            self.revert_to_cbt();
+            return;
         }
         // The grace window only tolerates residual *traffic* from sibling
         // subtrees the DONE wave has not reached yet.
@@ -1101,7 +1093,7 @@ mod tests {
         core.done_pending = Some(vec![30]);
         core.done_parent = Some(3);
         core.armed = true;
-        core.done_neighbors = Some(vec![3, 30, 41]);
+        core.done_neighbors.set(&[3, 30, 41]);
         core.done_grace = 9;
         core.reverts = 1;
         core.completions = 4;

@@ -101,7 +101,7 @@ pub use monitor::{
     RunVerdict, Severity, Verdict,
 };
 pub use net::{NetModel, NetStats};
-pub use program::{Ctx, Program};
+pub use program::{Ctx, NeighborBaseline, Program};
 pub use runtime::{Config, MemFootprint, Runtime};
 pub use scenario::{Event, Scenario, ScenarioReport};
 pub use sched::{ActivityDriven, Adversarial, RandomSubset, SchedView, Scheduler, Synchronous};

@@ -5,6 +5,7 @@ use crate::arena::InboxArena;
 use crate::metrics::PerfCounters;
 use crate::par::{self, ThreadPool};
 use crate::sched::ChunkPlan;
+use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 use rand::rngs::SmallRng;
@@ -382,6 +383,15 @@ impl<'a, M> Ctx<'a, M> {
         self.neighbors
     }
 
+    /// The adjacency stamp of this node's slot at the start of this round
+    /// ([`Topology::stamp_at`]): unmoved since an earlier round means
+    /// [`Ctx::neighbors`] is the list that round saw. The cheap half of
+    /// [`NeighborBaseline::watch`].
+    #[inline]
+    pub fn neighbors_stamp(&self) -> u64 {
+        self.topo.stamp_at(NodeSlot::new(self.slot as usize))
+    }
+
     /// True iff `v` was a neighbor at the start of this round.
     pub fn is_neighbor(&self, v: NodeId) -> bool {
         self.neighbors.binary_search(&v).is_ok()
@@ -470,5 +480,265 @@ impl<'a, M> Ctx<'a, M> {
     pub fn wake_me_in(&mut self, rounds: u64) {
         let d = rounds.max(1);
         self.wake_in = Some(self.wake_in.map_or(d, |w| w.min(d)));
+    }
+}
+
+/// The neighbor list a settled host watches: any change to it is the
+/// host's wake-up. Checking it every round is the whole per-round cost of
+/// a silent overlay, so the list carries the [`Ctx::neighbors_stamp`] at
+/// which it was last found equal to the live list: while that stamp has
+/// not moved the list is known unchanged without reading either copy;
+/// once it has, the full compare decides and, on equality, re-confirms
+/// the new stamp. The verdict is always the full compare's.
+///
+/// The stamp is not simulated state: writing a new list resets it, it is
+/// never saved, and a loaded baseline starts unconfirmed, so the bytes are
+/// exactly those of an `Option<Vec<NodeId>>` and the first step after a
+/// restore compares in full. `Debug` shows the list alone.
+#[derive(Clone, Default)]
+pub struct NeighborBaseline {
+    list: Option<Box<[NodeId]>>,
+    /// The stamp `list` was last confirmed at; 0 (never issued) when not
+    /// confirmed.
+    stamp: u64,
+}
+
+impl NeighborBaseline {
+    /// True iff a list is set.
+    pub fn is_set(&self) -> bool {
+        self.list.is_some()
+    }
+
+    /// Forget the list.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Set the list, unconfirmed: the next [`NeighborBaseline::watch`]
+    /// compares in full.
+    pub fn set(&mut self, neighbors: &[NodeId]) {
+        self.list = Some(neighbors.into());
+        self.stamp = 0;
+    }
+
+    /// This round's check, what a settled host does each round: true iff
+    /// the list equals [`Ctx::neighbors`]. An unset list is taken from this
+    /// round (and reads unchanged). An unmoved stamp answers without a
+    /// compare; debug builds compare anyway and panic on a disagreement, so
+    /// every debug run also checks the topology's stamps.
+    pub fn watch<M>(&mut self, io: &Ctx<'_, M>) -> bool {
+        let Some(list) = &self.list else {
+            self.set(io.neighbors());
+            return true;
+        };
+        let stamp = io.neighbors_stamp();
+        if self.stamp == stamp {
+            debug_assert!(
+                **list == *io.neighbors(),
+                "node {}: adjacency stamp {stamp} unmoved, but the neighbor list changed",
+                io.id
+            );
+            return true;
+        }
+        let same = **list == *io.neighbors();
+        if same {
+            self.stamp = stamp;
+        }
+        same
+    }
+}
+
+impl std::fmt::Debug for NeighborBaseline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.list.fmt(f)
+    }
+}
+
+/// The bytes of the `Option<Vec<NodeId>>` the baseline replaced.
+impl Persist for NeighborBaseline {
+    fn save(&self, w: &mut Writer) {
+        w.bool(self.list.is_some());
+        if let Some(list) = &self.list {
+            w.seq(list.len());
+            for &v in list.iter() {
+                w.u32(v);
+            }
+        }
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            list: Option::<Vec<NodeId>>::load(r)?.map(Vec::into_boxed_slice),
+            stamp: 0,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::persist_struct;
+    use crate::{Checkpoint, Config, Runtime};
+
+    /// A settled host reduced to its watch. Each step records whether the
+    /// stamp alone could answer and what the watch decided, checks that
+    /// verdict against the full compare the stamp replaced, and re-takes
+    /// the baseline after a change.
+    #[derive(Clone, Debug, Default)]
+    struct Watcher {
+        base: NeighborBaseline,
+        /// `(answered by the stamp, unchanged)` at the last step.
+        last: Option<(bool, bool)>,
+    }
+
+    impl Program for Watcher {
+        type Msg = ();
+        fn step(&mut self, io: &mut Ctx<'_, ()>) {
+            let fast = self.base.is_set() && self.base.stamp == io.neighbors_stamp();
+            let reference = self
+                .base
+                .list
+                .as_deref()
+                .is_none_or(|l| l == io.neighbors());
+            let unchanged = self.base.watch(io);
+            assert_eq!(
+                unchanged, reference,
+                "node {}: the stamp changed a verdict",
+                io.id
+            );
+            if !unchanged {
+                self.base.set(io.neighbors());
+            }
+            self.last = Some((fast, unchanged));
+        }
+    }
+
+    persist_struct!(Watcher { base, last });
+
+    /// A 5-node ring with the chord (0, 2); every node's baseline is set,
+    /// then confirmed, so from here on every step reads the stamp.
+    fn settled(seed: u64) -> Runtime<Watcher> {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)];
+        let mut rt = Runtime::new(
+            Config::seeded(seed),
+            (0..5).map(|v| (v, Watcher::default())),
+            edges,
+        );
+        rt.run(2);
+        rt
+    }
+
+    fn last(rt: &Runtime<Watcher>, v: NodeId) -> (bool, bool) {
+        rt.program(v).last.expect("stepped")
+    }
+
+    #[test]
+    fn baseline_is_24_bytes_and_saves_as_an_option_vec() {
+        assert_eq!(std::mem::size_of::<NeighborBaseline>(), 24);
+        assert_eq!(
+            std::mem::size_of::<NeighborBaseline>(),
+            std::mem::size_of::<Option<Vec<NodeId>>>()
+        );
+        for list in [None, Some(vec![]), Some(vec![3, 30, 41])] {
+            let mut base = NeighborBaseline::default();
+            if let Some(l) = &list {
+                base.set(l);
+            }
+            base.stamp = 77; // never travels
+            let (mut a, mut b) = (Writer::new(), Writer::new());
+            base.save(&mut a);
+            list.save(&mut b);
+            let bytes = a.into_bytes();
+            assert_eq!(bytes, b.into_bytes());
+            let back = NeighborBaseline::load(&mut Reader::new(&bytes)).unwrap();
+            assert_eq!(back.list.as_deref(), list.as_deref());
+            assert_eq!(back.stamp, 0, "a loaded baseline starts unconfirmed");
+        }
+    }
+
+    #[test]
+    fn stamp_answers_only_after_a_confirming_compare() {
+        let mut rt = Runtime::new(
+            Config::seeded(1),
+            (0..3).map(|v| (v, Watcher::default())),
+            [(0, 1), (1, 2)],
+        );
+        rt.step();
+        assert_eq!(last(&rt, 1), (false, true), "baseline taken");
+        rt.step();
+        assert_eq!(last(&rt, 1), (false, true), "a new list is compared once");
+        rt.step();
+        assert_eq!(last(&rt, 1), (true, true));
+    }
+
+    /// An edge removed and re-added leaves an equal list under a new
+    /// stamp: both ends take the full compare, find no change, and answer
+    /// from the stamp again the round after.
+    #[test]
+    fn edge_flap_takes_the_full_compare() {
+        let mut rt = settled(2);
+        rt.run(1);
+        assert!((0..5).all(|v| last(&rt, v) == (true, true)));
+        assert!(rt.adversarial_remove_edge(0, 2));
+        assert!(rt.adversarial_add_edge(2, 0));
+        rt.step();
+        for v in 0..5 {
+            let touched = v == 0 || v == 2;
+            assert_eq!(last(&rt, v), (!touched, true), "node {v}");
+        }
+        rt.step();
+        assert!((0..5).all(|v| last(&rt, v) == (true, true)));
+        // A real change is reported to exactly its two ends.
+        assert!(rt.adversarial_remove_edge(0, 2));
+        rt.step();
+        for v in 0..5 {
+            let touched = v == 0 || v == 2;
+            assert_eq!(last(&rt, v), (!touched, !touched), "node {v}");
+        }
+    }
+
+    /// A program carried into another runtime or another slot meets a
+    /// stamp it was never confirmed at, so it compares in full — whether
+    /// the list there happens to be equal or not.
+    #[test]
+    fn clones_never_read_unchanged_from_the_stamp() {
+        let a = settled(3);
+        let mut b = settled(3);
+        for v in 0..5 {
+            let p = a.program(v).clone();
+            b.corrupt_node(v, move |q| *q = p);
+        }
+        b.step();
+        assert!(
+            (0..5).all(|v| last(&b, v) == (false, true)),
+            "equal lists, compared"
+        );
+        // Same runtime, another slot: node 0's baseline moved to node 3.
+        let p = b.program(0).clone();
+        b.corrupt_node(3, move |q| *q = p);
+        b.step();
+        assert_eq!(last(&b, 3), (false, false));
+        assert_eq!(last(&b, 0), (true, true));
+    }
+
+    /// A rollback installs programs decoded from the checkpoint and a
+    /// restore decodes them all; either way the next step compares.
+    #[test]
+    fn rollback_and_restore_compare_on_the_next_step() {
+        let mut rt = settled(4);
+        let ck = Checkpoint::capture(&rt);
+        rt.run(1);
+        assert_eq!(ck.rollback(&mut rt, &[1, 4]), 2);
+        rt.step();
+        for v in 0..5 {
+            let rolled = v == 1 || v == 4;
+            assert_eq!(last(&rt, v), (!rolled, true), "node {v}");
+        }
+        let mut back: Runtime<Watcher> =
+            Runtime::restore_snapshot(&rt.save_snapshot(), Config::seeded(4)).unwrap();
+        back.step();
+        assert!((0..5).all(|v| last(&back, v) == (false, true)));
+        back.step();
+        assert!((0..5).all(|v| last(&back, v) == (true, true)));
     }
 }

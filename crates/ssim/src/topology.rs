@@ -14,12 +14,32 @@
 //! incrementally, so the per-round metric reads are O(1) instead of a full
 //! adjacency scan ([`Topology::check_invariants`] re-verifies the counters
 //! against a ground-truth scan).
+//!
+//! Every slot also carries an adjacency *stamp* ([`Topology::stamp_at`]):
+//! a value that is replaced whenever the slot's neighbor list may have
+//! changed, so a settled host can confirm an unchanged neighborhood without
+//! re-reading the list (see [`crate::program::NeighborBaseline`]).
 
 use crate::runtime::splitmix64;
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::NodeId;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of every adjacency stamp, shared by all topologies in the
+/// process. A stamp value is handed out once, so it names one list of one
+/// slot of one topology: a program carried into another runtime or another
+/// slot can never find its own stamp there. (A cloned topology shares its
+/// stamps with the original, and rightly: the lists they name are equal.)
+/// Zero is never issued, so it can mean "not confirmed".
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Reserve `k` consecutive fresh stamps and return the first. One atomic
+/// add per mutation, however many slots it touches.
+fn fresh_stamps(k: usize) -> u64 {
+    NEXT_STAMP.fetch_add(k as u64, Ordering::Relaxed)
+}
 
 /// The id → slot index. Its hasher has fixed keys: a per-process random
 /// one would make the table's capacity after removals — and with it
@@ -311,6 +331,9 @@ pub struct Topology {
     degree_hist: Vec<usize>,
     /// Incrementally tracked maximum degree over live nodes.
     max_degree: usize,
+    /// Per-slot adjacency stamp (see [`Topology::stamp_at`]); derived
+    /// state, never saved.
+    stamps: Vec<u64>,
 }
 
 impl Topology {
@@ -427,6 +450,23 @@ impl Topology {
         self.adj.list(slot.index())
     }
 
+    /// The adjacency stamp of `slot`: equal stamps read at two moments
+    /// mean the slot's neighbor list was not touched in between. Every
+    /// mutator replaces the stamps of the slots whose lists it changed —
+    /// both ends of an added or removed edge, a departing node and each of
+    /// its former neighbors, a slot a node is added into — and a restore
+    /// replaces them all. A moved stamp says only "maybe changed" (an edge
+    /// removed and re-added leaves an equal list under a new stamp).
+    /// Stamps come from a process-wide counter, so they are not simulated
+    /// state: they differ between runs and are never saved.
+    ///
+    /// # Panics
+    /// `slot` must have been allocated.
+    #[inline]
+    pub fn stamp_at(&self, slot: NodeSlot) -> u64 {
+        self.stamps[slot.index()]
+    }
+
     /// Degree of node `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         self.neighbors(v).len()
@@ -475,9 +515,11 @@ impl Topology {
         if self.index.contains_key(&v) {
             return false;
         }
+        let stamp = fresh_stamps(1);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s.index()] = Some(v);
+                self.stamps[s.index()] = stamp;
                 s
             }
             None => {
@@ -485,6 +527,7 @@ impl Topology {
                 self.slots.push(Some(v));
                 self.adj.push_slot();
                 self.dense_pos.push(0);
+                self.stamps.push(stamp);
                 s
             }
         };
@@ -508,8 +551,11 @@ impl Topology {
         };
         // Drop the back-edges from v's neighbors.
         let neighbors = self.adj.take(slot.index());
-        for b in &neighbors {
+        let stamp = fresh_stamps(neighbors.len() + 1);
+        self.stamps[slot.index()] = stamp;
+        for (b, k) in neighbors.iter().zip(1..) {
             let sb = self.index[b].index();
+            self.stamps[sb] = stamp + k;
             let pb = self.adj.list(sb).binary_search(&v).unwrap();
             let deg = self.adj.len(sb);
             self.adj.remove_at(sb, pb);
@@ -547,6 +593,7 @@ impl Topology {
                 self.adj.insert_at(sa, pa, b);
                 let pb = self.adj.list(sb).binary_search(&a).unwrap_err();
                 self.adj.insert_at(sb, pb, a);
+                self.stamp_pair(sa, sb);
                 self.edge_count += 1;
                 self.degree_changed(self.adj.len(sa) - 1, self.adj.len(sa));
                 self.degree_changed(self.adj.len(sb) - 1, self.adj.len(sb));
@@ -566,6 +613,7 @@ impl Topology {
                 self.adj.remove_at(sa, pa);
                 let pb = self.adj.list(sb).binary_search(&a).unwrap();
                 self.adj.remove_at(sb, pb);
+                self.stamp_pair(sa, sb);
                 self.edge_count -= 1;
                 self.degree_changed(self.adj.len(sa) + 1, self.adj.len(sa));
                 self.degree_changed(self.adj.len(sb) + 1, self.adj.len(sb));
@@ -573,6 +621,13 @@ impl Topology {
             }
             Err(_) => false,
         }
+    }
+
+    /// New stamps for both ends of an edited edge.
+    fn stamp_pair(&mut self, sa: usize, sb: usize) {
+        let stamp = fresh_stamps(2);
+        self.stamps[sa] = stamp;
+        self.stamps[sb] = stamp + 1;
     }
 
     /// The undirected edge list, sorted, each edge once as `(a, b)` with
@@ -688,6 +743,7 @@ impl Topology {
         if live.len() != self.dense.len()
             || self.dense_slot.len() != self.dense.len()
             || self.index.len() != live.len()
+            || self.stamps.len() != n
         {
             return Err("membership counts disagree".into());
         }
@@ -734,6 +790,7 @@ impl Topology {
             + self.dense_slot.capacity() * size_of::<u32>()
             + self.dense_pos.capacity() * size_of::<u32>()
             + self.degree_hist.capacity() * size_of::<usize>()
+            + self.stamps.capacity() * size_of::<u64>()
     }
 
     /// Serialize the topology for a snapshot. The slot array (occupants and
@@ -810,6 +867,8 @@ impl Topology {
             dense_pos[slot] = pos as u32;
             dense_slot.push(slot as u32);
         }
+        // Every list is new to this process: none keeps an old stamp.
+        let first = fresh_stamps(n_slots);
         let mut t = Self {
             slots,
             adj,
@@ -818,6 +877,7 @@ impl Topology {
             dense,
             dense_slot,
             dense_pos,
+            stamps: (first..first + n_slots as u64).collect(),
             ..Self::default()
         };
         // The counters are derived by the same scan that validates.
@@ -1109,7 +1169,11 @@ mod tests {
             let buckets: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
             let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
             // A random function fills ~647 of 1,024 buckets and all 128 tags.
-            assert!(buckets.len() > 550, "stride {stride}: {} buckets", buckets.len());
+            assert!(
+                buckets.len() > 550,
+                "stride {stride}: {} buckets",
+                buckets.len()
+            );
             assert!(tags.len() > 120, "stride {stride}: {} tags", tags.len());
         }
     }
@@ -1136,6 +1200,59 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(churned(), first);
         }
+    }
+
+    /// Apply `f` and return the slots whose stamp moved, in slot order.
+    fn bumped(t: &mut Topology, f: impl FnOnce(&mut Topology)) -> Vec<usize> {
+        let before = t.stamps.clone();
+        f(t);
+        (0..t.slot_count())
+            .filter(|&i| before.get(i) != Some(&t.stamps[i]))
+            .collect()
+    }
+
+    /// Each mutator moves the stamps of exactly the slots whose lists it
+    /// changed — the ones a settled host would otherwise miss — and no
+    /// stamp is ever handed out twice, to any slot of any topology.
+    #[test]
+    fn each_mutator_bumps_exactly_the_slots_it_touched() {
+        // Slots 0..6 hold ids 10..16: a path 10-11-12-13 plus 14, 15.
+        let mut t = Topology::new(10..16u32, [(10, 11), (11, 12), (12, 13)]);
+        assert_eq!(bumped(&mut t, |t| assert!(t.add_edge(14, 11))), [1, 4]);
+        assert_eq!(bumped(&mut t, |t| assert!(!t.add_edge(11, 14))), [0; 0]);
+        assert_eq!(bumped(&mut t, |t| assert!(t.remove_edge(12, 13))), [2, 3]);
+        assert_eq!(bumped(&mut t, |t| assert!(!t.remove_edge(12, 13))), [0; 0]);
+        assert_eq!(bumped(&mut t, |t| assert!(!t.remove_edge(12, 99))), [0; 0]);
+        // A departure: the leaver and every former neighbor.
+        assert_eq!(bumped(&mut t, |t| assert!(t.remove_node(11))), [0, 1, 2, 4]);
+        assert_eq!(bumped(&mut t, |t| assert!(!t.remove_node(11))), [0; 0]);
+        // A join into the recycled slot, then into a fresh one.
+        assert_eq!(bumped(&mut t, |t| assert!(t.add_node(20))), [1]);
+        assert_eq!(bumped(&mut t, |t| assert!(t.add_node(21))), [6]);
+        assert_eq!(bumped(&mut t, |t| assert!(!t.add_node(21))), [0; 0]);
+        // A restore stamps every slot afresh.
+        let mut w = Writer::new();
+        t.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let back = Topology::restore_state(&mut Reader::new(&bytes)).unwrap();
+        let clone = t.clone();
+        assert_eq!(clone.stamps, t.stamps, "a clone names the same lists");
+        let mut seen = std::collections::HashSet::new();
+        for s in t.stamps.iter().chain(&back.stamps) {
+            assert!(*s != 0 && seen.insert(*s), "stamp {s} issued twice");
+        }
+    }
+
+    /// The stamp array is slot-parallel and counted: 8 bytes a slot.
+    #[test]
+    fn stamps_cover_every_slot_and_count_in_heap_bytes() {
+        let mut t = Topology::new(0..64u32, (0..64u32).map(|i| (i, (i + 1) % 64)));
+        assert_eq!(t.stamps.len(), t.slot_count());
+        let (bytes, cap) = (t.heap_bytes(), t.stamps.capacity());
+        t.stamps.reserve_exact(cap + 100);
+        assert_eq!(t.heap_bytes() - bytes, (t.stamps.capacity() - cap) * 8);
+        t.stamps.pop();
+        assert!(!t.check_invariants(), "a short stamp array fails the scan");
     }
 
     #[test]
