@@ -101,21 +101,37 @@ pub fn identity_digest(cid: u64, range: (u32, u32), cluster_min: NodeId) -> u64 
 /// ([`NeighborView::fresh`], [`NeighborView::latest_along`],
 /// [`NeighborView::retain_neighbors`]) is one merge-join against the sorted
 /// neighbor list.
+///
+/// The view also certifies its own ring order, which routing searches
+/// instead of scanning ([`NeighborView::closest_preceding`]). It counts the
+/// *order violations* among its entries, taken in id order: an entry whose
+/// range is empty or inverted (`lo >= hi`), and an adjacent pair whose
+/// ranges overlap or run backwards (`hi_i > lo_{i+1}`). At zero every range
+/// is non-empty and each starts at or after the previous one's end, so the
+/// ranges — and the positions `hi - 1` they end at — strictly increase
+/// with the ids, as in every legal Avatar view. [`NeighborView::record`]
+/// keeps the count in O(1) from the entries beside the one it wrote;
+/// `retain_neighbors`, `tamper` and `load` recount it.
 #[derive(Debug, Clone)]
 pub struct NeighborView {
     beacons: CompactMap<NodeId, (u64, Beacon)>,
-    /// Staleness horizon in rounds. `BEACON_TTL` on the classic channel;
-    /// scaled by the delivery bound `Δ` under a latency/jitter model, where
-    /// arrival gaps of up to `1 + jitter` rounds are legitimate
-    /// (see [`crate::Schedule::with_delta`]).
-    ttl: u64,
+    /// The delivery bound `Δ` the staleness horizon is budgeted for:
+    /// beacons stay fresh for `Δ × BEACON_TTL` rounds. 1 on the classic
+    /// channel; larger under a latency/jitter model, where arrival gaps of
+    /// up to `1 + jitter` rounds are legitimate (see
+    /// [`crate::Schedule::with_delta`]). `u32` like the bound itself
+    /// ([`ssim::NetModel::validate`]), which keeps the view at 32 bytes.
+    delta: u32,
+    /// Order violations among the entries; 0 certifies the ring order.
+    disorder: u32,
 }
 
 impl Default for NeighborView {
     fn default() -> Self {
         Self {
             beacons: CompactMap::new(),
-            ttl: BEACON_TTL,
+            delta: 1,
+            disorder: 0,
         }
     }
 }
@@ -123,6 +139,23 @@ impl Default for NeighborView {
 /// Beacons older than this many rounds are considered stale (per delivery
 /// bound unit; a view under delivery bound `Δ` uses `Δ × BEACON_TTL`).
 pub const BEACON_TTL: u64 = 3;
+
+/// One recorded beacon, as the view stores it: `(sender, (round, beacon))`.
+type Entry = (NodeId, (u64, Beacon));
+
+fn range(e: &Entry) -> (u32, u32) {
+    e.1 .1.range
+}
+
+/// The order violation a range is on its own: empty or inverted.
+fn inverted(r: (u32, u32)) -> u32 {
+    u32::from(r.0 >= r.1)
+}
+
+/// The order violation of an adjacent pair: `b` starts before `a` ends.
+fn crossed(a: (u32, u32), b: (u32, u32)) -> u32 {
+    u32::from(a.1 > b.0)
+}
 
 /// The merge-join step: advance the sorted cursor `rest` past every element
 /// whose id is below `v`, and return its head if that is `v`. The head is
@@ -138,27 +171,55 @@ fn seek<'a, T>(rest: &mut &'a [T], id: impl Fn(&T) -> NodeId, v: NodeId) -> Opti
 }
 
 impl NeighborView {
-    /// Record a beacon received from `from` at `round`.
+    /// Record a beacon received from `from` at `round`. The order count
+    /// changes only through the written entry and its two neighbours in
+    /// the view, and not at all when a sender re-beacons the same range.
     pub fn record(&mut self, from: NodeId, round: u64, b: Beacon) {
-        self.beacons.insert(from, (round, b));
+        let (i, old) = self.beacons.insert_full(from, (round, b));
+        let old = old.map(|(_, o)| o.range);
+        if old == Some(b.range) {
+            return;
+        }
+        let entries = self.beacons.as_slice();
+        let prev = i.checked_sub(1).map(|j| range(&entries[j]));
+        let next = entries.get(i + 1).map(range);
+        let around =
+            |r| inverted(r) + prev.map_or(0, |p| crossed(p, r)) + next.map_or(0, |x| crossed(r, x));
+        let lost = match (old, prev, next) {
+            (Some(r), ..) => around(r),
+            (None, Some(p), Some(x)) => crossed(p, x),
+            (None, ..) => 0,
+        };
+        self.disorder = self.disorder - lost + around(b.range);
+    }
+
+    /// The order count from scratch.
+    fn recount(&mut self) {
+        let entries = self.beacons.as_slice();
+        let singles = entries.iter().map(|e| inverted(range(e)));
+        let pairs = entries
+            .windows(2)
+            .map(|w| crossed(range(&w[0]), range(&w[1])));
+        self.disorder = singles.chain(pairs).sum();
     }
 
     /// Re-budget the staleness horizon for a per-hop delivery bound of
-    /// `delta` rounds: beacons stay fresh for `Δ × BEACON_TTL` rounds.
+    /// `delta` rounds: beacons stay fresh for `Δ × BEACON_TTL` rounds. A
+    /// bound past `u32::MAX` (which no validated `NetModel` has) saturates.
     pub fn set_delta(&mut self, delta: u64) {
-        self.ttl = delta.max(1) * BEACON_TTL;
+        self.delta = u32::try_from(delta.max(1)).unwrap_or(u32::MAX);
     }
 
     /// The staleness horizon currently in force.
     pub fn ttl(&self) -> u64 {
-        self.ttl
+        u64::from(self.delta) * BEACON_TTL
     }
 
     /// The fresh beacon of `v`, if any.
     pub fn get(&self, now: u64, v: NodeId) -> Option<&Beacon> {
         self.beacons
             .get(&v)
-            .filter(|(r, _)| now.saturating_sub(*r) < self.ttl)
+            .filter(|(r, _)| now.saturating_sub(*r) < self.ttl())
             .map(|(_, b)| b)
     }
 
@@ -181,9 +242,10 @@ impl NeighborView {
         stale_ok: bool,
     ) -> impl Iterator<Item = (NodeId, &'a Beacon)> + 'a {
         let mut rest = self.beacons.as_slice();
+        let ttl = self.ttl();
         neighbors.iter().filter_map(move |&v| {
             let (_, (r, b)) = seek(&mut rest, |e| e.0, v)?;
-            (stale_ok || now.saturating_sub(*r) < self.ttl).then_some((v, b))
+            (stale_ok || now.saturating_sub(*r) < ttl).then_some((v, b))
         })
     }
 
@@ -207,12 +269,68 @@ impl NeighborView {
         self.along(0, neighbors, true)
     }
 
+    /// On a certified view whose ranges all end at or below `n`, the entry
+    /// among `neighbors` whose range end `p = hi - 1` is closest to `key`
+    /// going clockwise — the minimum a scan of [`NeighborView::latest_along`]
+    /// would find. `None` when the view does not certify its order for `n`
+    /// (the caller scans); `Some(None)` when no neighbor has an entry.
+    ///
+    /// The positions strictly increase along the view, so that minimum is
+    /// unique, and it is the last neighbor entry starting at or before
+    /// `key`: the one covering `key`, else the last one ending at or before
+    /// it — or, when every entry starts after `key`, the last one (the
+    /// wrap). The search starts from the ids: in a legal Avatar a host's
+    /// range starts at its id (the minimum host's at 0) and the view holds
+    /// exactly the neighbors, so the last neighbor with id `<= key` sits at
+    /// the same index in the view. Two entries around that index confirm
+    /// the boundary; otherwise a binary search over the view finds it.
+    pub fn closest_preceding(
+        &self,
+        key: u32,
+        n: u32,
+        neighbors: &[NodeId],
+    ) -> Option<Option<(NodeId, &Beacon)>> {
+        let entries = self.beacons.as_slice();
+        if self.disorder != 0 || entries.last().is_some_and(|e| range(e).1 > n) {
+            return None;
+        }
+        let starts_by = |e: &Entry| range(e).0 <= key;
+        fn found(e: &Entry) -> (NodeId, &Beacon) {
+            (e.0, &e.1 .1)
+        }
+        let i = neighbors.partition_point(|&v| v <= key).saturating_sub(1);
+        if let (Some(e), Some(&v)) = (entries.get(i), neighbors.get(i)) {
+            if starts_by(e) {
+                if e.0 == v && entries.get(i + 1).is_none_or(|x| !starts_by(x)) {
+                    return Some(Some(found(e)));
+                }
+            } else if i == 0 {
+                // Every entry starts after the key: wrap to the last one.
+                let last = entries.last().filter(|x| Some(&x.0) == neighbors.last());
+                if let Some(last) = last {
+                    return Some(Some(found(last)));
+                }
+            }
+        }
+        let t = entries.partition_point(starts_by);
+        let adjacent = |e: &&Entry| neighbors.binary_search(&e.0).is_ok();
+        let hit = entries[..t].iter().rev().find(adjacent);
+        Some(
+            hit.or_else(|| entries[t..].iter().rev().find(adjacent))
+                .map(found),
+        )
+    }
+
     /// Drop beacons of nodes no longer adjacent (housekeeping): the same
     /// merge-join, walked from the view's side.
     pub fn retain_neighbors(&mut self, neighbors: &[NodeId]) {
         let mut rest = neighbors;
+        let len = self.beacons.len();
         self.beacons
             .retain(|&v, _| seek(&mut rest, |&u| u, v).is_some());
+        if self.beacons.len() != len {
+            self.recount();
+        }
     }
 
     /// `(neighbor, age)` for every recorded beacon, ascending by neighbor
@@ -252,6 +370,7 @@ impl NeighborView {
         match self.beacons.get_mut(&v) {
             Some((_, b)) => {
                 f(b);
+                self.recount();
                 true
             }
             None => false,
@@ -275,16 +394,24 @@ impl Persist for NeighborView {
         // canonical encoding the old sorted-HashMap path produced, with no
         // collect-and-sort step.
         self.beacons.save(w);
-        w.u64(self.ttl);
+        w.u64(self.ttl());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         // The map load rejects out-of-order or duplicate neighbor ids.
         let beacons = CompactMap::load(r)?;
         let ttl = r.u64()?;
-        if ttl == 0 {
-            return Err(SnapshotError::Corrupt("zero beacon ttl".into()));
-        }
-        Ok(Self { beacons, ttl })
+        // Only `Δ × BEACON_TTL` for a `Δ` in `1..=u32::MAX` is ever saved.
+        let delta = Some(ttl / BEACON_TTL)
+            .filter(|&d| d > 0 && ttl % BEACON_TTL == 0)
+            .and_then(|d| u32::try_from(d).ok())
+            .ok_or_else(|| SnapshotError::Corrupt(format!("beacon ttl {ttl}")))?;
+        let mut view = Self {
+            beacons,
+            delta,
+            disorder: 0,
+        };
+        view.recount();
+        Ok(view)
     }
 }
 
@@ -411,5 +538,204 @@ mod tests {
                 proptest::prop_assert_eq!(got.beacons, want.beacons);
             }
         }
+    }
+
+    /// The order count as defined, from scratch: each entry with
+    /// `lo >= hi`, each adjacent pair with `hi_i > lo_{i+1}`.
+    fn recount_reference(view: &NeighborView) -> u32 {
+        let ranges: Vec<(u32, u32)> = view.beacons.iter().map(|(_, (_, b))| b.range).collect();
+        let mut count = 0u32;
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            count += u32::from(lo >= hi);
+            if let Some(&(next_lo, _)) = ranges.get(i + 1) {
+                count += u32::from(hi > next_lo);
+            }
+        }
+        count
+    }
+
+    fn save_bytes(view: &NeighborView) -> Vec<u8> {
+        let mut w = Writer::new();
+        view.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load_view(bytes: &[u8]) -> Result<NeighborView, SnapshotError> {
+        let mut r = Reader::new(bytes);
+        let view = NeighborView::load(&mut r)?;
+        r.finish()?;
+        Ok(view)
+    }
+
+    /// A range for sender `v` over the guest space `[0, 4u)`, where the
+    /// legal layout gives `v` the slot `[4v, 4v + 4)`: mostly that slot,
+    /// otherwise one overlapping a neighbouring slot, empty, inverted or
+    /// ending past `N`.
+    fn random_range(rng: &mut rand::rngs::SmallRng, v: u32, u: u32) -> (u32, u32) {
+        use rand::Rng;
+        let (lo, hi) = (4 * v, 4 * v + 4);
+        match rng.gen_range(0..16) {
+            0..=10 => (lo, hi),
+            11 => (lo.saturating_sub(rng.gen_range(1..=4u32)), hi),
+            12 => (lo, hi + rng.gen_range(1..=4u32)),
+            13 => (lo + 2, lo + 2),
+            14 => (hi, lo),
+            _ => (lo, 4 * u + rng.gen_range(1..=8u32)),
+        }
+    }
+
+    /// The order count `record` maintains in O(1) equals a recount from
+    /// scratch after every operation, over random sequences of `record`
+    /// (legal, overlapping, empty, inverted and past-`N` ranges; new
+    /// senders, and replacements that keep or change a range),
+    /// `retain_neighbors`, `tamper`, `age`, `restamp` and save→load. Both
+    /// certified and uncertified views are visited. Seeded, so a failure
+    /// replays.
+    #[test]
+    fn order_count_matches_a_recount_after_every_operation() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0DE4);
+        let (mut certified, mut uncertified) = (0u32, 0u32);
+        for case in 0..256 {
+            let u = rng.gen_range(1..=24u32);
+            let mut view = NeighborView::default();
+            for step in 0..64 {
+                let v = rng.gen_range(0..u);
+                let op = rng.gen_range(0..10);
+                match op {
+                    0..=3 => {
+                        let b = Beacon {
+                            range: random_range(&mut rng, v, u),
+                            ..beacon(rng.gen_range(1..=3))
+                        };
+                        view.record(v, rng.gen_range(0..=20), b);
+                    }
+                    4 => {
+                        // A re-beacon: same range, new payload and round.
+                        if let Some(&b) = view.latest(v) {
+                            let again = Beacon {
+                                cid: b.cid ^ 1,
+                                epoch: b.epoch + 1,
+                                ..b
+                            };
+                            view.record(v, rng.gen_range(0..=20), again);
+                        }
+                    }
+                    5 => {
+                        let kept: Vec<NodeId> = (0..u).filter(|_| rng.gen_bool(0.8)).collect();
+                        view.retain_neighbors(&kept);
+                    }
+                    6 => {
+                        let r = random_range(&mut rng, v, u);
+                        view.tamper(v, |b| b.range = r);
+                    }
+                    7 => view.age(rng.gen_range(0..=5)),
+                    8 => view.restamp(rng.gen_range(0..=20)),
+                    _ => {
+                        let bytes = save_bytes(&view);
+                        view = load_view(&bytes).unwrap();
+                        assert_eq!(save_bytes(&view), bytes, "case {case} step {step}");
+                    }
+                }
+                assert_eq!(
+                    view.disorder,
+                    recount_reference(&view),
+                    "case {case} step {step} op {op}: {view:?}"
+                );
+                if view.disorder == 0 {
+                    certified += 1;
+                } else {
+                    uncertified += 1;
+                }
+            }
+        }
+        assert!(
+            certified >= 4096 && uncertified >= 4096,
+            "certified {certified}, uncertified {uncertified} of 16384 states"
+        );
+    }
+
+    /// The snapshot still writes the `u64` horizon `Δ × BEACON_TTL` after
+    /// the view keeps `Δ` as a `u32`: `save ∘ load ∘ save` is byte identity
+    /// for every `Δ` a view can hold, and a horizon no code path writes —
+    /// zero, not a multiple of `BEACON_TTL`, or past
+    /// `BEACON_TTL × u32::MAX` — loads as `Err`, never a panic.
+    #[test]
+    fn ttl_saves_as_u64_and_rejects_what_no_view_writes() {
+        let max = u64::from(u32::MAX);
+        let encode = |view: &NeighborView, ttl: u64| {
+            let mut w = Writer::new();
+            view.beacons.save(&mut w);
+            w.u64(ttl);
+            w.into_bytes()
+        };
+        for delta in [1, 2, 7, max - 1, max] {
+            let mut view = NeighborView::default();
+            view.set_delta(delta);
+            view.record(3, 5, beacon(1));
+            assert_eq!(view.ttl(), delta * BEACON_TTL);
+            let bytes = save_bytes(&view);
+            assert_eq!(bytes, encode(&view, delta * BEACON_TTL), "delta {delta}");
+            let back = load_view(&bytes).unwrap();
+            assert_eq!(back.ttl(), delta * BEACON_TTL);
+            assert_eq!(save_bytes(&back), bytes, "delta {delta}");
+        }
+        let mut view = NeighborView::default();
+        view.set_delta(0);
+        assert_eq!(view.ttl(), BEACON_TTL, "a zero bound reads as 1");
+        view.set_delta(u64::MAX);
+        assert_eq!(
+            view.ttl(),
+            max * BEACON_TTL,
+            "an unvalidated bound saturates"
+        );
+        let empty = NeighborView::default();
+        for ttl in [
+            0,
+            1,
+            2,
+            4,
+            BEACON_TTL * max + 1,
+            BEACON_TTL * (max + 1),
+            u64::MAX,
+        ] {
+            assert!(
+                matches!(
+                    load_view(&encode(&empty, ttl)),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "ttl {ttl}"
+            );
+        }
+    }
+
+    /// `closest_preceding` answers only for a certified view whose last
+    /// range ends at or below `n`, and is `Some(None)` without a neighbor
+    /// entry.
+    #[test]
+    fn closest_preceding_needs_the_certificate() {
+        let slot = |v: u32, range| (v, Beacon { range, ..beacon(1) });
+        let mut view = NeighborView::default();
+        for (v, b) in [slot(2, (0, 4)), slot(4, (4, 8)), slot(8, (8, 16))] {
+            view.record(v, 0, b);
+        }
+        let pick = |view: &NeighborView, key, n, nb: &[NodeId]| {
+            view.closest_preceding(key, n, nb)
+                .map(|hit| hit.map(|(v, _)| v))
+        };
+        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), Some(Some(4)), "cover");
+        assert_eq!(
+            pick(&view, 5, 16, &[2, 8]),
+            Some(Some(2)),
+            "last ending before"
+        );
+        assert_eq!(pick(&view, 1, 16, &[4, 8]), Some(Some(8)), "wrap");
+        assert_eq!(pick(&view, 5, 16, &[3, 9]), Some(None), "no neighbor entry");
+        assert_eq!(pick(&view, 5, 15, &[2, 4, 8]), None, "last range past n");
+        view.record(8, 1, slot(8, (7, 16)).1);
+        assert_ne!(view.disorder, 0);
+        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), None, "overlap");
+        view.record(8, 2, slot(8, (8, 16)).1);
+        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), Some(Some(4)), "repaired");
     }
 }

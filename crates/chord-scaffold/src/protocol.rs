@@ -77,6 +77,30 @@ fn wave_timeout(h: u64, delta: u64) -> u64 {
     delta * (6 * h + 24)
 }
 
+/// Clockwise distance from a non-empty responsible range to `key < n`: 0
+/// when covered, else measured from the range's last guest (the closest
+/// position the host simulates), taken mod `n` for a range past `n`.
+fn ring_dist(range: (u32, u32), key: u32, n: u32) -> u32 {
+    if range.0 <= key && key < range.1 {
+        0
+    } else {
+        (key + n - ((range.1 - 1) % n)) % n
+    }
+}
+
+/// [`ring_dist`] for a non-empty range ending at or below `n`, whose last
+/// guest `p` is a ring position as it stands: `key - p` or `key + (n - p)`.
+fn ordered_dist(range: (u32, u32), key: u32, n: u32) -> u32 {
+    let p = range.1 - 1;
+    if range.0 <= key && key < range.1 {
+        0
+    } else if p < key {
+        key - p
+    } else {
+        key + (n - p)
+    }
+}
+
 impl<T: InductiveTarget> ScaffoldCore<T> {
     /// A host starting in the CBT phase as a singleton cluster.
     pub fn new(id: NodeId, target: T, nonce: u64) -> Self {
@@ -167,11 +191,15 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// ring distance to the key — the classic Chord lookup rule, evaluated
     /// against live host state instead of an ideal finger table.
     ///
-    /// Neighbor positions come from one stale-tolerant pass over the beacon
-    /// view (`NeighborView::latest_along` — cluster state is frozen through
-    /// the CHORD and DONE phases; during CBT stabilization the views may be
-    /// wrong, in which case the request bounces and retries — that race is
-    /// exactly what the live-traffic experiments measure). Strict
+    /// Neighbor positions come from the beacon view, stale beacons included
+    /// (cluster state is frozen through the CHORD and DONE phases; during
+    /// CBT stabilization the views may be wrong, in which case the request
+    /// bounces and retries — that race is exactly what the live-traffic
+    /// experiments measure). When the view certifies its ring order the
+    /// minimum is found by search, reading about three entries on a legal
+    /// overlay ([`avatar_cbt::state::NeighborView::closest_preceding`]);
+    /// otherwise by one stale-tolerant pass over the view
+    /// (`NeighborView::latest_along`). Strict
     /// improvement is required, so a request never overshoots; with the
     /// full finger set installed this takes `O(log N)` hops.
     pub fn route_request(&self, key: u32, neighbors: &[NodeId]) -> ssim::workload::RouteStep {
@@ -181,21 +209,38 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         if self.cbt.core.covers(key) {
             return RouteStep::Deliver;
         }
-        // Clockwise distance from a responsible range to the key: 0 when
-        // covered, else measured from the range's last guest (the closest
-        // position the host simulates).
-        let dist = |range: (u32, u32)| -> u32 {
-            if range.0 <= key && key < range.1 {
-                0
-            } else {
-                (key + n - ((range.1 - 1) % n)) % n
-            }
-        };
         // Guard the own range like neighbor ranges: corruption can leave it
         // empty, and an empty range must read as "infinitely far" (any
-        // positioned neighbor improves), not underflow in `dist`.
+        // positioned neighbor improves), not underflow in `ring_dist`.
         let own = self.cbt.core.range;
-        let mine = if own.0 < own.1 { dist(own) } else { u32::MAX };
+        let mine = if own.0 < own.1 {
+            ring_dist(own, key, n)
+        } else {
+            u32::MAX
+        };
+        let Some(closest) = self.cbt.view.closest_preceding(key, n, neighbors) else {
+            return self.route_scan(key, neighbors, mine);
+        };
+        // Every range ends at or below `n`, so its position needs no `%`.
+        let step = match closest {
+            Some((v, b)) if ordered_dist(b.range, key, n) < mine => RouteStep::Forward(v),
+            _ => RouteStep::Unroutable,
+        };
+        debug_assert_eq!(
+            step,
+            self.route_scan(key, neighbors, mine),
+            "certified route of key {key} diverged from the scan: view {:?} neighbors {neighbors:?}",
+            self.cbt.view
+        );
+        step
+    }
+
+    /// The route decision by one pass over the view: the first strict
+    /// minimum of the clockwise distance, among the neighbors with a
+    /// well-formed range, if it improves on `mine`.
+    fn route_scan(&self, key: u32, neighbors: &[NodeId], mine: u32) -> ssim::workload::RouteStep {
+        use ssim::workload::RouteStep;
+        let n = self.target.n();
         let mut best: Option<(u32, NodeId)> = None;
         // Neighbors with no beacon ever heard (position unknown) are not
         // visited at all.
@@ -203,7 +248,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             if b.range.0 >= b.range.1 {
                 continue; // malformed/empty range
             }
-            let d = dist(b.range);
+            let d = ring_dist(b.range, key, n);
             // First strict minimum wins (neighbors are sorted): fully
             // deterministic tie-breaking.
             if d < mine && best.is_none_or(|(bd, _)| d < bd) {
@@ -787,7 +832,8 @@ mod tests {
     }
 
     /// `route_request` as first written — a beacon lookup per neighbor —
-    /// kept as the oracle the single-pass router is tested against.
+    /// kept as the oracle both router paths (search and scan) are tested
+    /// against.
     impl<T: InductiveTarget> ScaffoldCore<T> {
         fn route_request_reference(&self, key: u32, neighbors: &[NodeId]) -> RouteStep {
             let n = self.target.n();
@@ -824,17 +870,19 @@ mod tests {
         }
     }
 
-    /// The single-pass router takes the oracle's decision — including the
-    /// tie-break between equally close neighbors — on random hosts of
-    /// `Chord(N)`: legal ranges and noise (wild, empty, inverted and
-    /// past-`N` ranges, own range included), beacons of non-neighbors,
-    /// neighbors without a beacon, no neighbors at all. Seeded, so a
-    /// failure replays.
+    /// The router takes the oracle's decision — including the tie-break
+    /// between equally close neighbors — on random hosts of `Chord(N)`:
+    /// legal ranges and noise (wild, empty, inverted and past-`N` ranges,
+    /// own range included), beacons of non-neighbors, neighbors without a
+    /// beacon, no neighbors at all. At least a third of the keys the host
+    /// does not cover take the certified search (45 % at this seed), so
+    /// both paths are covered. Seeded, so a failure replays.
     #[test]
     fn route_request_matches_reference() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x5CAF);
+        let (mut routed, mut certified) = (0u32, 0u32);
         for case in 0..4096 {
             let n = 1u32 << rng.gen_range(2..=9);
             let mut ids: Vec<NodeId> = (0..rng.gen_range(1..=16))
@@ -887,8 +935,86 @@ mod tests {
                     c.cbt.core.range,
                     c.cbt.view
                 );
+                if !c.cbt.core.covers(key % n) {
+                    routed += 1;
+                    let search = c.cbt.view.closest_preceding(key % n, n, &neighbors);
+                    certified += u32::from(search.is_some());
+                }
             }
         }
+        assert!(
+            3 * certified >= routed,
+            "{certified} of {routed} routed keys took the certified search"
+        );
+    }
+
+    /// A legal host of `Chord(64)` with hosts 5, 12, 20, 33, 41, 50 and 60
+    /// (the minimum host 5 covers `[0, 12)`): host 33, with beacons of
+    /// `viewed` at their legal ranges.
+    fn legal_host(viewed: &[NodeId]) -> ScaffoldCore<ChordTarget> {
+        let av = overlay::Avatar::new(64, [5, 12, 20, 33, 41, 50, 60]);
+        let mut c = ScaffoldCore::new(33, ChordTarget::classic(64), 1);
+        let r = av.range_of(33);
+        c.cbt.core.range = (r.lo, r.hi);
+        for &v in viewed {
+            let rv = av.range_of(v);
+            let mut b = c.cbt.beacon();
+            b.range = (rv.lo, rv.hi);
+            c.cbt.view.record(v, 0, b);
+        }
+        c
+    }
+
+    /// Every key routes as the oracle does, and takes the certified search
+    /// iff `certified`.
+    fn routes_like_the_scan(c: &ScaffoldCore<ChordTarget>, neighbors: &[NodeId], certified: bool) {
+        for key in 0..64 {
+            assert_eq!(
+                c.route_request(key, neighbors),
+                c.route_request_reference(key, neighbors),
+                "key {key} view {:?} neighbors {neighbors:?}",
+                c.cbt.view
+            );
+            let search = c.cbt.view.closest_preceding(key, 64, neighbors);
+            assert_eq!(search.is_some(), certified, "key {key}");
+        }
+    }
+
+    /// The cases the certified search distinguishes, each checked key by
+    /// key against the scan: the minimum host (`lo = 0 < id`), keys in the
+    /// wrap region, `key == hi - 1`, a view that strictly contains the
+    /// neighbors and the reverse, one overlapping pair, and a last range
+    /// ending past `N`.
+    #[test]
+    fn certified_route_cases() {
+        let all = [5, 12, 20, 41, 50, 60];
+        let c = legal_host(&all);
+        routes_like_the_scan(&c, &all, true);
+        // The minimum host covers keys below its id.
+        assert_eq!(c.route_request(2, &all), RouteStep::Forward(5));
+        // `key == hi - 1` is covered, not preceded.
+        assert_eq!(c.route_request(11, &all), RouteStep::Forward(5));
+        assert_eq!(c.route_request(19, &all), RouteStep::Forward(12));
+        // Wrap: every neighbor entry starts after the key.
+        let high = [41, 50, 60];
+        let c = legal_host(&high);
+        routes_like_the_scan(&c, &high, true);
+        assert_eq!(c.route_request(10, &high), RouteStep::Forward(60));
+        // A view that strictly contains the neighbors, and the reverse.
+        let some = [12, 50];
+        let c = legal_host(&all);
+        routes_like_the_scan(&c, &some, true);
+        assert_eq!(c.route_request(25, &some), RouteStep::Forward(12));
+        let c = legal_host(&some);
+        routes_like_the_scan(&c, &all, true);
+        assert_eq!(c.route_request(25, &all), RouteStep::Forward(12));
+        // One overlapping pair, then a last range past `N`: both scan.
+        let mut c = legal_host(&all);
+        c.cbt.view.tamper(12, |b| b.range = (12, 22));
+        routes_like_the_scan(&c, &all, false);
+        let mut c = legal_host(&all);
+        c.cbt.view.tamper(60, |b| b.range = (60, 70));
+        routes_like_the_scan(&c, &all, false);
     }
 
     /// Pins one value's encoding: the bytes themselves (as hex), `save ∘

@@ -71,6 +71,19 @@ impl<K: Ord, V> CompactMap<K, V> {
         }
     }
 
+    /// [`CompactMap::insert`] that also reports where `k`'s entry now sits
+    /// in [`CompactMap::as_slice`] — one search, for callers that maintain
+    /// a summary over neighbouring entries.
+    pub fn insert_full(&mut self, k: K, v: V) -> (usize, Option<V>) {
+        match self.find(&k) {
+            Ok(i) => (i, Some(std::mem::replace(&mut self.entries[i].1, v))),
+            Err(i) => {
+                self.entries.insert(i, (k, v));
+                (i, None)
+            }
+        }
+    }
+
     /// Remove `k`, returning its value if it was present.
     pub fn remove(&mut self, k: &K) -> Option<V> {
         self.find(k).ok().map(|i| self.entries.remove(i).1)
@@ -295,8 +308,13 @@ mod tests {
             for step in 0..600 {
                 let k = rng.gen_range(0..48u32);
                 let v = rng.gen::<u64>() >> 32;
-                match rng.gen_range(0..10u32) {
+                match rng.gen_range(0..11u32) {
                     0..=3 => assert_eq!(sut.insert(k, v), model.insert(k, v), "step {step}"),
+                    10 => {
+                        let (i, old) = sut.insert_full(k, v);
+                        assert_eq!(old, model.insert(k, v), "step {step}");
+                        assert_eq!(sut.as_slice()[i], (k, v), "step {step}");
+                    }
                     4..=5 => assert_eq!(sut.remove(&k), model.remove(&k), "step {step}"),
                     6 => {
                         assert_eq!(sut.get(&k), model.get(&k), "step {step}");
