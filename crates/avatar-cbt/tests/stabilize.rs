@@ -165,7 +165,7 @@ fn stabilization_is_thread_invariant() {
     let n = 64u32;
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
     let run = |threads: usize| {
-        let cfg = Config::seeded(21).threads(threads).always_parallel();
+        let cfg = Config::seeded(21).threads(threads);
         let mut rt = runtime(n, &ids, ssim::init::ring(&ids), cfg);
         let out = rt.run_monitored(&mut legality(), budget(n, ids.len()));
         assert_eq!(out.verdict, RunVerdict::Satisfied, "{threads} threads");

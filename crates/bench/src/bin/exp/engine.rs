@@ -234,7 +234,7 @@ pub fn threads(args: &ExpArgs) {
     }
     sweep.emit(
         args,
-        "E12b: thread sweep (deterministic parallel rounds, ssim::par pool)",
+        "E12b: thread sweep (deterministic parallel rounds, emit pool)",
     );
     note(
         args,

@@ -69,7 +69,8 @@ fn roster(hosts: usize, n: u32, members: &[NodeId]) -> Vec<Adversary> {
 /// Drive one gauntlet cell: restore the converged fixture, warm it forward
 /// (re-stamping the installed views at the warmed round), checkpoint,
 /// attach lookup traffic, and run the scheduled adversary to re-legality
-/// under the chosen recovery arm.
+/// under the chosen recovery arm. Also returns the rounds whose emit ran
+/// on the pool.
 fn run_cell(
     n: u32,
     hosts: usize,
@@ -78,7 +79,7 @@ fn run_cell(
     sched: &str,
     rollback: bool,
     threads: usize,
-) -> (GauntletOutcome, RequestStats) {
+) -> (GauntletOutcome, RequestStats, u64) {
     let cfg = seeded(seed).threads(threads);
     let mut rt = legal_chord_runtime(n, hosts, cfg, NetModel::ideal());
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
@@ -113,7 +114,8 @@ fn run_cell(
         &mut chord_scaffold::legality(),
         2 * budget(n, hosts) + 64,
     );
-    (outcome, rt.metrics().requests.clone())
+    let stats = rt.metrics().requests.clone();
+    (outcome, stats, rt.perf_counters().par_rounds)
 }
 
 fn opt(r: Option<u64>) -> String {
@@ -151,7 +153,7 @@ fn gauntlet_table(args: &ExpArgs, title: &str, n: u32, hosts: usize, seed: u64) 
         for sched in ["sync", "activity"] {
             let mut relegal = [0u64; 2];
             for (i, arm) in ["restab", "rollback"].into_iter().enumerate() {
-                let (o, s) = run_cell(n, hosts, seed, adv, sched, arm == "rollback", threads);
+                let (o, s, _) = run_cell(n, hosts, seed, adv, sched, arm == "rollback", threads);
                 // The gauntlet must always end in re-legality: a timeout
                 // means the budget or an adversary parameter is wrong, and
                 // the row would gate meaningless numbers.
@@ -201,7 +203,8 @@ fn gauntlet_table(args: &ExpArgs, title: &str, n: u32, hosts: usize, seed: u64) 
 /// deterministic per seed. Before emitting, the row asserts that every
 /// cell re-legalizes within budget, that rollback strictly beats
 /// re-stabilization on the lying-beacons rows, and that one full
-/// detect/rollback cell is byte-identical at 1 vs 4 threads.
+/// detect/rollback cell is byte-identical at 1 vs 4 threads, the 4-thread
+/// run on the pool.
 pub fn gauntlet(args: &ExpArgs) {
     let seed = args.count.unwrap_or(15);
     {
@@ -210,15 +213,17 @@ pub fn gauntlet(args: &ExpArgs) {
         // end to end.
         let adv = Adversary::LyingBeacons { victims: 2 };
         let print = |threads: usize| {
-            let (o, s) = run_cell(128, 16, seed, &adv, "sync", true, threads);
-            (
+            let (o, s, pooled) = run_cell(128, 16, seed, &adv, "sync", true, threads);
+            let json = (
                 serde_json::to_string(&o).expect("outcome JSON"),
                 serde_json::to_string(&s).expect("stats JSON"),
-            )
+            );
+            (json, pooled)
         };
+        let ((one, _), (four, pooled)) = (print(1), print(4));
+        assert!(pooled > 0, "E15: no 4-thread round ran on the pool");
         assert_eq!(
-            print(1),
-            print(4),
+            one, four,
             "E15: gauntlet outcome diverged between 1 and 4 threads"
         );
     }

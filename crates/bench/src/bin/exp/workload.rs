@@ -21,8 +21,9 @@ struct ServiceSpec {
 
 /// One converged-overlay traffic run: `rate` lookups/round for `rounds`
 /// rounds, then drain the in-flight tail. Returns the metrics JSON (the
-/// byte-identity fingerprint) and the request accounting.
-fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, RequestStats) {
+/// byte-identity fingerprint), the request accounting and the rounds whose
+/// emit ran on the pool.
+fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, RequestStats, u64) {
     let ServiceSpec {
         n,
         hosts,
@@ -46,6 +47,7 @@ fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, Reque
     (
         serde_json::to_string(rt.metrics()).expect("metrics serialize"),
         rt.metrics().requests.clone(),
+        rt.perf_counters().par_rounds,
     )
 }
 
@@ -88,9 +90,9 @@ fn log2_ceil(n: u32) -> u32 {
 /// E13a–c (seed = `N`, default 13; `--smoke` for the committed sizes;
 /// `--net` runs E13a/E13b under that model; the snapshot options apply to
 /// E13c's fixture). The row *asserts* E13a's acceptance invariants before
-/// emitting: byte-identical metrics across thread counts, the activity
-/// daemon serving exactly like the synchronous one, > 99 % lookup success
-/// and the `2·log₂N + 2` hop bound.
+/// emitting: byte-identical metrics across thread counts (the multi-thread
+/// runs on the pool), the activity daemon serving exactly like the
+/// synchronous one, > 99 % lookup success and the `2·log₂N + 2` hop bound.
 pub fn workload(args: &ExpArgs) {
     let seed = args.count.unwrap_or(13);
     let smoke = args.smoke;
@@ -135,10 +137,15 @@ pub fn workload(args: &ExpArgs) {
                 rounds,
                 model,
             };
-            let (base_json, s) = service_run(spec, sched, 1);
-            // Acceptance: byte-identical metrics across thread counts.
+            let (base_json, s, _) = service_run(spec, sched, 1);
+            // Acceptance: byte-identical metrics across thread counts, the
+            // multi-thread runs on the pool.
             for &threads in thread_counts.iter().filter(|&&t| t != 1) {
-                let (json, stats) = service_run(spec, sched, threads);
+                let (json, stats, pooled) = service_run(spec, sched, threads);
+                assert!(
+                    pooled > 0,
+                    "E13a: no {sched} round ran on the {threads}-thread pool"
+                );
                 assert_eq!(
                     base_json, json,
                     "E13a: {sched} diverged between 1 and {threads} threads"

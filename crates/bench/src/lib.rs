@@ -314,8 +314,8 @@ impl Program for Pulse {
 
 /// A ring of `n` [`Pulse`] nodes with a spawner registered — the engine
 /// experiments' standard fixture. Results are bit-identical across
-/// `cfg.threads` and `cfg.force_parallel` by the engine's determinism
-/// guarantee; only wall-clock time may differ.
+/// `cfg.threads` by the engine's determinism guarantee; only wall-clock
+/// time may differ.
 pub fn pulse_ring(n: u32, cfg: Config) -> Runtime<Pulse> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Runtime::new(cfg, (0..n).map(|i| (i, Pulse)), edges).with_spawner(|_| Pulse)

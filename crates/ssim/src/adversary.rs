@@ -27,7 +27,7 @@ use crate::monitor::{DetectorSuite, Monitor, RunVerdict, Severity};
 use crate::program::Program;
 use crate::runtime::Runtime;
 use crate::scenario::{Event, EventRecord, Scenario};
-use crate::snapshot::{Persist, SnapshotError};
+use crate::snapshot::Persist;
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -301,16 +301,6 @@ impl Checkpoint {
         Self {
             bytes: rt.save_snapshot(),
         }
-    }
-
-    /// Adopt previously saved snapshot bytes (e.g. read back from a file
-    /// [`Runtime::save_snapshot_to`] wrote). The seal — magic, version, length,
-    /// content hash — is verified here, where outside bytes enter, so a
-    /// tampered or truncated image is an `Err` and never reaches
-    /// [`Checkpoint::rollback`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        crate::snapshot::unseal(&bytes)?;
-        Ok(Self { bytes })
     }
 
     /// The sealed snapshot image.
@@ -863,23 +853,5 @@ mod tests {
         assert!(!rt.heal(), "no active cut");
         assert_eq!(rt.partition([77]), 0, "empty live set is a no-op");
         assert!(!rt.partitioned());
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_images() {
-        let rt = warmed_ring(4, Config::seeded(7));
-        let bytes = rt.save_snapshot();
-        assert!(Checkpoint::from_bytes(bytes.clone()).is_ok());
-        let mut flipped = bytes.clone();
-        flipped[bytes.len() / 2] ^= 0xFF;
-        assert!(matches!(
-            Checkpoint::from_bytes(flipped),
-            Err(SnapshotError::HashMismatch { .. })
-        ));
-        let truncated = bytes[..bytes.len() - 5].to_vec();
-        assert!(matches!(
-            Checkpoint::from_bytes(truncated),
-            Err(SnapshotError::Truncated)
-        ));
     }
 }

@@ -47,8 +47,8 @@
 //!
 //! Node programs implement [`Program`]; per-round execution of independent
 //! node programs is data-parallel on an `std::thread` worker pool (see
-//! [`par`] and [`Config::threads`]) and fully deterministic at any thread
-//! count: every node owns a PRNG seeded from `(run seed, node id)`, the
+//! [`Config::threads`]) and fully deterministic at any thread count:
+//! every node owns a PRNG seeded from `(run seed, node id)`, the
 //! emit phase reads only the round-start snapshot, and action application
 //! is sequenced in selection order on the driving thread (see
 //! [`Runtime::step`] for the stages of a round).
@@ -81,7 +81,7 @@ pub mod init;
 pub mod metrics;
 pub mod monitor;
 pub mod net;
-pub mod par;
+mod par;
 pub mod program;
 pub mod runtime;
 pub mod scenario;

@@ -122,21 +122,24 @@ impl RunMetrics {
 /// Execution-machinery counters from [`crate::Runtime::perf_counters`]:
 /// where the round engine ran each round's emit phase.
 ///
-/// Deliberately **not** part of [`RoundMetrics`]/[`RunMetrics`] and never
-/// serialized (no `Persist`, no serde): they vary with the thread count
-/// and with the auto-sequential heuristic's timing estimates — folding them
-/// into the metrics stream would break the byte-identity story those types
-/// pin. Under [`crate::Config::force_parallel`] all three are exact
-/// functions of the run.
+/// Exact functions of the run and the thread count: with a pool
+/// ([`crate::Config::threads`] ≥ 2) every round that selects anyone runs
+/// on it, so `par_rounds` counts the non-empty rounds, `syncs` equals
+/// `par_rounds`, and `seq_rounds` counts the empty ones; without a pool
+/// every round is a `seq_rounds` round and `syncs` is zero. Deliberately
+/// **not** part of [`RoundMetrics`]/[`RunMetrics`] and never serialized
+/// (no `Persist`, no serde): they vary with the thread count, and folding
+/// them into the metrics stream would break the byte-identity story those
+/// types pin.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PerfCounters {
     /// Pool wake-ups: one per round whose emit phase ran on a pool with
-    /// worker threads (see [`crate::par::ThreadPool::syncs`]).
+    /// worker threads.
     pub syncs: u64,
     /// Rounds whose emit phase ran on the pool.
     pub par_rounds: u64,
-    /// Rounds the auto-sequential heuristic kept on the driving thread
-    /// (or that ran there because no pool exists).
+    /// Rounds whose emit phase ran on the driving thread: every round
+    /// without a pool, the empty rounds with one.
     pub seq_rounds: u64,
 }
 

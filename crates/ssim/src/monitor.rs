@@ -3,8 +3,8 @@
 //! [`crate::Runtime::run_monitored`] — serves every protocol, replacing the
 //! run-to-legality free functions each crate used to re-invent. Monitors
 //! observe the runtime only *between* rounds, on the driving thread, so they
-//! are oblivious to whether rounds execute sequentially or on the
-//! [`crate::par`] pool.
+//! are oblivious to whether rounds execute sequentially or on the thread
+//! pool (see [`crate::Config::threads`]).
 //!
 //! Two monitor species compose under [`all_of`]:
 //!

@@ -184,21 +184,12 @@ impl<M: Clone> ChunkSink<M> {
     }
 }
 
-/// Parallelism break-even: rounds whose estimated emit cost
-/// (`selection × EWMA ns/activation`) falls below this run on the driving
-/// thread. A pool wake-up costs low-tens of microseconds, and splitting
-/// work that barely covers the wake cost gains nothing even on real
-/// cores — so the threshold sits well above break-even: small-network
-/// rounds (e.g. 256-node gossip, ~25 µs) stay sequential, protocol-weight
-/// rounds (hundreds of ns per activation) parallelize.
-const PAR_THRESHOLD_NS: f64 = 50_000.0;
-
 /// The emit stage: runs the selected programs against the round-start
 /// snapshot, each chunk of the selection writing its own [`ChunkSink`],
-/// and owns what decides *where* that runs — the persistent pool (created
-/// once per [`crate::Config`], so parallel rounds spawn no threads) and the
-/// auto-sequential heuristic. Neither is ever observable in results: both
-/// paths fill bit-identical sinks.
+/// and owns where that runs — on the persistent pool (created once per
+/// [`crate::Config`], so parallel rounds spawn no threads) when there is
+/// one, on the driving thread otherwise. The choice is never observable in
+/// results: both paths fill bit-identical sinks.
 pub(crate) struct Emitter<M> {
     /// Recycled per-chunk sinks (reset each round, capacity kept); only the
     /// first [`ChunkPlan::chunks`] are active in a given round.
@@ -207,25 +198,19 @@ pub(crate) struct Emitter<M> {
     plan: ChunkPlan,
     /// `None` runs every round on the driving thread.
     pool: Option<ThreadPool>,
-    /// [`crate::Config::force_parallel`]: skip the heuristic.
-    force_parallel: bool,
-    /// EWMA of measured emit cost per activation (`0.0` until the first
-    /// non-empty round).
-    est_ns_per_act: f64,
-    /// Rounds whose emit ran on the pool / stayed on the driving thread.
+    /// Rounds whose emit ran on the pool / on the driving thread (every
+    /// round without a pool, and the empty rounds with one).
     par_rounds: u64,
     seq_rounds: u64,
 }
 
 impl<M: Clone + Send + Sync> Emitter<M> {
     /// `threads == 1` means no pool.
-    pub(crate) fn new(threads: usize, force_parallel: bool) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         Self {
             sinks: Vec::new(),
             plan: ChunkPlan::default(),
             pool: (threads > 1).then(|| ThreadPool::new(threads)),
-            force_parallel,
-            est_ns_per_act: 0.0,
             par_rounds: 0,
             seq_rounds: 0,
         }
@@ -235,21 +220,13 @@ impl<M: Clone + Send + Sync> Emitter<M> {
         self.pool.as_ref().map_or(1, ThreadPool::threads)
     }
 
-    /// The auto-sequential heuristic: is a round of `activations` expected
-    /// to pay for a pool generation?
-    fn worth_pool(&self, activations: usize) -> bool {
-        self.pool.is_some()
-            && (self.force_parallel || activations as f64 * self.est_ns_per_act > PAR_THRESHOLD_NS)
-    }
-
-    /// Run the selected programs. The selection is cut into contiguous
-    /// chunks (see [`ChunkPlan`] — sized by activation count, so sparse
-    /// post-convergence rounds build few chunks) and each chunk's output
+    /// Run the selected programs: on the pool, if there is one, in every
+    /// round whose selection is non-empty. The selection is cut into
+    /// contiguous chunks (see [`ChunkPlan`] — sized by activation count, so
+    /// sparse post-convergence rounds build few chunks) and each chunk's output
     /// lands in its own sink, indexed by **chunk**, not thread: the sink
     /// contents are therefore independent of which worker ran the chunk,
-    /// or whether a pool ran at all. The cost per activation is measured
-    /// (EWMA) to drive the heuristic — rounds cheaper than a pool
-    /// generation stay on this thread.
+    /// or whether a pool ran at all.
     ///
     /// `selection` must hold distinct live slots (the agenda's sanitizer
     /// establishes this), which is what lets the pool hand out `&mut`
@@ -269,8 +246,6 @@ impl<M: Clone + Send + Sync> Emitter<M> {
         for sink in &mut self.sinks[..nchunks] {
             sink.reset();
         }
-        let used_pool = !selection.is_empty() && self.worth_pool(selection.len());
-        let start = std::time::Instant::now();
         let emit_one =
             |i: usize, prog: &mut Option<P>, rng: &mut SmallRng, sink: &mut ChunkSink<M>| {
                 sink.activate(at, i, prog.as_mut().expect("selected slot is live"), rng);
@@ -281,16 +256,19 @@ impl<M: Clone + Send + Sync> Emitter<M> {
             // round-start snapshot, writes go only to the claimed chunk's
             // slots and sink (slots distinct by the sanitizer, sinks
             // distinct by chunk index), so every thread schedule produces
-            // the same sink contents.
-            Some(pool) if used_pool => par::for_each_selected_chunks_mut2(
-                pool,
-                selection,
-                self.plan.bounds(),
-                &mut self.sinks[..nchunks],
-                programs,
-                rngs,
-                emit_one,
-            ),
+            // the same sink contents. An empty round wakes nobody.
+            Some(pool) if !selection.is_empty() => {
+                par::for_each_selected_chunks_mut2(
+                    pool,
+                    selection,
+                    self.plan.bounds(),
+                    &mut self.sinks[..nchunks],
+                    programs,
+                    rngs,
+                    emit_one,
+                );
+                self.par_rounds += 1;
+            }
             _ => {
                 for (c, sink) in self.sinks[..nchunks].iter_mut().enumerate() {
                     for &s in &selection[self.plan.range(c)] {
@@ -298,18 +276,6 @@ impl<M: Clone + Send + Sync> Emitter<M> {
                         emit_one(i, &mut programs[i], &mut rngs[i], sink);
                     }
                 }
-            }
-        }
-        if !selection.is_empty() {
-            let obs = start.elapsed().as_nanos() as f64 / selection.len() as f64;
-            self.est_ns_per_act = if self.est_ns_per_act == 0.0 {
-                obs
-            } else {
-                0.75 * self.est_ns_per_act + 0.25 * obs
-            };
-            if used_pool {
-                self.par_rounds += 1;
-            } else {
                 self.seq_rounds += 1;
             }
         }
@@ -339,7 +305,7 @@ impl<M: Clone + Send + Sync> Emitter<M> {
     }
 
     /// Pool wake-ups and par/seq round totals since construction (`syncs`
-    /// is zero when sequential).
+    /// is zero without a pool).
     pub(crate) fn perf_counters(&self) -> PerfCounters {
         PerfCounters {
             syncs: self.pool.as_ref().map_or(0, ThreadPool::syncs),

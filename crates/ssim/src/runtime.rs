@@ -38,22 +38,15 @@ pub struct Config {
     pub strict: bool,
     /// Threads executing each round: `1` (the default) is plain sequential
     /// execution, `0` means "use [`std::thread::available_parallelism`]",
-    /// and any other count makes the runtime own a
-    /// [`crate::par::ThreadPool`] of that size for the emit stage. Results
-    /// are **bit-identical** at any thread count: programs read only the
-    /// round-start snapshot and write only their own state and the sink of
-    /// the chunk they run in, and everything order-observable — delivery,
-    /// edge changes, the dirty set — is applied in selection order on the
-    /// driving thread either way. See [`Config::effective_threads`].
+    /// and any other count makes the runtime own a thread pool of that
+    /// size, which runs the emit stage of every round that selects anyone.
+    /// Results are **bit-identical** at any thread count: programs read
+    /// only the round-start snapshot and write only their own state and
+    /// the sink of the chunk they run in, and everything order-observable —
+    /// delivery, edge changes, the dirty set — is applied in selection
+    /// order on the driving thread either way. See
+    /// [`Config::effective_threads`].
     pub threads: usize,
-    /// Skip the auto-sequential heuristic: when a pool exists, every
-    /// non-empty round's emit phase runs on it, however cheap the round
-    /// (by default rounds estimated cheaper than a pool wakeup stay on the
-    /// driving thread). Either choice produces bit-identical results; this
-    /// flag (like `threads`) only moves wall-clock time, which is why
-    /// snapshots don't save it. Benchmarks that *measure* the parallel
-    /// path set it.
-    pub force_parallel: bool,
     /// Seed for all node PRNGs (node `v` gets `seed ⊕ splitmix(v)`).
     pub seed: u64,
     /// Record per-round metric rows (otherwise only aggregates are kept).
@@ -65,7 +58,6 @@ impl Default for Config {
         Self {
             strict: true,
             threads: 1,
-            force_parallel: false,
             seed: 0xC0FFEE,
             record_rounds: true,
         }
@@ -84,8 +76,9 @@ impl Config {
     /// Set the thread count (`n == 0` means "available parallelism",
     /// `n == 1` is plain sequential execution). The choice never changes
     /// results — only wall-clock time — so experiments may sweep it freely.
-    /// Worth it from roughly 1k nodes; tiny networks are faster
-    /// sequentially because a round is cheaper than a pool wakeup.
+    /// Every round that selects anyone then costs a pool wake-up, so a pool
+    /// pays only where a round's emit outweighs it (roughly 1k nodes and
+    /// up); tiny networks run faster sequentially.
     ///
     /// ```
     /// use ssim::{Config, Ctx, Program, Runtime};
@@ -118,14 +111,6 @@ impl Config {
     /// ```
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Builder-style [`Config::force_parallel`]: always use the pool (skip
-    /// the auto-sequential heuristic). Never changes results, only where
-    /// the emit phase runs.
-    pub fn always_parallel(mut self) -> Self {
-        self.force_parallel = true;
         self
     }
 
@@ -288,7 +273,7 @@ impl<P: Program> Runtime<P> {
             cfg,
             rngs: ids.iter().map(|&v| cfg.stream(v as u64 + 1)).collect(),
             agenda: Agenda::new(programs.iter().map(Program::is_quiescent).collect()),
-            emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
+            emit: Emitter::new(cfg.effective_threads()),
             inboxes: InboxArena::new(ids.len()),
             wire: Wire::new(cfg.stream(0x6E45_07ED)),
             traffic: TrafficSlot::Detached,
@@ -632,11 +617,6 @@ impl<P: Program> Runtime<P> {
         self
     }
 
-    /// True iff a join spawner is registered.
-    pub fn has_spawner(&self) -> bool {
-        self.spawner.is_some()
-    }
-
     /// Current round number (number of completed rounds).
     pub fn round(&self) -> u64 {
         self.round
@@ -905,7 +885,7 @@ impl<P: Program> Runtime<P> {
     }
 
     /// Execution-machinery counters: pool wake-ups and par/seq round totals
-    /// since construction (`syncs` is zero when sequential). Deliberately
+    /// since construction (`syncs` is zero without a pool). Deliberately
     /// not part of [`Runtime::metrics`] — see [`PerfCounters`] for the
     /// boundary argument.
     pub fn perf_counters(&self) -> PerfCounters {
@@ -1160,11 +1140,11 @@ where
     /// fails loudly instead of building a runtime that a later `step`
     /// panics on or silently misreads.
     ///
-    /// `cfg` supplies only the execution policy: `threads` and
-    /// `force_parallel` are honored (restore at any thread count — results are identical by the engine's determinism
-    /// argument), while `seed`, `strict`, and `record_rounds` are pinned
-    /// from the snapshot (changing them would diverge from the
-    /// uninterrupted run).
+    /// `cfg` supplies only the execution policy: `threads` is honored
+    /// (restore at any thread count — results are identical by the
+    /// engine's determinism argument), while `seed`, `strict`, and
+    /// `record_rounds` are pinned from the snapshot (changing them would
+    /// diverge from the uninterrupted run).
     ///
     /// What the caller re-attaches, because it is code, not data:
     ///
@@ -1229,7 +1209,7 @@ where
             programs,
             rngs,
             agenda,
-            emit: Emitter::new(cfg.effective_threads(), cfg.force_parallel),
+            emit: Emitter::new(cfg.effective_threads()),
             inboxes,
             wire,
             traffic,
@@ -1796,7 +1776,7 @@ mod tests {
 
         // Emit on or off the pool, and both per-send steps, agree: 512
         // relays send 1024 messages every third round, emitted on the
-        // driving thread or on a pinned 4-thread pool and pushed inline,
+        // driving thread or on a 4-thread pool and pushed inline,
         // or sent through the wire step — forced by a cut nothing crosses,
         // so the model stays ideal and the net RNG is never drawn from.
         let relays = |cfg: Config, cut: bool| {
@@ -1815,7 +1795,7 @@ mod tests {
             (json, rt.save_snapshot(), rt.perf_counters().par_rounds)
         };
         let inline = relays(Config::seeded(5), false);
-        let pooled = relays(Config::seeded(5).threads(4).always_parallel(), false);
+        let pooled = relays(Config::seeded(5).threads(4), false);
         let wired = relays(Config::seeded(5), true);
         assert_eq!((inline.2, pooled.2, wired.2), (0, 9, 0));
         assert_eq!(inline.0, pooled.0);
@@ -1824,6 +1804,38 @@ mod tests {
             inline.1 == pooled.1 && inline.1 == wired.1,
             "snapshot bytes"
         );
+    }
+
+    /// A runtime with a pool runs the emit of every round that selects
+    /// anyone on it, whatever the round costs, and keeps empty rounds off
+    /// it: the counters are exact functions of the run.
+    #[test]
+    fn pool_runs_every_non_empty_round() {
+        for threads in [2, 4] {
+            let nodes = (0..6u32).map(|i| {
+                (
+                    i,
+                    Flood {
+                        has: i == 0,
+                        announced: false,
+                    },
+                )
+            });
+            let edges = (0..5u32).map(|i| (i, i + 1));
+            let mut rt = Runtime::new(Config::default().threads(threads), nodes, edges);
+            rt.set_scheduler(Box::new(crate::sched::ActivityDriven));
+            rt.run(12);
+            let rows = &rt.metrics().per_round;
+            let busy = rows.iter().filter(|r| r.active_nodes > 0).count() as u64;
+            let idle = rows.len() as u64 - busy;
+            assert!(busy > 0 && idle > 0, "fixture has both kinds of round");
+            let pc = rt.perf_counters();
+            assert_eq!(
+                (pc.par_rounds, pc.syncs, pc.seq_rounds),
+                (busy, busy, idle),
+                "threads={threads}"
+            );
+        }
     }
 
     /// A strict-mode violation on a pool worker must surface on the driving
@@ -2024,7 +2036,6 @@ mod tests {
             has: true,
             announced: false,
         });
-        assert!(rt.has_spawner());
         rt.join_spawned(11, &[2]);
         assert!(rt.program(11).has);
         assert_eq!(rt.metrics().joins, 1);

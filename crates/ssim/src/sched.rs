@@ -327,7 +327,7 @@ impl Scheduler for ActivityDriven {
 /// merged order is the selection order regardless of how many chunks it
 /// was cut into (see `ARCHITECTURE.md`, "Execution model").
 #[derive(Debug, Default)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     /// `chunks + 1` monotone selection offsets; `bounds[c]..bounds[c+1]`
     /// is chunk `c`.
     bounds: Vec<u32>,
@@ -336,13 +336,13 @@ pub struct ChunkPlan {
 impl ChunkPlan {
     /// Minimum selected slots per chunk — below this, per-chunk claim and
     /// sink bookkeeping costs more than the parallelism is worth.
-    pub const MIN_CHUNK: usize = 16;
+    pub(crate) const MIN_CHUNK: usize = 16;
     /// Upper bound on chunks, as a multiple of the thread count.
-    pub const CHUNKS_PER_THREAD: usize = 4;
+    pub(crate) const CHUNKS_PER_THREAD: usize = 4;
 
     /// Recompute the plan for a selection of `selected` slots on `threads`
     /// threads. Keeps the allocation.
-    pub fn rebuild(&mut self, selected: usize, threads: usize) {
+    pub(crate) fn rebuild(&mut self, selected: usize, threads: usize) {
         let cap = (threads * Self::CHUNKS_PER_THREAD).max(1);
         let n = selected.div_ceil(Self::MIN_CHUNK).clamp(1, cap);
         self.bounds.clear();
@@ -351,17 +351,17 @@ impl ChunkPlan {
     }
 
     /// The chunk edges: `chunks() + 1` monotone selection offsets.
-    pub fn bounds(&self) -> &[u32] {
+    pub(crate) fn bounds(&self) -> &[u32] {
         &self.bounds
     }
 
     /// Number of chunks in the current plan (0 before the first rebuild).
-    pub fn chunks(&self) -> usize {
+    pub(crate) fn chunks(&self) -> usize {
         self.bounds.len().saturating_sub(1)
     }
 
     /// Selection range of chunk `c`.
-    pub fn range(&self, c: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, c: usize) -> std::ops::Range<usize> {
         self.bounds[c] as usize..self.bounds[c + 1] as usize
     }
 }

@@ -477,12 +477,6 @@ impl Topology {
         self.max_degree
     }
 
-    /// The degree histogram: entry `d` counts live nodes of degree `d`.
-    /// Entries past `max_degree()` are zero.
-    pub fn degree_histogram(&self) -> &[usize] {
-        &self.degree_hist[..(self.max_degree + 1).min(self.degree_hist.len())]
-    }
-
     /// True iff the edge `(a, b)` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         match self.index.get(&a) {
@@ -935,7 +929,8 @@ mod tests {
         assert_eq!(t.degree(0), 3);
         assert_eq!(t.degree(2), 1);
         assert_eq!(t.max_degree(), 3);
-        assert_eq!(t.degree_histogram(), &[0, 3, 0, 1]);
+        let degrees: Vec<usize> = (0..4).map(|v| t.degree(v)).collect();
+        assert_eq!(degrees, [3, 1, 1, 1]);
     }
 
     #[test]

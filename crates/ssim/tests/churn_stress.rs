@@ -46,11 +46,10 @@ fn ring_runtime(n: u32, seed: u64) -> Runtime<Mixer> {
 
 fn ring_runtime_threads(n: u32, seed: u64, threads: usize) -> Runtime<Mixer> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    // `always_parallel` pins the pool path: a few dozen hosts would never
-    // clear the auto-sequential threshold, and these storms exist to stress
-    // the chunked apply against slot arrays that resize mid-run.
+    // With threads > 1 every round runs on the pool: these storms exist to
+    // stress the chunked apply against slot arrays that resize mid-run.
     Runtime::new(
-        Config::seeded(seed).threads(threads).always_parallel(),
+        Config::seeded(seed).threads(threads),
         (0..n).map(|i| (i, Mixer::default())),
         edges,
     )

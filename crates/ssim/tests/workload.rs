@@ -172,10 +172,10 @@ fn closed_loop_keeps_concurrency_and_open_loop_paces() {
 /// (request holders are dirty, so the activity daemon keeps serving).
 #[test]
 fn traffic_is_thread_count_invariant_and_scheduler_equivalent() {
-    // Pool path pinned (`always_parallel`), so the pooled emit runs with the
-    // debug shadow-step check armed on every round.
+    // With threads > 1 every round's emit runs on the pool, with the debug
+    // shadow-step check armed.
     let run = |threads: usize, activity: bool| {
-        let cfg = Config::seeded(9).threads(threads).always_parallel();
+        let cfg = Config::seeded(9).threads(threads);
         let mut rt = line(16, cfg);
         if activity {
             rt.set_scheduler(Box::new(ActivityDriven));

@@ -1,5 +1,5 @@
 //! Determinism and parallel-equivalence of the full protocol stack:
-//! thread-pool round execution (`ssim::par`) must be bit-identical to
+//! thread-pool round execution (`Config::threads`) must be bit-identical to
 //! sequential execution at every thread count, and identical seeds must
 //! reproduce identical runs.
 
@@ -20,12 +20,11 @@ fn fingerprint(
 fn parallel_execution_matches_sequential() {
     let n = 128u32;
     let hosts = 12usize;
-    // `always_parallel` pins the pool path: without it the auto-sequential
-    // heuristic would keep a 12-host fixture off the pool entirely and the
-    // test would only re-check the sequential path against itself.
+    // With threads > 1 every round of the 12-host fixture runs on the pool,
+    // so this compares the pooled emit with the sequential one.
     let run = |threads: usize| {
         let target = ChordTarget::classic(n);
-        let mut cfg = Config::seeded(0xD00D).threads(threads).always_parallel();
+        let mut cfg = Config::seeded(0xD00D).threads(threads);
         cfg.record_rounds = false;
         let mut rt = chord::runtime_from_shape(target, hosts, Shape::Random, cfg);
         rt.run(1500);
@@ -46,7 +45,7 @@ fn workload_runs_are_thread_and_seed_deterministic() {
     use chord_scaffolding::sim::{OpenLoop, WorkloadConfig};
     let run = |threads: usize| {
         let target = ChordTarget::classic(128);
-        let mut cfg = Config::seeded(0xBEA7).threads(threads).always_parallel();
+        let mut cfg = Config::seeded(0xBEA7).threads(threads);
         cfg.record_rounds = false;
         let mut rt = chord::runtime_from_shape(target, 12, Shape::Random, cfg);
         rt.attach_workload(OpenLoop::new(1.0, 128), WorkloadConfig::default());
@@ -150,7 +149,7 @@ fn truncated_target_stabilizes() {
     // The restore pins seed and network model from the payload.
     let mut tail = chord::restore_runtime::<TruncatedChordTarget>(
         &head.save_snapshot(),
-        Config::seeded(0).threads(2).always_parallel(),
+        Config::seeded(0).threads(2),
     )
     .expect("own snapshot restores");
     for rt in [&mut full, &mut tail] {

@@ -47,8 +47,9 @@ fn suite() -> DetectorSuite<ScaffoldProgram<ChordTarget>> {
         .with(SilenceAnomaly::new())
 }
 
-/// One gauntlet run against the real protocol; returns the outcome and the
-/// runtime metrics fingerprint (request accounting included).
+/// One gauntlet run against the real protocol; returns the outcome, the
+/// runtime metrics fingerprint (request accounting included) and the
+/// rounds whose emit ran on the pool.
 fn drive(
     seed: u64,
     cfg: Config,
@@ -56,7 +57,7 @@ fn drive(
     adv: &Adversary,
     rollback: bool,
     max_rounds: u64,
-) -> (GauntletOutcome, String) {
+) -> (GauntletOutcome, String, u64) {
     let mut rt = warmed_fixture(seed, cfg);
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let ck = Checkpoint::capture(&rt);
@@ -78,7 +79,7 @@ fn drive(
         max_rounds,
     );
     let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
-    (out, metrics)
+    (out, metrics, rt.perf_counters().par_rounds)
 }
 
 fn fingerprint(out: &GauntletOutcome, metrics: &str) -> String {
@@ -99,8 +100,12 @@ fn gauntlet_runs_identically_across_threads() {
         for threads in [1usize, 2, 4, 8] {
             let mut cfg = Config::seeded(33).threads(threads);
             cfg.record_rounds = false;
-            let (out, metrics) = drive(33, cfg, sched, &adv, true, max);
+            let (out, metrics, pooled) = drive(33, cfg, sched, &adv, true, max);
             assert_eq!(out.verdict, RunVerdict::Satisfied);
+            assert!(
+                threads == 1 || pooled > 0,
+                "threads={threads} sched={sched}: no round ran on the pool"
+            );
             let fp = fingerprint(&out, &metrics);
             match &reference {
                 None => reference = Some(fp),
@@ -123,8 +128,8 @@ fn rollback_beats_restabilization_on_lying_beacons() {
     let max = 2 * budget(N, HOSTS) + 64;
     let mut cfg = Config::seeded(7);
     cfg.record_rounds = false;
-    let (restab, _) = drive(7, cfg, "sync", &adv, false, max);
-    let (rollback, _) = drive(7, cfg, "sync", &adv, true, max);
+    let (restab, ..) = drive(7, cfg, "sync", &adv, false, max);
+    let (rollback, ..) = drive(7, cfg, "sync", &adv, true, max);
     assert_eq!(restab.verdict, RunVerdict::Satisfied, "{restab:?}");
     assert_eq!(rollback.verdict, RunVerdict::Satisfied, "{rollback:?}");
     assert!(rollback.rolled_back >= 2, "victims must be restored");
@@ -215,7 +220,7 @@ proptest! {
         let run = |threads: usize| {
             let mut cfg = Config::seeded(seed).threads(threads);
             cfg.record_rounds = false;
-            let (out, metrics) = drive(seed, cfg, "sync", &adv, false, 48);
+            let (out, metrics, _) = drive(seed, cfg, "sync", &adv, false, 48);
             fingerprint(&out, &metrics)
         };
         prop_assert_eq!(run(1), run(threads));

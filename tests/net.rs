@@ -52,7 +52,7 @@ fn cbt_net_run(
 ) -> String {
     let n = 64u32;
     let ids = ring_ids();
-    let mut cfg = Config::seeded(seed).threads(threads).always_parallel();
+    let mut cfg = Config::seeded(seed).threads(threads);
     cfg.record_rounds = false;
     let mut rt = scaffold::runtime_with_net(n, &ids, init::ring(&ids), cfg, model);
     rt.set_scheduler(make());
@@ -185,7 +185,7 @@ proptest! {
 /// convergence requirement — only that executions agree bit-for-bit).
 fn cbt_short_run(seed: u64, model: NetModel, storm: usize, threads: usize) -> String {
     let ids = ring_ids();
-    let mut cfg = Config::seeded(seed).threads(threads).always_parallel();
+    let mut cfg = Config::seeded(seed).threads(threads);
     cfg.record_rounds = false;
     let mut rt = scaffold::runtime_with_net(64, &ids, init::ring(&ids), cfg, model);
     rt.run(120);

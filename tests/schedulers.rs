@@ -31,14 +31,15 @@ fn budget(n: u32, hosts: usize) -> u64 {
 
 /// Drive an avatar-cbt network to legality (and beyond) under the given
 /// scheduler, sprinkling `storm` churn events from a seeded RNG, and
-/// fingerprint the outcome.
+/// fingerprint the outcome (the last field: rounds that activated someone
+/// but did not run their emit on the pool).
 fn cbt_run(
     seed: u64,
     hosts: usize,
     storm: usize,
     threads: usize,
     make: impl Fn() -> Box<dyn Scheduler>,
-) -> (bool, Vec<(u32, u32)>, u64, String) {
+) -> (bool, Vec<(u32, u32)>, u64, String, u64) {
     let n = 64u32;
     let cfg = Config::seeded(seed).threads(threads);
     let mut rt = scaffold::runtime_from_shape(n, hosts, Shape::Random, cfg);
@@ -75,11 +76,14 @@ fn cbt_run(
         .run_monitored(&mut scaffold::legality(), 2 * budget(n, hosts))
         .rounds_if_satisfied()
         .is_some();
+    let rows = &rt.metrics().per_round;
+    let busy = rows.iter().filter(|r| r.active_nodes > 0).count() as u64;
     (
         converged && healed,
         rt.topology().edges(),
         rt.metrics().total_messages,
         serde_json::to_string(rt.metrics()).expect("metrics serialize"),
+        busy - rt.perf_counters().par_rounds,
     )
 }
 
@@ -194,6 +198,10 @@ fn scheduler_runs_are_thread_count_invariant() {
             assert_eq!(
                 baseline.3, parallel.3,
                 "{name}: {threads}-thread run diverged from sequential"
+            );
+            assert_eq!(
+                parallel.4, 0,
+                "{name}: {threads}-thread rounds that activated someone ran off the pool"
             );
         }
     }

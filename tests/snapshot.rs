@@ -74,10 +74,10 @@ proptest! {
 
         // seed / strict / record_rounds are pinned from the payload — pass
         // a deliberately wrong seed to prove it — while the caller picks
-        // the execution strategy (thread count). `always_parallel` pins the
-        // pool path on the tail, so a sequential head must continue
+        // the execution strategy (thread count). With threads > 1 the tail
+        // runs on the pool, so a sequential head must continue
         // byte-identically on the chunked parallel apply.
-        let tail_cfg = Config::seeded(!seed).threads(threads).always_parallel();
+        let tail_cfg = Config::seeded(!seed).threads(threads);
         let mut tail = chord::restore_runtime(&bytes, tail_cfg).expect("snapshot restores");
         prop_assert_eq!(tail.config().seed, seed, "restore pins the snapshot's seed");
         tail.set_scheduler(sched::from_spec(spec, seed).expect("known spec"));
@@ -288,11 +288,8 @@ fn converged_legal_snapshot_restores_legal_and_identical() {
 
     for threads in [1usize, 2, 4, 8] {
         for spec in ["sync", "activity"] {
-            let mut r2 = chord::restore_runtime::<ChordTarget>(
-                &bytes,
-                cfg.threads(threads).always_parallel(),
-            )
-            .expect("converged snapshot restores");
+            let mut r2 = chord::restore_runtime::<ChordTarget>(&bytes, cfg.threads(threads))
+                .expect("converged snapshot restores");
             assert!(
                 chord::runtime_is_legal(&r2),
                 "restored state is still legal ({spec}, {threads} threads)"

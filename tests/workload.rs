@@ -17,10 +17,9 @@ use rand::SeedableRng;
 /// the conservation law from the per-round rows; fingerprint the metrics.
 fn traffic_run(seed: u64, hosts: usize, storm: usize, threads: usize, activity: bool) -> String {
     let n = 64u32;
-    // record_rounds: true; `always_parallel` pins the pool path whenever
-    // threads > 1 — small fixtures would otherwise fall under the
-    // auto-sequential threshold and never exercise the chunked apply.
-    let cfg = Config::seeded(seed).threads(threads).always_parallel();
+    // record_rounds: true; with threads > 1 every round runs the chunked
+    // emit on the pool.
+    let cfg = Config::seeded(seed).threads(threads);
     let mut rt = chord::runtime_from_shape(ChordTarget::classic(n), hosts, Shape::Random, cfg);
     if activity {
         rt.set_scheduler(Box::new(ActivityDriven));
