@@ -9,7 +9,6 @@
 use crate::program::CbtProgram;
 use crate::protocol::CbtCore;
 use overlay::{Avatar, Cbt};
-use ssim::monitor::{self, Goal};
 use ssim::{
     init::Shape, Config, NetModel, NodeId, Persist, Program, Runtime, SnapshotError, Topology,
 };
@@ -65,11 +64,10 @@ pub fn runtime_is_legal(rt: &Runtime<CbtProgram>) -> bool {
     )
 }
 
-/// The Avatar(CBT) legality goal as a composable [`ssim::Monitor`] — the
-/// driver form of [`runtime_is_legal`], for [`Runtime::run_monitored`] and
-/// scenario runs.
-pub fn legality() -> Goal<impl FnMut(&Runtime<CbtProgram>) -> bool> {
-    monitor::goal("avatar-cbt-legal", runtime_is_legal)
+/// The Avatar(CBT) legality goal — [`runtime_is_legal`] as the predicate
+/// [`Runtime::run_monitored`] and scenario runs drive to.
+pub fn legality() -> impl FnMut(&Runtime<CbtProgram>) -> bool {
+    runtime_is_legal
 }
 
 /// Build a CBT runtime over the given host ids and initial edges. Every host

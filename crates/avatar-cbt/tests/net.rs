@@ -27,7 +27,7 @@ fn eight_hosts_stabilize_under_lossy_wan() {
     let ids = ring_ids();
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime_with_net(64, &ids, edges, Config::seeded(31), model);
-    let out = rt.run_monitored(&mut legality(), 6 * budget(64, 8, delta));
+    let out = rt.run_monitored(legality(), 6 * budget(64, 8, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "lossy WAN stalls");
     let net = rt.net_stats();
     assert!(net.conserved(), "{net:?}");
@@ -48,7 +48,7 @@ fn deterministic_latency_alone_stabilizes() {
     let ids = ring_ids();
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime_with_net(64, &ids, edges, Config::seeded(33), model);
-    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 8, delta));
+    let out = rt.run_monitored(legality(), 4 * budget(64, 8, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "latency stalls");
     assert!(rt.net_stats().conserved());
 }
@@ -58,7 +58,7 @@ fn partition_with_churn_heals_back_to_legal() {
     let ids = ring_ids();
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime(64, &ids, edges, Config::seeded(32));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8, 1));
+    let out = rt.run_monitored(legality(), budget(64, 8, 1));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "ideal convergence");
 
     // Cut the converged overlay in half and churn both sides while the
@@ -80,7 +80,7 @@ fn partition_with_churn_heals_back_to_legal() {
         "churn during the cut must leave the overlay illegal"
     );
     rt.heal();
-    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 8, 1));
+    let out = rt.run_monitored(legality(), 4 * budget(64, 8, 1));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "no re-stabilization");
     let net = rt.net_stats();
     assert!(net.conserved(), "{net:?}");
@@ -131,11 +131,11 @@ fn beaconed_range_past_n_is_survived_under_latency() {
         // Keep the legal network awake: a dormant host inspects nothing.
         rt.corrupt_node(v, |p| p.core.sleep_on_clean = false);
     }
-    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 6, delta));
+    let out = rt.run_monitored(legality(), 4 * budget(64, 6, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied);
     rt.run(Schedule::new(64).with_delta(delta).epoch_len());
     rt.corrupt_node(50, |p| p.core.core.range.1 = 70);
-    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 6, delta));
+    let out = rt.run_monitored(legality(), 4 * budget(64, 6, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied);
     assert!(rt.program(50).core.resets > 0, "the liar reset itself");
 }

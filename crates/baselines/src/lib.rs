@@ -21,21 +21,16 @@ pub mod tcf;
 pub use linear_scaffold::{LinMsg, LinearProgram};
 pub use tcf::{chord_over_ids_target, TcfProgram};
 
-use ssim::monitor::{self, Goal};
 use ssim::Runtime;
 
-/// Completion goal for a TCF run, as a composable [`ssim::Monitor`]: every
+/// Completion goal for a TCF run, for [`Runtime::run_monitored`]: every
 /// node has pruned down to its target neighborhood.
-pub fn tcf_done() -> Goal<impl FnMut(&Runtime<TcfProgram>) -> bool> {
-    monitor::goal("tcf-done", |rt: &Runtime<TcfProgram>| {
-        rt.programs().all(|(_, p)| p.is_done())
-    })
+pub fn tcf_done() -> impl FnMut(&Runtime<TcfProgram>) -> bool {
+    |rt: &Runtime<TcfProgram>| rt.programs().all(|(_, p)| p.is_done())
 }
 
-/// Completion goal for a linear-scaffold run, as a composable
-/// [`ssim::Monitor`]: every node's finger walk finished.
-pub fn linear_done() -> Goal<impl FnMut(&Runtime<LinearProgram>) -> bool> {
-    monitor::goal("linear-done", |rt: &Runtime<LinearProgram>| {
-        rt.programs().all(|(_, p)| p.walk_done)
-    })
+/// Completion goal for a linear-scaffold run, for
+/// [`Runtime::run_monitored`]: every node's finger walk finished.
+pub fn linear_done() -> impl FnMut(&Runtime<LinearProgram>) -> bool {
+    |rt: &Runtime<LinearProgram>| rt.programs().all(|(_, p)| p.walk_done)
 }

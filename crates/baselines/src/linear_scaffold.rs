@@ -218,7 +218,7 @@ mod tests {
         let fingers = 5; // reach 16
         let nodes = ids.iter().map(|&v| (v, LinearProgram::new(fingers)));
         let mut rt = Runtime::new(Config::seeded(5), nodes, edges);
-        rt.run_monitored(&mut crate::linear_done(), 400)
+        rt.run_monitored(crate::linear_done(), 400)
             .rounds_if_satisfied()
             .expect("walks must finish");
         // Node 0's fingers by rank: 1, 2, 4, 8, 16.
@@ -236,7 +236,7 @@ mod tests {
             let edges = ssim::init::line(&ids);
             let nodes = ids.iter().map(|&v| (v, LinearProgram::new(fingers)));
             let mut rt = Runtime::new(Config::seeded(6), nodes, edges);
-            rt.run_monitored(&mut crate::linear_done(), 4000)
+            rt.run_monitored(crate::linear_done(), 4000)
                 .rounds_if_satisfied()
                 .expect("walks must finish")
         };

@@ -125,7 +125,7 @@ mod tests {
         let target = chord_over_ids_target();
         let nodes = ids.iter().map(|&v| (v, TcfProgram::new(target.clone())));
         let mut rt = Runtime::new(Config::seeded(1), nodes, edges);
-        rt.run_monitored(&mut crate::tcf_done(), 200)
+        rt.run_monitored(crate::tcf_done(), 200)
             .rounds_if_satisfied()
             .expect("TCF must converge");
         rt
@@ -161,7 +161,7 @@ mod tests {
         let nodes = ids.iter().map(|&v| (v, TcfProgram::new(target.clone())));
         let mut rt = Runtime::new(Config::seeded(2), nodes, edges);
         let rounds = rt
-            .run_monitored(&mut crate::tcf_done(), 50)
+            .run_monitored(crate::tcf_done(), 50)
             .rounds_if_satisfied()
             .unwrap();
         assert!(rounds <= (STABLE_THRESHOLD as u64) + 3, "took {rounds}");

@@ -51,7 +51,7 @@ pub fn engine_scale(args: &ExpArgs) {
     for spec in ["sync", "activity", "random:0.5", "rr:4"] {
         let mut rt = avatar_cbt::runtime_from_shape(cbt_n, cbt_hosts, Shape::Random, seeded(seed));
         rt.set_scheduler(ssim::sched::from_spec(spec, seed).expect("known spec"));
-        let out = rt.run_monitored(&mut avatar_cbt::legality(), budget(cbt_n, cbt_hosts));
+        let out = rt.run_monitored(avatar_cbt::legality(), budget(cbt_n, cbt_hosts));
         let rounds = rt.metrics().rounds_executed.max(1);
         let acts = rt.metrics().total_activations;
         daemons.row(vec![

@@ -15,7 +15,6 @@
 use crate::note;
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
 use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, ExpArgs, Table};
-use ssim::monitor::{BeaconStaleness, DegreeAnomaly, SilenceAnomaly, ViewDivergence};
 use ssim::{
     Adversary, Checkpoint, DetectorSuite, GauntletOutcome, NetModel, NodeId, OpenLoop, Recovery,
     RequestStats, RunVerdict, Scenario, WorkloadConfig,
@@ -96,11 +95,7 @@ fn run_cell(
 
     let scenario = Scenario::new(format!("gauntlet-{}", adv.name())).seeded(seed);
     let scenario = adv.schedule(scenario, &ids, INJECT, seed);
-    let mut suite = DetectorSuite::new()
-        .with(BeaconStaleness::new())
-        .with(ViewDivergence::new())
-        .with(DegreeAnomaly::new())
-        .with(SilenceAnomaly::new());
+    let mut suite = DetectorSuite::new();
     let recovery = if rollback {
         Recovery::Rollback(&ck)
     } else {
@@ -111,7 +106,7 @@ fn run_cell(
         &scenario,
         &mut suite,
         recovery,
-        &mut chord_scaffold::legality(),
+        chord_scaffold::legality(),
         2 * budget(n, hosts) + 64,
     );
     let stats = rt.metrics().requests.clone();

@@ -72,10 +72,7 @@ pub fn net(args: &ExpArgs) {
                 ..WorkloadConfig::default()
             };
             rt.attach_workload(OpenLoop::new(2.0, n), wl);
-            let out = rt.run_monitored(
-                &mut chord_scaffold::legality(),
-                8 * delta * budget(n, hosts),
-            );
+            let out = rt.run_monitored(chord_scaffold::legality(), 8 * delta * budget(n, hosts));
             let s = rt.request_stats().clone();
             let net = rt.net_stats();
             assert!(

@@ -191,10 +191,7 @@ pub fn phase_reset(args: &ExpArgs) {
             type Rt = Runtime<ScaffoldProgram<ChordTarget>>;
             let all_cbt = |r: &Rt| r.programs().all(|(_, p)| p.core.phase == Phase::Cbt);
             let reset = rt
-                .run_monitored(
-                    &mut ssim::monitor::goal("all-cbt", all_cbt),
-                    10 * bound + 50,
-                )
+                .run_monitored(all_cbt, 10 * bound + 50)
                 .rounds_if_satisfied()
                 .expect("phase must collapse to CBT");
             obs.push(reset);
@@ -235,7 +232,7 @@ pub fn scaffold_to_chord(args: &ExpArgs) {
         for seed in 5000..5000 + seeds {
             let mut rt = legal_cbt_runtime(n, hosts, seed);
             let r = rt
-                .run_monitored(&mut chord_scaffold::legality(), budget(n, hosts))
+                .run_monitored(chord_scaffold::legality(), budget(n, hosts))
                 .rounds_if_satisfied()
                 .expect("scaffold→chord must converge");
             s.rounds.push(r as f64);
@@ -323,7 +320,7 @@ fn run_baseline<P: ssim::Program>(
     hosts: usize,
     seed: u64,
     program: impl Fn() -> P,
-    done: &mut dyn ssim::Monitor<P>,
+    done: impl FnMut(&Runtime<P>) -> bool,
     max_rounds: u64,
 ) -> (Option<u64>, usize, u64) {
     let ids: Vec<NodeId> = (0..hosts as u32).map(|i| i * 2 + 1).collect();
@@ -358,7 +355,7 @@ pub fn baselines(args: &ExpArgs) {
                     hosts,
                     7100 + hosts as u64,
                     || TcfProgram::new(target.clone()),
-                    &mut tcf_done(),
+                    tcf_done(),
                     10_000,
                 ),
             ),
@@ -368,7 +365,7 @@ pub fn baselines(args: &ExpArgs) {
                     hosts,
                     7200 + hosts as u64,
                     || LinearProgram::new(fingers),
-                    &mut linear_done(),
+                    linear_done(),
                     64 * hosts as u64 + 1000,
                 ),
             ),
@@ -498,7 +495,7 @@ pub fn routing(args: &ExpArgs) {
         let target = ChordTarget::classic(n);
         let mut rt = chord_scaffold::runtime_from_shape(target, hosts, Shape::Random, seeded(9000));
         let rounds = rt
-            .run_monitored(&mut chord_scaffold::legality(), budget(n, hosts))
+            .run_monitored(chord_scaffold::legality(), budget(n, hosts))
             .rounds_if_satisfied()
             .expect("E9b overlay stabilizes");
         rt.run(5); // drain in-flight traffic
@@ -626,7 +623,7 @@ pub fn finger_variants(args: &ExpArgs) {
                     rt.corrupt_node(v, |p| p.core.target = target);
                 }
                 let r = rt
-                    .run_monitored(&mut chord_scaffold::legality_for(target), budget(n, hosts))
+                    .run_monitored(chord_scaffold::legality_for(target), budget(n, hosts))
                     .rounds_if_satisfied()
                     .expect("variant must converge");
                 s.rounds.push(r as f64);

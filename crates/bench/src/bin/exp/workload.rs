@@ -236,7 +236,7 @@ pub fn workload(args: &ExpArgs) {
         }
         // Let the overlay heal while traffic keeps flowing.
         let heal = rt.run_monitored(
-            &mut chord_scaffold::legality(),
+            chord_scaffold::legality(),
             2 * model.delivery_bound() * budget(churn_n, churn_hosts),
         );
         let s = rt.request_stats();

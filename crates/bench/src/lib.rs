@@ -59,7 +59,7 @@ pub fn measure_chord(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Ou
     let target = ChordTarget::classic(n_guests);
     let mut rt = chord_scaffold::runtime_from_shape(target, hosts, shape, seeded(seed));
     let rounds = rt
-        .run_monitored(&mut chord_scaffold::legality(), budget(n_guests, hosts))
+        .run_monitored(chord_scaffold::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
     outcome_of(rounds, &rt)
 }
@@ -68,7 +68,7 @@ pub fn measure_chord(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Ou
 pub fn measure_cbt(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Outcome {
     let mut rt = avatar_cbt::runtime_from_shape(n_guests, hosts, shape, seeded(seed));
     let rounds = rt
-        .run_monitored(&mut avatar_cbt::legality(), budget(n_guests, hosts))
+        .run_monitored(avatar_cbt::legality(), budget(n_guests, hosts))
         .rounds_if_satisfied();
     outcome_of(rounds, &rt)
 }
@@ -105,7 +105,7 @@ pub fn measure_churn(
     // the default ideal model).
     let headroom = if model.is_ideal() { 1 } else { 8 };
     let baseline = rt.run_monitored(
-        &mut chord_scaffold::legality(),
+        chord_scaffold::legality(),
         headroom * delta * budget(n_guests, hosts),
     );
     assert!(
@@ -146,7 +146,7 @@ pub fn measure_churn(
         };
     }
     let max_rounds = gap * episodes as u64 + delta * budget(n_guests, hosts);
-    scenario.run(&mut rt, &mut chord_scaffold::legality(), max_rounds)
+    scenario.run(&mut rt, chord_scaffold::legality(), max_rounds)
 }
 
 fn outcome_of<P: Program>(rounds: Option<u64>, rt: &Runtime<P>) -> Outcome {

@@ -6,7 +6,6 @@ use crate::program::ScaffoldProgram;
 use crate::target::{ChordTarget, InductiveTarget};
 use avatar_cbt::legal::{boot, join_nonce, reboot};
 use overlay::Avatar;
-use ssim::monitor::{self, Goal};
 use ssim::{init::Shape, Config, NetModel, NodeId, Persist, Runtime, SnapshotError, Topology};
 
 /// The exact host edge set of the legal `Avatar(target)`: the scaffold edges
@@ -63,24 +62,20 @@ pub fn runtime_is_legal<T: InductiveTarget>(rt: &Runtime<ScaffoldProgram<T>>) ->
     is_legal(target, rt.topology(), rt.programs().map(|(_, p)| p))
 }
 
-/// The Avatar(Chord) legality goal as a composable [`ssim::Monitor`] — the
-/// driver form of [`runtime_is_legal`], for [`Runtime::run_monitored`] and
-/// scenario runs.
-pub fn legality() -> Goal<impl FnMut(&Runtime<ScaffoldProgram<ChordTarget>>) -> bool> {
-    monitor::goal("avatar-chord-legal", runtime_is_legal)
+/// The Avatar(Chord) legality goal — [`runtime_is_legal`] as the predicate
+/// [`Runtime::run_monitored`] and scenario runs drive to.
+pub fn legality() -> impl FnMut(&Runtime<ScaffoldProgram<ChordTarget>>) -> bool {
+    runtime_is_legal
 }
 
 /// Legality goal for an arbitrary [`InductiveTarget`] instance (the
 /// generalized scaffolding pattern of Section 6).
 pub fn legality_for<T: InductiveTarget + Clone + Send + 'static>(
     target: T,
-) -> Goal<impl FnMut(&Runtime<ScaffoldProgram<T>>) -> bool> {
-    monitor::goal(
-        "avatar-target-legal",
-        move |rt: &Runtime<ScaffoldProgram<T>>| {
-            is_legal(&target, rt.topology(), rt.programs().map(|(_, p)| p))
-        },
-    )
+) -> impl FnMut(&Runtime<ScaffoldProgram<T>>) -> bool {
+    move |rt: &Runtime<ScaffoldProgram<T>>| {
+        is_legal(&target, rt.topology(), rt.programs().map(|(_, p)| p))
+    }
 }
 
 /// Build a scaffolding runtime for any [`InductiveTarget`] over the given

@@ -27,7 +27,7 @@ fn eight_hosts_stabilize_under_lossy_wan() {
     let ids = ring_ids();
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime_with_net(t, &ids, edges, Config::seeded(31), model);
-    let out = rt.run_monitored(&mut legality(), 6 * budget(64, 8, delta));
+    let out = rt.run_monitored(legality(), 6 * budget(64, 8, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "lossy WAN stalls");
     let net = rt.net_stats();
     assert!(net.conserved(), "{net:?}");
@@ -40,7 +40,7 @@ fn partition_with_churn_heals_back_to_legal() {
     let ids = ring_ids();
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime(t, &ids, edges, Config::seeded(32));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8, 1));
+    let out = rt.run_monitored(legality(), budget(64, 8, 1));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "ideal convergence");
 
     // Cut the converged overlay in half and churn both sides while the
@@ -59,7 +59,7 @@ fn partition_with_churn_heals_back_to_legal() {
         "churn during the cut must leave the overlay illegal"
     );
     rt.heal();
-    let out = rt.run_monitored(&mut legality(), 4 * budget(64, 8, 1));
+    let out = rt.run_monitored(legality(), 4 * budget(64, 8, 1));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "no re-stabilization");
     let net = rt.net_stats();
     assert!(net.conserved(), "{net:?}");

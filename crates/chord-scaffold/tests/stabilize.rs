@@ -2,7 +2,7 @@
 //! driven through the `Runtime::run_monitored` / `legality()` observer API.
 
 use chord_scaffold::{legality, runtime, runtime_from_shape, runtime_is_legal, ChordTarget};
-use ssim::monitor::{MonitorExt, RunVerdict};
+use ssim::monitor::RunVerdict;
 use ssim::Config;
 
 fn budget(n: u32, hosts: usize) -> u64 {
@@ -15,7 +15,7 @@ fn budget(n: u32, hosts: usize) -> u64 {
 fn single_host_builds_chord_alone() {
     let t = ChordTarget::classic(16);
     let mut rt = runtime(t, &[5], vec![], Config::seeded(1));
-    let out = rt.run_monitored(&mut legality(), budget(16, 1));
+    let out = rt.run_monitored(legality(), budget(16, 1));
     assert_eq!(
         out.verdict,
         RunVerdict::Satisfied,
@@ -28,7 +28,7 @@ fn single_host_builds_chord_alone() {
 fn two_hosts_build_chord() {
     let t = ChordTarget::classic(16);
     let mut rt = runtime(t, &[3, 9], vec![(3, 9)], Config::seeded(2));
-    let out = rt.run_monitored(&mut legality(), budget(16, 2));
+    let out = rt.run_monitored(legality(), budget(16, 2));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "two hosts failed");
 }
 
@@ -38,7 +38,7 @@ fn eight_hosts_ring_build_chord() {
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime(t, &ids, edges, Config::seeded(3));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8));
+    let out = rt.run_monitored(legality(), budget(64, 8));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "eight hosts failed");
     assert!(runtime_is_legal(&rt));
 }
@@ -49,12 +49,11 @@ fn silent_after_stabilization() {
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime(t, &ids, edges, Config::seeded(4));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8));
+    let out = rt.run_monitored(legality(), budget(64, 8));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "stabilization");
-    // Let in-flight traffic drain, then require absolute silence. The
-    // combined goal legality ∧ silence is itself expressible as a monitor.
-    let mut settled = legality().and(ssim::monitor::silence());
-    let out = rt.run_monitored(&mut settled, 10);
+    // Let in-flight traffic drain, then require absolute silence: the
+    // combined goal legality ∧ silence is one predicate.
+    let out = rt.run_monitored(|rt| runtime_is_legal(rt) && rt.is_silent(), 10);
     assert_eq!(out.verdict, RunVerdict::Satisfied, "must drain to silence");
     let before = rt.metrics().total_messages;
     for _ in 0..50 {
@@ -72,7 +71,7 @@ fn silent_after_stabilization() {
 fn sixteen_hosts_random_shape() {
     let t = ChordTarget::classic(128);
     let mut rt = runtime_from_shape(t, 16, ssim::init::Shape::Random, Config::seeded(5));
-    let out = rt.run_monitored(&mut legality(), budget(128, 16));
+    let out = rt.run_monitored(legality(), budget(128, 16));
     assert_eq!(
         out.verdict,
         RunVerdict::Satisfied,
@@ -86,7 +85,7 @@ fn wakes_and_rebuilds_after_perturbation() {
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
     let edges = ssim::init::ring(&ids);
     let mut rt = runtime(t, &ids, edges, Config::seeded(6));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8));
+    let out = rt.run_monitored(legality(), budget(64, 8));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "initial stabilization");
     for _ in 0..5 {
         rt.step();
@@ -97,7 +96,7 @@ fn wakes_and_rebuilds_after_perturbation() {
     assert!(rt.adversarial_remove_edge(1, 9));
     assert!(rt.topology().is_connected());
     assert!(!runtime_is_legal(&rt));
-    let out = rt.run_monitored(&mut legality(), budget(64, 8));
+    let out = rt.run_monitored(legality(), budget(64, 8));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "failed to recover");
 }
 
@@ -106,7 +105,7 @@ fn rounds_if_satisfied_gives_the_classic_option_shape() {
     let t = ChordTarget::classic(16);
     let mut rt = runtime(t, &[3, 9], vec![(3, 9)], Config::seeded(2));
     let rounds = rt
-        .run_monitored(&mut legality(), budget(16, 2))
+        .run_monitored(legality(), budget(16, 2))
         .rounds_if_satisfied();
     assert!(rounds.is_some());
 }
@@ -122,7 +121,7 @@ fn stabilization_is_thread_invariant() {
     let run = |threads: usize| {
         let cfg = Config::seeded(22).threads(threads);
         let mut rt = runtime(t, &ids, ssim::init::ring(&ids), cfg);
-        let out = rt.run_monitored(&mut legality(), budget(64, ids.len()));
+        let out = rt.run_monitored(legality(), budget(64, ids.len()));
         assert_eq!(out.verdict, RunVerdict::Satisfied, "{threads} threads");
         assert!(runtime_is_legal(&rt));
         (

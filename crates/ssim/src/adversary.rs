@@ -23,7 +23,7 @@
 //! request SLOs. Per-region isolation of a suspect zone is
 //! [`Runtime::partition`] / [`Runtime::heal`].
 
-use crate::monitor::{DetectorSuite, Monitor, RunVerdict, Severity};
+use crate::monitor::{DetectorSuite, RunVerdict, Severity};
 use crate::program::Program;
 use crate::runtime::Runtime;
 use crate::scenario::{Event, EventRecord, Scenario};
@@ -360,8 +360,6 @@ pub struct GauntletOutcome {
     pub scenario: String,
     /// How the run ended ([`RunVerdict::Satisfied`] = re-legalized).
     pub verdict: RunVerdict,
-    /// Violation reason, if any.
-    pub reason: Option<String>,
     /// Rounds executed (for a satisfied run: time-to-relegal, including the
     /// rounds the attack itself occupied).
     pub rounds: u64,
@@ -387,31 +385,32 @@ pub struct GauntletOutcome {
 
 /// Drive `scenario` against `rt` through the scenario driver loop
 /// ([`Scenario::run`]'s), with a per-round hook that scans `suite` (after
-/// due events apply, before the monitor observes) and applies `recovery` on
+/// due events apply, before the goal is evaluated) and applies `recovery` on
 /// the first critical detection: under [`Recovery::Rollback`] the union of
 /// every event-touched id and every detector-implicated id is rolled back
 /// to the checkpoint, once per run.
 ///
-/// The run ends `Satisfied` at the first round where `monitor` is satisfied
-/// and no events remain — for a legality monitor that is exactly
-/// *time-to-relegal*, making the restabilize and rollback arms directly
-/// comparable.
+/// The run ends `Satisfied` at the first round where `goal` holds and no
+/// events remain — for a legality goal that is exactly *time-to-relegal*,
+/// making the restabilize and rollback arms directly comparable. Scans are
+/// read-only, so under [`Recovery::Restabilize`] the run is exactly
+/// [`Scenario::run`]'s.
 pub fn run_gauntlet<P>(
     rt: &mut Runtime<P>,
     scenario: &Scenario<P>,
-    suite: &mut DetectorSuite<P>,
+    suite: &mut DetectorSuite,
     recovery: Recovery<'_>,
-    monitor: &mut (impl Monitor<P> + ?Sized),
+    goal: impl FnMut(&Runtime<P>) -> bool,
     max_rounds: u64,
 ) -> GauntletOutcome
 where
-    P: Program + Persist + Clone,
+    P: Introspect + Persist + Clone,
     P::Msg: Persist,
 {
     let start = rt.round();
     let mut rolled_back = 0usize;
     let mut recovered_at: Option<u64> = None;
-    let report = scenario.run_hooked(rt, monitor, max_rounds, |rt, now, records| {
+    let report = scenario.run_hooked(rt, goal, max_rounds, |rt, now, records| {
         suite.scan(rt);
         if recovered_at.is_none() && suite.criticals() > 0 {
             if let Recovery::Rollback(ck) = recovery {
@@ -428,7 +427,6 @@ where
     GauntletOutcome {
         scenario: report.scenario,
         verdict: report.verdict,
-        reason: report.reason,
         rounds: report.rounds,
         detect_round: suite.first_round().map(|r| r.saturating_sub(start)),
         first_critical: suite
@@ -446,12 +444,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::{
-        BeaconStaleness, DegreeAnomaly, FaultClass, SilenceAnomaly, ViewDivergence,
-    };
+    use crate::monitor::FaultClass;
     use crate::program::Ctx;
     use crate::snapshot::{Reader, SnapshotError, Writer};
-    use crate::{monitor, Config};
+    use crate::Config;
     use std::collections::BTreeMap;
 
     /// Toy protocol for the gauntlet machinery: each node advertises a tag
@@ -572,22 +568,14 @@ mod tests {
     }
 
     /// Goal satisfied `rounds` rounds after the runtime's current round.
-    fn ran(rt: &Runtime<Tagger>, rounds: u64) -> impl crate::Monitor<Tagger> {
+    fn ran(rt: &Runtime<Tagger>, rounds: u64) -> impl FnMut(&Runtime<Tagger>) -> bool {
         let until = rt.round() + rounds;
-        monitor::goal("ran", move |rt: &Runtime<Tagger>| rt.round() >= until)
+        move |rt: &Runtime<Tagger>| rt.round() >= until
     }
 
     /// `adv` alone, in a fresh scenario seeded like the adversary.
     fn compile(adv: &Adversary, members: &[NodeId], start: u64, seed: u64) -> Scenario<Tagger> {
         adv.schedule(Scenario::new(adv.name()).seeded(seed), members, start, seed)
-    }
-
-    fn suite() -> DetectorSuite<Tagger> {
-        DetectorSuite::new()
-            .with(BeaconStaleness::new())
-            .with(ViewDivergence::new())
-            .with(DegreeAnomaly::new())
-            .with(SilenceAnomaly::new())
     }
 
     #[test]
@@ -669,17 +657,10 @@ mod tests {
             age: 100,
         };
         let sc = compile(&adv, &members, 1, 42);
-        let mut suite = suite();
+        let mut suite = DetectorSuite::new();
         let ck = Checkpoint::capture(&rt);
-        let mut goal = ran(&rt, 6);
-        let out = run_gauntlet(
-            &mut rt,
-            &sc,
-            &mut suite,
-            Recovery::Rollback(&ck),
-            &mut goal,
-            50,
-        );
+        let goal = ran(&rt, 6);
+        let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Rollback(&ck), goal, 50);
         assert_eq!(out.verdict, RunVerdict::Satisfied);
         assert_eq!(out.worst, Some(Severity::Warning));
         assert_eq!(out.detect_round, Some(1));
@@ -694,16 +675,9 @@ mod tests {
         let members: Vec<NodeId> = rt.ids().to_vec();
         let ck = Checkpoint::capture(&rt);
         let sc = compile(&Adversary::LyingBeacons { victims: 2 }, &members, 2, 7);
-        let mut suite = suite();
-        let mut goal = ran(&rt, 8);
-        let out = run_gauntlet(
-            &mut rt,
-            &sc,
-            &mut suite,
-            Recovery::Rollback(&ck),
-            &mut goal,
-            50,
-        );
+        let mut suite = DetectorSuite::new();
+        let goal = ran(&rt, 8);
+        let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Rollback(&ck), goal, 50);
         assert_eq!(out.verdict, RunVerdict::Satisfied);
         assert_eq!(out.worst, Some(Severity::Critical));
         assert_eq!(out.first_critical, Some(2));
@@ -713,7 +687,7 @@ mod tests {
         // The rollback really cleared the lie: every node's recorded views
         // agree with advertised identities again.
         let round = rt.round();
-        let mut post = DetectorSuite::new().with(ViewDivergence::new());
+        let mut post = DetectorSuite::new();
         post.scan(&rt);
         assert_eq!(post.total(), 0, "no divergence after rollback @{round}");
     }
@@ -723,16 +697,9 @@ mod tests {
         let mut rt = warmed_ring(8, Config::seeded(2));
         let members: Vec<NodeId> = rt.ids().to_vec();
         let sc = compile(&Adversary::LyingBeacons { victims: 2 }, &members, 2, 7);
-        let mut suite = suite();
-        let mut goal = ran(&rt, 8);
-        let out = run_gauntlet(
-            &mut rt,
-            &sc,
-            &mut suite,
-            Recovery::Restabilize,
-            &mut goal,
-            50,
-        );
+        let mut suite = DetectorSuite::new();
+        let goal = ran(&rt, 8);
+        let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Restabilize, goal, 50);
         assert_eq!(out.rolled_back, 0);
         assert_eq!(out.recovered_at, None);
         assert_eq!(out.first_critical, Some(2));
@@ -749,23 +716,16 @@ mod tests {
             audiences: 3,
         };
         let sc = compile(&adv, &members, 1, 11);
-        let mut suite = suite();
-        let mut goal = ran(&rt, 5);
-        let out = run_gauntlet(
-            &mut rt,
-            &sc,
-            &mut suite,
-            Recovery::Rollback(&ck),
-            &mut goal,
-            50,
-        );
+        let mut suite = DetectorSuite::new();
+        let goal = ran(&rt, 5);
+        let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Rollback(&ck), goal, 50);
         assert_eq!(out.worst, Some(Severity::Critical));
         assert!(out.by_class[FaultClass::ViewDivergence.index()] > 0);
         assert!(
             out.rolled_back >= 2,
             "the equivocated-about node and at least one audience roll back"
         );
-        let mut post = DetectorSuite::new().with(ViewDivergence::new());
+        let mut post = DetectorSuite::new();
         post.scan(&rt);
         assert_eq!(post.total(), 0);
     }
@@ -797,16 +757,9 @@ mod tests {
         let run = |threads: usize| {
             let (mut rt, sc) = fixture(threads);
             let ck = Checkpoint::capture(&rt);
-            let mut suite = suite();
-            let mut goal = ran(&rt, 10);
-            let out = run_gauntlet(
-                &mut rt,
-                &sc,
-                &mut suite,
-                Recovery::Rollback(&ck),
-                &mut goal,
-                50,
-            );
+            let mut suite = DetectorSuite::new();
+            let goal = ran(&rt, 10);
+            let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Rollback(&ck), goal, 50);
             (serde_json::to_string(&out).unwrap(), rt.save_snapshot())
         };
         let base = run(1);
@@ -814,23 +767,25 @@ mod tests {
             assert_eq!(run(t), base, "threads={t}");
         }
 
-        // One driver: with nothing to detect and nothing to recover, the
-        // gauntlet IS `Scenario::run` — same rounds, verdict and event
-        // records, same runtime bytes afterwards.
+        // One driver: scans are read-only, so with nothing recovered the
+        // gauntlet IS `Scenario::run` even while the full bank detects the
+        // lies and crashes — same rounds, verdict and event records, same
+        // runtime bytes afterwards.
         for t in [1, 4] {
             let (mut plain_rt, sc) = fixture(t);
-            let mut goal = ran(&plain_rt, 10);
-            let report = sc.run(&mut plain_rt, &mut goal, 50);
+            let goal = ran(&plain_rt, 10);
+            let report = sc.run(&mut plain_rt, goal, 50);
             let (mut rt, sc) = fixture(t);
-            let mut goal = ran(&rt, 10);
+            let goal = ran(&rt, 10);
             let out = run_gauntlet(
                 &mut rt,
                 &sc,
                 &mut DetectorSuite::new(),
                 Recovery::Restabilize,
-                &mut goal,
+                goal,
                 50,
             );
+            assert!(out.first_critical.is_some(), "the bank saw the attack");
             assert_eq!((out.rounds, out.verdict), (report.rounds, report.verdict));
             assert_eq!(
                 serde_json::to_string(&out.events).unwrap(),

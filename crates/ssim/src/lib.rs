@@ -20,9 +20,10 @@
 //!   ([`Runtime::join`] / [`Runtime::leave`] / [`Runtime::crash`]), so the
 //!   "fragile environment" churn the paper motivates is a first-class,
 //!   schedulable perturbation.
-//! * **Drivers**: runs are steered by [`monitor`] observers (legality,
-//!   quiescence, degree/message budgets, composable with
-//!   [`monitor::all_of`]) via [`Runtime::run_monitored`]. Perturbations
+//! * **Drivers**: a run is driven to a goal — a predicate over the
+//!   runtime, typically a protocol's legality — by
+//!   [`Runtime::run_monitored`], which counts the rounds to convergence
+//!   (see [`monitor`]). Perturbations
 //!   have one vocabulary — [`Fault`] for the node and edge set, the other
 //!   [`Event`]s for state, daemon and network — and one loop that applies
 //!   them, [`Scenario::run`], producing JSON-serializable reports; an
@@ -39,7 +40,7 @@
 //! * **Traffic**: application request [`workload`]s are injected each
 //!   round and routed hop-by-hop over the *live* host links by the
 //!   protocol's [`workload::Router`], racing stabilization and churn
-//!   honestly, with per-request accounting and SLO monitors.
+//!   honestly, with per-request accounting.
 //! * **Network conditions**: a seeded [`net::NetModel`] relaxes the
 //!   reliable synchronous channel (latency, jitter, loss, duplication),
 //!   and [`Runtime::partition`] / [`Runtime::heal`] cut and splice the
@@ -96,10 +97,7 @@ pub use adversary::{
 pub use compact::{CompactMap, CompactSet};
 pub use fault::Fault;
 pub use metrics::{PerfCounters, RoundMetrics, RunMetrics};
-pub use monitor::{
-    Detection, Detector, DetectorSuite, FaultClass, Monitor, MonitorExt, MonitorOutcome,
-    RunVerdict, Severity, Verdict,
-};
+pub use monitor::{DetectorSuite, FaultClass, MonitorOutcome, RunVerdict, Severity};
 pub use net::{NetModel, NetStats};
 pub use program::{Ctx, NeighborBaseline, Program};
 pub use runtime::{Config, MemFootprint, Runtime};
@@ -109,7 +107,7 @@ pub use snapshot::{Persist, SnapshotError};
 pub use topology::{NodeSlot, Topology};
 pub use workload::{
     ClosedLoop, Key, OpenLoop, RequestOutcome, RequestRecord, RequestStats, RouteStep, Router,
-    Silent, SuccessRate, Workload, WorkloadConfig, WorkloadView,
+    Silent, Workload, WorkloadConfig, WorkloadView,
 };
 
 /// Identifier of a (host) node. Drawn from `[0, N)` for guest capacity `N`.

@@ -1,58 +1,34 @@
-//! Observer API for driving simulations: a [`Monitor`] inspects the runtime
-//! between rounds and renders a [`Verdict`]. One generic driver —
-//! [`crate::Runtime::run_monitored`] — serves every protocol, replacing the
-//! run-to-legality free functions each crate used to re-invent. Monitors
-//! observe the runtime only *between* rounds, on the driving thread, so they
-//! are oblivious to whether rounds execute sequentially or on the thread
-//! pool (see [`crate::Config::threads`]).
+//! Driving a run to a goal, and the bank of rule-based fault detectors.
 //!
-//! Two monitor species compose under [`all_of`]:
+//! The paper scores a self-stabilizing run by its convergence time: the
+//! rounds until the configuration is legal (Section 2.2). So a run has one
+//! kind of observer, a **goal**: any predicate `FnMut(&Runtime<P>) -> bool`,
+//! such as a protocol's legality check. [`crate::Runtime::run_monitored`]
+//! evaluates it before the first round and after every round, and
+//! [`crate::Scenario::run`] does the same between scheduled events. Goals
+//! are evaluated only *between* rounds, on the driving thread, so they are
+//! oblivious to whether rounds execute sequentially or on the thread pool
+//! (see [`crate::Config::threads`]). A goal is not latched: a perturbation
+//! that breaks the condition again reads as "not yet", so drivers measure
+//! true re-convergence.
 //!
-//! * **goal** monitors ([`goal`]) are `Satisfied` exactly while their
-//!   predicate holds — e.g. a protocol's legality predicate;
-//! * **invariant** monitors ([`invariant`], [`PeakDegree`],
-//!   [`MessageBudget`]) are `Satisfied` while they hold and `Violated` the
-//!   round they break — they never block termination, they only abort runs.
-//!
-//! The driver stops at the first round where every composed monitor is
-//! simultaneously `Satisfied`, or aborts on the first `Violated`.
+//! [`DetectorSuite`] is the gauntlet's detector bank
+//! ([`crate::adversary::run_gauntlet`]): four fixed rules that classify what
+//! they find into per-class counters instead of ending the run.
 
+use crate::adversary::Introspect;
 use crate::program::Program;
 use crate::runtime::Runtime;
+use crate::NodeId;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One observation's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// The monitored condition holds.
-    Satisfied,
-    /// Not yet — keep running.
-    Pending,
-    /// A hard failure: abort the run and surface the reason.
-    Violated(String),
-}
-
-/// Observes a runtime between rounds. Monitors are stateful: they may count
-/// rounds, latch transitions, or track extrema across observations.
-pub trait Monitor<P: Program> {
-    /// Inspect the runtime (called once before the first round and once
-    /// after every round).
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict;
-
-    /// Short label for reports.
-    fn name(&self) -> &str {
-        "monitor"
-    }
-}
-
-/// Outcome of a monitored run.
+/// How a run to a goal ended.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub enum RunVerdict {
-    /// The monitor was satisfied.
+    /// The goal held.
     Satisfied,
     /// The round budget ran out first.
     Timeout,
-    /// A monitor reported violation.
-    Violated,
 }
 
 /// Result of [`crate::Runtime::run_monitored`].
@@ -62,8 +38,6 @@ pub struct MonitorOutcome {
     pub rounds: u64,
     /// How the run ended.
     pub verdict: RunVerdict,
-    /// Violation reason, when `verdict == Violated`.
-    pub reason: Option<String>,
 }
 
 impl MonitorOutcome {
@@ -73,253 +47,26 @@ impl MonitorOutcome {
     pub fn rounds_if_satisfied(&self) -> Option<u64> {
         match self.verdict {
             RunVerdict::Satisfied => Some(self.rounds),
-            _ => None,
+            RunVerdict::Timeout => None,
         }
     }
 }
 
-/// A goal monitor from a predicate: `Satisfied` exactly while `pred` holds,
-/// `Pending` otherwise. Deliberately *not* latched — a perturbation that
-/// breaks the condition again (scenario churn) must read as `Pending`, so
-/// drivers measure true re-convergence.
-pub fn goal<P, F>(name: &'static str, pred: F) -> Goal<F>
+/// Name a goal at its call site: returns `pred` unchanged (the name only
+/// documents the call).
+pub fn goal<P, F>(_name: &'static str, pred: F) -> F
 where
     P: Program,
     F: FnMut(&Runtime<P>) -> bool,
 {
-    Goal { name, pred }
+    pred
 }
-
-/// See [`goal`].
-pub struct Goal<F> {
-    name: &'static str,
-    pred: F,
-}
-
-impl<P, F> Monitor<P> for Goal<F>
-where
-    P: Program,
-    F: FnMut(&Runtime<P>) -> bool,
-{
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        if (self.pred)(rt) {
-            Verdict::Satisfied
-        } else {
-            Verdict::Pending
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.name
-    }
-}
-
-/// An invariant monitor from a predicate: `Satisfied` while `pred` holds,
-/// `Violated` the first time it doesn't.
-pub fn invariant<P, F>(name: &'static str, pred: F) -> Invariant<F>
-where
-    P: Program,
-    F: FnMut(&Runtime<P>) -> bool,
-{
-    Invariant { name, pred }
-}
-
-/// See [`invariant`].
-pub struct Invariant<F> {
-    name: &'static str,
-    pred: F,
-}
-
-impl<P, F> Monitor<P> for Invariant<F>
-where
-    P: Program,
-    F: FnMut(&Runtime<P>) -> bool,
-{
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        if (self.pred)(rt) {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!("invariant `{}` broken", self.name))
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.name
-    }
-}
-
-/// Goal: the network is silent (no messages pending) and every program
-/// reports itself quiescent. In a self-stabilizing protocol this is the
-/// paper's "silent network" condition. O(1) per observation: both the
-/// pending-message count and the quiescent-node count are tracked
-/// incrementally by the runtime (the latter via the scheduler subsystem's
-/// dirty-set bookkeeping), so this no longer scans every program.
-pub fn quiescence<P: Program>() -> Goal<impl FnMut(&Runtime<P>) -> bool> {
-    goal("quiescence", |rt: &Runtime<P>| {
-        rt.is_silent() && rt.all_quiescent()
-    })
-}
-
-/// Goal: the network is silent (no messages in flight), regardless of what
-/// programs report.
-pub fn silence<P: Program>() -> Goal<impl FnMut(&Runtime<P>) -> bool> {
-    goal("silence", |rt: &Runtime<P>| rt.is_silent())
-}
-
-/// Invariant: peak degree (over the whole run so far) stays within `max` —
-/// the degree-expansion guardrail of Section 2.2.
-pub struct PeakDegree {
-    max: usize,
-}
-
-impl PeakDegree {
-    /// Allow a peak degree of at most `max`.
-    pub fn at_most(max: usize) -> Self {
-        Self { max }
-    }
-}
-
-impl<P: Program> Monitor<P> for PeakDegree {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        // Metrics absorb degree at round boundaries; also read the live
-        // topology so a perturbation spike is caught the round it lands.
-        // Both reads are O(1) — the topology tracks degrees incrementally.
-        let peak = rt.metrics().peak_degree.max(rt.topology().max_degree());
-        if peak <= self.max {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!("peak degree {peak} exceeds budget {}", self.max))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "peak-degree"
-    }
-}
-
-/// Invariant: total messages sent stay within `max`.
-pub struct MessageBudget {
-    max: u64,
-}
-
-impl MessageBudget {
-    /// Allow at most `max` total messages.
-    pub fn at_most(max: u64) -> Self {
-        Self { max }
-    }
-}
-
-impl<P: Program> Monitor<P> for MessageBudget {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let sent = rt.metrics().total_messages;
-        if sent <= self.max {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!("messages {sent} exceed budget {}", self.max))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "message-budget"
-    }
-}
-
-/// Conjunction: `Satisfied` when every part is simultaneously satisfied,
-/// `Violated` as soon as any part is, `Pending` otherwise.
-pub fn all_of<P: Program>(parts: Vec<Box<dyn Monitor<P> + Send>>) -> AllOf<P> {
-    AllOf { parts }
-}
-
-/// See [`all_of`].
-pub struct AllOf<P: Program> {
-    parts: Vec<Box<dyn Monitor<P> + Send>>,
-}
-
-impl<P: Program> Monitor<P> for AllOf<P> {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let mut all_satisfied = true;
-        for m in &mut self.parts {
-            match m.observe(rt) {
-                Verdict::Satisfied => {}
-                Verdict::Pending => all_satisfied = false,
-                Verdict::Violated(why) => return Verdict::Violated(why),
-            }
-        }
-        if all_satisfied {
-            Verdict::Satisfied
-        } else {
-            Verdict::Pending
-        }
-    }
-
-    fn name(&self) -> &str {
-        "all-of"
-    }
-}
-
-/// Budget combinator ([`MonitorExt::within_budget`]): like the inner monitor,
-/// but `Violated` once more than `max_rounds` observations elapse without
-/// satisfaction.
-pub struct WithinBudget<M> {
-    inner: M,
-    max_rounds: u64,
-    seen: u64,
-}
-
-impl<P: Program, M: Monitor<P>> Monitor<P> for WithinBudget<M> {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let v = self.inner.observe(rt);
-        match v {
-            Verdict::Pending => {
-                // Observation k happens after k rounds (the first one before
-                // any round runs), so a Pending observation with
-                // `seen == max_rounds` means the budget is spent.
-                if self.seen >= self.max_rounds {
-                    return Verdict::Violated(format!(
-                        "`{}` not satisfied within {} rounds",
-                        self.inner.name(),
-                        self.max_rounds
-                    ));
-                }
-                self.seen += 1;
-                Verdict::Pending
-            }
-            v => v,
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// Extension methods for fluent composition.
-pub trait MonitorExt<P: Program>: Monitor<P> + Sized {
-    /// `self` AND `other` (see [`all_of`] for the verdict lattice).
-    fn and<M: Monitor<P> + Send + 'static>(self, other: M) -> AllOf<P>
-    where
-        Self: Send + 'static,
-    {
-        all_of(vec![Box::new(self), Box::new(other)])
-    }
-
-    /// Fail the run if satisfaction takes more than `max_rounds` rounds.
-    fn within_budget(self, max_rounds: u64) -> WithinBudget<Self> {
-        WithinBudget {
-            inner: self,
-            max_rounds,
-            seen: 0,
-        }
-    }
-}
-
-impl<P: Program, M: Monitor<P> + Sized> MonitorExt<P> for M {}
 
 // ---------------------------------------------------------------------------
-// Rule-based fault detection: classified detections, not just verdicts.
+// Rule-based fault detection: classified counters, not run outcomes.
 // ---------------------------------------------------------------------------
 
-/// How bad a [`Detection`] is. Only [`Severity::Critical`] detections drive
+/// How bad a detection is. Only [`Severity::Critical`] detections drive
 /// automated recovery ([`crate::adversary::run_gauntlet`] rolls back on the
 /// first critical); warnings and infos are telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -344,7 +91,8 @@ impl Severity {
 }
 
 /// What kind of fault a rule matched — the taxonomy axis of a detection
-/// (in the spirit of BLEEP's typed shard fault detection).
+/// (in the spirit of BLEEP's typed shard fault detection). One rule of
+/// [`DetectorSuite`] per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum FaultClass {
     /// An observation's age exceeds what honest aging can produce.
@@ -359,7 +107,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All classes, in canonical (reporting) order.
+    /// All classes, in canonical (reporting and scanning) order.
     pub const ALL: [FaultClass; 4] = [
         FaultClass::BeaconStaleness,
         FaultClass::ViewDivergence,
@@ -371,69 +119,121 @@ impl FaultClass {
     pub fn index(self) -> usize {
         self as usize
     }
+}
 
-    /// Short label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultClass::BeaconStaleness => "stale",
-            FaultClass::ViewDivergence => "diverge",
-            FaultClass::DegreeAnomaly => "degree",
-            FaultClass::SilenceAnomaly => "silence",
-        }
+/// The detector bank the gauntlet scans once per round, on the driving
+/// thread (so detections are bit-identical at any thread count). It holds
+/// one rule per [`FaultClass`], scanned in [`FaultClass::ALL`] order; the
+/// stateful rules arm their baseline on the first scan, which therefore
+/// reports only view divergence. Scans are read-only on the runtime.
+///
+/// The suite aggregates classified counters: totals, per-class counts,
+/// worst severity, first detection / first critical rounds, and the set of
+/// implicated nodes (what rollback repairs).
+#[derive(Default)]
+pub struct DetectorSuite {
+    staleness: BeaconStaleness,
+    degree: DegreeAnomaly,
+    silence: SilenceAnomaly,
+    tally: Tally,
+}
+
+impl DetectorSuite {
+    /// A fresh bank; every rule arms on the first scan.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scan every rule once and fold what they find into the counters.
+    pub fn scan<P: Introspect>(&mut self, rt: &Runtime<P>) {
+        let tally = &mut self.tally;
+        self.staleness.scan(rt, tally);
+        view_divergence(rt, tally);
+        self.degree.scan(rt, tally);
+        self.silence.scan(rt, tally);
+    }
+
+    /// Total detections across all scans.
+    pub fn total(&self) -> u64 {
+        self.tally.total
+    }
+
+    /// Per-class counts, in [`FaultClass::ALL`] order.
+    pub fn by_class(&self) -> [u64; 4] {
+        self.tally.by_class
+    }
+
+    /// Critical detections so far.
+    pub fn criticals(&self) -> u64 {
+        self.tally.criticals
+    }
+
+    /// Worst severity observed.
+    pub fn worst(&self) -> Option<Severity> {
+        self.tally.worst
+    }
+
+    /// Round of the first detection.
+    pub fn first_round(&self) -> Option<u64> {
+        self.tally.first
+    }
+
+    /// Round of the first critical detection.
+    pub fn first_critical_round(&self) -> Option<u64> {
+        self.tally.first_critical
+    }
+
+    /// Every node any detection has implicated, ascending.
+    pub fn implicated(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.tally.implicated.iter().copied()
     }
 }
 
-/// One classified alarm raised by a [`Detector`].
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct Detection {
-    /// Which rule class matched.
-    pub class: FaultClass,
-    /// How bad it is.
-    pub severity: Severity,
-    /// The implicated node (the one recovery should touch).
-    pub node: crate::NodeId,
-    /// Round of detection.
-    pub round: u64,
-    /// Human-readable specifics.
-    pub detail: String,
+/// The suite's counters; every rule match is one [`Tally::raise`].
+#[derive(Default)]
+struct Tally {
+    total: u64,
+    criticals: u64,
+    by_class: [u64; 4],
+    worst: Option<Severity>,
+    first: Option<u64>,
+    first_critical: Option<u64>,
+    implicated: BTreeSet<NodeId>,
 }
 
-/// A rule-based fault detector: scanned once per round on the driving
-/// thread (like a [`Monitor`], so detections are bit-identical at any
-/// thread count), it **classifies** what it finds instead of returning a
-/// run verdict. Detectors arm any baseline they need on their first scan.
-pub trait Detector<P: Program> {
-    /// Inspect the runtime; push one [`Detection`] per rule match.
-    fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>);
-
-    /// Detector name for reports.
-    fn name(&self) -> &'static str;
+impl Tally {
+    /// Count one detection of `class` at `severity`, implicating `node`, in
+    /// round `now`.
+    fn raise(&mut self, class: FaultClass, severity: Severity, node: NodeId, now: u64) {
+        self.total += 1;
+        self.by_class[class.index()] += 1;
+        self.worst = self.worst.max(Some(severity));
+        self.first.get_or_insert(now);
+        if severity == Severity::Critical {
+            self.criticals += 1;
+            self.first_critical.get_or_insert(now);
+        }
+        self.implicated.insert(node);
+    }
 }
 
 /// Detects observations that aged faster than time itself. An honest,
 /// never-refreshed observation ages by exactly one round per round, and a
 /// refresh only makes it *younger* — so the normalized offset
-/// `age − rounds_elapsed` can never rise. The detector records that offset
-/// per `(holder, about)` observation on first sight, lowers it on
-/// refreshes, and reports any rise as tampered freshness metadata (a
-/// stale-beacon attack), every round until it clears. Staleness alone
+/// `age − rounds_elapsed` can never rise. The rule records that offset per
+/// `(holder, about)` observation on first sight, lowers it on refreshes,
+/// and reports any rise as tampered freshness metadata (a stale-beacon
+/// attack) against the holder, every round until it clears. Staleness alone
 /// cannot make state inconsistent, so this never exceeds
 /// [`Severity::Warning`].
 #[derive(Default)]
-pub struct BeaconStaleness {
+struct BeaconStaleness {
     armed_at: Option<u64>,
-    offsets: std::collections::BTreeMap<(crate::NodeId, crate::NodeId), i64>,
+    offsets: BTreeMap<(NodeId, NodeId), i64>,
 }
 
 impl BeaconStaleness {
-    /// A fresh detector; arms on first scan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<P: crate::adversary::Introspect> Detector<P> for BeaconStaleness {
-    fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>) {
+    fn scan<P: Introspect>(&mut self, rt: &Runtime<P>, tally: &mut Tally) {
         let now = rt.round();
         let armed_at = *self.armed_at.get_or_insert(now);
         let elapsed = (now - armed_at) as i64;
@@ -442,17 +242,7 @@ impl<P: crate::adversary::Introspect> Detector<P> for BeaconStaleness {
                 let cur = age as i64 - elapsed;
                 let offset = *self.offsets.entry((holder, about)).or_insert(cur);
                 if cur > offset {
-                    out.push(Detection {
-                        class: FaultClass::BeaconStaleness,
-                        severity: Severity::Warning,
-                        node: holder,
-                        round: now,
-                        detail: format!(
-                            "{holder}'s view of {about} is {age} rounds old, \
-                             {} more than honest aging allows",
-                            cur - offset
-                        ),
-                    });
+                    tally.raise(FaultClass::BeaconStaleness, Severity::Warning, holder, now);
                 } else if cur < offset {
                     // Refreshed: tighten so a later tamper of the new
                     // recording is still caught.
@@ -460,10 +250,6 @@ impl<P: crate::adversary::Introspect> Detector<P> for BeaconStaleness {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "beacon-staleness"
     }
 }
 
@@ -473,52 +259,23 @@ impl<P: crate::adversary::Introspect> Detector<P> for BeaconStaleness {
 /// mismatch is [`Severity::Critical`] and implicates **both ends** — under
 /// a lying-beacon attack the *about* node is corrupt, under equivocation
 /// the *holder*'s record was fabricated; rolling back both covers either.
-#[derive(Default)]
-pub struct ViewDivergence;
-
-impl ViewDivergence {
-    /// A fresh detector (stateless).
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl<P: crate::adversary::Introspect> Detector<P> for ViewDivergence {
-    fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>) {
-        let now = rt.round();
-        for (holder, p) in rt.programs() {
-            for (about, _) in p.observation_ages(now) {
-                if !rt.topology().contains(about) {
-                    continue;
-                }
-                let Some(recorded) = p.recorded_digest(about) else {
-                    continue;
-                };
-                if recorded != rt.program(about).identity_digest() {
-                    let ends = [
-                        (
-                            about,
-                            format!("{holder}'s record of {about} diverges from its state"),
-                        ),
-                        (
-                            holder,
-                            format!("{holder} holds a divergent view of {about}"),
-                        ),
-                    ];
-                    out.extend(ends.map(|(node, detail)| Detection {
-                        class: FaultClass::ViewDivergence,
-                        severity: Severity::Critical,
-                        node,
-                        round: now,
-                        detail,
-                    }));
+/// Stateless, so it reports from the first scan on.
+fn view_divergence<P: Introspect>(rt: &Runtime<P>, tally: &mut Tally) {
+    let now = rt.round();
+    for (holder, p) in rt.programs() {
+        for (about, _) in p.observation_ages(now) {
+            if !rt.topology().contains(about) {
+                continue;
+            }
+            let Some(recorded) = p.recorded_digest(about) else {
+                continue;
+            };
+            if recorded != rt.program(about).identity_digest() {
+                for node in [about, holder] {
+                    tally.raise(FaultClass::ViewDivergence, Severity::Critical, node, now);
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "view-divergence"
     }
 }
 
@@ -528,225 +285,76 @@ impl<P: crate::adversary::Introspect> Detector<P> for ViewDivergence {
 /// baseline is a [`Severity::Warning`]; members joining after arming are
 /// reported once as [`Severity::Info`] and then adopted into the baseline.
 #[derive(Default)]
-pub struct DegreeAnomaly {
-    baseline: std::collections::BTreeMap<crate::NodeId, usize>,
+struct DegreeAnomaly {
+    baseline: BTreeMap<NodeId, usize>,
     armed: bool,
 }
 
 impl DegreeAnomaly {
-    /// A fresh detector; arms on first scan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<P: Program> Detector<P> for DegreeAnomaly {
-    fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>) {
+    fn scan<P: Program>(&mut self, rt: &Runtime<P>, tally: &mut Tally) {
+        let topo = rt.topology();
         if !self.armed {
             self.armed = true;
-            for &v in rt.ids() {
-                self.baseline.insert(v, rt.topology().degree(v));
-            }
+            self.baseline = rt.ids().iter().map(|&v| (v, topo.degree(v))).collect();
             return;
         }
-        let mut raise = |severity, node, detail| {
-            out.push(Detection {
-                class: FaultClass::DegreeAnomaly,
-                severity,
-                node,
-                round: rt.round(),
-                detail,
-            });
-        };
+        let now = rt.round();
+        let mut raise =
+            |severity, node| tally.raise(FaultClass::DegreeAnomaly, severity, node, now);
         self.baseline.retain(|&v, &mut d0| {
-            if !rt.topology().contains(v) {
-                let detail = format!("member {v} vanished (baseline degree {d0})");
-                raise(Severity::Critical, v, detail);
+            if !topo.contains(v) {
+                raise(Severity::Critical, v);
                 return false; // report the departure once
             }
-            let d = rt.topology().degree(v);
+            let d = topo.degree(v);
             if d == 0 {
-                let detail = format!("member {v} is isolated (baseline degree {d0})");
-                raise(Severity::Critical, v, detail);
+                raise(Severity::Critical, v);
             } else if d0 > 0 && (d * 2 <= d0 || d >= d0 * 2) {
-                let detail = format!("degree {d} drifted from baseline {d0}");
-                raise(Severity::Warning, v, detail);
+                raise(Severity::Warning, v);
             }
             true
         });
         for &v in rt.ids() {
             self.baseline.entry(v).or_insert_with(|| {
-                raise(
-                    Severity::Info,
-                    v,
-                    format!("unbaselined member {v} appeared"),
-                );
-                rt.topology().degree(v)
+                raise(Severity::Info, v);
+                topo.degree(v)
             });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "degree-anomaly"
     }
 }
 
 /// Detects program activity in a network whose baseline was fully
 /// quiescent — converged self-stabilizing protocols go silent, so a burst
 /// of awake nodes marks a perturbation spreading. Reports one aggregated
-/// detection per active round: [`Severity::Info`] while at most a quarter
-/// of members are awake, [`Severity::Warning`] beyond that, never critical
-/// (activity is how the protocol *heals*). Inert when the network was not
-/// quiescent at arming time (e.g. while traffic keeps hosts busy).
+/// detection per active round, against the first awake member:
+/// [`Severity::Info`] while at most a quarter of members are awake,
+/// [`Severity::Warning`] beyond that, never critical (activity is how the
+/// protocol *heals*). Inert when the network was not quiescent at arming
+/// time (e.g. while traffic keeps hosts busy).
 #[derive(Default)]
-pub struct SilenceAnomaly {
+struct SilenceAnomaly {
     was_quiet: Option<bool>,
 }
 
 impl SilenceAnomaly {
-    /// A fresh detector; arms on first scan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<P: Program> Detector<P> for SilenceAnomaly {
-    fn scan(&mut self, rt: &Runtime<P>, out: &mut Vec<Detection>) {
+    fn scan<P: Program>(&mut self, rt: &Runtime<P>, tally: &mut Tally) {
         let quiet_now = rt.all_quiescent();
         let was_quiet = *self.was_quiet.get_or_insert(quiet_now);
         if !was_quiet || quiet_now {
             return;
         }
         let n = rt.ids().len().max(1);
-        let mut awake = 0usize;
-        let mut first: Option<crate::NodeId> = None;
-        for (v, p) in rt.programs() {
-            if !p.is_quiescent() {
-                awake += 1;
-                first.get_or_insert(v);
-            }
-        }
-        if awake == 0 {
+        let mut awake = rt.programs().filter(|(_, p)| !p.is_quiescent());
+        let Some((first, _)) = awake.next() else {
             return;
-        }
-        out.push(Detection {
-            class: FaultClass::SilenceAnomaly,
-            severity: if awake * 4 <= n {
-                Severity::Info
-            } else {
-                Severity::Warning
-            },
-            node: first.expect("awake > 0"),
-            round: rt.round(),
-            detail: format!("{awake} of {n} members active in a silent-baseline network"),
-        });
-    }
-
-    fn name(&self) -> &'static str {
-        "silence-anomaly"
-    }
-}
-
-/// A bank of detectors scanned together, aggregating classified counters
-/// the gauntlet reports: totals, per-class counts, worst severity, first
-/// detection / first critical rounds, and the set of implicated nodes (what
-/// rollback repairs).
-pub struct DetectorSuite<P: Program> {
-    detectors: Vec<Box<dyn Detector<P> + Send>>,
-    scratch: Vec<Detection>,
-    total: u64,
-    criticals: u64,
-    by_class: [u64; 4],
-    worst: Option<Severity>,
-    first: Option<u64>,
-    first_critical: Option<u64>,
-    implicated: std::collections::BTreeSet<crate::NodeId>,
-}
-
-impl<P: Program> Default for DetectorSuite<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Program> DetectorSuite<P> {
-    /// An empty suite.
-    pub fn new() -> Self {
-        Self {
-            detectors: Vec::new(),
-            scratch: Vec::new(),
-            total: 0,
-            criticals: 0,
-            by_class: [0; 4],
-            worst: None,
-            first: None,
-            first_critical: None,
-            implicated: std::collections::BTreeSet::new(),
-        }
-    }
-
-    /// Add a detector.
-    #[must_use]
-    pub fn with(mut self, d: impl Detector<P> + Send + 'static) -> Self {
-        self.detectors.push(Box::new(d));
-        self
-    }
-
-    /// Scan every detector once and fold the detections into the counters.
-    /// Returns how many detections this scan produced.
-    pub fn scan(&mut self, rt: &Runtime<P>) -> usize {
-        self.scratch.clear();
-        for d in &mut self.detectors {
-            d.scan(rt, &mut self.scratch);
-        }
-        let found = self.scratch.len();
-        for det in self.scratch.drain(..) {
-            self.total += 1;
-            self.by_class[det.class.index()] += 1;
-            self.worst = Some(self.worst.map_or(det.severity, |w| w.max(det.severity)));
-            self.first.get_or_insert(det.round);
-            if det.severity == Severity::Critical {
-                self.criticals += 1;
-                self.first_critical.get_or_insert(det.round);
-            }
-            self.implicated.insert(det.node);
-        }
-        found
-    }
-
-    /// Total detections across all scans.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-class counts, in [`FaultClass::ALL`] order.
-    pub fn by_class(&self) -> [u64; 4] {
-        self.by_class
-    }
-
-    /// Critical detections so far.
-    pub fn criticals(&self) -> u64 {
-        self.criticals
-    }
-
-    /// Worst severity observed.
-    pub fn worst(&self) -> Option<Severity> {
-        self.worst
-    }
-
-    /// Round of the first detection.
-    pub fn first_round(&self) -> Option<u64> {
-        self.first
-    }
-
-    /// Round of the first critical detection.
-    pub fn first_critical_round(&self) -> Option<u64> {
-        self.first_critical
-    }
-
-    /// Every node any detection has implicated, ascending.
-    pub fn implicated(&self) -> impl Iterator<Item = crate::NodeId> + '_ {
-        self.implicated.iter().copied()
+        };
+        let awake = 1 + awake.count();
+        let severity = if awake * 4 <= n {
+            Severity::Info
+        } else {
+            Severity::Warning
+        };
+        tally.raise(FaultClass::SilenceAnomaly, severity, first, rt.round());
     }
 }
 
@@ -770,104 +378,35 @@ mod tests {
     }
 
     #[test]
-    fn goal_tracks_live_predicate() {
-        let rt = rt2();
-        let mut hits = 0;
-        let mut m = goal("every-other", move |_: &Runtime<Idle>| {
-            hits += 1;
-            hits == 2
-        });
-        assert_eq!(m.observe(&rt), Verdict::Pending);
-        assert_eq!(m.observe(&rt), Verdict::Satisfied);
-        assert_eq!(
-            m.observe(&rt),
-            Verdict::Pending,
-            "goals are not latched: re-broken conditions read Pending"
-        );
-    }
-
-    #[test]
-    fn invariant_violates_with_name() {
-        let rt = rt2();
-        let mut m = invariant("never", |_: &Runtime<Idle>| false);
-        match m.observe(&rt) {
-            Verdict::Violated(why) => assert!(why.contains("never")),
-            v => panic!("expected violation, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn all_of_waits_for_every_goal() {
-        let rt = rt2();
-        let mut m = all_of::<Idle>(vec![
-            Box::new(goal("a", |_: &Runtime<Idle>| true)),
-            Box::new(goal("b", |rt: &Runtime<Idle>| rt.round() >= 1)),
-            Box::new(PeakDegree::at_most(10)),
-        ]);
-        assert_eq!(m.observe(&rt), Verdict::Pending);
-        let mut rt = rt2();
-        rt.step();
-        assert_eq!(m.observe(&rt), Verdict::Satisfied);
-    }
-
-    #[test]
-    fn budget_combinator_trips() {
-        let rt = rt2();
-        let mut m = goal("never", |_: &Runtime<Idle>| false).within_budget(2);
-        assert_eq!(m.observe(&rt), Verdict::Pending); // pre-round observation
-        assert_eq!(m.observe(&rt), Verdict::Pending); // after round 1
-        let third = m.observe(&rt); // after round 2: the 2-round budget is blown
-        assert!(matches!(third, Verdict::Violated(_)));
-    }
-
-    #[test]
-    fn budget_combinator_allows_satisfaction_at_the_deadline() {
-        let mut rt = rt2();
-        let mut m = goal("two-rounds", |rt: &Runtime<Idle>| rt.round() >= 2).within_budget(2);
-        let out = rt.run_monitored(&mut m, 100);
-        assert_eq!(out.verdict, RunVerdict::Satisfied);
-        assert_eq!(out.rounds, 2);
-    }
-
-    #[test]
     fn run_monitored_drives_to_goal() {
         let mut rt = rt2();
-        let mut m = goal("three-rounds", |rt: &Runtime<Idle>| rt.round() >= 3);
-        let out = rt.run_monitored(&mut m, 100);
+        let out = rt.run_monitored(|rt| rt.round() >= 3, 100);
         assert_eq!(out.verdict, RunVerdict::Satisfied);
         assert_eq!(out.rounds, 3);
         assert_eq!(out.rounds_if_satisfied(), Some(3));
     }
 
     #[test]
+    fn run_monitored_takes_no_round_when_the_goal_holds() {
+        let mut rt = rt2();
+        let out = rt.run_monitored(|rt| rt.is_silent() && rt.all_quiescent(), 10);
+        assert_eq!(out.verdict, RunVerdict::Satisfied);
+        assert_eq!(out.rounds, 0);
+        assert_eq!(
+            rt.round(),
+            0,
+            "the goal is evaluated before the first round"
+        );
+    }
+
+    #[test]
     fn run_monitored_times_out() {
         let mut rt = rt2();
-        let mut m = goal("never", |_: &Runtime<Idle>| false);
-        let out = rt.run_monitored(&mut m, 5);
+        let mut never = goal("never", |_: &Runtime<Idle>| false);
+        let out = rt.run_monitored(&mut never, 5);
         assert_eq!(out.verdict, RunVerdict::Timeout);
         assert_eq!(out.rounds, 5);
         assert_eq!(out.rounds_if_satisfied(), None);
-    }
-
-    #[test]
-    fn run_monitored_aborts_on_violation() {
-        let mut rt = rt2();
-        let mut m = goal("never", |_: &Runtime<Idle>| false)
-            .and(MessageBudget::at_most(u64::MAX))
-            .and(PeakDegree::at_most(0));
-        let out = rt.run_monitored(&mut m, 100);
-        assert_eq!(out.verdict, RunVerdict::Violated);
-        assert!(out.reason.unwrap().contains("peak degree"));
-        assert_eq!(out.rounds, 0, "violation detected before any round");
-    }
-
-    #[test]
-    fn quiescence_on_idle_network() {
-        let mut rt = rt2();
-        let mut m = quiescence::<Idle>();
-        let out = rt.run_monitored(&mut m, 10);
-        assert_eq!(out.verdict, RunVerdict::Satisfied);
-        assert_eq!(out.rounds, 0);
     }
 
     /// Sends one burst to every neighbor, then idles.
@@ -907,19 +446,11 @@ mod tests {
         .with_net_model(delayed);
         rt.step();
         assert_eq!(rt.in_transit(), 2, "both pings are held in the delay queue");
-        let mut m = silence::<PingOnce>();
-        assert_eq!(
-            m.observe(&rt),
-            Verdict::Pending,
+        assert!(
+            !rt.is_silent(),
             "in-transit messages must keep the network non-silent"
         );
-        let mut q = quiescence::<PingOnce>();
-        assert_eq!(
-            q.observe(&rt),
-            Verdict::Pending,
-            "quiescence inherits the in-transit guard"
-        );
-        let out = rt.run_monitored(&mut m, 20);
+        let out = rt.run_monitored(|rt| rt.is_silent(), 20);
         assert_eq!(out.verdict, RunVerdict::Satisfied);
         assert!(out.rounds >= 3, "satisfied only after the delayed delivery");
         assert_eq!(rt.in_transit(), 0);

@@ -33,9 +33,9 @@ pub trait Program: Send {
     /// that nothing external has touched, and the per-round quiescent count
     /// is recorded in [`crate::RoundMetrics`] under every scheduler
     /// (including the default [`crate::sched::Synchronous`], where it is
-    /// purely observational). Legality is still judged by external
-    /// [`crate::monitor`]s, as in the paper's global legal-configuration
-    /// predicate — quiescence is about *activity*, not correctness.
+    /// purely observational). Legality is still judged by an external
+    /// goal predicate ([`crate::monitor`]), as in the paper's global
+    /// legal-configuration predicate — quiescence is about *activity*, not correctness.
     ///
     /// A program with periodic work (beacons, timeouts) must either return
     /// `false` while that work is pending or request re-activation with

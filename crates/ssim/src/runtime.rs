@@ -14,7 +14,7 @@
 
 use crate::arena::InboxArena;
 use crate::metrics::{PerfCounters, RoundMetrics, RunMetrics};
-use crate::monitor::{Monitor, MonitorOutcome, RunVerdict, Verdict};
+use crate::monitor::{MonitorOutcome, RunVerdict};
 use crate::net::{self, NetModel, Wire};
 use crate::program::{ChunkSink, Emitter, Program, RoundStart, SlotRec};
 use crate::sched::{self, Agenda, Scheduler};
@@ -315,8 +315,7 @@ impl<P: Program> Runtime<P> {
     }
 
     /// True iff every live node is quiescent — O(1). Combined with
-    /// [`Runtime::is_silent`] this is the paper's silent-network condition;
-    /// see [`crate::monitor::quiescence`].
+    /// [`Runtime::is_silent`] this is the paper's silent-network condition.
     pub fn all_quiescent(&self) -> bool {
         self.agenda.quiescent_count() == self.topo.node_count()
     }
@@ -899,37 +898,31 @@ impl<P: Program> Runtime<P> {
         }
     }
 
-    /// Run until `monitor` is satisfied or violated, or `max_rounds` elapse.
-    /// The monitor observes the runtime *before* the first round (a runtime
-    /// that already satisfies it executes 0 rounds) and after every round.
+    /// Run until `goal` holds or `max_rounds` elapse. The goal is evaluated
+    /// *before* the first round (a runtime that already satisfies it
+    /// executes 0 rounds) and after every round.
     ///
-    /// This is the one run-to-verdict driver, shared by every protocol
-    /// crate; a plain predicate drives it as [`crate::monitor::goal`], and
+    /// This is the one run-to-goal driver, shared by every protocol crate;
     /// [`MonitorOutcome::rounds_if_satisfied`] gives the `Option<u64>`
-    /// shape. See [`crate::monitor`] for composition. (Runs that also apply
-    /// scheduled events go through [`crate::Scenario::run`].)
+    /// shape. (Runs that also apply scheduled events go through
+    /// [`crate::Scenario::run`].)
     pub fn run_monitored(
         &mut self,
-        monitor: &mut (impl Monitor<P> + ?Sized),
+        mut goal: impl FnMut(&Runtime<P>) -> bool,
         max_rounds: u64,
     ) -> MonitorOutcome {
         let start = self.round;
         loop {
             let rounds = self.round - start;
-            let (verdict, reason) = match monitor.observe(self) {
-                Verdict::Satisfied => (RunVerdict::Satisfied, None),
-                Verdict::Violated(why) => (RunVerdict::Violated, Some(why)),
-                Verdict::Pending if rounds == max_rounds => (RunVerdict::Timeout, None),
-                Verdict::Pending => {
-                    self.step();
-                    continue;
-                }
+            let verdict = if goal(self) {
+                RunVerdict::Satisfied
+            } else if rounds == max_rounds {
+                RunVerdict::Timeout
+            } else {
+                self.step();
+                continue;
             };
-            return MonitorOutcome {
-                rounds,
-                verdict,
-                reason,
-            };
+            return MonitorOutcome { rounds, verdict };
         }
     }
 
@@ -940,7 +933,7 @@ impl<P: Program> Runtime<P> {
     /// the introduction rule — joining is an environment action, like a
     /// transient fault, not a protocol step. Unknown attach targets are
     /// skipped (they may have left in an earlier event); a join whose
-    /// targets all vanished enters isolated, which monitors may then flag.
+    /// targets all vanished enters isolated, which the detector bank may then flag.
     ///
     /// The joiner lands in a recycled slot when one is free (O(deg): no
     /// existing member's slot changes). Its PRNG is seeded exactly as at
@@ -1070,8 +1063,7 @@ impl<P: Program> Runtime<P> {
     /// under partial daemons it also covers messages waiting for a skipped
     /// recipient, and under WAN conditions it covers messages the network
     /// is still holding — a lossy quiet round must **not** read as
-    /// converged while deliveries are still due (see
-    /// [`crate::monitor::silence`]).
+    /// converged while deliveries are still due.
     pub fn is_silent(&self) -> bool {
         self.inboxes.total_len() == 0 && self.metrics.net.in_transit == 0
     }
@@ -1650,8 +1642,7 @@ mod tests {
         pred: impl FnMut(&Runtime<Flood>) -> bool,
         max_rounds: u64,
     ) -> Option<u64> {
-        rt.run_monitored(&mut crate::monitor::goal("until", pred), max_rounds)
-            .rounds_if_satisfied()
+        rt.run_monitored(pred, max_rounds).rounds_if_satisfied()
     }
 
     #[test]

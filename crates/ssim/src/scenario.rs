@@ -1,20 +1,20 @@
 //! Declarative perturbation schedules: a [`Scenario`] is a list of
 //! `(round, Event)` entries — [`Fault`]s (edge and membership churn), state
 //! corruption, daemon / network swaps, partitions — executed by the one
-//! event-applying driver loop against any [`Runtime`], with a [`Monitor`]
-//! deciding when the system has (re-)converged and a JSON-serializable
+//! event-applying driver loop against any [`Runtime`], with a goal
+//! predicate deciding when the system has (re-)converged and a JSON-serializable
 //! [`ScenarioReport`] capturing what happened.
 //!
 //! This is the workload layer the paper motivates ("overlay networks operate
 //! in fragile environments where faults that perturb the logical network
 //! topology are commonplace"): instead of each example hand-rolling its own
 //! inject-then-drive loop, a scenario states the perturbation schedule once
-//! and any protocol/monitor pair can replay it deterministically — including
+//! and any protocol/goal pair can replay it deterministically — including
 //! across thread counts, since parallel round execution is bit-identical to
 //! sequential (see [`crate::Config::threads`]).
 
 use crate::fault::{inject_traced, Fault};
-use crate::monitor::{Monitor, RunVerdict, Verdict};
+use crate::monitor::RunVerdict;
 use crate::program::Program;
 use crate::runtime::Runtime;
 use crate::sched::Scheduler;
@@ -202,33 +202,32 @@ impl<P: Program> Scenario<P> {
         &self.events
     }
 
-    /// Execute the schedule against `rt`, driving with `monitor`.
+    /// Execute the schedule against `rt`, driving it to `goal`.
     ///
-    /// Every round the driver first applies the events due, then observes
-    /// the monitor. The run ends `Satisfied` at the first round where the
-    /// monitor is satisfied **and** no events remain (a satisfied monitor
-    /// mid-schedule — e.g. legality between two fault episodes — is recorded
-    /// but does not stop the run), ends `Violated` the moment any composed
-    /// invariant breaks, and ends `Timeout` after `max_rounds` rounds.
+    /// Every round the driver first applies the events due, then evaluates
+    /// the goal. The run ends `Satisfied` at the first round where the goal
+    /// holds **and** no events remain (a goal that holds mid-schedule — e.g.
+    /// legality between two fault episodes — is recorded but does not stop
+    /// the run), and ends `Timeout` after `max_rounds` rounds.
     pub fn run(
         &self,
         rt: &mut Runtime<P>,
-        monitor: &mut (impl Monitor<P> + ?Sized),
+        goal: impl FnMut(&Runtime<P>) -> bool,
         max_rounds: u64,
     ) -> ScenarioReport {
-        self.run_hooked(rt, monitor, max_rounds, |_, _, _| {})
+        self.run_hooked(rt, goal, max_rounds, |_, _, _| {})
     }
 
     /// [`Scenario::run`] with a per-round hook: `each_round(rt, now,
     /// records)` runs every round after the due events applied and before
-    /// the monitor observes, seeing every event record so far. This is the
+    /// the goal is evaluated, seeing every event record so far. This is the
     /// only loop in the crate that applies events; the gauntlet
     /// ([`crate::adversary::run_gauntlet`]) is this loop with a
     /// detect-and-recover hook.
     pub(crate) fn run_hooked(
         &self,
         rt: &mut Runtime<P>,
-        monitor: &mut (impl Monitor<P> + ?Sized),
+        mut goal: impl FnMut(&Runtime<P>) -> bool,
         max_rounds: u64,
         mut each_round: impl FnMut(&mut Runtime<P>, u64, &[EventRecord]),
     ) -> ScenarioReport {
@@ -242,7 +241,7 @@ impl<P: Program> Scenario<P> {
         let mut satisfied_at: Option<u64> = None;
         let node_count_start = rt.ids().len();
 
-        let (rounds, verdict, reason) = loop {
+        let (rounds, verdict) = loop {
             let now = rt.round() - start;
             while pending.peek().is_some_and(|&(r, _)| r <= now) {
                 let (r, event) = pending.next().unwrap();
@@ -256,18 +255,16 @@ impl<P: Program> Scenario<P> {
                 });
             }
             each_round(rt, now, &records);
-            match monitor.observe(rt) {
-                Verdict::Satisfied => {
-                    satisfied_at.get_or_insert(now);
-                    if pending.peek().is_none() {
-                        break (now, RunVerdict::Satisfied, None);
-                    }
+            if goal(rt) {
+                satisfied_at.get_or_insert(now);
+                if pending.peek().is_none() {
+                    break (now, RunVerdict::Satisfied);
                 }
-                Verdict::Pending => satisfied_at = None,
-                Verdict::Violated(why) => break (now, RunVerdict::Violated, Some(why)),
+            } else {
+                satisfied_at = None;
             }
             if now == max_rounds {
-                break (now, RunVerdict::Timeout, None);
+                break (now, RunVerdict::Timeout);
             }
             rt.step();
         };
@@ -279,7 +276,6 @@ impl<P: Program> Scenario<P> {
             scenario: self.name.clone(),
             seed: self.seed,
             verdict,
-            reason,
             rounds,
             satisfied_at,
             events: records,
@@ -357,11 +353,9 @@ pub struct ScenarioReport {
     pub seed: u64,
     /// How the run ended.
     pub verdict: RunVerdict,
-    /// Violation reason, if any.
-    pub reason: Option<String>,
     /// Rounds executed by the driver.
     pub rounds: u64,
-    /// Round at which the monitor's satisfaction last began (for a satisfied
+    /// Round at which the goal last began to hold (for a satisfied
     /// run: when convergence was reached, net of any later perturbations).
     pub satisfied_at: Option<u64>,
     /// Per-event application records.
@@ -406,7 +400,6 @@ impl ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor;
     use crate::program::Ctx;
     use crate::runtime::Config;
 
@@ -457,8 +450,7 @@ mod tests {
             .crash(6, 5)
             .fault(8, Fault::Join { id: 101, attach: 2 });
         let mut rt = ring(8);
-        let mut m = monitor::goal("ran-12", |rt: &Runtime<Gossip>| rt.round() >= 12);
-        let report = scenario.run(&mut rt, &mut m, 100);
+        let report = scenario.run(&mut rt, |rt| rt.round() >= 12, 100);
         assert!(report.converged());
         assert_eq!(report.rounds, 12);
         assert_eq!(report.nodes_start, 8);
@@ -476,8 +468,7 @@ mod tests {
         // round 10 — the driver must keep going until it fires.
         let scenario = Scenario::<Gossip>::new("late-event").leave(10, 0);
         let mut rt = ring(4);
-        let mut m = monitor::goal("past-3", |rt: &Runtime<Gossip>| rt.round() >= 3);
-        let report = scenario.run(&mut rt, &mut m, 50);
+        let report = scenario.run(&mut rt, |rt| rt.round() >= 3, 50);
         assert!(report.converged());
         assert_eq!(report.rounds, 10);
         assert_eq!(report.leaves, 1);
@@ -501,8 +492,7 @@ mod tests {
         };
         let run = || {
             let mut rt = ring(10);
-            let mut m = monitor::goal("r20", |rt: &Runtime<Gossip>| rt.round() >= 20);
-            let report = build().run(&mut rt, &mut m, 50);
+            let report = build().run(&mut rt, |rt| rt.round() >= 20, 50);
             (report.to_json(), rt.topology().edges())
         };
         assert_eq!(run(), run());
@@ -549,8 +539,7 @@ mod tests {
                     if activity {
                         rt.set_scheduler(Box::new(crate::ActivityDriven));
                     }
-                    let mut m = monitor::goal("r20", |rt: &Runtime<Gossip>| rt.round() >= 20);
-                    let report = sc.run(&mut rt, &mut m, 50);
+                    let report = sc.run(&mut rt, |rt| rt.round() >= 20, 50);
                     (report.to_json(), rt.save_snapshot())
                 };
                 assert_eq!(
@@ -560,22 +549,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn invariant_violation_aborts_mid_schedule() {
-        let scenario = Scenario::<Gossip>::new("overload")
-            .fault(2, Fault::AddRandomEdges { count: 20 })
-            .leave(40, 0);
-        let mut rt = ring(8);
-        let mut m = monitor::all_of(vec![
-            Box::new(monitor::goal("never", |_: &Runtime<Gossip>| false)),
-            Box::new(monitor::PeakDegree::at_most(4)),
-        ]);
-        let report = scenario.run(&mut rt, &mut m, 100);
-        assert_eq!(report.verdict, RunVerdict::Violated);
-        assert_eq!(report.rounds, 2, "aborts the round the fault lands");
-        assert!(report.reason.unwrap().contains("peak degree"));
     }
 
     #[test]
@@ -592,8 +565,7 @@ mod tests {
                 },
             );
         let mut rt = ring(4);
-        let mut m = monitor::silence::<Gossip>();
-        let report = scenario.run(&mut rt, &mut m, 10);
+        let report = scenario.run(&mut rt, |rt| rt.is_silent(), 10);
         assert!(report.events.iter().all(|e| e.changes == 0));
     }
 
@@ -606,8 +578,7 @@ mod tests {
             .heal(7) // no active partition: records zero changes
             .net(9, crate::NetModel::ideal());
         let mut rt = ring(8);
-        let mut m = monitor::goal("r20", |rt: &Runtime<Gossip>| rt.round() >= 20);
-        let report = scenario.run(&mut rt, &mut m, 50);
+        let report = scenario.run(&mut rt, |rt| rt.round() >= 20, 50);
         assert!(report.converged());
         assert!(!rt.partitioned());
         assert_eq!(rt.net_model(), crate::NetModel::ideal());
@@ -622,8 +593,7 @@ mod tests {
     fn report_serializes_to_json() {
         let scenario = Scenario::<Gossip>::new("json").leave(1, 2);
         let mut rt = ring(4);
-        let mut m = monitor::goal("r3", |rt: &Runtime<Gossip>| rt.round() >= 3);
-        let report = scenario.run(&mut rt, &mut m, 10);
+        let report = scenario.run(&mut rt, |rt| rt.round() >= 3, 10);
         let json = report.to_json();
         assert!(json.contains("\"scenario\":\"json\""));
         assert!(json.contains("\"verdict\":\"Satisfied\""));

@@ -1,5 +1,5 @@
 //! Live application traffic over the evolving overlay: request workloads,
-//! protocol-provided routing, per-request accounting, and SLO monitors.
+//! protocol-provided routing, and per-request accounting.
 //!
 //! The overlays this engine stabilizes exist to *serve requests*: a legal
 //! Avatar(Chord) guarantees `O(log N)` greedy lookups. Checking that on a
@@ -55,10 +55,8 @@
 //! vanished edge, until the TTL expires or the partition heals.
 
 use crate::metrics::RoundMetrics;
-use crate::monitor::{Monitor, Verdict};
 use crate::net::Wire;
 use crate::program::Program;
-use crate::runtime::Runtime;
 use crate::sched::Agenda;
 use crate::snapshot::{persist_enum, persist_struct, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
@@ -559,7 +557,7 @@ impl Workload for Silent {
 }
 
 /// The erased routing capability of the attached workload: captures the
-/// `P: Router` bound at [`Runtime::attach_workload`] time so the round
+/// `P: Router` bound at [`crate::Runtime::attach_workload`] time so the round
 /// itself needs no extra bounds.
 pub(crate) type RouteFn<P> = Box<dyn Fn(&P, Key, &[NodeId]) -> RouteStep + Send>;
 
@@ -618,7 +616,7 @@ pub(crate) struct Traffic<P: Program> {
 /// Traffic state restored from a snapshot, parked until the caller
 /// re-attaches a workload: the generator and router are closures/trait
 /// objects and cannot be serialized, so a restore stashes the serializable
-/// part here and the next [`Runtime::attach_workload`] call marries it to a
+/// part here and the next [`crate::Runtime::attach_workload`] call marries it to a
 /// freshly constructed generator of the same type.
 pub(crate) struct ParkedTraffic {
     state: TrafficState,
@@ -988,53 +986,6 @@ impl<P: Program> Traffic<P> {
             + self.has_req.capacity() * size_of::<bool>()
             + self.lineup.capacity() * size_of::<u32>()
             + self.inject_buf.capacity() * size_of::<(NodeId, Key)>()
-    }
-}
-
-/// SLO invariant: the request success rate stays at or above a threshold.
-/// Vacuously satisfied until `min_decided` requests have a final outcome
-/// (so a single early failure cannot abort a run).
-pub struct SuccessRate {
-    min: f64,
-    min_decided: u64,
-}
-
-impl SuccessRate {
-    /// Require a success rate of at least `min` (e.g. `0.99`).
-    pub fn at_least(min: f64) -> Self {
-        Self {
-            min,
-            min_decided: 1,
-        }
-    }
-
-    /// Only start judging once `decided` requests have finished.
-    #[must_use]
-    pub fn after(mut self, decided: u64) -> Self {
-        self.min_decided = decided.max(1);
-        self
-    }
-}
-
-impl<P: Program> Monitor<P> for SuccessRate {
-    fn observe(&mut self, rt: &Runtime<P>) -> Verdict {
-        let stats = &rt.metrics().requests;
-        if stats.decided() < self.min_decided {
-            return Verdict::Satisfied;
-        }
-        let rate = stats.success_rate();
-        if rate >= self.min {
-            Verdict::Satisfied
-        } else {
-            Verdict::Violated(format!(
-                "request success rate {rate:.4} below SLO {:.4} ({} completed / {} failed)",
-                self.min, stats.completed, stats.failed
-            ))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "success-rate"
     }
 }
 

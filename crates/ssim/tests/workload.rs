@@ -5,7 +5,7 @@
 
 use ssim::{
     ActivityDriven, ClosedLoop, Config, Ctx, NodeId, OpenLoop, Program, RequestOutcome, RouteStep,
-    Router, Runtime, Silent, SuccessRate, Verdict, WorkloadConfig,
+    Router, Runtime, Silent, WorkloadConfig,
 };
 
 /// A do-nothing, always-quiescent program whose *identity* is its routing
@@ -226,7 +226,7 @@ fn per_round_rows_pin_the_conservation_law() {
 }
 
 #[test]
-fn success_rate_monitor_vacuous_then_judging() {
+fn success_rate_vacuous_then_judging() {
     let mut rt = line(4, Config::default());
     rt.attach_workload(
         Silent,
@@ -235,17 +235,16 @@ fn success_rate_monitor_vacuous_then_judging() {
             ..WorkloadConfig::default()
         },
     );
-    let mut slo = SuccessRate::at_least(0.99).after(2);
-    use ssim::Monitor;
-    assert_eq!(
-        slo.observe(&rt),
-        Verdict::Satisfied,
-        "vacuous before traffic"
-    );
+    let stats = &rt.metrics().requests;
+    assert_eq!(stats.decided(), 0);
+    assert_eq!(stats.success_rate(), 1.0, "vacuous before traffic");
     rt.inject_request(3, 17); // will expire unrouted
     rt.inject_request(0, 99); // ditto
     rt.run(5);
-    assert!(matches!(slo.observe(&rt), Verdict::Violated(_)));
+    let stats = &rt.metrics().requests;
+    assert_eq!(stats.decided(), 2);
+    assert_eq!(stats.failed_expired, 2);
+    assert_eq!(stats.success_rate(), 0.0);
 }
 
 #[test]

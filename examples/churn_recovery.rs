@@ -2,7 +2,7 @@
 //! Avatar(Chord) overlay absorbs hosts joining, leaving gracefully, and
 //! crashing mid-run (the node set genuinely grows and shrinks), plus edge
 //! rewires and state corruption, all declared as one `Scenario` and driven
-//! by the legality monitor. This is the paper's motivating deployment:
+//! to the legality goal. This is the paper's motivating deployment:
 //! "overlay networks operate in fragile environments where faults that
 //! perturb the logical network topology are commonplace."
 //!
@@ -21,7 +21,7 @@ fn main() {
     let target = ChordTarget::classic(n_guests);
 
     let mut rt = chord::runtime_from_shape(target, hosts, Shape::Star, Config::seeded(9));
-    let out = rt.run_monitored(&mut chord::legality(), 200_000);
+    let out = rt.run_monitored(chord::legality(), 200_000);
     println!(
         "initial stabilization: {} rounds over {} hosts",
         out.rounds,
@@ -67,7 +67,7 @@ fn main() {
         .fault(5 * gap, Fault::Join { id: c, attach: 2 });
 
     let nodes_before = rt.ids().len();
-    let report = scenario.run(&mut rt, &mut chord::legality(), 200_000);
+    let report = scenario.run(&mut rt, chord::legality(), 200_000);
 
     for e in &report.events {
         println!("round {:>4}: {} ({} changes)", e.round, e.event, e.changes);

@@ -31,7 +31,7 @@ fn main() {
 
     let mut rt = chord::runtime_from_shape(target, hosts, Shape::Ring, Config::seeded(77));
     let rounds = rt
-        .run_monitored(&mut chord::legality(), 200_000)
+        .run_monitored(chord::legality(), 200_000)
         .rounds_if_satisfied()
         .expect("stabilization");
     println!(

@@ -18,7 +18,7 @@ fn main() {
 
     let budget = 200_000;
     let rounds = rt
-        .run_monitored(&mut chord::legality(), budget)
+        .run_monitored(chord::legality(), budget)
         .rounds_if_satisfied()
         .expect("self-stabilization within budget");
 

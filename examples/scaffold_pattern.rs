@@ -27,7 +27,7 @@ fn main() {
     let mut rt = chord::runtime(target, &ids, init::line(&ids), Config::seeded(31));
 
     let rounds = rt
-        .run_monitored(&mut legality_for(target), 200_000)
+        .run_monitored(legality_for(target), 200_000)
         .rounds_if_satisfied()
         .expect("pattern instance must stabilize");
 

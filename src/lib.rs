@@ -6,14 +6,14 @@
 //!
 //! * [`sim`] — the synchronous overlay-network simulator (model of §2),
 //!   including **dynamic membership** (hosts join/leave/crash mid-run), the
-//!   [`sim::monitor`] observer API, declarative [`sim::scenario`]
+//!   run-to-goal driver ([`sim::monitor`]), declarative [`sim::scenario`]
 //!   perturbation schedules, pluggable [`sim::sched`] **daemons**
 //!   (synchronous, randomized, adversarial, and the activity-driven daemon
 //!   that makes post-convergence rounds O(activity) instead of O(n)), and
 //!   live **traffic**: [`sim::workload`] request generators routed
 //!   hop-by-hop over the evolving host links by the protocols' own
 //!   [`sim::workload::Router`] implementations, with per-request
-//!   accounting and SLO monitors.
+//!   accounting.
 //! * [`topology`] — `Chord(N)`, `Cbt(N)`, the Avatar embedding, analytics.
 //! * [`scaffold`] — the self-stabilizing `Avatar(Cbt)` substrate (§3).
 //! * [`chord`] — the paper's contribution: self-stabilizing `Avatar(Chord)`
@@ -21,12 +21,12 @@
 //!   scaffolding pattern (§6).
 //! * [`baseline`] — TCF and the linear-scaffold comparison algorithms.
 //!
-//! The three driver-facing layers compose as **Program → Monitor →
+//! The three driver-facing layers compose as **Program → goal →
 //! Scenario** (see `ARCHITECTURE.md`): a [`sim::Program`] defines one
-//! node's round behavior, a [`sim::Monitor`] observes the global
-//! configuration and renders a verdict, and a [`sim::Scenario`] schedules
-//! perturbations — faults *and true membership churn* — against a running
-//! network.
+//! node's round behavior, a goal — a predicate over the global
+//! configuration, such as [`chord::legality`] — says when the run has
+//! converged, and a [`sim::Scenario`] schedules perturbations — faults
+//! *and true membership churn* — against a running network.
 //!
 //! ## Quickstart: stabilize, then survive churn
 //!
@@ -40,8 +40,8 @@
 //! let target = ChordTarget::classic(64);
 //! let mut rt = chord::runtime_from_shape(target, 8, Shape::Line, Config::seeded(7));
 //!
-//! // Drive to the legal configuration with the legality monitor.
-//! let out = rt.run_monitored(&mut chord::legality(), 50_000);
+//! // Drive to the legal configuration: the legality goal.
+//! let out = rt.run_monitored(chord::legality(), 50_000);
 //! println!("stabilized in {} rounds", out.rounds);
 //! assert!(chord::runtime_is_legal(&rt));
 //!
@@ -52,7 +52,7 @@
 //! let scenario = Scenario::new("churn")
 //!     .fault(0, Fault::Join { id: newcomer, attach: 2 })
 //!     .leave(5, veteran);
-//! let report = scenario.run(&mut rt, &mut chord::legality(), 50_000);
+//! let report = scenario.run(&mut rt, chord::legality(), 50_000);
 //! assert!(report.converged(), "overlay healed around the churn");
 //! assert_eq!(report.nodes_final, 8, "8 - 1 + 1 hosts remain");
 //! println!("{}", report.to_json());

@@ -24,7 +24,7 @@ fn stabilized_chord_restabilizes_after_scripted_churn() {
     for seed in 0..3u64 {
         let mut rt =
             chord::runtime_from_shape(target, hosts, Shape::Random, Config::seeded(900 + seed));
-        rt.run_monitored(&mut chord::legality(), budget(n, hosts));
+        rt.run_monitored(chord::legality(), budget(n, hosts));
         assert!(chord::runtime_is_legal(&rt), "seed {seed}: initial");
 
         let taken: std::collections::HashSet<u32> = rt.ids().iter().copied().collect();
@@ -50,17 +50,12 @@ fn stabilized_chord_restabilizes_after_scripted_churn() {
                     keep_connected: true,
                 },
             );
-        let report = scenario.run(
-            &mut rt,
-            &mut chord::legality(),
-            4 * gap + 2 * budget(n, hosts),
-        );
+        let report = scenario.run(&mut rt, chord::legality(), 4 * gap + 2 * budget(n, hosts));
         assert!(
             report.converged(),
-            "seed {seed}: {:?} after {} rounds ({:?})",
+            "seed {seed}: {:?} after {} rounds",
             report.verdict,
-            report.rounds,
-            report.reason
+            report.rounds
         );
         assert_eq!(report.nodes_final, hosts, "+2 joins, -1 leave, -1 crash");
         assert_eq!((report.joins, report.leaves, report.crashes), (2, 1, 1));
@@ -82,7 +77,7 @@ fn scenario_runs_are_deterministic() {
     let run = || {
         let mut rt =
             chord::runtime_from_shape(target, hosts, Shape::Lollipop, Config::seeded(0xFACE));
-        rt.run_monitored(&mut chord::legality(), budget(n, hosts));
+        rt.run_monitored(chord::legality(), budget(n, hosts));
         let scenario = Scenario::new("determinism")
             .seeded(31337)
             .fault(0, Fault::Rewire { count: 2 })
@@ -101,7 +96,7 @@ fn scenario_runs_are_deterministic() {
                     keep_connected: true,
                 },
             );
-        let report = scenario.run(&mut rt, &mut chord::legality(), 3 * gap + budget(n, hosts));
+        let report = scenario.run(&mut rt, chord::legality(), 3 * gap + budget(n, hosts));
         (
             report.to_json(),
             rt.topology().edges(),

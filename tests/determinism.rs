@@ -100,7 +100,7 @@ fn paper_finger_variant_also_stabilizes() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     let ids = init::random_ids(8, n, &mut rng);
     let mut rt = chord::runtime(target, &ids, init::ring(&ids), Config::seeded(99));
-    let out = rt.run_monitored(&mut chord::legality(), 100_000);
+    let out = rt.run_monitored(chord::legality(), 100_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "Definition 1 variant failed to stabilize"
@@ -121,7 +121,7 @@ fn truncated_target_stabilizes() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(78);
     let ids = init::random_ids(6, n, &mut rng);
     let mut rt = chord::runtime(target, &ids, init::line(&ids), Config::seeded(98));
-    let out = rt.run_monitored(&mut legality_for(target), 100_000);
+    let out = rt.run_monitored(legality_for(target), 100_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "truncated target failed to stabilize"

@@ -12,12 +12,12 @@ fn budget(n: u32, hosts: usize) -> u64 {
     e * (8 * logn + 16)
 }
 
-/// Drive to Avatar(Chord) legality through the monitor API.
+/// Drive to Avatar(Chord) legality with the run-to-goal driver.
 fn stabilize(
     rt: &mut Runtime<chord::ScaffoldProgram<ChordTarget>>,
     max_rounds: u64,
 ) -> Option<u64> {
-    rt.run_monitored(&mut chord::legality(), max_rounds)
+    rt.run_monitored(chord::legality(), max_rounds)
         .rounds_if_satisfied()
 }
 

@@ -11,10 +11,9 @@
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
 use proptest::prelude::*;
 use scaffold_bench::{budget, legal_chord_runtime};
-use ssim::monitor::{BeaconStaleness, DegreeAnomaly, SilenceAnomaly, ViewDivergence};
 use ssim::{
-    run_gauntlet, Adversary, Checkpoint, Config, DetectorSuite, GauntletOutcome, NetModel, NodeId,
-    OpenLoop, Recovery, RunVerdict, Runtime, Scenario, WorkloadConfig,
+    run_gauntlet, Adversary, Checkpoint, Config, DetectorSuite, FaultClass, GauntletOutcome,
+    NetModel, NodeId, OpenLoop, Recovery, RunVerdict, Runtime, Scenario, WorkloadConfig,
 };
 
 const N: u32 = 64;
@@ -25,7 +24,7 @@ const INJECT: u64 = 2;
 /// The converged-overlay fixture warmed forward with its views re-stamped
 /// at the warmed round (receipt rounds are unsigned; views installed at
 /// round 0 leave aging attacks nowhere to go).
-fn warmed_fixture(seed: u64, cfg: Config) -> Runtime<ScaffoldProgram<ChordTarget>> {
+fn warmed_fixture(cfg: Config) -> Runtime<ScaffoldProgram<ChordTarget>> {
     let mut rt = legal_chord_runtime(N, HOSTS, cfg, NetModel::ideal());
     rt.run(WARM);
     let now = rt.round();
@@ -35,16 +34,7 @@ fn warmed_fixture(seed: u64, cfg: Config) -> Runtime<ScaffoldProgram<ChordTarget
             p.core.cbt.view.restamp(now);
         });
     }
-    let _ = seed;
     rt
-}
-
-fn suite() -> DetectorSuite<ScaffoldProgram<ChordTarget>> {
-    DetectorSuite::new()
-        .with(BeaconStaleness::new())
-        .with(ViewDivergence::new())
-        .with(DegreeAnomaly::new())
-        .with(SilenceAnomaly::new())
 }
 
 /// One gauntlet run against the real protocol; returns the outcome, the
@@ -58,13 +48,13 @@ fn drive(
     rollback: bool,
     max_rounds: u64,
 ) -> (GauntletOutcome, String, u64) {
-    let mut rt = warmed_fixture(seed, cfg);
+    let mut rt = warmed_fixture(cfg);
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let ck = Checkpoint::capture(&rt);
     rt.attach_workload(OpenLoop::new(2.0, N), WorkloadConfig::default());
     let scenario = Scenario::new(format!("gauntlet-{}", adv.name())).seeded(seed);
     let scenario = adv.schedule(scenario, rt.ids(), INJECT, seed);
-    let mut suite = suite();
+    let mut suite = DetectorSuite::new();
     let recovery = if rollback {
         Recovery::Rollback(&ck)
     } else {
@@ -75,7 +65,7 @@ fn drive(
         &scenario,
         &mut suite,
         recovery,
-        &mut chord_scaffold::legality(),
+        chord_scaffold::legality(),
         max_rounds,
     );
     let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
@@ -145,6 +135,45 @@ fn rollback_beats_restabilization_on_lying_beacons() {
     assert!(rollback.first_critical.unwrap() <= INJECT + avatar_cbt::state::BEACON_TTL);
 }
 
+/// The membership rules on the real protocol: a crash wave against the
+/// silent legal overlay trips the degree rule (a crashed member vanished,
+/// its neighbors lost edges) and the silence rule (the survivors wake to
+/// repair), and the bank implicates every crashed host (the first wave's
+/// only through the vanished-member report: it is gone before any scan).
+#[test]
+fn crash_wave_trips_the_degree_and_silence_rules() {
+    let mut cfg = Config::seeded(9);
+    cfg.record_rounds = false;
+    let mut rt = warmed_fixture(cfg);
+    let adv = Adversary::CrashWave {
+        region: 2,
+        waves: 2,
+        spacing: 4,
+    };
+    let scenario = adv.schedule(Scenario::new("crash-wave").seeded(9), rt.ids(), INJECT, 9);
+    let mut suite = DetectorSuite::new();
+    let out = run_gauntlet(
+        &mut rt,
+        &scenario,
+        &mut suite,
+        Recovery::Restabilize,
+        chord_scaffold::legality(),
+        2 * budget(N, HOSTS) + 64,
+    );
+    assert_eq!(out.verdict, RunVerdict::Satisfied, "{out:?}");
+    for class in [FaultClass::DegreeAnomaly, FaultClass::SilenceAnomaly] {
+        assert!(out.by_class[class.index()] > 0, "{class:?}: {out:?}");
+    }
+    let crashed: Vec<NodeId> = out.events.iter().flat_map(|e| e.touched.clone()).collect();
+    assert!(!crashed.is_empty(), "the wave crashed someone");
+    assert!(crashed.iter().all(|v| !rt.topology().contains(*v)));
+    let implicated: Vec<NodeId> = suite.implicated().collect();
+    assert!(
+        crashed.iter().all(|v| implicated.contains(v)),
+        "every crashed host is implicated: {crashed:?} vs {implicated:?}"
+    );
+}
+
 /// Per-region isolation on the real protocol (`Runtime::partition` /
 /// `Runtime::heal`): a quarantined region stops serving cross-cut lookups,
 /// release restores full service, and the legality predicate (which ignores
@@ -153,7 +182,7 @@ fn rollback_beats_restabilization_on_lying_beacons() {
 fn quarantine_isolates_and_release_restores_service() {
     let mut cfg = Config::seeded(21);
     cfg.record_rounds = false;
-    let mut rt = warmed_fixture(21, cfg);
+    let mut rt = warmed_fixture(cfg);
     let region: Vec<NodeId> = rt.ids().iter().copied().take(HOSTS / 2).collect();
     assert_eq!(rt.partition(region.iter().copied()), region.len());
     assert!(rt.partitioned());
@@ -191,7 +220,7 @@ fn quarantine_isolates_and_release_restores_service() {
 fn quarantine_edge_cases() {
     let mut cfg = Config::seeded(5);
     cfg.record_rounds = false;
-    let mut rt = warmed_fixture(5, cfg);
+    let mut rt = warmed_fixture(cfg);
     assert!(!rt.heal(), "nothing to release");
     assert_eq!(rt.partition([]), 0);
     assert!(!rt.partitioned());

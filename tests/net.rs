@@ -220,7 +220,7 @@ fn partition_heal_restabilizes_both_protocols_under_latency() {
 
     // Avatar(CBT): 17 and 33 leave (the graph stays connected).
     let mut rt = scaffold::runtime_with_net(64, &ids, init::ring(&ids), Config::seeded(41), model);
-    let out = rt.run_monitored(&mut scaffold::legality(), budget(64, 8, delta));
+    let out = rt.run_monitored(scaffold::legality(), budget(64, 8, delta));
     assert_eq!(
         out.verdict,
         RunVerdict::Satisfied,
@@ -232,7 +232,7 @@ fn partition_heal_restabilizes_both_protocols_under_latency() {
     rt.run(20);
     assert!(rt.partitioned());
     rt.heal();
-    let out = rt.run_monitored(&mut scaffold::legality(), 4 * budget(64, 8, delta));
+    let out = rt.run_monitored(scaffold::legality(), 4 * budget(64, 8, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "cbt re-stabilization");
     let s = rt.net_stats();
     assert!(s.conserved(), "{s:?}");
@@ -242,7 +242,7 @@ fn partition_heal_restabilizes_both_protocols_under_latency() {
     // scaffold cut vertices 9 and 41 leave.
     let t = ChordTarget::classic(64);
     let mut rt = chord::runtime_with_net(t, &ids, init::ring(&ids), Config::seeded(42), model);
-    let out = rt.run_monitored(&mut chord::legality(), budget(64, 8, delta));
+    let out = rt.run_monitored(chord::legality(), budget(64, 8, delta));
     assert_eq!(
         out.verdict,
         RunVerdict::Satisfied,
@@ -254,7 +254,7 @@ fn partition_heal_restabilizes_both_protocols_under_latency() {
     rt.run(20);
     assert!(!chord::runtime_is_legal(&rt), "churn during the cut");
     rt.heal();
-    let out = rt.run_monitored(&mut chord::legality(), 4 * budget(64, 8, delta));
+    let out = rt.run_monitored(chord::legality(), 4 * budget(64, 8, delta));
     assert_eq!(out.verdict, RunVerdict::Satisfied, "chord re-stabilization");
     assert!(rt.net_stats().conserved(), "{:?}", rt.net_stats());
 }

@@ -48,7 +48,7 @@ fn cbt_run(
     let mut fresh = n; // ids ≥ n would be invalid hosts; draw below n instead
     let gap = scaffold::Schedule::new(n).epoch_len();
     // Converge once, then interleave churn events with re-convergence.
-    let out = rt.run_monitored(&mut scaffold::legality(), budget(n, hosts));
+    let out = rt.run_monitored(scaffold::legality(), budget(n, hosts));
     let converged = out.rounds_if_satisfied().is_some();
     for _ in 0..storm {
         let fault = match rng.gen_range(0..4u32) {
@@ -73,7 +73,7 @@ fn cbt_run(
         rt.run(gap);
     }
     let healed = rt
-        .run_monitored(&mut scaffold::legality(), 2 * budget(n, hosts))
+        .run_monitored(scaffold::legality(), 2 * budget(n, hosts))
         .rounds_if_satisfied()
         .is_some();
     let rows = &rt.metrics().per_round;
@@ -100,7 +100,7 @@ fn chord_run(
     let cfg = Config::seeded(seed).threads(threads);
     let mut rt = chord::runtime_from_shape(target, hosts, Shape::Random, cfg);
     rt.set_scheduler(make());
-    let out = rt.run_monitored(&mut chord::legality(), budget(n, hosts));
+    let out = rt.run_monitored(chord::legality(), budget(n, hosts));
     let converged = out.rounds_if_satisfied().is_some();
     if churn {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC4_42);
@@ -118,7 +118,7 @@ fn chord_run(
         chord_scaffolding::sim::fault::inject(&mut rt, &Fault::Join { id, attach: 2 }, &mut rng);
     }
     let healed = rt
-        .run_monitored(&mut chord::legality(), 2 * budget(n, hosts))
+        .run_monitored(chord::legality(), 2 * budget(n, hosts))
         .rounds_if_satisfied()
         .is_some();
     (
@@ -218,7 +218,7 @@ fn activity_driven_idles_after_cbt_convergence() {
     let run = |make: Box<dyn Scheduler>| {
         let mut rt = scaffold::runtime_from_shape(n, hosts, Shape::Random, Config::seeded(9));
         rt.set_scheduler(make);
-        let out = rt.run_monitored(&mut scaffold::legality(), budget(n, hosts));
+        let out = rt.run_monitored(scaffold::legality(), budget(n, hosts));
         assert!(out.rounds_if_satisfied().is_some(), "must converge");
         let at_legal = rt.metrics().total_activations;
         rt.run(post);

@@ -273,7 +273,7 @@ fn converged_legal_snapshot_restores_legal_and_identical() {
     let mut cfg = Config::seeded(0xC0FFEE);
     cfg.record_rounds = false;
     let mut rt = chord::runtime_from_shape(target, 8, Shape::Random, cfg);
-    let out = rt.run_monitored(&mut chord::legality(), 60_000);
+    let out = rt.run_monitored(chord::legality(), 60_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "overlay converges within budget: {out:?}"
@@ -334,7 +334,7 @@ fn dormant_cbt_snapshot_restores_dormant() {
     let mut cfg = Config::seeded(0xCB7);
     cfg.record_rounds = false;
     let mut rt = scaffold::runtime_from_shape(n, 8, Shape::Random, cfg);
-    let out = rt.run_monitored(&mut scaffold::legality(), 60_000);
+    let out = rt.run_monitored(scaffold::legality(), 60_000);
     assert!(
         out.rounds_if_satisfied().is_some(),
         "CBT converges within budget: {out:?}"

@@ -106,7 +106,7 @@ fn converged_overlay_serves_lookups_with_logarithmic_hops() {
         Shape::Random,
         Config::seeded(7),
     );
-    let out = rt.run_monitored(&mut chord::legality(), 50_000);
+    let out = rt.run_monitored(chord::legality(), 50_000);
     assert!(out.rounds_if_satisfied().is_some(), "must stabilize");
     rt.attach_workload(
         OpenLoop::new(4.0, n).limited(400),
