@@ -165,6 +165,12 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         self.phase == Phase::Done && self.done_grace == 0 && self.done_neighbors.is_set()
     }
 
+    /// True iff the host is settled with `neighbors` as its DONE baseline:
+    /// a step with an empty inbox over that neighbor list is a no-op.
+    pub(crate) fn settled_on(&self, neighbors: &[NodeId]) -> bool {
+        self.is_settled() && self.done_neighbors.list() == Some(neighbors)
+    }
+
     /// Install the **settled DONE** state directly: phase DONE with the
     /// final wave completed, grace drained, and the given neighbor list
     /// cached as the baseline. Test/bench fixture machinery — together

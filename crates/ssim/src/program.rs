@@ -45,6 +45,12 @@ pub trait Program: Send {
     fn is_quiescent(&self) -> bool {
         false
     }
+
+    /// Bytes of per-node state the program keeps out of line, behind a
+    /// pointer in its slot: [`crate::Runtime::mem_footprint`] counts them
+    /// once per live node beside the inline `size_of`. A program whose
+    /// state is all inline keeps the default 0.
+    const RECORD_BYTES: usize = 0;
 }
 
 /// One message leaving the emit phase, with everything the later stages
@@ -473,6 +479,11 @@ impl NeighborBaseline {
     /// True iff a list is set.
     pub fn is_set(&self) -> bool {
         self.list.is_some()
+    }
+
+    /// The list, if set.
+    pub fn list(&self) -> Option<&[NodeId]> {
+        self.list.as_deref()
     }
 
     /// Forget the list.

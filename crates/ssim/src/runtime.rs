@@ -163,8 +163,11 @@ pub struct MemFootprint {
     /// Graph storage: the adjacency segment arena plus the slot, index and
     /// dense-mirror arrays.
     pub topology: usize,
-    /// The slot-parallel program array (inline `size_of`-based; heap owned
-    /// by protocol state is not visible to the engine).
+    /// Program state: the slot-parallel array (`size_of::<Option<P>>()`
+    /// per slot of capacity) plus [`Program::RECORD_BYTES`] per live node,
+    /// the record a program keeps out of line. Any other heap owned by
+    /// protocol state (maps, lists, boxed payloads) is not visible to the
+    /// engine.
     pub programs: usize,
     /// The paged inbox arena: pages, chains and free lists.
     pub inboxes: usize,
@@ -377,14 +380,16 @@ impl<P: Program> Runtime<P> {
     ///
     /// Numbers are capacity-based (allocated, not merely occupied) so
     /// retention pathologies show up, and inline-state approximations
-    /// (`size_of`-based for programs; protocol-private heap such as a
-    /// boxed zipper payload is invisible from here) keep the walk O(state)
-    /// with no per-node virtual calls.
+    /// (`size_of`-based for programs plus their declared out-of-line
+    /// record; other protocol-private heap such as a boxed zipper payload
+    /// is invisible from here) keep the walk O(state) with no per-node
+    /// virtual calls.
     pub fn mem_footprint(&self) -> MemFootprint {
         use std::mem::size_of;
         MemFootprint {
             topology: self.topo.heap_bytes(),
-            programs: self.programs.capacity() * size_of::<Option<P>>(),
+            programs: self.programs.capacity() * size_of::<Option<P>>()
+                + self.topo.node_count() * P::RECORD_BYTES,
             inboxes: self.inboxes.heap_bytes(),
             transit: self.wire.transit_bytes(),
             workload: self.traffic.live().map_or(0, Traffic::heap_bytes),
@@ -1446,6 +1451,42 @@ mod tests {
                 + warm.transit
                 + warm.workload
                 + warm.engine
+        );
+    }
+
+    /// A program whose state lives behind a pointer, declared to the
+    /// footprint through `RECORD_BYTES`.
+    struct OutOfLine(Box<[u64; 8]>);
+
+    impl Program for OutOfLine {
+        type Msg = ();
+        fn step(&mut self, _: &mut Ctx<'_, ()>) {
+            self.0[0] += 1;
+        }
+        const RECORD_BYTES: usize = std::mem::size_of::<[u64; 8]>();
+    }
+
+    #[test]
+    fn program_bytes_count_slots_by_capacity_and_records_by_live_node() {
+        use std::mem::size_of;
+        let n = 10u32;
+        let nodes = (0..n).map(|i| (i, OutOfLine(Box::new([0; 8]))));
+        let mut rt = Runtime::new(Config::default(), nodes, (0..n - 1).map(|i| (i, i + 1)));
+        let pinned = |rt: &Runtime<OutOfLine>| {
+            rt.programs.capacity() * size_of::<Option<OutOfLine>>()
+                + rt.topology().node_count() * OutOfLine::RECORD_BYTES
+        };
+        assert_eq!(size_of::<Option<OutOfLine>>(), size_of::<usize>());
+        assert_eq!(rt.mem_footprint().programs, pinned(&rt));
+        let cap = rt.programs.capacity();
+        assert!(rt.leave(3).is_some() && rt.leave(7).is_some());
+        rt.run(2);
+        assert_eq!(rt.programs.capacity(), cap, "a departure keeps its slot");
+        assert_eq!(rt.topology().node_count(), n as usize - 2);
+        assert_eq!(rt.mem_footprint().programs, pinned(&rt));
+        assert_eq!(
+            rt.mem_footprint().programs,
+            cap * size_of::<usize>() + (n as usize - 2) * 64
         );
     }
 

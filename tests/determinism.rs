@@ -162,3 +162,90 @@ fn truncated_target_stabilizes() {
     assert_eq!(metrics(&full), metrics(&tail));
     assert_eq!(full.save_snapshot(), tail.save_snapshot());
 }
+
+/// A settled host's step answers from one cached word (its settled stamp)
+/// instead of its record; a restore, a clone and every out-of-band edit
+/// start that cache cold. So a run that saves and restores after every
+/// round steps every host in full, and must still match the straight run
+/// byte for byte. The script exercises both ways the cache could lie: a
+/// removed edge starts a revert wave whose messages reach settled hosts
+/// with unmoved stamps (only the inbox says "wake up"), and a corrupted
+/// settled host must be stepped in full although its neighborhood is
+/// unchanged.
+#[test]
+fn settled_cache_matches_a_cold_restore_every_round() {
+    use chord_scaffolding::chord::{Phase, ScaffoldProgram};
+    use chord_scaffolding::sim::sched::{ActivityDriven, Scheduler, Synchronous};
+    use chord_scaffolding::sim::{NetModel, OpenLoop, Runtime, WorkloadConfig};
+    type Rt = Runtime<ScaffoldProgram>;
+    type MakeSched = fn() -> Box<dyn Scheduler>;
+    let (n, hosts, seed) = (1024u32, 256usize, 0xC01D_5EED);
+    let traffic = || OpenLoop::new(4.0, n);
+    let cfg = || {
+        let mut cfg = Config::seeded(seed);
+        cfg.record_rounds = false;
+        cfg
+    };
+    let scheds: [(&str, MakeSched); 2] = [
+        ("sync", || Box::new(Synchronous)),
+        ("activity", || Box::new(ActivityDriven)),
+    ];
+    for (name, sched) in scheds {
+        let build = || {
+            let mut rt = scaffold_bench::legal_chord_runtime(n, hosts, cfg(), NetModel::ideal());
+            rt.set_scheduler(sched());
+            rt.attach_workload(traffic(), WorkloadConfig::default());
+            rt
+        };
+        let cold = |rt: Rt| {
+            let mut back = chord::restore_runtime::<ChordTarget>(&rt.save_snapshot(), cfg())
+                .expect("own snapshot restores");
+            back.set_scheduler(sched());
+            back.attach_workload(traffic(), WorkloadConfig::default());
+            back
+        };
+        // Remove the edge of the first host to its lowest neighbor, then
+        // corrupt the first host that neither endpoint talks to.
+        let fresh = build();
+        let ids = fresh.ids().to_vec();
+        let a = ids[0];
+        let b = fresh.topology().neighbors(a)[0];
+        let quiet = |rt: &Rt, v| {
+            rt.program(v).core.is_settled()
+                && ![a, b].contains(&v)
+                && !rt
+                    .topology()
+                    .neighbors(v)
+                    .iter()
+                    .any(|u| [a, b].contains(u))
+        };
+        let run = |restore_every_round: bool| {
+            let mut rt = build();
+            for round in 0..48 {
+                match round {
+                    4 => assert!(rt.adversarial_remove_edge(a, b)),
+                    5 => {
+                        let c = *ids.iter().find(|&&v| quiet(&rt, v)).expect("a quiet host");
+                        rt.corrupt_node(c, |p| p.core.phase = Phase::Chord);
+                    }
+                    _ => {}
+                }
+                rt.run(1);
+                if restore_every_round {
+                    rt = cold(rt);
+                }
+            }
+            let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
+            (metrics, rt.save_snapshot())
+        };
+        let straight = run(false);
+        assert!(
+            straight.0.contains("\"latency_histogram\""),
+            "{name}: lookups ran"
+        );
+        assert!(
+            straight == run(true),
+            "{name}: the settled cache changed the run"
+        );
+    }
+}
