@@ -6,12 +6,7 @@ use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::sim::fault::Fault;
 use chord_scaffolding::sim::scenario::Scenario;
 use chord_scaffolding::sim::{init::Shape, Config};
-
-fn budget(n: u32, hosts: usize) -> u64 {
-    let e = chord_scaffolding::scaffold::Schedule::new(n).epoch_len();
-    let logn = (usize::BITS - hosts.leading_zeros()) as u64;
-    e * (8 * logn + 16)
-}
+use scaffold_bench::budget;
 
 /// (a) A stabilized Avatar(Chord) re-stabilizes to the legal configuration
 /// of the *changed* host set after scripted joins, a leave, and a crash —

@@ -1,81 +1,58 @@
 //! Determinism and parallel-equivalence of the full protocol stack:
 //! thread-pool round execution (`Config::threads`) must be bit-identical to
-//! sequential execution at every thread count, and identical seeds must
-//! reproduce identical runs.
+//! sequential execution at every thread count, identical seeds must
+//! reproduce identical runs, and a restore must continue a run unchanged.
+//! The byte-identity cases run on the equivalence harness (`harness`).
+
+mod harness;
 
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::sim::{init::Shape, Config};
-
-fn fingerprint(
-    rt: &chord_scaffolding::sim::Runtime<chord::ScaffoldProgram>,
-) -> (Vec<(u32, u32)>, u64, usize) {
-    (
-        rt.topology().edges(),
-        rt.metrics().total_messages,
-        rt.metrics().peak_degree,
-    )
-}
+use harness::{Case, ACTIVITY, SYNC};
 
 #[test]
 fn parallel_execution_matches_sequential() {
-    let n = 128u32;
-    let hosts = 12usize;
     // With threads > 1 every round of the 12-host fixture runs on the pool,
     // so this compares the pooled emit with the sequential one.
-    let run = |threads: usize| {
-        let target = ChordTarget::classic(n);
-        let mut cfg = Config::seeded(0xD00D).threads(threads);
-        cfg.record_rounds = false;
-        let mut rt = chord::runtime_from_shape(target, hosts, Shape::Random, cfg);
-        rt.run(1500);
-        fingerprint(&rt)
-    };
-    let sequential = run(1);
-    for threads in [2usize, 4, 8] {
-        assert_eq!(sequential, run(threads), "{threads} threads");
-    }
+    Case::new("parallel", Config::seeded(0xD00D), |cfg| {
+        chord::runtime_from_shape(ChordTarget::classic(128), 12, Shape::Random, cfg)
+    })
+    .threads(&[1, 2, 4, 8])
+    .run(|arm| arm.run(1500));
 }
 
 /// With a request workload attached, the determinism guarantees extend to
-/// traffic: identical seeds reproduce identical request streams, and the
-/// serialized metrics — request accounting and histograms included — are
-/// byte-identical across thread counts.
+/// traffic: identical seeds reproduce identical request streams (the last
+/// run re-runs the first), and the serialized metrics — request accounting
+/// and histograms included — are byte-identical across thread counts.
 #[test]
 fn workload_runs_are_thread_and_seed_deterministic() {
     use chord_scaffolding::sim::{OpenLoop, WorkloadConfig};
-    let run = |threads: usize| {
-        let target = ChordTarget::classic(128);
-        let mut cfg = Config::seeded(0xBEA7).threads(threads);
-        cfg.record_rounds = false;
-        let mut rt = chord::runtime_from_shape(target, 12, Shape::Random, cfg);
-        rt.attach_workload(OpenLoop::new(1.0, 128), WorkloadConfig::default());
-        rt.run(1200);
+    let out = Case::new("traffic", Config::seeded(0xBEA7), |cfg| {
+        chord::runtime_from_shape(ChordTarget::classic(128), 12, Shape::Random, cfg)
+    })
+    .workload(|rt| rt.attach_workload(OpenLoop::new(1.0, 128), WorkloadConfig::default()))
+    .threads(&[1, 2, 4, 8, 1])
+    .run(|arm| {
+        arm.run(1200);
+        let r = arm.rt().request_stats();
         assert_eq!(
-            rt.metrics().requests.issued,
-            rt.metrics().requests.completed
-                + rt.metrics().requests.failed
-                + rt.metrics().requests.in_flight,
+            r.issued,
+            r.completed + r.failed + r.in_flight,
             "conservation law"
         );
-        serde_json::to_string(rt.metrics()).expect("metrics serialize")
-    };
-    let sequential = run(1);
-    assert!(sequential.contains("\"latency_histogram\""));
-    assert_eq!(sequential, run(2));
-    assert_eq!(sequential, run(4));
-    assert_eq!(sequential, run(8));
-    assert_eq!(sequential, run(1), "same seed reproduces the traffic");
+    });
+    assert!(out.metrics.contains("\"latency_histogram\""));
 }
 
 #[test]
 fn same_seed_reproduces_run() {
-    let run = || {
-        let target = ChordTarget::classic(64);
-        let mut rt = chord::runtime_from_shape(target, 8, Shape::Lollipop, Config::seeded(0xFACE));
-        rt.run(900);
-        fingerprint(&rt)
-    };
-    assert_eq!(run(), run());
+    // The thread axis at {1, 1}: its one run is the straight run's re-run.
+    Case::new("lollipop", Config::seeded(0xFACE), |cfg| {
+        chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Lollipop, cfg)
+    })
+    .threads(&[1, 1])
+    .run(|arm| arm.run(900));
 }
 
 #[test]
@@ -114,7 +91,7 @@ fn paper_finger_variant_also_stabilizes() {
 #[test]
 fn truncated_target_stabilizes() {
     use chord_scaffolding::chord::{legality_for, TruncatedChordTarget};
-    use chord_scaffolding::sim::{fault, init, Fault, NetModel};
+    use chord_scaffolding::sim::{init, Fault, NetModel};
     use rand::SeedableRng;
     let n = 64u32;
     let target = TruncatedChordTarget::new(n, 2);
@@ -127,40 +104,36 @@ fn truncated_target_stabilizes() {
         "truncated target failed to stabilize"
     );
 
+    // The restore-and-join half: split at round 150 (the restore pins seed
+    // and network model from the payload), then a host joins, budgeted for
+    // the restored network model.
     let slow = NetModel {
         delay: 2,
         ..NetModel::ideal()
     };
     let fresh = (0..n).find(|v| !ids.contains(v)).expect("a free id");
-    let join = Fault::JoinAt {
-        id: fresh,
-        contacts: vec![ids[0]],
-    };
-    let build =
-        || chord::runtime_with_net(target, &ids, init::line(&ids), Config::seeded(98), slow);
-    let metrics = |rt: &chord_scaffolding::sim::Runtime<_>| {
-        serde_json::to_string(rt.metrics()).expect("metrics serialize")
-    };
-
-    let mut full = build();
-    full.run(150);
-    let mut head = build();
-    head.run(150);
-    // The restore pins seed and network model from the payload.
-    let mut tail = chord::restore_runtime::<TruncatedChordTarget>(
-        &head.save_snapshot(),
-        Config::seeded(0).threads(2),
-    )
-    .expect("own snapshot restores");
-    for rt in [&mut full, &mut tail] {
-        assert_eq!(fault::inject(rt, &join, &mut rng), 1, "the join applies");
+    Case::new("truncated", Config::seeded(98), |cfg| {
+        chord::runtime_with_net(target, &ids, init::line(&ids), cfg, slow)
+    })
+    .threads(&[1, 2])
+    .split(chord::restore_runtime, &[150])
+    .run(|arm| {
+        arm.run(150);
+        let contacts = vec![ids[0]];
+        assert_eq!(
+            arm.fault(Fault::JoinAt {
+                id: fresh,
+                contacts
+            }),
+            1,
+            "the join applies"
+        );
+        let rt = arm.rt();
         let (host, joiner) = (&rt.program(ids[0]).core.cbt, &rt.program(fresh).core.cbt);
         assert_eq!(joiner.sched.delta(), slow.delivery_bound());
         assert_eq!(joiner.sched.delta(), host.sched.delta());
-        rt.run(150);
-    }
-    assert_eq!(metrics(&full), metrics(&tail));
-    assert_eq!(full.save_snapshot(), tail.save_snapshot());
+        arm.run(150);
+    });
 }
 
 /// A settled host's step answers from one cached word (its settled stamp)
@@ -175,77 +148,37 @@ fn truncated_target_stabilizes() {
 #[test]
 fn settled_cache_matches_a_cold_restore_every_round() {
     use chord_scaffolding::chord::{Phase, ScaffoldProgram};
-    use chord_scaffolding::sim::sched::{ActivityDriven, Scheduler, Synchronous};
-    use chord_scaffolding::sim::{NetModel, OpenLoop, Runtime, WorkloadConfig};
-    type Rt = Runtime<ScaffoldProgram>;
-    type MakeSched = fn() -> Box<dyn Scheduler>;
+    use chord_scaffolding::sim::{Event, NetModel, OpenLoop, WorkloadConfig};
+    use std::sync::Arc;
     let (n, hosts, seed) = (1024u32, 256usize, 0xC01D_5EED);
-    let traffic = || OpenLoop::new(4.0, n);
-    let cfg = || {
-        let mut cfg = Config::seeded(seed);
-        cfg.record_rounds = false;
-        cfg
-    };
-    let scheds: [(&str, MakeSched); 2] = [
-        ("sync", || Box::new(Synchronous)),
-        ("activity", || Box::new(ActivityDriven)),
-    ];
-    for (name, sched) in scheds {
-        let build = || {
-            let mut rt = scaffold_bench::legal_chord_runtime(n, hosts, cfg(), NetModel::ideal());
-            rt.set_scheduler(sched());
-            rt.attach_workload(traffic(), WorkloadConfig::default());
-            rt
-        };
-        let cold = |rt: Rt| {
-            let mut back = chord::restore_runtime::<ChordTarget>(&rt.save_snapshot(), cfg())
-                .expect("own snapshot restores");
-            back.set_scheduler(sched());
-            back.attach_workload(traffic(), WorkloadConfig::default());
-            back
-        };
-        // Remove the edge of the first host to its lowest neighbor, then
-        // corrupt the first host that neither endpoint talks to.
-        let fresh = build();
-        let ids = fresh.ids().to_vec();
-        let a = ids[0];
-        let b = fresh.topology().neighbors(a)[0];
-        let quiet = |rt: &Rt, v| {
-            rt.program(v).core.is_settled()
-                && ![a, b].contains(&v)
-                && !rt
-                    .topology()
-                    .neighbors(v)
-                    .iter()
-                    .any(|u| [a, b].contains(u))
-        };
-        let run = |restore_every_round: bool| {
-            let mut rt = build();
-            for round in 0..48 {
-                match round {
-                    4 => assert!(rt.adversarial_remove_edge(a, b)),
-                    5 => {
-                        let c = *ids.iter().find(|&&v| quiet(&rt, v)).expect("a quiet host");
-                        rt.corrupt_node(c, |p| p.core.phase = Phase::Chord);
-                    }
-                    _ => {}
-                }
-                rt.run(1);
-                if restore_every_round {
-                    rt = cold(rt);
-                }
-            }
-            let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
-            (metrics, rt.save_snapshot())
-        };
-        let straight = run(false);
-        assert!(
-            straight.0.contains("\"latency_histogram\""),
-            "{name}: lookups ran"
-        );
-        assert!(
-            straight == run(true),
-            "{name}: the settled cache changed the run"
-        );
+    for daemon in [SYNC, ACTIVITY] {
+        let out = Case::new("settled cache", Config::seeded(seed), |cfg| {
+            scaffold_bench::legal_chord_runtime(n, hosts, cfg, NetModel::ideal())
+        })
+        .daemons(&[daemon])
+        .workload(|rt| rt.attach_workload(OpenLoop::new(4.0, n), WorkloadConfig::default()))
+        .split(chord::restore_runtime, &(0..=48).collect::<Vec<_>>())
+        .run(|arm| {
+            // Remove the edge of the first host to its lowest neighbor at
+            // round 4, then corrupt the first host neither endpoint talks to.
+            let ids = arm.rt().ids().to_vec();
+            let (a, b) = (ids[0], arm.rt().topology().neighbors(ids[0])[0]);
+            arm.run(4);
+            assert!(arm.rt().adversarial_remove_edge(a, b));
+            arm.run(1);
+            let rt = arm.rt();
+            let quiet = |v: &&u32| {
+                let far = |u: &u32| ![a, b].contains(u);
+                rt.program(**v).core.is_settled()
+                    && far(v)
+                    && rt.topology().neighbors(**v).iter().all(far)
+            };
+            let id = *ids.iter().find(quiet).expect("a quiet host");
+            let mutate = Arc::new(|p: &mut ScaffoldProgram| p.core.phase = Phase::Chord);
+            let label = "phase".into();
+            assert_eq!(arm.event(Event::Corrupt { id, label, mutate }), 1);
+            arm.run(43);
+        });
+        assert!(out.metrics.contains("\"latency_histogram\""), "lookups ran");
     }
 }

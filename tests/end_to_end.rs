@@ -5,12 +5,7 @@
 use chord_scaffolding::chord::{self, ChordTarget, Phase};
 use chord_scaffolding::sim::{init::Shape, Config, Runtime};
 use chord_scaffolding::topology::{Avatar, Cbt, Chord, Graph};
-
-fn budget(n: u32, hosts: usize) -> u64 {
-    let e = chord_scaffolding::scaffold::Schedule::new(n).epoch_len();
-    let logn = (usize::BITS - hosts.leading_zeros()) as u64;
-    e * (8 * logn + 16)
-}
+use scaffold_bench::budget;
 
 /// Drive to Avatar(Chord) legality with the run-to-goal driver.
 fn stabilize(

@@ -6,9 +6,13 @@
 //! these tests extend that promise over the whole
 //! detect/classify/rollback path (which runs on the driving thread between
 //! rounds, so it inherits determinism — but only if nothing in it secretly
-//! iterates a hash map or reads a clock).
+//! iterates a hash map or reads a clock). The thread-axis cases run on the
+//! equivalence harness (`harness`) with the gauntlet as their drive.
+
+mod harness;
 
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
+use harness::{Case, Daemon, ACTIVITY, SYNC};
 use proptest::prelude::*;
 use scaffold_bench::{budget, legal_chord_runtime};
 use ssim::{
@@ -37,20 +41,15 @@ fn warmed_fixture(cfg: Config) -> Runtime<ScaffoldProgram<ChordTarget>> {
     rt
 }
 
-/// One gauntlet run against the real protocol; returns the outcome, the
-/// runtime metrics fingerprint (request accounting included) and the
-/// rounds whose emit ran on the pool.
-fn drive(
+/// One gauntlet run against the real protocol, from the fixture `rt`.
+fn gauntlet(
+    rt: &mut Runtime<ScaffoldProgram<ChordTarget>>,
     seed: u64,
-    cfg: Config,
-    sched: &str,
     adv: &Adversary,
     rollback: bool,
     max_rounds: u64,
-) -> (GauntletOutcome, String, u64) {
-    let mut rt = warmed_fixture(cfg);
-    rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
-    let ck = Checkpoint::capture(&rt);
+) -> GauntletOutcome {
+    let ck = Checkpoint::capture(rt);
     rt.attach_workload(OpenLoop::new(2.0, N), WorkloadConfig::default());
     let scenario = Scenario::new(format!("gauntlet-{}", adv.name())).seeded(seed);
     let scenario = adv.schedule(scenario, rt.ids(), INJECT, seed);
@@ -60,23 +59,35 @@ fn drive(
     } else {
         Recovery::Restabilize
     };
-    let out = run_gauntlet(
-        &mut rt,
-        &scenario,
-        &mut suite,
-        recovery,
-        chord_scaffold::legality(),
-        max_rounds,
-    );
-    let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
-    (out, metrics, rt.perf_counters().par_rounds)
+    let goal = chord_scaffold::legality();
+    run_gauntlet(rt, &scenario, &mut suite, recovery, goal, max_rounds)
 }
 
-fn fingerprint(out: &GauntletOutcome, metrics: &str) -> String {
-    format!(
-        "{}|{metrics}",
-        serde_json::to_string(out).expect("outcome JSON")
-    )
+/// The gauntlet across `threads` under `daemon`: the harness compares the
+/// outcome JSON (every severity, class count, implicated set and event
+/// record) besides metrics and snapshots. Returns the outcome's verdict.
+fn thread_axis(
+    seed: u64,
+    daemon: Daemon,
+    adv: &Adversary,
+    rollback: bool,
+    max_rounds: u64,
+    threads: &[usize],
+) -> RunVerdict {
+    let case = Case::new(
+        format!("{} seed {seed}", adv.name()),
+        Config::seeded(seed),
+        warmed_fixture,
+    );
+    case.daemons(&[daemon])
+        .threads(threads)
+        .run(|arm| {
+            let out = gauntlet(arm.rt(), seed, adv, rollback, max_rounds);
+            let json = serde_json::to_string(&out).expect("outcome JSON");
+            (out.verdict, json)
+        })
+        .out
+        .0
 }
 
 /// Tentpole determinism: the full attack/detect/rollback/re-legalize cycle
@@ -85,26 +96,9 @@ fn fingerprint(out: &GauntletOutcome, metrics: &str) -> String {
 fn gauntlet_runs_identically_across_threads() {
     let adv = Adversary::LyingBeacons { victims: 2 };
     let max = 2 * budget(N, HOSTS) + 64;
-    for sched in ["sync", "activity"] {
-        let mut reference: Option<String> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let mut cfg = Config::seeded(33).threads(threads);
-            cfg.record_rounds = false;
-            let (out, metrics, pooled) = drive(33, cfg, sched, &adv, true, max);
-            assert_eq!(out.verdict, RunVerdict::Satisfied);
-            assert!(
-                threads == 1 || pooled > 0,
-                "threads={threads} sched={sched}: no round ran on the pool"
-            );
-            let fp = fingerprint(&out, &metrics);
-            match &reference {
-                None => reference = Some(fp),
-                Some(r) => assert_eq!(
-                    r, &fp,
-                    "gauntlet diverged at threads={threads} sched={sched}"
-                ),
-            }
-        }
+    for daemon in [SYNC, ACTIVITY] {
+        let verdict = thread_axis(33, daemon, &adv, true, max, &[1, 2, 4, 8]);
+        assert_eq!(verdict, RunVerdict::Satisfied);
     }
 }
 
@@ -118,8 +112,8 @@ fn rollback_beats_restabilization_on_lying_beacons() {
     let max = 2 * budget(N, HOSTS) + 64;
     let mut cfg = Config::seeded(7);
     cfg.record_rounds = false;
-    let (restab, ..) = drive(7, cfg, "sync", &adv, false, max);
-    let (rollback, ..) = drive(7, cfg, "sync", &adv, true, max);
+    let restab = gauntlet(&mut warmed_fixture(cfg), 7, &adv, false, max);
+    let rollback = gauntlet(&mut warmed_fixture(cfg), 7, &adv, true, max);
     assert_eq!(restab.verdict, RunVerdict::Satisfied, "{restab:?}");
     assert_eq!(rollback.verdict, RunVerdict::Satisfied, "{rollback:?}");
     assert!(rollback.rolled_back >= 2, "victims must be restored");
@@ -246,12 +240,6 @@ proptest! {
             4 => Adversary::FlashCrowd { joiners: vec![N - 1, N - 2], attach: 2 },
             _ => Adversary::PartitionCycle { side: 3, cycles: 1, hold: 4, gap: 4 },
         };
-        let run = |threads: usize| {
-            let mut cfg = Config::seeded(seed).threads(threads);
-            cfg.record_rounds = false;
-            let (out, metrics, _) = drive(seed, cfg, "sync", &adv, false, 48);
-            fingerprint(&out, &metrics)
-        };
-        prop_assert_eq!(run(1), run(threads));
+        thread_axis(seed, SYNC, &adv, false, 48, &[1, threads]);
     }
 }

@@ -16,16 +16,19 @@
 //!   restores byte-identically and continues in lockstep.
 //! * **Departure guard** — a message delayed across its recipient's
 //!   leave → rejoin is purged, never delivered to the recycled slot.
+//!
+//! The determinism and snapshot cases run on the equivalence harness
+//! (`harness`).
+
+mod harness;
 
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::scaffold;
 use chord_scaffolding::sim::fault::Fault;
 use chord_scaffolding::sim::monitor::RunVerdict;
-use chord_scaffolding::sim::sched::{ActivityDriven, Scheduler, Synchronous};
 use chord_scaffolding::sim::{init, Config, NetModel};
+use harness::{Case, Daemon, ACTIVITY, LEAVE, SYNC};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Convergence budget in rounds under per-hop delivery bound `delta`.
 fn budget(n: u32, hosts: usize, delta: u64) -> u64 {
@@ -41,59 +44,42 @@ fn ring_ids() -> Vec<u32> {
     vec![1, 9, 17, 25, 33, 41, 49, 57]
 }
 
-/// An avatar-cbt run under the given model: converge, storm with churn,
-/// re-converge — fingerprinted as the full serialized metrics.
-fn cbt_net_run(
-    seed: u64,
-    model: NetModel,
-    storm: usize,
-    threads: usize,
-    make: impl Fn() -> Box<dyn Scheduler>,
-) -> String {
-    let n = 64u32;
+/// An avatar-cbt case on the ring under `model`.
+fn ring_case(seed: u64, model: NetModel) -> Case<'static, scaffold::CbtProgram> {
     let ids = ring_ids();
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    let mut rt = scaffold::runtime_with_net(n, &ids, init::ring(&ids), cfg, model);
-    rt.set_scheduler(make());
-    let delta = model.delivery_bound();
-    rt.run(budget(n, ids.len(), delta));
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x57_0B_13);
-    let gap = scaffold::Schedule::new(n).with_delta(delta).epoch_len();
-    for _ in 0..storm {
-        chord_scaffolding::sim::fault::inject(
-            &mut rt,
-            &Fault::Leave {
-                id: None,
-                keep_connected: true,
-            },
-            &mut rng,
-        );
-        rt.run(gap);
-        let id = (0..n).find(|v| !rt.topology().contains(*v)).unwrap();
-        chord_scaffolding::sim::fault::inject(&mut rt, &Fault::Join { id, attach: 2 }, &mut rng);
-        rt.run(gap);
-    }
-    assert!(rt.net_stats().conserved(), "{:?}", rt.net_stats());
-    serde_json::to_string(rt.metrics()).expect("metrics serialize")
+    Case::new(format!("seed {seed}"), Config::seeded(seed), move |cfg| {
+        scaffold::runtime_with_net(64, &ids, init::ring(&ids), cfg, model)
+    })
 }
 
-/// Byte-identical metrics JSON across thread counts {1, 2, 4, 8} under
-/// the WAN preset with a churn storm — the net layer's RNG draws happen
-/// on the driver in canonical order, so the thread pool must not be able
-/// to perturb loss/jitter/duplication decisions.
+/// The WAN storm: converge for a full budget, then `storm` times a leave,
+/// an epoch, the join of the first free id, an epoch.
+fn wan_run(seed: u64, storm: usize, daemons: &[Daemon], threads: &[usize]) {
+    let delta = NetModel::wan().delivery_bound();
+    let gap = scaffold::Schedule::new(64).with_delta(delta).epoch_len();
+    let wan = ring_case(seed, NetModel::wan());
+    wan.daemons(daemons).threads(threads).run(|arm| {
+        arm.run(budget(64, 8, delta));
+        for _ in 0..storm {
+            arm.fault(LEAVE);
+            arm.run(gap);
+            let rt = arm.rt();
+            let id = (0..64).find(|v| !rt.topology().contains(*v)).unwrap();
+            arm.fault(Fault::Join { id, attach: 2 });
+            arm.run(gap);
+        }
+        let s = arm.rt().net_stats();
+        assert!(s.conserved(), "{s:?}");
+    });
+}
+
+/// Byte-identical metrics JSON and snapshots across thread counts
+/// {1, 2, 4, 8} under the WAN preset with a churn storm — the net layer's
+/// RNG draws happen on the driver in canonical order, so the thread pool
+/// must not be able to perturb loss/jitter/duplication decisions.
 #[test]
 fn wan_churn_runs_are_thread_deterministic() {
-    let sequential = cbt_net_run(0xAB5E, NetModel::wan(), 2, 1, || Box::new(Synchronous));
-    for threads in [2usize, 4, 8] {
-        assert_eq!(
-            sequential,
-            cbt_net_run(0xAB5E, NetModel::wan(), 2, threads, || Box::new(
-                Synchronous
-            )),
-            "{threads} threads diverged under WAN"
-        );
-    }
+    wan_run(0xAB5E, 2, &[SYNC], &[1, 2, 4, 8]);
 }
 
 /// The activity-driven daemon reproduces the synchronous daemon under WAN
@@ -101,21 +87,15 @@ fn wan_churn_runs_are_thread_deterministic() {
 /// recipient dirty on the delivery round, so no arrival is slept through.
 #[test]
 fn wan_activity_daemon_matches_synchronous() {
-    let blind = |json: &str| {
-        chord_scaffolding::sim::metrics::blank_json_fields(
-            json,
-            &["total_activations", "active_nodes"],
-        )
-    };
-    let sync = cbt_net_run(0xD1A7, NetModel::wan(), 1, 1, || Box::new(Synchronous));
-    let act = cbt_net_run(0xD1A7, NetModel::wan(), 1, 1, || Box::new(ActivityDriven));
-    assert_eq!(blind(&sync), blind(&act));
+    wan_run(0xD1A7, 1, &[SYNC, ACTIVITY], &[1]);
 }
 
 proptest! {
     /// Any sampled net model (latency × jitter × loss × duplication), with
     /// or without churn, yields byte-identical metrics across thread
-    /// counts.
+    /// counts (a short run: no convergence requirement — only that
+    /// executions agree bit-for-bit; one leave 120 rounds in, then 60
+    /// rounds).
     #[test]
     fn net_model_runs_are_thread_deterministic(
         seed in 0u64..1_000,
@@ -131,9 +111,15 @@ proptest! {
             loss: [0.0, 0.02, 0.1][loss_i],
             dup: [0.0, 0.01][dup_i],
         };
-        let one = cbt_short_run(seed, model, storm, 1);
-        let four = cbt_short_run(seed, model, storm, 4);
-        prop_assert_eq!(one, four);
+        ring_case(seed, model).threads(&[1, 4]).run(|arm| {
+            arm.run(120);
+            for _ in 0..storm {
+                arm.fault(LEAVE);
+                arm.run(60);
+            }
+            let s = arm.rt().net_stats();
+            assert!(s.conserved(), "{s:?}");
+        });
     }
 
     /// The conservation law holds after **every** round, not just at the
@@ -179,30 +165,6 @@ proptest! {
         prop_assert!(s.dropped_loss > 0, "lossy model never dropped: {:?}", s);
         prop_assert!(s.duplicated > 0, "duplicating model never duplicated: {:?}", s);
     }
-}
-
-/// Short fixed-length run for the thread-determinism property (no
-/// convergence requirement — only that executions agree bit-for-bit).
-fn cbt_short_run(seed: u64, model: NetModel, storm: usize, threads: usize) -> String {
-    let ids = ring_ids();
-    let mut cfg = Config::seeded(seed).threads(threads);
-    cfg.record_rounds = false;
-    let mut rt = scaffold::runtime_with_net(64, &ids, init::ring(&ids), cfg, model);
-    rt.run(120);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
-    for _ in 0..storm {
-        chord_scaffolding::sim::fault::inject(
-            &mut rt,
-            &Fault::Leave {
-                id: None,
-                keep_connected: true,
-            },
-            &mut rng,
-        );
-        rt.run(60);
-    }
-    assert!(rt.net_stats().conserved(), "{:?}", rt.net_stats());
-    serde_json::to_string(rt.metrics()).expect("metrics serialize")
 }
 
 /// Partition + churn during the cut, then heal: both protocol crates
@@ -260,48 +222,35 @@ fn partition_heal_restabilizes_both_protocols_under_latency() {
 }
 
 /// A snapshot taken while messages sit in the in-transit buffer restores
-/// them — delivery rounds, payloads, endpoint guards — and the restored
-/// run continues in lockstep with the original.
+/// them — delivery rounds, payloads, endpoint guards, and the net books
+/// (the harness checks both at the split) — and the restored run continues
+/// in lockstep with the original: byte-identical metrics and snapshots.
 #[test]
 fn snapshot_roundtrip_with_messages_in_transit() {
-    let t = ChordTarget::classic(64);
-    let ids = ring_ids();
-    let mut cfg = Config::seeded(0x5AFE);
-    cfg.record_rounds = false;
-    let mut rt = chord::runtime_with_net(t, &ids, init::ring(&ids), cfg, NetModel::wan());
-    // Step into the run until the delay queue is demonstrably non-empty.
-    let mut waited = 0;
-    while rt.in_transit() == 0 {
-        rt.step();
-        waited += 1;
-        assert!(waited < 100, "WAN run never parked a message in transit");
-    }
-    rt.run(50);
-    assert!(
-        rt.in_transit() > 0,
-        "snapshot point must have transit state"
-    );
-
-    let bytes = rt.save_snapshot();
-    let mut restored = chord::restore_runtime::<ChordTarget>(&bytes, cfg).expect("restore");
-    assert_eq!(restored.in_transit(), rt.in_transit(), "transit survives");
-    assert_eq!(
-        restored.net_stats(),
-        rt.net_stats(),
-        "net accounting survives"
-    );
-
-    // Lockstep continuation: same rounds, byte-identical metrics and
-    // identical topologies — the parked messages deliver identically.
-    rt.run(500);
-    restored.run(500);
-    assert_eq!(rt.topology().edges(), restored.topology().edges());
-    assert_eq!(
-        serde_json::to_string(rt.metrics()).unwrap(),
-        serde_json::to_string(restored.metrics()).unwrap(),
-        "restored run diverged from the original"
-    );
-    assert!(rt.net_stats().conserved());
+    let (t, ids) = (ChordTarget::classic(64), ring_ids());
+    let build = |cfg| {
+        let mut rt = chord::runtime_with_net(t, &ids, init::ring(&ids), cfg, NetModel::wan());
+        // Step into the run until the delay queue is demonstrably non-empty.
+        while rt.in_transit() == 0 {
+            rt.step();
+            assert!(
+                rt.round() < 100,
+                "WAN run never parked a message in transit"
+            );
+        }
+        rt.run(50);
+        assert!(
+            rt.in_transit() > 0,
+            "snapshot point must have transit state"
+        );
+        rt
+    };
+    Case::new("in transit", Config::seeded(0x5AFE), build)
+        .split(chord::restore_runtime, &[0])
+        .run(|arm| {
+            arm.run(500);
+            assert!(arm.rt().net_stats().conserved());
+        });
 }
 
 /// Regression: a message delayed across its recipient's leave → rejoin

@@ -1,48 +1,27 @@
 //! Snapshot/restore over the full protocol stack: a run split by a
 //! checkpoint at an *arbitrary* round must continue **byte-identically**
-//! with the uninterrupted run — same serialized metrics, at any thread
-//! count and under any equivalence-claiming scheduler, through churn and
-//! live traffic — and a tampered snapshot must be rejected loudly rather
-//! than ever loading garbage.
+//! with the uninterrupted run — same serialized metrics and snapshot bytes,
+//! at any thread count and under any equivalence-claiming scheduler,
+//! through churn and live traffic — and a tampered snapshot must be
+//! rejected loudly rather than ever loading garbage. The split cases run on
+//! the equivalence harness (`harness`).
+
+mod harness;
 
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::scaffold;
 use chord_scaffolding::sim::{
-    init::Shape, sched, Config, OpenLoop, Persist, Program, SnapshotError, WorkloadConfig,
+    fault::Fault, init::Shape, Config, OpenLoop, Persist, Program, SnapshotError, WorkloadConfig,
 };
+use harness::{Case, ACTIVITY, SYNC};
 use proptest::prelude::*;
-
-type ChordRt = chord_scaffolding::sim::Runtime<chord::ScaffoldProgram>;
-
-fn metrics_json<P: Program>(rt: &chord_scaffolding::sim::Runtime<P>) -> String {
-    serde_json::to_string(rt.metrics()).expect("metrics serialize")
-}
-
-/// Advance `rounds` rounds, optionally injecting a deterministic churn
-/// storm keyed on the **absolute** round counter — so driving the run in
-/// one piece or as head + restored tail produces the same event sequence
-/// regardless of where the snapshot split it.
-fn drive(rt: &mut ChordRt, rounds: u64, churn: bool) {
-    for _ in 0..rounds {
-        let r = rt.round();
-        if churn && r % 19 == 11 && rt.ids().len() > 4 {
-            let victim = rt.ids()[r as usize % rt.ids().len()];
-            rt.leave(victim);
-        }
-        if churn && r % 31 == 17 {
-            if let Some(fresh) = (0..64).find(|&v| !rt.topology().contains(v)) {
-                let contacts: Vec<u32> = rt.ids().iter().take(2).copied().collect();
-                rt.join_spawned(fresh, &contacts);
-            }
-        }
-        rt.step();
-    }
-}
 
 proptest! {
     /// The tentpole contract: snapshot at any round, restore at any thread
-    /// count under either daemon, continue — the metrics JSON equals the
-    /// uninterrupted run byte for byte, churn storms included.
+    /// count under either daemon, continue: the metrics JSON and the final
+    /// snapshot equal the uninterrupted run's byte for byte, churn storms
+    /// keyed on the **absolute** round counter included (so the run in one
+    /// piece and the split one see the same event sequence).
     #[test]
     fn restore_continues_byte_identically(
         seed in 0u64..1_000_000,
@@ -53,36 +32,36 @@ proptest! {
     ) {
         let total = 160u64;
         let churn = churn_bit == 1;
-        let spec = if sched_bit == 1 { "activity" } else { "sync" };
+        // The head runs sequentially and the split axis restores it on 1
+        // and on `threads` threads, so a sequential head must continue
+        // byte-identically on the chunked parallel emit.
         let threads = [1usize, 2, 4, 8][thread_ix];
-        let build = || {
-            let target = ChordTarget::classic(64);
-            let mut cfg = Config::seeded(seed);
-            cfg.record_rounds = false;
-            chord::runtime_from_shape(target, 8, Shape::Random, cfg)
+        let build = |cfg| {
+            chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Random, cfg)
         };
-
-        let mut full = build();
-        full.set_scheduler(sched::from_spec(spec, seed).expect("known spec"));
-        drive(&mut full, total, churn);
-        let expect = metrics_json(&full);
-
-        let mut head = build();
-        head.set_scheduler(sched::from_spec(spec, seed).expect("known spec"));
-        drive(&mut head, split, churn);
-        let bytes = head.save_snapshot();
-
-        // seed / strict / record_rounds are pinned from the payload — pass
-        // a deliberately wrong seed to prove it — while the caller picks
-        // the execution strategy (thread count). With threads > 1 the tail
-        // runs on the pool, so a sequential head must continue
-        // byte-identically on the chunked parallel apply.
-        let tail_cfg = Config::seeded(!seed).threads(threads);
-        let mut tail = chord::restore_runtime(&bytes, tail_cfg).expect("snapshot restores");
-        prop_assert_eq!(tail.config().seed, seed, "restore pins the snapshot's seed");
-        tail.set_scheduler(sched::from_spec(spec, seed).expect("known spec"));
-        drive(&mut tail, total - split, churn);
-        prop_assert_eq!(expect, metrics_json(&tail));
+        Case::new(format!("seed {seed}"), Config::seeded(seed), build)
+            .daemons(&[[SYNC, ACTIVITY][sched_bit as usize]])
+            .threads(&[1, threads])
+            .split(chord::restore_runtime, &[split])
+            .run(|arm| {
+                for _ in 0..total {
+                    let rt = arm.rt();
+                    let (r, ids) = (rt.round(), rt.ids().to_vec());
+                    if churn && r % 19 == 11 && ids.len() > 4 {
+                        let id = Some(ids[r as usize % ids.len()]);
+                        arm.fault(Fault::Leave { id, keep_connected: false });
+                    }
+                    let rt = arm.rt();
+                    if churn && r % 31 == 17 {
+                        let free = (0..64).find(|&v| !rt.topology().contains(v));
+                        if let Some(id) = free {
+                            let contacts = rt.ids().iter().take(2).copied().collect();
+                            arm.fault(Fault::JoinAt { id, contacts });
+                        }
+                    }
+                    arm.run(1);
+                }
+            });
     }
 }
 
@@ -126,7 +105,7 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
         rt.run(rounds);
         (
             content_hash(&rt.save_snapshot()),
-            content_hash(metrics_json(&rt).as_bytes()),
+            content_hash(serde_json::to_string(rt.metrics()).unwrap().as_bytes()),
         )
     }
     let (ids, edges) = {
@@ -265,150 +244,93 @@ fn resealed_single_byte_mutations_restore_or_fail_cleanly() {
 
 /// A converged, legal Avatar(Chord) checkpoint restores legal, stays
 /// silent, and continues identically at every thread count and under both
-/// daemons — the property the E14b memory sweep and the bench fixture cache
+/// daemons — the property the E14b memory sweep and the bench fixture
 /// stand on.
 #[test]
 fn converged_legal_snapshot_restores_legal_and_identical() {
-    let target = ChordTarget::classic(64);
-    let mut cfg = Config::seeded(0xC0FFEE);
-    cfg.record_rounds = false;
-    let mut rt = chord::runtime_from_shape(target, 8, Shape::Random, cfg);
-    let out = rt.run_monitored(chord::legality(), 60_000);
-    assert!(
-        out.rounds_if_satisfied().is_some(),
-        "overlay converges within budget: {out:?}"
-    );
-    let bytes = rt.save_snapshot();
-    rt.run(64);
-    let expect = metrics_json(&rt);
-    let expect_blind = chord_scaffolding::sim::metrics::blank_json_fields(
-        &expect,
-        &["total_activations", "active_nodes"],
-    );
-
-    for threads in [1usize, 2, 4, 8] {
-        for spec in ["sync", "activity"] {
-            let mut r2 = chord::restore_runtime::<ChordTarget>(&bytes, cfg.threads(threads))
-                .expect("converged snapshot restores");
-            assert!(
-                chord::runtime_is_legal(&r2),
-                "restored state is still legal ({spec}, {threads} threads)"
-            );
-            r2.set_scheduler(sched::from_spec(spec, cfg.seed).expect("known spec"));
-            let silent_before = r2.metrics().total_messages;
-            r2.run(64);
-            assert_eq!(
-                r2.metrics().total_messages,
-                silent_before,
-                "a legal overlay stays silent after restore ({spec})"
-            );
-            let got = metrics_json(&r2);
-            if spec == "sync" {
+    let build = |cfg| {
+        let mut rt = chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Random, cfg);
+        let out = rt.run_monitored(chord::legality(), 60_000);
+        assert!(out.rounds_if_satisfied().is_some(), "converges: {out:?}");
+        rt
+    };
+    // The split runs under the first daemon, restoring at each thread count.
+    for daemons in [[SYNC, ACTIVITY], [ACTIVITY, SYNC]] {
+        Case::new("converged", Config::seeded(0xC0FFEE), build)
+            .threads(&[1, 2, 4, 8])
+            .daemons(&daemons)
+            .split(chord::restore_runtime, &[0])
+            .run(|arm| {
+                assert!(
+                    chord::runtime_is_legal(arm.rt()),
+                    "restored state is still legal"
+                );
+                let silent = arm.rt().metrics().total_messages;
+                arm.run(64);
+                let messages = arm.rt().metrics().total_messages;
                 assert_eq!(
-                    expect, got,
-                    "sync continuation diverged at {threads} threads"
+                    messages, silent,
+                    "a legal overlay stays silent after restore"
                 );
-            } else {
-                // Activation counts legitimately differ between daemons;
-                // everything else must not.
-                let got_blind = chord_scaffolding::sim::metrics::blank_json_fields(
-                    &got,
-                    &["total_activations", "active_nodes"],
-                );
-                assert_eq!(
-                    expect_blind, got_blind,
-                    "activity continuation diverged at {threads} threads"
-                );
-            }
-        }
+            });
     }
 }
 
 /// The standalone Avatar(CBT) network goes fully dormant via the quiesce
 /// wave; a snapshot taken while dormant must round-trip that state — the
 /// restored network is still quiescent, stays silent under the activity
-/// daemon, and continues identically.
+/// daemon, and continues identically (and as the synchronous daemon would).
 #[test]
 fn dormant_cbt_snapshot_restores_dormant() {
     let n = 64u32;
-    let mut cfg = Config::seeded(0xCB7);
-    cfg.record_rounds = false;
-    let mut rt = scaffold::runtime_from_shape(n, 8, Shape::Random, cfg);
-    let out = rt.run_monitored(scaffold::legality(), 60_000);
-    assert!(
-        out.rounds_if_satisfied().is_some(),
-        "CBT converges within budget: {out:?}"
-    );
-    // Let the quiesce wave drain until every host reports dormant.
-    let epoch = scaffold::Schedule::new(n).epoch_len();
-    let mut waited = 0u64;
-    while !rt.programs().all(|(_, p)| p.is_quiescent()) {
-        rt.run(epoch);
-        waited += epoch;
-        assert!(waited < 64 * epoch, "network failed to go dormant");
-    }
-    let bytes = rt.save_snapshot();
-    rt.run(128);
-    let expect_blind = chord_scaffolding::sim::metrics::blank_json_fields(
-        &metrics_json(&rt),
-        &["total_activations", "active_nodes"],
-    );
-
-    let mut r2 = scaffold::restore_runtime(&bytes, cfg).expect("dormant snapshot restores");
-    assert!(
-        r2.programs().all(|(_, p)| p.is_quiescent()),
-        "dormancy survives the roundtrip"
-    );
-    r2.set_scheduler(sched::from_spec("activity", cfg.seed).expect("known spec"));
-    let silent_before = r2.metrics().total_messages;
-    r2.run(128);
-    assert_eq!(
-        r2.metrics().total_messages,
-        silent_before,
-        "the dormant network costs nothing under the activity daemon"
-    );
-    let got_blind = chord_scaffolding::sim::metrics::blank_json_fields(
-        &metrics_json(&r2),
-        &["total_activations", "active_nodes"],
-    );
-    assert_eq!(expect_blind, got_blind);
+    let build = |cfg| {
+        let mut rt = scaffold::runtime_from_shape(n, 8, Shape::Random, cfg);
+        let out = rt.run_monitored(scaffold::legality(), 60_000);
+        assert!(out.rounds_if_satisfied().is_some(), "converges: {out:?}");
+        // Let the quiesce wave drain until every host reports dormant.
+        let epoch = scaffold::Schedule::new(n).epoch_len();
+        let mut waited = 0u64;
+        while !rt.programs().all(|(_, p)| p.is_quiescent()) {
+            rt.run(epoch);
+            waited += epoch;
+            assert!(waited < 64 * epoch, "network failed to go dormant");
+        }
+        rt
+    };
+    Case::new("dormant", Config::seeded(0xCB7), build)
+        .daemons(&[ACTIVITY, SYNC])
+        .split(scaffold::restore_runtime, &[0])
+        .run(|arm| {
+            let rt = arm.rt();
+            assert!(
+                rt.programs().all(|(_, p)| p.is_quiescent()),
+                "dormancy survives the roundtrip"
+            );
+            let silent = rt.metrics().total_messages;
+            arm.run(128);
+            assert_eq!(
+                arm.rt().metrics().total_messages,
+                silent,
+                "the dormant network sends nothing"
+            );
+        });
 }
 
 /// A snapshot taken mid-traffic carries the generator state, workload RNG,
 /// in-flight queues, and the saved `WorkloadConfig`. Restoring stashes
-/// them until `attach_workload` re-supplies a same-typed generator; the
-/// resumed run then matches the uninterrupted one byte for byte.
+/// them until `attach_workload` re-supplies a same-typed generator (the
+/// harness checks both states); the resumed run then matches the
+/// uninterrupted one byte for byte, split before the first step and after
+/// the last one included. The snapshot carries only the
+/// generator's *mutable state*: the caller re-supplies the same
+/// constructor parameters (rate, key space), and the saved
+/// `WorkloadConfig` wins over the argument.
 #[test]
 fn midtraffic_snapshot_resumes_after_reattach() {
-    let build = || {
-        let target = ChordTarget::classic(64);
-        let mut cfg = Config::seeded(0x7AFF1C);
-        cfg.record_rounds = false;
-        let mut rt = chord::runtime_from_shape(target, 8, Shape::Random, cfg);
-        rt.attach_workload(OpenLoop::new(2.0, 64), WorkloadConfig::default());
-        rt
-    };
-
-    let mut full = build();
-    full.run(300);
-    let expect = metrics_json(&full);
-
-    let mut head = build();
-    head.run(120);
-    let bytes = head.save_snapshot();
-
-    let cfg = Config::seeded(0x7AFF1C);
-    let mut tail =
-        chord::restore_runtime::<ChordTarget>(&bytes, cfg).expect("mid-traffic snapshot restores");
-    assert!(
-        tail.pending_workload(),
-        "restored runtime stashes the saved traffic until re-attach"
-    );
-    // The snapshot carries only the generator's *mutable state*; the caller
-    // must re-supply the same constructor parameters (rate, key space).
-    // The WorkloadConfig argument is ignored on resume — the saved one wins.
-    tail.attach_workload(OpenLoop::new(2.0, 64), WorkloadConfig::default());
-    assert!(!tail.pending_workload());
-    tail.run(180);
-    assert_eq!(expect, metrics_json(&tail));
+    Case::new("mid-traffic", Config::seeded(0x7AFF1C), |cfg| {
+        chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Random, cfg)
+    })
+    .workload(|rt| rt.attach_workload(OpenLoop::new(2.0, 64), WorkloadConfig::default()))
+    .split(chord::restore_runtime, &[0, 120, 300])
+    .run(|arm| arm.run(300));
 }

@@ -3,49 +3,59 @@
 //! boundary), byte-identical metrics — hop and latency histograms included
 //! — across thread counts, and sync ≡ activity execution equivalence with
 //! traffic attached, all while lookups race real stabilization and churn.
+//! The byte-identity cases run on the equivalence harness (`harness`).
+
+mod harness;
 
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::sim::fault::Fault;
-use chord_scaffolding::sim::sched::ActivityDriven;
-use chord_scaffolding::sim::{init::Shape, Config, OpenLoop, WorkloadConfig};
+use chord_scaffolding::sim::{init::Shape, Config, OpenLoop, RunMetrics, WorkloadConfig};
+use harness::{Case, Daemon, ACTIVITY, LEAVE, SYNC};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Drive a chord network from a random shape with an open-loop lookup
-/// workload attached the whole time, interleaving a churn storm; assert
-/// the conservation law from the per-round rows; fingerprint the metrics.
-fn traffic_run(seed: u64, hosts: usize, storm: usize, threads: usize, activity: bool) -> String {
+/// workload attached the whole time, interleaving a churn storm, under the
+/// given daemons and thread counts; every run checks the conservation law
+/// from its per-round rows. Returns the straight run's metrics JSON.
+fn traffic_run(
+    seed: u64,
+    hosts: usize,
+    storm: usize,
+    daemons: &[Daemon],
+    threads: &[usize],
+) -> String {
     let n = 64u32;
-    // record_rounds: true; with threads > 1 every round runs the chunked
-    // emit on the pool.
-    let cfg = Config::seeded(seed).threads(threads);
-    let mut rt = chord::runtime_from_shape(ChordTarget::classic(n), hosts, Shape::Random, cfg);
-    if activity {
-        rt.set_scheduler(Box::new(ActivityDriven));
-    }
-    rt.attach_workload(OpenLoop::new(0.5, n), WorkloadConfig::default());
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x007A_FF1C);
-    rt.run(150); // traffic racing stabilization from round 0
-    for e in 0..storm {
-        let fault = if e % 2 == 0 {
-            Fault::Leave {
-                id: None,
-                keep_connected: true,
-            }
-        } else {
-            let id = (0..n)
-                .find(|v| !rt.topology().contains(*v))
-                .expect("free guest id");
-            Fault::Join { id, attach: 2 }
-        };
-        chord_scaffolding::sim::fault::inject(&mut rt, &fault, &mut rng);
-        rt.run(120);
-    }
-    rt.run(150);
+    let build = |cfg| chord::runtime_from_shape(ChordTarget::classic(n), hosts, Shape::Random, cfg);
+    Case::new(
+        format!("seed {seed}, storm {storm}"),
+        Config::seeded(seed),
+        build,
+    )
+    .workload(|rt| rt.attach_workload(OpenLoop::new(0.5, n), WorkloadConfig::default()))
+    .daemons(daemons)
+    .threads(threads)
+    .run(|arm| {
+        arm.run(150); // traffic racing stabilization from round 0
+        for e in 0..storm {
+            let rt = arm.rt();
+            let fault = if e % 2 == 0 {
+                LEAVE
+            } else {
+                let id = (0..n).find(|v| !rt.topology().contains(*v));
+                let id = id.expect("free guest id");
+                Fault::Join { id, attach: 2 }
+            };
+            arm.fault(fault);
+            arm.run(120);
+        }
+        arm.run(150);
+        conserved(arm.rt().metrics(), &format!("seed {seed}, storm {storm}"));
+    })
+    .metrics
+}
 
-    // Conservation at every round boundary, reconstructed from the rows.
-    let m = rt.metrics();
+/// Conservation at every round boundary, reconstructed from the rows.
+fn conserved(m: &RunMetrics, run: &str) {
     let (mut issued, mut completed, mut failed) = (0u64, 0u64, 0u64);
     for row in &m.per_round {
         issued += row.requests_issued;
@@ -54,8 +64,7 @@ fn traffic_run(seed: u64, hosts: usize, storm: usize, threads: usize, activity: 
         assert_eq!(
             issued,
             completed + failed + row.requests_in_flight,
-            "conservation broken at round {} (seed {seed}, storm {storm}, \
-             threads {threads}, activity {activity})",
+            "conservation broken at round {} ({run})",
             row.round
         );
     }
@@ -63,35 +72,16 @@ fn traffic_run(seed: u64, hosts: usize, storm: usize, threads: usize, activity: 
     assert_eq!(completed, m.requests.completed);
     assert_eq!(failed, m.requests.failed);
     assert_eq!(m.requests.in_flight, issued - completed - failed);
-    serde_json::to_string(m).expect("metrics serialize")
-}
-
-/// Strip the scheduler-dependent activity columns (activations legitimately
-/// differ between daemons; every request metric must not).
-fn activity_blind(metrics_json: &str) -> String {
-    chord_scaffolding::sim::metrics::blank_json_fields(
-        metrics_json,
-        &["total_activations", "active_nodes"],
-    )
 }
 
 /// Deterministic pin of the headline claims: a churny traffic run is
-/// byte-identical across thread counts {1, 2, 4} (hop and latency
+/// byte-identical across thread counts {1, 2, 4, 8} (hop and latency
 /// histograms included — they are part of the serialized metrics), and the
 /// activity-driven daemon reproduces it exactly modulo activation counts.
 #[test]
 fn churny_traffic_is_thread_invariant_and_scheduler_equivalent() {
-    let base = traffic_run(42, 8, 2, 1, false);
+    let base = traffic_run(42, 8, 2, &[SYNC, ACTIVITY], &[1, 2, 4, 8]);
     assert!(base.contains("\"hop_histogram\""), "histograms serialized");
-    assert_eq!(base, traffic_run(42, 8, 2, 2, false), "2 threads");
-    assert_eq!(base, traffic_run(42, 8, 2, 4, false), "4 threads");
-    assert_eq!(base, traffic_run(42, 8, 2, 8, false), "8 threads");
-    let act = traffic_run(42, 8, 2, 1, true);
-    assert_eq!(
-        activity_blind(&base),
-        activity_blind(&act),
-        "activity ≡ sync with live traffic"
-    );
 }
 
 /// Lookups on the converged overlay route in O(log N) host hops — the
@@ -129,11 +119,11 @@ fn converged_overlay_serves_lookups_with_logarithmic_hops() {
 
 proptest! {
     /// Property form over (seed, churn storm, scheduler, threads): the
-    /// conservation law holds at every round boundary (asserted inside
-    /// `traffic_run`), and the serialized metrics — latency histograms
-    /// included — are byte-identical between sequential and multi-threaded
-    /// execution of the same (seed, scheduler). (The vendored proptest
-    /// harness runs a fixed fan of seeded cases.)
+    /// conservation law holds at every round boundary (the case's check),
+    /// and the serialized metrics — latency histograms included — and the
+    /// final snapshots are byte-identical between sequential and
+    /// multi-threaded execution of the same (seed, scheduler). (The
+    /// vendored proptest harness runs a fixed fan of seeded cases.)
     #[test]
     fn traffic_conservation_and_thread_identity(
         seed in 0u64..100_000,
@@ -142,13 +132,7 @@ proptest! {
         threads in 2usize..9,
         sched in 0u32..2,
     ) {
-        let activity = sched == 1;
-        let sequential = traffic_run(seed, hosts, storm, 1, activity);
-        let parallel = traffic_run(seed, hosts, storm, threads, activity);
-        prop_assert_eq!(
-            sequential, parallel,
-            "threads {} diverged (seed {}, storm {}, activity {})",
-            threads, seed, storm, activity
-        );
+        let daemon = [SYNC, ACTIVITY][sched as usize];
+        traffic_run(seed, hosts, storm, &[daemon], &[1, threads]);
     }
 }
