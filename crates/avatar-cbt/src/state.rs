@@ -388,17 +388,95 @@ persist_struct!(ClusterCore {
     cluster_min,
 });
 
+/// What the first entry of a saved view is coded against: zeros.
+const ZERO_ENTRY: (u64, Beacon) = (
+    0,
+    Beacon {
+        cid: 0,
+        range: (0, 0),
+        cluster_min: 0,
+        role: None,
+        epoch: 0,
+    },
+);
+
+/// The signed difference `b - a` of two `u32`s, zigzag-written.
+fn u32_delta(w: &mut Writer, a: u32, b: u32) {
+    w.i64(i64::from(b) - i64::from(a));
+}
+
+/// `a` plus a [`u32_delta`]; a sum outside `u32` is corruption.
+fn u32_undelta(r: &mut Reader<'_>, a: u32, what: &str) -> Result<u32, SnapshotError> {
+    let d = r.i64()?;
+    i64::from(a)
+        .checked_add(d)
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| SnapshotError::Corrupt(format!("beacon {what} {a} {d:+}")))
+}
+
+/// The view is `seq(len)`, then each entry coded against the one before it
+/// (the first against zeros), then the `u64` horizon `Δ × BEACON_TTL`. Per
+/// entry, in the beacon's field order:
+///
+/// - the sender id as its gap past the previous id plus one, so ids
+///   ascend by construction;
+/// - the receipt round as a zigzag wrapping difference;
+/// - `cid` XORed with the previous entry's (one byte within a cluster);
+/// - `range.0` as zigzag `range.0 − id`, `range.1` as zigzag
+///   `range.1 − range.0` (0 and the span in a legal Avatar);
+/// - `cluster_min` XORed with the previous entry's;
+/// - `role` as is, and `epoch` as a zigzag wrapping difference.
+///
+/// Every in-memory view encodes, and decodes back exactly; a decoded id or
+/// range outside `u32` is [`SnapshotError::Corrupt`].
 impl Persist for NeighborView {
     fn save(&self, w: &mut Writer) {
-        // The compact map iterates in ascending neighbor id — exactly the
-        // canonical encoding the old sorted-HashMap path produced, with no
-        // collect-and-sort step.
-        self.beacons.save(w);
+        let entries = self.beacons.as_slice();
+        w.seq(entries.len());
+        let (mut next, mut prev) = (0u64, ZERO_ENTRY);
+        for &(id, (round, b)) in entries {
+            let (round0, b0) = prev;
+            w.u64(u64::from(id) - next);
+            w.i64(round.wrapping_sub(round0) as i64);
+            w.u64(b.cid ^ b0.cid);
+            u32_delta(w, id, b.range.0);
+            u32_delta(w, b.range.0, b.range.1);
+            w.u32(b.cluster_min ^ b0.cluster_min);
+            b.role.save(w);
+            w.i64(b.epoch.wrapping_sub(b0.epoch) as i64);
+            next = u64::from(id) + 1;
+            prev = (round, b);
+        }
         w.u64(self.ttl());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        // The map load rejects out-of-order or duplicate neighbor ids.
-        let beacons = CompactMap::load(r)?;
+        let n = r.seq()?;
+        let mut entries = Vec::with_capacity(n);
+        let (mut next, mut prev) = (0u64, ZERO_ENTRY);
+        for _ in 0..n {
+            let (round0, b0) = prev;
+            let gap = r.u64()?;
+            let id = next
+                .checked_add(gap)
+                .and_then(|id| NodeId::try_from(id).ok())
+                .ok_or_else(|| SnapshotError::Corrupt(format!("beacon id {next} + {gap}")))?;
+            let round = round0.wrapping_add(r.i64()? as u64);
+            let cid = b0.cid ^ r.u64()?;
+            let lo = u32_undelta(r, id, "range start")?;
+            let hi = u32_undelta(r, lo, "range end")?;
+            let b = Beacon {
+                cid,
+                range: (lo, hi),
+                cluster_min: b0.cluster_min ^ r.u32()?,
+                role: Persist::load(r)?,
+                epoch: b0.epoch.wrapping_add(r.i64()? as u64),
+            };
+            entries.push((id, (round, b)));
+            next = u64::from(id) + 1;
+            prev = (round, b);
+        }
+        let beacons = CompactMap::from_sorted(entries)
+            .ok_or_else(|| SnapshotError::Corrupt("beacon ids not ascending".into()))?;
         let ttl = r.u64()?;
         // Only `Δ × BEACON_TTL` for a `Δ` in `1..=u32::MAX` is ever saved.
         let delta = Some(ttl / BEACON_TTL)
@@ -663,11 +741,21 @@ mod tests {
     #[test]
     fn ttl_saves_as_u64_and_rejects_what_no_view_writes() {
         let max = u64::from(u32::MAX);
+        // The entries as a view under `Δ = 1` writes them, whose horizon
+        // `BEACON_TTL` is the last byte, then `ttl` as a `u64` varint.
         let encode = |view: &NeighborView, ttl: u64| {
+            let mut unit = view.clone();
+            unit.set_delta(1);
+            let mut bytes = save_bytes(&unit);
+            assert_eq!(
+                bytes.pop(),
+                Some(BEACON_TTL as u8),
+                "the horizon ends the view"
+            );
             let mut w = Writer::new();
-            view.beacons.save(&mut w);
             w.u64(ttl);
-            w.into_bytes()
+            bytes.extend(w.into_bytes());
+            bytes
         };
         for delta in [1, 2, 7, max - 1, max] {
             let mut view = NeighborView::default();
@@ -705,6 +793,141 @@ mod tests {
                     Err(SnapshotError::Corrupt(_))
                 ),
                 "ttl {ttl}"
+            );
+        }
+    }
+
+    /// Two views hold the same entries, horizon and order count.
+    fn assert_same(a: &NeighborView, b: &NeighborView, label: &str) {
+        assert_eq!(a.beacons, b.beacons, "{label}: entries");
+        assert_eq!((a.delta, a.disorder), (b.delta, b.disorder), "{label}");
+    }
+
+    /// The view layout, pinned byte for byte on a view that takes every
+    /// path: a first entry against zeros, a settled cluster neighbour (one
+    /// byte a field), then a stranger with another cluster, an inverted
+    /// range, a lower round and epoch, and the leader role. Every prefix
+    /// is `Err`.
+    #[test]
+    fn view_layout_is_pinned() {
+        let mut view = NeighborView::default();
+        view.set_delta(2);
+        let b = |cid, range, cluster_min, role, epoch| Beacon {
+            cid,
+            range,
+            cluster_min,
+            role,
+            epoch,
+        };
+        view.record(3, 40, b(0xC1D, (8, 16), 3, Some(Role::Follower), 300));
+        view.record(5, 40, b(0xC1D, (16, 24), 3, None, 300));
+        view.record(9, 39, b(0xBEEF, (40, 20), 2, Some(Role::Leader), 299));
+        let bytes = save_bytes(&view);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = concat!(
+            "03",                          // three entries
+            "0350_9d18_0a10_03_0101_d804", // id 3, round 40, cid, 8 - 3, 8, min, role, epoch
+            "0100_00_1610_00_00_00",       // id 5: settled, one byte a field
+            "0301_f2e502_3e27_01_0100_01", // id 9: another cid, 40 - 9, -20, min, leader, -1
+            "06",                          // Δ × BEACON_TTL
+        );
+        assert_eq!(hex, pinned.replace('_', ""));
+        let back = load_view(&bytes).unwrap();
+        assert_same(&back, &view, "pinned view");
+        assert_eq!(save_bytes(&back), bytes, "save ∘ load ∘ save");
+        for cut in 0..bytes.len() {
+            assert!(
+                load_view(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix loaded"
+            );
+        }
+    }
+
+    /// A value biased toward the edges of its type.
+    fn edgy(rng: &mut rand::rngs::SmallRng, max: u64) -> u64 {
+        use rand::Rng;
+        match rng.gen_range(0..6) {
+            0 => 0,
+            1 => max,
+            2 => max - 1,
+            3 => rng.gen_range(0..=16),
+            _ => rng.gen_range(0..=max),
+        }
+    }
+
+    proptest::proptest! {
+        /// Every view round-trips exactly and re-encodes to the same
+        /// bytes: inverted and empty ranges, `u32::MAX` ids and range
+        /// ends, `u64::MAX` rounds, epochs and cids, both roles and none,
+        /// and cids that change from entry to entry.
+        #[test]
+        fn view_encoding_is_total(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let m32 = u64::from(u32::MAX);
+            for _ in 0..32 {
+                let mut view = NeighborView::default();
+                view.set_delta(edgy(&mut rng, m32));
+                for _ in 0..rng.gen_range(0..=12) {
+                    let b = Beacon {
+                        cid: edgy(&mut rng, u64::MAX),
+                        range: (edgy(&mut rng, m32) as u32, edgy(&mut rng, m32) as u32),
+                        cluster_min: edgy(&mut rng, m32) as u32,
+                        role: [None, Some(Role::Leader), Some(Role::Follower)][rng.gen_range(0..3usize)],
+                        epoch: edgy(&mut rng, u64::MAX),
+                    };
+                    view.record(edgy(&mut rng, m32) as u32, edgy(&mut rng, u64::MAX), b);
+                }
+                let bytes = save_bytes(&view);
+                let back = load_view(&bytes).unwrap();
+                assert_same(&back, &view, &format!("{view:?}"));
+                proptest::prop_assert_eq!(save_bytes(&back), bytes);
+            }
+        }
+    }
+
+    /// Hand-written payloads whose ids or ranges leave `u32` load as
+    /// `Corrupt`: an id gap past `u32::MAX`, a second id after `u32::MAX`,
+    /// a gap that overflows `u64`, and ranges that start or end below 0 or
+    /// past `u32::MAX`.
+    #[test]
+    fn ids_and_ranges_outside_u32_are_corrupt() {
+        let max = i64::from(u32::MAX);
+        // One entry: id gap, then range deltas; the other fields zero.
+        let entry = |w: &mut Writer, gap: u64, lo: i64, span: i64| {
+            w.u64(gap);
+            w.i64(0);
+            w.u64(0);
+            w.i64(lo);
+            w.i64(span);
+            w.u32(0);
+            w.bool(false);
+            w.i64(0);
+        };
+        let view = |entries: &[(u64, i64, i64)]| {
+            let mut w = Writer::new();
+            w.seq(entries.len());
+            for &(gap, lo, span) in entries {
+                entry(&mut w, gap, lo, span);
+            }
+            w.u64(BEACON_TTL);
+            w.into_bytes()
+        };
+        assert!(load_view(&view(&[(7, -7, max)])).is_ok(), "control");
+        for (label, entries) in [
+            ("gap past u32", vec![(max as u64 + 1, 0, 1)]),
+            ("id after u32::MAX", vec![(max as u64, 0, 0), (0, 0, 0)]),
+            ("gap past u64", vec![(0, 0, 1), (u64::MAX, 0, 1)]),
+            ("start below 0", vec![(7, -8, 1)]),
+            ("start past u32", vec![(7, max - 6, 0)]),
+            ("start at i64::MAX", vec![(7, i64::MAX, 0)]),
+            ("end below 0", vec![(7, -7, -1)]),
+            ("end past u32", vec![(7, 0, max - 6)]),
+            ("end at i64::MIN", vec![(7, 0, i64::MIN)]),
+        ] {
+            assert!(
+                matches!(load_view(&view(&entries)), Err(SnapshotError::Corrupt(_))),
+                "{label}"
             );
         }
     }

@@ -1309,7 +1309,7 @@ mod tests {
             "ScaffoldCore",
             &sample_core(),
             concat!(
-                "4006114001effd020040110103289d180810030101ac0203",
+                "4006114001effd020040110103509d180a10030101d80403",
                 "2901000102111e021100011e01000100011e01000137f001320101",
                 "edfd03808080808080800202020111022801001e02051e0110180100",
                 "010202000100000000000000010101040103021e2901030001032801",

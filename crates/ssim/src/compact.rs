@@ -144,6 +144,14 @@ impl<K: Ord, V> CompactMap<K, V> {
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(K, V)>()
     }
+
+    /// The map over `entries` as they are, allocation and capacity
+    /// included, or `None` unless their keys strictly ascend (a decoder
+    /// builds its map this way).
+    pub fn from_sorted(entries: Vec<(K, V)>) -> Option<Self> {
+        let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+        ascending.then_some(Self { entries })
+    }
 }
 
 impl<K: Ord, V> std::ops::Index<&K> for CompactMap<K, V> {
@@ -173,13 +181,8 @@ impl<K: Ord + Persist, V: Persist> Persist for CompactMap<K, V> {
     }
     #[inline]
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let entries = Vec::<(K, V)>::load(r)?;
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(SnapshotError::Corrupt(
-                "compact map keys not strictly ascending".into(),
-            ));
-        }
-        Ok(Self { entries })
+        Self::from_sorted(Vec::<(K, V)>::load(r)?)
+            .ok_or_else(|| SnapshotError::Corrupt("compact map keys not strictly ascending".into()))
     }
 }
 

@@ -188,22 +188,31 @@ persist_struct!(RunMetrics {
 /// implementation instead of drifting copies.
 pub fn blank_json_fields(json: &str, keys: &[&str]) -> String {
     let needles: Vec<String> = keys.iter().map(|k| format!("\"{k}\":")).collect();
+    // Each key's next occurrence at or after `at`: a key is searched for
+    // again only once the cursor has passed its last hit, and dropped once
+    // `find` misses, so each key scans the string once in all.
+    let mut next: Vec<(usize, &str)> = needles
+        .iter()
+        .filter_map(|k| Some((json.find(k.as_str())?, k.as_str())))
+        .collect();
     let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    loop {
-        let hit = needles
-            .iter()
-            .filter_map(|k| rest.find(k.as_str()).map(|p| (p, k.len())))
-            .min();
-        let Some((pos, key_len)) = hit else {
-            out.push_str(rest);
-            return out;
-        };
-        let val_start = pos + key_len;
-        out.push_str(&rest[..val_start]);
+    let mut at = 0;
+    while let Some(&(pos, key)) = next.iter().min() {
+        let val = pos + key.len();
+        out.push_str(&json[at..val]);
         out.push('_');
-        rest = rest[val_start..].trim_start_matches(|c: char| c.is_ascii_digit());
+        at = json[val..]
+            .find(|c: char| !c.is_ascii_digit())
+            .map_or(json.len(), |d| val + d);
+        next.retain_mut(|(p, k)| {
+            if *p >= at {
+                return true;
+            }
+            json[at..].find(*k).map(|d| *p = at + d).is_some()
+        });
     }
+    out.push_str(&json[at..]);
+    out
 }
 
 #[cfg(test)]
@@ -242,6 +251,21 @@ mod tests {
             r#"{"total_activations":_,"messages":45,"active_nodes":_}"#
         );
         assert_eq!(blank_json_fields(json, &[]), json);
+    }
+
+    /// A key that recurs is blanked at every occurrence, a key listed
+    /// twice once per occurrence, and a key that never occurs is ignored.
+    #[test]
+    fn blank_json_fields_handles_repeated_and_absent_keys() {
+        let json = r#"[{"a":1,"b":22},{"a":333,"b":4},{"a":5}]"#;
+        let want = r#"[{"a":_,"b":22},{"a":_,"b":4},{"a":_}]"#;
+        assert_eq!(blank_json_fields(json, &["a"]), want);
+        assert_eq!(blank_json_fields(json, &["a", "a", "zz"]), want);
+        assert_eq!(blank_json_fields(json, &["zz"]), json);
+        assert_eq!(
+            blank_json_fields(json, &["b", "a"]),
+            r#"[{"a":_,"b":_},{"a":_,"b":_},{"a":_}]"#
+        );
     }
 
     #[test]

@@ -1365,8 +1365,8 @@ mod tests {
     const BUSY_CUT: [NodeId; 5] = [2, 3, 101, 105, 109];
     const BUSY_LOSS: f64 = 0.0625;
     /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured when
-    /// format version 4 dropped two network-model fields.
-    const GOLDEN_HASH: u64 = 16_443_388_224_579_064_000;
+    /// format version 5 sealed containers with XXH64.
+    const GOLDEN_HASH: u64 = 4_644_790_121_604_406_340;
     const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
         ttl: 99,
         max_hops: 77,

@@ -24,7 +24,7 @@
 //! version  u32 LE    FORMAT_VERSION
 //! length   u64 LE    payload byte count
 //! payload  ..        version-specific body (see Runtime::save_snapshot)
-//! hash     u64 LE    FNV-1a 64 over the payload bytes
+//! hash     u64 LE    XXH64 (seed 0) over the payload bytes: seal_hash
 //! ```
 //!
 //! The container header stays fixed-width little-endian, but payload
@@ -54,9 +54,12 @@
 //! compile to straight-line code without link-time optimization: a varint
 //! below 128 is one byte written or read, and a longer one is built, or
 //! (up to eight bytes) decoded from one little-endian word, without a
-//! branch on its length. The FNV-1a passes are the floor: each byte's step
-//! waits on the previous one's multiply, and a different hash would change
-//! the sealed bytes.
+//! branch on its length. The hash pass is XXH64 ([`seal_hash`]): four
+//! independent lanes take 32 bytes a step, ~0.17 ns a byte, where the
+//! FNV-1a pass it replaced in format 5 waited on one multiply per byte
+//! (~1.4 ns). On a stabilized 32k-host Avatar(Chord) (2-vCPU x86-64 VM)
+//! the hash is ~4 ms of a ~90 ms save; encoding and decoding are the
+//! rest, the beacon views about half of each.
 //!
 //! # The `Persist` contract
 //!
@@ -93,8 +96,10 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// older versions are rejected (no migration machinery — snapshots are
 /// caches, not archives). Version 3 switched payload integers to LEB128
 /// varints (the state-compaction pass); version 4 dropped two network-model
-/// fields and the wire's pacing section.
-pub const FORMAT_VERSION: u32 = 4;
+/// fields and the wire's pacing section; version 5 sealed with XXH64
+/// instead of FNV-1a and coded each beacon-view entry against the one
+/// before it.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
 /// variant is loud and specific: a snapshot either restores exactly or
@@ -153,9 +158,11 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64 over a byte slice — the snapshot content hash. Hand-rolled (no
-/// external hash crates in the offline workspace); collision resistance is
-/// not a goal, corruption *detection* is.
+/// FNV-1a 64 over a byte slice. Hand-rolled (no external hash crates in the
+/// offline workspace); collision resistance is not a goal. Simulated
+/// numbers are derived from it (scenario seeds, the adversary mix, metric
+/// digests), so its bytes never change; the container seal uses the faster
+/// [`seal_hash`].
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -163,6 +170,92 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: fold the next 8-byte word into an accumulator.
+#[inline(always)]
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// Fold a finished lane into the combined hash.
+#[inline(always)]
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+#[inline(always)]
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8"))
+}
+
+/// XXH64 with seed 0 over a byte slice — the container's seal hash
+/// ([`Writer::seal`], [`unseal`]). Four independent lanes take a 32-byte
+/// stripe per step, so the pass runs at memory speed instead of waiting on
+/// one multiply per byte as [`content_hash`] does; the tail is folded in
+/// 8-, 4- and 1-byte steps and the result avalanched, exactly as the
+/// XXH64 specification reads (little-endian words). Like FNV-1a it detects
+/// corruption and is not a MAC.
+pub fn seal_hash(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for s in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(s.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh_merge)
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ xxh_round(0, le64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4"));
+        h = (h ^ u64::from(word).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// Bytes of the container before the payload: magic, version, length.
@@ -222,11 +315,11 @@ impl Writer {
 
     /// Consume the writer, yielding the sealed container (see the module
     /// docs for the layout): the payload length goes into the reserved
-    /// header and the FNV-1a hash of the payload after it.
+    /// header and the [`seal_hash`] of the payload after it.
     pub fn seal(mut self) -> Vec<u8> {
         let len = self.len() as u64;
         self.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-        let hash = content_hash(&self.buf[HEADER_LEN..]);
+        let hash = seal_hash(&self.buf[HEADER_LEN..]);
         self.buf.extend_from_slice(&hash.to_le_bytes());
         self.buf
     }
@@ -763,7 +856,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     }
     let payload = &body[..len];
     let expected = u64::from_le_bytes(body[len..].try_into().expect("8"));
-    let actual = content_hash(payload);
+    let actual = seal_hash(payload);
     if actual != expected {
         return Err(SnapshotError::HashMismatch { expected, actual });
     }
@@ -1062,6 +1155,39 @@ mod tests {
         // existing snapshot while still "verifying".
         assert_eq!(content_hash(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(content_hash(b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    /// The seal hash is XXH64 as published: the reference vectors, and
+    /// every path through it (no stripe, one, several; the 8-, 4- and
+    /// 1-byte tails) on the bytes `(31·i + 7) mod 256`.
+    #[test]
+    fn seal_hash_matches_the_xxh64_vectors() {
+        assert_eq!(seal_hash(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(seal_hash(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(seal_hash(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            seal_hash(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+        let bytes: Vec<u8> = (0..200u32).map(|i| (31 * i + 7) as u8).collect();
+        for (len, want) in [
+            (0, 0xef46db3751d8e999),
+            (1, 0xa96c7f0ce858bbb7),
+            (3, 0x56e6957632a487f9),
+            (4, 0xc60d15b1e3ff8f04),
+            (7, 0xafbefc3d6c6f9a8e),
+            (8, 0x3da5c7aa269683e0),
+            (15, 0xae2a37eb9357caa7),
+            (31, 0x4a74f3a1a39ad4a1),
+            (32, 0x8d57d6a4671cc43d),
+            (33, 0x62c9fd21ed857664),
+            (63, 0x5c320a0d2707057f),
+            (64, 0x7bbabbc45729d17e),
+            (100, 0xefa0ad2d3e70c151),
+            (200, 0x95d9a0c977b4b6fb),
+        ] {
+            assert_eq!(seal_hash(&bytes[..len]), want, "length {len}");
+        }
     }
 
     #[test]

@@ -263,11 +263,8 @@ fn compare<T: PartialEq + Debug>(label: &str, base: &Run<T>, arm: &Run<T>, blind
     assert_eq!(base.out, arm.out, "{label}: fingerprints differ");
     let same = |what: &str, same: bool| assert!(same, "{label}: {what} differ");
     if blind {
-        // One key a pass: given both, a pass rescans the rest of the string
-        // for `total_activations`, which occurs once, at every row.
         let blank = |json: &str| {
-            let json = ssim::metrics::blank_json_fields(json, &["total_activations"]);
-            ssim::metrics::blank_json_fields(&json, &["active_nodes"])
+            ssim::metrics::blank_json_fields(json, &["total_activations", "active_nodes"])
         };
         same(
             "activity-blind metrics",

@@ -93,8 +93,8 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
     // and metrics JSON hash after a fixed number of mid-stabilization rounds,
     // captured at the commit before the protocol cores moved onto `Ctx` —
     // message contents, send order and RNG draw order all feed these. The
-    // snapshot halves were recaptured for format version 4 (two network-
-    // model fields and the wire's pacing section dropped); the metrics
+    // snapshot halves were recaptured for format version 5 (the XXH64 seal
+    // and the beacon view coded against its previous entry); the metrics
     // halves are the originals.
     fn golden<P>(mut rt: chord_scaffolding::sim::Runtime<P>, rounds: u64) -> (u64, u64)
     where
@@ -118,7 +118,7 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
             scaffold::runtime_from_shape(64, 12, Shape::Random, cfg),
             700
         ),
-        (1584538274990867887, 12836523662176495526),
+        (16211644203135827294, 12836523662176495526),
         "standalone Avatar(CBT), 34 merges in"
     );
     assert_eq!(
@@ -126,12 +126,12 @@ fn protocol_snapshot_save_load_save_is_byte_identity() {
             chord::runtime_from_shape(target, 12, Shape::Random, cfg),
             800
         ),
-        (4244002684402108729, 9059824783328707857),
+        (5982515835084826568, 9059824783328707857),
         "Avatar(Chord) on the ideal network, finger waves 3-4 in flight"
     );
     assert_eq!(
         golden(chord::runtime_with_net(target, &ids, edges, cfg, wan), 1100),
-        (16364461331469213147, 10757396847489437221),
+        (8290494866003873347, 10757396847489437221),
         "Avatar(Chord) under the wan preset, 21 merges in"
     );
 }
@@ -183,6 +183,32 @@ fn corrupted_snapshots_are_rejected() {
         matches!(err, SnapshotError::BadMagic),
         "wrong magic: {err:?}"
     );
+}
+
+/// Every single-bit flip of a sealed snapshot, header and hash included,
+/// is refused by the container checks before a payload byte is decoded.
+#[test]
+fn every_single_bit_flip_is_rejected() {
+    let mut cfg = Config::seeded(7);
+    cfg.record_rounds = false;
+    let mut rt = chord::runtime_from_shape(ChordTarget::classic(64), 6, Shape::Random, cfg);
+    rt.run(40);
+    let good = rt.save_snapshot();
+    for bit in 0..8 * good.len() {
+        let mut bad = good.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        match chord::restore_runtime::<ChordTarget>(&bad, cfg) {
+            Err(
+                SnapshotError::BadMagic
+                | SnapshotError::Version { .. }
+                | SnapshotError::Truncated
+                | SnapshotError::TrailingBytes
+                | SnapshotError::HashMismatch { .. },
+            ) => {}
+            Err(e) => panic!("bit {bit}: refused past the container checks: {e}"),
+            Ok(_) => panic!("bit {bit}: a flipped snapshot restored"),
+        }
+    }
 }
 
 /// Single-byte mutations of a re-sealed payload (the content hash is not a
