@@ -7,14 +7,14 @@ use crate::note;
 use baselines::{chord_over_ids_target, linear_done, tcf_done, LinearProgram, TcfProgram};
 use chord_scaffold::{ChordTarget, Phase, ScaffoldProgram};
 use overlay::routing::hop_statistics;
-use overlay::{Cbt, Chord, Graph};
+use overlay::{Cbt, Chord};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use scaffold_bench::{
     budget, f2, legal_cbt_runtime, legal_chord_runtime, log2_sq, mean_std, measure_cbt,
-    measure_chord, measure_churn, seeded, ExpArgs, Outcome, Table,
+    measure_chord, measure_churn, seeded, survival_probability, ExpArgs, Outcome, Table,
 };
-use ssim::{init::Shape, Config, NodeId, OpenLoop, Runtime, WorkloadConfig};
+use ssim::{init::Shape, Config, NodeId, OpenLoop, Runtime, Topology, WorkloadConfig};
 
 /// Guest-space sizes of the `N` sweeps; every sweep runs `N/8` hosts.
 const NS: [u32; 6] = [64, 128, 256, 512, 1024, 2048];
@@ -401,15 +401,15 @@ pub fn robustness(args: &ExpArgs) {
     let mut rng = SmallRng::seed_from_u64(8);
     let mut t = Table::new(&["N", "failures", "P(survive) CBT", "P(survive) Chord"]);
     for n in [64u32, 256, 1024] {
-        let cbt = Graph::new(0..n, Cbt::new(n).edges());
-        let chord = Graph::new(0..n, Chord::classic(n).edges());
+        let cbt = Topology::new(0..n, Cbt::new(n).edges());
+        let chord = Topology::new(0..n, Chord::classic(n).edges());
         for frac in [1usize, 2, 5, 10, 25] {
             let f = (n as usize * frac) / 100;
             if f == 0 {
                 continue;
             }
-            let pc = cbt.survival_probability(f, trials, &mut rng);
-            let ph = chord.survival_probability(f, trials, &mut rng);
+            let pc = survival_probability(&cbt, f, trials, &mut rng);
+            let ph = survival_probability(&chord, f, trials, &mut rng);
             t.row(vec![
                 n.to_string(),
                 format!("{f} ({frac}%)"),

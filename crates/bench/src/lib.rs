@@ -14,6 +14,8 @@ pub mod check;
 
 use avatar_cbt::CbtCore;
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
+use rand::seq::SliceRandom;
+use rand::Rng;
 use serde::Serialize;
 use ssim::scenario::{Scenario, ScenarioReport};
 use ssim::{fault::Fault, init::Shape, Config, Ctx, NetModel, NodeId, Program, Runtime};
@@ -294,6 +296,31 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
         0.0
     };
     (mean, var.sqrt())
+}
+
+/// The probability that `t` stays connected after `f` random nodes fail,
+/// estimated over `trials` samples — E8's robustness measure (the paper's
+/// reason to prefer Chord: "the failure of a few nodes is insufficient to
+/// disconnect the network"). Each trial shuffles a copy of `t.ids()` and
+/// removes its first `f` entries.
+pub fn survival_probability(
+    t: &ssim::Topology,
+    f: usize,
+    trials: usize,
+    rng: &mut impl Rng,
+) -> f64 {
+    if f >= t.node_count() {
+        return 0.0;
+    }
+    let mut pool = t.ids().to_vec();
+    let survived = (0..trials)
+        .filter(|_| {
+            pool.copy_from_slice(t.ids());
+            pool.shuffle(rng);
+            t.connected_without(&pool[..f])
+        })
+        .count();
+    survived as f64 / trials as f64
 }
 
 /// Minimal all-neighbor gossip: pure engine load (sends, inbox traffic,
@@ -746,5 +773,28 @@ mod tests {
             chord_scaffold::runtime_is_legal(&rt),
             "traffic must not perturb the legal overlay"
         );
+    }
+
+    /// E8's cells, pinned: the CBT and Chord(64) survival probabilities at
+    /// f ∈ {1, 3, 6}, 50 trials, one RNG seeded 8 and drawn as E8 draws it
+    /// (CBT, then Chord, per f). The values were captured from the previous
+    /// graph type's estimator, so a change in the masked search or in the
+    /// shuffle shows here. No failure leaves every node alive and connected.
+    #[test]
+    fn survival_probability_is_pinned() {
+        use overlay::{Cbt, Chord};
+        use rand::SeedableRng;
+        let cbt = ssim::Topology::new(0..64, Cbt::new(64).edges());
+        let chord = ssim::Topology::new(0..64, Chord::classic(64).edges());
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
+        let got: Vec<[f64; 2]> = [1, 3, 6]
+            .map(|f| [&cbt, &chord].map(|t| survival_probability(t, f, 50, &mut rng)))
+            .to_vec();
+        assert_eq!(got, [[0.58, 1.0], [0.1, 1.0], [0.04, 1.0]]);
+        for seed in 0..20 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            assert_eq!(survival_probability(&cbt, 0, 10, &mut rng), 1.0);
+            assert_eq!(survival_probability(&chord, 0, 10, &mut rng), 1.0);
+        }
     }
 }

@@ -95,11 +95,6 @@ impl Avatar {
         &self.hosts
     }
 
-    /// Number of hosts `n`.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// The host responsible for guest `g`: the largest host id `≤ g`, or the
     /// minimum host if `g` precedes all hosts.
     ///
@@ -183,31 +178,12 @@ impl Avatar {
         out.dedup();
         out
     }
-
-    /// The required host-level neighbors of host `u` for a guest graph given
-    /// by a neighborhood oracle, i.e. the hosts of all guest neighbors of
-    /// guests of `u` that live elsewhere.
-    pub fn required_neighbors<F>(&self, u: Id, guest_neighbors: F) -> Vec<Id>
-    where
-        F: Fn(Id) -> Vec<Id>,
-    {
-        let mut out: Vec<Id> = self
-            .guests_of(u)
-            .flat_map(|g| guest_neighbors(g).into_iter())
-            .map(|h| self.host_of(h))
-            .filter(|&v| v != u)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cbt::Cbt;
-    use crate::chord::Chord;
 
     fn demo() -> Avatar {
         Avatar::new(16, [3u32, 7, 10, 14])
@@ -286,30 +262,6 @@ mod tests {
         // Dilation-1: each projected edge joins two distinct hosts.
         for &(x, y) in &es {
             assert!(x < y);
-        }
-    }
-
-    #[test]
-    fn required_neighbors_match_projection() {
-        let a = Avatar::new(32, [2u32, 8, 15, 21, 30]);
-        let c = Chord::classic(32);
-        let es = a.project_edges(c.edges());
-        for &u in a.hosts() {
-            let mut from_edges: Vec<Id> = es
-                .iter()
-                .filter_map(|&(x, y)| {
-                    if x == u {
-                        Some(y)
-                    } else if y == u {
-                        Some(x)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            from_edges.sort_unstable();
-            let req = a.required_neighbors(u, |g| c.neighborhood(g));
-            assert_eq!(req, from_edges, "host {u}");
         }
     }
 }

@@ -141,27 +141,6 @@ impl Cbt {
         self.locate(g).level
     }
 
-    /// True iff `g` is a leaf.
-    pub fn is_leaf(&self, g: Id) -> bool {
-        let (l, r) = self.children(g);
-        l.is_none() && r.is_none()
-    }
-
-    /// All guests at a given level, left to right. `O(2^level · log N)`.
-    pub fn level_nodes(&self, level: u32) -> Vec<Id> {
-        let mut frontier = vec![self.root()];
-        for _ in 0..level {
-            let mut next = Vec::with_capacity(frontier.len() * 2);
-            for g in frontier {
-                let (l, r) = self.children(g);
-                next.extend(l);
-                next.extend(r);
-            }
-            frontier = next;
-        }
-        frontier
-    }
-
     /// All guests at `level` whose keys lie in `[lo, hi)`, in increasing key
     /// order. Pruned descent: `O(output + log N)`.
     pub fn level_nodes_in(&self, level: u32, lo: Id, hi: Id) -> Vec<Id> {
@@ -197,14 +176,6 @@ impl Cbt {
         out.extend(r);
         out.sort_unstable();
         out
-    }
-
-    /// True iff `(a, b)` is a tree edge.
-    pub fn is_edge(&self, a: Id, b: Id) -> bool {
-        if a == b || a >= self.n || b >= self.n {
-            return false;
-        }
-        self.parent(a) == Some(b) || self.parent(b) == Some(a)
     }
 
     /// The complete undirected edge set, each edge once with `(a, b)`, `a < b`.
@@ -411,7 +382,7 @@ mod tests {
             let h = t.height();
             let mut count = 0;
             for lvl in 0..=h {
-                let nodes = t.level_nodes(lvl);
+                let nodes = t.level_nodes_in(lvl, 0, n);
                 if lvl < h {
                     assert_eq!(nodes.len() as u32, 1 << lvl, "n={n} level {lvl} full");
                 }
@@ -460,12 +431,8 @@ mod tests {
         for n in [8u32, 21, 64] {
             let t = Cbt::new(n);
             for level in 0..=t.height() {
-                let all = t.level_nodes(level);
                 for (lo, hi) in [(0, n), (1, n / 2), (n / 3, 2 * n / 3)] {
-                    let expect: Vec<Id> =
-                        all.iter().copied().filter(|&g| lo <= g && g < hi).collect();
-                    let mut expect = expect;
-                    expect.sort_unstable();
+                    let expect: Vec<Id> = (lo..hi).filter(|&g| t.level(g) == level).collect();
                     assert_eq!(t.level_nodes_in(level, lo, hi), expect, "n={n} l={level}");
                 }
             }

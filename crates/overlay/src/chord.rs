@@ -81,11 +81,6 @@ impl Chord {
         (j + self.n - ((1u32 << k) % self.n)) % self.n
     }
 
-    /// All fingers of node `i`, in increasing `k`.
-    pub fn fingers_of(&self, i: Id) -> Vec<Id> {
-        (0..self.fingers).map(|k| self.finger(i, k)).collect()
-    }
-
     /// The ideal *undirected* neighborhood of guest `i` in `Chord(N)`:
     /// out-fingers `i + 2^k` plus in-fingers `i − 2^k` (mod `N`), deduplicated
     /// and sorted.
@@ -116,14 +111,6 @@ impl Chord {
         es.sort_unstable();
         es.dedup();
         es
-    }
-
-    /// True iff `(a, b)` is an edge of `Chord(N)` (either direction).
-    pub fn is_edge(&self, a: Id, b: Id) -> bool {
-        if a == b || a >= self.n || b >= self.n {
-            return false;
-        }
-        (0..self.fingers).any(|k| self.finger(a, k) == b || self.finger(b, k) == a)
     }
 
     /// Degree of guest `i` in the undirected `Chord(N)` graph.
@@ -199,18 +186,6 @@ mod tests {
         // With k < log N − 1 no finger is its own inverse, so |E| = N·(log N − 1).
         let c = Chord::paper(16);
         assert_eq!(c.edges().len(), 16 * 3);
-    }
-
-    #[test]
-    fn is_edge_agrees_with_edges() {
-        let c = Chord::classic(16);
-        let set: std::collections::HashSet<_> = c.edges().into_iter().collect();
-        for a in 0..16 {
-            for b in 0..16 {
-                let expect = set.contains(&(a.min(b), a.max(b))) && a != b;
-                assert_eq!(c.is_edge(a, b), expect, "edge ({a},{b})");
-            }
-        }
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`avatar`] — the Avatar framework: dilation-1 embedding of an `N`-node
 //!   guest network onto `n ≤ N` host nodes via *responsible ranges*, plus the
 //!   local-checkability predicates the paper's phase selection relies on.
-//! * [`graphx`] — graph analytics shared by the experiment harness: degrees,
-//!   BFS diameter, connectivity, and failure-robustness sampling.
 //! * [`routing`] — greedy finger routing on `Chord(N)` (used by experiment E9
 //!   to demonstrate the O(log N) lookup quality of the stabilized network).
 //!
@@ -25,13 +23,11 @@
 pub mod avatar;
 pub mod cbt;
 pub mod chord;
-pub mod graphx;
 pub mod routing;
 
 pub use avatar::{Avatar, ResponsibleRange};
 pub use cbt::Cbt;
 pub use chord::Chord;
-pub use graphx::Graph;
 
 /// Identifier of a node (host or guest). Guest identifiers live in `[0, N)`;
 /// host identifiers are an arbitrary subset of `[0, N)`.

@@ -189,9 +189,7 @@ fn depart<P: Program>(
 
 /// Would the network remain connected if `v` departed?
 fn survivors_connected<P: Program>(rt: &Runtime<P>, v: NodeId) -> bool {
-    let mut t = rt.topology().clone();
-    t.remove_node(v);
-    t.is_connected()
+    rt.topology().connected_without(&[v])
 }
 
 fn add_random_edges<P: Program>(

@@ -641,11 +641,27 @@ impl Topology {
 
     /// True iff the graph is weakly connected (trivially true for ≤ 1 node).
     pub fn is_connected(&self) -> bool {
-        let Some(&start) = self.dense.first() else {
+        self.connected_without(&[])
+    }
+
+    /// True iff the nodes left after removing `gone` (and their edges) form
+    /// a connected graph — trivially true when at most one is left. Ids in
+    /// `gone` that are not nodes are ignored, and repeats count once. One
+    /// BFS with `gone` pre-marked as visited; the topology is not copied.
+    pub fn connected_without(&self, gone: &[NodeId]) -> bool {
+        let mut seen = vec![false; self.slots.len()];
+        let mut left = self.dense.len();
+        for s in gone.iter().filter_map(|v| self.index.get(v)) {
+            left -= !std::mem::replace(&mut seen[s.index()], true) as usize;
+        }
+        let Some(s0) = self
+            .dense_slot
+            .iter()
+            .map(|&s| s as usize)
+            .find(|&s| !seen[s])
+        else {
             return true;
         };
-        let mut seen = vec![false; self.slots.len()];
-        let s0 = self.index[&start].index();
         let mut queue = std::collections::VecDeque::from([s0]);
         seen[s0] = true;
         let mut count = 1usize;
@@ -659,7 +675,7 @@ impl Topology {
                 }
             }
         }
-        count == self.dense.len()
+        count == left
     }
 
     /// Verify the internal invariants — adjacency symmetry and sortedness,
@@ -921,6 +937,83 @@ mod tests {
         assert!(t.is_connected());
         let t = Topology::new(0..4u32, [(0, 1), (2, 3)]);
         assert!(!t.is_connected());
+    }
+
+    /// `connected_without` against the reference it replaced in the fault
+    /// guard: clone, remove each of `gone`, ask `is_connected`. Every shape
+    /// (line, star, lollipop and two-cliques have cut vertices and bridges)
+    /// and random connected graphs, over sparse ids and recycled slots;
+    /// `gone` is empty, each single node, each pair, all nodes but one, and
+    /// random picks with non-members and repeats.
+    #[test]
+    fn connected_without_matches_clone_and_remove() {
+        use crate::init::{random_connected, random_ids, Shape};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let reference = |t: &Topology, gone: &[NodeId]| {
+            let mut c = t.clone();
+            gone.iter().for_each(|&v| _ = c.remove_node(v));
+            c.is_connected()
+        };
+        let mut rng = SmallRng::seed_from_u64(34);
+        let mut checked = [0usize; 2];
+        for n in 2..=12usize {
+            for shape in Shape::ALL {
+                let ids = random_ids(n, 1 << 12, &mut rng);
+                let mut t = Topology::new(ids.iter().copied(), shape.edges(&ids, &mut rng));
+                if n > 2 && rng.gen_bool(0.5) {
+                    // Free a slot and refill it, so slot order ≠ member order.
+                    let v = ids[rng.gen_range(0..n)];
+                    let nbrs = t.neighbors(v).to_vec();
+                    t.remove_node(v);
+                    t.add_node(v);
+                    nbrs.iter().for_each(|&b| _ = t.add_edge(v, b));
+                }
+                let mut gones: Vec<Vec<NodeId>> = vec![vec![], ids[1..].to_vec()];
+                gones.extend(ids.iter().map(|&v| vec![v]));
+                gones.extend(
+                    ids.iter()
+                        .flat_map(|&a| ids.iter().map(move |&b| vec![a, b])),
+                );
+                for _ in 0..8 {
+                    let k = rng.gen_range(0..=n + 2);
+                    let pick = |r: &mut SmallRng| match r.gen_range(0..4) {
+                        0 => r.gen_range(1 << 12..1 << 13), // not a node
+                        _ => ids[r.gen_range(0..n)],
+                    };
+                    gones.push((0..k).map(|_| pick(&mut rng)).collect());
+                }
+                for gone in &gones {
+                    let want = reference(&t, gone);
+                    assert_eq!(
+                        t.connected_without(gone),
+                        want,
+                        "{shape:?} n={n} gone={gone:?}"
+                    );
+                    checked[want as usize] += 1;
+                }
+            }
+        }
+        for extra in [0, 3, 12] {
+            for seed in 0..20u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let ids = random_ids(16, 1 << 10, &mut rng);
+                let t = Topology::new(ids.iter().copied(), random_connected(&ids, extra, &mut rng));
+                for gone in ids.iter().map(|&v| vec![v]).chain([ids[..8].to_vec()]) {
+                    let want = reference(&t, &gone);
+                    assert_eq!(
+                        t.connected_without(&gone),
+                        want,
+                        "extra={extra} seed={seed}"
+                    );
+                    checked[want as usize] += 1;
+                }
+            }
+        }
+        assert!(
+            checked.iter().all(|&k| k > 100),
+            "both answers exercised: {checked:?}"
+        );
     }
 
     #[test]

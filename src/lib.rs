@@ -14,7 +14,7 @@
 //!   hop-by-hop over the evolving host links by the protocols' own
 //!   [`sim::workload::Router`] implementations, with per-request
 //!   accounting.
-//! * [`topology`] — `Chord(N)`, `Cbt(N)`, the Avatar embedding, analytics.
+//! * [`topology`] — `Chord(N)`, `Cbt(N)`, the Avatar embedding, routing.
 //! * [`scaffold`] — the self-stabilizing `Avatar(Cbt)` substrate (§3).
 //! * [`chord`] — the paper's contribution: self-stabilizing `Avatar(Chord)`
 //!   via PIF finger waves and phase selection (§4–§5), plus the generalized

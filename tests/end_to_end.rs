@@ -4,8 +4,8 @@
 
 use chord_scaffolding::chord::{self, ChordTarget, Phase};
 use chord_scaffolding::sim::{init::Shape, Config, Runtime};
-use chord_scaffolding::topology::{Avatar, Cbt, Chord, Graph};
-use scaffold_bench::budget;
+use chord_scaffolding::topology::{Avatar, Cbt, Chord};
+use scaffold_bench::{budget, survival_probability};
 
 /// Drive to Avatar(Chord) legality with the run-to-goal driver.
 fn stabilize(
@@ -60,11 +60,10 @@ fn stabilized_overlay_is_failure_robust() {
     let mut rt = chord::runtime_from_shape(target, hosts, Shape::Random, Config::seeded(600));
     stabilize(&mut rt, budget(n, hosts)).expect("stabilization");
 
-    let g = Graph::new(rt.ids().iter().copied(), rt.topology().edges());
     let mut rng = SmallRng::seed_from_u64(601);
     // Removing 2 random hosts almost never disconnects the Chord overlay;
     // the pure scaffold tree would disconnect on any internal host.
-    let p = g.survival_probability(2, 50, &mut rng);
+    let p = survival_probability(rt.topology(), 2, 50, &mut rng);
     assert!(p > 0.85, "survival probability {p} too low");
 }
 
