@@ -106,8 +106,8 @@ pub use sched::{ActivityDriven, Adversarial, RandomSubset, SchedView, Scheduler,
 pub use snapshot::{Persist, SnapshotError};
 pub use topology::{NodeSlot, Topology};
 pub use workload::{
-    ClosedLoop, Key, OpenLoop, RequestOutcome, RequestRecord, RequestStats, RouteStep, Router,
-    Silent, Workload, WorkloadConfig, WorkloadView,
+    Key, OpenLoop, RequestOutcome, RequestRecord, RequestStats, RouteStep, Router, Silent,
+    Workload, WorkloadConfig,
 };
 
 /// Identifier of a (host) node. Drawn from `[0, N)` for guest capacity `N`.

@@ -20,7 +20,7 @@ use crate::program::{ChunkSink, Emitter, Program, RoundStart, SlotRec};
 use crate::sched::{self, Agenda, Scheduler};
 use crate::snapshot::{self, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
-use crate::workload::{Key, Router, Traffic, TrafficSlot, TrafficState, Workload, WorkloadConfig};
+use crate::workload::{Key, RouteStep, Router, Traffic, Workload, WorkloadConfig};
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -220,7 +220,11 @@ pub struct Runtime<P: Program> {
     /// Network conditions between emit and delivery (see [`crate::net`]).
     wire: Wire<P::Msg>,
     /// The request workload, if any (see [`Runtime::attach_workload`]).
-    traffic: TrafficSlot<P>,
+    traffic: Option<Traffic>,
+    /// The program's [`Router::route`], armed by
+    /// [`Runtime::attach_workload`]: code, so never saved — a restored
+    /// runtime holds its traffic without it until re-attached.
+    route: Option<RouteOf<P>>,
     /// Request counters as of the last recorded round row (see
     /// [`crate::workload::RequestStats::report`]).
     req_reported: (u64, u64, u64),
@@ -234,6 +238,10 @@ pub struct Runtime<P: Program> {
     /// Debug-mode shadow-step auditor (see [`Runtime::enable_shadow_check`]).
     shadow: Option<ShadowFn<P>>,
 }
+
+/// How a program of type `P` routes a request: [`Router::route`], as a
+/// plain function the runtime can hold without the `P: Router` bound.
+type RouteOf<P> = fn(&P, Key, &[NodeId]) -> RouteStep;
 
 /// The one canonical walk over a round's emit output: every activation, in
 /// selection order (`chunks` in chunk order, records in emission order),
@@ -279,7 +287,8 @@ impl<P: Program> Runtime<P> {
             emit: Emitter::new(cfg.effective_threads()),
             inboxes: InboxArena::new(ids.len()),
             wire: Wire::new(cfg.stream(0x6E45_07ED)),
-            traffic: TrafficSlot::Detached,
+            traffic: None,
+            route: None,
             req_reported: (0, 0, 0),
             round: 0,
             metrics: RunMetrics::new(topo.max_degree()),
@@ -392,7 +401,7 @@ impl<P: Program> Runtime<P> {
                 + self.topo.node_count() * P::RECORD_BYTES,
             inboxes: self.inboxes.heap_bytes(),
             transit: self.wire.transit_bytes(),
-            workload: self.traffic.live().map_or(0, Traffic::heap_bytes),
+            workload: self.traffic.as_ref().map_or(0, Traffic::heap_bytes),
             engine: self.rngs.capacity() * size_of::<SmallRng>()
                 + self.agenda.heap_bytes()
                 + self.emit.heap_bytes(),
@@ -545,23 +554,24 @@ impl<P: Program> Runtime<P> {
     /// counts and [`sched::ActivityDriven`] keeps serving traffic exactly
     /// like the synchronous daemon.
     ///
-    /// Attaching replaces any previously attached workload **and its
-    /// in-flight requests** (panics if requests are pending — drain first).
+    /// On a live runtime, attaching replaces any previously attached
+    /// workload **and its in-flight requests**. On a restored runtime that
+    /// holds traffic ([`Runtime::pending_workload`]), it arms the router
+    /// and **resumes** the saved workload; the `wcfg` argument is ignored,
+    /// because continuing with different TTL/hop budgets would diverge from
+    /// the uninterrupted run.
     ///
-    /// On a runtime restored from a snapshot that had a workload attached,
-    /// this call instead **resumes** the saved traffic: the generator must
-    /// be of the same type as at save time (checked by [`Workload::name`]);
-    /// its mutable state, the workload RNG position, the in-flight request
-    /// queues, and the saved [`WorkloadConfig`] are restored — the `wcfg`
-    /// argument is ignored in that case, because continuing with different
-    /// TTL/hop budgets would diverge from the uninterrupted run.
-    pub fn attach_workload(&mut self, gen: impl Workload + 'static, wcfg: WorkloadConfig)
+    /// # Panics
+    /// Panics on a live runtime with requests in flight (drain first), and
+    /// on a restored one unless `gen` is the saved generator as
+    /// constructed: the same kind, rate and key space.
+    pub fn attach_workload(&mut self, gen: impl Into<Workload>, wcfg: WorkloadConfig)
     where
         P: Router,
     {
-        let mut gen: Box<dyn Workload> = Box::new(gen);
-        let state = match std::mem::replace(&mut self.traffic, TrafficSlot::Detached) {
-            TrafficSlot::Parked(parked) => parked.resume(gen.as_mut()),
+        let gen = gen.into();
+        match &self.traffic {
+            Some(tr) if self.route.is_none() => tr.resume(&gen),
             _ => {
                 assert_eq!(
                     self.metrics.requests.in_flight, 0,
@@ -572,11 +582,11 @@ impl<P: Program> Runtime<P> {
                 // under any workload, bumped the counter).
                 let next_id = self.metrics.requests.issued;
                 let rng = self.cfg.stream(0x770A_D10A);
-                TrafficState::fresh(wcfg, rng, self.programs.len(), next_id)
+                let slots = self.programs.len();
+                self.traffic = Some(Traffic::new(wcfg, gen, rng, slots, next_id));
             }
-        };
-        let route = Box::new(|p: &P, key, neighbors: &[NodeId]| p.route(key, neighbors));
-        self.traffic = TrafficSlot::Live(Traffic::attach(gen, route, state));
+        }
+        self.route = Some(P::route);
     }
 
     /// Request accounting so far — shorthand for
@@ -590,7 +600,7 @@ impl<P: Program> Runtime<P> {
     /// traffic. Returns the request id.
     ///
     /// # Panics
-    /// Panics if no workload is attached (attach [`crate::workload::Silent`]
+    /// Panics if no workload is attached (attach [`Workload::Silent`]
     /// for purely manual traffic) or `origin` is not a member.
     pub fn inject_request(&mut self, origin: NodeId, key: Key) -> u64 {
         assert!(
@@ -599,7 +609,7 @@ impl<P: Program> Runtime<P> {
         );
         let tr = self
             .traffic
-            .live_mut()
+            .as_mut()
             .expect("inject_request: no workload attached (Runtime::attach_workload)");
         // The request becomes ready at the next executed round (injection
         // happens between rounds here, at round start for generators).
@@ -632,11 +642,13 @@ impl<P: Program> Runtime<P> {
         self.cfg
     }
 
-    /// True iff this runtime was restored from a snapshot that had a
-    /// workload attached and the workload has not been re-attached yet
-    /// ([`Runtime::step`] refuses to run until it is).
+    /// True iff this runtime holds traffic but no router: it was restored
+    /// from a snapshot that had a workload attached, which has not been
+    /// re-attached yet. Its requests are live state, but [`Runtime::step`]
+    /// refuses to run until [`Runtime::attach_workload`] arms the router,
+    /// which is code no snapshot byte can carry.
     pub fn pending_workload(&self) -> bool {
-        matches!(self.traffic, TrafficSlot::Parked(_))
+        self.traffic.is_some() && self.route.is_none()
     }
 
     /// The current topology.
@@ -732,7 +744,7 @@ impl<P: Program> Runtime<P> {
 
         // Inject this round's application requests before selection, so
         // origins are dirty in time to be activated this very round.
-        if let Some(tr) = self.traffic.live_mut() {
+        if let Some(tr) = &mut self.traffic {
             tr.inject(
                 round,
                 &self.topo,
@@ -780,10 +792,11 @@ impl<P: Program> Runtime<P> {
 
         // Traffic: advance held requests one hop over the post-apply
         // topology, in selection order on this thread.
-        if let Some(tr) = self.traffic.live_mut() {
-            tr.line_up(&self.agenda);
+        if let (Some(tr), Some(route)) = (&mut self.traffic, self.route) {
+            let host = |i: usize| self.programs[i].as_ref().expect("selected slot is live");
+            let route = |i, key, nb: &[NodeId]| route(host(i), key, nb);
             let (agenda, stats) = (&mut self.agenda, &mut self.metrics.requests);
-            tr.serve(round, &self.topo, &self.programs, &self.wire, agenda, stats);
+            tr.serve(route, round, &self.topo, &self.wire, agenda, stats);
         }
         self.agenda.end_round();
 
@@ -818,7 +831,7 @@ impl<P: Program> Runtime<P> {
             self.metrics.net
         );
         // The request conservation law, at every round boundary.
-        if let Some(tr) = self.traffic.live() {
+        if let Some(tr) = &self.traffic {
             let r = &self.metrics.requests;
             debug_assert_eq!(r.in_flight, tr.queued(), "in-flight counter vs queues");
             debug_assert!(tr.has_req_matches_queues(), "holder flags vs queues");
@@ -963,7 +976,7 @@ impl<P: Program> Runtime<P> {
             self.rngs.push(rng);
             self.inboxes.ensure_slots(slot + 1);
             self.agenda.push_slot();
-            if let Some(tr) = self.traffic.live_mut() {
+            if let Some(tr) = &mut self.traffic {
                 tr.push_slot();
             }
         } else {
@@ -971,7 +984,7 @@ impl<P: Program> Runtime<P> {
             debug_assert!(self.programs[slot].is_none());
             debug_assert!(self.inboxes.is_empty(slot));
             debug_assert!(!self.agenda.is_quiescent(slot));
-            debug_assert!(self.traffic.live().is_none_or(|t| t.is_idle(slot)));
+            debug_assert!(self.traffic.as_ref().is_none_or(|t| t.is_idle(slot)));
             self.programs[slot] = Some(program);
             self.rngs[slot] = rng;
         }
@@ -1050,7 +1063,7 @@ impl<P: Program> Runtime<P> {
         }
         self.topo.remove_node(id);
         let program = self.programs[slot].take().expect("live slot");
-        if let Some(tr) = self.traffic.live_mut() {
+        if let Some(tr) = &mut self.traffic {
             tr.drop_host(slot, self.round, &mut self.metrics.requests);
         }
         self.inboxes.retire(slot, id, self.agenda.dirty_list());
@@ -1086,11 +1099,11 @@ where
     ///
     /// The payload captures everything a future [`Runtime::step`] can
     /// observe (see [`crate::snapshot`] for the inventory); each owner
-    /// writes its own section, in a fixed order. Not captured (because they
-    /// are closures or caller policy): the spawner, the shadow check, the
-    /// scheduler, the thread pool, and the workload's generator/router
-    /// *code* — [`Runtime::restore_snapshot`] documents how each is
-    /// re-attached.
+    /// writes its own section, in a fixed order — the attached workload
+    /// whole, generator included. Not captured (because they are code or
+    /// caller policy): the spawner, the shadow check, the scheduler, the
+    /// thread pool, and the router — [`Runtime::restore_snapshot`]
+    /// documents how each is re-attached.
     ///
     /// The bytes are deterministic: two identical runtimes serialize
     /// identically, so snapshot size is a meaningful, exactly reproducible
@@ -1152,10 +1165,11 @@ where
     /// * **Spawner / shadow check** — re-register via
     ///   [`Runtime::set_spawner`] / [`Runtime::enable_shadow_check`]
     ///   (protocol crates' restore helpers do this).
-    /// * **Workload** — if the snapshot had traffic attached,
-    ///   [`Runtime::step`] panics until [`Runtime::attach_workload`] is
-    ///   called with a generator of the saved type; the saved queues, RNG
-    ///   and generator state resume exactly (see
+    /// * **Router** — if the snapshot had traffic attached, the restored
+    ///   runtime holds it whole (generator, RNG, queues, config) as live
+    ///   state, but [`Runtime::step`] panics until
+    ///   [`Runtime::attach_workload`] re-supplies the saved generator as
+    ///   constructed and so arms the router (see
     ///   [`Runtime::pending_workload`]).
     pub fn restore_snapshot(bytes: &[u8], cfg: Config) -> Result<Self, SnapshotError> {
         let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
@@ -1187,7 +1201,7 @@ where
         let at_rest = |p: &Option<P>| p.as_ref().is_some_and(Program::is_quiescent);
         let agenda = Agenda::load(&mut r, programs.iter().map(at_rest).collect())?;
         let req_reported = Persist::load(&mut r)?;
-        let traffic = TrafficSlot::load(&mut r, n)?;
+        let traffic: Option<Traffic> = Persist::load(&mut r)?;
         let wire = Wire::load(&mut r)?;
         r.finish()?;
 
@@ -1198,7 +1212,9 @@ where
         }
         inboxes.validate(&topo, &agenda)?;
         metrics.requests.validate_reported(req_reported)?;
-        traffic.validate(&topo, round)?;
+        if let Some(tr) = &traffic {
+            tr.validate(&topo, round)?;
+        }
         wire.validate(&topo, round, &metrics.net)?;
         Ok(Self {
             cfg,
@@ -1210,6 +1226,7 @@ where
             inboxes,
             wire,
             traffic,
+            route: None,
             req_reported,
             round,
             metrics,
@@ -1365,8 +1382,8 @@ mod tests {
     const BUSY_CUT: [NodeId; 5] = [2, 3, 101, 105, 109];
     const BUSY_LOSS: f64 = 0.0625;
     /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured when
-    /// format version 5 sealed containers with XXH64.
-    const GOLDEN_HASH: u64 = 4_644_790_121_604_406_340;
+    /// format version 6 saved the workload whole.
+    const GOLDEN_HASH: u64 = 4_634_871_301_716_401_879;
     const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
         ttl: 99,
         max_hops: 77,
@@ -1556,6 +1573,73 @@ mod tests {
         assert_eq!(back.save_snapshot(), snap);
     }
 
+    /// A restored runtime holds its traffic as live state before the
+    /// workload is re-attached: a join into a fresh slot grows the request
+    /// queues with every other slot array, so the resumed run matches one
+    /// that was never saved, and the memory account counts the queues.
+    #[test]
+    fn restored_traffic_admits_a_fresh_slot_join_before_reattach() {
+        let mut live = busy_runtime();
+        let snap = live.save_snapshot();
+        let mut back = Runtime::<Relay>::restore_snapshot(&snap, Config::default()).unwrap();
+        assert!(back.pending_workload() && back.request_stats().in_flight > 0);
+        assert!(
+            back.mem_footprint().workload > 0,
+            "the restored queues count"
+        );
+        let slots = back.topology().slot_count();
+        for rt in [&mut live, &mut back] {
+            rt.join(16, Relay { id: 16, acc: 0 }, &[15, 0]);
+            assert_eq!(rt.topology().slot_count(), slots + 1, "a fresh slot");
+        }
+        back.set_scheduler(Box::new(crate::sched::ActivityDriven));
+        back.attach_workload(crate::workload::OpenLoop::new(1.5, 32), BUSY_WCFG);
+        for rt in [&mut live, &mut back] {
+            rt.run(8);
+        }
+        assert_eq!(
+            serde_json::to_string(back.metrics()).unwrap(),
+            serde_json::to_string(live.metrics()).unwrap()
+        );
+    }
+
+    /// A holder that departs from a restored runtime before the workload
+    /// is re-attached takes its requests with it, counted as
+    /// `failed_departed`, and the rest drain within the TTL.
+    #[test]
+    fn restored_traffic_fails_a_departed_holders_requests() {
+        let relay = |id| Relay { id, acc: 0 };
+        let mut rt = Runtime::new(
+            Config::seeded(11),
+            (0..16u32).map(|i| (i, relay(i))),
+            (0..16u32).map(|i| (i, (i + 1) % 16)),
+        );
+        rt.attach_workload(crate::workload::Silent, BUSY_WCFG);
+        rt.run(2);
+        for (holder, key) in [(3, 9), (3, 20), (7, 12)] {
+            rt.inject_request(holder, key);
+        }
+        let snap = rt.save_snapshot();
+        let mut back = Runtime::<Relay>::restore_snapshot(&snap, Config::default()).unwrap();
+        back.leave(3);
+        let s = back.request_stats();
+        assert_eq!((s.failed_departed, s.in_flight), (2, 1));
+        back.attach_workload(crate::workload::Silent, BUSY_WCFG);
+        back.run(BUSY_WCFG.ttl);
+        let s = back.request_stats();
+        assert_eq!((s.completed, s.failed, s.in_flight), (1, 2, 0));
+    }
+
+    /// Re-attaching after a restore resumes the saved generator, so it must
+    /// be that generator as constructed: another rate would diverge.
+    #[test]
+    #[should_panic(expected = "would diverge")]
+    fn reattach_with_another_rate_panics() {
+        let snap = busy_runtime().save_snapshot();
+        let mut back = Runtime::<Relay>::restore_snapshot(&snap, Config::default()).unwrap();
+        back.attach_workload(crate::workload::OpenLoop::new(2.0, 32), BUSY_WCFG);
+    }
+
     /// A well-framed, re-sealed payload is outside input (the content hash
     /// is not a MAC): values `step` would later panic on, or silently
     /// misread, must fail the restore instead.
@@ -1586,7 +1670,7 @@ mod tests {
         unsorted.swap(0, 2);
         // A queued request issued after the saved round would underflow
         // `serve`'s age computation.
-        let req = *rt.traffic.live().unwrap().held().next().unwrap();
+        let req = *rt.traffic.as_ref().unwrap().held().next().unwrap();
         let request = |issued_round| {
             enc(&|w| {
                 Request {

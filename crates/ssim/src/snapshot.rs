@@ -98,8 +98,10 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// varints (the state-compaction pass); version 4 dropped two network-model
 /// fields and the wire's pacing section; version 5 sealed with XXH64
 /// instead of FNV-1a and coded each beacon-view entry against the one
-/// before it.
-pub const FORMAT_VERSION: u32 = 5;
+/// before it; version 6 saves the attached workload whole (a tagged
+/// generator with its rate and key space) instead of a name and opaque
+/// state bytes.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
 /// variant is loud and specific: a snapshot either restores exactly or

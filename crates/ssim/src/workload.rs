@@ -8,9 +8,12 @@
 //! traffic a first-class engine concept:
 //!
 //! * A [`Workload`] injects application requests each round (open-loop
-//!   [`OpenLoop`], closed-loop [`ClosedLoop`], or manual
+//!   [`OpenLoop`], or none: [`Workload::Silent`] leaves them to manual
 //!   [`crate::Runtime::inject_request`]), deterministically from the run
-//!   seed.
+//!   seed. A workload is data: a snapshot saves it whole with the request
+//!   queues, so a restored runtime holds its traffic as live state and
+//!   only the router — code — is supplied again, by
+//!   [`crate::Runtime::attach_workload`].
 //! * Requests travel **hop-by-hop over the current host topology**: each
 //!   round, every host holding requests asks its program — via the
 //!   protocol-provided [`Router`] — for the next hop toward the key, and
@@ -378,44 +381,56 @@ persist_struct!(RequestStats {
     records,
 });
 
-/// The per-round view a [`Workload`] injects against.
-pub struct WorkloadView<'a> {
-    /// Round about to execute.
-    pub round: u64,
-    /// Live host identifiers (the engine's deterministic member order).
-    pub ids: &'a [NodeId],
-    /// Request accounting so far (closed-loop generators read
-    /// [`RequestStats::in_flight`]).
-    pub stats: &'a RequestStats,
+/// A request generator, saved whole: its parameters and its progress are
+/// data, so a snapshot carries them and a restored runtime issues the same
+/// request sequence as the uninterrupted run. Asked at the start of every
+/// round for `(origin host, key)` pairs, drawn from the runtime's
+/// seed-derived workload RNG on the driving thread, so injection is
+/// deterministic at any thread count.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// Injects nothing by itself: attach it when requests are driven
+    /// manually through [`crate::Runtime::inject_request`] (as the
+    /// `kv_lookup` example does).
+    Silent,
+    /// A fixed expected number of requests per round (see [`OpenLoop`]).
+    OpenLoop(OpenLoop),
 }
 
-/// A request generator: called once at the start of every round to append
-/// `(origin host, key)` pairs to inject. Implementations must be
-/// deterministic functions of their own state, the view, and the provided
-/// engine-seeded RNG; the runtime injects on the driving thread, so
-/// determinism across thread counts is automatic.
-pub trait Workload: Send {
-    /// Short label for reports.
-    fn name(&self) -> &str {
-        "workload"
+pub use Workload::Silent;
+
+impl From<OpenLoop> for Workload {
+    fn from(gen: OpenLoop) -> Self {
+        Self::OpenLoop(gen)
     }
+}
 
-    /// Append this round's requests to `out`.
-    fn inject(&mut self, view: &WorkloadView<'_>, rng: &mut SmallRng, out: &mut Vec<(NodeId, Key)>);
+persist_enum!(Workload {
+    0 => Silent,
+    1 => OpenLoop(gen),
+});
 
-    /// Serialize mutable generator state for a snapshot. Stateless
-    /// generators keep the default no-op; stateful ones (accumulators,
-    /// remaining-request budgets) must write everything `inject` reads, so
-    /// a restored run issues the same request sequence. The runtime
-    /// persists the workload RNG itself.
-    fn save_state(&self, _w: &mut Writer) {}
-
-    /// Restore state written by [`Workload::save_state`] into a freshly
-    /// constructed generator of the same type. The caller re-creates the
-    /// generator with its construction parameters; this hook replays only
-    /// the mutable part.
-    fn load_state(&mut self, _r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        Ok(())
+impl Workload {
+    /// Append this round's requests at the members `ids` to `out`.
+    fn inject(&mut self, ids: &[NodeId], rng: &mut SmallRng, out: &mut Vec<(NodeId, Key)>) {
+        let Self::OpenLoop(gen) = self else { return };
+        if ids.is_empty() {
+            return;
+        }
+        gen.acc += gen.rate;
+        while gen.acc >= 1.0 {
+            gen.acc -= 1.0;
+            if let Some(rem) = &mut gen.remaining {
+                if *rem == 0 {
+                    gen.acc = 0.0;
+                    return;
+                }
+                *rem -= 1;
+            }
+            let origin = ids[rng.gen_range(0..ids.len())];
+            let key = rng.gen_range(0..gen.keys);
+            out.push((origin, key));
+        }
     }
 }
 
@@ -432,8 +447,14 @@ pub struct OpenLoop {
 }
 
 impl OpenLoop {
-    /// `rate` requests per round into a key space of `keys`.
+    /// `rate` requests per round (a negative rate issues none) into a key
+    /// space of `keys` (at least 1).
+    ///
+    /// # Panics
+    /// Panics if `rate` is not finite: an unlimited generator would never
+    /// finish a round's injection.
     pub fn new(rate: f64, keys: u32) -> Self {
+        assert!(rate.is_finite(), "OpenLoop::new: rate {rate} is not finite");
         Self {
             rate: rate.max(0.0),
             keys: keys.max(1),
@@ -451,120 +472,40 @@ impl OpenLoop {
     }
 }
 
-impl Workload for OpenLoop {
-    fn name(&self) -> &str {
-        "open-loop"
-    }
-
-    fn inject(
-        &mut self,
-        view: &WorkloadView<'_>,
-        rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, Key)>,
-    ) {
-        if view.ids.is_empty() {
-            return;
-        }
-        self.acc += self.rate;
-        while self.acc >= 1.0 {
-            self.acc -= 1.0;
-            if let Some(rem) = &mut self.remaining {
-                if *rem == 0 {
-                    self.acc = 0.0;
-                    return;
-                }
-                *rem -= 1;
-            }
-            let origin = view.ids[rng.gen_range(0..view.ids.len())];
-            let key = rng.gen_range(0..self.keys);
-            out.push((origin, key));
-        }
-    }
-
-    fn save_state(&self, w: &mut Writer) {
+/// Hand-written to reject what no `OpenLoop` holds: a negative or
+/// non-finite rate (an unlimited `inject` would never return), an empty key
+/// space (`inject` would panic drawing a key) and an accumulator outside
+/// `[0, 1)`, NaN included (`inject` never leaves one behind, and an
+/// unlimited generator would spin on it).
+impl Persist for OpenLoop {
+    fn save(&self, w: &mut Writer) {
+        w.f64(self.rate);
+        w.u32(self.keys);
         w.f64(self.acc);
         self.remaining.save(w);
     }
 
-    /// Rejects an accumulator `inject` can never leave behind (outside
-    /// `[0, 1)`, NaN included): an unlimited generator would spin on it.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.acc = r.f64()?;
-        if !(0.0..1.0).contains(&self.acc) {
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let gen = Self {
+            rate: r.f64()?,
+            keys: r.u32()?,
+            acc: r.f64()?,
+            remaining: Option::load(r)?,
+        };
+        let rate_ok = gen.rate.is_finite() && gen.rate >= 0.0;
+        if !rate_ok || gen.keys == 0 || !(0.0..1.0).contains(&gen.acc) {
             return Err(SnapshotError::Corrupt(format!(
-                "open-loop accumulator {} outside [0, 1)",
-                self.acc
+                "open-loop generator {gen:?}: no generator holds these values"
             )));
         }
-        self.remaining = Option::load(r)?;
-        Ok(())
+        Ok(gen)
     }
 }
 
-/// Closed-loop generator: keeps a fixed number of requests outstanding —
-/// every completion or failure is immediately replaced at the next round
-/// boundary.
-#[derive(Debug, Clone)]
-pub struct ClosedLoop {
-    concurrency: u64,
-    keys: u32,
-}
-
-impl ClosedLoop {
-    /// Keep `concurrency` requests in flight into a key space of `keys`.
-    pub fn new(concurrency: u64, keys: u32) -> Self {
-        Self {
-            concurrency,
-            keys: keys.max(1),
-        }
-    }
-}
-
-impl Workload for ClosedLoop {
-    fn name(&self) -> &str {
-        "closed-loop"
-    }
-
-    fn inject(
-        &mut self,
-        view: &WorkloadView<'_>,
-        rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, Key)>,
-    ) {
-        if view.ids.is_empty() {
-            return;
-        }
-        for _ in view.stats.in_flight..self.concurrency {
-            let origin = view.ids[rng.gen_range(0..view.ids.len())];
-            let key = rng.gen_range(0..self.keys);
-            out.push((origin, key));
-        }
-    }
-}
-
-/// The no-op generator: injects nothing by itself. Attach it when requests
-/// are driven manually through [`crate::Runtime::inject_request`] (as the
-/// `kv_lookup` example does).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Silent;
-
-impl Workload for Silent {
-    fn name(&self) -> &str {
-        "silent"
-    }
-
-    fn inject(&mut self, _: &WorkloadView<'_>, _: &mut SmallRng, _: &mut Vec<(NodeId, Key)>) {}
-}
-
-/// The erased routing capability of the attached workload: captures the
-/// `P: Router` bound at [`crate::Runtime::attach_workload`] time so the round
-/// itself needs no extra bounds.
-pub(crate) type RouteFn<P> = Box<dyn Fn(&P, Key, &[NodeId]) -> RouteStep + Send>;
-
-/// The serializable part of the traffic subsystem — shared by the live
-/// state and the state parked by a restore, so the layout is written once.
-pub(crate) struct TrafficState {
+/// The traffic subsystem's state: everything a snapshot saves of it.
+struct TrafficState {
     cfg: WorkloadConfig,
+    gen: Workload,
     /// The workload's private deterministic RNG (seeded from the run seed).
     rng: SmallRng,
     next_id: u64,
@@ -580,28 +521,17 @@ persist_struct!(WorkloadConfig {
 });
 persist_struct!(TrafficState {
     cfg,
+    gen,
     rng,
     next_id,
     queues,
 });
 
-impl TrafficState {
-    pub(crate) fn fresh(cfg: WorkloadConfig, rng: SmallRng, slots: usize, next_id: u64) -> Self {
-        Self {
-            cfg,
-            rng,
-            next_id,
-            queues: std::iter::repeat_with(Vec::new).take(slots).collect(),
-        }
-    }
-}
-
-/// Runtime-side state of an attached [`Workload`]: the generator, the
-/// erased router, the request queues and who holds any.
-pub(crate) struct Traffic<P: Program> {
+/// Runtime-side state of the attached [`Workload`]: the generator, the
+/// request queues and who holds any. The router is code, not state: the
+/// runtime keeps it beside this (see [`crate::Runtime::attach_workload`]).
+pub(crate) struct Traffic {
     state: TrafficState,
-    gen: Box<dyn Workload>,
-    route: RouteFn<P>,
     /// Recycled injection buffer.
     inject_buf: Vec<(NodeId, Key)>,
     /// Per-slot "this queue is non-empty" flag, exactly in sync with the
@@ -613,117 +543,83 @@ pub(crate) struct Traffic<P: Program> {
     lineup: Vec<u32>,
 }
 
-/// Traffic state restored from a snapshot, parked until the caller
-/// re-attaches a workload: the generator and router are closures/trait
-/// objects and cannot be serialized, so a restore stashes the serializable
-/// part here and the next [`crate::Runtime::attach_workload`] call marries it to a
-/// freshly constructed generator of the same type.
-pub(crate) struct ParkedTraffic {
-    state: TrafficState,
-    /// `Workload::name()` of the generator that was attached at save time —
-    /// re-attachment with a different generator type is a loud panic, not a
-    /// silent divergence.
-    gen_name: String,
-    /// Opaque [`Workload::save_state`] bytes for [`Workload::load_state`].
-    gen_bytes: Vec<u8>,
-}
+/// The holder flags and the recycled buffers are derived, so a restore
+/// rebuilds them from the saved queues.
+impl Persist for Traffic {
+    fn save(&self, w: &mut Writer) {
+        self.state.save(w);
+    }
 
-impl ParkedTraffic {
-    /// Resume under `gen`, which must be of the saved type: its mutable
-    /// state is replayed into it and the saved traffic state handed back.
-    pub(crate) fn resume(self, gen: &mut dyn Workload) -> TrafficState {
-        assert_eq!(
-            gen.name(),
-            self.gen_name,
-            "attach_workload: the snapshot was saved with workload `{}`; \
-             resuming with `{}` would diverge",
-            self.gen_name,
-            gen.name()
-        );
-        let mut r = Reader::new(&self.gen_bytes);
-        gen.load_state(&mut r)
-            .and_then(|()| r.finish())
-            .expect("attach_workload: restored workload state does not fit the generator");
-        self.state
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        TrafficState::load(r).map(Self::from_state)
     }
 }
 
-/// What a runtime has in its workload slot.
-pub(crate) enum TrafficSlot<P: Program> {
-    /// No workload attached.
-    Detached,
-    /// An attached workload, serving.
-    Live(Traffic<P>),
-    /// Restored traffic awaiting re-attachment; the round refuses to run
-    /// while it is pending — continuing without the workload would
-    /// silently diverge from the saved run.
-    Parked(ParkedTraffic),
-}
-
-impl<P: Program> TrafficSlot<P> {
-    pub(crate) fn live(&self) -> Option<&Traffic<P>> {
-        match self {
-            Self::Live(tr) => Some(tr),
-            _ => None,
-        }
+impl Traffic {
+    /// Fresh traffic over `slots` empty queues, numbering requests from
+    /// `next_id`.
+    pub(crate) fn new(
+        cfg: WorkloadConfig,
+        gen: Workload,
+        rng: SmallRng,
+        slots: usize,
+        next_id: u64,
+    ) -> Self {
+        let queues = std::iter::repeat_with(Vec::new).take(slots).collect();
+        Self::from_state(TrafficState {
+            cfg,
+            gen,
+            rng,
+            next_id,
+            queues,
+        })
     }
 
-    pub(crate) fn live_mut(&mut self) -> Option<&mut Traffic<P>> {
-        match self {
-            Self::Live(tr) => Some(tr),
-            _ => None,
-        }
-    }
-
-    /// Serialize the slot: from the live subsystem, or — on a
-    /// restored-but-not-yet-re-attached runtime — passed through verbatim
-    /// from the parked state, so save∘restore is the identity even
-    /// mid-handoff.
-    pub(crate) fn save(&self, w: &mut Writer) {
-        let (state, name, bytes) = match self {
-            Self::Detached => return w.bool(false),
-            Self::Live(tr) => {
-                let mut gw = Writer::new();
-                tr.gen.save_state(&mut gw);
-                (&tr.state, tr.gen.name(), gw.into_bytes())
-            }
-            Self::Parked(p) => (&p.state, p.gen_name.as_str(), p.gen_bytes.clone()),
-        };
-        w.bool(true);
-        state.save(w);
-        w.str(name);
-        w.bytes(&bytes);
-    }
-
-    /// Restore what [`TrafficSlot::save`] wrote, for `slots` slots: saved
-    /// traffic comes back [`TrafficSlot::Parked`].
-    pub(crate) fn load(r: &mut Reader<'_>, slots: usize) -> Result<Self, SnapshotError> {
-        if !r.bool()? {
-            return Ok(Self::Detached);
-        }
-        let state = TrafficState::load(r)?;
-        if state.queues.len() != slots {
-            return Err(SnapshotError::Corrupt(format!(
-                "traffic queues ({}) misaligned with slots ({slots})",
-                state.queues.len()
-            )));
-        }
-        Ok(Self::Parked(ParkedTraffic {
+    fn from_state(state: TrafficState) -> Self {
+        let has_req = state.queues.iter().map(|q| !q.is_empty()).collect();
+        Self {
             state,
-            gen_name: r.str()?,
-            gen_bytes: r.bytes()?.to_vec(),
-        }))
+            inject_buf: Vec::new(),
+            has_req,
+            lineup: Vec::new(),
+        }
+    }
+
+    /// Check that `gen`, re-supplied after a restore, is the saved
+    /// generator as constructed — the same kind, rate and key space — which
+    /// goes on from its saved progress (accumulator, quota left).
+    ///
+    /// # Panics
+    /// Panics if it is not: resuming with another kind, rate or key space
+    /// would diverge from the uninterrupted run.
+    pub(crate) fn resume(&self, gen: &Workload) {
+        let saved = &self.state.gen;
+        let same = match (saved, gen) {
+            (Workload::Silent, Workload::Silent) => true,
+            (Workload::OpenLoop(a), Workload::OpenLoop(b)) => a.rate == b.rate && a.keys == b.keys,
+            _ => false,
+        };
+        assert!(
+            same,
+            "attach_workload: the snapshot was saved with {saved:?}; resuming with {gen:?} \
+             would diverge"
+        );
     }
 
     /// Cross-check restored traffic against the restored membership and
-    /// round: only live slots hold requests, and every request was issued
-    /// at or before `round` (`serve` measures its age as `round -
-    /// issued_round`).
+    /// round: one queue per slot, only live slots hold requests, and every
+    /// request was issued at or before `round` (`serve` measures its age as
+    /// `round - issued_round`).
     pub(crate) fn validate(&self, topo: &Topology, round: u64) -> Result<(), SnapshotError> {
-        let Self::Parked(p) = self else {
-            return Ok(());
-        };
-        for (i, q) in p.state.queues.iter().enumerate() {
+        let queues = &self.state.queues;
+        if queues.len() != topo.slot_count() {
+            return Err(SnapshotError::Corrupt(format!(
+                "traffic queues ({}) misaligned with slots ({})",
+                queues.len(),
+                topo.slot_count()
+            )));
+        }
+        for (i, q) in queues.iter().enumerate() {
             if !q.is_empty() && !topo.is_live(NodeSlot::new(i)) {
                 return Err(SnapshotError::Corrupt(format!(
                     "slot {i}: free slot holds in-flight requests"
@@ -737,22 +633,6 @@ impl<P: Program> TrafficSlot<P> {
             }
         }
         Ok(())
-    }
-}
-
-impl<P: Program> Traffic<P> {
-    /// Marry a generator and a router to their (fresh or resumed) state.
-    pub(crate) fn attach(gen: Box<dyn Workload>, route: RouteFn<P>, state: TrafficState) -> Self {
-        // Resumed queues may arrive non-empty; fresh ones are all empty.
-        let has_req = state.queues.iter().map(|q| !q.is_empty()).collect();
-        Self {
-            state,
-            gen,
-            route,
-            inject_buf: Vec::new(),
-            has_req,
-            lineup: Vec::new(),
-        }
     }
 
     pub(crate) fn push_slot(&mut self) {
@@ -833,12 +713,8 @@ impl<P: Program> Traffic<P> {
     ) {
         let mut buf = std::mem::take(&mut self.inject_buf);
         buf.clear();
-        let view = WorkloadView {
-            round,
-            ids: topo.ids(),
-            stats,
-        };
-        self.gen.inject(&view, &mut self.state.rng, &mut buf);
+        let state = &mut self.state;
+        state.gen.inject(topo.ids(), &mut state.rng, &mut buf);
         for &(origin, key) in &buf {
             debug_assert!(
                 topo.contains(origin),
@@ -868,7 +744,7 @@ impl<P: Program> Traffic<P> {
     /// slot that an earlier-served holder forwards to this round would have
     /// nothing to do anyway, since forwarded requests carry `ready_round >
     /// round` and the slot was marked dirty at forward time.
-    pub(crate) fn line_up(&mut self, agenda: &Agenda) {
+    fn line_up(&mut self, agenda: &Agenda) {
         let has_req = &self.has_req;
         self.lineup.clear();
         self.lineup.extend(
@@ -882,20 +758,22 @@ impl<P: Program> Traffic<P> {
 
     /// Advance every request held by a [lined-up](Traffic::line_up) host
     /// one hop, against the **post-apply** topology (the current host
-    /// links) and the holder's current program state. Runs on the driving
-    /// thread in selection order, so traffic is deterministic at any
-    /// thread count and activity-driven execution (which always selects
-    /// request holders — they are dirty) reproduces the synchronous
-    /// execution exactly.
-    pub(crate) fn serve(
+    /// links) and the holder's current program state: `route(slot, key,
+    /// neighbors)` asks the program at `slot` for the next hop.
+    /// Runs on the driving thread in selection order, so traffic is
+    /// deterministic at any thread count and activity-driven execution
+    /// (which always selects request holders — they are dirty) reproduces
+    /// the synchronous execution exactly.
+    pub(crate) fn serve<M>(
         &mut self,
+        route: impl Fn(usize, Key, &[NodeId]) -> RouteStep,
         round: u64,
         topo: &Topology,
-        programs: &[Option<P>],
-        wire: &Wire<P::Msg>,
+        wire: &Wire<M>,
         agenda: &mut Agenda,
         stats: &mut RequestStats,
     ) {
+        self.line_up(agenda);
         let cfg = self.state.cfg;
         let record = cfg.record_requests;
         for h in 0..self.lineup.len() {
@@ -903,7 +781,6 @@ impl<P: Program> Traffic<P> {
             let slot = NodeSlot::new(i);
             let me = topo.id_at(slot).expect("selected slot is live");
             let neighbors = topo.neighbors_at(slot);
-            let prog = programs[i].as_ref().expect("selected slot is live");
             let mut q = std::mem::take(&mut self.state.queues[i]);
             let mut keep = 0;
             for k in 0..q.len() {
@@ -919,7 +796,7 @@ impl<P: Program> Traffic<P> {
                     stats.fail(&req, RequestOutcome::Expired, round, record);
                     continue;
                 }
-                match (self.route)(prog, req.key, neighbors) {
+                match route(i, req.key, neighbors) {
                     RouteStep::Deliver => stats.complete(&req, me, round, record),
                     // A hop crossing an active partition cut behaves like a
                     // vanished neighbor (the channel is dead): retry in
@@ -994,75 +871,74 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    impl<P: Program> Traffic<P> {
+    impl Traffic {
         /// Every queued request, slot by slot.
         pub(crate) fn held(&self) -> impl Iterator<Item = &Request> {
             self.state.queues.iter().flatten()
         }
     }
 
-    fn view<'a>(ids: &'a [NodeId], stats: &'a RequestStats) -> WorkloadView<'a> {
-        WorkloadView {
-            round: 0,
-            ids,
-            stats,
-        }
-    }
-
     #[test]
     fn open_loop_accumulates_fractional_rates() {
         let ids = [1u32, 2, 3];
-        let stats = RequestStats::default();
-        let mut w = OpenLoop::new(0.5, 16);
+        let mut w = Workload::from(OpenLoop::new(0.5, 16));
         let mut rng = SmallRng::seed_from_u64(1);
         let mut total = 0;
         for _ in 0..10 {
             let mut out = Vec::new();
-            w.inject(&view(&ids, &stats), &mut rng, &mut out);
+            w.inject(&ids, &mut rng, &mut out);
             total += out.len();
         }
         assert_eq!(total, 5, "rate 0.5 over 10 rounds issues exactly 5");
     }
 
-    /// Every `inject` leaves the accumulator in `[0, 1)`; a restored one
-    /// outside it (or NaN) is corrupt — an unlimited generator would
-    /// otherwise spin on `acc >= 1` and queue requests until memory runs out.
+    /// A restored generator holds only what a constructed one can reach;
+    /// anything else is corrupt: an unknown kind, a negative or non-finite
+    /// rate (an unlimited `inject` would never return), an empty key space
+    /// (drawing a key would panic), and an accumulator outside `[0, 1)` or
+    /// NaN (an unlimited generator would spin on `acc >= 1` and queue
+    /// requests until memory runs out).
     #[test]
     fn open_loop_rejects_accumulators_inject_never_leaves() {
-        for (acc, ok) in [
-            (f64::INFINITY, false),
-            (f64::NAN, false),
-            (1e300, false),
-            (-0.5, false),
-            (1.0, false),
-            (0.25, true),
-        ] {
+        let open_loop = |tag: u8, rate: f64, keys: u32, acc: f64| {
             let mut w = Writer::new();
+            w.u8(tag);
+            w.f64(rate);
+            w.u32(keys);
             w.f64(acc);
             Option::<u64>::None.save(&mut w);
-            let bytes = w.into_bytes();
-            let got = OpenLoop::new(1.0, 16).load_state(&mut Reader::new(&bytes));
-            match got {
-                Ok(()) => assert!(ok, "acc {acc} restored"),
-                Err(SnapshotError::Corrupt(_)) => assert!(!ok, "acc {acc} rejected"),
-                Err(e) => panic!("acc {acc}: {e}"),
+            w.into_bytes()
+        };
+        let cases = [
+            (open_loop(1, 1.0, 16, f64::INFINITY), false),
+            (open_loop(1, 1.0, 16, f64::NAN), false),
+            (open_loop(1, 1.0, 16, 1e300), false),
+            (open_loop(1, 1.0, 16, -0.5), false),
+            (open_loop(1, 1.0, 16, 1.0), false),
+            (open_loop(1, f64::INFINITY, 16, 0.25), false),
+            (open_loop(1, f64::NAN, 16, 0.25), false),
+            (open_loop(1, -1.0, 16, 0.25), false),
+            (open_loop(1, 1.0, 0, 0.25), false),
+            (open_loop(2, 1.0, 16, 0.25), false),
+            (open_loop(1, 1.0, 16, 0.25), true),
+            (open_loop(1, 0.0, 1, 0.0), true),
+            (vec![0], true),
+        ];
+        for (bytes, ok) in cases {
+            let mut r = Reader::new(&bytes);
+            match Workload::load(&mut r).and_then(|w| r.finish().map(|()| w)) {
+                Ok(w) => assert!(ok, "{bytes:?} restored as {w:?}"),
+                Err(SnapshotError::Corrupt(_)) => assert!(!ok, "{bytes:?} rejected"),
+                Err(e) => panic!("{bytes:?}: {e}"),
             }
         }
     }
 
+    /// A constructed generator never holds a non-finite rate.
     #[test]
-    fn closed_loop_tops_up_to_concurrency() {
-        let ids = [1u32, 2];
-        let mut stats = RequestStats::default();
-        let mut w = ClosedLoop::new(4, 16);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut out = Vec::new();
-        w.inject(&view(&ids, &stats), &mut rng, &mut out);
-        assert_eq!(out.len(), 4);
-        stats.in_flight = 3;
-        out.clear();
-        w.inject(&view(&ids, &stats), &mut rng, &mut out);
-        assert_eq!(out.len(), 1, "only the missing request is re-issued");
+    #[should_panic(expected = "not finite")]
+    fn open_loop_refuses_a_non_finite_rate() {
+        let _ = OpenLoop::new(f64::INFINITY, 16);
     }
 
     #[test]

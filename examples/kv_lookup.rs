@@ -110,9 +110,10 @@ fn main() {
         chord::runtime_is_legal(&rt2),
         "restored overlay is legal without re-running stabilization"
     );
-    // The snapshot carried the traffic subsystem's state; re-supplying the
-    // same generator type resumes it (the saved WorkloadConfig wins, so the
-    // restored run keeps recording requests).
+    // The snapshot carried the whole workload, `Silent` generator
+    // included; re-attaching it arms the router, which is code, and resumes
+    // the saved traffic (the saved WorkloadConfig wins, so the restored run
+    // keeps recording requests).
     rt2.attach_workload(Silent, WorkloadConfig::default());
 
     let more = ["foxtrot", "golf", "hotel"];

@@ -189,12 +189,12 @@ where
             (self.cfg.seed, rt.in_transit(), rt.net_stats()),
             "{label}: the restore pins the seed and keeps the messages in transit and the net books"
         );
-        let parked = back.pending_workload();
+        let pending = back.pending_workload();
         self.install(&mut back, daemon);
         assert_eq!(
-            (parked, back.pending_workload()),
+            (pending, back.pending_workload()),
             (self.workload.is_some(), false),
-            "{label}: the restore parks the saved traffic until re-attach"
+            "{label}: the restore holds the saved traffic without a router until re-attach"
         );
         back
     }
