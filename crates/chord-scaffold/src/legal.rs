@@ -202,4 +202,29 @@ mod tests {
         p.core.last_wave = i64::MAX;
         assert!(!is_legal(&t, rt.topology(), std::iter::once(&p)));
     }
+
+    /// The smallest clean start that still resets the scaffold (ROADMAP
+    /// reading 4): five hosts in N = 32, every one a singleton cluster,
+    /// reach legality within the budget under both the full protocol and
+    /// the standalone Avatar(CBT) core, but each run resets CBT cores
+    /// twice on the way. The counts are pinned as found, not endorsed:
+    /// closing the commit-window cascade (ROADMAP item 3) turns both
+    /// into an assertion of zero.
+    #[test]
+    fn five_host_reset_witness() {
+        let ids = [5, 11, 18, 23, 30];
+        let edges = vec![(5, 18), (5, 23), (5, 30), (11, 18), (11, 30)];
+        let budget = 81 * (8 * 3 + 16);
+        let cfg = Config::seeded(1);
+        let mut chord = runtime(ChordTarget::classic(32), &ids, edges.clone(), cfg);
+        let legal = chord.run_monitored(legality(), budget);
+        assert_eq!(legal.rounds_if_satisfied(), Some(872));
+        let resets: u64 = chord.programs().map(|(_, p)| p.core.cbt.resets).sum();
+        assert_eq!(resets, 2, "Avatar(Chord) resets");
+        let mut cbt = avatar_cbt::legal::runtime(32, &ids, edges, cfg);
+        let legal = cbt.run_monitored(avatar_cbt::legal::legality(), budget);
+        assert_eq!(legal.rounds_if_satisfied(), Some(808));
+        let resets: u64 = cbt.programs().map(|(_, p)| p.core.resets).sum();
+        assert_eq!(resets, 2, "Avatar(CBT) resets");
+    }
 }

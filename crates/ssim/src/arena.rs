@@ -244,13 +244,16 @@ impl<M> InboxArena<M> {
 
     /// Consume `slot`'s inbox: drop every message, return its pages to the
     /// free list, and report how many messages were consumed. O(pages of
-    /// the chain), with no per-message bookkeeping: nothing outside the
-    /// chain records where a message waits. Departures pay instead
-    /// (`retire`): one scan of the dirty slots' inboxes, O(dirty slots +
-    /// messages pending in them), shared by every departure until the next
-    /// delivery.
+    /// the chain) — an empty inbox returns at once, writing nothing — with
+    /// no per-message bookkeeping: nothing outside the chain records where
+    /// a message waits. Departures pay instead (`retire`): one scan of the
+    /// dirty slots' inboxes, O(dirty slots + messages pending in them),
+    /// shared by every departure until the next delivery.
     pub fn consume(&mut self, slot: usize) -> usize {
         let chain = self.chains[slot];
+        if chain.len == 0 {
+            return 0;
+        }
         let mut pi = chain.head;
         while pi != NONE {
             let pg = &mut self.pages[pi as usize];
@@ -471,6 +474,19 @@ mod tests {
             }
         }
         assert_eq!(a.pages.len(), slab_pages);
+    }
+
+    #[test]
+    fn consuming_an_empty_inbox_touches_no_page() {
+        let mut a = InboxArena::<u64>::new(2);
+        a.push(1, 7, 70);
+        assert_eq!(a.consume(1), 1);
+        assert_eq!(a.warm, vec![0]);
+        assert_eq!(a.consume(0), 0);
+        assert_eq!(a.consume(1), 0);
+        assert_eq!((a.warm.len(), a.total_len()), (1, 0));
+        a.push(0, 8, 80);
+        assert_eq!(drain_view(&a, 0), vec![(8, 80)]);
     }
 
     #[test]

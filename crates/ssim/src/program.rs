@@ -67,12 +67,14 @@ pub(crate) struct Outgoing<M> {
     pub(crate) msg: M,
 }
 
-/// Per-activation record in a [`ChunkSink`]: which slot ran, and how far
-/// its outputs extend into the sink's flat `sends`/`unlinks` arrays
-/// (cumulative end offsets — activation `k`'s sends are
-/// `sends[slots[k-1].sends_end..slots[k].sends_end]`). Links carry both
-/// endpoints explicitly, so the flat `links` array needs no per-slot
-/// attribution.
+/// Record of one activation with an effect, in a [`ChunkSink`]: which slot
+/// ran, and how far its outputs extend into the sink's flat
+/// `sends`/`unlinks` arrays (cumulative end offsets — record `k`'s sends
+/// are `sends[slots[k-1].sends_end..slots[k].sends_end]`). Links carry
+/// both endpoints explicitly, so the flat `links` array needs no per-slot
+/// attribution. An activation without an effect (see
+/// [`ChunkSink::activate`]) emitted nothing, so skipping its record moves
+/// no offset.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotRec {
     pub(crate) slot: u32,
@@ -97,6 +99,7 @@ pub(crate) struct SlotRec {
 /// reproduces the exact selection-order apply a sequential run performs.
 /// All buffers are recycled across rounds.
 pub(crate) struct ChunkSink<M> {
+    /// One record per activation with an effect, in selection order.
     pub(crate) slots: Vec<SlotRec>,
     /// Messages to send; recipients are validated round-start neighbors.
     pub(crate) sends: Vec<Outgoing<M>>,
@@ -130,6 +133,9 @@ pub(crate) struct RoundStart<'a, M> {
     pub(crate) strict: bool,
     pub(crate) topo: &'a Topology,
     pub(crate) inboxes: &'a InboxArena<M>,
+    /// The agenda's per-slot quiescence flags, which only the apply walk
+    /// after the emit writes.
+    pub(crate) quiescent: &'a [bool],
 }
 
 impl<M: Clone> ChunkSink<M> {
@@ -142,7 +148,12 @@ impl<M: Clone> ChunkSink<M> {
     }
 
     /// Run one activation of the live slot `i` against the round-start
-    /// snapshot, appending what it emits and its [`SlotRec`].
+    /// snapshot, appending what it emits and, if it had an effect, its
+    /// [`SlotRec`]. An activation has none when it sent, linked and
+    /// unlinked nothing, made no violation, asked for no wake-up, and ended
+    /// quiescent in a slot the agenda already flags quiescent: its record's
+    /// settle, unlink walk and violation count would all be no-ops, which
+    /// is the whole cost of a silent host's round.
     pub(crate) fn activate<P: Program<Msg = M>>(
         &mut self,
         at: &RoundStart<'_, M>,
@@ -150,6 +161,28 @@ impl<M: Clone> ChunkSink<M> {
         prog: &mut P,
         rng: &mut SmallRng,
     ) {
+        let emitted = (self.sends.len(), self.links.len(), self.unlinks.len());
+        let rec = self.step(at, i, prog, rng);
+        let silent = emitted == (self.sends.len(), self.links.len(), self.unlinks.len())
+            && rec.violations == 0
+            && rec.wake_in.is_none()
+            && rec.quiescent
+            && at.quiescent[i];
+        if !silent {
+            self.slots.push(rec);
+        }
+    }
+
+    /// Step the live slot `i` against the round-start snapshot, appending
+    /// what it emits, and return its record whatever it did (the
+    /// shadow-step check audits every record).
+    pub(crate) fn step<P: Program<Msg = M>>(
+        &mut self,
+        at: &RoundStart<'_, M>,
+        i: usize,
+        prog: &mut P,
+        rng: &mut SmallRng,
+    ) -> SlotRec {
         let slot = NodeSlot::new(i);
         let id = at.topo.id_at(slot).expect("selected slot is live");
         let mut ctx = Ctx {
@@ -169,7 +202,7 @@ impl<M: Clone> ChunkSink<M> {
         };
         prog.step(&mut ctx);
         let (violations, wake_in) = (ctx.violations, ctx.wake_in);
-        self.slots.push(SlotRec {
+        SlotRec {
             slot: i as u32,
             id,
             sends_end: self.sends.len() as u32,
@@ -177,7 +210,7 @@ impl<M: Clone> ChunkSink<M> {
             violations,
             wake_in,
             quiescent: prog.is_quiescent(),
-        });
+        }
     }
 
     fn heap_bytes(&self) -> usize {

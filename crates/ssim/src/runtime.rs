@@ -243,13 +243,13 @@ pub struct Runtime<P: Program> {
 /// plain function the runtime can hold without the `P: Router` bound.
 type RouteOf<P> = fn(&P, Key, &[NodeId]) -> RouteStep;
 
-/// The one canonical walk over a round's emit output: every activation, in
-/// selection order (`chunks` in chunk order, records in emission order),
-/// first settles its own bookkeeping — wake-up request, quiescence report —
-/// and then hands each of its sends, in emission order, to `send`. The
-/// walk always runs on the driving thread, because the order of the marks
-/// it makes is observable; what `send` does with a message is the only
-/// thing the delivery paths differ in.
+/// The one canonical walk over a round's emit output: every activation with
+/// an effect, in selection order (`chunks` in chunk order, records in
+/// emission order), first settles its own bookkeeping — wake-up request,
+/// quiescence report — and then hands each of its sends, in emission order,
+/// to `send`. The walk always runs on the driving thread, because the order
+/// of the marks it makes is observable; what `send` does with a message is
+/// the only thing the delivery paths differ in.
 fn walk_emitted<'a, T>(
     agenda: &mut Agenda,
     round: u64,
@@ -487,13 +487,12 @@ impl<P: Program> Runtime<P> {
                 strict: false,
                 ..*at
             };
-            sink.activate(&lenient, i, &mut clone, &mut rng2);
             let SlotRec {
                 violations,
                 wake_in,
                 quiescent,
                 ..
-            } = sink.slots[0];
+            } = sink.step(&lenient, i, &mut clone, &mut rng2);
             let (sends, links, unlinks) = (sink.sends.len(), sink.links.len(), sink.unlinks.len());
             if sends + links + unlinks != 0 || violations != 0 || wake_in.is_some() {
                 return Some(format!(
@@ -763,6 +762,7 @@ impl<P: Program> Runtime<P> {
             strict: self.cfg.strict,
             topo: &self.topo,
             inboxes: &self.inboxes,
+            quiescent: self.agenda.quiescent_flags(),
         };
         #[cfg(debug_assertions)]
         self.audit_skipped(&at);
@@ -780,9 +780,12 @@ impl<P: Program> Runtime<P> {
         // edges first; then the activated inboxes are consumed (their
         // contents were read by this round's emit) before anything new
         // lands in them — due transit arrivals, then this round's sends.
+        // With no message pending anywhere there is nothing to consume.
         self.apply_edges(&mut row);
-        for &slot in self.agenda.selection() {
-            self.inboxes.consume(slot.index());
+        if self.inboxes.total_len() > 0 {
+            for &slot in self.agenda.selection() {
+                self.inboxes.consume(slot.index());
+            }
         }
         let carried = self.inboxes.total_len();
         self.land_arrivals(round);
@@ -2509,5 +2512,163 @@ mod tests {
         };
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(3));
+    }
+
+    /// What a [`Toy`] host does at one round of its plan.
+    #[derive(Clone, Copy)]
+    enum Act {
+        /// End the step non-quiescent.
+        Busy,
+        /// Start a relay: send a token good for this many more hops.
+        Relay(u32),
+        Wake(u64),
+        /// Drop the edge to the first neighbor.
+        Unlink,
+        /// Introduce the first two neighbors to each other.
+        Link,
+        /// Send to itself, a non-neighbor: a violation in lenient mode.
+        Violate,
+    }
+
+    /// A host of a relay ring with a plan: each round it forwards every
+    /// token it received with hops left to a neighbor other than the
+    /// sender, then runs the acts its plan lists for the round. It notes
+    /// whether the step had an effect in the engine's sense: it emitted,
+    /// asked for a wake-up, or was or is non-quiescent.
+    #[derive(Clone)]
+    struct Toy {
+        plan: Vec<(u64, Act)>,
+        busy: bool,
+        /// `(round, had an effect)` of the last step.
+        last: Option<(u64, bool)>,
+    }
+
+    impl Program for Toy {
+        type Msg = u32;
+
+        fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
+            let mut effect = std::mem::take(&mut self.busy);
+            let nbrs = ctx.neighbors();
+            for &(from, hops) in ctx.inbox() {
+                let next = nbrs.iter().find(|&&v| v != from);
+                if let Some(&v) = next.filter(|_| hops > 0) {
+                    ctx.send(v, hops - 1);
+                    effect = true;
+                }
+            }
+            let round = ctx.round;
+            for &(_, act) in self.plan.iter().filter(|&&(r, _)| r == round) {
+                effect = true;
+                match act {
+                    Act::Busy => self.busy = true,
+                    Act::Relay(hops) => ctx.send(nbrs[0], hops),
+                    Act::Wake(d) => ctx.wake_me_in(d),
+                    Act::Unlink => ctx.unlink(nbrs[0]),
+                    Act::Link => ctx.link(nbrs[0], nbrs[1]),
+                    Act::Violate => ctx.send(ctx.id, 0),
+                }
+            }
+            self.last = Some((ctx.round, effect));
+        }
+
+        fn is_quiescent(&self) -> bool {
+            !self.busy
+        }
+    }
+
+    /// The toy ring's plans, by id: quiescent and silent throughout (3
+    /// after its unlink, and whoever a spent token reaches); quiescent to
+    /// non-quiescent and back (1, 6, and 7, which starts busy);
+    /// `wake_me_in(0 | 1 | 5)` (2, 7); unlink only (3); link only (5); a
+    /// lenient-mode violation (4, 5); a relay whose token dies after five
+    /// hops (0).
+    fn toy_plans() -> Vec<Vec<(u64, Act)>> {
+        vec![
+            vec![(1, Act::Relay(5))],
+            vec![(2, Act::Busy)],
+            vec![(1, Act::Wake(0)), (3, Act::Wake(1)), (4, Act::Wake(5))],
+            vec![(5, Act::Unlink)],
+            vec![(6, Act::Violate)],
+            vec![(6, Act::Violate), (7, Act::Link)],
+            vec![(2, Act::Busy), (3, Act::Busy), (4, Act::Busy)],
+            vec![(8, Act::Wake(5))],
+        ]
+    }
+
+    /// The engine's records of this round's activations, by slot.
+    fn recorded_slots<P: Program>(rt: &Runtime<P>) -> Vec<u32> {
+        let sinks = rt.emit.sinks().iter();
+        let mut slots: Vec<u32> = sinks.flat_map(|s| s.slots.iter().map(|r| r.slot)).collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    /// Only an activation with an effect leaves a record, and the records
+    /// the engine skips change nothing: after every round of the toy ring
+    /// the quiescence count and the dirty set agree with the programs, the
+    /// armed timers and the violation count with the plans, and the sinks
+    /// hold exactly the activations the programs say had an effect — on one
+    /// thread and on a pool.
+    #[test]
+    fn silent_activations_leave_no_record_and_change_nothing() {
+        for threads in [1, 2] {
+            let cfg = Config {
+                strict: false,
+                ..Config::seeded(5).threads(threads)
+            };
+            let plans = toy_plans();
+            let toy = |v: usize| Toy {
+                plan: plans[v].clone(),
+                busy: v == 7,
+                last: None,
+            };
+            let toys = (0..8).map(|v| (v as NodeId, toy(v)));
+            let mut rt = Runtime::new(cfg, toys, (0..8).map(|v| (v, (v + 1) % 8)));
+            for round in 0..16 {
+                rt.step();
+                let slot = |v: NodeId| rt.topology().slot_of(v).unwrap().index();
+                let quiescent = rt.programs().filter(|(_, p)| p.is_quiescent()).count();
+                assert_eq!(rt.quiescent_nodes(), quiescent, "round {round}");
+                for (v, p) in rt.programs() {
+                    assert!(p.is_quiescent() || rt.agenda.is_dirty(slot(v)), "{v}");
+                }
+                let (mut timers, mut violations) = (Vec::new(), 0);
+                for (v, plan) in (0..).zip(&plans) {
+                    for &(r, act) in plan {
+                        match act {
+                            Act::Wake(d) if d > 1 && r <= round && round < r + d => {
+                                timers.push((r + d, slot(v) as u32, v));
+                            }
+                            Act::Violate if r == round => violations += 1,
+                            _ => {}
+                        }
+                    }
+                }
+                timers.sort_unstable();
+                assert_eq!(rt.agenda.armed_timers(), timers, "round {round}");
+                let row = rt.metrics().per_round.last().unwrap();
+                assert_eq!(row.violations, violations, "round {round}");
+                let effect = rt.programs().filter(|(_, p)| p.last == Some((round, true)));
+                let mut want: Vec<u32> = effect.map(|(v, _)| slot(v) as u32).collect();
+                want.sort_unstable();
+                assert_eq!(
+                    recorded_slots(&rt),
+                    want,
+                    "round {round}, {threads} thread(s)"
+                );
+            }
+            // Every plan has run out and the token is spent: a silent
+            // synchronous round steps all eight hosts and records none.
+            assert!(rt.all_quiescent() && rt.is_silent());
+            assert_eq!(rt.metrics().total_messages, 6, "the token's six hops");
+            assert_eq!(
+                rt.topology().edge_count(),
+                8 - 1 + 1,
+                "one unlink, one link"
+            );
+            rt.step();
+            assert_eq!(rt.metrics().per_round.last().unwrap().active_nodes, 8);
+            assert_eq!(recorded_slots(&rt), Vec::<u32>::new());
+        }
     }
 }

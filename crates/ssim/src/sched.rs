@@ -469,8 +469,21 @@ impl Agenda {
         self.quiescent[i]
     }
 
+    /// Every slot's quiescence flag, for the emit stage to read.
+    pub(crate) fn quiescent_flags(&self) -> &[bool] {
+        &self.quiescent
+    }
+
     pub(crate) fn quiescent_count(&self) -> usize {
         self.quiescent_count
+    }
+
+    /// The armed timers `(due round, slot, id)`, sorted (the heap's own
+    /// order is unspecified).
+    pub(crate) fn armed_timers(&self) -> Vec<(u64, u32, NodeId)> {
+        let mut timers: Vec<_> = self.timers.iter().map(|&Reverse(t)| t).collect();
+        timers.sort_unstable();
+        timers
     }
 
     /// Slots queued for activation: the dirty set plus armed timers.
@@ -606,14 +619,11 @@ impl Agenda {
             + self.timers.len() * size_of::<Reverse<(u64, u32, NodeId)>>()
     }
 
-    /// Serialize the dirty list (raw order) and the armed timers. The
-    /// timer heap's internal order is unspecified; it is written sorted so
-    /// identical states produce identical bytes.
+    /// Serialize the dirty list (raw order) and the armed timers, sorted
+    /// so identical states produce identical bytes.
     pub(crate) fn save(&self, w: &mut Writer) {
         self.dirty_list.save(w);
-        let mut timers: Vec<(u64, u32, NodeId)> = self.timers.iter().map(|&Reverse(t)| t).collect();
-        timers.sort_unstable();
-        timers.save(w);
+        self.armed_timers().save(w);
     }
 
     /// Restore what [`Agenda::save`] wrote, over slots with the given
