@@ -112,7 +112,7 @@ pub fn boot<P: Program + Clone>(
     edges: Vec<(NodeId, NodeId)>,
     cfg: Config,
     model: NetModel,
-    mk: impl Fn(NodeId) -> P + Send + 'static,
+    mk: impl Fn(NodeId) -> P + 'static,
 ) -> Runtime<P> {
     let mut rt = Runtime::new(cfg, ids.iter().map(|&v| (v, mk(v))), edges)
         .with_spawner(mk)
@@ -129,6 +129,8 @@ pub fn boot<P: Program + Clone>(
 /// a restored host (which knows the protocol's parameters), the snapshot's
 /// seed and its network model — so mid-run joins behave exactly as in the
 /// original run — and debug builds re-arm the shadow quiescence check.
+/// `cfg` is not read: every setting comes from the snapshot (see
+/// [`Runtime::restore_snapshot`]).
 pub fn reboot<P, F>(
     bytes: &[u8],
     cfg: Config,
@@ -137,7 +139,7 @@ pub fn reboot<P, F>(
 where
     P: Program + Persist + Clone,
     P::Msg: Persist,
-    F: Fn(NodeId) -> P + Send + 'static,
+    F: Fn(NodeId) -> P + 'static,
 {
     let mut rt = Runtime::<P>::restore_snapshot(bytes, cfg)?;
     let Some(&first) = rt.ids().first() else {
@@ -166,7 +168,10 @@ pub fn join_nonce(seed: u64, v: NodeId) -> u64 {
     seed ^ (v as u64 + 7).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
-/// Restore a CBT runtime through [`reboot`].
+/// Restore a CBT runtime through [`reboot`]. `cfg` is not read: every
+/// setting comes from the snapshot. It is kept for
+/// `crates/bench/src/bin/benchmark`, which still passes one; ROADMAP item
+/// 4(a) removes it.
 pub fn restore_runtime(bytes: &[u8], cfg: Config) -> Result<Runtime<CbtProgram>, SnapshotError> {
     reboot(bytes, cfg, |p: &CbtProgram, seed, model| {
         spawner(p.core.n, seed, model)

@@ -16,7 +16,7 @@ use ssim::{Ctx, NodeId, Program};
 
 /// Final-topology oracle: given the full sorted id set, which neighbors must
 /// node `v` keep?
-pub type TargetFn = std::sync::Arc<dyn Fn(&[NodeId], NodeId) -> Vec<NodeId> + Send + Sync>;
+pub type TargetFn = std::rc::Rc<dyn Fn(&[NodeId], NodeId) -> Vec<NodeId>>;
 
 /// A node running TCF.
 pub struct TcfProgram {
@@ -96,7 +96,7 @@ impl Program for TcfProgram {
 /// Target oracle for the ideal `Chord` over the actual node set (ring of
 /// sorted ids plus classic fingers by rank).
 pub fn chord_over_ids_target() -> TargetFn {
-    std::sync::Arc::new(|all: &[NodeId], v: NodeId| {
+    std::rc::Rc::new(|all: &[NodeId], v: NodeId| {
         let n = all.len();
         let rank = all.binary_search(&v).expect("v in id set");
         let m = (usize::BITS - n.leading_zeros()) as usize; // ceil-ish log2

@@ -1,34 +1,10 @@
 //! The engine rows. `engine_scale` emits the exact engine documents of
 //! `BENCH_engine.json` — the daemon sweep (E12c), post-convergence
-//! activations (E12d) and memory at scale (E14b); `threads` is the
-//! print-only thread sweep (E12b), the one instrument here that reads the
-//! clock.
+//! activations (E12d) and memory at scale (E14b).
 
 use crate::note;
-use scaffold_bench::{
-    budget, crunch_ring, f2, legal_cbt_standalone, pulse_ring, seeded, ExpArgs, Table,
-};
-use ssim::{init::Shape, NetModel, Program, Runtime};
-use std::time::Instant;
-
-/// Mixer iterations per node-round of the compute-weighted workload.
-const SPINS: u32 = 256;
-
-/// `rounds` synchronous rounds of the `workload` ring (`pulse` or
-/// `crunch`) under `cfg`, after `warm` untimed rounds; the timed rounds'
-/// ns/round.
-fn ring_ns_per_round(workload: &str, n: u32, cfg: ssim::Config, warm: u64, rounds: u64) -> f64 {
-    fn go<P: Program>(mut rt: Runtime<P>, warm: u64, rounds: u64) -> f64 {
-        rt.run(warm);
-        let t0 = Instant::now();
-        rt.run(rounds);
-        t0.elapsed().as_nanos() as f64 / rounds as f64
-    }
-    match workload {
-        "pulse" => go(pulse_ring(n, cfg), warm, rounds),
-        _ => go(crunch_ring(n, SPINS, cfg), warm, rounds),
-    }
-}
+use scaffold_bench::{budget, f2, legal_cbt_standalone, seeded, ExpArgs, Table};
+use ssim::{init::Shape, NetModel};
 
 /// The exact engine documents of `BENCH_engine.json` (seed = `N`, default
 /// 42; `--smoke` for the committed sizes, `--full` adds the 256k/1M-host
@@ -183,66 +159,6 @@ pub fn engine_scale(args: &ExpArgs) {
             "(ratio >> 5).",
             "E14b: both bytes/host columns roughly flat in hosts; the snapshot column is",
             "the compaction headline, the resident column the live heap.",
-        ],
-    );
-}
-
-/// E12b — the thread sweep: steady-state ns/round of the send-bound
-/// `pulse` and the compute-weighted `crunch` rings across thread counts
-/// ({1, 2, 4}, or {1, T} under `--threads T`), with speedup over the same
-/// run's single-thread row and the machine's `cores`. Results are
-/// bit-identical across thread counts; only wall-clock changes, and only
-/// when there are cores to use. Print-only: nothing here is committed;
-/// the bench README records the two-core reading.
-pub fn threads(args: &ExpArgs) {
-    let seed = args.count.unwrap_or(42);
-    let (sizes, rounds): (&[u32], u64) = if args.smoke {
-        (&[256, 1024], 5)
-    } else {
-        (&[1_000, 10_000, 100_000], 20)
-    };
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let thread_counts: Vec<usize> = match args.threads {
-        Some(t) if t > 1 => vec![1, t],
-        Some(0) => vec![1, cores], // `0` = available parallelism, like Config
-        Some(_) => vec![1],
-        None => vec![1, 2, 4],
-    };
-    let mut sweep = Table::new(&[
-        "workload", "n", "threads", "cores", "rounds", "ns/round", "speedup",
-    ]);
-    for &n in sizes {
-        for workload in ["pulse", "crunch"] {
-            let mut base = f64::NAN;
-            for &threads in &thread_counts {
-                // Three warm rounds reach steady-state buffer capacity.
-                let ns = ring_ns_per_round(workload, n, seeded(seed).threads(threads), 3, rounds);
-                if threads == 1 {
-                    base = ns;
-                }
-                sweep.row(vec![
-                    workload.to_string(),
-                    n.to_string(),
-                    threads.to_string(),
-                    cores.to_string(),
-                    rounds.to_string(),
-                    f2(ns),
-                    f2(base / ns),
-                ]);
-            }
-        }
-    }
-    sweep.emit(
-        args,
-        "E12b: thread sweep (deterministic parallel rounds, emit pool)",
-    );
-    note(
-        args,
-        &[
-            "Expected shape: speedup grows with threads up to the `cores` column once",
-            "rounds are big enough to amortize the pool wakeup — crunch scales closer",
-            "to linearly than pulse, whose ordering-observable apply bookkeeping stays",
-            "on the driving thread. With cores = 1 every speedup reads ≈ 1.",
         ],
     );
 }

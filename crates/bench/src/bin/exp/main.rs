@@ -2,8 +2,7 @@
 //! experiment family.
 //!
 //! ```text
-//! exp <row>... [N] [--json] [--smoke] [--full] [--threads T] [--sched S]
-//!     [--net M]
+//! exp <row>... [N] [--json] [--smoke] [--full] [--sched S] [--net M]
 //! ```
 //!
 //! Rows run in the order given and share one parsed command line
@@ -38,7 +37,6 @@ const ROWS: &[Row] = &[
     ("churn", paper::churn),
     ("finger_variants", paper::finger_variants),
     ("engine_scale", engine::engine_scale),
-    ("threads", engine::threads),
     ("workload", workload::workload),
     ("net", net::net),
     ("gauntlet", gauntlet::gauntlet),
@@ -90,7 +88,7 @@ mod tests {
             rows: rows.iter().map(|s| s.to_string()).collect(),
             ..ExpArgs::default()
         };
-        assert_eq!(selected(&args(&["net", "threads"])).unwrap().len(), 2);
+        assert_eq!(selected(&args(&["net", "workload"])).unwrap().len(), 2);
         let e = selected(&args(&["net", "exp_net"])).err().unwrap();
         assert!(e.contains("exp_net"), "{e}");
         assert!(selected(&args(&[])).is_err());

@@ -11,22 +11,24 @@ use overlay::{Cbt, Chord};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use scaffold_bench::{
-    budget, f2, legal_cbt_runtime, legal_chord_runtime, log2_sq, mean_std, measure_cbt,
-    measure_chord, measure_churn, seeded, survival_probability, ExpArgs, Outcome, Table,
+    budget, f2, legal_cbt_runtime, legal_chord_runtime, log2_sq, measure_cbt, measure_chord,
+    measure_churn, seeded, stat_cell, survival_probability, ExpArgs, Outcome, Table,
 };
 use ssim::{init::Shape, Config, NodeId, OpenLoop, Runtime, Topology, WorkloadConfig};
 
 /// Guest-space sizes of the `N` sweeps; every sweep runs `N/8` hosts.
 const NS: [u32; 6] = [64, 128, 256, 512, 1024, 2048];
 
-fn mean(xs: &[f64]) -> f64 {
-    mean_std(xs).0
+/// The mean of `xs` as a cell (`-` for no samples).
+fn mean(xs: &[f64]) -> String {
+    stat_cell(xs, |m, _| m)
 }
 
-/// Per-seed outcomes of one sweep point. A run that exhausts its budget is
-/// reported to stderr and left out of `rounds`.
+/// Per-seed outcomes of one sweep point. A run that exhausts its budget
+/// counts in `seeds` and in the degree samples, not in `rounds`.
 #[derive(Default)]
 struct Samples {
+    seeds: u64,
     rounds: Vec<f64>,
     peaks: Vec<f64>,
     finals: Vec<f64>,
@@ -42,13 +44,13 @@ fn samples(
     seeds: u64,
     base: u64,
 ) -> Samples {
-    let mut s = Samples::default();
+    let mut s = Samples {
+        seeds,
+        ..Samples::default()
+    };
     for seed in base..base + seeds {
         let o = measure(n, hosts, shape, seed);
-        match o.rounds {
-            Some(r) => s.rounds.push(r as f64),
-            None => eprintln!("warn: N={n} seed={seed} did not converge in budget"),
-        }
+        s.rounds.extend(o.rounds.map(|r| r as f64));
         s.peaks.push(o.peak_degree as f64);
         s.finals.push(o.final_degree as f64);
         s.exps.push(o.expansion);
@@ -56,9 +58,16 @@ fn samples(
     s
 }
 
+impl Samples {
+    /// Seeds that converged within budget, of all seeds run: `k/total`.
+    fn converged(&self) -> String {
+        format!("{}/{}", self.rounds.len(), self.seeds)
+    }
+}
+
 /// One row per `N` of [`NS`] from random connected starts, over the
 /// positional count of seeds (default 5) from `base`; `cells` renders the
-/// columns after `N` and `hosts`.
+/// columns after `N`, `hosts` and `converged`, which `headers` omits.
 fn n_sweep(
     args: &ExpArgs,
     title: &str,
@@ -68,11 +77,11 @@ fn n_sweep(
     cells: impl Fn(u32, &Samples) -> Vec<String>,
 ) {
     let seeds = args.count.unwrap_or(5);
-    let mut t = Table::new(headers);
+    let mut t = Table::new(&[&["N", "hosts", "converged"], headers].concat());
     for n in NS {
         let hosts = (n / 8) as usize;
         let s = samples(measure, n, hosts, Shape::Random, seeds, base);
-        let mut row = vec![n.to_string(), hosts.to_string()];
+        let mut row = vec![n.to_string(), hosts.to_string(), s.converged()];
         row.extend(cells(n, &s));
         t.row(row);
     }
@@ -86,8 +95,6 @@ pub fn cbt_convergence(args: &ExpArgs) {
         args,
         "E1: Avatar(CBT) convergence vs N (Theorem 1/4; expect flat rounds/log²N)",
         &[
-            "N",
-            "hosts",
             "rounds(mean)",
             "rounds(std)",
             "rounds/log²N",
@@ -97,13 +104,12 @@ pub fn cbt_convergence(args: &ExpArgs) {
         measure_cbt,
         1000,
         |n, s| {
-            let (rm, rs) = mean_std(&s.rounds);
             vec![
-                f2(rm),
-                f2(rs),
-                f2(rm / log2_sq(n)),
-                f2(mean(&s.peaks)),
-                f2(mean(&s.exps)),
+                mean(&s.rounds),
+                stat_cell(&s.rounds, |_, sd| sd),
+                stat_cell(&s.rounds, |m, _| m / log2_sq(n)),
+                mean(&s.peaks),
+                mean(&s.exps),
             ]
         },
     );
@@ -116,8 +122,6 @@ pub fn chord_convergence(args: &ExpArgs) {
         args,
         "E2: Avatar(Chord) convergence vs N (Theorem 2/5; expect flat rounds/log²N)",
         &[
-            "N",
-            "hosts",
             "rounds(mean)",
             "rounds(std)",
             "rounds/log²N",
@@ -127,13 +131,12 @@ pub fn chord_convergence(args: &ExpArgs) {
         measure_chord,
         2000,
         |n, s| {
-            let (rm, rs) = mean_std(&s.rounds);
             vec![
-                f2(rm),
-                f2(rs),
-                f2(rm / log2_sq(n)),
-                f2(mean(&s.peaks)),
-                f2(mean(&s.finals)),
+                mean(&s.rounds),
+                stat_cell(&s.rounds, |_, sd| sd),
+                stat_cell(&s.rounds, |m, _| m / log2_sq(n)),
+                mean(&s.peaks),
+                mean(&s.finals),
             ]
         },
     );
@@ -146,8 +149,6 @@ pub fn degree_expansion(args: &ExpArgs) {
         args,
         "E3: degree expansion vs N (Theorem 3/7; expect sub-log²N growth)",
         &[
-            "N",
-            "hosts",
             "expansion(mean)",
             "expansion(std)",
             "expansion/log²N",
@@ -156,8 +157,12 @@ pub fn degree_expansion(args: &ExpArgs) {
         measure_chord,
         3000,
         |n, s| {
-            let (em, es) = mean_std(&s.exps);
-            vec![f2(em), f2(es), f2(em / log2_sq(n)), f2(mean(&s.peaks))]
+            vec![
+                mean(&s.exps),
+                stat_cell(&s.exps, |_, sd| sd),
+                stat_cell(&s.exps, |m, _| m / log2_sq(n)),
+                mean(&s.peaks),
+            ]
         },
     );
 }
@@ -201,7 +206,7 @@ pub fn phase_reset(args: &ExpArgs) {
         t.row(vec![
             n.to_string(),
             hosts.to_string(),
-            f2(mean(&obs)),
+            mean(&obs),
             worst.to_string(),
             bound.to_string(),
         ]);
@@ -239,15 +244,14 @@ pub fn scaffold_to_chord(args: &ExpArgs) {
             s.peaks.push(rt.metrics().peak_degree as f64);
             s.finals.push(rt.topology().max_degree() as f64);
         }
-        let rm = mean(&s.rounds);
         t.row(vec![
             n.to_string(),
             hosts.to_string(),
-            f2(rm),
-            f2(rm / log2_sq(n)),
+            mean(&s.rounds),
+            stat_cell(&s.rounds, |m, _| m / log2_sq(n)),
             ((n as f64).log2() as u32).to_string(),
-            f2(mean(&s.peaks)),
-            f2(mean(&s.finals)),
+            mean(&s.peaks),
+            mean(&s.finals),
         ]);
     }
     t.emit(
@@ -303,7 +307,7 @@ pub fn false_chord(args: &ExpArgs) {
         t.row(vec![
             n.to_string(),
             hosts.to_string(),
-            f2(mean(&factors)),
+            mean(&factors),
             f2(worst),
             "2.00".to_string(),
         ]);
@@ -519,14 +523,21 @@ pub fn routing(args: &ExpArgs) {
 pub fn topologies(args: &ExpArgs) {
     let (n, hosts) = (256u32, 32usize);
     let seeds = args.count.unwrap_or(3);
-    let mut t = Table::new(&["shape", "rounds(mean)", "peak_deg(mean)", "expansion(mean)"]);
+    let mut t = Table::new(&[
+        "shape",
+        "converged",
+        "rounds(mean)",
+        "peak_deg(mean)",
+        "expansion(mean)",
+    ]);
     for shape in Shape::ALL {
         let s = samples(measure_chord, n, hosts, shape, seeds, 10_000);
         t.row(vec![
             shape.label().to_string(),
-            f2(mean(&s.rounds)),
-            f2(mean(&s.peaks)),
-            f2(mean(&s.exps)),
+            s.converged(),
+            mean(&s.rounds),
+            mean(&s.peaks),
+            mean(&s.exps),
         ]);
     }
     t.emit(
@@ -539,9 +550,8 @@ pub fn topologies(args: &ExpArgs) {
 /// alternating joins, graceful leaves and crashes (one per scaffold epoch;
 /// `N` is the episode count) and must re-converge to the legal
 /// configuration of the *new* host set. Under `--json` the full
-/// `ScenarioReport`s follow the table document, one per line. `--threads`
-/// never changes a report; `--sched` and `--net` may — that is the point of
-/// sweeping them.
+/// `ScenarioReport`s follow the table document, one per line. `--sched`
+/// and `--net` may change a report — that is the point of sweeping them.
 pub fn churn(args: &ExpArgs) {
     let episodes = args.count.unwrap_or(6) as usize;
     let mut t = Table::new(&[
@@ -634,8 +644,8 @@ pub fn finger_variants(args: &ExpArgs) {
                 n.to_string(),
                 variant.into(),
                 chord.finger_count().to_string(),
-                f2(mean(&s.rounds)),
-                f2(mean(&s.finals)),
+                mean(&s.rounds),
+                mean(&s.finals),
                 f2(mean_hops),
                 max_hops.to_string(),
             ]);

@@ -8,7 +8,7 @@ use scaffold_bench::{budget, f2, legal_chord_runtime, seeded, ExpArgs, Table};
 use ssim::{fault::Fault, NetModel, OpenLoop, RequestStats, WorkloadConfig};
 
 /// The size/seed/load/channel shape of a service run (everything except
-/// the daemon and thread count, which the sweep varies per row).
+/// the daemon, which the sweep varies per row).
 #[derive(Clone, Copy)]
 struct ServiceSpec {
     n: u32,
@@ -21,9 +21,8 @@ struct ServiceSpec {
 
 /// One converged-overlay traffic run: `rate` lookups/round for `rounds`
 /// rounds, then drain the in-flight tail. Returns the metrics JSON (the
-/// byte-identity fingerprint), the request accounting and the rounds whose
-/// emit ran on the pool.
-fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, RequestStats, u64) {
+/// byte-identity fingerprint) and the request accounting.
+fn service_run(spec: ServiceSpec, sched: &str) -> (String, RequestStats) {
     let ServiceSpec {
         n,
         hosts,
@@ -32,7 +31,7 @@ fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, Reque
         rounds,
         model,
     } = spec;
-    let mut rt = legal_chord_runtime(n, hosts, seeded(seed).threads(threads), model);
+    let mut rt = legal_chord_runtime(n, hosts, seeded(seed), model);
     rt.set_scheduler(ssim::sched::from_spec(sched, seed).expect("known spec"));
     let total = (rate * rounds as f64) as u64;
     let wl = ttl_scaled(model);
@@ -47,7 +46,6 @@ fn service_run(spec: ServiceSpec, sched: &str, threads: usize) -> (String, Reque
     (
         serde_json::to_string(rt.metrics()).expect("metrics serialize"),
         rt.metrics().requests.clone(),
-        rt.perf_counters().par_rounds,
     )
 }
 
@@ -60,16 +58,9 @@ fn ttl_scaled(model: NetModel) -> WorkloadConfig {
     }
 }
 
-fn service_cells(
-    sched: &str,
-    threads: usize,
-    hosts: usize,
-    n: u32,
-    s: &RequestStats,
-) -> Vec<String> {
+fn service_cells(sched: &str, hosts: usize, n: u32, s: &RequestStats) -> Vec<String> {
     vec![
         sched.to_string(),
-        threads.to_string(),
         hosts.to_string(),
         n.to_string(),
         s.issued.to_string(),
@@ -90,9 +81,8 @@ fn log2_ceil(n: u32) -> u32 {
 /// E13a–c (seed = `N`, default 13; `--smoke` for the committed sizes;
 /// `--net` runs E13a/E13b under that model; the snapshot options apply to
 /// E13c's fixture). The row *asserts* E13a's acceptance invariants before
-/// emitting: byte-identical metrics across thread counts (the multi-thread
-/// runs on the pool), the activity daemon serving exactly like the
-/// synchronous one, > 99 % lookup success and the `2·log₂N + 2` hop bound.
+/// emitting: the activity daemon serving exactly like the synchronous one,
+/// > 99 % lookup success and the `2·log₂N + 2` hop bound.
 pub fn workload(args: &ExpArgs) {
     let seed = args.count.unwrap_or(13);
     let smoke = args.smoke;
@@ -104,16 +94,10 @@ pub fn workload(args: &ExpArgs) {
     } else {
         &[(512, 1024), (2048, 4096)]
     };
-    let thread_counts: Vec<usize> = match args.threads {
-        Some(t) if t > 1 => vec![1, t],
-        Some(_) => vec![1],
-        None => vec![1, 2, 4],
-    };
     let (rate, rounds): (f64, u64) = if smoke { (32.0, 192) } else { (64.0, 512) };
 
     let mut t = Table::new(&[
         "sched",
-        "threads",
         "hosts",
         "N",
         "issued",
@@ -137,21 +121,7 @@ pub fn workload(args: &ExpArgs) {
                 rounds,
                 model,
             };
-            let (base_json, s, _) = service_run(spec, sched, 1);
-            // Acceptance: byte-identical metrics across thread counts, the
-            // multi-thread runs on the pool.
-            for &threads in thread_counts.iter().filter(|&&t| t != 1) {
-                let (json, stats, pooled) = service_run(spec, sched, threads);
-                assert!(
-                    pooled > 0,
-                    "E13a: no {sched} round ran on the {threads}-thread pool"
-                );
-                assert_eq!(
-                    base_json, json,
-                    "E13a: {sched} diverged between 1 and {threads} threads"
-                );
-                t.row(service_cells(sched, threads, hosts, n, &stats));
-            }
+            let (base_json, s) = service_run(spec, sched);
             // Acceptance: the activity daemon serves exactly like sync —
             // everything but the activity columns, which legitimately
             // differ between daemons.
@@ -182,12 +152,12 @@ pub fn workload(args: &ExpArgs) {
                 s.completed + s.failed + s.in_flight,
                 "E13a: conservation law"
             );
-            t.row(service_cells(sched, 1, hosts, n, &s));
+            t.row(service_cells(sched, hosts, n, &s));
         }
     }
     t.emit(
         args,
-        "E13a: live routed lookups on converged Avatar(Chord) (per daemon x threads)",
+        "E13a: live routed lookups on converged Avatar(Chord) (per daemon)",
     );
 
     // ---- E13b: traffic under churn storms -------------------------------
@@ -295,9 +265,8 @@ pub fn workload(args: &ExpArgs) {
         args,
         &[
             "Expected shape: E13a success 100% with max_hops ≤ 2·log2(N)+2 — greedy",
-            "finger routing over live host links matches the ideal-table bound; all",
-            "rows byte-identical across threads and (modulo activation counts) across",
-            "the sync/activity daemons. E13b: success dips below 100% exactly by the",
+            "finger routing over live host links matches the ideal-table bound; the",
+            "sync/activity rows byte-identical (modulo activation counts). E13b: success dips below 100% exactly by the",
             "requests caught on departing hosts or expiring mid-heal — the honest",
             "user-visible cost of churn. E13c: completed lookups track the offered",
             "rate on the dormant overlay.",

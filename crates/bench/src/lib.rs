@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::Serialize;
 use ssim::scenario::{Scenario, ScenarioReport};
-use ssim::{fault::Fault, init::Shape, Config, Ctx, NetModel, NodeId, Program, Runtime};
+use ssim::{fault::Fault, init::Shape, Config, NetModel, NodeId, Program, Runtime};
 
 /// Outcome of one stabilization run.
 #[derive(Debug, Clone)]
@@ -79,10 +79,8 @@ pub fn measure_cbt(n_guests: u32, hosts: usize, shape: Shape, seed: u64) -> Outc
 /// of true membership churn — alternating joins of fresh hosts, graceful
 /// leaves, and crashes, one event per scaffold epoch — and measure the
 /// re-convergence through the scenario driver. Honors the shared experiment
-/// options: `--threads` (wall-clock only — the report is identical at any
-/// thread count), `--sched` (the daemon — which, unlike threads, may
-/// legitimately change the report: that is the point of sweeping it) and
-/// `--net`.
+/// options `--sched` (the daemon — which may legitimately change the
+/// report: that is the point of sweeping it) and `--net`.
 pub fn measure_churn(
     n_guests: u32,
     hosts: usize,
@@ -91,7 +89,7 @@ pub fn measure_churn(
     args: &ExpArgs,
 ) -> ScenarioReport {
     let target = ChordTarget::classic(n_guests);
-    let cfg = args.config(seeded(seed));
+    let cfg = seeded(seed);
     // `--net` runs the whole measurement under WAN conditions; every
     // stage window below is re-budgeted for the model's delivery bound
     // (with the default ideal network this is exactly the classic run).
@@ -323,78 +321,6 @@ pub fn survival_probability(
     survived as f64 / trials as f64
 }
 
-/// Minimal all-neighbor gossip: pure engine load (sends, inbox traffic,
-/// snapshot reads) with no protocol logic and no program-side allocation.
-/// The send-bound workload of the E12b thread sweep (`exp threads`).
-pub struct Pulse;
-
-impl Program for Pulse {
-    type Msg = u32;
-
-    fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
-        for k in 0..ctx.neighbors().len() {
-            let v = ctx.neighbors()[k];
-            ctx.send(v, 1);
-        }
-    }
-}
-
-/// A ring of `n` [`Pulse`] nodes with a spawner registered — the engine
-/// experiments' standard fixture. Results are bit-identical across
-/// `cfg.threads` by the engine's determinism guarantee; only wall-clock
-/// time may differ.
-pub fn pulse_ring(n: u32, cfg: Config) -> Runtime<Pulse> {
-    let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Runtime::new(cfg, (0..n).map(|i| (i, Pulse)), edges).with_spawner(|_| Pulse)
-}
-
-/// Gossip with a tunable per-node compute kernel: like [`Pulse`] but each
-/// node first runs `spins` rounds of a splitmix-style mixer over private
-/// state. Real protocol programs (detectors, cluster bookkeeping, finger
-/// maintenance) do orders of magnitude more per-node work than `Pulse`'s
-/// bare sends, so this is the workload the thread sweep uses to measure how
-/// round execution scales when the emit phase actually dominates.
-pub struct Crunch {
-    /// Mixer iterations per round — the per-node compute weight.
-    pub spins: u32,
-    acc: u64,
-}
-
-impl Crunch {
-    /// A node with the given per-round compute weight.
-    pub fn new(spins: u32) -> Self {
-        Self { spins, acc: 0 }
-    }
-}
-
-impl Program for Crunch {
-    type Msg = u32;
-
-    fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
-        for &(_, v) in ctx.inbox() {
-            self.acc = self.acc.wrapping_add(v as u64);
-        }
-        let mut x = self.acc ^ ctx.id as u64;
-        for _ in 0..self.spins {
-            x = x.wrapping_add(0x9E3779B97F4A7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            x ^= x >> 27;
-        }
-        self.acc = x;
-        for k in 0..ctx.neighbors().len() {
-            let v = ctx.neighbors()[k];
-            ctx.send(v, x as u32);
-        }
-    }
-}
-
-/// A ring of `n` [`Crunch`] nodes (see [`pulse_ring`]).
-pub fn crunch_ring(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
-    let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Runtime::new(cfg, (0..n).map(|i| (i, Crunch::new(spins))), edges)
-        .with_spawner(move |_| Crunch::new(spins))
-}
-
 /// The command line of the `exp` binary, checked where it enters: every
 /// value is validated by [`ExpArgs::from_env`], so an experiment never
 /// runs on a misspelled or half-parsed option.
@@ -406,13 +332,10 @@ pub fn crunch_ring(n: u32, spins: u32, cfg: Config) -> Runtime<Crunch> {
 ///   of fixed-width tables;
 /// * `--smoke` — the seconds-long variant of the rows that have one;
 /// * `--full` — also emit the row's `[full]`-tagged document;
-/// * `--threads N` (or `--threads=N`) — round-execution thread count for
-///   rows that build runtimes; `0` means available parallelism, `1`
-///   sequential. Thread count never changes results, only wall-clock time;
 /// * `--sched SPEC` (or `--sched=SPEC`) — the daemon driving the rounds:
 ///   `sync` (default), `activity`, `random:<p>`, or `rr:<k>` (see
-///   [`ssim::sched::from_spec`]). Unlike threads, the daemon may change
-///   results — that is the point of sweeping it;
+///   [`ssim::sched::from_spec`]). The daemon may change results — that is
+///   the point of sweeping it;
 /// * `--net SPEC` (or `--net=SPEC`) — network conditions
 ///   ([`ssim::net::from_spec`]: `ideal` | `wan` | `wan:key=value,...`).
 #[derive(Debug, Clone, Default)]
@@ -427,8 +350,6 @@ pub struct ExpArgs {
     pub full: bool,
     /// Optional numeric positional (seeds / trials), experiment-specific.
     pub count: Option<u64>,
-    /// `--threads N`: round-execution thread count (see [`ExpArgs::config`]).
-    pub threads: Option<usize>,
     /// `--sched SPEC`: a recognized scheduler spec (see [`ExpArgs::scheduler`]).
     pub sched: Option<String>,
     /// `--net SPEC`: the network model (ideal when absent).
@@ -440,14 +361,6 @@ impl ExpArgs {
     /// argument that is not a count, a row name or a well-formed option.
     pub fn from_env() -> Result<Self, String> {
         parse_exp_args(std::env::args().skip(1))
-    }
-
-    /// Apply the `--threads` option (when given) to a runtime config.
-    pub fn config(&self, cfg: Config) -> Config {
-        match self.threads {
-            Some(t) => cfg.threads(t),
-            None => cfg,
-        }
     }
 
     /// Build the `--sched` scheduler, seeding randomized daemons with
@@ -484,16 +397,12 @@ fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, Str
             "json" => &mut out.json,
             "smoke" => &mut out.smoke,
             "full" => &mut out.full,
-            "threads" | "sched" | "net" => {
+            "sched" | "net" => {
                 // A missing value must not swallow the next option.
                 let v = inline
                     .or_else(|| args.next().filter(|v| !v.starts_with("--")))
                     .ok_or(format!("--{name} needs a value"))?;
                 match name {
-                    "threads" => {
-                        let t = v.parse();
-                        out.threads = Some(t.map_err(|_| format!("--threads {v:?}: not a count"))?);
-                    }
                     "sched" if ssim::sched::from_spec(&v, 0).is_none() => {
                         return Err(format!(
                             "--sched {v:?}: want sync | activity | random:<p> | rr:<k>"
@@ -597,6 +506,18 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// A statistic of the samples `xs` — `stat` of their mean and sample
+/// standard deviation — as a 2-decimal cell, or `-` when there are none: a
+/// statistic of no samples is not a number, and rendering it as 0 would
+/// read as a measurement.
+pub fn stat_cell(xs: &[f64], stat: impl FnOnce(f64, f64) -> f64) -> String {
+    if xs.is_empty() {
+        return "-".into();
+    }
+    let (mean, std) = mean_std(xs);
+    f2(stat(mean, std))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,29 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn exp_args_parse_threads_and_flags() {
-        let a = args(&[
-            "net",
-            "--json",
-            "--threads",
-            "4",
-            "--smoke",
-            "7",
-            "gauntlet",
-        ])
-        .unwrap();
+    fn exp_args_parse_flags() {
+        let a = args(&["net", "--json", "--smoke", "7", "gauntlet"]).unwrap();
         assert!(a.json && a.smoke && !a.full);
         assert_eq!(a.rows, ["net", "gauntlet"]);
-        assert_eq!(a.threads, Some(4));
         assert_eq!(a.count, Some(7));
-        assert_eq!(args(&["--threads=2"]).unwrap().threads, Some(2));
-        assert_eq!(args(&[]).unwrap().threads, None);
-        assert_eq!(a.config(Config::seeded(1)).effective_threads(), 4);
         assert_rejected(&[
-            &["--threads", "--json"],
-            &["--threads"],
-            &["--threads=x", "--json"],
-            &["--threads", "x"],
+            &["--threads", "4"],
+            &["--threads=2"],
             &["--smok"],
             &["--e14b-full"],
             &["--json=1"],
@@ -698,22 +604,18 @@ mod tests {
     }
 
     #[test]
-    fn crunch_ring_is_thread_count_invariant() {
-        let fingerprint = |threads: usize| {
-            let mut rt = crunch_ring(64, 32, seeded(9).threads(threads));
-            rt.run(12);
-            serde_json::to_string(rt.metrics()).expect("metrics serialize")
-        };
-        let seq = fingerprint(1);
-        assert_eq!(seq, fingerprint(2));
-        assert_eq!(seq, fingerprint(4));
-    }
-
-    #[test]
     fn mean_std_basics() {
         let (m, s) = mean_std(&[2.0, 4.0, 6.0]);
         assert!((m - 4.0).abs() < 1e-12);
         assert!((s - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stat_cell_of_no_samples_is_a_dash() {
+        assert_eq!(stat_cell(&[], |m, _| m), "-");
+        assert_eq!(stat_cell(&[], |_, sd| sd), "-");
+        assert_eq!(stat_cell(&[2.0, 4.0, 6.0], |m, _| m), "4.00");
+        assert_eq!(stat_cell(&[2.0, 4.0, 6.0], |_, sd| sd), "2.00");
     }
 
     #[test]

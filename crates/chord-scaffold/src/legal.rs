@@ -70,7 +70,7 @@ pub fn legality() -> impl FnMut(&Runtime<ScaffoldProgram<ChordTarget>>) -> bool 
 
 /// Legality goal for an arbitrary [`InductiveTarget`] instance (the
 /// generalized scaffolding pattern of Section 6).
-pub fn legality_for<T: InductiveTarget + Clone + Send + 'static>(
+pub fn legality_for<T: InductiveTarget>(
     target: T,
 ) -> impl FnMut(&Runtime<ScaffoldProgram<T>>) -> bool {
     move |rt: &Runtime<ScaffoldProgram<T>>| {
@@ -117,7 +117,9 @@ fn spawner<T: InductiveTarget>(
 
 /// Restore a scaffolding runtime through the one restore recipe
 /// ([`avatar_cbt::legal::reboot`]); joiners boot for the restored hosts'
-/// target.
+/// target. `cfg` is not read: every setting comes from the snapshot. It is
+/// kept for `crates/bench/src/bin/benchmark`, which still passes one;
+/// ROADMAP item 4(a) removes it.
 pub fn restore_runtime<T: InductiveTarget + Persist>(
     bytes: &[u8],
     cfg: Config,

@@ -19,7 +19,7 @@ use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
 
 /// A target guest topology buildable from the CBT scaffold by inductive PIF
 /// waves (the paper's Algorithm 1 generalized).
-pub trait InductiveTarget: Clone + Send + Sync + 'static {
+pub trait InductiveTarget: Clone + 'static {
     /// Short name for logs and tables.
     fn name(&self) -> &'static str;
 

@@ -110,27 +110,24 @@ fn rounds_if_satisfied_gives_the_classic_option_shape() {
     assert!(rounds.is_some());
 }
 
-/// The full CBT → Chord build through the monitored driver is
-/// byte-identical at every thread count: `runtime` arms the debug
-/// shadow-step check, so the pooled emit runs under the quiescence auditor
-/// for the whole stabilization.
+/// The full CBT → Chord build through the monitored driver reaches
+/// legality and replays byte-identically from the same seed; `runtime`
+/// arms the debug shadow-step check, so it runs under the quiescence
+/// auditor for the whole stabilization.
 #[test]
-fn stabilization_is_thread_invariant() {
+fn stabilization_replays_identically() {
     let t = ChordTarget::classic(64);
     let ids: Vec<u32> = vec![1, 9, 17, 25, 33, 41, 49, 57];
-    let run = |threads: usize| {
-        let cfg = Config::seeded(22).threads(threads);
+    let run = || {
+        let cfg = Config::seeded(22);
         let mut rt = runtime(t, &ids, ssim::init::ring(&ids), cfg);
         let out = rt.run_monitored(legality(), budget(64, ids.len()));
-        assert_eq!(out.verdict, RunVerdict::Satisfied, "{threads} threads");
+        assert_eq!(out.verdict, RunVerdict::Satisfied);
         assert!(runtime_is_legal(&rt));
         (
             out.rounds,
             serde_json::to_string(rt.metrics()).expect("metrics serialize"),
         )
     };
-    let sequential = run(1);
-    for threads in [2usize, 4, 8] {
-        assert_eq!(sequential, run(threads), "{threads} threads diverged");
-    }
+    assert_eq!(run(), run(), "the same seed replays");
 }

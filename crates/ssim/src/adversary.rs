@@ -5,7 +5,7 @@
 //! region-correlated crash waves, flash-crowd joins, repeated
 //! partition+heal cycles — that [`Adversary::schedule`] appends to an
 //! ordinary [`Scenario`], so every attack is deterministic under every
-//! daemon and thread count, and reports the ids it touched
+//! daemon, and reports the ids it touched
 //! through the [`EventRecord`] path.
 //!
 //! Protocols opt into *targeted* state corruption by implementing
@@ -74,8 +74,7 @@ pub trait Introspect: Program {
 
 /// A named, parameterized, seeded generator of [`Event`]s.
 /// [`Adversary::schedule`] appends them to a [`Scenario`], so attacks replay
-/// identically at any thread count and compose with joins, daemon swaps and
-/// WAN models.
+/// identically and compose with joins, daemon swaps and WAN models.
 #[derive(Debug, Clone)]
 pub enum Adversary {
     /// Age the beacon views of `victims` random nodes by `age` rounds:
@@ -175,7 +174,7 @@ impl Adversary {
                         Event::Corrupt {
                             id: v,
                             label: format!("stale-beacons(age={age})"),
-                            mutate: std::sync::Arc::new(move |p: &mut P| p.age_observations(age)),
+                            mutate: std::rc::Rc::new(move |p: &mut P| p.age_observations(age)),
                         },
                     );
                 }
@@ -188,7 +187,7 @@ impl Adversary {
                         Event::Corrupt {
                             id: v,
                             label: format!("lying-beacons(salt={salt:#x})"),
-                            mutate: std::sync::Arc::new(move |p: &mut P| p.skew_identity(salt)),
+                            mutate: std::rc::Rc::new(move |p: &mut P| p.skew_identity(salt)),
                         },
                     );
                 }
@@ -207,7 +206,7 @@ impl Adversary {
                             Event::Corrupt {
                                 id: u,
                                 label: format!("equivocation(about={v})"),
-                                mutate: std::sync::Arc::new(move |p: &mut P| {
+                                mutate: std::rc::Rc::new(move |p: &mut P| {
                                     p.plant_observation(v, salt);
                                 }),
                             },
@@ -309,8 +308,7 @@ impl Checkpoint {
     }
 
     /// Roll the program state of every node in `nodes` back to this
-    /// checkpoint. The image is materialized in a single-threaded shadow
-    /// runtime; each implicated node that exists in both the checkpoint and
+    /// checkpoint. The image is materialized in a shadow runtime; each implicated node that exists in both the checkpoint and
     /// the live runtime has its program replaced wholesale (through
     /// [`Runtime::corrupt_node`], so the victim is marked dirty and
     /// re-evaluated for quiescence). Nodes that crashed since the
@@ -326,7 +324,7 @@ impl Checkpoint {
         P: Program + Persist + Clone,
         P::Msg: Persist,
     {
-        let shadow: Runtime<P> = Runtime::restore_snapshot(&self.bytes, rt.config().threads(1))
+        let shadow: Runtime<P> = Runtime::restore_snapshot(&self.bytes, rt.config())
             .expect("checkpoint holds a runtime of this program type");
         let mut done = BTreeSet::new();
         let mut count = 0usize;
@@ -739,10 +737,14 @@ mod tests {
         assert_eq!(n, 2, "3 is dead and stays dead");
     }
 
+    /// One driver: scans are read-only, so with nothing recovered the
+    /// gauntlet IS `Scenario::run` even while the full bank detects the
+    /// lies and crashes — same rounds, verdict and event records, same
+    /// runtime bytes afterwards.
     #[test]
-    fn gauntlet_identical_across_thread_counts() {
-        let fixture = |threads: usize| {
-            let rt = warmed_ring(16, Config::seeded(5).threads(threads));
+    fn gauntlet_without_recovery_is_the_scenario_run() {
+        let fixture = || {
+            let rt = warmed_ring(16, Config::seeded(5));
             let members: Vec<NodeId> = rt.ids().to_vec();
             let sc = Scenario::new("mixed").seeded(99);
             let sc = Adversary::LyingBeacons { victims: 2 }.schedule(sc, &members, 1, 99);
@@ -754,45 +756,26 @@ mod tests {
             .schedule(sc, &members, 4, 99);
             (rt, sc)
         };
-        let run = |threads: usize| {
-            let (mut rt, sc) = fixture(threads);
-            let ck = Checkpoint::capture(&rt);
-            let mut suite = DetectorSuite::new();
-            let goal = ran(&rt, 10);
-            let out = run_gauntlet(&mut rt, &sc, &mut suite, Recovery::Rollback(&ck), goal, 50);
-            (serde_json::to_string(&out).unwrap(), rt.save_snapshot())
-        };
-        let base = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(run(t), base, "threads={t}");
-        }
-
-        // One driver: scans are read-only, so with nothing recovered the
-        // gauntlet IS `Scenario::run` even while the full bank detects the
-        // lies and crashes — same rounds, verdict and event records, same
-        // runtime bytes afterwards.
-        for t in [1, 4] {
-            let (mut plain_rt, sc) = fixture(t);
-            let goal = ran(&plain_rt, 10);
-            let report = sc.run(&mut plain_rt, goal, 50);
-            let (mut rt, sc) = fixture(t);
-            let goal = ran(&rt, 10);
-            let out = run_gauntlet(
-                &mut rt,
-                &sc,
-                &mut DetectorSuite::new(),
-                Recovery::Restabilize,
-                goal,
-                50,
-            );
-            assert!(out.first_critical.is_some(), "the bank saw the attack");
-            assert_eq!((out.rounds, out.verdict), (report.rounds, report.verdict));
-            assert_eq!(
-                serde_json::to_string(&out.events).unwrap(),
-                serde_json::to_string(&report.events).unwrap()
-            );
-            assert_eq!(rt.save_snapshot(), plain_rt.save_snapshot(), "threads={t}");
-        }
+        let (mut plain_rt, sc) = fixture();
+        let goal = ran(&plain_rt, 10);
+        let report = sc.run(&mut plain_rt, goal, 50);
+        let (mut rt, sc) = fixture();
+        let goal = ran(&rt, 10);
+        let out = run_gauntlet(
+            &mut rt,
+            &sc,
+            &mut DetectorSuite::new(),
+            Recovery::Restabilize,
+            goal,
+            50,
+        );
+        assert!(out.first_critical.is_some(), "the bank saw the attack");
+        assert_eq!((out.rounds, out.verdict), (report.rounds, report.verdict));
+        assert_eq!(
+            serde_json::to_string(&out.events).unwrap(),
+            serde_json::to_string(&report.events).unwrap()
+        );
+        assert_eq!(rt.save_snapshot(), plain_rt.save_snapshot());
     }
 
     #[test]

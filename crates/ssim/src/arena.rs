@@ -43,10 +43,9 @@
 //! pending messages by sender, and the next append drops the index.
 //!
 //! **Determinism**: the arena changes where bytes live, never what order
-//! they are observed in. Every append happens on the driving thread, in
-//! the order of the delivery walk, and iteration walks chains front to
-//! back, so snapshots and program-visible inbox slices are byte-identical
-//! to the flat layout at any thread count.
+//! they are observed in. Every append happens in the order of the delivery
+//! walk, and iteration walks chains front to back, so snapshots and
+//! program-visible inbox slices are byte-identical to the flat layout.
 
 use crate::program::Outgoing;
 use crate::sched::Agenda;

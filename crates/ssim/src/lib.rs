@@ -35,8 +35,7 @@
 //!   post-convergence rounds O(activity) instead of O(n).
 //! * **Snapshots**: a full runtime serializes to a versioned,
 //!   hash-verified binary [`snapshot`] and restores into a runtime that
-//!   continues byte-identically, at any thread count, under any
-//!   equivalence-claiming scheduler. Programs opt in via [`Persist`].
+//!   continues byte-identically under any equivalence-claiming scheduler. Programs opt in via [`Persist`].
 //! * **Traffic**: application request [`workload`]s are injected each
 //!   round and routed hop-by-hop over the *live* host links by the
 //!   protocol's [`workload::Router`], racing stabilization and churn
@@ -46,13 +45,11 @@
 //!   and [`Runtime::partition`] / [`Runtime::heal`] cut and splice the
 //!   network without touching edges; see [`net`].
 //!
-//! Node programs implement [`Program`]; per-round execution of independent
-//! node programs is data-parallel on an `std::thread` worker pool (see
-//! [`Config::threads`]) and fully deterministic at any thread count:
-//! every node owns a PRNG seeded from `(run seed, node id)`, the
-//! emit phase reads only the round-start snapshot, and action application
-//! is sequenced in selection order on the driving thread (see
-//! [`Runtime::step`] for the stages of a round).
+//! Node programs implement [`Program`]. A round runs on the calling
+//! thread and is a pure function of the seed: every node owns a PRNG
+//! seeded from `(run seed, node id)`, the emit phase reads only the
+//! round-start snapshot, and action application is sequenced in selection
+//! order (see [`Runtime::step`] for the stages of a round).
 //!
 //! The engine core is **slot-based**: every member occupies a stable
 //! [`NodeSlot`] in the per-node storage for its whole lifetime, freed slots
@@ -60,14 +57,10 @@
 //! only at the membership boundary. Membership events are therefore O(deg)
 //! — no renumbering, no index rebuilds — and steady-state rounds allocate
 //! nothing: inboxes are pages of a shared [`arena`] recycled at
-//! consumption, emit sinks are recycled, and edge/degree aggregates are
+//! consumption, the emit sink is recycled, and edge/degree aggregates are
 //! tracked incrementally.
 
-// `deny` rather than `forbid`: the one sanctioned exception is `par` — the
-// pool's borrowed-job hand-off and the chunked emit executor's disjoint
-// `&mut` split — which opts back in with a module-level `allow`.
-// Everything else in the crate stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The round is only readable while every stage fits in a reviewer's head:
 // the `lint` CI job turns this into an error past the threshold in the
@@ -82,7 +75,6 @@ pub mod init;
 pub mod metrics;
 pub mod monitor;
 pub mod net;
-mod par;
 pub mod program;
 pub mod runtime;
 pub mod scenario;

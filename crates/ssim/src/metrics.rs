@@ -119,27 +119,19 @@ impl RunMetrics {
     }
 }
 
-/// Execution-machinery counters from [`crate::Runtime::perf_counters`]:
-/// where the round engine ran each round's emit phase.
-///
-/// Exact functions of the run and the thread count: with a pool
-/// ([`crate::Config::threads`] ≥ 2) every round that selects anyone runs
-/// on it, so `par_rounds` counts the non-empty rounds, `syncs` equals
-/// `par_rounds`, and `seq_rounds` counts the empty ones; without a pool
-/// every round is a `seq_rounds` round and `syncs` is zero. Deliberately
-/// **not** part of [`RoundMetrics`]/[`RunMetrics`] and never serialized
-/// (no `Persist`, no serde): they vary with the thread count, and folding
-/// them into the metrics stream would break the byte-identity story those
-/// types pin.
+/// Execution-machinery counters from [`crate::Runtime::perf_counters`].
+/// Every round runs on the calling thread, so `syncs` and `par_rounds`
+/// are 0 and `seq_rounds` is the round counter. Kept for
+/// `crates/bench/src/bin/benchmark`, which still reads them; ROADMAP item
+/// 4(a) removes them. Not part of [`RoundMetrics`]/[`RunMetrics`] and
+/// never serialized.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PerfCounters {
-    /// Pool wake-ups: one per round whose emit phase ran on a pool with
-    /// worker threads.
+    /// Pool wake-ups: always 0.
     pub syncs: u64,
-    /// Rounds whose emit phase ran on the pool.
+    /// Rounds run on a pool: always 0.
     pub par_rounds: u64,
-    /// Rounds whose emit phase ran on the driving thread: every round
-    /// without a pool, the empty rounds with one.
+    /// Rounds run on the calling thread: the round counter.
     pub seq_rounds: u64,
 }
 

@@ -6,9 +6,8 @@
 //! such as a protocol's legality check. [`crate::Runtime::run_monitored`]
 //! evaluates it before the first round and after every round, and
 //! [`crate::Scenario::run`] does the same between scheduled events. Goals
-//! are evaluated only *between* rounds, on the driving thread, so they are
-//! oblivious to whether rounds execute sequentially or on the thread pool
-//! (see [`crate::Config::threads`]). A goal is not latched: a perturbation
+//! are evaluated only *between* rounds, never inside one (see
+//! [`crate::Runtime::step`] for the stages of a round). A goal is not latched: a perturbation
 //! that breaks the condition again reads as "not yet", so drivers measure
 //! true re-convergence.
 //!
@@ -121,8 +120,7 @@ impl FaultClass {
     }
 }
 
-/// The detector bank the gauntlet scans once per round, on the driving
-/// thread (so detections are bit-identical at any thread count). It holds
+/// The detector bank the gauntlet scans once per round, between rounds. It holds
 /// one rule per [`FaultClass`], scanned in [`FaultClass::ALL`] order; the
 /// stateful rules arm their baseline on the first scan, which therefore
 /// reports only view divergence. Scans are read-only on the runtime.

@@ -11,11 +11,9 @@
 //! then made visible, marked dirty, and counted — in a later round.
 //!
 //! Determinism is preserved by construction: all net decisions (loss,
-//! delay, duplication) are drawn from one dedicated RNG **on the
-//! driving thread, in canonical sink-merge order** — the same selection
-//! order the sequential engine applies sends in — so the schedule is
-//! byte-identical at any thread count or under any equivalence-claiming
-//! daemon. The in-transit buffer and the net RNG position are covered by
+//! delay, duplication) are drawn from one dedicated RNG **in canonical
+//! selection order** — the order the engine applies sends in — so the
+//! schedule is byte-identical under any equivalence-claiming daemon. The in-transit buffer and the net RNG position are covered by
 //! [`Runtime::save_snapshot`], so a run can be split mid-delay and the
 //! restored half continues byte-identically.
 //!
@@ -336,7 +334,7 @@ impl<M> Wire<M> {
 
     /// Whether every send needs a driver-side decision (a non-ideal model
     /// or an active cut): loss/delay/duplication draws happen in canonical
-    /// sink-merge order on the driving thread — the determinism argument.
+    /// selection order — the determinism argument.
     /// An inactive wire is bypassed entirely, which keeps the ideal
     /// network on the classic engine's path bit-for-bit.
     pub(crate) fn is_active(&self) -> bool {
@@ -411,8 +409,7 @@ impl<M> Wire<M> {
 
     /// Decide the fate of one send to `to` in `round`. Decision order per
     /// message — partition (no draw), loss, delay, duplication — so the RNG
-    /// stream is a pure function of the send stream and the model, never of
-    /// the thread count. Copies due with no extra delay go to `land` (the
+    /// stream is a pure function of the send stream and the model. Copies due with no extra delay go to `land` (the
     /// classic next-round inbox path); the rest are parked for a later
     /// round's [`Wire::arrivals`].
     pub(crate) fn send(

@@ -2,9 +2,6 @@
 //! runs one against the other.
 
 use crate::arena::InboxArena;
-use crate::metrics::PerfCounters;
-use crate::par::{self, ThreadPool};
-use crate::sched::ChunkPlan;
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
@@ -13,9 +10,9 @@ use rand::rngs::SmallRng;
 /// A distributed node program. All nodes run the same program type (the
 /// paper's uniform-program assumption); per-node behavior derives from the
 /// node's identifier and state.
-pub trait Program: Send {
+pub trait Program {
     /// Message type exchanged by the protocol.
-    type Msg: Clone + Send + Sync + std::fmt::Debug;
+    type Msg: Clone + std::fmt::Debug;
 
     /// Execute one synchronous round: read the inbox and the neighbor
     /// snapshot from `ctx`, update local state, and emit sends / topology
@@ -54,10 +51,10 @@ pub trait Program: Send {
 }
 
 /// One message leaving the emit phase, with everything the later stages
-/// need precomputed on the emitting worker: the recipient *slot* (the
-/// id → slot hash lookup happens in [`Ctx::send`], in parallel, against the
-/// round-start member map — membership never changes mid-step) and the
-/// sender id the recipient's inbox records.
+/// need precomputed at emission: the recipient *slot* (the id → slot hash
+/// lookup happens in [`Ctx::send`], against the round-start member map —
+/// membership never changes mid-step) and the sender id the recipient's
+/// inbox records.
 pub(crate) struct Outgoing<M> {
     pub(crate) to_slot: u32,
     /// The sender's slot: read only by the transit wheel, whose snapshot
@@ -67,13 +64,13 @@ pub(crate) struct Outgoing<M> {
     pub(crate) msg: M,
 }
 
-/// Record of one activation with an effect, in a [`ChunkSink`]: which slot
-/// ran, and how far its outputs extend into the sink's flat
+/// Record of one activation with an effect, in the [`EmitSink`]: which
+/// slot ran, and how far its outputs extend into the sink's flat
 /// `sends`/`unlinks` arrays (cumulative end offsets — record `k`'s sends
 /// are `sends[slots[k-1].sends_end..slots[k].sends_end]`). Links carry
 /// both endpoints explicitly, so the flat `links` array needs no per-slot
 /// attribution. An activation without an effect (see
-/// [`ChunkSink::activate`]) emitted nothing, so skipping its record moves
+/// [`EmitSink::activate`]) emitted nothing, so skipping its record moves
 /// no offset.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotRec {
@@ -90,15 +87,13 @@ pub(crate) struct SlotRec {
     pub(crate) quiescent: bool,
 }
 
-/// Where one chunk of the selection writes its emit-phase output: [`Ctx`]
-/// appends straight into these arrays, validated at emit time against the
-/// round-start snapshot — illegal actions are never enqueued. The executing
-/// worker owns the sink exclusively for the chunk's duration (see
-/// [`par::for_each_selected_chunks_mut2`]); the driver then walks sinks in
-/// chunk order, which — chunks being ascending selection ranges —
-/// reproduces the exact selection-order apply a sequential run performs.
-/// All buffers are recycled across rounds.
-pub(crate) struct ChunkSink<M> {
+/// The emit stage: runs the selected programs against the round-start
+/// snapshot, in selection order, and holds what they emit. [`Ctx`] appends
+/// straight into these arrays, validated at emit time against the
+/// round-start snapshot — illegal actions are never enqueued — and the
+/// apply stages then walk them once, in the same order. All buffers are
+/// recycled across rounds.
+pub(crate) struct EmitSink<M> {
     /// One record per activation with an effect, in selection order.
     pub(crate) slots: Vec<SlotRec>,
     /// Messages to send; recipients are validated round-start neighbors.
@@ -114,7 +109,7 @@ pub(crate) struct ChunkSink<M> {
     inbox_buf: Vec<(NodeId, M)>,
 }
 
-impl<M> Default for ChunkSink<M> {
+impl<M> Default for EmitSink<M> {
     fn default() -> Self {
         Self {
             slots: Vec::new(),
@@ -138,13 +133,26 @@ pub(crate) struct RoundStart<'a, M> {
     pub(crate) quiescent: &'a [bool],
 }
 
-impl<M: Clone> ChunkSink<M> {
-    /// Empty the sink for the next round, keeping every allocation.
-    fn reset(&mut self) {
+impl<M: Clone> EmitSink<M> {
+    /// Run the selected programs, in selection order, into the emptied
+    /// sink. `selection` holds distinct live slots (the agenda's sanitizer
+    /// establishes this).
+    pub(crate) fn run<P: Program<Msg = M>>(
+        &mut self,
+        at: &RoundStart<'_, M>,
+        selection: &[NodeSlot],
+        programs: &mut [Option<P>],
+        rngs: &mut [SmallRng],
+    ) {
         self.slots.clear();
         self.sends.clear();
         self.links.clear();
         self.unlinks.clear();
+        for &s in selection {
+            let i = s.index();
+            let prog = programs[i].as_mut().expect("selected slot is live");
+            self.activate(at, i, prog, &mut rngs[i]);
+        }
     }
 
     /// Run one activation of the live slot `i` against the round-start
@@ -154,7 +162,7 @@ impl<M: Clone> ChunkSink<M> {
     /// quiescent in a slot the agenda already flags quiescent: its record's
     /// settle, unlink walk and violation count would all be no-ops, which
     /// is the whole cost of a silent host's round.
-    pub(crate) fn activate<P: Program<Msg = M>>(
+    fn activate<P: Program<Msg = M>>(
         &mut self,
         at: &RoundStart<'_, M>,
         i: usize,
@@ -213,7 +221,7 @@ impl<M: Clone> ChunkSink<M> {
         }
     }
 
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<SlotRec>()
             + self.sends.capacity() * size_of::<Outgoing<M>>()
@@ -223,147 +231,12 @@ impl<M: Clone> ChunkSink<M> {
     }
 }
 
-/// The emit stage: runs the selected programs against the round-start
-/// snapshot, each chunk of the selection writing its own [`ChunkSink`],
-/// and owns where that runs — on the persistent pool (created once per
-/// [`crate::Config`], so parallel rounds spawn no threads) when there is
-/// one, on the driving thread otherwise. The choice is never observable in
-/// results: both paths fill bit-identical sinks.
-pub(crate) struct Emitter<M> {
-    /// Recycled per-chunk sinks (reset each round, capacity kept); only the
-    /// first [`ChunkPlan::chunks`] are active in a given round.
-    sinks: Vec<ChunkSink<M>>,
-    /// The selection→chunk plan of the current round (recycled).
-    plan: ChunkPlan,
-    /// `None` runs every round on the driving thread.
-    pool: Option<ThreadPool>,
-    /// Rounds whose emit ran on the pool / on the driving thread (every
-    /// round without a pool, and the empty rounds with one).
-    par_rounds: u64,
-    seq_rounds: u64,
-}
-
-impl<M: Clone + Send + Sync> Emitter<M> {
-    /// `threads == 1` means no pool.
-    pub(crate) fn new(threads: usize) -> Self {
-        Self {
-            sinks: Vec::new(),
-            plan: ChunkPlan::default(),
-            pool: (threads > 1).then(|| ThreadPool::new(threads)),
-            par_rounds: 0,
-            seq_rounds: 0,
-        }
-    }
-
-    pub(crate) fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, ThreadPool::threads)
-    }
-
-    /// Run the selected programs: on the pool, if there is one, in every
-    /// round whose selection is non-empty. The selection is cut into
-    /// contiguous chunks (see [`ChunkPlan`] — sized by activation count, so
-    /// sparse post-convergence rounds build few chunks) and each chunk's output
-    /// lands in its own sink, indexed by **chunk**, not thread: the sink
-    /// contents are therefore independent of which worker ran the chunk,
-    /// or whether a pool ran at all.
-    ///
-    /// `selection` must hold distinct live slots (the agenda's sanitizer
-    /// establishes this), which is what lets the pool hand out `&mut`
-    /// chunks.
-    pub(crate) fn run<P: Program<Msg = M>>(
-        &mut self,
-        at: &RoundStart<'_, M>,
-        selection: &[NodeSlot],
-        programs: &mut [Option<P>],
-        rngs: &mut [SmallRng],
-    ) {
-        self.plan.rebuild(selection.len(), self.threads());
-        let nchunks = self.plan.chunks();
-        if self.sinks.len() < nchunks {
-            self.sinks.resize_with(nchunks, ChunkSink::default);
-        }
-        for sink in &mut self.sinks[..nchunks] {
-            sink.reset();
-        }
-        let emit_one =
-            |i: usize, prog: &mut Option<P>, rng: &mut SmallRng, sink: &mut ChunkSink<M>| {
-                sink.activate(at, i, prog.as_mut().expect("selected slot is live"), rng);
-            };
-        match &self.pool {
-            // Chunks are claimed atomically (work stealing, for selections
-            // with skewed per-slot costs); reads go only to the shared
-            // round-start snapshot, writes go only to the claimed chunk's
-            // slots and sink (slots distinct by the sanitizer, sinks
-            // distinct by chunk index), so every thread schedule produces
-            // the same sink contents. An empty round wakes nobody.
-            Some(pool) if !selection.is_empty() => {
-                par::for_each_selected_chunks_mut2(
-                    pool,
-                    selection,
-                    self.plan.bounds(),
-                    &mut self.sinks[..nchunks],
-                    programs,
-                    rngs,
-                    emit_one,
-                );
-                self.par_rounds += 1;
-            }
-            _ => {
-                for (c, sink) in self.sinks[..nchunks].iter_mut().enumerate() {
-                    for &s in &selection[self.plan.range(c)] {
-                        let i = s.index();
-                        emit_one(i, &mut programs[i], &mut rngs[i], sink);
-                    }
-                }
-                self.seq_rounds += 1;
-            }
-        }
-    }
-
-    /// This round's sinks, in chunk order — chunks are ascending contiguous
-    /// selection ranges, so chunk-order concatenation IS selection order,
-    /// whatever the chunk count.
-    pub(crate) fn sinks(&self) -> &[ChunkSink<M>] {
-        &self.sinks[..self.plan.chunks()]
-    }
-
-    pub(crate) fn total_sends(&self) -> usize {
-        self.sinks().iter().map(|s| s.sends.len()).sum()
-    }
-
-    /// Each chunk's activation records beside its sends, moving the sends
-    /// out.
-    pub(crate) fn drain_chunks(
-        &mut self,
-    ) -> impl Iterator<Item = (&[SlotRec], std::vec::Drain<'_, Outgoing<M>>)> {
-        let nchunks = self.plan.chunks();
-        self.sinks[..nchunks].iter_mut().map(|s| {
-            let ChunkSink { slots, sends, .. } = s;
-            (&slots[..], sends.drain(..))
-        })
-    }
-
-    /// Pool wake-ups and par/seq round totals since construction (`syncs`
-    /// is zero without a pool).
-    pub(crate) fn perf_counters(&self) -> PerfCounters {
-        PerfCounters {
-            syncs: self.pool.as_ref().map_or(0, ThreadPool::syncs),
-            par_rounds: self.par_rounds,
-            seq_rounds: self.seq_rounds,
-        }
-    }
-
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.sinks.iter().map(ChunkSink::heap_bytes).sum()
-    }
-}
-
 /// Per-round execution context handed to [`Program::step`]. Emitted actions
-/// land directly in the executing chunk's sink; nothing is staged. The
+/// land directly in the round's emit sink; nothing is staged. The
 /// [`Ctx::inbox`] and [`Ctx::neighbors`] slices borrow the round-start
 /// snapshot for `'a`, not the context, so a program holds them across its
 /// own sends and links without copying: nothing an activation emits can
-/// move them, because emission only appends to the chunk sink.
+/// move them, because emission only appends to the emit sink.
 pub struct Ctx<'a, M> {
     /// This node's identifier.
     pub id: NodeId,

@@ -6,7 +6,7 @@
 //!
 //! [`Runtime::step`] is orchestration: each stage of the round is owned by
 //! the type that holds its state — `sched::Agenda` (dirty set, timers,
-//! selection), `program::Emitter` (sinks, pool), `arena::InboxArena`
+//! selection), `program::EmitSink` (the emit output), `arena::InboxArena`
 //! (pending messages), `net::Wire` (network conditions, in-transit
 //! buffer), `workload::Traffic` — and the runtime sequences them (see
 //! ARCHITECTURE.md, "Execution model", for the stage table). The crate
@@ -16,7 +16,7 @@ use crate::arena::InboxArena;
 use crate::metrics::{PerfCounters, RoundMetrics, RunMetrics};
 use crate::monitor::{MonitorOutcome, RunVerdict};
 use crate::net::{self, NetModel, Wire};
-use crate::program::{ChunkSink, Emitter, Program, RoundStart, SlotRec};
+use crate::program::{EmitSink, Program, RoundStart, SlotRec};
 use crate::sched::{self, Agenda, Scheduler};
 use crate::snapshot::{self, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
@@ -25,28 +25,17 @@ use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runtime configuration: model strictness, determinism seed, metrics
-/// granularity, and the execution policy (threads).
+/// Runtime configuration: model strictness, determinism seed and metrics
+/// granularity.
 ///
 /// A `Config` is plain data (`Copy`); build one with [`Config::default`] or
-/// [`Config::seeded`] and refine it with the builder methods. The doctest on
-/// [`Config::threads`] shows the `--threads N`-style parallel setup.
+/// [`Config::seeded`] and refine it with the builder methods. Every round
+/// runs on the calling thread (ARCHITECTURE.md, "One execution thread").
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Panic on model violations (illegal links, sends to non-neighbors).
     /// When false, violations are dropped and counted in the metrics.
     pub strict: bool,
-    /// Threads executing each round: `1` (the default) is plain sequential
-    /// execution, `0` means "use [`std::thread::available_parallelism`]",
-    /// and any other count makes the runtime own a thread pool of that
-    /// size, which runs the emit stage of every round that selects anyone.
-    /// Results are **bit-identical** at any thread count: programs read
-    /// only the round-start snapshot and write only their own state and
-    /// the sink of the chunk they run in, and everything order-observable —
-    /// delivery, edge changes, the dirty set — is applied in selection
-    /// order on the driving thread either way. See
-    /// [`Config::effective_threads`].
-    pub threads: usize,
     /// Seed for all node PRNGs (node `v` gets `seed ⊕ splitmix(v)`).
     pub seed: u64,
     /// Record per-round metric rows (otherwise only aggregates are kept).
@@ -57,7 +46,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             strict: true,
-            threads: 1,
             seed: 0xC0FFEE,
             record_rounds: true,
         }
@@ -73,58 +61,13 @@ impl Config {
         }
     }
 
-    /// Set the thread count (`n == 0` means "available parallelism",
-    /// `n == 1` is plain sequential execution). The choice never changes
-    /// results — only wall-clock time — so experiments may sweep it freely.
-    /// Every round that selects anyone then costs a pool wake-up, so a pool
-    /// pays only where a round's emit outweighs it (roughly 1k nodes and
-    /// up); tiny networks run faster sequentially.
-    ///
-    /// ```
-    /// use ssim::{Config, Ctx, Program, Runtime};
-    ///
-    /// struct Gossip;
-    /// impl Program for Gossip {
-    ///     type Msg = u32;
-    ///     fn step(&mut self, ctx: &mut Ctx<'_, u32>) {
-    ///         for k in 0..ctx.neighbors().len() {
-    ///             let v = ctx.neighbors()[k];
-    ///             ctx.send(v, 1);
-    ///         }
-    ///     }
-    /// }
-    ///
-    /// let ring = |cfg: Config| {
-    ///     let mut rt = Runtime::new(
-    ///         cfg,
-    ///         (0..32u32).map(|i| (i, Gossip)),
-    ///         (0..32u32).map(|i| (i, (i + 1) % 32)),
-    ///     );
-    ///     rt.run(8);
-    ///     rt.metrics().total_messages
-    /// };
-    ///
-    /// // `--threads 2`-style setup: a two-thread pool per runtime …
-    /// let parallel = ring(Config::seeded(7).threads(2));
-    /// // … is bit-identical to the sequential run.
-    /// assert_eq!(parallel, ring(Config::seeded(7)));
-    /// ```
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    /// Returns `self` unchanged: every round runs on the calling thread,
+    /// whatever `n` is. Kept for `crates/bench/src/bin/benchmark`, which
+    /// still passes a thread count; ROADMAP item 4(a) removes it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn threads(self, _n: usize) -> Self {
         self
-    }
-
-    /// The thread count a runtime built from this config will actually use:
-    /// the detected available parallelism when [`Config::threads`] is `0`,
-    /// the configured count otherwise.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
     }
 
     /// The run's private RNG stream number `tag`: every stream is derived
@@ -149,9 +92,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// would *not* have been a no-op. Built by [`Runtime::enable_shadow_check`]
 /// (the closure captures the `P: Clone` capability so `step` itself needs
 /// no extra bounds).
-type ShadowFn<P> = Box<
-    dyn Fn(&RoundStart<'_, <P as Program>::Msg>, usize, &P, &SmallRng) -> Option<String> + Send,
->;
+type ShadowFn<P> =
+    Box<dyn Fn(&RoundStart<'_, <P as Program>::Msg>, usize, &P, &SmallRng) -> Option<String>>;
 
 /// Per-subsystem heap bytes reported by [`Runtime::mem_footprint`].
 ///
@@ -177,7 +119,7 @@ pub struct MemFootprint {
     /// Attached workload state: per-slot request queues and holder flags.
     pub workload: usize,
     /// Engine bookkeeping: RNGs, dirty set, selection scratch, timers,
-    /// per-chunk sinks.
+    /// the emit sink.
     pub engine: usize,
 }
 
@@ -200,9 +142,7 @@ impl MemFootprint {
 /// nodes to activate; only those run the emit phase and have their actions
 /// applied. The runtime maintains the dirty set the
 /// [`sched::ActivityDriven`] daemon feeds on under *every* scheduler, so
-/// schedulers can be swapped mid-run (e.g. by a scenario event). How a
-/// round executes on more than one thread, and why the results do not
-/// depend on it, is on [`Config::threads`].
+/// schedulers can be swapped mid-run (e.g. by a scenario event).
 pub struct Runtime<P: Program> {
     cfg: Config,
     topo: Topology,
@@ -213,8 +153,8 @@ pub struct Runtime<P: Program> {
     rngs: Vec<SmallRng>,
     /// Who must run, who is at rest, who runs this round.
     agenda: Agenda,
-    /// The emit stage: sinks, chunk plan, pool.
-    emit: Emitter<P::Msg>,
+    /// The emit stage's output, walked by the apply stages.
+    emit: EmitSink<P::Msg>,
     /// Per-slot pending messages.
     inboxes: InboxArena<P::Msg>,
     /// Network conditions between emit and delivery (see [`crate::net`]).
@@ -234,7 +174,7 @@ pub struct Runtime<P: Program> {
     sched: Box<dyn Scheduler>,
     /// Builds programs for hosts that join mid-run (registered by protocol
     /// runtime builders; required for spawning joins from faults/scenarios).
-    spawner: Option<Box<dyn FnMut(NodeId) -> P + Send>>,
+    spawner: Option<Box<dyn FnMut(NodeId) -> P>>,
     /// Debug-mode shadow-step auditor (see [`Runtime::enable_shadow_check`]).
     shadow: Option<ShadowFn<P>>,
 }
@@ -244,26 +184,24 @@ pub struct Runtime<P: Program> {
 type RouteOf<P> = fn(&P, Key, &[NodeId]) -> RouteStep;
 
 /// The one canonical walk over a round's emit output: every activation with
-/// an effect, in selection order (`chunks` in chunk order, records in
-/// emission order), first settles its own bookkeeping — wake-up request,
-/// quiescence report — and then hands each of its sends, in emission order,
-/// to `send`. The walk always runs on the driving thread, because the order
-/// of the marks it makes is observable; what `send` does with a message is
-/// the only thing the delivery paths differ in.
-fn walk_emitted<'a, T>(
+/// an effect, in selection order, first settles its own bookkeeping —
+/// wake-up request, quiescence report — and then hands each of its sends,
+/// in emission order, to `send`. The order of the marks it makes is
+/// observable; what `send` does with a message is the only thing the
+/// delivery paths differ in.
+fn walk_emitted<T>(
     agenda: &mut Agenda,
     round: u64,
-    chunks: impl Iterator<Item = (&'a [SlotRec], impl Iterator<Item = T>)>,
+    slots: &[SlotRec],
+    mut sends: impl Iterator<Item = T>,
     mut send: impl FnMut(&mut Agenda, T),
 ) {
-    for (slots, mut sends) in chunks {
-        let mut cur = 0;
-        for rec in slots {
-            agenda.settle(round, rec.slot, rec.id, rec.wake_in, rec.quiescent);
-            while cur < rec.sends_end {
-                cur += 1;
-                send(agenda, sends.next().expect("send cursor within chunk"));
-            }
+    let mut cur = 0;
+    for rec in slots {
+        agenda.settle(round, rec.slot, rec.id, rec.wake_in, rec.quiescent);
+        while cur < rec.sends_end {
+            cur += 1;
+            send(agenda, sends.next().expect("send cursor within the sink"));
         }
     }
 }
@@ -284,7 +222,7 @@ impl<P: Program> Runtime<P> {
             cfg,
             rngs: ids.iter().map(|&v| cfg.stream(v as u64 + 1)).collect(),
             agenda: Agenda::new(programs.iter().map(Program::is_quiescent).collect()),
-            emit: Emitter::new(cfg.effective_threads()),
+            emit: EmitSink::default(),
             inboxes: InboxArena::new(ids.len()),
             wire: Wire::new(cfg.stream(0x6E45_07ED)),
             traffic: None,
@@ -298,12 +236,6 @@ impl<P: Program> Runtime<P> {
             programs: programs.into_iter().map(Some).collect(),
             topo,
         }
-    }
-
-    /// Number of threads executing each round's emit phase (`1` when
-    /// sequential).
-    pub fn threads(&self) -> usize {
-        self.emit.threads()
     }
 
     /// Install a daemon (see [`crate::sched`]); the default is
@@ -344,8 +276,8 @@ impl<P: Program> Runtime<P> {
     /// next round on. Messages already in transit keep the delivery rounds
     /// they were scheduled with; only new sends see the new model. Safe at
     /// any point of a run and under any scheduler — all net decisions
-    /// happen on the driving thread in canonical order, so results stay
-    /// byte-identical at any thread count.
+    /// happen in canonical order, so results stay byte-identical under any
+    /// equivalence-claiming scheduler.
     ///
     /// # Panics
     /// Panics if the model fails [`NetModel::validate`] (a probability
@@ -482,7 +414,7 @@ impl<P: Program> Runtime<P> {
     {
         self.shadow = Some(Box::new(|at, i, prog, rng| {
             let (mut clone, mut rng2) = (prog.clone(), rng.clone());
-            let mut sink = ChunkSink::default();
+            let mut sink = EmitSink::default();
             let lenient = RoundStart {
                 strict: false,
                 ..*at
@@ -548,10 +480,9 @@ impl<P: Program> Runtime<P> {
     /// every round.
     ///
     /// The workload's RNG is derived from the run seed, injection and
-    /// routing happen on the driving thread, and request-carrying hosts
-    /// are marked dirty — so results stay byte-identical across thread
-    /// counts and [`sched::ActivityDriven`] keeps serving traffic exactly
-    /// like the synchronous daemon.
+    /// routing happen in canonical order, and request-carrying hosts are
+    /// marked dirty — so [`sched::ActivityDriven`] keeps serving traffic
+    /// exactly like the synchronous daemon.
     ///
     /// On a live runtime, attaching replaces any previously attached
     /// workload **and its in-flight requests**. On a restored runtime that
@@ -619,13 +550,13 @@ impl<P: Program> Runtime<P> {
     /// Register the factory that builds programs for hosts joining mid-run
     /// (used by [`Runtime::join_spawned`], membership faults, and scenario
     /// joins). Protocol crates' runtime builders register one automatically.
-    pub fn set_spawner(&mut self, f: impl FnMut(NodeId) -> P + Send + 'static) {
+    pub fn set_spawner(&mut self, f: impl FnMut(NodeId) -> P + 'static) {
         self.spawner = Some(Box::new(f));
     }
 
     /// Builder-style [`Runtime::set_spawner`].
     #[must_use]
-    pub fn with_spawner(mut self, f: impl FnMut(NodeId) -> P + Send + 'static) -> Self {
+    pub fn with_spawner(mut self, f: impl FnMut(NodeId) -> P + 'static) -> Self {
         self.set_spawner(f);
         self
     }
@@ -731,8 +662,7 @@ impl<P: Program> Runtime<P> {
     ///
     /// Steady-state rounds perform no heap allocation — every stage
     /// recycles its buffers — and all ordering-observable bookkeeping
-    /// stays on this thread in canonical selection order, which is why
-    /// results never depend on the thread count.
+    /// happens in canonical selection order.
     pub fn step(&mut self) {
         assert!(
             !self.pending_workload(),
@@ -756,7 +686,7 @@ impl<P: Program> Runtime<P> {
 
         // Emit: the selected programs run against the round-start
         // snapshot. Illegal sends/links are rejected at emission (see
-        // `Ctx`), so everything the sinks hold below is valid.
+        // `Ctx`), so everything the sink holds below is valid.
         let at = RoundStart {
             round,
             strict: self.cfg.strict,
@@ -794,7 +724,7 @@ impl<P: Program> Runtime<P> {
         self.metrics.net.delivered += row.messages;
 
         // Traffic: advance held requests one hop over the post-apply
-        // topology, in selection order on this thread.
+        // topology, in selection order.
         if let (Some(tr), Some(route)) = (&mut self.traffic, self.route) {
             let host = |i: usize| self.programs[i].as_ref().expect("selected slot is live");
             let route = |i, key, nb: &[NodeId]| route(host(i), key, nb);
@@ -850,28 +780,25 @@ impl<P: Program> Runtime<P> {
     /// both removed and introduced in the same round ends up present).
     /// Every change marks both endpoints dirty for the next round.
     fn apply_edges(&mut self, row: &mut RoundMetrics) {
-        for sink in self.emit.sinks() {
-            let mut cur = 0;
-            for rec in &sink.slots {
-                row.violations += rec.violations;
-                let end = rec.unlinks_end as usize;
-                for &v in &sink.unlinks[cur..end] {
-                    if self.topo.remove_edge(rec.id, v) {
-                        row.links_removed += 1;
-                        self.agenda.mark_edge(&self.topo, rec.id, v);
-                    }
+        let sink = &self.emit;
+        let mut cur = 0;
+        for rec in &sink.slots {
+            row.violations += rec.violations;
+            let end = rec.unlinks_end as usize;
+            for &v in &sink.unlinks[cur..end] {
+                if self.topo.remove_edge(rec.id, v) {
+                    row.links_removed += 1;
+                    self.agenda.mark_edge(&self.topo, rec.id, v);
                 }
-                cur = end;
             }
+            cur = end;
         }
-        for sink in self.emit.sinks() {
-            // No per-slot state needed: the flat chunk array already holds
-            // the links in selection-then-emission order.
-            for &(x, y) in &sink.links {
-                if self.topo.add_edge(x, y) {
-                    row.links_added += 1;
-                    self.agenda.mark_edge(&self.topo, x, y);
-                }
+        // The flat array already holds the links in selection-then-emission
+        // order.
+        for &(x, y) in &sink.links {
+            if self.topo.add_edge(x, y) {
+                row.links_added += 1;
+                self.agenda.mark_edge(&self.topo, x, y);
             }
         }
     }
@@ -885,31 +812,36 @@ impl<P: Program> Runtime<P> {
     }
 
     /// Deliver this round's sends: one [`walk_emitted`], two per-send
-    /// steps. Through an active wire every send needs a decision on this
-    /// thread; otherwise each message is pushed inline.
+    /// steps. Through an active wire every send needs a decision;
+    /// otherwise each message is pushed inline.
     fn deliver(&mut self, round: u64) {
         let (agenda, stats) = (&mut self.agenda, &mut self.metrics.net);
-        stats.sent += self.emit.total_sends() as u64;
+        let EmitSink { slots, sends, .. } = &mut self.emit;
+        stats.sent += sends.len() as u64;
         if self.wire.is_active() {
-            walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
+            walk_emitted(agenda, round, slots, sends.drain(..), |agenda, o| {
                 let to = self.topo.id_at(NodeSlot::new(o.to_slot as usize));
                 let to = to.expect("round-start recipient is a member");
                 let land = |o| self.inboxes.deliver(agenda, o);
                 self.wire.send(stats, round, to, o, land);
             });
         } else {
-            walk_emitted(agenda, round, self.emit.drain_chunks(), |agenda, o| {
+            walk_emitted(agenda, round, slots, sends.drain(..), |agenda, o| {
                 self.inboxes.deliver(agenda, o);
             });
         }
     }
 
-    /// Execution-machinery counters: pool wake-ups and par/seq round totals
-    /// since construction (`syncs` is zero without a pool). Deliberately
-    /// not part of [`Runtime::metrics`] — see [`PerfCounters`] for the
-    /// boundary argument.
+    /// Execution-machinery counters. Every round runs on the calling
+    /// thread, so they read `{ syncs: 0, par_rounds: 0, seq_rounds:
+    /// round }`. Kept for `crates/bench/src/bin/benchmark`, which still
+    /// reads them; ROADMAP item 4(a) removes them with [`PerfCounters`].
     pub fn perf_counters(&self) -> PerfCounters {
-        self.emit.perf_counters()
+        PerfCounters {
+            syncs: 0,
+            par_rounds: 0,
+            seq_rounds: self.round,
+        }
     }
 
     /// Run a fixed number of rounds.
@@ -1104,18 +1036,16 @@ where
     /// observe (see [`crate::snapshot`] for the inventory); each owner
     /// writes its own section, in a fixed order — the attached workload
     /// whole, generator included. Not captured (because they are code or
-    /// caller policy): the spawner, the shadow check, the scheduler, the
-    /// thread pool, and the router — [`Runtime::restore_snapshot`]
-    /// documents how each is re-attached.
+    /// caller policy): the spawner, the shadow check, the scheduler and the
+    /// router — [`Runtime::restore_snapshot`] documents how each is
+    /// re-attached.
     ///
     /// The bytes are deterministic: two identical runtimes serialize
     /// identically, so snapshot size is a meaningful, exactly reproducible
     /// metric (the E14b experiment records bytes/host from it).
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        // Determinism-relevant config. `threads` is deliberately NOT
-        // saved: thread count never changes results, so it stays a
-        // restore-time choice.
+        // The whole config.
         w.u64(self.cfg.seed);
         w.bool(self.cfg.strict);
         w.bool(self.cfg.record_rounds);
@@ -1153,11 +1083,11 @@ where
     /// fails loudly instead of building a runtime that a later `step`
     /// panics on or silently misreads.
     ///
-    /// `cfg` supplies only the execution policy: `threads` is honored
-    /// (restore at any thread count — results are identical by the
-    /// engine's determinism argument), while `seed`, `strict`, and
-    /// `record_rounds` are pinned from the snapshot (changing them would
-    /// diverge from the uninterrupted run).
+    /// `cfg` is not read: every setting — `seed`, `strict` and
+    /// `record_rounds` — comes from the snapshot (changing one would
+    /// diverge from the uninterrupted run). The parameter is kept for
+    /// `crates/bench/src/bin/benchmark`, which still passes one; ROADMAP
+    /// item 4(a) removes it.
     ///
     /// What the caller re-attaches, because it is code, not data:
     ///
@@ -1174,14 +1104,13 @@ where
     ///   [`Runtime::attach_workload`] re-supplies the saved generator as
     ///   constructed and so arms the router (see
     ///   [`Runtime::pending_workload`]).
-    pub fn restore_snapshot(bytes: &[u8], cfg: Config) -> Result<Self, SnapshotError> {
+    pub fn restore_snapshot(bytes: &[u8], _cfg: Config) -> Result<Self, SnapshotError> {
         let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
         let mut r = Reader::new(snapshot::unseal(bytes)?);
         let cfg = Config {
             seed: r.u64()?,
             strict: r.bool()?,
             record_rounds: r.bool()?,
-            ..cfg
         };
         let topo = Topology::restore_state(&mut r)?;
         let n = r.seq()?;
@@ -1225,7 +1154,7 @@ where
             programs,
             rngs,
             agenda,
-            emit: Emitter::new(cfg.effective_threads()),
+            emit: EmitSink::default(),
             inboxes,
             wire,
             traffic,
@@ -1514,8 +1443,7 @@ mod tests {
     fn snapshot_mid_flood_continues_byte_identically() {
         // Interrupt a flood mid-propagation (messages in flight, dirty set
         // populated) and check the restored run finishes with metrics
-        // byte-identical to the uninterrupted one — including a restore
-        // into a different thread count.
+        // byte-identical to the uninterrupted one.
         let mut full = line_runtime(24);
         full.run(30);
         let full_json = serde_json::to_string(full.metrics()).unwrap();
@@ -1524,19 +1452,13 @@ mod tests {
         a.run(7); // mid-flood: the token is still traveling
         let snap = a.save_snapshot();
         assert_eq!(snap, a.save_snapshot(), "snapshot bytes are deterministic");
-        for threads in [1usize, 3] {
-            let mut b =
-                Runtime::<Flood>::restore_snapshot(&snap, Config::default().threads(threads))
-                    .unwrap();
-            assert_eq!(b.round(), 7);
-            assert_eq!(b.threads(), threads);
-            b.run(23);
-            let b_json = serde_json::to_string(b.metrics()).unwrap();
-            assert_eq!(b_json, full_json, "threads={threads}");
-        }
+        let mut b = Runtime::<Flood>::restore_snapshot(&snap, Config::default()).unwrap();
         // save ∘ restore is the identity on the bytes.
-        let b = Runtime::<Flood>::restore_snapshot(&snap, Config::default()).unwrap();
         assert_eq!(b.save_snapshot(), snap);
+        assert_eq!(b.round(), 7);
+        b.run(23);
+        let b_json = serde_json::to_string(b.metrics()).unwrap();
+        assert_eq!(b_json, full_json);
     }
 
     #[test]
@@ -1872,36 +1794,16 @@ mod tests {
         assert_eq!(rt.metrics().total_violations, 1);
     }
 
+    /// Both per-send steps agree: 512 relays send 1024 messages every
+    /// third round, pushed inline or sent through the wire step — forced by
+    /// a cut nothing crosses, so the model stays ideal and the net RNG is
+    /// never drawn from.
     #[test]
-    fn parallel_matches_sequential() {
-        let run = |threads: usize| {
-            let cfg = Config::default().threads(threads);
-            let nodes = (0..64u32).map(|i| {
-                (
-                    i,
-                    Flood {
-                        has: i == 0,
-                        announced: false,
-                    },
-                )
-            });
-            let mut rt = Runtime::new(cfg, nodes, (0..63u32).map(|i| (i, i + 1)));
-            assert_eq!(rt.threads(), threads);
-            rt.run(70);
-            (rt.metrics().total_messages, rt.topology().edges())
-        };
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(4));
-
-        // Emit on or off the pool, and both per-send steps, agree: 512
-        // relays send 1024 messages every third round, emitted on the
-        // driving thread or on a 4-thread pool and pushed inline,
-        // or sent through the wire step — forced by a cut nothing crosses,
-        // so the model stays ideal and the net RNG is never drawn from.
-        let relays = |cfg: Config, cut: bool| {
+    fn inline_and_wire_delivery_agree() {
+        let relays = |cut: bool| {
             let n = 512u32;
             let mut rt = Runtime::new(
-                cfg,
+                Config::seeded(5),
                 (0..n).map(|id| (id, Relay { id, acc: 0 })),
                 (0..n).map(|i| (i, (i + 1) % n)),
             );
@@ -1911,61 +1813,34 @@ mod tests {
             rt.run(9);
             let json = serde_json::to_string(rt.metrics()).unwrap();
             assert_eq!(rt.heal(), cut);
-            (json, rt.save_snapshot(), rt.perf_counters().par_rounds)
+            (json, rt.save_snapshot())
         };
-        let inline = relays(Config::seeded(5), false);
-        let pooled = relays(Config::seeded(5).threads(4), false);
-        let wired = relays(Config::seeded(5), true);
-        assert_eq!((inline.2, pooled.2, wired.2), (0, 9, 0));
-        assert_eq!(inline.0, pooled.0);
+        let (inline, wired) = (relays(false), relays(true));
         assert_eq!(inline.0, wired.0);
-        assert!(
-            inline.1 == pooled.1 && inline.1 == wired.1,
-            "snapshot bytes"
-        );
+        assert!(inline.1 == wired.1, "snapshot bytes");
     }
 
-    /// A runtime with a pool runs the emit of every round that selects
-    /// anyone on it, whatever the round costs, and keeps empty rounds off
-    /// it: the counters are exact functions of the run.
+    /// The shims kept for the benchmark package change nothing: any thread
+    /// count builds the same runtime, and the counters report every round
+    /// on the calling thread.
     #[test]
-    fn pool_runs_every_non_empty_round() {
-        for threads in [2, 4] {
-            let nodes = (0..6u32).map(|i| {
-                (
-                    i,
-                    Flood {
-                        has: i == 0,
-                        announced: false,
-                    },
-                )
-            });
-            let edges = (0..5u32).map(|i| (i, i + 1));
-            let mut rt = Runtime::new(Config::default().threads(threads), nodes, edges);
-            rt.set_scheduler(Box::new(crate::sched::ActivityDriven));
-            rt.run(12);
-            let rows = &rt.metrics().per_round;
-            let busy = rows.iter().filter(|r| r.active_nodes > 0).count() as u64;
-            let idle = rows.len() as u64 - busy;
-            assert!(busy > 0 && idle > 0, "fixture has both kinds of round");
-            let pc = rt.perf_counters();
-            assert_eq!(
-                (pc.par_rounds, pc.syncs, pc.seq_rounds),
-                (busy, busy, idle),
-                "threads={threads}"
+    fn thread_count_shim_changes_nothing() {
+        let ring = |cfg: Config| {
+            let mut rt = Runtime::new(
+                cfg,
+                (0..32u32).map(|id| (id, Relay { id, acc: 0 })),
+                (0..32u32).map(|i| (i, (i + 1) % 32)),
             );
+            rt.run(12);
+            let pc = rt.perf_counters();
+            assert_eq!((pc.syncs, pc.par_rounds, pc.seq_rounds), (0, 0, 12));
+            let json = serde_json::to_string(rt.metrics()).unwrap();
+            (json, rt.save_snapshot())
+        };
+        let one = ring(Config::seeded(7));
+        for n in [0, 1, 4] {
+            assert!(ring(Config::seeded(7).threads(n)) == one, "threads({n})");
         }
-    }
-
-    /// A strict-mode violation on a pool worker must surface on the driving
-    /// thread with its original message, exactly like in sequential mode.
-    #[test]
-    #[should_panic(expected = "illegal link")]
-    fn illegal_link_panics_identically_in_parallel_mode() {
-        let nodes = (0..8u32).map(|i| (i, Cheater));
-        let cfg = Config::default().threads(4);
-        let mut rt = Runtime::new(cfg, nodes, (0..7u32).map(|i| (i, i + 1)));
-        rt.step();
     }
 
     #[test]
@@ -2198,7 +2073,7 @@ mod tests {
     /// fewer activations once the flood has passed.
     #[test]
     fn activity_driven_matches_synchronous_on_flood() {
-        let run = |activity: bool, threads: usize| {
+        let run = |activity: bool| {
             let nodes = (0..32u32).map(|i| {
                 (
                     i,
@@ -2208,11 +2083,7 @@ mod tests {
                     },
                 )
             });
-            let mut rt = Runtime::new(
-                Config::default().threads(threads),
-                nodes,
-                (0..31u32).map(|i| (i, i + 1)),
-            );
+            let mut rt = Runtime::new(Config::default(), nodes, (0..31u32).map(|i| (i, i + 1)));
             if activity {
                 rt.set_scheduler(Box::new(crate::sched::ActivityDriven));
             }
@@ -2224,8 +2095,8 @@ mod tests {
                 rt.metrics().total_activations,
             )
         };
-        let (sync_msgs, sync_edges, sync_acts) = run(false, 1);
-        let (act_msgs, act_edges, act_acts) = run(true, 1);
+        let (sync_msgs, sync_edges, sync_acts) = run(false);
+        let (act_msgs, act_edges, act_acts) = run(true);
         assert_eq!(sync_msgs, act_msgs);
         assert_eq!(sync_edges, act_edges);
         assert_eq!(sync_acts, 32 * 60, "synchronous: everyone, every round");
@@ -2235,12 +2106,6 @@ mod tests {
         assert!(
             act_acts < sync_acts / 2,
             "activity-driven must beat synchronous (got {act_acts} vs {sync_acts})"
-        );
-        // Parallel emit over a sparse selection is still bit-identical.
-        let (par_msgs, par_edges, par_acts) = run(true, 4);
-        assert_eq!(
-            (par_msgs, par_edges, par_acts),
-            (act_msgs, act_edges, act_acts)
         );
     }
 
@@ -2490,30 +2355,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn membership_preserves_parallel_equivalence() {
-        let run = |threads: usize| {
-            let cfg = Config::default().threads(threads);
-            let nodes = (0..16u32).map(|i| {
-                (
-                    i,
-                    Flood {
-                        has: i == 0,
-                        announced: false,
-                    },
-                )
-            });
-            let mut rt = Runtime::new(cfg, nodes, (0..15u32).map(|i| (i, i + 1)));
-            rt.run(3);
-            rt.leave(5);
-            rt.join(20, Flood::default(), &[4, 6]);
-            rt.run(30);
-            (rt.metrics().total_messages, rt.topology().edges())
-        };
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(3));
-    }
-
     /// What a [`Toy`] host does at one round of its plan.
     #[derive(Clone, Copy)]
     enum Act {
@@ -2597,8 +2438,7 @@ mod tests {
 
     /// The engine's records of this round's activations, by slot.
     fn recorded_slots<P: Program>(rt: &Runtime<P>) -> Vec<u32> {
-        let sinks = rt.emit.sinks().iter();
-        let mut slots: Vec<u32> = sinks.flat_map(|s| s.slots.iter().map(|r| r.slot)).collect();
+        let mut slots: Vec<u32> = rt.emit.slots.iter().map(|r| r.slot).collect();
         slots.sort_unstable();
         slots
     }
@@ -2606,69 +2446,62 @@ mod tests {
     /// Only an activation with an effect leaves a record, and the records
     /// the engine skips change nothing: after every round of the toy ring
     /// the quiescence count and the dirty set agree with the programs, the
-    /// armed timers and the violation count with the plans, and the sinks
-    /// hold exactly the activations the programs say had an effect — on one
-    /// thread and on a pool.
+    /// armed timers and the violation count with the plans, and the sink
+    /// holds exactly the activations the programs say had an effect.
     #[test]
     fn silent_activations_leave_no_record_and_change_nothing() {
-        for threads in [1, 2] {
-            let cfg = Config {
-                strict: false,
-                ..Config::seeded(5).threads(threads)
-            };
-            let plans = toy_plans();
-            let toy = |v: usize| Toy {
-                plan: plans[v].clone(),
-                busy: v == 7,
-                last: None,
-            };
-            let toys = (0..8).map(|v| (v as NodeId, toy(v)));
-            let mut rt = Runtime::new(cfg, toys, (0..8).map(|v| (v, (v + 1) % 8)));
-            for round in 0..16 {
-                rt.step();
-                let slot = |v: NodeId| rt.topology().slot_of(v).unwrap().index();
-                let quiescent = rt.programs().filter(|(_, p)| p.is_quiescent()).count();
-                assert_eq!(rt.quiescent_nodes(), quiescent, "round {round}");
-                for (v, p) in rt.programs() {
-                    assert!(p.is_quiescent() || rt.agenda.is_dirty(slot(v)), "{v}");
-                }
-                let (mut timers, mut violations) = (Vec::new(), 0);
-                for (v, plan) in (0..).zip(&plans) {
-                    for &(r, act) in plan {
-                        match act {
-                            Act::Wake(d) if d > 1 && r <= round && round < r + d => {
-                                timers.push((r + d, slot(v) as u32, v));
-                            }
-                            Act::Violate if r == round => violations += 1,
-                            _ => {}
+        let cfg = Config {
+            strict: false,
+            ..Config::seeded(5)
+        };
+        let plans = toy_plans();
+        let toy = |v: usize| Toy {
+            plan: plans[v].clone(),
+            busy: v == 7,
+            last: None,
+        };
+        let toys = (0..8).map(|v| (v as NodeId, toy(v)));
+        let mut rt = Runtime::new(cfg, toys, (0..8).map(|v| (v, (v + 1) % 8)));
+        for round in 0..16 {
+            rt.step();
+            let slot = |v: NodeId| rt.topology().slot_of(v).unwrap().index();
+            let quiescent = rt.programs().filter(|(_, p)| p.is_quiescent()).count();
+            assert_eq!(rt.quiescent_nodes(), quiescent, "round {round}");
+            for (v, p) in rt.programs() {
+                assert!(p.is_quiescent() || rt.agenda.is_dirty(slot(v)), "{v}");
+            }
+            let (mut timers, mut violations) = (Vec::new(), 0);
+            for (v, plan) in (0..).zip(&plans) {
+                for &(r, act) in plan {
+                    match act {
+                        Act::Wake(d) if d > 1 && r <= round && round < r + d => {
+                            timers.push((r + d, slot(v) as u32, v));
                         }
+                        Act::Violate if r == round => violations += 1,
+                        _ => {}
                     }
                 }
-                timers.sort_unstable();
-                assert_eq!(rt.agenda.armed_timers(), timers, "round {round}");
-                let row = rt.metrics().per_round.last().unwrap();
-                assert_eq!(row.violations, violations, "round {round}");
-                let effect = rt.programs().filter(|(_, p)| p.last == Some((round, true)));
-                let mut want: Vec<u32> = effect.map(|(v, _)| slot(v) as u32).collect();
-                want.sort_unstable();
-                assert_eq!(
-                    recorded_slots(&rt),
-                    want,
-                    "round {round}, {threads} thread(s)"
-                );
             }
-            // Every plan has run out and the token is spent: a silent
-            // synchronous round steps all eight hosts and records none.
-            assert!(rt.all_quiescent() && rt.is_silent());
-            assert_eq!(rt.metrics().total_messages, 6, "the token's six hops");
-            assert_eq!(
-                rt.topology().edge_count(),
-                8 - 1 + 1,
-                "one unlink, one link"
-            );
-            rt.step();
-            assert_eq!(rt.metrics().per_round.last().unwrap().active_nodes, 8);
-            assert_eq!(recorded_slots(&rt), Vec::<u32>::new());
+            timers.sort_unstable();
+            assert_eq!(rt.agenda.armed_timers(), timers, "round {round}");
+            let row = rt.metrics().per_round.last().unwrap();
+            assert_eq!(row.violations, violations, "round {round}");
+            let effect = rt.programs().filter(|(_, p)| p.last == Some((round, true)));
+            let mut want: Vec<u32> = effect.map(|(v, _)| slot(v) as u32).collect();
+            want.sort_unstable();
+            assert_eq!(recorded_slots(&rt), want, "round {round}");
         }
+        // Every plan has run out and the token is spent: a silent
+        // synchronous round steps all eight hosts and records none.
+        assert!(rt.all_quiescent() && rt.is_silent());
+        assert_eq!(rt.metrics().total_messages, 6, "the token's six hops");
+        assert_eq!(
+            rt.topology().edge_count(),
+            8 - 1 + 1,
+            "one unlink, one link"
+        );
+        rt.step();
+        assert_eq!(rt.metrics().per_round.last().unwrap().active_nodes, 8);
+        assert_eq!(recorded_slots(&rt), Vec::<u32>::new());
     }
 }

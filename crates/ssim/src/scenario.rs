@@ -9,9 +9,8 @@
 //! in fragile environments where faults that perturb the logical network
 //! topology are commonplace"): instead of each example hand-rolling its own
 //! inject-then-drive loop, a scenario states the perturbation schedule once
-//! and any protocol/goal pair can replay it deterministically — including
-//! across thread counts, since parallel round execution is bit-identical to
-//! sequential (see [`crate::Config::threads`]).
+//! and any protocol/goal pair can replay it deterministically (see
+//! [`crate::Runtime::step`] for the stages of a round).
 
 use crate::fault::{inject_traced, Fault};
 use crate::monitor::RunVerdict;
@@ -21,7 +20,7 @@ use crate::sched::Scheduler;
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One scheduled perturbation.
 #[derive(Clone)]
@@ -36,7 +35,7 @@ pub enum Event<P: Program> {
         /// Human-readable label for the report.
         label: String,
         /// The mutation (shared so events stay cloneable).
-        mutate: Arc<dyn Fn(&mut P) + Send + Sync>,
+        mutate: Rc<dyn Fn(&mut P)>,
     },
     /// Install a different daemon (see [`crate::sched`]) from this round
     /// on — scenarios can stress one protocol under several activation
@@ -47,7 +46,7 @@ pub enum Event<P: Program> {
         label: String,
         /// Scheduler factory (shared so events stay cloneable; invoked
         /// once per application).
-        make: Arc<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>,
+        make: Rc<dyn Fn() -> Box<dyn Scheduler>>,
     },
     /// Cut the network along a node-set bisection (see
     /// [`Runtime::partition`]): messages crossing the cut are dropped,
@@ -161,13 +160,13 @@ impl<P: Program> Scenario<P> {
         self,
         round: u64,
         label: impl Into<String>,
-        make: impl Fn() -> Box<dyn Scheduler> + Send + Sync + 'static,
+        make: impl Fn() -> Box<dyn Scheduler> + 'static,
     ) -> Self {
         self.at(
             round,
             Event::SetScheduler {
                 label: label.into(),
-                make: Arc::new(make),
+                make: Rc::new(make),
             },
         )
     }
@@ -498,8 +497,7 @@ mod tests {
         assert_eq!(run(), run());
 
         // One vocabulary: the join/leave/crash sugar IS the explicit fault —
-        // same report, same runtime bytes, under either daemon and any
-        // thread count.
+        // same report, same runtime bytes, under either daemon.
         let sugar = || {
             build()
                 .join(2, 100, &[0, 3])
@@ -527,27 +525,21 @@ mod tests {
                 .fault(7, leave(99))
         };
         for activity in [false, true] {
-            for threads in [1usize, 4] {
-                let run = |sc: Scenario<Gossip>| {
-                    let edges: Vec<_> = (0..10u32).map(|i| (i, (i + 1) % 10)).collect();
-                    let mut rt = Runtime::new(
-                        Config::seeded(3).threads(threads),
-                        (0..10).map(|i| (i, Gossip::default())),
-                        edges,
-                    )
-                    .with_spawner(|_| Gossip::default());
-                    if activity {
-                        rt.set_scheduler(Box::new(crate::ActivityDriven));
-                    }
-                    let report = sc.run(&mut rt, |rt| rt.round() >= 20, 50);
-                    (report.to_json(), rt.save_snapshot())
-                };
-                assert_eq!(
-                    run(sugar()),
-                    run(explicit()),
-                    "activity={activity} threads={threads}"
-                );
-            }
+            let run = |sc: Scenario<Gossip>| {
+                let edges: Vec<_> = (0..10u32).map(|i| (i, (i + 1) % 10)).collect();
+                let mut rt = Runtime::new(
+                    Config::seeded(3),
+                    (0..10).map(|i| (i, Gossip::default())),
+                    edges,
+                )
+                .with_spawner(|_| Gossip::default());
+                if activity {
+                    rt.set_scheduler(Box::new(crate::ActivityDriven));
+                }
+                let report = sc.run(&mut rt, |rt| rt.round() >= 20, 50);
+                (report.to_json(), rt.save_snapshot())
+            };
+            assert_eq!(run(sugar()), run(explicit()), "activity={activity}");
         }
     }
 
@@ -561,7 +553,7 @@ mod tests {
                 Event::Corrupt {
                     id: 97,
                     label: "poke".into(),
-                    mutate: Arc::new(|_p| {}),
+                    mutate: Rc::new(|_p| {}),
                 },
             );
         let mut rt = ring(4);

@@ -16,8 +16,7 @@
 //!   pre-scheduler engine bit for bit.
 //! * [`RandomSubset`] — a seeded randomized daemon: each live node is
 //!   activated independently with probability `p` per round. Deterministic
-//!   for a fixed seed (and across thread counts — selection happens on the
-//!   driving thread). A stress daemon: it delays both computation and
+//!   for a fixed seed. A stress daemon: it delays both computation and
 //!   message consumption arbitrarily, so protocols proven only for the
 //!   synchronous daemon may legitimately behave differently under it.
 //! * [`Adversarial`] — scripted or round-robin subsets, for worst-case
@@ -109,13 +108,12 @@ pub struct SchedView<'a> {
 /// A daemon: selects the slots to activate each round.
 ///
 /// Implementations must be deterministic functions of their own state and
-/// the [`SchedView`] (selection always happens on the driving thread, so
-/// determinism is automatic across thread counts). The runtime sanitizes
+/// the [`SchedView`]. The runtime sanitizes
 /// the selection — duplicates and non-live slots are dropped — so a sloppy
 /// scheduler cannot corrupt the engine, but a correct one should not rely
 /// on that. Selection order is the apply order: actions of earlier-selected
 /// nodes are applied (and their messages enqueued) first.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Append this round's activation set to `out` (passed in empty).
     fn select(&mut self, view: &SchedView<'_>, out: &mut Vec<NodeSlot>);
 
@@ -307,70 +305,11 @@ impl Scheduler for ActivityDriven {
     }
 }
 
-/// Selection→chunk plan for the density-aware parallel emit phase.
-///
-/// The parallel executor used to cut the selection into exactly one chunk
-/// per thread; a sparse post-convergence selection (a handful of dirty
-/// slots) then paid full broadcast overhead for near-empty chunks, and a
-/// skewed one (a few expensive slots clustered in one chunk) serialized on
-/// the unlucky thread. A `ChunkPlan` instead sizes chunks by **activation
-/// count**: at least [`ChunkPlan::MIN_CHUNK`] selected slots per chunk
-/// (tiny selections collapse to one chunk), at most
-/// [`ChunkPlan::CHUNKS_PER_THREAD`] chunks per thread (enough granularity
-/// for the pool's work stealing to even out skew without drowning in claim
-/// traffic).
-///
-/// The bounds are a pure function of `(selection length, thread count)`.
-/// The chunk *count* therefore varies with the thread count — which is
-/// fine for determinism, because the apply phase drains chunk sinks in
-/// chunk order and chunks partition the selection contiguously, so the
-/// merged order is the selection order regardless of how many chunks it
-/// was cut into (see `ARCHITECTURE.md`, "Execution model").
-#[derive(Debug, Default)]
-pub(crate) struct ChunkPlan {
-    /// `chunks + 1` monotone selection offsets; `bounds[c]..bounds[c+1]`
-    /// is chunk `c`.
-    bounds: Vec<u32>,
-}
-
-impl ChunkPlan {
-    /// Minimum selected slots per chunk — below this, per-chunk claim and
-    /// sink bookkeeping costs more than the parallelism is worth.
-    pub(crate) const MIN_CHUNK: usize = 16;
-    /// Upper bound on chunks, as a multiple of the thread count.
-    pub(crate) const CHUNKS_PER_THREAD: usize = 4;
-
-    /// Recompute the plan for a selection of `selected` slots on `threads`
-    /// threads. Keeps the allocation.
-    pub(crate) fn rebuild(&mut self, selected: usize, threads: usize) {
-        let cap = (threads * Self::CHUNKS_PER_THREAD).max(1);
-        let n = selected.div_ceil(Self::MIN_CHUNK).clamp(1, cap);
-        self.bounds.clear();
-        self.bounds
-            .extend((0..=n).map(|c| (c * selected / n) as u32));
-    }
-
-    /// The chunk edges: `chunks() + 1` monotone selection offsets.
-    pub(crate) fn bounds(&self) -> &[u32] {
-        &self.bounds
-    }
-
-    /// Number of chunks in the current plan (0 before the first rebuild).
-    pub(crate) fn chunks(&self) -> usize {
-        self.bounds.len().saturating_sub(1)
-    }
-
-    /// Selection range of chunk `c`.
-    pub(crate) fn range(&self, c: usize) -> std::ops::Range<usize> {
-        self.bounds[c] as usize..self.bounds[c + 1] as usize
-    }
-}
-
 /// The runtime's activation agenda: the dirty set (see the module docs)
 /// and armed timers, the quiescence flags, and the selection the installed
-/// daemon drew from them this round. All marking happens on the driving
-/// thread in canonical order — the order is observable, because snapshots
-/// serialize the dirty list raw.
+/// daemon drew from them this round. All marking happens in canonical
+/// order — the order is observable, because snapshots serialize the dirty
+/// list raw.
 pub(crate) struct Agenda {
     /// Per-slot dirty flag; `dirty[i]` ⟺ slot `i` appears in `dirty_list`
     /// exactly once. Flags are cleared only when the slot is activated (or
@@ -506,9 +445,7 @@ impl Agenda {
         }
     }
 
-    /// Let `sched` pick this round's activation set. Selection happens on
-    /// the driving thread, so scheduler randomness is thread-count
-    /// invariant by construction.
+    /// Let `sched` pick this round's activation set.
     ///
     /// The dirty view is sorted by **canonical member order** — the order
     /// the synchronous daemon activates in — not by slot: apply order
@@ -540,7 +477,7 @@ impl Agenda {
         sched.select(&view, &mut self.selection);
 
         // Sanitize: drop duplicates and non-live slots so a sloppy
-        // scheduler cannot alias `&mut` chunks in the parallel emit.
+        // scheduler cannot step a node twice in a round, or a free slot.
         // Activated slots consume their dirtiness in the same pass;
         // unselected dirty slots stay queued (wake-ups are never lost
         // under partial daemons).
@@ -775,28 +712,5 @@ mod tests {
         assert!(ActivityDriven.claims_equivalence());
         assert!(!RandomSubset::new(0.5, 1).claims_equivalence());
         assert!(!Adversarial::round_robin(2).claims_equivalence());
-    }
-
-    #[test]
-    fn chunk_plan_partitions_every_selection() {
-        let mut plan = ChunkPlan::default();
-        for threads in 1..=8 {
-            for selected in [0usize, 1, 15, 16, 17, 100, 1000, 100_000] {
-                plan.rebuild(selected, threads);
-                let b = plan.bounds();
-                assert!(plan.chunks() >= 1, "always at least one chunk");
-                assert!(plan.chunks() <= (threads * ChunkPlan::CHUNKS_PER_THREAD).max(1));
-                assert_eq!(b[0], 0);
-                assert_eq!(*b.last().unwrap() as usize, selected);
-                assert!(b.windows(2).all(|w| w[0] <= w[1]), "monotone bounds");
-                let covered: usize = (0..plan.chunks()).map(|c| plan.range(c).len()).sum();
-                assert_eq!(covered, selected, "chunks partition the selection");
-            }
-        }
-        // Tiny selections collapse to one chunk; big ones hit the cap.
-        plan.rebuild(7, 4);
-        assert_eq!(plan.chunks(), 1);
-        plan.rebuild(100_000, 4);
-        assert_eq!(plan.chunks(), 16);
     }
 }

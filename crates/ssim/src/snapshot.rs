@@ -12,8 +12,8 @@
 //! inbox messages, timers, metrics, and attached traffic — so a converged
 //! state is built once and restored everywhere, and the restored runtime
 //! continues **byte-identically** (same metrics
-//! JSON as the uninterrupted run, at any thread count, under any
-//! equivalence-claiming scheduler).
+//! JSON as the uninterrupted run, under any equivalence-claiming
+//! scheduler).
 //!
 //! # Format
 //!

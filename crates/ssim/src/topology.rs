@@ -87,10 +87,7 @@ impl Hasher for IdHasher {
 /// the membership boundary translates ids to slots. Slots are also the
 /// currency of the scheduler subsystem: a [`crate::sched::Scheduler`]
 /// selects slots to activate, the runtime's dirty set is a set of slots,
-/// and parallel rounds split the *selection* into per-thread chunks for
-/// the emit phase, applying the resulting actions in selection order on
-/// the driving thread — which is what makes thread count invisible in the
-/// results.
+/// and a round applies the selection's actions in selection order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeSlot(u32);
 
@@ -116,8 +113,8 @@ impl NodeSlot {
 /// `Vec<NodeId>`: each slot owns a power-of-two block addressed by a 12-byte
 /// span, blocks freed by churn are recycled through per-class free lists,
 /// and `list()` still hands back a real contiguous `&[NodeId]` (the
-/// engine's hot-path contract). All mutation happens on the driving thread
-/// at membership/edge events, so block placement is deterministic.
+/// engine's hot-path contract). All mutation happens at membership/edge
+/// events, in canonical order, so block placement is deterministic.
 #[derive(Debug, Clone, Default)]
 struct AdjStore {
     /// The shared backing storage for every block.

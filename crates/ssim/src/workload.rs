@@ -26,8 +26,8 @@
 //!   failed + in-flight` at every round boundary (checked by a debug
 //!   assertion each step) and records hop and round-latency histograms in
 //!   [`RequestStats`], which is part of [`crate::RunMetrics`] — so the
-//!   engine's determinism guarantees (byte-identical metrics across thread
-//!   counts, per `(seed, scheduler)`) extend to traffic.
+//!   engine's determinism guarantees (byte-identical metrics per `(seed,
+//!   scheduler)`) extend to traffic.
 //! * Request-carrying hosts are marked **dirty**, so the
 //!   [`crate::sched::ActivityDriven`] daemon keeps serving traffic exactly
 //!   like the synchronous daemon: a quiescent protocol step may be a
@@ -91,9 +91,8 @@ pub enum RouteStep {
 ///
 /// Implementations must be **read-only and deterministic**: the decision
 /// may depend only on the program's state and the given round-start
-/// neighbor list (sorted). The runtime calls this on the driving thread
-/// during the apply phase, so routing never races the emit phase and never
-/// depends on the thread count.
+/// neighbor list (sorted). The runtime calls this during the apply phase,
+/// after the emit phase, in selection order.
 pub trait Router: Program {
     /// The next hop for `key` at this node, given the node's current
     /// (sorted) neighbor list.
@@ -385,8 +384,7 @@ persist_struct!(RequestStats {
 /// data, so a snapshot carries them and a restored runtime issues the same
 /// request sequence as the uninterrupted run. Asked at the start of every
 /// round for `(origin host, key)` pairs, drawn from the runtime's
-/// seed-derived workload RNG on the driving thread, so injection is
-/// deterministic at any thread count.
+/// seed-derived workload RNG, so injection is deterministic.
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// Injects nothing by itself: attach it when requests are driven
@@ -760,8 +758,8 @@ impl Traffic {
     /// one hop, against the **post-apply** topology (the current host
     /// links) and the holder's current program state: `route(slot, key,
     /// neighbors)` asks the program at `slot` for the next hop.
-    /// Runs on the driving thread in selection order, so traffic is
-    /// deterministic at any thread count and activity-driven execution
+    /// Runs in selection order, so traffic is deterministic and
+    /// activity-driven execution
     /// (which always selects request holders — they are dirty) reproduces
     /// the synchronous execution exactly.
     pub(crate) fn serve<M>(

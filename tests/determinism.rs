@@ -1,8 +1,6 @@
-//! Determinism and parallel-equivalence of the full protocol stack:
-//! thread-pool round execution (`Config::threads`) must be bit-identical to
-//! sequential execution at every thread count, identical seeds must
-//! reproduce identical runs, and a restore must continue a run unchanged.
-//! The byte-identity cases run on the equivalence harness (`harness`).
+//! Determinism of the full protocol stack: identical seeds must reproduce
+//! identical runs, and a restore must continue a run unchanged. The
+//! byte-identity cases run on the equivalence harness (`harness`).
 
 mod harness;
 
@@ -10,49 +8,47 @@ use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::sim::{init::Shape, Config};
 use harness::{Case, ACTIVITY, SYNC};
 
-#[test]
-fn parallel_execution_matches_sequential() {
-    // With threads > 1 every round of the 12-host fixture runs on the pool,
-    // so this compares the pooled emit with the sequential one.
-    Case::new("parallel", Config::seeded(0xD00D), |cfg| {
-        chord::runtime_from_shape(ChordTarget::classic(128), 12, Shape::Random, cfg)
-    })
-    .threads(&[1, 2, 4, 8])
-    .run(|arm| arm.run(1500));
+/// Two runs of a case: the same serialized metrics and snapshot bytes.
+fn replays<T>(run: impl Fn() -> harness::Run<T>) -> harness::Run<T> {
+    let (a, b) = (run(), run());
+    assert!(a.metrics == b.metrics, "metrics JSON differ");
+    assert!(a.snapshot == b.snapshot, "snapshot bytes differ");
+    a
 }
 
 /// With a request workload attached, the determinism guarantees extend to
-/// traffic: identical seeds reproduce identical request streams (the last
-/// run re-runs the first), and the serialized metrics — request accounting
-/// and histograms included — are byte-identical across thread counts.
+/// traffic: identical seeds reproduce identical request streams, and the
+/// serialized metrics carry request accounting and histograms. (The name
+/// predates the removal of the emit pool: every round runs on one thread.)
 #[test]
 fn workload_runs_are_thread_and_seed_deterministic() {
     use chord_scaffolding::sim::{OpenLoop, WorkloadConfig};
-    let out = Case::new("traffic", Config::seeded(0xBEA7), |cfg| {
-        chord::runtime_from_shape(ChordTarget::classic(128), 12, Shape::Random, cfg)
-    })
-    .workload(|rt| rt.attach_workload(OpenLoop::new(1.0, 128), WorkloadConfig::default()))
-    .threads(&[1, 2, 4, 8, 1])
-    .run(|arm| {
-        arm.run(1200);
-        let r = arm.rt().request_stats();
-        assert_eq!(
-            r.issued,
-            r.completed + r.failed + r.in_flight,
-            "conservation law"
-        );
+    let out = replays(|| {
+        Case::new("traffic", Config::seeded(0xBEA7), |cfg| {
+            chord::runtime_from_shape(ChordTarget::classic(128), 12, Shape::Random, cfg)
+        })
+        .workload(|rt| rt.attach_workload(OpenLoop::new(1.0, 128), WorkloadConfig::default()))
+        .run(|arm| {
+            arm.run(1200);
+            let r = arm.rt().request_stats();
+            assert_eq!(
+                r.issued,
+                r.completed + r.failed + r.in_flight,
+                "conservation law"
+            );
+        })
     });
     assert!(out.metrics.contains("\"latency_histogram\""));
 }
 
 #[test]
 fn same_seed_reproduces_run() {
-    // The thread axis at {1, 1}: its one run is the straight run's re-run.
-    Case::new("lollipop", Config::seeded(0xFACE), |cfg| {
-        chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Lollipop, cfg)
-    })
-    .threads(&[1, 1])
-    .run(|arm| arm.run(900));
+    replays(|| {
+        Case::new("lollipop", Config::seeded(0xFACE), |cfg| {
+            chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Lollipop, cfg)
+        })
+        .run(|arm| arm.run(900))
+    });
 }
 
 #[test]
@@ -115,7 +111,6 @@ fn truncated_target_stabilizes() {
     Case::new("truncated", Config::seeded(98), |cfg| {
         chord::runtime_with_net(target, &ids, init::line(&ids), cfg, slow)
     })
-    .threads(&[1, 2])
     .split(chord::restore_runtime, &[150])
     .run(|arm| {
         arm.run(150);
@@ -149,7 +144,7 @@ fn truncated_target_stabilizes() {
 fn settled_cache_matches_a_cold_restore_every_round() {
     use chord_scaffolding::chord::{Phase, ScaffoldProgram};
     use chord_scaffolding::sim::{Event, NetModel, OpenLoop, WorkloadConfig};
-    use std::sync::Arc;
+    use std::rc::Rc;
     let (n, hosts, seed) = (1024u32, 256usize, 0xC01D_5EED);
     for daemon in [SYNC, ACTIVITY] {
         let out = Case::new("settled cache", Config::seeded(seed), |cfg| {
@@ -174,7 +169,7 @@ fn settled_cache_matches_a_cold_restore_every_round() {
                     && rt.topology().neighbors(**v).iter().all(far)
             };
             let id = *ids.iter().find(quiet).expect("a quiet host");
-            let mutate = Arc::new(|p: &mut ScaffoldProgram| p.core.phase = Phase::Chord);
+            let mutate = Rc::new(|p: &mut ScaffoldProgram| p.core.phase = Phase::Chord);
             let label = "phase".into();
             assert_eq!(arm.event(Event::Corrupt { id, label, mutate }), 1);
             arm.run(43);

@@ -59,7 +59,7 @@ fn drip_case() -> Case<'static, Drip> {
 }
 
 #[test]
-#[should_panic(expected = "split axis (restores at [3] on 1 threads): metrics JSON differ")]
+#[should_panic(expected = "split axis (restores at [3]): metrics JSON differ")]
 fn a_save_that_drops_a_field_fails_the_split_axis() {
     drip_case()
         .split(Runtime::restore_snapshot, &[3])

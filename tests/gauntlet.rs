@@ -1,19 +1,8 @@
 //! Integration tests for the adversary gauntlet on the real protocol stack:
 //! structured attacks against a converged Avatar(Chord) overlay, the
 //! rule-based detector suite, and checkpoint-rollback recovery.
-//!
-//! The engine promises byte-identical execution at any thread count;
-//! these tests extend that promise over the whole
-//! detect/classify/rollback path (which runs on the driving thread between
-//! rounds, so it inherits determinism — but only if nothing in it secretly
-//! iterates a hash map or reads a clock). The thread-axis cases run on the
-//! equivalence harness (`harness`) with the gauntlet as their drive.
-
-mod harness;
 
 use chord_scaffold::{ChordTarget, ScaffoldProgram};
-use harness::{Case, Daemon, ACTIVITY, SYNC};
-use proptest::prelude::*;
 use scaffold_bench::{budget, legal_chord_runtime};
 use ssim::{
     run_gauntlet, Adversary, Checkpoint, Config, DetectorSuite, FaultClass, GauntletOutcome,
@@ -61,45 +50,6 @@ fn gauntlet(
     };
     let goal = chord_scaffold::legality();
     run_gauntlet(rt, &scenario, &mut suite, recovery, goal, max_rounds)
-}
-
-/// The gauntlet across `threads` under `daemon`: the harness compares the
-/// outcome JSON (every severity, class count, implicated set and event
-/// record) besides metrics and snapshots. Returns the outcome's verdict.
-fn thread_axis(
-    seed: u64,
-    daemon: Daemon,
-    adv: &Adversary,
-    rollback: bool,
-    max_rounds: u64,
-    threads: &[usize],
-) -> RunVerdict {
-    let case = Case::new(
-        format!("{} seed {seed}", adv.name()),
-        Config::seeded(seed),
-        warmed_fixture,
-    );
-    case.daemons(&[daemon])
-        .threads(threads)
-        .run(|arm| {
-            let out = gauntlet(arm.rt(), seed, adv, rollback, max_rounds);
-            let json = serde_json::to_string(&out).expect("outcome JSON");
-            (out.verdict, json)
-        })
-        .out
-        .0
-}
-
-/// Tentpole determinism: the full attack/detect/rollback/re-legalize cycle
-/// is byte-identical across thread counts, per daemon.
-#[test]
-fn gauntlet_runs_identically_across_threads() {
-    let adv = Adversary::LyingBeacons { victims: 2 };
-    let max = 2 * budget(N, HOSTS) + 64;
-    for daemon in [SYNC, ACTIVITY] {
-        let verdict = thread_axis(33, daemon, &adv, true, max, &[1, 2, 4, 8]);
-        assert_eq!(verdict, RunVerdict::Satisfied);
-    }
 }
 
 /// The PR's measured claim on the real protocol: rolling implicated hosts
@@ -218,28 +168,4 @@ fn quarantine_edge_cases() {
     assert!(!rt.heal(), "nothing to release");
     assert_eq!(rt.partition([]), 0);
     assert!(!rt.partitioned());
-}
-
-proptest! {
-    /// Detector verdicts — every severity, class count, implicated set, and
-    /// event record — are identical across thread counts for every
-    /// adversary class. 96 deterministic cases; runs are capped well short
-    /// of re-legality (the property is about detection, not recovery, and
-    /// a timeout verdict must be identical too).
-    #[test]
-    fn detector_verdicts_identical_across_threads(
-        pick in 0u8..6,
-        threads in 2usize..5,
-        seed in 0u64..8,
-    ) {
-        let adv = match pick {
-            0 => Adversary::StaleBeacons { victims: 3, age: WARM },
-            1 => Adversary::LyingBeacons { victims: 2 },
-            2 => Adversary::Equivocation { victims: 2, audiences: 2 },
-            3 => Adversary::CrashWave { region: 2, waves: 2, spacing: 4 },
-            4 => Adversary::FlashCrowd { joiners: vec![N - 1, N - 2], attach: 2 },
-            _ => Adversary::PartitionCycle { side: 3, cycles: 1, hold: 4, gap: 4 },
-        };
-        thread_axis(seed, SYNC, &adv, false, 48, &[1, threads]);
-    }
 }

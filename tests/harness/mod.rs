@@ -1,5 +1,5 @@
-//! The equivalence harness: the engine promises that the thread count, an
-//! activity-driven daemon and a checkpoint split never change a run, and
+//! The equivalence harness: the engine promises that an activity-driven
+//! daemon and a checkpoint split never change a run, and
 //! each byte-identity test of the root suites is a [`Case`] of it.
 //! ARCHITECTURE.md ("The quiescence contract and the equivalence
 //! argument") says what each axis compares. The daemon axis compares no
@@ -33,7 +33,6 @@ pub struct Case<'a, P: Program> {
     cfg: Config,
     build: Box<dyn Fn(Config) -> Runtime<P> + 'a>,
     workload: Option<Attach<'a, P>>,
-    threads: Vec<usize>,
     daemons: Vec<Daemon>,
     split: Option<(Recipe<P>, Vec<u64>)>,
 }
@@ -46,14 +45,12 @@ pub struct Run<T> {
     pub edges: Vec<(u32, u32)>,
 }
 
-/// One run in progress: its runtime, the splits still due (as rounds) and
-/// the thread count a restore continues on.
+/// One run in progress: its runtime and the splits still due (as rounds).
 pub struct Arm<'c, 'a, P: Program> {
     case: &'c Case<'a, P>,
     rt: Runtime<P>,
     daemon: Daemon,
     splits: Vec<u64>,
-    restore_threads: usize,
     label: String,
 }
 
@@ -61,8 +58,8 @@ impl<'a, P: Program + Persist + Clone> Case<'a, P>
 where
     P::Msg: Persist,
 {
-    /// One thread, the synchronous daemon and no split until the builder
-    /// methods below say otherwise.
+    /// The synchronous daemon and no split until the builder methods below
+    /// say otherwise.
     pub fn new(
         name: impl Into<String>,
         cfg: Config,
@@ -73,7 +70,6 @@ where
             cfg,
             build: Box::new(build),
             workload: None,
-            threads: vec![1],
             daemons: vec![SYNC],
             split: None,
         }
@@ -81,12 +77,6 @@ where
 
     pub fn workload(mut self, attach: impl Fn(&mut Runtime<P>) + 'a) -> Self {
         self.workload = Some(Box::new(attach));
-        self
-    }
-
-    /// The straight run's count first, then one run per further count.
-    pub fn threads(mut self, counts: &[usize]) -> Self {
-        self.threads = counts.to_vec();
         self
     }
 
@@ -102,51 +92,35 @@ where
     }
 
     /// Drive straight, then once per axis; panic naming the axis at the
-    /// first difference. Returns the straight run. The split axis runs once
-    /// per thread count: the head on the straight run's count, every
-    /// restore continuing on the arm's.
+    /// first difference. Returns the straight run.
     pub fn run<T: PartialEq + Debug>(self, drive: impl Fn(&mut Arm<P>) -> T) -> Run<T> {
-        let (t, d) = (self.threads[0], self.daemons[0]);
+        let d = self.daemons[0];
         let label = |axis: String| format!("{}: {axis}", self.name);
-        let base = self.arm(&drive, t, d, None, &label("straight run".into()));
-        for &t in &self.threads[1..] {
-            let label = label(format!("thread axis ({t} threads, {})", d().name()));
-            compare(&label, &base, &self.arm(&drive, t, d, None, &label), false);
-        }
+        let base = self.arm(&drive, d, false, &label("straight run".into()));
         for &d in &self.daemons[1..] {
             let label = label(format!("daemon axis ({})", d().name()));
-            compare(&label, &base, &self.arm(&drive, t, d, None, &label), true);
+            compare(&label, &base, &self.arm(&drive, d, false, &label), true);
         }
         if let Some((_, at)) = &self.split {
-            for &r in &self.threads {
-                let label = label(format!("split axis (restores at {at:?} on {r} threads)"));
-                compare(
-                    &label,
-                    &base,
-                    &self.arm(&drive, t, d, Some(r), &label),
-                    false,
-                );
-            }
+            let label = label(format!("split axis (restores at {at:?})"));
+            compare(&label, &base, &self.arm(&drive, d, true, &label), false);
         }
         base
     }
 
-    /// One run on `threads`; with `restore` set, the split run whose
-    /// restores continue on that many threads.
+    /// One run; with `split` set, the run that restores at the split
+    /// rounds.
     fn arm<T>(
         &self,
         drive: &impl Fn(&mut Arm<P>) -> T,
-        threads: usize,
         daemon: Daemon,
-        restore: Option<usize>,
+        split: bool,
         label: &str,
     ) -> Run<T> {
-        let mut cfg = self.cfg.threads(threads);
-        cfg.record_rounds = true; // the pool check counts busy rounds in the rows
-        let mut rt = (self.build)(cfg);
+        let mut rt = (self.build)(self.cfg);
         self.install(&mut rt, daemon);
         let splits = match &self.split {
-            Some((_, at)) if restore.is_some() => at.iter().map(|k| rt.round() + k).collect(),
+            Some((_, at)) if split => at.iter().map(|k| rt.round() + k).collect(),
             _ => Vec::new(),
         };
         let label = label.to_string();
@@ -155,19 +129,12 @@ where
             rt,
             daemon,
             splits,
-            restore_threads: restore.unwrap_or(threads),
             label,
         };
         let out = drive(&mut arm);
         arm.boundary();
         let (rt, label) = (arm.rt, arm.label);
         assert!(arm.splits.is_empty(), "{label}: a split round never came");
-        let busy = rt.metrics().per_round.iter().filter(|r| r.active_nodes > 0);
-        let (busy, pooled) = (busy.count() as u64, rt.perf_counters().par_rounds);
-        assert!(
-            threads == 1 || restore.is_some() || pooled == busy,
-            "{label}: {pooled} of {busy} rounds that selected someone ran on the pool"
-        );
         let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
         let (snapshot, edges) = (rt.save_snapshot(), rt.topology().edges());
         Run {
@@ -178,10 +145,10 @@ where
         }
     }
 
-    /// One split: save, cold-restore on `threads`, re-install.
-    fn cold(&self, rt: &Runtime<P>, daemon: Daemon, threads: usize, label: &str) -> Runtime<P> {
+    /// One split: save, cold-restore, re-install.
+    fn cold(&self, rt: &Runtime<P>, daemon: Daemon, label: &str) -> Runtime<P> {
         let (recipe, _) = self.split.as_ref().expect("a split has a recipe");
-        let mut cfg = self.cfg.threads(threads);
+        let mut cfg = self.cfg;
         cfg.seed = !cfg.seed;
         let mut back = recipe(&rt.save_snapshot(), cfg).expect("own snapshot restores");
         assert_eq!(
@@ -253,8 +220,7 @@ where
         let now = self.rt.round();
         if let Some(i) = self.splits.iter().position(|&k| k == now) {
             self.splits.swap_remove(i);
-            let threads = self.restore_threads;
-            self.rt = self.case.cold(&self.rt, self.daemon, threads, &self.label);
+            self.rt = self.case.cold(&self.rt, self.daemon, &self.label);
         }
     }
 }

@@ -1,11 +1,10 @@
 //! The `ssim::net` network-conditions subsystem over the full protocol
 //! stack:
 //!
-//! * **Determinism** — WAN conditions with churn produce byte-identical
-//!   metrics JSON across thread counts {1, 2, 4, 8} and, modulo the
-//!   activity columns, across daemons (delayed arrivals must mark the
-//!   recipient dirty on the *delivery* round, or the activity daemon
-//!   would sleep through them).
+//! * **Determinism** — WAN conditions with churn produce identical metrics
+//!   JSON, modulo the activity columns, across daemons (delayed arrivals
+//!   must mark the recipient dirty on the *delivery* round, or the
+//!   activity daemon would sleep through them).
 //! * **Conservation** — `sent + duplicated == delivered + dropped +
 //!   in_transit` holds after *every* round under loss, duplication,
 //!   latency, churn, and partitions (property test).
@@ -54,11 +53,11 @@ fn ring_case(seed: u64, model: NetModel) -> Case<'static, scaffold::CbtProgram> 
 
 /// The WAN storm: converge for a full budget, then `storm` times a leave,
 /// an epoch, the join of the first free id, an epoch.
-fn wan_run(seed: u64, storm: usize, daemons: &[Daemon], threads: &[usize]) {
+fn wan_run(seed: u64, storm: usize, daemons: &[Daemon]) {
     let delta = NetModel::wan().delivery_bound();
     let gap = scaffold::Schedule::new(64).with_delta(delta).epoch_len();
     let wan = ring_case(seed, NetModel::wan());
-    wan.daemons(daemons).threads(threads).run(|arm| {
+    wan.daemons(daemons).run(|arm| {
         arm.run(budget(64, 8, delta));
         for _ in 0..storm {
             arm.fault(LEAVE);
@@ -73,55 +72,15 @@ fn wan_run(seed: u64, storm: usize, daemons: &[Daemon], threads: &[usize]) {
     });
 }
 
-/// Byte-identical metrics JSON and snapshots across thread counts
-/// {1, 2, 4, 8} under the WAN preset with a churn storm — the net layer's
-/// RNG draws happen on the driver in canonical order, so the thread pool
-/// must not be able to perturb loss/jitter/duplication decisions.
-#[test]
-fn wan_churn_runs_are_thread_deterministic() {
-    wan_run(0xAB5E, 2, &[SYNC], &[1, 2, 4, 8]);
-}
-
 /// The activity-driven daemon reproduces the synchronous daemon under WAN
 /// conditions (activity columns aside): a delayed delivery marks its
 /// recipient dirty on the delivery round, so no arrival is slept through.
 #[test]
 fn wan_activity_daemon_matches_synchronous() {
-    wan_run(0xD1A7, 1, &[SYNC, ACTIVITY], &[1]);
+    wan_run(0xD1A7, 1, &[SYNC, ACTIVITY]);
 }
 
 proptest! {
-    /// Any sampled net model (latency × jitter × loss × duplication), with
-    /// or without churn, yields byte-identical metrics across thread
-    /// counts (a short run: no convergence requirement — only that
-    /// executions agree bit-for-bit; one leave 120 rounds in, then 60
-    /// rounds).
-    #[test]
-    fn net_model_runs_are_thread_deterministic(
-        seed in 0u64..1_000,
-        delay in 0u64..3,
-        jitter in 0u64..3,
-        loss_i in 0usize..3,
-        dup_i in 0usize..2,
-        storm in 0usize..2,
-    ) {
-        let model = NetModel {
-            delay,
-            jitter,
-            loss: [0.0, 0.02, 0.1][loss_i],
-            dup: [0.0, 0.01][dup_i],
-        };
-        ring_case(seed, model).threads(&[1, 4]).run(|arm| {
-            arm.run(120);
-            for _ in 0..storm {
-                arm.fault(LEAVE);
-                arm.run(60);
-            }
-            let s = arm.rt().net_stats();
-            assert!(s.conserved(), "{s:?}");
-        });
-    }
-
     /// The conservation law holds after **every** round, not just at the
     /// end — under loss, duplication, latency, a mid-run leave, and a
     /// partition window (each drop class is accounted the round it

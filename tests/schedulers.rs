@@ -8,21 +8,18 @@
 //!   through random churn storms. Debug builds run the shadow-step check
 //!   throughout (armed by the protocol runtime builders), so any skipped
 //!   non-no-op step panics.
-//! * **Determinism** — for every scheduler, identical `(seed, scheduler)`
-//!   runs produce byte-identical metrics JSON and snapshots across thread
-//!   counts {1, 2, 4}.
 //! * **Savings** — after convergence, the activity-driven daemon performs
 //!   (almost) no activations while the synchronous daemon keeps paying
 //!   `n` per round.
 //!
-//! The equivalence and determinism cases run on the equivalence harness
-//! (`harness`): converge, churn an epoch apart, heal.
+//! The equivalence cases run on the equivalence harness (`harness`):
+//! converge, churn an epoch apart, heal.
 
 mod harness;
 
 use chord_scaffolding::chord::{self, ChordTarget};
 use chord_scaffolding::scaffold;
-use chord_scaffolding::sim::sched::{Adversarial, RandomSubset, Scheduler, Synchronous};
+use chord_scaffolding::sim::sched::{Scheduler, Synchronous};
 use chord_scaffolding::sim::{fault::Fault, init::Shape, ActivityDriven, Config};
 use harness::{Case, Daemon, ACTIVITY, LEAVE, SYNC};
 use proptest::prelude::*;
@@ -32,20 +29,12 @@ use scaffold_bench::budget;
 
 const N: u32 = 64;
 
-/// Drive an avatar-cbt network to legality under each daemon and thread
-/// count, then `storm` churn events an epoch apart (kinds from a seeded
+/// Drive an avatar-cbt network to legality under each daemon, then `storm` churn events an epoch apart (kinds from a seeded
 /// RNG), then back to legality; returns the two goal verdicts.
-fn cbt_run(
-    seed: u64,
-    hosts: usize,
-    storm: usize,
-    daemons: &[Daemon],
-    threads: &[usize],
-) -> (bool, bool) {
+fn cbt_run(seed: u64, hosts: usize, storm: usize, daemons: &[Daemon]) -> (bool, bool) {
     let build = |cfg| scaffold::runtime_from_shape(N, hosts, Shape::Random, cfg);
     let case = Case::new(format!("cbt seed {seed}"), Config::seeded(seed), build);
     case.daemons(daemons)
-        .threads(threads)
         .run(|arm| {
             let legal = scaffold::runtime_is_legal;
             let converged = arm.goal(legal, budget(N, hosts));
@@ -103,7 +92,7 @@ fn chord_run(seed: u64, hosts: usize, daemons: &[Daemon]) -> (bool, bool) {
 #[test]
 fn cbt_activity_driven_is_execution_equivalent_to_synchronous() {
     for seed in [3u64, 11, 42] {
-        let verdicts = cbt_run(seed, 8, 3, &[SYNC, ACTIVITY], &[1]);
+        let verdicts = cbt_run(seed, 8, 3, &[SYNC, ACTIVITY]);
         assert_eq!(verdicts, (true, true), "seed {seed}: must converge & heal");
     }
 }
@@ -113,22 +102,6 @@ fn chord_activity_driven_is_execution_equivalent_to_synchronous() {
     for seed in [5u64, 23] {
         let verdicts = chord_run(seed, 8, &[SYNC, ACTIVITY]);
         assert_eq!(verdicts, (true, true), "seed {seed}: must converge & heal");
-    }
-}
-
-/// Byte-identical metrics JSON and snapshots for the same (seed,
-/// scheduler) across thread counts {1, 2, 4} — for every scheduler, over a
-/// churny avatar-cbt run.
-#[test]
-fn scheduler_runs_are_thread_count_invariant() {
-    let daemons: [Daemon; 4] = [
-        SYNC,
-        ACTIVITY,
-        || Box::new(RandomSubset::new(0.5, 1234)),
-        || Box::new(Adversarial::round_robin(3)),
-    ];
-    for daemon in daemons {
-        cbt_run(77, 6, 2, &[daemon], &[1, 2, 4]);
     }
 }
 
@@ -168,7 +141,7 @@ proptest! {
         seed in 0u64..100_000,
         hosts in 4usize..7,
     ) {
-        cbt_run(seed, hosts, 1, &[SYNC, ACTIVITY], &[1]);
+        cbt_run(seed, hosts, 1, &[SYNC, ACTIVITY]);
     }
 
     /// Same property for the full Avatar(Chord) stack (leave + join churn).

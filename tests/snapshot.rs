@@ -1,7 +1,7 @@
 //! Snapshot/restore over the full protocol stack: a run split by a
 //! checkpoint at an *arbitrary* round must continue **byte-identically**
 //! with the uninterrupted run — same serialized metrics and snapshot bytes,
-//! at any thread count and under any equivalence-claiming scheduler,
+//! under any equivalence-claiming scheduler,
 //! through churn and live traffic — and a tampered snapshot must be
 //! rejected loudly rather than ever loading garbage. The split cases run on
 //! the equivalence harness (`harness`).
@@ -17,8 +17,8 @@ use harness::{Case, ACTIVITY, SYNC};
 use proptest::prelude::*;
 
 proptest! {
-    /// The tentpole contract: snapshot at any round, restore at any thread
-    /// count under either daemon, continue: the metrics JSON and the final
+    /// The tentpole contract: snapshot at any round, restore under either
+    /// daemon, continue: the metrics JSON and the final
     /// snapshot equal the uninterrupted run's byte for byte, churn storms
     /// keyed on the **absolute** round counter included (so the run in one
     /// piece and the split one see the same event sequence).
@@ -28,20 +28,14 @@ proptest! {
         split in 1u64..160,
         churn_bit in 0u8..2,
         sched_bit in 0u8..2,
-        thread_ix in 0usize..4,
     ) {
         let total = 160u64;
         let churn = churn_bit == 1;
-        // The head runs sequentially and the split axis restores it on 1
-        // and on `threads` threads, so a sequential head must continue
-        // byte-identically on the chunked parallel emit.
-        let threads = [1usize, 2, 4, 8][thread_ix];
         let build = |cfg| {
             chord::runtime_from_shape(ChordTarget::classic(64), 8, Shape::Random, cfg)
         };
         Case::new(format!("seed {seed}"), Config::seeded(seed), build)
             .daemons(&[[SYNC, ACTIVITY][sched_bit as usize]])
-            .threads(&[1, threads])
             .split(chord::restore_runtime, &[split])
             .run(|arm| {
                 for _ in 0..total {
@@ -269,8 +263,7 @@ fn resealed_single_byte_mutations_restore_or_fail_cleanly() {
 }
 
 /// A converged, legal Avatar(Chord) checkpoint restores legal, stays
-/// silent, and continues identically at every thread count and under both
-/// daemons — the property the E14b memory sweep and the bench fixture
+/// silent, and continues identically under both daemons — the property the E14b memory sweep and the bench fixture
 /// stand on.
 #[test]
 fn converged_legal_snapshot_restores_legal_and_identical() {
@@ -280,10 +273,9 @@ fn converged_legal_snapshot_restores_legal_and_identical() {
         assert!(out.rounds_if_satisfied().is_some(), "converges: {out:?}");
         rt
     };
-    // The split runs under the first daemon, restoring at each thread count.
+    // The split runs under the first daemon.
     for daemons in [[SYNC, ACTIVITY], [ACTIVITY, SYNC]] {
         Case::new("converged", Config::seeded(0xC0FFEE), build)
-            .threads(&[1, 2, 4, 8])
             .daemons(&daemons)
             .split(chord::restore_runtime, &[0])
             .run(|arm| {

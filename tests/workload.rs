@@ -1,8 +1,8 @@
 //! Live-traffic properties over the full Avatar(Chord) stack: request
 //! conservation (`issued == completed + failed + in_flight` at every round
-//! boundary), byte-identical metrics — hop and latency histograms included
-//! — across thread counts, and sync ≡ activity execution equivalence with
-//! traffic attached, all while lookups race real stabilization and churn.
+//! boundary), hop and latency histograms in the serialized metrics, and
+//! sync ≡ activity execution equivalence with traffic attached, all while
+//! lookups race real stabilization and churn.
 //! The byte-identity cases run on the equivalence harness (`harness`).
 
 mod harness;
@@ -15,15 +15,9 @@ use proptest::prelude::*;
 
 /// Drive a chord network from a random shape with an open-loop lookup
 /// workload attached the whole time, interleaving a churn storm, under the
-/// given daemons and thread counts; every run checks the conservation law
+/// given daemons; every run checks the conservation law
 /// from its per-round rows. Returns the straight run's metrics JSON.
-fn traffic_run(
-    seed: u64,
-    hosts: usize,
-    storm: usize,
-    daemons: &[Daemon],
-    threads: &[usize],
-) -> String {
+fn traffic_run(seed: u64, hosts: usize, storm: usize, daemons: &[Daemon]) -> String {
     let n = 64u32;
     let build = |cfg| chord::runtime_from_shape(ChordTarget::classic(n), hosts, Shape::Random, cfg);
     Case::new(
@@ -33,7 +27,6 @@ fn traffic_run(
     )
     .workload(|rt| rt.attach_workload(OpenLoop::new(0.5, n), WorkloadConfig::default()))
     .daemons(daemons)
-    .threads(threads)
     .run(|arm| {
         arm.run(150); // traffic racing stabilization from round 0
         for e in 0..storm {
@@ -74,13 +67,14 @@ fn conserved(m: &RunMetrics, run: &str) {
     assert_eq!(m.requests.in_flight, issued - completed - failed);
 }
 
-/// Deterministic pin of the headline claims: a churny traffic run is
-/// byte-identical across thread counts {1, 2, 4, 8} (hop and latency
-/// histograms included — they are part of the serialized metrics), and the
-/// activity-driven daemon reproduces it exactly modulo activation counts.
+/// Deterministic pin of the headline claim: the activity-driven daemon
+/// reproduces a churny traffic run exactly modulo activation counts, hop
+/// and latency histograms included — they are part of the serialized
+/// metrics. (The name predates the removal of the emit pool: every round
+/// runs on one thread.)
 #[test]
 fn churny_traffic_is_thread_invariant_and_scheduler_equivalent() {
-    let base = traffic_run(42, 8, 2, &[SYNC, ACTIVITY], &[1, 2, 4, 8]);
+    let base = traffic_run(42, 8, 2, &[SYNC, ACTIVITY]);
     assert!(base.contains("\"hop_histogram\""), "histograms serialized");
 }
 
@@ -118,21 +112,18 @@ fn converged_overlay_serves_lookups_with_logarithmic_hops() {
 }
 
 proptest! {
-    /// Property form over (seed, churn storm, scheduler, threads): the
-    /// conservation law holds at every round boundary (the case's check),
-    /// and the serialized metrics — latency histograms included — and the
-    /// final snapshots are byte-identical between sequential and
-    /// multi-threaded execution of the same (seed, scheduler). (The
-    /// vendored proptest harness runs a fixed fan of seeded cases.)
+    /// Property form over (seed, churn storm, scheduler): the conservation
+    /// law holds at every round boundary (the case's check). (The vendored
+    /// proptest harness runs a fixed fan of seeded cases. The name predates
+    /// the removal of the emit pool: every round runs on one thread.)
     #[test]
     fn traffic_conservation_and_thread_identity(
         seed in 0u64..100_000,
         hosts in 5usize..8,
         storm in 0usize..3,
-        threads in 2usize..9,
         sched in 0u32..2,
     ) {
         let daemon = [SYNC, ACTIVITY][sched as usize];
-        traffic_run(seed, hosts, storm, &[daemon], &[1, threads]);
+        traffic_run(seed, hosts, storm, &[daemon]);
     }
 }
