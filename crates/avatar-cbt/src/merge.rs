@@ -297,8 +297,9 @@ impl CbtCore {
         };
         self.merges += 1;
         self.scratch.committed = true;
-        // Suppress the missing-cover / unexplained-edge rules until beacons
-        // refresh and the prune pass has run.
+        // Suppress the unexplained-edge rule (the only one `tolerate_extra`
+        // gates in `CbtCore::fault`) until beacons refresh and the prune
+        // pass has run; the missing-cover rules stay armed.
         self.grace = (self.sched.t_prune() - self.sched.t_commit() + 3 * self.sched.delta())
             .min(u8::MAX as u64) as u8;
     }

@@ -418,7 +418,8 @@ fn parse_exp_args(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, Str
             }
             _ => {
                 return Err(format!(
-                    "unknown option {a:?} (flags: --json --smoke --full)"
+                    "unknown option {a:?} (flags: --json --smoke --full; \
+                     options: --sched <spec> --net <spec>)"
                 ))
             }
         };
@@ -549,6 +550,18 @@ mod tests {
             &["--json=1"],
             &["1", "2"],
         ]);
+    }
+
+    /// The unknown-option answer lists every flag and option the parser
+    /// takes.
+    #[test]
+    fn unknown_option_lists_every_flag_and_option() {
+        let e = args(&["--threads", "4"]).unwrap_err();
+        assert_eq!(
+            e,
+            "unknown option \"--threads\" (flags: --json --smoke --full; \
+             options: --sched <spec> --net <spec>)"
+        );
     }
 
     #[test]

@@ -94,7 +94,9 @@ pub use net::{NetModel, NetStats};
 pub use program::{Ctx, NeighborBaseline, Program};
 pub use runtime::{Config, MemFootprint, Runtime};
 pub use scenario::{Event, Scenario, ScenarioReport};
-pub use sched::{ActivityDriven, Adversarial, RandomSubset, SchedView, Scheduler, Synchronous};
+pub use sched::{
+    ActivityDriven, Adversarial, Draws, RandomSubset, SchedView, Scheduler, Synchronous,
+};
 pub use snapshot::{Persist, SnapshotError};
 pub use topology::{NodeSlot, Topology};
 pub use workload::{

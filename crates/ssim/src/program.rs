@@ -6,6 +6,7 @@ use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
 use rand::rngs::SmallRng;
+use std::cell::Cell;
 
 /// A distributed node program. All nodes run the same program type (the
 /// paper's uniform-program assumption); per-node behavior derives from the
@@ -135,8 +136,8 @@ pub(crate) struct RoundStart<'a, M> {
 
 impl<M: Clone> EmitSink<M> {
     /// Run the selected programs, in selection order, into the emptied
-    /// sink. `selection` holds distinct live slots (the agenda's sanitizer
-    /// establishes this).
+    /// sink. `selection` holds distinct live slots (the agenda's sanitizer,
+    /// or its every-live fill, establishes this).
     pub(crate) fn run<P: Program<Msg = M>>(
         &mut self,
         at: &RoundStart<'_, M>,
@@ -199,8 +200,13 @@ impl<M: Clone> EmitSink<M> {
             strict: at.strict,
             slot: i as u32,
             topo: at.topo,
-            neighbors: at.topo.neighbors_at(slot),
-            inbox: at.inboxes.view(i, &mut self.inbox_buf),
+            neighbors: Cell::new(None),
+            // Nothing pending anywhere: no chain to read.
+            inbox: if at.inboxes.total_len() == 0 {
+                &[]
+            } else {
+                at.inboxes.view(i, &mut self.inbox_buf)
+            },
             rng,
             sends: &mut self.sends,
             links: &mut self.links,
@@ -236,7 +242,9 @@ impl<M: Clone> EmitSink<M> {
 /// [`Ctx::inbox`] and [`Ctx::neighbors`] slices borrow the round-start
 /// snapshot for `'a`, not the context, so a program holds them across its
 /// own sends and links without copying: nothing an activation emits can
-/// move them, because emission only appends to the emit sink.
+/// move them, because emission only appends to the emit sink. The neighbor
+/// list is looked up at the first call that needs it, not when the context
+/// is made: a settled host reads only its [`Ctx::neighbors_stamp`].
 pub struct Ctx<'a, M> {
     /// This node's identifier.
     pub id: NodeId,
@@ -245,7 +253,8 @@ pub struct Ctx<'a, M> {
     strict: bool,
     slot: u32,
     topo: &'a Topology,
-    neighbors: &'a [NodeId],
+    /// The round-start neighbor list, once a call has looked it up.
+    neighbors: Cell<Option<&'a [NodeId]>>,
     inbox: &'a [(NodeId, M)],
     rng: &'a mut SmallRng,
     sends: &'a mut Vec<Outgoing<M>>,
@@ -258,7 +267,12 @@ pub struct Ctx<'a, M> {
 impl<'a, M> Ctx<'a, M> {
     /// Sorted neighbor identifiers at the start of this round.
     pub fn neighbors(&self) -> &'a [NodeId] {
-        self.neighbors
+        if let Some(list) = self.neighbors.get() {
+            return list;
+        }
+        let list = self.topo.neighbors_at(NodeSlot::new(self.slot as usize));
+        self.neighbors.set(Some(list));
+        list
     }
 
     /// The adjacency stamp of this node's slot at the start of this round
@@ -272,7 +286,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// True iff `v` was a neighbor at the start of this round.
     pub fn is_neighbor(&self, v: NodeId) -> bool {
-        self.neighbors.binary_search(&v).is_ok()
+        self.neighbors().binary_search(&v).is_ok()
     }
 
     /// Every message delivered to this node since its last activation, as
@@ -326,7 +340,7 @@ impl<'a, M> Ctx<'a, M> {
     /// overlay-model edge-creation rule. An illegal introduction panics in
     /// strict mode and is dropped (and counted) in lenient mode.
     pub fn link(&mut self, a: NodeId, b: NodeId) {
-        let in_closed = |v: NodeId| v == self.id || self.neighbors.binary_search(&v).is_ok();
+        let in_closed = |v: NodeId| v == self.id || self.is_neighbor(v);
         if a == b || !in_closed(a) || !in_closed(b) {
             if self.strict {
                 panic!(
@@ -513,6 +527,72 @@ mod tests {
 
     fn last(rt: &Runtime<Watcher>, v: NodeId) -> (bool, bool) {
         rt.program(v).last.expect("stepped")
+    }
+
+    /// Node 0 of the path 1 - 0 - 2 - 3 rewires in its first step: it
+    /// unlinks 1, introduces 1 to 2, then reads its neighbors, sends to
+    /// the just-unlinked 1 and, when `cheat` is set, to the non-neighbor
+    /// 3. What it read lands in `seen`.
+    #[derive(Default)]
+    struct Rewirer {
+        cheat: bool,
+        /// `(neighbors, is_neighbor(1), is_neighbor(3))` after the edits.
+        seen: Option<(Vec<NodeId>, bool, bool)>,
+    }
+
+    impl Program for Rewirer {
+        type Msg = ();
+        fn step(&mut self, io: &mut Ctx<'_, ()>) {
+            if io.id != 0 || io.round > 0 {
+                return;
+            }
+            let before = io.neighbors();
+            io.unlink(1);
+            io.link(1, 2);
+            io.send(1, ());
+            if self.cheat {
+                io.send(3, ());
+            }
+            assert_eq!(before, io.neighbors(), "the list moved under its reader");
+            self.seen = Some((
+                io.neighbors().to_vec(),
+                io.is_neighbor(1),
+                io.is_neighbor(3),
+            ));
+        }
+    }
+
+    fn rewired(strict: bool, cheat: bool) -> Runtime<Rewirer> {
+        let cfg = Config {
+            strict,
+            ..Config::seeded(5)
+        };
+        let hosts = (0..4).map(|v| (v, Rewirer { cheat, seen: None }));
+        let mut rt = Runtime::new(cfg, hosts, [(0, 1), (0, 2), (2, 3)]);
+        rt.step();
+        rt
+    }
+
+    /// Edits made in a step apply after the round, so every read of the
+    /// step sees the round-start list, and a send is checked against it.
+    #[test]
+    fn a_step_reads_the_round_start_neighbors_after_its_own_edits() {
+        for cheat in [false, true] {
+            let rt = rewired(false, cheat);
+            let seen = rt.program(0).seen.clone();
+            assert_eq!(seen, Some((vec![1, 2], true, false)));
+            let t = rt.topology();
+            assert!(!t.has_edge(0, 1) && t.has_edge(1, 2) && t.has_edge(0, 2));
+            assert_eq!(rt.net_stats().delivered, 1, "the send to 1 was legal");
+            assert_eq!(rt.metrics().total_violations, u64::from(cheat));
+        }
+        assert_eq!(rewired(true, false).metrics().total_violations, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 sent to non-neighbor 3")]
+    fn a_send_to_a_non_neighbor_panics_in_strict_mode() {
+        rewired(true, true);
     }
 
     #[test]

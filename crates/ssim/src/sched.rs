@@ -101,8 +101,27 @@ pub struct SchedView<'a> {
     /// recipient's inbox). Every live non-quiescent node is in here; so is
     /// every node with a non-empty inbox or a recently changed
     /// neighborhood. Populated only for schedulers whose
-    /// [`Scheduler::uses_dirty_set`] returns true.
+    /// [`Scheduler::draws`] is [`Draws::DirtySet`].
     pub dirty: &'a [NodeSlot],
+}
+
+/// What a daemon's selection is drawn from ([`Scheduler::draws`]). It
+/// decides what the runtime prepares for [`Scheduler::select`], and
+/// whether it calls it at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Draws {
+    /// Every live slot, in canonical member order, every round. The
+    /// runtime fills the selection itself from [`Topology::live_slots`]
+    /// and does not call [`Scheduler::select`]; the selection is distinct
+    /// live slots by construction, so it skips the sanitizer too.
+    EveryLive,
+    /// [`SchedView::dirty`]: the runtime sorts the dirty set into the view
+    /// each round.
+    DirtySet,
+    /// A choice of the daemon's own, without the dirty set: the view's
+    /// `dirty` is left empty, which spares full-activation rounds the
+    /// O(dirty log dirty) sort.
+    Own,
 }
 
 /// A daemon: selects the slots to activate each round.
@@ -111,7 +130,8 @@ pub struct SchedView<'a> {
 /// the [`SchedView`]. The runtime sanitizes
 /// the selection — duplicates and non-live slots are dropped — so a sloppy
 /// scheduler cannot corrupt the engine, but a correct one should not rely
-/// on that. Selection order is the apply order: actions of earlier-selected
+/// on that. (A [`Draws::EveryLive`] daemon is not asked: the runtime
+/// fills that selection itself.) Selection order is the apply order: actions of earlier-selected
 /// nodes are applied (and their messages enqueued) first.
 pub trait Scheduler {
     /// Append this round's activation set to `out` (passed in empty).
@@ -130,20 +150,21 @@ pub trait Scheduler {
         false
     }
 
-    /// True iff [`Scheduler::select`] reads [`SchedView::dirty`]. The
-    /// runtime sorts the dirty set into the view each round only when this
-    /// returns true — a scheduler that selects without it (like
-    /// [`Synchronous`]) should override to `false` so full-activation
-    /// rounds skip the O(dirty log dirty) sort. Defaults to `true` (a
-    /// correct-but-slower view beats a silently empty one).
-    fn uses_dirty_set(&self) -> bool {
-        true
+    /// What [`Scheduler::select`] draws from (see [`Draws`]). Defaults to
+    /// [`Draws::DirtySet`] (a correct-but-slower view beats a silently
+    /// empty one); a daemon that selects without the dirty set should say
+    /// [`Draws::Own`], and one that selects every live slot in member
+    /// order [`Draws::EveryLive`].
+    fn draws(&self) -> Draws {
+        Draws::DirtySet
     }
 }
 
 /// The paper's fully synchronous daemon (the default): every live node
 /// steps every round, in the engine's canonical member order. Bit-for-bit
-/// identical to the pre-scheduler engine.
+/// identical to the pre-scheduler engine. It draws [`Draws::EveryLive`],
+/// so the runtime never calls its `select`, which states the same
+/// selection for direct callers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Synchronous;
 
@@ -160,8 +181,8 @@ impl Scheduler for Synchronous {
         true // trivially: nothing is ever skipped
     }
 
-    fn uses_dirty_set(&self) -> bool {
-        false
+    fn draws(&self) -> Draws {
+        Draws::EveryLive
     }
 }
 
@@ -201,8 +222,8 @@ impl Scheduler for RandomSubset {
         "random-subset"
     }
 
-    fn uses_dirty_set(&self) -> bool {
-        false
+    fn draws(&self) -> Draws {
+        Draws::Own
     }
 }
 
@@ -274,8 +295,8 @@ impl Scheduler for Adversarial {
         }
     }
 
-    fn uses_dirty_set(&self) -> bool {
-        false
+    fn draws(&self) -> Draws {
+        Draws::Own
     }
 }
 
@@ -325,7 +346,10 @@ pub(crate) struct Agenda {
     selection: Vec<NodeSlot>,
     /// Per-slot "selected this round" scratch (doubles as the dedup filter
     /// for sloppy schedulers and the skip detector for the shadow check).
+    /// Not written on a [`Draws::EveryLive`] round.
     selected: Vec<bool>,
+    /// This round's selection is every live slot ([`Draws::EveryLive`]).
+    every_live: bool,
     /// Per-slot quiescence flag (mirrors `Program::is_quiescent`, updated
     /// when the node steps, joins, or is corrupted).
     quiescent: Vec<bool>,
@@ -350,6 +374,7 @@ impl Agenda {
             dirty_sorted: Vec::with_capacity(n),
             selection: Vec::with_capacity(n),
             selected: vec![false; n],
+            every_live: false,
             quiescent_count: quiescent.iter().filter(|&&q| q).count(),
             quiescent,
             timers: BinaryHeap::new(),
@@ -456,9 +481,26 @@ impl Agenda {
     /// order after the first departure). The sorted view is built only for
     /// schedulers that read it — full-activation daemons skip the
     /// O(dirty log dirty) sort.
+    ///
+    /// A [`Draws::EveryLive`] daemon is not asked: its selection is the
+    /// live slots in member order, distinct and live by construction, so
+    /// it skips the sanitizer. Every live dirty slot is activated and
+    /// every dead one purged, so the dirty set empties, touching only the
+    /// slots on its list.
     pub(crate) fn select(&mut self, sched: &mut dyn Scheduler, round: u64, topo: &Topology) {
+        self.selection.clear();
+        let draws = sched.draws();
+        self.every_live = draws == Draws::EveryLive;
+        if self.every_live {
+            self.selection.extend(topo.live_slots().map(|(s, _)| s));
+            for &i in &self.dirty_list {
+                self.dirty[i as usize] = false;
+            }
+            self.dirty_list.clear();
+            return;
+        }
         self.dirty_sorted.clear();
-        if sched.uses_dirty_set() {
+        if draws == Draws::DirtySet {
             self.dirty_sorted.extend(
                 self.dirty_list
                     .iter()
@@ -468,7 +510,6 @@ impl Agenda {
             self.dirty_sorted
                 .sort_unstable_by_key(|&s| topo.member_rank(s).expect("filtered to live slots"));
         }
-        self.selection.clear();
         let view = SchedView {
             round,
             topo,
@@ -507,11 +548,11 @@ impl Agenda {
         &self.selection
     }
 
-    /// True iff slot `i` is in this round's selection (the shadow-step
-    /// check's skip detector).
+    /// True iff the live slot `i` is in this round's selection (the
+    /// shadow-step check's skip detector): always, on an every-live round.
     #[cfg(debug_assertions)]
     pub(crate) fn is_selected(&self, i: usize) -> bool {
-        self.selected[i]
+        self.every_live || self.selected[i]
     }
 
     /// Bookkeeping for one activation that just stepped: its wake-up
@@ -539,8 +580,12 @@ impl Agenda {
         }
     }
 
-    /// Reset the per-slot "selected" scratch for the next round.
+    /// Reset the per-slot "selected" scratch for the next round (an
+    /// every-live round wrote none).
     pub(crate) fn end_round(&mut self) {
+        if self.every_live {
+            return;
+        }
         for s in &self.selection {
             self.selected[s.index()] = false;
         }
@@ -706,11 +751,42 @@ mod tests {
         }
     }
 
+    /// The every-live fill and the sanitizer, given the same slots, leave
+    /// the agenda in the same state: every live slot selected in member
+    /// order, the dirty set empty, the dead slot's mark purged.
+    #[test]
+    fn every_live_fill_matches_the_sanitizer() {
+        let mut topo = view_fixture();
+        topo.remove_node(1);
+        let run = |sched: &mut dyn Scheduler| {
+            let mut agenda = Agenda::new(vec![false; 6]);
+            agenda.mark(1);
+            agenda.select(sched, 3, &topo);
+            // The shadow check asks only about live slots.
+            #[cfg(debug_assertions)]
+            assert!(topo
+                .live_slots()
+                .all(|(s, _)| agenda.is_selected(s.index())));
+            let state = (agenda.selection().to_vec(), agenda.dirty.clone());
+            agenda.end_round();
+            assert!(agenda.dirty_list().is_empty() && !agenda.selected.contains(&true));
+            state
+        };
+        let (sel, dirty) = run(&mut Synchronous);
+        let live: Vec<_> = topo.live_slots().map(|(s, _)| s).collect();
+        assert_eq!((&sel, &dirty), (&live, &vec![false; 6]));
+        assert_eq!(run(&mut Adversarial::round_robin(1)), (sel, dirty));
+    }
+
     #[test]
     fn equivalence_claims() {
         assert!(Synchronous.claims_equivalence());
         assert!(ActivityDriven.claims_equivalence());
         assert!(!RandomSubset::new(0.5, 1).claims_equivalence());
         assert!(!Adversarial::round_robin(2).claims_equivalence());
+        assert_eq!(Synchronous.draws(), Draws::EveryLive);
+        assert_eq!(ActivityDriven.draws(), Draws::DirtySet);
+        assert_eq!(RandomSubset::new(0.5, 1).draws(), Draws::Own);
+        assert_eq!(Adversarial::round_robin(2).draws(), Draws::Own);
     }
 }

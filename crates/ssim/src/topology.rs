@@ -835,10 +835,15 @@ impl Topology {
         let n_slots = r.seq()?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut adj = AdjStore::default();
+        adj.spans.reserve_exact(n_slots);
         for _ in 0..n_slots {
             slots.push(Option::<NodeId>::load(r)?);
             adj.load_list(r)?;
         }
+        // The blocks were appended one by one, so the backing storage
+        // carries whatever doubling slack its last growth left: a function
+        // of the exact block total, which varies with the seed.
+        adj.data.shrink_to_fit();
         let n_free = r.seq()?;
         let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
@@ -1119,6 +1124,27 @@ mod tests {
         back.add_node(200);
         assert_eq!(back.slot_of(200), t.slot_of(200));
         assert!(back.check_invariants());
+    }
+
+    /// A restore sizes the adjacency storage exactly: no doubling slack
+    /// from the block-by-block load, so a second save and restore reads
+    /// the same footprint.
+    #[test]
+    fn restore_sizes_the_adjacency_storage_exactly() {
+        // Five blocks of 4: 20 items, which the load grows to 32.
+        let t = Topology::new(0..5u32, (0..5u32).map(|i| (i, (i + 1) % 5)));
+        let round_trip = |t: &Topology| {
+            let mut w = Writer::new();
+            t.save_state(&mut w);
+            Topology::restore_state(&mut Reader::new(&w.into_bytes())).unwrap()
+        };
+        let back = round_trip(&t);
+        assert_eq!(back.adj.data.len(), 20);
+        assert_eq!(back.adj.data.capacity(), back.adj.data.len());
+        assert_eq!(back.adj.spans.capacity(), back.adj.spans.len());
+        let again = round_trip(&back);
+        assert_eq!(again.heap_bytes(), back.heap_bytes());
+        assert_eq!(again.edges(), t.edges());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Negative controls for the equivalence harness (`tests/harness`): a
 //! program that breaks the contract an axis checks must fail that axis,
-//! or the byte-identity cases built on the harness prove nothing.
+//! or the byte-identity cases built on the harness prove nothing. And the
+//! synchronous daemon's own selection path against the general one.
 
 mod harness;
 
-use harness::{Case, ACTIVITY, SYNC};
-use ssim::snapshot::{Reader, Writer};
+use harness::{Case, ACTIVITY, EVERY_LIVE_SANITIZED, LEAVE, SYNC};
+use rand::Rng;
+use ssim::snapshot::{persist_struct, Reader, Writer};
 use ssim::{Config, Ctx, Persist, Program, Runtime, SnapshotError};
 
 /// A host that beacons to its neighbors for its first `left` rounds. It
@@ -72,4 +74,96 @@ fn a_quiescent_host_that_still_sends_fails_the_daemon_axis() {
     drip_case()
         .daemons(&[SYNC, ACTIVITY])
         .run(|arm| arm.run(12));
+}
+
+/// A host on a timer: it folds its inbox into `heard` every step, and
+/// when its `wake_me_in` timer is due it gossips `heard` to a random
+/// neighbor, sometimes introduces two neighbors or drops an edge, and
+/// re-arms the timer. It reports itself busy on one `heard` value in four,
+/// so the quiescence flags and the self-marks of the dirty set move too.
+#[derive(Clone, Default)]
+struct Ticker {
+    heard: u64,
+    due: u64,
+}
+
+persist_struct!(Ticker { heard, due });
+
+impl Program for Ticker {
+    type Msg = u64;
+    fn step(&mut self, ctx: &mut Ctx<'_, u64>) {
+        for &(from, m) in ctx.inbox() {
+            self.heard = self.heard.rotate_left(5) ^ m ^ u64::from(from);
+        }
+        if ctx.round < self.due {
+            return;
+        }
+        let nb = ctx.neighbors();
+        let delay = ctx.rng().gen_range(3..12);
+        self.due = ctx.round + delay;
+        ctx.wake_me_in(delay);
+        if !nb.is_empty() {
+            let v = nb[ctx.rng().gen_range(0..nb.len())];
+            ctx.send(v, self.heard);
+        }
+        match ctx.rng().gen_range(0..6) {
+            0 if nb.len() >= 2 => ctx.link(nb[0], nb[nb.len() - 1]),
+            1 if nb.len() >= 3 => ctx.unlink(nb[0]),
+            _ => {}
+        }
+    }
+    fn is_quiescent(&self) -> bool {
+        self.heard & 3 != 0
+    }
+}
+
+/// `Synchronous` fills its selection straight from the live slots and
+/// skips the sanitizer; a daemon that selects the same slots through the
+/// sanitizer must give the same run, round by round, to the byte: the
+/// dirty list (saved raw), the timers, the quiescence count and the
+/// metrics, across joins (one into a recycled slot), a leave, a crash and
+/// a corruption.
+#[test]
+fn synchronous_matches_every_live_through_the_sanitizer() {
+    let case = Case::new("every live", Config::seeded(0x5E1EC7), |cfg| {
+        let ring = (0..10u32).map(|i| (i, (i + 1) % 10));
+        let chords = [(0, 5), (2, 7), (3, 8)];
+        Runtime::new(
+            cfg,
+            (0..10).map(|v| (v, Ticker::default())),
+            ring.chain(chords),
+        )
+    })
+    .daemons(&[SYNC, EVERY_LIVE_SANITIZED]);
+    let run = case.run(|arm| {
+        let mut rounds = Vec::new();
+        for r in 0..48 {
+            match r {
+                6 => arm.rt().join(100, Ticker::default(), &[0, 4]),
+                11 => assert_eq!(arm.fault(LEAVE), 1),
+                16 => arm
+                    .rt()
+                    .corrupt_node(2, |p| *p = Ticker { heard: 8, due: 0 }),
+                21 => assert!(arm.rt().crash(6).is_some()),
+                26 => arm.rt().join(101, Ticker::default(), &[1, 9]),
+                _ => {}
+            }
+            arm.run(1);
+            let rt = arm.rt();
+            let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
+            rounds.push((rt.pending_activations(), metrics, rt.save_snapshot()));
+        }
+        // The case exercises what the two paths could disagree on.
+        let m = arm.rt().metrics();
+        let quiet = m.per_round.iter().filter(|row| row.messages == 0).count();
+        assert!(
+            quiet > 0 && quiet < m.per_round.len(),
+            "{quiet} quiet rounds"
+        );
+        assert!(m.total_links_added > 0 && m.total_links_removed > 0);
+        assert!(m.per_round.iter().any(|row| row.quiescent_nodes < 10));
+        assert_eq!((m.joins, m.leaves, m.crashes), (2, 1, 1));
+        rounds
+    });
+    assert_eq!(run.out.len(), 48);
 }

@@ -8,14 +8,18 @@
 
 #![allow(dead_code)] // each suite uses a part of the harness
 
-use ssim::{ActivityDriven, Config, Event, Fault, Persist, Program, Runtime, Scenario};
-use ssim::{Scheduler, SnapshotError, Synchronous};
+use ssim::{ActivityDriven, Adversarial, Config, Event, Fault, Persist, Program, Runtime};
+use ssim::{Scenario, Scheduler, SnapshotError, Synchronous};
 use std::fmt::Debug;
 
 /// A daemon factory: every run installs a fresh scheduler.
 pub type Daemon = fn() -> Box<dyn Scheduler>;
 pub const SYNC: Daemon = || Box::new(Synchronous);
 pub const ACTIVITY: Daemon = || Box::new(ActivityDriven);
+/// Every live slot, in member order, through the general selection path
+/// (the sanitizer and its per-slot flags), which [`SYNC`] skips: the same
+/// activations, so the two runs must agree to the byte.
+pub const EVERY_LIVE_SANITIZED: Daemon = || Box::new(Adversarial::round_robin(1));
 
 /// A random member leaves, unless that disconnects the rest.
 pub const LEAVE: Fault = Fault::Leave {
