@@ -108,20 +108,17 @@ impl CbtCore {
 
         // Child introductions for the next level.
         let mut entries: Vec<(u32, NodeId)> = Vec::new();
-        for g in self.cbt.level_nodes_in(z.level, inter.0, inter.1) {
-            let (l, r) = self.cbt.children(g);
-            for c in [l, r].into_iter().flatten() {
-                match self.host_for(io.round, io.neighbors(), c) {
-                    Some(h) => {
-                        if h != me && io.is_neighbor(from) && io.is_neighbor(h) {
-                            io.link(h, from);
-                        }
-                        entries.push((c, h));
+        for c in self.cbt.level_children_in(z.level, inter.0, inter.1) {
+            match self.host_for(io.round, io.neighbors(), c) {
+                Some(h) => {
+                    if h != me && io.is_neighbor(from) && io.is_neighbor(h) {
+                        io.link(h, from);
                     }
-                    // View inconsistency: the merge cannot complete
-                    // coherently on this host.
-                    None => self.fail_merge(),
+                    entries.push((c, h));
                 }
+                // View inconsistency: the merge cannot complete coherently
+                // on this host.
+                None => self.fail_merge(),
             }
         }
         if !entries.is_empty() {

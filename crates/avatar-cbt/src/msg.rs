@@ -30,11 +30,19 @@ impl Beacon {
     }
 }
 
-/// Which edge-walk a [`CbtMsg::WalkUp`] step belongs to.
+/// Which edge-walk a [`CbtMsg::WalkUp`] step belongs to. Only the contact
+/// pull carries a remote cluster's identity: the leader root files the
+/// follower as a contact under it. The match walks carry none — their
+/// roots learn the partner's identity from its [`CbtMsg::MergeHello`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkKind {
     /// Leader-side pull of a follower contact edge up to the leader root.
-    ContactPull,
+    ContactPull {
+        /// The follower's cluster id.
+        fcid: u64,
+        /// The follower's cluster minimum host.
+        fmin: NodeId,
+    },
     /// First follower-side walk: pulls the match edge up to the first
     /// follower's root.
     MatchW1,
@@ -96,10 +104,6 @@ pub enum CbtMsg {
         kind: WalkKind,
         /// The remote endpoint being carried.
         endpoint: NodeId,
-        /// Cluster id of the remote endpoint's cluster.
-        remote_cid: u64,
-        /// Cluster minimum of the remote endpoint's cluster.
-        remote_min: NodeId,
     },
     /// The leader root informs a follower contact of its merge partner.
     MatchMade {
@@ -121,8 +125,11 @@ pub enum CbtMsg {
         /// Epoch of the walk.
         epoch: u64,
     },
-    /// Root-to-root handshake before the zipper merge; sent by whichever
-    /// root learns the partnership first, answered symmetrically.
+    /// Root-to-root handshake before the zipper merge. The root that ends
+    /// the second match walk sends it; the receiving root primes its merge
+    /// from the sender's cid and answers once, and the sender primes from
+    /// the answer. A root primes only from a Hello, so each names its
+    /// partner by the partner's own cid.
     MergeHello {
         /// Epoch of the merge.
         epoch: u64,
@@ -234,7 +241,7 @@ persist_struct!(Beacon {
     epoch,
 });
 persist_enum!(WalkKind {
-    0 => ContactPull,
+    0 => ContactPull { fcid, fmin },
     1 => MatchW1,
     2 => MatchW2,
 });
@@ -270,7 +277,7 @@ persist_enum!(CbtMsg {
     3 => Report { epoch, candidate, clean },
     4 => Nominate { epoch },
     5 => MergeReq { epoch, fcid, fmin },
-    6 => WalkUp { epoch, kind, endpoint, remote_cid, remote_min },
+    6 => WalkUp { epoch, kind, endpoint },
     7 => MatchMade { epoch, partner, partner_cid, walk_first, self_match },
     8 => AnchorDone { epoch },
     9 => MergeHello { epoch, cid, cluster_min },

@@ -76,19 +76,26 @@ pub struct CbtCore {
     pub sleeps: u64,
     /// Consecutive rounds the detector has reported a fault. A reset fires
     /// only once the fault has persisted for [`CbtCore::fault_patience`]
-    /// rounds: beacons spend up to `Δ` rounds in flight, so for up to
-    /// `Δ - 1` rounds after a merge commit the neighbors' in-flight
-    /// beacons still carry the pre-merge cluster id and the cover rule
-    /// *transiently* fails.
+    /// rounds.
     pub fault_streak: u8,
-    /// Rounds a detector fault must persist before the reset fires.
-    /// `Δ` under a pure-latency channel ([`CbtCore::with_net`] sets
-    /// this; `Δ = 1` resets on the first faulty round — bit-for-bit the
-    /// classic detector). A *lossy* channel needs more: after a commit
-    /// only a new-cid beacon can re-cover a crossing edge, so losing the
-    /// first post-commit beacon keeps the fault alive for a further `Δ`
-    /// rounds per loss. [`CbtCore::with_net`] uses `3Δ` when `loss > 0`
-    /// (two consecutive critical losses tolerated).
+    /// Rounds a detector fault must persist before the reset fires; 1 —
+    /// the classic detector, reset on the first faulty round — on the
+    /// ideal channel, where a merge that commits on both sides leaves no
+    /// fault at all: the census (`exp small_scope`) and E16's ideal row
+    /// run to legality with patience 1 and no reset. The resets that
+    /// once fired at `t_commit + 1` were one-sided commits, a real fault
+    /// no patience should absorb. Latency does make a transient one:
+    /// beacons spend up to `Δ` rounds in flight, so for up to `Δ - 1`
+    /// rounds after a both-sided commit a neighbor's latest beacon can
+    /// still carry the pre-merge cluster id, and the cover rule fails
+    /// until the new-cid beacon lands. Jitter stretches the gap between
+    /// consecutive beacons to up to `1 + jitter` rounds, and each lost
+    /// post-commit beacon adds `Δ` more. [`CbtCore::with_net`] therefore
+    /// sets `Δ`, and `3Δ` under loss or jitter. Measured on E16's
+    /// `delay=1,jitter=2` row (`Δ = 4`, 8 hosts, every merge committed on
+    /// both sides): patience 1 or 2 never reaches legality (1,597–1,764
+    /// resets within the budget); `Δ` resets 5 times and is legal at
+    /// round 3,163; `3Δ` resets none and is legal at 2,092.
     pub fault_patience: u8,
     /// Copies sent of each merge-critical message (`MergeHello` and the
     /// three zip kinds). The zipper's commit is evaluated *locally* per
@@ -154,11 +161,10 @@ impl CbtCore {
         // A lossy channel can swallow the first post-commit beacon of an
         // edge, keeping the detector's cover fault alive for a further `Δ`
         // rounds per loss — so the detector waits out two consecutive
-        // losses before treating the fault as real (see
-        // `CbtCore::fault_patience`). Jitter needs the same slack without
-        // any loss at all: consecutive beacons legitimately arrive up to
-        // `1 + jitter` rounds apart, and a detector holding hosts to the
-        // tight `Δ` budget mistakes reordering for silence.
+        // losses before treating the fault as real. Jitter needs the same
+        // slack without any loss at all: consecutive beacons legitimately
+        // arrive up to `1 + jitter` rounds apart (measured in
+        // `CbtCore::fault_patience`'s doc).
         if model.loss > 0.0 || model.jitter > 0 {
             self.fault_patience = Self::hops(delta, 3);
         }
@@ -540,24 +546,19 @@ impl CbtCore {
                 epoch: e,
                 kind,
                 endpoint,
-                remote_cid,
-                remote_min,
             } => {
                 if *e == epoch {
-                    self.continue_walk(io, epoch, *kind, *endpoint, *remote_cid, *remote_min);
+                    self.continue_walk(io, epoch, *kind, *endpoint);
                 }
             }
             CbtMsg::MatchMade {
-                epoch: e,
-                partner,
-                partner_cid,
-                ..
+                epoch: e, partner, ..
             } => {
                 if *e == epoch && self.scratch.nominated {
                     // Begin the follower-side walk carrying the partner
                     // endpoint toward my cluster root. For a self-match the
                     // partner endpoint is the leader root itself.
-                    self.start_match_walk(io, epoch, *partner, *partner_cid);
+                    self.start_match_walk(io, epoch, *partner);
                 }
             }
             CbtMsg::AnchorDone { epoch: e } => {
@@ -753,10 +754,8 @@ impl CbtCore {
                 p,
                 CbtMsg::WalkUp {
                     epoch,
-                    kind: WalkKind::ContactPull,
+                    kind: WalkKind::ContactPull { fcid, fmin },
                     endpoint: follower,
-                    remote_cid: fcid,
-                    remote_min: fmin,
                 },
             );
             // The (me, follower) edge is the original external edge: keep it.
@@ -771,17 +770,15 @@ impl CbtCore {
         epoch: u64,
         kind: WalkKind,
         endpoint: NodeId,
-        remote_cid: u64,
-        remote_min: NodeId,
     ) {
         if !io.is_neighbor(endpoint) {
             return; // edge never materialized (peer reset); drop the walk
         }
         if self.is_root() {
             match kind {
-                WalkKind::ContactPull => {
+                WalkKind::ContactPull { fcid, fmin } => {
                     if self.scratch.role == Some(Role::Leader) {
-                        self.accept_contact(endpoint, remote_cid, remote_min);
+                        self.accept_contact(endpoint, fcid, fmin);
                     }
                 }
                 WalkKind::MatchW1 => {
@@ -789,19 +786,9 @@ impl CbtCore {
                     // endpoint (second contact) to carry me up its tree.
                     send(io, endpoint, CbtMsg::AnchorDone { epoch });
                 }
-                WalkKind::MatchW2 => {
-                    // endpoint is the partner cluster's root: handshake.
-                    self.send_critical(
-                        io,
-                        endpoint,
-                        CbtMsg::MergeHello {
-                            epoch,
-                            cid: self.core.cid,
-                            cluster_min: self.core.cluster_min,
-                        },
-                    );
-                    self.prime_merge(endpoint, remote_cid, remote_min);
-                }
+                // endpoint is the partner cluster's root: handshake, and
+                // prime from its answer (see `on_merge_hello`).
+                WalkKind::MatchW2 => self.send_hello(io, epoch, endpoint),
             }
             return;
         }
@@ -814,8 +801,6 @@ impl CbtCore {
                     epoch,
                     kind,
                     endpoint,
-                    remote_cid,
-                    remote_min,
                 },
             );
         }
@@ -888,13 +873,7 @@ impl CbtCore {
 
     /// First contact of a pair (or the self-match contact): walk the match
     /// edge up to my cluster root, carrying the partner endpoint.
-    fn start_match_walk(
-        &mut self,
-        io: &mut Ctx<'_, impl Carrier>,
-        epoch: u64,
-        partner: NodeId,
-        partner_cid: u64,
-    ) {
+    fn start_match_walk(&mut self, io: &mut Ctx<'_, impl Carrier>, epoch: u64, partner: NodeId) {
         if !io.is_neighbor(partner) {
             return;
         }
@@ -912,8 +891,6 @@ impl CbtCore {
                     epoch,
                     kind: WalkKind::MatchW1,
                     endpoint: partner,
-                    remote_cid: partner_cid,
-                    remote_min: partner, // authoritative value arrives in the Hello
                 },
             );
         }
@@ -927,15 +904,7 @@ impl CbtCore {
         }
         if self.is_root() {
             // Degenerate: I am my cluster's root; handshake directly.
-            self.send_critical(
-                io,
-                anchor,
-                CbtMsg::MergeHello {
-                    epoch,
-                    cid: self.core.cid,
-                    cluster_min: self.core.cluster_min,
-                },
-            );
+            self.send_hello(io, epoch, anchor);
             return;
         }
         if let Some(p) = self.parent(io.round, io.neighbors()) {
@@ -947,14 +916,16 @@ impl CbtCore {
                     epoch,
                     kind: WalkKind::MatchW2,
                     endpoint: anchor,
-                    remote_cid: 0,
-                    remote_min: anchor,
                 },
             );
         }
     }
 
-    /// Root-to-root handshake: prime the merge and answer the Hello once.
+    /// Root-to-root handshake: prime the merge from the partner's own cid
+    /// and answer the Hello once. This is the only place a merge is primed
+    /// at a root, so a root never names its partner by a placeholder:
+    /// `join_merge` would reject every one of the partner's meets as stale,
+    /// and the merge would commit on one side only.
     fn on_merge_hello(
         &mut self,
         io: &mut Ctx<'_, impl Carrier>,
@@ -963,39 +934,31 @@ impl CbtCore {
         cid: u64,
         cluster_min: NodeId,
     ) {
-        if !io.is_neighbor(from) || cid == self.core.cid {
+        if !io.is_neighbor(from) || cid == self.core.cid || self.scratch.merge.is_some() {
             return;
         }
-        let fresh = self.scratch.merge.is_none();
-        self.prime_merge(from, cid, cluster_min);
-        if fresh {
-            self.send_critical(
-                io,
-                from,
-                CbtMsg::MergeHello {
-                    epoch,
-                    cid: self.core.cid,
-                    cluster_min: self.core.cluster_min,
-                },
-            );
-        }
-    }
-
-    /// Set up this root's merge scratch for a level-0 meet with `partner`.
-    fn prime_merge(&mut self, partner: NodeId, partner_cid: u64, partner_min: NodeId) {
-        if self.scratch.merge.is_some() {
-            return;
-        }
-        let new_cid = mix_cids(self.core.cid, partner_cid);
-        let new_min = self.core.cluster_min.min(partner_min);
         let mut m = Merge {
-            partner_cid,
-            new_cid,
-            new_min,
+            partner_cid: cid,
+            new_cid: mix_cids(self.core.cid, cid),
+            new_min: self.core.cluster_min.min(cluster_min),
             ..Merge::default()
         };
-        m.pending.push((0, partner));
+        m.pending.push((0, from));
         self.scratch.merge = Some(m);
+        self.send_hello(io, epoch, from);
+    }
+
+    /// Introduce this root to the partner root `to`.
+    fn send_hello(&self, io: &mut Ctx<'_, impl Carrier>, epoch: u64, to: NodeId) {
+        self.send_critical(
+            io,
+            to,
+            CbtMsg::MergeHello {
+                epoch,
+                cid: self.core.cid,
+                cluster_min: self.core.cluster_min,
+            },
+        );
     }
 }
 
@@ -1299,6 +1262,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A merge handshake names each root's partner by the partner's own
+    /// cid. On the five-host start where a second-walk root (host 23)
+    /// once primed with a placeholder cid of 0, every root that holds a
+    /// level-0 meet with a partner root holds that root's current cid as
+    /// `partner_cid`, at the end of every round to legality, and both
+    /// roots of each handshake name each other.
+    #[test]
+    fn merge_handshake_names_the_partner_roots_real_cid() {
+        let ids = [5, 11, 18, 23, 30];
+        let edges = vec![(5, 18), (5, 23), (5, 30), (11, 18), (11, 30)];
+        let mut rt = crate::legal::runtime(32, &ids, edges, ssim::Config::seeded(1));
+        let mut primed = std::collections::BTreeSet::new();
+        let legal = rt.run_monitored(
+            |rt| {
+                for (r, p) in rt.programs() {
+                    let Some(m) = &p.core.scratch.merge else {
+                        continue;
+                    };
+                    let meets = m.pending.iter().chain(&m.awaiting);
+                    for &(_, partner) in meets.filter(|&&(level, _)| level == 0) {
+                        assert!(p.core.is_root(), "round {}: {r} is no root", rt.round());
+                        let real = rt.program(partner).core.core.cid;
+                        assert_ne!(m.partner_cid, 0, "round {}: {r}", rt.round());
+                        assert_eq!(m.partner_cid, real, "round {}: {r}", rt.round());
+                        primed.insert((p.core.scratch.epoch, r, partner));
+                    }
+                }
+                crate::legal::runtime_is_legal(rt)
+            },
+            81 * 40,
+        );
+        assert_eq!(legal.rounds_if_satisfied(), Some(484));
+        assert!(primed.iter().any(|&(_, r, _)| r == 23), "{primed:?}");
+        for &(epoch, r, partner) in &primed {
+            assert!(primed.contains(&(epoch, partner, r)), "{primed:?}");
         }
     }
 

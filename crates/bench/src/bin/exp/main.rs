@@ -7,11 +7,12 @@
 //!
 //! Rows run in the order given and share one parsed command line
 //! ([`ExpArgs`]); `N` is each row's seed or trial count. The `--json
-//! --smoke` output of `engine_scale workload net gauntlet` is the committed
-//! `BENCH_engine.json` contract (`bench_check` diffs it exactly). An
-//! unknown row, an unknown flag or a malformed option value exits with
-//! status 2 before anything runs.
+//! --smoke` output of `engine_scale workload net gauntlet small_scope` is
+//! the committed `BENCH_engine.json` contract (`bench_check` diffs it
+//! exactly). An unknown row, an unknown flag or a malformed option value
+//! exits with status 2 before anything runs.
 
+mod census;
 mod engine;
 mod gauntlet;
 mod net;
@@ -40,6 +41,7 @@ const ROWS: &[Row] = &[
     ("workload", workload::workload),
     ("net", net::net),
     ("gauntlet", gauntlet::gauntlet),
+    ("small_scope", census::small_scope),
 ];
 
 /// The rows `args` names, in order; `Err` when none is given or one is

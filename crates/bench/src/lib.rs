@@ -149,6 +149,122 @@ pub fn measure_churn(
     scenario.run(&mut rt, chord_scaffold::legality(), max_rounds)
 }
 
+/// Guest space of the small-scope census.
+pub const CENSUS_N: u32 = 32;
+
+/// The protocol a census start runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CensusProtocol {
+    /// The full Avatar(Chord) protocol ([`chord_scaffold::runtime`]).
+    Chord,
+    /// The standalone Avatar(CBT) core ([`avatar_cbt::legal::runtime`]).
+    Cbt,
+}
+
+/// One census cell: every start of one protocol at one host count.
+#[derive(Debug, Clone, Default)]
+pub struct Census {
+    /// Starts run: connected labelled graphs × placements.
+    pub starts: u64,
+    /// Starts legal within [`budget`].
+    pub converged: u64,
+    /// Starts with at least one detector reset on the way.
+    pub reset_starts: u64,
+    /// Detector resets, by the epoch offset of the round they fired in.
+    pub resets_at: std::collections::BTreeMap<u64, u64>,
+    /// Rounds to legality of every converged start.
+    pub rounds: Vec<f64>,
+    /// Largest degree any start reached on the way.
+    pub peak_degree: usize,
+    /// Largest degree of any start's final configuration.
+    pub final_degree: usize,
+}
+
+impl Census {
+    /// Detector resets over all starts.
+    pub fn resets(&self) -> u64 {
+        self.resets_at.values().sum()
+    }
+}
+
+/// The small-scope census (the small-scope hypothesis: a protocol bug
+/// shows on some small start): run every connected labelled graph on `k`
+/// hosts, under each of two seeded placements in `N = 32` (placement seed
+/// `1000 + p`, [`seeded`]`(p)`, `p ∈ {0, 1}`), to legality under the
+/// synchronous daemon within [`budget`]. Resets are read off the CBT
+/// cores' `resets` statistic after every round — the counter the reset
+/// path bumps when it raises [`avatar_cbt::StepEvents::reset`] — so a
+/// reset is attributed to the epoch offset of the round it fired in.
+pub fn census(k: usize, protocol: CensusProtocol) -> Census {
+    let pairs: Vec<(usize, usize)> = (0..k)
+        .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
+        .collect();
+    let sched = avatar_cbt::Schedule::new(CENSUS_N);
+    let budget = budget(CENSUS_N, k);
+    let mut out = Census::default();
+    for p in 0..2 {
+        let (ids, _) = ssim::init::place_hosts(k, CENSUS_N, 1000 + p);
+        for mask in 0u64..1 << pairs.len() {
+            let edges: Vec<(NodeId, NodeId)> = (pairs.iter().enumerate())
+                .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                .map(|(_, &(i, j))| (ids[i], ids[j]))
+                .collect();
+            if !ssim::Topology::new(ids.iter().copied(), edges.clone()).is_connected() {
+                continue;
+            }
+            let (cfg, mut seen) = (seeded(p), 0);
+            let tally = |round: u64, resets: u64| {
+                if resets > seen {
+                    *out.resets_at.entry(sched.locate(round - 1).1).or_default() += resets - seen;
+                    seen = resets;
+                }
+            };
+            let o = match protocol {
+                CensusProtocol::Chord => run_counting_resets(
+                    chord_scaffold::runtime(ChordTarget::classic(CENSUS_N), &ids, edges, cfg),
+                    chord_scaffold::legality(),
+                    |p| p.core.cbt.resets,
+                    budget,
+                    tally,
+                ),
+                CensusProtocol::Cbt => run_counting_resets(
+                    avatar_cbt::legal::runtime(CENSUS_N, &ids, edges, cfg),
+                    avatar_cbt::legality(),
+                    |p| p.core.resets,
+                    budget,
+                    tally,
+                ),
+            };
+            out.starts += 1;
+            out.converged += u64::from(o.rounds.is_some());
+            out.reset_starts += u64::from(seen > 0);
+            out.rounds.extend(o.rounds.map(|r| r as f64));
+            out.peak_degree = out.peak_degree.max(o.peak_degree);
+            out.final_degree = out.final_degree.max(o.final_degree);
+        }
+    }
+    out
+}
+
+/// Run `rt` to `legal` within `budget`, handing `tally` the round and the
+/// hosts' summed `resets_of` after every round.
+fn run_counting_resets<P: Program>(
+    mut rt: Runtime<P>,
+    mut legal: impl FnMut(&Runtime<P>) -> bool,
+    resets_of: impl Fn(&P) -> u64,
+    budget: u64,
+    mut tally: impl FnMut(u64, u64),
+) -> Outcome {
+    let run = rt.run_monitored(
+        |rt| {
+            tally(rt.round(), rt.programs().map(|(_, p)| resets_of(p)).sum());
+            legal(rt)
+        },
+        budget,
+    );
+    outcome_of(run.rounds_if_satisfied(), &rt)
+}
+
 fn outcome_of<P: Program>(rounds: Option<u64>, rt: &Runtime<P>) -> Outcome {
     let final_degree = rt.topology().max_degree();
     Outcome {

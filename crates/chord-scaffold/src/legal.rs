@@ -205,13 +205,15 @@ mod tests {
         assert!(!is_legal(&t, rt.topology(), std::iter::once(&p)));
     }
 
-    /// The smallest clean start that still resets the scaffold (ROADMAP
-    /// reading 4): five hosts in N = 32, every one a singleton cluster,
-    /// reach legality within the budget under both the full protocol and
-    /// the standalone Avatar(CBT) core, but each run resets CBT cores
-    /// twice on the way. The counts are pinned as found, not endorsed:
-    /// closing the commit-window cascade (ROADMAP item 3) turns both
-    /// into an assertion of zero.
+    /// The smallest clean start that used to reset the scaffold: five
+    /// hosts in N = 32, every one a singleton cluster. Host 23, the root
+    /// of {23, 30}, ended a second match walk and primed its merge with a
+    /// placeholder partner cid of 0; it then rejected every meet of its
+    /// partner as stale and aborted, while host 5 committed alone and
+    /// reset at `t_commit + 1` (epochs 4 and 5: two resets per run, legal
+    /// at rounds 872 and 808). A root now primes only from its partner's
+    /// `MergeHello`, which carries the real cid, so both merges commit on
+    /// both sides and neither protocol resets.
     #[test]
     fn five_host_reset_witness() {
         let ids = [5, 11, 18, 23, 30];
@@ -220,13 +222,13 @@ mod tests {
         let cfg = Config::seeded(1);
         let mut chord = runtime(ChordTarget::classic(32), &ids, edges.clone(), cfg);
         let legal = chord.run_monitored(legality(), budget);
-        assert_eq!(legal.rounds_if_satisfied(), Some(872));
+        assert_eq!(legal.rounds_if_satisfied(), Some(548));
         let resets: u64 = chord.programs().map(|(_, p)| p.core.cbt.resets).sum();
-        assert_eq!(resets, 2, "Avatar(Chord) resets");
+        assert_eq!(resets, 0, "Avatar(Chord) resets");
         let mut cbt = avatar_cbt::legal::runtime(32, &ids, edges, cfg);
         let legal = cbt.run_monitored(avatar_cbt::legal::legality(), budget);
-        assert_eq!(legal.rounds_if_satisfied(), Some(808));
+        assert_eq!(legal.rounds_if_satisfied(), Some(484));
         let resets: u64 = cbt.programs().map(|(_, p)| p.core.resets).sum();
-        assert_eq!(resets, 2, "Avatar(CBT) resets");
+        assert_eq!(resets, 0, "Avatar(CBT) resets");
     }
 }

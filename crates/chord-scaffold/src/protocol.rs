@@ -1094,10 +1094,11 @@ mod tests {
             },
             CbtMsg::WalkUp {
                 epoch: 9,
-                kind: WalkKind::MatchW2,
+                kind: WalkKind::ContactPull {
+                    fcid: 0xABCDEF,
+                    fmin: 1,
+                },
                 endpoint: 200,
-                remote_cid: 0xABCDEF,
-                remote_min: 1,
             },
             CbtMsg::MatchMade {
                 epoch: 10,
@@ -1237,7 +1238,9 @@ mod tests {
     /// the tag-only enums, and a populated `Merge`, `Scratch` and
     /// `ScaffoldCore`. The hex strings were captured from the hand-written
     /// `save`/`load` pairs the declarations replaced; a drift here is a
-    /// snapshot format change.
+    /// snapshot format change. The `WalkUp` and `WalkKind` strings were
+    /// rewritten by hand for format version 7, which moved the remote
+    /// cluster identity into the contact-pull walk kind.
     #[test]
     fn snapshot_encodings_are_pinned() {
         use avatar_cbt::msg::WalkKind;
@@ -1251,7 +1254,7 @@ mod tests {
             "03060100",
             "0407",
             "0508ffffffffffffffffff0109",
-            "060902c801ef9baf0501",
+            "060900ef9baf0501c801",
             "070a044d0100",
             "080b",
             "090c80808080802002",
@@ -1269,7 +1272,7 @@ mod tests {
         pin_enum(
             "WalkKind",
             &[
-                (WalkKind::ContactPull, "00"),
+                (WalkKind::ContactPull { fcid: 5, fmin: 3 }, "000503"),
                 (WalkKind::MatchW1, "01"),
                 (WalkKind::MatchW2, "02"),
             ],

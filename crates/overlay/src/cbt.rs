@@ -60,6 +60,14 @@ fn complete_left_size(n: u32) -> u32 {
     (1u32 << (h - 1)) - 1 + left_last
 }
 
+/// The children of guest `g` whose subtree holds the keys `[lo, hi)`: the
+/// roots of the complete subtrees on `[lo, g)` and `[g + 1, hi)`.
+fn children_within(g: Id, lo: Id, hi: Id) -> (Option<Id>, Option<Id>) {
+    let left = (g > lo).then(|| lo + complete_left_size(g - lo));
+    let right = (g + 1 < hi).then(|| g + 1 + complete_left_size(hi - g - 1));
+    (left, right)
+}
+
 impl Cbt {
     /// A complete binary search tree over guests `[0, n)`.
     ///
@@ -123,17 +131,7 @@ impl Cbt {
         let Locus {
             subtree: (lo, hi), ..
         } = self.locate(g);
-        let left = if g > lo {
-            Some(lo + complete_left_size(g - lo))
-        } else {
-            None
-        };
-        let right = if g + 1 < hi {
-            Some(g + 1 + complete_left_size(hi - g - 1))
-        } else {
-            None
-        };
-        (left, right)
+        children_within(g, lo, hi)
     }
 
     /// Level (depth) of guest `g`; the root has level 0.
@@ -145,7 +143,33 @@ impl Cbt {
     /// order. Pruned descent: `O(output + log N)`.
     pub fn level_nodes_in(&self, level: u32, lo: Id, hi: Id) -> Vec<Id> {
         let mut out = Vec::new();
-        // Stack of (interval, depth of its local root).
+        self.level_subtrees_in(level, lo, hi, |g, _, _| out.push(g));
+        out
+    }
+
+    /// The children of the guests [`Cbt::level_nodes_in`] yields, in the
+    /// same order, each guest's left child before its right: equal to
+    /// calling [`Cbt::children`] on every one of them, without locating
+    /// each guest from the root again — the descent already knows its
+    /// subtree. Same-level subtrees are disjoint and ordered, so the
+    /// children come out in increasing key order. `O(output + log N)`.
+    pub fn level_children_in(&self, level: u32, lo: Id, hi: Id) -> Vec<Id> {
+        let mut out = Vec::new();
+        self.level_subtrees_in(level, lo, hi, |g, a, b| {
+            let (l, r) = children_within(g, a, b);
+            out.extend(l);
+            out.extend(r);
+        });
+        out
+    }
+
+    /// Visit every guest `g` at `level` with key in `[lo, hi)` as
+    /// `visit(g, subtree_lo, subtree_hi)`, in increasing key order: a
+    /// pruned descent that enters a subtree only when it can hold such a
+    /// guest, left before right.
+    fn level_subtrees_in(&self, level: u32, lo: Id, hi: Id, mut visit: impl FnMut(Id, Id, Id)) {
+        // Stack of (interval, depth of its local root); the right half is
+        // pushed first so the left half pops first.
         let mut stack = vec![(0u32, self.n, 0u32)];
         while let Some((a, b, d)) = stack.pop() {
             if a >= b || b <= lo || a >= hi || d > level {
@@ -154,15 +178,13 @@ impl Cbt {
             let root = a + complete_left_size(b - a);
             if d == level {
                 if lo <= root && root < hi {
-                    out.push(root);
+                    visit(root, a, b);
                 }
                 continue;
             }
-            stack.push((a, root, d + 1));
             stack.push((root + 1, b, d + 1));
+            stack.push((a, root, d + 1));
         }
-        out.sort_unstable();
-        out
     }
 
     /// The undirected tree neighborhood of guest `g` (parent plus children).
@@ -434,6 +456,35 @@ mod tests {
                 for (lo, hi) in [(0, n), (1, n / 2), (n / 3, 2 * n / 3)] {
                     let expect: Vec<Id> = (lo..hi).filter(|&g| t.level(g) == level).collect();
                     assert_eq!(t.level_nodes_in(level, lo, hi), expect, "n={n} l={level}");
+                }
+            }
+        }
+    }
+
+    /// The one-descent child listing equals `level_nodes_in` followed by
+    /// `children` on each guest — same children, same order — for every
+    /// tree up to 64 guests, every level and every interval.
+    #[test]
+    fn level_children_in_matches_children_of_level_nodes() {
+        for n in 1..=64u32 {
+            let t = Cbt::new(n);
+            for level in 0..=t.height() + 1 {
+                for lo in 0..=n {
+                    for hi in lo..=n {
+                        let expect: Vec<Id> = t
+                            .level_nodes_in(level, lo, hi)
+                            .into_iter()
+                            .flat_map(|g| {
+                                let (l, r) = t.children(g);
+                                l.into_iter().chain(r)
+                            })
+                            .collect();
+                        assert_eq!(
+                            t.level_children_in(level, lo, hi),
+                            expect,
+                            "n={n} l={level} [{lo},{hi})"
+                        );
+                    }
                 }
             }
         }

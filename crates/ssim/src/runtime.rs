@@ -1314,8 +1314,10 @@ mod tests {
     const BUSY_CUT: [NodeId; 5] = [2, 3, 101, 105, 109];
     const BUSY_LOSS: f64 = 0.0625;
     /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured when
-    /// format version 6 saved the workload whole.
-    const GOLDEN_HASH: u64 = 4_634_871_301_716_401_879;
+    /// format version 6 saved the workload whole and recaptured for
+    /// version 7, which moved only the version word of this runtime's
+    /// bytes (its program is not Avatar(CBT)).
+    const GOLDEN_HASH: u64 = 2_031_897_192_616_393_326;
     const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
         ttl: 99,
         max_hops: 77,

@@ -100,8 +100,10 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// instead of FNV-1a and coded each beacon-view entry against the one
 /// before it; version 6 saves the attached workload whole (a tagged
 /// generator with its rate and key space) instead of a name and opaque
-/// state bytes.
-pub const FORMAT_VERSION: u32 = 6;
+/// state bytes; version 7 is the Avatar(CBT) edge walk without a remote
+/// cluster identity on its match walks (only the contact pull carries one,
+/// inside its walk kind), which changes the layout of in-flight walks.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
 /// variant is loud and specific: a snapshot either restores exactly or
