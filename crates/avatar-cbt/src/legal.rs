@@ -171,7 +171,7 @@ pub fn join_nonce(seed: u64, v: NodeId) -> u64 {
 /// Restore a CBT runtime through [`reboot`]. `cfg` is not read: every
 /// setting comes from the snapshot. It is kept for
 /// `crates/bench/src/bin/benchmark`, which still passes one; ROADMAP item
-/// 4(a) removes it.
+/// 5(b) removes it.
 pub fn restore_runtime(bytes: &[u8], cfg: Config) -> Result<Runtime<CbtProgram>, SnapshotError> {
     reboot(bytes, cfg, |p: &CbtProgram, seed, model| {
         spawner(p.core.n, seed, model)

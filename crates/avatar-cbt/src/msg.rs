@@ -109,15 +109,10 @@ pub enum CbtMsg {
     MatchMade {
         /// Epoch of the match.
         epoch: u64,
-        /// The partner endpoint the contact now has an edge to.
+        /// The partner endpoint the contact now has an edge to: the other
+        /// contact of its pair, or the leader root itself for the odd
+        /// contact. Either way the contact walks the edge up its own tree.
         partner: NodeId,
-        /// Partner cluster id.
-        partner_cid: u64,
-        /// True iff this contact's cluster performs the first walk (W1).
-        walk_first: bool,
-        /// True iff the partner is the leader cluster itself (odd contact
-        /// count): the partner endpoint is the leader root.
-        self_match: bool,
     },
     /// W1 finished: the sender (first follower's root) anchors the match
     /// edge; the receiving contact starts W2 carrying the sender.
@@ -278,7 +273,7 @@ persist_enum!(CbtMsg {
     4 => Nominate { epoch },
     5 => MergeReq { epoch, fcid, fmin },
     6 => WalkUp { epoch, kind, endpoint },
-    7 => MatchMade { epoch, partner, partner_cid, walk_first, self_match },
+    7 => MatchMade { epoch, partner },
     8 => AnchorDone { epoch },
     9 => MergeHello { epoch, cid, cluster_min },
     10 => ZipMeet(z),

@@ -551,9 +551,7 @@ impl CbtCore {
                     self.continue_walk(io, epoch, *kind, *endpoint);
                 }
             }
-            CbtMsg::MatchMade {
-                epoch: e, partner, ..
-            } => {
+            CbtMsg::MatchMade { epoch: e, partner } => {
                 if *e == epoch && self.scratch.nominated {
                     // Begin the follower-side walk carrying the partner
                     // endpoint toward my cluster root. For a self-match the
@@ -836,9 +834,6 @@ impl CbtCore {
                 CbtMsg::MatchMade {
                     epoch,
                     partner: b.endpoint,
-                    partner_cid: b.fcid,
-                    walk_first: true,
-                    self_match: false,
                 },
             );
             send(
@@ -847,9 +842,6 @@ impl CbtCore {
                 CbtMsg::MatchMade {
                     epoch,
                     partner: a.endpoint,
-                    partner_cid: a.fcid,
-                    walk_first: false,
-                    self_match: false,
                 },
             );
         }
@@ -862,9 +854,6 @@ impl CbtCore {
                 CbtMsg::MatchMade {
                     epoch,
                     partner: self.id,
-                    partner_cid: self.core.cid,
-                    walk_first: true,
-                    self_match: true,
                 },
             );
             // Keep the edge; the far side's root will Hello us.

@@ -103,15 +103,18 @@ pub fn identity_digest(cid: u64, range: (u32, u32), cluster_min: NodeId) -> u64 
 /// neighbor list.
 ///
 /// The view also certifies its own ring order, which routing searches
-/// instead of scanning ([`NeighborView::closest_preceding`]). It counts the
+/// instead of scanning ([`NeighborView::nearest`]). It counts the
 /// *order violations* among its entries, taken in id order: an entry whose
 /// range is empty or inverted (`lo >= hi`), and an adjacent pair whose
 /// ranges overlap or run backwards (`hi_i > lo_{i+1}`). At zero every range
 /// is non-empty and each starts at or after the previous one's end, so the
 /// ranges — and the positions `hi - 1` they end at — strictly increase
-/// with the ids, as in every legal Avatar view. [`NeighborView::record`]
-/// keeps the count in O(1) from the entries beside the one it wrote;
-/// `retain_neighbors`, `tamper` and `load` recount it.
+/// with the ids, as in every legal Avatar view. A range ending past the
+/// guest count `N` is no violation (the view does not know `N`): at zero
+/// such ranges form a suffix, which the search reads past locally.
+/// [`NeighborView::record`] keeps the count in O(1) from the entries
+/// beside the one it wrote; `retain_neighbors`, `tamper` and `load`
+/// recount it.
 #[derive(Debug, Clone)]
 pub struct NeighborView {
     beacons: CompactMap<NodeId, (u64, Beacon)>,
@@ -155,6 +158,27 @@ fn inverted(r: (u32, u32)) -> u32 {
 /// The order violation of an adjacent pair: `b` starts before `a` ends.
 fn crossed(a: (u32, u32), b: (u32, u32)) -> u32 {
     u32::from(a.1 > b.0)
+}
+
+/// The two-way ring distance from a responsible range to `key < n`: 0
+/// when the range covers `key`, else the shorter way round — clockwise
+/// from its last guest, or counter-clockwise from its first. `None` for a
+/// range no legal host holds (empty, inverted, or ending past `n`): the
+/// router does not visit it.
+pub fn ring_dist(range: (u32, u32), key: u32, n: u32) -> Option<u32> {
+    (range.0 < range.1 && range.1 <= n).then(|| span_dist(range, key, n))
+}
+
+/// [`ring_dist`] of a range known to be non-empty and to end at or below
+/// `n`.
+fn span_dist((lo, hi): (u32, u32), key: u32, n: u32) -> u32 {
+    if key < lo {
+        (lo - key).min(n - (hi - 1 - key))
+    } else if key < hi {
+        0
+    } else {
+        (key - (hi - 1)).min(n - (key - lo))
+    }
 }
 
 /// The merge-join step: advance the sorted cursor `rest` past every element
@@ -269,56 +293,78 @@ impl NeighborView {
         self.along(0, neighbors, true)
     }
 
-    /// On a certified view whose ranges all end at or below `n`, the entry
-    /// among `neighbors` whose range end `p = hi - 1` is closest to `key`
-    /// going clockwise — the minimum a scan of [`NeighborView::latest_along`]
-    /// would find. `None` when the view does not certify its order for `n`
-    /// (the caller scans); `Some(None)` when no neighbor has an entry.
+    /// On a certified view, the neighbor entry nearest `key < n` by
+    /// [`ring_dist`] and its distance — the first strict minimum a scan of
+    /// [`NeighborView::latest_along`] would find. `None` when the view does
+    /// not certify its order (the caller scans); `Some(None)` when no
+    /// neighbor has an entry whose range a legal host could hold.
     ///
-    /// The positions strictly increase along the view, so that minimum is
-    /// unique, and it is the last neighbor entry starting at or before
-    /// `key`: the one covering `key`, else the last one ending at or before
-    /// it — or, when every entry starts after `key`, the last one (the
-    /// wrap). The search starts from the ids: in a legal Avatar a host's
-    /// range starts at its id (the minimum host's at 0) and the view holds
-    /// exactly the neighbors, so the last neighbor with id `<= key` sits at
-    /// the same index in the view. Two entries around that index confirm
-    /// the boundary; otherwise a binary search over the view finds it.
-    pub fn closest_preceding(
-        &self,
-        key: u32,
-        n: u32,
-        neighbors: &[NodeId],
-    ) -> Option<Option<(NodeId, &Beacon)>> {
-        let entries = self.beacons.as_slice();
-        if self.disorder != 0 || entries.last().is_some_and(|e| range(e).1 > n) {
+    /// The ranges strictly increase along a certified view, and those that
+    /// end past `n` form a suffix, so only two entries can be nearest: the
+    /// last neighbor entry starting at or before `key` (nearest clockwise:
+    /// it covers `key` or ends closest below it) and the first starting
+    /// after it (nearest counter-clockwise), each wrapping round 0/`N` when
+    /// its side is empty. The nearer wins, the lower id on a tie. The
+    /// search starts from the ids: in a legal Avatar a host's range starts
+    /// at its id (the minimum host's at 0) and the view holds exactly the
+    /// neighbors, so the last neighbor with id `<= key` sits at the same
+    /// index in the view as the first candidate, and the second is its
+    /// successor (or the wrap). Reading those two entries confirms the
+    /// boundary; otherwise a binary search over the view finds it. Every
+    /// search also reads the first entry, before the ids (see the body).
+    pub fn nearest(&self, key: u32, n: u32, neighbors: &[NodeId]) -> Option<Option<(NodeId, u32)>> {
+        if self.disorder != 0 {
             return None;
         }
+        let entries = self.beacons.as_slice();
+        // The first range ending past `n` means every one does. Read it
+        // before the neighbor search: the load starts the walk into the
+        // view's block while the search runs, which the boundary entries
+        // would otherwise wait for.
+        if entries.first().is_none_or(|e| range(e).1 > n) {
+            return Some(None);
+        }
         let starts_by = |e: &Entry| range(e).0 <= key;
-        fn found(e: &Entry) -> (NodeId, &Beacon) {
-            (e.0, &e.1 .1)
-        }
+        // An entry at the same index as its neighbor id, with a range no
+        // later than `n`.
+        let aligned = |j: usize| {
+            entries
+                .get(j)
+                .filter(|e| neighbors.get(j) == Some(&e.0) && range(e).1 <= n)
+        };
         let i = neighbors.partition_point(|&v| v <= key).saturating_sub(1);
-        if let (Some(e), Some(&v)) = (entries.get(i), neighbors.get(i)) {
-            if starts_by(e) {
-                if e.0 == v && entries.get(i + 1).is_none_or(|x| !starts_by(x)) {
-                    return Some(Some(found(e)));
-                }
-            } else if i == 0 {
-                // Every entry starts after the key: wrap to the last one.
-                let last = entries.last().filter(|x| Some(&x.0) == neighbors.last());
-                if let Some(last) = last {
-                    return Some(Some(found(last)));
-                }
+        let pair = match aligned(i) {
+            Some(a) if starts_by(a) => {
+                let j = if i + 1 == entries.len() { 0 } else { i + 1 };
+                aligned(j)
+                    .filter(|b| j == 0 || !starts_by(b))
+                    .map(|b| (a, b))
             }
-        }
-        let t = entries.partition_point(starts_by);
-        let adjacent = |e: &&Entry| neighbors.binary_search(&e.0).is_ok();
-        let hit = entries[..t].iter().rev().find(adjacent);
-        Some(
-            hit.or_else(|| entries[t..].iter().rev().find(adjacent))
-                .map(found),
-        )
+            // Every entry starts after the key: wrap to the last one.
+            Some(b) if i == 0 => aligned(entries.len() - 1).map(|a| (a, b)),
+            _ => None,
+        };
+        let (a, b) = match pair {
+            Some(pair) => pair,
+            None => {
+                let ok = &entries[..entries.partition_point(|e| range(e).1 <= n)];
+                let (by, after) = ok.split_at(ok.partition_point(starts_by));
+                let adjacent = |e: &&Entry| neighbors.binary_search(&e.0).is_ok();
+                // An empty side wraps round 0/`N` to the far end of the other.
+                let a = by.iter().rev().chain(after.iter().rev()).find(adjacent);
+                let b = after.iter().chain(by).find(adjacent);
+                let (Some(a), Some(b)) = (a, b) else {
+                    return Some(None);
+                };
+                (a, b)
+            }
+        };
+        let (da, db) = (span_dist(range(a), key, n), span_dist(range(b), key, n));
+        Some(Some(if (db, b.0) < (da, a.0) {
+            (b.0, db)
+        } else {
+            (a.0, da)
+        }))
     }
 
     /// Drop beacons of nodes no longer adjacent (housekeeping): the same
@@ -932,33 +978,51 @@ mod tests {
         }
     }
 
-    /// `closest_preceding` answers only for a certified view whose last
-    /// range ends at or below `n`, and is `Some(None)` without a neighbor
-    /// entry.
+    /// `nearest` answers only for a certified view, is `Some(None)` without
+    /// a neighbor entry, and never answers with a range past `n`.
     #[test]
-    fn closest_preceding_needs_the_certificate() {
+    fn nearest_needs_the_certificate() {
         let slot = |v: u32, range| (v, Beacon { range, ..beacon(1) });
         let mut view = NeighborView::default();
         for (v, b) in [slot(2, (0, 4)), slot(4, (4, 8)), slot(8, (8, 16))] {
             view.record(v, 0, b);
         }
-        let pick = |view: &NeighborView, key, n, nb: &[NodeId]| {
-            view.closest_preceding(key, n, nb)
-                .map(|hit| hit.map(|(v, _)| v))
+        let check = |key, n, nb: &[NodeId], want: Option<(NodeId, u32)>, label: &str| {
+            assert_eq!(view.nearest(key, n, nb), Some(want), "{label}");
         };
-        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), Some(Some(4)), "cover");
+        check(5, 16, &[2, 4, 8], Some((4, 0)), "cover");
+        check(5, 16, &[2, 8], Some((2, 2)), "below");
+        check(6, 16, &[2, 8], Some((8, 2)), "above");
+        check(1, 16, &[4, 8], Some((8, 2)), "wrap at N");
+        check(14, 16, &[2, 4], Some((2, 2)), "wrap at 0");
+        check(9, 16, &[2], Some((2, 6)), "one entry");
+        check(5, 16, &[3, 9], None, "no neighbor entry");
+        check(5, 15, &[2, 4, 8], Some((4, 0)), "past n");
+        check(14, 15, &[2, 4, 8], Some((2, 1)), "skip past n");
+        check(6, 8, &[8], None, "only past n");
+        let mut beyond = NeighborView::default();
+        assert_eq!(beyond.nearest(3, 8, &[8]), Some(None), "empty");
+        beyond.record(8, 0, slot(8, (8, 16)).1);
+        assert_eq!(beyond.nearest(3, 8, &[8]), Some(None), "first past n");
+        // Ties go to the lower id, on either side of the key.
+        let mut gaps = NeighborView::default();
+        gaps.record(2, 0, slot(2, (2, 4)).1);
+        gaps.record(8, 0, slot(8, (9, 15)).1);
         assert_eq!(
-            pick(&view, 5, 16, &[2, 8]),
-            Some(Some(2)),
-            "last ending before"
+            gaps.nearest(6, 16, &[2, 8]),
+            Some(Some((2, 3))),
+            "tie below"
         );
-        assert_eq!(pick(&view, 1, 16, &[4, 8]), Some(Some(8)), "wrap");
-        assert_eq!(pick(&view, 5, 16, &[3, 9]), Some(None), "no neighbor entry");
-        assert_eq!(pick(&view, 5, 15, &[2, 4, 8]), None, "last range past n");
+        assert_eq!(
+            gaps.nearest(0, 16, &[2, 8]),
+            Some(Some((2, 2))),
+            "tie across N"
+        );
+        let pick = |view: &NeighborView| view.nearest(5, 16, &[2, 4, 8]);
         view.record(8, 1, slot(8, (7, 16)).1);
         assert_ne!(view.disorder, 0);
-        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), None, "overlap");
+        assert_eq!(pick(&view), None, "overlap");
         view.record(8, 2, slot(8, (8, 16)).1);
-        assert_eq!(pick(&view, 5, 16, &[2, 4, 8]), Some(Some(4)), "repaired");
+        assert_eq!(pick(&view), Some(Some((4, 0))), "repaired");
     }
 }

@@ -119,7 +119,7 @@ fn spawner<T: InductiveTarget>(
 /// ([`avatar_cbt::legal::reboot`]); joiners boot for the restored hosts'
 /// target. `cfg` is not read: every setting comes from the snapshot. It is
 /// kept for `crates/bench/src/bin/benchmark`, which still passes one;
-/// ROADMAP item 4(a) removes it.
+/// ROADMAP item 5(b) removes it.
 pub fn restore_runtime<T: InductiveTarget + Persist>(
     bytes: &[u8],
     cfg: Config,

@@ -14,6 +14,7 @@
 
 use crate::msg::{Phase, PhaseInfo, ScafMsg};
 use crate::target::InductiveTarget;
+use avatar_cbt::state::ring_dist;
 use avatar_cbt::{CbtCore, CbtMsg};
 use ssim::snapshot::{persist_struct, Persist};
 use ssim::{CompactMap, CompactSet, Ctx, NeighborBaseline, NodeId};
@@ -75,30 +76,6 @@ fn switch_window(h: u64, delta: u64) -> u64 {
 }
 fn wave_timeout(h: u64, delta: u64) -> u64 {
     delta * (6 * h + 24)
-}
-
-/// Clockwise distance from a non-empty responsible range to `key < n`: 0
-/// when covered, else measured from the range's last guest (the closest
-/// position the host simulates), taken mod `n` for a range past `n`.
-fn ring_dist(range: (u32, u32), key: u32, n: u32) -> u32 {
-    if range.0 <= key && key < range.1 {
-        0
-    } else {
-        (key + n - ((range.1 - 1) % n)) % n
-    }
-}
-
-/// [`ring_dist`] for a non-empty range ending at or below `n`, whose last
-/// guest `p` is a ring position as it stands: `key - p` or `key + (n - p)`.
-fn ordered_dist(range: (u32, u32), key: u32, n: u32) -> u32 {
-    let p = range.1 - 1;
-    if range.0 <= key && key < range.1 {
-        0
-    } else if p < key {
-        key - p
-    } else {
-        key + (n - p)
-    }
 }
 
 impl<T: InductiveTarget> ScaffoldCore<T> {
@@ -193,21 +170,41 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     /// Greedy guest-space routing of an application request (the
     /// [`ssim::workload::Router`] decision): deliver when this host's
     /// responsible range covers the key, otherwise forward to the current
-    /// neighbor whose (beaconed) range minimizes the remaining *clockwise*
-    /// ring distance to the key — the classic Chord lookup rule, evaluated
-    /// against live host state instead of an ideal finger table.
+    /// neighbor whose (beaconed) range is nearest the key by the *two-way*
+    /// ring distance ([`avatar_cbt::state::ring_dist`]): the shorter of the
+    /// clockwise distance from the range's last guest and the
+    /// counter-clockwise distance from its first. The paper's overlay is
+    /// undirected, so a lookup crosses every finger link in either
+    /// direction (Ganesan & Manku, "Optimal Routing in Chord", SODA 2004);
+    /// the classic clockwise-only rule uses each link one way. On the
+    /// legal Avatar(Chord) of 32,768 hosts over `N = 65,536` guests (the
+    /// benchmark's `serve-lookups` overlay), greedy routing over the exact
+    /// geometry, 200k lookups a seed at seeds 1, 2, 3 and 7:
+    ///
+    /// | rule | mean hops | p50 | p99 | max | mean at 65,536 hosts, `N = 131,072` |
+    /// |---|---|---|---|---|---|
+    /// | clockwise | 6.32 | 6 | 10 | 13 | 6.82 |
+    /// | two-way | 4.74 | 5 | 7 | 8 | 5.07 |
+    ///
+    /// Strict improvement is required, so a request never cycles, and
+    /// equal distances go to the first neighbor in id order. On a legal
+    /// overlay every host that does not cover the key has its ring
+    /// predecessor and successor as neighbors, one of which is strictly
+    /// nearer, so every lookup reaches its owner. A range no legal host
+    /// holds (empty, inverted, or ending past `N`) is never a next hop,
+    /// and as the own range it reads as infinitely far, so corruption
+    /// cannot underflow the distance.
     ///
     /// Neighbor positions come from the beacon view, stale beacons included
     /// (cluster state is frozen through the CHORD and DONE phases; during
     /// CBT stabilization the views may be wrong, in which case the request
     /// bounces and retries — that race is exactly what the live-traffic
     /// experiments measure). When the view certifies its ring order the
-    /// minimum is found by search, reading about three entries on a legal
-    /// overlay ([`avatar_cbt::state::NeighborView::closest_preceding`]);
+    /// nearest neighbor is found by search, reading about three entries on
+    /// a legal overlay ([`avatar_cbt::state::NeighborView::nearest`]);
     /// otherwise by one stale-tolerant pass over the view
-    /// (`NeighborView::latest_along`). Strict
-    /// improvement is required, so a request never overshoots; with the
-    /// full finger set installed this takes `O(log N)` hops.
+    /// (`NeighborView::latest_along`), and debug builds assert that the
+    /// two agree.
     pub fn route_request(&self, key: u32, neighbors: &[NodeId]) -> ssim::workload::RouteStep {
         use ssim::workload::RouteStep;
         let n = self.target.n();
@@ -215,21 +212,12 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         if self.cbt.core.covers(key) {
             return RouteStep::Deliver;
         }
-        // Guard the own range like neighbor ranges: corruption can leave it
-        // empty, and an empty range must read as "infinitely far" (any
-        // positioned neighbor improves), not underflow in `ring_dist`.
-        let own = self.cbt.core.range;
-        let mine = if own.0 < own.1 {
-            ring_dist(own, key, n)
-        } else {
-            u32::MAX
-        };
-        let Some(closest) = self.cbt.view.closest_preceding(key, n, neighbors) else {
+        let mine = ring_dist(self.cbt.core.range, key, n).unwrap_or(u32::MAX);
+        let Some(nearest) = self.cbt.view.nearest(key, n, neighbors) else {
             return self.route_scan(key, neighbors, mine);
         };
-        // Every range ends at or below `n`, so its position needs no `%`.
-        let step = match closest {
-            Some((v, b)) if ordered_dist(b.range, key, n) < mine => RouteStep::Forward(v),
+        let step = match nearest {
+            Some((v, d)) if d < mine => RouteStep::Forward(v),
             _ => RouteStep::Unroutable,
         };
         debug_assert_eq!(
@@ -242,8 +230,8 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
     }
 
     /// The route decision by one pass over the view: the first strict
-    /// minimum of the clockwise distance, among the neighbors with a
-    /// well-formed range, if it improves on `mine`.
+    /// minimum of the two-way distance, among the neighbors with a range a
+    /// legal host could hold, if it improves on `mine`.
     fn route_scan(&self, key: u32, neighbors: &[NodeId], mine: u32) -> ssim::workload::RouteStep {
         use ssim::workload::RouteStep;
         let n = self.target.n();
@@ -251,10 +239,9 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
         // Neighbors with no beacon ever heard (position unknown) are not
         // visited at all.
         for (v, b) in self.cbt.view.latest_along(neighbors) {
-            if b.range.0 >= b.range.1 {
-                continue; // malformed/empty range
-            }
-            let d = ring_dist(b.range, key, n);
+            let Some(d) = ring_dist(b.range, key, n) else {
+                continue;
+            };
             // First strict minimum wins (neighbors are sorted): fully
             // deterministic tie-breaking.
             if d < mine && best.is_none_or(|(bd, _)| d < bd) {
@@ -819,6 +806,7 @@ mod tests {
     use crate::target::ChordTarget;
     use ssim::snapshot::{Reader, SnapshotError, Writer};
     use ssim::workload::RouteStep;
+    use std::collections::BTreeMap;
 
     /// Corruption can leave the own responsible range empty; routing must
     /// degrade to Unroutable (retry/TTL), never underflow or panic.
@@ -837,58 +825,81 @@ mod tests {
         );
     }
 
-    /// `route_request` as first written — a beacon lookup per neighbor —
-    /// kept as the oracle both router paths (search and scan) are tested
-    /// against.
+    /// The two-way distance as defined, in signed arithmetic: `None` for a
+    /// range no legal host holds, else the distance and whether the
+    /// shorter way round crosses 0/`N` (clockwise on a tie).
+    fn two_way(range: (u32, u32), key: u32, n: u32) -> Option<(u32, bool)> {
+        let (lo, hi) = range;
+        if lo >= hi || hi > n {
+            return None;
+        }
+        if lo <= key && key < hi {
+            return Some((0, false));
+        }
+        let (n, key, last) = (i64::from(n), i64::from(key), i64::from(hi - 1));
+        let cw = (key - last).rem_euclid(n);
+        let ccw = (i64::from(lo) - key).rem_euclid(n);
+        Some(if cw <= ccw {
+            (cw as u32, last > key)
+        } else {
+            (ccw as u32, i64::from(lo) < key)
+        })
+    }
+
+    /// The routing rule as defined — a beacon lookup per neighbor, the
+    /// first strict minimum of [`two_way`] — kept as the oracle both router
+    /// paths (search and scan) are tested against. Also returns whether
+    /// the minimum is tied and whether the winner's way round wraps.
     impl<T: InductiveTarget> ScaffoldCore<T> {
-        fn route_request_reference(&self, key: u32, neighbors: &[NodeId]) -> RouteStep {
+        fn route_request_reference(
+            &self,
+            key: u32,
+            neighbors: &[NodeId],
+        ) -> (RouteStep, bool, bool) {
             let n = self.target.n();
             let key = key % n;
             if self.cbt.core.covers(key) {
-                return RouteStep::Deliver;
+                return (RouteStep::Deliver, false, false);
             }
-            let dist = |range: (u32, u32)| -> u32 {
-                if range.0 <= key && key < range.1 {
-                    0
-                } else {
-                    (key + n - ((range.1 - 1) % n)) % n
-                }
-            };
-            let own = self.cbt.core.range;
-            let mine = if own.0 < own.1 { dist(own) } else { u32::MAX };
-            let mut best: Option<(u32, NodeId)> = None;
+            let mine = two_way(self.cbt.core.range, key, n).map_or(u32::MAX, |(d, _)| d);
+            let mut best: Option<(u32, NodeId, bool)> = None;
+            let mut tied = false;
             for &v in neighbors {
                 let Some(b) = self.cbt.view.latest(v) else {
                     continue;
                 };
-                if b.range.0 >= b.range.1 {
+                let Some((d, wraps)) = two_way(b.range, key, n) else {
                     continue;
-                }
-                let d = dist(b.range);
-                if d < mine && best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, v));
+                };
+                if d < mine && best.is_none_or(|(bd, ..)| d < bd) {
+                    best = Some((d, v, wraps));
+                    tied = false;
+                } else if best.is_some_and(|(bd, ..)| d == bd) {
+                    tied = true;
                 }
             }
             match best {
-                Some((_, v)) => RouteStep::Forward(v),
-                None => RouteStep::Unroutable,
+                Some((_, v, wraps)) => (RouteStep::Forward(v), tied, wraps),
+                None => (RouteStep::Unroutable, false, false),
             }
         }
     }
 
     /// The router takes the oracle's decision — including the tie-break
-    /// between equally close neighbors — on random hosts of `Chord(N)`:
-    /// legal ranges and noise (wild, empty, inverted and past-`N` ranges,
-    /// own range included), beacons of non-neighbors, neighbors without a
-    /// beacon, no neighbors at all. At least a third of the keys the host
-    /// does not cover take the certified search (45 % at this seed), so
-    /// both paths are covered. Seeded, so a failure replays.
+    /// between equally near neighbors and the way round 0/`N` — on random
+    /// hosts of `Chord(N)`: legal ranges and noise (wild, empty, inverted
+    /// and past-`N` ranges, own range included), beacons of non-neighbors,
+    /// neighbors without a beacon, no neighbors at all. At least a third of
+    /// the keys the host does not cover take the certified search, some of
+    /// them over a view holding a range past `N`; ties and wraps each
+    /// decide hundreds of forwards. Seeded, so a failure replays.
     #[test]
     fn route_request_matches_reference() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x5CAF);
-        let (mut routed, mut certified) = (0u32, 0u32);
+        let (mut routed, mut certified, mut past_n) = (0u32, 0u32, 0u32);
+        let (mut ties, mut wraps) = (0u32, 0u32);
         for case in 0..4096 {
             let n = 1u32 << rng.gen_range(2..=9);
             let mut ids: Vec<NodeId> = (0..rng.gen_range(1..=16))
@@ -932,35 +943,48 @@ mod tests {
                     c.cbt.view.record(v, rng.gen_range(0..=10), b);
                 }
             }
+            let beyond = neighbors
+                .iter()
+                .any(|&v| c.cbt.view.latest(v).is_some_and(|b| b.range.1 > n));
             for _ in 0..8 {
                 let key = rng.gen_range(0..2 * n);
+                let (want, tied, wrapped) = c.route_request_reference(key, &neighbors);
                 assert_eq!(
                     c.route_request(key, &neighbors),
-                    c.route_request_reference(key, &neighbors),
+                    want,
                     "case {case} key {key} range {:?} view {:?} neighbors {neighbors:?}",
                     c.cbt.core.range,
                     c.cbt.view
                 );
                 if !c.cbt.core.covers(key % n) {
                     routed += 1;
-                    let search = c.cbt.view.closest_preceding(key % n, n, &neighbors);
+                    let search = c.cbt.view.nearest(key % n, n, &neighbors);
                     certified += u32::from(search.is_some());
+                    past_n += u32::from(search.is_some() && beyond);
+                }
+                if matches!(want, RouteStep::Forward(_)) {
+                    ties += u32::from(tied);
+                    wraps += u32::from(wrapped);
                 }
             }
         }
         assert!(
-            3 * certified >= routed,
-            "{certified} of {routed} routed keys took the certified search"
+            3 * certified >= routed && past_n >= 100,
+            "{certified} of {routed} routed keys took the certified search, {past_n} past N"
+        );
+        assert!(
+            ties >= 100 && wraps >= 100,
+            "{ties} tied and {wraps} wrapping forwards"
         );
     }
 
-    /// A legal host of `Chord(64)` with hosts 5, 12, 20, 33, 41, 50 and 60
-    /// (the minimum host 5 covers `[0, 12)`): host 33, with beacons of
+    /// A legal host `me` of `Chord(64)` with hosts 5, 12, 20, 33, 41, 50
+    /// and 60 (the minimum host 5 covers `[0, 12)`), with beacons of
     /// `viewed` at their legal ranges.
-    fn legal_host(viewed: &[NodeId]) -> ScaffoldCore<ChordTarget> {
+    fn legal_host(me: NodeId, viewed: &[NodeId]) -> ScaffoldCore<ChordTarget> {
         let av = overlay::Avatar::new(64, [5, 12, 20, 33, 41, 50, 60]);
-        let mut c = ScaffoldCore::new(33, ChordTarget::classic(64), 1);
-        let r = av.range_of(33);
+        let mut c = ScaffoldCore::new(me, ChordTarget::classic(64), 1);
+        let r = av.range_of(me);
         c.cbt.core.range = (r.lo, r.hi);
         for &v in viewed {
             let rv = av.range_of(v);
@@ -977,50 +1001,143 @@ mod tests {
         for key in 0..64 {
             assert_eq!(
                 c.route_request(key, neighbors),
-                c.route_request_reference(key, neighbors),
+                c.route_request_reference(key, neighbors).0,
                 "key {key} view {:?} neighbors {neighbors:?}",
                 c.cbt.view
             );
-            let search = c.cbt.view.closest_preceding(key, 64, neighbors);
+            let search = c.cbt.view.nearest(key, 64, neighbors);
             assert_eq!(search.is_some(), certified, "key {key}");
         }
     }
 
     /// The cases the certified search distinguishes, each checked key by
-    /// key against the scan: the minimum host (`lo = 0 < id`), keys in the
-    /// wrap region, `key == hi - 1`, a view that strictly contains the
-    /// neighbors and the reverse, one overlapping pair, and a last range
-    /// ending past `N`.
+    /// key against the scan: the minimum host (`lo = 0 < id`), wraps at
+    /// `N` and at 0, `key == hi - 1`, a tie, a view that strictly contains
+    /// the neighbors and the reverse, one overlapping pair, and a last
+    /// range ending past `N`.
     #[test]
     fn certified_route_cases() {
         let all = [5, 12, 20, 41, 50, 60];
-        let c = legal_host(&all);
+        let c = legal_host(33, &all);
         routes_like_the_scan(&c, &all, true);
         // The minimum host covers keys below its id.
         assert_eq!(c.route_request(2, &all), RouteStep::Forward(5));
         // `key == hi - 1` is covered, not preceded.
         assert_eq!(c.route_request(11, &all), RouteStep::Forward(5));
         assert_eq!(c.route_request(19, &all), RouteStep::Forward(12));
-        // Wrap: every neighbor entry starts after the key.
+        // Below the own range, counter-clockwise.
+        assert_eq!(c.route_request(30, &all), RouteStep::Forward(20));
+        // Wrap at `N`: every neighbor entry starts after the key, and the
+        // last one is nearest clockwise.
         let high = [41, 50, 60];
-        let c = legal_host(&high);
+        let c = legal_host(33, &high);
         routes_like_the_scan(&c, &high, true);
         assert_eq!(c.route_request(10, &high), RouteStep::Forward(60));
+        // Wrap at 0: the first entry is nearest counter-clockwise.
+        let ends = [5, 50];
+        let c = legal_host(33, &ends);
+        routes_like_the_scan(&c, &ends, true);
+        assert_eq!(c.route_request(62, &ends), RouteStep::Forward(5));
+        assert_eq!(c.route_request(61, &ends), RouteStep::Forward(50));
+        // A tie, 11 from 12's last guest and from 41's first: the lower id.
+        let pair = [12, 41];
+        let c = legal_host(5, &pair);
+        routes_like_the_scan(&c, &pair, true);
+        assert_eq!(c.route_request(30, &pair), RouteStep::Forward(12));
         // A view that strictly contains the neighbors, and the reverse.
         let some = [12, 50];
-        let c = legal_host(&all);
+        let c = legal_host(33, &all);
         routes_like_the_scan(&c, &some, true);
         assert_eq!(c.route_request(25, &some), RouteStep::Forward(12));
-        let c = legal_host(&some);
+        let c = legal_host(33, &some);
         routes_like_the_scan(&c, &all, true);
         assert_eq!(c.route_request(25, &all), RouteStep::Forward(12));
-        // One overlapping pair, then a last range past `N`: both scan.
-        let mut c = legal_host(&all);
+        // One overlapping pair scans.
+        let mut c = legal_host(33, &all);
         c.cbt.view.tamper(12, |b| b.range = (12, 22));
         routes_like_the_scan(&c, &all, false);
-        let mut c = legal_host(&all);
+        // A last range past `N` keeps the certificate and is never a next
+        // hop: key 62 goes counter-clockwise to 5 instead of to 60.
+        let mut c = legal_host(33, &all);
         c.cbt.view.tamper(60, |b| b.range = (60, 70));
-        routes_like_the_scan(&c, &all, false);
+        routes_like_the_scan(&c, &all, true);
+        assert_eq!(c.route_request(62, &all), RouteStep::Forward(5));
+    }
+
+    /// Every lookup on legal Avatar(Chord) overlays reaches its owner
+    /// within `2 log₂ N + 2` hops (the benchmark's bound): from every host
+    /// to every key, `N` = 16 to 256, three seeded placements each of a
+    /// sparse, a half-full and a full guest space. Each hop takes the
+    /// certified search, and its answer is the scan's.
+    #[test]
+    fn every_lookup_on_a_legal_overlay_reaches_its_owner() {
+        let mut longest = 0;
+        for n in [16u32, 32, 64, 128, 256] {
+            for (placement, hosts) in [n / 8, n / 2, n].into_iter().enumerate() {
+                for seed in 0..3u64 {
+                    let (ids, _) =
+                        ssim::init::place_hosts(hosts as usize, n, 100 * seed + placement as u64);
+                    let target = ChordTarget::classic(n);
+                    let av = overlay::Avatar::new(n, ids.iter().copied());
+                    let mut adj: BTreeMap<NodeId, Vec<NodeId>> =
+                        ids.iter().map(|&v| (v, Vec::new())).collect();
+                    for (a, b) in crate::expected_edges(&target, &ids) {
+                        adj.get_mut(&a).unwrap().push(b);
+                        adj.get_mut(&b).unwrap().push(a);
+                    }
+                    let cores: BTreeMap<NodeId, ScaffoldCore<ChordTarget>> = ids
+                        .iter()
+                        .map(|&v| {
+                            let nb = adj.get_mut(&v).unwrap();
+                            nb.sort_unstable();
+                            nb.dedup();
+                            let mut c = ScaffoldCore::new(v, target, 1);
+                            let r = av.range_of(v);
+                            c.cbt.core.range = (r.lo, r.hi);
+                            for &u in nb.iter() {
+                                let ru = av.range_of(u);
+                                let mut b = c.cbt.beacon();
+                                b.range = (ru.lo, ru.hi);
+                                c.cbt.view.record(u, 0, b);
+                            }
+                            (v, c)
+                        })
+                        .collect();
+                    let bound = 2 * n.ilog2() + 2;
+                    for &origin in &ids {
+                        for key in 0..n {
+                            let (mut at, mut hops) = (origin, 0);
+                            loop {
+                                let (c, nb) = (&cores[&at], &adj[&at]);
+                                let step = c.route_request(key, nb);
+                                if step == RouteStep::Deliver {
+                                    break;
+                                }
+                                let mine = ring_dist(c.cbt.core.range, key, n).unwrap();
+                                let search = c.cbt.view.nearest(key, n, nb);
+                                let scan = c.route_scan(key, nb, mine);
+                                let RouteStep::Forward(next) = step else {
+                                    panic!("N {n} ids {ids:?}: key {key} stuck at {at}");
+                                };
+                                assert!(
+                                    search.is_some_and(|hit| hit.map(|(v, _)| v) == Some(next)),
+                                    "N {n} ids {ids:?}: key {key} at {at}: search {search:?}"
+                                );
+                                assert_eq!(step, scan, "N {n} ids {ids:?}: key {key} at {at}");
+                                (at, hops) = (next, hops + 1);
+                                assert!(
+                                    hops <= bound,
+                                    "N {n} ids {ids:?}: key {key} from {origin}"
+                                );
+                            }
+                            assert!(av.range_of(at).lo <= key && key < av.range_of(at).hi);
+                            longest = longest.max(hops);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(longest >= 4, "the longest lookup took {longest} hops");
     }
 
     /// Pins one value's encoding: the bytes themselves (as hex), `save ∘
@@ -1103,9 +1220,6 @@ mod tests {
             CbtMsg::MatchMade {
                 epoch: 10,
                 partner: 4,
-                partner_cid: 77,
-                walk_first: true,
-                self_match: false,
             },
             CbtMsg::AnchorDone { epoch: 11 },
             CbtMsg::MergeHello {
@@ -1240,7 +1354,10 @@ mod tests {
     /// `save`/`load` pairs the declarations replaced; a drift here is a
     /// snapshot format change. The `WalkUp` and `WalkKind` strings were
     /// rewritten by hand for format version 7, which moved the remote
-    /// cluster identity into the contact-pull walk kind.
+    /// cluster identity into the contact-pull walk kind, and the
+    /// `MatchMade` string for version 8, which dropped its three unread
+    /// fields (`partner_cid` 77, `walk_first`, `self_match`: the trailing
+    /// `4d0100`).
     #[test]
     fn snapshot_encodings_are_pinned() {
         use avatar_cbt::msg::WalkKind;
@@ -1255,7 +1372,7 @@ mod tests {
             "0407",
             "0508ffffffffffffffffff0109",
             "060900ef9baf0501c801",
-            "070a044d0100",
+            "070a04",
             "080b",
             "090c80808080802002",
             "0a07020309adbd0301effd0204",

@@ -123,7 +123,7 @@ impl RunMetrics {
 /// Every round runs on the calling thread, so `syncs` and `par_rounds`
 /// are 0 and `seq_rounds` is the round counter. Kept for
 /// `crates/bench/src/bin/benchmark`, which still reads them; ROADMAP item
-/// 4(a) removes them. Not part of [`RoundMetrics`]/[`RunMetrics`] and
+/// 5(b) removes them. Not part of [`RoundMetrics`]/[`RunMetrics`] and
 /// never serialized.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PerfCounters {

@@ -63,7 +63,7 @@ impl Config {
 
     /// Returns `self` unchanged: every round runs on the calling thread,
     /// whatever `n` is. Kept for `crates/bench/src/bin/benchmark`, which
-    /// still passes a thread count; ROADMAP item 4(a) removes it.
+    /// still passes a thread count; ROADMAP item 5(b) removes it.
     #[doc(hidden)]
     #[must_use]
     pub fn threads(self, _n: usize) -> Self {
@@ -835,7 +835,7 @@ impl<P: Program> Runtime<P> {
     /// Execution-machinery counters. Every round runs on the calling
     /// thread, so they read `{ syncs: 0, par_rounds: 0, seq_rounds:
     /// round }`. Kept for `crates/bench/src/bin/benchmark`, which still
-    /// reads them; ROADMAP item 4(a) removes them with [`PerfCounters`].
+    /// reads them; ROADMAP item 5(b) removes them with [`PerfCounters`].
     pub fn perf_counters(&self) -> PerfCounters {
         PerfCounters {
             syncs: 0,
@@ -1087,7 +1087,7 @@ where
     /// `record_rounds` — comes from the snapshot (changing one would
     /// diverge from the uninterrupted run). The parameter is kept for
     /// `crates/bench/src/bin/benchmark`, which still passes one; ROADMAP
-    /// item 4(a) removes it.
+    /// item 5(b) removes it.
     ///
     /// What the caller re-attaches, because it is code, not data:
     ///
@@ -1315,9 +1315,9 @@ mod tests {
     const BUSY_LOSS: f64 = 0.0625;
     /// `content_hash` of [`busy_runtime`]'s sealed snapshot, captured when
     /// format version 6 saved the workload whole and recaptured for
-    /// version 7, which moved only the version word of this runtime's
-    /// bytes (its program is not Avatar(CBT)).
-    const GOLDEN_HASH: u64 = 2_031_897_192_616_393_326;
+    /// versions 7 and 8, each of which moved only the version word of this
+    /// runtime's bytes (its program is not Avatar(CBT)).
+    const GOLDEN_HASH: u64 = 14_754_847_861_205_185;
     const BUSY_WCFG: WorkloadConfig = WorkloadConfig {
         ttl: 99,
         max_hops: 77,

@@ -102,8 +102,10 @@ pub const MAGIC: [u8; 8] = *b"SSIMSNAP";
 /// generator with its rate and key space) instead of a name and opaque
 /// state bytes; version 7 is the Avatar(CBT) edge walk without a remote
 /// cluster identity on its match walks (only the contact pull carries one,
-/// inside its walk kind), which changes the layout of in-flight walks.
-pub const FORMAT_VERSION: u32 = 7;
+/// inside its walk kind), which changes the layout of in-flight walks;
+/// version 8 drops the three fields of the Avatar(CBT) match notice that
+/// no handler read (the partner's cid and two walk flags).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Why a snapshot failed to load (or a file failed to be written). Every
 /// variant is loud and specific: a snapshot either restores exactly or
