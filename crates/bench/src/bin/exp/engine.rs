@@ -1,10 +1,12 @@
 //! The engine rows. `engine_scale` emits the exact engine documents of
 //! `BENCH_engine.json` — the daemon sweep (E12c), post-convergence
-//! activations (E12d) and memory at scale (E14b).
+//! activations (E12d) and memory at scale (E14b). `silent_round` prints
+//! host time, so no document of it is ever committed.
 
 use crate::note;
 use scaffold_bench::{budget, f2, legal_cbt_standalone, seeded, ExpArgs, Table};
 use ssim::{init::Shape, NetModel};
+use std::time::Instant;
 
 /// The exact engine documents of `BENCH_engine.json` (seed = `N`, default
 /// 42; `--smoke` for the committed sizes, `--full` adds the 256k/1M-host
@@ -159,6 +161,65 @@ pub fn engine_scale(args: &ExpArgs) {
             "(ratio >> 5).",
             "E14b: both bytes/host columns roughly flat in hosts; the snapshot column is",
             "the compaction headline, the resident column the live heap.",
+        ],
+    );
+}
+
+/// E14c: the wall-clock cost of one silent synchronous round per host, at
+/// 32k, 64k and 256k hosts (`--smoke`: 32k only; `--full` adds 1M, which
+/// peaks near 5.5 GB resident). Each size is an installed-legal Avatar(Chord) with
+/// `N` = 2 × hosts, warmed for 256 rounds, then timed over 15 segments of
+/// about 2^22 host-rounds; the cells are the quartiles of the segments.
+/// Host time: print it, never commit it.
+pub fn silent_round(args: &ExpArgs) {
+    let seed = args.count.unwrap_or(7);
+    let mut sizes = if args.smoke {
+        vec![32_768]
+    } else {
+        vec![32_768, 65_536, 262_144]
+    };
+    if args.full {
+        sizes.push(1_048_576);
+    }
+    let mut table = Table::new(&["hosts", "N", "rounds", "ns q1", "ns median", "ns q3"]);
+    for hosts in sizes {
+        let n = 2 * hosts as u32;
+        let mut rt = scaffold_bench::legal_chord_runtime(n, hosts, seeded(seed), NetModel::ideal());
+        rt.run(256);
+        let seg = ((1 << 22) / hosts as u64).max(4);
+        let mut ns: Vec<f64> = (0..15)
+            .map(|_| {
+                let t0 = Instant::now();
+                rt.run(seg);
+                t0.elapsed().as_nanos() as f64 / (seg * hosts as u64) as f64
+            })
+            .collect();
+        assert_eq!(
+            rt.metrics().total_messages,
+            0,
+            "E14c: the round stays silent"
+        );
+        ns.sort_by(f64::total_cmp);
+        table.row(vec![
+            hosts.to_string(),
+            n.to_string(),
+            (15 * seg).to_string(),
+            f2(ns[3]),
+            f2(ns[7]),
+            f2(ns[11]),
+        ]);
+    }
+    table.emit(
+        args,
+        "E14c: ns per host-round of a silent synchronous round (host time, print only)",
+    );
+    note(
+        args,
+        &[
+            "Host time on this machine: compare sizes within one run, and a change",
+            "against its parent in interleaved runs. Flat in hosts means the round runs",
+            "at memory speed; a step up at some size is the cliff ARCHITECTURE.md",
+            "(\"What a silent round costs\") describes.",
         ],
     );
 }

@@ -38,6 +38,7 @@ const ROWS: &[Row] = &[
     ("churn", paper::churn),
     ("finger_variants", paper::finger_variants),
     ("engine_scale", engine::engine_scale),
+    ("silent_round", engine::silent_round),
     ("workload", workload::workload),
     ("net", net::net),
     ("gauntlet", gauntlet::gauntlet),

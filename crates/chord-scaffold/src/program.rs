@@ -17,10 +17,12 @@ pub struct ScaffoldProgram<T: InductiveTarget = ChordTarget> {
 }
 
 /// A program record kept out of line, plus the one word a settled host's
-/// step reads: the adjacency stamp ([`Ctx::neighbors_stamp`]) at which the
-/// record last ended a step settled, 0 when unknown. The slot array then
-/// holds 16 bytes per host, so a silent round walks a dense array instead
-/// of faulting in every record.
+/// activation reads: the adjacency stamp ([`Ctx::neighbors_stamp`]) at
+/// which the record last ended a step settled, 0 when unknown. The word
+/// answers [`Program::idle_at`], which the engine asks before it builds a
+/// [`Ctx`] and the step asks first, so a silent round reads the word and
+/// never the record. The slot array then holds 16 bytes per host, so a
+/// silent round walks a dense array instead of faulting in every record.
 ///
 /// The word is a cache, never state. Every mutable borrow of the record
 /// ([`DerefMut`]) clears it, so an edit from outside the step (fault
@@ -105,27 +107,33 @@ impl<T: InductiveTarget> ScaffoldProgram<T> {
 impl<T: InductiveTarget> Program for ScaffoldProgram<T> {
     type Msg = ScafMsg;
 
-    /// A record that ended a step settled at this round's adjacency stamp,
+    /// A record idle at this round's adjacency stamp ([`Program::idle_at`]),
     /// with nothing in the inbox, would take the full step as a no-op
     /// ([`ScaffoldCore::is_settled`]): the step returns without reading
     /// the record. Debug builds check that answer against the record.
     fn step(&mut self, ctx: &mut Ctx<'_, ScafMsg>) {
         let stamp = ctx.neighbors_stamp();
-        let Settled {
-            record,
-            stamp: word,
-        } = &mut self.core;
-        if *word == stamp && ctx.inbox().is_empty() {
+        if ctx.inbox().is_empty() && self.idle_at(stamp) {
             debug_assert!(
-                record.settled_on(ctx.neighbors()),
+                self.core.settled_on(ctx.neighbors()),
                 "node {}: settled at stamp {stamp}, but the record is not settled on {:?}",
                 ctx.id,
                 ctx.neighbors()
             );
             return;
         }
+        let Settled {
+            record,
+            stamp: word,
+        } = &mut self.core;
         record.step(ctx);
         *word = if record.is_settled() { stamp } else { 0 };
+    }
+
+    /// True iff the record ended its last step settled at `stamp`: the
+    /// settled word alone answers, and 0 (cold) never matches.
+    fn idle_at(&self, stamp: u64) -> bool {
+        self.core.stamp != 0 && self.core.stamp == stamp
     }
 
     /// The engine's quiescence contract: only a *settled* DONE host (grace
@@ -177,5 +185,71 @@ impl<T: InductiveTarget> ssim::Introspect for ScaffoldProgram<T> {
 
     fn recorded_digest(&self, about: NodeId) -> Option<u64> {
         self.core.cbt.view.latest(about).map(|b| b.digest())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{legality, runtime, ChordTarget};
+    use ssim::Runtime;
+
+    /// Whether `v`'s program is idle at its slot's current stamp.
+    fn idle(rt: &Runtime<ScaffoldProgram>, v: NodeId) -> bool {
+        let t = rt.topology();
+        rt.program(v)
+            .idle_at(t.stamp_at(t.slot_of(v).expect("member")))
+    }
+
+    /// The settled word answers `idle_at` only after a settled step at the
+    /// stamp it is asked about: any mutable borrow of the record, a load,
+    /// a clone and a moved stamp all leave it cold, and stamp 0 (never
+    /// issued) never matches.
+    #[test]
+    fn idle_only_after_a_settled_step_at_an_unchanged_stamp() {
+        let ids = [5, 11, 18, 23, 30];
+        let edges = vec![(5, 18), (5, 23), (5, 30), (11, 18), (11, 30)];
+        let mut rt = runtime(
+            ChordTarget::classic(32),
+            &ids,
+            edges,
+            ssim::Config::seeded(1),
+        );
+        let legal = rt.run_monitored(legality(), 81 * (8 * 3 + 16));
+        assert!(legal.rounds_if_satisfied().is_some(), "stabilizes");
+        // The DONE grace window drains within 20 rounds here.
+        rt.run(32);
+        assert!(
+            ids.iter().all(|&v| idle(&rt, v)),
+            "settled at unmoved stamps"
+        );
+
+        let (t, p) = (rt.topology(), rt.program(ids[0]));
+        let stamp = t.stamp_at(t.slot_of(ids[0]).expect("member"));
+        assert!(p.idle_at(stamp) && !p.idle_at(0) && !p.idle_at(stamp + 1));
+        let mut w = Writer::new();
+        p.save(&mut w);
+        let bytes = w.into_bytes();
+        let loaded =
+            ScaffoldProgram::<ChordTarget>::load(&mut Reader::new(&bytes)).expect("own bytes");
+        assert!(!loaded.idle_at(stamp), "a loaded record starts cold");
+        assert!(!p.clone().idle_at(stamp), "a clone starts cold");
+
+        // A mutable borrow that changes nothing still goes cold.
+        rt.corrupt_node(ids[1], |p| {
+            DerefMut::deref_mut(&mut p.core);
+        });
+        assert!(!idle(&rt, ids[1]));
+        // An edge removed and re-added: equal lists under new stamps.
+        let (a, b) = (ids[2], rt.topology().neighbors(ids[2])[0]);
+        assert!(rt.adversarial_remove_edge(a, b) && rt.adversarial_add_edge(a, b));
+        assert!(!idle(&rt, a) && !idle(&rt, b));
+        let touched = [ids[1], a, b];
+        let untouched = ids.iter().filter(|v| !touched.contains(v));
+        assert!(untouched.copied().all(|v| idle(&rt, v)));
+
+        // One settled step at the unchanged stamps re-arms every word.
+        rt.step();
+        assert!(ids.iter().all(|&v| idle(&rt, v)));
     }
 }

@@ -44,6 +44,26 @@ pub trait Program {
         false
     }
 
+    /// Whether a `step` at adjacency stamp `stamp` ([`Ctx::neighbors_stamp`])
+    /// with an empty inbox is a no-op that leaves the program quiescent and
+    /// still idle at `stamp`. Where [`Program::is_quiescent`] promises a
+    /// no-op given an *unchanged neighborhood*, which the engine cannot
+    /// check, this answer names the neighborhood, so the engine can act on
+    /// it without trusting the contract: the emit stage asks it before it
+    /// builds a [`Ctx`], for a selected slot with an empty inbox that the
+    /// agenda flags quiescent, and a `true` ends that activation as a
+    /// silent step would — no step, no record. The activation is still
+    /// selected and counted; only its program answers it more cheaply.
+    ///
+    /// A program that cannot answer keeps the default `false` and is
+    /// stepped in full. Debug runs with the shadow-step check
+    /// ([`crate::Runtime::enable_shadow_check`]) step a clone of every
+    /// answered activation and panic if that step was not a no-op.
+    fn idle_at(&self, stamp: u64) -> bool {
+        let _ = stamp;
+        false
+    }
+
     /// Bytes of per-node state the program keeps out of line, behind a
     /// pointer in its slot: [`crate::Runtime::mem_footprint`] counts them
     /// once per live node beside the inline `size_of`. A program whose
@@ -134,6 +154,20 @@ pub(crate) struct RoundStart<'a, M> {
     pub(crate) quiescent: &'a [bool],
 }
 
+impl<M> RoundStart<'_, M> {
+    /// Whether the program in the selected live slot `i` answers this
+    /// activation itself ([`Program::idle_at`]): its inbox is empty (`quiet`
+    /// says no inbox holds anything, so none is looked up), the agenda
+    /// flags it quiescent, and it is idle at its round-start adjacency
+    /// stamp. Such an activation would have been silent, so it ends as a
+    /// silent one does: no step, no [`SlotRec`].
+    pub(crate) fn idle<P: Program<Msg = M>>(&self, quiet: bool, i: usize, prog: &P) -> bool {
+        self.quiescent[i]
+            && (quiet || self.inboxes.is_empty(i))
+            && prog.idle_at(self.topo.stamp_at(NodeSlot::new(i)))
+    }
+}
+
 impl<M: Clone> EmitSink<M> {
     /// Run the selected programs, in selection order, into the emptied
     /// sink. `selection` holds distinct live slots (the agenda's sanitizer,
@@ -149,10 +183,13 @@ impl<M: Clone> EmitSink<M> {
         self.sends.clear();
         self.links.clear();
         self.unlinks.clear();
+        let quiet = at.inboxes.total_len() == 0;
         for &s in selection {
             let i = s.index();
             let prog = programs[i].as_mut().expect("selected slot is live");
-            self.activate(at, i, prog, &mut rngs[i]);
+            if !at.idle(quiet, i, prog) {
+                self.activate(at, i, prog, &mut rngs[i]);
+            }
         }
     }
 

@@ -404,10 +404,14 @@ impl<P: Program> Runtime<P> {
     /// emit nothing (no sends, links, unlinks, violations, or wake-up
     /// requests), draw nothing from the PRNG, and leave the program
     /// quiescent; otherwise the round panics, naming the offending node —
-    /// the program broke the [`Program::is_quiescent`] contract. Compiled
-    /// out of release builds (`debug_assertions` only); protocol runtime
-    /// builders arm it automatically in debug builds so the equivalence
-    /// claim is continuously tested.
+    /// the program broke the [`Program::is_quiescent`] contract. Every
+    /// activation the program answered from [`Program::idle_at`], under any
+    /// scheduler, is audited the same way, and the clone must also end idle
+    /// at the stamp it was answered at. A program that caches its answer
+    /// should start a clone cold, so that the audit runs the full step.
+    /// Compiled out of release builds (`debug_assertions` only); protocol
+    /// runtime builders arm it automatically in debug builds so both
+    /// claims are continuously tested.
     pub fn enable_shadow_check(&mut self)
     where
         P: Clone,
@@ -438,34 +442,55 @@ impl<P: Program> Runtime<P> {
             if !quiescent {
                 return Some("became non-quiescent".into());
             }
+            let stamp = at.topo.stamp_at(NodeSlot::new(i));
+            if prog.idle_at(stamp) && !clone.idle_at(stamp) {
+                return Some(format!("is no longer idle at stamp {stamp}"));
+            }
             None
         }));
     }
 
-    /// The shadow-step check: audit every live node the scheduler skipped.
+    /// The shadow-step check: audit every live node this round will not
+    /// step — those the scheduler skipped, and those whose program answers
+    /// its activation from [`Program::idle_at`]. The second audit holds
+    /// under every daemon: the answer is the program's claim, not the
+    /// scheduler's.
     #[cfg(debug_assertions)]
-    fn audit_skipped(&self, at: &RoundStart<'_, P::Msg>) {
-        let Some(shadow) = self
-            .shadow
-            .as_ref()
-            .filter(|_| self.sched.claims_equivalence())
-        else {
+    fn audit_unstepped(&self, at: &RoundStart<'_, P::Msg>) {
+        let Some(shadow) = &self.shadow else {
             return;
         };
+        let (equivalent, quiet) = (
+            self.sched.claims_equivalence(),
+            self.inboxes.total_len() == 0,
+        );
         for k in 0..self.topo.node_count() {
             let (id, slot) = self.topo.live_entry(k);
             let i = slot.index();
-            if self.agenda.is_selected(i) {
+            let prog = self.programs[i].as_ref().expect("live slot");
+            let skipped = !self.agenda.is_selected(i);
+            let audited = if skipped {
+                equivalent
+            } else {
+                at.idle(quiet, i, prog)
+            };
+            if !audited {
                 continue;
             }
-            let prog = self.programs[i].as_ref().expect("live slot");
             if let Some(why) = shadow(at, i, prog, &self.rngs[i]) {
+                let (who, contract) = if skipped {
+                    (
+                        format!("scheduler `{}` skipped", self.sched.name()),
+                        "is_quiescent",
+                    )
+                } else {
+                    ("idle_at answered the activation of".into(), "idle_at")
+                };
                 panic!(
-                    "round {}: scheduler `{}` skipped node {id} whose step \
-                     is not a no-op ({why}) — the program violates the \
-                     Program::is_quiescent contract",
-                    at.round,
-                    self.sched.name()
+                    "round {}: {who} node {id} whose step is not a no-op \
+                     ({why}) — the program violates the Program::{contract} \
+                     contract",
+                    at.round
                 );
             }
         }
@@ -695,7 +720,7 @@ impl<P: Program> Runtime<P> {
             quiescent: self.agenda.quiescent_flags(),
         };
         #[cfg(debug_assertions)]
-        self.audit_skipped(&at);
+        self.audit_unstepped(&at);
         let selection = self.agenda.selection();
         self.emit
             .run(&at, selection, &mut self.programs, &mut self.rngs);

@@ -1,14 +1,18 @@
 //! Negative controls for the equivalence harness (`tests/harness`): a
 //! program that breaks the contract an axis checks must fail that axis,
 //! or the byte-identity cases built on the harness prove nothing. And the
-//! synchronous daemon's own selection path against the general one.
+//! synchronous daemon's own selection path against the general one, and
+//! activations answered by `Program::idle_at` against full steps.
 
 mod harness;
 
-use harness::{Case, ACTIVITY, EVERY_LIVE_SANITIZED, LEAVE, SYNC};
+use chord_scaffolding::chord::{ChordTarget, Phase, ScafMsg, ScaffoldProgram};
+use harness::{Case, Daemon, ACTIVITY, EVERY_LIVE_SANITIZED, LEAVE, SYNC};
 use rand::Rng;
 use ssim::snapshot::{persist_struct, Reader, Writer};
-use ssim::{Config, Ctx, Persist, Program, Runtime, SnapshotError};
+use ssim::workload::{RouteStep, Router};
+use ssim::WorkloadConfig;
+use ssim::{Config, Ctx, NetModel, NodeId, OpenLoop, Persist, Program, Runtime, SnapshotError};
 
 /// A host that beacons to its neighbors for its first `left` rounds. It
 /// breaks two contracts, one per control: `is_quiescent` says yes while
@@ -166,4 +170,103 @@ fn synchronous_matches_every_live_through_the_sanitizer() {
         rounds
     });
     assert_eq!(run.out.len(), 48);
+}
+
+/// `ScaffoldProgram` with every hook forwarded but `idle_at`, which keeps
+/// the default `false`: the engine steps it in full at every activation.
+#[derive(Clone)]
+struct FullStep(ScaffoldProgram);
+
+impl Program for FullStep {
+    type Msg = ScafMsg;
+    fn step(&mut self, ctx: &mut Ctx<'_, ScafMsg>) {
+        self.0.step(ctx);
+    }
+    fn is_quiescent(&self) -> bool {
+        self.0.is_quiescent()
+    }
+    const RECORD_BYTES: usize = ScaffoldProgram::<ChordTarget>::RECORD_BYTES;
+}
+
+impl Persist for FullStep {
+    fn save(&self, w: &mut Writer) {
+        self.0.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        ScaffoldProgram::load(r).map(Self)
+    }
+}
+
+impl Router for FullStep {
+    fn route(&self, key: u32, neighbors: &[NodeId]) -> RouteStep {
+        self.0.route(key, neighbors)
+    }
+}
+
+/// One scripted run over a 256-host legal Avatar(Chord) with lookups. In
+/// its first rounds, while most hosts are still settled, an edge is
+/// removed and re-added (equal lists under new stamps), a settled host is
+/// edited through `p.core`, and a host leaves, one joins and one crashes;
+/// the revert wave this starts runs to the end. Returns the snapshot bytes
+/// and metrics JSON after every round. `host` reaches the protocol program
+/// inside `P`.
+fn scripted<P: Program<Msg = ScafMsg> + Persist + Router + Clone>(
+    daemon: Daemon,
+    wrap: fn(ScaffoldProgram) -> P,
+    host: fn(&mut P) -> &mut ScaffoldProgram,
+) -> Vec<(Vec<u8>, String)> {
+    let (n, cfg) = (1024, Config::seeded(0x1D1E));
+    let legal = scaffold_bench::legal_chord_runtime(n, 256, cfg, NetModel::ideal());
+    let mut rt = Runtime::<P>::restore_snapshot(&legal.save_snapshot(), cfg).expect("restores");
+    rt.set_scheduler(daemon());
+    rt.attach_workload(OpenLoop::new(4.0, n), WorkloadConfig::default());
+    if cfg!(debug_assertions) {
+        rt.enable_shadow_check();
+    }
+    let ids = rt.ids().to_vec();
+    let (a, b) = (ids[0], rt.topology().neighbors(ids[0])[0]);
+    let fresh = (0..n).find(|v| !ids.contains(v)).expect("a free id");
+    let mut rounds = Vec::new();
+    for r in 0..40 {
+        match r {
+            2 => assert!(rt.adversarial_remove_edge(a, b) && rt.adversarial_add_edge(a, b)),
+            3 => {
+                let far = |v: &NodeId| ![a, b].contains(v);
+                let quiet = |v: &&NodeId| far(v) && rt.topology().neighbors(**v).iter().all(far);
+                let id = *ids.iter().rev().find(quiet).expect("a quiet host");
+                rt.corrupt_node(id, |p| host(p).core.phase = Phase::Chord);
+            }
+            4 => assert!(rt.leave(ids[3]).is_some()),
+            5 => {
+                let joiner = ScaffoldProgram::new(fresh, ChordTarget::classic(n), 0x5EED);
+                rt.join(fresh, wrap(joiner), &[ids[1], ids[2]]);
+            }
+            6 => assert!(rt.crash(ids[4]).is_some()),
+            _ => {}
+        }
+        rt.step();
+        let metrics = serde_json::to_string(rt.metrics()).expect("metrics serialize");
+        rounds.push((rt.save_snapshot(), metrics));
+    }
+    let m = rt.metrics();
+    assert_eq!((m.joins, m.leaves, m.crashes), (1, 1, 1));
+    assert!(m.requests.completed > 0, "lookups ran");
+    rounds
+}
+
+/// A host that answers its activation from `idle_at` must leave the run
+/// exactly as a full step would: the same snapshot bytes (activation
+/// counts included, so nothing was skipped) and the same metrics after
+/// every round, under both daemons.
+#[test]
+fn idle_at_never_changes_a_run() {
+    for daemon in [SYNC, ACTIVITY] {
+        let answered = scripted(daemon, |p| p, |p| p);
+        let stepped = scripted(daemon, FullStep, |p| &mut p.0);
+        let name = daemon().name().to_string();
+        for (r, (x, y)) in answered.iter().zip(&stepped).enumerate() {
+            assert!(x.1 == y.1, "{name}, round {r}: metrics JSON differ");
+            assert!(x.0 == y.0, "{name}, round {r}: snapshot bytes differ");
+        }
+    }
 }
