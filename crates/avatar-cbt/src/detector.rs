@@ -113,6 +113,22 @@ impl CbtCore {
             //    adversarially planted duplicate clusters (two components with
             //    the same cluster id, each covering the guest space): a bridge
             //    endpoint sees two claimants for the same guests and resets.
+            //    Peers come in id order, and so do the ranges of a consistent
+            //    cluster: one pass that finds every range non-empty and
+            //    ending at or before the next one starts shows that no pair
+            //    overlaps. Only otherwise does the pairwise scan run, which
+            //    names the same first offender it always has.
+            let ordered = peers.iter().all(|&(_, r, _)| r.0 < r.1)
+                && peers.windows(2).all(|w| w[0].1 .1 <= w[1].1 .0);
+            #[cfg(test)]
+            tests::RULE4_PATHS.with(|c| {
+                let mut k = c.get();
+                k[usize::from(ordered)] += 1;
+                c.set(k);
+            });
+            if ordered {
+                return None;
+            }
             for (i, &(v, r, _)) in peers.iter().enumerate() {
                 if peers[i + 1..]
                     .iter()
@@ -391,6 +407,34 @@ mod tests {
         assert!(h.requires_edge_to((32, 70)), "both prunes keep the edge");
     }
 
+    /// Rule 4's ordered pass trusts a chain of ranges only when none is
+    /// inverted: `(0, 5)`, `(5, 2)`, `(2, 8)` each end where the next one
+    /// starts, yet the first and the last overlap. Host 32 of `Cbt(64)`
+    /// owns `[32, 64)`, and host 16 covers its crossing edge and its
+    /// predecessor line, so rules 1–3 pass (extra edges tolerated).
+    #[test]
+    fn rule4_sees_past_an_inverted_range() {
+        let core = ClusterCore {
+            cid: 1,
+            range: (32, 64),
+            cluster_min: 0,
+        };
+        let mut view = NeighborView::default();
+        for (v, range) in [(1, (0, 5)), (2, (5, 2)), (3, (2, 8)), (16, (16, 32))] {
+            view.record(v, 5, beacon(1, range, 0));
+        }
+        let h = host(32, 64, core, &view);
+        let neighbors = [1, 2, 3, 16];
+        assert_eq!(
+            h.fault(5, &neighbors, true, false),
+            Some(FaultKind::Overlap { neighbor: 1 })
+        );
+        assert_eq!(
+            h.fault(5, &neighbors, true, false),
+            h.fault_reference(5, &neighbors, true, false)
+        );
+    }
+
     /// One random detector input: a host of `Cbt(n)` with its view and
     /// neighbor list. Half the inputs start from a legal embedding and are
     /// perturbed a little (so the late rules are reached), half are noise.
@@ -490,25 +534,50 @@ mod tests {
         (c, neighbors)
     }
 
-    proptest::proptest! {
-        /// The memoized, buffer-based detector returns the oracle's verdict —
-        /// the same first fault, not merely the same `is_some()` — on every
-        /// input, for both settings of both flags.
-        #[test]
-        fn fault_matches_reference(seed in 0u64..u64::MAX) {
-            use rand::SeedableRng;
+    thread_local! {
+        /// How often rule 4 took each path on this thread: `[pairwise
+        /// scan, ordered pass]`.
+        pub(super) static RULE4_PATHS: std::cell::Cell<[u64; 2]> =
+            const { std::cell::Cell::new([0; 2]) };
+    }
+
+    /// The memoized, buffer-based detector returns the oracle's verdict —
+    /// the same first fault, not merely the same `is_some()` — on every
+    /// input, for both settings of both flags; and rule 4 answers both
+    /// ways, by the ordered pass and by the pairwise scan.
+    #[test]
+    fn fault_matches_reference() {
+        use proptest::strategy::Strategy;
+        use rand::SeedableRng;
+        RULE4_PATHS.with(|c| c.set([0; 2]));
+        proptest::run_cases("fault_matches_reference", |case_rng| {
+            let seed = (0u64..u64::MAX).sample(case_rng);
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             for _ in 0..64 {
                 let (c, neighbors) = random_input(&mut rng);
-                for (tolerate_extra, stale_ok) in [(false, false), (false, true), (true, false), (true, true)] {
+                for (tolerate_extra, stale_ok) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
                     proptest::prop_assert_eq!(
                         c.fault(10, &neighbors, tolerate_extra, stale_ok),
                         c.fault_reference(10, &neighbors, tolerate_extra, stale_ok),
-                        "core {:?} view {:?} neighbors {:?}", c.core, c.view, neighbors
+                        "core {:?} view {:?} neighbors {:?}",
+                        c.core,
+                        c.view,
+                        neighbors
                     );
                 }
             }
-        }
+            Ok(())
+        });
+        let [scans, ordered] = RULE4_PATHS.with(|c| c.get());
+        assert!(
+            scans > 0 && ordered > 0,
+            "rule 4 paths: {scans} scans, {ordered} ordered passes"
+        );
+    }
+
+    proptest::proptest! {
 
         /// `requires_edge_to` is `required_edge` seen from one side, for
         /// every pair of disjoint ranges.

@@ -17,14 +17,22 @@ use ssim::{
 /// the dilation-1 projection of the guest tree plus the host successor line
 /// (which wave 0 of the target-building phase relies on).
 pub fn expected_edges(n: u32, ids: &[NodeId]) -> Vec<(NodeId, NodeId)> {
-    let av = Avatar::new(n, ids.iter().copied());
-    let cbt = Cbt::new(n);
-    let mut edges = av.project_edges(cbt.edges());
-    let mut sorted = ids.to_vec();
-    sorted.sort_unstable();
-    for w in sorted.windows(2) {
-        edges.push((w[0], w[1]));
-    }
+    scaffold_edges(&Avatar::new(n, ids.iter().copied()))
+}
+
+/// [`expected_edges`] over an embedding already built, sorted and
+/// deduplicated: one descent of the guest tree projects each tree edge
+/// through the host table as it is visited, so only host edges are ever
+/// stored and sorted. `O(N + E log E)` for `E` host edges.
+pub fn scaffold_edges(av: &Avatar) -> Vec<(NodeId, NodeId)> {
+    let mut edges = Vec::new();
+    Cbt::new(av.n_cap()).for_each_edge(|g, p| {
+        let (x, y) = (av.host_of(g), av.host_of(p));
+        if x != y {
+            edges.push((x.min(y), x.max(y)));
+        }
+    });
+    edges.extend(av.hosts().windows(2).map(|w| (w[0], w[1])));
     edges.sort_unstable();
     edges.dedup();
     edges
@@ -36,10 +44,9 @@ pub fn is_legal_cbt<'a>(n: u32, topo: &Topology, cores: impl Iterator<Item = &'a
     if cores.is_empty() {
         return false;
     }
-    let ids: Vec<NodeId> = cores.iter().map(|c| c.id).collect();
-    let av = Avatar::new(n, ids.iter().copied());
+    let av = Avatar::new(n, cores.iter().map(|c| c.id));
     let cid = cores[0].core.cid;
-    let min = *ids.iter().min().unwrap();
+    let min = av.hosts()[0];
     for c in &cores {
         if c.core.cid != cid || c.core.cluster_min != min {
             return false;
@@ -49,7 +56,7 @@ pub fn is_legal_cbt<'a>(n: u32, topo: &Topology, cores: impl Iterator<Item = &'a
             return false;
         }
     }
-    topo.edges() == expected_edges(n, &ids)
+    topo.edges() == scaffold_edges(&av)
 }
 
 /// Runtime-level legality check for a standalone CBT run.

@@ -170,6 +170,9 @@ pub fn engine_scale(args: &ExpArgs) {
 /// peaks near 5.5 GB resident). Each size is an installed-legal Avatar(Chord) with
 /// `N` = 2 × hosts, warmed for 256 rounds, then timed over 15 segments of
 /// about 2^22 host-rounds; the cells are the quartiles of the segments.
+/// `build s` is the wall-clock time of the fixture's build
+/// ([`scaffold_bench::legal_chord_runtime`]), one sample per size: its
+/// ratio to the host count shows whether the build stays linear.
 /// Host time: print it, never commit it.
 pub fn silent_round(args: &ExpArgs) {
     let seed = args.count.unwrap_or(7);
@@ -181,10 +184,20 @@ pub fn silent_round(args: &ExpArgs) {
     if args.full {
         sizes.push(1_048_576);
     }
-    let mut table = Table::new(&["hosts", "N", "rounds", "ns q1", "ns median", "ns q3"]);
+    let mut table = Table::new(&[
+        "hosts",
+        "N",
+        "build s",
+        "rounds",
+        "ns q1",
+        "ns median",
+        "ns q3",
+    ]);
     for hosts in sizes {
         let n = 2 * hosts as u32;
+        let t0 = Instant::now();
         let mut rt = scaffold_bench::legal_chord_runtime(n, hosts, seeded(seed), NetModel::ideal());
+        let build = t0.elapsed().as_secs_f64();
         rt.run(256);
         let seg = ((1 << 22) / hosts as u64).max(4);
         let mut ns: Vec<f64> = (0..15)
@@ -203,6 +216,7 @@ pub fn silent_round(args: &ExpArgs) {
         table.row(vec![
             hosts.to_string(),
             n.to_string(),
+            format!("{build:.3}"),
             (15 * seg).to_string(),
             f2(ns[3]),
             f2(ns[7]),
@@ -219,7 +233,9 @@ pub fn silent_round(args: &ExpArgs) {
             "Host time on this machine: compare sizes within one run, and a change",
             "against its parent in interleaved runs. Flat in hosts means the round runs",
             "at memory speed; a step up at some size is the cliff ARCHITECTURE.md",
-            "(\"What a silent round costs\") describes.",
+            "(\"What a silent round costs\") describes. `build s` over hosts flat means",
+            "the fixture build is linear (ARCHITECTURE.md, \"What building a legal",
+            "overlay costs\").",
         ],
     );
 }

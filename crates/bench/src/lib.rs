@@ -379,9 +379,9 @@ pub fn legal_cbt_standalone(
 /// (`exp workload`) only need *a* converged network, however obtained —
 /// the installed state is indistinguishable from a naturally converged one
 /// (the shadow check audits that every host's step really is a no-op).
-/// The install is linear in the hosts: 0.73 s at 65,536 hosts and 3.9 s
-/// at 262,144 (2-vCPU x86-64 Linux, release build) — a restore of the
-/// same state takes two thirds of that, too little to be worth a cache.
+/// The build is linear in the hosts up to 256k: 0.28 s at 65,536 hosts
+/// and 1.7 s at 262,144 (2-vCPU x86-64 Linux, release build; E14c,
+/// `exp silent_round`, prints it per size), so no cache is kept.
 pub fn legal_chord_runtime(
     n_guests: u32,
     hosts: usize,

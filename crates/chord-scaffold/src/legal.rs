@@ -10,15 +10,39 @@ use ssim::{init::Shape, Config, NetModel, NodeId, Persist, Runtime, SnapshotErro
 
 /// The exact host edge set of the legal `Avatar(target)`: the scaffold edges
 /// (tree projection + successor line — "we maintain the scaffold edges after
-/// the target network is built", Section 6) plus the projected target edges.
+/// the target network is built", Section 6) plus the projected target edges,
+/// sorted and deduplicated.
+///
+/// Built from the hosts' ranges: the target's offsets are projected by
+/// [`Avatar::project_circulant`], which emits its host edges sorted, and
+/// merged with the sorted scaffold edges of
+/// [`avatar_cbt::legal::scaffold_edges`]. No guest-level edge list is
+/// built and the `E` host edges are never sorted as a whole:
+/// `O(N + n·|offsets| + E)` for `n` hosts, plus the sort of the scaffold's
+/// own few host edges per host. The `O(N)` is the host table of
+/// [`Avatar::new`] and the scaffold's one tree descent.
 pub fn expected_edges<T: InductiveTarget>(target: &T, ids: &[NodeId]) -> Vec<(NodeId, NodeId)> {
-    let n = target.n();
-    let av = Avatar::new(n, ids.iter().copied());
-    let mut edges = avatar_cbt::legal::expected_edges(n, ids);
-    edges.extend(av.project_edges(target.target_edges()));
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+    legal_edges(target, &Avatar::new(target.n(), ids.iter().copied()))
+}
+
+/// [`expected_edges`] over an embedding already built.
+fn legal_edges<T: InductiveTarget>(target: &T, av: &Avatar) -> Vec<(NodeId, NodeId)> {
+    let scaffold = avatar_cbt::legal::scaffold_edges(av);
+    let fingers = av.project_circulant(&target.offsets());
+    // Merge the two sorted, duplicate-free lists.
+    let mut out = Vec::with_capacity(scaffold.len() + fingers.len());
+    let (mut a, mut b) = (scaffold.iter().peekable(), fingers.iter().peekable());
+    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+        out.push(x.min(y));
+        if x <= y {
+            a.next();
+        }
+        if y <= x {
+            b.next();
+        }
+    }
+    out.extend(a.chain(b));
+    out
 }
 
 /// True iff the topology and host states form the legal, silent
@@ -41,15 +65,14 @@ pub fn is_legal<'a, T: InductiveTarget>(
     if settled.is_empty() {
         return false;
     }
-    let ids: Vec<NodeId> = settled.iter().map(|p| p.core.id()).collect();
-    let av = Avatar::new(target.n(), ids.iter().copied());
+    let av = Avatar::new(target.n(), settled.iter().map(|p| p.core.id()));
     for p in &settled {
         let r = av.range_of(p.core.id());
         if p.core.cbt.core.range != (r.lo, r.hi) {
             return false;
         }
     }
-    topo.edges() == expected_edges(target, &ids)
+    topo.edges() == legal_edges(target, &av)
 }
 
 /// Runtime-level legality, judged against the target the hosts themselves
@@ -156,6 +179,75 @@ mod tests {
             assert!(full.contains(e), "missing scaffold edge {e:?}");
         }
         assert!(full.len() > scaffold.len(), "fingers add edges");
+    }
+
+    /// The legal edge set as first written: every guest edge of the
+    /// scaffold tree and of the target projected through the embedding,
+    /// plus the successor line, then one global sort.
+    fn expected_edges_reference<T: InductiveTarget>(
+        target: &T,
+        ids: &[NodeId],
+    ) -> Vec<(NodeId, NodeId)> {
+        let av = Avatar::new(target.n(), ids.iter().copied());
+        let mut edges = av.project_edges(overlay::Cbt::new(target.n()).edges());
+        edges.extend(av.hosts().windows(2).map(|w| (w[0], w[1])));
+        edges.extend(av.project_edges(target.target_edges()));
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    proptest::proptest! {
+        /// The range projection equals the guest-level one, for every
+        /// chord target at N from 4 to 2^10 over one host, every guest as
+        /// a host, and sets that hold the ends 0 and N − 1 or not.
+        #[test]
+        fn expected_edges_match_the_guest_projection(
+            n_exp in 2u32..=10,
+            kind in 0u8..3,
+            fingers in 1u32..=10,
+            hosts in 0u8..4,
+            picks in proptest::collection::btree_set(0u32..1024, 1..48),
+        ) {
+            let n = 1u32 << n_exp;
+            let mut ids: Vec<NodeId> = match hosts {
+                0 => vec![picks.first().unwrap() % n],
+                1 => (0..n).collect(),
+                _ => picks.iter().map(|&v| v % n).collect(),
+            };
+            if hosts == 2 {
+                ids.extend([0, n - 1]);
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            fn both<T: InductiveTarget>(t: &T, ids: &[NodeId]) -> [Vec<(NodeId, NodeId)>; 2] {
+                [expected_edges(t, ids), expected_edges_reference(t, ids)]
+            }
+            let [got, want] = match kind {
+                0 => both(&ChordTarget::classic(n), &ids),
+                1 => both(&ChordTarget::paper(n), &ids),
+                _ => both(&crate::TruncatedChordTarget::new(n, 1 + (fingers - 1) % n_exp), &ids),
+            };
+            proptest::prop_assert_eq!(got, want, "n {} kind {} ids {:?}", n, kind, ids);
+        }
+    }
+
+    /// The offsets restate the finger tables the targets had: the derived
+    /// edge set and neighborhoods equal `Chord`'s own.
+    #[test]
+    fn offsets_restate_the_finger_table() {
+        for n in [4u32, 8, 64, 1024] {
+            let m = n.trailing_zeros();
+            for fingers in 1..=m {
+                let t = crate::TruncatedChordTarget::new(n, fingers);
+                let chord = overlay::Chord::with_fingers(n, fingers);
+                assert_eq!(t.target_edges(), chord.edges(), "n {n} fingers {fingers}");
+                for a in 0..n {
+                    assert_eq!(t.guest_neighbors(a), chord.neighborhood(a));
+                }
+            }
+            assert_eq!(ChordTarget::classic(n).offsets().len(), m as usize);
+        }
     }
 
     /// Both protocol crates place hosts and draw the initial shape the way

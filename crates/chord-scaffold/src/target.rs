@@ -11,7 +11,8 @@
 //!
 //! The trait packages exactly the components Section 6 lists for the target
 //! side of the pattern: the wave count, the per-guest feedback action, and
-//! the final edge set (for the local/global checks).
+//! the final edge set (for the local/global checks), stated as circulant
+//! offsets.
 
 use overlay::chord::Chord;
 use overlay::Id;
@@ -19,6 +20,17 @@ use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
 
 /// A target guest topology buildable from the CBT scaffold by inductive PIF
 /// waves (the paper's Algorithm 1 generalized).
+///
+/// **The offsets contract.** The target is *circulant*: its guest edges are
+/// `(g, (g + d) mod N)` for every guest `g` and every offset `d` of
+/// [`InductiveTarget::offsets`], and nothing else. Both implementors are
+/// `Chord(N)` (offsets `2^k`). The edge set, the guest neighborhoods and the
+/// legal host topology ([`crate::expected_edges`], through
+/// [`overlay::Avatar::project_circulant`]) are all derived from the offsets,
+/// the last one from the hosts' ranges without listing a guest edge. A
+/// target that is not circulant cannot state offsets: it brings its own
+/// projection in place of `project_circulant`, and overrides the provided
+/// methods below.
 pub trait InductiveTarget: Clone + 'static {
     /// Short name for logs and tables.
     fn name(&self) -> &'static str;
@@ -40,12 +52,42 @@ pub trait InductiveTarget: Clone + 'static {
     /// edges pre-exist in the scaffold embedding).
     fn feedback_edge(&self, a: Id, k: u32) -> Option<(Id, Id)>;
 
-    /// The complete guest edge set of the target (for legality checking).
-    fn target_edges(&self) -> Vec<(Id, Id)>;
+    /// The circulant offsets of the target, each in `[1, N)`: guest `g` is
+    /// adjacent to `(g + d) mod N` and `(g − d) mod N` for each offset `d`.
+    fn offsets(&self) -> Vec<u32>;
 
-    /// The target neighborhood of guest `a` (both edge directions), used to
-    /// decide which host edges the final embedding requires.
-    fn guest_neighbors(&self, a: Id) -> Vec<Id>;
+    /// The complete guest edge set of the target, each edge once as
+    /// `(a, b)` with `a < b`, sorted — `N·|offsets|` pairs, derived from the
+    /// offsets. Tests keep it as the oracle of the range projection.
+    fn target_edges(&self) -> Vec<(Id, Id)> {
+        let (n, offsets) = (self.n(), self.offsets());
+        let mut es = Vec::with_capacity(n as usize * offsets.len());
+        for g in 0..n {
+            for &d in &offsets {
+                let j = (g + d) % n;
+                es.push((g.min(j), g.max(j)));
+            }
+        }
+        es.sort_unstable();
+        es.dedup();
+        es
+    }
+
+    /// The target neighborhood of guest `a` (both edge directions), sorted
+    /// and without `a`, used to decide which host edges the final embedding
+    /// requires.
+    fn guest_neighbors(&self, a: Id) -> Vec<Id> {
+        let n = self.n();
+        let mut out: Vec<Id> = self
+            .offsets()
+            .into_iter()
+            .flat_map(|d| [(a + d) % n, (a + n - d) % n])
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&j| j != a);
+        out
+    }
 }
 
 /// The paper's target: `Chord(N)` (Definition 1 / Section 4.2).
@@ -107,12 +149,8 @@ impl InductiveTarget for ChordTarget {
         Some((b0, b1))
     }
 
-    fn target_edges(&self) -> Vec<(Id, Id)> {
-        self.chord.edges()
-    }
-
-    fn guest_neighbors(&self, a: Id) -> Vec<Id> {
-        self.chord.neighborhood(a)
+    fn offsets(&self) -> Vec<u32> {
+        self.chord.offsets()
     }
 }
 
@@ -159,12 +197,8 @@ impl InductiveTarget for TruncatedChordTarget {
         Some(((a + n - step % n) % n, (a + step) % n))
     }
 
-    fn target_edges(&self) -> Vec<(Id, Id)> {
-        self.chord.edges()
-    }
-
-    fn guest_neighbors(&self, a: Id) -> Vec<Id> {
-        self.chord.neighborhood(a)
+    fn offsets(&self) -> Vec<u32> {
+        self.chord.offsets()
     }
 }
 

@@ -55,17 +55,44 @@ impl ResponsibleRange {
 }
 
 /// An Avatar embedding: the guest capacity `N` plus the sorted host set.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Beside the hosts it keeps a dense guest → host-index table, built once
+/// in `O(N)` by [`Avatar::new`], so [`Avatar::host_of`],
+/// [`Avatar::range_of`], [`Avatar::succ`], [`Avatar::pred`] and each
+/// endpoint of [`Avatar::project_edges`] are `O(1)`. The table costs four
+/// bytes per guest; it is derived from the hosts, so equality and `Debug`
+/// read the hosts alone.
+#[derive(Clone)]
 pub struct Avatar {
     n_cap: u32,
     hosts: Vec<Id>,
+    /// `owner[g]` = the index in `hosts` of the host responsible for `g`.
+    owner: Vec<u32>,
+}
+
+impl PartialEq for Avatar {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_cap == other.n_cap && self.hosts == other.hosts
+    }
+}
+
+impl Eq for Avatar {}
+
+impl std::fmt::Debug for Avatar {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Avatar")
+            .field("n_cap", &self.n_cap)
+            .field("hosts", &self.hosts)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Avatar {
     /// Build an embedding of guest space `[0, n_cap)` onto the given hosts.
     ///
     /// Host identifiers must be unique and in `[0, n_cap)`; they are sorted
-    /// internally.
+    /// internally. `O(n log n + N)`: the sort, then one fill of the
+    /// guest → host table.
     ///
     /// # Panics
     /// Panics on an empty host set, duplicate identifiers, or identifiers out
@@ -82,7 +109,16 @@ impl Avatar {
             "host id {} out of guest range [0, {n_cap})",
             hosts.last().unwrap()
         );
-        Self { n_cap, hosts }
+        let mut owner = Vec::with_capacity(n_cap as usize);
+        for i in 0..hosts.len() {
+            let hi = hosts.get(i + 1).copied().unwrap_or(n_cap);
+            owner.resize(hi as usize, i as u32);
+        }
+        Self {
+            n_cap,
+            hosts,
+            owner,
+        }
     }
 
     /// The guest capacity `N`.
@@ -95,6 +131,24 @@ impl Avatar {
         &self.hosts
     }
 
+    /// The index of host `u` in [`Avatar::hosts`].
+    ///
+    /// # Panics
+    /// `u` must be a host.
+    fn index_of(&self, u: Id) -> usize {
+        match self.owner.get(u as usize) {
+            Some(&i) if self.hosts[i as usize] == u => i as usize,
+            _ => panic!("{u} is not a host"),
+        }
+    }
+
+    /// The responsible range of the `i`-th host (see [`Avatar::range_of`]).
+    fn range_at(&self, i: usize) -> ResponsibleRange {
+        let lo = if i == 0 { 0 } else { self.hosts[i] };
+        let hi = self.hosts.get(i + 1).copied().unwrap_or(self.n_cap);
+        ResponsibleRange::new(lo, hi)
+    }
+
     /// The host responsible for guest `g`: the largest host id `≤ g`, or the
     /// minimum host if `g` precedes all hosts.
     ///
@@ -102,11 +156,7 @@ impl Avatar {
     /// `g` must be in `[0, N)`.
     pub fn host_of(&self, g: Id) -> Id {
         assert!(g < self.n_cap, "guest {g} out of range [0, {})", self.n_cap);
-        match self.hosts.binary_search(&g) {
-            Ok(i) => self.hosts[i],
-            Err(0) => self.hosts[0],
-            Err(i) => self.hosts[i - 1],
-        }
+        self.hosts[self.owner[g as usize] as usize]
     }
 
     /// The successor of host `u`: the smallest host id greater than `u`.
@@ -115,33 +165,20 @@ impl Avatar {
     /// # Panics
     /// `u` must be a host.
     pub fn succ(&self, u: Id) -> Option<Id> {
-        let i = self
-            .hosts
-            .binary_search(&u)
-            .unwrap_or_else(|_| panic!("{u} is not a host"));
-        self.hosts.get(i + 1).copied()
+        self.hosts.get(self.index_of(u) + 1).copied()
     }
 
     /// The predecessor of host `u` (the largest host id smaller than `u`), or
     /// `None` for the minimum host.
     pub fn pred(&self, u: Id) -> Option<Id> {
-        let i = self
-            .hosts
-            .binary_search(&u)
-            .unwrap_or_else(|_| panic!("{u} is not a host"));
+        let i = self.index_of(u);
         i.checked_sub(1).map(|j| self.hosts[j])
     }
 
     /// The responsible range of host `u` per Section 3.1: `[u, succ)` in
     /// general, `[0, succ)` for the minimum host and `[u, N)` for the maximum.
     pub fn range_of(&self, u: Id) -> ResponsibleRange {
-        let i = self
-            .hosts
-            .binary_search(&u)
-            .unwrap_or_else(|_| panic!("{u} is not a host"));
-        let lo = if i == 0 { 0 } else { u };
-        let hi = self.hosts.get(i + 1).copied().unwrap_or(self.n_cap);
-        ResponsibleRange::new(lo, hi)
+        self.range_at(self.index_of(u))
     }
 
     /// The guests of host `u`, in increasing order.
@@ -176,6 +213,60 @@ impl Avatar {
             .collect();
         out.sort_unstable();
         out.dedup();
+        out
+    }
+
+    /// [`Avatar::project_edges`] of the *circulant* guest graph with the
+    /// given offsets — guest edges `(g, (g + d) mod N)` for every guest `g`
+    /// and offset `d` — computed from the hosts' ranges, with no guest-level
+    /// edge list: the same sorted, deduplicated host edges.
+    ///
+    /// Host `u`'s neighbors are the hosts its range lands on when shifted by
+    /// `+d` or `−d`. With the shifts `e` taken in ascending order from the
+    /// symmetric set `{d, N − d}`, each shifted range `[lo + e, hi + e)`
+    /// starts and ends no earlier than the one before, so the runs of hosts
+    /// they cover come out in ascending host order and merge in one pass.
+    /// Only the part before the wrap past `N` can reach a host above `u`
+    /// (a wrapped guest lies below `u`'s own range), so emitting the hosts
+    /// above `u` from that part gives each edge once, in sorted order.
+    /// `O(n·|offsets| + E)` for `n` hosts and `E` host edges, on top of the
+    /// `O(N)` table [`Avatar::new`] built.
+    ///
+    /// # Panics
+    /// Every offset must be in `[1, N)`.
+    pub fn project_circulant(&self, offsets: &[u32]) -> Vec<(Id, Id)> {
+        let n_cap = self.n_cap as usize;
+        let mut shifts: Vec<usize> = offsets
+            .iter()
+            .flat_map(|&d| {
+                assert!(
+                    0 < d && d < self.n_cap,
+                    "offset {d} out of range [1, {n_cap})"
+                );
+                [d as usize, n_cap - d as usize]
+            })
+            .collect();
+        shifts.sort_unstable();
+        shifts.dedup();
+        let n = self.hosts.len();
+        let mut out = Vec::new();
+        for (i, &u) in self.hosts.iter().enumerate() {
+            let r = self.range_at(i);
+            let (lo, last) = (r.lo as usize, r.hi as usize - 1);
+            // The lowest host index not emitted yet.
+            let mut next = i + 1;
+            for &e in &shifts {
+                if lo + e >= n_cap || next >= n {
+                    break;
+                }
+                let first = (self.owner[lo + e] as usize).max(next);
+                let end = self.owner.get(last + e).map_or(n - 1, |&j| j as usize);
+                if first <= end {
+                    out.extend(self.hosts[first..=end].iter().map(|&v| (u, v)));
+                    next = end + 1;
+                }
+            }
+        }
         out
     }
 }
@@ -263,5 +354,90 @@ mod tests {
         for &(x, y) in &es {
             assert!(x < y);
         }
+    }
+
+    /// The host table answers what a binary search over the sorted hosts
+    /// answers, for every guest, and `range_of` of that host contains it.
+    #[test]
+    fn host_table_matches_binary_search() {
+        let placements: [(u32, &[Id]); 5] = [
+            (16, &[3, 7, 10, 14]),
+            (32, &[11]),
+            (32, &[0, 31]),
+            (8, &[0, 1, 2, 3, 4, 5, 6, 7]),
+            (1024, &[1, 2, 100, 511, 512, 513, 1000, 1023]),
+        ];
+        for (n, hosts) in placements {
+            let a = Avatar::new(n, hosts.iter().copied());
+            for g in 0..n {
+                let by_search = match hosts.binary_search(&g) {
+                    Ok(i) => hosts[i],
+                    Err(0) => hosts[0],
+                    Err(i) => hosts[i - 1],
+                };
+                assert_eq!(a.host_of(g), by_search, "n={n} g={g}");
+                assert!(a.range_of(by_search).contains(g), "n={n} g={g}");
+            }
+            for (i, &u) in hosts.iter().enumerate() {
+                let lo = if i == 0 { 0 } else { u };
+                let hi = hosts.get(i + 1).copied().unwrap_or(n);
+                assert_eq!(a.range_of(u), ResponsibleRange::new(lo, hi));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "5 is not a host")]
+    fn range_of_a_non_host_panics() {
+        demo().range_of(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "99 is not a host")]
+    fn succ_of_an_id_past_n_panics() {
+        demo().succ(99);
+    }
+
+    /// `Debug` names the hosts, never the per-guest table.
+    #[test]
+    fn debug_omits_the_table() {
+        let a = Avatar::new(1 << 12, [5u32, 9]);
+        let s = format!("{a:?}");
+        assert_eq!(s, "Avatar { n_cap: 4096, hosts: [5, 9], .. }");
+    }
+
+    /// The range projection of a circulant graph equals the guest-level
+    /// projection, for offsets that are not Chord's too.
+    #[test]
+    fn project_circulant_matches_guest_projection() {
+        let offsets: [&[u32]; 4] = [&[1], &[1, 2, 4, 8], &[3, 5], &[7, 9, 16]];
+        let placements: [&[Id]; 5] = [
+            &[0],
+            &[31],
+            &[0, 31],
+            &[3, 7, 10, 14, 15, 22, 30],
+            &[1, 2, 3, 4, 5, 6, 17, 18],
+        ];
+        for d in offsets {
+            let guest: Vec<(Id, Id)> = (0..32u32)
+                .flat_map(|g| d.iter().map(move |&d| (g, (g + d) % 32)))
+                .collect();
+            for hosts in placements {
+                let a = Avatar::new(32, hosts.iter().copied());
+                assert_eq!(
+                    a.project_circulant(d),
+                    a.project_edges(guest.iter().copied()),
+                    "offsets {d:?} hosts {hosts:?}"
+                );
+            }
+        }
+        let all = Avatar::new(32, 0..32);
+        assert_eq!(all.project_circulant(&[1]).len(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset 0 out of range")]
+    fn project_circulant_rejects_a_zero_offset() {
+        demo().project_circulant(&[0]);
     }
 }

@@ -203,13 +203,28 @@ impl Cbt {
     /// The complete undirected edge set, each edge once with `(a, b)`, `a < b`.
     pub fn edges(&self) -> Vec<(Id, Id)> {
         let mut es = Vec::with_capacity(self.n.saturating_sub(1) as usize);
-        for g in 0..self.n {
-            if let Some(p) = self.parent(g) {
-                es.push((g.min(p), g.max(p)));
-            }
-        }
+        self.for_each_edge(|g, p| es.push((g.min(p), g.max(p))));
         es.sort_unstable();
         es
+    }
+
+    /// Visit every tree edge once as `visit(child, parent)`, in no
+    /// particular order: one descent over the subtree intervals, `O(N)`,
+    /// with no edge list and no per-guest [`Cbt::locate`].
+    pub fn for_each_edge(&self, mut visit: impl FnMut(Id, Id)) {
+        // Stack of (interval, parent of its local root).
+        let mut stack = vec![(0u32, self.n, None)];
+        while let Some((a, b, parent)) = stack.pop() {
+            if a >= b {
+                continue;
+            }
+            let root = a + complete_left_size(b - a);
+            if let Some(p) = parent {
+                visit(root, p);
+            }
+            stack.push((root + 1, b, Some(root)));
+            stack.push((a, root, Some(root)));
+        }
     }
 
     /// The *range root* of a non-empty key interval `[lo, hi)`: the unique
@@ -411,6 +426,20 @@ mod tests {
                 count += nodes.len() as u32;
             }
             assert_eq!(count, n, "n={n} total node count");
+        }
+    }
+
+    /// The descent visits each non-root guest once, with its parent.
+    #[test]
+    fn for_each_edge_matches_parent() {
+        for n in [1u32, 2, 3, 9, 64, 100, 1000] {
+            let t = Cbt::new(n);
+            let mut seen = Vec::new();
+            t.for_each_edge(|g, p| seen.push((g, p)));
+            seen.sort_unstable();
+            let expect: Vec<(Id, Id)> =
+                (0..n).filter_map(|g| t.parent(g).map(|p| (g, p))).collect();
+            assert_eq!(seen, expect, "n={n}");
         }
     }
 

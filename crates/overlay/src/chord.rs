@@ -64,6 +64,12 @@ impl Chord {
         self.fingers
     }
 
+    /// The finger offsets `2^k`, `k < finger_count()`: `Chord(N)` is the
+    /// circulant graph on `[0, N)` with these offsets.
+    pub fn offsets(&self) -> Vec<u32> {
+        (0..self.fingers).map(|k| 1u32 << k).collect()
+    }
+
     /// The *k-th finger* of node `i`: `(i + 2^k) mod N`.
     ///
     /// # Panics

@@ -267,6 +267,46 @@ impl AdjStore {
         out
     }
 
+    /// The class of the block a list of `len > 0` items is laid out in
+    /// when it is built whole: the smallest that holds it.
+    fn class_for(len: usize) -> u8 {
+        (len.next_power_of_two().trailing_zeros() as u8).max(MIN_CLASS)
+    }
+
+    /// An arena for slots of the given degrees, each given the block
+    /// [`AdjStore::load_list`] gives it, in slot order, with every list
+    /// empty: [`AdjStore::push`] fills them. The same layout a restore of
+    /// the filled lists builds.
+    fn with_degrees(degrees: &[u32]) -> Self {
+        let mut spans = Vec::with_capacity(degrees.len());
+        let mut total = 0u32;
+        for &len in degrees {
+            spans.push(if len == 0 {
+                Span::EMPTY
+            } else {
+                let class = Self::class_for(len as usize);
+                total += 1 << class;
+                Span {
+                    off: total - (1 << class),
+                    len: 0,
+                    class,
+                }
+            });
+        }
+        Self {
+            data: vec![0; total as usize],
+            spans,
+            free: Vec::new(),
+        }
+    }
+
+    /// Append `v` to `slot`'s list, inside the block it already owns.
+    fn push(&mut self, slot: usize, v: NodeId) {
+        let s = &mut self.spans[slot];
+        self.data[(s.off + s.len) as usize] = v;
+        s.len += 1;
+    }
+
     /// Decode the next slot's list (a length, then the items) straight
     /// into a block of its own (snapshot restore).
     fn load_list(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
@@ -275,7 +315,7 @@ impl AdjStore {
             self.spans.push(Span::EMPTY);
             return Ok(());
         }
-        let class = (len.next_power_of_two().trailing_zeros() as u8).max(MIN_CLASS);
+        let class = Self::class_for(len);
         let off = self.alloc_block(class);
         for v in &mut self.data[off as usize..off as usize + len] {
             *v = r.u32()?;
@@ -336,6 +376,15 @@ pub struct Topology {
 impl Topology {
     /// Build a topology over `ids` with the given initial undirected edges.
     /// Slots are assigned in iteration order (node *k* gets slot *k*).
+    /// An edge may come in either orientation and more than once.
+    ///
+    /// Built in bulk, not edge by edge: the edges are put in one canonical
+    /// sorted list (the sort is skipped when they come sorted), each slot's
+    /// degree is counted, each slot gets the one block a restore of its
+    /// list would give it, and the blocks fill in edge order — which is
+    /// ascending on both ends, so every list comes out sorted. The result
+    /// equals the one `add_node` and `add_edge` build, and its storage is
+    /// laid out as its `save_state` / `restore_state` twin's.
     ///
     /// # Panics
     /// Panics on duplicate ids, unknown edge endpoints, or self-loops.
@@ -343,14 +392,58 @@ impl Topology {
         ids: impl IntoIterator<Item = NodeId>,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
-        let mut t = Self::default();
-        for v in ids {
-            assert!(t.add_node(v), "duplicate node id {v}");
+        let mut dense: Vec<NodeId> = ids.into_iter().collect();
+        dense.shrink_to_fit();
+        let n = dense.len();
+        let mut index = SlotIndex::with_capacity_and_hasher(n, Default::default());
+        for (k, &v) in dense.iter().enumerate() {
+            assert!(
+                index.insert(v, NodeSlot::new(k)).is_none(),
+                "duplicate node id {v}"
+            );
         }
-        for (a, b) in edges {
-            t.add_edge(a, b);
+        let mut edges: Vec<(NodeId, NodeId)> = edges
+            .into_iter()
+            .map(|(a, b)| {
+                assert!(a != b, "self-loop at {a}");
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        if !edges.is_sorted() {
+            edges.sort_unstable();
         }
-        t
+        edges.dedup();
+        let slot = |v: NodeId| match index.get(&v) {
+            Some(s) => s.index() as u32,
+            None => panic!("unknown node {v}"),
+        };
+        let ends: Vec<[u32; 2]> = edges.iter().map(|&(a, b)| [slot(a), slot(b)]).collect();
+        let mut degrees = vec![0u32; n];
+        for &[sa, sb] in &ends {
+            degrees[sa as usize] += 1;
+            degrees[sb as usize] += 1;
+        }
+        let mut adj = AdjStore::with_degrees(&degrees);
+        for (&(a, b), &[sa, sb]) in edges.iter().zip(&ends) {
+            adj.push(sa as usize, b);
+            adj.push(sb as usize, a);
+        }
+        let c =
+            Counters::tally(degrees.iter().map(|&d| d as usize)).expect("every edge has two ends");
+        let first = fresh_stamps(n);
+        Self {
+            slots: dense.iter().map(|&v| Some(v)).collect(),
+            adj,
+            index,
+            free: Vec::new(),
+            dense_slot: (0..n as u32).collect(),
+            dense_pos: (0..n as u32).collect(),
+            dense,
+            edge_count: c.edge_count,
+            degree_hist: c.degree_hist,
+            max_degree: c.max_degree,
+            stamps: (first..first + n as u64).collect(),
+        }
     }
 
     /// The live node identifiers, in unspecified (but deterministic) order.
@@ -713,11 +806,6 @@ impl Topology {
                 return Err(format!("free list names slot {i} twice"));
             }
         }
-        let mut c = Counters {
-            edge_count: 0,
-            degree_hist: vec![0; 1],
-            max_degree: 0,
-        };
         let mut live = Vec::with_capacity(self.dense.len());
         for (i, occupant) in self.slots.iter().enumerate() {
             let l = self.adj.list(i);
@@ -740,11 +828,6 @@ impl Topology {
             if l.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("adjacency of {a} is not strictly ascending"));
             }
-            c.edge_count += l.len();
-            if l.len() >= c.degree_hist.len() {
-                c.degree_hist.resize(l.len() + 1, 0);
-            }
-            c.degree_hist[l.len()] += 1;
             live.push((a, i as u32));
         }
         if live.len() != self.dense.len()
@@ -754,11 +837,7 @@ impl Topology {
         {
             return Err("membership counts disagree".into());
         }
-        if !c.edge_count.is_multiple_of(2) {
-            return Err("odd adjacency end count".into());
-        }
-        c.edge_count /= 2;
-        c.max_degree = c.degree_hist.iter().rposition(|&k| k > 0).unwrap_or(0);
+        let c = Counters::tally(live.iter().map(|&(_, i)| self.adj.len(i as usize)))?;
         live.sort_unstable();
         let mut matched = vec![0u32; n];
         for &(a, sa) in &live {
@@ -908,6 +987,33 @@ struct Counters {
     edge_count: usize,
     degree_hist: Vec<usize>,
     max_degree: usize,
+}
+
+impl Counters {
+    /// The counters of live nodes of the given degrees, taken in slot
+    /// order. The histogram grows as larger degrees come, so its capacity
+    /// is a function of that order: a built topology and its restored twin
+    /// tally the same sequence and account the same bytes.
+    fn tally(degrees: impl Iterator<Item = usize>) -> Result<Self, String> {
+        let mut degree_hist = vec![0; 1];
+        let mut ends = 0;
+        for d in degrees {
+            ends += d;
+            if d >= degree_hist.len() {
+                degree_hist.resize(d + 1, 0);
+            }
+            degree_hist[d] += 1;
+        }
+        if !ends.is_multiple_of(2) {
+            return Err("odd adjacency end count".into());
+        }
+        let max_degree = degree_hist.iter().rposition(|&k| k > 0).unwrap_or(0);
+        Ok(Self {
+            edge_count: ends / 2,
+            degree_hist,
+            max_degree,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1124,6 +1230,90 @@ mod tests {
         back.add_node(200);
         assert_eq!(back.slot_of(200), t.slot_of(200));
         assert!(back.check_invariants());
+    }
+
+    /// The topology `add_node` and `add_edge` build one edit at a time —
+    /// what `Topology::new` did before it built in bulk.
+    fn built_by_edits(ids: &[NodeId], edges: &[(NodeId, NodeId)]) -> Topology {
+        let mut t = Topology::default();
+        for &v in ids {
+            assert!(t.add_node(v));
+        }
+        for &(a, b) in edges {
+            t.add_edge(a, b);
+        }
+        t
+    }
+
+    fn restored(t: &Topology) -> Topology {
+        let mut w = Writer::new();
+        t.save_state(&mut w);
+        Topology::restore_state(&mut Reader::new(&w.into_bytes())).unwrap()
+    }
+
+    proptest::proptest! {
+        /// The bulk build equals the edit-by-edit one on shuffled, reversed
+        /// and repeated edge lists — every list, the member order, the
+        /// counters — and is laid out as its restored twin.
+        #[test]
+        fn bulk_build_matches_edits_and_its_restored_twin(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            density in 0u32..100,
+        ) {
+            use rand::{seq::SliceRandom, Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut ids: Vec<NodeId> = (0..4 * n as u32).collect();
+            ids.shuffle(&mut rng);
+            ids.truncate(n);
+            let mut edges = Vec::new();
+            for (i, &a) in ids.iter().enumerate() {
+                for &b in &ids[i + 1..] {
+                    if rng.gen_range(0..100u32) < density {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            edges.sort_unstable();
+            let mut shuffled = edges.clone();
+            shuffled.shuffle(&mut rng);
+            let reversed: Vec<_> = edges.iter().rev().map(|&(a, b)| (b, a)).collect();
+            let mut repeated: Vec<_> = edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+            repeated.extend(edges.iter().copied());
+            let edited = built_by_edits(&ids, &shuffled);
+            for list in [&edges, &shuffled, &reversed, &repeated] {
+                let t = Topology::new(ids.iter().copied(), list.iter().copied());
+                proptest::prop_assert!(t.check_invariants());
+                proptest::prop_assert_eq!(t.ids(), edited.ids());
+                proptest::prop_assert_eq!(t.edges(), edited.edges());
+                for &v in &ids {
+                    proptest::prop_assert_eq!(t.slot_of(v), edited.slot_of(v));
+                    proptest::prop_assert_eq!(t.neighbors(v), edited.neighbors(v));
+                }
+                let used = |h: &[usize]| h.iter().rposition(|&k| k > 0).map_or(0, |d| d + 1);
+                proptest::prop_assert_eq!(
+                    &t.degree_hist[..used(&t.degree_hist)],
+                    &edited.degree_hist[..used(&edited.degree_hist)]
+                );
+                proptest::prop_assert_eq!(t.max_degree(), edited.max_degree());
+                proptest::prop_assert_eq!(t.edge_count(), edited.edge_count());
+                let twin = restored(&t);
+                proptest::prop_assert_eq!(t.heap_bytes(), twin.heap_bytes());
+                proptest::prop_assert_eq!(&t.adj.data, &twin.adj.data);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node id 3")]
+    fn bulk_build_rejects_a_duplicate_id() {
+        Topology::new([1u32, 3, 3], []);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node 7")]
+    fn bulk_build_rejects_an_unknown_endpoint() {
+        Topology::new([1u32, 3], [(1, 3), (3, 7)]);
     }
 
     /// A restore sizes the adjacency storage exactly: no doubling slack
