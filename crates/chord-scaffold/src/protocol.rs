@@ -729,12 +729,15 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             }
         }
         // Target-required neighbors: hosts of the target neighborhoods of my
-        // guests (both edge directions, ring included).
+        // guests (both edge directions of every offset, ring included).
+        let (n, offsets) = (self.target.n(), self.target.offsets());
         for a in lo..hi {
-            for g in self.target.guest_neighbors(a) {
-                if let Some(hg) = covering(g) {
-                    if hg != me {
-                        keep.insert(hg);
+            for &d in &offsets {
+                for g in [(a + d) % n, (a + n - d) % n] {
+                    if let Some(hg) = covering(g) {
+                        if hg != me {
+                            keep.insert(hg);
+                        }
                     }
                 }
             }

@@ -27,10 +27,10 @@ use ssim::snapshot::{Persist, Reader, SnapshotError, Writer};
 /// `Chord(N)` (offsets `2^k`). The edge set, the guest neighborhoods and the
 /// legal host topology ([`crate::expected_edges`], through
 /// [`overlay::Avatar::project_circulant`]) are all derived from the offsets,
-/// the last one from the hosts' ranges without listing a guest edge. A
-/// target that is not circulant cannot state offsets: it brings its own
-/// projection in place of `project_circulant`, and overrides the provided
-/// methods below.
+/// the last one from the hosts' ranges without listing a guest edge. Every
+/// target must be circulant: the legal host topology always projects the
+/// offsets, so a target that is not would first need a projection method
+/// added to this trait.
 pub trait InductiveTarget: Clone + 'static {
     /// Short name for logs and tables.
     fn name(&self) -> &'static str;
