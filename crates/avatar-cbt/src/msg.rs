@@ -152,8 +152,10 @@ pub enum CbtMsg {
 /// [`crate::CbtCore`] beside traffic of its own. This is the whole seam
 /// between the scaffold and what is built on it — the core runs on the
 /// embedding protocol's [`ssim::Ctx`], wrapping what it sends and peeling
-/// what it receives by reference.
-pub trait Carrier: Sized {
+/// what it receives by reference. A carrier is `Clone`, as every message
+/// of a [`ssim::Program`] is: [`ssim::Ctx::send`] hands it to a wire that
+/// may duplicate it.
+pub trait Carrier: Clone {
     /// Embed a CBT message for sending.
     fn wrap(msg: CbtMsg) -> Self;
     /// The CBT message inside, if this is one.

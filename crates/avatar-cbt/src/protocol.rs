@@ -460,9 +460,7 @@ impl CbtCore {
             return;
         }
         let b = self.beacon();
-        for &v in io.neighbors() {
-            send(io, v, CbtMsg::Beacon(b));
-        }
+        io.broadcast(|| [Carrier::wrap(CbtMsg::Beacon(b))]);
     }
 
     /// External neighbors whose cluster advertises `Leader` for this epoch.

@@ -50,8 +50,9 @@ pub fn engine_scale(args: &ExpArgs) {
 
     // E12d: post-convergence activations. The fixture starts in the
     // installed legal configuration (from-scratch stabilization at 10k
-    // hosts takes hours; E12c measures time-to-legality at feasible
-    // sizes), so legality holds from round 0 and the measured window — one
+    // hosts takes minutes: an E2 run stabilized 16,384 hosts in 558 s on a
+    // 2-vCPU VM; E12c measures time-to-legality at feasible sizes), so
+    // legality holds from round 0 and the measured window — one
     // stabilization budget, the engine's canonical convergence-scale
     // duration — is pure post-convergence behavior: the root observes the
     // clean feedback wave within the first epoch, the quiesce wave drains,
@@ -172,7 +173,9 @@ pub fn engine_scale(args: &ExpArgs) {
 /// about 2^22 host-rounds; the cells are the quartiles of the segments.
 /// `build s` is the wall-clock time of the fixture's build
 /// ([`scaffold_bench::legal_chord_runtime`]), one sample per size: its
-/// ratio to the host count shows whether the build stays linear.
+/// ratio to the host count shows whether the build stays linear. `sys s`
+/// is the part of it the process spent in the kernel (page faults on
+/// fresh memory, mostly), read from its own `/proc/self/stat`.
 /// Host time: print it, never commit it.
 pub fn silent_round(args: &ExpArgs) {
     let seed = args.count.unwrap_or(7);
@@ -188,6 +191,7 @@ pub fn silent_round(args: &ExpArgs) {
         "hosts",
         "N",
         "build s",
+        "sys s",
         "rounds",
         "ns q1",
         "ns median",
@@ -195,9 +199,10 @@ pub fn silent_round(args: &ExpArgs) {
     ]);
     for hosts in sizes {
         let n = 2 * hosts as u32;
-        let t0 = Instant::now();
+        let (t0, sys0) = (Instant::now(), sys_seconds());
         let mut rt = scaffold_bench::legal_chord_runtime(n, hosts, seeded(seed), NetModel::ideal());
         let build = t0.elapsed().as_secs_f64();
+        let sys = sys0.zip(sys_seconds()).map(|(a, b)| b - a);
         rt.run(256);
         let seg = ((1 << 22) / hosts as u64).max(4);
         let mut ns: Vec<f64> = (0..15)
@@ -217,6 +222,7 @@ pub fn silent_round(args: &ExpArgs) {
             hosts.to_string(),
             n.to_string(),
             format!("{build:.3}"),
+            sys.map_or("-".into(), |s| format!("{s:.2}")),
             (15 * seg).to_string(),
             f2(ns[3]),
             f2(ns[7]),
@@ -235,7 +241,19 @@ pub fn silent_round(args: &ExpArgs) {
             "at memory speed; a step up at some size is the cliff ARCHITECTURE.md",
             "(\"What a silent round costs\") describes. `build s` over hosts flat means",
             "the fixture build is linear (ARCHITECTURE.md, \"What building a legal",
-            "overlay costs\").",
+            "overlay costs\"); `sys s` is its kernel share, in 10 ms ticks.",
         ],
     );
+}
+
+/// The process's own kernel-mode CPU time in seconds: `stime` from
+/// `/proc/self/stat`, in the 1/100 s ticks (`USER_HZ`) Linux reports
+/// there, or `None` where that file cannot be read.
+fn sys_seconds() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces; field 15 is the 13th
+    // after its closing parenthesis.
+    let (_, rest) = stat.rsplit_once(')')?;
+    let ticks: u64 = rest.split_whitespace().nth(12)?.parse().ok()?;
+    Some(ticks as f64 / 100.0)
 }

@@ -346,10 +346,11 @@ pub fn legal_cbt_runtime(
 /// Build a **standalone** Avatar(CBT) runtime already in the legal
 /// configuration: single cluster, correct responsible ranges, exactly the
 /// legal edge set. The E12d post-convergence fixture — from-scratch
-/// stabilization at 10k hosts takes hours (epochs-to-converge grows
-/// super-logarithmically in this implementation; E12c measures that at
-/// feasible sizes), while the post-convergence *window* E12d measures only
-/// needs a converged network, however obtained. The first epochs still run
+/// stabilization at 10k hosts takes minutes (an E2 run stabilized 16,384
+/// hosts in 558 s on a 2-vCPU VM, at 20.3–25.1 rounds per log² N from 64
+/// hosts up; E12c measures time-to-legality at feasible sizes), while the
+/// post-convergence *window* E12d measures only needs a converged network,
+/// however obtained. The first epochs still run
 /// the real machinery: the root observes the clean feedback wave and the
 /// quiesce wave puts the network to sleep exactly as in a natural run.
 pub fn legal_cbt_standalone(

@@ -332,10 +332,7 @@ impl<T: InductiveTarget> ScaffoldCore<T> {
             phase: self.phase,
             last_wave: self.last_wave,
         };
-        for &v in io.neighbors() {
-            io.send(v, ScafMsg::Cbt(CbtMsg::Beacon(b)));
-            io.send(v, ScafMsg::Phase(pi));
-        }
+        io.broadcast(|| [ScafMsg::Cbt(CbtMsg::Beacon(b)), ScafMsg::Phase(pi)]);
     }
 
     fn revert_to_cbt(&mut self) {

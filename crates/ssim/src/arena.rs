@@ -16,38 +16,54 @@
 //! [`InboxArena`] replaces both with a **paged slab**: messages live in
 //! fixed-capacity [`PAGE_CAP`] pages drawn from one shared free list, and a
 //! slot's inbox is a singly-linked chain of pages (12 bytes of chain state
-//! per slot). Because pages are shared, the arena's footprint tracks the
-//! *concurrent* message peak, and a bounded shrink policy
+//! per slot and table). Because pages are shared, the arena's footprint
+//! tracks the *concurrent* message peak, and a bounded shrink policy
 //! ([`InboxArena::maybe_shrink`]) releases cold page buffers so a
 //! peak-then-idle run returns near its baseline footprint (the capacity
 //! retention fix this module exists for).
 //!
-//! A page stores its `(sender id, message)` entries in one array, so the
-//! common single-page inbox hands the emit phase a borrowed
-//! `&[(NodeId, M)]` slice with zero copying; only multi-page inboxes gather
-//! into a caller-provided scratch buffer.
+//! A page stores its `(sender id, message)` entries in one array, and the
+//! arena keeps **two chain tables** over the one slab: the round-start
+//! chains (the mail a step reads) and the incoming chains (mail sent or
+//! landed this round, which nobody reads until the next one). Both draw
+//! pages from the same free lists.
 //!
-//! **Lifecycle.** A delivered send waits in its recipient's inbox and is
-//! consumed (cleared) when the recipient is activated. Under the
-//! synchronous daemon every inbox is consumed every round, so a message
-//! sent in round `i` is read in round `i + 1` and never later; under
-//! partial daemons messages wait for their recipient's next activation. A
-//! departure drops every pending message its host sent (the channels died
-//! with it). Delivery keeps no record of who sent where: it marks
-//! the recipient dirty, and only the activation that consumes the inbox
-//! clears the mark, so at every round boundary **every non-empty inbox
-//! belongs to a dirty slot**. `InboxArena::retire` therefore purges
-//! through the agenda's dirty list, and `InboxArena::validate` holds
-//! restored snapshots to the same invariant. A burst of departures between
-//! two deliveries shares one scan: the second departure indexes the
-//! pending messages by sender, and the next append drops the index.
+//! **Lifecycle.** A message is written once, into a page of its
+//! recipient's incoming chain: [`crate::Ctx::send`] pushes it there as the
+//! sender steps, after the wire's decision, and a due transit arrival
+//! lands there before the round's first step. Before a selected host
+//! steps, its round-start chain is *taken* out of the arena
+//! (`InboxArena::take`): a single-page chain lends the page's buffer
+//! itself, a longer one is moved into one gather buffer, and the step
+//! reads that owned buffer while other steps push into other pages. The
+//! buffer goes back as a warm page after the step (`InboxArena::give_back`),
+//! so the pages a round's inboxes held are reused by the sends of its
+//! later steps. (Due arrivals land before any inbox is taken, so under a
+//! delaying wire a round's arrivals and its round-start inboxes are paged
+//! at the same time.) At the end of the round each touched incoming chain
+//! is spliced onto its round-start chain (`InboxArena::splice`): O(1) per
+//! slot, no copy, carried mail first, then due arrivals, then this round's
+//! sends. A host activated later in the round than a sender therefore
+//! still reads only its round-start inbox: under the synchronous daemon a
+//! message sent in round `i` is read in round `i + 1` and never later;
+//! under partial daemons messages wait for their recipient's next
+//! activation. A departure drops every pending message its host sent (the
+//! channels died with it). Delivery keeps no record of who sent where: the
+//! round's apply walk marks each recipient dirty, and only the activation
+//! that takes the inbox clears the mark, so at every round boundary
+//! **every non-empty inbox belongs to a dirty slot** and every incoming
+//! chain is empty. `InboxArena::retire` therefore purges through the
+//! agenda's dirty list, and `InboxArena::validate` holds restored
+//! snapshots to the same invariant. A burst of departures between two
+//! deliveries shares one scan: the second departure indexes the pending
+//! messages by sender, and the next append drops the index.
 //!
 //! **Determinism**: the arena changes where bytes live, never what order
-//! they are observed in. Every append happens in the order of the delivery
-//! walk, and iteration walks chains front to back, so snapshots and
-//! program-visible inbox slices are byte-identical to the flat layout.
+//! they are observed in. Every append happens in emission order, which is
+//! the order of the apply walk, and iteration walks chains front to back,
+//! so snapshots and program-visible inbox slices are byte-identical to the
+//! flat layout.
 
-use crate::program::Outgoing;
 use crate::sched::Agenda;
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
@@ -95,15 +111,49 @@ pub struct InboxArena<M> {
     warm: Vec<u32>,
     /// Free pages whose buffers were released by [`Self::maybe_shrink`].
     cold: Vec<u32>,
-    /// Per-slot chain state, indexed by slot.
+    /// Per-slot round-start chains — the mail a step reads — indexed by
+    /// slot.
     chains: Vec<Chain>,
-    /// Total messages across all chains (the runtime's `inflight` mirror).
+    /// Per-slot chains of this round's new mail, spliced onto `chains` at
+    /// the end of the round (empty at every round boundary). Sized to the
+    /// slot space at the first delivery after it grew, so a run that sends
+    /// nothing keeps no table.
+    incoming: Vec<Chain>,
+    /// Total messages across the round-start chains (the runtime's
+    /// `inflight` mirror).
     total: usize,
+    /// Total messages across the incoming chains.
+    fresh: usize,
+    /// Where a multi-page inbox is gathered for the step that reads it
+    /// (capacity reused across rounds; see [`Self::take`]).
+    gather: Vec<(NodeId, M)>,
     /// Departure batching (see [`Self::retire`]): `None` until a departure
     /// follows the last append; then empty, until a second departure fills
     /// it with the sorted `(sender id, recipient slot)` pairs of every
     /// pending message. Any append drops it.
     departures: Option<Vec<(NodeId, u32)>>,
+}
+
+/// One slot's round-start inbox, taken out of the arena for the step that
+/// reads it ([`InboxArena::take`]) and handed back after it
+/// ([`InboxArena::give_back`]).
+pub(crate) enum Taken<M> {
+    /// Nothing was pending.
+    Empty,
+    /// A single-page chain: the page, lent out with its own buffer.
+    Page(u32, Vec<(NodeId, M)>),
+    /// A longer chain, moved into the arena's gather buffer.
+    Gathered(Vec<(NodeId, M)>),
+}
+
+impl<M> Taken<M> {
+    /// The inbox, in delivery order.
+    pub(crate) fn msgs(&self) -> &[(NodeId, M)] {
+        match self {
+            Taken::Empty => &[],
+            Taken::Page(_, msgs) | Taken::Gathered(msgs) => msgs,
+        }
+    }
 }
 
 impl<M> InboxArena<M> {
@@ -114,7 +164,10 @@ impl<M> InboxArena<M> {
             warm: Vec::new(),
             cold: Vec::new(),
             chains: vec![EMPTY_CHAIN; slots],
+            incoming: Vec::new(),
             total: 0,
+            fresh: 0,
+            gather: Vec::new(),
             departures: None,
         }
     }
@@ -143,6 +196,7 @@ impl<M> InboxArena<M> {
     }
 
     /// Total messages across every inbox (tracked incrementally, O(1)).
+    /// Mail sent in the current round is not counted until the round ends.
     pub fn total_len(&self) -> usize {
         self.total
     }
@@ -171,65 +225,111 @@ impl<M> InboxArena<M> {
         pi
     }
 
-    /// Link a free page at `chain`'s tail and return its index.
-    fn grow(&mut self, chain: &mut Chain) -> u32 {
-        let pi = self.alloc_page();
-        if chain.tail == NONE {
-            chain.head = pi;
-        } else {
-            self.pages[chain.tail as usize].next = pi;
+    /// Append one entry to `chain`, linking a free page at its tail when
+    /// the tail is full (or there is none), and return the grown chain.
+    fn append(&mut self, mut chain: Chain, entry: (NodeId, M)) -> Chain {
+        if chain.tail == NONE || self.pages[chain.tail as usize].msgs.len() == PAGE_CAP {
+            let pi = self.alloc_page();
+            if chain.tail == NONE {
+                chain.head = pi;
+            } else {
+                self.pages[chain.tail as usize].next = pi;
+            }
+            chain.tail = pi;
         }
-        chain.tail = pi;
-        pi
+        self.pages[chain.tail as usize].msgs.push(entry);
+        chain.len += 1;
+        self.departures = None;
+        chain
     }
 
     /// Append one message to `slot`'s inbox.
     pub fn push(&mut self, slot: usize, from: NodeId, msg: M) {
-        let mut chain = self.chains[slot];
-        let tail_full =
-            chain.tail == NONE || self.pages[chain.tail as usize].msgs.len() == PAGE_CAP;
-        if tail_full {
-            self.grow(&mut chain);
-        }
-        self.pages[chain.tail as usize].msgs.push((from, msg));
-        chain.len += 1;
-        self.chains[slot] = chain;
+        self.chains[slot] = self.append(self.chains[slot], (from, msg));
         self.total += 1;
-        self.departures = None;
     }
 
-    /// Deliver one message: it becomes readable at the recipient's *next*
-    /// activation, and — a pending message being a wake-up condition — the
-    /// recipient is marked dirty (the mark the departure purge relies on).
-    pub(crate) fn deliver(&mut self, agenda: &mut Agenda, o: Outgoing<M>) {
-        self.push(o.to_slot as usize, o.from, o.msg);
-        agenda.mark(o.to_slot as usize);
+    /// Deliver one message sent (or landed) this round: it joins `slot`'s
+    /// incoming chain, readable from the recipient's *next* activation
+    /// once [`Self::splice`] has run. The caller logs the recipient, whom
+    /// the round's apply walk marks dirty.
+    pub(crate) fn post(&mut self, slot: usize, from: NodeId, msg: M) {
+        if slot >= self.incoming.len() {
+            self.incoming.resize(self.chains.len(), EMPTY_CHAIN);
+        }
+        self.incoming[slot] = self.append(self.incoming[slot], (from, msg));
+        self.fresh += 1;
     }
 
-    /// Borrow `slot`'s inbox as one contiguous slice. Single-page chains
-    /// (the overwhelmingly common case) borrow straight from the page;
-    /// longer chains gather into `buf` (cleared first, capacity reused
-    /// across rounds).
-    pub fn view<'a>(&'a self, slot: usize, buf: &'a mut Vec<(NodeId, M)>) -> &'a [(NodeId, M)]
-    where
-        M: Clone,
-    {
+    /// Take `slot`'s round-start inbox out of the arena for the step that
+    /// reads it, leaving the slot's chain empty: a single-page chain lends
+    /// its page's buffer (no copy), a longer one is moved into the gather
+    /// buffer and its pages go straight back to the free list. While the
+    /// inbox is out, [`Self::post`] may push into any other page.
+    pub(crate) fn take(&mut self, slot: usize) -> Taken<M> {
         let chain = self.chains[slot];
-        if chain.head == NONE {
-            return &[];
+        if chain.len == 0 {
+            return Taken::Empty;
         }
-        let first = &self.pages[chain.head as usize];
-        if first.next == NONE {
-            return &first.msgs;
+        self.chains[slot] = EMPTY_CHAIN;
+        self.total -= chain.len as usize;
+        let head = &mut self.pages[chain.head as usize];
+        if head.next == NONE {
+            return Taken::Page(chain.head, std::mem::take(&mut head.msgs));
         }
-        buf.clear();
+        let mut msgs = std::mem::take(&mut self.gather);
+        msgs.reserve_exact(chain.len as usize);
         let mut pi = chain.head;
         while pi != NONE {
-            let pg = &self.pages[pi as usize];
-            buf.extend_from_slice(&pg.msgs);
-            pi = pg.next;
+            let pg = &mut self.pages[pi as usize];
+            msgs.append(&mut pg.msgs);
+            self.warm.push(pi);
+            pi = std::mem::replace(&mut pg.next, NONE);
         }
-        buf
+        Taken::Gathered(msgs)
+    }
+
+    /// Return what [`Self::take`] lent out, its messages dropped: a lent
+    /// page rejoins the warm free list with its buffer, a gather buffer
+    /// keeps its capacity for the next multi-page inbox.
+    pub(crate) fn give_back(&mut self, taken: Taken<M>) {
+        match taken {
+            Taken::Empty => {}
+            Taken::Page(pi, mut msgs) => {
+                msgs.clear();
+                self.pages[pi as usize].msgs = msgs;
+                self.warm.push(pi);
+            }
+            Taken::Gathered(mut msgs) => {
+                msgs.clear();
+                self.gather = msgs;
+            }
+        }
+    }
+
+    /// End the round's delivery: splice the incoming chain of every slot
+    /// in `touched` (each slot that received mail, in any order, repeats
+    /// allowed) onto its round-start chain. O(1) per slot: the chains are
+    /// relinked, no message moves, and what was pending stays first.
+    pub(crate) fn splice(&mut self, touched: &[u32]) {
+        for &t in touched {
+            let t = t as usize;
+            let inc = std::mem::replace(&mut self.incoming[t], EMPTY_CHAIN);
+            if inc.len == 0 {
+                continue;
+            }
+            let chain = &mut self.chains[t];
+            if chain.tail == NONE {
+                *chain = inc;
+            } else {
+                self.pages[chain.tail as usize].next = inc.head;
+                chain.tail = inc.tail;
+                chain.len += inc.len;
+            }
+            self.total += inc.len as usize;
+            self.fresh -= inc.len as usize;
+        }
+        debug_assert_eq!(self.fresh, 0, "a recipient was not logged");
     }
 
     /// Iterate `slot`'s `(sender id, message)` entries in delivery order.
@@ -309,6 +409,7 @@ impl<M> InboxArena<M> {
     /// consumption remove messages, joins add none), and `purge_sender`
     /// checks each inbox it is pointed at.
     pub(crate) fn retire(&mut self, slot: usize, id: NodeId, dirty: &[u32]) {
+        debug_assert_eq!(self.fresh, 0, "a departure inside a round");
         self.consume(slot);
         if self.total == 0 {
             return;
@@ -351,7 +452,8 @@ impl<M> InboxArena<M> {
     }
 
     /// Bytes of heap owned by the arena's own structures: the page slab,
-    /// page buffers, chain table and free lists. Heap owned by the
+    /// page buffers, both chain tables, the gather buffer and the free
+    /// lists. Heap owned by the
     /// messages themselves (e.g. boxed payload variants) is invisible to
     /// the arena and not counted.
     pub fn heap_bytes(&self) -> usize {
@@ -364,7 +466,8 @@ impl<M> InboxArena<M> {
         let index = self.departures.as_ref().map_or(0, Vec::capacity);
         self.pages.capacity() * size_of::<Page<M>>()
             + page_bufs
-            + self.chains.capacity() * size_of::<Chain>()
+            + (self.chains.capacity() + self.incoming.capacity()) * size_of::<Chain>()
+            + self.gather.capacity() * size_of::<(NodeId, M)>()
             + (self.warm.capacity() + self.cold.capacity()) * size_of::<u32>()
             + index * size_of::<(NodeId, u32)>()
     }
@@ -421,8 +524,7 @@ mod tests {
     use super::*;
 
     fn drain_view(a: &InboxArena<u64>, slot: usize) -> Vec<(NodeId, u64)> {
-        let mut buf = Vec::new();
-        a.view(slot, &mut buf).to_vec()
+        a.entries(slot).copied().collect()
     }
 
     #[test]
@@ -435,21 +537,66 @@ mod tests {
         assert_eq!(a.len(0), n);
         assert_eq!(a.total_len(), n);
         assert!(a.is_empty(1));
-        let got = drain_view(&a, 0);
         let want: Vec<(NodeId, u64)> = (0..n).map(|k| (k as NodeId, k as u64 * 10)).collect();
-        assert_eq!(got, want);
-        assert!(a.entries(0).eq(want.iter()));
+        assert_eq!(drain_view(&a, 0), want);
+        let taken = a.take(0);
+        assert_eq!(taken.msgs(), &want[..]);
+        assert!(matches!(taken, Taken::Gathered(_)));
+        assert_eq!((a.total_len(), a.warm.len()), (0, 4), "pages freed at once");
+        a.give_back(taken);
+        assert_eq!(a.gather.capacity(), n, "the gather buffer keeps its room");
     }
 
+    /// A single-page inbox is lent out whole: its page leaves the free
+    /// lists while the step runs, another slot's mail goes elsewhere, and
+    /// the page comes back warm with its buffer.
     #[test]
-    fn single_page_view_borrows_without_gather() {
-        let mut a = InboxArena::<u64>::new(1);
+    fn take_lends_a_single_page_and_gets_it_back() {
+        let mut a = InboxArena::<u64>::new(2);
         a.push(0, 9, 99);
-        let mut buf = Vec::new();
-        let v = a.view(0, &mut buf);
-        assert_eq!(v, &[(9, 99)]);
-        // The gather buffer is untouched on the single-page path.
-        assert!(buf.is_empty());
+        let taken = a.take(0);
+        assert!(matches!(taken, Taken::Page(0, _)));
+        assert_eq!(taken.msgs(), &[(9, 99)]);
+        assert!(a.is_empty(0) && a.warm.is_empty());
+        a.post(1, 9, 100);
+        assert_eq!(a.pages.len(), 2, "the lent page is not reused");
+        a.give_back(taken);
+        assert_eq!(a.warm, vec![0]);
+        assert_eq!(a.pages[0].msgs.capacity(), PAGE_CAP);
+        assert!(
+            a.gather.capacity() == 0,
+            "no gather on the single-page path"
+        );
+        assert!(matches!(a.take(0), Taken::Empty));
+    }
+
+    /// New mail is invisible until the splice, which puts it behind what
+    /// was already pending, across page boundaries on both sides.
+    #[test]
+    fn splice_appends_new_mail_behind_carried_mail() {
+        let mut a = InboxArena::<u64>::new(3);
+        let carried = PAGE_CAP + 3;
+        for k in 0..carried {
+            a.push(0, 1, k as u64);
+        }
+        for k in 0..PAGE_CAP * 2 {
+            a.post(0, 2, 1000 + k as u64);
+            a.post(1, 2, k as u64);
+        }
+        assert_eq!((a.len(0), a.total_len()), (carried, carried));
+        a.splice(&[1, 0, 1, 2]);
+        assert_eq!(a.total_len(), carried + PAGE_CAP * 4);
+        let got = drain_view(&a, 0);
+        assert_eq!(got.len(), carried + PAGE_CAP * 2);
+        assert!(got[..carried].iter().all(|&(from, _)| from == 1));
+        assert!(got[carried..]
+            .iter()
+            .map(|&(_, m)| m)
+            .eq(1000..1000 + PAGE_CAP as u64 * 2));
+        // The spliced chain stays appendable.
+        a.push(0, 3, 7);
+        assert_eq!(drain_view(&a, 0).last(), Some(&(3, 7)));
+        assert!(a.is_empty(2));
     }
 
     #[test]

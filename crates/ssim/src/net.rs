@@ -4,16 +4,18 @@
 //! The round engine's default network is the paper's fully-synchronous
 //! channel: a message sent in round `i` is received in round `i + 1`,
 //! reliably, in emission order. A [`NetModel`] relaxes that assumption. It
-//! sits between the emit phase and inbox delivery: every send the apply
-//! phase processes is either delivered immediately (extra delay 0, exactly
-//! the classic path), dropped (loss, or a [`Runtime::partition`] cut), or
-//! parked in the runtime's **in-transit buffer** to be delivered — and only
-//! then made visible, marked dirty, and counted — in a later round.
+//! sits between a send and inbox delivery: every send is decided as
+//! [`crate::Ctx::send`] emits it — delivered at once to the recipient's
+//! next-round inbox (extra delay 0, exactly the classic path), dropped
+//! (loss, or a [`Runtime::partition`] cut), or parked in the runtime's
+//! **in-transit buffer** to be delivered — and only then made visible,
+//! marked dirty, and counted — in a later round.
 //!
 //! Determinism is preserved by construction: all net decisions (loss,
 //! delay, duplication) are drawn from one dedicated RNG **in canonical
-//! selection order** — the order the engine applies sends in — so the
-//! schedule is byte-identical under any equivalence-claiming daemon. The in-transit buffer and the net RNG position are covered by
+//! selection order** — the order the selected programs emit their sends
+//! in — so the schedule is byte-identical under any equivalence-claiming
+//! daemon. The in-transit buffer and the net RNG position are covered by
 //! [`Runtime::save_snapshot`], so a run can be split mid-delay and the
 //! restored half continues byte-identically.
 //!
@@ -29,7 +31,6 @@
 //! [`Runtime::partition`]: crate::Runtime::partition
 //! [`Runtime::save_snapshot`]: crate::Runtime::save_snapshot
 
-use crate::program::Outgoing;
 use crate::snapshot::{persist_struct, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
@@ -265,17 +266,22 @@ persist_struct!(NetStats {
     in_transit,
 });
 
-/// One delayed message parked in the [`Wire`]'s in-transit buffer,
-/// scheduled for a future round's delivery. Both endpoint *ids* ride along
-/// with the slots: departures purge the buffer eagerly, and delivery
-/// re-checks id-at-slot anyway (the same guard the timer heap uses), so a
-/// recycled slot can never receive a ghost message.
-struct Transit<M> {
-    to_slot: u32,
-    from_slot: u32,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
+/// One message on the wire: handed to [`Wire::send`] by
+/// [`crate::Ctx::send`], with everything the wire needs resolved at
+/// emission (both endpoints' slots, against the round-start member map —
+/// membership never changes mid-step), and parked as is in the in-transit
+/// buffer when delayed. Both endpoint *ids* ride along with the slots:
+/// departures purge the buffer eagerly, and delivery re-checks id-at-slot
+/// anyway (the same guard the timer heap uses), so a recycled slot can
+/// never receive a ghost message.
+pub(crate) struct Transit<M> {
+    pub(crate) to_slot: u32,
+    /// The sender's slot: read only by the transit wheel, whose snapshot
+    /// layout and id-at-slot arrival guard record both endpoints' slots.
+    pub(crate) from_slot: u32,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) msg: M,
 }
 
 /// The wire: everything between a send leaving the emit stage and a message
@@ -407,23 +413,22 @@ impl<M> Wire<M> {
         }
     }
 
-    /// Decide the fate of one send to `to` in `round`. Decision order per
+    /// Decide the fate of one send in `round`. Decision order per
     /// message — partition (no draw), loss, delay, duplication — so the RNG
-    /// stream is a pure function of the send stream and the model. Copies due with no extra delay go to `land` (the
-    /// classic next-round inbox path); the rest are parked for a later
-    /// round's [`Wire::arrivals`].
+    /// stream is a pure function of the send stream and the model. Copies
+    /// due with no extra delay go to `land` (the classic next-round inbox
+    /// path); the rest are parked for a later round's [`Wire::arrivals`].
     pub(crate) fn send(
         &mut self,
         stats: &mut NetStats,
         round: u64,
-        to: NodeId,
-        o: Outgoing<M>,
-        mut land: impl FnMut(Outgoing<M>),
+        t: Transit<M>,
+        mut land: impl FnMut(Transit<M>),
     ) where
         M: Clone,
     {
         let model = self.model;
-        if self.crosses_cut(o.from, to) {
+        if self.crosses_cut(t.from, t.to) {
             stats.dropped_partition += 1;
             return;
         }
@@ -435,53 +440,47 @@ impl<M> Wire<M> {
         if model.dup > 0.0 && self.rng.gen_bool(model.dup) {
             let dd = model.draw_delay(&mut self.rng);
             stats.duplicated += 1;
-            let copy = Outgoing {
-                msg: o.msg.clone(),
-                ..o
+            let copy = Transit {
+                msg: t.msg.clone(),
+                ..t
             };
-            self.forward(stats, copy, to, round, delay.min(dd), &mut land);
-            self.forward(stats, o, to, round, delay.max(dd), &mut land);
+            self.forward(stats, copy, round, delay.min(dd), &mut land);
+            self.forward(stats, t, round, delay.max(dd), &mut land);
         } else {
-            self.forward(stats, o, to, round, delay, &mut land);
+            self.forward(stats, t, round, delay, &mut land);
         }
     }
 
-    /// Hand `o` to `land` now (extra delay 0) or park it for
+    /// Hand `t` to `land` now (extra delay 0) or park it for
     /// `round + delay`.
     fn forward(
         &mut self,
         stats: &mut NetStats,
-        o: Outgoing<M>,
-        to: NodeId,
+        t: Transit<M>,
         round: u64,
         delay: u64,
-        land: &mut impl FnMut(Outgoing<M>),
+        land: &mut impl FnMut(Transit<M>),
     ) {
         if delay == 0 {
-            return land(o);
+            return land(t);
         }
         let pool = &mut self.transit_pool;
         self.transit
             .entry(round + delay)
             .or_insert_with(|| pool.pop().unwrap_or_default())
-            .push(Transit {
-                to_slot: o.to_slot,
-                from_slot: o.from_slot,
-                from: o.from,
-                to,
-                msg: o.msg,
-            });
+            .push(t);
         stats.in_transit += 1;
     }
 
     /// Transit arrivals: hand every message whose delivery round has come
-    /// to `land`, in decision order. The round calls this after the
-    /// activated inboxes were consumed (an arrival becomes readable at the
-    /// *next* activation, exactly like a fresh send) and before the round's
-    /// new sends are delivered (an older message never queues behind a
-    /// younger one in a shared inbox). Arrival — not the send — is where
-    /// the recipient is marked dirty (dirty-set soundness: a delayed
-    /// message is a wake-up condition on its **delivery** round).
+    /// to `land`, in decision order. The round calls this before its first
+    /// step, landing each arrival in its recipient's incoming chain, so it
+    /// becomes readable at the *next* activation, exactly like a fresh
+    /// send, and it queues ahead of the round's new sends (an older
+    /// message never queues behind a younger one in a shared inbox).
+    /// Arrival — not the send — is where the recipient is logged for the
+    /// dirty mark (dirty-set soundness: a delayed message is a wake-up
+    /// condition on its **delivery** round).
     ///
     /// Departures purge the buffer eagerly, so both endpoints are live; the
     /// id-at-slot guard against `topo` (the timer heap's guard) is defense
@@ -493,7 +492,7 @@ impl<M> Wire<M> {
         stats: &mut NetStats,
         round: u64,
         topo: &Topology,
-        mut land: impl FnMut(Outgoing<M>),
+        mut land: impl FnMut(Transit<M>),
     ) {
         let at = |slot: u32| topo.id_at(NodeSlot::new(slot as usize));
         while let Some(entry) = self.transit.first_entry() {
@@ -504,12 +503,7 @@ impl<M> Wire<M> {
             stats.in_transit -= bucket.len() as u64;
             for t in bucket.drain(..) {
                 if at(t.to_slot) == Some(t.to) && at(t.from_slot) == Some(t.from) {
-                    land(Outgoing {
-                        to_slot: t.to_slot,
-                        from_slot: t.from_slot,
-                        from: t.from,
-                        msg: t.msg,
-                    });
+                    land(t);
                 } else {
                     stats.dropped_departed += 1;
                 }
@@ -826,13 +820,14 @@ mod tests {
         let slot = |t: &Topology, v: NodeId| t.slot_of(v).unwrap().index() as u32;
         let send = |wire: &mut Wire<u8>, s: &mut NetStats, topo: &Topology, from, to| {
             s.sent += 1;
-            let o = Outgoing {
+            let t = Transit {
                 to_slot: slot(topo, to),
                 from_slot: slot(topo, from),
                 from,
+                to,
                 msg: 0,
             };
-            wire.send(s, 0, to, o, |_| panic!("delay 2 parks every send"));
+            wire.send(s, 0, t, |_| panic!("delay 2 parks every send"));
         };
         let check = |wire: &Wire<u8>, s: &NetStats, transit, partition, departed| {
             assert_eq!(

@@ -1,7 +1,8 @@
 //! Node programs, the per-round execution context, and the emit stage that
 //! runs one against the other.
 
-use crate::arena::InboxArena;
+use crate::arena::{InboxArena, Taken};
+use crate::net::{NetStats, Transit, Wire};
 use crate::snapshot::{Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
 use crate::NodeId;
@@ -71,32 +72,20 @@ pub trait Program {
     const RECORD_BYTES: usize = 0;
 }
 
-/// One message leaving the emit phase, with everything the later stages
-/// need precomputed at emission: the recipient *slot* (the id → slot hash
-/// lookup happens in [`Ctx::send`], against the round-start member map —
-/// membership never changes mid-step) and the sender id the recipient's
-/// inbox records.
-pub(crate) struct Outgoing<M> {
-    pub(crate) to_slot: u32,
-    /// The sender's slot: read only by the transit wheel, whose snapshot
-    /// layout and id-at-slot arrival guard record both endpoints' slots.
-    pub(crate) from_slot: u32,
-    pub(crate) from: NodeId,
-    pub(crate) msg: M,
-}
-
 /// Record of one activation with an effect, in the [`EmitSink`]: which
 /// slot ran, and how far its outputs extend into the sink's flat
-/// `sends`/`unlinks` arrays (cumulative end offsets — record `k`'s sends
-/// are `sends[slots[k-1].sends_end..slots[k].sends_end]`). Links carry
-/// both endpoints explicitly, so the flat `links` array needs no per-slot
-/// attribution. An activation without an effect (see
-/// [`EmitSink::activate`]) emitted nothing, so skipping its record moves
-/// no offset.
+/// `landed`/`unlinks` arrays (cumulative end offsets — the recipients of
+/// record `k`'s delivered sends are `landed[slots[k-1].sends_end..
+/// slots[k].sends_end]`, and record 0's start after the round's due
+/// arrivals). Links carry both endpoints explicitly, so the flat `links`
+/// array needs no per-slot attribution. An activation without an effect
+/// (see [`EmitSink::activate`]) emitted nothing, so skipping its record
+/// moves no offset.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotRec {
     pub(crate) slot: u32,
     pub(crate) id: NodeId,
+    /// End of this activation's delivered sends in the recipient log.
     pub(crate) sends_end: u32,
     pub(crate) unlinks_end: u32,
     /// Model violations the node attempted (lenient mode only; strict mode
@@ -109,107 +98,187 @@ pub(crate) struct SlotRec {
 }
 
 /// The emit stage: runs the selected programs against the round-start
-/// snapshot, in selection order, and holds what they emit. [`Ctx`] appends
-/// straight into these arrays, validated at emit time against the
+/// snapshot, in selection order, and records what they emit. A send is
+/// written once, by [`Ctx::send`], into its recipient's incoming chain in
+/// the [`InboxArena`]; the sink keeps only the recipient's slot (4 bytes)
+/// in the recipient log, which the apply walk marks dirty. Links and
+/// unlinks append to flat arrays, validated at emit time against the
 /// round-start snapshot — illegal actions are never enqueued — and the
-/// apply stages then walk them once, in the same order. All buffers are
-/// recycled across rounds.
-pub(crate) struct EmitSink<M> {
+/// apply stages walk them once, in the same order. All buffers are
+/// recycled across rounds; none holds a message.
+#[derive(Default)]
+pub(crate) struct EmitSink {
     /// One record per activation with an effect, in selection order.
     pub(crate) slots: Vec<SlotRec>,
-    /// Messages to send; recipients are validated round-start neighbors.
-    pub(crate) sends: Vec<Outgoing<M>>,
+    /// The recipient log: the slot of every message delivered to an
+    /// incoming chain this round, in delivery order — the due transit
+    /// arrivals first, then each activation's sends in emission order. A
+    /// message the wire drops or parks is not logged.
+    pub(crate) landed: Vec<u32>,
+    /// How many entries of `landed` are due transit arrivals.
+    pub(crate) arrived: usize,
     /// Introductions `(a, b)`, both in the acting node's closed
     /// neighborhood (the overlay-model edge creation rule).
     pub(crate) links: Vec<(NodeId, NodeId)>,
     /// Deletions of incident edges `(acting node, v)`.
     pub(crate) unlinks: Vec<NodeId>,
-    /// Gather scratch for multi-page inboxes (see [`crate::arena::InboxArena::view`]);
-    /// the single-page common case borrows the page directly and never
-    /// touches this.
-    inbox_buf: Vec<(NodeId, M)>,
-}
-
-impl<M> Default for EmitSink<M> {
-    fn default() -> Self {
-        Self {
-            slots: Vec::new(),
-            sends: Vec::new(),
-            links: Vec::new(),
-            unlinks: Vec::new(),
-            inbox_buf: Vec::new(),
-        }
-    }
 }
 
 /// What every activation of a round reads and nothing writes until the
-/// emit stage is over: the round-start snapshot.
-pub(crate) struct RoundStart<'a, M> {
+/// emit stage is over: the round-start snapshot. The round-start inboxes
+/// are read through the [`InboxArena`], which the emit also writes (into
+/// other chains), so they are handed over beside it.
+pub(crate) struct RoundStart<'a> {
     pub(crate) round: u64,
     pub(crate) strict: bool,
     pub(crate) topo: &'a Topology,
-    pub(crate) inboxes: &'a InboxArena<M>,
     /// The agenda's per-slot quiescence flags, which only the apply walk
     /// after the emit writes.
     pub(crate) quiescent: &'a [bool],
 }
 
-impl<M> RoundStart<'_, M> {
+impl RoundStart<'_> {
     /// Whether the program in the selected live slot `i` answers this
     /// activation itself ([`Program::idle_at`]): its inbox is empty (`quiet`
     /// says no inbox holds anything, so none is looked up), the agenda
     /// flags it quiescent, and it is idle at its round-start adjacency
     /// stamp. Such an activation would have been silent, so it ends as a
     /// silent one does: no step, no [`SlotRec`].
-    pub(crate) fn idle<P: Program<Msg = M>>(&self, quiet: bool, i: usize, prog: &P) -> bool {
+    pub(crate) fn idle<P: Program>(
+        &self,
+        inboxes: &InboxArena<P::Msg>,
+        quiet: bool,
+        i: usize,
+        prog: &P,
+    ) -> bool {
         self.quiescent[i]
-            && (quiet || self.inboxes.is_empty(i))
+            && (quiet || inboxes.is_empty(i))
             && prog.idle_at(self.topo.stamp_at(NodeSlot::new(i)))
     }
 }
 
-impl<M: Clone> EmitSink<M> {
-    /// Run the selected programs, in selection order, into the emptied
-    /// sink. `selection` holds distinct live slots (the agenda's sanitizer,
-    /// or its every-live fill, establishes this).
-    pub(crate) fn run<P: Program<Msg = M>>(
+/// The delivery side of a round, which the emit writes: the inbox arena
+/// (its incoming chains), the wire that decides each send, and the
+/// network's books.
+pub(crate) struct Post<'a, M> {
+    inboxes: &'a mut InboxArena<M>,
+    wire: &'a mut Wire<M>,
+    stats: &'a mut NetStats,
+    /// [`Wire::is_active`], read once per round.
+    wired: bool,
+}
+
+impl<'a, M> Post<'a, M> {
+    /// The round's delivery side; whether the wire is active is read here,
+    /// once.
+    pub(crate) fn new(
+        inboxes: &'a mut InboxArena<M>,
+        wire: &'a mut Wire<M>,
+        stats: &'a mut NetStats,
+    ) -> Self {
+        let wired = wire.is_active();
+        Self {
+            inboxes,
+            wire,
+            stats,
+            wired,
+        }
+    }
+}
+
+impl<M: Clone> Post<'_, M> {
+    /// A handle on the same delivery side for one step.
+    fn reborrow(&mut self) -> Post<'_, M> {
+        Post {
+            inboxes: &mut *self.inboxes,
+            wire: &mut *self.wire,
+            stats: &mut *self.stats,
+            wired: self.wired,
+        }
+    }
+
+    /// Count one send and deliver it: through the wire's decision when the
+    /// wire is active (in emission order, which is the canonical order its
+    /// RNG draws in), else straight into the recipient's incoming chain.
+    /// Each copy that lands now is logged in `log`.
+    fn send(&mut self, log: &mut Vec<u32>, round: u64, t: Transit<M>) {
+        self.stats.sent += 1;
+        let inboxes = &mut *self.inboxes;
+        if self.wired {
+            self.wire
+                .send(self.stats, round, t, |t| land(inboxes, log, t));
+        } else {
+            land(inboxes, log, t);
+        }
+    }
+}
+
+/// Deliver `t` into its recipient's incoming chain and log the recipient
+/// for the round's dirty marks.
+fn land<M>(inboxes: &mut InboxArena<M>, log: &mut Vec<u32>, t: Transit<M>) {
+    inboxes.post(t.to_slot as usize, t.from, t.msg);
+    log.push(t.to_slot);
+}
+
+impl EmitSink {
+    /// Run the round's deliveries and the selected programs, in selection
+    /// order, into the emptied sink: first the wire's due arrivals land
+    /// (ahead of every send of the round), then each selected program
+    /// steps. `selection` holds distinct live slots (the agenda's
+    /// sanitizer, or its every-live fill, establishes this).
+    pub(crate) fn run<P: Program>(
         &mut self,
-        at: &RoundStart<'_, M>,
+        at: &RoundStart<'_>,
         selection: &[NodeSlot],
         programs: &mut [Option<P>],
         rngs: &mut [SmallRng],
+        mut post: Post<'_, P::Msg>,
     ) {
         self.slots.clear();
-        self.sends.clear();
+        self.landed.clear();
         self.links.clear();
         self.unlinks.clear();
-        let quiet = at.inboxes.total_len() == 0;
+        let (inboxes, log) = (&mut *post.inboxes, &mut self.landed);
+        post.wire
+            .arrivals(post.stats, at.round, at.topo, |t| land(inboxes, log, t));
+        self.arrived = self.landed.len();
+        let quiet = post.inboxes.total_len() == 0;
         for &s in selection {
             let i = s.index();
             let prog = programs[i].as_mut().expect("selected slot is live");
-            if !at.idle(quiet, i, prog) {
-                self.activate(at, i, prog, &mut rngs[i]);
+            if !at.idle(post.inboxes, quiet, i, prog) {
+                self.activate(at, i, prog, &mut rngs[i], &mut post, quiet);
             }
         }
     }
 
     /// Run one activation of the live slot `i` against the round-start
-    /// snapshot, appending what it emits and, if it had an effect, its
-    /// [`SlotRec`]. An activation has none when it sent, linked and
-    /// unlinked nothing, made no violation, asked for no wake-up, and ended
-    /// quiescent in a slot the agenda already flags quiescent: its record's
-    /// settle, unlink walk and violation count would all be no-ops, which
-    /// is the whole cost of a silent host's round.
-    fn activate<P: Program<Msg = M>>(
+    /// snapshot and, if it had an effect, record its [`SlotRec`]. An
+    /// activation has none when it sent, linked and unlinked nothing, made
+    /// no violation, asked for no wake-up, and ended quiescent in a slot
+    /// the agenda already flags quiescent: its record's settle, unlink walk
+    /// and violation count would all be no-ops, which is the whole cost of
+    /// a silent host's round. While `quiet` (no inbox held anything at
+    /// round start) the slot's chain is not read.
+    fn activate<P: Program>(
         &mut self,
-        at: &RoundStart<'_, M>,
+        at: &RoundStart<'_>,
         i: usize,
         prog: &mut P,
         rng: &mut SmallRng,
+        post: &mut Post<'_, P::Msg>,
+        quiet: bool,
     ) {
-        let emitted = (self.sends.len(), self.links.len(), self.unlinks.len());
-        let rec = self.step(at, i, prog, rng);
-        let silent = emitted == (self.sends.len(), self.links.len(), self.unlinks.len())
+        let edits = (self.links.len(), self.unlinks.len());
+        let taken = if quiet {
+            Taken::Empty
+        } else {
+            post.inboxes.take(i)
+        };
+        let (rec, sent) = self.step(at, i, prog, rng, taken.msgs(), Some(post));
+        post.inboxes.give_back(taken);
+        let silent = sent == 0
+            && edits == (self.links.len(), self.unlinks.len())
             && rec.violations == 0
             && rec.wake_in.is_none()
             && rec.quiescent
@@ -219,16 +288,20 @@ impl<M: Clone> EmitSink<M> {
         }
     }
 
-    /// Step the live slot `i` against the round-start snapshot, appending
-    /// what it emits, and return its record whatever it did (the
-    /// shadow-step check audits every record).
-    pub(crate) fn step<P: Program<Msg = M>>(
+    /// Step the live slot `i` against the round-start snapshot with
+    /// `inbox`, appending its links and unlinks, and return its record and
+    /// the number of valid sends it made, whatever it did (the shadow-step
+    /// check audits every record). Sends go to `post`; with none (the
+    /// shadow-step check's dry run) they are only counted.
+    pub(crate) fn step<P: Program>(
         &mut self,
-        at: &RoundStart<'_, M>,
+        at: &RoundStart<'_>,
         i: usize,
         prog: &mut P,
         rng: &mut SmallRng,
-    ) -> SlotRec {
+        inbox: &[(NodeId, P::Msg)],
+        post: Option<&mut Post<'_, P::Msg>>,
+    ) -> (SlotRec, u32) {
         let slot = NodeSlot::new(i);
         let id = at.topo.id_at(slot).expect("selected slot is live");
         let mut ctx = Ctx {
@@ -238,50 +311,51 @@ impl<M: Clone> EmitSink<M> {
             slot: i as u32,
             topo: at.topo,
             neighbors: Cell::new(None),
-            // Nothing pending anywhere: no chain to read.
-            inbox: if at.inboxes.total_len() == 0 {
-                &[]
-            } else {
-                at.inboxes.view(i, &mut self.inbox_buf)
-            },
+            inbox,
             rng,
-            sends: &mut self.sends,
+            post: post.map(Post::reborrow),
+            landed: &mut self.landed,
+            sent: 0,
             links: &mut self.links,
             unlinks: &mut self.unlinks,
             violations: 0,
             wake_in: None,
         };
         prog.step(&mut ctx);
-        let (violations, wake_in) = (ctx.violations, ctx.wake_in);
-        SlotRec {
+        let (violations, wake_in, sent) = (ctx.violations, ctx.wake_in, ctx.sent);
+        let rec = SlotRec {
             slot: i as u32,
             id,
-            sends_end: self.sends.len() as u32,
+            sends_end: self.landed.len() as u32,
             unlinks_end: self.unlinks.len() as u32,
             violations,
             wake_in,
             quiescent: prog.is_quiescent(),
-        }
+        };
+        (rec, sent)
     }
 
+    /// Heap bytes of the sink's buffers. None holds a message: a round
+    /// that sends `k` messages grows the recipient log by `4 k` bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<SlotRec>()
-            + self.sends.capacity() * size_of::<Outgoing<M>>()
+            + self.landed.capacity() * size_of::<u32>()
             + self.links.capacity() * size_of::<(NodeId, NodeId)>()
             + self.unlinks.capacity() * size_of::<NodeId>()
-            + self.inbox_buf.capacity() * size_of::<(NodeId, M)>()
     }
 }
 
 /// Per-round execution context handed to [`Program::step`]. Emitted actions
-/// land directly in the round's emit sink; nothing is staged. The
-/// [`Ctx::inbox`] and [`Ctx::neighbors`] slices borrow the round-start
-/// snapshot for `'a`, not the context, so a program holds them across its
-/// own sends and links without copying: nothing an activation emits can
-/// move them, because emission only appends to the emit sink. The neighbor
-/// list is looked up at the first call that needs it, not when the context
-/// is made: a settled host reads only its [`Ctx::neighbors_stamp`].
+/// take effect without staging: a send is written once, straight into its
+/// recipient's next-round inbox page, and links and unlinks append to the
+/// round's emit sink. The [`Ctx::inbox`] and [`Ctx::neighbors`] slices
+/// borrow the round-start snapshot for `'a`, not the context, so a program
+/// holds them across its own sends and links without copying: the inbox
+/// was taken out of the arena for this step, so nothing an activation
+/// emits can move it. The neighbor list is looked up at the first call
+/// that needs it, not when the context is made: a settled host reads only
+/// its [`Ctx::neighbors_stamp`].
 pub struct Ctx<'a, M> {
     /// This node's identifier.
     pub id: NodeId,
@@ -294,7 +368,13 @@ pub struct Ctx<'a, M> {
     neighbors: Cell<Option<&'a [NodeId]>>,
     inbox: &'a [(NodeId, M)],
     rng: &'a mut SmallRng,
-    sends: &'a mut Vec<Outgoing<M>>,
+    /// Where sends go; `None` in the shadow-step check's dry run, which
+    /// only counts them.
+    post: Option<Post<'a, M>>,
+    /// The emit sink's recipient log.
+    landed: &'a mut Vec<u32>,
+    /// Valid sends made so far.
+    sent: u32,
     links: &'a mut Vec<(NodeId, NodeId)>,
     unlinks: &'a mut Vec<NodeId>,
     violations: u64,
@@ -331,7 +411,8 @@ impl<'a, M> Ctx<'a, M> {
     /// daemon on the ideal network that is exactly what the neighbors sent
     /// last round; a partial daemon or a delaying [`crate::NetModel`] may
     /// have queued several rounds' worth, some from senders that are no
-    /// longer neighbors (messages from departed hosts are purged).
+    /// longer neighbors (messages from departed hosts are purged). Mail
+    /// sent this round, even by a host stepped earlier, is not in it.
     pub fn inbox(&self) -> &'a [(NodeId, M)] {
         self.inbox
     }
@@ -339,37 +420,6 @@ impl<'a, M> Ctx<'a, M> {
     /// The node's private deterministic PRNG.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
-    }
-
-    /// Send `msg` to neighbor `to`. It lands in `to`'s inbox at the end of
-    /// this round on the ideal network, or after the [`crate::NetModel`]'s
-    /// delay (or never, when lost); `to` reads it at its next activation
-    /// after that. Sending to a
-    /// non-neighbor is a protocol bug: it panics in strict mode and is
-    /// dropped (and counted) in lenient mode. Validation is against the
-    /// round-start snapshot, so it fuses into emission — the runtime applies
-    /// enqueued sends without re-checking.
-    pub fn send(&mut self, to: NodeId, msg: M) {
-        if !self.is_neighbor(to) {
-            if self.strict {
-                panic!(
-                    "round {}: node {} sent to non-neighbor {to}",
-                    self.round, self.id
-                );
-            }
-            self.violations += 1;
-            return;
-        }
-        let to_slot = self
-            .topo
-            .slot_of(to)
-            .expect("round-start neighbor is a member");
-        self.sends.push(Outgoing {
-            to_slot: to_slot.index() as u32,
-            from_slot: self.slot,
-            from: self.id,
-            msg,
-        });
     }
 
     /// Introduce `a` and `b`: create the edge `(a, b)`. Both must be in this
@@ -409,6 +459,64 @@ impl<'a, M> Ctx<'a, M> {
     pub fn wake_me_in(&mut self, rounds: u64) {
         let d = rounds.max(1);
         self.wake_in = Some(self.wake_in.map_or(d, |w| w.min(d)));
+    }
+}
+
+impl<M: Clone> Ctx<'_, M> {
+    /// Send `msg` to neighbor `to`. It lands in `to`'s inbox at the end of
+    /// this round on the ideal network, or after the [`crate::NetModel`]'s
+    /// delay (or never, when lost); `to` reads it at its next activation
+    /// after that. Sending to a non-neighbor is a protocol bug: it panics
+    /// in strict mode and is dropped (and counted) in lenient mode.
+    /// Validation is against the round-start snapshot, so it fuses into
+    /// emission, and so does delivery: the wire decides the message's fate
+    /// here, and a message due now is written straight into `to`'s
+    /// next-round inbox page.
+    pub fn send(&mut self, to: NodeId, msg: M) {
+        if !self.is_neighbor(to) {
+            if self.strict {
+                panic!(
+                    "round {}: node {} sent to non-neighbor {to}",
+                    self.round, self.id
+                );
+            }
+            self.violations += 1;
+            return;
+        }
+        self.post(to, msg);
+    }
+
+    /// Send the `K` messages `msgs` makes, in order, to each round-start
+    /// neighbor, neighbor by neighbor in [`Ctx::neighbors`] order — the
+    /// order a loop of [`Ctx::send`]s over the list would take, without
+    /// re-checking recipients that come from the list itself. `msgs` is
+    /// called once per neighbor, so each message is built where it is
+    /// sent, not cloned.
+    pub fn broadcast<const K: usize>(&mut self, msgs: impl Fn() -> [M; K]) {
+        for &v in self.neighbors() {
+            for m in msgs() {
+                self.post(v, m);
+            }
+        }
+    }
+
+    /// Deliver one send to the round-start neighbor `to`.
+    fn post(&mut self, to: NodeId, msg: M) {
+        let to_slot = self
+            .topo
+            .slot_of(to)
+            .expect("round-start neighbor is a member");
+        self.sent += 1;
+        if let Some(post) = &mut self.post {
+            let t = Transit {
+                to_slot: to_slot.index() as u32,
+                from_slot: self.slot,
+                from: self.id,
+                to,
+                msg,
+            };
+            post.send(self.landed, self.round, t);
+        }
     }
 }
 

@@ -16,7 +16,7 @@ use crate::arena::InboxArena;
 use crate::metrics::{PerfCounters, RoundMetrics, RunMetrics};
 use crate::monitor::{MonitorOutcome, RunVerdict};
 use crate::net::{self, NetModel, Wire};
-use crate::program::{EmitSink, Program, RoundStart, SlotRec};
+use crate::program::{EmitSink, Post, Program, RoundStart, SlotRec};
 use crate::sched::{self, Agenda, Scheduler};
 use crate::snapshot::{self, Persist, Reader, SnapshotError, Writer};
 use crate::topology::{NodeSlot, Topology};
@@ -92,8 +92,15 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// would *not* have been a no-op. Built by [`Runtime::enable_shadow_check`]
 /// (the closure captures the `P: Clone` capability so `step` itself needs
 /// no extra bounds).
-type ShadowFn<P> =
-    Box<dyn Fn(&RoundStart<'_, <P as Program>::Msg>, usize, &P, &SmallRng) -> Option<String>>;
+type ShadowFn<P> = Box<
+    dyn Fn(
+        &RoundStart<'_>,
+        &InboxArena<<P as Program>::Msg>,
+        usize,
+        &P,
+        &SmallRng,
+    ) -> Option<String>,
+>;
 
 /// Per-subsystem heap bytes reported by [`Runtime::mem_footprint`].
 ///
@@ -119,7 +126,9 @@ pub struct MemFootprint {
     /// Attached workload state: per-slot request queues and holder flags.
     pub workload: usize,
     /// Engine bookkeeping: RNGs, dirty set, selection scratch, timers,
-    /// the emit sink.
+    /// the emit sink. The sink holds no message: a send is written once,
+    /// into the recipient's inbox page, and the sink keeps only its
+    /// recipient's slot (4 bytes) for the round's dirty marks.
     pub engine: usize,
 }
 
@@ -154,7 +163,7 @@ pub struct Runtime<P: Program> {
     /// Who must run, who is at rest, who runs this round.
     agenda: Agenda,
     /// The emit stage's output, walked by the apply stages.
-    emit: EmitSink<P::Msg>,
+    emit: EmitSink,
     /// Per-slot pending messages.
     inboxes: InboxArena<P::Msg>,
     /// Network conditions between emit and delivery (see [`crate::net`]).
@@ -183,26 +192,24 @@ pub struct Runtime<P: Program> {
 /// plain function the runtime can hold without the `P: Router` bound.
 type RouteOf<P> = fn(&P, Key, &[NodeId]) -> RouteStep;
 
-/// The one canonical walk over a round's emit output: every activation with
-/// an effect, in selection order, first settles its own bookkeeping —
-/// wake-up request, quiescence report — and then hands each of its sends,
-/// in emission order, to `send`. The order of the marks it makes is
-/// observable; what `send` does with a message is the only thing the
-/// delivery paths differ in.
-fn walk_emitted<T>(
-    agenda: &mut Agenda,
-    round: u64,
-    slots: &[SlotRec],
-    mut sends: impl Iterator<Item = T>,
-    mut send: impl FnMut(&mut Agenda, T),
-) {
-    let mut cur = 0;
-    for rec in slots {
+/// The one canonical walk over a round's emit output: the due transit
+/// arrivals' recipients are marked first, then every activation with an
+/// effect, in selection order, settles its own bookkeeping — wake-up
+/// request, quiescence report — and marks the recipients of its delivered
+/// sends, in emission order. The order of the marks is observable (the
+/// dirty list is saved in raw order).
+fn walk_emitted(agenda: &mut Agenda, round: u64, sink: &EmitSink) {
+    let mut cur = sink.arrived;
+    for &to in &sink.landed[..cur] {
+        agenda.mark(to as usize);
+    }
+    for rec in &sink.slots {
         agenda.settle(round, rec.slot, rec.id, rec.wake_in, rec.quiescent);
-        while cur < rec.sends_end {
-            cur += 1;
-            send(agenda, sends.next().expect("send cursor within the sink"));
+        let end = rec.sends_end as usize;
+        for &to in &sink.landed[cur..end] {
+            agenda.mark(to as usize);
         }
+        cur = end;
     }
 }
 
@@ -416,20 +423,22 @@ impl<P: Program> Runtime<P> {
     where
         P: Clone,
     {
-        self.shadow = Some(Box::new(|at, i, prog, rng| {
+        self.shadow = Some(Box::new(|at, inboxes, i, prog, rng| {
             let (mut clone, mut rng2) = (prog.clone(), rng.clone());
             let mut sink = EmitSink::default();
             let lenient = RoundStart {
                 strict: false,
                 ..*at
             };
+            let inbox: Vec<_> = inboxes.entries(i).cloned().collect();
+            let (rec, sends) = sink.step(&lenient, i, &mut clone, &mut rng2, &inbox, None);
             let SlotRec {
                 violations,
                 wake_in,
                 quiescent,
                 ..
-            } = sink.step(&lenient, i, &mut clone, &mut rng2);
-            let (sends, links, unlinks) = (sink.sends.len(), sink.links.len(), sink.unlinks.len());
+            } = rec;
+            let (sends, links, unlinks) = (sends as usize, sink.links.len(), sink.unlinks.len());
             if sends + links + unlinks != 0 || violations != 0 || wake_in.is_some() {
                 return Some(format!(
                     "emitted {sends} send(s), {links} link(s), {unlinks} unlink(s), \
@@ -456,7 +465,7 @@ impl<P: Program> Runtime<P> {
     /// under every daemon: the answer is the program's claim, not the
     /// scheduler's.
     #[cfg(debug_assertions)]
-    fn audit_unstepped(&self, at: &RoundStart<'_, P::Msg>) {
+    fn audit_unstepped(&self, at: &RoundStart<'_>) {
         let Some(shadow) = &self.shadow else {
             return;
         };
@@ -472,12 +481,12 @@ impl<P: Program> Runtime<P> {
             let audited = if skipped {
                 equivalent
             } else {
-                at.idle(quiet, i, prog)
+                at.idle(&self.inboxes, quiet, i, prog)
             };
             if !audited {
                 continue;
             }
-            if let Some(why) = shadow(at, i, prog, &self.rngs[i]) {
+            if let Some(why) = shadow(at, &self.inboxes, i, prog, &self.rngs[i]) {
                 let (who, contract) = if skipped {
                     (
                         format!("scheduler `{}` skipped", self.sched.name()),
@@ -680,8 +689,9 @@ impl<P: Program> Runtime<P> {
         changed
     }
 
-    /// Execute one round: *inject → wake timers → select → emit → apply
-    /// edges → consume → arrivals → deliver → traffic → metrics*. Each
+    /// Execute one round: *inject → wake timers → select → arrivals → emit
+    /// (each step takes its inbox; each send is decided and delivered) →
+    /// apply edges → mark recipients → splice → traffic → metrics*. Each
     /// stage is a call on the type that owns its state; the order below is
     /// the model.
     ///
@@ -709,21 +719,23 @@ impl<P: Program> Runtime<P> {
         self.agenda.wake_due(round, &self.topo);
         self.agenda.select(self.sched.as_mut(), round, &self.topo);
 
-        // Emit: the selected programs run against the round-start
-        // snapshot. Illegal sends/links are rejected at emission (see
-        // `Ctx`), so everything the sink holds below is valid.
+        // Emit: the wire's due arrivals land, then the selected programs
+        // run against the round-start snapshot, each taking its own inbox
+        // out of the arena. Illegal sends/links are rejected at emission
+        // (see `Ctx`); a legal send goes through the wire's decision
+        // straight into its recipient's incoming chain.
         let at = RoundStart {
             round,
             strict: self.cfg.strict,
             topo: &self.topo,
-            inboxes: &self.inboxes,
             quiescent: self.agenda.quiescent_flags(),
         };
         #[cfg(debug_assertions)]
         self.audit_unstepped(&at);
         let selection = self.agenda.selection();
+        let post = Post::new(&mut self.inboxes, &mut self.wire, &mut self.metrics.net);
         self.emit
-            .run(&at, selection, &mut self.programs, &mut self.rngs);
+            .run(&at, selection, &mut self.programs, &mut self.rngs, post);
         let mut row = RoundMetrics {
             round,
             active_nodes: selection.len() as u64,
@@ -732,20 +744,13 @@ impl<P: Program> Runtime<P> {
 
         // Apply, with round-start snapshot semantics, walking only the
         // selection's output (a quiet network does not pay for its size):
-        // edges first; then the activated inboxes are consumed (their
-        // contents were read by this round's emit) before anything new
-        // lands in them — due transit arrivals, then this round's sends.
-        // With no message pending anywhere there is nothing to consume.
+        // edges first; then the recipients are marked dirty in the walk's
+        // canonical order, and this round's mail — due arrivals, then the
+        // sends — is spliced behind whatever the inboxes still hold.
         self.apply_edges(&mut row);
-        if self.inboxes.total_len() > 0 {
-            for &slot in self.agenda.selection() {
-                self.inboxes.consume(slot.index());
-            }
-        }
-        let carried = self.inboxes.total_len();
-        self.land_arrivals(round);
-        self.deliver(round);
-        row.messages = (self.inboxes.total_len() - carried) as u64;
+        walk_emitted(&mut self.agenda, round, &self.emit);
+        self.inboxes.splice(&self.emit.landed);
+        row.messages = self.emit.landed.len() as u64;
         self.metrics.net.delivered += row.messages;
 
         // Traffic: advance held requests one hop over the post-apply
@@ -825,35 +830,6 @@ impl<P: Program> Runtime<P> {
                 row.links_added += 1;
                 self.agenda.mark_edge(&self.topo, x, y);
             }
-        }
-    }
-
-    /// Move the wire's due messages into their recipients' inboxes (see
-    /// [`Wire::arrivals`] for why here and not later).
-    fn land_arrivals(&mut self, round: u64) {
-        let land = |o| self.inboxes.deliver(&mut self.agenda, o);
-        self.wire
-            .arrivals(&mut self.metrics.net, round, &self.topo, land);
-    }
-
-    /// Deliver this round's sends: one [`walk_emitted`], two per-send
-    /// steps. Through an active wire every send needs a decision;
-    /// otherwise each message is pushed inline.
-    fn deliver(&mut self, round: u64) {
-        let (agenda, stats) = (&mut self.agenda, &mut self.metrics.net);
-        let EmitSink { slots, sends, .. } = &mut self.emit;
-        stats.sent += sends.len() as u64;
-        if self.wire.is_active() {
-            walk_emitted(agenda, round, slots, sends.drain(..), |agenda, o| {
-                let to = self.topo.id_at(NodeSlot::new(o.to_slot as usize));
-                let to = to.expect("round-start recipient is a member");
-                let land = |o| self.inboxes.deliver(agenda, o);
-                self.wire.send(stats, round, to, o, land);
-            });
-        } else {
-            walk_emitted(agenda, round, slots, sends.drain(..), |agenda, o| {
-                self.inboxes.deliver(agenda, o);
-            });
         }
     }
 
@@ -1197,6 +1173,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PAGE_CAP;
     use crate::net::NetStats;
     use crate::workload::Request;
     use crate::{Ctx, RouteStep};
@@ -2530,5 +2507,203 @@ mod tests {
         rt.step();
         assert_eq!(rt.metrics().per_round.last().unwrap().active_nodes, 8);
         assert_eq!(recorded_slots(&rt), Vec::<u32>::new());
+    }
+
+    /// Every host sends the round number to each neighbor every round —
+    /// even ids by [`Ctx::broadcast`], odd ids by a loop of sends — and
+    /// records each inbox it reads.
+    #[derive(Clone, Default)]
+    struct Tagger {
+        reads: Vec<(u64, Vec<(NodeId, u64)>)>,
+    }
+
+    impl Program for Tagger {
+        type Msg = u64;
+        fn step(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.reads.push((ctx.round, ctx.inbox().to_vec()));
+            if ctx.id.is_multiple_of(2) {
+                let round = ctx.round;
+                ctx.broadcast(|| [round]);
+            } else {
+                for &v in ctx.neighbors() {
+                    ctx.send(v, ctx.round);
+                }
+            }
+        }
+    }
+
+    /// A message is read at the recipient's first activation in a *later*
+    /// round, whichever of the two ran first: a recipient selected after
+    /// its sender in the same round still reads only its round-start
+    /// inbox. Activity-driven selection follows the dirty list, so the
+    /// order of the hosts changes from round to round.
+    #[test]
+    fn mail_sent_this_round_is_read_next_round() {
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (0, 3),
+            (1, 4),
+        ];
+        for name in ["synchronous", "activity", "random"] {
+            let daemon: Box<dyn Scheduler> = match name {
+                "synchronous" => Box::new(sched::Synchronous),
+                "activity" => Box::new(sched::ActivityDriven),
+                _ => Box::new(sched::RandomSubset::new(0.5, 21)),
+            };
+            let hosts = (0..6u32).map(|v| (v, Tagger::default()));
+            let mut rt = Runtime::new(Config::seeded(8), hosts, edges);
+            rt.set_scheduler(daemon);
+            rt.run(12);
+            for (v, p) in rt.programs() {
+                let nbrs = rt.topology().neighbors(v);
+                let mut next = vec![0u64; nbrs.len()];
+                for (round, inbox) in &p.reads {
+                    if name != "random" {
+                        let last = round.checked_sub(1);
+                        let want = last.iter().flat_map(|&r| nbrs.iter().map(move |&u| (u, r)));
+                        let mut got = inbox.clone();
+                        got.sort_unstable();
+                        assert_eq!(got, want.collect::<Vec<_>>(), "{name}");
+                    }
+                    // Per sender, tags arrive once each, in order, from
+                    // rounds before this one.
+                    for &(u, tag) in inbox {
+                        let k = nbrs.binary_search(&u).expect("from a neighbor");
+                        assert!(
+                            tag >= next[k] && tag < *round,
+                            "{name}: {v} read {u}'s {tag}"
+                        );
+                        next[k] = tag + 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The hub of a star hears from four senders, `PER` messages each per
+    /// activation. Messages are `(send round, sequence)`.
+    #[derive(Clone, Default)]
+    struct Crowd {
+        reads: Vec<Vec<(NodeId, (u64, u32))>>,
+    }
+
+    const PER: u32 = 20;
+
+    impl Program for Crowd {
+        type Msg = (u64, u32);
+        fn step(&mut self, ctx: &mut Ctx<'_, (u64, u32)>) {
+            if ctx.id == 0 {
+                self.reads.push(ctx.inbox().to_vec());
+            } else if ctx.round < 20 {
+                for k in 0..PER {
+                    ctx.send(0, (ctx.round, k));
+                }
+            }
+        }
+    }
+
+    /// More than a page of mail reaches one inbox in a round, under a
+    /// partial daemon, on the ideal network and through an active wire:
+    /// after every round the hub's pending inbox is what it held (unless it
+    /// read it, and then it read exactly that) followed by the round's
+    /// landings, and those are in send order — by send round, then by
+    /// sender (member order is selection order here), then by sequence.
+    /// Nothing is lost or delivered twice.
+    #[test]
+    fn a_crowded_inbox_keeps_send_order_behind_carried_mail() {
+        let wire = NetModel {
+            delay: 1,
+            jitter: 1,
+            ..NetModel::ideal()
+        };
+        for net in [NetModel::ideal(), wire] {
+            let hosts = (0..5u32).map(|v| (v, Crowd::default()));
+            let mut rt = Runtime::new(Config::seeded(3), hosts, (1..5u32).map(|v| (0, v)));
+            rt.set_net_model(net);
+            rt.set_scheduler(Box::new(sched::RandomSubset::new(0.5, 9)));
+            let hub = rt.topology().slot_of(0).expect("member").index();
+            let pending =
+                |rt: &Runtime<Crowd>| rt.inboxes.entries(hub).copied().collect::<Vec<_>>();
+            let (mut before, mut landed_all, mut crowded) = (Vec::new(), Vec::new(), 0);
+            for round in 0..30u64 {
+                let reads = rt.program(0).reads.len();
+                rt.step();
+                let after = pending(&rt);
+                let carried: &[_] = if rt.program(0).reads.len() > reads {
+                    assert_eq!(rt.program(0).reads.last(), Some(&before), "round {round}");
+                    &[]
+                } else {
+                    &before
+                };
+                assert!(
+                    after.starts_with(carried),
+                    "round {round}: carried mail moved"
+                );
+                let landed = &after[carried.len()..];
+                let key = |&(from, (r, k)): &(NodeId, (u64, u32))| (r, from, k);
+                assert!(
+                    landed.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "round {round}: out of send order"
+                );
+                let (lo, hi) = if net.is_ideal() { (0, 0) } else { (1, 2) };
+                assert!(landed
+                    .iter()
+                    .all(|&(_, (r, _))| (lo..=hi).contains(&(round - r))));
+                crowded = crowded.max(landed.len());
+                landed_all.extend_from_slice(landed);
+                before = after;
+            }
+            assert!(
+                crowded > PAGE_CAP,
+                "a round landed {crowded} messages at most"
+            );
+            assert!(rt.program(0).reads.iter().any(|r| r.len() > 2 * PAGE_CAP));
+            landed_all.sort_unstable();
+            landed_all.dedup();
+            assert_eq!(landed_all.len() as u64, rt.net_stats().sent);
+            assert_eq!(rt.in_transit(), 0);
+        }
+    }
+
+    /// A round of 4,160 sends leaves the engine's footprint grown by the
+    /// recipient log's 4 bytes a message (and a few records), not by a
+    /// buffer of messages.
+    #[test]
+    fn a_heavy_round_grows_no_message_buffer_in_the_engine() {
+        type Big = [u64; 5];
+        #[derive(Clone)]
+        struct Shout;
+        impl Program for Shout {
+            type Msg = Big;
+            fn step(&mut self, ctx: &mut Ctx<'_, Big>) {
+                if ctx.round == 0 {
+                    let id = u64::from(ctx.id);
+                    ctx.broadcast(|| [[id; 5]]);
+                }
+            }
+        }
+        let n = 65u32;
+        let edges = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+        let mut rt = Runtime::new(Config::seeded(1), (0..n).map(|v| (v, Shout)), edges);
+        let before = rt.mem_footprint().engine;
+        rt.step();
+        let sends = rt.net_stats().sent as usize;
+        assert!(sends >= 4000, "{sends} sends");
+        let grown = rt.mem_footprint().engine - before;
+        let staged = sends * std::mem::size_of::<(NodeId, Big)>();
+        assert!(
+            grown * 4 < staged,
+            "the engine grew {grown} B over {sends} sends"
+        );
+        assert_eq!(
+            rt.inboxes.total_len(),
+            sends,
+            "every message sits in an inbox"
+        );
     }
 }
